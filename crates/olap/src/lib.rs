@@ -94,7 +94,7 @@ pub use expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
 pub use hashtable::{GroupTable, JoinTable, KeySet};
 pub use morsel::{split_morsels, Morsel};
 pub use plan::{BuildSide, QueryPlan, TopK};
-pub use reference::execute_reference;
+pub use reference::{execute_reference, execute_reference_with_work};
 pub use routing::{RoutingPolicy, SegmentAssignment};
 pub use source::{BoundLayout, ScanSegmentSource, ScanSource};
 pub use worker::{OlapWorkerManager, WorkerTeam};

@@ -28,7 +28,7 @@
 use crate::block::Block;
 use crate::dag::{BuildSpec, DagPlan, DagSpec, Finisher, PipelineSpec, ProbeSpec, RowSlot};
 use crate::error::OlapError;
-use crate::exec::{GroupRow, QueryResult};
+use crate::exec::{GroupRow, QueryOutput, QueryResult, WorkProfile};
 use crate::expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
 use crate::plan::QueryPlan;
 use crate::source::ScanSource;
@@ -204,10 +204,17 @@ type WeightMap = BTreeMap<i64, u64>;
 
 /// The join multiplicity of one probe-side row: the product of the matched
 /// weights across the pipeline's probe chain, 0 as soon as any probe
-/// misses.
-fn probe_weight(probes: &[ProbeSpec], built: &[WeightMap], block: &Block, row: usize) -> u64 {
+/// misses. Every stage the row reaches costs one probe.
+fn probe_weight(
+    probes: &[ProbeSpec],
+    built: &[WeightMap],
+    block: &Block,
+    row: usize,
+    work: &mut WorkProfile,
+) -> u64 {
     let mut w = 1u64;
     for p in probes {
+        work.probes += 1;
         w *= built[p.build]
             .get(&key_at(&p.key, block, row))
             .copied()
@@ -219,11 +226,41 @@ fn probe_weight(probes: &[ProbeSpec], built: &[WeightMap], block: &Block, row: u
     w
 }
 
+/// Account one pipeline's scan, derived from the source alone (never from
+/// morsels): every row of every non-empty segment is a scanned tuple, costs
+/// the summed widths of the `columns` the pipeline reads on the segment's
+/// socket, and is fresh when the segment is an OLTP snapshot. Returns the
+/// pipeline's total bytes (what a broadcast build side is charged).
+fn account_scan(src: &ScanSource, columns: &[String], work: &mut WorkProfile) -> u64 {
+    let mut columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    columns.sort_unstable();
+    columns.dedup();
+    let mut total = 0;
+    for seg in src.segments.iter().filter(|s| s.row_count() > 0) {
+        let schema = seg.table.schema();
+        let width: u64 = columns
+            .iter()
+            .filter_map(|c| schema.column_index(c))
+            .map(|i| schema.column(i).dtype.width_bytes())
+            .sum();
+        *work.bytes_per_socket.entry(seg.socket).or_insert(0) += seg.row_count() * width;
+        total += seg.row_count() * width;
+    }
+    work.tuples_scanned += src.total_rows();
+    work.fresh_rows += src.fresh_rows();
+    total
+}
+
 /// Run one build pipeline into its weight map.
+///
+/// Build sides are broadcast: the scanned bytes are charged again as build
+/// bytes, plus 16 B of hash table per distinct surviving key — on the near
+/// fields when the root pipeline probes this build, else on the far fields.
 fn reference_build(
     src: &ScanSource,
     build: &BuildSpec,
     built: &[WeightMap],
+    work: &mut WorkProfile,
 ) -> Result<WeightMap, OlapError> {
     let mut numeric = filter_columns(&build.input.filters);
     let mut keys = Vec::new();
@@ -237,12 +274,22 @@ fn reference_build(
             if !passes(&build.input.filters, &block, row) {
                 continue;
             }
-            let w = probe_weight(&build.input.probes, built, &block, row);
+            let w = probe_weight(&build.input.probes, built, &block, row, work);
             if w == 0 {
                 continue;
             }
             *map.entry(key_at(&build.key, &block, row)).or_insert(0) += w;
         }
+    }
+    numeric.extend(keys);
+    let bytes = account_scan(src, &numeric, work);
+    let table_bytes = map.len() as u64 * 16;
+    if build.feeds_root {
+        work.build_bytes += bytes;
+        work.hash_table_bytes += table_bytes;
+    } else {
+        work.far_build_bytes += bytes;
+        work.far_hash_table_bytes += table_bytes;
     }
     Ok(map)
 }
@@ -253,6 +300,7 @@ fn reference_scalar_scan(
     root: &PipelineSpec,
     aggregates: &[AggExpr],
     built: &[WeightMap],
+    work: &mut WorkProfile,
 ) -> Result<Vec<f64>, OlapError> {
     let mut numeric = filter_columns(&root.filters);
     numeric.extend(agg_columns(aggregates));
@@ -266,13 +314,16 @@ fn reference_scalar_scan(
             if !passes(&root.filters, &block, row) {
                 continue;
             }
-            let w = probe_weight(&root.probes, built, &block, row);
+            let w = probe_weight(&root.probes, built, &block, row, work);
             if w == 0 {
                 continue;
             }
+            work.tuples_selected += w;
             fold(&mut accs, aggregates, &block, row, w);
         }
     }
+    numeric.extend(keys);
+    account_scan(src, &numeric, work);
     Ok(finalize_all(&accs, aggregates))
 }
 
@@ -283,6 +334,7 @@ fn reference_grouped_scan(
     group_by: &[String],
     aggregates: &[AggExpr],
     built: &[WeightMap],
+    work: &mut WorkProfile,
 ) -> Result<Vec<GroupRow>, OlapError> {
     let mut numeric = filter_columns(&root.filters);
     numeric.extend(agg_columns(aggregates));
@@ -304,10 +356,11 @@ fn reference_grouped_scan(
             if !passes(&root.filters, &block, row) {
                 continue;
             }
-            let w = probe_weight(&root.probes, built, &block, row);
+            let w = probe_weight(&root.probes, built, &block, row, work);
             if w == 0 {
                 continue;
             }
+            work.tuples_selected += w;
             let key: Vec<i64> = key_columns.iter().map(|col| col[row]).collect();
             let accs = groups
                 .entry(key)
@@ -315,6 +368,8 @@ fn reference_grouped_scan(
             fold(accs, aggregates, &block, row, w);
         }
     }
+    numeric.extend(keys);
+    account_scan(src, &numeric, work);
     Ok(groups
         .into_iter()
         .map(|(key, accs)| (key, finalize_all(&accs, aggregates)))
@@ -362,33 +417,39 @@ fn apply_finisher(finisher: &Finisher, rows: &mut Vec<GroupRow>) {
 fn execute_spec(
     spec: &DagSpec,
     sources: &BTreeMap<String, ScanSource>,
-) -> Result<QueryResult, OlapError> {
+) -> Result<QueryOutput, OlapError> {
+    let mut work = WorkProfile::default();
     let mut built: Vec<WeightMap> = Vec::with_capacity(spec.builds.len());
     for build in &spec.builds {
-        let map = reference_build(source(sources, &build.input.table)?, build, &built)?;
+        let src = source(sources, &build.input.table)?;
+        let map = reference_build(src, build, &built, &mut work)?;
         built.push(map);
     }
-    match &spec.group_by {
-        None => Ok(QueryResult::Scalars(reference_scalar_scan(
-            source(sources, &spec.root.table)?,
+    let src = source(sources, &spec.root.table)?;
+    let result = match &spec.group_by {
+        None => QueryResult::Scalars(reference_scalar_scan(
+            src,
             &spec.root,
             &spec.aggregates,
             &built,
-        )?)),
+            &mut work,
+        )?),
         Some(group_by) => {
             let mut rows = reference_grouped_scan(
-                source(sources, &spec.root.table)?,
+                src,
                 &spec.root,
                 group_by,
                 &spec.aggregates,
                 &built,
+                &mut work,
             )?;
             for finisher in &spec.finishers {
                 apply_finisher(finisher, &mut rows);
             }
-            Ok(QueryResult::Groups(rows))
+            QueryResult::Groups(rows)
         }
-    }
+    };
+    Ok(QueryOutput { result, work })
 }
 
 /// Execute `plan` with the naive row-at-a-time interpreter. Lowering and
@@ -397,6 +458,17 @@ pub fn execute_reference(
     plan: &QueryPlan,
     sources: &BTreeMap<String, ScanSource>,
 ) -> Result<QueryResult, OlapError> {
+    execute_reference_with_work(plan, sources).map(|out| out.result)
+}
+
+/// [`execute_reference`] plus the oracle's own [`WorkProfile`]: an exact work
+/// account derived from the sources and the surviving rows, never from
+/// morsels or the engine's bind-time layouts. The engine's per-worker,
+/// per-morsel profile must sum to exactly these integers.
+pub fn execute_reference_with_work(
+    plan: &QueryPlan,
+    sources: &BTreeMap<String, ScanSource>,
+) -> Result<QueryOutput, OlapError> {
     let spec = DagPlan::lower(plan).decompose()?;
     execute_spec(&spec, sources)
 }

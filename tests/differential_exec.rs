@@ -15,9 +15,9 @@
 //! same comparison since both sides compute them order-insensitively).
 
 use adaptive_htap::olap::{
-    execute_reference, AggExpr, BaselineExecutor, BuildSide, CmpOp, DagBuilder, DagOp, HavingPred,
-    Predicate, QueryExecutor, QueryOutput, QueryPlan, QueryResult, RowSlot, ScalarExpr, ScanSource,
-    SortKey, TopK, WorkerTeam,
+    execute_reference_with_work, AggExpr, BaselineExecutor, BuildSide, CmpOp, DagBuilder, DagOp,
+    HavingPred, Predicate, QueryExecutor, QueryOutput, QueryPlan, QueryResult, RowSlot, ScalarExpr,
+    ScanSource, SortKey, TopK, WorkerTeam,
 };
 use adaptive_htap::sim::{CoreId, SocketId};
 use adaptive_htap::storage::{
@@ -334,6 +334,22 @@ fn assert_matches_reference(engine: &QueryResult, reference: &QueryResult, ctx: 
     }
 }
 
+/// Run the row-at-a-time oracle and compare: result rows within the SUM/AVG
+/// tolerance, and the `WorkProfile` — bytes per socket, tuples, fresh rows,
+/// probes, build and hash-table bytes — exactly (the oracle derives it from
+/// the sources and the surviving rows, the engine from its morsels).
+fn assert_matches_oracle(
+    engine: &QueryOutput,
+    plan: &QueryPlan,
+    sources: &BTreeMap<String, ScanSource>,
+    ctx: &str,
+) {
+    let oracle = execute_reference_with_work(plan, sources)
+        .unwrap_or_else(|e| panic!("{ctx}: oracle failed: {e}"));
+    assert_matches_reference(&engine.result, &oracle.result, ctx);
+    assert_eq!(engine.work, oracle.work, "{ctx}: work accounts diverged");
+}
+
 /// ≥ 100 randomized plans, every shape: 1/2/4/8-worker engine runs must be
 /// bit-for-bit identical and all must agree with the reference oracle.
 #[test]
@@ -361,9 +377,7 @@ fn randomized_plans_match_reference_across_worker_counts() {
             );
         }
 
-        let reference = execute_reference(&plan, &sources)
-            .unwrap_or_else(|e| panic!("{ctx}: reference failed: {e}"));
-        assert_matches_reference(&baseline.result, &reference, &ctx);
+        assert_matches_oracle(&baseline, &plan, &sources, &ctx);
 
         // The frozen pre-vectorization interpreter must agree with the
         // vectorized engine bit for bit — results AND WorkProfile accounting
@@ -399,8 +413,7 @@ fn solo_and_single_worker_teams_agree_with_reference() {
             .execute_parallel(&plan, &sources, &WorkerTeam::from_cores(vec![CoreId(0)]))
             .unwrap();
         assert_eq!(solo, one, "shape {shape}: solo vs one-worker");
-        let reference = execute_reference(&plan, &sources).unwrap();
-        assert_matches_reference(&solo.result, &reference, &format!("shape {shape}"));
+        assert_matches_oracle(&solo, &plan, &sources, &format!("shape {shape}"));
     }
 }
 
@@ -472,8 +485,7 @@ fn empty_selections_agree_with_reference_for_every_shape() {
         let out = executor
             .execute_parallel(&plan, &sources, &WorkerTeam::from_cores(vec![CoreId(0)]))
             .unwrap();
-        let reference = execute_reference(&plan, &sources).unwrap();
-        assert_matches_reference(&out.result, &reference, plan.label());
+        assert_matches_oracle(&out, &plan, &sources, plan.label());
         match &out.result {
             QueryResult::Scalars(v) => {
                 assert!(
@@ -514,9 +526,7 @@ fn assert_all_engines_agree(
         interpreted, solo,
         "{ctx}: baseline diverged from vectorized"
     );
-    let reference =
-        execute_reference(plan, sources).unwrap_or_else(|e| panic!("{ctx}: oracle failed: {e}"));
-    assert_matches_reference(&solo.result, &reference, ctx);
+    assert_matches_oracle(&solo, plan, sources, ctx);
 }
 
 /// Like [`assert_all_engines_agree`] but WITHOUT the frozen-baseline
@@ -539,9 +549,7 @@ fn assert_workers_match_oracle(
         let parallel = executor.execute_parallel(plan, sources, &team).unwrap();
         assert_eq!(solo, parallel, "{ctx}: {workers} workers diverged");
     }
-    let reference =
-        execute_reference(plan, sources).unwrap_or_else(|e| panic!("{ctx}: oracle failed: {e}"));
-    assert_matches_reference(&solo.result, &reference, ctx);
+    assert_matches_oracle(&solo, plan, sources, ctx);
     solo
 }
 

@@ -15,7 +15,10 @@
 //!    engine bit-identical across worker counts.
 
 use adaptive_htap::chbench::query_mix_wide;
-use adaptive_htap::olap::{execute_reference, QueryExecutor, QueryResult, ScanSource, WorkerTeam};
+use adaptive_htap::olap::{
+    execute_reference, execute_reference_with_work, QueryExecutor, QueryResult, ScanSource,
+    WorkerTeam,
+};
 use adaptive_htap::sim::{CoreId, SocketId};
 use adaptive_htap::sql::{plan as plan_sql, Catalog, SqlError};
 use adaptive_htap::storage::{
@@ -60,6 +63,8 @@ fn ch_sql_outputs_bit_identical_to_hand_built_at_1_2_4_workers() {
             // paths, at every worker count.
             let scheduled = system.with_scheduler(|s| s.schedule_query(&hand, false));
             let executor = QueryExecutor::with_block_rows(257);
+            let oracle = execute_reference_with_work(&hand, &scheduled.sources)
+                .unwrap_or_else(|e| panic!("{}: oracle failed: {e}", query.label()));
             for workers in [1u16, 2, 4] {
                 let team = WorkerTeam::from_cores((0..workers).map(CoreId).collect());
                 let ctx = format!("{} {state:?} {workers}w", query.label());
@@ -72,6 +77,10 @@ fn ch_sql_outputs_bit_identical_to_hand_built_at_1_2_4_workers() {
                 // Results AND WorkProfile (bytes per socket, tuples, probes,
                 // fresh rows): the whole QueryOutput must match bit for bit.
                 assert_eq!(from_sql, from_hand, "{ctx}: outputs diverged");
+                // The oracle agrees on the rows (SUM/AVG within tolerance)
+                // and on every WorkProfile integer, exactly.
+                assert_matches_reference(&from_sql.result, &oracle.result, &ctx);
+                assert_eq!(from_sql.work, oracle.work, "{ctx}: work accounts diverged");
                 assert!(
                     from_hand.work.tuples_scanned > 0,
                     "{ctx}: vacuous comparison"
