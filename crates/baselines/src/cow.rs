@@ -118,7 +118,7 @@ impl CowBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_chbench::{ch_q6, ChConfig, ChGenerator, TransactionDriver};
+    use htap_chbench::{ChConfig, ChGenerator, QueryId, TransactionDriver};
     use htap_rde::RdeConfig;
 
     fn populated_rde() -> (RdeEngine, TransactionDriver) {
@@ -133,11 +133,11 @@ mod tests {
         let (rde, driver) = populated_rde();
         let cow = CowBaseline::default();
         // Settle the initial load into a first snapshot.
-        cow.run_snapshot(&rde, &ch_q6(), 1, 1);
+        cow.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 1, 1);
         // Dirty some pages with transactions.
         let txns = driver.run_new_orders(rde.oltp(), 0, 30, 11);
         rde.switch_and_sync();
-        let point = cow.run_snapshot(&rde, &ch_q6(), 4, txns);
+        let point = cow.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 4, txns);
         assert_eq!(point.label, "CoW");
         assert_eq!(point.data_transfer_time, 0.0);
         assert!(
@@ -171,18 +171,18 @@ mod tests {
         // per query, because the page-copy tax is paid less often.
         let (rde, driver) = populated_rde();
         let cow = CowBaseline::default();
-        cow.run_snapshot(&rde, &ch_q6(), 1, 1);
+        cow.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 1, 1);
 
         // Frequent snapshots: one per query, each after a small txn window.
         let mut frequent_tps = Vec::new();
         for round in 0..4 {
             let txns = driver.run_new_orders(rde.oltp(), 0, 10, 100 + round);
-            let p = cow.run_snapshot(&rde, &ch_q6(), 1, txns);
+            let p = cow.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 1, txns);
             frequent_tps.push(p.oltp_tps);
         }
         // Rare snapshots: the same amount of transactional work, one snapshot.
         let txns = driver.run_new_orders(rde.oltp(), 0, 40, 200);
-        let rare = cow.run_snapshot(&rde, &ch_q6(), 4, txns);
+        let rare = cow.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 4, txns);
 
         let frequent_avg: f64 = frequent_tps.iter().sum::<f64>() / frequent_tps.len() as f64;
         assert!(

@@ -63,7 +63,7 @@ impl EtlBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_chbench::{ch_q6, ChConfig, ChGenerator, TransactionDriver};
+    use htap_chbench::{ChConfig, ChGenerator, QueryId, TransactionDriver};
     use htap_rde::RdeConfig;
 
     fn populated_rde() -> (RdeEngine, TransactionDriver) {
@@ -76,7 +76,7 @@ mod tests {
     #[test]
     fn first_snapshot_pays_transfer_then_queries_run_locally() {
         let (rde, _) = populated_rde();
-        let point = EtlBaseline.run_snapshot(&rde, &ch_q6(), 4);
+        let point = EtlBaseline.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 4);
         assert_eq!(point.label, "ETL");
         assert!(
             point.data_transfer_time > 0.0,
@@ -95,12 +95,12 @@ mod tests {
     #[test]
     fn transfer_cost_amortises_with_batch_size() {
         let (rde, driver) = populated_rde();
-        EtlBaseline.run_snapshot(&rde, &ch_q6(), 1);
+        EtlBaseline.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 1);
         // Generate some fresh data, then compare batch sizes.
         driver.run_new_orders(rde.oltp(), 0, 20, 3);
-        let small = EtlBaseline.run_snapshot(&rde, &ch_q6(), 1);
+        let small = EtlBaseline.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 1);
         driver.run_new_orders(rde.oltp(), 0, 20, 4);
-        let large = EtlBaseline.run_snapshot(&rde, &ch_q6(), 16);
+        let large = EtlBaseline.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 16);
         assert!(
             large.avg_query_time() < small.avg_query_time() + large.query_exec_time / 16.0,
             "per-query cost must shrink as the batch grows"

@@ -7,8 +7,8 @@
 //! so a full run stays in the minutes range on a laptop-class host.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use htap_chbench::{ch_q1, ch_q6, ChConfig, ChGenerator, TransactionDriver};
-use htap_olap::{BaselineExecutor, QueryExecutor};
+use htap_chbench::{ChConfig, ChGenerator, QueryId, TransactionDriver};
+use htap_olap::QueryExecutor;
 use htap_oltp::{LockKey, LockMode, LockTable};
 use htap_rde::{AccessMethod, RdeConfig, RdeEngine};
 use htap_sim::{BandwidthModel, CostModel, ExecPlacement, ScanWork, SocketId, Stream, Topology};
@@ -115,8 +115,8 @@ fn ch_query_execution(c: &mut Criterion) {
     rde.switch_and_sync();
     rde.etl_to_olap();
     let executor = QueryExecutor::default();
-    let q6 = ch_q6();
-    let q1 = ch_q1();
+    let q6 = QueryId::Q6.plan().expect("CH SQL compiles");
+    let q1 = QueryId::Q1.plan().expect("CH SQL compiles");
     let sources_q6 = rde.sources_for(&q6.tables(), AccessMethod::OlapLocal);
     let sources_q1 = rde.sources_for(&q1.tables(), AccessMethod::OlapLocal);
     c.bench_function("olap/ch_q6_60k_rows", |b| {
@@ -156,7 +156,8 @@ fn parallel_scan_scaling(c: &mut Criterion) {
     rde.switch_and_sync();
     rde.etl_to_olap();
     let executor = QueryExecutor::with_block_rows(4 * 1024);
-    for (label, plan) in [("q6", ch_q6()), ("q1", ch_q1())] {
+    for (label, query) in [("q6", QueryId::Q6), ("q1", QueryId::Q1)] {
+        let plan = query.plan().expect("CH SQL compiles");
         let sources = rde.sources_for(&plan.tables(), AccessMethod::OlapLocal);
         for workers in [1u16, 2, 4] {
             let team = WorkerTeam::from_cores((0..workers).map(CoreId).collect());
@@ -175,38 +176,18 @@ fn parallel_scan_scaling(c: &mut Criterion) {
     }
 }
 
-/// The perf-trajectory benchmarks of the vectorized executor: the five plan
-/// shapes of `htap_bench::exec_trajectory` (a synthetic orderline-like fact
-/// table with two dimensions), once through the vectorized engine
-/// (`olap/vectorized_*`) and once through the frozen pre-vectorization
-/// interpreter (`olap/baseline_*`). The rows/sec ratio between the pairs is
-/// what `bench_exec` records into `BENCH_exec.json`.
-fn vectorized_vs_baseline(c: &mut Criterion) {
+/// The six queries of `htap_bench::exec_trajectory` (a synthetic
+/// orderline-like fact table with two dimensions) through the vectorized
+/// engine on the inline solo worker — the interactive per-plan view; the
+/// committed, gated numbers are `bench_e2e`'s.
+fn vectorized_shapes(c: &mut Criterion) {
     let sources = htap_bench::exec_trajectory::sources(128 * 1024);
     let vectorized = QueryExecutor::with_block_rows(16 * 1024);
-    let baseline = BaselineExecutor::with_block_rows(16 * 1024);
     for (label, plan) in htap_bench::exec_trajectory::plans() {
-        let out = vectorized.execute(&plan, &sources).unwrap();
-        assert_eq!(
-            out,
-            baseline.execute(&plan, &sources).unwrap(),
-            "engines must agree before being compared for speed ({label})"
-        );
         c.bench_function(&format!("olap/vectorized_{label}"), |b| {
             b.iter(|| {
                 black_box(
                     vectorized
-                        .execute(&plan, &sources)
-                        .expect("plan matches its sources")
-                        .result
-                        .row_count(),
-                )
-            })
-        });
-        c.bench_function(&format!("olap/baseline_{label}"), |b| {
-            b.iter(|| {
-                black_box(
-                    baseline
                         .execute(&plan, &sources)
                         .expect("plan matches its sources")
                         .result
@@ -267,6 +248,6 @@ criterion_group! {
     config = configured();
     targets = column_scan, cuckoo_index, twin_switch_sync, lock_table,
               neworder_transaction, ch_query_execution, parallel_scan_scaling,
-              vectorized_vs_baseline, etl_delta_copy, cost_models
+              vectorized_shapes, etl_delta_copy, cost_models
 }
 criterion_main!(benches);

@@ -10,14 +10,14 @@
 
 use htap_baselines::{BaselinePoint, CowBaseline, EtlBaseline};
 use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
-use htap_chbench::ch_q6;
+use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
 
 const TOTAL_QUERIES: usize = 16;
 const TXNS_PER_WINDOW: u64 = 400;
 
 fn run_etl(harness: &Harness, queries_per_snapshot: usize, seed: u64) -> Vec<BaselinePoint> {
-    let plan = ch_q6();
+    let plan = QueryId::Q6.plan().expect("CH SQL compiles");
     // Settle the initial bulk load into the analytical store so the measured
     // windows reflect steady-state delta transfers, as in the paper.
     EtlBaseline.run_snapshot(&harness.rde, &plan, 1);
@@ -31,7 +31,7 @@ fn run_etl(harness: &Harness, queries_per_snapshot: usize, seed: u64) -> Vec<Bas
 }
 
 fn run_cow(harness: &Harness, queries_per_snapshot: usize, seed: u64) -> Vec<BaselinePoint> {
-    let plan = ch_q6();
+    let plan = QueryId::Q6.plan().expect("CH SQL compiles");
     let cow = CowBaseline::default();
     // Settle the initial bulk load so page-copy counting starts from a clean
     // snapshot window.

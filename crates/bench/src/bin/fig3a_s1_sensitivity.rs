@@ -9,7 +9,7 @@
 //! `cargo run --release -p htap-bench --bin fig3a_s1_sensitivity`
 
 use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
-use htap_chbench::ch_q6;
+use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
 use htap_rde::AccessMethod;
 use htap_sim::SocketId;
@@ -19,7 +19,7 @@ const QUERIES: usize = 16;
 fn main() {
     let args = HarnessArgs::parse();
     let harness = Harness::two_socket(&args);
-    let plan = ch_q6();
+    let plan = QueryId::Q6.plan().expect("CH SQL compiles");
     println!(
         "Figure 3(a): S1 sensitivity, {} rows loaded, CH-Q6 x{QUERIES} per point",
         harness.rows_loaded

@@ -10,7 +10,7 @@
 
 use htap_baselines::EtlBaseline;
 use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
-use htap_chbench::ch_q6;
+use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
 
 const TOTAL_QUERIES: usize = 16;
@@ -18,7 +18,7 @@ const TXNS_PER_WINDOW: u64 = 400;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let plan = ch_q6();
+    let plan = QueryId::Q6.plan().expect("CH SQL compiles");
     println!("Figure 3(b): S2 batch-size sensitivity, CH-Q6 x{TOTAL_QUERIES} per point");
 
     let mut table = ExperimentTable::new(

@@ -14,14 +14,14 @@
 //! throughput, not just as modelled time.
 
 use htap_bench::{fmt_mtps, fmt_secs, measured_scan_scaling, Harness, HarnessArgs};
-use htap_chbench::ch_q1;
+use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
 use htap_rde::AccessMethod;
 
 fn main() {
     let args = HarnessArgs::parse();
     let harness = Harness::two_socket(&args);
-    let plan = ch_q1();
+    let plan = QueryId::Q1.plan().expect("CH SQL compiles");
     println!(
         "Figure 3(c): S3-NI elasticity sweep, {} rows loaded",
         harness.rows_loaded

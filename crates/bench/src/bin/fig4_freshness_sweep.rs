@@ -10,13 +10,13 @@
 //! `cargo run --release -p htap-bench --bin fig4_freshness_sweep`
 
 use htap_bench::{fmt_secs, Harness, HarnessArgs};
-use htap_chbench::ch_q1;
+use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
 use htap_rde::AccessMethod;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let plan = ch_q1();
+    let plan = QueryId::Q1.plan().expect("CH SQL compiles");
     println!("Figure 4: response time vs fresh data accessed (CH-Q1)");
 
     let mut table = ExperimentTable::new(

@@ -58,7 +58,7 @@ fn run_schedule(args: &HarnessArgs, schedule: Schedule) -> ScheduleRun {
                 .map(|q| {
                     (
                         q.query.clone(),
-                        q.sql.clone().unwrap_or_else(|| "<hand-built plan>".into()),
+                        q.sql.clone().unwrap_or_else(|| "<no SQL text>".into()),
                     )
                 })
                 .collect()

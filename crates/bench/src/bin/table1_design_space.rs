@@ -12,13 +12,13 @@
 
 use htap_baselines::{CowBaseline, EtlBaseline};
 use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
-use htap_chbench::ch_q6;
+use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
 use htap_rde::SystemState;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let plan = ch_q6();
+    let plan = QueryId::Q6.plan().expect("CH SQL compiles");
 
     println!("Table 1 — HTAP design classification (paper) and measured trade-off probes\n");
     let mut classification = ExperimentTable::new(

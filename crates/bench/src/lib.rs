@@ -243,202 +243,134 @@ pub fn fmt_mtps(tps: f64) -> String {
     format!("{:.3}", tps / 1e6)
 }
 
-/// The executor perf-trajectory fixture: one synthetic fact relation with
-/// two dimensions plus the six plan shapes of the morsel executor, shared
-/// by the `olap/vectorized_*` / `olap/baseline_*` criterion benches and the
-/// `bench_exec` binary that records `BENCH_exec.json`.
+/// The executor micro-bench fixture: one synthetic fact relation with two
+/// dimensions plus six queries over it, shared by the `olap/vectorized_*`
+/// criterion benches (end-to-end numbers live in `bench_e2e/`).
 pub mod exec_trajectory {
-    use htap_olap::{
-        AggExpr, BuildSide, CmpOp, Predicate, QueryPlan, ScalarExpr, ScanSource, TopK,
-    };
+    use htap_olap::{QueryPlan, ScanSource};
     use htap_sim::SocketId;
+    use htap_sql::Catalog;
     use htap_storage::{ColumnDef, ColumnarTable, DataType, TableSchema, TableSnapshot, Value};
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
-    /// Build the fact/dim/far access paths with `rows` fact tuples.
-    pub fn sources(rows: u64) -> BTreeMap<String, ScanSource> {
-        let fact = {
-            let schema = TableSchema::new(
-                "fact",
-                vec![
-                    ColumnDef::new("f_id", DataType::I64),
-                    ColumnDef::new("f_mid", DataType::I64),
-                    ColumnDef::new("f_g", DataType::I32),
-                    ColumnDef::new("f_hc", DataType::I64),
-                    ColumnDef::new("f_a", DataType::F64),
-                    ColumnDef::new("f_b", DataType::F64),
-                ],
-                Some(0),
-            );
-            let t = ColumnarTable::new(schema);
-            for i in 0..rows {
-                t.append_row(&[
-                    Value::I64(i as i64),
-                    Value::I64((i % 64) as i64),
-                    Value::I32((i % 24) as i32),
-                    Value::I64((i.wrapping_mul(2654435761) % 65536) as i64),
-                    Value::F64((i % 100) as f64 + 0.25),
-                    Value::F64((i % 13) as f64 * 0.5),
-                ])
-                .unwrap();
-            }
-            Arc::new(t)
-        };
-        let dim = {
-            let schema = TableSchema::new(
-                "dim",
-                vec![
-                    ColumnDef::new("d_id", DataType::I64),
-                    ColumnDef::new("d_far", DataType::I64),
-                    ColumnDef::new("d_v", DataType::F64),
-                ],
-                Some(0),
-            );
-            let t = ColumnarTable::new(schema);
-            for i in 0..64u64 {
-                t.append_row(&[
-                    Value::I64(i as i64),
-                    Value::I64((i % 8) as i64),
-                    Value::F64(i as f64 * 3.0),
-                ])
-                .unwrap();
-            }
-            Arc::new(t)
-        };
-        let far = {
-            let schema = TableSchema::new(
-                "far",
-                vec![
-                    ColumnDef::new("r_id", DataType::I64),
-                    ColumnDef::new("r_v", DataType::F64),
-                ],
-                Some(0),
-            );
-            let t = ColumnarTable::new(schema);
-            for i in 0..8u64 {
-                t.append_row(&[Value::I64(i as i64), Value::F64(i as f64)])
-                    .unwrap();
-            }
-            Arc::new(t)
-        };
-        let mut sources = BTreeMap::new();
-        let snap = TableSnapshot::new("fact".into(), fact, rows, 0);
-        sources.insert(
-            "fact".to_string(),
-            ScanSource::contiguous_snapshot(&snap, SocketId(0)),
-        );
-        let snap = TableSnapshot::new("dim".into(), dim, 64, 0);
-        sources.insert(
-            "dim".to_string(),
-            ScanSource::contiguous_snapshot(&snap, SocketId(0)),
-        );
-        let snap = TableSnapshot::new("far".into(), far, 8, 0);
-        sources.insert(
-            "far".to_string(),
-            ScanSource::contiguous_snapshot(&snap, SocketId(0)),
-        );
-        sources
+    /// Rows of the two dimensions.
+    const DIM_ROWS: u64 = 64;
+    const FAR_ROWS: u64 = 8;
+
+    fn schema(name: &str, columns: &[(&str, DataType)]) -> TableSchema {
+        let columns = columns
+            .iter()
+            .map(|&(column, dtype)| ColumnDef::new(column, dtype))
+            .collect();
+        TableSchema::new(name, columns, Some(0))
     }
 
-    /// The six plan shapes of the trajectory, labelled by the CH query
-    /// whose shape they mirror (plus a high-cardinality group-by stressing
-    /// the radix-partitioned merge).
+    /// fact(f_id, f_mid → dim, f_g, f_hc, f_a, f_b), dim(d_id, d_far → far,
+    /// d_v), far(r_id, r_v).
+    fn schemas() -> [TableSchema; 3] {
+        use DataType::{F64, I32, I64};
+        [
+            schema(
+                "fact",
+                &[
+                    ("f_id", I64),
+                    ("f_mid", I64),
+                    ("f_g", I32),
+                    ("f_hc", I64),
+                    ("f_a", F64),
+                    ("f_b", F64),
+                ],
+            ),
+            schema("dim", &[("d_id", I64), ("d_far", I64), ("d_v", F64)]),
+            schema("far", &[("r_id", I64), ("r_v", F64)]),
+        ]
+    }
+
+    /// Build the fact/dim/far access paths with `rows` fact tuples.
+    pub fn sources(rows: u64) -> BTreeMap<String, ScanSource> {
+        let [fact, dim, far] = schemas().map(ColumnarTable::new);
+        for i in 0..rows {
+            fact.append_row(&[
+                Value::I64(i as i64),
+                Value::I64((i % DIM_ROWS) as i64),
+                Value::I32((i % 24) as i32),
+                Value::I64((i.wrapping_mul(2654435761) % 65536) as i64),
+                Value::F64((i % 100) as f64 + 0.25),
+                Value::F64((i % 13) as f64 * 0.5),
+            ])
+            .unwrap();
+        }
+        for i in 0..DIM_ROWS {
+            dim.append_row(&[
+                Value::I64(i as i64),
+                Value::I64((i % FAR_ROWS) as i64),
+                Value::F64(i as f64 * 3.0),
+            ])
+            .unwrap();
+        }
+        for i in 0..FAR_ROWS {
+            far.append_row(&[Value::I64(i as i64), Value::F64(i as f64)])
+                .unwrap();
+        }
+        [(fact, rows), (dim, DIM_ROWS), (far, FAR_ROWS)]
+            .into_iter()
+            .map(|(table, rows)| {
+                let name = table.schema().name.clone();
+                let snap = TableSnapshot::new(name.clone(), Arc::new(table), rows, 0);
+                (name, ScanSource::contiguous_snapshot(&snap, SocketId(0)))
+            })
+            .collect()
+    }
+
+    /// The six queries of the fixture, labelled by the CH query whose plan
+    /// they mirror (plus a high-cardinality group-by — up to 64k scrambled
+    /// groups, every row upserting — stressing the radix-partitioned merge).
     pub fn plans() -> Vec<(&'static str, QueryPlan)> {
-        vec![
+        // The aggregates pin `fact` as the probe side of every join, so the
+        // catalog cardinalities steer nothing here.
+        let [fact, dim, far] = schemas();
+        let catalog = Catalog::new()
+            .with_table(fact, 128 * 1024)
+            .with_table(dim, DIM_ROWS)
+            .with_table(far, FAR_ROWS);
+        [
             (
                 "q6_aggregate",
-                QueryPlan::Aggregate {
-                    table: "fact".into(),
-                    filters: vec![Predicate::new("f_a", CmpOp::Lt, 60.0)],
-                    aggregates: vec![
-                        AggExpr::Sum(ScalarExpr::col("f_a") * ScalarExpr::col("f_b")),
-                        AggExpr::Avg(ScalarExpr::col("f_a")),
-                        AggExpr::Count,
-                    ],
-                },
+                "SELECT SUM(f_a * f_b), AVG(f_a), COUNT(*) FROM fact WHERE f_a < 60",
             ),
             (
-                // Mirrors the repo's ch_q1: sums, averages and a count over
-                // two measures, grouped by a small integer key.
                 "q1_group_by",
-                QueryPlan::GroupByAggregate {
-                    table: "fact".into(),
-                    filters: vec![Predicate::new("f_a", CmpOp::Ge, 10.0)],
-                    group_by: vec!["f_g".into()],
-                    aggregates: vec![
-                        AggExpr::Sum(ScalarExpr::col("f_a")),
-                        AggExpr::Sum(ScalarExpr::col("f_b")),
-                        AggExpr::Avg(ScalarExpr::col("f_a")),
-                        AggExpr::Avg(ScalarExpr::col("f_b")),
-                        AggExpr::Count,
-                    ],
-                },
+                "SELECT f_g, SUM(f_a), SUM(f_b), AVG(f_a), AVG(f_b), COUNT(*) FROM fact \
+                 WHERE f_a >= 10 GROUP BY f_g",
             ),
             (
-                // High-cardinality GROUP BY: up to 64k scrambled groups, the
-                // shape the radix-partitioned merge exists for. No filter, so
-                // every row upserts into the group table.
                 "hicard_group_by",
-                QueryPlan::GroupByAggregate {
-                    table: "fact".into(),
-                    filters: vec![],
-                    group_by: vec!["f_hc".into()],
-                    aggregates: vec![
-                        AggExpr::Sum(ScalarExpr::col("f_a")),
-                        AggExpr::Max(ScalarExpr::col("f_b")),
-                        AggExpr::Count,
-                    ],
-                },
+                "SELECT f_hc, SUM(f_a), MAX(f_b), COUNT(*) FROM fact GROUP BY f_hc",
             ),
             (
                 "q19_join",
-                QueryPlan::JoinAggregate {
-                    fact: "fact".into(),
-                    dim: "dim".into(),
-                    fact_key: "f_mid".into(),
-                    dim_key: "d_id".into(),
-                    fact_filters: vec![Predicate::new("f_a", CmpOp::Ge, 5.0)],
-                    dim_filters: vec![Predicate::new("d_v", CmpOp::Ge, 30.0)],
-                    aggregates: vec![AggExpr::Sum(ScalarExpr::col("f_a")), AggExpr::Count],
-                },
+                "SELECT SUM(f_a), COUNT(*) FROM fact JOIN dim ON f_mid = d_id \
+                 WHERE f_a >= 5 AND d_v >= 30",
             ),
             (
                 "q3_multi_join",
-                QueryPlan::MultiJoinAggregate {
-                    fact: "fact".into(),
-                    fact_key: ScalarExpr::col("f_mid"),
-                    fact_filters: vec![Predicate::new("f_b", CmpOp::Ge, 1.0)],
-                    mid: BuildSide::new("dim", ScalarExpr::col("d_id"), vec![]),
-                    mid_fk: ScalarExpr::col("d_far"),
-                    far: BuildSide::new(
-                        "far",
-                        ScalarExpr::col("r_id"),
-                        vec![Predicate::new("r_v", CmpOp::Ge, 2.0)],
-                    ),
-                    aggregates: vec![AggExpr::Sum(ScalarExpr::col("f_a")), AggExpr::Count],
-                },
+                "SELECT SUM(f_a), COUNT(*) FROM fact JOIN dim ON f_mid = d_id \
+                 JOIN far ON d_far = r_id WHERE f_b >= 1 AND r_v >= 2",
             ),
             (
                 "q4_join_group_by",
-                QueryPlan::JoinGroupByAggregate {
-                    fact: "fact".into(),
-                    fact_key: ScalarExpr::col("f_mid"),
-                    fact_filters: vec![Predicate::new("f_a", CmpOp::Ge, 10.0)],
-                    dim: BuildSide::new(
-                        "dim",
-                        ScalarExpr::col("d_id"),
-                        vec![Predicate::new("d_v", CmpOp::Ge, 15.0)],
-                    ),
-                    group_by: vec!["f_g".into()],
-                    aggregates: vec![AggExpr::Count, AggExpr::Sum(ScalarExpr::col("f_a"))],
-                    top_k: Some(TopK {
-                        agg_index: 0,
-                        k: 10,
-                    }),
-                },
+                "SELECT f_g, COUNT(*), SUM(f_a) FROM fact JOIN dim ON f_mid = d_id \
+                 WHERE f_a >= 10 AND d_v >= 15 GROUP BY f_g ORDER BY COUNT(*) DESC LIMIT 10",
             ),
         ]
+        .into_iter()
+        .map(|(label, sql)| {
+            let plan = htap_sql::plan(sql, &catalog)
+                .unwrap_or_else(|e| panic!("fixture query {label} does not compile: {e}"));
+            (label, plan)
+        })
+        .collect()
     }
 }
 

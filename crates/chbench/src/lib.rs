@@ -14,8 +14,9 @@
 //!   CH-Q6 (scan–filter–reduce) and CH-Q19 (fact–dimension join, `LIKE`
 //!   removed), with 100 % selectivity on date predicates as the paper
 //!   assumes — plus the widened mix's Q3 (three-table chain join), Q4
-//!   (join-group-by with top-k), Q12 (join-group-by) and Q14 (promotion
-//!   join), adapted to the integer/float schema the same way;
+//!   (grouped join with top-k), Q12 (grouped join) and Q14 (promotion
+//!   join), adapted to the integer/float schema the same way — each defined
+//!   once, as SQL text ([`QueryId::sql`]);
 //! * the transactional mix adds `Payment`, `Delivery` and `StockLevel`
 //!   alongside `NewOrder` (see [`transactions`] for the key-addressed
 //!   `Delivery` adaptation).
@@ -29,9 +30,7 @@ pub mod transactions;
 
 pub use catalog::catalog;
 pub use generator::{ChConfig, ChGenerator, PopulationReport, INITIAL_NEXT_O_ID};
-pub use queries::{
-    ch_q1, ch_q12, ch_q14, ch_q19, ch_q3, ch_q4, ch_q6, query_mix, query_mix_wide, QueryId,
-};
+pub use queries::{query_mix, query_mix_wide, QueryId};
 pub use schema::{keys, tables, ALL_TABLES};
 pub use sequence::{QuerySequence, SequenceKind};
 pub use transactions::{NewOrderParams, TransactionDriver, TxnStats, DELIVERY_DATE_BASE};

@@ -1,37 +1,24 @@
-//! The analytical queries of the CH-benCHmark workload, expressed as plans of
-//! the OLAP engine.
+//! The analytical queries of the CH-benCHmark workload, defined once, as SQL
+//! text ([`QueryId::sql`]) compiled through the SQL frontend against the CH
+//! catalog ([`QueryId::plan`]).
 //!
 //! The paper's evaluation (§5.3) uses CH-Q1, CH-Q6 and CH-Q19; this module
 //! additionally implements Q3, Q4, Q12 and Q14 to widen the analytical mix
-//! the adaptive scheduler is exercised with (different plan shapes touch
-//! different relation sets, which stresses different freshness/cost
-//! trade-offs).
+//! the adaptive scheduler is exercised with (different plans touch different
+//! relation sets, which stresses different freshness/cost trade-offs).
 //!
 //! Adaptation rules, following the paper: date conditions use 100 %
 //! selectivity (the worst case for join and group-by operators), `LIKE` and
 //! other string conditions are removed because the engine's schema is
 //! integer/float only (Q19's `LIKE` is dropped exactly as in the paper; Q3's
 //! `c_state LIKE` becomes a balance predicate, Q14's `i_data LIKE 'PR%'`
-//! becomes an `i_im_id` range). Composite TPC-C join keys are joined through
-//! their integer encoding (see [`crate::schema::keys`]): e.g. `orderline`
-//! matches `orders` via `(ol_w_id·100 + ol_d_id)·10^7 + ol_o_id = o_key`.
+//! becomes an `i_im_id` range through the catalog's LIKE rewrite). Composite
+//! TPC-C join keys are joined through their integer encoding (see
+//! [`crate::schema::keys`]): e.g. `orderline` matches `orders` via
+//! `(ol_w_id·100 + ol_d_id)·10^7 + ol_o_id = o_key`.
 
 use crate::transactions::DELIVERY_DATE_BASE;
-use htap_olap::{AggExpr, BuildSide, CmpOp, Predicate, QueryPlan, ScalarExpr, TopK};
-
-/// The encoded `orders` key computed over `orderline` rows.
-fn ol_order_key() -> ScalarExpr {
-    (ScalarExpr::col("ol_w_id") * ScalarExpr::lit(100.0) + ScalarExpr::col("ol_d_id"))
-        * ScalarExpr::lit(10_000_000.0)
-        + ScalarExpr::col("ol_o_id")
-}
-
-/// The encoded `customer` key computed over `orders` rows.
-fn o_customer_key() -> ScalarExpr {
-    (ScalarExpr::col("o_w_id") * ScalarExpr::lit(100.0) + ScalarExpr::col("o_d_id"))
-        * ScalarExpr::lit(100_000.0)
-        + ScalarExpr::col("o_c_id")
-}
+use htap_olap::QueryPlan;
 
 /// Identifier of a CH-benCHmark analytical query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,17 +42,10 @@ pub enum QueryId {
 }
 
 impl QueryId {
-    /// Build the plan for this query.
-    pub fn plan(self) -> QueryPlan {
-        match self {
-            QueryId::Q1 => ch_q1(),
-            QueryId::Q3 => ch_q3(),
-            QueryId::Q4 => ch_q4(),
-            QueryId::Q6 => ch_q6(),
-            QueryId::Q12 => ch_q12(),
-            QueryId::Q14 => ch_q14(),
-            QueryId::Q19 => ch_q19(),
-        }
+    /// The plan for this query: [`QueryId::sql`] compiled through the SQL
+    /// frontend against the CH catalog — the path `execute_sql` takes.
+    pub fn plan(self) -> Result<QueryPlan, htap_sql::SqlError> {
+        htap_sql::plan(&self.sql(), &crate::catalog::catalog())
     }
 
     /// Short label ("Q1", "Q3", ..., "Q19").
@@ -81,199 +61,68 @@ impl QueryId {
         }
     }
 
-    /// The query as SQL text. Planning this through the SQL frontend
-    /// ([`htap_sql::plan`] against [`crate::catalog::catalog`]) produces a
-    /// [`QueryPlan`] structurally identical to [`QueryId::plan`] — the
-    /// differential suite (`tests/sql_differential.rs`) proves the two give
-    /// bit-for-bit identical `QueryOutput`s at every worker count.
+    /// The query as SQL text.
     pub fn sql(self) -> String {
         match self {
+            // Pricing summary report: group order lines by `ol_number` and
+            // report quantity/amount sums, averages and counts. The grouping
+            // and aggregation stress CPU caches (§5.3).
             QueryId::Q1 => "SELECT ol_number, SUM(ol_quantity), SUM(ol_amount), \
                  AVG(ol_quantity), AVG(ol_amount), COUNT(*) \
                  FROM orderline WHERE ol_delivery_d >= 0 \
                  GROUP BY ol_number ORDER BY ol_number"
                 .into(),
+            // Unshipped-order revenue: the three-table chain is the widest
+            // freshness footprint in the mix — it reads fact *and* two
+            // dimensions that both receive OLTP writes (NewOrder inserts
+            // orders, Payment/Delivery update customers). Customers load
+            // with negative balances and deliveries push them positive, so
+            // the balance predicate's selectivity drifts as the
+            // transactional mix runs.
             QueryId::Q3 => "SELECT SUM(ol_amount), COUNT(*) FROM orderline \
                  JOIN orders ON (ol_w_id * 100 + ol_d_id) * 10000000 + ol_o_id = o_key \
                  JOIN customer ON (o_w_id * 100 + o_d_id) * 100000 + o_c_id = c_key \
                  WHERE ol_delivery_d >= 0 AND o_entry_d >= 0 AND c_balance < 0"
                 .into(),
+            // Order-priority checking, adapted: count orders against their
+            // significant (`ol_amount ≥ 500`) order lines, grouped by
+            // `o_ol_cnt`, keeping the five most frequent line counts.
             QueryId::Q4 => "SELECT o_ol_cnt, COUNT(*) FROM orders \
                  JOIN orderline ON o_key = (ol_w_id * 100 + ol_d_id) * 10000000 + ol_o_id \
                  WHERE o_entry_d >= 0 AND ol_amount >= 500 \
                  GROUP BY o_ol_cnt ORDER BY COUNT(*) DESC LIMIT 5"
                 .into(),
+            // Revenue forecast: a single filtered aggregate, memory-bandwidth
+            // bound (§5.3); `ol_quantity` between 1 and 100000 per the
+            // CH-benCHmark text.
             QueryId::Q6 => "SELECT SUM(ol_amount * ol_quantity) FROM orderline \
                  WHERE ol_delivery_d >= 0 AND ol_quantity >= 1"
                 .into(),
+            // Shipping-mode / priority distribution, adapted: join `orders`
+            // with their delivered lines and group by `o_carrier_id`
+            // (NewOrder inserts carrier 0, Delivery stamps a real carrier).
+            // Entry dates stay strictly below DELIVERY_DATE_BASE, so the
+            // filter selects exactly the lines Delivery has stamped: the
+            // histogram is empty until deliveries run and grows with them.
             QueryId::Q12 => format!(
                 "SELECT o_carrier_id, COUNT(*), SUM(o_ol_cnt) FROM orders \
                  JOIN orderline ON o_key = (ol_w_id * 100 + ol_d_id) * 10000000 + ol_o_id \
                  WHERE ol_delivery_d >= {DELIVERY_DATE_BASE} \
                  GROUP BY o_carrier_id ORDER BY o_carrier_id"
             ),
+            // Promotion-effect revenue: `i_data LIKE 'PR%'` is rewritten by
+            // the catalog to `i_im_id < 5000` (about half the catalogue).
             QueryId::Q14 => "SELECT SUM(ol_amount), COUNT(*) FROM orderline \
                  JOIN item ON ol_i_id = i_id \
                  WHERE ol_delivery_d >= 0 AND i_data LIKE 'PR%'"
                 .into(),
+            // Discounted revenue: broadcast hash join dominated by random
+            // probes (§5.3); the `LIKE` condition is removed as in the paper.
             QueryId::Q19 => "SELECT SUM(ol_amount) FROM orderline \
                  JOIN item ON ol_i_id = i_id \
                  WHERE ol_quantity >= 1 AND ol_quantity <= 10 AND i_price >= 1"
                 .into(),
         }
-    }
-
-    /// Compile [`QueryId::sql`] through the SQL frontend. The result equals
-    /// [`QueryId::plan`] structurally; this is the path `execute_sql` takes.
-    pub fn sql_plan(self) -> Result<QueryPlan, htap_sql::SqlError> {
-        htap_sql::plan(&self.sql(), &crate::catalog::catalog())
-    }
-}
-
-/// CH-Q1 — pricing summary report: group order lines by `ol_number` and
-/// report quantity/amount sums, averages and counts. Scan-filter-group-by;
-/// the grouping and aggregation stress CPU caches (§5.3).
-pub fn ch_q1() -> QueryPlan {
-    QueryPlan::GroupByAggregate {
-        table: "orderline".into(),
-        // ol_delivery_d > some date: 100% selectivity per the paper's setup.
-        filters: vec![Predicate::new("ol_delivery_d", CmpOp::Ge, 0.0)],
-        group_by: vec!["ol_number".into()],
-        aggregates: vec![
-            AggExpr::Sum(ScalarExpr::col("ol_quantity")),
-            AggExpr::Sum(ScalarExpr::col("ol_amount")),
-            AggExpr::Avg(ScalarExpr::col("ol_quantity")),
-            AggExpr::Avg(ScalarExpr::col("ol_amount")),
-            AggExpr::Count,
-        ],
-    }
-}
-
-/// CH-Q3 — unshipped-order revenue: `orderline ⋈ orders ⋈ customer` through
-/// the encoded composite keys. The three-table chain is the widest freshness
-/// footprint in the mix — it reads fact *and* two dimensions that both
-/// receive OLTP writes (NewOrder inserts orders, Payment/Delivery update
-/// customers). The `c_state LIKE` condition becomes a balance predicate
-/// (customers load with negative balances; deliveries push them positive, so
-/// selectivity drifts as the transactional mix runs).
-pub fn ch_q3() -> QueryPlan {
-    QueryPlan::MultiJoinAggregate {
-        fact: "orderline".into(),
-        fact_key: ol_order_key(),
-        // ol_delivery_d > date: 100% selectivity.
-        fact_filters: vec![Predicate::new("ol_delivery_d", CmpOp::Ge, 0.0)],
-        mid: BuildSide::new(
-            "orders",
-            ScalarExpr::col("o_key"),
-            // o_entry_d < date: 100% selectivity.
-            vec![Predicate::new("o_entry_d", CmpOp::Ge, 0.0)],
-        ),
-        mid_fk: o_customer_key(),
-        far: BuildSide::new(
-            "customer",
-            ScalarExpr::col("c_key"),
-            vec![Predicate::new("c_balance", CmpOp::Lt, 0.0)],
-        ),
-        aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-    }
-}
-
-/// CH-Q4 — order-priority checking, adapted: count orders that have at least
-/// one significant order line (`EXISTS` becomes a semijoin against the
-/// `ol_amount ≥ 500` lines), grouped by `o_ol_cnt`, keeping the five most
-/// frequent line counts (the top-k path of the join-group-by shape).
-pub fn ch_q4() -> QueryPlan {
-    QueryPlan::JoinGroupByAggregate {
-        fact: "orders".into(),
-        fact_key: ScalarExpr::col("o_key"),
-        // o_entry_d between dates: 100% selectivity.
-        fact_filters: vec![Predicate::new("o_entry_d", CmpOp::Ge, 0.0)],
-        dim: BuildSide::new(
-            "orderline",
-            ol_order_key(),
-            vec![Predicate::new("ol_amount", CmpOp::Ge, 500.0)],
-        ),
-        group_by: vec!["o_ol_cnt".into()],
-        aggregates: vec![AggExpr::Count],
-        top_k: Some(TopK { agg_index: 0, k: 5 }),
-    }
-}
-
-/// CH-Q6 — revenue forecast: a single filtered aggregate over `orderline`.
-/// Memory-bandwidth bound (§5.3).
-pub fn ch_q6() -> QueryPlan {
-    QueryPlan::Aggregate {
-        table: "orderline".into(),
-        filters: vec![
-            // ol_delivery_d between dates: 100% selectivity.
-            Predicate::new("ol_delivery_d", CmpOp::Ge, 0.0),
-            // ol_quantity between 1 and 100000 (CH-benCHmark text).
-            Predicate::new("ol_quantity", CmpOp::Ge, 1.0),
-        ],
-        aggregates: vec![AggExpr::Sum(
-            ScalarExpr::col("ol_amount") * ScalarExpr::col("ol_quantity"),
-        )],
-    }
-}
-
-/// CH-Q12 — shipping-mode / priority distribution, adapted: join `orders`
-/// with their delivered lines and group by `o_carrier_id` (NewOrder inserts
-/// carrier 0, Delivery stamps a real carrier — the group histogram shifts as
-/// deliveries run), reporting order counts and line-count sums per carrier.
-pub fn ch_q12() -> QueryPlan {
-    QueryPlan::JoinGroupByAggregate {
-        fact: "orders".into(),
-        fact_key: ScalarExpr::col("o_key"),
-        fact_filters: vec![],
-        // Entry dates stay strictly below DELIVERY_DATE_BASE, so this
-        // selects exactly the lines the Delivery transaction has stamped:
-        // the histogram is empty until deliveries run and grows with them.
-        dim: BuildSide::new(
-            "orderline",
-            ol_order_key(),
-            vec![Predicate::new(
-                "ol_delivery_d",
-                CmpOp::Ge,
-                DELIVERY_DATE_BASE as f64,
-            )],
-        ),
-        group_by: vec!["o_carrier_id".into()],
-        aggregates: vec![AggExpr::Count, AggExpr::Sum(ScalarExpr::col("o_ol_cnt"))],
-        top_k: None,
-    }
-}
-
-/// CH-Q14 — promotion-effect revenue: join `orderline` with `item` and
-/// aggregate the revenue of promotional items. The `i_data LIKE 'PR%'`
-/// condition becomes an `i_im_id < 5000` range (about half the catalogue).
-pub fn ch_q14() -> QueryPlan {
-    QueryPlan::JoinAggregate {
-        fact: "orderline".into(),
-        dim: "item".into(),
-        fact_key: "ol_i_id".into(),
-        dim_key: "i_id".into(),
-        // ol_delivery_d between dates: 100% selectivity.
-        fact_filters: vec![Predicate::new("ol_delivery_d", CmpOp::Ge, 0.0)],
-        dim_filters: vec![Predicate::new("i_im_id", CmpOp::Lt, 5000.0)],
-        aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-    }
-}
-
-/// CH-Q19 — discounted revenue: join `orderline` with `item` and aggregate
-/// the revenue of matching lines. Broadcast hash join dominated by random
-/// probes (§5.3); the `LIKE` condition is removed as in the paper.
-pub fn ch_q19() -> QueryPlan {
-    QueryPlan::JoinAggregate {
-        fact: "orderline".into(),
-        dim: "item".into(),
-        fact_key: "ol_i_id".into(),
-        dim_key: "i_id".into(),
-        fact_filters: vec![
-            Predicate::new("ol_quantity", CmpOp::Ge, 1.0),
-            Predicate::new("ol_quantity", CmpOp::Le, 10.0),
-        ],
-        dim_filters: vec![Predicate::new("i_price", CmpOp::Ge, 1.0)],
-        aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount"))],
     }
 }
 
@@ -284,9 +133,9 @@ pub fn query_mix() -> Vec<QueryId> {
 }
 
 /// The widened analytical mix: every implemented query, one after the other.
-/// Covers all five plan shapes and relation footprints from one to three
-/// tables, which is what makes the adaptive scheduler's per-query freshness
-/// decisions diverge across queries of one sequence.
+/// Covers scalar and grouped sinks, top-k, and relation footprints from one
+/// to three tables, which is what makes the adaptive scheduler's per-query
+/// freshness decisions diverge across queries of one sequence.
 pub fn query_mix_wide() -> Vec<QueryId> {
     vec![
         QueryId::Q1,
@@ -302,11 +151,28 @@ pub fn query_mix_wide() -> Vec<QueryId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htap_olap::{CmpOp, DagOp, Predicate};
+
+    fn plan(q: QueryId) -> QueryPlan {
+        q.plan()
+            .unwrap_or_else(|e| panic!("{}: SQL failed to plan: {e}", q.label()))
+    }
+
+    /// The filter predicates of every pipeline, in op order.
+    fn filters(plan: &QueryPlan) -> Vec<Predicate> {
+        plan.ops()
+            .iter()
+            .flat_map(|op| match op {
+                DagOp::Filter { predicates, .. } => predicates.clone(),
+                _ => Vec::new(),
+            })
+            .collect()
+    }
 
     #[test]
     fn q1_is_a_group_by_over_orderline() {
-        let plan = ch_q1();
-        assert_eq!(plan.label(), "group-by");
+        let plan = plan(QueryId::Q1);
+        assert_eq!(plan.label(), "scan(orderline)→filter→group-by");
         assert_eq!(plan.tables(), vec!["orderline"]);
         let cols = &plan.accessed_columns()["orderline"];
         for c in ["ol_delivery_d", "ol_number", "ol_quantity", "ol_amount"] {
@@ -316,8 +182,8 @@ mod tests {
 
     #[test]
     fn q3_chains_orderline_orders_customer() {
-        let plan = ch_q3();
-        assert_eq!(plan.label(), "multi-join");
+        let plan = plan(QueryId::Q3);
+        assert_eq!(plan.label(), "scan(orderline)→filter→probe×2→aggregate");
         assert_eq!(plan.tables(), vec!["orderline", "orders", "customer"]);
         let cols = plan.accessed_columns();
         // The fact side reads the key-encoding columns of the composite join.
@@ -333,24 +199,24 @@ mod tests {
 
     #[test]
     fn q4_is_a_top_k_join_group_by() {
-        let plan = ch_q4();
-        assert_eq!(plan.label(), "join-group-by");
+        let plan = plan(QueryId::Q4);
+        assert_eq!(
+            plan.label(),
+            "scan(orders)→filter→probe×1→group-by→sort→limit"
+        );
         assert_eq!(plan.tables(), vec!["orders", "orderline"]);
-        match plan {
-            QueryPlan::JoinGroupByAggregate {
-                top_k, group_by, ..
-            } => {
-                assert_eq!(top_k, Some(TopK { agg_index: 0, k: 5 }));
-                assert_eq!(group_by, vec!["o_ol_cnt".to_string()]);
-            }
-            other => panic!("unexpected shape {other:?}"),
-        }
+        let ops = plan.ops();
+        assert!(
+            matches!(&ops[ops.len() - 3], DagOp::HashAggregate { group_by, .. }
+            if group_by.as_deref() == Some(&["o_ol_cnt".to_string()]))
+        );
+        assert!(matches!(&ops[ops.len() - 1], DagOp::Limit { rows: 5, .. }));
     }
 
     #[test]
     fn q6_is_a_scan_reduce_over_orderline() {
-        let plan = ch_q6();
-        assert_eq!(plan.label(), "aggregate");
+        let plan = plan(QueryId::Q6);
+        assert_eq!(plan.label(), "scan(orderline)→filter→aggregate");
         let cols = &plan.accessed_columns()["orderline"];
         assert!(cols.contains(&"ol_amount".to_string()));
         assert!(cols.contains(&"ol_quantity".to_string()));
@@ -358,8 +224,8 @@ mod tests {
 
     #[test]
     fn q12_groups_orders_by_carrier() {
-        let plan = ch_q12();
-        assert_eq!(plan.label(), "join-group-by");
+        let plan = plan(QueryId::Q12);
+        assert_eq!(plan.label(), "scan(orders)→probe×1→group-by");
         let cols = plan.accessed_columns();
         assert!(cols["orders"].contains(&"o_carrier_id".to_string()));
         assert!(cols["orderline"].contains(&"ol_delivery_d".to_string()));
@@ -367,28 +233,24 @@ mod tests {
 
     #[test]
     fn q12_selects_only_delivered_lines() {
-        // The dim filter floor must equal the Delivery transaction's date
-        // base: entry dates sit strictly below it, delivery stamps at or
+        // The build-side filter floor must equal the Delivery transaction's
+        // date base: entry dates sit strictly below it, delivery stamps at or
         // above it, so the predicate admits exactly the delivered lines.
-        match ch_q12() {
-            QueryPlan::JoinGroupByAggregate { dim, .. } => {
-                assert_eq!(
-                    dim.filters,
-                    vec![Predicate::new(
-                        "ol_delivery_d",
-                        CmpOp::Ge,
-                        DELIVERY_DATE_BASE as f64
-                    )]
-                );
-            }
-            other => panic!("unexpected shape {other:?}"),
-        }
+        assert_eq!(
+            filters(&plan(QueryId::Q12)),
+            vec![Predicate::new(
+                "ol_delivery_d",
+                CmpOp::Ge,
+                DELIVERY_DATE_BASE as f64
+            )]
+        );
     }
 
     #[test]
     fn q14_and_q19_join_orderline_with_item() {
-        for (plan, dim_col) in [(ch_q14(), "i_im_id"), (ch_q19(), "i_price")] {
-            assert_eq!(plan.label(), "join");
+        for (q, dim_col) in [(QueryId::Q14, "i_im_id"), (QueryId::Q19, "i_price")] {
+            let plan = plan(q);
+            assert_eq!(plan.label(), "scan(orderline)→filter→probe×1→aggregate");
             assert_eq!(plan.tables(), vec!["orderline", "item"]);
             let cols = plan.accessed_columns();
             assert!(cols["item"].contains(&dim_col.to_string()));
@@ -403,53 +265,22 @@ mod tests {
         assert_eq!(mix[0].label(), "Q1");
         assert_eq!(mix[1].label(), "Q6");
         assert_eq!(mix[2].label(), "Q19");
-        for q in mix {
-            // Every query's plan builds without panicking.
-            let _ = q.plan();
-        }
-    }
-
-    /// The tentpole invariant of the SQL frontend: every CH query's SQL text
-    /// plans to a `QueryPlan` *structurally identical* to the hand-built
-    /// plan — same shapes, same predicate order, same key expressions — so
-    /// execution (results and `WorkProfile` accounting) is trivially
-    /// bit-for-bit identical. The differential suite re-proves the output
-    /// equality over real data at 1/2/4 workers.
-    #[test]
-    fn sql_texts_plan_to_the_hand_built_plans() {
-        for q in query_mix_wide() {
-            let sql_plan = q
-                .sql_plan()
-                .unwrap_or_else(|e| panic!("{}: SQL failed to plan: {e}", q.label()));
-            assert_eq!(
-                sql_plan,
-                q.plan(),
-                "{}: SQL {:?} planned differently from the hand-built plan",
-                q.label(),
-                q.sql()
-            );
-        }
     }
 
     #[test]
     fn wide_mix_covers_every_query_and_all_plan_shapes() {
         let mix = query_mix_wide();
-        assert_eq!(mix.len(), 7);
         let labels: Vec<&str> = mix.iter().map(|q| q.label()).collect();
         assert_eq!(labels, vec!["Q1", "Q3", "Q4", "Q6", "Q12", "Q14", "Q19"]);
-        let mut shapes: Vec<&str> = mix.iter().map(|q| q.plan().label()).collect();
-        shapes.sort_unstable();
-        shapes.dedup();
-        assert_eq!(
-            shapes,
-            vec![
-                "aggregate",
-                "group-by",
-                "join",
-                "join-group-by",
-                "multi-join"
-            ],
-            "the widened mix must exercise all five plan shapes"
-        );
+        // Every SQL text compiles, and the mix spans one to three relations,
+        // scalar and grouped sinks, and a top-k.
+        let plans: Vec<QueryPlan> = mix.into_iter().map(plan).collect();
+        let mut widths: Vec<usize> = plans.iter().map(|p| p.tables().len()).collect();
+        widths.sort_unstable();
+        widths.dedup();
+        assert_eq!(widths, vec![1, 2, 3]);
+        for sink in ["→aggregate", "→group-by", "→limit"] {
+            assert!(plans.iter().any(|p| p.label().contains(sink)), "{sink}");
+        }
     }
 }

@@ -39,8 +39,8 @@ impl QuerySequence {
     }
 
     /// The widened mix: all seven implemented queries {Q1, Q3, Q4, Q6, Q12,
-    /// Q14, Q19}, scheduled independently — every plan shape and relation
-    /// footprint the engine supports in one sequence.
+    /// Q14, Q19}, scheduled independently — scalar and grouped sinks, a
+    /// top-k, and one- to three-relation footprints in one sequence.
     pub fn wide_mix() -> Self {
         QuerySequence {
             queries: query_mix_wide(),

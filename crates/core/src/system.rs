@@ -16,8 +16,10 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An error from [`HtapSystem::execute_sql`]: either the frontend rejected
-/// the query text, or the engine rejected the (well-formed) plan.
+/// An error from running a query that starts as SQL text
+/// ([`HtapSystem::execute_sql`], or a CH query, which is defined as SQL):
+/// either the frontend rejected the text, or the engine rejected the
+/// (well-formed) plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlRunError {
     /// The SQL frontend could not compile the text (syntax, unknown or
@@ -438,14 +440,22 @@ impl HtapSystem {
         self.execute_plan_inner(&label, Some(sql.to_string()), plan, false)
     }
 
-    /// Schedule and execute one CH-benCHmark query.
-    pub fn execute_query(&self, query: QueryId) -> Result<QueryReport, OlapError> {
+    /// Compile (against the system's catalog), schedule and execute one
+    /// CH-benCHmark query under its label.
+    fn execute_ch_query(&self, query: QueryId, is_batch: bool) -> Result<QueryReport, SqlRunError> {
         let guard = htap_obs::span("query");
         if guard.is_active() {
             guard.detail(query.label());
         }
-        self.execute_plan_inner(query.label(), Some(query.sql()), &query.plan(), false)
-            .map(|(report, _)| report)
+        let sql = query.sql();
+        let plan = self.plan_sql(&sql)?;
+        let (report, _) = self.execute_plan_inner(query.label(), Some(sql), &plan, is_batch)?;
+        Ok(report)
+    }
+
+    /// Schedule and execute one CH-benCHmark query.
+    pub fn execute_query(&self, query: QueryId) -> Result<QueryReport, SqlRunError> {
+        self.execute_ch_query(query, false)
     }
 
     /// Schedule and execute one CH-benCHmark query as part of a batch
@@ -456,13 +466,8 @@ impl HtapSystem {
         &self,
         query: QueryId,
         is_follow_up: bool,
-    ) -> Result<QueryReport, OlapError> {
-        let guard = htap_obs::span("query");
-        if guard.is_active() {
-            guard.detail(query.label());
-        }
-        let (mut report, _) =
-            self.execute_plan_inner(query.label(), Some(query.sql()), &query.plan(), true)?;
+    ) -> Result<QueryReport, SqlRunError> {
+        let mut report = self.execute_ch_query(query, true)?;
         if is_follow_up {
             report.scheduling_time = 0.0;
             report.performed_etl = false;
@@ -528,7 +533,7 @@ mod tests {
             Schedule::Adaptive(SchedulerPolicy::adaptive_non_isolated(0.5)),
         ] {
             system.set_schedule(schedule);
-            let plan = QueryId::Q6.plan();
+            let plan = QueryId::Q6.plan().unwrap();
             let scheduled = system.with_scheduler(|s| s.schedule_query(&plan, false));
             let exec = system
                 .rde()
@@ -587,12 +592,12 @@ mod tests {
     fn execute_sql_runs_the_full_pipeline() {
         let system = tiny_system();
         system.run_oltp(3);
-        // The same query, once as SQL text and once as the hand-built plan:
-        // identical answers, and the SQL report is self-describing.
+        // The same query, once as ad-hoc SQL text and once by its CH id:
+        // identical answers, and both reports are self-describing.
         let sql = QueryId::Q6.sql();
         let report = system.execute_sql(&sql).unwrap();
         assert_eq!(report.sql.as_deref(), Some(sql.as_str()));
-        assert_eq!(report.query, "sql-aggregate");
+        assert_eq!(report.query, "sql-scan(orderline)→filter→aggregate");
         assert!(report.execution_time > 0.0);
         assert!((0.0..=1.0).contains(&report.freshness_rate));
         let by_id = system.execute_query(QueryId::Q6).unwrap();
@@ -622,7 +627,7 @@ mod tests {
                  WHERE i_price >= 5",
             )
             .unwrap();
-        assert_eq!(report.query, "sql-join");
+        assert_eq!(report.query, "sql-scan(orderline)→probe×1→aggregate");
     }
 
     #[test]

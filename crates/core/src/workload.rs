@@ -3,9 +3,8 @@
 //! the shape of the paper's adaptive experiment (Figure 5).
 
 use crate::report::{QueryReport, SequenceReport};
-use crate::system::HtapSystem;
+use crate::system::{HtapSystem, SqlRunError};
 use htap_chbench::{QuerySequence, SequenceKind};
-use htap_olap::OlapError;
 use std::time::{Duration, Instant};
 
 /// Description of a mixed workload: `sequences` analytical sequences, with
@@ -33,7 +32,7 @@ impl MixedWorkload {
     }
 
     /// The widened Figure-5 workload: `n` repetitions of the full
-    /// {Q1, Q3, Q4, Q6, Q12, Q14, Q19} mix — all five plan shapes and
+    /// {Q1, Q3, Q4, Q6, Q12, Q14, Q19} mix — scalar and grouped sinks and
     /// relation footprints from one to three tables, so the adaptive
     /// scheduler's per-query freshness decisions actually diverge within a
     /// sequence.
@@ -115,13 +114,13 @@ impl MixedWorkloadReport {
 
 /// Execute a mixed workload against a system, under its current schedule.
 ///
-/// Stops at — and reports — the first query the OLAP engine rejects; the
-/// CH-benCHmark plans always match the CH schema, so an error here means the
-/// system was built without its relations.
+/// Stops at — and reports — the first query that fails; the CH-benCHmark
+/// queries always compile against and match the CH schema, so an error here
+/// means the system was built without its relations.
 pub fn run_mixed_workload(
     system: &HtapSystem,
     workload: &MixedWorkload,
-) -> Result<MixedWorkloadReport, OlapError> {
+) -> Result<MixedWorkloadReport, SqlRunError> {
     let mut report = MixedWorkloadReport::default();
     let aborted_before = system.txn_driver().stats().aborted();
     for sequence_idx in 0..workload.sequences {
@@ -196,7 +195,7 @@ pub fn run_mixed_workload_concurrent(
     system: &HtapSystem,
     workload: &MixedWorkload,
     options: &ConcurrentOptions,
-) -> Result<MixedWorkloadReport, OlapError> {
+) -> Result<MixedWorkloadReport, SqlRunError> {
     let started_here = system.start_oltp_ingest() > 0;
     let at_entry = system.oltp_live_counts();
     let result = drive_sequences_concurrently(system, workload, options);
@@ -224,7 +223,7 @@ fn drive_sequences_concurrently(
     system: &HtapSystem,
     workload: &MixedWorkload,
     options: &ConcurrentOptions,
-) -> Result<MixedWorkloadReport, OlapError> {
+) -> Result<MixedWorkloadReport, SqlRunError> {
     let mut report = MixedWorkloadReport::default();
     for sequence_idx in 0..workload.sequences {
         let mut seq_report = SequenceReport {

@@ -22,8 +22,8 @@
 //!   or [Perfetto](https://ui.perfetto.dev).
 //!
 //! Tracing is on by default and can be toggled at runtime with
-//! [`set_enabled`] — `bench_exec` measures the enabled-vs-disabled rows/sec
-//! delta and CI gates it at 3%. See ARCHITECTURE.md ("Observability") for
+//! [`set_enabled`] — `bench_e2e` measures the enabled-vs-disabled latency
+//! delta (`obs.tracing_overhead_pct`) and CI gates it at 3%. See ARCHITECTURE.md ("Observability") for
 //! the event taxonomy, the ring protocol and the overhead budget.
 
 pub mod chrome;
@@ -132,8 +132,8 @@ pub fn enabled() -> bool {
     obs().enabled.load(Ordering::Relaxed)
 }
 
-/// Turn recording on or off at runtime. Used by `bench_exec` to measure
-/// the tracing overhead (enabled vs disabled rows/sec).
+/// Turn recording on or off at runtime. Used by `bench_e2e` to measure
+/// the tracing overhead (traced vs untraced stretches of one run).
 pub fn set_enabled(on: bool) {
     obs().enabled.store(on, Ordering::Relaxed);
 }

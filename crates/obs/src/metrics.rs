@@ -255,8 +255,8 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// Everything the registry knows, frozen: the API `bench_exec` and the fig
-/// binaries consume.
+/// Everything the registry knows, frozen: the API the fig binaries and
+/// trace consumers read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.

@@ -1,15 +1,14 @@
 //! The composable vectorized operator DAG — the engine's single plan IR.
 //!
-//! Until this refactor the executor special-cased five monolithic plan
-//! shapes; every shape is now *lowered* onto a DAG of small physical
-//! operators ([`DagOp`]) and executed by one generic pipeline driver (see
-//! `ARCHITECTURE.md`, "Composable operator DAG"). The operators:
+//! A [`QueryPlan`] is a DAG of small physical operators ([`DagOp`]) executed
+//! by one generic pipeline driver (see `ARCHITECTURE.md`, "Composable
+//! operator DAG"). The operators:
 //!
 //! | operator | role | pipeline breaker? |
 //! |---|---|---|
 //! | [`DagOp::Scan`] | morsel source over one relation | no (pipeline head) |
 //! | [`DagOp::Filter`] | conjunctive predicates → selection vector | no |
-//! | [`DagOp::Project`] | named computed columns, inlined at bind time | no |
+//! | [`DagOp::Project`] | named computed columns, inlined at plan time | no |
 //! | [`DagOp::HashBuild`] | key → multiplicity table ([`crate::hashtable::JoinTable`]) | yes (sink) |
 //! | [`DagOp::HashProbe`] | true inner join: weight-preserving probe | no |
 //! | [`DagOp::HashAggregate`] | scalar or grouped fold | yes (sink) |
@@ -21,21 +20,21 @@
 //! streams through filters/projections/probes, and ends in a pipeline
 //! breaker — a hash build feeding exactly one probe, or the single hash
 //! aggregate. Above the aggregate only the finisher operators (having,
-//! sort, limit) may appear. [`DagPlan::decompose`] checks these rules and
-//! flattens the DAG into [`DagSpec`] — the executable form both the morsel
-//! engine and the row-at-a-time reference oracle consume (they share the
-//! plan semantics, never the evaluation machinery).
+//! sort, limit) may appear. [`DagBuilder::finish`] — the only way to obtain
+//! a [`QueryPlan`] — checks these rules once and keeps the flattened
+//! [`DagSpec`] beside the op list, so a plan value is valid by construction:
+//! the morsel engine, the row-at-a-time reference oracle and the accounting
+//! accessors the scheduler reads ([`QueryPlan::tables`],
+//! [`QueryPlan::accessed_columns`], [`QueryPlan::cpu_ns_per_tuple`]) all
+//! read that one spec and none of them can meet an invalid DAG.
 //!
-//! Determinism is inherited wholesale from the pipeline machinery: every
-//! pipeline's partials are still merged in morsel-index order, build tables
-//! union weights (order-insensitive addition), and finishers run over
-//! finalised rows with total orders — so DAG results stay bit-for-bit
-//! identical across worker counts, exactly like the five shapes they
-//! replace.
+//! Determinism comes from the pipeline machinery: every pipeline's partials
+//! are merged in morsel-index order, build tables union weights
+//! (order-insensitive addition), and finishers run over finalised rows with
+//! total orders — so results are bit-for-bit identical across worker counts.
 
 use crate::error::OlapError;
 use crate::expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
-use crate::plan::{BuildSide, QueryPlan, TopK};
 use std::collections::BTreeMap;
 
 /// A slot of one finalised result row: a group-key column or an aggregate.
@@ -59,8 +58,7 @@ pub struct HavingPred {
 }
 
 /// One sort key over finalised rows. Ties after all sort keys break by
-/// ascending full group key — the same total order [`crate::plan::TopK`]
-/// used, so sorting is deterministic.
+/// ascending full group key, so sorting is a total, deterministic order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortKey {
     /// The row slot to order by.
@@ -69,7 +67,7 @@ pub struct SortKey {
     pub desc: bool,
 }
 
-/// One operator of a [`DagPlan`]. Operands reference earlier operators by
+/// One operator of a [`QueryPlan`]. Operands reference earlier operators by
 /// index (the op list is topologically ordered; the last op is the root).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DagOp {
@@ -86,8 +84,8 @@ pub enum DagOp {
         predicates: Vec<Predicate>,
     },
     /// Named computed columns. Projections are inlined (substituted into
-    /// every consumer) at decompose time, so execution never materialises
-    /// them — they cost nothing unless consumed.
+    /// every consumer) at plan time, so execution never materialises them —
+    /// they cost nothing unless consumed.
     Project {
         /// Upstream operator.
         input: usize,
@@ -103,8 +101,7 @@ pub enum DagOp {
     },
     /// Probe a [`DagOp::HashBuild`]: a true inner join — each surviving row
     /// carries the build key's multiplicity, so duplicate build keys
-    /// contribute every matching tuple (the semijoin-era engine collapsed
-    /// them into set membership).
+    /// contribute every matching tuple.
     HashProbe {
         /// Upstream (probe-side) operator.
         input: usize,
@@ -163,11 +160,22 @@ impl DagOp {
     }
 }
 
-/// A composable operator DAG (see the module docs for the structural rules).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPlan {
+/// A query plan: a validated operator DAG (see the module docs for the
+/// structural rules) together with its flattened executable form. Built by
+/// [`DagBuilder::finish`] only, so every value of this type executes.
+#[derive(Debug, Clone)]
+pub struct QueryPlan {
     /// Operators in topological order; the last one is the root.
-    pub ops: Vec<DagOp>,
+    ops: Vec<DagOp>,
+    /// `ops`, validated and flattened — computed once, at construction.
+    spec: DagSpec,
+}
+
+/// Plans are equal when their operator lists are (the spec is derived).
+impl PartialEq for QueryPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops == other.ops
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -185,7 +193,7 @@ pub(crate) struct ProbeSpec {
 /// One streaming pipeline: scan → filters → probes (in execution order).
 /// Filters commute with probes over the same rows, so decompose pushes every
 /// filter below the probes; probe accounting therefore charges one probe per
-/// post-filter input row, the rule the engine has always used.
+/// post-filter input row.
 #[derive(Debug, Clone)]
 pub(crate) struct PipelineSpec {
     pub table: String,
@@ -200,7 +208,7 @@ pub(crate) struct BuildSpec {
     pub key: ScalarExpr,
     /// Whether the *root* pipeline probes this build — those builds are
     /// charged to `build_bytes`/`hash_table_bytes`, deeper ones to the
-    /// `far_*` fields (the accounting split the legacy shapes defined).
+    /// `far_*` fields.
     pub feeds_root: bool,
 }
 
@@ -212,7 +220,7 @@ pub(crate) enum Finisher {
     Limit(usize),
 }
 
-/// The flattened, validated form of a [`DagPlan`].
+/// The flattened, validated form of a [`QueryPlan`]'s op list.
 #[derive(Debug, Clone)]
 pub(crate) struct DagSpec {
     /// Build pipelines in dependency order (a build's probes reference
@@ -288,360 +296,291 @@ impl PipelineWalk {
     }
 }
 
-impl DagPlan {
-    /// Lower any [`QueryPlan`] onto its DAG — the single entry every
-    /// executor (morsel engine *and* reference oracle) funnels through, so
-    /// no legacy shape retains a bespoke execution path.
-    pub fn lower(plan: &QueryPlan) -> DagPlan {
-        match plan {
-            QueryPlan::Dag(dag) => dag.clone(),
-            QueryPlan::Aggregate {
-                table,
-                filters,
-                aggregates,
-            } => {
-                let mut b = DagBuilder::default();
-                let mut at = b.scan(table);
-                at = b.filter(at, filters);
-                b.aggregate(at, None, aggregates.clone());
-                b.finish()
+/// Validate the DAG's structural rules and flatten it into the
+/// executable [`DagSpec`].
+fn decompose(ops: &[DagOp]) -> Result<DagSpec, OlapError> {
+    if ops.is_empty() {
+        return Err(invalid("the op list is empty"));
+    }
+    // Topological references, and every non-root op consumed exactly once.
+    let mut consumers = vec![0usize; ops.len()];
+    for (i, op) in ops.iter().enumerate() {
+        let mut consume = |j: usize| -> Result<(), OlapError> {
+            if j >= i {
+                return Err(invalid(format!(
+                    "op {i} references op {j}, which does not precede it"
+                )));
             }
-            QueryPlan::GroupByAggregate {
-                table,
-                filters,
-                group_by,
-                aggregates,
-            } => {
-                let mut b = DagBuilder::default();
-                let mut at = b.scan(table);
-                at = b.filter(at, filters);
-                b.aggregate(at, Some(group_by.clone()), aggregates.clone());
-                b.finish()
-            }
-            QueryPlan::JoinAggregate {
-                fact,
-                dim,
-                fact_key,
-                dim_key,
-                fact_filters,
-                dim_filters,
-                aggregates,
-            } => {
-                let mut b = DagBuilder::default();
-                let mut d = b.scan(dim);
-                d = b.filter(d, dim_filters);
-                let build = b.build(d, ScalarExpr::col(dim_key.clone()));
-                let mut f = b.scan(fact);
-                f = b.filter(f, fact_filters);
-                f = b.probe(f, build, ScalarExpr::col(fact_key.clone()));
-                b.aggregate(f, None, aggregates.clone());
-                b.finish()
-            }
-            QueryPlan::MultiJoinAggregate {
-                fact,
-                fact_key,
-                fact_filters,
-                mid,
-                mid_fk,
-                far,
-                aggregates,
-            } => {
-                let mut b = DagBuilder::default();
-                let far_build = b.build_side(far, &[]);
-                let mid_build = b.build_side(mid, &[(mid_fk.clone(), far_build)]);
-                let mut f = b.scan(fact);
-                f = b.filter(f, fact_filters);
-                f = b.probe(f, mid_build, fact_key.clone());
-                b.aggregate(f, None, aggregates.clone());
-                b.finish()
-            }
-            QueryPlan::JoinGroupByAggregate {
-                fact,
-                fact_key,
-                fact_filters,
-                dim,
-                group_by,
-                aggregates,
-                top_k,
-            } => {
-                let mut b = DagBuilder::default();
-                let build = b.build_side(dim, &[]);
-                let mut f = b.scan(fact);
-                f = b.filter(f, fact_filters);
-                f = b.probe(f, build, fact_key.clone());
-                let mut at = b.aggregate(f, Some(group_by.clone()), aggregates.clone());
-                if let Some(TopK { agg_index, k }) = top_k {
-                    at = b.push(DagOp::Sort {
-                        input: at,
-                        keys: vec![SortKey {
-                            slot: RowSlot::Agg(*agg_index),
-                            desc: true,
-                        }],
-                    });
-                    b.push(DagOp::Limit {
-                        input: at,
-                        rows: *k,
-                    });
-                }
-                b.finish()
-            }
+            consumers[j] += 1;
+            Ok(())
+        };
+        if let Some(input) = op.input() {
+            consume(input)?;
+        }
+        if let DagOp::HashProbe { build, .. } = op {
+            consume(*build)?;
+        }
+    }
+    let root = ops.len() - 1;
+    for (i, &n) in consumers.iter().enumerate() {
+        if i == root && n != 0 {
+            return Err(invalid(format!(
+                "the root op {i} is consumed by another op"
+            )));
+        }
+        if i != root && n != 1 {
+            return Err(invalid(format!(
+                "op {i} is consumed {n} times (every operator feeds exactly one consumer)"
+            )));
         }
     }
 
-    /// Validate the DAG's structural rules and flatten it into the
-    /// executable [`DagSpec`].
-    pub(crate) fn decompose(&self) -> Result<DagSpec, OlapError> {
-        if self.ops.is_empty() {
-            return Err(invalid("the op list is empty"));
+    // Finisher chain: root → … → the single HashAggregate.
+    let mut finishers_top_down: Vec<Finisher> = Vec::new();
+    let mut at = root;
+    let agg_idx = loop {
+        match &ops[at] {
+            DagOp::Having { input, predicates } => {
+                finishers_top_down.push(Finisher::Having(predicates.clone()));
+                at = *input;
+            }
+            DagOp::Sort { input, keys } => {
+                finishers_top_down.push(Finisher::Sort(keys.clone()));
+                at = *input;
+            }
+            DagOp::Limit { input, rows } => {
+                finishers_top_down.push(Finisher::Limit(*rows));
+                at = *input;
+            }
+            DagOp::HashAggregate { .. } => break at,
+            other => {
+                return Err(invalid(format!(
+                    "op {at} ({}) cannot produce the result (the root chain must be \
+                     finishers over one hash aggregate)",
+                    op_name(other)
+                )))
+            }
         }
-        // Topological references, and every non-root op consumed exactly once.
-        let mut consumers = vec![0usize; self.ops.len()];
-        for (i, op) in self.ops.iter().enumerate() {
-            let mut consume = |j: usize| -> Result<(), OlapError> {
-                if j >= i {
+    };
+    finishers_top_down.reverse();
+    let finishers = finishers_top_down;
+    let DagOp::HashAggregate {
+        input,
+        group_by,
+        aggregates,
+    } = &ops[agg_idx]
+    else {
+        // The loop above only breaks on HashAggregate.
+        return Err(invalid("unreachable: non-aggregate sink"));
+    };
+    let mut group_by = group_by.clone();
+    let mut aggregates = aggregates.clone();
+
+    // Validate finisher row slots against the aggregate's arity.
+    let n_keys = group_by.as_ref().map_or(0, Vec::len);
+    for f in &finishers {
+        let slots: Vec<RowSlot> = match f {
+            Finisher::Having(preds) => preds.iter().map(|p| p.slot).collect(),
+            Finisher::Sort(keys) => keys.iter().map(|k| k.slot).collect(),
+            Finisher::Limit(_) => Vec::new(),
+        };
+        for slot in slots {
+            match slot {
+                RowSlot::Key(i) if i >= n_keys => {
                     return Err(invalid(format!(
-                        "op {i} references op {j}, which does not precede it"
+                        "finisher reads group key {i} but the aggregate has {n_keys}"
+                    )))
+                }
+                RowSlot::Agg(i) if i >= aggregates.len() => {
+                    return Err(OlapError::InvalidTopK {
+                        agg_index: i,
+                        aggregates: aggregates.len(),
+                    });
+                }
+                _ => {}
+            }
+        }
+        if matches!(f, Finisher::Sort(keys) if keys.is_empty()) {
+            return Err(invalid("sort with no keys"));
+        }
+    }
+    if group_by.is_none() && !finishers.is_empty() {
+        return Err(invalid(
+            "finishers over a scalar aggregate (having/sort/limit need rows)",
+        ));
+    }
+
+    // Root pipeline, then the build pipelines it (transitively) probes.
+    let mut builds: Vec<BuildSpec> = Vec::new();
+    let root_pipe = walk_pipeline(
+        ops,
+        *input,
+        &mut builds,
+        true,
+        Some((&mut aggregates, &mut group_by)),
+    )?;
+    Ok(DagSpec {
+        builds,
+        root: root_pipe,
+        group_by,
+        aggregates,
+        finishers,
+    })
+}
+
+/// Walk one pipeline from its top op down to its scan, recursing into
+/// the build side of every probe (builds land in `builds` in dependency
+/// order).
+fn walk_pipeline(
+    ops: &[DagOp],
+    top: usize,
+    builds: &mut Vec<BuildSpec>,
+    feeds_root: bool,
+    mut root_outputs: Option<(&mut Vec<AggExpr>, &mut Option<Vec<String>>)>,
+) -> Result<PipelineSpec, OlapError> {
+    let mut walk = PipelineWalk {
+        filters: Vec::new(),
+        probes: Vec::new(),
+    };
+    let mut at = top;
+    let table = loop {
+        match &ops[at] {
+            DagOp::Scan { table } => break table.clone(),
+            DagOp::Filter { input, predicates } => {
+                walk.filters.extend(predicates.iter().cloned());
+                at = *input;
+            }
+            DagOp::Project { input, exprs } => {
+                let map: BTreeMap<String, ScalarExpr> = exprs.iter().cloned().collect();
+                match &mut root_outputs {
+                    Some((aggs, group_by)) => {
+                        walk.apply_projection(&map, Some(aggs), group_by.as_mut())?
+                    }
+                    None => walk.apply_projection(&map, None, None)?,
+                }
+                at = *input;
+            }
+            DagOp::HashProbe { input, build, key } => {
+                let DagOp::HashBuild {
+                    input: build_input,
+                    key: build_key,
+                } = &ops[*build]
+                else {
+                    return Err(invalid(format!(
+                        "op {at} probes op {build}, which is not a hash build",
                     )));
-                }
-                consumers[j] += 1;
-                Ok(())
-            };
-            if let Some(input) = op.input() {
-                consume(input)?;
+                };
+                let build_walk = walk_pipeline(ops, *build_input, builds, false, None)?;
+                let build_idx = builds.len();
+                builds.push(BuildSpec {
+                    input: build_walk,
+                    key: projected_build_key(ops, *build_input, build_key)?,
+                    feeds_root,
+                });
+                walk.probes.push(ProbeSpec {
+                    key: key.clone(),
+                    build: build_idx,
+                });
+                at = *input;
             }
-            if let DagOp::HashProbe { build, .. } = op {
-                consume(*build)?;
-            }
-        }
-        let root = self.ops.len() - 1;
-        for (i, &n) in consumers.iter().enumerate() {
-            if i == root && n != 0 {
+            other => {
                 return Err(invalid(format!(
-                    "the root op {i} is consumed by another op"
-                )));
+                    "op {at} ({}) cannot appear inside a streaming pipeline",
+                    op_name(other)
+                )))
             }
-            if i != root && n != 1 {
+        }
+    };
+    // Probes were collected top-down; execution order is bottom-up.
+    walk.probes.reverse();
+    Ok(PipelineSpec {
+        table,
+        filters: walk.filters,
+        probes: walk.probes,
+    })
+}
+
+/// A build key with every projection of its input chain substituted in.
+fn projected_build_key(
+    ops: &[DagOp],
+    mut at: usize,
+    key: &ScalarExpr,
+) -> Result<ScalarExpr, OlapError> {
+    let mut key = key.clone();
+    loop {
+        match &ops[at] {
+            DagOp::Scan { .. } => return Ok(key),
+            DagOp::Project { input, exprs } => {
+                let map: BTreeMap<String, ScalarExpr> = exprs.iter().cloned().collect();
+                key = key.substitute(&map);
+                at = *input;
+            }
+            DagOp::Filter { input, .. } | DagOp::HashProbe { input, .. } => at = *input,
+            other => {
                 return Err(invalid(format!(
-                    "op {i} is consumed {n} times (every operator feeds exactly one consumer)"
-                )));
-            }
-        }
-
-        // Finisher chain: root → … → the single HashAggregate.
-        let mut finishers_top_down: Vec<Finisher> = Vec::new();
-        let mut at = root;
-        let agg_idx = loop {
-            match &self.ops[at] {
-                DagOp::Having { input, predicates } => {
-                    finishers_top_down.push(Finisher::Having(predicates.clone()));
-                    at = *input;
-                }
-                DagOp::Sort { input, keys } => {
-                    finishers_top_down.push(Finisher::Sort(keys.clone()));
-                    at = *input;
-                }
-                DagOp::Limit { input, rows } => {
-                    finishers_top_down.push(Finisher::Limit(*rows));
-                    at = *input;
-                }
-                DagOp::HashAggregate { .. } => break at,
-                other => {
-                    return Err(invalid(format!(
-                        "op {at} ({}) cannot produce the result (the root chain must be \
-                         finishers over one hash aggregate)",
-                        op_name(other)
-                    )))
-                }
-            }
-        };
-        finishers_top_down.reverse();
-        let finishers = finishers_top_down;
-        let DagOp::HashAggregate {
-            input,
-            group_by,
-            aggregates,
-        } = &self.ops[agg_idx]
-        else {
-            // The loop above only breaks on HashAggregate.
-            return Err(invalid("unreachable: non-aggregate sink"));
-        };
-        let mut group_by = group_by.clone();
-        let mut aggregates = aggregates.clone();
-
-        // Validate finisher row slots against the aggregate's arity.
-        let n_keys = group_by.as_ref().map_or(0, Vec::len);
-        for f in &finishers {
-            let slots: Vec<RowSlot> = match f {
-                Finisher::Having(preds) => preds.iter().map(|p| p.slot).collect(),
-                Finisher::Sort(keys) => keys.iter().map(|k| k.slot).collect(),
-                Finisher::Limit(_) => Vec::new(),
-            };
-            for slot in slots {
-                match slot {
-                    RowSlot::Key(i) if i >= n_keys => {
-                        return Err(invalid(format!(
-                            "finisher reads group key {i} but the aggregate has {n_keys}"
-                        )))
-                    }
-                    RowSlot::Agg(i) if i >= aggregates.len() => {
-                        // Keep the typed error the legacy top-k validation
-                        // raised, so misuse reports identically.
-                        return Err(OlapError::InvalidTopK {
-                            agg_index: i,
-                            aggregates: aggregates.len(),
-                        });
-                    }
-                    _ => {}
-                }
-            }
-            if matches!(f, Finisher::Sort(keys) if keys.is_empty()) {
-                return Err(invalid("sort with no keys"));
-            }
-        }
-        if group_by.is_none() && !finishers.is_empty() {
-            return Err(invalid(
-                "finishers over a scalar aggregate (having/sort/limit need rows)",
-            ));
-        }
-
-        // Root pipeline, then the build pipelines it (transitively) probes.
-        let mut builds: Vec<BuildSpec> = Vec::new();
-        let root_pipe = self.walk_pipeline(
-            *input,
-            &mut builds,
-            true,
-            Some((&mut aggregates, &mut group_by)),
-        )?;
-        Ok(DagSpec {
-            builds,
-            root: root_pipe,
-            group_by,
-            aggregates,
-            finishers,
-        })
-    }
-
-    /// Walk one pipeline from its top op down to its scan, recursing into
-    /// the build side of every probe (builds land in `builds` in dependency
-    /// order).
-    fn walk_pipeline(
-        &self,
-        top: usize,
-        builds: &mut Vec<BuildSpec>,
-        feeds_root: bool,
-        mut root_outputs: Option<(&mut Vec<AggExpr>, &mut Option<Vec<String>>)>,
-    ) -> Result<PipelineSpec, OlapError> {
-        let mut walk = PipelineWalk {
-            filters: Vec::new(),
-            probes: Vec::new(),
-        };
-        let mut at = top;
-        let table = loop {
-            match &self.ops[at] {
-                DagOp::Scan { table } => break table.clone(),
-                DagOp::Filter { input, predicates } => {
-                    walk.filters.extend(predicates.iter().cloned());
-                    at = *input;
-                }
-                DagOp::Project { input, exprs } => {
-                    let map: BTreeMap<String, ScalarExpr> = exprs.iter().cloned().collect();
-                    match &mut root_outputs {
-                        Some((aggs, group_by)) => {
-                            walk.apply_projection(&map, Some(aggs), group_by.as_mut())?
-                        }
-                        None => walk.apply_projection(&map, None, None)?,
-                    }
-                    at = *input;
-                }
-                DagOp::HashProbe { input, build, key } => {
-                    let DagOp::HashBuild {
-                        input: build_input,
-                        key: build_key,
-                    } = &self.ops[*build]
-                    else {
-                        return Err(invalid(format!(
-                            "op {at} probes op {build}, which is not a hash build",
-                        )));
-                    };
-                    let build_walk = self.walk_pipeline(*build_input, builds, false, None)?;
-                    let build_idx = builds.len();
-                    builds.push(BuildSpec {
-                        input: build_walk,
-                        key: self.projected_build_key(*build_input, build_key)?,
-                        feeds_root,
-                    });
-                    walk.probes.push(ProbeSpec {
-                        key: key.clone(),
-                        build: build_idx,
-                    });
-                    at = *input;
-                }
-                other => {
-                    return Err(invalid(format!(
-                        "op {at} ({}) cannot appear inside a streaming pipeline",
-                        op_name(other)
-                    )))
-                }
-            }
-        };
-        // Probes were collected top-down; execution order is bottom-up.
-        walk.probes.reverse();
-        Ok(PipelineSpec {
-            table,
-            filters: walk.filters,
-            probes: walk.probes,
-        })
-    }
-
-    /// A build key with every projection of its input chain substituted in.
-    fn projected_build_key(
-        &self,
-        mut at: usize,
-        key: &ScalarExpr,
-    ) -> Result<ScalarExpr, OlapError> {
-        let mut key = key.clone();
-        loop {
-            match &self.ops[at] {
-                DagOp::Scan { .. } => return Ok(key),
-                DagOp::Project { input, exprs } => {
-                    let map: BTreeMap<String, ScalarExpr> = exprs.iter().cloned().collect();
-                    key = key.substitute(&map);
-                    at = *input;
-                }
-                DagOp::Filter { input, .. } | DagOp::HashProbe { input, .. } => at = *input,
-                other => {
-                    return Err(invalid(format!(
-                        "op {at} ({}) cannot appear inside a streaming pipeline",
-                        op_name(other)
-                    )))
-                }
+                    "op {at} ({}) cannot appear inside a streaming pipeline",
+                    op_name(other)
+                )))
             }
         }
     }
+}
 
-    /// The relations the DAG scans, deduplicated, probe side first: scans
-    /// are listed in reverse definition order, which under the lowering
-    /// convention (build pipelines defined dependency-first, the root
-    /// pipeline last) yields root table, then builds nearest-first — the
-    /// same order the legacy shape constructors reported.
+impl QueryPlan {
+    /// The operators, in topological order (the last one is the root).
+    pub fn ops(&self) -> &[DagOp] {
+        &self.ops
+    }
+
+    /// The validated, flattened form every executor runs.
+    pub(crate) fn spec(&self) -> &DagSpec {
+        &self.spec
+    }
+
+    /// A one-line summary of the plan for reports and the SQL shell, e.g.
+    /// `scan(orders)→filter→probe×1→group-by→sort→limit`: the root scan,
+    /// whether it filters, how many hash builds the query probes through
+    /// (directly or chained), the sink, then the finishers in order.
+    pub fn label(&self) -> String {
+        let spec = &self.spec;
+        let mut out = format!("scan({})", spec.root.table);
+        if !spec.root.filters.is_empty() {
+            out.push_str("→filter");
+        }
+        if !spec.builds.is_empty() {
+            out.push_str(&format!("→probe×{}", spec.builds.len()));
+        }
+        out.push_str(if spec.group_by.is_some() {
+            "→group-by"
+        } else {
+            "→aggregate"
+        });
+        for finisher in &spec.finishers {
+            out.push_str(match finisher {
+                Finisher::Having(_) => "→having",
+                Finisher::Sort(_) => "→sort",
+                Finisher::Limit(_) => "→limit",
+            });
+        }
+        out
+    }
+
+    /// The relations the plan scans, deduplicated: the probe (root) side
+    /// first, then the builds nearest-first.
     pub fn tables(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for op in self.ops.iter().rev() {
-            if let DagOp::Scan { table } = op {
-                if !out.contains(&table.as_str()) {
-                    out.push(table);
-                }
+        let mut out = vec![self.spec.root.table.as_str()];
+        for build in self.spec.builds.iter().rev() {
+            if !out.contains(&build.input.table.as_str()) {
+                out.push(&build.input.table);
             }
         }
         out
     }
 
-    /// The columns the DAG reads, per relation (freshness + byte accounting).
+    /// The columns the plan reads, per relation (freshness + byte accounting).
     pub fn accessed_columns(&self) -> BTreeMap<String, Vec<String>> {
+        let spec = &self.spec;
         let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        let Ok(spec) = self.decompose() else {
-            return out;
-        };
         let mut add = |table: &str, cols: Vec<String>| {
             let entry = out.entry(table.to_string()).or_default();
             entry.extend(cols);
@@ -667,12 +606,10 @@ impl DagPlan {
         out
     }
 
-    /// Per-tuple CPU cost estimate, following the legacy shapes' scaling:
-    /// joins and grouping pay more per tuple than plain reductions.
+    /// Per-tuple CPU cost estimate in nanoseconds, the cost model's CPU
+    /// term: joins and grouping pay more per tuple than plain reductions.
     pub fn cpu_ns_per_tuple(&self) -> f64 {
-        let Ok(spec) = self.decompose() else {
-            return 1.0;
-        };
+        let spec = &self.spec;
         let mut terms = spec.aggregates.len() + spec.root.filters.len();
         let mut base = 0.5;
         for build in &spec.builds {
@@ -740,17 +677,6 @@ impl DagBuilder {
         self.push(DagOp::HashBuild { input, key })
     }
 
-    /// Push the scan → filter → probes → build pipeline of one legacy
-    /// [`BuildSide`]: `probes` chains the side through earlier builds.
-    pub fn build_side(&mut self, side: &BuildSide, probes: &[(ScalarExpr, usize)]) -> usize {
-        let mut at = self.scan(&side.table);
-        at = self.filter(at, &side.filters);
-        for (key, build) in probes {
-            at = self.probe(at, *build, key.clone());
-        }
-        self.build(at, side.key.clone())
-    }
-
     /// Push a probe of `build` keyed by `key`.
     pub fn probe(&mut self, input: usize, build: usize, key: ScalarExpr) -> usize {
         self.push(DagOp::HashProbe { input, build, key })
@@ -770,9 +696,17 @@ impl DagBuilder {
         })
     }
 
-    /// The finished plan.
-    pub fn finish(self) -> DagPlan {
-        DagPlan { ops: self.ops }
+    /// Validate the op list and flatten it, once: the only constructor of
+    /// [`QueryPlan`]. An op list that breaks a structural rule is an
+    /// [`OlapError::InvalidDag`] (or [`OlapError::InvalidTopK`] for a
+    /// finisher reading an aggregate the sink does not compute) here, so no
+    /// invalid plan value can exist downstream.
+    pub fn finish(self) -> Result<QueryPlan, OlapError> {
+        let spec = decompose(&self.ops)?;
+        Ok(QueryPlan {
+            ops: self.ops,
+            spec,
+        })
     }
 }
 
@@ -780,68 +714,127 @@ impl DagBuilder {
 mod tests {
     use super::*;
 
-    fn q6_like() -> QueryPlan {
-        QueryPlan::Aggregate {
-            table: "orderline".into(),
-            filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 25.0)],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount"))],
+    /// scan(table) → filter → [probe each `(build, key)`] → aggregate.
+    fn pipeline(
+        b: &mut DagBuilder,
+        table: &str,
+        filters: &[Predicate],
+        probes: &[(usize, &str)],
+    ) -> usize {
+        let scan = b.scan(table);
+        let mut at = b.filter(scan, filters);
+        for (build, key) in probes {
+            at = b.probe(at, *build, ScalarExpr::col(*key));
         }
+        at
+    }
+
+    /// orderline ⋈ orders ⋈ customer, far end first (CH-Q3's structure).
+    fn chain_plan() -> QueryPlan {
+        let mut b = DagBuilder::default();
+        let far = pipeline(
+            &mut b,
+            "customer",
+            &[Predicate::new("c_balance", CmpOp::Lt, 0.0)],
+            &[],
+        );
+        let far = b.build(far, ScalarExpr::col("c_key"));
+        let mid = pipeline(
+            &mut b,
+            "orders",
+            &[Predicate::new("o_entry_d", CmpOp::Ge, 0.0)],
+            &[(far, "o_c_key")],
+        );
+        let mid = b.build(mid, ScalarExpr::col("o_key"));
+        let fact = pipeline(&mut b, "orderline", &[], &[(mid, "ol_o_key")]);
+        b.aggregate(
+            fact,
+            None,
+            vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
+        );
+        b.finish().unwrap()
+    }
+
+    /// orders ⋈ orderline grouped by `o_ol_cnt`, top `k` by `agg_index`.
+    fn top_k_builder(agg_index: usize, k: usize) -> DagBuilder {
+        let mut b = DagBuilder::default();
+        let dim = pipeline(
+            &mut b,
+            "orderline",
+            &[Predicate::new("ol_amount", CmpOp::Ge, 500.0)],
+            &[],
+        );
+        let dim = b.build(dim, ScalarExpr::col("ol_o_key"));
+        let fact = pipeline(&mut b, "orders", &[], &[(dim, "o_key")]);
+        let agg = b.aggregate(fact, Some(vec!["o_ol_cnt".into()]), vec![AggExpr::Count]);
+        let sorted = b.push(DagOp::Sort {
+            input: agg,
+            keys: vec![SortKey {
+                slot: RowSlot::Agg(agg_index),
+                desc: true,
+            }],
+        });
+        b.push(DagOp::Limit {
+            input: sorted,
+            rows: k,
+        });
+        b
     }
 
     #[test]
-    fn legacy_shapes_lower_onto_valid_dags() {
-        let plans = vec![
-            q6_like(),
-            QueryPlan::JoinAggregate {
-                fact: "orderline".into(),
-                dim: "item".into(),
-                fact_key: "ol_i_id".into(),
-                dim_key: "i_id".into(),
-                fact_filters: vec![],
-                dim_filters: vec![Predicate::new("i_price", CmpOp::Ge, 1.0)],
-                aggregates: vec![AggExpr::Count],
-            },
-            QueryPlan::MultiJoinAggregate {
-                fact: "orderline".into(),
-                fact_key: ScalarExpr::col("ol_o_id"),
-                fact_filters: vec![],
-                mid: BuildSide::new("orders", ScalarExpr::col("o_id"), vec![]),
-                mid_fk: ScalarExpr::col("o_c_id"),
-                far: BuildSide::new("customer", ScalarExpr::col("c_id"), vec![]),
-                aggregates: vec![AggExpr::Count],
-            },
-            QueryPlan::JoinGroupByAggregate {
-                fact: "orders".into(),
-                fact_key: ScalarExpr::col("o_id"),
-                fact_filters: vec![],
-                dim: BuildSide::new("orderline", ScalarExpr::col("ol_o_id"), vec![]),
-                group_by: vec!["o_ol_cnt".into()],
-                aggregates: vec![AggExpr::Count],
-                top_k: Some(TopK { agg_index: 0, k: 5 }),
-            },
-        ];
-        for plan in &plans {
-            let dag = DagPlan::lower(plan);
-            let spec = dag.decompose().expect("legacy shape must decompose");
-            assert_eq!(spec.root.table, plan.tables()[0]);
-            // The DAG reads exactly the columns the legacy plan declared.
-            assert_eq!(dag.accessed_columns(), plan.accessed_columns());
-            assert_eq!(dag.tables(), plan.tables());
-        }
+    fn accessed_columns_deduplicate_and_cover_all_clauses() {
+        let mut b = DagBuilder::default();
+        let at = pipeline(
+            &mut b,
+            "orderline",
+            &[Predicate::new("ol_delivery_d", CmpOp::Gt, 10.0)],
+            &[],
+        );
+        b.aggregate(
+            at,
+            Some(vec!["ol_number".into()]),
+            vec![
+                AggExpr::Sum(ScalarExpr::col("ol_amount")),
+                AggExpr::Avg(ScalarExpr::col("ol_amount")),
+                AggExpr::Count,
+            ],
+        );
+        let plan = b.finish().unwrap();
+        assert_eq!(plan.tables(), vec!["orderline"]);
+        assert_eq!(plan.label(), "scan(orderline)→filter→group-by");
+        assert_eq!(
+            plan.accessed_columns()["orderline"],
+            ["ol_amount", "ol_delivery_d", "ol_number"]
+        );
+    }
+
+    #[test]
+    fn multi_join_lists_all_three_tables_and_their_columns() {
+        let plan = chain_plan();
+        assert_eq!(plan.label(), "scan(orderline)→probe×2→aggregate");
+        assert_eq!(plan.tables(), vec!["orderline", "orders", "customer"]);
+        let cols = plan.accessed_columns();
+        // Fact: probe key + aggregate inputs; mid: its own key, filter and
+        // the probe key into the far build; far: key + filter only.
+        assert_eq!(cols["orderline"], ["ol_amount", "ol_o_key"]);
+        assert_eq!(cols["orders"], ["o_c_key", "o_entry_d", "o_key"]);
+        assert_eq!(cols["customer"], ["c_balance", "c_key"]);
+    }
+
+    #[test]
+    fn join_group_by_lists_group_keys_and_both_tables() {
+        let plan = top_k_builder(0, 5).finish().unwrap();
+        assert_eq!(plan.label(), "scan(orders)→probe×1→group-by→sort→limit");
+        assert_eq!(plan.tables(), vec!["orders", "orderline"]);
+        let cols = plan.accessed_columns();
+        assert_eq!(cols["orders"], ["o_key", "o_ol_cnt"]);
+        assert_eq!(cols["orderline"], ["ol_amount", "ol_o_key"]);
     }
 
     #[test]
     fn multi_join_lowering_orders_builds_dependency_first() {
-        let plan = QueryPlan::MultiJoinAggregate {
-            fact: "orderline".into(),
-            fact_key: ScalarExpr::col("ol_o_id"),
-            fact_filters: vec![],
-            mid: BuildSide::new("orders", ScalarExpr::col("o_id"), vec![]),
-            mid_fk: ScalarExpr::col("o_c_id"),
-            far: BuildSide::new("customer", ScalarExpr::col("c_id"), vec![]),
-            aggregates: vec![AggExpr::Count],
-        };
-        let spec = DagPlan::lower(&plan).decompose().unwrap();
+        let plan = chain_plan();
+        let spec = plan.spec();
         assert_eq!(spec.builds.len(), 2);
         assert_eq!(spec.builds[0].input.table, "customer");
         assert!(!spec.builds[0].feeds_root);
@@ -855,35 +848,18 @@ mod tests {
 
     #[test]
     fn top_k_lowering_becomes_sort_plus_limit() {
-        let plan = QueryPlan::JoinGroupByAggregate {
-            fact: "orders".into(),
-            fact_key: ScalarExpr::col("o_id"),
-            fact_filters: vec![],
-            dim: BuildSide::new("orderline", ScalarExpr::col("ol_o_id"), vec![]),
-            group_by: vec!["o_ol_cnt".into()],
-            aggregates: vec![AggExpr::Count],
-            top_k: Some(TopK { agg_index: 0, k: 3 }),
-        };
-        let spec = DagPlan::lower(&plan).decompose().unwrap();
-        assert_eq!(spec.finishers.len(), 2);
-        assert!(matches!(&spec.finishers[0], Finisher::Sort(keys)
+        let plan = top_k_builder(0, 3).finish().unwrap();
+        let finishers = &plan.spec().finishers;
+        assert_eq!(finishers.len(), 2);
+        assert!(matches!(&finishers[0], Finisher::Sort(keys)
                 if keys == &[SortKey { slot: RowSlot::Agg(0), desc: true }]));
-        assert!(matches!(spec.finishers[1], Finisher::Limit(3)));
+        assert!(matches!(finishers[1], Finisher::Limit(3)));
     }
 
     #[test]
     fn invalid_top_k_keeps_the_legacy_typed_error() {
-        let plan = QueryPlan::JoinGroupByAggregate {
-            fact: "orders".into(),
-            fact_key: ScalarExpr::col("o_id"),
-            fact_filters: vec![],
-            dim: BuildSide::new("orderline", ScalarExpr::col("ol_o_id"), vec![]),
-            group_by: vec!["o_ol_cnt".into()],
-            aggregates: vec![AggExpr::Count],
-            top_k: Some(TopK { agg_index: 7, k: 3 }),
-        };
         assert_eq!(
-            DagPlan::lower(&plan).decompose().unwrap_err(),
+            top_k_builder(7, 3).finish().unwrap_err(),
             OlapError::InvalidTopK {
                 agg_index: 7,
                 aggregates: 1
@@ -891,60 +867,44 @@ mod tests {
         );
     }
 
+    /// The constructor is the validation: an op list that breaks a
+    /// structural rule never becomes a `QueryPlan`, so no accessor or
+    /// executor has an invalid-DAG branch.
     #[test]
     fn structural_violations_are_typed_errors() {
+        let invalid = |b: DagBuilder| {
+            assert!(matches!(
+                b.finish().unwrap_err(),
+                OlapError::InvalidDag { .. }
+            ))
+        };
         // Empty DAG.
-        assert!(matches!(
-            DagPlan { ops: vec![] }.decompose().unwrap_err(),
-            OlapError::InvalidDag { .. }
-        ));
+        invalid(DagBuilder::default());
         // A scan consumed twice.
         let mut b = DagBuilder::default();
         let s = b.scan("t");
-        let f = b.push(DagOp::Filter {
-            input: s,
-            predicates: vec![Predicate::new("a", CmpOp::Lt, 1.0)],
-        });
-        b.push(DagOp::HashProbe {
-            input: f,
-            build: s,
-            key: ScalarExpr::col("k"),
-        });
-        assert!(matches!(
-            b.finish().decompose().unwrap_err(),
-            OlapError::InvalidDag { .. }
-        ));
+        let f = b.filter(s, &[Predicate::new("a", CmpOp::Lt, 1.0)]);
+        b.probe(f, s, ScalarExpr::col("k"));
+        invalid(b);
         // No aggregate sink at the root.
         let mut b = DagBuilder::default();
         let s = b.scan("t");
         b.filter(s, &[Predicate::new("a", CmpOp::Lt, 1.0)]);
-        assert!(matches!(
-            b.finish().decompose().unwrap_err(),
-            OlapError::InvalidDag { .. }
-        ));
+        invalid(b);
         // Finishers over a scalar aggregate.
         let mut b = DagBuilder::default();
         let s = b.scan("t");
         let a = b.aggregate(s, None, vec![AggExpr::Count]);
         b.push(DagOp::Limit { input: a, rows: 1 });
-        assert!(matches!(
-            b.finish().decompose().unwrap_err(),
-            OlapError::InvalidDag { .. }
-        ));
+        invalid(b);
         // A probe into a non-build operator.
         let mut b = DagBuilder::default();
         let s1 = b.scan("d");
-        let f1 = b.push(DagOp::Filter {
-            input: s1,
-            predicates: vec![Predicate::new("a", CmpOp::Lt, 1.0)],
-        });
+        let f1 = b.filter(s1, &[Predicate::new("a", CmpOp::Lt, 1.0)]);
         let s2 = b.scan("f");
         let p = b.probe(s2, f1, ScalarExpr::col("k"));
         b.aggregate(p, None, vec![AggExpr::Count]);
-        assert!(matches!(
-            b.finish().decompose().unwrap_err(),
-            OlapError::InvalidDag { .. }
-        ));
+        invalid(b);
     }
 
     #[test]
@@ -966,14 +926,14 @@ mod tests {
             Some(vec!["g".into()]),
             vec![AggExpr::Sum(ScalarExpr::col("revenue"))],
         );
-        let spec = b.finish().decompose().unwrap();
+        let plan = b.finish().unwrap();
         assert_eq!(
-            spec.aggregates,
+            plan.spec().aggregates,
             vec![AggExpr::Sum(
                 ScalarExpr::col("price") * ScalarExpr::col("qty")
             )]
         );
-        assert_eq!(spec.group_by, Some(vec!["bucket".to_string()]));
+        assert_eq!(plan.spec().group_by, Some(vec!["bucket".to_string()]));
         // A computed projection cannot serve as a group key.
         let mut b = DagBuilder::default();
         let s = b.scan("t");
@@ -986,24 +946,22 @@ mod tests {
         });
         b.aggregate(p, Some(vec!["revenue".into()]), vec![AggExpr::Count]);
         assert!(matches!(
-            b.finish().decompose().unwrap_err(),
+            b.finish().unwrap_err(),
             OlapError::InvalidDag { .. }
         ));
     }
 
     #[test]
     fn dag_cpu_cost_scales_with_joins_and_grouping_like_the_legacy_shapes() {
-        let agg = DagPlan::lower(&q6_like()).cpu_ns_per_tuple();
-        let join = DagPlan::lower(&QueryPlan::JoinAggregate {
-            fact: "orderline".into(),
-            dim: "item".into(),
-            fact_key: "ol_i_id".into(),
-            dim_key: "i_id".into(),
-            fact_filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 25.0)],
-            dim_filters: vec![],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount"))],
-        })
-        .cpu_ns_per_tuple();
-        assert!(agg < join);
+        let scalar = |group_by: Option<Vec<String>>| {
+            let mut b = DagBuilder::default();
+            let s = b.scan("t");
+            b.aggregate(s, group_by, vec![AggExpr::Count]);
+            b.finish().unwrap().cpu_ns_per_tuple()
+        };
+        let (agg, group) = (scalar(None), scalar(Some(vec!["g".into()])));
+        let join = top_k_builder(0, 1).finish().unwrap().cpu_ns_per_tuple();
+        let chain = chain_plan().cpu_ns_per_tuple();
+        assert!(agg < group && group < join && join < chain);
     }
 }

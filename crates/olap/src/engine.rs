@@ -9,9 +9,9 @@
 //! query is executed over whatever [`ScanSource`]s the RDE engine / scheduler
 //! wires up — OLAP-local, OLTP snapshot, or split access.
 
+use crate::dag::QueryPlan;
 use crate::error::OlapError;
 use crate::exec::{QueryExecutor, QueryOutput};
-use crate::plan::QueryPlan;
 use crate::source::ScanSource;
 use crate::worker::OlapWorkerManager;
 use htap_sim::{CostModel, CpuSet, ScanCost, SocketId, Topology, TxnWork};
@@ -265,6 +265,14 @@ mod tests {
         e
     }
 
+    /// Unfiltered scalar aggregation over `sales`.
+    fn sales_plan(aggregates: Vec<AggExpr>) -> QueryPlan {
+        let mut b = crate::dag::DagBuilder::default();
+        let scan = b.scan("sales");
+        b.aggregate(scan, None, aggregates);
+        b.finish().unwrap()
+    }
+
     fn twin_with_rows(n: u64) -> TwinTable {
         let twin = TwinTable::new(schema());
         for i in 0..n {
@@ -323,11 +331,10 @@ mod tests {
         let (updated, inserted) = twin.olap_delta();
         e.store().apply_delta(&snap, &updated, inserted);
 
-        let plan = QueryPlan::Aggregate {
-            table: "sales".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("amount")), AggExpr::Count],
-        };
+        let plan = sales_plan(vec![
+            AggExpr::Sum(ScalarExpr::col("amount")),
+            AggExpr::Count,
+        ]);
         let mut sources = BTreeMap::new();
         sources.insert(
             "sales".to_string(),
@@ -355,11 +362,7 @@ mod tests {
         let (updated, inserted) = twin.olap_delta();
         e.store().apply_delta(&snap, &updated, inserted);
 
-        let plan = QueryPlan::Aggregate {
-            table: "sales".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("amount"))],
-        };
+        let plan = sales_plan(vec![AggExpr::Sum(ScalarExpr::col("amount"))]);
         // Local access (OLAP instance on socket 1, workers on socket 1).
         let mut local = BTreeMap::new();
         local.insert(
@@ -386,11 +389,7 @@ mod tests {
         e.store().create_table(schema()).unwrap();
         let twin = twin_with_rows(100_000);
         let snap = twin.snapshot();
-        let plan = QueryPlan::Aggregate {
-            table: "sales".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Count],
-        };
+        let plan = sales_plan(vec![AggExpr::Count]);
         let mut sources = BTreeMap::new();
         sources.insert(
             "sales".to_string(),

@@ -43,7 +43,7 @@ pub enum OlapError {
         /// The shape the result actually has.
         found: &'static str,
     },
-    /// A top-k specification orders by an aggregate index the plan does not
+    /// A sort or having finisher reads an aggregate index the plan does not
     /// have.
     InvalidTopK {
         /// The out-of-range aggregate index.
@@ -51,9 +51,10 @@ pub enum OlapError {
         /// Number of aggregates the plan computes.
         aggregates: usize,
     },
-    /// An operator DAG is not executable: a structural rule of
-    /// [`crate::dag::DagPlan`] is violated (wrong fan-out, a probe into a
-    /// non-build operator, a missing aggregate sink, …).
+    /// An op list is not an executable operator DAG: a structural rule of
+    /// [`crate::dag::QueryPlan`] is violated (wrong fan-out, a probe into a
+    /// non-build operator, a missing aggregate sink, …). Raised by
+    /// [`crate::dag::DagBuilder::finish`], so no plan value carries it.
     InvalidDag {
         /// Which structural rule failed.
         reason: String,

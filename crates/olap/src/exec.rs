@@ -27,27 +27,25 @@
 //!   otherwise, so after warm-up the morsel loop does not allocate
 //!   (`tests/alloc_steady_state.rs` counts).
 //!
-//! Two properties are preserved from the interpreted engine (kept frozen in
-//! [`crate::baseline`] for measured before/after comparisons):
+//! Two properties hold for every plan and every worker count:
 //!
 //! * **Determinism** — partial aggregation states are per *morsel*, and the
 //!   merge order is the morsel order, so the result is bit-for-bit identical
 //!   for every worker count (including the solo worker), no matter how the
-//!   workers interleave their claims. The vectorized kernels fold rows in
-//!   the same order the interpreter did, so the two engines agree exactly.
+//!   workers interleave their claims.
 //! * **Exact accounting** — every worker tracks its own [`WorkProfile`]
 //!   (bytes per socket, tuples, fresh rows) from the morsels it actually
-//!   processed; the per-worker profiles are summed, and the totals equal what
-//!   the old sequential executor reported. The scheduler and the cost model
-//!   consume those totals unchanged.
+//!   processed; the per-worker profiles are summed, and the totals equal the
+//!   account the row-at-a-time oracle ([`crate::reference`]) derives from the
+//!   sources alone (`tests/differential_exec.rs` asserts equality). The
+//!   scheduler and the cost model consume those totals.
 
-use crate::dag::{BuildSpec, DagPlan, DagSpec, Finisher, ProbeSpec, RowSlot};
+use crate::dag::{BuildSpec, DagSpec, Finisher, ProbeSpec, QueryPlan, RowSlot};
 use crate::error::OlapError;
 use crate::expr::{AggExpr, AggState, ScalarExpr};
 use crate::hashtable::{GroupTable, JoinTable};
 use crate::kernels;
 use crate::morsel::Morsel;
-use crate::plan::QueryPlan;
 use crate::program::{
     apply_filters, eval_expr, resolve, AggKind, ColumnResolver, CompiledAgg, CompiledKey,
     CompiledPredicate, ProgramPool, ValView,
@@ -190,21 +188,9 @@ impl WorkProfile {
         }
     }
 
-    /// Account one processed morsel: bytes on its socket, tuples, freshness.
-    /// The block-interpreted [`crate::baseline::BaselineExecutor`] path: byte
-    /// widths are re-summed per morsel from the column names.
-    pub(crate) fn absorb_morsel(&mut self, source: &ScanSource, morsel: &Morsel, columns: &[&str]) {
-        *self.bytes_per_socket.entry(morsel.socket).or_insert(0) +=
-            source.morsel_bytes(morsel, columns);
-        self.tuples_scanned += morsel.row_count() as u64;
-        if morsel.is_fresh() {
-            self.fresh_rows += morsel.row_count() as u64;
-        }
-    }
-
-    /// Account one processed morsel from a bind-time row width — the
-    /// vectorized path: one multiplication, no per-morsel schema lookups.
-    /// Produces exactly the bytes [`WorkProfile::absorb_morsel`] would.
+    /// Account one processed morsel — bytes on its socket, tuples,
+    /// freshness — from a bind-time row width: one multiplication, no
+    /// per-morsel schema lookups.
     #[inline]
     pub(crate) fn absorb_morsel_rows(&mut self, morsel: &Morsel, row_bytes: u64) {
         *self.bytes_per_socket.entry(morsel.socket).or_insert(0) +=
@@ -226,11 +212,11 @@ pub struct QueryOutput {
 }
 
 // ---------------------------------------------------------------------------
-// Bind-time helpers shared with the frozen baseline executor.
+// Bind-time helpers.
 // ---------------------------------------------------------------------------
 
 /// Look up the access path of `table`.
-pub(crate) fn source_for<'a>(
+fn source_for<'a>(
     sources: &'a BTreeMap<String, ScanSource>,
     table: &str,
 ) -> Result<&'a ScanSource, OlapError> {
@@ -239,22 +225,9 @@ pub(crate) fn source_for<'a>(
     })
 }
 
-/// The sorted, deduplicated numeric load list of a scan: filter columns plus
-/// aggregate inputs.
-pub(crate) fn numeric_columns(
-    filters: &[crate::expr::Predicate],
-    aggregates: &[AggExpr],
-) -> Vec<String> {
-    let mut cols: Vec<String> = filters.iter().map(|p| p.column.clone()).collect();
-    cols.extend(aggregates.iter().flat_map(AggExpr::columns));
-    cols.sort();
-    cols.dedup();
-    cols
-}
-
 /// Bytes of a fully materialised build side over the accessed `columns`
 /// (columnar accounting) — the broadcast size the cost model charges.
-pub(crate) fn side_build_bytes<S: AsRef<str>>(source: &ScanSource, columns: &[S]) -> u64 {
+fn side_build_bytes<S: AsRef<str>>(source: &ScanSource, columns: &[S]) -> u64 {
     let Some(seg) = source.segments.first() else {
         return 0;
     };
@@ -274,7 +247,7 @@ pub(crate) fn side_build_bytes<S: AsRef<str>>(source: &ScanSource, columns: &[S]
 /// materialises — a column serving both as filter/aggregate input and as
 /// group key must be byte-accounted once, not twice. Computed once at
 /// plan-bind time and reused for every morsel's accounting.
-pub(crate) fn accessed_refs<'a>(numeric_refs: &[&'a str], key_refs: &[&'a str]) -> Vec<&'a str> {
+fn accessed_refs<'a>(numeric_refs: &[&'a str], key_refs: &[&'a str]) -> Vec<&'a str> {
     let mut accessed: Vec<&'a str> = numeric_refs.to_vec();
     accessed.extend(key_refs);
     accessed.sort_unstable();
@@ -291,7 +264,7 @@ pub(crate) fn accessed_refs<'a>(numeric_refs: &[&'a str], key_refs: &[&'a str]) 
 /// numeric list (predicates fall back to key columns); a column needed by
 /// both paths is loaded in both representations and byte-accounted once via
 /// [`accessed_refs`].
-pub(crate) fn split_read_columns(
+fn split_read_columns(
     filters: &[crate::expr::Predicate],
     aggregates: &[AggExpr],
     key_exprs: &[&ScalarExpr],
@@ -313,48 +286,6 @@ pub(crate) fn split_read_columns(
     numeric.sort();
     numeric.dedup();
     (numeric, keys)
-}
-
-/// Fold one morsel's group table into the accumulated one. Callers
-/// iterate partials in morsel order: the BTreeMap keeps group keys
-/// sorted, and folding morsel `i` before morsel `i + 1` keeps every
-/// group's aggregation order equal to the scan order — hence identical
-/// floating-point results for every worker count.
-pub(crate) fn merge_group_table(
-    into: &mut BTreeMap<Vec<i64>, Vec<AggState>>,
-    from: BTreeMap<Vec<i64>, Vec<AggState>>,
-) {
-    for (key, states) in from {
-        match into.entry(key) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(states);
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                for (merged, state) in slot.get_mut().iter_mut().zip(&states) {
-                    merged.merge(state);
-                }
-            }
-        }
-    }
-}
-
-/// Finalise a merged group table into result rows, keys ascending — the
-/// single point where group keys are sorted.
-pub(crate) fn finalize_groups(
-    groups: BTreeMap<Vec<i64>, Vec<AggState>>,
-    aggregates: &[AggExpr],
-) -> Vec<GroupRow> {
-    groups
-        .into_iter()
-        .map(|(key, states)| {
-            let aggs = aggregates
-                .iter()
-                .zip(&states)
-                .map(|(agg, st)| st.finalize(agg))
-                .collect();
-            (key, aggs)
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -917,22 +848,17 @@ impl QueryExecutor {
         self.execute_parallel(plan, sources, &WorkerTeam::solo())
     }
 
-    /// Execute `plan` with one pipeline worker per core of `team`.
-    ///
-    /// Every plan — the five named shapes included — is first lowered onto
-    /// the composable operator DAG ([`crate::dag`]) and executed by the one
-    /// generic pipeline driver below; no shape retains a bespoke execution
-    /// path. The result is identical — bit for bit — to the solo execution
-    /// of the same plan over the same sources; only wall-clock time changes.
+    /// Execute `plan` with one pipeline worker per core of `team`, through
+    /// the one generic pipeline driver below. The result is identical — bit
+    /// for bit — to the solo execution of the same plan over the same
+    /// sources; only wall-clock time changes.
     pub fn execute_parallel(
         &self,
         plan: &QueryPlan,
         sources: &BTreeMap<String, ScanSource>,
         team: &WorkerTeam,
     ) -> Result<QueryOutput, OlapError> {
-        let dag = DagPlan::lower(plan);
-        let spec = dag.decompose()?;
-        self.execute_dag(&spec, sources, team)
+        self.execute_dag(plan.spec(), sources, team)
     }
 
     /// Execute one decomposed DAG: the build pipelines in dependency order,
@@ -1361,8 +1287,7 @@ impl ProbeBufs {
 /// Final survivors of one morsel's filter + probe chain.
 #[derive(Clone, Copy)]
 enum Survivors<'a> {
-    /// Every weight is 1: a plain selection (`None` = all rows survive),
-    /// which downstream sinks fold exactly like the legacy shapes did.
+    /// Every weight is 1: a plain selection (`None` = all rows survive).
     Plain(Option<&'a [u32]>),
     /// At least one probed build has duplicate keys: the surviving rows and
     /// their join multiplicities, parallel slices.
@@ -1391,15 +1316,12 @@ impl<'a> Survivors<'a> {
 /// Probe the morsel's rows through the pipeline's chain of build tables,
 /// compacting survivors hop by hop (ping-ponging between the two buffer
 /// pairs of `bufs`). Returns the probe count — one per input row of each
-/// hop, the same accounting the interpreted engine used — and the final
-/// survivors.
+/// hop — and the final survivors.
 ///
 /// While every probed build is unique and no weights are in flight, each
-/// hop runs the exact membership probe the legacy executors ran — exact
-/// `i64` key columns take the batch path (the chunked hash kernels fill
-/// `hashes` for the whole selection, then prehashed lookups) — so the
-/// surviving selection, the folds it feeds, and the work accounting are
-/// bit-for-bit the legacy ones. The first hop over a duplicate-key build
+/// hop is a plain membership probe — exact `i64` key columns take the batch
+/// path (the chunked hash kernels fill `hashes` for the whole selection,
+/// then prehashed lookups). The first hop over a duplicate-key build
 /// switches the chain to weight tracking: a surviving row's multiplicity is
 /// the product of the matched build weights, and downstream sinks fold it
 /// that many times.
@@ -1660,7 +1582,7 @@ fn row_slot_value(row: &GroupRow, slot: RowSlot) -> f64 {
 /// Assign every surviving row to its group and fold all aggregate inputs in
 /// a single row-wise pass: one upsert plus one state-slice fetch per row.
 /// The per-state fold order is row order — exactly the order the two-phase
-/// and interpreted variants produce — so results are bit-identical; only the
+/// fallback below produces — so results are bit-identical; only the
 /// traversal count changes. Pipelines with more aggregates than the fused
 /// view array holds fall back to a column-at-a-time second phase.
 ///
@@ -1869,8 +1791,8 @@ pub fn hash_group_sum(pairs: impl IntoIterator<Item = (i64, f64)>) -> Vec<(i64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::{DagBuilder, DagOp, SortKey};
     use crate::expr::{CmpOp, Predicate, ScalarExpr};
-    use crate::plan::{BuildSide, TopK};
     use crate::source::ScanSource;
     use htap_sim::CoreId;
     use htap_storage::{ColumnDef, ColumnarTable, DataType, TableSchema, TableSnapshot, Value};
@@ -1928,6 +1850,68 @@ mod tests {
             ScanSource::contiguous_snapshot(&snap, SocketId(0)),
         );
         m
+    }
+
+    /// One build side of a test join: relation, build-key column, filters.
+    type Dim<'a> = (&'a str, &'a str, Vec<Predicate>);
+
+    /// `fact ⋈ dims[0] ⋈ dims[1] …` (no dims: a single-relation plan): the
+    /// fact probes `dims[0]` on `keys[0]`, each dim probes the next on
+    /// `keys[i + 1]`; then the sink, then an optional `(agg_index, k)` top-k.
+    fn try_plan(
+        fact: &str,
+        fact_filters: Vec<Predicate>,
+        keys: Vec<ScalarExpr>,
+        dims: Vec<Dim<'_>>,
+        group_by: Option<&[&str]>,
+        aggregates: Vec<AggExpr>,
+        top_k: Option<(usize, usize)>,
+    ) -> Result<QueryPlan, OlapError> {
+        let mut b = DagBuilder::default();
+        let mut beyond: Option<usize> = None;
+        for (i, (table, key, filters)) in dims.iter().enumerate().rev() {
+            let scan = b.scan(*table);
+            let mut at = b.filter(scan, filters);
+            if let Some(build) = beyond {
+                at = b.probe(at, build, keys[i + 1].clone());
+            }
+            beyond = Some(b.build(at, ScalarExpr::col(*key)));
+        }
+        let scan = b.scan(fact);
+        let mut at = b.filter(scan, &fact_filters);
+        if let Some(build) = beyond {
+            at = b.probe(at, build, keys[0].clone());
+        }
+        let group_by = group_by.map(|g| g.iter().map(|c| c.to_string()).collect());
+        let agg = b.aggregate(at, group_by, aggregates);
+        if let Some((agg_index, k)) = top_k {
+            let sorted = b.push(DagOp::Sort {
+                input: agg,
+                keys: vec![SortKey {
+                    slot: RowSlot::Agg(agg_index),
+                    desc: true,
+                }],
+            });
+            b.push(DagOp::Limit {
+                input: sorted,
+                rows: k,
+            });
+        }
+        b.finish()
+    }
+
+    /// scan(table) → filter → scalar or grouped aggregate.
+    fn scan_plan(
+        table: &str,
+        filters: Vec<Predicate>,
+        group_by: Option<&[&str]>,
+        aggregates: Vec<AggExpr>,
+    ) -> QueryPlan {
+        try_plan(table, filters, vec![], vec![], group_by, aggregates, None).unwrap()
+    }
+
+    fn col(name: &str) -> ScalarExpr {
+        ScalarExpr::col(name)
     }
 
     fn team_of(n: u16) -> WorkerTeam {
@@ -1991,20 +1975,20 @@ mod tests {
     }
 
     fn chain_plan() -> QueryPlan {
-        QueryPlan::MultiJoinAggregate {
-            fact: "orderline".into(),
-            fact_key: ScalarExpr::col("ol_i_id"),
-            fact_filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
-            mid: BuildSide::new("mid", ScalarExpr::col("m_id"), vec![]),
-            mid_fk: ScalarExpr::col("m_c"),
+        try_plan(
+            "orderline",
+            vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
+            vec![col("ol_i_id"), col("m_c")],
             // far keys with c_v >= 1.5 -> c_id in {1, 2}.
-            far: BuildSide::new(
-                "far",
-                ScalarExpr::col("c_id"),
-                vec![Predicate::new("c_v", CmpOp::Ge, 1.5)],
-            ),
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-        }
+            vec![
+                ("mid", "m_id", vec![]),
+                ("far", "c_id", vec![Predicate::new("c_v", CmpOp::Ge, 1.5)]),
+            ],
+            None,
+            vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count],
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -2060,27 +2044,23 @@ mod tests {
         }
     }
 
-    fn join_group_by_plan(top_k: Option<TopK>) -> QueryPlan {
-        QueryPlan::JoinGroupByAggregate {
-            fact: "orderline".into(),
-            fact_key: ScalarExpr::col("ol_i_id"),
-            fact_filters: vec![Predicate::new("ol_amount", CmpOp::Ge, 10.0)],
+    fn join_group_by_plan(top_k: Option<(usize, usize)>) -> Result<QueryPlan, OlapError> {
+        try_plan(
+            "orderline",
+            vec![Predicate::new("ol_amount", CmpOp::Ge, 10.0)],
+            vec![col("ol_i_id")],
             // mid keys with m_c == 1 -> m_id in {1, 4}.
-            dim: BuildSide::new(
-                "mid",
-                ScalarExpr::col("m_id"),
-                vec![Predicate::new("m_c", CmpOp::Eq, 1.0)],
-            ),
-            group_by: vec!["ol_quantity".into()],
-            aggregates: vec![AggExpr::Count, AggExpr::Sum(ScalarExpr::col("ol_amount"))],
+            vec![("mid", "m_id", vec![Predicate::new("m_c", CmpOp::Eq, 1.0)])],
+            Some(&["ol_quantity"]),
+            vec![AggExpr::Count, AggExpr::Sum(col("ol_amount"))],
             top_k,
-        }
+        )
     }
 
     #[test]
     fn join_group_by_groups_fact_rows_matching_dim() {
         let out = QueryExecutor::with_block_rows(128)
-            .execute(&join_group_by_plan(None), &chain_sources(1000))
+            .execute(&join_group_by_plan(None).unwrap(), &chain_sources(1000))
             .unwrap();
         let survives = |i: &u64| (i % 100) as f64 + 0.1 >= 10.0 && matches!(i % 5, 1 | 4);
         let groups = out.result.groups().unwrap();
@@ -2104,9 +2084,11 @@ mod tests {
 
     #[test]
     fn join_group_by_top_k_orders_groups_descending_with_key_tiebreak() {
-        let top_k = Some(TopK { agg_index: 0, k: 3 });
         let out = QueryExecutor::with_block_rows(64)
-            .execute(&join_group_by_plan(top_k), &chain_sources(1000))
+            .execute(
+                &join_group_by_plan(Some((0, 3))).unwrap(),
+                &chain_sources(1000),
+            )
             .unwrap();
         let groups = out.result.groups().unwrap();
         assert_eq!(groups.len(), 3);
@@ -2119,7 +2101,7 @@ mod tests {
         }
         // The top-k rows are a prefix of the full descending ordering.
         let full = QueryExecutor::with_block_rows(64)
-            .execute(&join_group_by_plan(None), &chain_sources(1000))
+            .execute(&join_group_by_plan(None).unwrap(), &chain_sources(1000))
             .unwrap();
         let mut all = full.result.groups().unwrap().to_vec();
         all.sort_by(|a, b| b.1[0].total_cmp(&a.1[0]).then_with(|| a.0.cmp(&b.0)));
@@ -2129,7 +2111,7 @@ mod tests {
     #[test]
     fn join_group_by_is_bit_identical_across_worker_counts() {
         let sources = chain_sources(5_003);
-        let plan = join_group_by_plan(Some(TopK { agg_index: 1, k: 4 }));
+        let plan = join_group_by_plan(Some((1, 4))).unwrap();
         let executor = QueryExecutor::with_block_rows(173);
         let solo = executor.execute(&plan, &sources).unwrap();
         for workers in [2u16, 4, 8] {
@@ -2142,13 +2124,8 @@ mod tests {
 
     #[test]
     fn invalid_top_k_is_a_typed_error() {
-        let plan = match join_group_by_plan(Some(TopK { agg_index: 9, k: 3 })) {
-            p @ QueryPlan::JoinGroupByAggregate { .. } => p,
-            _ => unreachable!(),
-        };
-        let err = QueryExecutor::default()
-            .execute(&plan, &chain_sources(10))
-            .unwrap_err();
+        // Rejected when the plan is built — it never reaches an executor.
+        let err = join_group_by_plan(Some((9, 3))).unwrap_err();
         assert_eq!(
             err,
             OlapError::InvalidTopK {
@@ -2161,11 +2138,12 @@ mod tests {
 
     #[test]
     fn aggregate_plan_computes_filtered_sum_and_count() {
-        let plan = QueryPlan::Aggregate {
-            table: "orderline".into(),
-            filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
+            None,
+            vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count],
+        );
         let out = QueryExecutor::with_block_rows(64)
             .execute(&plan, &sources_for(1000))
             .unwrap();
@@ -2188,12 +2166,12 @@ mod tests {
 
     #[test]
     fn group_by_plan_produces_one_row_per_group() {
-        let plan = QueryPlan::GroupByAggregate {
-            table: "orderline".into(),
-            filters: vec![],
-            group_by: vec!["ol_i_id".into()],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![],
+            Some(&["ol_i_id"]),
+            vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count],
+        );
         let out = QueryExecutor::with_block_rows(128)
             .execute(&plan, &sources_for(1000))
             .unwrap();
@@ -2220,16 +2198,21 @@ mod tests {
             ScanSource::contiguous_snapshot(&snap, SocketId(1)),
         );
 
-        let plan = QueryPlan::JoinAggregate {
-            fact: "orderline".into(),
-            dim: "item".into(),
-            fact_key: "ol_i_id".into(),
-            dim_key: "i_id".into(),
-            fact_filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
-            // Items with price >= 20 -> i_id in {2, 3, 4}.
-            dim_filters: vec![Predicate::new("i_price", CmpOp::Ge, 20.0)],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-        };
+        // Items with price >= 20 -> i_id in {2, 3, 4}.
+        let plan = try_plan(
+            "orderline",
+            vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
+            vec![col("ol_i_id")],
+            vec![(
+                "item",
+                "i_id",
+                vec![Predicate::new("i_price", CmpOp::Ge, 20.0)],
+            )],
+            None,
+            vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count],
+            None,
+        )
+        .unwrap();
         let out = QueryExecutor::with_block_rows(100)
             .execute(&plan, &sources)
             .unwrap();
@@ -2258,11 +2241,12 @@ mod tests {
         let src = ScanSource::split(olap_part, 800, SocketId(1), &snap, SocketId(0));
         let mut sources = BTreeMap::new();
         sources.insert("orderline".to_string(), src);
-        let plan = QueryPlan::Aggregate {
-            table: "orderline".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Count, AggExpr::Sum(ScalarExpr::col("ol_amount"))],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![],
+            None,
+            vec![AggExpr::Count, AggExpr::Sum(col("ol_amount"))],
+        );
         let out = QueryExecutor::default().execute(&plan, &sources).unwrap();
         assert_eq!(out.result.scalars().unwrap()[0], 1000.0);
         assert_eq!(out.work.fresh_rows, 200);
@@ -2271,11 +2255,12 @@ mod tests {
 
     #[test]
     fn scan_work_conversion_preserves_bytes_and_tuples() {
-        let plan = QueryPlan::Aggregate {
-            table: "orderline".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount"))],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![],
+            None,
+            vec![AggExpr::Sum(col("ol_amount"))],
+        );
         let out = QueryExecutor::default()
             .execute(&plan, &sources_for(500))
             .unwrap();
@@ -2286,12 +2271,12 @@ mod tests {
 
     #[test]
     fn results_are_identical_across_block_sizes() {
-        let plan = QueryPlan::GroupByAggregate {
-            table: "orderline".into(),
-            filters: vec![Predicate::new("ol_amount", CmpOp::Ge, 10.0)],
-            group_by: vec!["ol_quantity".into()],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![Predicate::new("ol_amount", CmpOp::Ge, 10.0)],
+            Some(&["ol_quantity"]),
+            vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count],
+        );
         let small = QueryExecutor::with_block_rows(7)
             .execute(&plan, &sources_for(997))
             .unwrap();
@@ -2318,17 +2303,18 @@ mod tests {
     /// every worker count — for a CH-Q6 shape (scan-filter-reduce)...
     #[test]
     fn q6_shape_is_bit_identical_across_worker_counts() {
-        let plan = QueryPlan::Aggregate {
-            table: "orderline".into(),
-            filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
-            aggregates: vec![
-                AggExpr::Sum(ScalarExpr::col("ol_amount") * ScalarExpr::col("ol_quantity")),
-                AggExpr::Avg(ScalarExpr::col("ol_amount")),
-                AggExpr::Min(ScalarExpr::col("ol_amount")),
-                AggExpr::Max(ScalarExpr::col("ol_amount")),
+        let plan = scan_plan(
+            "orderline",
+            vec![Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
+            None,
+            vec![
+                AggExpr::Sum(col("ol_amount") * col("ol_quantity")),
+                AggExpr::Avg(col("ol_amount")),
+                AggExpr::Min(col("ol_amount")),
+                AggExpr::Max(col("ol_amount")),
                 AggExpr::Count,
             ],
-        };
+        );
         let sources = sources_for(10_007);
         let executor = QueryExecutor::with_block_rows(251);
         let solo = executor.execute(&plan, &sources).unwrap();
@@ -2343,16 +2329,16 @@ mod tests {
     /// ...and for a CH-Q1 shape (scan-filter-group-by).
     #[test]
     fn q1_shape_is_bit_identical_across_worker_counts() {
-        let plan = QueryPlan::GroupByAggregate {
-            table: "orderline".into(),
-            filters: vec![Predicate::new("ol_amount", CmpOp::Ge, 3.0)],
-            group_by: vec!["ol_quantity".into(), "ol_i_id".into()],
-            aggregates: vec![
-                AggExpr::Sum(ScalarExpr::col("ol_amount")),
-                AggExpr::Avg(ScalarExpr::col("ol_amount")),
+        let plan = scan_plan(
+            "orderline",
+            vec![Predicate::new("ol_amount", CmpOp::Ge, 3.0)],
+            Some(&["ol_quantity", "ol_i_id"]),
+            vec![
+                AggExpr::Sum(col("ol_amount")),
+                AggExpr::Avg(col("ol_amount")),
                 AggExpr::Count,
             ],
-        };
+        );
         let sources = sources_for(10_007);
         let executor = QueryExecutor::with_block_rows(173);
         let solo = executor.execute(&plan, &sources).unwrap();
@@ -2373,15 +2359,20 @@ mod tests {
             "item".into(),
             ScanSource::contiguous_snapshot(&snap, SocketId(1)),
         );
-        let plan = QueryPlan::JoinAggregate {
-            fact: "orderline".into(),
-            dim: "item".into(),
-            fact_key: "ol_i_id".into(),
-            dim_key: "i_id".into(),
-            fact_filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 6.0)],
-            dim_filters: vec![Predicate::new("i_price", CmpOp::Ge, 10.0)],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-        };
+        let plan = try_plan(
+            "orderline",
+            vec![Predicate::new("ol_quantity", CmpOp::Lt, 6.0)],
+            vec![col("ol_i_id")],
+            vec![(
+                "item",
+                "i_id",
+                vec![Predicate::new("i_price", CmpOp::Ge, 10.0)],
+            )],
+            None,
+            vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count],
+            None,
+        )
+        .unwrap();
         let executor = QueryExecutor::with_block_rows(97);
         let solo = executor.execute(&plan, &sources).unwrap();
         for workers in [2u16, 4, 7] {
@@ -2394,11 +2385,12 @@ mod tests {
 
     #[test]
     fn parallel_work_profile_sums_to_sequential_totals() {
-        let plan = QueryPlan::Aggregate {
-            table: "orderline".into(),
-            filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
-            aggregates: vec![AggExpr::Count],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
+            None,
+            vec![AggExpr::Count],
+        );
         let sources = sources_for(4_321);
         let executor = QueryExecutor::with_block_rows(100);
         let solo = executor.execute(&plan, &sources).unwrap();
@@ -2411,12 +2403,12 @@ mod tests {
 
     #[test]
     fn empty_source_executes_to_empty_result() {
-        let plan = QueryPlan::GroupByAggregate {
-            table: "orderline".into(),
-            filters: vec![],
-            group_by: vec!["ol_i_id".into()],
-            aggregates: vec![AggExpr::Count],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![],
+            Some(&["ol_i_id"]),
+            vec![AggExpr::Count],
+        );
         let out = QueryExecutor::default()
             .execute_parallel(&plan, &sources_for(0), &team_of(4))
             .unwrap();
@@ -2428,12 +2420,12 @@ mod tests {
     fn group_key_reused_as_filter_column_is_byte_accounted_once() {
         // ol_quantity serves as both filter input and group key: the morsel
         // byte accounting must charge its 4 bytes per row once, not twice.
-        let plan = QueryPlan::GroupByAggregate {
-            table: "orderline".into(),
-            filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
-            group_by: vec!["ol_quantity".into()],
-            aggregates: vec![AggExpr::Count],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![Predicate::new("ol_quantity", CmpOp::Lt, 5.0)],
+            Some(&["ol_quantity"]),
+            vec![AggExpr::Count],
+        );
         let out = QueryExecutor::with_block_rows(64)
             .execute(&plan, &sources_for(100))
             .unwrap();
@@ -2473,15 +2465,20 @@ mod tests {
             "fact64".to_string(),
             ScanSource::contiguous_snapshot(&snap, SocketId(0)),
         );
-        let plan = QueryPlan::JoinAggregate {
-            fact: "fact64".into(),
-            dim: "dim64".into(),
-            fact_key: "f_key".into(),
-            dim_key: "d_id".into(),
-            fact_filters: vec![],
-            dim_filters: vec![],
-            aggregates: vec![AggExpr::Count],
+        let dim = || ("dim64", "d_id", vec![]);
+        let join = |keys, dims, group_by| {
+            try_plan(
+                "fact64",
+                vec![],
+                keys,
+                dims,
+                group_by,
+                vec![AggExpr::Count],
+                None,
+            )
+            .unwrap()
         };
+        let plan = join(vec![col("f_key")], vec![dim()], None);
         let out = QueryExecutor::default().execute(&plan, &sources).unwrap();
         assert_eq!(
             out.result.scalars().unwrap()[0],
@@ -2489,48 +2486,36 @@ mod tests {
             "2^53 and 2^53 + 1 must not join"
         );
 
-        // The expression-keyed shapes route plain-column keys through the
+        // Grouped and chained joins route plain-column keys through the
         // same exact path, on both the build and the probe side.
-        let jgb = QueryPlan::JoinGroupByAggregate {
-            fact: "fact64".into(),
-            fact_key: ScalarExpr::col("f_key"),
-            fact_filters: vec![],
-            dim: BuildSide::new("dim64", ScalarExpr::col("d_id"), vec![]),
-            group_by: vec!["f_key".into()],
-            aggregates: vec![AggExpr::Count],
-            top_k: None,
-        };
+        let jgb = join(vec![col("f_key")], vec![dim()], Some(&["f_key"]));
         let out = QueryExecutor::default().execute(&jgb, &sources).unwrap();
         assert!(out.result.groups().unwrap().is_empty());
-        let multi = QueryPlan::MultiJoinAggregate {
-            fact: "fact64".into(),
-            fact_key: ScalarExpr::col("f_key"),
-            fact_filters: vec![],
-            mid: BuildSide::new("dim64", ScalarExpr::col("d_id"), vec![]),
-            mid_fk: ScalarExpr::col("d_id"),
-            far: BuildSide::new("dim64", ScalarExpr::col("d_id"), vec![]),
-            aggregates: vec![AggExpr::Count],
-        };
+        let multi = join(vec![col("f_key"), col("d_id")], vec![dim(), dim()], None);
         let out = QueryExecutor::default().execute(&multi, &sources).unwrap();
         assert_eq!(out.result.scalars().unwrap()[0], 0.0);
     }
 
     #[test]
     fn shared_column_between_plain_key_and_computed_expression_does_not_panic() {
-        // mid.key loads m_id through the key path while mid_fk *computes*
-        // over the same column: m_id must stay numeric-loaded too, because
-        // ScalarExpr::evaluate has no key-column fallback.
-        let plan = QueryPlan::MultiJoinAggregate {
-            fact: "orderline".into(),
-            fact_key: ScalarExpr::col("ol_i_id"),
-            fact_filters: vec![],
-            mid: BuildSide::new("mid", ScalarExpr::col("m_id"), vec![]),
-            // fk = m_id * 0 + m_c == m_c, but references m_id in a
-            // computed expression.
-            mid_fk: ScalarExpr::col("m_id") * ScalarExpr::lit(0.0) + ScalarExpr::col("m_c"),
-            far: BuildSide::new("far", ScalarExpr::col("c_id"), vec![]),
-            aggregates: vec![AggExpr::Count],
-        };
+        // The mid build key loads m_id through the key path while mid's
+        // probe key *computes* over the same column: m_id must stay
+        // numeric-loaded too, because compiled expressions have no
+        // key-column fallback. fk = m_id * 0 + m_c == m_c, but references
+        // m_id in a computed expression.
+        let plan = try_plan(
+            "orderline",
+            vec![],
+            vec![
+                col("ol_i_id"),
+                col("m_id") * ScalarExpr::lit(0.0) + col("m_c"),
+            ],
+            vec![("mid", "m_id", vec![]), ("far", "c_id", vec![])],
+            None,
+            vec![AggExpr::Count],
+            None,
+        )
+        .unwrap();
         let out = QueryExecutor::with_block_rows(64)
             .execute(&plan, &chain_sources(200))
             .unwrap();
@@ -2546,11 +2531,7 @@ mod tests {
 
     #[test]
     fn missing_source_is_a_typed_error() {
-        let plan = QueryPlan::Aggregate {
-            table: "nope".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Count],
-        };
+        let plan = scan_plan("nope", vec![], None, vec![AggExpr::Count]);
         let err = QueryExecutor::default()
             .execute(&plan, &BTreeMap::new())
             .unwrap_err();
@@ -2565,11 +2546,12 @@ mod tests {
 
     #[test]
     fn unknown_plan_column_is_a_typed_error() {
-        let plan = QueryPlan::Aggregate {
-            table: "orderline".into(),
-            filters: vec![Predicate::new("ol_ghost", CmpOp::Lt, 1.0)],
-            aggregates: vec![AggExpr::Count],
-        };
+        let plan = scan_plan(
+            "orderline",
+            vec![Predicate::new("ol_ghost", CmpOp::Lt, 1.0)],
+            None,
+            vec![AggExpr::Count],
+        );
         let err = QueryExecutor::default()
             .execute(&plan, &sources_for(10))
             .unwrap_err();

@@ -1,14 +1,12 @@
-//! Scalar expressions, predicates and aggregate expressions evaluated over
-//! tuple blocks.
+//! Scalar expressions, predicates, aggregate expressions and the running
+//! aggregate state.
 //!
 //! The expression language is intentionally small: it covers the arithmetic
 //! the CH-benCHmark analytical queries need (column references, literals,
-//! addition/subtraction/multiplication, comparison predicates, conjunctions)
-//! while keeping evaluation vectorised — every operation maps over whole
-//! block columns.
-
-use crate::block::Block;
-use crate::error::OlapError;
+//! addition/subtraction/multiplication, comparison predicates, conjunctions).
+//! These are plan-level descriptions only: the engine compiles them into
+//! register programs ([`crate::program`]) at bind time, and the oracle
+//! ([`crate::reference`]) walks them row at a time.
 
 /// A scalar expression producing one `f64` per tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,43 +73,6 @@ impl ScalarExpr {
             }
         }
     }
-
-    /// Evaluate the expression for every tuple of `block`. A reference to a
-    /// column the block does not carry reports [`OlapError::MissingColumn`]
-    /// (expression evaluation sees only the block, not the relation it was
-    /// cut from).
-    pub fn evaluate(&self, block: &Block) -> Result<Vec<f64>, OlapError> {
-        match self {
-            ScalarExpr::Col(name) => {
-                block
-                    .numeric(name)
-                    .map(<[f64]>::to_vec)
-                    .ok_or_else(|| OlapError::MissingColumn {
-                        column: name.clone(),
-                    })
-            }
-            ScalarExpr::Literal(v) => Ok(vec![*v; block.rows()]),
-            ScalarExpr::Add(a, b) => {
-                Ok(Self::zip(a.evaluate(block)?, b.evaluate(block)?, |x, y| {
-                    x + y
-                }))
-            }
-            ScalarExpr::Sub(a, b) => {
-                Ok(Self::zip(a.evaluate(block)?, b.evaluate(block)?, |x, y| {
-                    x - y
-                }))
-            }
-            ScalarExpr::Mul(a, b) => {
-                Ok(Self::zip(a.evaluate(block)?, b.evaluate(block)?, |x, y| {
-                    x * y
-                }))
-            }
-        }
-    }
-
-    fn zip(a: Vec<f64>, b: Vec<f64>, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
-        a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
-    }
 }
 
 impl std::ops::Mul for ScalarExpr {
@@ -153,9 +114,8 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// Apply the comparison to one `(lhs, rhs)` pair. Shared by the block
-    /// interpreter and the compiled vectorized predicates so the two cannot
-    /// drift.
+    /// Apply the comparison to one `(lhs, rhs)` pair — what the compiled
+    /// predicates and the finishers over finalised rows evaluate.
     pub(crate) fn apply(self, lhs: f64, rhs: f64) -> bool {
         match self {
             CmpOp::Eq => lhs == rhs,
@@ -189,41 +149,6 @@ impl Predicate {
             literal,
         }
     }
-
-    /// Evaluate the predicate on every tuple of `block`, producing a selection
-    /// vector (`true` = tuple passes). A predicate over a column the block
-    /// does not carry reports [`OlapError::MissingColumn`].
-    pub fn evaluate(&self, block: &Block) -> Result<Vec<bool>, OlapError> {
-        let values = block
-            .numeric(&self.column)
-            .map(|s| s.to_vec())
-            .or_else(|| {
-                block
-                    .key(&self.column)
-                    .map(|s| s.iter().map(|&v| v as f64).collect())
-            })
-            .ok_or_else(|| OlapError::MissingColumn {
-                column: self.column.clone(),
-            })?;
-        Ok(values
-            .iter()
-            .map(|&v| self.op.apply(v, self.literal))
-            .collect())
-    }
-}
-
-/// Evaluate a conjunction of predicates, producing a combined selection vector.
-pub fn evaluate_conjunction(
-    predicates: &[Predicate],
-    block: &Block,
-) -> Result<Vec<bool>, OlapError> {
-    let mut selection = vec![true; block.rows()];
-    for p in predicates {
-        for (sel, pass) in selection.iter_mut().zip(p.evaluate(block)?) {
-            *sel = *sel && pass;
-        }
-    }
-    Ok(selection)
 }
 
 /// An aggregate expression.
@@ -413,107 +338,36 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_sim::SocketId;
-
-    fn block() -> Block {
-        let mut b = Block::new(4, SocketId(0));
-        b.add_numeric("price", vec![10.0, 20.0, 30.0, 40.0]);
-        b.add_numeric("discount", vec![0.1, 0.2, 0.0, 0.5]);
-        b.add_key("id", vec![1, 2, 3, 4]);
-        b
-    }
-
-    #[test]
-    fn scalar_expressions_evaluate_vectorised() {
-        let b = block();
-        let expr = ScalarExpr::col("price") * (ScalarExpr::lit(1.0) - ScalarExpr::col("discount"));
-        let out = expr.evaluate(&b).unwrap();
-        assert_eq!(out, vec![9.0, 16.0, 30.0, 20.0]);
-        assert_eq!(
-            expr.columns(),
-            vec!["discount".to_string(), "price".to_string()]
-        );
-        let plus = ScalarExpr::col("price") + ScalarExpr::lit(1.0);
-        assert_eq!(plus.evaluate(&b).unwrap(), vec![11.0, 21.0, 31.0, 41.0]);
-    }
-
-    #[test]
-    fn predicates_build_selection_vectors() {
-        let b = block();
-        let p = Predicate::new("price", CmpOp::Ge, 20.0);
-        assert_eq!(p.evaluate(&b).unwrap(), vec![false, true, true, true]);
-        // Predicates can reference key columns too.
-        let k = Predicate::new("id", CmpOp::Eq, 3.0);
-        assert_eq!(k.evaluate(&b).unwrap(), vec![false, false, true, false]);
-        let both = evaluate_conjunction(&[p, k], &b).unwrap();
-        assert_eq!(both, vec![false, false, true, false]);
-        // Empty conjunction selects everything.
-        assert_eq!(evaluate_conjunction(&[], &b).unwrap(), vec![true; 4]);
-    }
 
     #[test]
     fn all_comparison_operators() {
-        let b = block();
         let cases = [
-            (CmpOp::Eq, vec![false, true, false, false]),
-            (CmpOp::Ne, vec![true, false, true, true]),
-            (CmpOp::Lt, vec![true, false, false, false]),
-            (CmpOp::Le, vec![true, true, false, false]),
-            (CmpOp::Gt, vec![false, false, true, true]),
-            (CmpOp::Ge, vec![false, true, true, true]),
+            (CmpOp::Eq, [false, true, false]),
+            (CmpOp::Ne, [true, false, true]),
+            (CmpOp::Lt, [true, false, false]),
+            (CmpOp::Le, [true, true, false]),
+            (CmpOp::Gt, [false, false, true]),
+            (CmpOp::Ge, [false, true, true]),
         ];
         for (op, expected) in cases {
-            assert_eq!(
-                Predicate::new("price", op, 20.0).evaluate(&b).unwrap(),
-                expected,
-                "{op:?}"
-            );
+            let got = [10.0, 20.0, 30.0].map(|v| op.apply(v, 20.0));
+            assert_eq!(got, expected, "{op:?}");
         }
     }
 
     #[test]
-    fn conjunction_on_empty_block_is_empty() {
-        let empty = Block::new(0, SocketId(0));
-        assert!(evaluate_conjunction(&[], &empty).unwrap().is_empty());
-    }
-
-    #[test]
-    fn conjunction_order_does_not_change_selection() {
-        let b = block();
-        let p1 = Predicate::new("price", CmpOp::Ge, 20.0);
-        let p2 = Predicate::new("discount", CmpOp::Lt, 0.3);
-        let forward = evaluate_conjunction(&[p1.clone(), p2.clone()], &b).unwrap();
-        let backward = evaluate_conjunction(&[p2, p1], &b).unwrap();
-        assert_eq!(forward, backward);
-        assert_eq!(forward, vec![false, true, true, false]);
-    }
-
-    #[test]
-    fn contradictory_conjunction_selects_nothing() {
-        let b = block();
-        let selection = evaluate_conjunction(
-            &[
-                Predicate::new("price", CmpOp::Lt, 20.0),
-                Predicate::new("price", CmpOp::Gt, 20.0),
-            ],
-            &b,
-        )
-        .unwrap();
-        assert_eq!(selection, vec![false; 4]);
-    }
-
-    #[test]
-    fn mixed_numeric_and_key_conjunction() {
-        let b = block();
-        let selection = evaluate_conjunction(
-            &[
-                Predicate::new("id", CmpOp::Le, 3.0),
-                Predicate::new("discount", CmpOp::Gt, 0.05),
-            ],
-            &b,
-        )
-        .unwrap();
-        assert_eq!(selection, vec![true, true, false, false]);
+    fn expressions_list_their_columns_once_and_substitute_projections() {
+        let expr = ScalarExpr::col("price") * (ScalarExpr::lit(1.0) - ScalarExpr::col("discount"))
+            + ScalarExpr::col("price");
+        assert_eq!(expr.columns(), ["discount", "price"]);
+        assert_eq!(AggExpr::Sum(expr.clone()).columns(), expr.columns());
+        assert!(AggExpr::Count.columns().is_empty());
+        let map = [(
+            "price".to_string(),
+            ScalarExpr::col("p") * ScalarExpr::lit(2.0),
+        )]
+        .into();
+        assert_eq!(expr.substitute(&map).columns(), ["discount", "p"]);
     }
 
     #[test]
@@ -578,42 +432,5 @@ mod tests {
         assert_eq!(e.finalize(&AggExpr::Min(ScalarExpr::lit(0.0))), -1.0);
         assert_eq!(e.finalize(&AggExpr::Max(ScalarExpr::lit(0.0))), 3.0);
         assert_eq!(e.finalize(&AggExpr::Sum(ScalarExpr::lit(0.0))), 2.0);
-    }
-
-    /// The query path must never panic on a mis-wired plan: a reference to
-    /// an absent column is the typed [`OlapError::MissingColumn`] the rest of
-    /// the executor already propagates.
-    #[test]
-    fn missing_column_is_a_typed_error() {
-        let err = ScalarExpr::col("missing").evaluate(&block()).unwrap_err();
-        assert_eq!(
-            err,
-            OlapError::MissingColumn {
-                column: "missing".into()
-            }
-        );
-        assert!(err.to_string().contains("not present in block"));
-        // Nested expressions surface the same error, not a panic.
-        let nested = ScalarExpr::col("price") * ScalarExpr::col("ghost");
-        assert_eq!(
-            nested.evaluate(&block()).unwrap_err(),
-            OlapError::MissingColumn {
-                column: "ghost".into()
-            }
-        );
-        // Predicates and conjunctions report it too.
-        let pred = Predicate::new("ghost", CmpOp::Lt, 1.0);
-        assert_eq!(
-            pred.evaluate(&block()).unwrap_err(),
-            OlapError::MissingColumn {
-                column: "ghost".into()
-            }
-        );
-        assert_eq!(
-            evaluate_conjunction(&[pred], &block()).unwrap_err(),
-            OlapError::MissingColumn {
-                column: "ghost".into()
-            }
-        );
     }
 }

@@ -5,13 +5,10 @@
 //! * [`JoinTable`] — the join build sides of the operator DAG: an
 //!   insert-only map from `i64` key to row multiplicity, making the
 //!   hash-probe operator a true inner join (duplicate build keys weight the
-//!   probe instead of collapsing into a set).
-//! * [`KeySet`] — an insert-only `i64` set, retained for the frozen
-//!   baseline's semijoin. Replaces
-//!   the `std::collections::HashSet` (SipHash, per-morsel rebuilds) the
-//!   interpreted engine used: one table per worker is reused across all the
-//!   morsels that worker claims, and the per-worker tables are unioned —
-//!   set union is order-insensitive, so determinism is untouched.
+//!   probe instead of collapsing into a set). One table per worker is reused
+//!   across all the morsels that worker claims, and the per-worker tables
+//!   are unioned — weight addition is order-insensitive, so determinism is
+//!   untouched.
 //! * [`GroupTable`] — the group-by operator's hash table. Group keys are
 //!   stored inline in a flat `i64` arena (`n_keys` slots per group, no
 //!   per-key heap `Vec`), aggregate states in a parallel flat
@@ -37,120 +34,15 @@ use crate::kernels::{hash_i64, hash_key};
 
 const INITIAL_SLOTS: usize = 16;
 
-/// An insert-only open-addressing set of `i64` join keys.
-#[derive(Debug, Clone, Default)]
-pub struct KeySet {
-    /// `0` = empty, otherwise `index + 1` into `keys`.
-    slots: Vec<u32>,
-    keys: Vec<i64>,
-    /// Key count at which the slot array must grow (cached so the hot
-    /// insert path multiplies nothing).
-    grow_at: usize,
-}
-
-impl KeySet {
-    /// An empty set (allocates its first slot array on first insert).
-    pub fn new() -> Self {
-        KeySet::default()
-    }
-
-    /// Number of distinct keys inserted.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Insert `k`; returns `true` if it was not present before.
-    pub fn insert(&mut self, k: i64) -> bool {
-        if self.keys.len() >= self.grow_at {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = (hash_i64(k) as usize) & mask;
-        loop {
-            let entry = self.slots[slot];
-            if entry == 0 {
-                self.keys.push(k);
-                self.slots[slot] = self.keys.len() as u32;
-                return true;
-            }
-            if self.keys[(entry - 1) as usize] == k {
-                return false;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Whether `k` is present.
-    #[inline]
-    pub fn contains(&self, k: i64) -> bool {
-        self.contains_hashed(hash_i64(k), k)
-    }
-
-    /// Whether `k` is present, with its hash precomputed (the batch-hash
-    /// probe path: [`crate::kernels::hash1_dense`] hashes a whole morsel's
-    /// keys, then each probe starts at its precomputed slot).
-    #[inline]
-    pub fn contains_hashed(&self, hash: u64, k: i64) -> bool {
-        if self.slots.is_empty() {
-            return false;
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            let entry = self.slots[slot];
-            if entry == 0 {
-                return false;
-            }
-            if self.keys[(entry - 1) as usize] == k {
-                return true;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Iterate the keys in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
-        self.keys.iter().copied()
-    }
-
-    /// Union another set into this one (the per-worker build merge).
-    pub fn union(&mut self, other: &KeySet) {
-        for k in other.iter() {
-            self.insert(k);
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_len = (self.slots.len() * 2).max(INITIAL_SLOTS);
-        self.slots.clear();
-        self.slots.resize(new_len, 0);
-        self.grow_at = grow_threshold(new_len);
-        let mask = new_len - 1;
-        for (i, &k) in self.keys.iter().enumerate() {
-            let mut slot = (hash_i64(k) as usize) & mask;
-            while self.slots[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = (i + 1) as u32;
-        }
-    }
-}
-
 /// The multiplicity-preserving join build table: an open-addressing map from
 /// an `i64` join key to the number of build-side rows carrying that key.
 ///
-/// This is what turns the engine's join from a key-set *semijoin* into a true
-/// inner join: the probe side multiplies each surviving row by the build
+/// This is what makes the engine's join a true inner join rather than a
+/// semijoin: the probe side multiplies each surviving row by the build
 /// key's weight instead of merely checking membership, so duplicate
 /// build-side keys contribute every matching tuple to the aggregate. When
 /// every key is unique ([`JoinTable::unique`]), weight lookups degenerate to
-/// membership tests and the executor keeps the exact semijoin-era fold path
-/// (bit-for-bit identical results and identical work accounting).
+/// membership tests and the executor takes the plain-selection fold path.
 ///
 /// Chained builds compose multiplicities: a build pipeline that itself
 /// probes an earlier table inserts its key with the probed weight, so an
@@ -494,49 +386,6 @@ mod tests {
     use crate::expr::ScalarExpr;
 
     #[test]
-    fn key_set_insert_contains_union() {
-        let mut a = KeySet::new();
-        assert!(a.is_empty());
-        assert!(!a.contains(5));
-        assert!(a.insert(5));
-        assert!(!a.insert(5), "duplicate insert reports absence of change");
-        assert!(a.insert(-7));
-        assert!(a.contains(5) && a.contains(-7) && !a.contains(6));
-        assert_eq!(a.len(), 2);
-
-        let mut b = KeySet::new();
-        b.insert(5);
-        b.insert(99);
-        a.union(&b);
-        assert_eq!(a.len(), 3);
-        assert!(a.contains(99));
-    }
-
-    #[test]
-    fn key_set_grows_past_initial_capacity() {
-        let mut s = KeySet::new();
-        for k in 0..10_000i64 {
-            s.insert(k * 7 - 5_000);
-        }
-        assert_eq!(s.len(), 10_000);
-        for k in 0..10_000i64 {
-            assert!(s.contains(k * 7 - 5_000), "{k} lost during growth");
-        }
-        assert!(!s.contains(1), "non-multiple-of-7 offsets are absent");
-    }
-
-    #[test]
-    fn key_set_handles_extreme_keys() {
-        let mut s = KeySet::new();
-        for k in [i64::MIN, i64::MAX, 0, -1, 1 << 53, (1 << 53) + 1] {
-            assert!(s.insert(k));
-        }
-        assert!(s.contains(i64::MIN) && s.contains(i64::MAX));
-        assert!(s.contains(1 << 53) && s.contains((1 << 53) + 1));
-        assert_eq!(s.len(), 6);
-    }
-
-    #[test]
     fn group_table_single_key_accumulates() {
         let mut t = GroupTable::default();
         t.configure(1, 2);
@@ -646,21 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn key_set_prehashed_probes_agree_with_contains() {
-        let mut s = KeySet::new();
-        for k in [i64::MIN, i64::MAX, 0, -1, 1 << 53, 42] {
-            s.insert(k);
-        }
-        let probes: Vec<i64> = vec![i64::MIN, i64::MAX, 0, -1, 1 << 53, (1 << 53) + 1, 42, 43];
-        let mut hashes = Vec::new();
-        crate::kernels::hash1_dense(&probes, &mut hashes);
-        for (&k, &h) in probes.iter().zip(&hashes) {
-            assert_eq!(s.contains_hashed(h, k), s.contains(k), "key {k}");
-        }
-        assert!(!KeySet::new().contains_hashed(crate::kernels::hash_i64(7), 7));
-    }
-
-    #[test]
     fn zero_key_grouping_keeps_the_hash_arena_aligned() {
         let mut t = GroupTable::default();
         t.configure(0, 2);
@@ -694,6 +528,14 @@ mod tests {
         t.add(99, 0);
         assert_eq!(t.weight(99), 0);
         assert_eq!(t.len(), 2);
+        // Extreme keys are ordinary keys; 2^53 and 2^53 + 1 stay distinct.
+        for k in [i64::MIN, i64::MAX, 0, -1, 1 << 53] {
+            t.add(k, 1);
+        }
+        for k in [i64::MIN, i64::MAX, 0, -1, 1 << 53] {
+            assert_eq!(t.weight(k), 1, "key {k}");
+        }
+        assert_eq!(t.weight((1 << 53) + 1), 0);
     }
 
     #[test]
@@ -718,21 +560,6 @@ mod tests {
             assert_eq!(a.weight_hashed(h, k), a.weight(k), "key {k}");
         }
         assert_eq!(JoinTable::new().weight_hashed(hash_i64(7), 7), 0);
-    }
-
-    #[test]
-    fn join_table_matches_key_set_on_unique_builds() {
-        let mut set = KeySet::new();
-        let mut tab = JoinTable::new();
-        for k in [i64::MIN, i64::MAX, 0, -1, 1 << 53, 42] {
-            set.insert(k);
-            tab.add(k, 1);
-        }
-        assert!(tab.unique());
-        assert_eq!(tab.len(), set.len());
-        for k in [i64::MIN, i64::MAX, 0, -1, 1 << 53, (1 << 53) + 1, 42, 43] {
-            assert_eq!(tab.weight(k) != 0, set.contains(k), "key {k}");
-        }
     }
 
     #[test]

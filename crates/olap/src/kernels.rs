@@ -22,9 +22,10 @@
 //!   bit-identical).
 //! * **Folds** ([`fold_sum_dense`] and friends) — SUM/AVG/MIN/MAX over a
 //!   dense column or a selection vector. Floating-point accumulation order
-//!   is **observable**: the frozen [`crate::baseline::BaselineExecutor`]
-//!   and the differential oracle are compared bit-for-bit, so the fold
-//!   kernels keep the strict sequential row order and win by *gathering*
+//!   is **observable**: results must be bit-for-bit identical for every
+//!   worker count and morsel size, and every kernel bit-for-bit its scalar
+//!   twin, so the fold kernels keep the strict sequential row order and
+//!   win by *gathering*
 //!   chunks of selected lanes (and by being monomorphised per aggregate
 //!   kind, with the `ValView` dispatch hoisted out of the loop) — never by
 //!   lane-parallel partial accumulators, which would reassociate the sums.
@@ -304,7 +305,7 @@ pub fn filter_dense_f64_scalar(vals: &[f64], op: CmpOp, lit: f64, sel: &mut Vec<
 }
 
 /// Filter a dense `i64` key column (compared as `f64`, mirroring the
-/// predicate fallback the block interpreter applies to key columns).
+/// predicate fallback the row-at-a-time oracle applies to key columns).
 pub fn filter_dense_i64(vals: &[i64], op: CmpOp, lit: f64, sel: &mut Vec<u32>) {
     for_each_cmp!(op, lit, |keep| {
         sel.clear();
@@ -409,8 +410,8 @@ pub fn filter_refine_i64_scalar(vals: &[i64], op: CmpOp, lit: f64, sel: &mut Vec
 /// Generate the dense/gather fold kernel pair (plus scalar twins) for one
 /// [`AggState`] fold. The accumulation order is strictly sequential in both
 /// variants — floating-point addition does not associate and `min`/`max`
-/// tie-breaking on signed zeros is order-sensitive, and the engine is
-/// compared bit-for-bit against the frozen baseline — so the gather variant
+/// tie-breaking on signed zeros is order-sensitive, and each kernel is
+/// compared bit-for-bit against its scalar twin — so the gather variant
 /// loads [`LANES`] selected values into a `[f64; 8]` (the gather is what
 /// vectorizes) and folds the chunk in order.
 macro_rules! fold_kernels {

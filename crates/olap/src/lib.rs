@@ -15,9 +15,10 @@
 //!   OLTP snapshot).
 //! * [`morsel`] — NUMA-tagged morsels, the claimable work units every scan is
 //!   split into (the scheduling granularity of the parallel pipelines).
-//! * [`block`], [`expr`] — typed tuple blocks and scalar/predicate expressions
-//!   evaluated over them (the interpreted path used by the oracle and the
-//!   frozen baseline; production pipelines run the compiled programs below).
+//! * [`block`], [`expr`] — typed tuple blocks (the oracle's row source) and
+//!   the plan-level scalar/predicate/aggregate expressions plus the running
+//!   aggregate state; production pipelines compile the expressions into the
+//!   programs below.
 //! * [`program`] (private), [`hashtable`], [`scratch`] (private) — the
 //!   vectorized hot path: bind-time register programs over column indices,
 //!   open-addressing group/join tables with inline flat keys, and per-worker
@@ -29,27 +30,20 @@
 //!   with a scalar twin it must match bit for bit. Grouped partials are
 //!   merged radix-partitioned by key hash (see ARCHITECTURE.md, "Chunked
 //!   kernels & radix-partitioned aggregation").
-//! * [`baseline`] — the pre-vectorization block interpreter, kept frozen as
-//!   the measured before/after of the perf trajectory (`BENCH_exec.json`)
-//!   and as a bit-for-bit differential partner; never on the query path.
-//! * [`plan`] — the query plans the CH-benCHmark workload needs:
-//!   scan-filter-reduce, scan-filter-group-by, fact–dimension hash joins,
-//!   three-table chain joins ([`plan::BuildSide`]) and join-then-group-by
-//!   with optional top-k ([`plan::TopK`]) — all of them convenience
-//!   constructors over [`plan::QueryPlan::Dag`].
-//! * [`dag`] — the composable operator DAG every plan is lowered onto:
-//!   scan/filter/project/hash-build/hash-probe/hash-aggregate plus the
-//!   having/sort/limit finishers, validated and flattened by
-//!   [`dag::DagPlan::decompose`]. The hash probe is a true
-//!   multiplicity-preserving inner join (duplicate build keys contribute
-//!   every matching tuple), which is what retired both the five bespoke
-//!   shape executors and the planner's PK-pinning workaround. See
-//!   ARCHITECTURE.md, "Composable operator DAG".
-//! * [`reference`] — a naive row-at-a-time interpreter over the same
-//!   decomposed DAGs, the oracle of the differential test suite
-//!   (`tests/differential_exec.rs`); shares plan lowering with the engine
-//!   but none of its evaluation machinery, and is never used on the
-//!   production query path.
+//! * [`dag`] — the one plan type, [`QueryPlan`]: a composable operator DAG
+//!   of scan/filter/project/hash-build/hash-probe/hash-aggregate plus the
+//!   having/sort/limit finishers, validated and flattened once by
+//!   [`DagBuilder::finish`] — so a plan value is executable by construction
+//!   and lists the relations and columns it touches, which is exactly what
+//!   the scheduler needs for per-query freshness (Algorithm 2). The hash
+//!   probe is a true multiplicity-preserving inner join (duplicate build
+//!   keys contribute every matching tuple). See ARCHITECTURE.md,
+//!   "Composable operator DAG".
+//! * [`reference`] — a naive row-at-a-time interpreter over the same plans,
+//!   the oracle of the differential test suite
+//!   (`tests/differential_exec.rs`) for result rows *and* work accounting;
+//!   shares the plan with the engine but none of its evaluation machinery,
+//!   and is never used on the production query path.
 //! * [`exec`] — the morsel-driven parallel executor; besides results it
 //!   produces a [`exec::WorkProfile`] (bytes touched per socket, tuples
 //!   processed, join probes), accumulated per worker and summed, that the
@@ -66,7 +60,6 @@
 //! The crate layering and the execution flow are described in the repository's
 //! `ARCHITECTURE.md`.
 
-pub mod baseline;
 pub mod block;
 pub mod dag;
 pub mod engine;
@@ -76,7 +69,6 @@ pub mod expr;
 pub mod hashtable;
 pub mod kernels;
 pub mod morsel;
-pub mod plan;
 mod program;
 pub mod reference;
 pub mod routing;
@@ -84,16 +76,14 @@ mod scratch;
 pub mod source;
 pub mod worker;
 
-pub use baseline::BaselineExecutor;
 pub use block::Block;
-pub use dag::{DagBuilder, DagOp, DagPlan, HavingPred, RowSlot, SortKey};
+pub use dag::{DagBuilder, DagOp, HavingPred, QueryPlan, RowSlot, SortKey};
 pub use engine::{OlapEngine, OlapStore};
 pub use error::OlapError;
 pub use exec::{QueryExecutor, QueryOutput, QueryResult, WorkProfile};
 pub use expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
-pub use hashtable::{GroupTable, JoinTable, KeySet};
+pub use hashtable::{GroupTable, JoinTable};
 pub use morsel::{split_morsels, Morsel};
-pub use plan::{BuildSide, QueryPlan, TopK};
 pub use reference::{execute_reference, execute_reference_with_work};
 pub use routing::{RoutingPolicy, SegmentAssignment};
 pub use source::{BoundLayout, ScanSegmentSource, ScanSource};

@@ -374,7 +374,7 @@ pub(crate) fn eval_expr(
 /// predicate runs the dense chunked filter kernel; every further predicate
 /// refines the selection in place with the gather kernel (see
 /// [`crate::kernels`] — key columns compare as `f64`, the same fallback the
-/// block interpreter applies).
+/// row-at-a-time oracle applies).
 pub(crate) fn apply_filters<'s>(
     filters: &[CompiledPredicate],
     data: &MorselData<'_>,

@@ -2,9 +2,9 @@
 //! testing oracle of the morsel-driven engine.
 //!
 //! The oracle shares exactly one thing with [`crate::exec::QueryExecutor`]:
-//! plan lowering. Every plan is lowered onto the composable operator DAG and
-//! decomposed by [`crate::dag::DagPlan::decompose`], so both implementations
-//! agree on *what* to compute; everything about *how* is independent. Scalar
+//! the plan. Both read the validated, flattened spec a [`QueryPlan`] carries,
+//! so they agree on *what* to compute; everything about *how* is independent
+//! — the rows *and* the [`WorkProfile`] account. Scalar
 //! expressions are evaluated recursively per row (not vectorised per block),
 //! predicates are re-derived from [`CmpOp`] here, aggregation uses its own
 //! accumulator instead of [`crate::expr::AggState`], and join multiplicities
@@ -26,11 +26,10 @@
 //! are exact.
 
 use crate::block::Block;
-use crate::dag::{BuildSpec, DagPlan, DagSpec, Finisher, PipelineSpec, ProbeSpec, RowSlot};
+use crate::dag::{BuildSpec, DagSpec, Finisher, PipelineSpec, ProbeSpec, QueryPlan, RowSlot};
 use crate::error::OlapError;
 use crate::exec::{GroupRow, QueryOutput, QueryResult, WorkProfile};
 use crate::expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
-use crate::plan::QueryPlan;
 use crate::source::ScanSource;
 use std::collections::BTreeMap;
 
@@ -452,8 +451,8 @@ fn execute_spec(
     Ok(QueryOutput { result, work })
 }
 
-/// Execute `plan` with the naive row-at-a-time interpreter. Lowering and
-/// decomposition are shared with the engine; execution is not.
+/// Execute `plan` with the naive row-at-a-time interpreter. The plan's spec
+/// is shared with the engine; execution is not.
 pub fn execute_reference(
     plan: &QueryPlan,
     sources: &BTreeMap<String, ScanSource>,
@@ -469,14 +468,13 @@ pub fn execute_reference_with_work(
     plan: &QueryPlan,
     sources: &BTreeMap<String, ScanSource>,
 ) -> Result<QueryOutput, OlapError> {
-    let spec = DagPlan::lower(plan).decompose()?;
-    execute_spec(&spec, sources)
+    execute_spec(plan.spec(), sources)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Predicate;
+    use crate::dag::DagBuilder;
     use htap_sim::SocketId;
     use htap_storage::{ColumnDef, ColumnarTable, DataType, TableSchema, TableSnapshot, Value};
     use std::sync::Arc;
@@ -509,18 +507,33 @@ mod tests {
         m
     }
 
+    /// scan(table) → filter → scalar or grouped aggregate.
+    fn scan_plan(
+        table: &str,
+        filters: &[Predicate],
+        group_by: Option<Vec<String>>,
+        aggregates: Vec<AggExpr>,
+    ) -> QueryPlan {
+        let mut b = DagBuilder::default();
+        let scan = b.scan(table);
+        let filtered = b.filter(scan, filters);
+        b.aggregate(filtered, group_by, aggregates);
+        b.finish().unwrap()
+    }
+
     #[test]
     fn reference_aggregate_matches_hand_computation() {
-        let plan = QueryPlan::Aggregate {
-            table: "t".into(),
-            filters: vec![Predicate::new("v", CmpOp::Ge, 10.0)],
-            aggregates: vec![
+        let plan = scan_plan(
+            "t",
+            &[Predicate::new("v", CmpOp::Ge, 10.0)],
+            None,
+            vec![
                 AggExpr::Sum(ScalarExpr::col("v")),
                 AggExpr::Count,
                 AggExpr::Min(ScalarExpr::col("v")),
                 AggExpr::Max(ScalarExpr::col("v")),
             ],
-        };
+        );
         let out = execute_reference(&plan, &sources()).unwrap();
         let vals = out.scalars().unwrap();
         let expected: Vec<f64> = (0..100u64)
@@ -535,27 +548,23 @@ mod tests {
 
     #[test]
     fn reference_empty_selection_finalises_to_engine_empty_values() {
-        let plan = QueryPlan::Aggregate {
-            table: "t".into(),
-            filters: vec![Predicate::new("v", CmpOp::Lt, -1.0)],
-            aggregates: vec![
+        let plan = scan_plan(
+            "t",
+            &[Predicate::new("v", CmpOp::Lt, -1.0)],
+            None,
+            vec![
                 AggExpr::Min(ScalarExpr::col("v")),
                 AggExpr::Max(ScalarExpr::col("v")),
                 AggExpr::Avg(ScalarExpr::col("v")),
             ],
-        };
+        );
         let out = execute_reference(&plan, &sources()).unwrap();
         assert_eq!(out.scalars().unwrap(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn reference_group_by_produces_sorted_groups() {
-        let plan = QueryPlan::GroupByAggregate {
-            table: "t".into(),
-            filters: vec![],
-            group_by: vec!["g".into()],
-            aggregates: vec![AggExpr::Count],
-        };
+        let plan = scan_plan("t", &[], Some(vec!["g".into()]), vec![AggExpr::Count]);
         let out = execute_reference(&plan, &sources()).unwrap();
         let groups = out.groups().unwrap();
         assert_eq!(groups.len(), 4);
@@ -567,11 +576,7 @@ mod tests {
 
     #[test]
     fn reference_missing_source_is_a_typed_error() {
-        let plan = QueryPlan::Aggregate {
-            table: "nope".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Count],
-        };
+        let plan = scan_plan("nope", &[], None, vec![AggExpr::Count]);
         assert_eq!(
             execute_reference(&plan, &BTreeMap::new()).unwrap_err(),
             OlapError::MissingSource {
@@ -585,14 +590,21 @@ mod tests {
         // Self-join t with itself on g: the build side has 25 tuples per
         // distinct g value, so every probe row joins 25 build tuples and
         // COUNT sees 100 * 25 joined tuples.
-        let mut b = crate::dag::DagBuilder::default();
+        let mut b = DagBuilder::default();
         let dim = b.scan("t");
         let build = b.build(dim, ScalarExpr::col("g"));
         let probe_scan = b.scan("t");
         let probed = b.probe(probe_scan, build, ScalarExpr::col("g"));
         b.aggregate(probed, None, vec![AggExpr::Count]);
-        let plan = QueryPlan::Dag(b.finish());
-        let out = execute_reference(&plan, &sources()).unwrap();
-        assert_eq!(out.scalars().unwrap(), &[2500.0]);
+        let plan = b.finish().unwrap();
+        let out = execute_reference_with_work(&plan, &sources()).unwrap();
+        assert_eq!(out.result.scalars().unwrap(), &[2500.0]);
+        // The work account: both pipelines scan t's 100 rows reading the
+        // 4-byte g column; 100 probes; a 4-key build table.
+        assert_eq!(out.work.tuples_scanned, 200);
+        assert_eq!(out.work.total_bytes(), 2 * 100 * 4);
+        assert_eq!(out.work.tuples_selected, 2500);
+        assert_eq!((out.work.probes, out.work.build_bytes), (100, 400));
+        assert_eq!(out.work.hash_table_bytes, 4 * 16);
     }
 }

@@ -173,7 +173,7 @@ impl ScanSource {
     /// of one row over the `accessed` columns — so the steady-state morsel
     /// loop never repeats a name lookup, a dtype check or a width sum (the
     /// per-morsel byte accounting becomes one multiplication, consistent
-    /// with [`ScanSource::bytes_per_socket`] and [`ScanSource::morsel_bytes`]).
+    /// with [`ScanSource::bytes_per_socket`]).
     ///
     /// Binding validates eagerly: unknown columns and role-incompatible
     /// dtypes (strings as numerics, floats as keys) are typed errors here,
@@ -281,20 +281,6 @@ impl ScanSource {
             block.add_key(col, values);
         }
         Ok(block)
-    }
-
-    /// Bytes a scan of `columns` over `morsel` reads (columnar accounting,
-    /// consistent with [`ScanSource::bytes_per_socket`]). This is what makes
-    /// per-worker [`crate::exec::WorkProfile`]s sum to the same totals the
-    /// sequential executor reported.
-    pub fn morsel_bytes(&self, morsel: &Morsel, columns: &[&str]) -> u64 {
-        let schema = self.segments[morsel.segment].table.schema();
-        let width: u64 = columns
-            .iter()
-            .filter_map(|c| schema.column_index(c))
-            .map(|i| schema.column(i).dtype.width_bytes())
-            .sum();
-        morsel.row_count() as u64 * width
     }
 
     /// Produce the blocks of the requested columns, one segment at a time,

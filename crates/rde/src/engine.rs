@@ -577,6 +577,12 @@ mod tests {
         rde.migrate(SystemState::S3HybridNonIsolated);
         assert_eq!(wm.active_workers(), 10);
 
+        // The three migrations above can finish before any worker thread was
+        // scheduled at all (two CPUs, 28 threads): wait for the first commit
+        // instead of assuming one happened.
+        while wm.live_counts().committed == 0 {
+            std::thread::yield_now();
+        }
         let report = wm.stop();
         assert_eq!(report.committed_per_worker.len(), capacity);
         assert!(report.committed() > 0);

@@ -134,16 +134,15 @@ pub fn measure(rde: &RdeEngine, plan: &QueryPlan) -> QueryFreshness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_olap::{AggExpr, ScalarExpr};
+    use htap_olap::{AggExpr, DagBuilder, ScalarExpr};
     use htap_rde::RdeConfig;
     use htap_storage::{ColumnDef, DataType, TableSchema, Value};
 
     fn plan() -> QueryPlan {
-        QueryPlan::Aggregate {
-            table: "sales".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("amount"))],
-        }
+        let mut b = DagBuilder::default();
+        let scan = b.scan("sales");
+        b.aggregate(scan, None, vec![AggExpr::Sum(ScalarExpr::col("amount"))]);
+        b.finish().unwrap()
     }
 
     fn rde_with_rows(rows: u64) -> RdeEngine {
@@ -279,21 +278,20 @@ mod tests {
         rde
     }
 
+    /// fact ⋈ mid ⋈ far, the far end (filtered on `r_v`) built first.
     fn three_table_plan() -> QueryPlan {
-        use htap_olap::{BuildSide, CmpOp, Predicate};
-        QueryPlan::MultiJoinAggregate {
-            fact: "fact".into(),
-            fact_key: ScalarExpr::col("id"),
-            fact_filters: vec![],
-            mid: BuildSide::new("mid", ScalarExpr::col("m_id"), vec![]),
-            mid_fk: ScalarExpr::col("m_fk"),
-            far: BuildSide::new(
-                "far",
-                ScalarExpr::col("r_id"),
-                vec![Predicate::new("r_v", CmpOp::Ge, 0.0)],
-            ),
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("amount"))],
-        }
+        use htap_olap::{CmpOp, Predicate};
+        let mut b = DagBuilder::default();
+        let far = b.scan("far");
+        let far = b.filter(far, &[Predicate::new("r_v", CmpOp::Ge, 0.0)]);
+        let far = b.build(far, ScalarExpr::col("r_id"));
+        let mid = b.scan("mid");
+        let mid = b.probe(mid, far, ScalarExpr::col("m_fk"));
+        let mid = b.build(mid, ScalarExpr::col("m_id"));
+        let fact = b.scan("fact");
+        let fact = b.probe(fact, mid, ScalarExpr::col("id"));
+        b.aggregate(fact, None, vec![AggExpr::Sum(ScalarExpr::col("amount"))]);
+        b.finish().unwrap()
     }
 
     /// Algorithm 2 computes Nfq "only for the columns which will be accessed

@@ -127,16 +127,19 @@ impl HtapScheduler {
 mod tests {
     use super::*;
     use crate::policy::SchedulerPolicy;
-    use htap_olap::{AggExpr, ScalarExpr};
+    use htap_olap::{AggExpr, DagBuilder, ScalarExpr};
     use htap_rde::RdeConfig;
     use htap_storage::{ColumnDef, DataType, TableSchema, Value};
 
     fn plan() -> QueryPlan {
-        QueryPlan::Aggregate {
-            table: "sales".into(),
-            filters: vec![],
-            aggregates: vec![AggExpr::Sum(ScalarExpr::col("amount")), AggExpr::Count],
-        }
+        let mut b = DagBuilder::default();
+        let scan = b.scan("sales");
+        b.aggregate(
+            scan,
+            None,
+            vec![AggExpr::Sum(ScalarExpr::col("amount")), AggExpr::Count],
+        );
+        b.finish().unwrap()
     }
 
     fn rde_with_rows(rows: u64) -> Arc<RdeEngine> {
@@ -304,15 +307,13 @@ mod tests {
             Some(0),
         ))
         .unwrap();
-        let join = QueryPlan::JoinAggregate {
-            fact: "sales".into(),
-            dim: "item".into(),
-            fact_key: "id".into(),
-            dim_key: "i_id".into(),
-            fact_filters: vec![],
-            dim_filters: vec![],
-            aggregates: vec![AggExpr::Count],
-        };
+        let mut b = DagBuilder::default();
+        let item = b.scan("item");
+        let build = b.build(item, ScalarExpr::col("i_id"));
+        let sales = b.scan("sales");
+        let probed = b.probe(sales, build, ScalarExpr::col("id"));
+        b.aggregate(probed, None, vec![AggExpr::Count]);
+        let join = b.finish().unwrap();
         let scheduler = HtapScheduler::new(rde, Schedule::Static(SystemState::S1Colocated));
         let q = scheduler.schedule_query(&join, false);
         assert!(q.sources.contains_key("sales") && q.sources.contains_key("item"));

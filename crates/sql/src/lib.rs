@@ -1,15 +1,15 @@
 //! SQL frontend for the vectorized morsel engine: lexer → recursive-descent
 //! parser → AST → binder → cost-aware planner.
 //!
-//! The pipeline turns query text into the same physical [`QueryPlan`]s the
-//! hand-built CH-benCHmark queries use, so SQL automatically gets the full
-//! vectorized + selection-vector execution path (compiled register programs,
-//! open-addressing hash tables, per-worker scratch — see PR 4):
+//! The pipeline turns query text into the engine's one physical plan type,
+//! [`QueryPlan`] — an operator DAG — so SQL gets the full vectorized +
+//! selection-vector execution path (compiled register programs,
+//! open-addressing hash tables, per-worker scratch):
 //!
 //! ```text
 //! SQL text ──lex──▶ tokens ──parse──▶ SelectStmt (AST)
 //!          ──bind(catalog)──▶ BoundQuery (resolved names, typed errors)
-//!          ──lower──▶ QueryPlan (a named shape or an explicit operator DAG)
+//!          ──lower──▶ QueryPlan (a validated operator DAG)
 //! ```
 //!
 //! Supported grammar (see the "SQL frontend" section of ARCHITECTURE.md for
@@ -73,8 +73,7 @@ pub fn plan(sql: &str, catalog: &Catalog) -> Result<QueryPlan, SqlError> {
 mod tests {
     use super::*;
     use htap_olap::{
-        AggExpr, BuildSide, CmpOp, DagOp, HavingPred, Predicate, QueryPlan, RowSlot, ScalarExpr,
-        TopK,
+        AggExpr, CmpOp, DagBuilder, DagOp, HavingPred, Predicate, RowSlot, ScalarExpr, SortKey,
     };
     use htap_storage::{ColumnDef, DataType, TableSchema};
 
@@ -132,6 +131,22 @@ mod tests {
             )
     }
 
+    /// Push scan(table) → filter → [probe `(build, key column)`] and return
+    /// the pipeline's top op — the unit the expected plans below are made of.
+    fn pipeline(
+        b: &mut DagBuilder,
+        table: &str,
+        filters: &[Predicate],
+        probe: Option<(usize, &str)>,
+    ) -> usize {
+        let scan = b.scan(table);
+        let at = b.filter(scan, filters);
+        match probe {
+            Some((build, key)) => b.probe(at, build, ScalarExpr::col(key)),
+            None => at,
+        }
+    }
+
     #[test]
     fn scalar_aggregate_lowers_to_aggregate_shape() {
         let plan = plan(
@@ -139,20 +154,21 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        assert_eq!(
-            plan,
-            QueryPlan::Aggregate {
-                table: "fact".into(),
-                filters: vec![
-                    Predicate::new("f_a", CmpOp::Ge, 1.0),
-                    Predicate::new("f_g", CmpOp::Lt, 4.0),
-                ],
-                aggregates: vec![
-                    AggExpr::Sum(ScalarExpr::col("f_a") * ScalarExpr::col("f_a")),
-                    AggExpr::Count,
-                ],
-            }
+        let mut b = DagBuilder::default();
+        let filters = [
+            Predicate::new("f_a", CmpOp::Ge, 1.0),
+            Predicate::new("f_g", CmpOp::Lt, 4.0),
+        ];
+        let at = pipeline(&mut b, "fact", &filters, None);
+        b.aggregate(
+            at,
+            None,
+            vec![
+                AggExpr::Sum(ScalarExpr::col("f_a") * ScalarExpr::col("f_a")),
+                AggExpr::Count,
+            ],
         );
+        assert_eq!(plan, b.finish().unwrap());
     }
 
     #[test]
@@ -162,15 +178,14 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        assert_eq!(
-            plan,
-            QueryPlan::GroupByAggregate {
-                table: "fact".into(),
-                filters: vec![],
-                group_by: vec!["f_g".into()],
-                aggregates: vec![AggExpr::Avg(ScalarExpr::col("f_a")), AggExpr::Count],
-            }
+        let mut b = DagBuilder::default();
+        let at = pipeline(&mut b, "fact", &[], None);
+        b.aggregate(
+            at,
+            Some(vec!["f_g".into()]),
+            vec![AggExpr::Avg(ScalarExpr::col("f_a")), AggExpr::Count],
         );
+        assert_eq!(plan, b.finish().unwrap());
     }
 
     #[test]
@@ -180,18 +195,18 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        assert_eq!(
-            plan,
-            QueryPlan::JoinAggregate {
-                fact: "fact".into(),
-                dim: "mid".into(),
-                fact_key: "f_mid".into(),
-                dim_key: "m_id".into(),
-                fact_filters: vec![],
-                dim_filters: vec![Predicate::new("m_v", CmpOp::Ge, 10.0)],
-                aggregates: vec![AggExpr::Sum(ScalarExpr::col("f_a"))],
-            }
+        // The build side first, then the probing fact pipeline.
+        let mut b = DagBuilder::default();
+        let mid = pipeline(
+            &mut b,
+            "mid",
+            &[Predicate::new("m_v", CmpOp::Ge, 10.0)],
+            None,
         );
+        let build = b.build(mid, ScalarExpr::col("m_id"));
+        let fact = pipeline(&mut b, "fact", &[], Some((build, "f_mid")));
+        b.aggregate(fact, None, vec![AggExpr::Sum(ScalarExpr::col("f_a"))]);
+        assert_eq!(plan, b.finish().unwrap());
     }
 
     #[test]
@@ -217,18 +232,23 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        assert_eq!(
-            plan,
-            QueryPlan::JoinGroupByAggregate {
-                fact: "fact".into(),
-                fact_key: ScalarExpr::col("f_mid"),
-                fact_filters: vec![],
-                dim: BuildSide::new("mid", ScalarExpr::col("m_id"), vec![]),
-                group_by: vec!["f_g".into()],
-                aggregates: vec![AggExpr::Count],
-                top_k: Some(TopK { agg_index: 0, k: 5 }),
-            }
-        );
+        let mut b = DagBuilder::default();
+        let mid = pipeline(&mut b, "mid", &[], None);
+        let build = b.build(mid, ScalarExpr::col("m_id"));
+        let fact = pipeline(&mut b, "fact", &[], Some((build, "f_mid")));
+        let agg = b.aggregate(fact, Some(vec!["f_g".into()]), vec![AggExpr::Count]);
+        let sorted = b.push(DagOp::Sort {
+            input: agg,
+            keys: vec![SortKey {
+                slot: RowSlot::Agg(0),
+                desc: true,
+            }],
+        });
+        b.push(DagOp::Limit {
+            input: sorted,
+            rows: 5,
+        });
+        assert_eq!(plan, b.finish().unwrap());
     }
 
     #[test]
@@ -240,26 +260,26 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        assert_eq!(
-            plan,
-            QueryPlan::MultiJoinAggregate {
-                fact: "fact".into(),
-                fact_key: ScalarExpr::col("f_mid"),
-                fact_filters: vec![Predicate::new("f_a", CmpOp::Ge, 0.0)],
-                mid: BuildSide::new(
-                    "mid",
-                    ScalarExpr::col("m_id"),
-                    vec![Predicate::new("m_v", CmpOp::Ge, 1.0)],
-                ),
-                mid_fk: ScalarExpr::col("m_far"),
-                far: BuildSide::new(
-                    "far",
-                    ScalarExpr::col("r_id"),
-                    vec![Predicate::new("r_v", CmpOp::Lt, 40.0)],
-                ),
-                aggregates: vec![AggExpr::Sum(ScalarExpr::col("f_a")), AggExpr::Count],
-            }
+        // Far end first; mid probes far and builds for the fact.
+        let mut b = DagBuilder::default();
+        let far = pipeline(
+            &mut b,
+            "far",
+            &[Predicate::new("r_v", CmpOp::Lt, 40.0)],
+            None,
         );
+        let far = b.build(far, ScalarExpr::col("r_id"));
+        let mid_filters = [Predicate::new("m_v", CmpOp::Ge, 1.0)];
+        let mid = pipeline(&mut b, "mid", &mid_filters, Some((far, "m_far")));
+        let mid = b.build(mid, ScalarExpr::col("m_id"));
+        let fact_filters = [Predicate::new("f_a", CmpOp::Ge, 0.0)];
+        let fact = pipeline(&mut b, "fact", &fact_filters, Some((mid, "f_mid")));
+        b.aggregate(
+            fact,
+            None,
+            vec![AggExpr::Sum(ScalarExpr::col("f_a")), AggExpr::Count],
+        );
+        assert_eq!(plan, b.finish().unwrap());
     }
 
     #[test]
@@ -288,11 +308,7 @@ mod tests {
             "SELECT COUNT(*) FROM mid JOIN fact ON m_id = f_mid",
         ] {
             let plan = plan(sql, &catalog()).unwrap();
-            let QueryPlan::JoinAggregate { fact, dim, .. } = &plan else {
-                panic!("{sql}: expected a join, got {plan:?}");
-            };
-            assert_eq!(fact, "fact", "{sql}");
-            assert_eq!(dim, "mid", "{sql}");
+            assert_eq!(plan.tables(), ["fact", "mid"], "{sql}");
         }
     }
 
@@ -322,15 +338,11 @@ mod tests {
                 catalog,
             )
             .unwrap();
-            let QueryPlan::JoinAggregate { fact, .. } = plan else {
-                panic!("expected a join");
-            };
-            fact
+            plan.tables()[0].to_string()
         };
         // The hash probe preserves multiplicities, so either probe order
         // returns the same COUNT(*): the planner follows cost alone — probe
-        // the larger relation — and a declared primary key no longer pins
-        // the build side (the retired key-set semijoin needed that).
+        // the larger relation — and a declared primary key pins nothing.
         assert_eq!(probe(&schemas(Some(0), 3_000, 30)), "fact");
         assert_eq!(probe(&schemas(Some(0), 30, 3_000)), "mid");
         assert_eq!(probe(&schemas(None, 3_000, 30)), "fact");
@@ -340,8 +352,8 @@ mod tests {
     #[test]
     fn count_only_chain_picks_an_endpoint_even_when_the_middle_is_largest() {
         // mid (the chain's middle relation) dwarfs both endpoints: the
-        // planner must still probe an endpoint — the engine has no shape
-        // that probes the middle — instead of rejecting the query.
+        // planner must still probe an endpoint — no physical plan probes
+        // the middle — instead of rejecting the query.
         let big_mid = Catalog::new()
             .with_table(
                 TableSchema::new(
@@ -374,15 +386,10 @@ mod tests {
             &big_mid,
         )
         .unwrap();
-        let QueryPlan::MultiJoinAggregate { fact, mid, far, .. } = &plan else {
-            panic!("expected a chain join, got {plan:?}");
-        };
         // Cost chooses among the *endpoints* only (fact: 3000 vs far: 12),
         // so the fact endpoint probes; mid stays the middle build no matter
         // how large it is.
-        assert_eq!(fact, "fact");
-        assert_eq!(mid.table, "mid");
-        assert_eq!(far.table, "far");
+        assert_eq!(plan.tables(), ["fact", "mid", "far"]);
     }
 
     #[test]
@@ -406,13 +413,40 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let QueryPlan::JoinGroupByAggregate { fact_key, .. } = &plan else {
-            panic!("expected join-group-by, got {plan:?}");
-        };
+        let probe_keys: Vec<&ScalarExpr> = plan
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                DagOp::HashProbe { key, .. } => Some(key),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            *fact_key,
-            ScalarExpr::col("f_g") * ScalarExpr::lit(4.0) + ScalarExpr::col("f_id")
+            probe_keys,
+            [&(ScalarExpr::col("f_g") * ScalarExpr::lit(4.0) + ScalarExpr::col("f_id"))]
         );
+    }
+
+    /// Regression: a scalar join keeps its one result row whatever the key
+    /// expressions are — no GROUP BY in the text, no grouping in the plan
+    /// (a grouped sink over an empty key list loses the row on empty input).
+    #[test]
+    fn scalar_join_with_computed_keys_has_no_grouping() {
+        let plan = plan(
+            "SELECT COUNT(*) FROM fact JOIN mid ON f_g * 4 + f_id = m_id WHERE f_a >= 1",
+            &catalog(),
+        )
+        .unwrap();
+        let sinks: Vec<_> = plan
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                DagOp::HashAggregate { group_by, .. } => Some(group_by),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sinks, [&None]);
+        assert_eq!(plan.label(), "scan(fact)→filter→probe×1→aggregate");
     }
 
     #[test]
@@ -422,11 +456,8 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let QueryPlan::Dag(dag) = &plan else {
-            panic!("expected a DAG plan, got {plan:?}");
-        };
-        let having: Vec<_> = dag
-            .ops
+        let having: Vec<_> = plan
+            .ops()
             .iter()
             .filter_map(|op| match op {
                 DagOp::Having { predicates, .. } => Some(predicates.clone()),
@@ -458,18 +489,16 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let QueryPlan::Dag(dag) = &plan else {
-            panic!("expected a DAG plan, got {plan:?}");
-        };
         // Scans listed probe side first, then the build side.
         assert_eq!(plan.tables(), ["fact", "mid"]);
         // The finishers run in clause order: having → sort → limit.
-        let n = dag.ops.len();
-        assert!(matches!(&dag.ops[n - 3], DagOp::Having { predicates, .. }
+        let ops = plan.ops();
+        let n = ops.len();
+        assert!(matches!(&ops[n - 3], DagOp::Having { predicates, .. }
             if predicates.len() == 1));
-        assert!(matches!(&dag.ops[n - 2], DagOp::Sort { keys, .. }
+        assert!(matches!(&ops[n - 2], DagOp::Sort { keys, .. }
             if keys.len() == 1 && keys[0].desc && keys[0].slot == RowSlot::Agg(0)));
-        assert!(matches!(&dag.ops[n - 1], DagOp::Limit { rows: 2, .. }));
+        assert!(matches!(&ops[n - 1], DagOp::Limit { rows: 2, .. }));
     }
 
     #[test]
@@ -501,8 +530,8 @@ mod tests {
 
     #[test]
     fn four_relation_chains_lower_onto_an_operator_dag() {
-        // No named shape goes past three relations; the chain lowers onto an
-        // explicit DAG with a build/probe cascade from the far end inward.
+        // The chain lowers onto a build/probe cascade from the far end
+        // inward, however long it is.
         let plan = plan(
             "SELECT SUM(f_a), COUNT(*) FROM fact \
              JOIN mid ON f_mid = m_id JOIN far ON m_far = r_id JOIN deep ON r_deep = d_id \
@@ -510,18 +539,15 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let QueryPlan::Dag(dag) = &plan else {
-            panic!("expected a DAG plan, got {plan:?}");
-        };
         // Probe side first, then the builds walking down the chain.
         assert_eq!(plan.tables(), ["fact", "mid", "far", "deep"]);
-        let builds = dag
-            .ops
+        let builds = plan
+            .ops()
             .iter()
             .filter(|op| matches!(op, DagOp::HashBuild { .. }))
             .count();
-        let probes = dag
-            .ops
+        let probes = plan
+            .ops()
             .iter()
             .filter(|op| matches!(op, DagOp::HashProbe { .. }))
             .count();
@@ -570,10 +596,15 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let QueryPlan::JoinAggregate { dim_filters, .. } = &plan else {
-            panic!("expected a join, got {plan:?}");
-        };
-        assert_eq!(dim_filters, &vec![Predicate::new("m_v", CmpOp::Lt, 50.0)]);
+        let filters: Vec<_> = plan
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                DagOp::Filter { predicates, .. } => Some(predicates.as_slice()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(filters, [&[Predicate::new("m_v", CmpOp::Lt, 50.0)]]);
     }
 
     #[test]
@@ -644,7 +675,7 @@ mod tests {
             &two,
         )
         .unwrap();
-        assert_eq!(ok.label(), "join");
+        assert_eq!(ok.label(), "scan(a)→filter→probe×1→aggregate");
     }
 
     #[test]
@@ -698,7 +729,7 @@ mod tests {
                 "chain",
             ),
             // Both conditions touch the aggregate-bearing relation: the
-            // chain puts it in the middle, which no physical shape probes.
+            // chain puts it in the middle, which no physical plan probes.
             (
                 "SELECT SUM(f_a) FROM fact, mid, far WHERE f_mid = m_id AND f_id = r_id",
                 "middle",
@@ -736,14 +767,15 @@ mod tests {
     #[test]
     fn literal_on_the_left_flips_the_operator() {
         let plan = plan("SELECT SUM(f_a) FROM fact WHERE 10 >= f_a", &catalog()).unwrap();
-        assert_eq!(
-            plan,
-            QueryPlan::Aggregate {
-                table: "fact".into(),
-                filters: vec![Predicate::new("f_a", CmpOp::Le, 10.0)],
-                aggregates: vec![AggExpr::Sum(ScalarExpr::col("f_a"))],
-            }
+        let mut b = DagBuilder::default();
+        let at = pipeline(
+            &mut b,
+            "fact",
+            &[Predicate::new("f_a", CmpOp::Le, 10.0)],
+            None,
         );
+        b.aggregate(at, None, vec![AggExpr::Sum(ScalarExpr::col("f_a"))]);
+        assert_eq!(plan, b.finish().unwrap());
     }
 
     #[test]
@@ -753,9 +785,7 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let QueryPlan::Aggregate { filters, .. } = &plan else {
-            panic!("expected aggregate");
-        };
-        assert_eq!(filters, &vec![Predicate::new("f_a", CmpOp::Lt, 7.0)]);
+        assert!(matches!(&plan.ops()[1], DagOp::Filter { predicates, .. }
+            if predicates == &[Predicate::new("f_a", CmpOp::Lt, 7.0)]));
     }
 }

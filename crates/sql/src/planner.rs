@@ -1,94 +1,131 @@
-//! The planner: bound logical query → physical [`QueryPlan`].
+//! The planner: bound logical query → physical [`QueryPlan`] (an operator
+//! DAG, see `crates/olap/src/dag.rs`), emitted through [`DagBuilder`].
 //!
-//! Every plan executes as an operator DAG (see `crates/olap/src/dag.rs`);
-//! lowering picks the named convenience shape that matches the query when one
-//! exists, and otherwise emits a [`QueryPlan::Dag`] directly:
-//!
-//! | bound query | lowering |
+//! | bound query | plan |
 //! |---|---|
-//! | 1 relation, no `GROUP BY` | [`QueryPlan::Aggregate`] |
-//! | 1 relation, `GROUP BY` | [`QueryPlan::GroupByAggregate`] |
-//! | 2 relations, plain column keys, no `GROUP BY` | [`QueryPlan::JoinAggregate`] |
-//! | 2 relations, `GROUP BY` (or computed keys) | [`QueryPlan::JoinGroupByAggregate`] |
-//! | 3 relations in a chain, no `GROUP BY` | [`QueryPlan::MultiJoinAggregate`] |
-//! | `HAVING`, or ≥4 relations in a chain | [`QueryPlan::Dag`] |
+//! | 1 relation | scan → filter → aggregate |
+//! | n ≥ 2 relations chained into a path | the far end builds first; every interior relation probes the build beyond it and builds for the relation before it; the fact (a path endpoint) probes the whole cascade → aggregate |
+//!
+//! The aggregate is grouped exactly when the query has a `GROUP BY` — a
+//! scalar query yields one row whatever its join keys look like. `HAVING`
+//! conjuncts become a having finisher over the folded group rows, and
+//! `ORDER BY aggregate DESC LIMIT k` a sort + limit pair (the engine's
+//! deterministic top-k); `ORDER BY` on grouping keys is validated and then
+//! dropped — the engine already emits groups in ascending key order.
 //!
 //! **Join order.** The probe (fact) side must be the relation the aggregates
-//! and grouping keys read — the engine folds fact columns only. When that
-//! constraint does not pin a side (`COUNT(*)`-only queries), the catalog
-//! cardinalities decide: probe the largest relation, build the hash table
-//! from the smallest — the classic broadcast-join cost argument. The choice
-//! is *pure cost*: the DAG's hash probe preserves multiplicities (duplicate
-//! build keys contribute every matching tuple), so either probe side returns
-//! the same inner-join answer and no statistic can change a result. (The
-//! retired key-set semijoin needed the planner to pin unique primary keys to
-//! the build side; that workaround is gone with it.)
-//! Chain joins probe an *endpoint* of the path fact → mid → ... → far (the
-//! graph, not the text order, determines the roles).
-//!
-//! `ORDER BY aggregate DESC LIMIT k` lowers to the join-group-by shape's
-//! [`TopK`] (or to sort/limit finishers on the DAG path); `ORDER BY` on
-//! grouping keys is validated and then dropped — the engine already emits
-//! groups in ascending key order. `HAVING` conjuncts become a having
-//! finisher over the folded group rows.
+//! and grouping keys read — the engine folds fact columns only — and a path
+//! *endpoint* (the graph, not the text order, determines the roles). When
+//! that constraint does not pin a side (`COUNT(*)`-only queries), the
+//! catalog cardinalities decide: probe the larger endpoint, build the hash
+//! tables from the rest — the classic broadcast-join cost argument. The
+//! choice is *pure cost*: the hash probe preserves multiplicities (duplicate
+//! build keys contribute every matching tuple, and weights multiply across
+//! the hops), so either probe side returns the same inner-join answer and
+//! no statistic can change a result.
 
 use crate::binder::{BoundOrder, BoundQuery};
 use crate::error::SqlError;
-use htap_olap::{BuildSide, DagBuilder, DagOp, QueryPlan, RowSlot, ScalarExpr, SortKey, TopK};
+use htap_olap::{DagBuilder, DagOp, QueryPlan, RowSlot, ScalarExpr, SortKey};
+
+fn unsupported<T>(what: impl Into<String>, pos: usize) -> Result<T, SqlError> {
+    Err(SqlError::Unsupported {
+        what: what.into(),
+        pos,
+    })
+}
 
 /// Lower a bound query onto a physical plan.
 pub fn lower(bound: &BoundQuery) -> Result<QueryPlan, SqlError> {
-    match bound.tables.len() {
-        1 => lower_single(bound),
-        2 => lower_join(bound),
-        3 => lower_chain(bound),
-        _ => lower_chain_dag(bound),
+    // The relations from the probe side outwards, the `(near, far)` key pair
+    // of every hop between them, and the `(aggregate index, k)` top-k.
+    let (order, hops, top_k) = match bound.tables.len() {
+        1 => {
+            check_single(bound)?;
+            (vec![0], Vec::new(), None)
+        }
+        _ => lower_chain(bound)?,
+    };
+
+    // Far end first: order[i] probes order[i+1]'s build with hops[i]'s near
+    // key and builds for order[i-1] keyed on hops[i-1]'s far key.
+    let mut builder = DagBuilder::default();
+    let mut beyond: Option<usize> = None;
+    let mut at = 0;
+    for (i, &rel) in order.iter().enumerate().rev() {
+        let scan = builder.scan(bound.tables[rel].name.clone());
+        at = builder.filter(scan, &bound.filters[rel]);
+        if let Some(build) = beyond {
+            at = builder.probe(at, build, hops[i].0.clone());
+        }
+        if i > 0 {
+            beyond = Some(builder.build(at, hops[i - 1].1.clone()));
+        }
     }
+    let group_by = (!bound.group_by.is_empty()).then(|| bound.group_by.clone());
+    at = builder.aggregate(at, group_by, bound.aggregates.clone());
+    if !bound.having.is_empty() {
+        at = builder.push(DagOp::Having {
+            input: at,
+            predicates: bound.having.clone(),
+        });
+    }
+    if let Some((agg_index, k)) = top_k {
+        at = builder.push(DagOp::Sort {
+            input: at,
+            keys: vec![SortKey {
+                slot: RowSlot::Agg(agg_index),
+                desc: true,
+            }],
+        });
+        builder.push(DagOp::Limit { input: at, rows: k });
+    }
+    // The binder validated every slot and the loop above emits a tree of
+    // pipelines, so a rejection here is a planner bug — still a typed error.
+    builder.finish().or_else(|e| {
+        unsupported(
+            format!("a query the engine cannot plan ({e})"),
+            bound.tables[0].pos,
+        )
+    })
 }
 
 /// The top-k clause, if the query ordered by an aggregate: requires a LIMIT;
 /// a LIMIT alone (without the ordering) has no physical counterpart.
-fn top_k(bound: &BoundQuery) -> Result<Option<TopK>, SqlError> {
+fn top_k(bound: &BoundQuery) -> Result<Option<(usize, usize)>, SqlError> {
     let agg_order = bound.order_by.iter().find_map(|(o, pos)| match o {
         BoundOrder::Aggregate(i) => Some((*i, *pos)),
         BoundOrder::GroupKey(_) => None,
     });
     match (agg_order, bound.limit) {
-        (Some((agg_index, _)), Some((k, _))) => Ok(Some(TopK {
-            agg_index,
-            k: k as usize,
-        })),
-        (Some((_, pos)), None) => Err(SqlError::Unsupported {
-            what: "ORDER BY an aggregate without a LIMIT (top-k needs a bound)".into(),
+        (Some((agg_index, _)), Some((k, _))) => Ok(Some((agg_index, k as usize))),
+        (Some((_, pos)), None) => unsupported(
+            "ORDER BY an aggregate without a LIMIT (top-k needs a bound)",
             pos,
-        }),
-        (None, Some((_, pos))) => Err(SqlError::Unsupported {
-            what: "LIMIT without ORDER BY <aggregate> DESC (groups cannot be truncated \
-                   order-insensitively)"
-                .into(),
+        ),
+        (None, Some((_, pos))) => unsupported(
+            "LIMIT without ORDER BY <aggregate> DESC (groups cannot be truncated \
+             order-insensitively)",
             pos,
-        }),
+        ),
         (None, None) => Ok(None),
     }
 }
 
-/// Reject top-k / LIMIT on shapes that produce scalars or plain group runs.
+/// Reject top-k / LIMIT on queries that produce scalars or plain group runs.
 fn reject_top_k(bound: &BoundQuery, shape: &str) -> Result<(), SqlError> {
     if let Some((_, pos)) = bound
         .order_by
         .iter()
         .find(|(o, _)| matches!(o, BoundOrder::Aggregate(_)))
     {
-        return Err(SqlError::Unsupported {
-            what: format!("ORDER BY an aggregate on {shape} (top-k needs a join + GROUP BY)"),
-            pos: *pos,
-        });
+        return unsupported(
+            format!("ORDER BY an aggregate on {shape} (top-k needs a join + GROUP BY)"),
+            *pos,
+        );
     }
     if let Some((_, pos)) = bound.limit {
-        return Err(SqlError::Unsupported {
-            what: format!("LIMIT on {shape}"),
-            pos,
-        });
+        return unsupported(format!("LIMIT on {shape}"), pos);
     }
     Ok(())
 }
@@ -98,16 +135,17 @@ fn reject_top_k(bound: &BoundQuery, shape: &str) -> Result<(), SqlError> {
 /// read. `None` means the choice is free (`COUNT(*)`-only) — the caller
 /// decides by cardinality alone.
 fn pinned_fact(bound: &BoundQuery) -> Result<Option<usize>, SqlError> {
+    let agg_pos = bound.agg_pos.first().copied().unwrap_or(0);
     if let Some(t) = bound.group_table {
         if let Some(&other) = bound.agg_tables.iter().find(|&&a| a != t) {
-            return Err(SqlError::Unsupported {
-                what: format!(
+            return unsupported(
+                format!(
                     "aggregates over {} with GROUP BY keys from {} (both must come from the \
                      probe side)",
                     bound.tables[other].name, bound.tables[t].name
                 ),
-                pos: bound.agg_pos.first().copied().unwrap_or(0),
-            });
+                agg_pos,
+            );
         }
         return Ok(Some(t));
     }
@@ -115,408 +153,148 @@ fn pinned_fact(bound: &BoundQuery) -> Result<Option<usize>, SqlError> {
     match (agg_tables.next(), agg_tables.next()) {
         (None, _) => Ok(None),
         (Some(&t), None) => Ok(Some(t)),
-        _ => Err(SqlError::Unsupported {
-            what: "aggregates over columns of more than one relation".into(),
-            pos: bound.agg_pos.first().copied().unwrap_or(0),
-        }),
+        _ => unsupported("aggregates over columns of more than one relation", agg_pos),
     }
 }
 
-/// Pick the probe side of a free (`COUNT(*)`-only) two-sided join: probe the
-/// larger relation, build the hash table from the smaller.
-///
-/// This is a *pure cost* choice. The hash probe preserves multiplicities
-/// (duplicate build keys contribute every matching tuple), so both probe
-/// orders return the same inner-join answer — a catalog statistic can only
-/// change the plan's cost, never a result.
-fn free_probe_side(bound: &BoundQuery, a: usize, b: usize) -> usize {
-    if bound.tables[a].rows >= bound.tables[b].rows {
-        a
-    } else {
-        b
-    }
-}
-
-/// Append the having / sort / limit finishers to a DAG under construction
-/// and return the new sink operator.
-fn push_finishers(
-    builder: &mut DagBuilder,
-    mut at: usize,
-    bound: &BoundQuery,
-    top_k: Option<TopK>,
-) -> usize {
-    if !bound.having.is_empty() {
-        at = builder.push(DagOp::Having {
-            input: at,
-            predicates: bound.having.clone(),
-        });
-    }
-    if let Some(tk) = top_k {
-        at = builder.push(DagOp::Sort {
-            input: at,
-            keys: vec![SortKey {
-                slot: RowSlot::Agg(tk.agg_index),
-                desc: true,
-            }],
-        });
-        at = builder.push(DagOp::Limit {
-            input: at,
-            rows: tk.k,
-        });
-    }
-    at
-}
-
-fn lower_single(bound: &BoundQuery) -> Result<QueryPlan, SqlError> {
-    let table = bound.tables[0].name.clone();
-    let filters = bound.filters[0].clone();
-    if !bound.joins.is_empty() {
+/// One relation: no joins, and no top-k (there is nothing to bound).
+fn check_single(bound: &BoundQuery) -> Result<(), SqlError> {
+    if let Some(join) = bound.joins.first() {
         // bind_cmp already rejects same-table column comparisons, so a join
         // over one relation cannot reach here; keep the guard typed anyway.
-        return Err(SqlError::Unsupported {
-            what: "a join condition over a single relation".into(),
-            pos: bound.joins[0].pos,
-        });
+        return unsupported("a join condition over a single relation", join.pos);
     }
-    if bound.group_by.is_empty() {
-        reject_top_k(bound, "a scalar aggregate")?;
-        Ok(QueryPlan::Aggregate {
-            table,
-            filters,
-            aggregates: bound.aggregates.clone(),
-        })
+    let shape = if bound.group_by.is_empty() {
+        "a scalar aggregate"
     } else {
-        reject_top_k(bound, "a single-relation GROUP BY")?;
-        if !bound.having.is_empty() {
-            let mut builder = DagBuilder::default();
-            let scan = builder.scan(table);
-            let filtered = builder.filter(scan, &filters);
-            let agg = builder.aggregate(
-                filtered,
-                Some(bound.group_by.clone()),
-                bound.aggregates.clone(),
-            );
-            push_finishers(&mut builder, agg, bound, None);
-            return Ok(QueryPlan::Dag(builder.finish()));
-        }
-        Ok(QueryPlan::GroupByAggregate {
-            table,
-            filters,
-            group_by: bound.group_by.clone(),
-            aggregates: bound.aggregates.clone(),
-        })
-    }
+        "a single-relation GROUP BY"
+    };
+    reject_top_k(bound, shape)
 }
 
-fn lower_join(bound: &BoundQuery) -> Result<QueryPlan, SqlError> {
-    let join = match bound.joins.len() {
-        0 => {
-            return Err(SqlError::Unsupported {
-                what: "a cross join (two relations need an equi-join condition)".into(),
-                pos: bound.tables[1].pos,
-            })
-        }
-        1 => &bound.joins[0],
-        _ => {
-            return Err(SqlError::Unsupported {
-                what: "more than one join condition between two relations".into(),
-                pos: bound.joins[1].pos,
-            })
-        }
-    };
-    let fact = match pinned_fact(bound)? {
-        Some(f) => f,
-        None => free_probe_side(bound, join.left, join.right),
-    };
-    let dim = 1 - fact;
-    let (fact_key, dim_key) = if join.left == fact {
-        (join.left_key.clone(), join.right_key.clone())
-    } else {
-        (join.right_key.clone(), join.left_key.clone())
-    };
+/// The walk of a join chain: relations from the fact outwards, the
+/// `(near, far)` key pair per hop, and the top-k.
+type Chain = (
+    Vec<usize>,
+    Vec<(ScalarExpr, ScalarExpr)>,
+    Option<(usize, usize)>,
+);
 
-    if bound.group_by.is_empty() {
-        // Plain column keys on both sides take the scalar join shape (exact
-        // i64 key path); computed keys fall through to the join-group-by
-        // pipeline with an empty grouping key — one global group.
-        if let (ScalarExpr::Col(f), ScalarExpr::Col(d)) = (&fact_key, &dim_key) {
-            reject_top_k(bound, "a scalar join aggregate")?;
-            return Ok(QueryPlan::JoinAggregate {
-                fact: bound.tables[fact].name.clone(),
-                dim: bound.tables[dim].name.clone(),
-                fact_key: f.clone(),
-                dim_key: d.clone(),
-                fact_filters: bound.filters[fact].clone(),
-                dim_filters: bound.filters[dim].clone(),
-                aggregates: bound.aggregates.clone(),
-            });
-        }
-        reject_top_k(bound, "a scalar join aggregate")?;
-    }
-    let top_k = top_k(bound)?;
-    if !bound.having.is_empty() {
-        // HAVING has no slot in the named shape — lower the whole query onto
-        // an explicit DAG: build from the dim, probe from the fact, fold,
-        // then run the having / top-k finishers over the group rows.
-        let mut builder = DagBuilder::default();
-        let dim_scan = builder.scan(bound.tables[dim].name.clone());
-        let dim_filtered = builder.filter(dim_scan, &bound.filters[dim]);
-        let build = builder.build(dim_filtered, dim_key);
-        let fact_scan = builder.scan(bound.tables[fact].name.clone());
-        let fact_filtered = builder.filter(fact_scan, &bound.filters[fact]);
-        let probed = builder.probe(fact_filtered, build, fact_key);
-        let group_by = (!bound.group_by.is_empty()).then(|| bound.group_by.clone());
-        let agg = builder.aggregate(probed, group_by, bound.aggregates.clone());
-        push_finishers(&mut builder, agg, bound, top_k);
-        return Ok(QueryPlan::Dag(builder.finish()));
-    }
-    Ok(QueryPlan::JoinGroupByAggregate {
-        fact: bound.tables[fact].name.clone(),
-        fact_key,
-        fact_filters: bound.filters[fact].clone(),
-        dim: BuildSide::new(
-            bound.tables[dim].name.clone(),
-            dim_key,
-            bound.filters[dim].clone(),
-        ),
-        group_by: bound.group_by.clone(),
-        aggregates: bound.aggregates.clone(),
-        top_k,
-    })
-}
-
-fn lower_chain(bound: &BoundQuery) -> Result<QueryPlan, SqlError> {
-    if !bound.group_by.is_empty() {
-        return Err(SqlError::Unsupported {
-            what: "GROUP BY over a three-relation join (no physical shape)".into(),
-            pos: bound.group_pos,
-        });
-    }
-    reject_top_k(bound, "a three-relation join")?;
-    if bound.joins.len() != 2 {
-        return Err(SqlError::Unsupported {
-            what: format!(
-                "{} join condition(s) over three relations (a chain needs exactly two)",
-                bound.joins.len()
-            ),
-            pos: bound.joins.last().map_or(bound.tables[2].pos, |j| j.pos),
-        });
-    }
-    // Two equi-joins over three relations always form a path (a "star"
-    // around X is the same path with X in the middle) unless both
-    // conditions join the same pair. The probe side must be a path
-    // *endpoint* — the engine probes the fact against the mid build, so no
-    // physical shape probes the middle relation.
-    let appearances: Vec<usize> = (0..3)
-        .map(|i| {
-            bound
-                .joins
-                .iter()
-                .filter(|j| j.left == i || j.right == i)
-                .count()
-        })
-        .collect();
-    let endpoints: Vec<usize> = (0..3).filter(|&i| appearances[i] == 1).collect();
-    if endpoints.len() != 2 {
-        return Err(SqlError::Unsupported {
-            what: "join conditions that do not chain the three relations (one relation is \
-                   never joined)"
-                .into(),
-            pos: bound.joins[1].pos,
-        });
-    }
-    let fact = match pinned_fact(bound)? {
-        Some(f) => {
-            if appearances[f] != 1 {
-                return Err(SqlError::Unsupported {
-                    what: format!(
-                        "aggregates over the middle relation {} of the join chain (the probe \
-                         side must be a chain endpoint)",
-                        bound.tables[f].name
-                    ),
-                    pos: bound.agg_pos.first().copied().unwrap_or(bound.group_pos),
-                });
-            }
-            f
-        }
-        None => free_probe_side(bound, endpoints[0], endpoints[1]),
-    };
-
-    // The chain fact → mid → far: the fact appears in exactly one condition.
-    let fact_joins: Vec<usize> = (0..2)
-        .filter(|&i| bound.joins[i].left == fact || bound.joins[i].right == fact)
-        .collect();
-    let fm = &bound.joins[fact_joins[0]];
-    let mf = &bound.joins[1 - fact_joins[0]];
-    let (fact_key, mid, mid_key) = if fm.left == fact {
-        (fm.left_key.clone(), fm.right, fm.right_key.clone())
-    } else {
-        (fm.right_key.clone(), fm.left, fm.left_key.clone())
-    };
-    let (mid_fk, far, far_key) = if mf.left == mid {
-        (mf.left_key.clone(), mf.right, mf.right_key.clone())
-    } else if mf.right == mid {
-        (mf.right_key.clone(), mf.left, mf.left_key.clone())
-    } else {
-        return Err(SqlError::Unsupported {
-            what: "a disconnected join graph (the second condition must join the middle \
-                   relation)"
-                .into(),
-            pos: mf.pos,
-        });
-    };
-    if far == fact {
-        return Err(SqlError::Unsupported {
-            what: "a cyclic join graph".into(),
-            pos: mf.pos,
-        });
-    }
-    Ok(QueryPlan::MultiJoinAggregate {
-        fact: bound.tables[fact].name.clone(),
-        fact_key,
-        fact_filters: bound.filters[fact].clone(),
-        mid: BuildSide::new(
-            bound.tables[mid].name.clone(),
-            mid_key,
-            bound.filters[mid].clone(),
-        ),
-        mid_fk,
-        far: BuildSide::new(
-            bound.tables[far].name.clone(),
-            far_key,
-            bound.filters[far].clone(),
-        ),
-        aggregates: bound.aggregates.clone(),
-    })
-}
-
-/// Lower a join over four or more relations. There is no named shape at this
-/// width; the relations must chain into a path, which lowers directly onto a
-/// [`QueryPlan::Dag`]: the far end builds first, every interior relation
-/// probes the build beyond it and builds for the relation before it, and the
-/// fact (a path endpoint, like the three-relation shape) probes the whole
-/// cascade. Join weights multiply across the hops, so duplicate keys on any
-/// build side still contribute every matching tuple.
-fn lower_chain_dag(bound: &BoundQuery) -> Result<QueryPlan, SqlError> {
+/// Two or more relations: the equi-join conditions must chain them into a
+/// path, and the fact must be one of its endpoints.
+fn lower_chain(bound: &BoundQuery) -> Result<Chain, SqlError> {
     let n = bound.tables.len();
-    if bound.joins.len() != n - 1 {
-        return Err(SqlError::Unsupported {
-            what: format!(
-                "{} join condition(s) over {n} relations (a chain needs exactly {})",
-                bound.joins.len(),
-                n - 1
-            ),
-            pos: bound
-                .joins
-                .last()
-                .map_or(bound.tables[n - 1].pos, |j| j.pos),
-        });
+    let joins = &bound.joins;
+    if n == 3 && !bound.group_by.is_empty() {
+        return unsupported(
+            "GROUP BY over a three-relation join (no physical shape)",
+            bound.group_pos,
+        );
     }
+    if joins.len() != n - 1 {
+        let pos = joins.last().map_or(bound.tables[n - 1].pos, |j| j.pos);
+        let word = |k: usize| match k {
+            2 => "two".to_string(),
+            3 => "three".to_string(),
+            k => k.to_string(),
+        };
+        return match (n, joins.len()) {
+            (2, 0) => unsupported(
+                "a cross join (two relations need an equi-join condition)",
+                pos,
+            ),
+            (2, _) => unsupported(
+                "more than one join condition between two relations",
+                joins[1].pos,
+            ),
+            _ => unsupported(
+                format!(
+                    "{} join condition(s) over {} relations (a chain needs exactly {})",
+                    joins.len(),
+                    word(n),
+                    word(n - 1)
+                ),
+                pos,
+            ),
+        };
+    }
+    // n - 1 equi-joins over n relations form a path exactly when two
+    // relations appear once (the endpoints) and none more than twice — and
+    // the walk below reaches them all.
     let appearances: Vec<usize> = (0..n)
-        .map(|i| {
-            bound
-                .joins
-                .iter()
-                .filter(|j| j.left == i || j.right == i)
-                .count()
-        })
+        .map(|i| joins.iter().filter(|j| j.left == i || j.right == i).count())
         .collect();
     let endpoints: Vec<usize> = (0..n).filter(|&i| appearances[i] == 1).collect();
     if endpoints.len() != 2 || appearances.iter().any(|&c| c > 2) {
-        return Err(SqlError::Unsupported {
-            what: format!("join conditions that do not chain the {n} relations into a path"),
-            pos: bound.joins[bound.joins.len() - 1].pos,
-        });
+        let how = if n == 3 {
+            "the three relations (one relation is never joined)".to_string()
+        } else {
+            format!("the {n} relations into a path")
+        };
+        return unsupported(
+            format!("join conditions that do not chain {how}"),
+            joins[n - 2].pos,
+        );
     }
     let fact = match pinned_fact(bound)? {
-        Some(f) => {
-            if appearances[f] != 1 {
-                return Err(SqlError::Unsupported {
-                    what: format!(
-                        "aggregates over the middle relation {} of the join chain (the probe \
-                         side must be a chain endpoint)",
-                        bound.tables[f].name
-                    ),
-                    pos: bound.agg_pos.first().copied().unwrap_or(bound.group_pos),
-                });
-            }
-            f
+        // No physical plan probes the middle of the chain.
+        Some(f) if appearances[f] != 1 => {
+            return unsupported(
+                format!(
+                    "aggregates over the middle relation {} of the join chain (the probe side \
+                     must be a chain endpoint)",
+                    bound.tables[f].name
+                ),
+                bound.agg_pos.first().copied().unwrap_or(bound.group_pos),
+            )
         }
-        None => free_probe_side(bound, endpoints[0], endpoints[1]),
+        Some(f) => f,
+        // A free choice is pure cost: probe the larger endpoint.
+        None if bound.tables[endpoints[0]].rows >= bound.tables[endpoints[1]].rows => endpoints[0],
+        None => endpoints[1],
     };
     let top_k = if bound.group_by.is_empty() {
-        reject_top_k(bound, "a scalar chain aggregate")?;
+        let shape = match n {
+            2 => "a scalar join aggregate",
+            3 => "a three-relation join",
+            _ => "a scalar chain aggregate",
+        };
+        reject_top_k(bound, shape)?;
         None
     } else {
         top_k(bound)?
     };
 
-    // Walk the path from the fact, recording the visit order and, per hop,
-    // the (near-side, far-side) key pair.
     let mut order = vec![fact];
     let mut hops: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
-    let mut used = vec![false; bound.joins.len()];
+    let mut used = vec![false; joins.len()];
     while order.len() < n {
         let end = order[order.len() - 1];
-        let next_join = (0..bound.joins.len())
-            .find(|&j| !used[j] && (bound.joins[j].left == end || bound.joins[j].right == end));
+        let next_join =
+            (0..joins.len()).find(|&j| !used[j] && (joins[j].left == end || joins[j].right == end));
         let Some(j) = next_join else {
             // Degree constraints hold but the graph still splits (e.g. a
             // two-relation path plus a disjoint cycle of the rest).
-            let pos = bound
-                .joins
-                .iter()
-                .zip(&used)
-                .find(|(_, &u)| !u)
-                .map_or(bound.tables[0].pos, |(join, _)| join.pos);
-            return Err(SqlError::Unsupported {
-                what: "a disconnected join graph (the conditions must chain every relation)".into(),
+            let pos = (0..joins.len())
+                .find(|&j| !used[j])
+                .map_or(bound.tables[0].pos, |j| joins[j].pos);
+            return unsupported(
+                "a disconnected join graph (the conditions must chain every relation)",
                 pos,
-            });
+            );
         };
         used[j] = true;
-        let join = &bound.joins[j];
+        let join = &joins[j];
         let (next, near_key, far_key) = if join.left == end {
             (join.right, join.left_key.clone(), join.right_key.clone())
         } else {
             (join.left, join.right_key.clone(), join.left_key.clone())
         };
         if order.contains(&next) {
-            return Err(SqlError::Unsupported {
-                what: "a cyclic join graph".into(),
-                pos: join.pos,
-            });
+            return unsupported("a cyclic join graph", join.pos);
         }
         order.push(next);
         hops.push((near_key, far_key));
     }
-
-    // Far end first: order[i] probes order[i+1]'s build with hops[i]'s near
-    // key and builds for order[i-1] keyed on hops[i-1]'s far key.
-    let mut builder = DagBuilder::default();
-    let mut prev_build: Option<usize> = None;
-    for i in (1..n).rev() {
-        let rel = order[i];
-        let scan = builder.scan(bound.tables[rel].name.clone());
-        let mut pipe = builder.filter(scan, &bound.filters[rel]);
-        if let Some(beyond) = prev_build {
-            pipe = builder.probe(pipe, beyond, hops[i].0.clone());
-        }
-        prev_build = Some(builder.build(pipe, hops[i - 1].1.clone()));
-    }
-    let Some(first_build) = prev_build else {
-        // Unreachable for n >= 4 (the loop above always runs); typed error
-        // rather than a query-path panic.
-        return Err(SqlError::Unsupported {
-            what: "an empty join chain".into(),
-            pos: bound.tables[0].pos,
-        });
-    };
-    let scan = builder.scan(bound.tables[fact].name.clone());
-    let filtered = builder.filter(scan, &bound.filters[fact]);
-    let probed = builder.probe(filtered, first_build, hops[0].0.clone());
-    let group_by = (!bound.group_by.is_empty()).then(|| bound.group_by.clone());
-    let agg = builder.aggregate(probed, group_by, bound.aggregates.clone());
-    push_finishers(&mut builder, agg, bound, top_k);
-    Ok(QueryPlan::Dag(builder.finish()))
+    Ok((order, hops, top_k))
 }

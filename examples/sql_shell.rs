@@ -1,9 +1,9 @@
 //! SQL shell: the zero-to-aha demo of the SQL frontend.
 //!
 //! Builds a small CH-benCHmark HTAP system, ingests a transactional queue,
-//! then compiles and runs ad-hoc SQL — printing the bound physical plan
-//! shape, the result rows and the `WorkProfile` the vectorized morsel engine
-//! measured. Frontend errors are rendered with a caret pointing at the
+//! then compiles and runs ad-hoc SQL — printing the physical plan's one-line
+//! summary, the result rows and the `WorkProfile` the vectorized morsel
+//! engine measured. Frontend errors are rendered with a caret pointing at the
 //! offending token.
 //!
 //! Run one-shot queries from the command line:

@@ -19,10 +19,13 @@
 //! This file is its own integration-test binary so the counting global
 //! allocator cannot interfere with other tests, and the measured queries run
 //! on the inline solo worker so no thread-spawn allocations pollute the
-//! count.
+//! count. The counter is process-global (it must see worker threads too),
+//! and the test harness runs this file's tests on parallel threads — so
+//! every test does all of its work, set-up included, inside one
+//! measurement window at a time ([`window`]).
 
 use adaptive_htap::olap::{
-    AggExpr, BuildSide, CmpOp, Predicate, QueryExecutor, QueryPlan, ScalarExpr, ScanSource,
+    AggExpr, CmpOp, DagBuilder, Predicate, QueryExecutor, QueryPlan, ScalarExpr, ScanSource,
 };
 use adaptive_htap::sim::SocketId;
 use adaptive_htap::storage::{
@@ -31,7 +34,7 @@ use adaptive_htap::storage::{
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -75,7 +78,7 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-fn orderline_sources(n: u64) -> BTreeMap<String, ScanSource> {
+fn orderline_sources(n: u64) -> Sources {
     let schema = TableSchema::new(
         "orderline",
         vec![
@@ -107,7 +110,7 @@ fn orderline_sources(n: u64) -> BTreeMap<String, ScanSource> {
 /// (21 rows over 7 values, multiplicity 3): probing it takes the engine's
 /// *weighted* (multiplicity-tracking) path rather than the exact unique-key
 /// path.
-fn join_sources(n: u64) -> BTreeMap<String, ScanSource> {
+fn join_sources(n: u64) -> Sources {
     let mut m = orderline_sources(n);
     let schema = TableSchema::new(
         "item",
@@ -130,36 +133,73 @@ fn join_sources(n: u64) -> BTreeMap<String, ScanSource> {
     m
 }
 
-/// Allocations of one solo execution of `plan` over `sources`.
-fn allocs_for(plan: &QueryPlan, sources: &BTreeMap<String, ScanSource>) -> u64 {
-    let executor = QueryExecutor::with_block_rows(1024);
-    // One throwaway run so lazily-initialised process state (thread-local
-    // formatting buffers and the like) cannot skew the measurement.
-    executor.execute(plan, sources).unwrap();
-    let before = allocations();
-    executor.execute(plan, sources).unwrap();
-    allocations() - before
+/// One measurement window at a time: another test allocating — even just
+/// building its plan or its sources — while this one measures would be
+/// counted here. Every test holds the window from its first line.
+static WINDOW: Mutex<()> = Mutex::new(());
+
+fn window() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock but leaves nothing to protect.
+    WINDOW.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The Q6 shape (scan → filter → reduce): processing 4x the morsels must
+type Sources = BTreeMap<String, ScanSource>;
+
+/// Allocations of one solo execution of `plan` over 16 and over 64 morsels
+/// of 1024 rows (`sources(rows)` builds the access paths).
+fn allocs_at_16_and_64_morsels(plan: &QueryPlan, sources: fn(u64) -> Sources) -> (u64, u64) {
+    let executor = QueryExecutor::with_block_rows(1024);
+    let measure = |morsels: u64| {
+        let sources = sources(morsels * 1024);
+        // One throwaway run so lazily-initialised process state (thread-local
+        // formatting buffers and the like) cannot skew the measurement.
+        executor.execute(plan, &sources).unwrap();
+        let before = allocations();
+        executor.execute(plan, &sources).unwrap();
+        allocations() - before
+    };
+    (measure(16), measure(64))
+}
+
+/// scan(orderline) → filter → [probe item on `ol_i_id = i_ref`] → sink.
+fn orderline_plan(
+    filters: &[Predicate],
+    join_item: bool,
+    group_by: Option<&[&str]>,
+    aggregates: Vec<AggExpr>,
+) -> QueryPlan {
+    let mut b = DagBuilder::default();
+    let build = join_item.then(|| {
+        let item = b.scan("item");
+        b.build(item, ScalarExpr::col("i_ref"))
+    });
+    let scan = b.scan("orderline");
+    let mut at = b.filter(scan, filters);
+    if let Some(build) = build {
+        at = b.probe(at, build, ScalarExpr::col("ol_i_id"));
+    }
+    let group_by = group_by.map(|g| g.iter().map(|c| c.to_string()).collect());
+    b.aggregate(at, group_by, aggregates);
+    b.finish().unwrap()
+}
+
+/// The Q6 plan (scan → filter → reduce): processing 4x the morsels must
 /// cost (almost) no additional allocations — the morsel loop reuses the
 /// worker scratch and writes partials into capacity-reserved arenas.
 #[test]
 fn scalar_aggregate_morsel_loop_does_not_allocate() {
-    let plan = QueryPlan::Aggregate {
-        table: "orderline".into(),
-        filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
-        aggregates: vec![
+    let _window = window();
+    let plan = orderline_plan(
+        &[Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
+        false,
+        None,
+        vec![
             AggExpr::Sum(ScalarExpr::col("ol_amount") * ScalarExpr::col("ol_quantity")),
             AggExpr::Avg(ScalarExpr::col("ol_amount")),
             AggExpr::Count,
         ],
-    };
-    // 16 morsels of 1024 rows vs 64 morsels of 1024 rows.
-    let small_sources = orderline_sources(16 * 1024);
-    let large_sources = orderline_sources(64 * 1024);
-    let small = allocs_for(&plan, &small_sources);
-    let large = allocs_for(&plan, &large_sources);
+    );
+    let (small, large) = allocs_at_16_and_64_morsels(&plan, orderline_sources);
     let delta = large.saturating_sub(small);
     assert!(
         delta <= 16,
@@ -168,26 +208,24 @@ fn scalar_aggregate_morsel_loop_does_not_allocate() {
     );
 }
 
-/// The Q1 shape (scan → filter → group-by): group partials are real output
+/// The Q1 plan (scan → filter → group-by): group partials are real output
 /// data (keys and states per morsel), but the per-morsel cost must stay a
 /// handful of amortised arena growths — far below one allocation per
 /// morsel-group, and independent of the rows per morsel.
 #[test]
 fn group_by_morsel_loop_allocations_stay_amortised() {
-    let plan = QueryPlan::GroupByAggregate {
-        table: "orderline".into(),
-        filters: vec![Predicate::new("ol_amount", CmpOp::Ge, 10.0)],
-        group_by: vec!["ol_quantity".into(), "ol_i_id".into()],
-        aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-    };
-    let small_sources = orderline_sources(16 * 1024);
-    let large_sources = orderline_sources(64 * 1024);
-    let small = allocs_for(&plan, &small_sources);
-    let large = allocs_for(&plan, &large_sources);
+    let _window = window();
+    let plan = orderline_plan(
+        &[Predicate::new("ol_amount", CmpOp::Ge, 10.0)],
+        false,
+        Some(&["ol_quantity", "ol_i_id"]),
+        vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
+    );
+    let (small, large) = allocs_at_16_and_64_morsels(&plan, orderline_sources);
     let delta = large.saturating_sub(small);
-    // 48 extra morsels x 70 groups each would be ~3400 BTreeMap/Vec
-    // allocations in the pre-vectorization engine; the arena path needs a
-    // few amortised doublings plus the final merge's per-group keys.
+    // 48 extra morsels x 70 groups each would be ~3400 allocations with a
+    // map per morsel; the arena path needs a few amortised doublings plus
+    // the final merge's per-group keys.
     assert!(
         delta <= 256,
         "group-by arenas must amortise: {small} allocs at 16 morsels, {large} at 64 \
@@ -195,43 +233,35 @@ fn group_by_morsel_loop_allocations_stay_amortised() {
     );
 }
 
-/// The DAG-lowered weighted probe (duplicate build keys, so every surviving
-/// row carries a join multiplicity): the per-hop survivor selection vectors
-/// and weight buffers are taken from and restored into the worker scratch,
-/// so 4x the morsels must still cost (almost) no extra allocations — for
-/// the scalar weighted fold and the weighted group-and-fold alike.
+/// The weighted probe (duplicate build keys, so every surviving row carries
+/// a join multiplicity): the per-hop survivor selection vectors and weight
+/// buffers are taken from and restored into the worker scratch, so 4x the
+/// morsels must still cost (almost) no extra allocations — for the scalar
+/// weighted fold and the weighted group-and-fold alike.
 #[test]
 fn weighted_probe_morsel_loop_does_not_allocate() {
-    let scalar = QueryPlan::JoinAggregate {
-        fact: "orderline".into(),
-        dim: "item".into(),
-        fact_key: "ol_i_id".into(),
-        dim_key: "i_ref".into(),
-        fact_filters: vec![Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
-        dim_filters: vec![],
-        aggregates: vec![
+    let _window = window();
+    let scalar = orderline_plan(
+        &[Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
+        true,
+        None,
+        vec![
             AggExpr::Sum(ScalarExpr::col("ol_amount")),
             AggExpr::Avg(ScalarExpr::col("ol_amount")),
             AggExpr::Count,
         ],
-    };
-    let grouped = QueryPlan::JoinGroupByAggregate {
-        fact: "orderline".into(),
-        fact_key: ScalarExpr::col("ol_i_id"),
-        fact_filters: vec![],
-        dim: BuildSide::new("item", ScalarExpr::col("i_ref"), vec![]),
-        group_by: vec!["ol_quantity".into()],
-        aggregates: vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-        top_k: None,
-    };
-    let small_sources = join_sources(16 * 1024);
-    let large_sources = join_sources(64 * 1024);
+    );
+    let grouped = orderline_plan(
+        &[],
+        true,
+        Some(&["ol_quantity"]),
+        vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
+    );
     for (plan, budget, what) in [
         (&scalar, 16u64, "scalar weighted join"),
         (&grouped, 256, "weighted join group-by"),
     ] {
-        let small = allocs_for(plan, &small_sources);
-        let large = allocs_for(plan, &large_sources);
+        let (small, large) = allocs_at_16_and_64_morsels(plan, join_sources);
         let delta = large.saturating_sub(small);
         assert!(
             delta <= budget,

@@ -78,7 +78,7 @@ fn adhoc_sql_executes_against_live_ingest() {
                WHERE ol_quantity >= 1 GROUP BY ol_number ORDER BY ol_number";
     let report = system.execute_sql(sql).expect("ad-hoc SQL executes");
     assert_eq!(report.sql.as_deref(), Some(sql));
-    assert_eq!(report.query, "sql-group-by");
+    assert_eq!(report.query, "sql-scan(orderline)→filter→group-by");
     assert!((0.0..=1.0).contains(&report.freshness_rate));
     assert!(report.result_rows >= 1);
     assert!(report.bytes_scanned > 0);
@@ -91,7 +91,7 @@ fn adhoc_sql_executes_against_live_ingest() {
     let join_sql = "SELECT SUM(ol_amount) FROM orderline JOIN item ON ol_i_id = i_id \
                     WHERE i_price >= 1";
     let join_report = system.execute_sql(join_sql).expect("ad-hoc join executes");
-    assert_eq!(join_report.query, "sql-join");
+    assert_eq!(join_report.query, "sql-scan(orderline)→probe×1→aggregate");
     assert!((0.0..=1.0).contains(&join_report.freshness_rate));
     let pool = system.stop_oltp_ingest();
     assert!(pool.committed() >= 20);

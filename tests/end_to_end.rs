@@ -51,8 +51,8 @@ fn all_schedules_agree_on_query_answers() {
     for schedule in schedules {
         system.set_schedule(schedule);
         for (plan, sink) in [
-            (QueryId::Q6.plan(), &mut q6_answers),
-            (QueryId::Q19.plan(), &mut q19_answers),
+            (QueryId::Q6.plan().unwrap(), &mut q6_answers),
+            (QueryId::Q19.plan().unwrap(), &mut q19_answers),
         ] {
             let scheduled = system.with_scheduler(|s| s.schedule_query(&plan, false));
             let exec = system
@@ -77,7 +77,7 @@ fn all_schedules_agree_on_query_answers() {
 fn group_by_results_match_between_olap_local_and_oltp_snapshot_paths() {
     let system = tiny_system_with_schedule(Schedule::Static(SystemState::S2Isolated));
     system.run_oltp(8);
-    let plan = QueryId::Q1.plan();
+    let plan = QueryId::Q1.plan().unwrap();
 
     // S2: OLAP-local after ETL.
     let local = system.with_scheduler(|s| s.schedule_query(&plan, false));

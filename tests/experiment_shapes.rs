@@ -4,7 +4,7 @@
 //! who wins, what amortises, what interferes — must hold.
 
 use adaptive_htap::baselines::{CowBaseline, EtlBaseline};
-use adaptive_htap::chbench::{ch_q1, ch_q6, ChConfig, ChGenerator, TransactionDriver};
+use adaptive_htap::chbench::{ChConfig, ChGenerator, TransactionDriver};
 use adaptive_htap::core::{run_mixed_workload, MixedWorkload, SchedulerPolicy};
 use adaptive_htap::rde::{AccessMethod, RdeConfig, RdeEngine};
 use adaptive_htap::sim::SocketId;
@@ -26,12 +26,12 @@ fn figure1_shape_etl_amortises_and_cow_taxes_oltp() {
     let cow = CowBaseline::default();
 
     // Settle the initial load.
-    etl.run_snapshot(&rde, &ch_q6(), 1);
+    etl.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 1);
 
     driver.run_new_orders(rde.oltp(), 0, 30, 1);
-    let etl_single = etl.run_snapshot(&rde, &ch_q6(), 1);
+    let etl_single = etl.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 1);
     driver.run_new_orders(rde.oltp(), 0, 30, 2);
-    let etl_batch = etl.run_snapshot(&rde, &ch_q6(), 16);
+    let etl_batch = etl.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 16);
     assert!(
         etl_batch.avg_query_time() < etl_single.avg_query_time(),
         "ETL cost must amortise with batch size: {} vs {}",
@@ -40,7 +40,7 @@ fn figure1_shape_etl_amortises_and_cow_taxes_oltp() {
     );
 
     let txns = driver.run_new_orders(rde.oltp(), 0, 30, 3);
-    let cow_point = cow.run_snapshot(&rde, &ch_q6(), 16, txns);
+    let cow_point = cow.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 16, txns);
     assert_eq!(
         cow_point.data_transfer_time, 0.0,
         "CoW takes instant snapshots"
@@ -115,7 +115,7 @@ fn figure4_shape_split_access_beats_full_remote_until_fresh_data_grows() {
     rde.switch_and_sync();
     rde.etl_to_olap();
 
-    let q1 = ch_q1();
+    let q1 = QueryId::Q1.plan().unwrap();
     let tables: Vec<&str> = q1.tables();
 
     let mut previous_gap = f64::INFINITY;

@@ -3,7 +3,7 @@
 //! bit-for-bit identical results whatever the elastic core grant, and the
 //! grant must be visible as the executor's parallelism.
 
-use adaptive_htap::chbench::{ch_q1, ch_q19, ch_q6, ChConfig, ChGenerator};
+use adaptive_htap::chbench::{ChConfig, ChGenerator, QueryId};
 use adaptive_htap::olap::{QueryExecutor, WorkerTeam};
 use adaptive_htap::rde::{AccessMethod, RdeConfig, RdeEngine};
 use adaptive_htap::sim::{CoreId, CpuSet, SocketId, Topology};
@@ -20,7 +20,8 @@ fn populated_rde() -> RdeEngine {
 fn ch_queries_are_deterministic_across_worker_grants() {
     let rde = populated_rde();
     let executor = QueryExecutor::with_block_rows(512);
-    for plan in [ch_q6(), ch_q1(), ch_q19()] {
+    for query in [QueryId::Q6, QueryId::Q1, QueryId::Q19] {
+        let plan = query.plan().unwrap();
         let sources = rde.sources_for(&plan.tables(), AccessMethod::OltpSnapshot);
         let solo = executor
             .execute_parallel(&plan, &sources, &WorkerTeam::solo())
@@ -55,7 +56,7 @@ fn elastic_grants_resize_the_engines_worker_team() {
     assert_eq!(team.cores(), &[CoreId(14), CoreId(15)]);
 
     // Queries still answer identically under the shrunken grant.
-    let plan = ch_q6();
+    let plan = QueryId::Q6.plan().unwrap();
     let sources = rde.sources_for(&plan.tables(), AccessMethod::OltpSnapshot);
     let shrunk = rde.olap().run_query(&plan, &sources, None).unwrap();
     rde.olap().set_workers(CpuSet::socket(&topo, SocketId(1)));
@@ -76,7 +77,7 @@ fn system_facade_exposes_the_olap_worker_count() {
 fn work_profiles_sum_identically_across_worker_counts() {
     let rde = populated_rde();
     let executor = QueryExecutor::with_block_rows(256);
-    let plan = ch_q1();
+    let plan = QueryId::Q1.plan().unwrap();
     let sources = rde.sources_for(&plan.tables(), AccessMethod::OltpSnapshot);
     let solo = executor
         .execute_parallel(&plan, &sources, &WorkerTeam::solo())

@@ -1,22 +1,18 @@
-//! SQL differential suite: the frontend's plans versus the hand-built plans
-//! and the row-at-a-time oracle.
+//! SQL differential suite: the frontend's plans, executed by the engine,
+//! versus the row-at-a-time oracle.
 //!
-//! Three layers of evidence that the SQL path is exactly the engine path:
-//!
-//! 1. Every CH query's SQL text plans to a `QueryPlan` structurally equal to
-//!    the hand-built plan (also asserted in `htap-chbench`'s unit tests).
-//! 2. Executing the SQL-derived plan over the populated CH database yields a
-//!    `QueryOutput` — results *and* `WorkProfile` accounting — bit-for-bit
-//!    identical to the hand-built plan's output at 1, 2 and 4 workers, on
-//!    both the contiguous-snapshot and the split (fresh-tail) access paths.
-//! 3. Randomized SQL texts over a synthetic star schema round-trip
-//!    parse → bind → plan → vectorized execution and agree with the
-//!    independent reference executor (`htap_olap::reference`), with the
-//!    engine bit-identical across worker counts.
+//! 1. Every CH query (defined as SQL text) executed over the populated CH
+//!    database yields a `QueryOutput` bit-for-bit identical at 1, 2 and 4
+//!    workers that agrees with the oracle — result rows within the SUM/AVG
+//!    tolerance and every `WorkProfile` integer exactly — on both the
+//!    contiguous (S2) and the split, fresh-tail (S3-NI) access paths.
+//! 2. Randomized SQL texts over a synthetic star schema round-trip
+//!    parse → bind → plan → vectorized execution and agree with the oracle
+//!    the same way, with the engine bit-identical across worker counts.
 
 use adaptive_htap::chbench::query_mix_wide;
 use adaptive_htap::olap::{
-    execute_reference, execute_reference_with_work, QueryExecutor, QueryResult, ScanSource,
+    execute_reference_with_work, QueryExecutor, QueryOutput, QueryPlan, QueryResult, ScanSource,
     WorkerTeam,
 };
 use adaptive_htap::sim::{CoreId, SocketId};
@@ -31,67 +27,80 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Layer 1 + 2: the seven CH queries, SQL vs hand-built, over real data.
+// Layer 1: CH-catalog SQL over real data, engine vs oracle.
 // ---------------------------------------------------------------------------
 
-/// Executing each CH query's SQL-derived plan must be indistinguishable from
-/// the hand-built plan: same `QueryResult`, same `WorkProfile`, at 1/2/4
-/// workers, on contiguous and split access paths, with fresh OLTP rows in
-/// the mix.
+/// Run `sql` over the CH database under `state` at 1/2/4 workers: outputs
+/// must be bit-identical across worker counts and agree with the oracle on
+/// rows (SUM/AVG within tolerance) and on the whole `WorkProfile`, exactly.
+fn assert_ch_sql_matches_oracle(system: &HtapSystem, sql: &str, ctx: &str) -> QueryOutput {
+    let plan = system
+        .plan_sql(sql)
+        .unwrap_or_else(|e| panic!("{ctx}: SQL failed to plan: {e}"));
+    // Schedule once and execute over the same access paths every time.
+    let scheduled = system.with_scheduler(|s| s.schedule_query(&plan, false));
+    let executor = QueryExecutor::with_block_rows(257);
+    let run = |workers: u16| {
+        let team = WorkerTeam::from_cores((0..workers).map(CoreId).collect());
+        executor
+            .execute_parallel(&plan, &scheduled.sources, &team)
+            .unwrap_or_else(|e| panic!("{ctx} {workers}w: engine failed: {e}"))
+    };
+    let solo = run(1);
+    assert_matches_oracle(&solo, &plan, &scheduled.sources, ctx);
+    for workers in [2u16, 4] {
+        assert_eq!(run(workers), solo, "{ctx}: {workers} workers diverged");
+    }
+    solo
+}
+
+/// The seven CH queries under S2 (ETL, OLAP-local contiguous scan) and
+/// S3-NI (split access — OLAP-local head plus the fresh OLTP tail), with
+/// fresh OLTP rows in the mix.
 #[test]
-fn ch_sql_outputs_bit_identical_to_hand_built_at_1_2_4_workers() {
+fn ch_sql_outputs_match_the_oracle_at_1_2_4_workers() {
     use adaptive_htap::{Schedule, SystemState};
     let system = HtapSystem::build(HtapConfig::tiny()).unwrap();
     // Ingest so the split path has a fresh tail to account for.
     system.run_oltp(10);
-    // Two access regimes: S2 (ETL, OLAP-local contiguous scan) and S3-NI
-    // (split access — OLAP-local head plus the fresh OLTP tail).
     for state in [SystemState::S2Isolated, SystemState::S3HybridNonIsolated] {
         system.set_schedule(Schedule::Static(state));
         for query in query_mix_wide() {
-            let hand = query.plan();
-            let sql_plan = query
-                .sql_plan()
-                .unwrap_or_else(|e| panic!("{}: SQL failed to plan: {e}", query.label()));
-            assert_eq!(
-                sql_plan,
-                hand,
-                "{}: plans differ structurally",
-                query.label()
-            );
-            // Schedule once and execute both plans over the same access
-            // paths, at every worker count.
-            let scheduled = system.with_scheduler(|s| s.schedule_query(&hand, false));
-            let executor = QueryExecutor::with_block_rows(257);
-            let oracle = execute_reference_with_work(&hand, &scheduled.sources)
-                .unwrap_or_else(|e| panic!("{}: oracle failed: {e}", query.label()));
-            for workers in [1u16, 2, 4] {
-                let team = WorkerTeam::from_cores((0..workers).map(CoreId).collect());
-                let ctx = format!("{} {state:?} {workers}w", query.label());
-                let from_hand = executor
-                    .execute_parallel(&hand, &scheduled.sources, &team)
-                    .unwrap_or_else(|e| panic!("{ctx}: hand-built failed: {e}"));
-                let from_sql = executor
-                    .execute_parallel(&sql_plan, &scheduled.sources, &team)
-                    .unwrap_or_else(|e| panic!("{ctx}: SQL plan failed: {e}"));
-                // Results AND WorkProfile (bytes per socket, tuples, probes,
-                // fresh rows): the whole QueryOutput must match bit for bit.
-                assert_eq!(from_sql, from_hand, "{ctx}: outputs diverged");
-                // The oracle agrees on the rows (SUM/AVG within tolerance)
-                // and on every WorkProfile integer, exactly.
-                assert_matches_reference(&from_sql.result, &oracle.result, &ctx);
-                assert_eq!(from_sql.work, oracle.work, "{ctx}: work accounts diverged");
-                assert!(
-                    from_hand.work.tuples_scanned > 0,
-                    "{ctx}: vacuous comparison"
-                );
-            }
+            let ctx = format!("{} {state:?}", query.label());
+            let out = assert_ch_sql_matches_oracle(&system, &query.sql(), &ctx);
+            assert!(out.work.tuples_scanned > 0, "{ctx}: vacuous comparison");
         }
     }
 }
 
+/// Regression: a scalar join whose keys are computed expressions used to be
+/// planned as a grouped join over zero key columns, and an empty grouped
+/// result has zero groups — the query printed no row at all. A scalar query
+/// always yields its one row: `COUNT = 0` on empty input, and on non-empty
+/// input the same values the one-group row carried.
+#[test]
+fn scalar_join_with_computed_keys_keeps_its_row_on_empty_input() {
+    let system = HtapSystem::build(HtapConfig::tiny()).unwrap();
+    system.run_oltp(10);
+    let sql = |floor: u64| {
+        format!(
+            "SELECT COUNT(*) FROM orders JOIN orderline \
+             ON o_key = (ol_w_id*100+ol_d_id)*10000000+ol_o_id WHERE ol_amount >= {floor}"
+        )
+    };
+    let empty = assert_ch_sql_matches_oracle(&system, &sql(100_000_000), "empty computed-key join");
+    assert_eq!(empty.result, QueryResult::Scalars(vec![0.0]));
+    let some = assert_ch_sql_matches_oracle(&system, &sql(500), "computed-key join");
+    assert!(some.result.scalars().unwrap()[0] > 0.0);
+    // The plain-key twin always behaved; both now agree on the empty shape.
+    let plain = "SELECT COUNT(*) FROM orderline JOIN item ON ol_i_id = i_id \
+                 WHERE ol_amount >= 100000000";
+    let twin = assert_ch_sql_matches_oracle(&system, plain, "empty plain-key join");
+    assert_eq!(twin.result, empty.result);
+}
+
 // ---------------------------------------------------------------------------
-// Layer 3: randomized SQL round-trips against the oracle.
+// Layer 2: randomized SQL round-trips against the oracle.
 // ---------------------------------------------------------------------------
 
 const FACT_ROWS: u64 = 2_000;
@@ -398,6 +407,19 @@ fn assert_matches_reference(engine: &QueryResult, reference: &QueryResult, ctx: 
     }
 }
 
+/// Engine output vs the oracle: rows within tolerance, work account exact.
+fn assert_matches_oracle(
+    engine: &QueryOutput,
+    plan: &QueryPlan,
+    sources: &BTreeMap<String, ScanSource>,
+    ctx: &str,
+) {
+    let oracle = execute_reference_with_work(plan, sources)
+        .unwrap_or_else(|e| panic!("{ctx}: oracle failed: {e}"));
+    assert_matches_reference(&engine.result, &oracle.result, ctx);
+    assert_eq!(engine.work, oracle.work, "{ctx}: work accounts diverged");
+}
+
 /// 100 randomized SQL texts (20 per shape): parse → bind → plan → execute.
 /// The engine must be bit-identical across 1/2/4 workers and agree with the
 /// independent row-at-a-time oracle on every plan.
@@ -422,9 +444,7 @@ fn randomized_sql_round_trips_match_the_oracle() {
             let parallel = executor.execute_parallel(&plan, &sources, &team).unwrap();
             assert_eq!(baseline, parallel, "{ctx}: {workers} workers diverged");
         }
-        let reference = execute_reference(&plan, &sources)
-            .unwrap_or_else(|e| panic!("{ctx}: reference failed: {e}"));
-        assert_matches_reference(&baseline.result, &reference, &ctx);
+        assert_matches_oracle(&baseline, &plan, &sources, &ctx);
     }
 }
 
@@ -434,7 +454,7 @@ fn randomized_sql_round_trips_match_the_oracle() {
 /// join multiplicities whichever side builds — so flipping the statistics
 /// flips the physical plan but the executed count stays the SQL inner-join
 /// count (2000: every fact row has a mid match), and primary-key metadata
-/// plays no part (the semijoin era's PK pin is retired).
+/// plays no part.
 #[test]
 fn join_order_is_cost_based_and_statistics_cannot_change_the_answer() {
     let dataset = Dataset::build();
@@ -464,14 +484,10 @@ fn join_order_is_cost_based_and_statistics_cannot_change_the_answer() {
         (&inverted_free, "mid"),
     ] {
         let plan = plan_sql(sql, catalog).unwrap();
-        let adaptive_htap::olap::QueryPlan::JoinAggregate { fact, .. } = &plan else {
-            panic!("expected a join plan, got {plan:?}");
-        };
         // Pure cost: the claimed-larger relation is probed.
-        assert_eq!(fact, probe_side);
+        assert_eq!(plan.tables()[0], probe_side);
         let out = executor.execute_parallel(&plan, &sources, &team).unwrap();
-        let reference = execute_reference(&plan, &sources).unwrap();
-        assert_matches_reference(&out.result, &reference, "cost-ordered join");
+        assert_matches_oracle(&out, &plan, &sources, "cost-ordered join");
         counts.push(out.result.scalars().unwrap()[0]);
     }
     // Same SQL, four statistics regimes, two physical plans, one answer —
