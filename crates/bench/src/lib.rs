@@ -19,9 +19,8 @@
 //! ingest runs continuously while the sequences execute), `--smoke`
 //! (CI-bounded tiny run) and `--paper-mix` (the paper's original
 //! {Q1, Q6, Q19} sequence instead of the widened seven-query default).
-//! Modelled times come from the simulated machine described in
-//! DESIGN.md; the shapes — not the absolute values — are the reproduction
-//! target (see EXPERIMENTS.md).
+//! Modelled times come from the simulated machine of `crates/sim`; the
+//! shapes — not the absolute values — are the reproduction target.
 
 use htap_chbench::{ChConfig, ChGenerator, TransactionDriver};
 use htap_olap::{QueryExecutor, QueryPlan, WorkerTeam};

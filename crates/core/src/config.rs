@@ -53,8 +53,6 @@ pub struct HtapConfig {
     pub chbench: ChConfig,
     /// Initial scheduling discipline.
     pub schedule: Schedule,
-    /// OLAP executor block size in tuples (0 = engine default).
-    pub block_rows: usize,
     /// WAL / checkpoint tuning (effective only when the system is built with
     /// [`crate::HtapSystem::build_durable`]).
     pub durability: DurabilityConfig,
@@ -81,7 +79,6 @@ impl HtapConfig {
             base_tps_per_worker: 85_000.0,
             chbench: ChConfig::small(),
             schedule: Schedule::Adaptive(SchedulerPolicy::adaptive_non_isolated(0.5)),
-            block_rows: 0,
             durability: DurabilityConfig::default(),
             txn_max_retries: 0,
             txn_retry_backoff_micros: 0,
@@ -98,8 +95,8 @@ impl HtapConfig {
 
     /// A configuration scaled like the paper (scale factor `sf`); note that
     /// SF 300 needs a correspondingly large amount of host memory — the
-    /// benchmark harnesses use small scale factors and report the scaling rule
-    /// in EXPERIMENTS.md.
+    /// figure binaries of `crates/bench` default to `--scale 0.02`, and the
+    /// population each factor yields is [`ChConfig::scale_factor`]'s.
     pub fn scale_factor(sf: f64) -> Self {
         HtapConfig {
             chbench: ChConfig::scale_factor(sf),

@@ -60,9 +60,11 @@ fn is_test_path(p: &str) -> bool {
     in_dir("tests") || in_dir("examples") || in_dir("benches")
 }
 
-/// Files whose execution must be a pure function of committed data + plan.
-const DETERMINISTIC_PATH_FILES: [&str; 4] = [
-    "crates/olap/src/exec.rs",
+/// Paths whose execution must be a pure function of committed data + plan:
+/// single files, and — ending in `/` — a directory with everything under it,
+/// so a module added to the executor is covered without touching this list.
+const DETERMINISTIC_PATHS: [&str; 4] = [
+    "crates/olap/src/exec/",
     "crates/olap/src/kernels.rs",
     "crates/olap/src/hashtable.rs",
     "crates/olap/src/program.rs",
@@ -80,7 +82,7 @@ pub fn scope_for(path: &str) -> Scope {
                 || under("crates/storage/src/")
                 || under("crates/durability/src/")
                 || under("crates/obs/src/")),
-        nondeterminism: !test_file && DETERMINISTIC_PATH_FILES.contains(&path),
+        nondeterminism: !test_file && DETERMINISTIC_PATHS.iter().any(|p| path.starts_with(p)),
     }
 }
 

@@ -6,7 +6,7 @@
 //! | L2 | `undocumented-unsafe` | whole workspace | every `unsafe` carries a `// SAFETY:` (or `/// # Safety`) comment |
 //! | L3 | `no-panic` | `crates/{olap,sql,storage,durability,obs}/src` | no `.unwrap()` / `.expect()` / `panic!` / `todo!` / `unimplemented!` on the query, recovery or tracing path — errors are typed (`OlapError`, `SqlError`, `DurabilityError`) and tracing must never take a worker down |
 //! | L4 | `lock-order` | whole workspace | the static graph of nested `.lock()`/`.read()`/`.write()` acquisitions is acyclic |
-//! | L5 | `nondeterministic-source` | `exec.rs`, `kernels.rs`, `hashtable.rs`, `program.rs` | no wall clock (`Instant`, `SystemTime`) or RNG construction inside deterministic execution paths |
+//! | L5 | `nondeterministic-source` | `crates/olap/src/exec/` (every file under it), `kernels.rs`, `hashtable.rs`, `program.rs` | no wall clock (`Instant`, `SystemTime`) or RNG construction inside deterministic execution paths |
 //!
 //! Test code (`#[cfg(test)]` modules, `#[test]` functions, files under
 //! `tests/`, `examples/`, `benches/`) is exempt from L1/L3/L5 — tests may

@@ -339,7 +339,7 @@ fn l5_flags_clock_and_rng_in_deterministic_path_files_only() {
 
     assert_eq!(
         count(
-            "crates/olap/src/exec.rs",
+            "crates/olap/src/exec/mod.rs",
             "fn f() { let s = SystemTime::now(); }\n",
             Rule::NondeterministicSource
         ),
@@ -366,8 +366,31 @@ fn l5_flags_clock_and_rng_in_deterministic_path_files_only() {
     );
     assert_eq!(
         count(
-            "crates/olap/src/routing.rs",
+            "crates/olap/src/worker.rs",
             "fn f() { let t = Instant::now(); }\n",
+            Rule::NondeterministicSource
+        ),
+        0
+    );
+}
+
+/// The executor is a directory of per-operator modules; L5 is scoped to the
+/// directory, so the morsel loop keeps the rule wherever it moves and a
+/// module added later is covered without a list edit.
+#[test]
+fn l5_covers_every_file_under_the_executor_directory() {
+    let src = "fn f() { let t = Instant::now(); }\n";
+    for file in ["pipeline.rs", "group.rs", "an_operator_added_later.rs"] {
+        let path = format!("crates/olap/src/exec/{file}");
+        let found = hits(&path, src, Rule::NondeterministicSource);
+        assert_eq!(found.len(), 1, "{path}");
+        assert_eq!(found[0].0, 1, "{path}");
+    }
+    // A sibling that merely shares the prefix text is not in the directory.
+    assert_eq!(
+        count(
+            "crates/olap/src/executor_notes.rs",
+            src,
             Rule::NondeterministicSource
         ),
         0

@@ -1,10 +1,12 @@
-//! Tuple blocks: the unit of work the pipelines process.
+//! Tuple blocks: the materialised row source of the reference oracle.
 //!
 //! A block holds the values of the columns a query needs, for a contiguous
 //! range of rows of one data segment, converted to a uniform numeric
-//! representation (`f64` for arithmetic, `i64` for keys/group identifiers).
-//! Blocks carry the socket the underlying data lives on so that routing and
-//! work accounting stay NUMA-aware.
+//! representation (`f64` for arithmetic, `i64` for keys/group identifiers),
+//! and the socket the underlying data lives on. The production pipelines
+//! never build one — they borrow columns straight from storage
+//! (`scratch.rs`); [`crate::reference`] loads through blocks precisely so
+//! that it shares no loading machinery with the engine.
 
 use htap_sim::SocketId;
 use std::collections::BTreeMap;

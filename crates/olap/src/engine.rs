@@ -205,11 +205,6 @@ impl OlapEngine {
         &self.cost_model
     }
 
-    /// Set the executor block size (tests use small blocks).
-    pub fn set_block_rows(&mut self, rows: usize) {
-        self.executor = QueryExecutor::with_block_rows(rows);
-    }
-
     /// Grant compute resources (called by the RDE engine).
     pub fn set_workers(&self, cores: CpuSet) {
         self.workers.set_workers(cores);

@@ -1,0 +1,376 @@
+//! Pipeline bind and the one morsel driver.
+//!
+//! Every pipeline of a plan — each join build and the aggregating root — is
+//! the same stream: scan → filters → probe chain → sink. [`Pipeline::bind`]
+//! resolves that stream against its source once per query;
+//! [`QueryExecutor::run_pipeline`] then drives it: the team's workers claim
+//! morsels from a shared cursor, and each claimed morsel is loaded, filtered,
+//! probed and accounted here — the only place that happens — before its
+//! [`Survivors`] go to the pipeline's [`Sink`], which owns nothing but its
+//! per-worker partial output and the merge of those partials.
+
+use super::probe::{probe_chain, Survivors};
+use super::{QueryExecutor, WorkProfile};
+use crate::dag::PipelineSpec;
+use crate::error::OlapError;
+use crate::expr::{AggExpr, Predicate, ScalarExpr};
+use crate::hashtable::JoinTable;
+use crate::morsel::Morsel;
+use crate::program::{
+    apply_filters, ColumnResolver, CompiledAgg, CompiledKey, CompiledPredicate, ProgramPool,
+};
+use crate::scratch::{load_morsel, ExecScratch, MorselData};
+use crate::source::{BoundLayout, ScanSource};
+use crate::worker::WorkerTeam;
+use htap_obs::EventKind;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Split the columns one pipeline reads into `(numeric, keys)` load lists.
+/// Plain-column join keys and `group_by` columns go through the exact `i64`
+/// key path (full `i64` range); computed key expressions and aggregate
+/// inputs must load as numeric — expression evaluation has no key-column
+/// fallback — and evaluate in `f64` (exact below 2^53). Filter-only columns
+/// that are already key-loaded are dropped from the numeric list (predicates
+/// fall back to key columns); a column needed by both paths is loaded in
+/// both representations and byte-accounted once (the bind deduplicates the
+/// accessed set).
+fn split_read_columns(
+    filters: &[Predicate],
+    aggregates: &[AggExpr],
+    key_exprs: &[&ScalarExpr],
+    group_by: &[String],
+) -> (Vec<String>, Vec<String>) {
+    let mut keys: Vec<String> = group_by.to_vec();
+    let mut computed: Vec<String> = aggregates.iter().flat_map(AggExpr::columns).collect();
+    for expr in key_exprs {
+        match expr {
+            ScalarExpr::Col(name) => keys.push(name.clone()),
+            other => computed.extend(other.columns()),
+        }
+    }
+    keys.sort();
+    keys.dedup();
+    let mut numeric: Vec<String> = filters.iter().map(|p| p.column.clone()).collect();
+    numeric.retain(|c| !keys.contains(c));
+    numeric.extend(computed);
+    numeric.sort();
+    numeric.dedup();
+    (numeric, keys)
+}
+
+/// The bind-time product of one pipeline: its source, load lists, resolved
+/// segment layout, the compiled filter/probe-key/aggregate programs and the
+/// build tables its probes look into. Built once per query; shared read-only
+/// by every worker.
+pub(super) struct Pipeline<'q> {
+    source: &'q ScanSource,
+    numeric: Vec<String>,
+    keys: Vec<String>,
+    layout: BoundLayout,
+    pub pool: ProgramPool,
+    filters: Vec<CompiledPredicate>,
+    /// Probe stages in execution order: compiled key, probed build table.
+    pub probes: Vec<(CompiledKey, &'q JoinTable)>,
+    pub aggs: Vec<CompiledAgg>,
+}
+
+impl<'q> Pipeline<'q> {
+    /// Bind `input` over `source`. Besides the filters and probe keys of the
+    /// stream itself, the load lists cover what the pipeline's sink reads:
+    /// the `build_key` of a join build, the `aggregates` and `group_by`
+    /// columns of a root.
+    pub fn bind(
+        source: &'q ScanSource,
+        input: &PipelineSpec,
+        built: &'q [JoinTable],
+        build_key: Option<&ScalarExpr>,
+        aggregates: &[AggExpr],
+        group_by: &[String],
+    ) -> Result<Self, OlapError> {
+        let key_exprs: Vec<&ScalarExpr> = build_key
+            .into_iter()
+            .chain(input.probes.iter().map(|p| &p.key))
+            .collect();
+        let (numeric, keys) = split_read_columns(&input.filters, aggregates, &key_exprs, group_by);
+        let numeric_refs: Vec<&str> = numeric.iter().map(String::as_str).collect();
+        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+        // A column serving both as filter/aggregate input and as key is
+        // byte-accounted once, not twice.
+        let mut accessed = [numeric_refs.as_slice(), key_refs.as_slice()].concat();
+        accessed.sort_unstable();
+        accessed.dedup();
+        let layout = source.bind_columns(&numeric_refs, &key_refs, &accessed)?;
+        let mut pool = ProgramPool::default();
+        let resolver = ColumnResolver::new(&numeric, &keys);
+        let filters = pool.compile_filters(&input.filters, &resolver)?;
+        let aggs = pool.compile_aggregates(aggregates, &resolver)?;
+        let probes = input
+            .probes
+            .iter()
+            .map(|p| Ok((pool.compile_key(&p.key, &resolver)?, &built[p.build])))
+            .collect::<Result<_, OlapError>>()?;
+        Ok(Pipeline {
+            source,
+            numeric,
+            keys,
+            layout,
+            pool,
+            filters,
+            probes,
+            aggs,
+        })
+    }
+
+    /// Compile one more key expression over the bound load lists (the build
+    /// sink's key; its columns were put on the lists by [`Pipeline::bind`]).
+    pub fn compile_key(&mut self, expr: &ScalarExpr) -> Result<CompiledKey, OlapError> {
+        let resolver = ColumnResolver::new(&self.numeric, &self.keys);
+        self.pool.compile_key(expr, &resolver)
+    }
+
+    /// Key-list slot of a column loaded through the key path. The bind
+    /// phase puts every group key on the key load list, so a miss means a
+    /// mis-wired plan — reported as a typed error, not a worker abort.
+    pub fn key_slot(&self, name: &str) -> Result<usize, OlapError> {
+        self.keys
+            .iter()
+            .position(|c| c == name)
+            .ok_or_else(|| OlapError::MissingColumn {
+                column: name.to_string(),
+            })
+    }
+
+    /// Bytes of the fully materialised source over the accessed columns
+    /// (columnar accounting) — the broadcast size the cost model charges a
+    /// build side.
+    pub fn source_bytes(&self) -> u64 {
+        let width = self
+            .layout
+            .segments
+            .first()
+            .map_or(0, |seg| seg.accessed_row_bytes);
+        self.source.total_rows() * width
+    }
+}
+
+/// One claimed morsel on its way through probe chain and sink: the loaded
+/// columns, the worker's register file and hash buffer, and the bound
+/// pipeline whose programs run over them.
+pub(super) struct MorselCtx<'a, 'env> {
+    /// Index of the morsel within the pipeline (the merge order).
+    pub idx: usize,
+    /// Rows in the morsel.
+    pub rows: usize,
+    pub pipe: &'a Pipeline<'a>,
+    pub data: &'a MorselData<'env>,
+    pub regs: &'a mut [Vec<f64>],
+    pub hashes: &'a mut Vec<u64>,
+}
+
+/// Where a pipeline's surviving rows end up: a join-build table, scalar
+/// aggregate states or per-morsel group tables. A sink owns its per-worker
+/// partial output and the merge of the partials — nothing of the scan,
+/// filter, probe or accounting around them.
+pub(super) trait Sink: Sync {
+    /// One worker's output, built once and reused for every morsel the
+    /// worker claims.
+    type Partial: Send;
+    /// The merged product of the pipeline.
+    type Output;
+    /// Root pipelines count their survivors as `tuples_selected` and trace
+    /// the merge as a phase of its own; a build is one `PipelineBuild`
+    /// interval, table union included.
+    const ROOT: bool;
+
+    /// A fresh partial for a worker of a pipeline of `morsels` morsels.
+    fn partial(&self, morsels: usize) -> Self::Partial;
+
+    /// Fold one morsel's survivors into the worker's partial.
+    fn consume(
+        &self,
+        cx: &mut MorselCtx<'_, '_>,
+        survivors: Survivors<'_>,
+        out: &mut Self::Partial,
+    );
+
+    /// Merge the per-worker partials (worker order; per-morsel pieces carry
+    /// their morsel index) into the pipeline's output.
+    fn merge(&self, partials: Vec<Self::Partial>) -> Self::Output;
+}
+
+impl QueryExecutor {
+    /// Drive one bound pipeline into `sink`, summing the workers' measured
+    /// work into `work`. The result is the same — bit for bit — for every
+    /// team size: sinks keep per-morsel partials and merge them in morsel
+    /// order (or, for build tables, by an order-insensitive union).
+    pub(super) fn run_pipeline<S: Sink>(
+        &self,
+        pipe: &Pipeline<'_>,
+        team: &WorkerTeam,
+        sink: &S,
+        work: &mut WorkProfile,
+    ) -> S::Output {
+        let morsels = pipe.source.morsels(self.block_rows);
+        let make = || {
+            let scratch = ExecScratch::for_pipeline(
+                pipe.pool.n_regs as usize,
+                pipe.numeric.len(),
+                pipe.keys.len(),
+            );
+            (
+                scratch,
+                (sink.partial(morsels.len()), WorkProfile::default()),
+            )
+        };
+        let on = htap_obs::enabled();
+        let t_start = if on { htap_obs::now_us() } else { 0 };
+        let outs = claim_morsels(
+            team,
+            &morsels,
+            make,
+            |idx, morsel, scratch, (out, profile)| {
+                let rows = morsel.row_count();
+                load_morsel(pipe.source, &pipe.layout, morsel, &mut scratch.data);
+                scratch.ensure_regs(rows);
+                let sel = apply_filters(&pipe.filters, &scratch.data, rows, &mut scratch.sel);
+                let mut cx = MorselCtx {
+                    idx,
+                    rows,
+                    pipe,
+                    data: &scratch.data,
+                    regs: &mut scratch.regs,
+                    hashes: &mut scratch.hashes,
+                };
+                let (probes, survivors) = probe_chain(&mut cx, sel, &mut scratch.probe);
+                let row_bytes = pipe.layout.segments[morsel.segment].accessed_row_bytes;
+                profile.absorb_morsel_rows(morsel, row_bytes);
+                profile.probes += probes;
+                if S::ROOT {
+                    profile.tuples_selected += survivors.tuple_count(rows);
+                }
+                sink.consume(&mut cx, survivors, out);
+            },
+        );
+        let t_merge = if on { htap_obs::now_us() } else { 0 };
+        let partials = outs
+            .into_iter()
+            .map(|(out, profile)| {
+                work.merge(&profile);
+                out
+            })
+            .collect();
+        let output = sink.merge(partials);
+        if on {
+            let t_end = htap_obs::now_us();
+            let record = |kind, from: u64, to: u64| {
+                htap_obs::record_thread(kind, from, morsels.len() as u64, to.saturating_sub(from));
+            };
+            if S::ROOT {
+                record(EventKind::PipelineProbe, t_start, t_merge);
+                record(EventKind::PipelineMerge, t_merge, t_end);
+            } else {
+                record(EventKind::PipelineBuild, t_start, t_end);
+            }
+        }
+        output
+    }
+}
+
+/// Per-worker morsel rollup for one pipeline, accumulated with relaxed
+/// atomics from inside the worker loop and flattened into `worker` child
+/// spans when the pipeline closes. One fixed-size vector per pipeline run —
+/// constant per query, so the steady-state allocation count is unchanged.
+#[derive(Debug, Default)]
+struct LaneRollup {
+    morsels: AtomicU64,
+    busy_us: AtomicU64,
+    first_us: AtomicU64,
+    last_us: AtomicU64,
+}
+
+/// The morsel-claim loop: the team's workers claim morsels from a shared
+/// atomic cursor (dynamic load balancing); each worker builds its scratch and
+/// output once via `make` and reuses them for every morsel it claims; `step`
+/// processes one claimed morsel. Per-worker outputs are returned in worker
+/// order.
+///
+/// When tracing is enabled (checked once per pipeline, never per morsel),
+/// each claimed morsel records one [`EventKind::Morsel`] interval into the
+/// claiming worker's event ring — timestamps are taken around the whole
+/// `step`, outside the kernel loops — and the loop publishes an
+/// `olap.pipeline` span with per-worker rollup children.
+fn claim_morsels<S, O, M, F>(team: &WorkerTeam, morsels: &[Morsel], make: M, step: F) -> Vec<O>
+where
+    O: Send,
+    M: Fn() -> (S, O) + Sync,
+    F: Fn(usize, &Morsel, &mut S, &mut O) + Sync,
+{
+    let team = team.capped(morsels.len());
+    let on = htap_obs::enabled();
+    let pipeline = if on { htap_obs::pipeline_seq() } else { 0 };
+    let guard = htap_obs::span("olap.pipeline");
+    let rollups: Vec<LaneRollup> = if on {
+        (0..team.size())
+            .map(|_| LaneRollup {
+                first_us: AtomicU64::new(u64::MAX),
+                ..LaneRollup::default()
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let cursor = AtomicUsize::new(0);
+    let results = team.run(|w| {
+        let (mut scratch, mut out) = make();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            if idx >= morsels.len() {
+                break;
+            }
+            if on {
+                let t0 = htap_obs::now_us();
+                step(idx, &morsels[idx], &mut scratch, &mut out);
+                let t1 = htap_obs::now_us();
+                htap_obs::record_olap(
+                    w,
+                    EventKind::Morsel,
+                    t0,
+                    htap_obs::pack_morsel(pipeline, idx as u64),
+                    t1.saturating_sub(t0),
+                );
+                if let Some(lane) = rollups.get(w) {
+                    lane.morsels.fetch_add(1, Ordering::Relaxed);
+                    lane.busy_us
+                        .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
+                    lane.first_us.fetch_min(t0, Ordering::Relaxed);
+                    lane.last_us.fetch_max(t1, Ordering::Relaxed);
+                }
+            } else {
+                step(idx, &morsels[idx], &mut scratch, &mut out);
+            }
+        }
+        out
+    });
+    if guard.is_active() {
+        guard.arg("pipeline", pipeline as f64);
+        guard.arg("morsels", morsels.len() as f64);
+        guard.arg("workers", team.size() as f64);
+        for (w, lane) in rollups.iter().enumerate() {
+            let claimed = lane.morsels.load(Ordering::Relaxed);
+            if claimed == 0 {
+                continue;
+            }
+            htap_obs::child_span(
+                "worker",
+                lane.first_us.load(Ordering::Relaxed),
+                lane.last_us.load(Ordering::Relaxed),
+                &[
+                    ("worker", w as f64),
+                    ("morsels", claimed as f64),
+                    ("busy_us", lane.busy_us.load(Ordering::Relaxed) as f64),
+                ],
+            );
+        }
+    }
+    results
+}

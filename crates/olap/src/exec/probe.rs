@@ -1,0 +1,173 @@
+//! The hash-probe operator: a morsel's filtered rows run through the
+//! pipeline's chain of build tables, leaving the [`Survivors`] every sink
+//! consumes.
+
+use super::pipeline::MorselCtx;
+use crate::kernels;
+use crate::program::{eval_expr, resolve, CompiledKey, ValView};
+use crate::scratch::{MorselData, ProbeBufs};
+
+/// The resolved join-key values of one morsel: the exact `i64` slice of a
+/// key column, or the `f64` lanes of a computed expression (cast per probe,
+/// exact below 2^53).
+pub(super) enum KeyVals<'a> {
+    Exact(&'a [i64]),
+    Computed(ValView<'a>),
+}
+
+impl KeyVals<'_> {
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> i64 {
+        match self {
+            KeyVals::Exact(s) => s[i],
+            KeyVals::Computed(v) => v.get(i) as i64,
+        }
+    }
+}
+
+/// Evaluate a compiled key over the selected rows (a plain key column
+/// evaluates nothing) and return its per-row accessor.
+#[inline]
+pub(super) fn key_vals<'a>(
+    key: &CompiledKey,
+    data: &'a MorselData<'_>,
+    regs: &'a mut [Vec<f64>],
+    consts: &[f64],
+    rows: usize,
+    sel: Option<&[u32]>,
+) -> KeyVals<'a> {
+    match key {
+        CompiledKey::Key(slot) => KeyVals::Exact(data.key(*slot as usize)),
+        CompiledKey::Expr(e) => {
+            eval_expr(e, data, regs, consts, rows, sel);
+            KeyVals::Computed(resolve(e.output, data, regs, consts))
+        }
+    }
+}
+
+/// Run `f(pos, row)` over every selected row: `pos` is the row's position in
+/// the selection (equal to the row index on a dense range).
+#[inline(always)]
+pub(super) fn for_each_selected(rows: usize, sel: Option<&[u32]>, mut f: impl FnMut(usize, usize)) {
+    match sel {
+        None => (0..rows).for_each(|i| f(i, i)),
+        Some(ids) => ids
+            .iter()
+            .enumerate()
+            .for_each(|(pos, &i)| f(pos, i as usize)),
+    }
+}
+
+/// Final survivors of one morsel's filter + probe chain.
+#[derive(Clone, Copy)]
+pub(super) enum Survivors<'a> {
+    /// Every weight is 1: a plain selection (`None` = all rows survive).
+    Plain(Option<&'a [u32]>),
+    /// At least one probed build has duplicate keys: the surviving rows and
+    /// their join multiplicities, parallel slices.
+    Weighted(&'a [u32], &'a [u64]),
+}
+
+impl<'a> Survivors<'a> {
+    /// The surviving row ids as a plain selection (multiplicities dropped).
+    pub fn selection(&self) -> Option<&'a [u32]> {
+        match self {
+            Survivors::Plain(sel) => *sel,
+            Survivors::Weighted(ids, _) => Some(ids),
+        }
+    }
+
+    /// Surviving *tuple* count: the sum of multiplicities — for a weighted
+    /// join, one surviving probe row stands for `w` joined tuples.
+    pub fn tuple_count(&self, rows: usize) -> u64 {
+        match self {
+            Survivors::Plain(sel) => sel.map_or(rows, <[u32]>::len) as u64,
+            Survivors::Weighted(_, weights) => weights.iter().sum(),
+        }
+    }
+}
+
+/// Probe the morsel's rows through the pipeline's chain of build tables,
+/// compacting survivors hop by hop (ping-ponging between the two buffer
+/// pairs of `bufs`). Returns the probe count — one per input row of each
+/// hop — and the final survivors.
+///
+/// While every probed build is unique and no weights are in flight, each
+/// hop is a plain membership probe — exact `i64` key columns take the batch
+/// path (the chunked hash kernels fill the hash buffer for the whole
+/// selection, then prehashed lookups). The first hop over a duplicate-key
+/// build switches the chain to weight tracking: a surviving row's
+/// multiplicity is the product of the matched build weights, and downstream
+/// sinks fold it that many times.
+pub(super) fn probe_chain<'s>(
+    cx: &mut MorselCtx<'_, '_>,
+    sel: Option<&'s [u32]>,
+    bufs: &'s mut ProbeBufs,
+) -> (u64, Survivors<'s>) {
+    let (pipe, rows) = (cx.pipe, cx.rows);
+    let mut total_probes = 0u64;
+    let mut weighted = false;
+    let mut ran = false;
+    // `table` is copied out of the probe list: the loops below push into a
+    // `Vec` (a possible call), after which a `&&JoinTable` is reloaded per row.
+    for &(ref key, table) in &pipe.probes {
+        let track = weighted || !table.unique();
+        // Swap so the current survivors sit in `sel_b`/`w_b` and this hop
+        // writes fresh output into `sel_a`/`w_a`.
+        std::mem::swap(&mut bufs.sel_a, &mut bufs.sel_b);
+        std::mem::swap(&mut bufs.w_a, &mut bufs.w_b);
+        let src: Option<&[u32]> = if ran { Some(&bufs.sel_b) } else { sel };
+        let src_w: Option<&[u64]> = weighted.then_some(bufs.w_b.as_slice());
+        let (out, out_w) = (&mut bufs.sel_a, &mut bufs.w_a);
+        out.clear();
+        out_w.clear();
+        total_probes += src.map_or(rows, <[u32]>::len) as u64;
+        match key_vals(key, cx.data, cx.regs, &pipe.pool.consts, rows, src) {
+            kv if track => for_each_selected(rows, src, |pos, i| {
+                let w = src_w.map_or(1, |ws| ws[pos]) * table.weight(kv.get(i));
+                if w != 0 {
+                    out.push(i as u32);
+                    out_w.push(w);
+                }
+            }),
+            // The two hot loops of every unique-key join, written as zips:
+            // indexing the hash buffer by position instead costs a
+            // single-join scan ~8 %.
+            KeyVals::Exact(keys) => {
+                let keys = &keys[..rows];
+                match src {
+                    None => {
+                        kernels::hash1_dense(keys, cx.hashes);
+                        for (i, (&h, &k)) in cx.hashes.iter().zip(keys).enumerate() {
+                            if table.weight_hashed(h, k) != 0 {
+                                out.push(i as u32);
+                            }
+                        }
+                    }
+                    Some(ids) => {
+                        kernels::hash1_gather(keys, ids, cx.hashes);
+                        for (&i, &h) in ids.iter().zip(cx.hashes.iter()) {
+                            if table.weight_hashed(h, keys[i as usize]) != 0 {
+                                out.push(i);
+                            }
+                        }
+                    }
+                }
+            }
+            kv => for_each_selected(rows, src, |_, i| {
+                if table.weight(kv.get(i)) != 0 {
+                    out.push(i as u32);
+                }
+            }),
+        }
+        weighted = track;
+        ran = true;
+    }
+    if !ran {
+        (0, Survivors::Plain(sel))
+    } else if weighted {
+        (total_probes, Survivors::Weighted(&bufs.sel_a, &bufs.w_a))
+    } else {
+        (total_probes, Survivors::Plain(Some(&bufs.sel_a)))
+    }
+}

@@ -192,9 +192,9 @@ impl AggExpr {
 pub struct AggState {
     sum: f64,
     count: u64,
-    /// Values actually folded via [`AggState::update`] — distinct from
-    /// `count`, which [`AggState::update_count`] also advances. MIN/MAX
-    /// emptiness is defined by this, not by `count`.
+    /// Values folded via [`AggState::fold_min`]/[`AggState::fold_max`] —
+    /// distinct from `count`, which [`AggState::update_count`] also
+    /// advances. MIN/MAX emptiness is defined by this, not by `count`.
     values: u64,
     min: f64,
     max: f64,
@@ -213,15 +213,6 @@ impl Default for AggState {
 }
 
 impl AggState {
-    /// Fold one value into the state.
-    pub fn update(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-        self.values += 1;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Fold a counted-only tuple (for `COUNT(*)`).
     pub fn update_count(&mut self) {
         self.count += 1;
@@ -234,14 +225,12 @@ impl AggState {
         self.count += n;
     }
 
-    /// Kind-specialised folds for the vectorized engine: each touches only
-    /// the fields the matching [`AggExpr`]'s [`AggState::finalize`] (and its
-    /// [`AggState::merge`] contributions) read, so the finalised value is
-    /// identical to the full [`AggState::update`] at a fraction of the
-    /// per-tuple cost. A state folded this way is *partial*: it must only
-    /// ever be finalised with the same aggregate kind — which is exactly how
-    /// the executor uses it (state `j` is always finalised with aggregate
-    /// `j`).
+    /// Kind-specialised folds: each touches only the fields the matching
+    /// [`AggExpr`]'s [`AggState::finalize`] (and its [`AggState::merge`]
+    /// contributions) read. A state is therefore *partial*: it must only
+    /// ever be finalised with the aggregate kind it was folded with — which
+    /// is exactly how the executor uses it (state `j` is always finalised
+    /// with aggregate `j`).
     #[inline(always)]
     pub fn fold_sum(&mut self, value: f64) {
         self.sum += value;
@@ -372,21 +361,28 @@ mod tests {
 
     #[test]
     fn aggregate_states_fold_and_merge() {
-        let mut a = AggState::default();
-        let mut b = AggState::default();
-        for v in [1.0, 2.0, 3.0] {
-            a.update(v);
+        // One state per aggregate kind, as the executor keeps them.
+        let fold = |values: &[f64]| {
+            let mut s = [AggState::default(); 5];
+            for &v in values {
+                s[0].fold_sum(v);
+                s[1].update_count();
+                s[2].fold_min(v);
+                s[3].fold_max(v);
+                s[4].fold_avg(v);
+            }
+            s
+        };
+        let mut a = fold(&[1.0, 2.0, 3.0]);
+        for (state, other) in a.iter_mut().zip(&fold(&[10.0, 20.0])) {
+            state.merge(other);
         }
-        for v in [10.0, 20.0] {
-            b.update(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.finalize(&AggExpr::Sum(ScalarExpr::lit(0.0))), 36.0);
-        assert_eq!(a.finalize(&AggExpr::Count), 5.0);
-        assert_eq!(a.finalize(&AggExpr::Min(ScalarExpr::lit(0.0))), 1.0);
-        assert_eq!(a.finalize(&AggExpr::Max(ScalarExpr::lit(0.0))), 20.0);
-        assert!((a.finalize(&AggExpr::Avg(ScalarExpr::lit(0.0))) - 7.2).abs() < 1e-12);
-        assert_eq!(a.count(), 5);
+        assert_eq!(a[0].finalize(&AggExpr::Sum(ScalarExpr::lit(0.0))), 36.0);
+        assert_eq!(a[1].finalize(&AggExpr::Count), 5.0);
+        assert_eq!(a[2].finalize(&AggExpr::Min(ScalarExpr::lit(0.0))), 1.0);
+        assert_eq!(a[3].finalize(&AggExpr::Max(ScalarExpr::lit(0.0))), 20.0);
+        assert!((a[4].finalize(&AggExpr::Avg(ScalarExpr::lit(0.0))) - 7.2).abs() < 1e-12);
+        assert_eq!(a[1].count(), 5);
     }
 
     #[test]
@@ -421,8 +417,11 @@ mod tests {
     #[test]
     fn merging_an_empty_state_is_the_identity() {
         let mut a = AggState::default();
-        a.update(3.0);
-        a.update(-1.0);
+        for v in [3.0, -1.0] {
+            a.fold_sum(v);
+            a.fold_min(v);
+            a.fold_max(v);
+        }
         let before = a;
         a.merge(&AggState::default());
         assert_eq!(a, before);

@@ -322,8 +322,11 @@ impl GroupTable {
     /// Upsert with a precomputed hash. `hash` must equal
     /// [`crate::kernels::hash_key`] of `key` — batch kernels and the radix
     /// merge (which replays hashes from [`GroupTable::hashes_flat`]) both
-    /// satisfy this by construction.
-    #[inline]
+    /// satisfy this by construction. Inlined unconditionally: the grouped
+    /// sink's row loops are monomorphised per key arity and survivor kind,
+    /// and left to its own judgement the compiler stops inlining the probe
+    /// into that many of them (≈ 10 % of a grouped scan).
+    #[inline(always)]
     pub fn upsert_prehashed(&mut self, hash: u64, key: &[i64]) -> usize {
         debug_assert_eq!(key.len(), self.n_keys);
         debug_assert!(key.is_empty() || hash == hash_key(key));
@@ -391,7 +394,7 @@ mod tests {
         t.configure(1, 2);
         for i in 0..100i64 {
             let g = t.upsert1(i % 4);
-            t.agg_state(g, 0).update(i as f64);
+            t.agg_state(g, 0).fold_sum(i as f64);
             t.agg_state(g, 1).update_count();
         }
         assert_eq!(t.group_count(), 4);
@@ -430,7 +433,7 @@ mod tests {
         // Far beyond INITIAL_SLOTS within one morsel: forces rehash mid-loop.
         for i in 0..5_000i64 {
             let g = t.upsert1(i);
-            t.agg_state(g, 0).update(1.0);
+            t.agg_state(g, 0).update_count();
         }
         assert_eq!(t.group_count(), 5_000);
         for i in 0..5_000i64 {

@@ -44,14 +44,14 @@
 //!   (`tests/differential_exec.rs`) for result rows *and* work accounting;
 //!   shares the plan with the engine but none of its evaluation machinery,
 //!   and is never used on the production query path.
-//! * [`exec`] — the morsel-driven parallel executor; besides results it
-//!   produces a [`exec::WorkProfile`] (bytes touched per socket, tuples
-//!   processed, join probes), accumulated per worker and summed, that the
-//!   cost model converts into modelled time.
+//! * [`exec`] — the morsel-driven parallel executor: one pipeline driver
+//!   (bind, morsel claims, filter, probe chain, accounting, tracing) feeding
+//!   a join-build, scalar-aggregate or grouped-aggregate sink, one module
+//!   per operator; besides results it produces a [`exec::WorkProfile`]
+//!   (bytes touched per socket, tuples processed, join probes), accumulated
+//!   per worker and summed, that the cost model converts into modelled time.
 //! * [`error`] — the typed [`OlapError`] every fallible query-path step
 //!   reports.
-//! * [`routing`] — block-routing policies (hash, load-aware, locality-aware)
-//!   that decide which socket's workers consume which data segment.
 //! * [`worker`], [`engine`] — the elastic worker manager (whose granted
 //!   [`htap_sim::CpuSet`] sizes and pins the pipeline [`worker::WorkerTeam`])
 //!   and the engine facade, including the engine-local OLAP storage instance
@@ -71,7 +71,6 @@ pub mod kernels;
 pub mod morsel;
 mod program;
 pub mod reference;
-pub mod routing;
 mod scratch;
 pub mod source;
 pub mod worker;
@@ -85,6 +84,5 @@ pub use expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
 pub use hashtable::{GroupTable, JoinTable};
 pub use morsel::{split_morsels, Morsel};
 pub use reference::{execute_reference, execute_reference_with_work};
-pub use routing::{RoutingPolicy, SegmentAssignment};
 pub use source::{BoundLayout, ScanSegmentSource, ScanSource};
 pub use worker::{OlapWorkerManager, WorkerTeam};

@@ -505,7 +505,7 @@ mod tests {
         let sel = apply_filters(&filters, &scratch.data, 4, &mut scratch.sel).unwrap();
         assert_eq!(sel, &[1, 2]);
         // Empty filter list means dense iteration (no selection vector).
-        assert!(apply_filters(&[], &scratch.data, 4, &mut scratch.sel2).is_none());
+        assert!(apply_filters(&[], &scratch.data, 4, &mut scratch.sel).is_none());
     }
 
     #[test]

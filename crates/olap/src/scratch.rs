@@ -3,7 +3,7 @@
 //!
 //! Every pipeline worker owns one [`ExecScratch`] for the lifetime of the
 //! pipeline. Each claimed morsel reuses the same column buffers, register
-//! file, selection vectors and group table — the buffers grow to the morsel
+//! file and selection vectors — the buffers grow to the morsel
 //! size once and are then recycled, so after the first morsel the hot loop
 //! performs no heap allocation (verified by `tests/alloc_steady_state.rs`).
 //!
@@ -14,7 +14,6 @@
 //! conversions (`i32`/`i64` → `f64` numerics, `i32` → `i64` keys) write
 //! into the scratch conversion buffers.
 
-use crate::hashtable::GroupTable;
 use crate::morsel::Morsel;
 use crate::source::{BoundLayout, ScanSource};
 use htap_storage::{ColumnGuard, DataType};
@@ -172,7 +171,24 @@ pub(crate) fn load_morsel<'env>(
     }
 }
 
-/// The full per-worker scratch of one pipeline.
+/// The probe chain's ping-pong buffers: every hop reads the previous hop's
+/// survivors from the `_b` pair and writes its own into the `_a` pair, so an
+/// N-way join needs no per-morsel allocation.
+#[derive(Default)]
+pub(crate) struct ProbeBufs {
+    /// Surviving row ids of the hop being written.
+    pub sel_a: Vec<u32>,
+    /// Surviving row ids of the previous hop.
+    pub sel_b: Vec<u32>,
+    /// Join multiplicity per row of `sel_a` (empty while every probed build
+    /// side is unique).
+    pub w_a: Vec<u64>,
+    /// Join multiplicity per row of `sel_b`.
+    pub w_b: Vec<u64>,
+}
+
+/// The full per-worker scratch of one pipeline — everything the driver needs
+/// up to the sink, whose own per-worker state lives in its partial output.
 pub(crate) struct ExecScratch<'env> {
     /// Column data of the current morsel.
     pub data: MorselData<'env>,
@@ -180,25 +196,11 @@ pub(crate) struct ExecScratch<'env> {
     pub regs: Vec<Vec<f64>>,
     /// Primary selection vector (filter output).
     pub sel: Vec<u32>,
-    /// Secondary selection vector (join-probe output).
-    pub sel2: Vec<u32>,
-    /// Tertiary selection vector: probe chains ping-pong between `sel2` and
-    /// `sel3`, so an N-way join needs no per-morsel allocation.
-    pub sel3: Vec<u32>,
-    /// Join multiplicity per surviving row (parallel to the active probe
-    /// selection; empty while every probed build side is unique).
-    pub weights: Vec<u64>,
-    /// Ping-pong partner of `weights` for probe chains.
-    pub weights_b: Vec<u64>,
-    /// Per-selected-row group indices (group-by assignment output).
-    pub group_rows: Vec<u32>,
-    /// Composite-key assembly buffer for > 2 group columns.
-    pub key_tmp: Vec<i64>,
+    /// Probe-chain output buffers.
+    pub probe: ProbeBufs,
     /// Batch-hash output buffer: one `u64` hash per selected row, filled by
     /// the chunked hash kernels before the probe/upsert loop.
     pub hashes: Vec<u64>,
-    /// The worker's group-by hash table, reused across morsels.
-    pub groups: GroupTable,
 }
 
 impl ExecScratch<'_> {
@@ -215,14 +217,8 @@ impl ExecScratch<'_> {
             data: MorselData::with_columns(n_num, n_key),
             regs: (0..n_regs).map(|_| Vec::new()).collect(),
             sel: Vec::new(),
-            sel2: Vec::new(),
-            sel3: Vec::new(),
-            weights: Vec::new(),
-            weights_b: Vec::new(),
-            group_rows: Vec::new(),
-            key_tmp: Vec::new(),
+            probe: ProbeBufs::default(),
             hashes: Vec::new(),
-            groups: GroupTable::default(),
         }
     }
 

@@ -11,7 +11,7 @@
 //! A [`ScanSource`] is a list of [`ScanSegmentSource`]s; a single segment is
 //! the contiguous access method, several segments are the partitioned /
 //! split-access method. Each segment carries the socket its memory lives on
-//! so that routing and the cost model stay NUMA-aware.
+//! so that work accounting and the cost model stay NUMA-aware.
 
 use crate::block::Block;
 use crate::error::OlapError;

@@ -4,7 +4,7 @@
 //! way to the WM of the OLTP engine" (§3.3): it holds the CPUs the RDE engine
 //! has granted and exposes them as an execution placement. Each pipeline
 //! worker is affinitised to one core; the placement (cores per socket) is what
-//! both the routing policies and the cost model consume.
+//! the cost model consumes.
 //!
 //! Execution side: [`OlapWorkerManager::team`] snapshots the current grant
 //! into a [`WorkerTeam`] — one pipeline worker per granted core. The team
@@ -177,8 +177,7 @@ impl OlapWorkerManager {
         self.cores.read().count_on_socket(&self.topology, socket)
     }
 
-    /// The execution placement (cores per socket) used by routing and the
-    /// cost model.
+    /// The execution placement (cores per socket) used by the cost model.
     pub fn placement(&self) -> ExecPlacement {
         ExecPlacement::of_cpuset(&self.topology, &self.cores.read())
     }

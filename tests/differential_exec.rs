@@ -691,6 +691,49 @@ fn authored_dag_plans_with_finishers_agree_with_oracle() {
         engine.result.groups().unwrap().len() <= 4,
         "the limit finisher caps the group rows"
     );
+
+    // The two grouped-sink arms plain SQL reaches but no case above does:
+    // more aggregates in one GROUP BY than the fused fold's view array holds
+    // (ten, so the fold runs in two chunks), and a group key wider than the
+    // inline one- and two-column paths (the generic composite-key upsert) —
+    // over a bare scan, a unique-key join (plain selection) and a
+    // duplicate-key join (weighted survivors).
+    let wide_aggregates = vec![
+        AggExpr::Count,
+        AggExpr::Sum(col("f_a")),
+        AggExpr::Avg(col("f_b")),
+        AggExpr::Min(col("f_a")),
+        AggExpr::Max(col("f_b")),
+        AggExpr::Sum(col("f_a") * col("f_b")),
+        AggExpr::Avg(col("f_a")),
+        AggExpr::Max(col("f_a")),
+        AggExpr::Count,
+        AggExpr::Min(col("f_b") - col("f_a")),
+    ];
+    let narrow_aggregates = vec![AggExpr::Count, AggExpr::Sum(col("f_a"))];
+    for build_key in [None, Some("m_id"), Some("m_far")] {
+        for (group_by, aggregates) in [
+            (keys(&["f_g"]), &wide_aggregates),
+            (keys(&["f_g", "f_h", "f_mid"]), &narrow_aggregates),
+            (keys(&["f_h", "f_mid", "f_g", "f_id"]), &wide_aggregates),
+        ] {
+            let dims: Vec<Dim> = build_key
+                .map(|key| ("mid", key, vec![Predicate::new("m_v", CmpOp::Lt, 80.0)]))
+                .into_iter()
+                .collect();
+            let join_keys = dims.iter().map(|_| col("f_mid")).collect();
+            // The bare scan stays filterless: the dense (no selection
+            // vector) fold; the joins fold a filtered, probed selection.
+            let filters: Vec<Predicate> = dims
+                .iter()
+                .map(|_| Predicate::new("f_a", CmpOp::Ge, 2.0))
+                .collect();
+            let plan = self::plan(filters, join_keys, dims, group_by, aggregates.clone(), None);
+            let ctx = format!("build key {build_key:?}, {}", plan.label());
+            let out = assert_workers_match_oracle(&plan, &sources, 96, &ctx);
+            assert!(!out.result.groups().unwrap().is_empty(), "{ctx}: vacuous");
+        }
+    }
 }
 
 /// Adversarial vectorization case: sources that produce *no* morsels at all

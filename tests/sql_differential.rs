@@ -420,17 +420,32 @@ fn assert_matches_oracle(
     assert_eq!(engine.work, oracle.work, "{ctx}: work accounts diverged");
 }
 
-/// 100 randomized SQL texts (20 per shape): parse → bind → plan → execute.
-/// The engine must be bit-identical across 1/2/4 workers and agree with the
-/// independent row-at-a-time oracle on every plan.
+/// Two fixed texts the generator cannot produce, one per grouped-sink arm it
+/// never reaches: nine aggregates in one `GROUP BY` (more than one fused
+/// fold pass holds), and a three-column group key over a duplicate-key join
+/// (`m_far` repeats across `mid`, so the survivors carry weights).
+const WIDE_SQL: [&str; 2] = [
+    "SELECT f_g, COUNT(*), SUM(f_a), AVG(f_b), MIN(f_a), MAX(f_b), SUM(f_a * f_b), \
+     AVG(f_a), MAX(f_a), MIN(f_b) FROM fact WHERE f_a >= 2 GROUP BY f_g",
+    "SELECT f_g, f_h, f_mid, COUNT(*), SUM(f_a), MAX(f_b) FROM fact JOIN mid \
+     ON f_mid = m_far WHERE m_v < 80 GROUP BY f_g, f_h, f_mid",
+];
+
+/// 100 randomized SQL texts (20 per shape) and the fixed [`WIDE_SQL`] texts:
+/// parse → bind → plan → execute. The engine must be bit-identical across
+/// 1/2/4 workers and agree with the independent row-at-a-time oracle on
+/// every plan.
 #[test]
 fn randomized_sql_round_trips_match_the_oracle() {
     let dataset = Dataset::build();
     let catalog = dataset.catalog();
     let mut rng = StdRng::seed_from_u64(0x5EED_05A1);
-    for case in 0..100u32 {
+    for case in 0..100 + WIDE_SQL.len() as u32 {
         let shape = case % 5;
-        let sql = rand_sql(&mut rng, shape);
+        let sql = match case.checked_sub(100) {
+            Some(fixed) => WIDE_SQL[fixed as usize].to_string(),
+            None => rand_sql(&mut rng, shape),
+        };
         let ctx = format!("case {case}: {sql}");
         let plan = plan_sql(&sql, &catalog).unwrap_or_else(|e| panic!("{ctx}: plan: {e}"));
         let sources = dataset.sources(case % 3 == 0);
