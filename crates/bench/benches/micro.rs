@@ -198,6 +198,58 @@ fn vectorized_shapes(c: &mut Criterion) {
     }
 }
 
+/// The per-row kernels behind the pipeline driver, one default morsel
+/// (16 Ki rows) per iteration: the unique-key join probe — batch hash, then
+/// branch-free compaction of the matching rows — against a 10 k-key build
+/// (CH `item`) with every probe key present and with half of them absent,
+/// and the grouped sink's group-ids-then-folds pass in Q1's shape (one key,
+/// five aggregates, a filter every row passes).
+fn join_and_group_kernels(c: &mut Criterion) {
+    use htap_olap::{kernels, JoinTable};
+    use rand::Rng;
+
+    const ROWS: usize = 16 * 1024;
+    const BUILD_KEYS: i64 = 10_000;
+    let mut table = JoinTable::new();
+    for k in 0..BUILD_KEYS {
+        table.add(k, 1);
+    }
+    let mut rng = StdRng::seed_from_u64(0x10B);
+    for (label, key_range) in [("hit", BUILD_KEYS), ("miss50", 2 * BUILD_KEYS)] {
+        let keys: Vec<i64> = (0..ROWS).map(|_| rng.random_range(0..key_range)).collect();
+        let (mut hashes, mut survivors) = (Vec::new(), Vec::new());
+        c.bench_function(&format!("olap/join_probe_{label}"), |b| {
+            b.iter(|| {
+                kernels::hash1_dense(black_box(&keys), &mut hashes);
+                table.select(&keys, None, &hashes, &mut survivors);
+                black_box(survivors.len())
+            })
+        });
+    }
+
+    let [fact, _, _] = htap_bench::exec_trajectory::schemas();
+    let catalog = htap_sql::Catalog::new().with_table(fact, ROWS as u64);
+    let plan = htap_sql::plan(
+        "SELECT f_g, SUM(f_a), SUM(f_b), AVG(f_a), AVG(f_b), COUNT(*) FROM fact \
+         WHERE f_a >= 0 GROUP BY f_g",
+        &catalog,
+    )
+    .expect("fixture query compiles");
+    let sources = htap_bench::exec_trajectory::sources(ROWS as u64);
+    let executor = QueryExecutor::default();
+    c.bench_function("olap/group_fold_5aggs", |b| {
+        b.iter(|| {
+            black_box(
+                executor
+                    .execute(&plan, &sources)
+                    .expect("plan matches its sources")
+                    .result
+                    .row_count(),
+            )
+        })
+    });
+}
+
 fn etl_delta_copy(c: &mut Criterion) {
     c.bench_function("rde/switch_sync_etl_tiny_db", |b| {
         b.iter_batched(
@@ -248,6 +300,6 @@ criterion_group! {
     config = configured();
     targets = column_scan, cuckoo_index, twin_switch_sync, lock_table,
               neworder_transaction, ch_query_execution, parallel_scan_scaling,
-              vectorized_shapes, etl_delta_copy, cost_models
+              vectorized_shapes, join_and_group_kernels, etl_delta_copy, cost_models
 }
 criterion_main!(benches);

@@ -267,7 +267,7 @@ pub mod exec_trajectory {
 
     /// fact(f_id, f_mid → dim, f_g, f_hc, f_a, f_b), dim(d_id, d_far → far,
     /// d_v), far(r_id, r_v).
-    fn schemas() -> [TableSchema; 3] {
+    pub fn schemas() -> [TableSchema; 3] {
         use DataType::{F64, I32, I64};
         [
             schema(

@@ -37,21 +37,28 @@ impl Sink for BuildSink {
     fn consume(&self, cx: &mut MorselCtx<'_, '_>, survivors: Survivors<'_>, table: &mut JoinTable) {
         let sel = survivors.selection();
         let consts = &cx.pipe.pool.consts;
-        let kv = key_vals(&self.key, cx.data, cx.regs, consts, cx.rows, sel);
+        let keys = key_vals(&self.key, cx.data, cx.regs, cx.keys, consts, cx.rows, sel);
         match survivors {
-            Survivors::Plain(_) => for_each_selected(cx.rows, sel, |_, i| table.add(kv.get(i), 1)),
+            Survivors::Plain(_) => for_each_selected(cx.rows, sel, |_, i| table.add(keys[i], 1)),
             Survivors::Weighted(ids, weights) => {
                 for (&i, &w) in ids.iter().zip(weights) {
-                    table.add(kv.get(i as usize), w);
+                    table.add(keys[i as usize], w);
                 }
             }
         }
     }
 
+    /// Union the per-worker tables smaller into larger: weight sums do not
+    /// depend on which table receives them, and the keys of the largest
+    /// table — at least a `1/workers` share of the build — are adopted as
+    /// they stand instead of re-inserted into a fresh table.
     fn merge(&self, partials: Vec<JoinTable>) -> JoinTable {
         let mut table = JoinTable::new();
-        for partial in &partials {
-            table.union(partial);
+        for mut partial in partials {
+            if partial.len() > table.len() {
+                std::mem::swap(&mut table, &mut partial);
+            }
+            table.union(&partial);
         }
         table
     }

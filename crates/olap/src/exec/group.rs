@@ -3,7 +3,6 @@
 
 use super::pipeline::{MorselCtx, Pipeline, Sink};
 use super::probe::{for_each_selected, Survivors};
-use super::scalar::fold_weighted_row;
 use super::GroupRow;
 use crate::error::OlapError;
 use crate::expr::{AggExpr, AggState};
@@ -25,10 +24,6 @@ const RADIX_PARTS: usize = 1 << RADIX_BITS;
 fn radix_part(h: u64) -> usize {
     (h >> (64 - RADIX_BITS)) as usize
 }
-
-/// Aggregates one fused fold pass covers (the width of its value-view
-/// array); a longer aggregate list takes one pass per chunk of this width.
-const FUSED_AGGS: usize = 8;
 
 /// Groups every morsel's survivors into that morsel's own table and merges
 /// the per-morsel tables in morsel order (same discipline as the scalar
@@ -64,6 +59,9 @@ pub(super) struct GroupOut {
     table: GroupTable,
     /// Composite-key assembly buffer for > 2 group columns.
     key_tmp: Vec<i64>,
+    /// Group index of every surviving row of the current morsel, in
+    /// selection order (reused across morsels).
+    gids: Vec<u32>,
     order: Vec<u32>,
     /// Groups per radix partition per processed morsel: `RADIX_PARTS`
     /// entries per entry of `order`.
@@ -79,28 +77,32 @@ pub(super) struct GroupOut {
 }
 
 impl GroupOut {
-    /// Upsert every selected row's group key, calling
-    /// `fold(table, group, pos, row)` per row (`pos` as in
-    /// [`for_each_selected`]). One- and two-column keys (the common shapes)
-    /// batch-hash the whole selection with the chunked kernels of
-    /// [`crate::kernels`] into `hashes` first; wider keys hash per row.
-    #[inline(always)]
-    fn upsert_rows(
+    /// Upsert every selected row's group key and record the group it landed
+    /// in: `gids[pos]` is the group index of the `pos`-th selected row. One-
+    /// and two-column keys (the common shapes) batch-hash the whole
+    /// selection with the chunked kernels of [`crate::kernels`] into
+    /// `hashes` first; wider keys hash per row.
+    fn resolve_groups(
         &mut self,
         slots: &[usize],
         data: &MorselData<'_>,
         hashes: &mut Vec<u64>,
         rows: usize,
         sel: Option<&[u32]>,
-        mut fold: impl FnMut(&mut GroupTable, usize, usize, usize),
     ) {
-        let (table, key_tmp) = (&mut self.table, &mut self.key_tmp);
+        let (table, key_tmp, gids) = (&mut self.table, &mut self.key_tmp, &mut self.gids);
+        // Sized up front (only growth is zero-filled; every arm overwrites
+        // the buffer in full): the loops below store by position and carry
+        // no capacity check.
+        gids.resize(sel.map_or(rows, <[u32]>::len), 0);
         match slots {
-            // GROUP BY over no columns: one global group.
-            [] => for_each_selected(rows, sel, |pos, i| {
-                let g = table.upsert0();
-                fold(table, g, pos, i);
-            }),
+            // GROUP BY over no columns: one global group, index 0.
+            [] => {
+                if !gids.is_empty() {
+                    table.upsert0();
+                }
+                gids.fill(0);
+            }
             [s0] => {
                 let k0 = data.key(*s0);
                 match sel {
@@ -108,8 +110,7 @@ impl GroupOut {
                     Some(ids) => kernels::hash1_gather(k0, ids, hashes),
                 }
                 for_each_selected(rows, sel, |pos, i| {
-                    let g = table.upsert1_prehashed(hashes[pos], k0[i]);
-                    fold(table, g, pos, i);
+                    gids[pos] = table.upsert1_prehashed(hashes[pos], k0[i]) as u32;
                 });
             }
             [s0, s1] => {
@@ -119,8 +120,7 @@ impl GroupOut {
                     Some(ids) => kernels::hash2_gather(k0, k1, ids, hashes),
                 }
                 for_each_selected(rows, sel, |pos, i| {
-                    let g = table.upsert2_prehashed(hashes[pos], k0[i], k1[i]);
-                    fold(table, g, pos, i);
+                    gids[pos] = table.upsert2_prehashed(hashes[pos], k0[i], k1[i]) as u32;
                 });
             }
             slots => {
@@ -129,8 +129,7 @@ impl GroupOut {
                     for (part, &slot) in key_tmp.iter_mut().zip(slots) {
                         *part = data.key(slot)[i];
                     }
-                    let g = table.upsert(key_tmp);
-                    fold(table, g, pos, i);
+                    gids[pos] = table.upsert(key_tmp) as u32;
                 });
             }
         }
@@ -179,36 +178,73 @@ impl GroupOut {
     }
 }
 
-/// Fold one row's value of every aggregate of a fused pass into its group's
-/// states.
+/// Fold one aggregate over the morsel's surviving rows, each into the state
+/// of its row's group: `fold(state, pos)` folds the `pos`-th selected row.
+/// `(n_aggs, j)` locates aggregate `j` in the group table's state arena,
+/// `n_aggs` states per group.
 #[inline(always)]
-fn fold_row(states: &mut [AggState], aggs: &[CompiledAgg], views: &[ValView<'_>], i: usize) {
-    for ((state, agg), view) in states.iter_mut().zip(aggs).zip(views) {
-        match agg {
-            CompiledAgg::Count => state.update_count(),
-            CompiledAgg::Fold(AggKind::Sum, _) => state.fold_sum(view.get(i)),
-            CompiledAgg::Fold(AggKind::Avg, _) => state.fold_avg(view.get(i)),
-            CompiledAgg::Fold(AggKind::Min, _) => state.fold_min(view.get(i)),
-            CompiledAgg::Fold(AggKind::Max, _) => state.fold_max(view.get(i)),
-        }
+fn fold_column(
+    states: &mut [AggState],
+    (n_aggs, j): (usize, usize),
+    gids: &[u32],
+    mut fold: impl FnMut(&mut AggState, usize),
+) {
+    for (pos, &g) in gids.iter().enumerate() {
+        fold(&mut states[g as usize * n_aggs + j], pos);
     }
 }
 
-/// [`fold_row`] for a row standing for `w` joined tuples: COUNT advances by
-/// `w`, the folds follow [`fold_weighted_row`].
-#[inline(always)]
-fn fold_row_weighted(
+/// Fold aggregate `agg` (input `view`, arena position `at`) of every
+/// surviving row into its group's state, in row order. Aggregate kind, input
+/// shape (constant, dense lanes, lanes behind a selection) and weighting are
+/// fixed for the whole morsel, so they are dispatched once, here, and each
+/// combination runs its own tight loop over `(group id, value)`.
+fn fold_grouped(
     states: &mut [AggState],
-    aggs: &[CompiledAgg],
-    views: &[ValView<'_>],
-    i: usize,
-    w: u64,
+    at: (usize, usize),
+    gids: &[u32],
+    agg: &CompiledAgg,
+    view: ValView<'_>,
+    survivors: Survivors<'_>,
 ) {
-    for ((state, agg), view) in states.iter_mut().zip(aggs).zip(views) {
-        match agg {
-            CompiledAgg::Count => state.update_count_n(w),
-            CompiledAgg::Fold(kind, _) => fold_weighted_row(*kind, state, view.get(i), w),
+    let weights = match survivors {
+        Survivors::Plain(_) => None,
+        Survivors::Weighted(_, weights) => Some(weights),
+    };
+    // `fold!(|state, value, pos| ...)`: the loop of one fold, once per
+    // input shape.
+    macro_rules! fold {
+        (|$st:ident, $v:ident, $pos:ident| $body:expr) => {
+            match (view, survivors.selection()) {
+                (ValView::Const($v), _) => fold_column(states, at, gids, |$st, $pos| $body),
+                (ValView::Slice(s), None) => fold_column(states, at, gids, |$st, $pos| {
+                    let $v = s[$pos];
+                    $body
+                }),
+                (ValView::Slice(s), Some(ids)) => fold_column(states, at, gids, |$st, $pos| {
+                    let $v = s[ids[$pos] as usize];
+                    $body
+                }),
+            }
+        };
+    }
+    match (agg, weights) {
+        (CompiledAgg::Count, None) => fold_column(states, at, gids, |st, _| st.update_count()),
+        (CompiledAgg::Count, Some(ws)) => {
+            fold_column(states, at, gids, |st, pos| st.update_count_n(ws[pos]))
         }
+        (CompiledAgg::Fold(AggKind::Sum, _), None) => fold!(|st, v, _pos| st.fold_sum(v)),
+        (CompiledAgg::Fold(AggKind::Avg, _), None) => fold!(|st, v, _pos| st.fold_avg(v)),
+        (CompiledAgg::Fold(AggKind::Sum, _), Some(ws)) => {
+            fold!(|st, v, pos| st.fold_sum_weighted(v, ws[pos]))
+        }
+        (CompiledAgg::Fold(AggKind::Avg, _), Some(ws)) => {
+            fold!(|st, v, pos| st.fold_avg_weighted(v, ws[pos]))
+        }
+        // Repeated folds of one value cannot move an extremum: a row
+        // standing for `w` tuples folds once.
+        (CompiledAgg::Fold(AggKind::Min, _), _) => fold!(|st, v, _pos| st.fold_min(v)),
+        (CompiledAgg::Fold(AggKind::Max, _), _) => fold!(|st, v, _pos| st.fold_max(v)),
     }
 }
 
@@ -223,6 +259,7 @@ impl Sink for GroupSink<'_> {
         GroupOut {
             table,
             key_tmp: Vec::new(),
+            gids: Vec::new(),
             order: Vec::with_capacity(morsels),
             part_counts: Vec::with_capacity(morsels * RADIX_PARTS),
             keys: Vec::new(),
@@ -231,55 +268,26 @@ impl Sink for GroupSink<'_> {
         }
     }
 
-    /// Assign every surviving row to its group and fold all aggregate inputs
-    /// in a single row-wise pass: one upsert plus one state-slice fetch per
-    /// row. More aggregates than one pass covers re-run the pass per chunk
-    /// of the list (the upserts then find the groups the first pass made);
-    /// either way every state folds its rows in row order.
+    /// Assign every surviving row to its group first — one upsert per row,
+    /// the group ids kept in a reused buffer — then fold one aggregate at a
+    /// time over `(group id, value)` pairs. Every state still folds its rows
+    /// in row order.
     fn consume(&self, cx: &mut MorselCtx<'_, '_>, survivors: Survivors<'_>, out: &mut GroupOut) {
         let (pipe, rows) = (cx.pipe, cx.rows);
         let (aggs, consts) = (&pipe.aggs, &pipe.pool.consts);
         let sel = survivors.selection();
         out.table.begin_morsel();
-        // Evaluate every fold input up front (each compiled expression
-        // writes its own registers, so there is no aliasing between
-        // aggregates).
-        for agg in aggs {
-            if let CompiledAgg::Fold(_, e) = agg {
-                eval_expr(e, cx.data, cx.regs, consts, rows, sel);
-            }
-        }
-        for base in (0..aggs.len().max(1)).step_by(FUSED_AGGS) {
-            let chunk = &aggs[base..aggs.len().min(base + FUSED_AGGS)];
-            let mut views = [ValView::Const(0.0); FUSED_AGGS];
-            for (view, agg) in views.iter_mut().zip(chunk) {
-                if let CompiledAgg::Fold(_, e) = agg {
-                    *view = resolve(e.output, cx.data, cx.regs, consts);
+        out.resolve_groups(&self.slots, cx.data, cx.hashes, rows, sel);
+        for (j, agg) in aggs.iter().enumerate() {
+            let view = match agg {
+                CompiledAgg::Count => ValView::Const(0.0),
+                CompiledAgg::Fold(_, e) => {
+                    eval_expr(e, cx.data, cx.regs, consts, rows, sel);
+                    resolve(e.output, cx.data, cx.regs, consts)
                 }
-            }
-            match survivors {
-                Survivors::Plain(_) => out.upsert_rows(
-                    &self.slots,
-                    cx.data,
-                    cx.hashes,
-                    rows,
-                    sel,
-                    |table, g, _, i| {
-                        fold_row(&mut table.group_states_mut(g)[base..], chunk, &views, i)
-                    },
-                ),
-                Survivors::Weighted(_, weights) => out.upsert_rows(
-                    &self.slots,
-                    cx.data,
-                    cx.hashes,
-                    rows,
-                    sel,
-                    |table, g, pos, i| {
-                        let states = &mut table.group_states_mut(g)[base..];
-                        fold_row_weighted(states, chunk, &views, i, weights[pos])
-                    },
-                ),
-            }
+            };
+            let states = out.table.states_flat_mut();
+            fold_grouped(states, (aggs.len(), j), &out.gids, agg, view, survivors);
         }
         out.emit_morsel(cx.idx, self.slots.len(), self.aggregates.len());
     }

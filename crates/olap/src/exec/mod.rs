@@ -28,11 +28,13 @@
 //!   walks a tree.
 //! * **Selection vectors** — filters produce compacted `u32` row-id vectors
 //!   instead of `Vec<bool>` masks; join probes and aggregations only touch
-//!   surviving rows, and a filterless scan iterates the dense range without
-//!   materialising ids at all.
+//!   surviving rows, a morsel every row of which survives (a filterless scan
+//!   included) iterates the dense range without materialised ids, and one no
+//!   row of which survives loads no further column.
 //! * **Open-addressing tables** — the group-by operator and the join build
 //!   sides use the linear-probing tables of [`crate::hashtable`] with inline
-//!   flat keys; group keys are sorted exactly once, at final merge.
+//!   keys; a probe compacts its survivors without a data-dependent branch,
+//!   and group keys are sorted exactly once, at final merge.
 //! * **Zero steady-state allocation** — each worker carries one
 //!   [`crate::scratch::ExecScratch`] per pipeline; column data is borrowed
 //!   from storage where the dtype allows and converted into reused buffers

@@ -17,9 +17,9 @@ use crate::expr::{AggExpr, Predicate, ScalarExpr};
 use crate::hashtable::JoinTable;
 use crate::morsel::Morsel;
 use crate::program::{
-    apply_filters, ColumnResolver, CompiledAgg, CompiledKey, CompiledPredicate, ProgramPool,
+    apply_filters, ColRef, ColumnResolver, CompiledAgg, CompiledKey, CompiledPredicate, ProgramPool,
 };
-use crate::scratch::{load_morsel, ExecScratch, MorselData};
+use crate::scratch::{load_morsel, ExecScratch, FilterColumns, LoadPass, MorselData};
 use crate::source::{BoundLayout, ScanSource};
 use crate::worker::WorkerTeam;
 use htap_obs::EventKind;
@@ -69,6 +69,9 @@ pub(super) struct Pipeline<'q> {
     layout: BoundLayout,
     pub pool: ProgramPool,
     filters: Vec<CompiledPredicate>,
+    /// The load-list slots `filters` read: a morsel loads these first and
+    /// the rest only if a row survives.
+    filter_columns: FilterColumns,
     /// Probe stages in execution order: compiled key, probed build table.
     pub probes: Vec<(CompiledKey, &'q JoinTable)>,
     pub aggs: Vec<CompiledAgg>,
@@ -103,6 +106,16 @@ impl<'q> Pipeline<'q> {
         let mut pool = ProgramPool::default();
         let resolver = ColumnResolver::new(&numeric, &keys);
         let filters = pool.compile_filters(&input.filters, &resolver)?;
+        let mut filter_columns = FilterColumns {
+            num: vec![false; numeric.len()],
+            key: vec![false; keys.len()],
+        };
+        for pred in &filters {
+            match pred.col {
+                ColRef::Num(c) => filter_columns.num[c as usize] = true,
+                ColRef::Key(c) => filter_columns.key[c as usize] = true,
+            }
+        }
         let aggs = pool.compile_aggregates(aggregates, &resolver)?;
         let probes = input
             .probes
@@ -116,6 +129,7 @@ impl<'q> Pipeline<'q> {
             layout,
             pool,
             filters,
+            filter_columns,
             probes,
             aggs,
         })
@@ -165,6 +179,8 @@ pub(super) struct MorselCtx<'a, 'env> {
     pub data: &'a MorselData<'env>,
     pub regs: &'a mut [Vec<f64>],
     pub hashes: &'a mut Vec<u64>,
+    /// Computed-key lanes (see [`super::probe::key_vals`]).
+    pub keys: &'a mut Vec<i64>,
 }
 
 /// Where a pipeline's surviving rows end up: a join-build table, scalar
@@ -230,9 +246,16 @@ impl QueryExecutor {
             make,
             |idx, morsel, scratch, (out, profile)| {
                 let rows = morsel.row_count();
-                load_morsel(pipe.source, &pipe.layout, morsel, &mut scratch.data);
                 scratch.ensure_regs(rows);
-                let sel = apply_filters(&pipe.filters, &scratch.data, rows, &mut scratch.sel);
+                let (source, layout, split) = (pipe.source, &pipe.layout, &pipe.filter_columns);
+                let data = &mut scratch.data;
+                load_morsel(source, layout, morsel, data, split, LoadPass::Filters);
+                let sel = apply_filters(&pipe.filters, data, rows, &mut scratch.sel);
+                // A morsel the filters emptied loads nothing more: probe
+                // chain and sink get an empty selection and read no column.
+                if sel.is_none_or(|ids| !ids.is_empty()) {
+                    load_morsel(source, layout, morsel, data, split, LoadPass::Rest);
+                }
                 let mut cx = MorselCtx {
                     idx,
                     rows,
@@ -240,6 +263,7 @@ impl QueryExecutor {
                     data: &scratch.data,
                     regs: &mut scratch.regs,
                     hashes: &mut scratch.hashes,
+                    keys: &mut scratch.keys,
                 };
                 let (probes, survivors) = probe_chain(&mut cx, sel, &mut scratch.probe);
                 let row_bytes = pipe.layout.segments[morsel.segment].accessed_row_bytes;

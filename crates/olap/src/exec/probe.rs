@@ -7,42 +7,44 @@ use crate::kernels;
 use crate::program::{eval_expr, resolve, CompiledKey, ValView};
 use crate::scratch::{MorselData, ProbeBufs};
 
-/// The resolved join-key values of one morsel: the exact `i64` slice of a
-/// key column, or the `f64` lanes of a computed expression (cast per probe,
-/// exact below 2^53).
-pub(super) enum KeyVals<'a> {
-    Exact(&'a [i64]),
-    Computed(ValView<'a>),
-}
-
-impl KeyVals<'_> {
-    #[inline(always)]
-    pub fn get(&self, i: usize) -> i64 {
-        match self {
-            KeyVals::Exact(s) => s[i],
-            KeyVals::Computed(v) => v.get(i) as i64,
-        }
-    }
-}
-
-/// Evaluate a compiled key over the selected rows (a plain key column
-/// evaluates nothing) and return its per-row accessor.
+/// The `i64` join-key lane of every selected row of one morsel, indexed by
+/// row: a plain key column is read in place (exact over the full `i64`
+/// range); a computed expression is evaluated in `f64` and cast — exact
+/// below 2^53 — into the worker's key buffer `buf`, so every probe and build
+/// loop downstream sees one kind of key.
 #[inline]
 pub(super) fn key_vals<'a>(
     key: &CompiledKey,
     data: &'a MorselData<'_>,
-    regs: &'a mut [Vec<f64>],
+    regs: &mut [Vec<f64>],
+    buf: &'a mut Vec<i64>,
     consts: &[f64],
     rows: usize,
     sel: Option<&[u32]>,
-) -> KeyVals<'a> {
-    match key {
-        CompiledKey::Key(slot) => KeyVals::Exact(data.key(*slot as usize)),
-        CompiledKey::Expr(e) => {
-            eval_expr(e, data, regs, consts, rows, sel);
-            KeyVals::Computed(resolve(e.output, data, regs, consts))
+) -> &'a [i64] {
+    let expr = match key {
+        CompiledKey::Key(slot) => return data.key(*slot as usize),
+        CompiledKey::Expr(expr) => expr,
+    };
+    eval_expr(expr, data, regs, consts, rows, sel);
+    if buf.len() < rows {
+        buf.resize(rows, 0);
+    }
+    let buf = &mut buf[..rows];
+    match (resolve(expr.output, data, regs, consts), sel) {
+        (ValView::Const(c), _) => buf.fill(c as i64),
+        (ValView::Slice(s), None) => {
+            for (k, &v) in buf.iter_mut().zip(&s[..rows]) {
+                *k = v as i64;
+            }
+        }
+        (ValView::Slice(s), Some(ids)) => {
+            for &i in ids {
+                buf[i as usize] = s[i as usize] as i64;
+            }
         }
     }
+    buf
 }
 
 /// Run `f(pos, row)` over every selected row: `pos` is the row's position in
@@ -93,12 +95,14 @@ impl<'a> Survivors<'a> {
 /// hop — and the final survivors.
 ///
 /// While every probed build is unique and no weights are in flight, each
-/// hop is a plain membership probe — exact `i64` key columns take the batch
-/// path (the chunked hash kernels fill the hash buffer for the whole
-/// selection, then prehashed lookups). The first hop over a duplicate-key
-/// build switches the chain to weight tracking: a surviving row's
-/// multiplicity is the product of the matched build weights, and downstream
-/// sinks fold it that many times.
+/// hop is a plain membership probe: the chunked hash kernels fill the hash
+/// buffer for the whole selection, then [`JoinTable::select`] compacts the
+/// matching rows without a data-dependent branch. The first hop over a
+/// duplicate-key build switches the chain to weight tracking: a surviving
+/// row's multiplicity is the product of the matched build weights, and
+/// downstream sinks fold it that many times.
+///
+/// [`JoinTable::select`]: crate::hashtable::JoinTable::select
 pub(super) fn probe_chain<'s>(
     cx: &mut MorselCtx<'_, '_>,
     sel: Option<&'s [u32]>,
@@ -108,8 +112,9 @@ pub(super) fn probe_chain<'s>(
     let mut total_probes = 0u64;
     let mut weighted = false;
     let mut ran = false;
-    // `table` is copied out of the probe list: the loops below push into a
-    // `Vec` (a possible call), after which a `&&JoinTable` is reloaded per row.
+    // `table` is copied out of the probe list: the weighted loop pushes into
+    // a `Vec` (a possible call), after which a `&&JoinTable` is reloaded per
+    // row.
     for &(ref key, table) in &pipe.probes {
         let track = weighted || !table.unique();
         // Swap so the current survivors sit in `sel_b`/`w_b` and this hop
@@ -119,46 +124,25 @@ pub(super) fn probe_chain<'s>(
         let src: Option<&[u32]> = if ran { Some(&bufs.sel_b) } else { sel };
         let src_w: Option<&[u64]> = weighted.then_some(bufs.w_b.as_slice());
         let (out, out_w) = (&mut bufs.sel_a, &mut bufs.w_a);
-        out.clear();
-        out_w.clear();
         total_probes += src.map_or(rows, <[u32]>::len) as u64;
-        match key_vals(key, cx.data, cx.regs, &pipe.pool.consts, rows, src) {
-            kv if track => for_each_selected(rows, src, |pos, i| {
-                let w = src_w.map_or(1, |ws| ws[pos]) * table.weight(kv.get(i));
+        let consts = &pipe.pool.consts;
+        let keys = key_vals(key, cx.data, cx.regs, cx.keys, consts, rows, src);
+        if track {
+            out.clear();
+            out_w.clear();
+            for_each_selected(rows, src, |pos, i| {
+                let w = src_w.map_or(1, |ws| ws[pos]) * table.weight(keys[i]);
                 if w != 0 {
                     out.push(i as u32);
                     out_w.push(w);
                 }
-            }),
-            // The two hot loops of every unique-key join, written as zips:
-            // indexing the hash buffer by position instead costs a
-            // single-join scan ~8 %.
-            KeyVals::Exact(keys) => {
-                let keys = &keys[..rows];
-                match src {
-                    None => {
-                        kernels::hash1_dense(keys, cx.hashes);
-                        for (i, (&h, &k)) in cx.hashes.iter().zip(keys).enumerate() {
-                            if table.weight_hashed(h, k) != 0 {
-                                out.push(i as u32);
-                            }
-                        }
-                    }
-                    Some(ids) => {
-                        kernels::hash1_gather(keys, ids, cx.hashes);
-                        for (&i, &h) in ids.iter().zip(cx.hashes.iter()) {
-                            if table.weight_hashed(h, keys[i as usize]) != 0 {
-                                out.push(i);
-                            }
-                        }
-                    }
-                }
+            });
+        } else {
+            match src {
+                None => kernels::hash1_dense(&keys[..rows], cx.hashes),
+                Some(ids) => kernels::hash1_gather(keys, ids, cx.hashes),
             }
-            kv => for_each_selected(rows, src, |_, i| {
-                if table.weight(kv.get(i)) != 0 {
-                    out.push(i as u32);
-                }
-            }),
+            table.select(keys, src, cx.hashes, out);
         }
         weighted = track;
         ran = true;

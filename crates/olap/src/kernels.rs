@@ -30,6 +30,11 @@
 //!   kind, with the `ValView` dispatch hoisted out of the loop) — never by
 //!   lane-parallel partial accumulators, which would reassociate the sums.
 //!
+//! Output buffers (`out`, `sel`) are the worker's, reused morsel after
+//! morsel: a kernel sizes one with a bare `resize` — which zero-fills only
+//! growth, nothing once the buffer has seen a full morsel — and overwrites
+//! every lane it keeps, so whatever the buffer held on entry never shows.
+//!
 //! Every chunked kernel has a `_scalar` twin: the obvious one-row-at-a-time
 //! loop. The twins are the reference the property tests
 //! (`crates/olap/tests/kernels_proptest.rs`) compare against on adversarial
@@ -77,7 +82,6 @@ pub fn hash_key(key: &[i64]) -> u64 {
 
 /// Batch-hash a dense key column into `out` (`out[i] = hash_i64(keys[i])`).
 pub fn hash1_dense(keys: &[i64], out: &mut Vec<u64>) {
-    out.clear();
     out.resize(keys.len(), 0);
     let mut chunks = keys.chunks_exact(LANES);
     let mut at = 0;
@@ -103,7 +107,6 @@ pub fn hash1_dense_scalar(keys: &[i64], out: &mut Vec<u64>) {
 /// Batch-hash the selected rows of a key column (`out[pos] =
 /// hash_i64(keys[sel[pos]])`, one output lane per selection entry).
 pub fn hash1_gather(keys: &[i64], sel: &[u32], out: &mut Vec<u64>) {
-    out.clear();
     out.resize(sel.len(), 0);
     let mut chunks = sel.chunks_exact(LANES);
     let mut at = 0;
@@ -134,7 +137,6 @@ pub fn hash1_gather_scalar(keys: &[i64], sel: &[u32], out: &mut Vec<u64>) {
 /// (`out[i] = hash_combine(hash_i64(k0[i]), k1[i])`).
 pub fn hash2_dense(k0: &[i64], k1: &[i64], out: &mut Vec<u64>) {
     debug_assert_eq!(k0.len(), k1.len());
-    out.clear();
     out.resize(k0.len(), 0);
     let mut a = k0.chunks_exact(LANES);
     let mut b = k1.chunks_exact(LANES);
@@ -164,7 +166,6 @@ pub fn hash2_dense_scalar(k0: &[i64], k1: &[i64], out: &mut Vec<u64>) {
 
 /// Batch-hash the selected rows of a two-column composite key.
 pub fn hash2_gather(k0: &[i64], k1: &[i64], sel: &[u32], out: &mut Vec<u64>) {
-    out.clear();
     out.resize(sel.len(), 0);
     let mut chunks = sel.chunks_exact(LANES);
     let mut at = 0;
@@ -236,7 +237,6 @@ macro_rules! for_each_cmp {
 /// selective predicate costs the same as a permissive one.
 #[inline(always)]
 fn filter_dense_with(vals: &[f64], keep: impl Fn(f64) -> bool, sel: &mut Vec<u32>) {
-    sel.clear();
     sel.resize(vals.len(), 0);
     let mut len = 0usize;
     let mut base = 0u32;
@@ -308,7 +308,6 @@ pub fn filter_dense_f64_scalar(vals: &[f64], op: CmpOp, lit: f64, sel: &mut Vec<
 /// predicate fallback the row-at-a-time oracle applies to key columns).
 pub fn filter_dense_i64(vals: &[i64], op: CmpOp, lit: f64, sel: &mut Vec<u32>) {
     for_each_cmp!(op, lit, |keep| {
-        sel.clear();
         sel.resize(vals.len(), 0);
         let mut len = 0usize;
         let mut base = 0u32;

@@ -48,17 +48,6 @@ pub(crate) enum BinOp {
     Mul,
 }
 
-impl BinOp {
-    #[inline(always)]
-    fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a * b,
-        }
-    }
-}
-
 /// A compiled scalar expression: instructions plus the source its value ends
 /// up in. A plain column reference compiles to zero instructions and reads
 /// the column slice directly (zero copies).
@@ -335,32 +324,59 @@ pub(crate) fn eval_expr(
         // lint:allow(no-panic): dst < regs.len() by construction in compile()
         let (dst, after) = rest.split_first_mut().expect("register allocated");
         let read = |src: Src| -> ValView<'_> {
-            match src {
-                Src::Num(c) => ValView::Slice(data.numeric(c as usize)),
-                Src::Reg(r) => {
-                    let r = r as usize;
-                    ValView::Slice(if r < before.len() {
-                        &before[r]
-                    } else {
-                        &after[r - before.len() - 1]
-                    })
-                }
-                Src::Const(c) => ValView::Const(consts[c as usize]),
-            }
+            let lanes = match src {
+                Src::Num(c) => data.numeric(c as usize),
+                Src::Reg(r) if (r as usize) < before.len() => &before[r as usize],
+                Src::Reg(r) => &after[r as usize - before.len() - 1],
+                Src::Const(c) => return ValView::Const(consts[c as usize]),
+            };
+            // A dense pass reads exactly `rows` lanes of every operand;
+            // saying so up front lets the element loop drop its bounds
+            // checks. (Behind a selection the slice stays as it is: a morsel
+            // no row of which survived has loaded none of these columns.)
+            ValView::Slice(if sel.is_none() { &lanes[..rows] } else { lanes })
         };
-        let a = read(instr.a);
-        let b = read(instr.b);
-        match sel {
-            None => {
-                for (i, lane) in dst.iter_mut().enumerate().take(rows) {
-                    *lane = instr.op.apply(a.get(i), b.get(i));
+        // The operator and the operand shapes are fixed per instruction:
+        // dispatch on them once, out here, and run one monomorphised element
+        // loop instead of re-matching both per lane.
+        macro_rules! lanes {
+            ($op:tt) => {
+                match (read(instr.a), read(instr.b)) {
+                    (ValView::Slice(a), ValView::Slice(b)) => {
+                        write_lanes(dst, rows, sel, |i| a[i] $op b[i])
+                    }
+                    (ValView::Slice(a), ValView::Const(b)) => {
+                        write_lanes(dst, rows, sel, |i| a[i] $op b)
+                    }
+                    (ValView::Const(a), ValView::Slice(b)) => {
+                        write_lanes(dst, rows, sel, |i| a $op b[i])
+                    }
+                    (ValView::Const(a), ValView::Const(b)) => {
+                        write_lanes(dst, rows, sel, |_| a $op b)
+                    }
                 }
+            };
+        }
+        match instr.op {
+            BinOp::Add => lanes!(+),
+            BinOp::Sub => lanes!(-),
+            BinOp::Mul => lanes!(*),
+        }
+    }
+}
+
+/// Write `lane(i)` into `dst[i]` for every selected row `i`.
+#[inline(always)]
+fn write_lanes(dst: &mut [f64], rows: usize, sel: Option<&[u32]>, lane: impl Fn(usize) -> f64) {
+    match sel {
+        None => {
+            for (i, out) in dst[..rows].iter_mut().enumerate() {
+                *out = lane(i);
             }
-            Some(ids) => {
-                for &i in ids {
-                    let i = i as usize;
-                    dst[i] = instr.op.apply(a.get(i), b.get(i));
-                }
+        }
+        Some(ids) => {
+            for &i in ids {
+                dst[i as usize] = lane(i as usize);
             }
         }
     }
@@ -368,42 +384,44 @@ pub(crate) fn eval_expr(
 
 /// Apply a compiled conjunction to one morsel, producing a selection vector.
 ///
-/// Returns `None` when the pipeline has no filters (the caller iterates the
-/// dense row range without materialising ids); otherwise fills `sel` with the
-/// surviving row ids, compacting in place predicate by predicate. The first
-/// predicate runs the dense chunked filter kernel; every further predicate
-/// refines the selection in place with the gather kernel (see
-/// [`crate::kernels`] — key columns compare as `f64`, the same fallback the
-/// row-at-a-time oracle applies).
+/// Returns `None` — the dense selection: the caller iterates the row range
+/// without materialised ids and downstream operators run their dense kernels
+/// — when every row survived, which includes the pipeline without filters;
+/// otherwise fills `sel` with the surviving row ids. While every row is still
+/// in, a predicate runs the dense chunked filter kernel over the whole
+/// morsel; once one has dropped a row, the rest refine the selection in place
+/// with the gather kernel (see [`crate::kernels`] — key columns compare as
+/// `f64`, the same fallback the row-at-a-time oracle applies).
 pub(crate) fn apply_filters<'s>(
     filters: &[CompiledPredicate],
     data: &MorselData<'_>,
     rows: usize,
     sel: &'s mut Vec<u32>,
 ) -> Option<&'s [u32]> {
-    let (first, rest) = filters.split_first()?;
-    match first.col {
-        ColRef::Num(c) => kernels::filter_dense_f64(
-            &data.numeric(c as usize)[..rows],
-            first.op,
-            first.literal,
-            sel,
-        ),
-        ColRef::Key(c) => {
-            kernels::filter_dense_i64(&data.key(c as usize)[..rows], first.op, first.literal, sel)
-        }
-    }
-    for pred in rest {
-        match pred.col {
-            ColRef::Num(c) => {
-                kernels::filter_refine_f64(data.numeric(c as usize), pred.op, pred.literal, sel)
+    let mut dense = true;
+    for pred in filters {
+        let (op, lit) = (pred.op, pred.literal);
+        match (pred.col, dense) {
+            (ColRef::Num(c), true) => {
+                kernels::filter_dense_f64(&data.numeric(c as usize)[..rows], op, lit, sel)
             }
-            ColRef::Key(c) => {
-                kernels::filter_refine_i64(data.key(c as usize), pred.op, pred.literal, sel)
+            (ColRef::Key(c), true) => {
+                kernels::filter_dense_i64(&data.key(c as usize)[..rows], op, lit, sel)
+            }
+            (ColRef::Num(c), false) => {
+                kernels::filter_refine_f64(data.numeric(c as usize), op, lit, sel)
+            }
+            (ColRef::Key(c), false) => {
+                kernels::filter_refine_i64(data.key(c as usize), op, lit, sel)
             }
         }
+        dense = dense && sel.len() == rows;
     }
-    Some(sel.as_slice())
+    if dense {
+        None
+    } else {
+        Some(sel.as_slice())
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,10 @@
 //! for the duration of the morsel) instead of copied. Only genuine type
 //! conversions (`i32`/`i64` → `f64` numerics, `i32` → `i64` keys) write
 //! into the scratch conversion buffers.
+//!
+//! A morsel is loaded in two passes ([`LoadPass`]): the columns its filters
+//! read first, every other column only once the filters have left a row —
+//! a morsel the filters reject whole costs no further guard or conversion.
 
 use crate::morsel::Morsel;
 use crate::source::{BoundLayout, ScanSource};
@@ -22,6 +26,8 @@ use parking_lot::RwLockReadGuard;
 /// One numeric column of the current morsel: borrowed from storage or
 /// converted into the aligned scratch buffer.
 pub(crate) enum NumCol<'env> {
+    /// Not loaded for this morsel (reads as the empty slice).
+    Unloaded,
     /// Borrowed `f64` storage (zero copy); slices `[start, start + rows)`.
     Borrowed(RwLockReadGuard<'env, Vec<f64>>),
     /// Converted values live in `MorselData::num_bufs` at the same index.
@@ -30,6 +36,8 @@ pub(crate) enum NumCol<'env> {
 
 /// One key column of the current morsel.
 pub(crate) enum KeyCol<'env> {
+    /// Not loaded for this morsel (reads as the empty slice).
+    Unloaded,
     /// Borrowed `i64` storage (zero copy).
     Borrowed(RwLockReadGuard<'env, Vec<i64>>),
     /// Converted values live in `MorselData::key_bufs` at the same index.
@@ -71,6 +79,7 @@ impl<'env> MorselData<'env> {
     #[inline(always)]
     pub fn numeric(&self, j: usize) -> &[f64] {
         match &self.num[j] {
+            NumCol::Unloaded => &[],
             NumCol::Borrowed(g) => &g[self.start..self.start + self.rows],
             NumCol::Converted => &self.num_bufs[j][..self.rows],
         }
@@ -80,15 +89,21 @@ impl<'env> MorselData<'env> {
     #[inline(always)]
     pub fn key(&self, j: usize) -> &[i64] {
         match &self.key[j] {
+            KeyCol::Unloaded => &[],
             KeyCol::Borrowed(g) => &g[self.start..self.start + self.rows],
             KeyCol::Converted => &self.key_bufs[j][..self.rows],
         }
     }
 
-    /// Release the previous morsel's guards (buffers keep their capacity).
+    /// Release the previous morsel's guards (buffers keep their capacity)
+    /// and mark every column unloaded.
     fn reset(&mut self, start: usize, rows: usize) {
         self.num.clear();
+        self.num
+            .resize_with(self.num_bufs.len(), || NumCol::Unloaded);
         self.key.clear();
+        self.key
+            .resize_with(self.key_bufs.len(), || KeyCol::Unloaded);
         self.start = start;
         self.rows = rows;
     }
@@ -110,8 +125,26 @@ impl<'env> MorselData<'env> {
     }
 }
 
-/// Load one morsel's columns into `data`: `f64` numerics and `i64` keys are
-/// borrowed from the columnar storage, everything else converts into the
+/// Which of a pipeline's load-list columns its filters read, per numeric and
+/// key slot — what splits a morsel's load into its two passes.
+#[derive(Debug, Default)]
+pub(crate) struct FilterColumns {
+    pub num: Vec<bool>,
+    pub key: Vec<bool>,
+}
+
+/// One of the two passes of a morsel's load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LoadPass {
+    /// Start the morsel: release the previous one's guards and load the
+    /// columns the filters read.
+    Filters,
+    /// Load every other column (skipped when the filters left no row).
+    Rest,
+}
+
+/// Run one load pass of `morsel` into `data`: `f64` numerics and `i64` keys
+/// are borrowed from the columnar storage, everything else converts into the
 /// reused scratch buffers. The layout was validated at bind time, so the
 /// load itself is infallible.
 pub(crate) fn load_morsel<'env>(
@@ -119,17 +152,25 @@ pub(crate) fn load_morsel<'env>(
     layout: &BoundLayout,
     morsel: &Morsel,
     data: &mut MorselData<'env>,
+    filter_columns: &FilterColumns,
+    pass: LoadPass,
 ) {
     let seg = &source.segments[morsel.segment];
     let binding = &layout.segments[morsel.segment];
     let start = morsel.rows.start as usize;
     let rows = morsel.row_count();
-    data.reset(start, rows);
+    let filters = pass == LoadPass::Filters;
+    if filters {
+        data.reset(start, rows);
+    }
     for (j, bc) in binding.numeric.iter().enumerate() {
+        if filter_columns.num[j] != filters {
+            continue;
+        }
         let col = seg.table.column(bc.index);
-        match bc.dtype {
+        data.num[j] = match bc.dtype {
             DataType::F64 => match col.read_guard() {
-                ColumnGuard::F64(g) => data.num.push(NumCol::Borrowed(g)),
+                ColumnGuard::F64(g) => NumCol::Borrowed(g),
                 _ => unreachable!("bind checked the dtype"),
             },
             DataType::I64 => {
@@ -138,7 +179,7 @@ pub(crate) fn load_morsel<'env>(
                 col.with_i64(start + rows, |v| {
                     buf.extend(v[start..start + rows].iter().map(|&x| x as f64))
                 });
-                data.num.push(NumCol::Converted);
+                NumCol::Converted
             }
             DataType::I32 => {
                 let buf = &mut data.num_bufs[j];
@@ -146,16 +187,19 @@ pub(crate) fn load_morsel<'env>(
                 col.with_i32(start + rows, |v| {
                     buf.extend(v[start..start + rows].iter().map(|&x| x as f64))
                 });
-                data.num.push(NumCol::Converted);
+                NumCol::Converted
             }
             DataType::Str => unreachable!("bind rejected string numerics"),
-        }
+        };
     }
     for (j, bc) in binding.keys.iter().enumerate() {
+        if filter_columns.key[j] != filters {
+            continue;
+        }
         let col = seg.table.column(bc.index);
-        match bc.dtype {
+        data.key[j] = match bc.dtype {
             DataType::I64 => match col.read_guard() {
-                ColumnGuard::I64(g) => data.key.push(KeyCol::Borrowed(g)),
+                ColumnGuard::I64(g) => KeyCol::Borrowed(g),
                 _ => unreachable!("bind checked the dtype"),
             },
             DataType::I32 => {
@@ -164,10 +208,10 @@ pub(crate) fn load_morsel<'env>(
                 col.with_i32(start + rows, |v| {
                     buf.extend(v[start..start + rows].iter().map(|&x| x as i64))
                 });
-                data.key.push(KeyCol::Converted);
+                KeyCol::Converted
             }
             _ => unreachable!("bind rejected non-integer keys"),
-        }
+        };
     }
 }
 
@@ -201,6 +245,9 @@ pub(crate) struct ExecScratch<'env> {
     /// Batch-hash output buffer: one `u64` hash per selected row, filled by
     /// the chunked hash kernels before the probe/upsert loop.
     pub hashes: Vec<u64>,
+    /// The `i64` values of a computed join key, one lane per row (a plain
+    /// key column is read in place).
+    pub keys: Vec<i64>,
 }
 
 impl ExecScratch<'_> {
@@ -219,6 +266,7 @@ impl ExecScratch<'_> {
             sel: Vec::new(),
             probe: ProbeBufs::default(),
             hashes: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -272,7 +320,30 @@ mod tests {
             .unwrap();
         let morsels = src.morsels(32);
         let mut data = MorselData::with_columns(2, 2);
-        load_morsel(&src, &layout, &morsels[1], &mut data);
+        // `qty` is the filter column: the first pass loads it alone.
+        let split = FilterColumns {
+            num: vec![false, true],
+            key: vec![false, true],
+        };
+        load_morsel(
+            &src,
+            &layout,
+            &morsels[1],
+            &mut data,
+            &split,
+            LoadPass::Filters,
+        );
+        assert!(matches!(data.num[0], NumCol::Unloaded) && data.numeric(0).is_empty());
+        assert!(matches!(data.key[0], KeyCol::Unloaded) && data.key(0).is_empty());
+        assert_eq!(data.numeric(1)[0], 2.0);
+        load_morsel(
+            &src,
+            &layout,
+            &morsels[1],
+            &mut data,
+            &split,
+            LoadPass::Rest,
+        );
         assert_eq!(data.rows(), 32);
         // amount (f64) is borrowed; qty (i32) converts.
         assert!(matches!(data.num[0], NumCol::Borrowed(_)));

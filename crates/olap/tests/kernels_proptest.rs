@@ -5,12 +5,17 @@
 //! scalar twin. Aggregate states are compared through the finalized bits of
 //! every aggregate kind, so a NaN produced by both paths still compares
 //! equal while any bitwise divergence (including `-0.0` vs `0.0`) fails.
+//!
+//! The join table rides along: its branch-free survivor compaction is held
+//! to its scalar twin the same way, and the table itself to a `BTreeMap`
+//! model over random `add`/`union` sequences.
 
 use htap_olap::expr::{AggExpr, AggState, CmpOp, ScalarExpr};
 use htap_olap::kernels;
-use htap_olap::GroupTable;
+use htap_olap::{GroupTable, JoinTable};
 use proptest::prelude::*;
 use proptest::strategy::Union;
+use std::collections::BTreeMap;
 
 /// Adversarial `f64`s: ordinary values plus the IEEE specials the
 /// comparison and fold semantics are sensitive to.
@@ -61,6 +66,56 @@ fn selection(mask: &[bool], n: usize) -> Vec<u32> {
         .filter(|&i| mask[i])
         .map(|i| i as u32)
         .collect()
+}
+
+/// Join keys for the model test: a narrow band (so sequences revisit keys
+/// and `union` operands overlap), a wide spread that crosses several table
+/// growths, and the values an "index + 1" or "key 0 = empty" encoding would
+/// confuse with an empty slot.
+fn join_key() -> Union<i64> {
+    prop_oneof![
+        4 => -20i64..20,
+        4 => -5_000i64..5_000,
+        1 => Just(0i64),
+        1 => Just(i64::MIN),
+        1 => Just(i64::MAX),
+        1 => any::<i64>(),
+    ]
+}
+
+/// Build a table and its model from `(key, weight)` inserts.
+fn table_and_model(adds: &[(i64, u64)]) -> (JoinTable, BTreeMap<i64, u64>) {
+    let mut table = JoinTable::new();
+    let mut model = BTreeMap::new();
+    for &(k, w) in adds {
+        table.add(k, w);
+        if w > 0 {
+            *model.entry(k).or_insert(0) += w;
+        }
+    }
+    (table, model)
+}
+
+/// `table` holds exactly `model`: weights of present and absent keys (plain
+/// and prehashed), distinct-key count, uniqueness, and the pairs `iter`
+/// yields.
+fn assert_table_is(table: &JoinTable, model: &BTreeMap<i64, u64>, probes: &[i64]) {
+    let extremes = [0, -1, 1, i64::MIN, i64::MAX];
+    for &k in model.keys().chain(probes).chain(&extremes) {
+        let expected = model.get(&k).copied().unwrap_or(0);
+        assert_eq!(table.weight(k), expected, "weight of {k}");
+        assert_eq!(table.weight_hashed(kernels::hash_i64(k), k), expected);
+    }
+    assert_eq!(table.len(), model.len(), "len = distinct keys");
+    assert_eq!(table.is_empty(), model.is_empty());
+    let max_weight = model.values().copied().max().unwrap_or(0);
+    assert_eq!(
+        table.unique(),
+        max_weight <= 1,
+        "unique <=> max weight <= 1"
+    );
+    let pairs: BTreeMap<i64, u64> = table.iter().collect();
+    assert_eq!(&pairs, model, "iter yields every pair once");
 }
 
 /// Every field of an aggregate state, as finalized bits.
@@ -211,5 +266,141 @@ proptest! {
         }
         prop_assert_eq!(plain.keys_flat(), pre.keys_flat());
         prop_assert_eq!(plain.hashes_flat(), pre.hashes_flat());
+    }
+
+    /// The kernels size their output with a `resize` that zero-fills only
+    /// growth, so the buffer arrives holding the previous morsel's values:
+    /// whatever it holds, and however long it is, the result must be the
+    /// scalar twin's.
+    #[test]
+    fn dirty_output_buffers_do_not_leak_into_results(
+        pairs in prop::collection::vec((adv_i64(), adv_i64()), 0..35),
+        vals in prop::collection::vec(adv_f64(), 0..35),
+        mask in prop::collection::vec(prop::bool::ANY, 0..35),
+        poison_len in 0usize..80,
+        op in cmp_op(),
+        lit in adv_f64(),
+    ) {
+        let k0: Vec<i64> = pairs.iter().map(|&(a, _)| a).collect();
+        let k1: Vec<i64> = pairs.iter().map(|&(_, b)| b).collect();
+        let sel = selection(&mask, k0.len());
+        let dirty_hashes = || vec![0xDEAD_BEEF_DEAD_BEEFu64; poison_len];
+        let dirty_sel = || vec![u32::MAX; poison_len];
+        let mut scalar = Vec::new();
+
+        let mut out = dirty_hashes();
+        kernels::hash1_dense(&k0, &mut out);
+        kernels::hash1_dense_scalar(&k0, &mut scalar);
+        prop_assert_eq!(&out, &scalar);
+
+        let mut out = dirty_hashes();
+        kernels::hash1_gather(&k0, &sel, &mut out);
+        kernels::hash1_gather_scalar(&k0, &sel, &mut scalar);
+        prop_assert_eq!(&out, &scalar);
+
+        let mut out = dirty_hashes();
+        kernels::hash2_dense(&k0, &k1, &mut out);
+        kernels::hash2_dense_scalar(&k0, &k1, &mut scalar);
+        prop_assert_eq!(&out, &scalar);
+
+        let mut out = dirty_hashes();
+        kernels::hash2_gather(&k0, &k1, &sel, &mut out);
+        kernels::hash2_gather_scalar(&k0, &k1, &sel, &mut scalar);
+        prop_assert_eq!(&out, &scalar);
+
+        let mut scalar = Vec::new();
+        let mut out = dirty_sel();
+        kernels::filter_dense_f64(&vals, op, lit, &mut out);
+        kernels::filter_dense_f64_scalar(&vals, op, lit, &mut scalar);
+        prop_assert_eq!(&out, &scalar);
+
+        let mut out = dirty_sel();
+        kernels::filter_dense_i64(&k0, op, lit, &mut out);
+        kernels::filter_dense_i64_scalar(&k0, op, lit, &mut scalar);
+        prop_assert_eq!(&out, &scalar);
+    }
+
+    /// The probe's branch-free survivor compaction against its scalar twin:
+    /// dense and behind a selection, over an empty table, a sparse one and
+    /// one that has grown, with absent keys in the mix and a dirty output
+    /// buffer.
+    #[test]
+    fn join_probe_compaction_matches_scalar(
+        build in prop::collection::vec(join_key(), 0..120),
+        probe in prop::collection::vec(join_key(), 0..35),
+        mask in prop::collection::vec(prop::bool::ANY, 0..35),
+        poison_len in 0usize..80,
+    ) {
+        let mut table = JoinTable::new();
+        for &k in &build {
+            table.add(k, 1);
+        }
+        // Half the probe keys are drawn from the build side, so hits and
+        // misses both occur whatever the key strategy produced.
+        let keys: Vec<i64> = probe
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| if i % 2 == 0 || build.is_empty() { k } else { build[i % build.len()] })
+            .collect();
+        let sel = selection(&mask, keys.len());
+        let (mut hashes, mut scalar) = (Vec::new(), Vec::new());
+
+        kernels::hash1_dense(&keys, &mut hashes);
+        let mut out = vec![u32::MAX; poison_len];
+        table.select(&keys, None, &hashes, &mut out);
+        table.select_scalar(&keys, None, &hashes, &mut scalar);
+        prop_assert_eq!(&out, &scalar);
+        let expected: Vec<u32> = (0..keys.len() as u32)
+            .filter(|&i| build.contains(&keys[i as usize]))
+            .collect();
+        prop_assert_eq!(&out, &expected);
+
+        kernels::hash1_gather(&keys, &sel, &mut hashes);
+        let mut out = vec![u32::MAX; poison_len];
+        table.select(&keys, Some(&sel), &hashes, &mut out);
+        table.select_scalar(&keys, Some(&sel), &hashes, &mut scalar);
+        prop_assert_eq!(&out, &scalar);
+        let expected: Vec<u32> = sel
+            .iter()
+            .copied()
+            .filter(|&i| build.contains(&keys[i as usize]))
+            .collect();
+        prop_assert_eq!(&out, &expected);
+    }
+
+    /// The join table against a `BTreeMap<i64, u64>` model: random `add`
+    /// sequences long enough to cross several growths (zero-weight adds are
+    /// no-ops), then `union` in both directions — the resulting weights are
+    /// the same whichever table receives the other.
+    #[test]
+    fn join_table_matches_a_btreemap_model(
+        left in prop::collection::vec((join_key(), 0u64..4), 0..400),
+        right in prop::collection::vec((join_key(), 0u64..4), 0..400),
+        probes in prop::collection::vec(join_key(), 0..40),
+    ) {
+        let (a, model_a) = table_and_model(&left);
+        let (b, model_b) = table_and_model(&right);
+        assert_table_is(&a, &model_a, &probes);
+        assert_table_is(&b, &model_b, &probes);
+
+        let mut model_ab = model_a.clone();
+        for (&k, &w) in &model_b {
+            *model_ab.entry(k).or_insert(0) += w;
+        }
+        let mut ab = a.clone();
+        ab.union(&b);
+        let mut ba = b.clone();
+        ba.union(&a);
+        assert_table_is(&ab, &model_ab, &probes);
+        assert_table_is(&ba, &model_ab, &probes);
+        // The operands are untouched, and a union with the empty table
+        // changes nothing in either direction.
+        assert_table_is(&b, &model_b, &probes);
+        let mut empty = JoinTable::new();
+        empty.union(&a);
+        assert_table_is(&empty, &model_a, &probes);
+        let mut same = a.clone();
+        same.union(&JoinTable::new());
+        assert_table_is(&same, &model_a, &probes);
     }
 }

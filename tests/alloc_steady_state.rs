@@ -106,11 +106,9 @@ fn orderline_sources(n: u64) -> Sources {
     m
 }
 
-/// `orderline` plus an `item` build side whose join column `i_ref` repeats
-/// (21 rows over 7 values, multiplicity 3): probing it takes the engine's
-/// *weighted* (multiplicity-tracking) path rather than the exact unique-key
-/// path.
-fn join_sources(n: u64) -> Sources {
+/// `orderline` plus an `item` build side of `item_rows` rows whose join
+/// column `i_ref` cycles through the 7 values of `ol_i_id`.
+fn sources_with_item(n: u64, item_rows: u64) -> Sources {
     let mut m = orderline_sources(n);
     let schema = TableSchema::new(
         "item",
@@ -121,16 +119,29 @@ fn join_sources(n: u64) -> Sources {
         Some(0),
     );
     let t = ColumnarTable::new(schema);
-    for i in 0..21u64 {
+    for i in 0..item_rows {
         t.append_row(&[Value::I64(i as i64), Value::I64((i % 7) as i64)])
             .unwrap();
     }
-    let snap = TableSnapshot::new("item".into(), Arc::new(t), 21, 0);
+    let snap = TableSnapshot::new("item".into(), Arc::new(t), item_rows, 0);
     m.insert(
         "item".to_string(),
         ScanSource::contiguous_snapshot(&snap, SocketId(0)),
     );
     m
+}
+
+/// An `item` whose `i_ref` repeats (21 rows over 7 values, multiplicity 3):
+/// probing it takes the engine's *weighted* (multiplicity-tracking) path
+/// rather than the exact unique-key path.
+fn join_sources(n: u64) -> Sources {
+    sources_with_item(n, 21)
+}
+
+/// A duplicate-free `item` covering 5 of the 7 `ol_i_id` values: probing it
+/// takes the unique-key path, and some rows of every morsel miss.
+fn unique_join_sources(n: u64) -> Sources {
+    sources_with_item(n, 5)
 }
 
 /// One measurement window at a time: another test allocating — even just
@@ -262,6 +273,38 @@ fn weighted_probe_morsel_loop_does_not_allocate() {
         (&grouped, 256, "weighted join group-by"),
     ] {
         let (small, large) = allocs_at_16_and_64_morsels(plan, join_sources);
+        let delta = large.saturating_sub(small);
+        assert!(
+            delta <= budget,
+            "{what}: 48 extra morsels must not allocate per morsel: {small} allocs at \
+             16 morsels, {large} at 64 (delta {delta})"
+        );
+    }
+}
+
+/// The unique-key probe (a duplicate-free build, so survivors stay a plain
+/// selection): the survivor buffer the probe compacts into is sized once per
+/// worker and reused, so 4x the morsels must cost (almost) no extra
+/// allocations — behind a filter (gathered probe) and without one (dense
+/// probe), scalar and grouped.
+#[test]
+fn unique_key_probe_morsel_loop_does_not_allocate() {
+    let _window = window();
+    let aggregates = || vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count];
+    let filtered = orderline_plan(
+        &[Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
+        true,
+        None,
+        aggregates(),
+    );
+    let dense = orderline_plan(&[], true, None, aggregates());
+    let grouped = orderline_plan(&[], true, Some(&["ol_quantity"]), aggregates());
+    for (plan, budget, what) in [
+        (&filtered, 16u64, "filtered unique-key join"),
+        (&dense, 16, "dense unique-key join"),
+        (&grouped, 256, "unique-key join group-by"),
+    ] {
+        let (small, large) = allocs_at_16_and_64_morsels(plan, unique_join_sources);
         let delta = large.saturating_sub(small);
         assert!(
             delta <= budget,

@@ -929,3 +929,117 @@ fn empty_group_by_produces_one_global_group() {
         .unwrap();
     assert!(out.result.groups().unwrap().is_empty());
 }
+
+/// The driver's two per-morsel decisions — "every row survived, stay dense"
+/// and "no row survived, load nothing more" — over the S3-NI access path (an
+/// OLAP copy plus the OLTP-snapshot tail) cut into morsels whose size divides
+/// neither segment. Each filter set keeps every row of some morsels, no row
+/// of others and some rows of the rest, and the filtered scan feeds every
+/// sink: scalar root, grouped root (1, 2 and 3 keys, more aggregates than
+/// any fused pass ever held, constant inputs included), a probing root, and
+/// the build side of a join — unique keys, duplicate keys and computed keys.
+#[test]
+fn all_none_and_some_row_morsels_agree_over_a_split_source() {
+    let dataset = Dataset::build();
+    let sources = dataset.sources(true);
+    // 1 500-row OLAP segment, 1 501-row tail: 97 divides neither.
+    const BLOCK_ROWS: usize = 97;
+    for segment_rows in [FACT_ROWS / 2, FACT_ROWS - FACT_ROWS / 2] {
+        assert!(!segment_rows.is_multiple_of(BLOCK_ROWS as u64));
+    }
+    let filter_sets = [
+        // Nothing, then one partial morsel, then everything.
+        vec![Predicate::new("f_id", CmpOp::Ge, 250.0)],
+        // A window across the segment boundary: none / some / all / some /
+        // none, the second predicate refining an all-pass first one.
+        vec![
+            Predicate::new("f_id", CmpOp::Ge, 250.0),
+            Predicate::new("f_id", CmpOp::Lt, 2_000.0),
+        ],
+        // A leading predicate every row passes (f_a is sampled from
+        // [0, 25)), so the window is cut from a still-dense selection; the
+        // trailing value filter then thins the all-pass morsels.
+        vec![
+            Predicate::new("f_a", CmpOp::Ge, 0.0),
+            Predicate::new("f_id", CmpOp::Lt, 2_000.0),
+            Predicate::new("f_id", CmpOp::Ge, 250.0),
+        ],
+        vec![
+            Predicate::new("f_id", CmpOp::Lt, 1_600.0),
+            Predicate::new("f_b", CmpOp::Lt, 12.0),
+        ],
+    ];
+    let aggregates = vec![
+        AggExpr::Sum(col("f_a")),
+        AggExpr::Count,
+        AggExpr::Avg(col("f_b")),
+        AggExpr::Min(col("f_a")),
+        AggExpr::Max(col("f_b")),
+        AggExpr::Sum(col("f_a") * col("f_b")),
+        AggExpr::Sum(ScalarExpr::lit(2.5)),
+        AggExpr::Min(col("f_b") - col("f_a")),
+        AggExpr::Avg(col("f_a") + ScalarExpr::lit(1.0)),
+        AggExpr::Max(ScalarExpr::lit(3.0) * col("f_a")),
+    ];
+    assert!(aggregates.len() >= 9);
+    for (set, filters) in filter_sets.iter().enumerate() {
+        let (f, a) = (|| filters.clone(), || aggregates.clone());
+        let mut plans = vec![
+            plan(f(), vec![], vec![], None, a(), None),
+            plan(f(), vec![], vec![], keys(&["f_g"]), a(), None),
+            plan(f(), vec![], vec![], keys(&["f_g", "f_h"]), a(), None),
+            plan(
+                f(),
+                vec![],
+                vec![],
+                keys(&["f_g", "f_h", "f_mid"]),
+                a(),
+                None,
+            ),
+        ];
+        // The filtered scan as a probing root: a unique-key build (plain
+        // survivors) and a duplicate-key one (weighted survivors).
+        for build_key in ["m_id", "m_far"] {
+            let dims = || vec![("mid", build_key, vec![])];
+            let probe = || vec![col("f_mid")];
+            plans.push(plan(f(), probe(), dims(), None, a(), None));
+            plans.push(plan(f(), probe(), dims(), keys(&["f_h", "f_g"]), a(), None));
+        }
+        // The filtered scan as a join build: `mid` probes it on a unique
+        // key (f_id, reached through a computed probe key), on a
+        // duplicate-heavy exact key and on a duplicate-heavy computed key.
+        for (build_key, probe_key) in [
+            (
+                col("f_id"),
+                col("m_id") * ScalarExpr::lit(97.0) + col("m_far"),
+            ),
+            (col("f_mid"), col("m_id")),
+            (col("f_g") * ScalarExpr::lit(4.0) + col("f_h"), col("m_far")),
+        ] {
+            for group_by in [None, keys(&["m_far"])] {
+                let mut b = DagBuilder::default();
+                let fact = b.scan("fact");
+                let filtered = b.filter(fact, filters);
+                let build = b.build(filtered, build_key.clone());
+                let mid = b.scan("mid");
+                let probed = b.probe(mid, build, probe_key.clone());
+                let aggregates = vec![
+                    AggExpr::Count,
+                    AggExpr::Sum(col("m_v")),
+                    AggExpr::Max(col("m_v")),
+                ];
+                b.aggregate(probed, group_by, aggregates);
+                plans.push(b.finish().unwrap());
+            }
+        }
+        for (i, plan) in plans.iter().enumerate() {
+            let ctx = format!("filter set {set}, plan {i} ({})", plan.label());
+            let out = assert_workers_match_oracle(plan, &sources, BLOCK_ROWS, &ctx);
+            let vacuous = match &out.result {
+                QueryResult::Scalars(s) => s.iter().all(|v| *v == 0.0),
+                QueryResult::Groups(g) => g.is_empty(),
+            };
+            assert!(!vacuous, "{ctx}: vacuous");
+        }
+    }
+}
