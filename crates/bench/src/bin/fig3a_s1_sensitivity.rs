@@ -11,7 +11,7 @@
 use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
 use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
-use htap_rde::AccessMethod;
+use htap_rde::{AccessMethod, SystemState};
 use htap_sim::SocketId;
 
 const QUERIES: usize = 16;
@@ -40,9 +40,10 @@ fn main() {
         harness.ingest(300, 4, step as u64);
         // Trade `traded` CPUs: OLTP gives up cores on its socket and receives
         // the same number on the OLAP socket.
+        let oltp_cores = [(SocketId(0), 14 - traded), (SocketId(1), traded)];
         let report = harness
             .rde
-            .migrate_state_s1_with(&[(SocketId(0), 14 - traded), (SocketId(1), traded)]);
+            .migrate_with(SystemState::S1Colocated, Some(&oltp_cores));
         assert_eq!(report.oltp_cores, 14);
 
         let sources = harness

@@ -16,7 +16,7 @@
 use htap_bench::{fmt_mtps, fmt_secs, measured_scan_scaling, Harness, HarnessArgs};
 use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
-use htap_rde::AccessMethod;
+use htap_rde::{AccessMethod, SystemState};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -44,7 +44,10 @@ fn main() {
     );
 
     for borrowed in [0usize, 2, 4, 6, 8, 10] {
-        let report = harness.rde.migrate_state_s3_non_isolated_with(borrowed);
+        let oltp_cores = [(htap_sim::SocketId(0), 14 - borrowed)];
+        let report = harness
+            .rde
+            .migrate_with(SystemState::S3HybridNonIsolated, Some(&oltp_cores));
         let tables: Vec<&str> = plan.tables();
         let sources = harness.rde.sources_for(&tables, AccessMethod::Split);
         let txn = harness.rde.txn_work();

@@ -429,8 +429,8 @@ impl TransactionDriver {
     /// behalf of worker `worker_id`: 45 % `NewOrder`, 43 % `Payment`, 6 %
     /// `Delivery`, 6 % `StockLevel` (OrderStatus's share folded into its
     /// neighbours — the engine has no customer-name index to probe).
-    /// Deterministically parameterised by `(seed, worker_id, txn_index)`
-    /// like [`Self::run_one_new_order`]; aborts are counted, not retried.
+    /// Deterministically parameterised by `(seed, worker_id, txn_index)`;
+    /// returns whether it committed — aborts are counted, not retried.
     /// This is the body the continuous ingest pool runs.
     pub fn run_one_mixed(
         &self,
@@ -466,27 +466,6 @@ impl TransactionDriver {
             self.execute_stock_level(engine, w_id, d_id, threshold)
                 .is_ok()
         }
-    }
-
-    /// Generate and execute a single `NewOrder` transaction on behalf of
-    /// worker `worker_id`, deterministically parameterised by
-    /// `(seed, worker_id, txn_index)`. Returns whether it committed — the
-    /// body shape the continuous ingest pool runs, where aborted
-    /// transactions are *counted* rather than retried.
-    pub fn run_one_new_order(
-        &self,
-        engine: &OltpEngine,
-        worker_id: u64,
-        seed: u64,
-        txn_index: u64,
-    ) -> bool {
-        let mut rng = StdRng::seed_from_u64(
-            seed ^ (worker_id + 1).wrapping_mul(0x9E37_79B9)
-                ^ (txn_index + 1).wrapping_mul(0x85EB_CA6B),
-        );
-        let w_id = 1 + worker_id % self.warehouses;
-        let params = self.generate_new_order(w_id, &mut rng);
-        self.execute_new_order(engine, &params).is_ok()
     }
 
     /// Run `count` `NewOrder` transactions on behalf of worker `worker_id`
@@ -614,15 +593,6 @@ mod tests {
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, 40);
         assert_eq!(driver.stats().committed(), 40);
-    }
-
-    #[test]
-    fn run_one_new_order_commits_and_counts() {
-        let (rde, driver) = setup();
-        assert!(driver.run_one_new_order(rde.oltp(), 0, 42, 0));
-        assert!(driver.run_one_new_order(rde.oltp(), 1, 42, 1));
-        assert_eq!(driver.stats().committed(), 2);
-        assert_eq!(driver.stats().aborted(), 0);
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub struct DurabilityConfig {
     /// Batch size that triggers an immediate flush without lingering.
     pub max_batch: usize,
     /// Take a column-segment checkpoint (and truncate the WAL) every N
-    /// instance switches; 0 disables periodic checkpoints.
+    /// instance switches — that is, every N analytical queries: a query
+    /// crosses the switch gate exactly once. 0 disables periodic checkpoints.
     pub checkpoint_interval_switches: u64,
 }
 
@@ -56,13 +57,6 @@ pub struct HtapConfig {
     /// WAL / checkpoint tuning (effective only when the system is built with
     /// [`crate::HtapSystem::build_durable`]).
     pub durability: DurabilityConfig,
-    /// How often the continuous-ingest pool retries an aborted transaction
-    /// before counting it as aborted; 0 = abort immediately (the paper's
-    /// NO-WAIT behaviour).
-    pub txn_max_retries: u32,
-    /// Base backoff between ingest retries in microseconds (exponential with
-    /// deterministic jitter); 0 = retry immediately.
-    pub txn_retry_backoff_micros: u64,
 }
 
 impl HtapConfig {
@@ -80,8 +74,6 @@ impl HtapConfig {
             chbench: ChConfig::small(),
             schedule: Schedule::Adaptive(SchedulerPolicy::adaptive_non_isolated(0.5)),
             durability: DurabilityConfig::default(),
-            txn_max_retries: 0,
-            txn_retry_backoff_micros: 0,
         }
     }
 
@@ -131,14 +123,6 @@ impl HtapConfig {
     /// Use the given WAL / checkpoint tuning.
     pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
         self.durability = durability;
-        self
-    }
-
-    /// Retry aborted ingest transactions up to `max_retries` times with the
-    /// given base backoff (microseconds, exponential + deterministic jitter).
-    pub fn with_txn_retries(mut self, max_retries: u32, backoff_micros: u64) -> Self {
-        self.txn_max_retries = max_retries;
-        self.txn_retry_backoff_micros = backoff_micros;
         self
     }
 
@@ -200,13 +184,10 @@ mod tests {
                 flush_interval_micros: 50,
                 max_batch: 8,
                 checkpoint_interval_switches: 2,
-            })
-            .with_txn_retries(3, 25);
+            });
         assert_eq!(cfg.elastic_cores, 6);
         assert_eq!(cfg.durability.max_batch, 8);
         assert_eq!(cfg.durability.checkpoint_interval_switches, 2);
-        assert_eq!(cfg.txn_max_retries, 3);
-        assert_eq!(cfg.txn_retry_backoff_micros, 25);
         match cfg.schedule {
             Schedule::Adaptive(p) => assert!((p.alpha - 0.25).abs() < 1e-12),
             _ => panic!("expected adaptive schedule"),

@@ -35,7 +35,6 @@ pub use workload::{
 pub use htap_chbench::{ChConfig, QueryId, QuerySequence};
 pub use htap_durability::{DurableStorage, FsStorage, MemStorage};
 pub use htap_olap::QueryPlan;
-pub use htap_oltp::RetryPolicy;
 pub use htap_rde::{AccessMethod, ElasticityMode, SystemState};
 pub use htap_scheduler::{Schedule, SchedulerPolicy};
 pub use htap_sim::Topology;

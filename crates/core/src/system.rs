@@ -6,8 +6,7 @@ use htap_chbench::{ChGenerator, PopulationReport, QueryId, TransactionDriver};
 use htap_durability::{load_state, DurableStorage, Wal, WalConfig};
 use htap_olap::{OlapError, QueryOutput, QueryPlan};
 use htap_oltp::{
-    apply_recovered, DurabilityController, OltpCounts, RetryPolicy, WorkerReport, CHECKPOINT_FILE,
-    WAL_FILE,
+    apply_recovered, DurabilityController, OltpCounts, WorkerReport, CHECKPOINT_FILE, WAL_FILE,
 };
 use htap_rde::RdeEngine;
 use htap_scheduler::{HtapScheduler, Schedule};
@@ -71,21 +70,7 @@ impl HtapSystem {
     /// Build the system: bootstrap the engines, create the CH-benCHmark
     /// relations and load the initial population.
     pub fn build(config: HtapConfig) -> Result<Self, String> {
-        config.validate()?;
-        let rde = Arc::new(RdeEngine::bootstrap(config.rde_config()));
-        let generator = ChGenerator::new(config.chbench.clone());
-        let population = generator.build(&rde)?;
-        let txn_driver = Arc::new(TransactionDriver::for_config(&config.chbench));
-        let scheduler = HtapScheduler::new(Arc::clone(&rde), config.schedule);
-        Ok(HtapSystem {
-            rde,
-            scheduler: Mutex::new(scheduler),
-            txn_driver,
-            population,
-            txn_seed: AtomicU64::new(config.chbench.seed),
-            catalog: htap_chbench::catalog(),
-            config,
-        })
+        Self::assemble(config, None)
     }
 
     /// Build the system on top of a durable storage backend: recover whatever
@@ -102,42 +87,22 @@ impl HtapSystem {
         config: HtapConfig,
         storage: Arc<dyn DurableStorage>,
     ) -> Result<Self, String> {
+        Self::assemble(config, Some(storage))
+    }
+
+    /// The one assembly path: engines, population (generated, or recovered
+    /// from `storage` when there is one), drivers, scheduler.
+    fn assemble(
+        config: HtapConfig,
+        storage: Option<Arc<dyn DurableStorage>>,
+    ) -> Result<Self, String> {
         config.validate()?;
         let rde = Arc::new(RdeEngine::bootstrap(config.rde_config()));
         let generator = ChGenerator::new(config.chbench.clone());
-
-        // Open (and torn-tail-repair) the WAL first, then read the durable
-        // state back through the repaired file.
-        let wal_config = WalConfig {
-            flush_interval_micros: config.durability.flush_interval_micros,
-            max_batch: config.durability.max_batch,
+        let population = match storage {
+            None => generator.build(&rde)?,
+            Some(storage) => Self::recover(&config, &rde, &generator, storage)?,
         };
-        let (wal, _segment) = Wal::open(Arc::clone(&storage), WAL_FILE, wal_config)
-            .map_err(|e| format!("opening WAL: {e}"))?;
-        let state = load_state(storage.as_ref(), WAL_FILE, CHECKPOINT_FILE)
-            .map_err(|e| format!("loading durable state: {e}"))?;
-
-        let population = if state.checkpoint.is_some() {
-            // The checkpoint captured the whole store: recreate the schema
-            // empty and restore rows + WAL tail from disk.
-            generator.create_tables(&rde)?;
-            apply_recovered(rde.oltp(), &state).map_err(|e| format!("recovery failed: {e}"))?;
-            Self::population_from_store(&rde)
-        } else {
-            // No checkpoint yet: the initial population is regenerated
-            // deterministically, then the WAL tail replays on top of it.
-            let population = generator.build(&rde)?;
-            apply_recovered(rde.oltp(), &state).map_err(|e| format!("recovery failed: {e}"))?;
-            population
-        };
-
-        let controller = Arc::new(DurabilityController::new(
-            storage,
-            wal,
-            config.durability.checkpoint_interval_switches,
-        ));
-        rde.oltp().attach_durability(controller);
-
         let txn_driver = Arc::new(TransactionDriver::for_config(&config.chbench));
         let scheduler = HtapScheduler::new(Arc::clone(&rde), config.schedule);
         Ok(HtapSystem {
@@ -149,6 +114,44 @@ impl HtapSystem {
             catalog: htap_chbench::catalog(),
             config,
         })
+    }
+
+    /// Populate `rde` from the durable state on `storage` and attach the WAL
+    /// and checkpoint controller for everything that commits afterwards.
+    fn recover(
+        config: &HtapConfig,
+        rde: &RdeEngine,
+        generator: &ChGenerator,
+        storage: Arc<dyn DurableStorage>,
+    ) -> Result<PopulationReport, String> {
+        // Open (and torn-tail-repair) the WAL first, then read the durable
+        // state back through the repaired file.
+        let wal_config = WalConfig {
+            flush_interval_micros: config.durability.flush_interval_micros,
+            max_batch: config.durability.max_batch,
+        };
+        let (wal, _segment) = Wal::open(Arc::clone(&storage), WAL_FILE, wal_config)
+            .map_err(|e| format!("opening WAL: {e}"))?;
+        let state = load_state(storage.as_ref(), WAL_FILE, CHECKPOINT_FILE)
+            .map_err(|e| format!("loading durable state: {e}"))?;
+
+        // A checkpoint captured the whole store: recreate the schema empty
+        // and restore its rows. Without one the initial population is
+        // regenerated deterministically. The WAL tail replays on top.
+        let generated = if state.checkpoint.is_some() {
+            generator.create_tables(rde)?;
+            None
+        } else {
+            Some(generator.build(rde)?)
+        };
+        apply_recovered(rde.oltp(), &state).map_err(|e| format!("recovery failed: {e}"))?;
+        rde.oltp()
+            .attach_durability(Arc::new(DurabilityController::new(
+                storage,
+                wal,
+                config.durability.checkpoint_interval_switches,
+            )));
+        Ok(generated.unwrap_or_else(|| Self::population_from_store(rde)))
     }
 
     /// Reconstruct the population summary from live row counts (used after a
@@ -245,8 +248,10 @@ impl HtapSystem {
     /// TPC-C-style mix — NewOrder, Payment, Delivery and StockLevel — back
     /// to back (the paper's "complete transactional queue", §3.2). Elastic
     /// migrations resize the pool mid-flight in both directions; aborted
-    /// transactions are counted, not retried. Returns the number of worker
-    /// threads started (0 when ingest is already running).
+    /// transactions are counted, not retried (a caller that wants retries
+    /// starts the pool itself with a body that retries, as `bench_e2e`
+    /// does). Returns the number of worker threads started (0 when ingest is
+    /// already running).
     pub fn start_oltp_ingest(&self) -> usize {
         if self.oltp_ingest_running() {
             // No-op starts must not consume a seed: the parameter stream of
@@ -257,13 +262,6 @@ impl HtapSystem {
         let oltp = Arc::clone(self.rde.oltp());
         let seed = self.txn_seed.fetch_add(1, Ordering::Relaxed);
         let capacity = self.config.topology.total_cores() as usize;
-        self.rde
-            .oltp()
-            .worker_manager()
-            .set_retry_policy(RetryPolicy {
-                max_retries: self.config.txn_max_retries,
-                backoff_micros: self.config.txn_retry_backoff_micros,
-            });
         self.rde.oltp().worker_manager().start_with_capacity(
             capacity,
             move |worker_id, _core, txn_index| {
@@ -282,40 +280,11 @@ impl HtapSystem {
         self.rde.oltp().worker_manager().ingest_running()
     }
 
-    /// Live committed/aborted/retried totals of the continuous ingest pool —
-    /// sampled around each analytical query to derive measured OLTP
-    /// throughput. The triple comes from one seqlock-consistent snapshot, so
-    /// the three counts never tear against each other. Retries are counted
-    /// separately from aborts: a transaction that eventually commits after
-    /// retrying contributes to `committed` and to `retried`, never to
-    /// `aborted`. All-zero when ingest is not running.
+    /// Live committed/aborted totals of the continuous ingest pool — sampled
+    /// around each analytical query to derive measured OLTP throughput.
+    /// All-zero when ingest is not running.
     pub fn oltp_live_counts(&self) -> OltpCounts {
         self.rde.oltp().worker_manager().live_counts()
-    }
-
-    /// Run `count` NewOrder transactions per worker using one OS thread per
-    /// worker (exercises the concurrent transaction path).
-    pub fn run_oltp_parallel(&self, count_per_worker: u64) -> u64 {
-        let workers = self
-            .rde
-            .txn_work()
-            .total_workers()
-            .min(self.config.chbench.warehouses as usize)
-            .max(1);
-        let seed = self.txn_seed.fetch_add(1, Ordering::Relaxed);
-        let driver = &self.txn_driver;
-        let oltp = self.rde.oltp();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|worker| {
-                    scope.spawn(move || driver.run_new_orders(oltp, worker, count_per_worker, seed))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .sum()
-        })
     }
 
     /// Number of pipeline workers the OLAP engine currently fields — the
@@ -361,7 +330,7 @@ impl HtapSystem {
             sql,
             state: scheduled.state,
             execution_time: execution.modeled.total,
-            scheduling_time: scheduled.scheduling_time,
+            scheduling_time: scheduled.migration.modeled_time,
             freshness_rate: scheduled.freshness.freshness_rate(),
             fresh_rows_accessed: execution.output.work.fresh_rows,
             bytes_scanned: execution.output.work.total_bytes(),
@@ -553,10 +522,29 @@ mod tests {
     #[test]
     fn parallel_oltp_commits_the_requested_work() {
         let system = tiny_system();
-        let committed = system.run_oltp_parallel(3);
-        // Two warehouses in the tiny config -> at most 2 concurrent workers.
-        assert_eq!(committed, 2 * 3);
-        assert!(system.txn_driver().stats().committed() >= committed);
+        assert!(system.start_oltp_ingest() > 0);
+        // Two warehouses in the tiny config: wait until at least two workers
+        // have each committed three transactions concurrently.
+        let wm = system.rde().oltp().worker_manager();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let busy_workers = || {
+            wm.per_worker_committed()
+                .iter()
+                .filter(|&&c| c >= 3)
+                .count()
+        };
+        while busy_workers() < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "two workers never reached three commits each"
+            );
+            std::thread::yield_now();
+        }
+        let pool = system.stop_oltp_ingest();
+        assert!(pool.committed() >= 2 * 3);
+        // One count per outcome: the pool and the driver agree on both.
+        assert_eq!(pool.committed(), system.txn_driver().stats().committed());
+        assert_eq!(pool.aborted(), system.txn_driver().stats().aborted());
     }
 
     #[test]

@@ -63,13 +63,8 @@ pub struct MixedWorkloadReport {
     /// Transactions committed over the whole run.
     pub transactions_committed: u64,
     /// Transactions aborted over the whole run (NO-WAIT lock conflicts and
-    /// first-committer-wins validation failures), after exhausting any
-    /// configured retries.
+    /// first-committer-wins validation failures).
     pub transactions_aborted: u64,
-    /// Retry attempts the ingest pool made over the whole run. Disjoint from
-    /// `transactions_aborted`: a transaction that commits on its second
-    /// attempt counts one commit and one retry, zero aborts.
-    pub transactions_retried: u64,
 }
 
 impl MixedWorkloadReport {
@@ -199,9 +194,9 @@ pub fn run_mixed_workload_concurrent(
     let started_here = system.start_oltp_ingest() > 0;
     let at_entry = system.oltp_live_counts();
     let result = drive_sequences_concurrently(system, workload, options);
-    let (committed, aborted, retried) = if started_here {
+    let (committed, aborted) = if started_here {
         let pool = system.stop_oltp_ingest();
-        (pool.committed(), pool.aborted(), pool.retried())
+        (pool.committed(), pool.aborted())
     } else {
         // saturating: if the caller stopped their own pool mid-run, the live
         // counters reset to zero and a plain subtraction would underflow.
@@ -209,13 +204,11 @@ pub fn run_mixed_workload_concurrent(
         (
             now.committed.saturating_sub(at_entry.committed),
             now.aborted.saturating_sub(at_entry.aborted),
-            now.retried.saturating_sub(at_entry.retried),
         )
     };
     let mut report = result?;
     report.transactions_committed = committed;
     report.transactions_aborted = aborted;
-    report.transactions_retried = retried;
     Ok(report)
 }
 
@@ -333,7 +326,6 @@ mod tests {
         assert_eq!(report.total_query_time(), 0.0);
         assert_eq!(report.etl_count(), 0);
         assert_eq!(report.transactions_aborted, 0);
-        assert_eq!(report.transactions_retried, 0);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! ├── sql.bind
 //! ├── sql.plan
 //! └── query.execute
-//!     ├── rde.schedule       (switch, freshness measure, migrate)
-//!     │   ├── rde.switch
-//!     │   └── rde.etl
+//!     ├── rde.schedule       (switch, freshness measure, decide, enforce)
+//!     │   ├── rde.switch     (exactly one per query)
+//!     │   └── rde.etl        (at most one, after the switch)
 //!     └── olap.pipeline*     (one per pipeline; per-worker rollup children)
 //!         └── worker*        (morsels, busy_us per worker)
 //! ```

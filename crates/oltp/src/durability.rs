@@ -26,7 +26,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 /// Running counters of the checkpoint machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurabilityStats {
-    /// Instance switches observed since attach.
+    /// Instance switches observed since attach (one per scheduled query).
     pub switches_seen: u64,
     /// Checkpoints successfully written (and WAL truncated).
     pub checkpoints_taken: u64,
@@ -45,7 +45,8 @@ pub struct DurabilityController {
     storage: Arc<dyn DurableStorage>,
     wal: Wal,
     checkpoint_file: String,
-    /// Take a checkpoint every N instance switches; 0 disables periodic
+    /// Take a checkpoint every N instance switches — every N scheduled
+    /// queries, a query crosses the gate once; 0 disables periodic
     /// checkpoints (explicit [`OltpEngine::checkpoint_now`] still works).
     checkpoint_interval_switches: u64,
     switches_seen: AtomicU64,
@@ -100,8 +101,9 @@ impl DurabilityController {
     }
 
     /// Called by the engine from inside the switch quiescence window (switch
-    /// gate held for writing, twins synced). Takes a checkpoint every
-    /// `checkpoint_interval_switches` switches.
+    /// gate held for writing, twins synced) — once per scheduled query, the
+    /// scheduler being the only caller that switches per query. Takes a
+    /// checkpoint every `checkpoint_interval_switches` calls.
     ///
     /// A failed checkpoint is counted and swallowed: the engine keeps
     /// serving transactions and the WAL keeps its tail, so recovery falls
@@ -131,10 +133,8 @@ impl DurabilityController {
         let lsn = self.wal.next_lsn();
         let last_ts = engine.txn_manager().now();
         let mut tables = Vec::new();
-        for name in engine.table_names() {
-            let rt = engine
-                .table(&name)
-                .ok_or_else(|| DurabilityError::corrupt(format!("table {name} vanished")))?;
+        for rt in engine.txn_manager().tables() {
+            let name = rt.name().to_string();
             let dtypes: Vec<_> = rt.twin().schema().columns.iter().map(|c| c.dtype).collect();
             let entries = rt.index().entries();
             let mut keys = Vec::with_capacity(entries.len());

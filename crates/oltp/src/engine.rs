@@ -67,15 +67,14 @@ impl TableRuntime {
 ///
 /// The engine is deliberately thin: it wires the storage manager (twin store),
 /// the transaction manager and the worker manager together and exposes the
-/// operations the RDE engine needs — switching the active instance,
-/// synchronising the twins, and reporting fresh-data statistics — without
-/// interfering with the design of either component.
+/// operations the RDE engine needs — switching the active instance and
+/// synchronising the twins in one step, and reporting fresh-data statistics —
+/// without interfering with the design of either component.
 #[derive(Debug)]
 pub struct OltpEngine {
     store: Arc<TwinStore>,
     txn_manager: TxnManager,
     worker_manager: WorkerManager,
-    runtimes: RwLock<BTreeMap<String, Arc<TableRuntime>>>,
     /// Switch gate: transactions hold a read lock while executing; an
     /// instance switch takes the write lock, which gives the quiescence point
     /// the storage manager requires ("when no active OLTP worker thread is
@@ -99,7 +98,6 @@ impl OltpEngine {
             store: Arc::new(TwinStore::new()),
             txn_manager: TxnManager::new(),
             worker_manager: WorkerManager::new(),
-            runtimes: RwLock::new(BTreeMap::new()),
             switch_gate: RwLock::new(()),
             persistence: RwLock::new(None),
         }
@@ -113,12 +111,6 @@ impl OltpEngine {
         *self.persistence.write() = Some(controller);
     }
 
-    /// Disable durability (commits become memory-only again).
-    pub fn detach_durability(&self) {
-        self.txn_manager.detach_wal();
-        *self.persistence.write() = None;
-    }
-
     /// The attached durability controller, if any.
     pub fn durability(&self) -> Option<Arc<DurabilityController>> {
         self.persistence.read().clone()
@@ -129,9 +121,22 @@ impl OltpEngine {
     /// no durability controller is attached.
     pub fn checkpoint_now(&self) -> Result<bool, DurabilityError> {
         let _guard = self.switch_gate.write();
+        self.collect_versions();
         match self.persistence.read().clone() {
             Some(ctl) => ctl.checkpoint_quiesced(self).map(|()| true),
             None => Ok(false),
+        }
+    }
+
+    /// Drop every saved version of every relation's delta storage. Only
+    /// called with the switch gate held for writing: no transaction run
+    /// through [`Self::execute`] is in flight, so no snapshot older than
+    /// `now` exists and every saved version (all end at or before `now`) is
+    /// invisible to every future reader.
+    fn collect_versions(&self) {
+        let now = self.txn_manager.now();
+        for rt in self.txn_manager.tables() {
+            rt.delta().gc(now);
         }
     }
 
@@ -155,23 +160,24 @@ impl OltpEngine {
         let twin = self.store.create_table(schema)?;
         let runtime = Arc::new(TableRuntime::from_twin(twin));
         self.txn_manager.register_table(Arc::clone(&runtime));
-        self.runtimes
-            .write()
-            .insert(runtime.name().to_string(), Arc::clone(&runtime));
         Ok(runtime)
     }
 
     /// Look up a relation runtime.
     pub fn table(&self, name: &str) -> Option<Arc<TableRuntime>> {
-        self.runtimes.read().get(name).cloned()
+        self.txn_manager.table(name)
     }
 
     /// Names of all relations.
     pub fn table_names(&self) -> Vec<String> {
-        self.runtimes.read().keys().cloned().collect()
+        self.txn_manager.table_names()
     }
 
-    /// Begin an interactive transaction.
+    /// Begin an interactive transaction outside the switch gate. Such a
+    /// transaction must not span an instance switch: the switch's sync copy
+    /// may overwrite what it reads, and the version collection in the same
+    /// window drops the old versions its snapshot would need. Use
+    /// [`Self::execute`] whenever a switch can run concurrently.
     pub fn begin(&self) -> Transaction<'_> {
         self.txn_manager.begin()
     }
@@ -204,35 +210,14 @@ impl OltpEngine {
         Ok(row)
     }
 
-    /// Switch the active instance of every relation. Blocks until in-flight
-    /// transactions drain (switch gate), then performs the switch. Returns the
-    /// per-relation outcomes (the RDE engine uses them to size the
-    /// synchronisation work).
-    pub fn switch_instance(&self) -> BTreeMap<String, SwitchOutcome> {
-        let _guard = self.switch_gate.write();
-        self.store.switch_all()
-    }
-
-    /// Synchronise the active instance of every relation from its snapshot
-    /// twin (consumes the update-indication bits). Usually invoked by the RDE
-    /// engine immediately after [`Self::switch_instance`]. The caller must
-    /// guarantee no transactions run concurrently; with a live worker pool
-    /// use [`Self::switch_and_sync_instances`] instead.
-    pub fn sync_instances(&self) -> BTreeMap<String, SyncOutcome> {
-        self.runtimes
-            .read()
-            .iter()
-            .map(|(name, rt)| (name.clone(), rt.twin().sync_active_from_snapshot()))
-            .collect()
-    }
-
     /// Switch the active instance of every relation *and* synchronise the new
     /// active instance from the snapshot, inside one quiescence window: the
     /// switch gate is held across both steps so no transaction can execute
     /// against the un-synced active instance — it would read pre-switch
     /// values (e.g. a stale district order counter) or have its committed
-    /// writes overwritten by the sync copy. This is the entry point the RDE
-    /// engine uses while the continuous ingest pool runs.
+    /// writes overwritten by the sync copy. With [`Self::checkpoint_now`] it
+    /// is the only writer of the gate; the window also carries the periodic
+    /// checkpoint and the collection of saved versions.
     pub fn switch_and_sync_instances(
         &self,
     ) -> (
@@ -242,16 +227,17 @@ impl OltpEngine {
         let _guard = self.switch_gate.write();
         let switched = self.store.switch_all();
         let synced = self
-            .runtimes
-            .read()
+            .txn_manager
+            .tables()
             .iter()
-            .map(|(name, rt)| (name.clone(), rt.twin().sync_active_from_snapshot()))
+            .map(|rt| (rt.name().to_string(), rt.twin().sync_active_from_snapshot()))
             .collect();
         // Checkpoints piggyback on the quiescence window the switch already
         // paid for: the twins are synced and no transaction is in flight.
         if let Some(ctl) = self.persistence.read().clone() {
             ctl.note_switch(self);
         }
+        self.collect_versions();
         (switched, synced)
     }
 
@@ -259,7 +245,7 @@ impl OltpEngine {
     /// relation (what the RDE engine passes to the OLAP engine).
     pub fn snapshot(&self) -> SnapshotHandle {
         let mut handle = SnapshotHandle::new();
-        for rt in self.runtimes.read().values() {
+        for rt in self.txn_manager.tables() {
             handle.insert(rt.twin().snapshot());
         }
         handle
@@ -345,14 +331,13 @@ mod tests {
             txn.commit().unwrap();
         });
 
-        let outcomes = engine.switch_instance();
+        let (outcomes, sync) = engine.switch_and_sync_instances();
         assert_eq!(outcomes["stock"].pending_sync_records, 1);
         let snapshot = engine.snapshot();
         let stock = snapshot.table("stock").unwrap();
         assert_eq!(stock.rows(), 1);
         assert_eq!(stock.table().get_value(0, 1), Some(Value::I32(42)));
 
-        let sync = engine.sync_instances();
         assert_eq!(sync["stock"].copied_records, 1);
         // After sync both instances agree.
         let rt = engine.table("stock").unwrap();
@@ -371,7 +356,7 @@ mod tests {
         engine
             .bulk_load("b", 1, vec![Value::I64(1), Value::I32(1)])
             .unwrap();
-        engine.switch_instance();
+        engine.switch_and_sync_instances();
         assert_eq!(engine.fresh_rows_vs_olap(), 2);
         assert!(engine.instance_bytes() > 0);
     }
@@ -395,6 +380,56 @@ mod tests {
         let rt = engine.table("stock").unwrap();
         assert_eq!(rt.twin().get_from(0, 0, 1), Some(Value::I32(42)));
         assert_eq!(rt.twin().get_from(1, 0, 1), Some(Value::I32(42)));
+    }
+
+    /// Overwrite `qty` of stock row 1 `times` times, one commit each.
+    fn overwrite_hot_row(engine: &OltpEngine, times: i32) {
+        for v in 0..times {
+            engine.execute(|mut txn| {
+                txn.update("stock", 1, 1, Value::I32(v)).unwrap();
+                txn.commit().unwrap();
+            });
+        }
+    }
+
+    #[test]
+    fn one_switch_collects_every_saved_version() {
+        let engine = OltpEngine::new();
+        engine.create_table(schema("stock")).unwrap();
+        engine
+            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(0)])
+            .unwrap();
+        overwrite_hot_row(&engine, 1000);
+        let rt = engine.table("stock").unwrap();
+        assert_eq!(rt.delta().version_count(), 1000);
+        engine.switch_and_sync_instances();
+        assert_eq!(rt.delta().version_count(), 0);
+        assert_eq!(rt.delta().versioned_rows(), 0);
+        // The latest value is untouched, and commits keep working.
+        assert_eq!(engine.begin().read("stock", 1, 1).unwrap(), Value::I32(999));
+        overwrite_hot_row(&engine, 1);
+        // An explicit checkpoint window collects too (no controller needed).
+        assert!(!engine.checkpoint_now().unwrap());
+        assert_eq!(rt.delta().version_count(), 0);
+    }
+
+    #[test]
+    fn version_chains_stay_bounded_across_switch_cycles() {
+        // The hot row's chain is what commit validation walks: its length at
+        // commit time must depend on the overwrites since the last switch,
+        // never on how long the engine has been running.
+        let engine = OltpEngine::new();
+        engine.create_table(schema("stock")).unwrap();
+        engine
+            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(0)])
+            .unwrap();
+        let rt = engine.table("stock").unwrap();
+        for cycle in 0..200 {
+            overwrite_hot_row(&engine, 25);
+            assert_eq!(rt.delta().version_count(), 25, "cycle {cycle}");
+            engine.switch_and_sync_instances();
+            assert_eq!(rt.delta().version_count(), 0, "cycle {cycle}");
+        }
     }
 
     #[test]
@@ -431,7 +466,7 @@ mod tests {
         // transaction is still open.
         let switcher = {
             let engine = Arc::clone(&engine);
-            std::thread::spawn(move || engine.switch_instance())
+            std::thread::spawn(move || engine.switch_and_sync_instances().0)
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(

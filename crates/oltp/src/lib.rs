@@ -14,13 +14,12 @@
 //!   the engine up and down elastically.
 //!
 //! The engine exposes exactly the hooks the RDE engine needs (§3.4): switching
-//! the active instance, synchronising the twin instances, and reporting
-//! fresh-data statistics, all without interrupting transaction execution.
+//! the active instance and synchronising the twin instances in one quiescence
+//! window, and reporting fresh-data statistics.
 
 pub mod durability;
 pub mod engine;
 pub mod locks;
-pub mod metrics;
 pub mod txn;
 pub mod worker;
 
@@ -29,6 +28,5 @@ pub use durability::{
 };
 pub use engine::{OltpEngine, TableRuntime};
 pub use locks::{LockKey, LockMode, LockTable};
-pub use metrics::ThroughputCounter;
 pub use txn::{Transaction, TxnError, TxnId, TxnManager, TxnOutcome};
-pub use worker::{OltpCounts, RetryPolicy, WorkerManager, WorkerReport};
+pub use worker::{OltpCounts, WorkerManager, WorkerReport};

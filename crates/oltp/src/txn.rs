@@ -14,7 +14,6 @@
 
 use crate::engine::TableRuntime;
 use crate::locks::{LockKey, LockMode, LockTable};
-use crate::metrics::ThroughputCounter;
 use htap_durability::{DurabilityError, Wal, WalOp, WalRecord};
 use htap_storage::{RecordLocation, StorageError, Value};
 use parking_lot::RwLock;
@@ -91,15 +90,14 @@ struct PendingInsert {
     values: Vec<Value>,
 }
 
-/// The transaction manager: timestamp authority, lock table and registry of
-/// table runtimes.
+/// The transaction manager: timestamp authority, lock table and the engine's
+/// one registry of table runtimes.
 #[derive(Debug)]
 pub struct TxnManager {
     tables: RwLock<BTreeMap<String, Arc<TableRuntime>>>,
     locks: LockTable,
     clock: AtomicU64,
     next_txn_id: AtomicU64,
-    metrics: ThroughputCounter,
     /// Write-ahead log, when durability is enabled. Commits append their
     /// record and wait for the group-commit fsync *before* applying writes.
     wal: RwLock<Option<Wal>>,
@@ -119,7 +117,6 @@ impl TxnManager {
             locks: LockTable::default(),
             clock: AtomicU64::new(1),
             next_txn_id: AtomicU64::new(1),
-            metrics: ThroughputCounter::new(),
             wal: RwLock::new(None),
         }
     }
@@ -128,11 +125,6 @@ impl TxnManager {
     /// and blocks until the group-commit coordinator reports it durable.
     pub fn attach_wal(&self, wal: Wal) {
         *self.wal.write() = Some(wal);
-    }
-
-    /// Disable write-ahead logging (commits become memory-only again).
-    pub fn detach_wal(&self) {
-        *self.wal.write() = None;
     }
 
     /// Clone of the attached WAL handle, if any. The guard is dropped before
@@ -159,9 +151,14 @@ impl TxnManager {
         self.tables.read().get(name).cloned()
     }
 
-    /// Names of all registered tables.
+    /// Names of all registered tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
         self.tables.read().keys().cloned().collect()
+    }
+
+    /// All registered table runtimes, in name order.
+    pub fn tables(&self) -> Vec<Arc<TableRuntime>> {
+        self.tables.read().values().cloned().collect()
     }
 
     /// Current logical time (the timestamp the next snapshot will observe).
@@ -171,11 +168,6 @@ impl TxnManager {
 
     fn next_ts(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Commit/abort counters.
-    pub fn metrics(&self) -> &ThroughputCounter {
-        &self.metrics
     }
 
     /// Begin a new transaction with a snapshot at the current logical time.
@@ -454,7 +446,6 @@ impl<'a> Transaction<'a> {
         }
 
         self.mgr.locks.release_all(self.id, &self.locks);
-        self.mgr.metrics.record_commit();
         self.finished = true;
         if on {
             let t_end = htap_obs::now_us();
@@ -481,7 +472,6 @@ impl<'a> Transaction<'a> {
 
     fn finish_abort(&mut self) {
         self.mgr.locks.release_all(self.id, &self.locks);
-        self.mgr.metrics.record_abort();
         self.finished = true;
     }
 }
@@ -601,7 +591,6 @@ mod tests {
         );
         t2.abort();
         t1.commit().unwrap();
-        assert_eq!(mgr.metrics().aborted(), 1);
         assert_eq!(mgr.begin().read("accounts", 1, 1).unwrap(), Value::F64(1.0));
     }
 
@@ -680,7 +669,6 @@ mod tests {
             t.update("accounts", 1, 1, Value::F64(0.0)).unwrap();
             // dropped here without commit
         }
-        assert_eq!(mgr.metrics().aborted(), 1);
         let mut t = mgr.begin();
         assert!(t.update("accounts", 1, 1, Value::F64(42.0)).is_ok());
     }

@@ -19,17 +19,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Result of a worker-pool run.
+/// Final per-worker counts of a stopped ingest pool.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkerReport {
     /// Transactions committed, per worker.
     pub committed_per_worker: Vec<u64>,
-    /// Transactions that gave up (aborted on their final attempt), per worker.
+    /// Transactions aborted (a body invocation that returned `false`), per
+    /// worker.
     pub aborted_per_worker: Vec<u64>,
-    /// Retry attempts (an aborted attempt that was tried again), per worker.
-    /// Disjoint from `aborted_per_worker`: a transaction that fails twice and
-    /// then commits contributes 2 retries, 1 commit and 0 aborts.
-    pub retried_per_worker: Vec<u64>,
 }
 
 impl WorkerReport {
@@ -38,126 +35,22 @@ impl WorkerReport {
         self.committed_per_worker.iter().sum()
     }
 
-    /// Total transactions that gave up.
+    /// Total aborted transactions.
     pub fn aborted(&self) -> u64 {
         self.aborted_per_worker.iter().sum()
     }
-
-    /// Total retry attempts.
-    pub fn retried(&self) -> u64 {
-        self.retried_per_worker.iter().sum()
-    }
 }
 
-/// One consistent snapshot of the live ingest counters.
-///
-/// Produced by a seqlock read of [`CountsCell`], so the three totals belong
-/// to the same instant — unlike summing three per-worker atomic vectors,
-/// where commits landing between the sums could show, e.g., a retry without
-/// its eventual commit.
+/// Live totals of a running ingest pool: the sums of the per-worker counters
+/// [`WorkerManager::stop`] reports. Each field only grows while the pool
+/// runs, and trails the body's own returns by at most one transaction per
+/// worker (the one whose outcome is being recorded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OltpCounts {
     /// Transactions committed.
     pub committed: u64,
-    /// Transactions that gave up (aborted on their final attempt).
+    /// Transactions aborted.
     pub aborted: u64,
-    /// Retry attempts (disjoint from `aborted`).
-    pub retried: u64,
-}
-
-/// Seqlock-protected counter triple: writers serialize through an odd/even
-/// sequence word; readers retry until they observe the same even sequence
-/// on both sides of the payload read, guaranteeing a torn-free snapshot.
-/// Writes are one CAS + three relaxed adds — cheap enough for once per
-/// transaction outcome.
-#[derive(Debug, Default)]
-struct CountsCell {
-    seq: AtomicU64,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    retried: AtomicU64,
-}
-
-impl CountsCell {
-    fn add(&self, committed: u64, aborted: u64, retried: u64) {
-        loop {
-            let s = self.seq.load(Ordering::Relaxed);
-            if s & 1 == 0
-                && self
-                    .seq
-                    .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.committed.fetch_add(committed, Ordering::Relaxed);
-                self.aborted.fetch_add(aborted, Ordering::Relaxed);
-                self.retried.fetch_add(retried, Ordering::Relaxed);
-                self.seq.store(s + 2, Ordering::Release);
-                return;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    fn read(&self) -> OltpCounts {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snapshot = OltpCounts {
-                committed: self.committed.load(Ordering::Relaxed),
-                aborted: self.aborted.load(Ordering::Relaxed),
-                retried: self.retried.load(Ordering::Relaxed),
-            };
-            std::sync::atomic::fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == s1 {
-                return snapshot;
-            }
-            std::hint::spin_loop();
-        }
-    }
-}
-
-/// Retry policy for aborted transactions in the long-running ingest pool.
-///
-/// NO-WAIT concurrency control trades waiting for aborts; under contention a
-/// bounded retry with jittered exponential backoff recovers most of the lost
-/// throughput without letting two workers re-collide in lockstep. The jitter
-/// is derived deterministically from `(worker, txn_index, attempt)` so runs
-/// stay reproducible.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first failed attempt (0 disables retrying).
-    pub max_retries: u32,
-    /// Base backoff before the first retry, in microseconds; doubles per
-    /// attempt (capped at 64×) with up to 100% deterministic jitter on top.
-    /// 0 retries immediately.
-    pub backoff_micros: u64,
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based) of transaction
-    /// `txn_index` on worker `worker`, in microseconds. Exponential in the
-    /// attempt with a deterministic jitter in `[0, window)` mixed from the
-    /// identifying triple (splitmix64 finalizer — no RNG state, no `rand`).
-    pub fn backoff_for(&self, worker: u64, txn_index: u64, attempt: u32) -> u64 {
-        if self.backoff_micros == 0 {
-            return 0;
-        }
-        let window = self
-            .backoff_micros
-            .saturating_mul(1u64 << (attempt.saturating_sub(1)).min(6));
-        let mut x = worker.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ txn_index.rotate_left(17)
-            ^ (attempt as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        window + x % window.max(1)
-    }
 }
 
 /// Pool assignment shared with long-running ingest threads, so mid-flight
@@ -174,9 +67,6 @@ struct PoolState {
     /// is being measured); every resize and stop notifies.
     resize_mutex: std::sync::Mutex<()>,
     resize_cv: std::sync::Condvar,
-    /// Retry policy for aborted ingest transactions; read per transaction so
-    /// changes take effect mid-flight.
-    retry: RwLock<RetryPolicy>,
 }
 
 impl PoolState {
@@ -208,42 +98,31 @@ impl PoolState {
     }
 }
 
-/// Live counters of a continuously running pool.
+/// Counters of a continuously running pool: one (committed, aborted) pair
+/// per worker, written only by that worker.
 #[derive(Debug)]
 struct IngestShared {
     committed: Vec<AtomicU64>,
     aborted: Vec<AtomicU64>,
-    retried: Vec<AtomicU64>,
-    /// Consistent-snapshot mirror of the per-worker vectors, updated in the
-    /// same places — [`WorkerManager::live_counts`] reads this instead of
-    /// summing the vectors so its triple never tears.
-    counts: CountsCell,
     stop: AtomicBool,
 }
 
 impl IngestShared {
     fn report(&self) -> WorkerReport {
-        WorkerReport {
-            committed_per_worker: self
-                .committed
+        let load = |counters: &[AtomicU64]| {
+            counters
                 .iter()
                 .map(|c| c.load(Ordering::Acquire))
-                .collect(),
-            aborted_per_worker: self
-                .aborted
-                .iter()
-                .map(|a| a.load(Ordering::Acquire))
-                .collect(),
-            retried_per_worker: self
-                .retried
-                .iter()
-                .map(|r| r.load(Ordering::Acquire))
-                .collect(),
+                .collect::<Vec<u64>>()
+        };
+        WorkerReport {
+            committed_per_worker: load(&self.committed),
+            aborted_per_worker: load(&self.aborted),
         }
     }
 }
 
-/// A continuously running set of ingest threads (long-running mode).
+/// A continuously running set of ingest threads.
 #[derive(Debug)]
 struct IngestPool {
     shared: Arc<IngestShared>,
@@ -254,7 +133,7 @@ struct IngestPool {
 #[derive(Debug, Default)]
 pub struct WorkerManager {
     state: Arc<PoolState>,
-    /// Long-running ingest pool, when one has been started.
+    /// The running ingest pool, when one has been started.
     ingest: Mutex<Option<IngestPool>>,
 }
 
@@ -266,11 +145,18 @@ impl WorkerManager {
 
     /// Set the worker pool to one worker per core of `cores`, all active.
     /// This is the API the RDE engine calls when migrating states; a running
-    /// ingest pool observes the new assignment mid-flight.
+    /// ingest pool observes the new assignment mid-flight. Re-applying the
+    /// grant already in force wakes nobody.
     pub fn set_workers(&self, cores: &CpuSet) {
         let cores: Vec<CoreId> = cores.iter().collect();
         let n = cores.len() as u64;
-        *self.state.affinity.write() = cores;
+        {
+            let mut affinity = self.state.affinity.write();
+            if *affinity == cores && self.state.active_workers.load(Ordering::Acquire) == n {
+                return;
+            }
+            *affinity = cores;
+        }
         self.state.active_workers.store(n, Ordering::Release);
         self.state.notify_resize();
     }
@@ -300,31 +186,13 @@ impl WorkerManager {
         all.iter().take(self.active_workers()).copied().collect()
     }
 
-    /// Set the retry policy for aborted ingest transactions. Takes effect on
-    /// the next transaction of a running pool.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.state.retry.write() = policy;
-    }
-
-    /// The current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.state.retry.read()
-    }
-
-    /// Start the long-running ingest mode with capacity for the current pool
-    /// size only; see [`Self::start_with_capacity`] for grants that may grow
-    /// beyond it.
-    pub fn start<F>(&self, body: F) -> usize
-    where
-        F: Fn(usize, CoreId, u64) -> bool + Send + Sync + 'static,
-    {
-        self.start_with_capacity(0, body)
-    }
-
-    /// Start the long-running ingest mode: one OS thread per potential
-    /// worker, each repeatedly invoking `body(worker_id, core, txn_index)`
-    /// and recording whether the transaction committed. The pool keeps
-    /// running until [`Self::stop`]; while it runs, [`Self::set_workers`] /
+    /// Start the ingest pool — the one way this manager runs transactions:
+    /// one OS thread per potential worker, each repeatedly invoking
+    /// `body(worker_id, core, txn_index)` and counting a `true` as a commit
+    /// and a `false` as an abort; either way the next invocation gets the
+    /// next `txn_index`, so a body that wants an aborted transaction tried
+    /// again retries inside itself. The pool keeps running until
+    /// [`Self::stop`]; while it runs, [`Self::set_workers`] /
     /// [`Self::set_active_workers`] resize it mid-flight — deactivated
     /// workers park until they are granted back, and affinity changes are
     /// picked up on the next transaction.
@@ -352,8 +220,6 @@ impl WorkerManager {
         let shared = Arc::new(IngestShared {
             committed: (0..pool_size).map(|_| AtomicU64::new(0)).collect(),
             aborted: (0..pool_size).map(|_| AtomicU64::new(0)).collect(),
-            retried: (0..pool_size).map(|_| AtomicU64::new(0)).collect(),
-            counts: CountsCell::default(),
             stop: AtomicBool::new(false),
         });
         let body = Arc::new(body);
@@ -365,14 +231,13 @@ impl WorkerManager {
                 std::thread::Builder::new()
                     .name(format!("oltp-ingest-{worker_id}"))
                     .spawn(move || {
-                        // Route this thread's ring events (commit, abort,
-                        // retry) to its own oltp-ingest lane, and fetch the
+                        // Route this thread's ring events (commit, abort) to
+                        // its own oltp-ingest lane, and fetch the
                         // named-counter handles once — increments on the
                         // transaction path are then relaxed atomic adds.
                         htap_obs::bind_thread_oltp(worker_id);
                         let m_committed = htap_obs::counter("oltp.txn.committed");
                         let m_aborted = htap_obs::counter("oltp.txn.aborted");
-                        let m_retried = htap_obs::counter("oltp.txn.retried");
                         // The worker's core, when it is inside the current
                         // grant (active and with an assigned affinity slot).
                         let granted_core = |state: &PoolState| {
@@ -391,47 +256,18 @@ impl WorkerManager {
                                 });
                                 continue;
                             };
-                            // Bounded retry: same (worker, txn_index) pair on
-                            // every attempt, so a deterministic body re-runs
-                            // the *same* transaction rather than moving on.
-                            let mut attempt = 0u32;
-                            loop {
-                                if body(worker_id, core, txn_index) {
-                                    shared.committed[worker_id].fetch_add(1, Ordering::Release);
-                                    shared.counts.add(1, 0, 0);
-                                    m_committed.inc();
-                                    break;
-                                }
-                                let policy = *state.retry.read();
-                                if attempt >= policy.max_retries
-                                    || shared.stop.load(Ordering::Acquire)
-                                {
-                                    shared.aborted[worker_id].fetch_add(1, Ordering::Release);
-                                    shared.counts.add(0, 1, 0);
-                                    m_aborted.inc();
-                                    htap_obs::record_thread(
-                                        htap_obs::EventKind::TxnAbort,
-                                        htap_obs::now_us(),
-                                        worker_id as u64,
-                                        txn_index,
-                                    );
-                                    break;
-                                }
-                                attempt += 1;
-                                shared.retried[worker_id].fetch_add(1, Ordering::Release);
-                                shared.counts.add(0, 0, 1);
-                                m_retried.inc();
+                            if body(worker_id, core, txn_index) {
+                                shared.committed[worker_id].fetch_add(1, Ordering::Release);
+                                m_committed.inc();
+                            } else {
+                                shared.aborted[worker_id].fetch_add(1, Ordering::Release);
+                                m_aborted.inc();
                                 htap_obs::record_thread(
-                                    htap_obs::EventKind::TxnRetry,
+                                    htap_obs::EventKind::TxnAbort,
                                     htap_obs::now_us(),
                                     worker_id as u64,
-                                    u64::from(attempt),
+                                    txn_index,
                                 );
-                                let backoff =
-                                    policy.backoff_for(worker_id as u64, txn_index, attempt);
-                                if backoff > 0 {
-                                    std::thread::sleep(Duration::from_micros(backoff));
-                                }
                             }
                             txn_index += 1;
                         }
@@ -443,22 +279,22 @@ impl WorkerManager {
         pool_size
     }
 
-    /// Whether a long-running ingest pool is active.
+    /// Whether an ingest pool is active.
     pub fn ingest_running(&self) -> bool {
         self.ingest.lock().is_some()
     }
 
     /// Live totals of the running ingest pool — sampled without stopping it,
     /// so callers can derive measured OLTP throughput around each analytical
-    /// query. `aborted` counts transactions that gave up; `retried` counts
-    /// re-attempts that are NOT in `aborted`. All three fields come from one
-    /// seqlock snapshot, so they are mutually consistent (a commit and the
-    /// retries that preceded it are either both visible or both not).
-    /// Zeroes when no pool runs. Allocation-free: pacing loops poll this at
-    /// high frequency.
+    /// query. Zeroes when no pool runs. Allocation-free: pacing loops poll
+    /// this at high frequency.
     pub fn live_counts(&self) -> OltpCounts {
+        let sum = |counters: &[AtomicU64]| counters.iter().map(|c| c.load(Ordering::Acquire)).sum();
         match self.ingest.lock().as_ref() {
-            Some(pool) => pool.shared.counts.read(),
+            Some(pool) => OltpCounts {
+                committed: sum(&pool.shared.committed),
+                aborted: sum(&pool.shared.aborted),
+            },
             None => OltpCounts::default(),
         }
     }
@@ -473,9 +309,9 @@ impl WorkerManager {
         }
     }
 
-    /// Stop the long-running ingest pool: signal every thread, join them and
-    /// return the final per-worker counts. A no-op returning an empty report
-    /// when no pool is running.
+    /// Stop the ingest pool: signal every thread, join them and return the
+    /// final per-worker counts. A no-op returning an empty report when no
+    /// pool is running.
     pub fn stop(&self) -> WorkerReport {
         let Some(pool) = self.ingest.lock().take() else {
             return WorkerReport::default();
@@ -490,79 +326,6 @@ impl WorkerManager {
             let _ = handle.join();
         }
         pool.shared.report()
-    }
-
-    /// Run `txns_per_worker` transactions on every active worker, in
-    /// parallel. The body receives `(worker_id, core, txn_index)` and returns
-    /// whether the transaction committed. Returns per-worker counts.
-    pub fn run<F>(&self, txns_per_worker: u64, body: F) -> WorkerReport
-    where
-        F: Fn(usize, CoreId, u64) -> bool + Sync,
-    {
-        let cores = self.affinity();
-        if cores.is_empty() {
-            return WorkerReport::default();
-        }
-        let mut committed = vec![0u64; cores.len()];
-        let mut aborted = vec![0u64; cores.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = cores
-                .iter()
-                .enumerate()
-                .map(|(worker_id, &core)| {
-                    let body = &body;
-                    scope.spawn(move || {
-                        let mut c = 0u64;
-                        let mut a = 0u64;
-                        for txn_index in 0..txns_per_worker {
-                            if body(worker_id, core, txn_index) {
-                                c += 1;
-                            } else {
-                                a += 1;
-                            }
-                        }
-                        (c, a)
-                    })
-                })
-                .collect();
-            for (i, h) in handles.into_iter().enumerate() {
-                let (c, a) = h.join().expect("worker panicked");
-                committed[i] = c;
-                aborted[i] = a;
-            }
-        });
-        let workers = committed.len();
-        WorkerReport {
-            committed_per_worker: committed,
-            aborted_per_worker: aborted,
-            retried_per_worker: vec![0; workers],
-        }
-    }
-
-    /// Run the workers sequentially on the calling thread (deterministic mode
-    /// used by benchmarks on single-core hosts). Semantics match [`Self::run`].
-    pub fn run_sequential<F>(&self, txns_per_worker: u64, mut body: F) -> WorkerReport
-    where
-        F: FnMut(usize, CoreId, u64) -> bool,
-    {
-        let cores = self.affinity();
-        let mut committed = vec![0u64; cores.len()];
-        let mut aborted = vec![0u64; cores.len()];
-        for (worker_id, &core) in cores.iter().enumerate() {
-            for txn_index in 0..txns_per_worker {
-                if body(worker_id, core, txn_index) {
-                    committed[worker_id] += 1;
-                } else {
-                    aborted[worker_id] += 1;
-                }
-            }
-        }
-        let workers = committed.len();
-        WorkerReport {
-            committed_per_worker: committed,
-            aborted_per_worker: aborted,
-            retried_per_worker: vec![0; workers],
-        }
     }
 }
 
@@ -602,38 +365,50 @@ mod tests {
     fn parallel_run_counts_commits_and_aborts() {
         let wm = WorkerManager::new();
         wm.set_workers(&cores(4));
-        // Every third transaction "aborts".
-        let report = wm.run(30, |_, _, i| i % 3 != 0);
+        // Every third transaction "aborts". A `false` is counted and the body
+        // is called again with the next index, so a worker that has run n
+        // transactions has aborted exactly the indices 0, 3, 6, … below n.
+        assert_eq!(wm.start_with_capacity(0, |_, _, i| i % 3 != 0), 4);
+        wait_until(|| wm.per_worker_committed().iter().all(|&c| c >= 20));
+        let report = wm.stop();
         assert_eq!(report.committed_per_worker.len(), 4);
-        assert_eq!(report.committed(), 4 * 20);
-        assert_eq!(report.aborted(), 4 * 10);
-    }
-
-    #[test]
-    fn sequential_run_matches_parallel_semantics() {
-        let wm = WorkerManager::new();
-        wm.set_workers(&cores(3));
-        let report = wm.run_sequential(10, |_, _, i| i % 2 == 0);
-        assert_eq!(report.committed(), 15);
-        assert_eq!(report.aborted(), 15);
+        for (committed, aborted) in report
+            .committed_per_worker
+            .iter()
+            .zip(&report.aborted_per_worker)
+        {
+            let ran = committed + aborted;
+            assert_eq!(*aborted, ran.div_ceil(3), "of {ran} transactions");
+        }
     }
 
     #[test]
     fn workers_receive_their_assigned_core() {
         let topology = Topology::two_socket();
         let wm = WorkerManager::new();
-        wm.set_workers(&CpuSet::socket(&topology, SocketId(1)));
-        let report = wm.run(1, |worker_id, core, _| {
-            // Workers are enumerated over socket-1 cores in ascending order.
-            core == CoreId(14 + worker_id as u16)
-        });
-        assert_eq!(report.committed(), 14, "every worker must see its own core");
+        // Every body invocation sees the core of its slot in the grant in
+        // force: socket-1 cores in ascending order first, socket-0 cores
+        // after a re-grant. A mismatch is counted as an abort.
+        for (socket, first_core) in [(SocketId(1), 14u16), (SocketId(0), 0)] {
+            wm.set_workers(&CpuSet::socket(&topology, socket));
+            let spawned = wm.start_with_capacity(0, move |worker_id, core, _| {
+                core == CoreId(first_core + worker_id as u16)
+            });
+            assert_eq!(spawned, 14);
+            wait_until(|| wm.per_worker_committed().iter().all(|&c| c > 0));
+            let report = wm.stop();
+            assert_eq!(report.aborted(), 0, "a worker saw another slot's core");
+        }
     }
 
     #[test]
     fn empty_pool_runs_nothing() {
+        // Capacity without a grant: the threads exist but stay parked, so
+        // the body never runs.
         let wm = WorkerManager::new();
-        let report = wm.run(100, |_, _, _| true);
+        assert_eq!(wm.start_with_capacity(2, |_, _, _| true), 2);
+        assert_eq!(wm.active_workers(), 0);
+        let report = wm.stop();
         assert_eq!(report.committed(), 0);
         assert_eq!(report.aborted(), 0);
     }
@@ -653,22 +428,42 @@ mod tests {
     fn long_running_pool_counts_live_and_reports_on_stop() {
         let wm = WorkerManager::new();
         wm.set_workers(&cores(2));
-        // Every fourth transaction "aborts".
-        assert_eq!(wm.start(|_, _, i| i % 4 != 3), 2);
+        // Every fourth transaction "aborts"; the body keeps its own tally of
+        // what it returned, the truth the pool's counters must match.
+        let returned = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let tally = Arc::clone(&returned);
+        let body = move |_, _, i: u64| {
+            let committed = i % 4 != 3;
+            tally[usize::from(committed)].fetch_add(1, Ordering::SeqCst);
+            committed
+        };
+        assert_eq!(wm.start_with_capacity(0, body), 2);
         assert!(wm.ingest_running());
         // A second start must not spawn a second pool.
-        assert_eq!(wm.start(|_, _, _| true), 0);
+        assert_eq!(wm.start_with_capacity(0, |_, _, _| true), 0);
         wait_until(|| {
             let counts = wm.live_counts();
             counts.committed > 0 && counts.aborted > 0
         });
+        // A live read trails the body's returns by at most the one
+        // transaction per worker whose outcome is being recorded.
+        let total = || returned[0].load(Ordering::SeqCst) + returned[1].load(Ordering::SeqCst);
+        let before = total();
+        let live = wm.live_counts();
+        let after = total();
+        let live_total = live.committed + live.aborted;
+        assert!(
+            before.saturating_sub(2) <= live_total && live_total <= after,
+            "live {live_total} outside [{before} - 2 workers, {after}]"
+        );
         let report = wm.stop();
         assert!(!wm.ingest_running());
         assert_eq!(report.committed_per_worker.len(), 2);
-        assert!(report.committed() > 0);
-        assert!(report.aborted() > 0);
-        // No retry policy was configured: aborts are final, nothing retried.
-        assert_eq!(report.retried(), 0);
+        // One count per outcome: the final report is exactly what the body
+        // returned, and no live read ever ran ahead of it.
+        assert_eq!(report.aborted(), returned[0].load(Ordering::SeqCst));
+        assert_eq!(report.committed(), returned[1].load(Ordering::SeqCst));
+        assert!(live.committed <= report.committed() && live.aborted <= report.aborted());
         // Stopping again is a no-op.
         assert_eq!(wm.stop(), WorkerReport::default());
         assert_eq!(wm.live_counts(), OltpCounts::default());
@@ -678,7 +473,7 @@ mod tests {
     fn long_running_pool_resizes_mid_flight() {
         let wm = WorkerManager::new();
         wm.set_workers(&cores(4));
-        assert_eq!(wm.start(|_, _, _| true), 4);
+        assert_eq!(wm.start_with_capacity(0, |_, _, _| true), 4);
         wait_until(|| wm.live_counts().committed > 0);
 
         // Revoke all but one worker (the RDE engine shrinking the grant):
@@ -710,78 +505,9 @@ mod tests {
     }
 
     #[test]
-    fn retries_recover_transient_aborts_and_are_counted_separately() {
-        use std::collections::HashMap;
-        use std::sync::Mutex;
-        let wm = WorkerManager::new();
-        wm.set_workers(&cores(2));
-        wm.set_retry_policy(RetryPolicy {
-            max_retries: 3,
-            backoff_micros: 10,
-        });
-        assert_eq!(
-            wm.retry_policy(),
-            RetryPolicy {
-                max_retries: 3,
-                backoff_micros: 10
-            }
-        );
-        // Every transaction fails twice, then commits — and the body must see
-        // the SAME txn_index across the retries of one transaction.
-        let attempts: Mutex<HashMap<(usize, u64), u32>> = Mutex::new(HashMap::new());
-        assert_eq!(
-            wm.start(move |worker, _, txn| {
-                let mut map = attempts.lock().unwrap();
-                let seen = map.entry((worker, txn)).or_insert(0);
-                *seen += 1;
-                *seen > 2
-            }),
-            2
-        );
-        wait_until(|| wm.live_counts().committed >= 10);
-        let report = wm.stop();
-        // Nothing gave up mid-run (3 retries > 2 needed); only the in-flight
-        // transaction on each worker may abort when stop() raises the flag.
-        assert!(report.aborted() <= 2, "aborted {}", report.aborted());
-        assert!(report.committed() >= 10);
-        let retried = report.retried();
-        assert!(
-            retried >= report.committed() * 2 && retried <= (report.committed() + 2) * 2,
-            "expected ~2 retries per commit, got {retried} for {}",
-            report.committed()
-        );
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_jittered_and_bounded() {
-        let p = RetryPolicy {
-            max_retries: 5,
-            backoff_micros: 100,
-        };
-        // Deterministic: same triple, same backoff.
-        assert_eq!(p.backoff_for(1, 7, 1), p.backoff_for(1, 7, 1));
-        // Jittered: different transactions land at different points.
-        let distinct: std::collections::HashSet<u64> =
-            (0..32).map(|t| p.backoff_for(0, t, 1)).collect();
-        assert!(distinct.len() > 16, "jitter collapsed: {distinct:?}");
-        // Bounded: window + jitter < 2 * window, exponential growth capped.
-        for attempt in 1..=10u32 {
-            let window = 100u64 * (1 << (attempt - 1).min(6));
-            let b = p.backoff_for(3, 9, attempt);
-            assert!(b >= window && b < 2 * window, "attempt {attempt}: {b}");
-        }
-        // Disabled backoff retries immediately.
-        let zero = RetryPolicy {
-            max_retries: 1,
-            backoff_micros: 0,
-        };
-        assert_eq!(zero.backoff_for(0, 0, 1), 0);
-    }
-
-    #[test]
     fn starting_an_empty_pool_spawns_nothing() {
         let wm = WorkerManager::new();
-        assert_eq!(wm.start(|_, _, _| true), 0);
+        assert_eq!(wm.start_with_capacity(0, |_, _, _| true), 0);
         assert!(!wm.ingest_running());
     }
 

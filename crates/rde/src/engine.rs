@@ -2,14 +2,12 @@
 //! instance switches, twin synchronisation and ETL, and provider of data
 //! access paths to the OLAP engine.
 
-use crate::state::SystemState;
 use htap_olap::{OlapEngine, ScanSource};
 use htap_oltp::OltpEngine;
 use htap_sim::clock::Activity;
-use htap_sim::region::RegionDirectory;
 use htap_sim::{
-    CostModel, EngineId, ExecPlacement, InterferenceModel, OlapTraffic, RegionKind, ResourcePool,
-    Seconds, SimClock, SocketId, Stream, Topology, TransferWork, TxnWork,
+    CostModel, EngineId, ExecPlacement, InterferenceModel, OlapTraffic, ResourcePool, Seconds,
+    SimClock, SocketId, Stream, Topology, TransferWork, TxnWork,
 };
 use htap_storage::TableSchema;
 use parking_lot::Mutex;
@@ -70,14 +68,10 @@ impl Default for RdeConfig {
 /// Outcome of an instance switch + twin synchronisation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SwitchReport {
-    /// Rows visible in the new snapshot, across relations.
-    pub snapshot_rows: u64,
     /// Records that had to be synchronised into the new active instance.
     pub synced_records: u64,
     /// Records skipped because the active instance had already overwritten them.
     pub skipped_records: u64,
-    /// Fresh rows (vs. the OLAP instance) after the switch.
-    pub fresh_rows_vs_olap: u64,
     /// Modelled time of the switch + synchronisation.
     pub modeled_time: Seconds,
 }
@@ -99,18 +93,15 @@ pub struct RdeEngine {
     config: RdeConfig,
     oltp: Arc<OltpEngine>,
     olap: Arc<OlapEngine>,
-    pool: Mutex<ResourcePool>,
-    regions: Mutex<RegionDirectory>,
+    pub(crate) pool: Mutex<ResourcePool>,
     cost: CostModel,
     interference: InterferenceModel,
     clock: SimClock,
-    state: Mutex<Option<SystemState>>,
 }
 
 impl RdeEngine {
     /// Bootstrap the HTAP system: create both engines, give each one socket
-    /// (the paper's bootstrap corresponds to the full-isolation state S2) and
-    /// pre-register the memory regions.
+    /// (the paper's bootstrap corresponds to the full-isolation state S2).
     pub fn bootstrap(config: RdeConfig) -> Self {
         config.topology.validate().expect("invalid topology");
         let oltp = Arc::new(OltpEngine::new());
@@ -119,14 +110,6 @@ impl RdeEngine {
         pool.oltp_min_cores_per_socket = config.oltp_min_cores_per_socket;
         pool.oltp_min_sockets = config.oltp_min_sockets;
 
-        let mut regions = RegionDirectory::new();
-        regions.register(config.oltp_socket, RegionKind::OltpInstance(0), 0);
-        regions.register(config.oltp_socket, RegionKind::OltpInstance(1), 0);
-        regions.register(config.oltp_socket, RegionKind::OltpDelta, 0);
-        regions.register(config.oltp_socket, RegionKind::OltpIndex, 0);
-        regions.register(config.olap_socket, RegionKind::OlapInstance, 0);
-        regions.register(config.olap_socket, RegionKind::OlapScratch, 0);
-
         let engine = RdeEngine {
             cost: CostModel::new(config.topology.clone()),
             interference: InterferenceModel::new(config.topology.clone()),
@@ -134,11 +117,9 @@ impl RdeEngine {
             oltp,
             olap,
             pool: Mutex::new(pool),
-            regions: Mutex::new(regions),
-            state: Mutex::new(None),
             config,
         };
-        engine.apply_pool_to_engines();
+        engine.apply_grant(&engine.pool.lock());
         engine
     }
 
@@ -167,48 +148,16 @@ impl RdeEngine {
         &self.cost
     }
 
-    /// The interference model used for modelled OLTP throughput.
-    pub fn interference_model(&self) -> &InterferenceModel {
-        &self.interference
-    }
-
-    /// The state the system was last migrated to, if any.
-    pub fn current_state(&self) -> Option<SystemState> {
-        *self.state.lock()
-    }
-
-    pub(crate) fn set_current_state(&self, state: SystemState) {
-        *self.state.lock() = Some(state);
-    }
-
-    /// Run `f` with exclusive access to the resource pool.
-    pub fn with_pool<R>(&self, f: impl FnOnce(&mut ResourcePool) -> R) -> R {
-        f(&mut self.pool.lock())
-    }
-
     /// A human-readable description of the current CPU distribution.
     pub fn describe_resources(&self) -> String {
         self.pool.lock().describe()
     }
 
-    /// Create a relation in both engines (OLTP twin instances + OLAP instance)
-    /// and account its memory regions.
+    /// Create a relation in both engines (OLTP twin instances + OLAP instance).
     pub fn create_table(&self, schema: TableSchema) -> Result<(), String> {
         self.oltp.create_table(schema.clone())?;
         self.olap.store().create_table(schema)?;
         Ok(())
-    }
-
-    /// Push the current pool assignment into both engines' worker managers.
-    /// This is the mid-flight elasticity hook: a continuously running OLTP
-    /// ingest pool observes the new grant immediately — revoked workers park,
-    /// granted workers resume — without being restarted.
-    pub fn apply_pool_to_engines(&self) {
-        let pool = self.pool.lock();
-        self.oltp
-            .worker_manager()
-            .set_workers(&pool.cores_of(EngineId::Oltp));
-        self.olap.set_workers(pool.cores_of(EngineId::Olap));
     }
 
     /// OLTP worker placement as a cost-model descriptor.
@@ -272,13 +221,13 @@ impl RdeEngine {
     /// Instruct the OLTP engine to switch its active instance and synchronise
     /// the twins (consuming the update-indication bits), in one quiescence
     /// window so concurrent ingest workers never observe the un-synced
-    /// active instance. The modelled time is charged to the
-    /// [`Activity::InstanceSync`] counter.
+    /// active instance. This is the one point where the engines meet: a
+    /// scheduled query crosses it exactly once. The modelled time is charged
+    /// to the [`Activity::InstanceSync`] counter.
     pub fn switch_and_sync(&self) -> SwitchReport {
         let guard = htap_obs::span("rde.switch");
-        let (outcomes, sync) = self.oltp.switch_and_sync_instances();
+        let (_, sync) = self.oltp.switch_and_sync_instances();
 
-        let snapshot_rows: u64 = outcomes.values().map(|o| o.snapshot_rows).sum();
         let synced_records: u64 = sync.values().map(|s| s.copied_records).sum();
         let skipped_records: u64 = sync.values().map(|s| s.skipped_records).sum();
         let copied_bytes: u64 = sync.values().map(|s| s.copied_bytes).sum();
@@ -290,29 +239,13 @@ impl RdeEngine {
         let modeled_time = self.cost.sync_time(synced_records, bytes_per_record, 2);
         self.clock.advance(Activity::InstanceSync, modeled_time);
 
-        // Keep the region directory in step with the instance sizes.
-        {
-            let mut regions = self.regions.lock();
-            let bytes = self.oltp.instance_bytes();
-            let ids: Vec<_> = regions
-                .iter()
-                .filter(|r| matches!(r.kind, RegionKind::OltpInstance(_)))
-                .map(|r| r.id)
-                .collect();
-            for id in ids {
-                regions.resize(id, bytes);
-            }
-        }
-
         if guard.is_active() {
             guard.arg("synced_records", synced_records as f64);
             guard.arg("skipped_records", skipped_records as f64);
         }
         SwitchReport {
-            snapshot_rows,
             synced_records,
             skipped_records,
-            fresh_rows_vs_olap: self.oltp.fresh_rows_vs_olap(),
             modeled_time,
         }
     }
@@ -352,19 +285,6 @@ impl RdeEngine {
             })
         };
         self.clock.advance(Activity::DataTransfer, modeled_time);
-
-        // Track the OLAP instance growth.
-        {
-            let mut regions = self.regions.lock();
-            let ids: Vec<_> = regions
-                .iter()
-                .filter(|r| r.kind == RegionKind::OlapInstance)
-                .map(|r| r.id)
-                .collect();
-            for id in ids {
-                regions.resize(id, self.olap.store().bytes());
-            }
-        }
 
         if guard.is_active() {
             guard.arg("copied_rows", copied_rows as f64);
@@ -412,17 +332,6 @@ impl RdeEngine {
         }
         out
     }
-
-    /// Total memory registered per socket (for capacity checks and reports).
-    pub fn memory_per_socket(&self) -> BTreeMap<SocketId, u64> {
-        let regions = self.regions.lock();
-        self.config
-            .topology
-            .socket_ids()
-            .into_iter()
-            .map(|s| (s, regions.bytes_on_socket(s)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -461,10 +370,7 @@ mod tests {
         let placement = rde.olap_placement();
         assert_eq!(placement.total_cores(), 14);
         assert_eq!(placement.cores_on(SocketId(1)), 14);
-        assert!(rde.current_state().is_none());
         assert!(rde.describe_resources().contains("OLTP: 14"));
-        // Regions registered for both sockets.
-        assert_eq!(rde.memory_per_socket().len(), 2);
     }
 
     #[test]
@@ -478,10 +384,10 @@ mod tests {
             });
         }
         let report = rde.switch_and_sync();
-        assert_eq!(report.snapshot_rows, 100);
         assert_eq!(report.synced_records, 5);
         assert_eq!(
-            report.fresh_rows_vs_olap, 100,
+            rde.oltp().fresh_rows_vs_olap(),
+            100,
             "nothing propagated to OLAP yet"
         );
         assert!(report.modeled_time > 0.0);

@@ -1,111 +1,44 @@
-//! Resource exchange: lending CPU cores between the engines.
+//! Resource exchange: distributing CPU cores between the engines.
 //!
 //! "Following the common approach in cloud computing, we assume that CPU and
 //! memory resources are split in two sets: the first is exclusively given to
 //! each engine, and the second can be traded between them. The distribution of
 //! resources between the engines is decided by the RDE engine" (§3.1).
-//! The administrator-set minimums of [`crate::RdeConfig`] bound how far the
-//! exchange can go.
+//! Every state of Algorithm 1 is one such distribution (see
+//! [`crate::migration`]); the sensitivity sweeps pass their own.
 
 use crate::engine::RdeEngine;
-use htap_sim::{EngineId, ResourceError, SocketId};
-
-/// Outcome of a resource-exchange operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExchangeReport {
-    /// Cores that changed owner.
-    pub moved_cores: usize,
-    /// OLTP cores per socket after the exchange.
-    pub oltp_cores: Vec<(SocketId, usize)>,
-    /// OLAP cores per socket after the exchange.
-    pub olap_cores: Vec<(SocketId, usize)>,
-}
+use htap_sim::{EngineId, ResourcePool, SocketId};
 
 impl RdeEngine {
-    fn report(&self) -> ExchangeReport {
-        self.with_pool(|pool| {
-            let topo = pool.topology().clone();
-            let per_socket = |engine: EngineId| {
-                topo.socket_ids()
-                    .into_iter()
-                    .map(|s| (s, pool.count_on_socket(engine, s)))
-                    .filter(|(_, n)| *n > 0)
-                    .collect::<Vec<_>>()
-            };
-            ExchangeReport {
-                moved_cores: 0,
-                oltp_cores: per_socket(EngineId::Oltp),
-                olap_cores: per_socket(EngineId::Olap),
-            }
-        })
+    /// Push the pool's assignment into both engines' worker managers. A
+    /// continuously running OLTP ingest pool observes the new grant
+    /// mid-flight — revoked workers park, granted workers resume — without
+    /// being restarted.
+    pub(crate) fn apply_grant(&self, pool: &ResourcePool) {
+        self.oltp()
+            .worker_manager()
+            .set_workers(&pool.cores_of(EngineId::Oltp));
+        self.olap().set_workers(pool.cores_of(EngineId::Olap));
     }
 
-    /// Lend `n` cores of `socket` from the OLTP to the OLAP engine
-    /// (the elastic move of states S1 / S3-NI). Honours the OLTP minimum.
-    pub fn lend_oltp_cores_to_olap(
-        &self,
-        socket: SocketId,
-        n: usize,
-    ) -> Result<ExchangeReport, ResourceError> {
-        let grant =
-            self.with_pool(|pool| pool.transfer(socket, EngineId::Oltp, EngineId::Olap, n))?;
-        self.apply_pool_to_engines();
-        let mut report = self.report();
-        report.moved_cores = grant.cores.len();
-        Ok(report)
-    }
-
-    /// Return `n` cores of `socket` from the OLAP engine back to the OLTP
-    /// engine (elastic scale-down of the analytical side).
-    pub fn return_cores_to_oltp(
-        &self,
-        socket: SocketId,
-        n: usize,
-    ) -> Result<ExchangeReport, ResourceError> {
-        let grant =
-            self.with_pool(|pool| pool.transfer(socket, EngineId::Olap, EngineId::Oltp, n))?;
-        self.apply_pool_to_engines();
-        let mut report = self.report();
-        report.moved_cores = grant.cores.len();
-        Ok(report)
-    }
-
-    /// Assign whole sockets to the engines: the first `oltp_sockets` sockets to
-    /// OLTP, the rest to OLAP (`addSocket` of Algorithm 1).
-    pub fn assign_sockets(&self, oltp_sockets: usize) -> ExchangeReport {
-        self.with_pool(|pool| {
-            let sockets = pool.topology().socket_ids();
-            for (i, socket) in sockets.into_iter().enumerate() {
-                let owner = if i < oltp_sockets {
-                    EngineId::Oltp
-                } else {
-                    EngineId::Olap
-                };
-                pool.assign_socket(socket, owner);
+    /// Give the OLTP engine `n` cores on each listed socket (a whole socket
+    /// when `n` is its core count) and every remaining core to the OLAP
+    /// engine, then apply the grant to both engines.
+    pub fn set_oltp_cores_per_socket(&self, per_socket: &[(SocketId, usize)]) {
+        let mut pool = self.pool.lock();
+        let topo = pool.topology().clone();
+        for socket in topo.socket_ids() {
+            pool.assign_socket(socket, EngineId::Olap);
+        }
+        for &(socket, n) in per_socket {
+            let n = n.min(topo.cores_per_socket as usize);
+            if n > 0 {
+                pool.transfer(socket, EngineId::Olap, EngineId::Oltp, n)
+                    .expect("socket fully owned by OLAP before transfer");
             }
-        });
-        self.apply_pool_to_engines();
-        self.report()
-    }
-
-    /// Set an explicit per-socket OLTP core count; every remaining core goes
-    /// to the OLAP engine. This is the knob the sensitivity analyses sweep.
-    pub fn set_oltp_cores_per_socket(&self, per_socket: &[(SocketId, usize)]) -> ExchangeReport {
-        self.with_pool(|pool| {
-            let topo = pool.topology().clone();
-            for socket in topo.socket_ids() {
-                pool.assign_socket(socket, EngineId::Olap);
-            }
-            for &(socket, n) in per_socket {
-                let n = n.min(topo.cores_per_socket as usize);
-                if n > 0 {
-                    pool.transfer(socket, EngineId::Olap, EngineId::Oltp, n)
-                        .expect("socket fully owned by OLAP before transfer");
-                }
-            }
-        });
-        self.apply_pool_to_engines();
-        self.report()
+        }
+        self.apply_grant(&pool);
     }
 }
 
@@ -113,7 +46,7 @@ impl RdeEngine {
 mod tests {
     use super::*;
     use crate::engine::RdeConfig;
-    use htap_sim::ResourceError;
+    use crate::state::SystemState;
 
     fn rde() -> RdeEngine {
         RdeEngine::bootstrap(RdeConfig::default())
@@ -122,46 +55,56 @@ mod tests {
     #[test]
     fn lending_and_returning_cores_updates_both_engines() {
         let rde = rde();
-        let report = rde.lend_oltp_cores_to_olap(SocketId(0), 4).unwrap();
-        assert_eq!(report.moved_cores, 4);
+        let wm = rde.oltp().worker_manager();
+        // OLTP lends four cores of its socket to the OLAP engine…
+        rde.set_oltp_cores_per_socket(&[(SocketId(0), 10)]);
         assert_eq!(rde.txn_work().total_workers(), 10);
+        assert_eq!(wm.active_workers(), 10);
         assert_eq!(rde.olap_placement().cores_on(SocketId(0)), 4);
-        assert_eq!(rde.olap_placement().total_cores(), 18);
-
-        let back = rde.return_cores_to_oltp(SocketId(0), 4).unwrap();
-        assert_eq!(back.moved_cores, 4);
+        assert_eq!(rde.olap_worker_count(), 18);
+        // …and gets them back.
+        rde.set_oltp_cores_per_socket(&[(SocketId(0), 14)]);
         assert_eq!(rde.txn_work().total_workers(), 14);
+        assert_eq!(wm.active_workers(), 14);
         assert_eq!(rde.olap_placement().cores_on(SocketId(0)), 0);
     }
 
     #[test]
     fn oltp_minimum_bounds_the_exchange() {
-        let rde = rde();
-        // Minimum is 4 cores per socket: lending 11 of 14 would leave 3.
-        let err = rde.lend_oltp_cores_to_olap(SocketId(0), 11).unwrap_err();
-        assert!(matches!(err, ResourceError::BelowMinimum { .. }));
-        // Lending 10 leaves exactly the minimum.
-        assert!(rde.lend_oltp_cores_to_olap(SocketId(0), 10).is_ok());
+        // Minimum is 4 cores per socket: a DBA asking S3-NI to lend 13 of
+        // 14 still leaves OLTP its minimum.
+        let greedy = RdeEngine::bootstrap(RdeConfig {
+            elastic_cores: 13,
+            ..RdeConfig::default()
+        });
+        let report = greedy.migrate(SystemState::S3HybridNonIsolated);
+        assert_eq!(report.oltp_cores, 4, "OLTP never drops below its minimum");
+        assert_eq!(report.olap_cores, 28 - 4);
     }
 
     #[test]
     fn socket_assignment_gives_whole_sockets() {
         let rde = rde();
-        let report = rde.assign_sockets(1);
-        assert_eq!(report.oltp_cores, vec![(SocketId(0), 14)]);
-        assert_eq!(report.olap_cores, vec![(SocketId(1), 14)]);
+        rde.set_oltp_cores_per_socket(&[(SocketId(0), 14)]);
+        assert_eq!(rde.txn_work().workers_on[&SocketId(0)], 14);
+        assert_eq!(rde.txn_work().total_workers(), 14);
+        assert_eq!(rde.olap_placement().cores_on(SocketId(0)), 0);
+        assert_eq!(rde.olap_placement().cores_on(SocketId(1)), 14);
         // All sockets to OLTP.
-        let report = rde.assign_sockets(2);
-        assert_eq!(report.olap_cores, vec![]);
+        rde.set_oltp_cores_per_socket(&[(SocketId(0), 14), (SocketId(1), 14)]);
+        assert_eq!(rde.txn_work().total_workers(), 28);
         assert_eq!(rde.olap_placement().total_cores(), 0);
     }
 
     #[test]
     fn explicit_per_socket_distribution() {
         let rde = rde();
-        let report = rde.set_oltp_cores_per_socket(&[(SocketId(0), 10), (SocketId(1), 4)]);
-        assert_eq!(report.oltp_cores, vec![(SocketId(0), 10), (SocketId(1), 4)]);
-        assert_eq!(report.olap_cores, vec![(SocketId(0), 4), (SocketId(1), 10)]);
-        assert_eq!(rde.txn_work().remote_worker_fraction(), 4.0 / 14.0);
+        rde.set_oltp_cores_per_socket(&[(SocketId(0), 10), (SocketId(1), 4)]);
+        let txn = rde.txn_work();
+        assert_eq!(txn.workers_on[&SocketId(0)], 10);
+        assert_eq!(txn.workers_on[&SocketId(1)], 4);
+        assert_eq!(rde.olap_placement().cores_on(SocketId(0)), 4);
+        assert_eq!(rde.olap_placement().cores_on(SocketId(1)), 10);
+        assert_eq!(txn.remote_worker_fraction(), 4.0 / 14.0);
     }
 }

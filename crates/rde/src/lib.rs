@@ -10,12 +10,12 @@
 //! * **ETL** — transferring the delta (inserted + updated records) from the
 //!   OLTP snapshot to the OLAP engine's own instance, using OLAP-side compute
 //!   resources (the transfer time is charged to the query);
-//! * **resource exchange** — granting, revoking and lending CPU cores between
-//!   the engines at core and socket granularity, subject to the
-//!   administrator-set OLTP minimums;
+//! * **resource exchange** — distributing CPU cores between the engines at
+//!   core and socket granularity, subject to the administrator-set OLTP
+//!   minimums;
 //! * **state migration** — the `MigrateStateS1/S2/S3` procedures of
-//!   Algorithm 1, which move the system between the co-located (S1), isolated
-//!   (S2) and hybrid (S3) designs.
+//!   Algorithm 1, one body over a per-state table, which move the system
+//!   between the co-located (S1), isolated (S2) and hybrid (S3) designs.
 
 pub mod engine;
 pub mod exchange;
@@ -23,6 +23,5 @@ pub mod migration;
 pub mod state;
 
 pub use engine::{AccessMethod, EtlReport, RdeConfig, RdeEngine, SwitchReport};
-pub use exchange::ExchangeReport;
 pub use migration::MigrationReport;
 pub use state::{ElasticityMode, SystemState};

@@ -1,10 +1,11 @@
 //! State migration — Algorithm 1 of the paper.
 //!
-//! Each migration distributes CPUs (socket- or core-granular), switches the
-//! active OLTP instance so the OLAP engine gets a fresh snapshot, performs an
-//! ETL when the target state requires it, and records the access method the
-//! OLAP engine must use for subsequent queries. The scheduler only *selects*
-//! the state; enforcement happens here.
+//! A migration works on a fresh snapshot — the one instance switch its caller
+//! took — and enforces the target state on top of it: it distributes CPUs
+//! (socket- or core-granular), performs an ETL when the state requires one,
+//! and names the access method the OLAP engine must use for the query. The
+//! scheduler only *selects* the state; enforcement happens here, in one body
+//! for all four states.
 
 use crate::engine::{AccessMethod, EtlReport, RdeEngine, SwitchReport};
 use crate::state::SystemState;
@@ -30,134 +31,73 @@ pub struct MigrationReport {
 }
 
 impl RdeEngine {
-    /// `MigrateStateS1`: co-locate the engines. On every socket the OLTP
-    /// engine keeps its configured minimum number of CPUs and the OLAP engine
-    /// receives the rest; the OLAP engine then reads the freshly switched
-    /// (now inactive) OLTP instance directly.
-    pub fn migrate_state_s1(&self) -> MigrationReport {
-        let min = self.config().oltp_min_cores_per_socket;
-        let per_socket: Vec<(SocketId, usize)> = self
-            .config()
-            .topology
-            .socket_ids()
-            .into_iter()
-            .map(|s| (s, min))
-            .collect();
-        self.set_oltp_cores_per_socket(&per_socket);
-        let switch = self.switch_and_sync();
-        self.set_current_state(SystemState::S1Colocated);
-        self.finish_report(
-            SystemState::S1Colocated,
-            AccessMethod::OltpSnapshot,
-            switch,
-            None,
-        )
-    }
-
-    /// `MigrateStateS1` with an explicit per-socket OLTP CPU distribution
-    /// (used by the sensitivity sweeps of Figure 3(a)).
-    pub fn migrate_state_s1_with(&self, oltp_per_socket: &[(SocketId, usize)]) -> MigrationReport {
-        self.set_oltp_cores_per_socket(oltp_per_socket);
-        let switch = self.switch_and_sync();
-        self.set_current_state(SystemState::S1Colocated);
-        self.finish_report(
-            SystemState::S1Colocated,
-            AccessMethod::OltpSnapshot,
-            switch,
-            None,
-        )
-    }
-
-    /// `MigrateStateS2`: socket-level isolation plus ETL. The OLTP engine
-    /// keeps its configured minimum number of sockets, the OLAP engine gets
-    /// the remaining ones, the fresh delta is copied into the OLAP instance
-    /// and queries run OLAP-local.
-    pub fn migrate_state_s2(&self) -> MigrationReport {
-        self.assign_sockets(self.config().oltp_min_sockets);
-        let switch = self.switch_and_sync();
-        let etl = self.etl_to_olap();
-        self.set_current_state(SystemState::S2Isolated);
-        self.finish_report(
-            SystemState::S2Isolated,
-            AccessMethod::OlapLocal,
-            switch,
-            Some(etl),
-        )
-    }
-
-    /// `MigrateStateS3(ISOLATED)`: socket-level compute isolation; the OLAP
-    /// engine reads only the fresh records it needs from the OLTP socket over
-    /// the interconnect (split access), without updating its own instance.
-    pub fn migrate_state_s3_isolated(&self) -> MigrationReport {
-        self.assign_sockets(self.config().oltp_min_sockets);
-        let switch = self.switch_and_sync();
-        self.set_current_state(SystemState::S3HybridIsolated);
-        self.finish_report(
-            SystemState::S3HybridIsolated,
-            AccessMethod::Split,
-            switch,
-            None,
-        )
-    }
-
-    /// `MigrateStateS3(NON-ISOLATED)`: the OLAP engine borrows
-    /// `elastic_cores` CPUs on the OLTP socket (bounded by the OLTP minimum)
-    /// and uses split access so the borrowed cores reach fresh data at full
-    /// memory bandwidth.
-    pub fn migrate_state_s3_non_isolated(&self) -> MigrationReport {
-        self.migrate_state_s3_non_isolated_with(self.config().elastic_cores)
-    }
-
-    /// `MigrateStateS3(NON-ISOLATED)` with an explicit number of borrowed
-    /// cores (used by the sensitivity sweep of Figure 3(c)).
-    pub fn migrate_state_s3_non_isolated_with(&self, borrowed: usize) -> MigrationReport {
-        let topo = &self.config().topology;
-        let oltp_socket = self.config().oltp_socket;
-        let min = self.config().oltp_min_cores_per_socket;
-        let keep = (topo.cores_per_socket as usize)
-            .saturating_sub(borrowed)
-            .max(min);
-        // OLTP keeps `keep` cores on its own socket and nothing elsewhere; the
-        // OLAP engine owns its socket plus the borrowed OLTP-socket cores.
-        self.set_oltp_cores_per_socket(&[(oltp_socket, keep)]);
-        let switch = self.switch_and_sync();
-        self.set_current_state(SystemState::S3HybridNonIsolated);
-        self.finish_report(
-            SystemState::S3HybridNonIsolated,
-            AccessMethod::Split,
-            switch,
-            None,
-        )
-    }
-
-    /// Migrate to a state using the configured defaults.
+    /// Migrate to `state` with the configured core distribution: take the
+    /// switch, then enforce the state. For callers that own their switch
+    /// cadence (figure binaries, tests); the scheduler, which has already
+    /// switched to measure freshness, calls [`Self::migrate_after_switch`].
     pub fn migrate(&self, state: SystemState) -> MigrationReport {
-        match state {
-            SystemState::S1Colocated => self.migrate_state_s1(),
-            SystemState::S2Isolated => self.migrate_state_s2(),
-            SystemState::S3HybridIsolated => self.migrate_state_s3_isolated(),
-            SystemState::S3HybridNonIsolated => self.migrate_state_s3_non_isolated(),
-        }
+        self.migrate_with(state, None)
     }
 
-    fn finish_report(
+    /// [`Self::migrate`] with an explicit per-socket OLTP core distribution
+    /// in place of the state's configured one — the knob the sensitivity
+    /// sweeps of Figures 3(a) and 3(c) turn.
+    pub fn migrate_with(
         &self,
         state: SystemState,
-        access: AccessMethod,
-        switch: SwitchReport,
-        etl: Option<EtlReport>,
+        oltp_cores: Option<&[(SocketId, usize)]>,
     ) -> MigrationReport {
-        let oltp_cores = self.txn_work().total_workers();
-        let olap_cores = self.olap_placement().total_cores();
-        let modeled_time = switch.modeled_time + etl.map(|e| e.modeled_time).unwrap_or(0.0);
+        let switch = self.switch_and_sync();
+        self.migrate_after_switch(state, oltp_cores, switch)
+    }
+
+    /// Enforce `state` on top of a switch the caller has already taken
+    /// (`switch` is its report): distribute the cores, run the ETL when the
+    /// state performs one, and name the access method its queries use.
+    ///
+    /// | state | OLTP cores | access |
+    /// |---|---|---|
+    /// | S1 | its minimum on every socket | OLTP snapshot |
+    /// | S2 | its minimum number of whole sockets | OLAP-local, after ETL |
+    /// | S3-IS | as S2 | split |
+    /// | S3-NI | its socket less `elastic_cores`, never below the minimum | split |
+    pub fn migrate_after_switch(
+        &self,
+        state: SystemState,
+        oltp_cores: Option<&[(SocketId, usize)]>,
+        switch: SwitchReport,
+    ) -> MigrationReport {
+        let config = self.config();
+        let socket_cores = config.topology.cores_per_socket as usize;
+        let sockets = config.topology.socket_ids();
+        let min = config.oltp_min_cores_per_socket;
+        let configured: Vec<(SocketId, usize)> = match state {
+            SystemState::S1Colocated => sockets.into_iter().map(|s| (s, min)).collect(),
+            SystemState::S2Isolated | SystemState::S3HybridIsolated => sockets
+                .into_iter()
+                .take(config.oltp_min_sockets)
+                .map(|s| (s, socket_cores))
+                .collect(),
+            SystemState::S3HybridNonIsolated => {
+                let keep = socket_cores.saturating_sub(config.elastic_cores).max(min);
+                vec![(config.oltp_socket, keep)]
+            }
+        };
+        let access = match state {
+            SystemState::S1Colocated => AccessMethod::OltpSnapshot,
+            SystemState::S2Isolated => AccessMethod::OlapLocal,
+            SystemState::S3HybridIsolated | SystemState::S3HybridNonIsolated => AccessMethod::Split,
+        };
+        self.set_oltp_cores_per_socket(oltp_cores.unwrap_or(&configured));
+        let etl = state.performs_etl().then(|| self.etl_to_olap());
         MigrationReport {
             state,
             access,
             switch,
             etl,
-            oltp_cores,
-            olap_cores,
-            modeled_time,
+            oltp_cores: self.txn_work().total_workers(),
+            olap_cores: self.olap_placement().total_cores(),
+            modeled_time: switch.modeled_time + etl.map_or(0.0, |e| e.modeled_time),
         }
     }
 }
@@ -201,7 +141,6 @@ mod tests {
             rde.olap_placement().cores_on(SocketId(0)) > 0,
             "OLAP co-located on the OLTP socket"
         );
-        assert_eq!(rde.current_state(), Some(SystemState::S1Colocated));
     }
 
     #[test]
@@ -250,16 +189,15 @@ mod tests {
         assert_eq!(report.oltp_cores, 10);
         assert_eq!(report.olap_cores, 18);
         assert_eq!(rde.olap_placement().cores_on(SocketId(0)), 4);
-
-        // Borrowing more than the minimum allows is clamped.
-        let report = rde.migrate_state_s3_non_isolated_with(13);
-        assert_eq!(report.oltp_cores, 4, "OLTP never drops below its minimum");
     }
 
     #[test]
     fn sweeping_s1_cpu_distribution() {
         let rde = rde_with_data(100);
-        let report = rde.migrate_state_s1_with(&[(SocketId(0), 7), (SocketId(1), 7)]);
+        let report = rde.migrate_with(
+            SystemState::S1Colocated,
+            Some(&[(SocketId(0), 7), (SocketId(1), 7)]),
+        );
         assert_eq!(report.oltp_cores, 14);
         assert_eq!(report.olap_cores, 14);
         assert_eq!(rde.txn_work().remote_worker_fraction(), 0.5);
@@ -272,7 +210,6 @@ mod tests {
         for state in SystemState::all() {
             let report = rde.migrate(state);
             assert_eq!(report.state, state);
-            assert_eq!(rde.current_state(), Some(state));
             assert!(report.oltp_cores > 0);
         }
     }

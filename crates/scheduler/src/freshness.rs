@@ -97,35 +97,32 @@ impl QueryFreshness {
 pub fn measure(rde: &RdeEngine, plan: &QueryPlan) -> QueryFreshness {
     let accessed = plan.accessed_columns();
     let mut out = QueryFreshness::default();
-
-    // Nft: fresh tuples/bytes across the whole database (all relations, all columns).
+    // One pass, one dirty-bitmap walk per relation: every relation counts
+    // towards Nft (all columns); the ones the query reads also count towards
+    // Nfq, restricted to the accessed columns.
     for twin in rde.oltp().store().tables() {
+        let schema = twin.schema();
         let fresh_rows = twin.fresh_rows_vs_olap();
+        let fresh_bytes = fresh_rows * schema.row_width_bytes();
         out.total_fresh_rows += fresh_rows;
-        out.total_fresh_bytes += fresh_rows * twin.schema().row_width_bytes();
-    }
-
-    // Nfq: fresh bytes over the columns the query accesses.
-    for (table, columns) in &accessed {
-        let Some(twin) = rde.oltp().store().table(table) else {
+        out.total_fresh_bytes += fresh_bytes;
+        let Some(columns) = accessed.get(&schema.name) else {
             continue;
         };
-        let schema = twin.schema();
         let width: u64 = columns
             .iter()
             .filter_map(|c| schema.column_index(c))
             .map(|i| schema.column(i).dtype.width_bytes())
             .sum();
-        let fresh_rows = twin.fresh_rows_vs_olap();
         let snapshot_rows = twin.snapshot().rows();
         out.query_fresh_bytes += fresh_rows * width;
         out.query_fresh_rows += fresh_rows;
         out.query_total_rows += snapshot_rows;
         out.per_table.push(FreshnessReport {
-            table: table.clone(),
+            table: schema.name.clone(),
             snapshot_rows,
             fresh_rows,
-            fresh_bytes: fresh_rows * schema.row_width_bytes(),
+            fresh_bytes,
         });
     }
     out

@@ -2,16 +2,16 @@
 //!
 //! For every arriving analytical query the scheduler: (1) asks the RDE engine
 //! to switch the active OLTP instance so the query can observe all committed
-//! data, (2) measures the per-query freshness quantities, (3) picks a target
-//! state — fixed for static schedules, Algorithm 2 for adaptive ones — and
-//! (4) migrates the system, returning the access paths and the scheduling
-//! overhead (switch + optional ETL) that the query must absorb.
+//! data — the query's one crossing of the switch gate, (2) measures the
+//! per-query freshness quantities, (3) picks a target state — fixed for
+//! static schedules, Algorithm 2 for adaptive ones — and (4) enforces it on
+//! top of that switch, returning the access paths and the scheduling overhead
+//! (switch + optional ETL) that the query must absorb.
 
 use crate::freshness::{measure, QueryFreshness};
 use crate::schedule::Schedule;
 use htap_olap::{QueryPlan, ScanSource};
-use htap_rde::{AccessMethod, MigrationReport, RdeEngine, SystemState};
-use htap_sim::Seconds;
+use htap_rde::{MigrationReport, RdeEngine, SystemState};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -20,19 +20,13 @@ use std::sync::Arc;
 pub struct ScheduledQuery {
     /// The state the system is in for this query.
     pub state: SystemState,
-    /// The access method the OLAP engine must use.
-    pub access: AccessMethod,
     /// Per-relation access paths.
     pub sources: BTreeMap<String, ScanSource>,
-    /// Pipeline workers the OLAP engine fields after the migration — the
-    /// measured parallelism the query will execute with.
-    pub olap_workers: usize,
     /// The freshness picture the decision was based on.
     pub freshness: QueryFreshness,
-    /// Modelled scheduling overhead charged to this query (instance switch,
-    /// synchronisation and — when applicable — ETL).
-    pub scheduling_time: Seconds,
-    /// The full migration report.
+    /// The full migration report: the switch, the ETL if any, the access
+    /// method, the core distribution — and `modeled_time`, the scheduling
+    /// overhead charged to this query.
     pub migration: MigrationReport,
 }
 
@@ -87,8 +81,8 @@ impl HtapScheduler {
             Schedule::Static(state) => state,
             Schedule::Adaptive(policy) => policy.decide(&freshness, is_batch).state,
         };
-        // 4. Enforce it.
-        let migration = self.rde.migrate(state);
+        // 4. Enforce it on the switch already taken.
+        let migration = self.rde.migrate_after_switch(state, None, switch);
         if migration.etl.is_some() {
             self.etl_count
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -107,17 +101,14 @@ impl HtapScheduler {
                 state: state.label().to_string(),
                 oltp_cores: migration.oltp_cores,
                 olap_cores: migration.olap_cores,
-                modeled_time_s: switch.modeled_time + migration.modeled_time,
+                modeled_time_s: migration.modeled_time,
             });
         }
         let sources = self.rde.sources_for(&tables, migration.access);
         ScheduledQuery {
             state,
-            access: migration.access,
             sources,
-            olap_workers: self.rde.olap_worker_count(),
             freshness,
-            scheduling_time: switch.modeled_time + migration.modeled_time,
             migration,
         }
     }
@@ -128,7 +119,7 @@ mod tests {
     use super::*;
     use crate::policy::SchedulerPolicy;
     use htap_olap::{AggExpr, DagBuilder, ScalarExpr};
-    use htap_rde::RdeConfig;
+    use htap_rde::{AccessMethod, RdeConfig};
     use htap_storage::{ColumnDef, DataType, TableSchema, Value};
 
     fn plan() -> QueryPlan {
@@ -168,9 +159,9 @@ mod tests {
         for _ in 0..3 {
             let q = scheduler.schedule_query(&plan(), false);
             assert_eq!(q.state, SystemState::S3HybridIsolated);
-            assert_eq!(q.access, AccessMethod::Split);
+            assert_eq!(q.migration.access, AccessMethod::Split);
             assert!(q.sources.contains_key("sales"));
-            assert!(q.scheduling_time >= 0.0);
+            assert!(q.migration.modeled_time >= 0.0);
         }
         assert_eq!(scheduler.etl_count(), 0);
     }
@@ -181,7 +172,7 @@ mod tests {
         let scheduler =
             HtapScheduler::new(Arc::clone(&rde), Schedule::Static(SystemState::S2Isolated));
         let q = scheduler.schedule_query(&plan(), false);
-        assert_eq!(q.access, AccessMethod::OlapLocal);
+        assert_eq!(q.migration.access, AccessMethod::OlapLocal);
         assert_eq!(scheduler.etl_count(), 1);
         assert_eq!(rde.olap().store().table("sales").unwrap().rows(), 50);
         // The second query still goes through the (now cheap) ETL path.
@@ -231,7 +222,7 @@ mod tests {
         }
         let q = scheduler.schedule_query(&plan(), false);
         assert_eq!(q.state, SystemState::S3HybridNonIsolated);
-        assert_eq!(q.access, AccessMethod::Split);
+        assert_eq!(q.migration.access, AccessMethod::Split);
         assert!(q.freshness.row_share_of_fresh() < 0.5);
     }
 
@@ -317,6 +308,6 @@ mod tests {
         let scheduler = HtapScheduler::new(rde, Schedule::Static(SystemState::S1Colocated));
         let q = scheduler.schedule_query(&join, false);
         assert!(q.sources.contains_key("sales") && q.sources.contains_key("item"));
-        assert_eq!(q.access, AccessMethod::OltpSnapshot);
+        assert_eq!(q.migration.access, AccessMethod::OltpSnapshot);
     }
 }

@@ -25,7 +25,6 @@ pub mod bandwidth;
 pub mod clock;
 pub mod cost;
 pub mod interference;
-pub mod region;
 pub mod resources;
 pub mod topology;
 
@@ -36,7 +35,6 @@ pub use cost::{
     TxnWork,
 };
 pub use interference::{InterferenceModel, OlapTraffic, OltpSlowdown};
-pub use region::{MemoryRegion, RegionId, RegionKind};
 pub use resources::{CpuSet, EngineId, ResourceError, ResourceGrant, ResourcePool};
 pub use topology::{CoreId, SocketId, Topology};
 

@@ -3,7 +3,8 @@
 //! bit-identical to the committed prefix of the run that crashed.
 //!
 //! Four scenarios: clean shutdown, mid-ingest kill (halted medium),
-//! kill-during-checkpoint, and a torn WAL tail.
+//! kill-during-checkpoint, and a torn WAL tail — plus the periodic
+//! checkpoint cadence (one switch, hence one tick, per query).
 
 use htap_core::{HtapConfig, HtapSystem, MemStorage};
 use htap_durability::{decode_wal, DurableStorage, FaultInjector, FaultStorage};
@@ -93,6 +94,36 @@ fn mid_ingest_kill_recovers_exactly_the_durable_commits() {
     injector.resume();
     let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
     assert_eq!(digest(&system), committed_prefix);
+    assert!(system.run_oltp(1) > 0);
+}
+
+/// `checkpoint_interval_switches = N` means every N queries: a query
+/// crosses the switch gate once, so eight queries at interval 4 take exactly
+/// two checkpoints — and what they captured plus the WAL tail recovers
+/// bit-identically.
+#[test]
+fn periodic_checkpoints_tick_once_per_query() {
+    let disk = MemStorage::new();
+    let mut cfg = config();
+    cfg.durability.checkpoint_interval_switches = 4;
+    let before = {
+        let system = HtapSystem::build_durable(cfg.clone(), Arc::new(disk.clone())).unwrap();
+        for _ in 0..8 {
+            assert!(system.run_oltp(2) > 0);
+            system
+                .execute_sql("SELECT COUNT(*) FROM orderline")
+                .unwrap();
+        }
+        let stats = system.rde().oltp().durability().unwrap().stats();
+        assert_eq!(stats.switches_seen, 8);
+        assert_eq!(stats.checkpoints_taken, 2);
+        assert_eq!(stats.checkpoint_errors, 0);
+        // A tail after the last checkpoint, so recovery replays on top of it.
+        assert!(system.run_oltp(2) > 0);
+        digest(&system)
+    };
+    let system = HtapSystem::build_durable(cfg, Arc::new(disk.clone())).unwrap();
+    assert_eq!(digest(&system), before);
     assert!(system.run_oltp(1) > 0);
 }
 

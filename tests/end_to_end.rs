@@ -194,20 +194,10 @@ fn mixed_workload_reports_are_internally_consistent() {
 
 #[test]
 fn concurrent_oltp_and_analytics_preserve_correctness() {
-    use std::sync::Arc;
-    let system = Arc::new(tiny_system_with_schedule(Schedule::Adaptive(
+    let system = tiny_system_with_schedule(Schedule::Adaptive(
         SchedulerPolicy::adaptive_non_isolated(0.5),
-    )));
-    let writer = {
-        let system = Arc::clone(&system);
-        std::thread::spawn(move || {
-            let mut committed = 0;
-            for _ in 0..4 {
-                committed += system.run_oltp_parallel(3);
-            }
-            committed
-        })
-    };
+    ));
+    assert!(system.start_oltp_ingest() > 0);
     // Analytical queries run while transactions are being ingested.
     let mut last_bytes = 0;
     for _ in 0..4 {
@@ -218,8 +208,14 @@ fn concurrent_oltp_and_analytics_preserve_correctness() {
         );
         last_bytes = report.bytes_scanned;
     }
-    let committed = writer.join().unwrap();
-    assert!(committed > 0);
+    // As many commits as the four rounds of three per worker used to ask for.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while system.oltp_live_counts().committed < 4 * 3 {
+        assert!(std::time::Instant::now() < deadline, "ingest stalled");
+        std::thread::yield_now();
+    }
+    let committed = system.stop_oltp_ingest().committed();
+    assert!(committed >= 4 * 3);
     // A final query sees at least all committed order lines.
     let final_report = system.execute_query(QueryId::Q6).unwrap();
     assert!(final_report.bytes_scanned >= last_bytes);

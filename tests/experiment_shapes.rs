@@ -61,7 +61,10 @@ fn figure3a_shape_trading_cpus_costs_oltp_throughput() {
     let mut last_idle = f64::INFINITY;
     for traded in [0usize, 4, 8] {
         let keep = 14 - traded;
-        rde.migrate_state_s1_with(&[(SocketId(0), keep), (SocketId(1), traded)]);
+        rde.migrate_with(
+            SystemState::S1Colocated,
+            Some(&[(SocketId(0), keep), (SocketId(1), traded)]),
+        );
         let idle = rde.modeled_oltp_throughput_idle();
         assert!(
             idle <= last_idle + 1.0,

@@ -7,7 +7,9 @@
 //! The obs state is process-global (rings, span log, registry, the
 //! enabled flag), so the tests in this binary serialise on one mutex.
 
-use adaptive_htap::{obs, HtapConfig, HtapSystem, QueryId};
+use adaptive_htap::core::SchedulerPolicy;
+use adaptive_htap::storage::Value;
+use adaptive_htap::{obs, HtapConfig, HtapSystem, QueryId, Schedule, SystemState};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -117,7 +119,7 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
     assert!(freshness.count >= 2);
     assert!(freshness.max <= 1_000_000);
 
-    // With the pool stopped, the seqlock snapshot reads all-zero.
+    // With the pool stopped, the live counts read all-zero.
     assert_eq!(
         system.oltp_live_counts(),
         adaptive_htap::oltp::OltpCounts::default()
@@ -178,4 +180,77 @@ fn disabling_tracing_stops_recording_but_not_the_metrics_registry() {
         .unwrap_or(0);
     assert!(committed_counter >= counter_before + live.committed);
     obs::set_enabled(true);
+}
+
+/// The switch gate is the one place the engines meet, and a query crosses it
+/// once: under every schedule, `rde.schedule` holds exactly one `rde.switch`
+/// and — when the state performs an ETL — exactly one `rde.etl` after it.
+#[test]
+fn a_query_crosses_the_switch_gate_exactly_once() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    let system = HtapSystem::build(HtapConfig::tiny()).expect("system builds");
+    assert!(system.start_oltp_ingest() > 0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while system.oltp_live_counts().committed < 20 {
+        assert!(Instant::now() < deadline, "ingest never reached 20 commits");
+        std::thread::yield_now();
+    }
+    let schedules = [
+        Schedule::Static(SystemState::S1Colocated),
+        Schedule::Static(SystemState::S2Isolated),
+        Schedule::Static(SystemState::S3HybridIsolated),
+        Schedule::Static(SystemState::S3HybridNonIsolated),
+        Schedule::Adaptive(SchedulerPolicy::adaptive_non_isolated(0.5)),
+    ];
+    for schedule in schedules {
+        system.set_schedule(schedule);
+        let roots_before = obs::spans_snapshot().len();
+        let report = system
+            .execute_sql("SELECT COUNT(*) FROM orderline")
+            .expect("ad-hoc SQL executes under live ingest");
+        assert_eq!(
+            report.performed_etl,
+            report.state.performs_etl(),
+            "{}: ETL and state disagree",
+            schedule.label()
+        );
+        let roots = obs::spans_snapshot();
+        let query: Vec<&obs::Span> = roots[roots_before..]
+            .iter()
+            .filter(|s| s.name == "query")
+            .collect();
+        assert_eq!(query.len(), 1, "one execute_sql, one query root");
+        let scheduled = find_span(std::slice::from_ref(query[0]), "rde.schedule")
+            .expect("the query was scheduled");
+        let crossings: Vec<&str> = scheduled.children.iter().map(|c| c.name).collect();
+        let expected: &[&str] = if report.performed_etl {
+            &["rde.switch", "rde.etl"]
+        } else {
+            &["rde.switch"]
+        };
+        assert_eq!(
+            crossings,
+            expected,
+            "{}: rde.schedule must cross the gate once",
+            schedule.label()
+        );
+    }
+    system.stop_oltp_ingest();
+
+    // The reported switch is the one that did the work: with ingest stopped,
+    // a drained gate and a known number of overwritten rows, the scheduled
+    // query's `synced_records` is exactly that number.
+    let plan = system.plan_sql("SELECT COUNT(*) FROM item").expect("plans");
+    system.with_scheduler(|s| s.schedule_query(&plan, false));
+    const OVERWRITTEN: u64 = 7;
+    for key in 1..=OVERWRITTEN {
+        system.rde().oltp().execute(|mut txn| {
+            txn.update("item", key, 2, Value::F64(key as f64))
+                .expect("item exists");
+            txn.commit().expect("no concurrent writer");
+        });
+    }
+    let scheduled = system.with_scheduler(|s| s.schedule_query(&plan, false));
+    assert_eq!(scheduled.migration.switch.synced_records, OVERWRITTEN);
 }
