@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks for the building blocks the figures depend on:
-//! columnar scans, the cuckoo index, twin-instance switch + synchronisation,
-//! the lock table, the NewOrder transaction path, CH query execution and the
+//! columnar scans, the cuckoo index, the exchange path (switch and
+//! synchronisation of a ten-column twin relation, the ETL's inserted-range
+//! copy), the lock table, the transaction path (the four CH transaction
+//! bodies and their 45/43/6/6 stream), CH query execution and the
 //! bandwidth/cost models.
 //!
 //! Run with `cargo bench -p htap-bench`. The harness uses small sample sizes
@@ -59,26 +61,140 @@ fn cuckoo_index(c: &mut Criterion) {
 }
 
 fn twin_switch_sync(c: &mut Criterion) {
-    let schema = TableSchema::new(
-        "kv",
-        vec![
-            ColumnDef::new("k", DataType::I64),
-            ColumnDef::new("v", DataType::F64),
-        ],
-        Some(0),
-    );
-    let twin = TwinTable::new(schema);
-    for i in 0..100_000 {
-        twin.insert(&[Value::I64(i), Value::F64(i as f64)]).unwrap();
-    }
+    let twin = wide_twin(100_000);
     c.bench_function("storage/twin_switch_sync_1k_dirty", |b| {
-        b.iter(|| {
-            for i in 0..1_000u64 {
-                twin.update(i * 97 % 100_000, 1, &Value::F64(1.0)).unwrap();
-            }
-            twin.switch_active();
-            black_box(twin.sync_active_from_snapshot().copied_records)
-        })
+        b.iter_batched(
+            || {
+                for i in 0..1_000u64 {
+                    let row = i * 97 % 100_000;
+                    twin.update(row, 3, &Value::I32(1)).unwrap();
+                    twin.update(row, 5, &Value::F64(1.0)).unwrap();
+                }
+            },
+            |()| black_box(twin.switch_and_sync().copied_records),
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+/// A tiny CH database with enough ingested orders that every district's
+/// last-20-orders window is full (StockLevel then does its ≈ 400 point reads).
+fn oltp_fixture() -> (RdeEngine, TransactionDriver) {
+    let rde = RdeEngine::bootstrap(RdeConfig::default());
+    let config = ChConfig::tiny();
+    ChGenerator::new(config.clone()).build(&rde).unwrap();
+    let driver = TransactionDriver::for_config(&config);
+    for worker in 0..2 {
+        driver.run_new_orders(rde.oltp(), worker, 100, 3);
+    }
+    (rde, driver)
+}
+
+/// The four transaction bodies and the 45/43/6/6 stream, one worker, hot
+/// caches. The untimed set-up keeps the database in the state the end-to-end
+/// runs see between two queries: every 128 transactions it crosses the switch
+/// gate, which collects the version chains (there, a query does every 50 ms),
+/// and every 2 048 it starts from a fresh database, so that a time-bounded
+/// sample never contains the rehash of a grown index or the reallocation of
+/// a grown column (tens of milliseconds, once per doubling).
+fn transactions(c: &mut Criterion) {
+    use rand::Rng;
+    use std::cell::RefCell;
+    type Body<'a> = &'a mut dyn FnMut(&RdeEngine, &TransactionDriver, &mut StdRng, u64) -> bool;
+    let fixture = RefCell::new(oltp_fixture());
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut index = 0u64;
+    let mut bench = |name: &str, body: Body| {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    index += 1;
+                    if index.is_multiple_of(2048) {
+                        fixture.replace(oltp_fixture());
+                    } else if index.is_multiple_of(128) {
+                        fixture.borrow().0.switch_and_sync();
+                    }
+                    index
+                },
+                |index| {
+                    let (rde, driver) = &*fixture.borrow();
+                    black_box(body(rde, driver, &mut rng, index))
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    };
+    bench("oltp/neworder_transaction", &mut |rde, driver, rng, _| {
+        let params = driver.generate_new_order(1, rng);
+        driver.execute_new_order(rde.oltp(), &params).is_ok()
+    });
+    bench("oltp/payment_transaction", &mut |rde, driver, rng, _| {
+        let (d_id, c_id) = (rng.random_range(1..=2), rng.random_range(1..=30));
+        let amount = rng.random_range(1.0..5_000.0);
+        driver
+            .execute_payment(rde.oltp(), 1, d_id, c_id, amount)
+            .is_ok()
+    });
+    bench(
+        "oltp/stock_level_transaction",
+        &mut |rde, driver, rng, _| {
+            let d_id = rng.random_range(1..=2);
+            driver.execute_stock_level(rde.oltp(), 1, d_id, 15).is_ok()
+        },
+    );
+    bench("oltp/mixed_transaction", &mut |rde, driver, _, index| {
+        driver.run_one_mixed(rde.oltp(), 0, 5, index)
+    });
+}
+
+/// Ten-column relation in `orderline`'s shape, for the exchange-path benches.
+fn wide_schema() -> TableSchema {
+    let mut columns = vec![ColumnDef::new("k", DataType::I64)];
+    for i in 1..10 {
+        let dtype = match i % 3 {
+            0 => DataType::I32,
+            1 => DataType::I64,
+            _ => DataType::F64,
+        };
+        columns.push(ColumnDef::new(format!("c{i}"), dtype));
+    }
+    TableSchema::new("wide", columns, Some(0))
+}
+
+fn wide_twin(rows: i64) -> TwinTable {
+    let schema = wide_schema();
+    let twin = TwinTable::new(schema.clone());
+    for k in 0..rows {
+        let row: Vec<Value> = schema
+            .columns
+            .iter()
+            .map(|c| match c.dtype {
+                DataType::I64 => Value::I64(k),
+                DataType::F64 => Value::F64(k as f64),
+                DataType::I32 => Value::I32(k as i32),
+                DataType::Str => Value::from("x"),
+            })
+            .collect();
+        twin.insert(&row).unwrap();
+    }
+    twin
+}
+
+fn etl_insert_range(c: &mut Criterion) {
+    use htap_olap::OlapEngine;
+    let twin = wide_twin(100_000);
+    twin.switch_and_sync();
+    let snapshot = twin.snapshot();
+    c.bench_function("storage/etl_insert_range_100k", |b| {
+        b.iter_batched(
+            || {
+                let olap = OlapEngine::new(Topology::two_socket(), SocketId(1));
+                olap.store().create_table(wide_schema()).unwrap();
+                olap
+            },
+            |olap| black_box(olap.store().apply_delta(&snapshot, &[], 0..100_000)),
+            BatchSize::LargeInput,
+        )
     });
 }
 
@@ -87,24 +203,10 @@ fn lock_table(c: &mut Criterion) {
     c.bench_function("oltp/lock_acquire_release_10k", |b| {
         b.iter(|| {
             for i in 0..10_000u64 {
-                let key = LockKey::new("orderline", i);
+                let key = LockKey::new(1, i);
                 assert!(locks.try_acquire(1, key, LockMode::Exclusive));
                 locks.release(1, key);
             }
-        })
-    });
-}
-
-fn neworder_transaction(c: &mut Criterion) {
-    let rde = RdeEngine::bootstrap(RdeConfig::default());
-    let config = ChConfig::tiny();
-    ChGenerator::new(config.clone()).build(&rde).unwrap();
-    let driver = TransactionDriver::for_config(&config);
-    let mut rng = StdRng::seed_from_u64(1);
-    c.bench_function("oltp/neworder_transaction", |b| {
-        b.iter(|| {
-            let params = driver.generate_new_order(1, &mut rng);
-            black_box(driver.execute_new_order(rde.oltp(), &params).is_ok())
         })
     });
 }
@@ -298,8 +400,9 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = column_scan, cuckoo_index, twin_switch_sync, lock_table,
-              neworder_transaction, ch_query_execution, parallel_scan_scaling,
+    targets = column_scan, cuckoo_index, twin_switch_sync, etl_insert_range, lock_table,
+              transactions,
+              ch_query_execution, parallel_scan_scaling,
               vectorized_shapes, join_and_group_kernels, etl_delta_copy, cost_models
 }
 criterion_main!(benches);

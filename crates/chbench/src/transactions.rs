@@ -178,14 +178,24 @@ impl TransactionDriver {
         params: &NewOrderParams,
     ) -> Result<u64, TxnError> {
         let result = engine.execute(|mut txn| -> Result<u64, TxnError> {
-            let d_key = keys::district(params.w_id, params.d_id);
+            let (district, orders, neworder) = (
+                txn.table("district")?,
+                txn.table("orders")?,
+                txn.table("neworder")?,
+            );
+            let (item, stock, orderline) = (
+                txn.table("item")?,
+                txn.table("stock")?,
+                txn.table("orderline")?,
+            );
             // Read and bump the district's next order id (contended hot spot).
-            let next_o_id = txn.read_for_update("district", d_key, 5)?.as_i64() as u64;
-            txn.update("district", d_key, 5, Value::I64(next_o_id as i64 + 1))?;
+            let d_row = txn.lock(district, keys::district(params.w_id, params.d_id))?;
+            let next_o_id = txn.get(d_row, 5)?.as_i64() as u64;
+            txn.set(d_row, 5, Value::I64(next_o_id as i64 + 1))?;
 
             let o_key = keys::order(params.w_id, params.d_id, next_o_id);
-            txn.insert(
-                "orders",
+            txn.insert_at(
+                orders,
                 o_key,
                 vec![
                     Value::I64(o_key as i64),
@@ -198,40 +208,37 @@ impl TransactionDriver {
                     Value::I32(params.lines.len() as i32),
                 ],
             )?;
-            txn.insert(
-                "neworder",
-                keys::neworder(params.w_id, params.d_id, next_o_id),
+            let no_key = keys::neworder(params.w_id, params.d_id, next_o_id);
+            txn.insert_at(
+                neworder,
+                no_key,
                 vec![
-                    Value::I64(keys::neworder(params.w_id, params.d_id, next_o_id) as i64),
+                    Value::I64(no_key as i64),
                     Value::I64(params.w_id as i64),
                     Value::I64(params.d_id as i64),
                     Value::I64(next_o_id as i64),
                 ],
             )?;
 
-            for (number, &(item, supply_w, quantity)) in params.lines.iter().enumerate() {
+            for (number, &(i_id, supply_w, quantity)) in params.lines.iter().enumerate() {
                 // Item price lookup (read-only).
-                let price = txn.read("item", item, 2)?.as_f64();
-                // Stock update.
-                let s_key = keys::stock(supply_w, item);
-                let s_qty = txn.read_for_update("stock", s_key, 3)?.as_i32();
+                let price = txn.read_at(item, i_id, 2)?.as_f64();
+                // Stock update: one handle for the record's four accesses.
+                let s_row = txn.lock(stock, keys::stock(supply_w, i_id))?;
+                let s_qty = txn.get(s_row, 3)?.as_i32();
                 let new_qty = if s_qty >= quantity as i32 + 10 {
                     s_qty - quantity as i32
                 } else {
                     s_qty - quantity as i32 + 91
                 };
-                txn.update("stock", s_key, 3, Value::I32(new_qty))?;
-                txn.update(
-                    "stock",
-                    s_key,
-                    5,
-                    Value::I32(txn.read("stock", s_key, 5)?.as_i32() + 1),
-                )?;
+                txn.set(s_row, 3, Value::I32(new_qty))?;
+                let order_cnt = txn.get(s_row, 5)?.as_i32();
+                txn.set(s_row, 5, Value::I32(order_cnt + 1))?;
 
                 let ol_key =
                     keys::orderline(params.w_id, params.d_id, next_o_id, number as u64 + 1);
-                txn.insert(
-                    "orderline",
+                txn.insert_at(
+                    orderline,
                     ol_key,
                     vec![
                         Value::I64(ol_key as i64),
@@ -239,7 +246,7 @@ impl TransactionDriver {
                         Value::I64(params.d_id as i64),
                         Value::I64(next_o_id as i64),
                         Value::I32(number as i32 + 1),
-                        Value::I64(item as i64),
+                        Value::I64(i_id as i64),
                         Value::I64(supply_w as i64),
                         Value::I64(params.entry_d),
                         Value::I32(quantity as i32),
@@ -276,16 +283,22 @@ impl TransactionDriver {
         amount: f64,
     ) -> Result<(), TxnError> {
         let result = engine.execute(|mut txn| -> Result<(), TxnError> {
-            let w_ytd = txn.read_for_update("warehouse", w_id, 2)?.as_f64();
-            txn.update("warehouse", w_id, 2, Value::F64(w_ytd + amount))?;
-            let d_key = keys::district(w_id, d_id);
-            let d_ytd = txn.read_for_update("district", d_key, 4)?.as_f64();
-            txn.update("district", d_key, 4, Value::F64(d_ytd + amount))?;
-            let c_key = keys::customer(w_id, d_id, c_id);
-            let balance = txn.read_for_update("customer", c_key, 4)?.as_f64();
-            txn.update("customer", c_key, 4, Value::F64(balance - amount))?;
-            let cnt = txn.read("customer", c_key, 6)?.as_i32();
-            txn.update("customer", c_key, 6, Value::I32(cnt + 1))?;
+            let (warehouse, district, customer) = (
+                txn.table("warehouse")?,
+                txn.table("district")?,
+                txn.table("customer")?,
+            );
+            let w_row = txn.lock(warehouse, w_id)?;
+            let w_ytd = txn.get(w_row, 2)?.as_f64();
+            txn.set(w_row, 2, Value::F64(w_ytd + amount))?;
+            let d_row = txn.lock(district, keys::district(w_id, d_id))?;
+            let d_ytd = txn.get(d_row, 4)?.as_f64();
+            txn.set(d_row, 4, Value::F64(d_ytd + amount))?;
+            let c_row = txn.lock(customer, keys::customer(w_id, d_id, c_id))?;
+            let balance = txn.get(c_row, 4)?.as_f64();
+            txn.set(c_row, 4, Value::F64(balance - amount))?;
+            let cnt = txn.get(c_row, 6)?.as_i32();
+            txn.set(c_row, 6, Value::I32(cnt + 1))?;
             txn.commit()?;
             Ok(())
         });
@@ -326,27 +339,35 @@ impl TransactionDriver {
         let mut cursor = cursor_cell.lock();
         let o_id = *cursor;
         let result = engine.execute(|mut txn| -> Result<bool, TxnError> {
-            let next_o_id = txn.read("district", d_key, 5)?.as_i64() as u64;
+            let district = txn.table("district")?;
+            let next_o_id = txn.read_at(district, d_key, 5)?.as_i64() as u64;
             if o_id >= next_o_id {
                 // Nothing to deliver; commit empty (skipped delivery).
                 txn.commit()?;
                 return Ok(false);
             }
+            let (orders, orderline, customer) = (
+                txn.table("orders")?,
+                txn.table("orderline")?,
+                txn.table("customer")?,
+            );
             let o_key = keys::order(w_id, d_id, o_id);
-            let o_c_id = txn.read("orders", o_key, 4)?.as_i64() as u64;
-            let ol_cnt = txn.read("orders", o_key, 7)?.as_i32();
-            txn.update("orders", o_key, 6, Value::I32(carrier_id))?;
+            let o_c_id = txn.read_at(orders, o_key, 4)?.as_i64() as u64;
+            let ol_cnt = txn.read_at(orders, o_key, 7)?.as_i32();
+            let o_row = txn.lock(orders, o_key)?;
+            txn.set(o_row, 6, Value::I32(carrier_id))?;
             let mut amount_sum = 0.0;
             for number in 1..=ol_cnt as u64 {
                 let ol_key = keys::orderline(w_id, d_id, o_id, number);
-                amount_sum += txn.read("orderline", ol_key, 9)?.as_f64();
-                txn.update("orderline", ol_key, 7, Value::I64(delivery_d))?;
+                amount_sum += txn.read_at(orderline, ol_key, 9)?.as_f64();
+                let ol_row = txn.lock(orderline, ol_key)?;
+                txn.set(ol_row, 7, Value::I64(delivery_d))?;
             }
-            let c_key = keys::customer(w_id, d_id, o_c_id);
-            let balance = txn.read_for_update("customer", c_key, 4)?.as_f64();
-            txn.update("customer", c_key, 4, Value::F64(balance + amount_sum))?;
-            let deliveries = txn.read("customer", c_key, 7)?.as_i32();
-            txn.update("customer", c_key, 7, Value::I32(deliveries + 1))?;
+            let c_row = txn.lock(customer, keys::customer(w_id, d_id, o_c_id))?;
+            let balance = txn.get(c_row, 4)?.as_f64();
+            txn.set(c_row, 4, Value::F64(balance + amount_sum))?;
+            let deliveries = txn.get(c_row, 7)?.as_i32();
+            txn.set(c_row, 7, Value::I32(deliveries + 1))?;
             txn.commit()?;
             Ok(true)
         });
@@ -383,26 +404,27 @@ impl TransactionDriver {
         threshold: i32,
     ) -> Result<u64, TxnError> {
         let d_key = keys::district(w_id, d_id);
-        let result = engine.execute(|txn| -> Result<u64, TxnError> {
-            let next_o_id = txn.read("district", d_key, 5)?.as_i64() as u64;
+        let result = engine.execute(|mut txn| -> Result<u64, TxnError> {
+            let (district, orders) = (txn.table("district")?, txn.table("orders")?);
+            let (orderline, stock) = (txn.table("orderline")?, txn.table("stock")?);
+            let next_o_id = txn.read_at(district, d_key, 5)?.as_i64() as u64;
             let lo = next_o_id.saturating_sub(20).max(1);
             let mut low_stock: HashSet<u64> = HashSet::new();
             for o_id in lo..next_o_id {
                 let o_key = keys::order(w_id, d_id, o_id);
-                let ol_cnt = match txn.read("orders", o_key, 7) {
+                let ol_cnt = match txn.read_at(orders, o_key, 7) {
                     Ok(v) => v.as_i32(),
                     Err(TxnError::KeyNotFound(_)) => continue,
                     Err(e) => return Err(e),
                 };
                 for number in 1..=ol_cnt as u64 {
                     let ol_key = keys::orderline(w_id, d_id, o_id, number);
-                    let i_id = match txn.read("orderline", ol_key, 5) {
+                    let i_id = match txn.read_at(orderline, ol_key, 5) {
                         Ok(v) => v.as_i64() as u64,
                         Err(TxnError::KeyNotFound(_)) => continue,
                         Err(e) => return Err(e),
                     };
-                    let s_key = keys::stock(w_id, i_id);
-                    let quantity = txn.read("stock", s_key, 3)?.as_i32();
+                    let quantity = txn.read_at(stock, keys::stock(w_id, i_id), 3)?.as_i32();
                     if quantity < threshold {
                         low_stock.insert(i_id);
                     }

@@ -124,15 +124,11 @@ impl OlapStore {
             Some(t) => t,
             None => return 0,
         };
-        let mut copied = 0u64;
-        for &row in updated_rows {
-            table.table.copy_row_from(snapshot.table(), row);
-            copied += 1;
-        }
-        for row in inserted.clone() {
-            table.table.copy_row_from(snapshot.table(), row);
-            copied += 1;
-        }
+        let copied = updated_rows.len() as u64 + inserted.end.saturating_sub(inserted.start);
+        let columns = 0..table.table.schema().arity();
+        table
+            .table
+            .copy_from(snapshot.table(), columns, updated_rows, inserted.clone());
         let new_rows = inserted.end.max(table.rows.load(Ordering::Acquire));
         table.rows.store(new_rows, Ordering::Release);
         table
@@ -274,7 +270,7 @@ mod tests {
             twin.insert(&[Value::I64(i as i64), Value::F64(i as f64)])
                 .unwrap();
         }
-        twin.switch_active();
+        twin.switch_and_sync();
         twin
     }
 
@@ -299,7 +295,7 @@ mod tests {
         twin.mark_olap_synced();
         twin.update(2, 1, &Value::F64(222.0)).unwrap();
         twin.insert(&[Value::I64(10), Value::F64(10.0)]).unwrap();
-        twin.switch_active();
+        twin.switch_and_sync();
         let snap = twin.snapshot();
         let (updated, inserted) = twin.olap_delta();
         let copied = e.store().apply_delta(&snap, &updated, inserted);
@@ -398,5 +394,187 @@ mod tests {
             .modeled
             .total;
         assert!(contended >= alone);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use htap_storage::{ColumnDef, DataType, TwinTable};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    const ROW_WIDTH: u64 = 8 + 8 + 8 + 24;
+
+    fn schema() -> TableSchema {
+        TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", DataType::I64),
+                ColumnDef::new("a", DataType::I64),
+                ColumnDef::new("b", DataType::F64),
+                ColumnDef::new("name", DataType::Str),
+            ],
+            Some(0),
+        )
+    }
+
+    fn cell(column: usize, v: i64) -> Value {
+        match column {
+            1 => Value::I64(v),
+            2 => Value::F64(v as f64),
+            _ => Value::Str(format!("s{v}")),
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(i64),
+        Update(usize, usize, i64),
+        SwitchAndSync,
+        Etl,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => any::<i64>().prop_map(Op::Insert),
+            6 => (0usize..64, 1usize..4, any::<i64>()).prop_map(|(r, c, v)| Op::Update(r, c, v)),
+            2 => Just(Op::SwitchAndSync),
+            2 => Just(Op::Etl),
+        ]
+    }
+
+    /// What the exchange path must keep true, in plain collections.
+    #[derive(Default)]
+    struct Model {
+        /// Latest committed value of every cell.
+        rows: Vec<Vec<Value>>,
+        /// The rows as of the last switch: what the snapshot shows.
+        snapshot: Vec<Vec<Value>>,
+        /// Rows and columns updated since the last switch.
+        cycle_rows: BTreeSet<usize>,
+        cycle_columns: BTreeSet<usize>,
+        /// Rows updated before the last switch and not yet in the OLAP copy.
+        olap_pending: BTreeSet<usize>,
+        /// Rows the OLAP copy holds.
+        olap_rows: usize,
+    }
+
+    impl Model {
+        fn fresh_rows(&self) -> u64 {
+            let updated = self
+                .olap_pending
+                .union(&self.cycle_rows)
+                .filter(|&&r| r < self.olap_rows)
+                .count();
+            (self.snapshot.len() - self.olap_rows + updated) as u64
+        }
+    }
+
+    fn check_pending_state(twin: &TwinTable, model: &Model) {
+        assert_eq!(
+            twin.update_presence().is_set(),
+            !model.cycle_rows.is_empty()
+        );
+        assert_eq!(
+            twin.stats().updated_since_sync,
+            model.cycle_rows.len() as u64
+        );
+        for column in 0..4 {
+            assert_eq!(
+                twin.active().column_stats(column).is_updated(),
+                model.cycle_columns.contains(&column),
+                "updated flag of column {column} on the active instance"
+            );
+            assert!(!twin
+                .instance(twin.inactive_instance())
+                .column_stats(column)
+                .is_updated());
+        }
+        assert_eq!(twin.fresh_rows_vs_olap(), model.fresh_rows());
+    }
+
+    proptest! {
+        /// Random interleavings of inserts, updates of several columns
+        /// (strings included), switch + synchronisation and ETL, checked
+        /// after every step against the model: both twin instances hold the
+        /// latest values after each synchronisation, the OLAP copy equals
+        /// the snapshot after each ETL, the accounting is row width ×
+        /// records, and update bits, `updated` flags and the presence flag
+        /// are set exactly while something is pending.
+        #[test]
+        fn exchange_path_matches_a_row_model(ops in prop::collection::vec(arb_op(), 1..160)) {
+            let twin = TwinTable::new(schema());
+            let store = OlapStore::new(SocketId(1));
+            store.create_table(schema()).unwrap();
+            let mut model = Model::default();
+            for op in ops {
+                match op {
+                    Op::Insert(v) => {
+                        let id = model.rows.len();
+                        let row = vec![Value::I64(id as i64), cell(1, v), cell(2, v), cell(3, v)];
+                        prop_assert_eq!(twin.insert(&row).unwrap(), id as u64);
+                        for instance in 0..2 {
+                            prop_assert_eq!(twin.instance(instance).get_row(id as u64).unwrap(), row.clone());
+                        }
+                        model.rows.push(row);
+                    }
+                    Op::Update(r, column, v) => {
+                        if model.rows.is_empty() {
+                            continue;
+                        }
+                        let r = r % model.rows.len();
+                        let old = twin.update(r as u64, column, &cell(column, v)).unwrap();
+                        prop_assert_eq!(&old, &model.rows[r][column]);
+                        model.rows[r][column] = cell(column, v);
+                        model.cycle_rows.insert(r);
+                        model.cycle_columns.insert(column);
+                        prop_assert_eq!(twin.get(r as u64, column), Some(cell(column, v)));
+                    }
+                    Op::SwitchAndSync => {
+                        let synced = twin.switch_and_sync();
+                        prop_assert_eq!(synced.copied_records, model.cycle_rows.len() as u64);
+                        prop_assert_eq!(synced.copied_bytes, model.cycle_rows.len() as u64 * ROW_WIDTH);
+                        for (r, expected) in model.rows.iter().enumerate() {
+                            for instance in 0..2 {
+                                prop_assert_eq!(
+                                    &twin.instance(instance).get_row(r as u64).unwrap(), expected,
+                                    "row {} of instance {} after the synchronisation", r, instance
+                                );
+                            }
+                        }
+                        model.olap_pending.append(&mut model.cycle_rows);
+                        model.cycle_columns.clear();
+                        model.snapshot = model.rows.clone();
+                        prop_assert_eq!(twin.snapshot().rows(), model.snapshot.len() as u64);
+                    }
+                    Op::Etl => {
+                        let (updated, inserted) = twin.take_olap_delta();
+                        let expected: Vec<u64> = model
+                            .olap_pending
+                            .iter()
+                            .filter(|&&r| r < model.olap_rows)
+                            .map(|&r| r as u64)
+                            .collect();
+                        prop_assert_eq!(&updated, &expected);
+                        prop_assert_eq!(inserted.clone(), model.olap_rows as u64..model.snapshot.len() as u64);
+                        let copied = store.apply_delta(&twin.snapshot(), &updated, inserted.clone());
+                        prop_assert_eq!(copied, expected.len() as u64 + (inserted.end - inserted.start));
+                        model.olap_pending.clear();
+                        model.olap_rows = model.snapshot.len();
+                        prop_assert_eq!(store.table("t").unwrap().rows(), model.olap_rows as u64);
+                        for (r, expected) in model.snapshot.iter().enumerate() {
+                            for (column, value) in expected.iter().enumerate() {
+                                prop_assert_eq!(
+                                    store.get_value("t", r as u64, column).as_ref(), Some(value),
+                                    "row {} column {} of the OLAP copy after the ETL", r, column
+                                );
+                            }
+                        }
+                    }
+                }
+                check_pending_state(&twin, &model);
+            }
+        }
     }
 }

@@ -2,16 +2,21 @@
 //! manager, plus the hooks the RDE engine drives (§3.2, §3.4).
 
 use crate::durability::DurabilityController;
+use crate::locks::LockKey;
 use crate::txn::{Transaction, TxnManager};
 use crate::worker::WorkerManager;
 use htap_durability::DurabilityError;
 use htap_storage::{
-    CuckooIndex, DeltaStorage, RecordLocation, SnapshotHandle, StorageError, SwitchOutcome,
-    SyncOutcome, TableSchema, TwinStore, TwinTable, Value,
+    CuckooIndex, DeltaStorage, RecordLocation, SnapshotHandle, StorageError, SyncOutcome,
+    TableSchema, TwinStore, TwinTable, Value,
 };
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of the relation tags in [`TableRuntime::lock_key`]: every relation created in this
+/// process gets the next value, so tags are distinct within any one engine.
+static NEXT_LOCK_TAG: AtomicU64 = AtomicU64::new(1);
 
 /// Per-relation runtime state owned by the OLTP engine: the twin columnar
 /// instances, the MVCC delta storage and the primary-key cuckoo index.
@@ -20,16 +25,13 @@ pub struct TableRuntime {
     twin: Arc<TwinTable>,
     delta: DeltaStorage,
     index: CuckooIndex<RecordLocation>,
+    lock_tag: u64,
 }
 
 impl TableRuntime {
     /// Create the runtime for a new relation.
     pub fn new(schema: TableSchema) -> Self {
-        TableRuntime {
-            twin: Arc::new(TwinTable::new(schema)),
-            delta: DeltaStorage::new(),
-            index: CuckooIndex::with_capacity(1 << 16),
-        }
+        Self::from_twin(Arc::new(TwinTable::new(schema)))
     }
 
     /// Create the runtime around an existing twin table (used when the twin
@@ -39,7 +41,15 @@ impl TableRuntime {
             twin,
             delta: DeltaStorage::new(),
             index: CuckooIndex::with_capacity(1 << 16),
+            lock_tag: NEXT_LOCK_TAG.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// The lock key of `record` (a row id, or an encoded key) of this
+    /// relation. The relation's part of it is a tag fixed at creation: the
+    /// lock table never looks at the relation's name.
+    pub fn lock_key(&self, record: u64) -> LockKey {
+        LockKey::new(self.lock_tag, record)
     }
 
     /// Relation name.
@@ -206,7 +216,7 @@ impl OltpEngine {
                 table: table.to_string(),
             })?;
         let row = rt.twin().insert(&values)?;
-        rt.index().insert(key, RecordLocation::new(row, 0));
+        rt.index().insert(key, RecordLocation::new(row));
         Ok(row)
     }
 
@@ -217,28 +227,18 @@ impl OltpEngine {
     /// values (e.g. a stale district order counter) or have its committed
     /// writes overwritten by the sync copy. With [`Self::checkpoint_now`] it
     /// is the only writer of the gate; the window also carries the periodic
-    /// checkpoint and the collection of saved versions.
-    pub fn switch_and_sync_instances(
-        &self,
-    ) -> (
-        BTreeMap<String, SwitchOutcome>,
-        BTreeMap<String, SyncOutcome>,
-    ) {
+    /// checkpoint and the collection of saved versions. Returns the
+    /// synchronisation totals over all relations.
+    pub fn switch_and_sync_instances(&self) -> SyncOutcome {
         let _guard = self.switch_gate.write();
-        let switched = self.store.switch_all();
-        let synced = self
-            .txn_manager
-            .tables()
-            .iter()
-            .map(|rt| (rt.name().to_string(), rt.twin().sync_active_from_snapshot()))
-            .collect();
+        let synced = self.store.switch_and_sync();
         // Checkpoints piggyback on the quiescence window the switch already
         // paid for: the twins are synced and no transaction is in flight.
         if let Some(ctl) = self.persistence.read().clone() {
             ctl.note_switch(self);
         }
         self.collect_versions();
-        (switched, synced)
+        synced
     }
 
     /// A consistent snapshot handle over the inactive instance of every
@@ -331,14 +331,13 @@ mod tests {
             txn.commit().unwrap();
         });
 
-        let (outcomes, sync) = engine.switch_and_sync_instances();
-        assert_eq!(outcomes["stock"].pending_sync_records, 1);
+        let sync = engine.switch_and_sync_instances();
         let snapshot = engine.snapshot();
         let stock = snapshot.table("stock").unwrap();
         assert_eq!(stock.rows(), 1);
         assert_eq!(stock.table().get_value(0, 1), Some(Value::I32(42)));
 
-        assert_eq!(sync["stock"].copied_records, 1);
+        assert_eq!(sync.copied_records, 1);
         // After sync both instances agree.
         let rt = engine.table("stock").unwrap();
         assert_eq!(rt.twin().get_from(0, 0, 1), Some(Value::I32(42)));
@@ -372,9 +371,9 @@ mod tests {
             txn.update("stock", 1, 1, Value::I32(42)).unwrap();
             txn.commit().unwrap();
         });
-        let (switched, synced) = engine.switch_and_sync_instances();
-        assert_eq!(switched["stock"].pending_sync_records, 1);
-        assert_eq!(synced["stock"].copied_records, 1);
+        let synced = engine.switch_and_sync_instances();
+        assert_eq!(synced.copied_records, 1);
+        assert_eq!(synced.copied_bytes, 12, "one record at the row width");
         // Both instances agree immediately after the combined step — no
         // transaction can ever observe the in-between state.
         let rt = engine.table("stock").unwrap();
@@ -466,7 +465,7 @@ mod tests {
         // transaction is still open.
         let switcher = {
             let engine = Arc::clone(&engine);
-            std::thread::spawn(move || engine.switch_and_sync_instances().0)
+            std::thread::spawn(move || engine.switch_and_sync_instances())
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(
@@ -475,9 +474,9 @@ mod tests {
         );
         release.store(true, Ordering::SeqCst);
         worker.join().unwrap();
-        let outcomes = switcher.join().unwrap();
+        let synced = switcher.join().unwrap();
         // The committed update is part of the snapshot.
-        assert_eq!(outcomes["stock"].pending_sync_records, 1);
+        assert_eq!(synced.copied_records, 1);
         let snap = engine.snapshot();
         assert_eq!(
             snap.table("stock").unwrap().table().get_value(0, 1),

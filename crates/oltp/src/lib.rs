@@ -28,5 +28,5 @@ pub use durability::{
 };
 pub use engine::{OltpEngine, TableRuntime};
 pub use locks::{LockKey, LockMode, LockTable};
-pub use txn::{Transaction, TxnError, TxnId, TxnManager, TxnOutcome};
+pub use txn::{RowRef, TableRef, Transaction, TxnError, TxnId, TxnManager, TxnOutcome};
 pub use worker::{OltpCounts, WorkerManager, WorkerReport};

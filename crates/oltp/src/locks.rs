@@ -11,29 +11,25 @@
 //! the shared structures that suffer from cross-socket traffic when workers
 //! spread over sockets (§5.2).
 
+use htap_storage::hash::BuildIdHasher;
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 
 /// Identifier of the lockable resource: a record (row) or a key of a relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LockKey {
-    /// Hash of the relation name (precomputed by the caller).
+    /// Lock tag of the relation (assigned once when the relation is created;
+    /// see [`crate::TableRuntime::lock_key`]).
     pub table: u64,
     /// Row identifier or primary-key value being locked.
     pub record: u64,
 }
 
 impl LockKey {
-    /// Build a lock key from a relation name and a record identifier.
-    pub fn new(table: &str, record: u64) -> Self {
-        let mut h = DefaultHasher::new();
-        table.hash(&mut h);
-        LockKey {
-            table: h.finish(),
-            record,
-        }
+    /// Build a lock key from a relation's lock tag and a record identifier.
+    pub fn new(table: u64, record: u64) -> Self {
+        LockKey { table, record }
     }
 }
 
@@ -57,7 +53,7 @@ struct LockState {
 /// Sharded record-lock table.
 #[derive(Debug)]
 pub struct LockTable {
-    shards: Vec<Mutex<HashMap<LockKey, LockState>>>,
+    shards: Vec<Mutex<HashMap<LockKey, LockState, BuildIdHasher>>>,
 }
 
 impl Default for LockTable {
@@ -71,15 +67,16 @@ impl LockTable {
     pub fn new(shards: usize) -> Self {
         LockTable {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
         }
     }
 
-    fn shard(&self, key: &LockKey) -> &Mutex<HashMap<LockKey, LockState>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn shard(&self, key: &LockKey) -> &Mutex<HashMap<LockKey, LockState, BuildIdHasher>> {
+        // The shard's map indexes with the low bits of the same hash; the
+        // shard is picked from the high half so the two stay independent.
+        let hash = BuildIdHasher::default().hash_one(key);
+        &self.shards[(hash >> 32) as usize % self.shards.len()]
     }
 
     /// Try to acquire a lock for transaction `txn`. NO-WAIT: returns `false`
@@ -145,7 +142,7 @@ mod tests {
     #[test]
     fn exclusive_locks_conflict_between_transactions() {
         let lt = LockTable::default();
-        let k = LockKey::new("orders", 7);
+        let k = LockKey::new(1, 7);
         assert!(lt.try_acquire(1, k, LockMode::Exclusive));
         assert!(
             !lt.try_acquire(2, k, LockMode::Exclusive),
@@ -160,7 +157,7 @@ mod tests {
     #[test]
     fn shared_locks_are_compatible_and_block_writers() {
         let lt = LockTable::default();
-        let k = LockKey::new("orders", 7);
+        let k = LockKey::new(1, 7);
         assert!(lt.try_acquire(1, k, LockMode::Shared));
         assert!(lt.try_acquire(2, k, LockMode::Shared));
         assert!(!lt.try_acquire(3, k, LockMode::Exclusive));
@@ -173,7 +170,7 @@ mod tests {
     #[test]
     fn reacquisition_and_upgrade_by_same_transaction() {
         let lt = LockTable::default();
-        let k = LockKey::new("orders", 1);
+        let k = LockKey::new(1, 1);
         assert!(lt.try_acquire(1, k, LockMode::Shared));
         assert!(lt.try_acquire(1, k, LockMode::Shared));
         assert!(
@@ -187,16 +184,16 @@ mod tests {
     #[test]
     fn locks_on_different_records_do_not_conflict() {
         let lt = LockTable::default();
-        assert!(lt.try_acquire(1, LockKey::new("orders", 1), LockMode::Exclusive));
-        assert!(lt.try_acquire(2, LockKey::new("orders", 2), LockMode::Exclusive));
-        assert!(lt.try_acquire(3, LockKey::new("items", 1), LockMode::Exclusive));
+        assert!(lt.try_acquire(1, LockKey::new(1, 1), LockMode::Exclusive));
+        assert!(lt.try_acquire(2, LockKey::new(1, 2), LockMode::Exclusive));
+        assert!(lt.try_acquire(3, LockKey::new(2, 1), LockMode::Exclusive));
         assert_eq!(lt.locked_records(), 3);
     }
 
     #[test]
     fn release_all_clears_table() {
         let lt = LockTable::new(8);
-        let keys: Vec<LockKey> = (0..100).map(|i| LockKey::new("t", i)).collect();
+        let keys: Vec<LockKey> = (0..100).map(|i| LockKey::new(3, i)).collect();
         for &k in &keys {
             assert!(lt.try_acquire(1, k, LockMode::Exclusive));
         }
@@ -218,7 +215,7 @@ mod tests {
             let in_section = Arc::clone(&in_section);
             let max_seen = Arc::clone(&max_seen);
             handles.push(std::thread::spawn(move || {
-                let k = LockKey::new("hot", 0);
+                let k = LockKey::new(4, 0);
                 let mut acquired = 0;
                 while acquired < 200 {
                     if lt.try_acquire(t, k, LockMode::Exclusive) {

@@ -11,11 +11,23 @@
 //! * **Conflicts**: a lock that cannot be granted immediately aborts the
 //!   transaction (NO-WAIT); at commit, a first-committer-wins check aborts
 //!   transactions whose write targets were overwritten after their snapshot.
+//!
+//! A transaction resolves each thing it touches once. A relation is looked
+//! up by name once ([`Transaction::table`] → [`TableRef`]); a record it
+//! writes is probed in the index, locked and checked against the version
+//! chains once ([`Transaction::lock`] → [`RowRef`]), and from then on
+//! [`Transaction::get`] and [`Transaction::set`] are array accesses into the
+//! transaction's *access set*. Holding the lock is what makes the one chain
+//! check enough: nobody else can overwrite the record before this
+//! transaction finishes, so the columns that were overwritten after its
+//! snapshot — what commit validation and snapshot reads need — do not change.
+//! The string-addressed methods (`read`, `read_for_update`, `update`,
+//! `insert`) resolve the name and call the same operations.
 
 use crate::engine::TableRuntime;
 use crate::locks::{LockKey, LockMode, LockTable};
 use htap_durability::{DurabilityError, Wal, WalOp, WalRecord};
-use htap_storage::{RecordLocation, StorageError, Value};
+use htap_storage::{RecordLocation, RowId, StorageError, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,18 +86,55 @@ pub enum TxnOutcome {
     Aborted,
 }
 
+/// A relation a transaction has resolved by name: an index into that
+/// transaction's table cache, meaningful only with the transaction whose
+/// [`Transaction::table`] returned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableRef(u32);
+
+/// A record a transaction holds exclusively: an index into that
+/// transaction's access set, meaningful only with the transaction whose
+/// [`Transaction::lock`] returned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RowRef(u32);
+
+/// End of a record's chain of pending updates.
+const NO_UPDATE: u32 = u32::MAX;
+
+/// Inserts lock their key, not a row (there is none yet), in the upper half
+/// of the relation's lock space, which row ids never reach.
+const KEY_LOCK_SPACE: u64 = 0x8000_0000_0000_0000;
+
+/// One entry of the access set: a record this transaction has locked.
+#[derive(Debug)]
+struct HeldRow {
+    table: TableRef,
+    key: u64,
+    row: RowId,
+    /// Commit timestamp of the record's insert (0 if bulk-loaded): snapshot
+    /// reads older than it do not see the record.
+    visible_since: u64,
+    /// Columns overwritten by commits after this transaction's snapshot,
+    /// read from the version chain when the lock was taken (and fixed since:
+    /// only the lock's holder can add versions). Almost always empty.
+    overwritten: Vec<usize>,
+    /// The record's most recent pending update (index into `updates`), from
+    /// which `PendingUpdate::previous` links lead to its older ones.
+    last_update: u32,
+}
+
 #[derive(Debug)]
 struct PendingUpdate {
-    table: Arc<TableRuntime>,
-    key: u64,
-    row: u64,
+    row: RowRef,
     column: usize,
     value: Value,
+    /// The same record's previous pending update, or [`NO_UPDATE`].
+    previous: u32,
 }
 
 #[derive(Debug)]
 struct PendingInsert {
-    table: Arc<TableRuntime>,
+    table: TableRef,
     key: u64,
     values: Vec<Value>,
 }
@@ -172,13 +221,18 @@ impl TxnManager {
 
     /// Begin a new transaction with a snapshot at the current logical time.
     pub fn begin(&self) -> Transaction<'_> {
+        // Buffers sized for the largest transaction of the CH mix (a
+        // 15-line NewOrder: 16 records, 31 locks, 31 updates, 17 inserts),
+        // so that one grows at most once instead of four or five times.
         Transaction {
             mgr: self,
             id: self.next_txn_id.fetch_add(1, Ordering::AcqRel),
             start_ts: self.now(),
-            locks: Vec::new(),
-            updates: Vec::new(),
-            inserts: Vec::new(),
+            tables: Vec::with_capacity(8),
+            held: Vec::with_capacity(16),
+            locks: Vec::with_capacity(32),
+            updates: Vec::with_capacity(24),
+            inserts: Vec::with_capacity(16),
             finished: false,
         }
     }
@@ -190,10 +244,39 @@ pub struct Transaction<'a> {
     mgr: &'a TxnManager,
     id: TxnId,
     start_ts: u64,
+    /// Relations resolved so far, in [`TableRef`] order.
+    tables: Vec<Arc<TableRuntime>>,
+    /// The access set: records locked so far, in [`RowRef`] order.
+    held: Vec<HeldRow>,
+    /// Every lock held, one entry per locked record or inserted key.
     locks: Vec<LockKey>,
+    /// Buffered updates and inserts, each in declaration order (the order of
+    /// the commit's WAL record).
     updates: Vec<PendingUpdate>,
     inserts: Vec<PendingInsert>,
     finished: bool,
+}
+
+/// Snapshot read of a record the reader does not hold: probe the index, then
+/// the version chain, then the live value.
+fn snapshot_read(
+    rt: &TableRuntime,
+    start_ts: u64,
+    key: u64,
+    column: usize,
+) -> Result<Value, TxnError> {
+    let loc = rt.index().get(key).ok_or(TxnError::KeyNotFound(key))?;
+    // Records inserted after our snapshot are invisible.
+    if loc.epoch > start_ts {
+        return Err(TxnError::KeyNotFound(key));
+    }
+    // Snapshot-visible version: delta chain first, live value otherwise.
+    if let Some(old) = rt.delta().visible_version(loc.row, column, start_ts) {
+        return Ok(old);
+    }
+    rt.twin()
+        .get(loc.row, column)
+        .ok_or(TxnError::KeyNotFound(key))
 }
 
 impl<'a> Transaction<'a> {
@@ -207,12 +290,6 @@ impl<'a> Transaction<'a> {
         self.start_ts
     }
 
-    fn runtime(&self, table: &str) -> Result<Arc<TableRuntime>, TxnError> {
-        self.mgr
-            .table(table)
-            .ok_or_else(|| TxnError::TableMissing(table.to_string()))
-    }
-
     fn check_active(&self) -> Result<(), TxnError> {
         if self.finished {
             Err(TxnError::AlreadyFinished)
@@ -221,41 +298,211 @@ impl<'a> Transaction<'a> {
         }
     }
 
+    fn runtime(&self, table: TableRef) -> &TableRuntime {
+        &self.tables[table.0 as usize]
+    }
+
+    /// The relation `name`, if this transaction has resolved it already.
+    fn resolved(&self, name: &str) -> Option<TableRef> {
+        let at = self.tables.iter().position(|rt| rt.name() == name)?;
+        Some(TableRef(at as u32))
+    }
+
+    /// Resolve a relation by name: one lookup in the engine's registry per
+    /// relation and transaction, remembered for later calls.
+    pub fn table(&mut self, name: &str) -> Result<TableRef, TxnError> {
+        if let Some(table) = self.resolved(name) {
+            return Ok(table);
+        }
+        let runtime = self.registered(name)?;
+        self.tables.push(runtime);
+        Ok(TableRef(self.tables.len() as u32 - 1))
+    }
+
+    /// The engine's registry entry of relation `name`.
+    fn registered(&self, name: &str) -> Result<Arc<TableRuntime>, TxnError> {
+        self.mgr
+            .table(name)
+            .ok_or_else(|| TxnError::TableMissing(name.to_string()))
+    }
+
+    fn held_row(&self, table: TableRef, key: u64) -> Option<RowRef> {
+        let at = self
+            .held
+            .iter()
+            .position(|h| h.key == key && h.table == table)?;
+        Some(RowRef(at as u32))
+    }
+
+    /// The pending value of `column` of a held record, if this transaction
+    /// has written it (read-your-own-writes: the newest write wins).
+    fn pending_value(&self, held: &HeldRow, column: usize) -> Option<&Value> {
+        let mut at = held.last_update;
+        while at != NO_UPDATE {
+            let update = &self.updates[at as usize];
+            if update.column == column {
+                return Some(&update.value);
+            }
+            at = update.previous;
+        }
+        None
+    }
+
+    fn pending_insert(&self, table: TableRef, key: u64) -> Option<&PendingInsert> {
+        self.inserts
+            .iter()
+            .rev()
+            .find(|i| i.key == key && i.table == table)
+    }
+
+    fn acquire(&mut self, key: LockKey) -> Result<(), TxnError> {
+        if self
+            .mgr
+            .locks
+            .try_acquire(self.id, key, LockMode::Exclusive)
+        {
+            self.locks.push(key);
+            Ok(())
+        } else {
+            Err(TxnError::LockConflict)
+        }
+    }
+
+    /// Lock the record with primary key `key` exclusively (NO-WAIT) and add
+    /// it to the access set: one index probe, one visit of the lock table and
+    /// one look at the record's version chain, however often the record is
+    /// then read and written through the returned handle. Locking a record
+    /// this transaction already holds returns the same handle.
+    pub fn lock(&mut self, table: TableRef, key: u64) -> Result<RowRef, TxnError> {
+        self.check_active()?;
+        if let Some(row) = self.held_row(table, key) {
+            return Ok(row);
+        }
+        let rt = self.runtime(table);
+        let loc = rt.index().get(key).ok_or(TxnError::KeyNotFound(key))?;
+        self.acquire(rt.lock_key(loc.row))?;
+        let overwritten = self
+            .runtime(table)
+            .delta()
+            .columns_overwritten_after(loc.row, self.start_ts);
+        self.held.push(HeldRow {
+            table,
+            key,
+            row: loc.row,
+            visible_since: loc.epoch,
+            overwritten,
+            last_update: NO_UPDATE,
+        });
+        Ok(RowRef(self.held.len() as u32 - 1))
+    }
+
+    /// The *latest committed* value of one attribute of a held record, or
+    /// this transaction's own pending write of it.
+    pub fn get(&self, row: RowRef, column: usize) -> Result<Value, TxnError> {
+        self.check_active()?;
+        let held = &self.held[row.0 as usize];
+        if let Some(value) = self.pending_value(held, column) {
+            return Ok(value.clone());
+        }
+        self.runtime(held.table)
+            .twin()
+            .get(held.row, column)
+            .ok_or(TxnError::KeyNotFound(held.key))
+    }
+
+    /// Declare an update of one attribute of a held record; the write is
+    /// applied at commit. The value's type is checked here, so that a commit
+    /// cannot fail half-applied.
+    pub fn set(&mut self, row: RowRef, column: usize, value: Value) -> Result<(), TxnError> {
+        self.check_active()?;
+        let held = &self.held[row.0 as usize];
+        let schema = self.runtime(held.table).twin().schema();
+        let expected = schema.column(column).dtype;
+        if value.data_type() != expected {
+            return Err(TxnError::Storage(StorageError::TypeMismatch {
+                table: schema.name.clone(),
+                column,
+                expected,
+                got: value.data_type(),
+            }));
+        }
+        let previous = held.last_update;
+        self.held[row.0 as usize].last_update = self.updates.len() as u32;
+        self.updates.push(PendingUpdate {
+            row,
+            column,
+            value,
+            previous,
+        });
+        Ok(())
+    }
+
+    /// Snapshot read of one attribute of the record with primary key `key`.
+    pub fn read_at(&self, table: TableRef, key: u64, column: usize) -> Result<Value, TxnError> {
+        self.check_active()?;
+        // Read-your-own-writes.
+        if let Some(ins) = self.pending_insert(table, key) {
+            return Ok(ins.values[column].clone());
+        }
+        let rt = self.runtime(table);
+        let Some(row) = self.held_row(table, key) else {
+            return snapshot_read(rt, self.start_ts, key, column);
+        };
+        let held = &self.held[row.0 as usize];
+        if let Some(value) = self.pending_value(held, column) {
+            return Ok(value.clone());
+        }
+        if held.visible_since > self.start_ts {
+            return Err(TxnError::KeyNotFound(key));
+        }
+        // Not overwritten since the snapshot, and locked since: the live
+        // value is the snapshot's, without a visit of the version chain.
+        let saved = if held.overwritten.contains(&column) {
+            rt.delta().visible_version(held.row, column, self.start_ts)
+        } else {
+            None
+        };
+        saved
+            .or_else(|| rt.twin().get(held.row, column))
+            .ok_or(TxnError::KeyNotFound(key))
+    }
+
+    /// Declare an insert of a new record with primary key `key` into a
+    /// resolved relation. The row is checked against the schema here and
+    /// appended to both twin instances at commit.
+    pub fn insert_at(
+        &mut self,
+        table: TableRef,
+        key: u64,
+        values: Vec<Value>,
+    ) -> Result<(), TxnError> {
+        self.check_active()?;
+        let rt = self.runtime(table);
+        rt.twin()
+            .schema()
+            .check_row(&values)
+            .map_err(TxnError::Storage)?;
+        // Lock the key space entry to serialise concurrent inserts of the
+        // same key; an insert this transaction already declared holds it.
+        let own = self.pending_insert(table, key).is_some();
+        if !own {
+            self.acquire(rt.lock_key(key ^ KEY_LOCK_SPACE))?;
+        }
+        if own || self.runtime(table).index().contains(key) {
+            return Err(TxnError::DuplicateKey(key));
+        }
+        self.inserts.push(PendingInsert { table, key, values });
+        Ok(())
+    }
+
     /// Snapshot read of one attribute of the record with primary key `key`.
     pub fn read(&self, table: &str, key: u64, column: usize) -> Result<Value, TxnError> {
         self.check_active()?;
-        let rt = self.runtime(table)?;
-
-        // Read-your-own-writes.
-        if let Some(ins) = self
-            .inserts
-            .iter()
-            .rev()
-            .find(|i| i.key == key && Arc::ptr_eq(&i.table, &rt))
-        {
-            return Ok(ins.values[column].clone());
+        match self.resolved(table) {
+            Some(table) => self.read_at(table, key, column),
+            // A relation this transaction never resolved holds none of its writes.
+            None => snapshot_read(&*self.registered(table)?, self.start_ts, key, column),
         }
-        let loc = rt.index().get(key).ok_or(TxnError::KeyNotFound(key))?;
-        if let Some(upd) = self
-            .updates
-            .iter()
-            .rev()
-            .find(|u| u.row == loc.row && u.column == column && Arc::ptr_eq(&u.table, &rt))
-        {
-            return Ok(upd.value.clone());
-        }
-
-        // Records inserted after our snapshot are invisible.
-        if loc.epoch > self.start_ts {
-            return Err(TxnError::KeyNotFound(key));
-        }
-        // Snapshot-visible version: delta chain first, live value otherwise.
-        if let Some(old) = rt.delta().visible_version(loc.row, column, self.start_ts) {
-            return Ok(old);
-        }
-        rt.twin()
-            .get(loc.row, column)
-            .ok_or(TxnError::KeyNotFound(key))
     }
 
     /// Read the *latest committed* value, acquiring an exclusive lock on the
@@ -267,30 +514,9 @@ impl<'a> Transaction<'a> {
         key: u64,
         column: usize,
     ) -> Result<Value, TxnError> {
-        self.check_active()?;
-        let rt = self.runtime(table)?;
-        let loc = rt.index().get(key).ok_or(TxnError::KeyNotFound(key))?;
-        self.acquire(LockKey::new(table, loc.row), LockMode::Exclusive)?;
-        if let Some(upd) = self
-            .updates
-            .iter()
-            .rev()
-            .find(|u| u.row == loc.row && u.column == column && Arc::ptr_eq(&u.table, &rt))
-        {
-            return Ok(upd.value.clone());
-        }
-        rt.twin()
-            .get(loc.row, column)
-            .ok_or(TxnError::KeyNotFound(key))
-    }
-
-    fn acquire(&mut self, key: LockKey, mode: LockMode) -> Result<(), TxnError> {
-        if self.mgr.locks.try_acquire(self.id, key, mode) {
-            self.locks.push(key);
-            Ok(())
-        } else {
-            Err(TxnError::LockConflict)
-        }
+        let table = self.table(table)?;
+        let row = self.lock(table, key)?;
+        self.get(row, column)
     }
 
     /// Declare an update of one attribute of the record with primary key `key`.
@@ -302,49 +528,89 @@ impl<'a> Transaction<'a> {
         column: usize,
         value: Value,
     ) -> Result<(), TxnError> {
-        self.check_active()?;
-        let rt = self.runtime(table)?;
-        let loc = rt.index().get(key).ok_or(TxnError::KeyNotFound(key))?;
-        self.acquire(LockKey::new(table, loc.row), LockMode::Exclusive)?;
-        self.updates.push(PendingUpdate {
-            table: rt,
-            key,
-            row: loc.row,
-            column,
-            value,
-        });
-        Ok(())
+        let table = self.table(table)?;
+        let row = self.lock(table, key)?;
+        self.set(row, column, value)
     }
 
     /// Declare an insert of a new record with primary key `key`.
     /// The row is appended to both twin instances at commit.
     pub fn insert(&mut self, table: &str, key: u64, values: Vec<Value>) -> Result<(), TxnError> {
-        self.check_active()?;
-        let rt = self.runtime(table)?;
-        // Lock the key space entry to serialise concurrent inserts of the same key.
-        self.acquire(
-            LockKey::new(table, key ^ 0x8000_0000_0000_0000),
-            LockMode::Exclusive,
-        )?;
-        if rt.index().contains(key)
-            || self
-                .inserts
-                .iter()
-                .any(|i| i.key == key && Arc::ptr_eq(&i.table, &rt))
-        {
-            return Err(TxnError::DuplicateKey(key));
-        }
-        self.inserts.push(PendingInsert {
-            table: rt,
-            key,
-            values,
-        });
-        Ok(())
+        let table = self.table(table)?;
+        self.insert_at(table, key, values)
     }
 
     /// Number of buffered writes (updates + inserts).
     pub fn write_count(&self) -> usize {
         self.updates.len() + self.inserts.len()
+    }
+
+    /// The commit's WAL record: updates in declaration order, then inserts.
+    fn wal_record(&self, commit_ts: u64) -> WalRecord {
+        let mut ops = Vec::with_capacity(self.write_count());
+        for upd in &self.updates {
+            let held = &self.held[upd.row.0 as usize];
+            ops.push(WalOp::Update {
+                table: self.runtime(held.table).name().to_string(),
+                key: held.key,
+                column: upd.column as u32,
+                value: upd.value.clone(),
+            });
+        }
+        for ins in &self.inserts {
+            ops.push(WalOp::Insert {
+                table: self.runtime(ins.table).name().to_string(),
+                key: ins.key,
+                values: ins.values.clone(),
+            });
+        }
+        WalRecord {
+            txn_id: self.id,
+            commit_ts,
+            ops,
+        }
+    }
+
+    /// Apply the buffered writes to the active instance, row by row: each
+    /// cell is exchanged under one acquisition of its column's lock, the
+    /// row's update bits are set once, and its overwritten values go to the
+    /// delta storage in one visit. Inserts are appended and published to the
+    /// index as one batch per run of consecutive inserts into one relation.
+    fn apply(&mut self, commit_ts: u64) -> Result<(), StorageError> {
+        let mut updates = std::mem::take(&mut self.updates);
+        // Stable: a record's cells stay in declaration order.
+        updates.sort_by_key(|upd| upd.row);
+        for cells in updates.chunk_by_mut(|a, b| a.row == b.row) {
+            let held = &self.held[cells[0].row.0 as usize];
+            let rt = self.runtime(held.table);
+            rt.twin()
+                .update_row(held.row, cells.iter_mut().map(|c| (c.column, &mut c.value)))?;
+            // After the exchange each cell holds the value it overwrote,
+            // which stays visible to snapshots older than this commit.
+            rt.delta().push_versions(
+                held.row,
+                cells
+                    .iter_mut()
+                    .map(|c| (c.column, std::mem::replace(&mut c.value, Value::I32(0)))),
+                0,
+                commit_ts,
+            );
+        }
+        for batch in self.inserts.chunk_by(|a, b| a.table == b.table) {
+            let rt = self.runtime(batch[0].table);
+            let rows = rt
+                .twin()
+                .insert_rows_unchecked(batch.iter().map(|ins| ins.values.as_slice()));
+            rt.index()
+                .insert_many(batch.iter().zip(rows).map(|(ins, row)| {
+                    let location = RecordLocation {
+                        row,
+                        epoch: commit_ts,
+                    };
+                    (ins.key, location)
+                }));
+        }
+        Ok(())
     }
 
     /// Commit the transaction: run the first-committer-wins validation, apply
@@ -360,18 +626,17 @@ impl<'a> Transaction<'a> {
         let on = htap_obs::enabled();
         let t_lock = if on { htap_obs::now_us() } else { 0 };
 
-        // Validation: any record we are about to overwrite must not have been
+        // Validation: any cell we are about to overwrite must not have been
         // overwritten by a transaction that committed after our snapshot.
-        for upd in &self.updates {
-            if upd
-                .table
-                .delta()
-                .visible_version(upd.row, upd.column, self.start_ts)
-                .is_some()
-            {
-                self.finish_abort();
-                return Err(TxnError::WriteConflict);
-            }
+        // Each record's answer was read when it was locked.
+        let conflict = self.updates.iter().any(|upd| {
+            self.held[upd.row.0 as usize]
+                .overwritten
+                .contains(&upd.column)
+        });
+        if conflict {
+            self.finish_abort();
+            return Err(TxnError::WriteConflict);
         }
 
         let commit_ts = self.mgr.next_ts();
@@ -382,31 +647,10 @@ impl<'a> Transaction<'a> {
         // having applied nothing, so live committed state never diverges
         // from durable state. The record locks held across the append keep
         // WAL order consistent with apply order for conflicting keys.
-        if self.write_count() > 0 {
+        let writes = self.write_count();
+        if writes > 0 {
             if let Some(wal) = self.mgr.wal_handle() {
-                let mut ops = Vec::with_capacity(self.write_count());
-                // Updates first, then inserts — the same order apply uses.
-                for upd in &self.updates {
-                    ops.push(WalOp::Update {
-                        table: upd.table.name().to_string(),
-                        key: upd.key,
-                        column: upd.column as u32,
-                        value: upd.value.clone(),
-                    });
-                }
-                for ins in &self.inserts {
-                    ops.push(WalOp::Insert {
-                        table: ins.table.name().to_string(),
-                        key: ins.key,
-                        values: ins.values.clone(),
-                    });
-                }
-                let record = WalRecord {
-                    txn_id: self.id,
-                    commit_ts,
-                    ops,
-                };
-                if let Err(e) = wal.append_commit(&record) {
+                if let Err(e) = wal.append_commit(&self.wal_record(commit_ts)) {
                     self.finish_abort();
                     return Err(TxnError::Durability(e));
                 }
@@ -414,37 +658,7 @@ impl<'a> Transaction<'a> {
         }
 
         let t_apply = if on { htap_obs::now_us() } else { 0 };
-        for upd in &self.updates {
-            let old = upd
-                .table
-                .twin()
-                .update(upd.row, upd.column, &upd.value)
-                .map_err(TxnError::Storage)?;
-            // The overwritten value stays visible to snapshots older than this commit.
-            upd.table
-                .delta()
-                .push_version(upd.row, upd.column, old, 0, commit_ts);
-            // The index keeps pointing at the freshest instance.
-            let active = upd.table.twin().active_instance() as u8;
-            upd.table
-                .index()
-                .update(upd.key, |loc: &mut RecordLocation| {
-                    loc.instance = active;
-                });
-        }
-
-        for ins in &self.inserts {
-            let row = ins
-                .table
-                .twin()
-                .insert(&ins.values)
-                .map_err(TxnError::Storage)?;
-            let active = ins.table.twin().active_instance() as u8;
-            let mut loc = RecordLocation::new(row, active);
-            loc.epoch = commit_ts;
-            ins.table.index().insert(ins.key, loc);
-        }
-
+        self.apply(commit_ts).map_err(TxnError::Storage)?;
         self.mgr.locks.release_all(self.id, &self.locks);
         self.finished = true;
         if on {
@@ -452,7 +666,7 @@ impl<'a> Transaction<'a> {
             htap_obs::record_thread(
                 htap_obs::EventKind::TxnCommit,
                 t_lock,
-                self.write_count() as u64,
+                writes as u64,
                 htap_obs::pack_phases(
                     t_wal.saturating_sub(t_lock),
                     t_apply.saturating_sub(t_wal),
@@ -691,6 +905,167 @@ mod tests {
         assert_eq!(
             mgr.begin().read("accounts", 1, 1).unwrap(),
             Value::F64(101.0)
+        );
+    }
+
+    #[test]
+    fn a_record_is_locked_once_and_released_once_on_commit_and_on_abort() {
+        let mgr = manager_with_accounts();
+        seed_account(&mgr, 1, 100.0);
+        for commit in [true, false] {
+            let mut t = mgr.begin();
+            let v = t.read_for_update("accounts", 1, 1).unwrap().as_f64();
+            t.update("accounts", 1, 1, Value::F64(v + 1.0)).unwrap();
+            t.update("accounts", 1, 0, Value::I64(1)).unwrap();
+            assert_eq!(t.locks.len(), 1, "one record, one lock entry");
+            assert_eq!(mgr.locks.locked_records(), 1);
+            if commit {
+                t.commit().unwrap();
+            } else {
+                t.abort();
+            }
+            assert_eq!(mgr.locks.locked_records(), 0, "commit = {commit}");
+        }
+        assert_eq!(
+            mgr.begin().read("accounts", 1, 1).unwrap(),
+            Value::F64(101.0),
+            "the committed round applied, the aborted one did not"
+        );
+        // An insert holds its key's lock, once, until the end as well.
+        let mut t = mgr.begin();
+        t.insert("accounts", 2, vec![Value::I64(2), Value::F64(0.0)])
+            .unwrap();
+        assert!(t
+            .insert("accounts", 2, vec![Value::I64(2), Value::F64(0.0)])
+            .is_err());
+        assert_eq!(t.locks.len(), 1);
+        drop(t);
+        assert_eq!(mgr.locks.locked_records(), 0);
+    }
+
+    #[test]
+    fn handles_and_names_address_the_same_access_set() {
+        let mgr = manager_with_accounts();
+        seed_account(&mgr, 1, 100.0);
+        let mut t = mgr.begin();
+        let accounts = t.table("accounts").unwrap();
+        assert_eq!(t.table("accounts").unwrap(), accounts);
+        assert!(matches!(t.table("nope"), Err(TxnError::TableMissing(_))));
+        let row = t.lock(accounts, 1).unwrap();
+        assert_eq!(t.lock(accounts, 1).unwrap(), row, "locking again is free");
+        assert!(matches!(t.lock(accounts, 9), Err(TxnError::KeyNotFound(9))));
+        // Read-your-own-writes across two columns of one row, by handle and
+        // by name, the newest write of a cell winning.
+        t.set(row, 1, Value::F64(1.0)).unwrap();
+        t.update("accounts", 1, 0, Value::I64(-1)).unwrap();
+        t.set(row, 1, Value::F64(2.0)).unwrap();
+        assert_eq!(t.get(row, 1).unwrap(), Value::F64(2.0));
+        assert_eq!(t.get(row, 0).unwrap(), Value::I64(-1));
+        assert_eq!(t.read("accounts", 1, 1).unwrap(), Value::F64(2.0));
+        assert_eq!(t.read_at(accounts, 1, 0).unwrap(), Value::I64(-1));
+        assert_eq!(
+            t.read_for_update("accounts", 1, 1).unwrap(),
+            Value::F64(2.0)
+        );
+        // ... and across an insert, which is not lockable before it commits.
+        t.insert_at(accounts, 2, vec![Value::I64(2), Value::F64(7.0)])
+            .unwrap();
+        assert_eq!(t.read_at(accounts, 2, 1).unwrap(), Value::F64(7.0));
+        assert_eq!(t.read("accounts", 2, 0).unwrap(), Value::I64(2));
+        assert!(matches!(t.lock(accounts, 2), Err(TxnError::KeyNotFound(2))));
+        assert_eq!(t.write_count(), 4);
+        assert_eq!(t.locks.len(), 2);
+        // Writes are type-checked when declared, not when applied.
+        assert!(matches!(
+            t.set(row, 1, Value::I64(0)),
+            Err(TxnError::Storage(_))
+        ));
+        assert!(matches!(
+            t.insert_at(accounts, 3, vec![Value::I64(3)]),
+            Err(TxnError::Storage(_))
+        ));
+        t.commit().unwrap();
+        let check = mgr.begin();
+        assert_eq!(check.read("accounts", 1, 0).unwrap(), Value::I64(-1));
+        assert_eq!(check.read("accounts", 1, 1).unwrap(), Value::F64(2.0));
+        assert_eq!(check.read("accounts", 2, 1).unwrap(), Value::F64(7.0));
+        assert!(check.read("accounts", 3, 1).is_err());
+    }
+
+    #[test]
+    fn a_held_record_still_reads_its_snapshot_where_it_was_overwritten() {
+        let mgr = manager_with_accounts();
+        seed_account(&mgr, 1, 100.0);
+        let mut late = mgr.begin();
+        {
+            let mut early = mgr.begin();
+            early.update("accounts", 1, 1, Value::F64(10.0)).unwrap();
+            early.commit().unwrap();
+        }
+        let accounts = late.table("accounts").unwrap();
+        let row = late.lock(accounts, 1).unwrap();
+        // Snapshot read: the value of the snapshot; read for update: the latest.
+        assert_eq!(late.read("accounts", 1, 1).unwrap(), Value::F64(100.0));
+        assert_eq!(late.get(row, 1).unwrap(), Value::F64(10.0));
+        // Writing a column nobody overwrote commits; the overwritten one
+        // would not (first committer wins, per cell).
+        late.set(row, 0, Value::I64(5)).unwrap();
+        late.commit().unwrap();
+        assert_eq!(mgr.begin().read("accounts", 1, 0).unwrap(), Value::I64(5));
+        assert_eq!(
+            mgr.begin().read("accounts", 1, 1).unwrap(),
+            Value::F64(10.0)
+        );
+    }
+
+    #[test]
+    fn commit_logs_updates_in_declaration_order_then_inserts() {
+        use htap_durability::{load_state, DurableStorage, MemStorage, WalConfig};
+        let storage: Arc<dyn DurableStorage> = Arc::new(MemStorage::new());
+        let mgr = manager_with_accounts();
+        seed_account(&mgr, 1, 100.0);
+        seed_account(&mgr, 2, 200.0);
+        let (wal, _) = Wal::open(Arc::clone(&storage), "wal.log", WalConfig::default()).unwrap();
+        mgr.attach_wal(wal);
+        let mut t = mgr.begin();
+        // Declarations interleave two records and an insert; the same cell
+        // is written twice.
+        t.update("accounts", 2, 1, Value::F64(1.0)).unwrap();
+        t.insert("accounts", 3, vec![Value::I64(3), Value::F64(3.0)])
+            .unwrap();
+        t.update("accounts", 1, 1, Value::F64(2.0)).unwrap();
+        t.update("accounts", 2, 1, Value::F64(4.0)).unwrap();
+        let (id, commit_ts) = (t.id(), t.commit().unwrap());
+        let update = |key, value| WalOp::Update {
+            table: "accounts".into(),
+            key,
+            column: 1,
+            value: Value::F64(value),
+        };
+        let expected = WalRecord {
+            txn_id: id,
+            commit_ts,
+            ops: vec![
+                update(2, 1.0),
+                update(1, 2.0),
+                update(2, 4.0),
+                WalOp::Insert {
+                    table: "accounts".into(),
+                    key: 3,
+                    values: vec![Value::I64(3), Value::F64(3.0)],
+                },
+            ],
+        };
+        let state = load_state(storage.as_ref(), "wal.log", "checkpoint.bin").unwrap();
+        assert_eq!(state.tail.len(), 1);
+        assert_eq!(state.tail[0].1, expected);
+        // Applied row by row, the last write of the cell wins and a snapshot
+        // from before the commit still sees what the commit overwrote.
+        assert_eq!(mgr.begin().read("accounts", 2, 1).unwrap(), Value::F64(4.0));
+        let rt = mgr.table("accounts").unwrap();
+        assert_eq!(
+            rt.delta().visible_version(1, 1, commit_ts - 1),
+            Some(Value::F64(200.0))
         );
     }
 

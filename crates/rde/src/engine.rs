@@ -70,8 +70,6 @@ impl Default for RdeConfig {
 pub struct SwitchReport {
     /// Records that had to be synchronised into the new active instance.
     pub synced_records: u64,
-    /// Records skipped because the active instance had already overwritten them.
-    pub skipped_records: u64,
     /// Modelled time of the switch + synchronisation.
     pub modeled_time: Seconds,
 }
@@ -226,12 +224,10 @@ impl RdeEngine {
     /// to the [`Activity::InstanceSync`] counter.
     pub fn switch_and_sync(&self) -> SwitchReport {
         let guard = htap_obs::span("rde.switch");
-        let (_, sync) = self.oltp.switch_and_sync_instances();
-
-        let synced_records: u64 = sync.values().map(|s| s.copied_records).sum();
-        let skipped_records: u64 = sync.values().map(|s| s.skipped_records).sum();
-        let copied_bytes: u64 = sync.values().map(|s| s.copied_bytes).sum();
-        let bytes_per_record = copied_bytes
+        let sync = self.oltp.switch_and_sync_instances();
+        let synced_records = sync.copied_records;
+        let bytes_per_record = sync
+            .copied_bytes
             .checked_div(synced_records)
             .map_or(64, |b| b.max(1));
         // The RDE engine synchronises with a couple of helper threads; the
@@ -241,11 +237,9 @@ impl RdeEngine {
 
         if guard.is_active() {
             guard.arg("synced_records", synced_records as f64);
-            guard.arg("skipped_records", skipped_records as f64);
         }
         SwitchReport {
             synced_records,
-            skipped_records,
             modeled_time,
         }
     }
@@ -260,13 +254,11 @@ impl RdeEngine {
         let mut copied_bytes = 0u64;
         for twin in self.oltp.store().tables() {
             let snapshot = twin.snapshot();
-            let (updated, inserted) = twin.olap_delta();
-            let rows = updated.len() as u64 + (inserted.end - inserted.start);
-            if rows == 0 {
+            let (updated, inserted) = twin.take_olap_delta();
+            if updated.is_empty() && inserted.is_empty() {
                 continue;
             }
             let applied = self.olap.store().apply_delta(&snapshot, &updated, inserted);
-            twin.mark_olap_synced();
             copied_rows += applied;
             copied_bytes += applied * twin.schema().row_width_bytes();
         }

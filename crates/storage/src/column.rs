@@ -8,7 +8,56 @@
 //! instance never conflict with scans of the inactive one.
 
 use crate::schema::{DataType, Value};
+use crate::RowId;
 use parking_lot::{RwLock, RwLockReadGuard};
+use std::ops::Range;
+
+/// Rows a range copy moves under one pair of locks. A transaction's insert
+/// appends to the snapshot instance too, so it waits for the copy's read
+/// guard: a chunk bounds that wait to tens of microseconds while the locks
+/// still cost nothing per row.
+const COPY_CHUNK_ROWS: usize = 64 * 1024;
+
+/// Copy `rows` of `src` into the same rows of `dst`, growing `dst` with
+/// default values if it is shorter. Gathered under the source's lock and
+/// scattered under the destination's, never both at once: the twin
+/// synchronisation copies between the same two columns in alternating
+/// directions, and nesting the locks would take them in both orders.
+fn copy_rows<T: Clone + Default>(dst: &RwLock<Vec<T>>, src: &RwLock<Vec<T>>, rows: &[RowId]) {
+    let values: Vec<T> = {
+        let src = src.read();
+        rows.iter().map(|&row| src[row as usize].clone()).collect()
+    };
+    let mut dst = dst.write();
+    let needed = rows.iter().max().map_or(0, |&row| row as usize + 1);
+    if dst.len() < needed {
+        dst.resize(needed, T::default());
+    }
+    for (&row, value) in rows.iter().zip(values) {
+        dst[row as usize] = value;
+    }
+}
+
+/// Copy the contiguous `range` of `src` over the same rows of `dst`: rows
+/// `dst` already holds are overwritten, the rest appended (after default
+/// values, should `dst` end before the range starts) — slice copies, one
+/// lock pair per [`COPY_CHUNK_ROWS`]. The source is always locked first; the
+/// one caller copies from a twin instance into the OLAP instance.
+fn copy_range<T: Clone + Default>(dst: &RwLock<Vec<T>>, src: &RwLock<Vec<T>>, range: Range<usize>) {
+    let mut start = range.start;
+    while start < range.end {
+        let end = range.end.min(start + COPY_CHUNK_ROWS);
+        let src = src.read();
+        let mut dst = dst.write();
+        if dst.len() < start {
+            dst.resize(start, T::default());
+        }
+        let held = dst.len().min(end);
+        dst[start..held].clone_from_slice(&src[start..held]);
+        dst.extend_from_slice(&src[held..end]);
+        start = end;
+    }
+}
 
 /// A read guard over a whole typed column, exposing its values as a
 /// contiguous slice for the guard's lifetime.
@@ -107,13 +156,27 @@ impl Column {
         }
     }
 
-    /// Overwrite the value at `row`. Panics on type mismatch or out-of-range row.
-    pub fn update(&self, row: usize, value: &Value) {
+    /// Append every value of `values` under one lock acquisition (a batch of
+    /// inserted rows, one column at a time). Panics on type mismatch, like
+    /// [`Self::append`].
+    pub fn append_each<'a>(&self, values: impl Iterator<Item = &'a Value>) {
+        match self {
+            Column::I64(v) => v.write().extend(values.map(Value::as_i64)),
+            Column::F64(v) => v.write().extend(values.map(Value::as_f64)),
+            Column::I32(v) => v.write().extend(values.map(Value::as_i32)),
+            Column::Str(v) => v.write().extend(values.map(|x| x.as_str().to_string())),
+        }
+    }
+
+    /// Exchange the value at `row` with `value` under one lock acquisition:
+    /// the column takes the new value and `value` receives the overwritten
+    /// one. Panics on type mismatch or out-of-range row.
+    pub fn swap(&self, row: usize, value: &mut Value) {
         match (self, value) {
-            (Column::I64(v), Value::I64(x)) => v.write()[row] = *x,
-            (Column::F64(v), Value::F64(x)) => v.write()[row] = *x,
-            (Column::I32(v), Value::I32(x)) => v.write()[row] = *x,
-            (Column::Str(v), Value::Str(x)) => v.write()[row] = x.clone(),
+            (Column::I64(v), Value::I64(x)) => std::mem::swap(&mut v.write()[row], x),
+            (Column::F64(v), Value::F64(x)) => std::mem::swap(&mut v.write()[row], x),
+            (Column::I32(v), Value::I32(x)) => std::mem::swap(&mut v.write()[row], x),
+            (Column::Str(v), Value::Str(x)) => std::mem::swap(&mut v.write()[row], x),
             // lint:allow(no-panic): dtype contract documented on the method; the table layer validates values against the schema before dispatch
             (col, val) => panic!("type mismatch: column {:?} value {val:?}", col.dtype()),
         }
@@ -129,45 +192,31 @@ impl Column {
         }
     }
 
-    /// Copy the value at `row` from `src` into `self` at the same row,
-    /// growing `self` with default values if needed. Used by twin-instance
-    /// synchronisation and ETL.
-    pub fn copy_row_from(&self, src: &Column, row: usize) {
+    /// Copy `rows` and then the contiguous `range` of `src` into the same
+    /// rows of `self`, growing `self` if needed — the one primitive of twin
+    /// synchronisation (a row list) and ETL (the updated rows, then the
+    /// inserted range). Locks are taken per call, not per row: the list is
+    /// gathered and scattered under one acquisition each, the range moves as
+    /// slice copies. Panics if the column types differ.
+    pub fn copy_from(&self, src: &Column, rows: &[RowId], range: Range<RowId>) {
+        fn copy<T: Clone + Default>(
+            dst: &RwLock<Vec<T>>,
+            src: &RwLock<Vec<T>>,
+            rows: &[RowId],
+            range: Range<RowId>,
+        ) {
+            if !rows.is_empty() {
+                copy_rows(dst, src, rows);
+            }
+            copy_range(dst, src, range.start as usize..range.end as usize);
+        }
         match (self, src) {
-            (Column::I64(dst), Column::I64(s)) => {
-                let val = s.read()[row];
-                let mut d = dst.write();
-                if d.len() <= row {
-                    d.resize(row + 1, 0);
-                }
-                d[row] = val;
-            }
-            (Column::F64(dst), Column::F64(s)) => {
-                let val = s.read()[row];
-                let mut d = dst.write();
-                if d.len() <= row {
-                    d.resize(row + 1, 0.0);
-                }
-                d[row] = val;
-            }
-            (Column::I32(dst), Column::I32(s)) => {
-                let val = s.read()[row];
-                let mut d = dst.write();
-                if d.len() <= row {
-                    d.resize(row + 1, 0);
-                }
-                d[row] = val;
-            }
-            (Column::Str(dst), Column::Str(s)) => {
-                let val = s.read()[row].clone();
-                let mut d = dst.write();
-                if d.len() <= row {
-                    d.resize(row + 1, String::new());
-                }
-                d[row] = val;
-            }
-            // lint:allow(no-panic): migration only pairs columns cloned from one schema, so the dtypes always match
-            _ => panic!("copy_row_from between mismatched column types"),
+            (Column::I64(dst), Column::I64(src)) => copy(dst, src, rows, range),
+            (Column::F64(dst), Column::F64(src)) => copy(dst, src, rows, range),
+            (Column::I32(dst), Column::I32(src)) => copy(dst, src, rows, range),
+            (Column::Str(dst), Column::Str(src)) => copy(dst, src, rows, range),
+            // lint:allow(no-panic): synchronisation and ETL only pair columns cloned from one schema, so the dtypes always match
+            _ => panic!("copy_from between mismatched column types"),
         }
     }
 
@@ -251,7 +300,13 @@ mod tests {
         col.append(&Value::I64(20));
         assert_eq!(col.len(), 2);
         assert_eq!(col.get(1), Some(Value::I64(20)));
-        col.update(1, &Value::I64(25));
+        let mut value = Value::I64(25);
+        col.swap(1, &mut value);
+        assert_eq!(
+            value,
+            Value::I64(20),
+            "swap hands back the overwritten value"
+        );
         assert_eq!(col.get(1), Some(Value::I64(25)));
         assert_eq!(col.get(5), None);
     }
@@ -261,7 +316,9 @@ mod tests {
         let col = Column::new(DataType::Str);
         col.append(&Value::from("a"));
         col.append(&Value::from("b"));
-        col.update(0, &Value::from("z"));
+        let mut value = Value::from("z");
+        col.swap(0, &mut value);
+        assert_eq!(value, Value::from("a"));
         assert_eq!(col.get(0), Some(Value::from("z")));
         col.with_str(10, |s| assert_eq!(s, &["z".to_string(), "b".to_string()]));
     }
@@ -288,19 +345,91 @@ mod tests {
         assert_eq!(all, 100);
     }
 
+    fn i64_column(values: impl IntoIterator<Item = i64>) -> Column {
+        let col = Column::new(DataType::I64);
+        let values: Vec<Value> = values.into_iter().map(Value::I64).collect();
+        col.append_each(values.iter());
+        col
+    }
+
+    fn i64_values(col: &Column) -> Vec<i64> {
+        col.with_i64(usize::MAX, <[i64]>::to_vec)
+    }
+
     #[test]
-    fn copy_row_from_grows_destination() {
-        let src = Column::new(DataType::I64);
-        for i in 0..5 {
-            src.append(&Value::I64(i * 100));
-        }
-        let dst = Column::new(DataType::I64);
-        dst.append(&Value::I64(0));
-        dst.copy_row_from(&src, 3);
-        assert_eq!(dst.len(), 4);
-        assert_eq!(dst.get(3), Some(Value::I64(300)));
+    fn append_each_appends_a_batch_in_order() {
+        let col = i64_column([1, 2, 3]);
+        col.append_each([Value::I64(4)].iter());
+        col.append_each(std::iter::empty());
+        assert_eq!(i64_values(&col), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn copy_from_row_list_overwrites_and_grows_destination() {
+        let src = i64_column((0..6).map(|i| i * 100));
+        let dst = i64_column([7]);
+        dst.copy_from(&src, &[], 0..0);
+        assert_eq!(
+            i64_values(&dst),
+            vec![7],
+            "empty list and range copy nothing"
+        );
+        dst.copy_from(&src, &[0, 3], 0..0);
         // Rows that were never written are zero-filled placeholders.
-        assert_eq!(dst.get(1), Some(Value::I64(0)));
+        assert_eq!(i64_values(&dst), vec![0, 0, 0, 300]);
+    }
+
+    #[test]
+    fn copy_from_range_appends_overwrites_and_pads() {
+        let src = i64_column(0..10);
+        // Contiguous append.
+        let dst = i64_column([0, 1]);
+        dst.copy_from(&src, &[], 2..5);
+        assert_eq!(i64_values(&dst), vec![0, 1, 2, 3, 4]);
+        // A range overlapping rows the destination already holds.
+        let dst = i64_column([-1, -1, -1, -1]);
+        dst.copy_from(&src, &[], 2..7);
+        assert_eq!(i64_values(&dst), vec![-1, -1, 2, 3, 4, 5, 6]);
+        // A range entirely inside the destination.
+        let dst = i64_column([-1; 8]);
+        dst.copy_from(&src, &[], 1..3);
+        assert_eq!(i64_values(&dst), vec![-1, 1, 2, -1, -1, -1, -1, -1]);
+        // A range starting past the destination's length pads with defaults.
+        let dst = i64_column([9]);
+        dst.copy_from(&src, &[], 3..5);
+        assert_eq!(i64_values(&dst), vec![9, 0, 0, 3, 4]);
+        // The list is copied before the range.
+        let dst = i64_column([-1, -1]);
+        dst.copy_from(&src, &[1], 2..4);
+        assert_eq!(i64_values(&dst), vec![-1, 1, 2, 3]);
+    }
+
+    #[test]
+    fn copy_from_clones_strings() {
+        let src = Column::new(DataType::Str);
+        for name in ["a", "b", "c", "d"] {
+            src.append(&Value::from(name));
+        }
+        let dst = Column::new(DataType::Str);
+        dst.append(&Value::from("x"));
+        dst.copy_from(&src, &[0], 2..4);
+        dst.with_str(10, |s| assert_eq!(s, &["a", "", "c", "d"]));
+        src.with_str(10, |s| assert_eq!(s, &["a", "b", "c", "d"]));
+    }
+
+    #[test]
+    fn copy_from_range_longer_than_one_chunk() {
+        let rows = COPY_CHUNK_ROWS as i64 * 2 + 17;
+        let src = i64_column(0..rows);
+        let dst = i64_column(0..10);
+        dst.copy_from(&src, &[], 5..rows as u64);
+        assert_eq!(i64_values(&dst), i64_values(&src));
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched column types")]
+    fn copy_from_type_mismatch_panics() {
+        Column::new(DataType::I64).copy_from(&Column::new(DataType::F64), &[], 0..0);
     }
 
     #[test]

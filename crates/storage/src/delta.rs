@@ -8,10 +8,12 @@
 //! here so that concurrent snapshot-isolation readers can still find the value
 //! that was current when their snapshot began.
 
+use crate::hash::BuildIdHasher;
 use crate::schema::Value;
 use crate::RowId;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Commit timestamp type (monotonically increasing, assigned by the
 /// transaction manager).
@@ -31,10 +33,64 @@ pub struct Version {
     pub value: Value,
 }
 
+/// End of a chain: no older version of the row is saved.
+const NO_OLDER: u32 = u32::MAX;
+
+#[derive(Debug)]
+struct Node {
+    version: Version,
+    /// The row's next-older saved version (index into `Chains::versions`).
+    older: u32,
+}
+
+/// The chains of one shard, in one arena: a version is pushed at the end
+/// and linked in front of its row's chain, so a commit allocates nothing per
+/// row, and collecting every version — what the switch window does — clears
+/// two containers instead of freeing a vector per row.
+#[derive(Debug, Default)]
+struct Chains {
+    /// Newest saved version of each row that has one.
+    heads: HashMap<RowId, u32, BuildIdHasher>,
+    versions: Vec<Node>,
+    /// Largest `end_ts` among `versions`.
+    newest_end_ts: CommitTs,
+}
+
+impl Chains {
+    /// The saved versions of `row`, newest first.
+    fn chain(&self, row: RowId) -> impl Iterator<Item = &Version> {
+        let mut at = self.heads.get(&row).copied().unwrap_or(NO_OLDER);
+        std::iter::from_fn(move || {
+            let node = self.versions.get(at as usize)?;
+            at = node.older;
+            Some(&node.version)
+        })
+    }
+
+    fn push(&mut self, row: RowId, version: Version) {
+        self.newest_end_ts = self.newest_end_ts.max(version.end_ts);
+        let older = self
+            .heads
+            .insert(row, self.versions.len() as u32)
+            .unwrap_or(NO_OLDER);
+        self.versions.push(Node { version, older });
+    }
+}
+
+/// One lock shard: the chains of its rows, and how many rows have one. The
+/// count is read without the lock, so a relation nobody updates (or a shard
+/// just collected) answers a snapshot read without an exclusive access to
+/// the shard's cache line.
+#[derive(Debug, Default)]
+struct Shard {
+    versioned_rows: AtomicUsize,
+    chains: RwLock<Chains>,
+}
+
 /// Per-table version store. Chains are kept per row, newest first.
 #[derive(Debug, Default)]
 pub struct DeltaStorage {
-    shards: Vec<RwLock<HashMap<RowId, Vec<Version>>>>,
+    shards: Vec<Shard>,
 }
 
 const DEFAULT_SHARDS: usize = 16;
@@ -48,19 +104,17 @@ impl DeltaStorage {
     /// New delta storage with `shards` lock shards.
     pub fn with_shards(shards: usize) -> Self {
         DeltaStorage {
-            shards: (0..shards.max(1))
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
         }
     }
 
-    fn shard(&self, row: RowId) -> &RwLock<HashMap<RowId, Vec<Version>>> {
+    fn shard(&self, row: RowId) -> &Shard {
         &self.shards[(row as usize) % self.shards.len()]
     }
 
     /// Record that `column` of `row` held `value` from `begin_ts` until it was
-    /// overwritten at `end_ts`. Versions are prepended so chains stay
-    /// newest-to-oldest.
+    /// overwritten at `end_ts`. Versions are linked in front of the row's
+    /// chain, so chains stay newest-to-oldest.
     pub fn push_version(
         &self,
         row: RowId,
@@ -69,55 +123,98 @@ impl DeltaStorage {
         begin_ts: CommitTs,
         end_ts: CommitTs,
     ) {
-        let mut shard = self.shard(row).write();
-        let chain = shard.entry(row).or_default();
-        chain.insert(
-            0,
-            Version {
-                begin_ts,
-                end_ts,
-                column,
-                value,
-            },
-        );
+        self.push_versions(row, std::iter::once((column, value)), begin_ts, end_ts);
+    }
+
+    /// [`Self::push_version`] for every `(column, value)` cell one commit
+    /// overwrote in `row`, in the order it wrote them, under one visit of the
+    /// row's shard. A column the commit wrote twice keeps only the first
+    /// overwritten value: the second is the commit's own intermediate, which
+    /// no snapshot may see.
+    pub fn push_versions(
+        &self,
+        row: RowId,
+        cells: impl Iterator<Item = (usize, Value)>,
+        begin_ts: CommitTs,
+        end_ts: CommitTs,
+    ) {
+        let shard = self.shard(row);
+        let mut chains = shard.chains.write();
+        let first = chains.versions.len();
+        for (column, value) in cells {
+            let written_before = chains.versions[first..]
+                .iter()
+                .any(|node| node.version.column == column);
+            if !written_before {
+                chains.push(
+                    row,
+                    Version {
+                        begin_ts,
+                        end_ts,
+                        column,
+                        value,
+                    },
+                );
+            }
+        }
+        shard
+            .versioned_rows
+            .store(chains.heads.len(), Ordering::Release);
+    }
+
+    /// The columns of `row` overwritten by a commit after `ts` — the cells a
+    /// snapshot at `ts` must not read from, nor a transaction with that
+    /// snapshot write to (first committer wins). Empty for almost every row.
+    pub fn columns_overwritten_after(&self, row: RowId, ts: CommitTs) -> Vec<usize> {
+        let shard = self.shard(row);
+        if shard.versioned_rows.load(Ordering::Acquire) == 0 {
+            return Vec::new();
+        }
+        let chains = shard.chains.read();
+        let mut columns: Vec<usize> = chains
+            .chain(row)
+            .filter(|v| v.end_ts > ts)
+            .map(|v| v.column)
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        columns
     }
 
     /// The value of `column` of `row` visible to a snapshot taken at `ts`,
     /// or `None` if the latest committed value (in the twin instance) is the
     /// visible one, i.e. no saved version covers `ts`.
-    ///
-    /// Traversal is newest-to-oldest: the first version whose interval
-    /// contains `ts` wins.
     pub fn visible_version(&self, row: RowId, column: usize, ts: CommitTs) -> Option<Value> {
-        let shard = self.shard(row).read();
-        let chain = shard.get(&row)?;
+        let shard = self.shard(row);
+        if shard.versioned_rows.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let chains = shard.chains.read();
         // A snapshot at `ts` must see an old version if the current value was
         // written *after* ts, i.e. if some saved version has end_ts > ts.
         // Among the versions of this column whose validity interval contains
         // `ts`, the correct one is the *oldest overwrite after the snapshot*,
         // i.e. the version with the smallest `end_ts` greater than `ts`.
-        let mut candidate: Option<&Version> = None;
-        for v in chain.iter().filter(|v| v.column == column) {
-            if v.begin_ts <= ts && ts < v.end_ts {
-                match candidate {
-                    Some(best) if best.end_ts <= v.end_ts => {}
-                    _ => candidate = Some(v),
-                }
-            }
-        }
-        candidate.map(|v| v.value.clone())
+        chains
+            .chain(row)
+            .filter(|v| v.column == column && v.begin_ts <= ts && ts < v.end_ts)
+            .min_by_key(|v| v.end_ts)
+            .map(|v| v.value.clone())
     }
 
     /// Number of rows with at least one saved version.
     pub fn versioned_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.chains.read().heads.len())
+            .sum()
     }
 
     /// Total number of saved versions.
     pub fn version_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().values().map(Vec::len).sum::<usize>())
+            .map(|s| s.chains.read().versions.len())
             .sum()
     }
 
@@ -127,13 +224,32 @@ impl DeltaStorage {
     pub fn gc(&self, watermark: CommitTs) -> usize {
         let mut dropped = 0;
         for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.retain(|_, chain| {
-                let before = chain.len();
-                chain.retain(|v| v.end_ts > watermark);
-                dropped += before - chain.len();
-                !chain.is_empty()
-            });
+            if shard.versioned_rows.load(Ordering::Acquire) == 0 {
+                continue;
+            }
+            let mut chains = shard.chains.write();
+            let before = chains.versions.len();
+            if chains.newest_end_ts <= watermark {
+                // Nothing survives (always so in the switch window): keep the
+                // allocations, drop the contents.
+                chains.heads.clear();
+                chains.versions.clear();
+                chains.newest_end_ts = 0;
+            } else {
+                let mut kept = Chains::default();
+                for &row in chains.heads.keys() {
+                    let survivors: Vec<&Version> =
+                        chains.chain(row).filter(|v| v.end_ts > watermark).collect();
+                    for version in survivors.into_iter().rev() {
+                        kept.push(row, version.clone());
+                    }
+                }
+                *chains = kept;
+            }
+            dropped += before - chains.versions.len();
+            shard
+                .versioned_rows
+                .store(chains.heads.len(), Ordering::Release);
         }
         dropped
     }
@@ -180,6 +296,37 @@ mod tests {
         // the delta store just reports that no saved version covers ts=1 and
         // that the live value is NOT visible (end_ts 6 > 1).
         assert_eq!(delta.visible_version(1, 0, 1), None);
+    }
+
+    #[test]
+    fn one_commit_pushes_its_row_in_one_visit_and_hides_its_intermediates() {
+        let delta = DeltaStorage::new();
+        // One commit at ts 5 wrote column 3 twice (10 → 11 → 12) and column 4.
+        let cells = [(3, Value::I64(10)), (4, Value::I64(7)), (3, Value::I64(11))];
+        delta.push_versions(9, cells.into_iter(), 0, 5);
+        assert_eq!(delta.version_count(), 2);
+        assert_eq!(delta.visible_version(9, 3, 2), Some(Value::I64(10)));
+        assert_eq!(delta.visible_version(9, 4, 2), Some(Value::I64(7)));
+        assert_eq!(delta.columns_overwritten_after(9, 2), vec![3, 4]);
+        assert_eq!(delta.columns_overwritten_after(9, 5), Vec::<usize>::new());
+        assert_eq!(delta.columns_overwritten_after(8, 2), Vec::<usize>::new());
+        // A later commit's version of the same column is kept beside it.
+        delta.push_versions(9, [(3, Value::I64(12))].into_iter(), 0, 8);
+        assert_eq!(delta.visible_version(9, 3, 2), Some(Value::I64(10)));
+        assert_eq!(delta.visible_version(9, 3, 6), Some(Value::I64(12)));
+        assert_eq!(delta.columns_overwritten_after(9, 6), vec![3]);
+    }
+
+    #[test]
+    fn an_empty_shard_answers_without_its_lock_and_refills_after_gc() {
+        let delta = DeltaStorage::with_shards(2);
+        assert_eq!(delta.visible_version(0, 0, 1), None);
+        delta.push_version(0, 0, Value::I64(1), 0, 4);
+        assert_eq!(delta.visible_version(0, 0, 1), Some(Value::I64(1)));
+        assert_eq!(delta.gc(4), 1);
+        assert_eq!(delta.visible_version(0, 0, 1), None);
+        delta.push_version(2, 0, Value::I64(2), 0, 6);
+        assert_eq!(delta.visible_version(2, 0, 5), Some(Value::I64(2)));
     }
 
     #[test]

@@ -117,9 +117,18 @@ impl<V: Copy> CuckooIndex<V> {
         Self::insert_inner(&mut inner, key, value)
     }
 
+    /// Insert or overwrite every `(key, value)` pair under one acquisition of
+    /// the write lock (a committing transaction publishes the records of one
+    /// insert batch together).
+    pub fn insert_many(&self, entries: impl Iterator<Item = (u64, V)>) {
+        let mut inner = self.inner.write();
+        for (key, value) in entries {
+            Self::insert_inner(&mut inner, key, value);
+        }
+    }
+
     /// Update an existing key in place via `f`; returns `false` if the key is
-    /// absent. Used to bump the instance/epoch of a record location without a
-    /// separate get+insert.
+    /// absent.
     pub fn update<F: FnOnce(&mut V)>(&self, key: u64, f: F) -> bool {
         let mut inner = self.inner.write();
         let n = inner.buckets.len();
@@ -261,6 +270,16 @@ mod tests {
         assert_eq!(idx.remove(10), None);
         assert_eq!(idx.len(), 1);
         assert!(idx.contains(20));
+    }
+
+    #[test]
+    fn insert_many_inserts_and_overwrites() {
+        let idx: CuckooIndex<u64> = CuckooIndex::with_capacity(8);
+        idx.insert(3, 30);
+        idx.insert_many((0..100u64).map(|k| (k, k + 1)));
+        assert_eq!(idx.len(), 100);
+        assert_eq!(idx.get(3), Some(4));
+        assert_eq!(idx.get(99), Some(100));
     }
 
     #[test]

@@ -8,27 +8,23 @@ pub mod cuckoo;
 
 use crate::{Epoch, RowId};
 
-/// Location of the most recent version of a record: which twin instance last
-/// received a write for it and which row it occupies (rows are aligned across
-/// instances, so `row` is valid in both).
+/// Location of a record: the row it occupies (rows are aligned across the
+/// twin instances, so `row` is valid in both, and the latest committed value
+/// is always in the active one — the index entry never changes after the
+/// insert) and when it became visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordLocation {
     /// Row identifier, valid in both twin instances.
     pub row: RowId,
-    /// Twin instance (0 or 1) that last received a write for this record.
-    pub instance: u8,
-    /// Epoch in which the location was last refreshed.
+    /// Commit timestamp of the inserting transaction (0 for bulk-loaded
+    /// records): snapshots older than it do not see the record.
     pub epoch: Epoch,
 }
 
 impl RecordLocation {
-    /// Location of a record in the given instance and row at epoch 0.
-    pub fn new(row: RowId, instance: u8) -> Self {
-        RecordLocation {
-            row,
-            instance,
-            epoch: 0,
-        }
+    /// Location of a bulk-loaded record (visible to every snapshot).
+    pub fn new(row: RowId) -> Self {
+        RecordLocation { row, epoch: 0 }
     }
 }
 
@@ -38,9 +34,8 @@ mod tests {
 
     #[test]
     fn record_location_construction() {
-        let loc = RecordLocation::new(42, 1);
+        let loc = RecordLocation::new(42);
         assert_eq!(loc.row, 42);
-        assert_eq!(loc.instance, 1);
         assert_eq!(loc.epoch, 0);
     }
 }

@@ -8,7 +8,8 @@
 //! * **twin instances** per table — two full columnar copies of the data, of
 //!   which exactly one is *active* for transaction processing at any time,
 //!   with per-record atomic **update-indication bits**, per-column update
-//!   flags and instance statistics ([`twin`], [`update_bits`], [`stats`]);
+//!   flags and a per-relation presence flag, all consumed by the one-step
+//!   switch + synchronisation ([`twin`], [`update_bits`], [`stats`]);
 //! * a **delta / version store** holding newest-to-oldest version chains for
 //!   multi-version concurrency control ([`delta`]);
 //! * a **cuckoo-hash primary-key index** pointing at the latest version of
@@ -23,6 +24,7 @@
 pub mod column;
 pub mod delta;
 pub mod error;
+pub mod hash;
 pub mod index;
 pub mod schema;
 pub mod snapshot;
@@ -40,7 +42,7 @@ pub use schema::{ColumnDef, DataType, TableSchema, Value};
 pub use snapshot::{SnapshotHandle, TableSnapshot};
 pub use stats::{ColumnStats, InstanceStats};
 pub use table::ColumnarTable;
-pub use twin::{InstanceId, SwitchOutcome, SyncOutcome, TwinStore, TwinTable};
+pub use twin::{InstanceId, SyncOutcome, TwinStore, TwinTable};
 pub use update_bits::AtomicBitmap;
 
 /// Row identifier within a table. Rows are numbered identically in both twin

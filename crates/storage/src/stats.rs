@@ -2,9 +2,13 @@
 //!
 //! The paper's SM "maintains instance statistics per column, which are the
 //! number of records at the time of switch, a flag indicating if the column
-//! contains updated tuples and the epoch number" (§3.2). These statistics are
-//! what the RDE engine reads to compute fresh-data amounts for the scheduler
-//! without touching the data itself.
+//! contains updated tuples and the epoch number" (§3.2). What consumes them
+//! here: the twin synchronisation copies only the columns whose `updated`
+//! flag is set on the snapshot instance (and clears it there), and skips a
+//! relation whose [`UpdatePresence`] flag is clear without looking at its
+//! update bits. The switch-time row count and epoch are recorded per column
+//! as the paper describes; the scheduler's fresh-data amounts come from
+//! [`InstanceStats`] and the update bits, not from them.
 
 use crate::Epoch;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,9 +46,13 @@ impl ColumnStats {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Mark the column as containing updated tuples.
+    /// Mark the column as containing updated tuples. Every update of every
+    /// worker lands here, so the flag is read first and written only on its
+    /// first transition: the line stays shared between cores afterwards.
     pub fn mark_updated(&self) {
-        self.updated.store(true, Ordering::Release);
+        if !self.is_updated() {
+            self.updated.store(true, Ordering::Release);
+        }
     }
 
     /// Whether the column contains updated tuples since the flag was cleared.
@@ -52,7 +60,8 @@ impl ColumnStats {
         self.updated.load(Ordering::Acquire)
     }
 
-    /// Clear the updated flag (after synchronisation / ETL).
+    /// Clear the updated flag (the twin synchronisation does, on the snapshot
+    /// instance, once it has copied the column).
     pub fn clear_updated(&self) {
         self.updated.store(false, Ordering::Release);
     }
@@ -81,8 +90,11 @@ impl InstanceStats {
     }
 }
 
-/// Hierarchical update-presence flag (schema → relation → column) used by the
-/// RDE engine to skip untouched tables cheaply during synchronisation (§3.4).
+/// Relation-level update-presence flag: set by every update of the relation,
+/// read and cleared by the twin synchronisation, which skips a relation whose
+/// flag is clear (§3.4). The column level of the paper's hierarchy is
+/// [`ColumnStats::is_updated`]; the database level would only save the loop
+/// over a dozen relations and is not kept.
 #[derive(Debug, Default)]
 pub struct UpdatePresence {
     any: AtomicBool,
@@ -94,9 +106,12 @@ impl UpdatePresence {
         Self::default()
     }
 
-    /// Mark that some update happened below this level.
+    /// Mark that some update happened below this level (read first, written
+    /// on the first transition only — see [`ColumnStats::mark_updated`]).
     pub fn mark(&self) {
-        self.any.store(true, Ordering::Release);
+        if !self.is_set() {
+            self.any.store(true, Ordering::Release);
+        }
     }
 
     /// Whether any update happened below this level.

@@ -8,6 +8,7 @@ use crate::column::Column;
 use crate::schema::{TableSchema, Value};
 use crate::stats::ColumnStats;
 use crate::RowId;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One columnar instance of a relation.
@@ -91,29 +92,33 @@ impl ColumnarTable {
     /// Append a row; returns its [`RowId`]. The row must match the schema.
     pub fn append_row(&self, row: &[Value]) -> Result<RowId, crate::StorageError> {
         self.schema.check_row(row)?;
-        for (col, val) in self.columns.iter().zip(row) {
-            col.append(val);
-        }
-        // Publish the row only after every column holds it.
-        let id = self.row_count.fetch_add(1, Ordering::AcqRel);
-        Ok(id)
+        Ok(self.append_rows_unchecked(std::iter::once(row)).start)
     }
 
-    /// Append a row that is known to match the schema (skips validation);
-    /// used on the bulk-load path.
-    pub fn append_row_unchecked(&self, row: &[Value]) -> RowId {
-        for (col, val) in self.columns.iter().zip(row) {
-            col.append(val);
+    /// Append a batch of rows known to match the schema (validation is the
+    /// caller's, once per row), one column at a time: each column's lock is
+    /// taken once per batch. Returns the row ids the batch occupies.
+    pub fn append_rows_unchecked<'a>(
+        &self,
+        rows: impl Iterator<Item = &'a [Value]> + Clone,
+    ) -> Range<RowId> {
+        for (idx, col) in self.columns.iter().enumerate() {
+            col.append_each(rows.clone().map(|row| &row[idx]));
         }
-        self.row_count.fetch_add(1, Ordering::AcqRel)
+        // Publish the rows only after every column holds them.
+        let appended = rows.count() as u64;
+        let first = self.row_count.fetch_add(appended, Ordering::AcqRel);
+        first..first + appended
     }
 
-    /// Overwrite one attribute of an existing row.
-    pub fn update_value(
+    /// Exchange one attribute of an existing row with `value`: the instance
+    /// takes the new value, `value` receives the overwritten one (which the
+    /// MVCC delta store keeps), and the column is flagged as updated.
+    pub fn swap_value(
         &self,
         row: RowId,
         column: usize,
-        value: &Value,
+        value: &mut Value,
     ) -> Result<(), crate::StorageError> {
         if row >= self.row_count() {
             return Err(crate::StorageError::RowOutOfRange {
@@ -130,9 +135,19 @@ impl ColumnarTable {
                 got: value.data_type(),
             });
         }
-        self.columns[column].update(row as usize, value);
+        self.columns[column].swap(row as usize, value);
         self.column_stats[column].mark_updated();
         Ok(())
+    }
+
+    /// Overwrite one attribute of an existing row.
+    pub fn update_value(
+        &self,
+        row: RowId,
+        column: usize,
+        value: &Value,
+    ) -> Result<(), crate::StorageError> {
+        self.swap_value(row, column, &mut value.clone())
     }
 
     /// Read one attribute of a row.
@@ -157,27 +172,26 @@ impl ColumnarTable {
         )
     }
 
-    /// Copy row `row` of `src` into this instance (all columns), growing this
-    /// instance if necessary. Both instances must share the same schema.
-    /// Used by twin synchronisation and ETL.
-    pub fn copy_row_from(&self, src: &ColumnarTable, row: RowId) {
+    /// Copy `rows` and then the contiguous `range` of `src` into this
+    /// instance, column at a time over `columns`, growing this instance if
+    /// necessary (see [`Column::copy_from`]). Both instances must share the
+    /// same schema. Used by twin synchronisation and ETL.
+    pub fn copy_from(
+        &self,
+        src: &ColumnarTable,
+        columns: impl Iterator<Item = usize>,
+        rows: &[RowId],
+        range: Range<RowId>,
+    ) {
         debug_assert_eq!(self.schema.arity(), src.schema.arity());
-        for (dst_col, src_col) in self.columns.iter().zip(src.columns.iter()) {
-            dst_col.copy_row_from(src_col, row as usize);
+        for idx in columns {
+            self.columns[idx].copy_from(&src.columns[idx], rows, range.clone());
         }
         // Publishing: the row count only grows, never shrinks.
-        let mut current = self.row_count.load(Ordering::Acquire);
-        while row + 1 > current {
-            match self.row_count.compare_exchange(
-                current,
-                row + 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(actual) => current = actual,
-            }
-        }
+        let copied_up_to = rows.iter().max().map_or(0, |&row| row + 1);
+        let range_end = if range.is_empty() { 0 } else { range.end };
+        self.row_count
+            .fetch_max(copied_up_to.max(range_end), Ordering::AcqRel);
     }
 }
 
@@ -253,20 +267,52 @@ mod tests {
     }
 
     #[test]
-    fn copy_row_from_replicates_and_publishes() {
+    fn append_rows_unchecked_appends_a_batch_and_publishes_it_once() {
+        let t = ColumnarTable::new(item_schema());
+        t.append_row(&row(0, 0.0, "first")).unwrap();
+        let batch = [row(1, 1.0, "a"), row(2, 2.0, "b")];
+        let ids = t.append_rows_unchecked(batch.iter().map(Vec::as_slice));
+        assert_eq!(ids, 1..3);
+        assert_eq!(t.row_count(), 3);
+        assert_eq!(t.get_row(2).unwrap(), row(2, 2.0, "b"));
+        assert_eq!(t.append_rows_unchecked(std::iter::empty()), 3..3);
+    }
+
+    #[test]
+    fn swap_value_hands_back_the_overwritten_value() {
+        let t = ColumnarTable::new(item_schema());
+        t.append_row(&row(1, 9.5, "bolt")).unwrap();
+        let mut value = Value::from("nut");
+        t.swap_value(0, 2, &mut value).unwrap();
+        assert_eq!(value, Value::from("bolt"));
+        assert_eq!(t.get_value(0, 2), Some(Value::from("nut")));
+        assert!(t.column_stats(2).is_updated());
+        assert!(t.swap_value(0, 2, &mut Value::I64(1)).is_err());
+        assert!(t.swap_value(9, 2, &mut Value::from("x")).is_err());
+    }
+
+    #[test]
+    fn copy_from_replicates_selected_columns_and_publishes() {
         let schema = item_schema();
         let src = ColumnarTable::new(schema.clone());
         let dst = ColumnarTable::new(schema);
         for i in 0..5 {
             src.append_row(&row(i, i as f64, "n")).unwrap();
         }
-        dst.copy_row_from(&src, 4);
+        dst.copy_from(&src, 0..3, &[4], 0..0);
         assert_eq!(dst.row_count(), 5);
-        assert_eq!(dst.get_value(4, 0), Some(Value::I64(4)));
+        assert_eq!(dst.get_row(4).unwrap(), row(4, 4.0, "n"));
         // Earlier rows exist as zero-filled placeholders until copied.
-        dst.copy_row_from(&src, 2);
+        assert_eq!(dst.get_row(2).unwrap(), row(0, 0.0, ""));
+        dst.copy_from(&src, 0..3, &[2], 0..0);
         assert_eq!(dst.get_value(2, 1), Some(Value::F64(2.0)));
         assert_eq!(dst.row_count(), 5, "row count must not shrink");
+        // Only the selected columns are touched; an inserted range extends.
+        let other = ColumnarTable::new(item_schema());
+        other.copy_from(&src, [1usize].into_iter(), &[], 0..2);
+        assert_eq!(other.row_count(), 2);
+        assert_eq!(other.column(1).len(), 2);
+        assert_eq!(other.column(0).len(), 0);
     }
 
     #[test]

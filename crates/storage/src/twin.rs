@@ -2,16 +2,24 @@
 //! which exactly one is *active* for transaction processing at any point in
 //! time (§3.2, following Twin Blocks / Twin Tuples).
 //!
-//! * **Updates** are applied to the active instance only, and set the
-//!   record's update-indication bits (one set per twin synchronisation, one
-//!   for propagation to the OLAP instance).
+//! * **Updates** are applied to the active instance only. Each sets, once per
+//!   written row, the record's update-indication bit on that instance and
+//!   the relation's update-presence flag, and flags the written column on
+//!   the active instance.
 //! * **Inserts** are appended to *both* instances, but become visible to the
 //!   analytical side only after the next switch (the visible-row watermark is
 //!   captured at switch time).
-//! * **Switching** makes the freshest instance available to the OLAP engine as
-//!   an immutable snapshot while the OLTP engine continues on the other one;
-//!   the RDE engine then synchronises the now-active instance from the
-//!   now-inactive one using the update bits.
+//! * **Switch and synchronisation** are one step, [`TwinTable::switch_and_sync`]:
+//!   the freshest instance becomes the OLAP engine's immutable snapshot, the
+//!   OLTP engine continues on the other one, and that one is first brought up
+//!   to date from the snapshot. The synchronisation consumes the flags in the
+//!   order of the hierarchy: a relation whose presence flag is clear is
+//!   skipped; otherwise the update bits of the snapshot instance are swapped
+//!   out word by word and, for the rows they name, only the columns flagged
+//!   as updated on the snapshot instance are copied, column at a time. The
+//!   same rows are then owed to the OLAP instance: the synchronisation adds
+//!   them to the set an ETL consumes, so an ETL only ever takes rows whose
+//!   new values are in the snapshot it copies from.
 
 use crate::schema::TableSchema;
 use crate::schema::Value;
@@ -22,38 +30,28 @@ use crate::update_bits::AtomicBitmap;
 use crate::{Epoch, RowId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Identifier of one of the two twin instances (0 or 1).
 pub type InstanceId = usize;
 
-/// Result of an active-instance switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwitchOutcome {
-    /// The instance that was active before the switch (now the OLAP snapshot).
-    pub previous_active: InstanceId,
-    /// The instance that is active after the switch (OLTP continues here).
-    pub new_active: InstanceId,
-    /// Epoch after the switch.
-    pub epoch: Epoch,
-    /// Rows visible in the snapshot (row count of the previously-active
-    /// instance at switch time).
-    pub snapshot_rows: u64,
-    /// Number of records that must be synchronised into the new active
-    /// instance (update bits pending in the previously-active instance).
-    pub pending_sync_records: u64,
-}
-
-/// Result of a twin-instance synchronisation.
+/// Result of a switch + twin-instance synchronisation (of one relation, or
+/// summed over a store).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SyncOutcome {
     /// Records copied from the snapshot instance into the active instance.
     pub copied_records: u64,
-    /// Records skipped because the active instance already overwrote them.
-    pub skipped_records: u64,
-    /// Bytes copied (columnar accounting).
+    /// Bytes copied, in the columnar accounting the cost model uses: every
+    /// synchronised record counts at the relation's full row width,
+    /// whichever of its columns had to move.
     pub copied_bytes: u64,
+}
+
+/// Bit indices of an update bitmap as the row ids they stand for.
+fn row_ids(bits: Vec<usize>) -> Vec<RowId> {
+    bits.into_iter().map(|bit| bit as RowId).collect()
 }
 
 /// One relation stored as two twin columnar instances.
@@ -64,17 +62,23 @@ pub struct TwinTable {
     active: AtomicUsize,
     epoch: AtomicU64,
     /// Update bits per instance: rows updated in instance `i` that have not
-    /// yet been synchronised into the other instance.
+    /// yet been synchronised into the other instance. Only the active
+    /// instance's bitmap is ever non-empty: a switch is always followed, in
+    /// the same step, by the synchronisation that drains it.
     dirty_twin: [AtomicBitmap; 2],
-    /// Rows updated since they were last propagated to the OLAP instance.
-    dirty_olap: AtomicBitmap,
+    /// Rows updated before the last switch and not yet propagated to the
+    /// OLAP instance: what the synchronisations drained from `dirty_twin`
+    /// since the last ETL. An update after the switch is not in here (its
+    /// value is not in the snapshot either), so an ETL cannot consume it.
+    olap_pending: AtomicBitmap,
     /// Rows already propagated to the OLAP instance (inserts beyond this
     /// watermark are fresh with respect to OLAP).
     olap_synced_rows: AtomicU64,
     /// Visible-row watermark of each instance, captured when it last became
     /// the snapshot (inactive) instance.
     visible_rows: [AtomicU64; 2],
-    /// Hierarchical update-presence flag for this relation.
+    /// Set by every update, cleared by the synchronisation: a relation whose
+    /// flag is clear has nothing to synchronise.
     update_presence: UpdatePresence,
     /// Serialises concurrent inserts: the per-column appends within an
     /// instance, and the appends to the two instances, must not interleave
@@ -95,7 +99,7 @@ impl TwinTable {
             active: AtomicUsize::new(0),
             epoch: AtomicU64::new(0),
             dirty_twin: [AtomicBitmap::new(), AtomicBitmap::new()],
-            dirty_olap: AtomicBitmap::new(),
+            olap_pending: AtomicBitmap::new(),
             olap_synced_rows: AtomicU64::new(0),
             visible_rows: [AtomicU64::new(0), AtomicU64::new(0)],
             update_presence: UpdatePresence::new(),
@@ -148,11 +152,24 @@ impl TwinTable {
     /// the twins never fall out of step).
     pub fn insert(&self, row: &[Value]) -> Result<RowId, crate::StorageError> {
         self.schema.check_row(row)?;
+        Ok(self.insert_rows_unchecked(std::iter::once(row)).start)
+    }
+
+    /// Insert a batch of rows into both instances; returns the row ids they
+    /// occupy (identical in both). The append lock and each column's lock are
+    /// taken once per batch and instance. Every row must already have passed
+    /// [`TableSchema::check_row`] — a transaction checks when an insert is
+    /// declared, so that its commit cannot fail half-applied; a mismatched
+    /// value panics as in [`crate::Column::append`].
+    pub fn insert_rows_unchecked<'a>(
+        &self,
+        rows: impl Iterator<Item = &'a [Value]> + Clone,
+    ) -> Range<RowId> {
         let _guard = self.append_lock.lock();
-        let id0 = self.instances[0].append_row_unchecked(row);
-        let id1 = self.instances[1].append_row_unchecked(row);
-        debug_assert_eq!(id0, id1, "twin instances out of step");
-        Ok(id0)
+        let ids = self.instances[0].append_rows_unchecked(rows.clone());
+        let twin_ids = self.instances[1].append_rows_unchecked(rows);
+        debug_assert_eq!(ids, twin_ids, "twin instances out of step");
+        ids
     }
 
     /// Update one attribute of a row in the active instance, setting the
@@ -164,16 +181,31 @@ impl TwinTable {
         column: usize,
         value: &Value,
     ) -> Result<Value, crate::StorageError> {
+        let mut cell = value.clone();
+        self.update_row(row, std::iter::once((column, &mut cell)))?;
+        Ok(cell)
+    }
+
+    /// Update several attributes of one row in the active instance. Each
+    /// `(column, value)` cell is exchanged in place — afterwards `value`
+    /// holds what it overwrote — under one acquisition of its column's lock;
+    /// the row's update-indication bit and the relation's presence flag are
+    /// set once for the row, not per cell.
+    pub fn update_row<'a>(
+        &self,
+        row: RowId,
+        mut cells: impl Iterator<Item = (usize, &'a mut Value)>,
+    ) -> Result<(), crate::StorageError> {
         let active = self.active_instance();
         let table = &self.instances[active];
-        let old = table
-            .get_value(row, column)
-            .ok_or(crate::StorageError::RowMissing { row })?;
-        table.update_value(row, column, value)?;
+        if row >= table.row_count() {
+            return Err(crate::StorageError::RowMissing { row });
+        }
+        let written = cells.try_for_each(|(column, value)| table.swap_value(row, column, value));
+        // Also when a later cell was rejected: the earlier ones are written.
         self.dirty_twin[active].set(row as usize);
-        self.dirty_olap.set(row as usize);
         self.update_presence.mark();
-        Ok(old)
+        written
     }
 
     /// Read one attribute of a row from the active instance.
@@ -186,55 +218,78 @@ impl TwinTable {
         self.instances[instance].get_value(row, column)
     }
 
-    /// Switch the active instance. The caller (OLTP worker manager) must have
-    /// quiesced the workers that were using the previously-active instance.
-    pub fn switch_active(&self) -> SwitchOutcome {
+    /// Switch the active instance and synchronise the new active instance
+    /// from the snapshot (the previously active one), as one step. The caller
+    /// (the OLTP engine, holding its switch gate) must have quiesced the
+    /// workers: no update may run between the two halves.
+    ///
+    /// The halves are private because the update bits are per *row* while
+    /// writes are per *cell*. Were they separate calls, `update(row, a)` →
+    /// switch → `update(row, a')` → sync would copy the stale `a` over the
+    /// newer `a'`; the parent of this change avoided that by skipping rows
+    /// whose bit was also set on the new active instance, which instead lost
+    /// `a` whenever the second write went to another column `b` (the
+    /// snapshot's bit was drained without a copy, and the next cycle
+    /// overwrote the fresh `a` with the stale one on both instances). With
+    /// one entry point neither sequence can be written against the public
+    /// API, and the skip — with `skipped_records` — is gone.
+    pub fn switch_and_sync(&self) -> SyncOutcome {
+        if self.switch_active() {
+            self.sync_active_from_snapshot()
+        } else {
+            SyncOutcome::default()
+        }
+    }
+
+    /// First half of [`Self::switch_and_sync`]: the previously active
+    /// instance becomes the snapshot, bounded at its current row count.
+    /// Returns whether the relation was updated since the last switch — its
+    /// presence flag, which is cleared: a relation that was not has nothing
+    /// to synchronise.
+    fn switch_active(&self) -> bool {
         let previous_active = self.active_instance();
-        let new_active = 1 - previous_active;
         let snapshot_rows = self.instances[previous_active].row_count();
         // The previously-active instance becomes the snapshot: record its
         // visible-row watermark before publishing the switch.
         self.visible_rows[previous_active].store(snapshot_rows, Ordering::Release);
-        self.active.store(new_active, Ordering::Release);
+        self.active.store(1 - previous_active, Ordering::Release);
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         // Record per-column switch statistics on the snapshot instance.
-        for (idx, _) in self.schema.columns.iter().enumerate() {
+        for idx in 0..self.schema.arity() {
             self.instances[previous_active]
                 .column_stats(idx)
                 .record_switch(snapshot_rows, epoch);
         }
-        SwitchOutcome {
-            previous_active,
-            new_active,
-            epoch,
-            snapshot_rows,
-            pending_sync_records: self.dirty_twin[previous_active].count(),
+        let updated = self.update_presence.is_set();
+        if updated {
+            self.update_presence.clear();
         }
+        updated
     }
 
-    /// Synchronise the active instance from the snapshot (inactive) instance:
-    /// copy every record whose update bit is set in the snapshot instance,
-    /// unless the active instance has already overwritten it since the
-    /// switch. Clears the consumed bits. Performed by the RDE engine right
-    /// after a switch (§3.4).
-    pub fn sync_active_from_snapshot(&self) -> SyncOutcome {
+    /// Second half of [`Self::switch_and_sync`]: copy every record whose
+    /// update bit is set in the snapshot instance into the active instance —
+    /// only the columns flagged as updated there — and clear the consumed
+    /// bits and flags. Performed right after the switch (§3.4).
+    fn sync_active_from_snapshot(&self) -> SyncOutcome {
         let active = self.active_instance();
-        let snapshot = 1 - active;
-        let pending = self.dirty_twin[snapshot].drain();
-        let mut outcome = SyncOutcome::default();
-        let row_width = self.schema.row_width_bytes();
-        for row in pending {
-            if self.dirty_twin[active].get(row) {
-                // Already overwritten by a newer transaction on the active
-                // instance; the newest value must win.
-                outcome.skipped_records += 1;
-                continue;
+        let snapshot = &self.instances[1 - active];
+        let pending = self.dirty_twin[1 - active].drain();
+        self.olap_pending.set_many(&pending);
+        let pending = row_ids(pending);
+        let flagged = (0..self.schema.arity()).filter(|&idx| {
+            let stats = snapshot.column_stats(idx);
+            let updated = stats.is_updated();
+            if updated {
+                stats.clear_updated();
             }
-            self.instances[active].copy_row_from(&self.instances[snapshot], row as u64);
-            outcome.copied_records += 1;
-            outcome.copied_bytes += row_width;
+            updated
+        });
+        self.instances[active].copy_from(snapshot, flagged, &pending, 0..0);
+        SyncOutcome {
+            copied_records: pending.len() as u64,
+            copied_bytes: pending.len() as u64 * self.schema.row_width_bytes(),
         }
-        outcome
     }
 
     /// A read-only snapshot over the inactive instance, bounded at the
@@ -249,55 +304,75 @@ impl TwinTable {
         )
     }
 
-    /// Rows that are fresh with respect to the OLAP instance: updated rows not
-    /// yet propagated plus rows inserted beyond the propagation watermark,
-    /// measured against the current snapshot watermark.
-    pub fn fresh_rows_vs_olap(&self) -> u64 {
-        let snapshot_rows = self.visible_rows[self.inactive_instance()].load(Ordering::Acquire);
-        let synced = self.olap_synced_rows.load(Ordering::Acquire);
-        let inserted = snapshot_rows.saturating_sub(synced);
-        // Updated rows below the synced watermark (those above are counted as inserts).
-        let updated = self
-            .dirty_olap
-            .iter_set()
-            .into_iter()
-            .filter(|&r| (r as u64) < synced)
-            .count() as u64;
-        inserted + updated
+    /// `(propagation watermark, snapshot watermark)`: rows below the first
+    /// are in the OLAP instance, rows between the two are inserts it lacks.
+    fn olap_watermarks(&self) -> (u64, u64) {
+        (
+            self.olap_synced_rows.load(Ordering::Acquire),
+            self.visible_rows[self.inactive_instance()].load(Ordering::Acquire),
+        )
     }
 
-    /// The rows that an ETL to the OLAP instance must copy right now:
-    /// `(updated_rows_below_watermark, insert_range)`.
-    pub fn olap_delta(&self) -> (Vec<RowId>, std::ops::Range<u64>) {
-        let snapshot_rows = self.visible_rows[self.inactive_instance()].load(Ordering::Acquire);
-        let synced = self.olap_synced_rows.load(Ordering::Acquire);
-        let updated: Vec<RowId> = self
-            .dirty_olap
-            .iter_set()
-            .into_iter()
-            .map(|r| r as u64)
-            .filter(|&r| r < synced)
-            .collect();
-        (updated, synced..snapshot_rows)
+    /// Rows that are fresh with respect to the OLAP instance: updated rows not
+    /// yet propagated (whether the update is in the snapshot or newer) plus
+    /// rows inserted beyond the propagation watermark, measured against the
+    /// current snapshot watermark.
+    pub fn fresh_rows_vs_olap(&self) -> u64 {
+        let (synced, snapshot_rows) = self.olap_watermarks();
+        let since_switch = &self.dirty_twin[self.active_instance()];
+        // Updated rows below the synced watermark (those above are counted as inserts).
+        let updated = if self.olap_pending.count() + since_switch.count() == 0 {
+            0
+        } else {
+            self.olap_pending
+                .count_union_below(since_switch, synced as usize)
+        };
+        snapshot_rows.saturating_sub(synced) + updated
+    }
+
+    /// The rows that differ from the OLAP instance right now:
+    /// `(updated_rows_below_watermark, insert_range)` — the updated rows
+    /// include those written since the last switch, which the next switch
+    /// makes part of an ETL's delta. Consumes nothing; the ETL itself uses
+    /// [`Self::take_olap_delta`].
+    pub fn olap_delta(&self) -> (Vec<RowId>, Range<u64>) {
+        let (synced, snapshot_rows) = self.olap_watermarks();
+        let updated = self
+            .olap_pending
+            .iter_union_below(&self.dirty_twin[self.active_instance()], synced as usize);
+        (row_ids(updated), synced..snapshot_rows)
+    }
+
+    /// The delta an ETL must copy from the current snapshot —
+    /// `(updated_rows_below_watermark, insert_range)` — recorded as
+    /// propagated in the same pass over the update bits. Rows updated since
+    /// the last switch stay pending: their new values are not in the
+    /// snapshot.
+    pub fn take_olap_delta(&self) -> (Vec<RowId>, Range<u64>) {
+        let (mut updated, inserted) = self.consume_olap_bits();
+        // Bits at or above the old watermark belong to the insert range.
+        updated.truncate(updated.partition_point(|&row| row < inserted.start));
+        (updated, inserted)
     }
 
     /// Record that the OLAP instance has been brought up to date with the
     /// current snapshot: clears the consumed update bits and advances the
     /// propagation watermark. Returns the number of update bits cleared.
     pub fn mark_olap_synced(&self) -> u64 {
-        let snapshot_rows = self.visible_rows[self.inactive_instance()].load(Ordering::Acquire);
-        let synced = self.olap_synced_rows.load(Ordering::Acquire);
-        let mut cleared = 0;
-        for row in self.dirty_olap.iter_set() {
-            if (row as u64) < snapshot_rows && self.dirty_olap.clear(row) {
-                cleared += 1;
-            }
-        }
+        self.consume_olap_bits().0.len() as u64
+    }
+
+    /// Swap out the pending-for-OLAP bits below the snapshot watermark
+    /// (returned ascending) and advance the propagation watermark to it
+    /// (returned as the range it moved over).
+    fn consume_olap_bits(&self) -> (Vec<RowId>, Range<u64>) {
+        let (synced, snapshot_rows) = self.olap_watermarks();
+        let cleared = self.olap_pending.drain_below(snapshot_rows as usize);
         if snapshot_rows > synced {
             self.olap_synced_rows
                 .store(snapshot_rows, Ordering::Release);
         }
-        cleared
+        (row_ids(cleared), synced..snapshot_rows)
     }
 
     /// Rows already propagated to the OLAP instance.
@@ -330,8 +405,6 @@ impl TwinTable {
 #[derive(Debug, Default)]
 pub struct TwinStore {
     tables: RwLock<BTreeMap<String, Arc<TwinTable>>>,
-    /// Database-level update-presence flag (top of the hierarchy).
-    update_presence: UpdatePresence,
 }
 
 impl TwinStore {
@@ -366,24 +439,16 @@ impl TwinStore {
         self.tables.read().values().cloned().collect()
     }
 
-    /// The database-level update-presence flag.
-    pub fn update_presence(&self) -> &UpdatePresence {
-        &self.update_presence
-    }
-
-    /// Mark that some relation received an update (called by the OLTP engine
-    /// on the write path to maintain the hierarchy root).
-    pub fn mark_updated(&self) {
-        self.update_presence.mark();
-    }
-
-    /// Switch the active instance of every relation. Returns per-table outcomes.
-    pub fn switch_all(&self) -> BTreeMap<String, SwitchOutcome> {
-        self.tables
-            .read()
-            .iter()
-            .map(|(name, t)| (name.clone(), t.switch_active()))
-            .collect()
+    /// [`TwinTable::switch_and_sync`] on every relation, in name order;
+    /// returns the totals. The caller holds the OLTP engine's switch gate.
+    pub fn switch_and_sync(&self) -> SyncOutcome {
+        let mut total = SyncOutcome::default();
+        for table in self.tables.read().values() {
+            let synced = table.switch_and_sync();
+            total.copied_records += synced.copied_records;
+            total.copied_bytes += synced.copied_bytes;
+        }
+        total
     }
 
     /// Total size of one instance of the database, in bytes.
@@ -466,12 +531,13 @@ mod tests {
         t.insert(&row(2, 200.0)).unwrap();
         t.update(0, 1, &Value::F64(111.0)).unwrap();
 
-        let outcome = t.switch_active();
-        assert_eq!(outcome.previous_active, 0);
-        assert_eq!(outcome.new_active, 1);
-        assert_eq!(outcome.snapshot_rows, 2);
-        assert_eq!(outcome.pending_sync_records, 1);
+        assert!(t.switch_active(), "the relation was updated");
+        assert_eq!((t.inactive_instance(), t.active_instance()), (0, 1));
         assert_eq!(t.epoch(), 1);
+        assert!(
+            !t.update_presence().is_set(),
+            "the switch consumed the flag"
+        );
 
         // The snapshot (instance 0) holds the updated value.
         let snap = t.snapshot();
@@ -482,32 +548,165 @@ mod tests {
         assert_eq!(t.get(0, 1), Some(Value::F64(100.0)));
         let sync = t.sync_active_from_snapshot();
         assert_eq!(sync.copied_records, 1);
-        assert_eq!(sync.skipped_records, 0);
+        assert_eq!(sync.copied_bytes, 16, "a record counts at the row width");
         assert_eq!(t.get(0, 1), Some(Value::F64(111.0)));
-        // Bits consumed.
-        assert_eq!(t.switch_active().pending_sync_records, 0);
+        // Bits and flags consumed: the next cycle has nothing to do.
+        assert!(!t.instance(0).column_stats(1).is_updated());
+        assert_eq!(t.switch_and_sync(), SyncOutcome::default());
+    }
+
+    fn wide_schema() -> TableSchema {
+        TableSchema::new(
+            "wide",
+            vec![
+                ColumnDef::new("id", DataType::I64),
+                ColumnDef::new("a", DataType::I64),
+                ColumnDef::new("b", DataType::I64),
+                ColumnDef::new("name", DataType::Str),
+            ],
+            Some(0),
+        )
+    }
+
+    fn wide_table() -> TwinTable {
+        let t = TwinTable::new(wide_schema());
+        for id in 0..3 {
+            t.insert(&[
+                Value::I64(id),
+                Value::I64(1),
+                Value::I64(2),
+                Value::from("n"),
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    fn assert_row_on_both(t: &TwinTable, row: RowId, expected: &[Value]) {
+        for instance in 0..2 {
+            assert_eq!(
+                t.instance(instance).get_row(row).unwrap(),
+                expected,
+                "instance {instance}"
+            );
+        }
+    }
+
+    /// The lost-cell sequence of the parent's row-granular skip, through the
+    /// private halves (it cannot be written against the public API any
+    /// more): a cell written before a switch must survive a write to
+    /// *another* cell of its row between that switch and its sync.
+    #[test]
+    fn cell_written_before_a_switch_survives_a_write_to_its_row_after_it() {
+        let t = wide_table();
+        t.update(0, 1, &Value::I64(10)).unwrap();
+        assert!(t.switch_active());
+        t.update(0, 2, &Value::I64(20)).unwrap();
+        assert_eq!(t.sync_active_from_snapshot().copied_records, 1);
+        // Only the flagged column moved: `a` arrived, the newer `b` stayed.
+        assert_eq!(t.get(0, 1), Some(Value::I64(10)));
+        assert_eq!(t.get(0, 2), Some(Value::I64(20)));
+        // The next cycle carries `b` over and must not bring a stale `a` back.
+        assert_eq!(t.switch_and_sync().copied_records, 1);
+        let expected = [
+            Value::I64(0),
+            Value::I64(10),
+            Value::I64(20),
+            Value::from("n"),
+        ];
+        assert_row_on_both(&t, 0, &expected);
+        assert_eq!(t.switch_and_sync(), SyncOutcome::default());
+        assert_row_on_both(&t, 0, &expected);
     }
 
     #[test]
-    fn sync_skips_records_already_overwritten_after_switch() {
+    fn cells_of_one_row_written_in_different_cycles_all_reach_both_instances() {
+        let t = wide_table();
+        t.update(1, 1, &Value::I64(10)).unwrap();
+        t.update(1, 3, &Value::from("renamed")).unwrap();
+        let first = t.switch_and_sync();
+        assert_eq!((first.copied_records, first.copied_bytes), (1, 48));
+        t.update(1, 2, &Value::I64(20)).unwrap();
+        t.update(2, 1, &Value::I64(30)).unwrap();
+        assert_eq!(t.switch_and_sync().copied_records, 2);
+        t.update(1, 1, &Value::I64(11)).unwrap();
+        assert_eq!(t.switch_and_sync().copied_records, 1);
+        assert_row_on_both(
+            &t,
+            1,
+            &[
+                Value::I64(1),
+                Value::I64(11),
+                Value::I64(20),
+                Value::from("renamed"),
+            ],
+        );
+        assert_row_on_both(
+            &t,
+            2,
+            &[
+                Value::I64(2),
+                Value::I64(30),
+                Value::I64(2),
+                Value::from("n"),
+            ],
+        );
+        assert_row_on_both(
+            &t,
+            0,
+            &[
+                Value::I64(0),
+                Value::I64(1),
+                Value::I64(2),
+                Value::from("n"),
+            ],
+        );
+    }
+
+    #[test]
+    fn update_row_sets_the_row_bits_once_and_swaps_cells_in_place() {
+        let t = wide_table();
+        let (mut a, mut name) = (Value::I64(10), Value::from("x"));
+        t.update_row(2, [(1, &mut a), (3, &mut name)].into_iter())
+            .unwrap();
+        assert_eq!((a, name), (Value::I64(1), Value::from("n")));
+        assert_eq!(t.stats().updated_since_sync, 1);
+        assert!(t.update_presence().is_set());
+        assert!(t.active().column_stats(1).is_updated());
+        assert!(!t.active().column_stats(2).is_updated());
+        // A rejected cell leaves the earlier ones written and tracked.
+        let (mut b, mut bad) = (Value::I64(7), Value::F64(0.0));
+        assert!(t
+            .update_row(0, [(2, &mut b), (1, &mut bad)].into_iter())
+            .is_err());
+        assert_eq!(t.get(0, 2), Some(Value::I64(7)));
+        assert_eq!(t.stats().updated_since_sync, 2);
+        assert!(matches!(
+            t.update_row(9, std::iter::empty()),
+            Err(crate::StorageError::RowMissing { row: 9 })
+        ));
+    }
+
+    #[test]
+    fn insert_rows_unchecked_keeps_the_twins_in_step() {
         let t = TwinTable::new(schema());
-        t.insert(&row(1, 100.0)).unwrap();
-        t.update(0, 1, &Value::F64(111.0)).unwrap();
-        t.switch_active();
-        // A newer transaction updates the same record on the new active instance.
-        t.update(0, 1, &Value::F64(999.0)).unwrap();
-        let sync = t.sync_active_from_snapshot();
-        assert_eq!(sync.copied_records, 0);
-        assert_eq!(sync.skipped_records, 1);
-        // Newest value wins.
-        assert_eq!(t.get(0, 1), Some(Value::F64(999.0)));
+        t.insert(&row(0, 0.0)).unwrap();
+        let batch = [row(1, 1.0), row(2, 2.0), row(3, 3.0)];
+        assert_eq!(
+            t.insert_rows_unchecked(batch.iter().map(Vec::as_slice)),
+            1..4
+        );
+        for instance in 0..2 {
+            assert_eq!(t.instance(instance).row_count(), 4);
+            assert_eq!(t.get_from(instance, 3, 1), Some(Value::F64(3.0)));
+        }
     }
 
     #[test]
     fn inserts_become_visible_to_snapshot_only_after_switch() {
         let t = TwinTable::new(schema());
         t.insert(&row(1, 1.0)).unwrap();
-        t.switch_active();
+        t.switch_and_sync();
         t.insert(&row(2, 2.0)).unwrap();
         let snap = t.snapshot();
         assert_eq!(
@@ -515,7 +714,7 @@ mod tests {
             1,
             "row inserted after the switch is not yet visible"
         );
-        t.switch_active();
+        t.switch_and_sync();
         let snap = t.snapshot();
         assert_eq!(snap.rows(), 2);
     }
@@ -526,7 +725,7 @@ mod tests {
         for i in 0..10 {
             t.insert(&row(i, i as f64)).unwrap();
         }
-        t.switch_active();
+        t.switch_and_sync();
         // Nothing propagated yet: all 10 visible rows are fresh.
         assert_eq!(t.fresh_rows_vs_olap(), 10);
         let (updated, inserts) = t.olap_delta();
@@ -544,7 +743,7 @@ mod tests {
             1,
             "update counts immediately; insert waits for switch"
         );
-        t.switch_active();
+        t.switch_and_sync();
         assert_eq!(t.fresh_rows_vs_olap(), 2);
         let (updated, inserts) = t.olap_delta();
         assert_eq!(updated, vec![3]);
@@ -554,10 +753,57 @@ mod tests {
     }
 
     #[test]
+    fn take_olap_delta_returns_and_consumes_the_delta_in_one_pass() {
+        let t = TwinTable::new(schema());
+        for i in 0..10 {
+            t.insert(&row(i, i as f64)).unwrap();
+        }
+        t.switch_and_sync();
+        assert_eq!(t.take_olap_delta(), (vec![], 0..10));
+        assert_eq!(t.take_olap_delta(), (vec![], 10..10), "nothing is left");
+
+        // An updated old row, and a new row that is updated before the switch
+        // (its bit lies in the insert range and is consumed with it).
+        t.update(3, 1, &Value::F64(33.0)).unwrap();
+        t.insert(&row(10, 10.0)).unwrap();
+        t.update(10, 1, &Value::F64(11.0)).unwrap();
+        t.switch_and_sync();
+        // A row inserted and updated after the switch stays pending.
+        t.insert(&row(11, 11.0)).unwrap();
+        t.update(11, 1, &Value::F64(12.0)).unwrap();
+        assert_eq!(t.olap_delta(), (vec![3], 10..11));
+        assert_eq!(t.fresh_rows_vs_olap(), 2);
+        assert_eq!(t.take_olap_delta(), (vec![3], 10..11));
+        assert_eq!(t.olap_synced_rows(), 11);
+        assert_eq!(t.olap_delta(), (vec![], 11..11));
+        t.switch_and_sync();
+        assert_eq!(t.take_olap_delta(), (vec![], 11..12));
+    }
+
+    #[test]
+    fn an_update_after_the_switch_is_not_consumed_by_that_snapshots_etl() {
+        let t = TwinTable::new(schema());
+        t.insert(&row(0, 0.0)).unwrap();
+        t.switch_and_sync();
+        t.take_olap_delta();
+        t.update(0, 1, &Value::F64(1.0)).unwrap();
+        t.switch_and_sync();
+        // Ingest goes on between a query's switch and its ETL: this value is
+        // not in the snapshot the ETL copies from.
+        t.update(0, 1, &Value::F64(2.0)).unwrap();
+        assert_eq!(t.fresh_rows_vs_olap(), 1, "one row, updated twice");
+        assert_eq!(t.take_olap_delta(), (vec![0], 1..1));
+        assert_eq!(t.fresh_rows_vs_olap(), 1, "the newer update is still owed");
+        t.switch_and_sync();
+        assert_eq!(t.take_olap_delta(), (vec![0], 1..1));
+        assert_eq!(t.fresh_rows_vs_olap(), 0);
+    }
+
+    #[test]
     fn stats_report_inserted_since_switch() {
         let t = TwinTable::new(schema());
         t.insert(&row(1, 1.0)).unwrap();
-        t.switch_active();
+        t.switch_and_sync();
         t.insert(&row(2, 2.0)).unwrap();
         t.insert(&row(3, 3.0)).unwrap();
         let stats = t.stats();
@@ -604,8 +850,7 @@ mod tests {
         t.insert(&row(1, 10.0)).unwrap();
         assert_eq!(store.total_rows(), 1);
         assert_eq!(store.instance_bytes(), 16);
-        let outcomes = store.switch_all();
-        assert_eq!(outcomes.len(), 1);
+        assert_eq!(store.switch_and_sync(), SyncOutcome::default());
         assert_eq!(store.fresh_rows_vs_olap(), 1);
     }
 
@@ -613,85 +858,10 @@ mod tests {
     fn consecutive_switches_alternate_instances() {
         let t = TwinTable::new(schema());
         assert_eq!(t.active_instance(), 0);
-        t.switch_active();
+        t.switch_and_sync();
         assert_eq!(t.active_instance(), 1);
-        t.switch_active();
+        t.switch_and_sync();
         assert_eq!(t.active_instance(), 0);
         assert_eq!(t.epoch(), 2);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use crate::schema::{ColumnDef, DataType};
-    use proptest::prelude::*;
-
-    fn schema() -> TableSchema {
-        TableSchema::new(
-            "kv",
-            vec![
-                ColumnDef::new("k", DataType::I64),
-                ColumnDef::new("v", DataType::I64),
-            ],
-            Some(0),
-        )
-    }
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        Insert(i64),
-        Update(usize, i64),
-        SwitchAndSync,
-    }
-
-    fn arb_op() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            3 => any::<i64>().prop_map(Op::Insert),
-            3 => (0usize..64, any::<i64>()).prop_map(|(r, v)| Op::Update(r, v)),
-            1 => Just(Op::SwitchAndSync),
-        ]
-    }
-
-    proptest! {
-        /// After any interleaving of inserts, updates and switch+sync cycles,
-        /// a final switch+sync leaves both instances holding exactly the
-        /// latest committed value of every record.
-        #[test]
-        fn instances_converge_after_switch_and_sync(ops in prop::collection::vec(arb_op(), 1..120)) {
-            let t = TwinTable::new(schema());
-            let mut model: Vec<i64> = Vec::new();
-            for op in ops {
-                match op {
-                    Op::Insert(v) => {
-                        t.insert(&[Value::I64(model.len() as i64), Value::I64(v)]).unwrap();
-                        model.push(v);
-                    }
-                    Op::Update(r, v) => {
-                        if !model.is_empty() {
-                            let r = r % model.len();
-                            t.update(r as u64, 1, &Value::I64(v)).unwrap();
-                            model[r] = v;
-                        }
-                    }
-                    Op::SwitchAndSync => {
-                        t.switch_active();
-                        t.sync_active_from_snapshot();
-                    }
-                }
-            }
-            // Final convergence step.
-            t.switch_active();
-            t.sync_active_from_snapshot();
-            for (row, expected) in model.iter().enumerate() {
-                for inst in 0..2 {
-                    prop_assert_eq!(
-                        t.get_from(inst, row as u64, 1),
-                        Some(Value::I64(*expected)),
-                        "row {} instance {} diverged", row, inst
-                    );
-                }
-            }
-        }
     }
 }

@@ -2,13 +2,17 @@
 //!
 //! The paper's storage manager "maintains an update indication bit for each
 //! record, which is set when the record gets updated. Access to the update
-//! indication bits is synchronized using atomic operations" (§3.2). The RDE
-//! engine consumes the bits during instance synchronisation and ETL and clears
-//! them as records are copied.
+//! indication bits is synchronized using atomic operations" (§3.2). A twin
+//! table keeps one bitmap per instance — set once per written row by the
+//! committing transaction, swapped out word by word by the synchronisation
+//! that follows the next switch — and one for the rows the OLAP instance is
+//! still owed, which that synchronisation feeds and the ETL drains.
 //!
-//! The bitmap also keeps an approximate popcount so that the scheduler can ask
+//! The bitmap also keeps an exact popcount so that the scheduler can ask
 //! "how much fresh data is there?" (the `Nft` input of Algorithm 2) without
-//! scanning the bit words.
+//! scanning the bit words when there is none; below a watermark, and over
+//! the union of two bitmaps, bits are counted word by word (`count_ones`),
+//! never materialised.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,31 +41,51 @@ impl AtomicBitmap {
         }
     }
 
-    fn ensure_capacity(&self, bit: usize) {
-        let word = bit / BITS_PER_WORD;
-        {
-            let words = self.words.read();
-            if word < words.len() {
-                return;
-            }
-        }
-        let mut words = self.words.write();
-        while words.len() <= word {
-            words.push(AtomicU64::new(0));
-        }
-    }
-
     /// Set bit `bit`. Returns `true` if the bit transitioned from 0 to 1.
+    /// One shared lock on the common path; the exclusive lock is taken only
+    /// when the bitmap must grow to hold the bit.
     pub fn set(&self, bit: usize) -> bool {
-        self.ensure_capacity(bit);
-        let words = self.words.read();
-        let mask = 1u64 << (bit % BITS_PER_WORD);
-        let prev = words[bit / BITS_PER_WORD].fetch_or(mask, Ordering::AcqRel);
+        let (word, mask) = (bit / BITS_PER_WORD, 1u64 << (bit % BITS_PER_WORD));
+        let prev = {
+            let words = self.words.read();
+            words.get(word).map(|w| w.fetch_or(mask, Ordering::AcqRel))
+        };
+        let prev = prev.unwrap_or_else(|| {
+            let mut words = self.words.write();
+            while words.len() <= word {
+                words.push(AtomicU64::new(0));
+            }
+            words[word].fetch_or(mask, Ordering::AcqRel)
+        });
         let newly_set = prev & mask == 0;
         if newly_set {
             self.set_count.fetch_add(1, Ordering::AcqRel);
         }
         newly_set
+    }
+
+    /// Set every bit of `bits` under one lock acquisition (the exclusive one,
+    /// once, if the bitmap must grow to hold the largest).
+    pub fn set_many(&self, bits: &[usize]) {
+        let Some(&max) = bits.iter().max() else {
+            return;
+        };
+        let needed = max / BITS_PER_WORD + 1;
+        let grow = self.words.read().len() < needed;
+        if grow {
+            let mut words = self.words.write();
+            while words.len() < needed {
+                words.push(AtomicU64::new(0));
+            }
+        }
+        let words = self.words.read();
+        let mut newly_set = 0;
+        for &bit in bits {
+            let mask = 1u64 << (bit % BITS_PER_WORD);
+            let prev = words[bit / BITS_PER_WORD].fetch_or(mask, Ordering::AcqRel);
+            newly_set += u64::from(prev & mask == 0);
+        }
+        self.set_count.fetch_add(newly_set, Ordering::AcqRel);
     }
 
     /// Clear bit `bit`. Returns `true` if the bit transitioned from 1 to 0.
@@ -95,28 +119,95 @@ impl AtomicBitmap {
         self.set_count.load(Ordering::Acquire)
     }
 
+    /// The words of `a | b` that hold bits below `limit`, as `(word index,
+    /// bits)` with the bits at or above the limit masked off. Either slice
+    /// may be shorter than the other, or empty.
+    fn union_below<'a>(
+        a: &'a [AtomicU64],
+        b: &'a [AtomicU64],
+        limit: usize,
+    ) -> impl Iterator<Item = (usize, u64)> + 'a {
+        let words = a.len().max(b.len()).min(limit.div_ceil(BITS_PER_WORD));
+        (0..words).map(move |wi| {
+            let load = |w: &[AtomicU64]| w.get(wi).map_or(0, |x| x.load(Ordering::Acquire));
+            (wi, (load(a) | load(b)) & Self::mask_below(wi, limit))
+        })
+    }
+
+    /// Mask of the bits of word `word_index` that lie below `limit`.
+    fn mask_below(word_index: usize, limit: usize) -> u64 {
+        if limit / BITS_PER_WORD > word_index {
+            u64::MAX
+        } else {
+            (1u64 << (limit % BITS_PER_WORD)) - 1
+        }
+    }
+
+    fn push_bits(out: &mut Vec<usize>, word_index: usize, mut bits: u64) {
+        while bits != 0 {
+            out.push(word_index * BITS_PER_WORD + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+
+    /// The indices of the set bits of `(word index, bits)` pairs, ascending.
+    fn indices(words: impl Iterator<Item = (usize, u64)>) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (wi, bits) in words {
+            Self::push_bits(&mut out, wi, bits);
+        }
+        out
+    }
+
+    /// Number of bits below `limit` that are set in `self` or in `other`,
+    /// counted word by word.
+    pub fn count_union_below(&self, other: &AtomicBitmap, limit: usize) -> u64 {
+        let (a, b) = (self.words.read(), other.words.read());
+        Self::union_below(&a, &b, limit)
+            .map(|(_, bits)| u64::from(bits.count_ones()))
+            .sum()
+    }
+
+    /// The indices below `limit` that are set in `self` or in `other`, in
+    /// ascending order.
+    pub fn iter_union_below(&self, other: &AtomicBitmap, limit: usize) -> Vec<usize> {
+        let (a, b) = (self.words.read(), other.words.read());
+        Self::indices(Self::union_below(&a, &b, limit))
+    }
+
     /// Collect the indices of all set bits, in ascending order.
     pub fn iter_set(&self) -> Vec<usize> {
         let words = self.words.read();
-        let mut out = Vec::with_capacity(self.count() as usize);
-        for (wi, w) in words.iter().enumerate() {
-            let mut bits = w.load(Ordering::Acquire);
-            while bits != 0 {
-                let tz = bits.trailing_zeros() as usize;
-                out.push(wi * BITS_PER_WORD + tz);
-                bits &= bits - 1;
+        Self::indices(Self::union_below(&words, &[], usize::MAX))
+    }
+
+    /// Clear every bit below `limit` and return the indices that were set,
+    /// in ascending order. Whole words are swapped out, so a bit set
+    /// concurrently is either returned or left set — never lost.
+    pub fn drain_below(&self, limit: usize) -> Vec<usize> {
+        let words = self.words.read();
+        let mut out = Vec::new();
+        for (wi, w) in words.iter().enumerate().take(limit.div_ceil(BITS_PER_WORD)) {
+            // Most words of a large relation are clear: look before the
+            // (exclusive) read-modify-write.
+            if w.load(Ordering::Acquire) == 0 {
+                continue;
             }
+            let mask = Self::mask_below(wi, limit);
+            let taken = if mask == u64::MAX {
+                w.swap(0, Ordering::AcqRel)
+            } else {
+                w.fetch_and(!mask, Ordering::AcqRel) & mask
+            };
+            Self::push_bits(&mut out, wi, taken);
         }
+        self.set_count.fetch_sub(out.len() as u64, Ordering::AcqRel);
         out
     }
 
     /// Clear every bit and return the indices that were set.
     pub fn drain(&self) -> Vec<usize> {
-        let set = self.iter_set();
-        for &bit in &set {
-            self.clear(bit);
-        }
-        set
+        self.drain_below(usize::MAX)
     }
 
     /// Clear all bits without collecting them.
@@ -169,6 +260,57 @@ mod tests {
         assert_eq!(drained, vec![1, 2]);
         assert_eq!(b.count(), 0);
         assert!(b.iter_set().is_empty());
+    }
+
+    #[test]
+    fn below_a_limit_only_lower_bits_are_counted_listed_and_drained() {
+        let (b, empty) = (AtomicBitmap::new(), AtomicBitmap::new());
+        b.set_many(&[0, 63, 64, 100, 127, 128, 300]);
+        b.set_many(&[]);
+        assert_eq!(b.count(), 7);
+        for (limit, below) in [
+            (0, 0),
+            (1, 1),
+            (64, 2),
+            (101, 4),
+            (128, 5),
+            (129, 6),
+            (9999, 7),
+            (usize::MAX, 7),
+        ] {
+            assert_eq!(b.count_union_below(&empty, limit), below, "limit {limit}");
+            assert_eq!(
+                empty.iter_union_below(&b, limit).len() as u64,
+                below,
+                "limit {limit}"
+            );
+        }
+        assert_eq!(b.drain_below(101), vec![0, 63, 64, 100]);
+        assert_eq!(b.count(), 3);
+        assert_eq!(b.iter_set(), vec![127, 128, 300]);
+        assert!(b.drain_below(0).is_empty());
+        assert_eq!(b.drain(), vec![127, 128, 300]);
+        assert_eq!(b.count(), 0);
+    }
+
+    #[test]
+    fn unions_count_a_bit_set_on_both_sides_once() {
+        let (a, b) = (AtomicBitmap::new(), AtomicBitmap::with_capacity(1024));
+        a.set_many(&[1, 70]);
+        b.set_many(&[1, 2, 700]);
+        assert_eq!(a.count_union_below(&b, usize::MAX), 4);
+        assert_eq!(b.count_union_below(&a, 700), 3);
+        assert_eq!(a.iter_union_below(&b, 701), vec![1, 2, 70, 700]);
+        assert_eq!(b.iter_union_below(&a, 70), vec![1, 2]);
+    }
+
+    #[test]
+    fn set_grows_the_bitmap_under_one_call() {
+        let b = AtomicBitmap::with_capacity(64);
+        assert!(b.set(10_000), "a bit past the capacity is set by growing");
+        assert!(!b.set(10_000));
+        assert!(b.get(10_000));
+        assert_eq!(b.count(), 1);
     }
 
     #[test]
