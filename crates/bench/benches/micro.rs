@@ -2,22 +2,28 @@
 //! columnar scans, the cuckoo index, the exchange path (switch and
 //! synchronisation of a ten-column twin relation, the ETL's inserted-range
 //! copy), the lock table, the transaction path (the four CH transaction
-//! bodies and their 45/43/6/6 stream), CH query execution and the
-//! bandwidth/cost models.
+//! bodies and their 45/43/6/6 stream), the durability window (checkpoint
+//! write, checkpoint restore, WAL truncation, on an in-memory medium), CH
+//! query execution and the bandwidth/cost models.
 //!
 //! Run with `cargo bench -p htap-bench`. The harness uses small sample sizes
 //! so a full run stays in the minutes range on a laptop-class host.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use htap_chbench::{ChConfig, ChGenerator, QueryId, TransactionDriver};
+use htap_durability::{load_state, DurableStorage, MemStorage, Wal, WalConfig, WalOp, WalRecord};
 use htap_olap::QueryExecutor;
-use htap_oltp::{LockKey, LockMode, LockTable};
+use htap_oltp::{
+    apply_recovered, DurabilityController, LockKey, LockMode, LockTable, OltpEngine,
+    CHECKPOINT_FILE, WAL_FILE,
+};
 use htap_rde::{AccessMethod, RdeConfig, RdeEngine};
 use htap_sim::{BandwidthModel, CostModel, ExecPlacement, ScanWork, SocketId, Stream, Topology};
 use htap_storage::{ColumnDef, CuckooIndex, DataType, TableSchema, TwinTable, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn column_scan(c: &mut Criterion) {
@@ -161,23 +167,119 @@ fn wide_schema() -> TableSchema {
     TableSchema::new("wide", columns, Some(0))
 }
 
+/// Row `k` of the relation `schema` (a [`wide_schema`]).
+fn wide_row(schema: &TableSchema, k: i64) -> Vec<Value> {
+    schema
+        .columns
+        .iter()
+        .map(|c| match c.dtype {
+            DataType::I64 => Value::I64(k),
+            DataType::F64 => Value::F64(k as f64),
+            DataType::I32 => Value::I32(k as i32),
+            DataType::Str => Value::from("x"),
+        })
+        .collect()
+}
+
 fn wide_twin(rows: i64) -> TwinTable {
     let schema = wide_schema();
     let twin = TwinTable::new(schema.clone());
     for k in 0..rows {
-        let row: Vec<Value> = schema
-            .columns
-            .iter()
-            .map(|c| match c.dtype {
-                DataType::I64 => Value::I64(k),
-                DataType::F64 => Value::F64(k as f64),
-                DataType::I32 => Value::I32(k as i32),
-                DataType::Str => Value::from("x"),
-            })
-            .collect();
-        twin.insert(&row).unwrap();
+        twin.insert(&wide_row(&schema, k)).unwrap();
     }
     twin
+}
+
+/// An engine holding the (empty) wide relation.
+fn wide_engine() -> OltpEngine {
+    let engine = OltpEngine::new();
+    engine.create_table(wide_schema()).unwrap();
+    engine
+}
+
+/// The durability window's three bulk paths, each over one relation in
+/// `orderline`'s shape on an in-memory medium: writing the checkpoint image
+/// of 500 k rows (index walk, one slice append per column, file CRC, atomic
+/// write, truncation of an empty WAL), reopening it (read, CRC, decode into
+/// columns, range copy into both twin instances, one index reservation and
+/// batch insert), and truncating a WAL of 20 k commit records that a
+/// checkpoint covers (frame walk with per-frame CRC, no record decoded).
+fn durability_window(c: &mut Criterion) {
+    const ROWS: i64 = 500_000;
+    let disk = MemStorage::new();
+    let storage: Arc<dyn DurableStorage> = Arc::new(disk.clone());
+    // No linger: the log below is written by one committer.
+    let unbatched = WalConfig {
+        flush_interval_micros: 0,
+        max_batch: 1,
+    };
+    let open_wal = |storage: &Arc<dyn DurableStorage>| {
+        Wal::open(Arc::clone(storage), WAL_FILE, unbatched).expect("in-memory medium")
+    };
+    let schema = wide_schema();
+    let engine = wide_engine();
+    for k in 0..ROWS {
+        // Keys in no particular order: row ids are not key order.
+        let key = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        engine.bulk_load("wide", key, wide_row(&schema, k)).unwrap();
+    }
+    let (wal, _) = open_wal(&storage);
+    engine.attach_durability(Arc::new(DurabilityController::new(
+        Arc::clone(&storage),
+        wal,
+        0,
+    )));
+    c.bench_function("durability/checkpoint_write_500k_rows", |b| {
+        b.iter(|| black_box(engine.checkpoint_now().expect("in-memory medium")))
+    });
+    c.bench_function("durability/checkpoint_restore_500k_rows", |b| {
+        b.iter_batched(
+            wide_engine,
+            |fresh| {
+                let (_wal, log) = open_wal(&storage);
+                let state = load_state(storage.as_ref(), log, CHECKPOINT_FILE).expect("image");
+                black_box(apply_recovered(&fresh, &state).expect("image matches the schema"));
+                fresh
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    drop(engine);
+
+    // 20 k commits of ten order lines each (what a NewOrder logs).
+    let log_disk = MemStorage::new();
+    let log_storage: Arc<dyn DurableStorage> = Arc::new(log_disk.clone());
+    let (wal, _) = open_wal(&log_storage);
+    for txn in 0..20_000u64 {
+        let ops = (0..10)
+            .map(|line| WalOp::Insert {
+                table: "wide".into(),
+                key: txn * 10 + line,
+                values: wide_row(&schema, (txn * 10 + line) as i64),
+            })
+            .collect();
+        wal.append_commit(&WalRecord {
+            txn_id: txn,
+            commit_ts: txn,
+            ops,
+        })
+        .expect("in-memory medium");
+    }
+    drop(wal);
+    let full_log = log_disk.bytes(WAL_FILE).expect("log written");
+    c.bench_function("durability/wal_truncate_20k_records", |b| {
+        b.iter_batched(
+            || {
+                log_disk.set_bytes(WAL_FILE, full_log.clone());
+                open_wal(&log_storage).0
+            },
+            |wal| {
+                wal.truncate_to(wal.next_lsn()).expect("in-memory medium");
+                wal
+            },
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 fn etl_insert_range(c: &mut Criterion) {
@@ -401,7 +503,7 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = column_scan, cuckoo_index, twin_switch_sync, etl_insert_range, lock_table,
-              transactions,
+              transactions, durability_window,
               ch_query_execution, parallel_scan_scaling,
               vectorized_shapes, join_and_group_kernels, etl_delta_copy, cost_models
 }

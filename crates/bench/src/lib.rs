@@ -316,7 +316,7 @@ pub mod exec_trajectory {
             .into_iter()
             .map(|(table, rows)| {
                 let name = table.schema().name.clone();
-                let snap = TableSnapshot::new(name.clone(), Arc::new(table), rows, 0);
+                let snap = TableSnapshot::new(name.clone(), Arc::new(table), rows);
                 (name, ScanSource::contiguous_snapshot(&snap, SocketId(0)))
             })
             .collect()

@@ -124,15 +124,15 @@ impl HtapSystem {
         generator: &ChGenerator,
         storage: Arc<dyn DurableStorage>,
     ) -> Result<PopulationReport, String> {
-        // Open (and torn-tail-repair) the WAL first, then read the durable
-        // state back through the repaired file.
+        // Open (and torn-tail-repair) the WAL; the log it decoded on the way
+        // is the one recovery replays from.
         let wal_config = WalConfig {
             flush_interval_micros: config.durability.flush_interval_micros,
             max_batch: config.durability.max_batch,
         };
-        let (wal, _segment) = Wal::open(Arc::clone(&storage), WAL_FILE, wal_config)
+        let (wal, log) = Wal::open(Arc::clone(&storage), WAL_FILE, wal_config)
             .map_err(|e| format!("opening WAL: {e}"))?;
-        let state = load_state(storage.as_ref(), WAL_FILE, CHECKPOINT_FILE)
+        let state = load_state(storage.as_ref(), log, CHECKPOINT_FILE)
             .map_err(|e| format!("loading durable state: {e}"))?;
 
         // A checkpoint captured the whole store: recreate the schema empty

@@ -2,8 +2,8 @@
 //!
 //! A checkpoint captures the committed state of every relation at one WAL
 //! position: for each table, the primary keys in row order plus each column
-//! as one contiguous value segment (columnar, like the twin instances it is
-//! taken from). The whole file carries a trailing CRC32 and is written with
+//! as one contiguous segment (columnar, like the twin instances it is taken
+//! from). The whole file carries a trailing CRC32 and is written with
 //! `write_atomic`, so after a crash it is either entirely the old snapshot
 //! or entirely the new one — never a mix.
 //!
@@ -21,66 +21,77 @@
 //!     per column: [values × row_count]          (fixed width or len+bytes)
 //! [crc32 u32 of everything above]
 //! ```
+//!
+//! Both directions move whole segments: the writer appends a column's slice
+//! under one read guard ([`CheckpointTable::encode_into`], straight from the
+//! live instance), the reader decodes a segment into an
+//! [`htap_storage::Column`] a restore can range-copy into the twin
+//! instances. No cell is looked at on its own. Rows are stored in row-id
+//! order, so a restore reproduces the row ids the image was taken from.
 
+use crate::codec::{dtype_tag, put_le, put_str, tag_dtype, Reader};
 use crate::error::DurabilityError;
 use crate::record::{crc32, Lsn};
-use htap_storage::{DataType, Value};
+use htap_storage::{Column, ColumnGuard, DataType};
 
 /// Magic bytes identifying a checkpoint file.
 pub const CKPT_MAGIC: u64 = u64::from_le_bytes(*b"HTAPCKP1");
 /// Checkpoint format version.
 pub const CKPT_VERSION: u32 = 1;
 
-const DT_I64: u8 = 1;
-const DT_F64: u8 = 2;
-const DT_I32: u8 = 3;
-const DT_STR: u8 = 4;
-
-fn dtype_tag(dt: DataType) -> u8 {
-    match dt {
-        DataType::I64 => DT_I64,
-        DataType::F64 => DT_F64,
-        DataType::I32 => DT_I32,
-        DataType::Str => DT_STR,
-    }
-}
-
-fn tag_dtype(tag: u8) -> Option<DataType> {
-    match tag {
-        DT_I64 => Some(DataType::I64),
-        DT_F64 => Some(DataType::F64),
-        DT_I32 => Some(DataType::I32),
-        DT_STR => Some(DataType::Str),
-        _ => None,
-    }
-}
-
 /// One relation's rows inside a checkpoint, stored column-segment-wise.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct CheckpointTable {
     /// Relation name.
     pub name: String,
-    /// Column types, in schema order.
-    pub dtypes: Vec<DataType>,
     /// Primary key of each captured row; `keys[i]` owns row `i`.
     pub keys: Vec<u64>,
-    /// `columns[c][i]` is the value of column `c` in row `i`.
-    pub columns: Vec<Vec<Value>>,
+    /// One segment per column, in schema order, each `keys.len()` rows long.
+    pub columns: Vec<Column>,
 }
 
 impl CheckpointTable {
-    /// Materialise row `i` across all columns.
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.columns
-            .iter()
-            .filter_map(|col| col.get(i).cloned())
-            .collect()
+    /// Append one relation to a checkpoint image opened by
+    /// [`CheckpointData::begin`]: `keys[i]` owns row `i`, and each of
+    /// `columns` contributes its first `keys.len()` rows, copied as one slice
+    /// under one read guard. A column holding fewer rows than there are keys
+    /// is an error (and leaves the image unusable).
+    pub fn encode_into(
+        image: &mut Vec<u8>,
+        name: &str,
+        keys: &[u64],
+        columns: &[Column],
+    ) -> Result<(), DurabilityError> {
+        put_str(image, name);
+        image.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+        image.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+        image.extend(columns.iter().map(|column| dtype_tag(column.dtype())));
+        put_le(image, keys, u64::to_le_bytes);
+        for (idx, column) in columns.iter().enumerate() {
+            let rows = keys.len();
+            let written = match column.read_guard() {
+                ColumnGuard::I64(v) => v.get(..rows).map(|v| put_le(image, v, i64::to_le_bytes)),
+                ColumnGuard::F64(v) => v
+                    .get(..rows)
+                    .map(|v| put_le(image, v, |x| x.to_bits().to_le_bytes())),
+                ColumnGuard::I32(v) => v.get(..rows).map(|v| put_le(image, v, i32::to_le_bytes)),
+                ColumnGuard::Str(v) => v
+                    .get(..rows)
+                    .map(|v| v.iter().for_each(|s| put_str(image, s))),
+            };
+            written.ok_or_else(|| {
+                DurabilityError::corrupt(format!(
+                    "column {idx} of table {name} holds fewer than its {rows} keyed rows"
+                ))
+            })?;
+        }
+        Ok(())
     }
 }
 
 /// A full checkpoint: every relation's committed rows as of WAL position
 /// `lsn` (exclusive).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct CheckpointData {
     /// First WAL LSN *not* covered by this snapshot.
     pub lsn: Lsn,
@@ -91,54 +102,44 @@ pub struct CheckpointData {
     pub tables: Vec<CheckpointTable>,
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+/// Two images are equal when their files are: the encoding is canonical, and
+/// it compares `f64` cells by their bits.
+impl PartialEq for CheckpointData {
+    fn eq(&self, other: &Self) -> bool {
+        matches!((self.encode(), other.encode()), (Ok(a), Ok(b)) if a == b)
+    }
 }
 
 impl CheckpointData {
-    /// Serialise the checkpoint, including the trailing CRC.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(1024);
-        buf.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.lsn.to_le_bytes());
-        buf.extend_from_slice(&self.last_ts.to_le_bytes());
-        buf.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
+    /// Open a checkpoint image covering the WAL below `lsn`: the file header
+    /// for `tables` relations, in a buffer with `capacity` bytes reserved.
+    /// One [`CheckpointTable::encode_into`] per relation follows, then
+    /// [`CheckpointData::seal`].
+    pub fn begin(lsn: Lsn, last_ts: u64, tables: usize, capacity: usize) -> Vec<u8> {
+        let mut image = Vec::with_capacity(capacity);
+        image.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
+        image.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        image.extend_from_slice(&lsn.to_le_bytes());
+        image.extend_from_slice(&last_ts.to_le_bytes());
+        image.extend_from_slice(&(tables as u32).to_le_bytes());
+        image
+    }
+
+    /// Close an image: append the CRC of everything written so far.
+    pub fn seal(mut image: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&image);
+        image.extend_from_slice(&crc.to_le_bytes());
+        image
+    }
+
+    /// Serialise a decoded (or hand-built) checkpoint, including the
+    /// trailing CRC.
+    pub fn encode(&self) -> Result<Vec<u8>, DurabilityError> {
+        let mut image = Self::begin(self.lsn, self.last_ts, self.tables.len(), 1024);
         for table in &self.tables {
-            put_str(&mut buf, &table.name);
-            buf.extend_from_slice(&(table.keys.len() as u64).to_le_bytes());
-            buf.extend_from_slice(&(table.dtypes.len() as u32).to_le_bytes());
-            for &dt in &table.dtypes {
-                buf.push(dtype_tag(dt));
-            }
-            for &key in &table.keys {
-                buf.extend_from_slice(&key.to_le_bytes());
-            }
-            for (col, &dt) in table.columns.iter().zip(&table.dtypes) {
-                for value in col {
-                    match (dt, value) {
-                        (DataType::I64, Value::I64(x)) => buf.extend_from_slice(&x.to_le_bytes()),
-                        (DataType::F64, Value::F64(x)) => {
-                            buf.extend_from_slice(&x.to_bits().to_le_bytes())
-                        }
-                        (DataType::I32, Value::I32(x)) => buf.extend_from_slice(&x.to_le_bytes()),
-                        (DataType::Str, Value::Str(s)) => put_str(&mut buf, s),
-                        // Type-mismatched cells cannot occur for segments
-                        // captured from a schema-checked table; encode a
-                        // default so the writer stays total, the CRC still
-                        // covers exactly what was written.
-                        (DataType::I64, _) => buf.extend_from_slice(&0i64.to_le_bytes()),
-                        (DataType::F64, _) => buf.extend_from_slice(&0u64.to_le_bytes()),
-                        (DataType::I32, _) => buf.extend_from_slice(&0i32.to_le_bytes()),
-                        (DataType::Str, _) => put_str(&mut buf, ""),
-                    }
-                }
-            }
+            CheckpointTable::encode_into(&mut image, &table.name, &table.keys, &table.columns)?;
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf
+        Ok(Self::seal(image))
     }
 
     /// Decode and CRC-verify a checkpoint file. Any structural or checksum
@@ -146,20 +147,14 @@ impl CheckpointData {
     /// WAL tail there is no benign torn state to salvage.
     pub fn decode(bytes: &[u8]) -> Result<Self, DurabilityError> {
         let corrupt = |what: &str| DurabilityError::corrupt(format!("checkpoint: {what}"));
-        if bytes.len() < 4 {
+        let Some((payload, crc)) = bytes.split_last_chunk::<4>() else {
             return Err(corrupt("file too short"));
-        }
-        let (payload, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let mut crc = [0u8; 4];
-        crc.copy_from_slice(crc_bytes);
-        if crc32(payload) != u32::from_le_bytes(crc) {
+        };
+        if crc32(payload) != u32::from_le_bytes(*crc) {
             return Err(corrupt("crc mismatch"));
         }
 
-        let mut r = CkptReader {
-            bytes: payload,
-            pos: 0,
-        };
+        let mut r = Reader::new(payload);
         if r.u64().ok_or_else(|| corrupt("truncated"))? != CKPT_MAGIC {
             return Err(corrupt("magic mismatch"));
         }
@@ -181,37 +176,25 @@ impl CheckpointData {
             if row_count > payload.len() || col_count > payload.len() {
                 return Err(corrupt("implausible table shape"));
             }
-            let mut dtypes = Vec::with_capacity(col_count);
-            for _ in 0..col_count {
-                let tag = r.u8().ok_or_else(|| corrupt("truncated"))?;
-                dtypes.push(tag_dtype(tag).ok_or_else(|| corrupt("bad dtype tag"))?);
-            }
-            let mut keys = Vec::with_capacity(row_count);
-            for _ in 0..row_count {
-                keys.push(r.u64().ok_or_else(|| corrupt("truncated keys"))?);
-            }
-            let mut columns = Vec::with_capacity(col_count);
-            for &dt in &dtypes {
-                let mut col = Vec::with_capacity(row_count);
-                for _ in 0..row_count {
-                    let v = match dt {
-                        DataType::I64 => r.u64().map(|x| Value::I64(x as i64)),
-                        DataType::F64 => r.u64().map(|x| Value::F64(f64::from_bits(x))),
-                        DataType::I32 => r.u32().map(|x| Value::I32(x as i32)),
-                        DataType::Str => r.str().map(Value::Str),
-                    };
-                    col.push(v.ok_or_else(|| corrupt("truncated column segment"))?);
-                }
-                columns.push(col);
-            }
+            let dtypes = (0..col_count)
+                .map(|_| r.u8().and_then(tag_dtype))
+                .collect::<Option<Vec<DataType>>>()
+                .ok_or_else(|| corrupt("bad dtype tag"))?;
+            let keys = r
+                .le_vec(row_count, u64::from_le_bytes)
+                .ok_or_else(|| corrupt("truncated keys"))?;
+            let columns = dtypes
+                .into_iter()
+                .map(|dtype| decode_segment(&mut r, dtype, row_count))
+                .collect::<Option<Vec<Column>>>()
+                .ok_or_else(|| corrupt("truncated column segment"))?;
             tables.push(CheckpointTable {
                 name,
-                dtypes,
                 keys,
                 columns,
             });
         }
-        if r.pos != payload.len() {
+        if r.pos() != payload.len() {
             return Err(corrupt("trailing bytes"));
         }
         Ok(CheckpointData {
@@ -222,49 +205,29 @@ impl CheckpointData {
     }
 }
 
-struct CkptReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> CkptReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(s);
-            u32::from_le_bytes(b)
-        })
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(s);
-            u64::from_le_bytes(b)
-        })
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
+/// Decode one column segment of `rows` cells straight into a column.
+fn decode_segment(r: &mut Reader<'_>, dtype: DataType, rows: usize) -> Option<Column> {
+    Some(match dtype {
+        DataType::I64 => r.le_vec(rows, i64::from_le_bytes)?.into(),
+        DataType::F64 => r
+            .le_vec(rows, |le| f64::from_bits(u64::from_le_bytes(le)))?
+            .into(),
+        DataType::I32 => r.le_vec(rows, i32::from_le_bytes)?.into(),
+        // Grows as strings are read: a bad row count cannot reserve memory.
+        DataType::Str => (0..rows)
+            .map(|_| r.str())
+            .collect::<Option<Vec<_>>>()?
+            .into(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn strings(values: &[&str]) -> Column {
+        Column::from(values.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
 
     fn sample() -> CheckpointData {
         CheckpointData {
@@ -273,23 +236,17 @@ mod tests {
             tables: vec![
                 CheckpointTable {
                     name: "orders".into(),
-                    dtypes: vec![DataType::I64, DataType::F64, DataType::Str],
                     keys: vec![3, 1, 7],
                     columns: vec![
-                        vec![Value::I64(3), Value::I64(1), Value::I64(7)],
-                        vec![Value::F64(0.5), Value::F64(-2.25), Value::F64(1e9)],
-                        vec![
-                            Value::Str("a".into()),
-                            Value::Str("".into()),
-                            Value::Str("long-ish value".into()),
-                        ],
+                        Column::from(vec![3i64, 1, 7]),
+                        Column::from(vec![0.5, -2.25, 1e9]),
+                        strings(&["a", "", "long-ish value"]),
                     ],
                 },
                 CheckpointTable {
                     name: "empty".into(),
-                    dtypes: vec![DataType::I32],
                     keys: vec![],
-                    columns: vec![vec![]],
+                    columns: vec![Column::new(DataType::I32)],
                 },
             ],
         }
@@ -298,18 +255,58 @@ mod tests {
     #[test]
     fn round_trip_is_exact() {
         let ckpt = sample();
-        let bytes = ckpt.encode();
+        let bytes = ckpt.encode().unwrap();
         let decoded = CheckpointData::decode(&bytes).unwrap();
         assert_eq!(decoded, ckpt);
+        assert_eq!((decoded.lsn, decoded.last_ts), (17, 432));
+        let orders = &decoded.tables[0];
         assert_eq!(
-            decoded.tables[0].row(1),
-            vec![Value::I64(1), Value::F64(-2.25), Value::Str("".into()),]
+            (orders.name.as_str(), &orders.keys),
+            ("orders", &vec![3, 1, 7])
         );
+        orders.columns[0].with_i64(9, |v| assert_eq!(v, [3, 1, 7]));
+        orders.columns[1].with_f64(9, |v| assert_eq!(v, [0.5, -2.25, 1e9]));
+        orders.columns[2].with_str(9, |v| assert_eq!(v, ["a", "", "long-ish value"]));
+        assert_eq!(decoded.tables[1].columns[0].dtype(), DataType::I32);
+        assert!(decoded.tables[1].columns[0].is_empty());
+        // Equality is by content, cell for cell.
+        let mut other = sample();
+        other.tables[0].columns[1] = Column::from(vec![0.5, -2.25, 1e9 + 1.0]);
+        assert_ne!(other, ckpt);
+    }
+
+    #[test]
+    fn the_streamed_image_is_the_encoded_one_and_takes_a_prefix_of_longer_columns() {
+        let ckpt = sample();
+        let mut image = CheckpointData::begin(17, 432, 2, 0);
+        // The live columns may hold rows past the keyed ones (appended after
+        // the keys were collected); only the first `keys.len()` are written.
+        let longer = [
+            Column::from(vec![3i64, 1, 7, 99]),
+            Column::from(vec![0.5, -2.25, 1e9, 99.0]),
+            strings(&["a", "", "long-ish value", "later"]),
+        ];
+        CheckpointTable::encode_into(&mut image, "orders", &[3, 1, 7], &longer).unwrap();
+        CheckpointTable::encode_into(&mut image, "empty", &[], &ckpt.tables[1].columns).unwrap();
+        assert_eq!(CheckpointData::seal(image), ckpt.encode().unwrap());
+    }
+
+    #[test]
+    fn a_column_shorter_than_its_keys_is_a_typed_error() {
+        let mut image = CheckpointData::begin(0, 0, 1, 0);
+        let short = [Column::from(vec![1i64])];
+        assert!(matches!(
+            CheckpointTable::encode_into(&mut image, "t", &[1, 2], &short),
+            Err(DurabilityError::Corrupt { .. })
+        ));
+        let mut ckpt = sample();
+        ckpt.tables[0].keys.push(8);
+        assert!(ckpt.encode().is_err());
     }
 
     #[test]
     fn any_bit_flip_is_rejected() {
-        let bytes = sample().encode();
+        let bytes = sample().encode().unwrap();
         for pos in [0, 8, 20, bytes.len() / 2, bytes.len() - 1] {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x01;
@@ -322,9 +319,34 @@ mod tests {
 
     #[test]
     fn truncation_is_rejected() {
-        let bytes = sample().encode();
+        let bytes = sample().encode().unwrap();
         for cut in [0, 3, 10, bytes.len() - 1] {
             assert!(CheckpointData::decode(&bytes[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn a_crc_valid_file_with_a_bad_shape_is_rejected() {
+        // Re-seal after damaging the structure, so only the parser can object.
+        let reseal = |mut payload: Vec<u8>| {
+            payload.truncate(payload.len() - 4);
+            CheckpointData::seal(payload)
+        };
+        let good = sample().encode().unwrap();
+        assert!(CheckpointData::decode(&reseal(good.clone())).is_ok());
+        // Row count of the first table (after the 32-byte header and the
+        // 4 + 6 bytes of its name) raised past what the file holds.
+        let mut rows = good.clone();
+        rows[32 + 10] = 200;
+        assert!(CheckpointData::decode(&reseal(rows)).is_err());
+        // An unknown dtype tag (first tag byte follows row and column counts).
+        let mut tag = good.clone();
+        tag[32 + 10 + 8 + 4] = 9;
+        assert!(CheckpointData::decode(&reseal(tag)).is_err());
+        // Bytes after the last table.
+        let mut trailing = good;
+        trailing.truncate(trailing.len() - 4);
+        trailing.push(0);
+        assert!(CheckpointData::decode(&CheckpointData::seal(trailing)).is_err());
     }
 }

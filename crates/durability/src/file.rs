@@ -7,7 +7,8 @@
 //!   (fsync) barrier;
 //! * [`DurableStorage`] — a flat namespace of named durable files with
 //!   whole-file read, atomic replace (temp file + rename) and append-handle
-//!   opening.
+//!   opening. Nothing is ever deleted: a checkpoint replaces its file, a
+//!   truncation replaces the log.
 //!
 //! Three implementations ship:
 //!
@@ -25,7 +26,7 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // A panicking holder poisons a std mutex; the guarded state here is
     // plain bytes/counters and stays structurally valid, so recover the
     // guard rather than propagate the poison.
@@ -52,8 +53,6 @@ pub trait DurableStorage: Send + Sync {
     /// Atomically replace the contents of a file (temp file + rename): after
     /// a crash the file holds either the old or the new bytes, never a mix.
     fn write_atomic(&self, name: &str, data: &[u8]) -> Result<(), DurabilityError>;
-    /// Remove a file if it exists.
-    fn remove(&self, name: &str) -> Result<(), DurabilityError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -132,14 +131,6 @@ impl DurableStorage for FsStorage {
         }
         Ok(())
     }
-
-    fn remove(&self, name: &str) -> Result<(), DurabilityError> {
-        match std::fs::remove_file(self.path(name)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(DurabilityError::io("remove", e.to_string())),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -208,11 +199,6 @@ impl DurableStorage for MemStorage {
         lock(&self.files).insert(name.to_string(), data.to_vec());
         Ok(())
     }
-
-    fn remove(&self, name: &str) -> Result<(), DurabilityError> {
-        lock(&self.files).remove(name);
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -247,6 +233,25 @@ struct FaultState {
     failing_syncs: u64,
     fail_atomic_writes: bool,
     halted: bool,
+    /// Appends, syncs and atomic writes attempted so far, on any file.
+    io_points: u64,
+    /// The I/O point at which the medium halts by itself.
+    halt_at: Option<u64>,
+}
+
+impl FaultState {
+    /// Count one append, sync or atomic write, halting the medium if this is
+    /// the point it was told to die at; fails if it is (now) halted.
+    fn enter_io_point(&mut self) -> Result<(), DurabilityError> {
+        if self.halt_at == Some(self.io_points) {
+            self.halted = true;
+        }
+        if self.halted {
+            return Err(DurabilityError::Halted);
+        }
+        self.io_points += 1;
+        Ok(())
+    }
 }
 
 /// Shared controller for a [`FaultStorage`]. Cloning shares the schedule, so
@@ -292,12 +297,24 @@ impl FaultInjector {
 
     /// Lift a [`FaultInjector::halt`] (the "reboot" before recovery).
     pub fn resume(&self) {
-        lock(&self.inner).halted = false;
+        let mut st = lock(&self.inner);
+        st.halted = false;
+        st.halt_at = None;
     }
 
-    /// Whether the medium is currently halted.
-    pub fn is_halted(&self) -> bool {
-        lock(&self.inner).halted
+    /// I/O points passed so far: every append, sync and atomic write on the
+    /// wrapped storage that was let through, in the order they were issued.
+    /// A crash sweep counts them in one clean run and then dies at each.
+    pub fn io_points_seen(&self) -> u64 {
+        lock(&self.inner).io_points
+    }
+
+    /// [`FaultInjector::halt`] the medium by itself when the `nth` I/O point
+    /// (0-based, counted as [`FaultInjector::io_points_seen`] does) is
+    /// reached: that operation and every later one fails, nothing of it
+    /// reaches the medium.
+    pub fn halt_at_io_point(&self, nth: u64) {
+        lock(&self.inner).halt_at = Some(nth);
     }
 
     fn check_halted(&self) -> Result<(), DurabilityError> {
@@ -310,9 +327,7 @@ impl FaultInjector {
 
     fn next_append_fault(&self) -> Result<Option<AppendFault>, DurabilityError> {
         let mut st = lock(&self.inner);
-        if st.halted {
-            return Err(DurabilityError::Halted);
-        }
+        st.enter_io_point()?;
         let seq = st.append_seq;
         st.append_seq += 1;
         Ok(st.append_faults.remove(&seq))
@@ -320,9 +335,7 @@ impl FaultInjector {
 
     fn take_sync_fault(&self) -> Result<bool, DurabilityError> {
         let mut st = lock(&self.inner);
-        if st.halted {
-            return Err(DurabilityError::Halted);
-        }
+        st.enter_io_point()?;
         if st.failing_syncs > 0 {
             st.failing_syncs -= 1;
             Ok(true)
@@ -401,20 +414,13 @@ impl DurableStorage for FaultStorage {
 
     fn write_atomic(&self, name: &str, data: &[u8]) -> Result<(), DurabilityError> {
         {
-            let st = lock(&self.injector.inner);
-            if st.halted {
-                return Err(DurabilityError::Halted);
-            }
+            let mut st = lock(&self.injector.inner);
+            st.enter_io_point()?;
             if st.fail_atomic_writes {
                 return Err(DurabilityError::io("write_atomic", "injected failure"));
             }
         }
         self.inner.write_atomic(name, data)
-    }
-
-    fn remove(&self, name: &str) -> Result<(), DurabilityError> {
-        self.injector.check_halted()?;
-        self.inner.remove(name)
     }
 }
 
@@ -433,8 +439,6 @@ mod tests {
         assert_eq!(s.read("missing").unwrap(), None);
         s.write_atomic("wal", b"xyz").unwrap();
         assert_eq!(s.read("wal").unwrap().unwrap(), b"xyz");
-        s.remove("wal").unwrap();
-        assert_eq!(s.read("wal").unwrap(), None);
     }
 
     #[test]
@@ -460,9 +464,7 @@ mod tests {
         assert_eq!(s.read("wal").unwrap().unwrap(), b"hello world");
         s.write_atomic("ckpt", b"snapshot").unwrap();
         assert_eq!(s.read("ckpt").unwrap().unwrap(), b"snapshot");
-        s.remove("wal").unwrap();
-        s.remove("ckpt").unwrap();
-        assert_eq!(s.read("wal").unwrap(), None);
+        assert_eq!(s.read("missing").unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -516,6 +518,30 @@ mod tests {
         assert_eq!(s.write_atomic("x", b""), Err(DurabilityError::Halted));
         inj.resume();
         assert_eq!(s.read("wal").unwrap().unwrap(), b"pre");
+    }
+
+    #[test]
+    fn io_points_count_every_write_and_the_medium_can_die_at_one() {
+        let mem = MemStorage::new();
+        let inj = FaultInjector::new();
+        let s = FaultStorage::new(Arc::new(mem.clone()), inj.clone());
+        let mut f = s.open_append("wal").unwrap();
+        f.append(b"a").unwrap();
+        f.sync().unwrap();
+        s.write_atomic("ckpt", b"x").unwrap();
+        // Reads and opens are not points: they change nothing on the medium.
+        s.read("wal").unwrap();
+        assert_eq!(inj.io_points_seen(), 3);
+
+        inj.halt_at_io_point(4);
+        f.append(b"b").unwrap();
+        assert_eq!(f.sync(), Err(DurabilityError::Halted));
+        assert_eq!(s.write_atomic("ckpt", b"y"), Err(DurabilityError::Halted));
+        assert_eq!(inj.io_points_seen(), 4, "a refused operation is no point");
+        inj.resume();
+        assert_eq!(mem.bytes("wal").unwrap(), b"ab");
+        assert_eq!(mem.bytes("ckpt").unwrap(), b"x");
+        f.sync().unwrap();
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //!
 //! * [`record`] — typed, CRC32-framed WAL commit records whose decoding is
 //!   total (torn or bit-flipped bytes end the valid prefix, they never
-//!   panic);
+//!   panic), in the byte codec the checkpoint shares;
 //! * [`wal`] — the group-commit coordinator: concurrent committers share one
 //!   fsync per batch, and a commit only returns once its record is durable;
 //! * [`checkpoint`] — atomic column-segment snapshots of every relation,
 //!   taken inside the twin-instance switch quiescence window, after which
-//!   the WAL is truncated to the checkpoint LSN;
+//!   the WAL is truncated to the checkpoint LSN. Written from, and decoded
+//!   into, whole columns: the bulk paths of this crate move column slices
+//!   and raw frames, and touch each durable file once;
 //! * [`recovery`] — loads the latest checkpoint plus the intact WAL tail;
 //!   the OLTP crate replays that tail through its normal insert/update path;
 //! * [`file`] — the injectable [`DurableFile`]/[`DurableStorage`] I/O
@@ -24,6 +26,7 @@
 //! format, the group-commit protocol and the recovery invariant.
 
 pub mod checkpoint;
+mod codec;
 pub mod error;
 pub mod file;
 pub mod record;

@@ -18,12 +18,18 @@
 //! Body layout: `txn_id u64, commit_ts u64, op_count u32, ops...`; each op
 //! is a tag byte (1 = insert, 2 = update) followed by its fields. Strings
 //! are `len u32 + UTF-8 bytes`; values are a type tag byte followed by the
-//! fixed-width little-endian payload (`f64` via `to_bits`) or a string.
+//! fixed-width little-endian payload (`f64` via `to_bits`) or a string —
+//! the codec of [`crate::codec`], which the checkpoint shares.
 //! Decoding is total: every read is bounds-checked and malformed input ends
 //! the valid prefix instead of panicking.
+//!
+//! `Value` is the per-cell interface of transactions and of these ops only;
+//! the bulk paths (checkpoint segments, WAL truncation) move column slices
+//! and raw frames.
 
+use crate::codec::{dtype_tag, put_str, tag_dtype, Reader};
 use crate::error::DurabilityError;
-use htap_storage::Value;
+use htap_storage::{DataType, Value};
 
 /// Log sequence number: position of a record in the logical WAL.
 pub type Lsn = u64;
@@ -115,35 +121,23 @@ pub struct WalRecord {
 const TAG_INSERT: u8 = 1;
 const TAG_UPDATE: u8 = 2;
 
-const VAL_I64: u8 = 1;
-const VAL_F64: u8 = 2;
-const VAL_I32: u8 = 3;
-const VAL_STR: u8 = 4;
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
+    buf.push(dtype_tag(v.data_type()));
+    match v {
+        Value::I64(x) => buf.extend_from_slice(&x.to_le_bytes()),
+        Value::F64(x) => buf.extend_from_slice(&x.to_bits().to_le_bytes()),
+        Value::I32(x) => buf.extend_from_slice(&x.to_le_bytes()),
+        Value::Str(s) => put_str(buf, s),
+    }
 }
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::I64(x) => {
-            buf.push(VAL_I64);
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            buf.push(VAL_F64);
-            buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::I32(x) => {
-            buf.push(VAL_I32);
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(VAL_STR);
-            put_str(buf, s);
-        }
-    }
+fn read_value(r: &mut Reader<'_>) -> Option<Value> {
+    Some(match tag_dtype(r.u8()?)? {
+        DataType::I64 => Value::I64(r.u64()? as i64),
+        DataType::F64 => Value::F64(f64::from_bits(r.u64()?)),
+        DataType::I32 => Value::I32(r.u32()? as i32),
+        DataType::Str => Value::Str(r.str()?),
+    })
 }
 
 impl WalRecord {
@@ -188,61 +182,6 @@ impl WalRecord {
 // Total (panic-free) decoding
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(s);
-            u32::from_le_bytes(b)
-        })
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(s);
-            u64::from_le_bytes(b)
-        })
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        match self.u8()? {
-            VAL_I64 => self.u64().map(|x| Value::I64(x as i64)),
-            VAL_F64 => self.u64().map(|x| Value::F64(f64::from_bits(x))),
-            VAL_I32 => self.u32().map(|x| Value::I32(x as i32)),
-            VAL_STR => self.str().map(Value::Str),
-            _ => None,
-        }
-    }
-}
-
 fn decode_body(body: &[u8]) -> Option<WalRecord> {
     let mut r = Reader::new(body);
     let txn_id = r.u64()?;
@@ -265,7 +204,7 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
                 }
                 let mut values = Vec::with_capacity(value_count);
                 for _ in 0..value_count {
-                    values.push(r.value()?);
+                    values.push(read_value(&mut r)?);
                 }
                 WalOp::Insert { table, key, values }
             }
@@ -273,7 +212,7 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
                 let table = r.str()?;
                 let key = r.u64()?;
                 let column = r.u32()?;
-                let value = r.value()?;
+                let value = read_value(&mut r)?;
                 WalOp::Update {
                     table,
                     key,
@@ -287,7 +226,7 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
     }
     // Trailing garbage inside a CRC-valid body would mean an encoder bug; be
     // strict and reject it.
-    if r.pos != body.len() {
+    if r.pos() != body.len() {
         return None;
     }
     Some(WalRecord {
@@ -317,13 +256,9 @@ impl WalSegment {
         self.base_lsn + self.records.len() as u64
     }
 
-    /// `(lsn, record)` pairs of the valid prefix.
-    pub fn numbered(&self) -> impl Iterator<Item = (Lsn, &WalRecord)> {
-        let base = self.base_lsn;
-        self.records
-            .iter()
-            .enumerate()
-            .map(move |(i, r)| (base + i as u64, r))
+    /// The records of the valid prefix, each with its LSN.
+    pub fn into_numbered(self) -> impl Iterator<Item = (Lsn, WalRecord)> {
+        (self.base_lsn..).zip(self.records)
     }
 }
 
@@ -336,55 +271,73 @@ pub fn encode_wal_header(base_lsn: Lsn) -> Vec<u8> {
     buf
 }
 
-/// Decode a WAL file. Fails only if the header itself is missing or invalid;
-/// a torn or corrupt record tail is expected after a crash and simply ends
-/// the valid prefix.
-pub fn decode_wal(bytes: &[u8]) -> Result<WalSegment, DurabilityError> {
-    let mut r = Reader::new(bytes);
-    let magic = r
-        .u64()
-        .ok_or_else(|| DurabilityError::corrupt("wal header truncated"))?;
-    if magic != WAL_MAGIC {
+/// Check the file header at the reader's position; returns the base LSN and
+/// leaves the reader at the first frame.
+fn read_wal_header(r: &mut Reader<'_>) -> Result<Lsn, DurabilityError> {
+    let truncated = || DurabilityError::corrupt("wal header truncated");
+    if r.u64().ok_or_else(truncated)? != WAL_MAGIC {
         return Err(DurabilityError::corrupt("wal magic mismatch"));
     }
-    let version = r
-        .u32()
-        .ok_or_else(|| DurabilityError::corrupt("wal header truncated"))?;
+    let version = r.u32().ok_or_else(truncated)?;
     if version != WAL_VERSION {
         return Err(DurabilityError::corrupt(format!(
             "unsupported wal version {version}"
         )));
     }
-    let base_lsn = r
-        .u64()
-        .ok_or_else(|| DurabilityError::corrupt("wal header truncated"))?;
+    r.u64().ok_or_else(truncated)
+}
 
+/// The body of the frame at the reader's position, leaving the reader behind
+/// it — or `None` where the valid prefix ends: the frame is incomplete, longer
+/// than a record may be, or its CRC does not match.
+fn read_frame<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let len = r.u32().filter(|&len| len <= MAX_RECORD_LEN)?;
+    let crc = r.u32()?;
+    r.take(len as usize).filter(|body| crc32(body) == crc)
+}
+
+/// Decode a WAL file. Fails only if the header itself is missing or invalid;
+/// a torn or corrupt record tail is expected after a crash and simply ends
+/// the valid prefix.
+pub fn decode_wal(bytes: &[u8]) -> Result<WalSegment, DurabilityError> {
+    let mut r = Reader::new(bytes);
+    let base_lsn = read_wal_header(&mut r)?;
     let mut records = Vec::new();
-    let mut valid_len = WAL_HEADER_LEN;
-    loop {
-        let frame_start = r.pos;
-        let Some(len) = r.u32() else { break };
-        if len > MAX_RECORD_LEN {
-            break;
-        }
-        let Some(crc) = r.u32() else { break };
-        let Some(body) = r.take(len as usize) else {
-            break;
-        };
-        if crc32(body) != crc {
-            break;
-        }
-        let Some(record) = decode_body(body) else {
-            break;
-        };
+    let mut valid_len = r.pos();
+    while let Some(record) = read_frame(&mut r).and_then(decode_body) {
         records.push(record);
-        valid_len = frame_start + 8 + len as usize;
+        valid_len = r.pos();
     }
     Ok(WalSegment {
         base_lsn,
         records,
         valid_len,
     })
+}
+
+/// The WAL file `bytes` without its records below `up_to`: a fresh header,
+/// then the bytes of every later frame exactly as they are. Only the frames
+/// that go are walked — length bound and CRC checked, which is what numbers
+/// them, bodies not decoded — and nothing is re-encoded. Where the valid
+/// prefix ends below `up_to`, the new file starts there, empty; `up_to` at or
+/// below the base LSN keeps the file as it is.
+///
+/// The kept suffix is not inspected: [`crate::Wal`] only ever appends whole
+/// batches to a valid prefix, so it is one. A frame in it that is not ends
+/// the valid prefix of the new file where it ended the old one's.
+pub(crate) fn truncate_wal(bytes: &[u8], up_to: Lsn) -> Result<Vec<u8>, DurabilityError> {
+    let mut r = Reader::new(bytes);
+    let mut lsn = read_wal_header(&mut r)?;
+    while lsn < up_to {
+        if read_frame(&mut r).is_none() {
+            return Ok(encode_wal_header(lsn));
+        }
+        lsn += 1;
+    }
+    // The reader stands behind the last frame that goes.
+    let mut fresh = encode_wal_header(lsn);
+    fresh.extend_from_slice(&bytes[r.pos()..]);
+    Ok(fresh)
 }
 
 #[cfg(test)]
@@ -433,7 +386,7 @@ mod tests {
         assert_eq!(seg.records, records);
         assert_eq!(seg.valid_len, bytes.len());
         assert_eq!(seg.end_lsn(), 8);
-        let numbered: Vec<_> = seg.numbered().map(|(lsn, _)| lsn).collect();
+        let numbered: Vec<_> = seg.into_numbered().map(|(lsn, _)| lsn).collect();
         assert_eq!(numbered, vec![5, 6, 7]);
     }
 
@@ -478,6 +431,70 @@ mod tests {
         assert_eq!(seg.base_lsn, 42);
         assert!(seg.records.is_empty());
         assert_eq!(seg.valid_len, WAL_HEADER_LEN);
+    }
+
+    /// What a decode-and-re-encode truncation would produce from a file
+    /// that is a valid prefix.
+    fn reencoded(records: &[WalRecord], base_lsn: Lsn, up_to: Lsn) -> Vec<u8> {
+        let kept = (up_to.saturating_sub(base_lsn) as usize).min(records.len());
+        file_with(&records[kept..], base_lsn + kept as u64)
+    }
+
+    #[test]
+    fn truncation_keeps_exactly_the_frames_from_up_to_on() {
+        let records: Vec<_> = (1..=5).map(sample).collect();
+        let file = file_with(&records, 10);
+        for up_to in 0..20 {
+            let fresh = truncate_wal(&file, up_to).unwrap();
+            assert_eq!(fresh, reencoded(&records, 10, up_to), "up_to {up_to}");
+        }
+        // Below or at the base LSN nothing goes, and LSNs are not renumbered.
+        assert_eq!(truncate_wal(&file, 3).unwrap(), file);
+        assert_eq!(truncate_wal(&file, 10).unwrap(), file);
+        // At the end: an empty log that starts where the old one stopped.
+        assert_eq!(truncate_wal(&file, 15).unwrap(), encode_wal_header(15));
+        // Past the end the log cannot claim records it never held.
+        assert_eq!(truncate_wal(&file, 99).unwrap(), encode_wal_header(15));
+        // A damaged header is the one hard error, as for decoding.
+        assert!(truncate_wal(&file[..WAL_HEADER_LEN - 1], 12).is_err());
+    }
+
+    #[test]
+    fn truncation_through_a_torn_tail_stops_at_the_valid_prefix() {
+        let records: Vec<_> = (1..=3).map(sample).collect();
+        let mut torn = file_with(&records, 0);
+        torn.truncate(torn.len() - 3);
+        // The torn frame is the third: asked to drop all three, the walk
+        // finds two and the new log starts, empty, at LSN 2.
+        assert_eq!(truncate_wal(&torn, 3).unwrap(), encode_wal_header(2));
+        // Kept, the torn bytes travel verbatim and decode as before.
+        let fresh = truncate_wal(&torn, 1).unwrap();
+        let seg = decode_wal(&fresh).unwrap();
+        assert_eq!((seg.base_lsn, seg.records.as_slice()), (1, &records[1..2]));
+        assert_eq!(
+            fresh.len() - seg.valid_len,
+            torn.len() - file_with(&records[..2], 0).len()
+        );
+    }
+
+    #[test]
+    fn a_crc_bad_frame_in_the_kept_suffix_survives_verbatim() {
+        let records: Vec<_> = (1..=4).map(sample).collect();
+        let mut file = file_with(&records, 0);
+        let third = file_with(&records[..2], 0).len();
+        file[third + 12] ^= 0x10;
+        let fresh = truncate_wal(&file, 1).unwrap();
+        // Byte for byte the old suffix, bad frame and what follows it included…
+        assert_eq!(
+            fresh[WAL_HEADER_LEN..],
+            file[file_with(&records[..1], 0).len()..]
+        );
+        // …and it still ends the valid prefix where it did.
+        let seg = decode_wal(&fresh).unwrap();
+        assert_eq!((seg.base_lsn, seg.records.as_slice()), (1, &records[1..2]));
+        // Among the frames that go, a bad one ends the count (as it ended
+        // the decoded prefix): nothing after it can be numbered.
+        assert_eq!(truncate_wal(&file, 4).unwrap(), encode_wal_header(2));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 use crate::checkpoint::CheckpointData;
 use crate::error::DurabilityError;
 use crate::file::DurableStorage;
-use crate::record::{decode_wal, Lsn, WalRecord};
+use crate::record::{Lsn, WalRecord, WalSegment};
 
 /// Everything recovery found on the durable medium.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RecoveredState {
     /// The latest checkpoint, if one was ever written.
     pub checkpoint: Option<CheckpointData>,
@@ -20,67 +20,46 @@ pub struct RecoveredState {
     /// Highest commit timestamp anywhere in the recovered state; the logical
     /// clock must be advanced past it before new commits are accepted.
     pub last_commit_ts: u64,
-    /// Bytes of torn/corrupt WAL tail that were discarded (0 after a clean
-    /// shutdown).
-    pub discarded_wal_bytes: usize,
 }
 
-impl RecoveredState {
-    /// Total committed transactions represented (checkpoint rows count as
-    /// already applied, so this is just the tail length).
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
-}
-
-/// Read and validate the durable state under (`wal_name`, `ckpt_name`).
+/// Read and validate the checkpoint `ckpt_name` and put it together with
+/// `wal`, the decoded log [`crate::Wal::open`] returned (so the WAL file is
+/// read and decoded once per reopen, and its records move into the state).
 ///
-/// * A missing WAL and missing checkpoint is a fresh start (empty state).
-/// * A torn or corrupt WAL *tail* is expected after a crash: the valid
-///   prefix is kept, the rest is reported via `discarded_wal_bytes`.
-/// * A corrupt checkpoint, corrupt WAL *header*, or a WAL whose base LSN
-///   lies beyond what the checkpoint covers (truncation ran ahead of the
-///   snapshot — records irrecoverably lost) is a hard error.
+/// * An empty WAL and a missing checkpoint is a fresh start (empty state).
+/// * A torn or corrupt WAL *tail* is expected after a crash: `wal` is the
+///   valid prefix, and opening the WAL cut the rest off the file.
+/// * A corrupt checkpoint, or a WAL whose base LSN lies beyond what the
+///   checkpoint covers (truncation ran ahead of the snapshot — records
+///   irrecoverably lost) is a hard error.
 pub fn load_state(
     storage: &dyn DurableStorage,
-    wal_name: &str,
+    wal: WalSegment,
     ckpt_name: &str,
 ) -> Result<RecoveredState, DurabilityError> {
     let checkpoint = match storage.read(ckpt_name)? {
         Some(bytes) => Some(CheckpointData::decode(&bytes)?),
         None => None,
     };
-    let covered_to: Lsn = checkpoint.as_ref().map(|c| c.lsn).unwrap_or(0);
-
-    let (tail, discarded) = match storage.read(wal_name)? {
-        Some(bytes) => {
-            let seg = decode_wal(&bytes)?;
-            if seg.base_lsn > covered_to {
-                return Err(DurabilityError::corrupt(format!(
-                    "wal starts at lsn {} but checkpoint covers only up to {}",
-                    seg.base_lsn, covered_to
-                )));
-            }
-            let tail: Vec<(Lsn, WalRecord)> = seg
-                .numbered()
-                .filter(|(lsn, _)| *lsn >= covered_to)
-                .map(|(lsn, r)| (lsn, r.clone()))
-                .collect();
-            (tail, bytes.len() - seg.valid_len)
-        }
-        None => (Vec::new(), 0),
-    };
-
-    let mut last_commit_ts = checkpoint.as_ref().map(|c| c.last_ts).unwrap_or(0);
-    for (_, record) in &tail {
-        last_commit_ts = last_commit_ts.max(record.commit_ts);
+    let covered_to: Lsn = checkpoint.as_ref().map_or(0, |c| c.lsn);
+    if wal.base_lsn > covered_to {
+        return Err(DurabilityError::corrupt(format!(
+            "wal starts at lsn {} but checkpoint covers only up to {}",
+            wal.base_lsn, covered_to
+        )));
     }
-
+    let tail: Vec<(Lsn, WalRecord)> = wal
+        .into_numbered()
+        .skip_while(|(lsn, _)| *lsn < covered_to)
+        .collect();
+    let last_commit_ts = tail
+        .iter()
+        .map(|(_, record)| record.commit_ts)
+        .fold(checkpoint.as_ref().map_or(0, |c| c.last_ts), u64::max);
     Ok(RecoveredState {
         checkpoint,
         tail,
         last_commit_ts,
-        discarded_wal_bytes: discarded,
     })
 }
 
@@ -89,8 +68,8 @@ mod tests {
     use super::*;
     use crate::checkpoint::CheckpointTable;
     use crate::file::MemStorage;
-    use crate::record::{encode_wal_header, WalOp};
-    use htap_storage::{DataType, Value};
+    use crate::record::{decode_wal, encode_wal_header, WalOp};
+    use htap_storage::{Column, Value};
 
     fn rec(txn_id: u64, commit_ts: u64) -> WalRecord {
         WalRecord {
@@ -112,15 +91,18 @@ mod tests {
         bytes
     }
 
+    fn wal(base: Lsn, records: &[WalRecord]) -> WalSegment {
+        decode_wal(&wal_bytes(base, records)).unwrap()
+    }
+
     fn ckpt(lsn: Lsn, last_ts: u64) -> CheckpointData {
         CheckpointData {
             lsn,
             last_ts,
             tables: vec![CheckpointTable {
                 name: "t".into(),
-                dtypes: vec![DataType::I64],
                 keys: vec![1],
-                columns: vec![vec![Value::I64(1)]],
+                columns: vec![Column::from(vec![1i64])],
             }],
         }
     }
@@ -128,7 +110,7 @@ mod tests {
     #[test]
     fn fresh_start_is_empty() {
         let mem = MemStorage::new();
-        let st = load_state(&mem, "wal", "ckpt").unwrap();
+        let st = load_state(&mem, wal(0, &[]), "ckpt").unwrap();
         assert!(st.checkpoint.is_none());
         assert!(st.tail.is_empty());
         assert_eq!(st.last_commit_ts, 0);
@@ -138,25 +120,20 @@ mod tests {
     fn wal_only_recovery_returns_full_tail() {
         let mem = MemStorage::new();
         let records = vec![rec(1, 10), rec(2, 12), rec(3, 11)];
-        mem.set_bytes("wal", wal_bytes(0, &records));
-        let st = load_state(&mem, "wal", "ckpt").unwrap();
+        let st = load_state(&mem, wal(0, &records), "ckpt").unwrap();
         assert!(st.checkpoint.is_none());
         assert_eq!(st.tail.len(), 3);
         assert_eq!(st.tail[0], (0, records[0].clone()));
         assert_eq!(st.last_commit_ts, 12);
-        assert_eq!(st.discarded_wal_bytes, 0);
     }
 
     #[test]
     fn checkpoint_filters_covered_records() {
         let mem = MemStorage::new();
         // WAL holds lsns 0..4; checkpoint covers < 2.
-        mem.set_bytes(
-            "wal",
-            wal_bytes(0, &[rec(1, 10), rec(2, 11), rec(3, 12), rec(4, 13)]),
-        );
-        mem.set_bytes("ckpt", ckpt(2, 11).encode());
-        let st = load_state(&mem, "wal", "ckpt").unwrap();
+        let log = wal(0, &[rec(1, 10), rec(2, 11), rec(3, 12), rec(4, 13)]);
+        mem.set_bytes("ckpt", ckpt(2, 11).encode().unwrap());
+        let st = load_state(&mem, log, "ckpt").unwrap();
         assert_eq!(st.tail.len(), 2);
         assert_eq!(st.tail[0].0, 2);
         assert_eq!(st.last_commit_ts, 13);
@@ -166,9 +143,8 @@ mod tests {
     fn truncated_wal_with_checkpoint_base_matches() {
         let mem = MemStorage::new();
         // After truncation the WAL starts exactly at the checkpoint lsn.
-        mem.set_bytes("wal", wal_bytes(2, &[rec(3, 12)]));
-        mem.set_bytes("ckpt", ckpt(2, 11).encode());
-        let st = load_state(&mem, "wal", "ckpt").unwrap();
+        mem.set_bytes("ckpt", ckpt(2, 11).encode().unwrap());
+        let st = load_state(&mem, wal(2, &[rec(3, 12)]), "ckpt").unwrap();
         assert_eq!(st.tail.len(), 1);
         assert_eq!(st.tail[0].0, 2);
     }
@@ -178,32 +154,31 @@ mod tests {
         let mem = MemStorage::new();
         let mut bytes = wal_bytes(0, &[rec(1, 10), rec(2, 11)]);
         bytes.truncate(bytes.len() - 5);
-        let torn = bytes.len();
-        mem.set_bytes("wal", bytes);
-        let st = load_state(&mem, "wal", "ckpt").unwrap();
+        // The decoded segment is the valid prefix and says where it ends.
+        let log = decode_wal(&bytes).unwrap();
+        assert!(log.valid_len < bytes.len());
+        assert_eq!(log.valid_len, wal_bytes(0, &[rec(1, 10)]).len());
+        let st = load_state(&mem, log, "ckpt").unwrap();
         assert_eq!(st.tail.len(), 1);
         assert_eq!(st.last_commit_ts, 10);
-        assert!(st.discarded_wal_bytes > 0);
-        assert!(st.discarded_wal_bytes < torn);
     }
 
     #[test]
     fn wal_ahead_of_checkpoint_is_a_hard_error() {
         let mem = MemStorage::new();
-        mem.set_bytes("wal", wal_bytes(5, &[rec(6, 20)]));
-        mem.set_bytes("ckpt", ckpt(2, 11).encode());
-        assert!(load_state(&mem, "wal", "ckpt").is_err());
+        mem.set_bytes("ckpt", ckpt(2, 11).encode().unwrap());
+        assert!(load_state(&mem, wal(5, &[rec(6, 20)]), "ckpt").is_err());
         // Without any checkpoint the same WAL is also unrecoverable.
-        mem.remove("ckpt").unwrap();
-        assert!(load_state(&mem, "wal", "ckpt").is_err());
+        let bare = MemStorage::new();
+        assert!(load_state(&bare, wal(5, &[rec(6, 20)]), "ckpt").is_err());
     }
 
     #[test]
     fn corrupt_checkpoint_is_a_hard_error() {
         let mem = MemStorage::new();
-        let mut bytes = ckpt(2, 11).encode();
+        let mut bytes = ckpt(2, 11).encode().unwrap();
         bytes[10] ^= 0xFF;
         mem.set_bytes("ckpt", bytes);
-        assert!(load_state(&mem, "wal", "ckpt").is_err());
+        assert!(load_state(&mem, wal(0, &[]), "ckpt").is_err());
     }
 }

@@ -21,15 +21,11 @@
 //! disk; the CRC framing makes recovery discard any torn tail.
 
 use crate::error::DurabilityError;
-use crate::file::{DurableFile, DurableStorage};
-use crate::record::{decode_wal, encode_wal_header, Lsn, WalRecord, WalSegment};
+use crate::file::{lock, DurableFile, DurableStorage};
+use crate::record::{decode_wal, encode_wal_header, truncate_wal, Lsn, WalRecord, WalSegment};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Tuning knobs of the group-commit coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,25 +117,17 @@ impl Wal {
         name: &str,
         config: WalConfig,
     ) -> Result<(Self, WalSegment), DurabilityError> {
-        let segment = match storage.read(name)? {
-            Some(bytes) => {
-                let seg = decode_wal(&bytes)?;
-                if seg.valid_len < bytes.len() {
-                    // Drop the torn tail so the append handle continues a
-                    // valid prefix.
-                    storage.write_atomic(name, &bytes[..seg.valid_len])?;
-                }
-                seg
-            }
-            None => {
-                storage.write_atomic(name, &encode_wal_header(0))?;
-                WalSegment {
-                    base_lsn: 0,
-                    records: Vec::new(),
-                    valid_len: crate::record::WAL_HEADER_LEN,
-                }
-            }
+        // A log that does not exist yet is its header, not yet on the medium.
+        let (stored, bytes) = match storage.read(name)? {
+            Some(bytes) => (bytes.len(), bytes),
+            None => (0, encode_wal_header(0)),
         };
+        let segment = decode_wal(&bytes)?;
+        if segment.valid_len != stored {
+            // Write the new header, or drop the torn tail: the append handle
+            // continues a valid prefix.
+            storage.write_atomic(name, &bytes[..segment.valid_len])?;
+        }
         let file = storage.open_append(name)?;
         let end = segment.end_lsn();
         let wal = Wal {
@@ -327,7 +315,9 @@ impl Wal {
     }
 
     /// Flush `pending_buf`, rewrite the file keeping only records with
-    /// `lsn >= up_to`, and swap in a fresh append handle.
+    /// `lsn >= up_to` ([`truncate_wal`]: the file is read once and its
+    /// surviving frames are copied as bytes), and swap in a fresh append
+    /// handle.
     fn rewrite(&self, up_to: Lsn, pending_buf: &[u8]) -> Result<(), DurabilityError> {
         let sh = &self.shared;
         let mut io = lock(&sh.io);
@@ -340,14 +330,8 @@ impl Wal {
             .storage
             .read(&sh.name)?
             .ok_or_else(|| DurabilityError::corrupt("wal file vanished during truncation"))?;
-        let seg = decode_wal(&bytes)?;
-        let mut fresh = encode_wal_header(up_to.min(seg.end_lsn()));
-        for (lsn, record) in seg.numbered() {
-            if lsn >= up_to {
-                record.encode_into(&mut fresh);
-            }
-        }
-        sh.storage.write_atomic(&sh.name, &fresh)?;
+        sh.storage
+            .write_atomic(&sh.name, &truncate_wal(&bytes, up_to)?)?;
         // The old handle points at the replaced file; reopen on the new one.
         *io = sh.storage.open_append(&sh.name)?;
         Ok(())
@@ -491,6 +475,27 @@ mod tests {
         let seg = decode_wal(&mem.bytes("wal").unwrap()).unwrap();
         assert_eq!(seg.end_lsn(), 6);
         assert_eq!(seg.records[2], rec(9));
+    }
+
+    #[test]
+    fn truncate_to_the_end_leaves_an_empty_log_that_appends_continue() {
+        let (mem, wal) = mem_wal(WalConfig {
+            flush_interval_micros: 0,
+            max_batch: 1,
+        });
+        for i in 0..4 {
+            wal.append_commit(&rec(i)).unwrap();
+        }
+        // What a checkpoint does: everything logged so far is covered.
+        wal.truncate_to(wal.next_lsn()).unwrap();
+        assert_eq!(mem.bytes("wal").unwrap(), encode_wal_header(4));
+        assert_eq!(wal.append_commit(&rec(7)).unwrap(), 4);
+        let seg = decode_wal(&mem.bytes("wal").unwrap()).unwrap();
+        assert_eq!((seg.base_lsn, seg.records), (4, vec![rec(7)]));
+        // Truncating to a position already gone changes nothing.
+        let before = mem.bytes("wal").unwrap();
+        wal.truncate_to(2).unwrap();
+        assert_eq!(mem.bytes("wal").unwrap(), before);
     }
 
     #[test]

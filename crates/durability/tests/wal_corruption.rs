@@ -166,18 +166,18 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 0..16),
         flip_pos in any::<u64>(),
     ) {
-        let columns = vec![keys.iter().map(|&k| Value::I64(k as i64)).collect::<Vec<_>>()];
+        let cells = keys.iter().map(|&k| k as i64).collect::<Vec<_>>();
+        let columns = vec![htap_storage::Column::from(cells)];
         let ckpt = CheckpointData {
             lsn,
             last_ts,
             tables: vec![htap_durability::CheckpointTable {
                 name: "t".to_string(),
-                dtypes: vec![htap_storage::DataType::I64],
                 keys: keys.clone(),
                 columns,
             }],
         };
-        let bytes = ckpt.encode();
+        let bytes = ckpt.encode().unwrap();
         prop_assert_eq!(CheckpointData::decode(&bytes).unwrap(), ckpt);
         let mut corrupt = bytes.clone();
         let pos = (flip_pos % bytes.len() as u64) as usize;

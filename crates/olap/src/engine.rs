@@ -27,8 +27,6 @@ pub struct OlapTable {
     table: Arc<ColumnarTable>,
     /// Rows of the table that are loaded and queryable.
     rows: AtomicU64,
-    /// Epoch of the OLTP snapshot the table was last synchronised with.
-    synced_epoch: AtomicU64,
 }
 
 impl OlapTable {
@@ -36,7 +34,6 @@ impl OlapTable {
         OlapTable {
             table: Arc::new(ColumnarTable::new(schema)),
             rows: AtomicU64::new(0),
-            synced_epoch: AtomicU64::new(0),
         }
     }
 
@@ -48,11 +45,6 @@ impl OlapTable {
     /// Queryable rows.
     pub fn rows(&self) -> u64 {
         self.rows.load(Ordering::Acquire)
-    }
-
-    /// Epoch of the last synchronisation.
-    pub fn synced_epoch(&self) -> u64 {
-        self.synced_epoch.load(Ordering::Acquire)
     }
 }
 
@@ -112,7 +104,7 @@ impl OlapStore {
     }
 
     /// Apply an ETL delta from an OLTP snapshot: copy the updated rows and
-    /// the inserted row range, then advance the watermark and epoch.
+    /// the inserted row range, then advance the watermark.
     /// Returns the number of rows copied.
     pub fn apply_delta(
         &self,
@@ -126,14 +118,14 @@ impl OlapStore {
         };
         let copied = updated_rows.len() as u64 + inserted.end.saturating_sub(inserted.start);
         let columns = 0..table.table.schema().arity();
-        table
-            .table
-            .copy_from(snapshot.table(), columns, updated_rows, inserted.clone());
+        table.table.copy_from(
+            snapshot.table().columns(),
+            columns,
+            updated_rows,
+            inserted.clone(),
+        );
         let new_rows = inserted.end.max(table.rows.load(Ordering::Acquire));
         table.rows.store(new_rows, Ordering::Release);
-        table
-            .synced_epoch
-            .store(snapshot.epoch(), Ordering::Release);
         copied
     }
 
@@ -302,7 +294,6 @@ mod tests {
         assert_eq!(copied, 2);
         assert_eq!(e.store().get_value("sales", 2, 1), Some(Value::F64(222.0)));
         assert_eq!(e.store().table("sales").unwrap().rows(), 11);
-        assert_eq!(e.store().table("sales").unwrap().synced_epoch(), 2);
     }
 
     #[test]

@@ -236,7 +236,7 @@ mod tests {
 
     fn sources_for(n: u64) -> BTreeMap<String, ScanSource> {
         let ol = orderline(n);
-        let snap = TableSnapshot::new("orderline".into(), ol, n, 0);
+        let snap = TableSnapshot::new("orderline".into(), ol, n);
         let mut m = BTreeMap::new();
         m.insert(
             "orderline".to_string(),
@@ -353,13 +353,13 @@ mod tests {
     fn chain_sources(n: u64) -> BTreeMap<String, ScanSource> {
         let mut sources = sources_for(n);
         let mid = mid_dim(5);
-        let snap = TableSnapshot::new("mid".into(), mid, 5, 0);
+        let snap = TableSnapshot::new("mid".into(), mid, 5);
         sources.insert(
             "mid".into(),
             ScanSource::contiguous_snapshot(&snap, SocketId(1)),
         );
         let far = far_dim(3);
-        let snap = TableSnapshot::new("far".into(), far, 3, 0);
+        let snap = TableSnapshot::new("far".into(), far, 3);
         sources.insert(
             "far".into(),
             ScanSource::contiguous_snapshot(&snap, SocketId(1)),
@@ -585,7 +585,7 @@ mod tests {
     fn join_plan_filters_both_sides_and_counts_probes() {
         let mut sources = sources_for(1000);
         let it = item(5);
-        let snap = TableSnapshot::new("item".into(), it, 5, 0);
+        let snap = TableSnapshot::new("item".into(), it, 5);
         sources.insert(
             "item".into(),
             ScanSource::contiguous_snapshot(&snap, SocketId(1)),
@@ -630,7 +630,7 @@ mod tests {
     fn split_access_profile_reports_fresh_rows_only_for_oltp_segments() {
         let olap_part = orderline(800);
         let oltp_part = orderline(1000);
-        let snap = TableSnapshot::new("orderline".into(), oltp_part, 1000, 0);
+        let snap = TableSnapshot::new("orderline".into(), oltp_part, 1000);
         let src = ScanSource::split(olap_part, 800, SocketId(1), &snap, SocketId(0));
         let mut sources = BTreeMap::new();
         sources.insert("orderline".to_string(), src);
@@ -747,7 +747,7 @@ mod tests {
     fn join_shape_is_bit_identical_across_worker_counts() {
         let mut sources = sources_for(5_003);
         let it = item(5);
-        let snap = TableSnapshot::new("item".into(), it, 5, 0);
+        let snap = TableSnapshot::new("item".into(), it, 5);
         sources.insert(
             "item".into(),
             ScanSource::contiguous_snapshot(&snap, SocketId(1)),
@@ -848,12 +848,12 @@ mod tests {
         fact.append_row(&[Value::I64(BIG + 1), Value::F64(1.0)])
             .unwrap();
         let mut sources = BTreeMap::new();
-        let snap = TableSnapshot::new("dim64".into(), Arc::new(dim), 1, 0);
+        let snap = TableSnapshot::new("dim64".into(), Arc::new(dim), 1);
         sources.insert(
             "dim64".to_string(),
             ScanSource::contiguous_snapshot(&snap, SocketId(0)),
         );
-        let snap = TableSnapshot::new("fact64".into(), Arc::new(fact), 1, 0);
+        let snap = TableSnapshot::new("fact64".into(), Arc::new(fact), 1);
         sources.insert(
             "fact64".to_string(),
             ScanSource::contiguous_snapshot(&snap, SocketId(0)),

@@ -102,7 +102,7 @@ mod tests {
 
     fn snapshot_source(n: u64) -> ScanSource {
         let table = table_with(n);
-        let snap = TableSnapshot::new("t".into(), table, n, 0);
+        let snap = TableSnapshot::new("t".into(), table, n);
         ScanSource::contiguous_snapshot(&snap, SocketId(0))
     }
 
@@ -153,7 +153,7 @@ mod tests {
     fn split_access_morsels_never_span_segments() {
         let olap = table_with(100);
         let oltp = table_with(130);
-        let snap = TableSnapshot::new("t".into(), oltp, 130, 1);
+        let snap = TableSnapshot::new("t".into(), oltp, 130);
         let src = ScanSource::split(olap, 100, SocketId(1), &snap, SocketId(0));
         let morsels = split_morsels(&src, 64);
         // Segment 0: rows 0..100 -> 64 + 36; segment 1: rows 100..130 -> 30.

@@ -498,7 +498,7 @@ mod tests {
             ])
             .unwrap();
         }
-        let snap = TableSnapshot::new("t".into(), Arc::new(t), 100, 0);
+        let snap = TableSnapshot::new("t".into(), Arc::new(t), 100);
         let mut m = BTreeMap::new();
         m.insert(
             "t".to_string(),

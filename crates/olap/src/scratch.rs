@@ -308,7 +308,7 @@ mod tests {
             ])
             .unwrap();
         }
-        let snap = TableSnapshot::new("t".into(), Arc::new(t), 100, 0);
+        let snap = TableSnapshot::new("t".into(), Arc::new(t), 100);
         ScanSource::contiguous_snapshot(&snap, SocketId(0))
     }
 

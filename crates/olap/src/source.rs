@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn contiguous_source_produces_all_rows_in_blocks() {
         let table = table_with(100);
-        let snap = TableSnapshot::new("lineitem".into(), table, 100, 0);
+        let snap = TableSnapshot::new("lineitem".into(), table, 100);
         let src = ScanSource::contiguous_snapshot(&snap, SocketId(0));
         assert_eq!(src.total_rows(), 100);
         assert_eq!(src.fresh_rows(), 100);
@@ -414,7 +414,7 @@ mod tests {
     fn split_source_partitions_rows_between_sockets() {
         let olap = table_with(80);
         let oltp = table_with(100);
-        let snap = TableSnapshot::new("lineitem".into(), oltp, 100, 1);
+        let snap = TableSnapshot::new("lineitem".into(), oltp, 100);
         let src = ScanSource::split(olap, 80, SocketId(1), &snap, SocketId(0));
         assert_eq!(src.segments.len(), 2);
         assert_eq!(src.total_rows(), 100);
@@ -438,7 +438,7 @@ mod tests {
     fn split_source_with_no_fresh_tail_has_single_segment() {
         let olap = table_with(50);
         let oltp = table_with(50);
-        let snap = TableSnapshot::new("lineitem".into(), oltp, 50, 0);
+        let snap = TableSnapshot::new("lineitem".into(), oltp, 50);
         let src = ScanSource::split(olap, 50, SocketId(1), &snap, SocketId(0));
         assert_eq!(src.segments.len(), 1);
         assert_eq!(src.fresh_rows(), 0);
@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn bytes_per_socket_accounts_column_widths() {
         let table = table_with(10);
-        let snap = TableSnapshot::new("lineitem".into(), table, 10, 0);
+        let snap = TableSnapshot::new("lineitem".into(), table, 10);
         let src = ScanSource::contiguous_snapshot(&snap, SocketId(0));
         let bytes = src.bytes_per_socket(&["id", "qty", "amount"]);
         assert_eq!(bytes[&SocketId(0)], 10 * (8 + 4 + 8));
@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn unknown_column_is_a_typed_error() {
         let table = table_with(5);
-        let snap = TableSnapshot::new("lineitem".into(), table, 5, 0);
+        let snap = TableSnapshot::new("lineitem".into(), table, 5);
         let err = ScanSource::contiguous_snapshot(&snap, SocketId(0))
             .for_each_block(&["nope"], &[], 0, |_| {})
             .unwrap_err();

@@ -6,15 +6,19 @@
 //! `htap-durability`; this module owns the *coordination* with the OLTP
 //! engine — when a checkpoint may run (only while the instance-switch write
 //! gate is held, so no transaction is mid-commit), what it captures (every
-//! registered relation, key-ordered), and how a [`RecoveredState`] is applied
-//! back onto a freshly created schema.
+//! registered relation, rows in row-id order), and how a [`RecoveredState`]
+//! is applied back onto a freshly created schema. The image moves column at
+//! a time in both directions — one index walk and one slice append per
+//! column to write it, one range copy per column and instance to restore it;
+//! only the WAL tail is replayed op by op.
 //!
 //! See `ARCHITECTURE.md` ("Durability & crash recovery").
 
-use crate::engine::OltpEngine;
+use crate::engine::{OltpEngine, TableRuntime};
 use htap_durability::{
     CheckpointData, CheckpointTable, DurabilityError, DurableStorage, RecoveredState, Wal, WalOp,
 };
+use htap_storage::RecordLocation;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +48,6 @@ pub struct DurabilityStats {
 pub struct DurabilityController {
     storage: Arc<dyn DurableStorage>,
     wal: Wal,
-    checkpoint_file: String,
     /// Take a checkpoint every N instance switches — every N scheduled
     /// queries, a query crosses the gate once; 0 disables periodic
     /// checkpoints (explicit [`OltpEngine::checkpoint_now`] still works).
@@ -57,7 +60,6 @@ pub struct DurabilityController {
 impl std::fmt::Debug for DurabilityController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurabilityController")
-            .field("checkpoint_file", &self.checkpoint_file)
             .field(
                 "checkpoint_interval_switches",
                 &self.checkpoint_interval_switches,
@@ -78,7 +80,6 @@ impl DurabilityController {
         DurabilityController {
             storage,
             wal,
-            checkpoint_file: CHECKPOINT_FILE.to_string(),
             checkpoint_interval_switches,
             switches_seen: AtomicU64::new(0),
             checkpoints_taken: AtomicU64::new(0),
@@ -123,6 +124,14 @@ impl DurabilityController {
     /// Write a checkpoint of the current store and truncate the WAL to it.
     /// The caller must hold the switch gate for writing (quiesced engine).
     pub(crate) fn checkpoint_quiesced(&self, engine: &OltpEngine) -> Result<(), DurabilityError> {
+        // A WAL that failed a flush has numbered records it never wrote: an
+        // image stamped with its `next_lsn` would claim to cover LSNs the
+        // reopened log hands out again, and recovery would skip those commits.
+        if self.wal.is_broken() {
+            return Err(DurabilityError::Broken {
+                detail: "no checkpoint of a store whose WAL failed a flush".into(),
+            });
+        }
         let on = htap_obs::enabled();
         let t_ckpt = if on { htap_obs::now_us() } else { 0 };
         if on {
@@ -131,51 +140,32 @@ impl DurabilityController {
         // No transaction is in flight, so every durable record is also
         // applied and `next_lsn` covers exactly the captured state.
         let lsn = self.wal.next_lsn();
-        let last_ts = engine.txn_manager().now();
-        let mut tables = Vec::new();
-        for rt in engine.txn_manager().tables() {
-            let name = rt.name().to_string();
-            let dtypes: Vec<_> = rt.twin().schema().columns.iter().map(|c| c.dtype).collect();
-            let entries = rt.index().entries();
-            let mut keys = Vec::with_capacity(entries.len());
-            let mut columns = vec![Vec::with_capacity(entries.len()); dtypes.len()];
-            for (key, loc) in entries {
-                keys.push(key);
-                for (c, col) in columns.iter_mut().enumerate() {
-                    let value = rt.twin().get(loc.row, c).ok_or_else(|| {
-                        DurabilityError::corrupt(format!(
-                            "row {} column {c} of table {name} unreadable",
-                            loc.row
-                        ))
-                    })?;
-                    col.push(value);
-                }
-            }
-            tables.push(CheckpointTable {
-                name,
-                dtypes,
-                keys,
-                columns,
-            });
-        }
-        let data = CheckpointData {
+        let tables = engine.txn_manager().tables();
+        // One buffer for the whole file: the fixed-width cells and keys are
+        // about an instance's size, strings and headers grow it if need be.
+        let mut image = CheckpointData::begin(
             lsn,
-            last_ts,
-            tables,
-        };
+            engine.txn_manager().now(),
+            tables.len(),
+            engine.instance_bytes() as usize,
+        );
+        for rt in &tables {
+            let active = rt.twin().active();
+            let keys = keys_by_row(rt, active.row_count())?;
+            CheckpointTable::encode_into(&mut image, rt.name(), &keys, active.columns())?;
+        }
         // Checkpoint first, truncate second: a crash between the two leaves
         // an un-truncated WAL prefix that recovery simply skips, because
         // replay starts at the checkpoint LSN.
-        let table_count = data.tables.len() as u64;
         self.storage
-            .write_atomic(&self.checkpoint_file, &data.encode())?;
+            .write_atomic(CHECKPOINT_FILE, &CheckpointData::seal(image))?;
         self.wal.truncate_to(lsn)?;
         self.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
         if on {
             htap_obs::record_thread(
                 htap_obs::EventKind::CheckpointEnd,
                 t_ckpt,
-                table_count,
+                tables.len() as u64,
                 htap_obs::now_us().saturating_sub(t_ckpt),
             );
         }
@@ -183,9 +173,39 @@ impl DurabilityController {
     }
 }
 
+/// The primary key of each of a relation's `rows` rows, by row id, from one
+/// walk of its index. A checkpoint stores a relation as its key list plus
+/// its columns as they lie, so every row must be owned by exactly one key: a
+/// row no key points at, or two keys pointing at one row, is an error.
+fn keys_by_row(rt: &TableRuntime, rows: u64) -> Result<Vec<u64>, DurabilityError> {
+    let unkeyed = |what: String| {
+        DurabilityError::corrupt(format!("table {} of {rows} rows: {what}", rt.name()))
+    };
+    let entries = rt.index().entries();
+    let mut keys = vec![0u64; rows as usize];
+    let mut keyed = vec![false; rows as usize];
+    for &(key, loc) in &entries {
+        match keyed.get_mut(loc.row as usize) {
+            Some(seen @ false) => (*seen, keys[loc.row as usize]) = (true, key),
+            _ => {
+                return Err(unkeyed(format!(
+                    "key {key} points at row {}, past the end or another key's",
+                    loc.row
+                )))
+            }
+        }
+    }
+    if entries.len() != keys.len() {
+        return Err(unkeyed("a row has no key".into()));
+    }
+    Ok(keys)
+}
+
 /// Apply a [`RecoveredState`] onto an engine whose relations have already
-/// been created (empty). Checkpoint rows are bulk-loaded, then the WAL tail
-/// is replayed through the normal twin-table insert/update path, and the
+/// been created (empty). Each checkpointed relation is loaded column at a
+/// time into both twin instances — row `i` of the image becomes row `i`
+/// again — and its keys are published in one batch; then the WAL tail is
+/// replayed through the normal twin-table insert/update path, and the
 /// logical clock is advanced past the last recovered commit.
 ///
 /// Returns the number of replayed WAL records.
@@ -193,30 +213,37 @@ pub fn apply_recovered(
     engine: &OltpEngine,
     state: &RecoveredState,
 ) -> Result<u64, DurabilityError> {
-    if let Some(ckpt) = &state.checkpoint {
-        for table in &ckpt.tables {
-            for (i, &key) in table.keys.iter().enumerate() {
-                engine
-                    .bulk_load(&table.name, key, table.row(i))
-                    .map_err(|e| {
-                        DurabilityError::corrupt(format!(
-                            "checkpoint row {key} of {} rejected: {e}",
-                            table.name
-                        ))
-                    })?;
-            }
-        }
+    for table in state.checkpoint.iter().flat_map(|ckpt| &ckpt.tables) {
+        let rejected = |why: String| {
+            DurabilityError::corrupt(format!(
+                "checkpoint of table {} rejected: {why}",
+                table.name
+            ))
+        };
+        let rt = engine
+            .table(&table.name)
+            .ok_or_else(|| rejected("no such relation".into()))?;
+        // Compares the segments' types with the live schema, once.
+        rt.twin()
+            .load_columns(&table.columns, table.keys.len() as u64)
+            .map_err(|e| rejected(e.to_string()))?;
+        rt.index().reserve(table.keys.len());
+        rt.index().insert_many(
+            (0u64..)
+                .zip(&table.keys)
+                .map(|(row, &key)| (key, RecordLocation::new(row))),
+        );
     }
-    let mut replayed = 0u64;
     for (lsn, record) in &state.tail {
+        let rejected = |what: String| {
+            DurabilityError::corrupt(format!("replay of lsn {lsn} rejected: {what}"))
+        };
         for op in &record.ops {
             match op {
                 WalOp::Insert { table, key, values } => {
-                    engine.bulk_load(table, *key, values.clone()).map_err(|e| {
-                        DurabilityError::corrupt(format!(
-                            "replay of insert {key} into {table} (lsn {lsn}) rejected: {e}"
-                        ))
-                    })?;
+                    engine
+                        .bulk_load(table, *key, values.clone())
+                        .map_err(|e| rejected(format!("insert {key} into {table}: {e}")))?;
                 }
                 WalOp::Update {
                     table,
@@ -224,36 +251,27 @@ pub fn apply_recovered(
                     column,
                     value,
                 } => {
-                    let rt = engine.table(table).ok_or_else(|| {
-                        DurabilityError::corrupt(format!(
-                            "replay references unknown table {table} (lsn {lsn})"
-                        ))
-                    })?;
+                    let rt = engine
+                        .table(table)
+                        .ok_or_else(|| rejected(format!("unknown table {table}")))?;
                     let loc = rt.index().get(*key).ok_or_else(|| {
-                        DurabilityError::corrupt(format!(
-                            "replay updates missing key {key} in {table} (lsn {lsn})"
-                        ))
+                        rejected(format!("update of missing key {key} in {table}"))
                     })?;
                     rt.twin()
                         .update(loc.row, *column as usize, value)
-                        .map_err(|e| {
-                            DurabilityError::corrupt(format!(
-                                "replay of update {key} in {table} (lsn {lsn}) rejected: {e}"
-                            ))
-                        })?;
+                        .map_err(|e| rejected(format!("update of {key} in {table}: {e}")))?;
                 }
             }
         }
-        replayed += 1;
     }
     engine.txn_manager().advance_clock(state.last_commit_ts);
-    Ok(replayed)
+    Ok(state.tail.len() as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_durability::{load_state, MemStorage, WalConfig};
+    use htap_durability::{load_state, MemStorage, RecoveredState, WalConfig};
     use htap_storage::{ColumnDef, DataType, TableSchema, Value};
 
     fn schema(name: &str) -> TableSchema {
@@ -276,6 +294,15 @@ mod tests {
         let ctl = Arc::new(DurabilityController::new(storage, wal, interval));
         engine.attach_durability(Arc::clone(&ctl));
         (engine, ctl)
+    }
+
+    /// What a reopen finds on `disk`: the WAL is opened (and read) once, its
+    /// decoded segment goes to `load_state`.
+    fn reload(disk: &MemStorage) -> RecoveredState {
+        let storage: Arc<dyn DurableStorage> = Arc::new(disk.clone());
+        let (_wal, segment) =
+            Wal::open(Arc::clone(&storage), WAL_FILE, WalConfig::default()).unwrap();
+        load_state(storage.as_ref(), segment, CHECKPOINT_FILE).unwrap()
     }
 
     fn insert(engine: &OltpEngine, key: u64, qty: i32) {
@@ -307,10 +334,9 @@ mod tests {
             });
         }
         // "Reboot": fresh engine, schemas recreated, state replayed.
-        let storage: Arc<dyn DurableStorage> = Arc::new(disk.clone());
-        let state = load_state(storage.as_ref(), WAL_FILE, CHECKPOINT_FILE).unwrap();
+        let state = reload(&disk);
         assert!(state.checkpoint.is_none());
-        assert_eq!(state.tail_len(), 3);
+        assert_eq!(state.tail.len(), 3);
         let engine = OltpEngine::new();
         engine.create_table(schema("stock")).unwrap();
         assert_eq!(apply_recovered(&engine, &state).unwrap(), 3);
@@ -338,11 +364,10 @@ mod tests {
             // Post-checkpoint traffic stays in the WAL tail.
             insert(&engine, 3, 30);
         }
-        let storage: Arc<dyn DurableStorage> = Arc::new(disk.clone());
-        let state = load_state(storage.as_ref(), WAL_FILE, CHECKPOINT_FILE).unwrap();
+        let state = reload(&disk);
         let ckpt = state.checkpoint.as_ref().unwrap();
         assert_eq!(ckpt.tables[0].keys, vec![1, 2]);
-        assert_eq!(state.tail_len(), 1);
+        assert_eq!(state.tail.len(), 1);
         let engine = OltpEngine::new();
         engine.create_table(schema("stock")).unwrap();
         apply_recovered(&engine, &state).unwrap();
@@ -362,9 +387,8 @@ mod tests {
         assert!(engine.checkpoint_now().unwrap());
         assert_eq!(ctl.stats().checkpoints_taken, 1);
         // The WAL was truncated to the checkpoint LSN.
-        let storage: Arc<dyn DurableStorage> = Arc::new(disk.clone());
-        let state = load_state(storage.as_ref(), WAL_FILE, CHECKPOINT_FILE).unwrap();
-        assert_eq!(state.tail_len(), 0);
+        let state = reload(&disk);
+        assert_eq!(state.tail.len(), 0);
         assert_eq!(state.checkpoint.unwrap().tables[0].keys, vec![7]);
     }
 

@@ -7,8 +7,8 @@ use crate::txn::{Transaction, TxnManager};
 use crate::worker::WorkerManager;
 use htap_durability::DurabilityError;
 use htap_storage::{
-    CuckooIndex, DeltaStorage, RecordLocation, SnapshotHandle, StorageError, SyncOutcome,
-    TableSchema, TwinStore, TwinTable, Value,
+    CuckooIndex, DeltaStorage, RecordLocation, StorageError, SyncOutcome, TableSchema, TwinStore,
+    TwinTable, Value,
 };
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -241,16 +241,6 @@ impl OltpEngine {
         synced
     }
 
-    /// A consistent snapshot handle over the inactive instance of every
-    /// relation (what the RDE engine passes to the OLAP engine).
-    pub fn snapshot(&self) -> SnapshotHandle {
-        let mut handle = SnapshotHandle::new();
-        for rt in self.txn_manager.tables() {
-            handle.insert(rt.twin().snapshot());
-        }
-        handle
-    }
-
     /// Total fresh rows (inserted or updated since the last propagation to the
     /// OLAP instance), across all relations.
     pub fn fresh_rows_vs_olap(&self) -> u64 {
@@ -332,8 +322,7 @@ mod tests {
         });
 
         let sync = engine.switch_and_sync_instances();
-        let snapshot = engine.snapshot();
-        let stock = snapshot.table("stock").unwrap();
+        let stock = engine.table("stock").unwrap().twin().snapshot();
         assert_eq!(stock.rows(), 1);
         assert_eq!(stock.table().get_value(0, 1), Some(Value::I32(42)));
 
@@ -477,10 +466,7 @@ mod tests {
         let synced = switcher.join().unwrap();
         // The committed update is part of the snapshot.
         assert_eq!(synced.copied_records, 1);
-        let snap = engine.snapshot();
-        assert_eq!(
-            snap.table("stock").unwrap().table().get_value(0, 1),
-            Some(Value::I32(7))
-        );
+        let snap = engine.table("stock").unwrap().twin().snapshot();
+        assert_eq!(snap.table().get_value(0, 1), Some(Value::I32(7)));
     }
 }

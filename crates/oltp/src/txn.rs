@@ -1020,7 +1020,7 @@ mod tests {
 
     #[test]
     fn commit_logs_updates_in_declaration_order_then_inserts() {
-        use htap_durability::{load_state, DurableStorage, MemStorage, WalConfig};
+        use htap_durability::{decode_wal, load_state, DurableStorage, MemStorage, WalConfig};
         let storage: Arc<dyn DurableStorage> = Arc::new(MemStorage::new());
         let mgr = manager_with_accounts();
         seed_account(&mgr, 1, 100.0);
@@ -1056,7 +1056,8 @@ mod tests {
                 },
             ],
         };
-        let state = load_state(storage.as_ref(), "wal.log", "checkpoint.bin").unwrap();
+        let log = decode_wal(&storage.read("wal.log").unwrap().unwrap()).unwrap();
+        let state = load_state(storage.as_ref(), log, "checkpoint.bin").unwrap();
         assert_eq!(state.tail.len(), 1);
         assert_eq!(state.tail[0].1, expected);
         // Applied row by row, the last write of the cell wins and a snapshot

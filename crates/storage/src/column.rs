@@ -90,6 +90,19 @@ pub enum Column {
     Str(RwLock<Vec<String>>),
 }
 
+/// A column holding `values` (a decoded checkpoint segment becomes a column
+/// without a copy).
+macro_rules! column_from_vec {
+    ($($cell:ty => $variant:ident),*) => {$(
+        impl From<Vec<$cell>> for Column {
+            fn from(values: Vec<$cell>) -> Self {
+                Column::$variant(RwLock::new(values))
+            }
+        }
+    )*};
+}
+column_from_vec!(i64 => I64, f64 => F64, i32 => I32, String => Str);
+
 impl Column {
     /// Create an empty column of the given type.
     pub fn new(dtype: DataType) -> Self {
@@ -460,6 +473,19 @@ mod tests {
             ColumnGuard::I64(g) => assert_eq!(g.as_slice(), &[7]),
             _ => panic!("expected an I64 guard"),
         };
+    }
+
+    #[test]
+    fn from_vec_takes_the_values_as_they_are() {
+        let col = Column::from(vec![1.5, -0.0]);
+        assert_eq!(col.dtype(), DataType::F64);
+        col.with_f64(9, |v| assert_eq!(v, [1.5, -0.0]));
+        assert_eq!(Column::from(vec![7i32]).get(0), Some(Value::I32(7)));
+        assert_eq!(Column::from(vec![7i64]).dtype(), DataType::I64);
+        assert_eq!(
+            Column::from(vec!["a".to_string()]).get(0),
+            Some(Value::from("a"))
+        );
     }
 
     #[test]

@@ -56,6 +56,14 @@ pub enum StorageError {
         /// The missing relation name.
         table: String,
     },
+    /// A whole-relation load ([`crate::TwinTable::load_columns`]) into a
+    /// relation that already holds rows.
+    TableNotEmpty {
+        /// Relation name.
+        table: String,
+        /// Rows it holds.
+        rows: u64,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -84,6 +92,9 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::TableMissing { table } => {
                 write!(f, "table {table} not registered")
+            }
+            StorageError::TableNotEmpty { table, rows } => {
+                write!(f, "table {table} already holds {rows} rows")
             }
         }
     }

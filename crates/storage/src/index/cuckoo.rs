@@ -127,6 +127,20 @@ impl<V: Copy> CuckooIndex<V> {
         }
     }
 
+    /// Make room for `additional` more keys with at most one rehash: the
+    /// table grows once, to the size at which all of them fit at no more than
+    /// three quarters load, instead of doubling (and rehashing every entry
+    /// under the write lock) each time an insert fails to place. A restore
+    /// knows its row count before it publishes the first key.
+    pub fn reserve(&self, additional: usize) {
+        let mut inner = self.inner.write();
+        let slots = (inner.len + additional).saturating_mul(4) / 3;
+        let buckets = slots.div_ceil(SLOTS_PER_BUCKET).next_power_of_two();
+        if buckets > inner.buckets.len() {
+            Self::rehash(&mut inner, buckets);
+        }
+    }
+
     /// Update an existing key in place via `f`; returns `false` if the key is
     /// absent.
     pub fn update<F: FnOnce(&mut V)>(&self, key: u64, f: F) -> bool {
@@ -199,7 +213,7 @@ impl<V: Copy> CuckooIndex<V> {
                 }
                 Err(bounced) => {
                     pending = bounced;
-                    Self::grow(inner);
+                    Self::rehash(inner, inner.buckets.len() * 2);
                 }
             }
         }
@@ -235,8 +249,8 @@ impl<V: Copy> CuckooIndex<V> {
         Err(entry)
     }
 
-    fn grow(inner: &mut Inner<V>) {
-        let new_buckets = inner.buckets.len() * 2;
+    /// Move every entry into a fresh table of `new_buckets` buckets.
+    fn rehash(inner: &mut Inner<V>, new_buckets: usize) {
         let old = std::mem::replace(
             &mut inner.buckets,
             vec![[None; SLOTS_PER_BUCKET]; new_buckets],
@@ -280,6 +294,24 @@ mod tests {
         assert_eq!(idx.len(), 100);
         assert_eq!(idx.get(3), Some(4));
         assert_eq!(idx.get(99), Some(100));
+    }
+
+    #[test]
+    fn reserve_grows_once_and_keeps_every_entry() {
+        let idx: CuckooIndex<u64> = CuckooIndex::with_capacity(8);
+        idx.insert_many((0..50u64).map(|k| (k, k + 1)));
+        idx.reserve(10_000);
+        let reserved = idx.capacity();
+        assert!(reserved * 3 >= 10_050 * 4, "three quarters load at most");
+        assert_eq!(idx.len(), 50);
+        idx.insert_many((50..10_050u64).map(|k| (k, k + 1)));
+        assert_eq!(idx.capacity(), reserved, "no rehash while loading");
+        for k in (0..10_050u64).step_by(37) {
+            assert_eq!(idx.get(k), Some(k + 1));
+        }
+        // Never shrinks, and a reservation that already fits is a no-op.
+        idx.reserve(1);
+        assert_eq!(idx.capacity(), reserved);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use error::StorageError;
 pub use index::cuckoo::CuckooIndex;
 pub use index::RecordLocation;
 pub use schema::{ColumnDef, DataType, TableSchema, Value};
-pub use snapshot::{SnapshotHandle, TableSnapshot};
+pub use snapshot::TableSnapshot;
 pub use stats::{ColumnStats, InstanceStats};
 pub use table::ColumnarTable;
 pub use twin::{InstanceId, SyncOutcome, TwinStore, TwinTable};

@@ -2,12 +2,13 @@
 //!
 //! A [`TableSnapshot`] is what the RDE engine hands to the OLAP engine after
 //! an instance switch: an immutable view of one columnar instance bounded at
-//! the visible-row watermark captured at switch time. The OLAP engine scans
-//! it without any synchronisation with the transactional side.
+//! the visible-row watermark captured at switch time. The OLAP engine reads
+//! the instance's columns in place (`table().column(..)`), up to
+//! [`TableSnapshot::rows`], without any synchronisation with the
+//! transactional side. Snapshots are taken per relation, when a query's
+//! scan source is built; there is no database-wide handle.
 
 use crate::table::ColumnarTable;
-use crate::Epoch;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An immutable, row-bounded view over one columnar instance of a relation.
@@ -16,18 +17,12 @@ pub struct TableSnapshot {
     name: String,
     table: Arc<ColumnarTable>,
     rows: u64,
-    epoch: Epoch,
 }
 
 impl TableSnapshot {
     /// Create a snapshot over `table`, exposing the first `rows` rows.
-    pub fn new(name: String, table: Arc<ColumnarTable>, rows: u64, epoch: Epoch) -> Self {
-        TableSnapshot {
-            name,
-            table,
-            rows,
-            epoch,
-        }
+    pub fn new(name: String, table: Arc<ColumnarTable>, rows: u64) -> Self {
+        TableSnapshot { name, table, rows }
     }
 
     /// Relation name.
@@ -45,86 +40,9 @@ impl TableSnapshot {
         self.rows
     }
 
-    /// Epoch at which the snapshot was taken.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
     /// Bytes of the visible part of the snapshot (columnar accounting).
     pub fn bytes(&self) -> u64 {
         self.rows * self.table.schema().row_width_bytes()
-    }
-
-    /// Bytes of the visible part of a subset of columns.
-    pub fn column_bytes(&self, columns: &[usize]) -> u64 {
-        columns
-            .iter()
-            .map(|&c| self.rows * self.table.schema().column(c).dtype.width_bytes())
-            .sum()
-    }
-
-    /// Scan an `i64` column, visiting only rows within the snapshot bound.
-    pub fn scan_i64<R>(&self, column: usize, f: impl FnOnce(&[i64]) -> R) -> R {
-        self.table.column(column).with_i64(self.rows as usize, f)
-    }
-
-    /// Scan an `f64` column, visiting only rows within the snapshot bound.
-    pub fn scan_f64<R>(&self, column: usize, f: impl FnOnce(&[f64]) -> R) -> R {
-        self.table.column(column).with_f64(self.rows as usize, f)
-    }
-
-    /// Scan an `i32` column, visiting only rows within the snapshot bound.
-    pub fn scan_i32<R>(&self, column: usize, f: impl FnOnce(&[i32]) -> R) -> R {
-        self.table.column(column).with_i32(self.rows as usize, f)
-    }
-
-    /// Scan a string column, visiting only rows within the snapshot bound.
-    pub fn scan_str<R>(&self, column: usize, f: impl FnOnce(&[String]) -> R) -> R {
-        self.table.column(column).with_str(self.rows as usize, f)
-    }
-}
-
-/// A consistent set of per-relation snapshots: the unit the RDE engine passes
-/// to the OLAP engine when a query arrives.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotHandle {
-    tables: BTreeMap<String, TableSnapshot>,
-}
-
-impl SnapshotHandle {
-    /// Empty handle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a per-relation snapshot.
-    pub fn insert(&mut self, snapshot: TableSnapshot) {
-        self.tables.insert(snapshot.name().to_string(), snapshot);
-    }
-
-    /// Snapshot of a relation, if present.
-    pub fn table(&self, name: &str) -> Option<&TableSnapshot> {
-        self.tables.get(name)
-    }
-
-    /// All relation names in the handle.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
-    /// Total visible bytes across relations.
-    pub fn bytes(&self) -> u64 {
-        self.tables.values().map(TableSnapshot::bytes).sum()
-    }
-
-    /// Number of relations in the handle.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether the handle is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
     }
 }
 
@@ -153,37 +71,28 @@ mod tests {
     #[test]
     fn snapshot_bounds_scans_to_watermark() {
         let table = table_with_rows(100);
-        let snap = TableSnapshot::new("t".into(), table, 40, 3);
+        let snap = TableSnapshot::new("t".into(), table, 40);
         assert_eq!(snap.rows(), 40);
-        assert_eq!(snap.epoch(), 3);
-        let sum = snap.scan_i64(0, |s| {
+        assert_eq!(snap.name(), "t");
+        // A reader bounds its column slices at the watermark.
+        let bound = snap.rows() as usize;
+        let sum = snap.table().column(0).with_i64(bound, |s| {
             assert_eq!(s.len(), 40);
             s.iter().sum::<i64>()
         });
         assert_eq!(sum, (0..40).sum::<i64>());
-        let fsum = snap.scan_f64(1, |s| s.iter().sum::<f64>());
+        let fsum = snap
+            .table()
+            .column(1)
+            .with_f64(bound, |s| s.iter().sum::<f64>());
         assert_eq!(fsum, (0..40).map(|i| i as f64 * 2.0).sum::<f64>());
     }
 
     #[test]
     fn snapshot_byte_accounting() {
         let table = table_with_rows(10);
-        let snap = TableSnapshot::new("t".into(), table, 10, 0);
+        let snap = TableSnapshot::new("t".into(), Arc::clone(&table), 10);
         assert_eq!(snap.bytes(), 10 * 16);
-        assert_eq!(snap.column_bytes(&[0]), 80);
-        assert_eq!(snap.column_bytes(&[0, 1]), 160);
-    }
-
-    #[test]
-    fn handle_collects_multiple_relations() {
-        let mut handle = SnapshotHandle::new();
-        assert!(handle.is_empty());
-        handle.insert(TableSnapshot::new("a".into(), table_with_rows(5), 5, 0));
-        handle.insert(TableSnapshot::new("b".into(), table_with_rows(3), 3, 0));
-        assert_eq!(handle.len(), 2);
-        assert_eq!(handle.table_names(), vec!["a", "b"]);
-        assert!(handle.table("a").is_some());
-        assert!(handle.table("z").is_none());
-        assert_eq!(handle.bytes(), 5 * 16 + 3 * 16);
+        assert_eq!(TableSnapshot::new("t".into(), table, 4).bytes(), 4 * 16);
     }
 }

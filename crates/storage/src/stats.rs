@@ -6,46 +6,21 @@
 //! here: the twin synchronisation copies only the columns whose `updated`
 //! flag is set on the snapshot instance (and clears it there), and skips a
 //! relation whose [`UpdatePresence`] flag is clear without looking at its
-//! update bits. The switch-time row count and epoch are recorded per column
-//! as the paper describes; the scheduler's fresh-data amounts come from
-//! [`InstanceStats`] and the update bits, not from them.
+//! update bits. The switch-time row count and the epoch number had no reader
+//! and are not kept: the snapshot bound is the relation's visible-row
+//! watermark, and the fresh-data amounts come from the update bits.
+//! [`InstanceStats`] is an observation hook for tests, not scheduler input.
 
-use crate::Epoch;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Statistics of one column within one instance.
 #[derive(Debug, Default)]
 pub struct ColumnStats {
-    /// Rows present in the column at the time of the last instance switch.
-    rows_at_switch: AtomicU64,
     /// Whether the column has received updates since its update flag was cleared.
     updated: AtomicBool,
-    /// Epoch of the last switch that observed this column.
-    epoch: AtomicU64,
 }
 
 impl ColumnStats {
-    /// New statistics with all counters at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the state observed at an instance switch.
-    pub fn record_switch(&self, rows: u64, epoch: Epoch) {
-        self.rows_at_switch.store(rows, Ordering::Release);
-        self.epoch.store(epoch, Ordering::Release);
-    }
-
-    /// Rows present at the last switch.
-    pub fn rows_at_switch(&self) -> u64 {
-        self.rows_at_switch.load(Ordering::Acquire)
-    }
-
-    /// Epoch recorded at the last switch.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// Mark the column as containing updated tuples. Every update of every
     /// worker lands here, so the flag is read first and written only on its
     /// first transition: the line stays shared between cores afterwards.
@@ -67,8 +42,7 @@ impl ColumnStats {
     }
 }
 
-/// Aggregated statistics of one table instance, exposed to the RDE engine and
-/// the scheduler.
+/// Aggregated statistics of one table instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InstanceStats {
     /// Rows visible in the instance.
@@ -79,8 +53,6 @@ pub struct InstanceStats {
     pub updated_since_sync: u64,
     /// Records updated or inserted since the last ETL to the OLAP instance.
     pub fresh_vs_olap: u64,
-    /// Epoch of the instance (incremented at every switch).
-    pub epoch: Epoch,
 }
 
 impl InstanceStats {
@@ -101,11 +73,6 @@ pub struct UpdatePresence {
 }
 
 impl UpdatePresence {
-    /// New flag, initially clear.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Mark that some update happened below this level (read first, written
     /// on the first transition only — see [`ColumnStats::mark_updated`]).
     pub fn mark(&self) {
@@ -130,14 +97,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn column_stats_record_switch_and_updates() {
-        let s = ColumnStats::new();
-        assert_eq!(s.rows_at_switch(), 0);
+    fn column_stats_updated_flag_toggles() {
+        let s = ColumnStats::default();
         assert!(!s.is_updated());
-        s.record_switch(42, 3);
         s.mark_updated();
-        assert_eq!(s.rows_at_switch(), 42);
-        assert_eq!(s.epoch(), 3);
         assert!(s.is_updated());
         s.clear_updated();
         assert!(!s.is_updated());
@@ -150,14 +113,13 @@ mod tests {
             inserted_since_switch: 7,
             updated_since_sync: 5,
             fresh_vs_olap: 20,
-            epoch: 2,
         };
         assert_eq!(s.fresh_vs_twin(), 12);
     }
 
     #[test]
     fn update_presence_flag_toggles() {
-        let f = UpdatePresence::new();
+        let f = UpdatePresence::default();
         assert!(!f.is_set());
         f.mark();
         assert!(f.is_set());

@@ -29,7 +29,11 @@ impl ColumnarTable {
             .iter()
             .map(|c| Column::new(c.dtype))
             .collect();
-        let column_stats = schema.columns.iter().map(|_| ColumnStats::new()).collect();
+        let column_stats = schema
+            .columns
+            .iter()
+            .map(|_| ColumnStats::default())
+            .collect();
         ColumnarTable {
             schema,
             columns,
@@ -45,7 +49,11 @@ impl ColumnarTable {
             .iter()
             .map(|c| Column::with_capacity(c.dtype, rows))
             .collect();
-        let column_stats = schema.columns.iter().map(|_| ColumnStats::new()).collect();
+        let column_stats = schema
+            .columns
+            .iter()
+            .map(|_| ColumnStats::default())
+            .collect();
         ColumnarTable {
             schema,
             columns,
@@ -172,20 +180,22 @@ impl ColumnarTable {
         )
     }
 
-    /// Copy `rows` and then the contiguous `range` of `src` into this
-    /// instance, column at a time over `columns`, growing this instance if
-    /// necessary (see [`Column::copy_from`]). Both instances must share the
-    /// same schema. Used by twin synchronisation and ETL.
+    /// Copy `rows` and then the contiguous `range` of the columns `src` into
+    /// this instance, column at a time over `columns`, growing this instance
+    /// if necessary (see [`Column::copy_from`]). `src` must hold one column
+    /// per attribute of this instance's schema, of the same types: another
+    /// instance's [`Self::columns`] (twin synchronisation, ETL) or the
+    /// decoded segments of a checkpoint (restore).
     pub fn copy_from(
         &self,
-        src: &ColumnarTable,
+        src: &[Column],
         columns: impl Iterator<Item = usize>,
         rows: &[RowId],
         range: Range<RowId>,
     ) {
-        debug_assert_eq!(self.schema.arity(), src.schema.arity());
+        debug_assert_eq!(self.schema.arity(), src.len());
         for idx in columns {
-            self.columns[idx].copy_from(&src.columns[idx], rows, range.clone());
+            self.columns[idx].copy_from(&src[idx], rows, range.clone());
         }
         // Publishing: the row count only grows, never shrinks.
         let copied_up_to = rows.iter().max().map_or(0, |&row| row + 1);
@@ -299,17 +309,17 @@ mod tests {
         for i in 0..5 {
             src.append_row(&row(i, i as f64, "n")).unwrap();
         }
-        dst.copy_from(&src, 0..3, &[4], 0..0);
+        dst.copy_from(src.columns(), 0..3, &[4], 0..0);
         assert_eq!(dst.row_count(), 5);
         assert_eq!(dst.get_row(4).unwrap(), row(4, 4.0, "n"));
         // Earlier rows exist as zero-filled placeholders until copied.
         assert_eq!(dst.get_row(2).unwrap(), row(0, 0.0, ""));
-        dst.copy_from(&src, 0..3, &[2], 0..0);
+        dst.copy_from(src.columns(), 0..3, &[2], 0..0);
         assert_eq!(dst.get_value(2, 1), Some(Value::F64(2.0)));
         assert_eq!(dst.row_count(), 5, "row count must not shrink");
         // Only the selected columns are touched; an inserted range extends.
         let other = ColumnarTable::new(item_schema());
-        other.copy_from(&src, [1usize].into_iter(), &[], 0..2);
+        other.copy_from(src.columns(), [1usize].into_iter(), &[], 0..2);
         assert_eq!(other.row_count(), 2);
         assert_eq!(other.column(1).len(), 2);
         assert_eq!(other.column(0).len(), 0);

@@ -21,13 +21,14 @@
 //!   them to the set an ETL consumes, so an ETL only ever takes rows whose
 //!   new values are in the snapshot it copies from.
 
+use crate::column::Column;
 use crate::schema::TableSchema;
 use crate::schema::Value;
 use crate::snapshot::TableSnapshot;
 use crate::stats::{InstanceStats, UpdatePresence};
 use crate::table::ColumnarTable;
 use crate::update_bits::AtomicBitmap;
-use crate::{Epoch, RowId};
+use crate::RowId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -60,7 +61,6 @@ pub struct TwinTable {
     schema: TableSchema,
     instances: [Arc<ColumnarTable>; 2],
     active: AtomicUsize,
-    epoch: AtomicU64,
     /// Update bits per instance: rows updated in instance `i` that have not
     /// yet been synchronised into the other instance. Only the active
     /// instance's bitmap is ever non-empty: a switch is always followed, in
@@ -97,12 +97,11 @@ impl TwinTable {
             ],
             schema,
             active: AtomicUsize::new(0),
-            epoch: AtomicU64::new(0),
             dirty_twin: [AtomicBitmap::new(), AtomicBitmap::new()],
             olap_pending: AtomicBitmap::new(),
             olap_synced_rows: AtomicU64::new(0),
             visible_rows: [AtomicU64::new(0), AtomicU64::new(0)],
-            update_presence: UpdatePresence::new(),
+            update_presence: UpdatePresence::default(),
             append_lock: Mutex::new(()),
         }
     }
@@ -130,11 +129,6 @@ impl TwinTable {
     /// The currently active instance.
     pub fn active(&self) -> &Arc<ColumnarTable> {
         &self.instances[self.active_instance()]
-    }
-
-    /// Current epoch (number of switches performed).
-    pub fn epoch(&self) -> Epoch {
-        self.epoch.load(Ordering::Acquire)
     }
 
     /// The relation's update-presence flag.
@@ -170,6 +164,55 @@ impl TwinTable {
         let twin_ids = self.instances[1].append_rows_unchecked(rows);
         debug_assert_eq!(ids, twin_ids, "twin instances out of step");
         ids
+    }
+
+    /// Load the first `rows` values of every column of `columns` as rows
+    /// `0..rows` of both instances of a still empty relation (a checkpoint
+    /// restore): one range copy per column and instance under the append
+    /// lock, instead of `rows` inserts. It leaves what those inserts would:
+    /// both row counts at `rows`, no update bit or column flag set, and the
+    /// OLAP watermark where it was — the rows are as fresh with respect to
+    /// the OLAP instance as bulk-loaded ones. The columns are compared with
+    /// the schema once, here.
+    pub fn load_columns(&self, columns: &[Column], rows: u64) -> Result<(), crate::StorageError> {
+        let table = || self.schema.name.clone();
+        if columns.len() != self.schema.arity() {
+            return Err(crate::StorageError::ArityMismatch {
+                table: table(),
+                expected: self.schema.arity(),
+                got: columns.len(),
+            });
+        }
+        for (column, (loaded, def)) in columns.iter().zip(&self.schema.columns).enumerate() {
+            if loaded.dtype() != def.dtype {
+                return Err(crate::StorageError::TypeMismatch {
+                    table: table(),
+                    column,
+                    expected: def.dtype,
+                    got: loaded.dtype(),
+                });
+            }
+            let held = loaded.len() as u64;
+            if held < rows {
+                return Err(crate::StorageError::RowOutOfRange {
+                    table: table(),
+                    row: rows - 1,
+                    rows: held,
+                });
+            }
+        }
+        let _guard = self.append_lock.lock();
+        let present = self.row_count();
+        if present != 0 {
+            return Err(crate::StorageError::TableNotEmpty {
+                table: table(),
+                rows: present,
+            });
+        }
+        for instance in &self.instances {
+            instance.copy_from(columns, 0..columns.len(), &[], 0..rows);
+        }
+        Ok(())
     }
 
     /// Update one attribute of a row in the active instance, setting the
@@ -253,13 +296,6 @@ impl TwinTable {
         // visible-row watermark before publishing the switch.
         self.visible_rows[previous_active].store(snapshot_rows, Ordering::Release);
         self.active.store(1 - previous_active, Ordering::Release);
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        // Record per-column switch statistics on the snapshot instance.
-        for idx in 0..self.schema.arity() {
-            self.instances[previous_active]
-                .column_stats(idx)
-                .record_switch(snapshot_rows, epoch);
-        }
         let updated = self.update_presence.is_set();
         if updated {
             self.update_presence.clear();
@@ -285,7 +321,7 @@ impl TwinTable {
             }
             updated
         });
-        self.instances[active].copy_from(snapshot, flagged, &pending, 0..0);
+        self.instances[active].copy_from(snapshot.columns(), flagged, &pending, 0..0);
         SyncOutcome {
             copied_records: pending.len() as u64,
             copied_bytes: pending.len() as u64 * self.schema.row_width_bytes(),
@@ -300,7 +336,6 @@ impl TwinTable {
             self.schema.name.clone(),
             Arc::clone(&self.instances[inactive]),
             self.visible_rows[inactive].load(Ordering::Acquire),
-            self.epoch(),
         )
     }
 
@@ -391,7 +426,6 @@ impl TwinTable {
             inserted_since_switch: visible.saturating_sub(snapshot_rows),
             updated_since_sync: self.dirty_twin[active].count(),
             fresh_vs_olap: self.fresh_rows_vs_olap(),
-            epoch: self.epoch(),
         }
     }
 
@@ -533,7 +567,6 @@ mod tests {
 
         assert!(t.switch_active(), "the relation was updated");
         assert_eq!((t.inactive_instance(), t.active_instance()), (0, 1));
-        assert_eq!(t.epoch(), 1);
         assert!(
             !t.update_presence().is_set(),
             "the switch consumed the flag"
@@ -703,6 +736,60 @@ mod tests {
     }
 
     #[test]
+    fn load_columns_leaves_what_row_inserts_would() {
+        let columns = [Column::new(DataType::I64), Column::new(DataType::F64)];
+        for id in 0..5 {
+            columns[0].append(&Value::I64(id));
+            columns[1].append(&Value::F64(id as f64));
+        }
+        let t = TwinTable::new(schema());
+        // Only the first `rows` values of longer columns are loaded.
+        t.load_columns(&columns, 4).unwrap();
+        let by_inserts = TwinTable::new(schema());
+        for id in 0..4 {
+            by_inserts.insert(&row(id, id as f64)).unwrap();
+        }
+        for instance in 0..2 {
+            assert_eq!(t.instance(instance).row_count(), 4);
+            assert_eq!(t.instance(instance).column(1).len(), 4);
+            for r in 0..4 {
+                assert_eq!(
+                    t.instance(instance).get_row(r),
+                    by_inserts.instance(instance).get_row(r)
+                );
+            }
+            assert!(!t.instance(instance).column_stats(1).is_updated());
+        }
+        assert_eq!(t.stats(), by_inserts.stats());
+        assert!(!t.update_presence().is_set());
+        assert_eq!(t.olap_synced_rows(), 0);
+        assert_eq!(t.switch_and_sync(), SyncOutcome::default());
+        assert_eq!(t.take_olap_delta(), (vec![], 0..4));
+
+        // Typed rejections: the relation holds rows, the shape disagrees
+        // with the schema, a column is shorter than the load.
+        assert!(matches!(
+            t.load_columns(&columns, 1),
+            Err(crate::StorageError::TableNotEmpty { rows: 4, .. })
+        ));
+        let empty = TwinTable::new(schema());
+        assert!(matches!(
+            empty.load_columns(&columns[..1], 1),
+            Err(crate::StorageError::ArityMismatch { got: 1, .. })
+        ));
+        let swapped = [Column::new(DataType::F64), Column::new(DataType::I64)];
+        assert!(matches!(
+            empty.load_columns(&swapped, 0),
+            Err(crate::StorageError::TypeMismatch { column: 0, .. })
+        ));
+        assert!(matches!(
+            empty.load_columns(&columns, 6),
+            Err(crate::StorageError::RowOutOfRange { rows: 5, .. })
+        ));
+        assert_eq!(empty.row_count(), 0);
+    }
+
+    #[test]
     fn inserts_become_visible_to_snapshot_only_after_switch() {
         let t = TwinTable::new(schema());
         t.insert(&row(1, 1.0)).unwrap();
@@ -809,7 +896,6 @@ mod tests {
         let stats = t.stats();
         assert_eq!(stats.visible_rows, 3);
         assert_eq!(stats.inserted_since_switch, 2);
-        assert_eq!(stats.epoch, 1);
     }
 
     #[test]
@@ -862,6 +948,5 @@ mod tests {
         assert_eq!(t.active_instance(), 1);
         t.switch_and_sync();
         assert_eq!(t.active_instance(), 0);
-        assert_eq!(t.epoch(), 2);
     }
 }

@@ -97,7 +97,7 @@ fn orderline_sources(n: u64) -> Sources {
         ])
         .unwrap();
     }
-    let snap = TableSnapshot::new("orderline".into(), Arc::new(t), n, 0);
+    let snap = TableSnapshot::new("orderline".into(), Arc::new(t), n);
     let mut m = BTreeMap::new();
     m.insert(
         "orderline".to_string(),
@@ -123,7 +123,7 @@ fn sources_with_item(n: u64, item_rows: u64) -> Sources {
         t.append_row(&[Value::I64(i as i64), Value::I64((i % 7) as i64)])
             .unwrap();
     }
-    let snap = TableSnapshot::new("item".into(), Arc::new(t), item_rows, 0);
+    let snap = TableSnapshot::new("item".into(), Arc::new(t), item_rows);
     m.insert(
         "item".to_string(),
         ScanSource::contiguous_snapshot(&snap, SocketId(0)),

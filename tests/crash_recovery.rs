@@ -4,13 +4,20 @@
 //!
 //! Four scenarios: clean shutdown, mid-ingest kill (halted medium),
 //! kill-during-checkpoint, and a torn WAL tail — plus the periodic
-//! checkpoint cadence (one switch, hence one tick, per query).
+//! checkpoint cadence (one switch, hence one tick, per query). Under them,
+//! the enumerated net: one seeded script of transactions and checkpoints is
+//! crashed at every append, sync and atomic write it issues (and its every
+//! append torn, and dropped), and each time the reopened store must be the
+//! acknowledged prefix. And a checkpoint restore reproduces row ids, so the
+//! reopened system answers the CH queries bit for bit.
 
+use htap_chbench::{query_mix_wide, ChConfig};
 use htap_core::{HtapConfig, HtapSystem, MemStorage};
-use htap_durability::{decode_wal, DurableStorage, FaultInjector, FaultStorage};
+use htap_durability::{decode_wal, AppendFault, DurableStorage, FaultInjector, FaultStorage};
 use htap_oltp::WAL_FILE;
 use htap_storage::Value;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Bit-exact printable form of a value (`F64` via `to_bits`, so `-0.0`,
@@ -193,4 +200,204 @@ fn torn_wal_tail_recovers_exactly_the_valid_prefix() {
     // and new commits append cleanly after the valid prefix.
     assert_eq!(torn_disk.bytes(WAL_FILE).unwrap().len(), boundary);
     assert!(torn.run_oltp(1) > 0);
+}
+
+/// After a checkpoint and a reopen, every CH query answers exactly as
+/// before: the same rows *and* the same `WorkProfile`. The image stores rows
+/// in row-id order and the restore loads them back column at a time, so the
+/// reopened instances are the checkpointed ones value for value, row for
+/// row, and every floating-point sum associates the same way.
+#[test]
+fn queries_are_bit_identical_after_a_checkpoint_restore() {
+    let disk = MemStorage::new();
+    let answers = |system: &HtapSystem| -> Vec<_> {
+        query_mix_wide()
+            .iter()
+            .map(|q| system.execute_sql_with_output(&q.sql()).unwrap().1)
+            .collect()
+    };
+    let before = {
+        let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
+        // NewOrders insert orders and order lines whose keys fall between the
+        // loaded ones: key order and row order differ from here on.
+        assert!(system.run_oltp(40) > 0);
+        assert!(system.checkpoint_now().unwrap());
+        answers(&system)
+    };
+    let system = HtapSystem::build_durable(config(), Arc::new(disk.clone())).unwrap();
+    assert_eq!(answers(&system), before);
+}
+
+// ---------------------------------------------------------------------------
+// Enumerated crash sweep
+// ---------------------------------------------------------------------------
+
+/// Transactions per phase of the sweep's script; a checkpoint follows each
+/// phase but the last, so the third phase is a WAL tail over a checkpoint.
+const SWEEP_PHASES: [u64; 3] = [14, 14, 6];
+/// Transactions the reopened system runs before it is reopened once more.
+const SWEEP_AFTERMATH: u64 = 3;
+
+/// A database of a few hundred rows: the sweep builds it three times per
+/// crashed run, and its I/O points do not depend on the population.
+fn sweep_config() -> HtapConfig {
+    config().with_chbench(ChConfig {
+        warehouses: 1,
+        districts_per_warehouse: 2,
+        customers_per_district: 10,
+        items: 50,
+        orderlines: 300,
+        seed: 7,
+    })
+}
+
+/// One fingerprint of [`digest`] (the sweep keeps one per script step).
+fn fingerprint(system: &HtapSystem) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    digest(system).hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Step `index` of the script: one transaction of the 45/43/6/6 mix, its
+/// parameters a function of the index alone. Returns whether it committed.
+fn sweep_txn(system: &HtapSystem, index: u64) -> bool {
+    system
+        .txn_driver()
+        .run_one_mixed(system.rde().oltp(), 0, 0xC4A5, index)
+}
+
+/// Run the script; `after_step` sees the system after every transaction.
+/// Checkpoints may fail (the medium may be dead by then). Returns each
+/// transaction's outcome.
+fn sweep_script(system: &HtapSystem, mut after_step: impl FnMut(&HtapSystem)) -> Vec<bool> {
+    let mut outcomes = Vec::new();
+    for (phase, txns) in SWEEP_PHASES.iter().enumerate() {
+        for _ in 0..*txns {
+            outcomes.push(sweep_txn(system, outcomes.len() as u64));
+            after_step(system);
+        }
+        if phase + 1 < SWEEP_PHASES.len() {
+            let _ = system.checkpoint_now();
+        }
+    }
+    outcomes
+}
+
+#[derive(Debug, Clone, Copy)]
+enum SweepFault {
+    /// The medium dies at this I/O point (append, sync or atomic write).
+    HaltAt(u64),
+    /// This append lands only its first bytes and fails; the medium lives.
+    TornAppend(u64),
+    /// This append fails having written nothing; the medium lives.
+    DroppedAppend(u64),
+}
+
+/// Crash one run of the script with `fault`, reopen, and hold the reopened
+/// store against the clean run: `clean_outcomes[i]` is step `i`'s outcome
+/// there and `prefix[i]` the store's fingerprint after `i` steps.
+fn sweep_one(fault: SweepFault, clean_outcomes: &[bool], prefix: &[u64]) {
+    let disk = MemStorage::new();
+    let injector = FaultInjector::new();
+    match fault {
+        SweepFault::HaltAt(point) => injector.halt_at_io_point(point),
+        SweepFault::TornAppend(nth) => {
+            injector.schedule_append_fault(nth, AppendFault::Truncate { keep: 11 })
+        }
+        SweepFault::DroppedAppend(nth) => injector.schedule_append_fault(nth, AppendFault::Drop),
+    }
+    let faulty: Arc<dyn DurableStorage> =
+        Arc::new(FaultStorage::new(Arc::new(disk.clone()), injector.clone()));
+    // The first step that went differently is the transaction the fault hit:
+    // its commit was refused, and with the WAL wedged so is every later one
+    // that writes. None differs when the fault hit a checkpoint instead, and
+    // the store never opened when it hit the WAL header's first write.
+    let hit = match HtapSystem::build_durable(sweep_config(), faulty) {
+        Ok(system) => {
+            let outcomes = sweep_script(&system, |_| ());
+            let hit = (0..outcomes.len())
+                .find(|&i| outcomes[i] != clean_outcomes[i])
+                .unwrap_or(outcomes.len());
+            assert_eq!(
+                fingerprint(&system),
+                prefix[hit],
+                "{fault:?}: the live store is not the acknowledged prefix"
+            );
+            hit
+        }
+        Err(_) => 0,
+    };
+    injector.resume();
+
+    // "Reboot": every acknowledged commit is back; the one in flight is too
+    // if its record had reached the medium whole when the sync died.
+    let system = HtapSystem::build_durable(sweep_config(), Arc::new(disk.clone()))
+        .unwrap_or_else(|e| panic!("{fault:?}: reopen failed: {e}"));
+    let recovered = fingerprint(&system);
+    let in_flight_too = prefix.get(hit + 1).copied();
+    match fault {
+        SweepFault::HaltAt(_) => assert!(
+            recovered == prefix[hit] || Some(recovered) == in_flight_too,
+            "{fault:?}: recovered neither {hit} nor {} steps",
+            hit + 1
+        ),
+        // The record never reached the medium whole.
+        _ => assert_eq!(recovered, prefix[hit], "{fault:?}: not {hit} steps"),
+    }
+    // The recovered store takes commits, and they survive the next reopen:
+    // its log and checkpoint agree on where the next record goes.
+    let first = clean_outcomes.len() as u64;
+    for index in first..first + SWEEP_AFTERMATH {
+        sweep_txn(&system, index);
+    }
+    let aftermath = fingerprint(&system);
+    assert_ne!(
+        aftermath, recovered,
+        "{fault:?}: aftermath committed nothing"
+    );
+    drop(system);
+    let system = HtapSystem::build_durable(sweep_config(), Arc::new(disk.clone())).unwrap();
+    assert_eq!(
+        fingerprint(&system),
+        aftermath,
+        "{fault:?}: commits after the recovery were lost"
+    );
+}
+
+/// ROADMAP 3(a): count the I/O points of one clean run of the script, then
+/// crash a fresh run at each of them in turn.
+#[test]
+fn crash_at_every_io_point_recovers_the_acknowledged_prefix() {
+    let injector = FaultInjector::new();
+    let storage: Arc<dyn DurableStorage> = Arc::new(FaultStorage::new(
+        Arc::new(MemStorage::new()),
+        injector.clone(),
+    ));
+    let system = HtapSystem::build_durable(sweep_config(), storage).unwrap();
+    let mut prefix = vec![fingerprint(&system)];
+    let clean_outcomes = sweep_script(&system, |system| prefix.push(fingerprint(system)));
+    let (points, appends) = (injector.io_points_seen(), injector.appends_seen());
+    drop(system);
+    // The script is worth sweeping: it commits, in every phase, and both
+    // checkpoints and their WAL rewrites are among its points.
+    let steps: u64 = SWEEP_PHASES.iter().sum();
+    assert_eq!(clean_outcomes.len() as u64, steps);
+    assert!(prefix.windows(2).filter(|w| w[0] != w[1]).count() as u64 >= steps / 2);
+    assert!(prefix[steps as usize - 1] != prefix[steps as usize]);
+    assert!(
+        points >= 2 * appends + 1 + 4,
+        "{points} points, {appends} appends"
+    );
+
+    for point in 0..points {
+        sweep_one(SweepFault::HaltAt(point), &clean_outcomes, &prefix);
+    }
+    for nth in 0..appends {
+        sweep_one(SweepFault::TornAppend(nth), &clean_outcomes, &prefix);
+        sweep_one(SweepFault::DroppedAppend(nth), &clean_outcomes, &prefix);
+    }
+    println!(
+        "crash sweep: {points} I/O points halted, {appends} appends torn and dropped: {} crashed runs",
+        points + 2 * appends
+    );
 }

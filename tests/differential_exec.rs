@@ -130,7 +130,7 @@ impl Dataset {
     /// tail over the same rows), exercising multi-segment morsel layouts.
     fn sources(&self, split_fact: bool) -> BTreeMap<String, ScanSource> {
         let mut sources = BTreeMap::new();
-        let fact_snap = TableSnapshot::new("fact".into(), Arc::clone(&self.fact), FACT_ROWS, 0);
+        let fact_snap = TableSnapshot::new("fact".into(), Arc::clone(&self.fact), FACT_ROWS);
         let fact_source = if split_fact {
             ScanSource::split(
                 Arc::clone(&self.fact),
@@ -143,12 +143,12 @@ impl Dataset {
             ScanSource::contiguous_snapshot(&fact_snap, SocketId(0))
         };
         sources.insert("fact".to_string(), fact_source);
-        let mid_snap = TableSnapshot::new("mid".into(), Arc::clone(&self.mid), MID_ROWS, 0);
+        let mid_snap = TableSnapshot::new("mid".into(), Arc::clone(&self.mid), MID_ROWS);
         sources.insert(
             "mid".to_string(),
             ScanSource::contiguous_snapshot(&mid_snap, SocketId(1)),
         );
-        let far_snap = TableSnapshot::new("far".into(), Arc::clone(&self.far), FAR_ROWS, 0);
+        let far_snap = TableSnapshot::new("far".into(), Arc::clone(&self.far), FAR_ROWS);
         sources.insert(
             "far".to_string(),
             ScanSource::contiguous_snapshot(&far_snap, SocketId(1)),
@@ -762,7 +762,7 @@ fn empty_sources_and_empty_morsel_sets_agree() {
     let mut sources = dataset.sources(false);
     // Replace the fact side with a zero-row split source: both segments are
     // empty, so the morsel split is empty too.
-    let snap = TableSnapshot::new("fact".into(), Arc::clone(&empty_fact), 0, 0);
+    let snap = TableSnapshot::new("fact".into(), Arc::clone(&empty_fact), 0);
     sources.insert(
         "fact".to_string(),
         ScanSource::split(empty_fact, 0, SocketId(1), &snap, SocketId(0)),

@@ -188,7 +188,7 @@ impl Dataset {
 
     fn sources(&self, split_fact: bool) -> BTreeMap<String, ScanSource> {
         let mut sources = BTreeMap::new();
-        let fact_snap = TableSnapshot::new("fact".into(), Arc::clone(&self.fact), FACT_ROWS, 0);
+        let fact_snap = TableSnapshot::new("fact".into(), Arc::clone(&self.fact), FACT_ROWS);
         let fact_source = if split_fact {
             ScanSource::split(
                 Arc::clone(&self.fact),
@@ -201,12 +201,12 @@ impl Dataset {
             ScanSource::contiguous_snapshot(&fact_snap, SocketId(0))
         };
         sources.insert("fact".to_string(), fact_source);
-        let mid_snap = TableSnapshot::new("mid".into(), Arc::clone(&self.mid), MID_ROWS, 0);
+        let mid_snap = TableSnapshot::new("mid".into(), Arc::clone(&self.mid), MID_ROWS);
         sources.insert(
             "mid".to_string(),
             ScanSource::contiguous_snapshot(&mid_snap, SocketId(1)),
         );
-        let far_snap = TableSnapshot::new("far".into(), Arc::clone(&self.far), FAR_ROWS, 0);
+        let far_snap = TableSnapshot::new("far".into(), Arc::clone(&self.far), FAR_ROWS);
         sources.insert(
             "far".to_string(),
             ScanSource::contiguous_snapshot(&far_snap, SocketId(1)),
