@@ -13,8 +13,8 @@
 //! Both baselines reuse the functional engines of this repository (so they
 //! execute real queries over real data) but follow the respective system's
 //! policy instead of the elastic scheduler. The hardware behaviour (page-copy
-//! cost, interconnect-limited reads) comes from `htap-sim`, as described in
-//! DESIGN.md.
+//! cost, interconnect-limited reads) comes from `htap-sim` (ARCHITECTURE.md,
+//! "Crate layering").
 
 pub mod cow;
 pub mod etl;

@@ -491,8 +491,10 @@ impl TransactionDriver {
     }
 
     /// Run `count` `NewOrder` transactions on behalf of worker `worker_id`
-    /// (bound to warehouse `1 + worker_id % warehouses`), retrying aborted
-    /// transactions with new parameters. Returns the number of commits.
+    /// (bound to warehouse `1 + worker_id % warehouses`), retrying a
+    /// transaction a conflict aborted with new parameters. Any other error
+    /// (a failed WAL, a missing key) would fail every retry too, so the run
+    /// stops there. Returns the number of commits.
     pub fn run_new_orders(
         &self,
         engine: &OltpEngine,
@@ -505,8 +507,10 @@ impl TransactionDriver {
         let mut committed = 0;
         while committed < count {
             let params = self.generate_new_order(w_id, &mut rng);
-            if self.execute_new_order(engine, &params).is_ok() {
-                committed += 1;
+            match self.execute_new_order(engine, &params) {
+                Ok(_) => committed += 1,
+                Err(TxnError::LockConflict | TxnError::WriteConflict) => {}
+                Err(_) => break,
             }
         }
         committed

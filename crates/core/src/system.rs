@@ -223,8 +223,9 @@ impl HtapSystem {
 
     /// Run `count` NewOrder transactions per active OLTP worker (sequentially
     /// over workers, deterministic). Returns the number of committed
-    /// transactions. This is the "transactional queue" between analytical
-    /// queries.
+    /// transactions: fewer than asked when a transaction fails for a reason
+    /// a retry cannot fix, such as a wedged WAL. This is the "transactional
+    /// queue" between analytical queries.
     pub fn run_oltp(&self, count_per_worker: u64) -> u64 {
         let workers = self
             .rde
@@ -292,7 +293,7 @@ impl HtapSystem {
     /// between queries, and with it the measured parallelism of the next
     /// query.
     pub fn olap_worker_count(&self) -> usize {
-        self.rde.olap().workers().worker_count()
+        self.rde.olap_worker_count()
     }
 
     /// Schedule and execute one plan, returning the report *and* the raw

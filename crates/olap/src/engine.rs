@@ -1,4 +1,4 @@
-//! The OLAP engine facade: engine-local storage, worker manager, executor and
+//! The OLAP engine facade: engine-local storage, granted cores, executor and
 //! cost model.
 //!
 //! The engine's storage manager "considers that data are stored in the
@@ -13,8 +13,8 @@ use crate::dag::QueryPlan;
 use crate::error::OlapError;
 use crate::exec::{QueryExecutor, QueryOutput};
 use crate::source::ScanSource;
-use crate::worker::OlapWorkerManager;
-use htap_sim::{CostModel, CpuSet, ScanCost, SocketId, Topology, TxnWork};
+use crate::worker::WorkerTeam;
+use htap_sim::{CoreId, CostModel, ExecPlacement, ScanCost, SocketId, Topology, TxnWork};
 use htap_storage::{ColumnarTable, RowId, TableSchema, TableSnapshot, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -162,7 +162,8 @@ pub struct QueryExecution {
 #[derive(Debug)]
 pub struct OlapEngine {
     store: OlapStore,
-    workers: OlapWorkerManager,
+    /// The cores the RDE engine has granted, in worker order.
+    cores: RwLock<Vec<CoreId>>,
     executor: QueryExecutor,
     cost_model: CostModel,
 }
@@ -172,7 +173,7 @@ impl OlapEngine {
     pub fn new(topology: Topology, home_socket: SocketId) -> Self {
         OlapEngine {
             store: OlapStore::new(home_socket),
-            workers: OlapWorkerManager::new(topology.clone()),
+            cores: RwLock::new(Vec::new()),
             executor: QueryExecutor::default(),
             cost_model: CostModel::new(topology),
         }
@@ -183,19 +184,32 @@ impl OlapEngine {
         &self.store
     }
 
-    /// The engine's worker manager.
-    pub fn workers(&self) -> &OlapWorkerManager {
-        &self.workers
-    }
-
     /// The engine's cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
     }
 
-    /// Grant compute resources (called by the RDE engine).
-    pub fn set_workers(&self, cores: CpuSet) {
-        self.workers.set_workers(cores);
+    /// Replace the granted cores with `cores`, one pipeline worker each
+    /// (called by the RDE engine when it migrates).
+    pub fn set_workers(&self, cores: &[CoreId]) {
+        let mut granted = self.cores.write();
+        granted.clear();
+        granted.extend_from_slice(cores);
+    }
+
+    /// Number of pipeline workers the current grant fields.
+    pub fn worker_count(&self) -> usize {
+        self.cores.read().len()
+    }
+
+    /// Snapshot the current grant into an executable [`WorkerTeam`].
+    pub fn team(&self) -> WorkerTeam {
+        WorkerTeam::from_cores(self.cores.read().clone())
+    }
+
+    /// The execution placement (cores per socket) the cost model reads.
+    pub fn placement(&self) -> ExecPlacement {
+        ExecPlacement::of_cores(self.cost_model.topology(), &self.cores.read())
     }
 
     /// Execute a query over the provided access paths and model its execution
@@ -212,9 +226,9 @@ impl OlapEngine {
         sources: &BTreeMap<String, ScanSource>,
         concurrent_txn: Option<&TxnWork>,
     ) -> Result<QueryExecution, OlapError> {
-        let team = self.workers.team();
+        let team = self.team();
         let output = self.executor.execute_parallel(plan, sources, &team)?;
-        let placement = self.workers.placement();
+        let placement = self.placement();
         let scan_work = output.work.scan_work(plan.cpu_ns_per_tuple());
         let join_work = output.work.join_work();
         let modeled =
@@ -244,7 +258,7 @@ mod tests {
     fn engine() -> OlapEngine {
         let topo = Topology::two_socket();
         let e = OlapEngine::new(topo.clone(), SocketId(1));
-        e.set_workers(CpuSet::socket(&topo, SocketId(1)));
+        e.set_workers(&topo.cores_of(SocketId(1)));
         e
     }
 

@@ -1,10 +1,11 @@
 //! Vectorised, NUMA-aware OLAP query engine (§3.3 of the paper).
 //!
 //! The engine follows the Proteus design the paper builds on, with one
-//! substitution documented in DESIGN.md: instead of JIT code generation, the
-//! operators are specialised at compile time (monomorphised vectorised
-//! kernels) and process one block of tuples at a time without materialising
-//! intermediate results.
+//! substitution: instead of JIT code generation, the operators are
+//! specialised at compile time (monomorphised vectorised kernels, register
+//! programs compiled at bind time) and process one block of tuples at a time
+//! without materialising intermediate results (ARCHITECTURE.md, "Vectorized
+//! execution pipeline").
 //!
 //! Components:
 //!
@@ -52,10 +53,10 @@
 //!   per worker and summed, that the cost model converts into modelled time.
 //! * [`error`] — the typed [`OlapError`] every fallible query-path step
 //!   reports.
-//! * [`worker`], [`engine`] — the elastic worker manager (whose granted
-//!   [`htap_sim::CpuSet`] sizes and pins the pipeline [`worker::WorkerTeam`])
-//!   and the engine facade, including the engine-local OLAP storage instance
-//!   that ETL fills.
+//! * [`worker`], [`engine`] — the pipeline [`worker::WorkerTeam`] (sized and
+//!   pinned by the core list the RDE engine granted) and the engine facade,
+//!   which holds that grant and the engine-local OLAP storage instance that
+//!   ETL fills.
 //!
 //! The crate layering and the execution flow are described in the repository's
 //! `ARCHITECTURE.md`.
@@ -85,4 +86,4 @@ pub use hashtable::{GroupTable, JoinTable};
 pub use morsel::{split_morsels, Morsel};
 pub use reference::{execute_reference, execute_reference_with_work};
 pub use source::{BoundLayout, ScanSegmentSource, ScanSource};
-pub use worker::{OlapWorkerManager, WorkerTeam};
+pub use worker::WorkerTeam;

@@ -1,20 +1,19 @@
-//! The OLAP engine's worker manager and the elastic worker team.
+//! The OLAP engine's elastic worker team.
 //!
 //! "The OLAP engine also includes a Worker Manager, which works in a similar
-//! way to the WM of the OLTP engine" (§3.3): it holds the CPUs the RDE engine
-//! has granted and exposes them as an execution placement. Each pipeline
-//! worker is affinitised to one core; the placement (cores per socket) is what
-//! the cost model consumes.
+//! way to the WM of the OLTP engine" (§3.3): the engine holds the core list
+//! the RDE engine has granted it ([`crate::OlapEngine::set_workers`]) and
+//! derives both its execution placement (cores per socket, what the cost
+//! model consumes) and its worker team from that one list.
 //!
-//! Execution side: [`OlapWorkerManager::team`] snapshots the current grant
+//! Execution side: [`crate::OlapEngine::team`] snapshots the current grant
 //! into a [`WorkerTeam`] — one pipeline worker per granted core. The team
 //! runs morsel-driven pipelines on real OS threads (see
 //! [`crate::exec::QueryExecutor::execute_parallel`]), pinning each worker to
 //! its core where the host allows it, so an elastic grant changes *measured*
 //! scan time, not just the modelled one.
 
-use htap_sim::{CoreId, CpuSet, ExecPlacement, SocketId, Topology};
-use parking_lot::RwLock;
+use htap_sim::CoreId;
 
 /// Best-effort pinning of the calling thread to one CPU.
 ///
@@ -46,7 +45,7 @@ fn pin_current_thread(_core: CoreId) {}
 
 /// A snapshot of the granted cores, ready to execute one pipeline.
 ///
-/// The team is taken per query ([`OlapWorkerManager::team`]) so that elastic
+/// The team is taken per query ([`crate::OlapEngine::team`]) so that elastic
 /// grants and revocations between queries resize the next query's
 /// parallelism without synchronising with a running one.
 #[derive(Debug, Clone, Default)]
@@ -125,136 +124,64 @@ impl WorkerTeam {
     }
 }
 
-/// Elastic pool of OLAP pipeline workers.
-#[derive(Debug)]
-pub struct OlapWorkerManager {
-    topology: Topology,
-    cores: RwLock<CpuSet>,
-}
-
-impl OlapWorkerManager {
-    /// New manager with no cores assigned.
-    pub fn new(topology: Topology) -> Self {
-        OlapWorkerManager {
-            topology,
-            cores: RwLock::new(CpuSet::new()),
-        }
-    }
-
-    /// Replace the worker pool with one worker per core of `cores`
-    /// (called by the RDE engine during state migration).
-    pub fn set_workers(&self, cores: CpuSet) {
-        *self.cores.write() = cores;
-    }
-
-    /// Add cores to the pool (elastic scale-up).
-    pub fn add_cores(&self, cores: &CpuSet) {
-        let mut current = self.cores.write();
-        *current = current.union(cores);
-    }
-
-    /// Remove cores from the pool (elastic scale-down); returns the cores
-    /// actually removed.
-    pub fn remove_cores(&self, cores: &CpuSet) -> CpuSet {
-        let mut current = self.cores.write();
-        let removed: CpuSet = current.iter().filter(|c| cores.contains(*c)).collect();
-        *current = current.difference(cores);
-        removed
-    }
-
-    /// The cores currently assigned.
-    pub fn cores(&self) -> CpuSet {
-        self.cores.read().clone()
-    }
-
-    /// Number of workers.
-    pub fn worker_count(&self) -> usize {
-        self.cores.read().len()
-    }
-
-    /// Cores on a given socket.
-    pub fn cores_on(&self, socket: SocketId) -> usize {
-        self.cores.read().count_on_socket(&self.topology, socket)
-    }
-
-    /// The execution placement (cores per socket) used by the cost model.
-    pub fn placement(&self) -> ExecPlacement {
-        ExecPlacement::of_cpuset(&self.topology, &self.cores.read())
-    }
-
-    /// Worker-to-core assignment, in worker order.
-    pub fn affinity(&self) -> Vec<CoreId> {
-        self.cores.read().iter().collect()
-    }
-
-    /// Snapshot the current grant into an executable [`WorkerTeam`].
-    pub fn team(&self) -> WorkerTeam {
-        WorkerTeam::from_cores(self.affinity())
-    }
-
-    /// The machine topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OlapEngine;
+    use htap_sim::{SocketId, Topology};
+
+    fn engine(topo: Topology) -> OlapEngine {
+        OlapEngine::new(topo, SocketId(1))
+    }
 
     #[test]
     fn placement_reflects_assigned_cores() {
         let topo = Topology::two_socket();
-        let wm = OlapWorkerManager::new(topo.clone());
-        assert_eq!(wm.worker_count(), 0);
-        assert_eq!(wm.placement().total_cores(), 0);
+        let olap = engine(topo.clone());
+        assert_eq!(olap.worker_count(), 0);
+        assert_eq!(olap.placement().total_cores(), 0);
 
-        wm.set_workers(CpuSet::socket(&topo, SocketId(1)));
-        assert_eq!(wm.worker_count(), 14);
-        assert_eq!(wm.cores_on(SocketId(1)), 14);
-        assert_eq!(wm.placement().cores_on(SocketId(1)), 14);
-        assert_eq!(wm.placement().cores_on(SocketId(0)), 0);
+        olap.set_workers(&topo.cores_of(SocketId(1)));
+        assert_eq!(olap.worker_count(), 14);
+        assert_eq!(olap.placement().cores_on(SocketId(1)), 14);
+        assert_eq!(olap.placement().cores_on(SocketId(0)), 0);
     }
 
     #[test]
     fn elastic_add_and_remove() {
         let topo = Topology::two_socket();
-        let wm = OlapWorkerManager::new(topo.clone());
-        wm.set_workers(CpuSet::socket(&topo, SocketId(1)));
-        let borrowed = CpuSet::from_cores([CoreId(0), CoreId(1), CoreId(2), CoreId(3)]);
-        wm.add_cores(&borrowed);
-        assert_eq!(wm.worker_count(), 18);
-        assert_eq!(wm.placement().cores_on(SocketId(0)), 4);
+        let olap = engine(topo.clone());
+        let home = topo.cores_of(SocketId(1));
+        let borrowed = [CoreId(0), CoreId(1), CoreId(2), CoreId(3)];
+        olap.set_workers(&[&borrowed[..], &home].concat());
+        assert_eq!(olap.worker_count(), 18);
+        assert_eq!(olap.placement().cores_on(SocketId(0)), 4);
 
-        let removed = wm.remove_cores(&borrowed);
-        assert_eq!(removed.len(), 4);
-        assert_eq!(wm.worker_count(), 14);
-        assert_eq!(wm.cores_on(SocketId(0)), 0);
-        // Removing cores we do not hold is a no-op.
-        let removed = wm.remove_cores(&CpuSet::from_cores([CoreId(0)]));
-        assert_eq!(removed.len(), 0);
+        olap.set_workers(&home);
+        assert_eq!(olap.worker_count(), 14);
+        assert_eq!(olap.placement().cores_on(SocketId(0)), 0);
     }
 
     #[test]
     fn affinity_lists_cores_in_order() {
-        let topo = Topology::tiny();
-        let wm = OlapWorkerManager::new(topo.clone());
-        wm.set_workers(CpuSet::from_cores([CoreId(3), CoreId(0)]));
-        assert_eq!(wm.affinity(), vec![CoreId(0), CoreId(3)]);
-        assert_eq!(wm.topology().sockets, 2);
+        let olap = engine(Topology::tiny());
+        olap.set_workers(&[CoreId(0), CoreId(3)]);
+        assert_eq!(olap.team().cores(), &[CoreId(0), CoreId(3)]);
+        // One core on each of the tiny machine's two sockets.
+        assert_eq!(olap.placement().cores_on(SocketId(0)), 1);
+        assert_eq!(olap.placement().cores_on(SocketId(1)), 1);
     }
 
     #[test]
     fn team_snapshots_the_current_grant() {
-        let topo = Topology::tiny();
-        let wm = OlapWorkerManager::new(topo);
-        assert_eq!(wm.team().size(), 1, "no grant still fields a solo worker");
-        wm.set_workers(CpuSet::from_cores([CoreId(0), CoreId(1), CoreId(2)]));
-        let team = wm.team();
+        let olap = engine(Topology::tiny());
+        assert_eq!(olap.team().size(), 1, "no grant still fields a solo worker");
+        olap.set_workers(&[CoreId(0), CoreId(1), CoreId(2)]);
+        let team = olap.team();
         assert_eq!(team.size(), 3);
         assert_eq!(team.cores(), &[CoreId(0), CoreId(1), CoreId(2)]);
         // The snapshot is decoupled from later elastic changes.
-        wm.set_workers(CpuSet::new());
+        olap.set_workers(&[]);
         assert_eq!(team.size(), 3);
     }
 

@@ -11,9 +11,9 @@
 //! [`CoreId`] from `htap-sim`, and the resulting placement is what the
 //! interference model uses to compute modelled throughput. Pinning to host
 //! OS cores is deliberately not performed — the evaluation machine is
-//! simulated (see DESIGN.md).
+//! simulated (ARCHITECTURE.md, "Crate layering").
 
-use htap_sim::{CoreId, CpuSet};
+use htap_sim::CoreId;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,10 +58,9 @@ pub struct OltpCounts {
 /// the pool.
 #[derive(Debug, Default)]
 struct PoolState {
-    /// Cores currently assigned to the pool, in worker order.
+    /// The granted cores, in worker order: worker `i` runs on `affinity[i]`,
+    /// and workers past its end park.
     affinity: RwLock<Vec<CoreId>>,
-    /// Number of workers that are allowed to run (≤ `affinity.len()`).
-    active_workers: AtomicU64,
     /// Revoked ingest workers block here instead of sleep-polling (polling
     /// would burn scheduler cycles on the very host whose ingest throughput
     /// is being measured); every resize and stop notifies.
@@ -143,47 +142,30 @@ impl WorkerManager {
         Self::default()
     }
 
-    /// Set the worker pool to one worker per core of `cores`, all active.
-    /// This is the API the RDE engine calls when migrating states; a running
+    /// Set the worker pool to one active worker per core of `cores`. This
+    /// is the API the RDE engine calls when migrating states; a running
     /// ingest pool observes the new assignment mid-flight. Re-applying the
     /// grant already in force wakes nobody.
-    pub fn set_workers(&self, cores: &CpuSet) {
-        let cores: Vec<CoreId> = cores.iter().collect();
-        let n = cores.len() as u64;
+    pub fn set_workers(&self, cores: &[CoreId]) {
         {
             let mut affinity = self.state.affinity.write();
-            if *affinity == cores && self.state.active_workers.load(Ordering::Acquire) == n {
+            if *affinity == cores {
                 return;
             }
-            *affinity = cores;
+            affinity.clear();
+            affinity.extend_from_slice(cores);
         }
-        self.state.active_workers.store(n, Ordering::Release);
         self.state.notify_resize();
     }
 
-    /// Restrict the number of active workers without changing affinities
-    /// (scale down). `n` is clamped to the pool size — the RDE migration
-    /// paths may request more workers than the pool holds — and the
-    /// effective count is returned.
-    pub fn set_active_workers(&self, n: usize) -> usize {
-        let pool = self.state.affinity.read().len();
-        let effective = n.min(pool);
-        self.state
-            .active_workers
-            .store(effective as u64, Ordering::Release);
-        self.state.notify_resize();
-        effective
-    }
-
-    /// Number of active workers.
+    /// Number of active workers: the length of the grant.
     pub fn active_workers(&self) -> usize {
-        self.state.active_workers.load(Ordering::Acquire) as usize
+        self.state.affinity.read().len()
     }
 
-    /// The cores assigned to the active workers.
+    /// The cores assigned to the active workers, in worker order.
     pub fn affinity(&self) -> Vec<CoreId> {
-        let all = self.state.affinity.read();
-        all.iter().take(self.active_workers()).copied().collect()
+        self.state.affinity.read().clone()
     }
 
     /// Start the ingest pool — the one way this manager runs transactions:
@@ -192,10 +174,9 @@ impl WorkerManager {
     /// and a `false` as an abort; either way the next invocation gets the
     /// next `txn_index`, so a body that wants an aborted transaction tried
     /// again retries inside itself. The pool keeps running until
-    /// [`Self::stop`]; while it runs, [`Self::set_workers`] /
-    /// [`Self::set_active_workers`] resize it mid-flight — deactivated
-    /// workers park until they are granted back, and affinity changes are
-    /// picked up on the next transaction.
+    /// [`Self::stop`]; while it runs, [`Self::set_workers`] resizes it
+    /// mid-flight — deactivated workers park until they are granted back,
+    /// and affinity changes are picked up on the next transaction.
     ///
     /// Threads are spawned for `max(max_workers, current pool size)` workers,
     /// so a later grant *larger* than the pool at start time still finds a
@@ -239,14 +220,9 @@ impl WorkerManager {
                         let m_committed = htap_obs::counter("oltp.txn.committed");
                         let m_aborted = htap_obs::counter("oltp.txn.aborted");
                         // The worker's core, when it is inside the current
-                        // grant (active and with an assigned affinity slot).
-                        let granted_core = |state: &PoolState| {
-                            if worker_id < state.active_workers.load(Ordering::Acquire) as usize {
-                                state.affinity.read().get(worker_id).copied()
-                            } else {
-                                None
-                            }
-                        };
+                        // grant.
+                        let granted_core =
+                            |state: &PoolState| state.affinity.read().get(worker_id).copied();
                         let mut txn_index = 0u64;
                         while !shared.stop.load(Ordering::Acquire) {
                             let Some(core) = granted_core(&state) else {
@@ -334,8 +310,8 @@ mod tests {
     use super::*;
     use htap_sim::{SocketId, Topology};
 
-    fn cores(n: u16) -> CpuSet {
-        CpuSet::from_cores((0..n).map(CoreId))
+    fn cores(n: u16) -> Vec<CoreId> {
+        (0..n).map(CoreId).collect()
     }
 
     #[test]
@@ -345,20 +321,9 @@ mod tests {
         wm.set_workers(&cores(8));
         assert_eq!(wm.active_workers(), 8);
         assert_eq!(wm.affinity().len(), 8);
-        assert_eq!(wm.set_active_workers(3), 3);
+        wm.set_workers(&cores(3));
         assert_eq!(wm.active_workers(), 3);
         assert_eq!(wm.affinity(), vec![CoreId(0), CoreId(1), CoreId(2)]);
-    }
-
-    #[test]
-    fn scaling_beyond_pool_clamps_to_pool_size() {
-        let wm = WorkerManager::new();
-        wm.set_workers(&cores(2));
-        assert_eq!(wm.set_active_workers(5), 2, "clamped to the pool");
-        assert_eq!(wm.active_workers(), 2);
-        // An empty pool clamps everything to zero.
-        let empty = WorkerManager::new();
-        assert_eq!(empty.set_active_workers(4), 0);
     }
 
     #[test]
@@ -390,7 +355,7 @@ mod tests {
         // force: socket-1 cores in ascending order first, socket-0 cores
         // after a re-grant. A mismatch is counted as an abort.
         for (socket, first_core) in [(SocketId(1), 14u16), (SocketId(0), 0)] {
-            wm.set_workers(&CpuSet::socket(&topology, socket));
+            wm.set_workers(&topology.cores_of(socket));
             let spawned = wm.start_with_capacity(0, move |worker_id, core, _| {
                 core == CoreId(first_core + worker_id as u16)
             });
@@ -481,7 +446,7 @@ mod tests {
         // still finish the single transaction in flight at revocation time,
         // so the deterministic bound is "at most one more commit each" — no
         // matter how long worker 0 keeps running.
-        assert_eq!(wm.set_active_workers(1), 1);
+        wm.set_workers(&cores(1));
         let at_revocation = wm.per_worker_committed();
         wait_until(|| wm.per_worker_committed()[0] > at_revocation[0] + 5);
         let later = wm.per_worker_committed();
@@ -495,7 +460,7 @@ mod tests {
         }
 
         // Grant everything back: the parked workers resume.
-        assert_eq!(wm.set_active_workers(4), 4);
+        wm.set_workers(&cores(4));
         wait_until(|| {
             let now = wm.per_worker_committed();
             (1..4).all(|w| now[w] > later[w] + 1)

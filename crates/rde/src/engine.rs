@@ -6,8 +6,8 @@ use htap_olap::{OlapEngine, ScanSource};
 use htap_oltp::OltpEngine;
 use htap_sim::clock::Activity;
 use htap_sim::{
-    CostModel, EngineId, ExecPlacement, InterferenceModel, OlapTraffic, ResourcePool, Seconds,
-    SimClock, SocketId, Stream, Topology, TransferWork, TxnWork,
+    CoreSplit, CostModel, ExecPlacement, InterferenceModel, OlapTraffic, Seconds, SimClock,
+    SocketId, Stream, Topology, TransferWork, TxnWork,
 };
 use htap_storage::TableSchema;
 use parking_lot::Mutex;
@@ -91,7 +91,8 @@ pub struct RdeEngine {
     config: RdeConfig,
     oltp: Arc<OltpEngine>,
     olap: Arc<OlapEngine>,
-    pub(crate) pool: Mutex<ResourcePool>,
+    /// The split in force; [`RdeEngine::grant`] is its only writer.
+    pub(crate) split: Mutex<CoreSplit>,
     cost: CostModel,
     interference: InterferenceModel,
     clock: SimClock,
@@ -104,9 +105,7 @@ impl RdeEngine {
         config.topology.validate().expect("invalid topology");
         let oltp = Arc::new(OltpEngine::new());
         let olap = Arc::new(OlapEngine::new(config.topology.clone(), config.olap_socket));
-        let mut pool = ResourcePool::bootstrap(config.topology.clone());
-        pool.oltp_min_cores_per_socket = config.oltp_min_cores_per_socket;
-        pool.oltp_min_sockets = config.oltp_min_sockets;
+        let split = crate::migration::bootstrap_split(&config);
 
         let engine = RdeEngine {
             cost: CostModel::new(config.topology.clone()),
@@ -114,10 +113,10 @@ impl RdeEngine {
             clock: SimClock::new(),
             oltp,
             olap,
-            pool: Mutex::new(pool),
+            split: Mutex::new(split.clone()),
             config,
         };
-        engine.apply_grant(&engine.pool.lock());
+        engine.grant(split);
         engine
     }
 
@@ -148,7 +147,7 @@ impl RdeEngine {
 
     /// A human-readable description of the current CPU distribution.
     pub fn describe_resources(&self) -> String {
-        self.pool.lock().describe()
+        self.split.lock().describe()
     }
 
     /// Create a relation in both engines (OLTP twin instances + OLAP instance).
@@ -160,17 +159,8 @@ impl RdeEngine {
 
     /// OLTP worker placement as a cost-model descriptor.
     pub fn txn_work(&self) -> TxnWork {
-        let pool = self.pool.lock();
-        let cores = pool.cores_of(EngineId::Oltp);
-        let mut workers_on = BTreeMap::new();
-        for socket in self.config.topology.socket_ids() {
-            let n = cores.count_on_socket(&self.config.topology, socket);
-            if n > 0 {
-                workers_on.insert(socket, n);
-            }
-        }
         TxnWork {
-            workers_on,
+            workers_on: self.split.lock().oltp_per_socket(),
             data_socket: self.config.oltp_socket,
             base_tps_per_worker: self.config.base_tps_per_worker,
         }
@@ -178,13 +168,15 @@ impl RdeEngine {
 
     /// OLAP compute placement (cores per socket).
     pub fn olap_placement(&self) -> ExecPlacement {
-        self.olap.workers().placement()
+        ExecPlacement {
+            cores_on: self.split.lock().olap_per_socket(),
+        }
     }
 
     /// Number of pipeline workers the OLAP engine fields with the current
     /// grant — the parallelism the next analytical query executes with.
     pub fn olap_worker_count(&self) -> usize {
-        self.olap.workers().worker_count()
+        self.olap.worker_count()
     }
 
     /// Modelled OLTP throughput given the OLAP traffic currently active.

@@ -10,15 +10,14 @@
 //! * **ETL** — transferring the delta (inserted + updated records) from the
 //!   OLTP snapshot to the OLAP engine's own instance, using OLAP-side compute
 //!   resources (the transfer time is charged to the query);
-//! * **resource exchange** — distributing CPU cores between the engines at
-//!   core and socket granularity, subject to the administrator-set OLTP
-//!   minimums;
 //! * **state migration** — the `MigrateStateS1/S2/S3` procedures of
 //!   Algorithm 1, one body over a per-state table, which move the system
-//!   between the co-located (S1), isolated (S2) and hybrid (S3) designs.
+//!   between the co-located (S1), isolated (S2) and hybrid (S3) designs; each
+//!   state is one split of the cores between the engines (socket- or
+//!   core-granular, subject to the administrator-set OLTP minimums), and
+//!   both engines read the core list the split hands them.
 
 pub mod engine;
-pub mod exchange;
 pub mod migration;
 pub mod state;
 

@@ -20,14 +20,6 @@ pub enum SystemState {
 }
 
 impl SystemState {
-    /// Whether the state lets OLAP compute run on the OLTP engine's sockets.
-    pub fn shares_oltp_compute(self) -> bool {
-        matches!(
-            self,
-            SystemState::S1Colocated | SystemState::S3HybridNonIsolated
-        )
-    }
-
     /// Whether the state performs an ETL into the OLAP instance.
     pub fn performs_etl(self) -> bool {
         matches!(self, SystemState::S2Isolated)
@@ -77,11 +69,6 @@ mod tests {
 
     #[test]
     fn state_properties_match_paper_descriptions() {
-        assert!(SystemState::S1Colocated.shares_oltp_compute());
-        assert!(SystemState::S3HybridNonIsolated.shares_oltp_compute());
-        assert!(!SystemState::S2Isolated.shares_oltp_compute());
-        assert!(!SystemState::S3HybridIsolated.shares_oltp_compute());
-
         assert!(SystemState::S2Isolated.performs_etl());
         assert!(!SystemState::S1Colocated.performs_etl());
     }

@@ -280,11 +280,6 @@ impl BandwidthModel {
 
         StreamAllocation { rates }
     }
-
-    /// Convenience: the bandwidth a single stream achieves when alone.
-    pub fn solo_rate(&self, stream: &Stream) -> GBps {
-        self.allocate(std::slice::from_ref(stream)).rate(0)
-    }
 }
 
 #[cfg(test)]
@@ -295,6 +290,11 @@ mod tests {
         BandwidthModel::new(Topology::two_socket())
     }
 
+    /// The bandwidth a single stream achieves when alone.
+    fn solo_rate(m: &BandwidthModel, stream: &Stream) -> GBps {
+        m.allocate(std::slice::from_ref(stream)).rate(0)
+    }
+
     const S0: SocketId = SocketId(0);
     const S1: SocketId = SocketId(1);
 
@@ -302,17 +302,17 @@ mod tests {
     fn solo_local_scan_is_core_or_dram_limited() {
         let m = model();
         // 2 cores: core-limited at 28 GB/s.
-        let r = m.solo_rate(&Stream::sequential(S0, S0, 2));
+        let r = solo_rate(&m, &Stream::sequential(S0, S0, 2));
         assert!((r - 28.0).abs() < 1e-6);
         // 14 cores: DRAM-limited at 100 GB/s.
-        let r = m.solo_rate(&Stream::sequential(S0, S0, 14));
+        let r = solo_rate(&m, &Stream::sequential(S0, S0, 14));
         assert!((r - 100.0).abs() < 1e-6);
     }
 
     #[test]
     fn solo_remote_scan_is_interconnect_limited() {
         let m = model();
-        let r = m.solo_rate(&Stream::sequential(S0, S1, 14));
+        let r = solo_rate(&m, &Stream::sequential(S0, S1, 14));
         assert!(
             (r - 33.0).abs() < 1e-6,
             "remote scan should cap at interconnect, got {r}"
@@ -322,7 +322,7 @@ mod tests {
     #[test]
     fn random_stream_uses_small_fraction_of_bus() {
         let m = model();
-        let r = m.solo_rate(&Stream::random(S0, S0, 14));
+        let r = solo_rate(&m, &Stream::random(S0, S0, 14));
         assert!((r - 14.0 * 0.8).abs() < 1e-6);
     }
 
@@ -394,7 +394,7 @@ mod tests {
         let m = model();
         let mut s = Stream::sequential(S0, S0, 14);
         s.demand_cap_gbps = Some(10.0);
-        assert!((m.solo_rate(&s) - 10.0).abs() < 1e-6);
+        assert!((solo_rate(&m, &s) - 10.0).abs() < 1e-6);
     }
 
     #[test]

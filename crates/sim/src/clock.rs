@@ -66,21 +66,6 @@ impl SimClock {
     pub fn elapsed(&self, activity: Activity) -> Seconds {
         self.inner.lock().get(&activity).copied().unwrap_or(0.0)
     }
-
-    /// Total modelled time across all activities.
-    pub fn total(&self) -> Seconds {
-        self.inner.lock().values().sum()
-    }
-
-    /// Snapshot of all counters.
-    pub fn snapshot(&self) -> BTreeMap<Activity, Seconds> {
-        self.inner.lock().clone()
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.inner.lock().clear();
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +81,6 @@ mod tests {
         assert_eq!(clock.elapsed(Activity::QueryExecution), 2.0);
         assert_eq!(clock.elapsed(Activity::DataTransfer), 0.25);
         assert_eq!(clock.elapsed(Activity::Transactions), 0.0);
-        assert!((clock.total() - 2.25).abs() < 1e-12);
     }
 
     #[test]
@@ -105,15 +89,6 @@ mod tests {
         let other = clock.clone();
         other.advance(Activity::InstanceSync, 0.01);
         assert_eq!(clock.elapsed(Activity::InstanceSync), 0.01);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let clock = SimClock::new();
-        clock.advance(Activity::Scheduling, 3.0);
-        clock.reset();
-        assert_eq!(clock.total(), 0.0);
-        assert!(clock.snapshot().is_empty());
     }
 
     #[test]

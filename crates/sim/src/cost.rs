@@ -14,8 +14,7 @@
 //! interconnect").
 
 use crate::bandwidth::{BandwidthModel, Stream, StreamClass};
-use crate::resources::CpuSet;
-use crate::topology::{SocketId, Topology};
+use crate::topology::{CoreId, SocketId, Topology};
 use crate::{GBps, Seconds};
 use std::collections::BTreeMap;
 
@@ -39,19 +38,14 @@ impl ExecPlacement {
         ExecPlacement { cores_on }
     }
 
-    /// The placement of a concrete core grant: how many cores of `cores` sit
-    /// on each socket of `topology`. This is the bridge between the elastic
-    /// [`CpuSet`] grants the RDE engine hands out and the per-socket core
-    /// counts the bandwidth and interference models reason about.
-    pub fn of_cpuset(topology: &Topology, cores: &CpuSet) -> Self {
-        let mut placement = ExecPlacement::new();
-        for socket in topology.socket_ids() {
-            let n = cores.count_on_socket(topology, socket);
-            if n > 0 {
-                placement = placement.with(socket, n);
-            }
-        }
-        placement
+    /// The placement of a concrete core grant: how many of `cores` sit on
+    /// each socket of `topology`. This is the bridge between the core lists
+    /// the RDE engine hands out and the per-socket core counts the bandwidth
+    /// and interference models reason about.
+    pub fn of_cores(topology: &Topology, cores: &[CoreId]) -> Self {
+        cores.iter().fold(ExecPlacement::new(), |placement, &core| {
+            placement.with(topology.socket_of(core), 1)
+        })
     }
 
     /// Add cores on a socket.
@@ -268,28 +262,9 @@ impl CostModel {
         }
     }
 
-    /// Build a cost model with custom parameters.
-    pub fn with_params(topology: Topology, params: CostParams) -> Self {
-        CostModel {
-            bandwidth: BandwidthModel::new(topology.clone()),
-            topology,
-            params,
-        }
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The underlying bandwidth model.
-    pub fn bandwidth_model(&self) -> &BandwidthModel {
-        &self.bandwidth
-    }
-
-    /// The tunable parameters.
-    pub fn params(&self) -> &CostParams {
-        &self.params
     }
 
     /// The sequential-read streams an OLAP execution generates, given where
@@ -700,7 +675,10 @@ mod tests {
     #[test]
     fn switch_without_updates_costs_only_fixed_overhead() {
         let m = model();
-        assert_eq!(m.sync_time(0, 64, 4), m.params().switch_fixed_overhead);
+        assert_eq!(
+            m.sync_time(0, 64, 4),
+            CostParams::default().switch_fixed_overhead
+        );
     }
 
     #[test]

@@ -123,20 +123,6 @@ impl InterferenceModel {
         }
     }
 
-    /// Build a model with custom parameters.
-    pub fn with_params(topology: Topology, params: InterferenceParams) -> Self {
-        InterferenceModel {
-            bandwidth: BandwidthModel::new(topology.clone()),
-            topology,
-            params,
-        }
-    }
-
-    /// The tunable parameters.
-    pub fn params(&self) -> &InterferenceParams {
-        &self.params
-    }
-
     /// Per-worker slowdown decomposition for workers running on `worker_socket`.
     pub fn slowdown(
         &self,

@@ -14,7 +14,7 @@
 //!
 //! Main entry points:
 //! * [`Topology`] — the machine description (sockets, cores, bandwidths).
-//! * [`CpuSet`] / [`ResourcePool`] — CPU ownership and lending between engines.
+//! * [`CoreSplit`] — how the cores are split between the two engines.
 //! * [`BandwidthModel`] — max-min fair sharing of DRAM and interconnect
 //!   bandwidth among concurrent access streams.
 //! * [`CostModel`] — converts [`ScanWork`], [`TransferWork`] and [`TxnWork`]
@@ -35,7 +35,7 @@ pub use cost::{
     TxnWork,
 };
 pub use interference::{InterferenceModel, OlapTraffic, OltpSlowdown};
-pub use resources::{CpuSet, EngineId, ResourceError, ResourceGrant, ResourcePool};
+pub use resources::CoreSplit;
 pub use topology::{CoreId, SocketId, Topology};
 
 /// Simulated seconds. All cost-model outputs are expressed in this unit.

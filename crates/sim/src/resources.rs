@@ -1,364 +1,96 @@
-//! CPU ownership and lending.
+//! The split of the machine's cores between the two engines.
 //!
-//! The RDE engine is the *owner* of all compute resources (paper §3.4); the
-//! OLTP and OLAP engines only hold grants. [`ResourcePool`] tracks which core
-//! currently belongs to which engine, and supports the three operations the
-//! state-migration algorithm needs: granting whole sockets, granting
-//! individual cores, and revoking/lending cores between engines subject to
-//! administrator-set minimums.
+//! "Following the common approach in cloud computing, we assume that CPU and
+//! memory resources are split in two sets: the first is exclusively given to
+//! each engine, and the second can be traded between them. The distribution of
+//! resources between the engines is decided by the RDE engine" (§3.1). The
+//! RDE engine owns every core (§3.4), and each state of Algorithm 1 is one
+//! [`CoreSplit`]; the engines only read the core list it hands them.
 
 use crate::topology::{CoreId, SocketId, Topology};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
-/// The party a resource is assigned to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum EngineId {
-    /// The transactional engine.
-    Oltp,
-    /// The analytical engine.
-    Olap,
-    /// Held by the RDE engine, not currently granted to either engine.
-    Rde,
-}
-
-impl std::fmt::Display for EngineId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineId::Oltp => write!(f, "OLTP"),
-            EngineId::Olap => write!(f, "OLAP"),
-            EngineId::Rde => write!(f, "RDE"),
-        }
-    }
-}
-
-/// An ordered set of cores. Deterministic iteration keeps placement decisions
-/// (and therefore modelled times) reproducible.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CpuSet {
-    cores: BTreeSet<CoreId>,
-}
-
-impl CpuSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set containing the given cores.
-    pub fn from_cores<I: IntoIterator<Item = CoreId>>(cores: I) -> Self {
-        CpuSet {
-            cores: cores.into_iter().collect(),
-        }
-    }
-
-    /// All cores of one socket.
-    pub fn socket(topology: &Topology, socket: SocketId) -> Self {
-        Self::from_cores(topology.cores_of(socket))
-    }
-
-    /// Number of cores in the set.
-    pub fn len(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cores.is_empty()
-    }
-
-    /// Whether the set contains `core`.
-    pub fn contains(&self, core: CoreId) -> bool {
-        self.cores.contains(&core)
-    }
-
-    /// Insert a core; returns `true` if it was not already present.
-    pub fn insert(&mut self, core: CoreId) -> bool {
-        self.cores.insert(core)
-    }
-
-    /// Remove a core; returns `true` if it was present.
-    pub fn remove(&mut self, core: CoreId) -> bool {
-        self.cores.remove(&core)
-    }
-
-    /// Iterate over cores in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        self.cores.iter().copied()
-    }
-
-    /// Cores of this set that live on `socket`.
-    pub fn on_socket(&self, topology: &Topology, socket: SocketId) -> CpuSet {
-        Self::from_cores(self.iter().filter(|c| topology.socket_of(*c) == socket))
-    }
-
-    /// Number of cores of this set on `socket`.
-    pub fn count_on_socket(&self, topology: &Topology, socket: SocketId) -> usize {
-        self.iter()
-            .filter(|c| topology.socket_of(*c) == socket)
-            .count()
-    }
-
-    /// Union of two sets.
-    pub fn union(&self, other: &CpuSet) -> CpuSet {
-        CpuSet {
-            cores: self.cores.union(&other.cores).copied().collect(),
-        }
-    }
-
-    /// Set difference (`self` minus `other`).
-    pub fn difference(&self, other: &CpuSet) -> CpuSet {
-        CpuSet {
-            cores: self.cores.difference(&other.cores).copied().collect(),
-        }
-    }
-
-    /// The sockets this set spans, in ascending order.
-    pub fn sockets(&self, topology: &Topology) -> Vec<SocketId> {
-        let mut sockets: Vec<SocketId> = self.iter().map(|c| topology.socket_of(c)).collect();
-        sockets.sort();
-        sockets.dedup();
-        sockets
-    }
-
-    /// Take up to `n` cores from the set that live on `socket` (lowest ids first).
-    pub fn take_from_socket(&mut self, topology: &Topology, socket: SocketId, n: usize) -> CpuSet {
-        let picked: Vec<CoreId> = self
-            .iter()
-            .filter(|c| topology.socket_of(*c) == socket)
-            .take(n)
-            .collect();
-        for c in &picked {
-            self.cores.remove(c);
-        }
-        CpuSet::from_cores(picked)
-    }
-}
-
-impl FromIterator<CoreId> for CpuSet {
-    fn from_iter<T: IntoIterator<Item = CoreId>>(iter: T) -> Self {
-        Self::from_cores(iter)
-    }
-}
-
-/// Outcome of a grant/revoke operation: which cores actually moved.
+/// How the cores are split: on each socket the OLTP engine holds the
+/// lowest-numbered `oltp_on[socket]` cores and the OLAP engine the rest.
+/// Both core lists are ascending, which fixes the worker→core mapping of
+/// either engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResourceGrant {
-    /// The engine the cores were taken from.
-    pub from: EngineId,
-    /// The engine the cores were given to.
-    pub to: EngineId,
-    /// The cores that moved.
-    pub cores: CpuSet,
+pub struct CoreSplit {
+    cores_per_socket: usize,
+    oltp_on: Vec<usize>,
+    oltp: Vec<CoreId>,
+    olap: Vec<CoreId>,
 }
 
-/// Error returned when a resource operation would violate ownership or
-/// administrator-set minimums.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResourceError {
-    /// The source engine does not own enough cores on the requested socket.
-    InsufficientCores {
-        /// Engine the cores were requested from.
-        engine: EngineId,
-        /// Socket on which cores were requested.
-        socket: SocketId,
-        /// Number of cores requested.
-        requested: usize,
-        /// Number of cores actually available.
-        available: usize,
-    },
-    /// The operation would push the engine below its configured minimum.
-    BelowMinimum {
-        /// Engine whose minimum would be violated.
-        engine: EngineId,
-        /// Minimum number of cores that must remain.
-        minimum: usize,
-        /// Number of cores the engine would be left with.
-        would_leave: usize,
-    },
-}
-
-impl std::fmt::Display for ResourceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResourceError::InsufficientCores {
-                engine,
-                socket,
-                requested,
-                available,
-            } => write!(
-                f,
-                "{engine} owns {available} cores on {socket}, cannot release {requested}"
-            ),
-            ResourceError::BelowMinimum {
-                engine,
-                minimum,
-                would_leave,
-            } => write!(
-                f,
-                "operation would leave {engine} with {would_leave} cores, below its minimum of {minimum}"
-            ),
+impl CoreSplit {
+    /// The split in which OLTP holds `oltp_on[s]` cores of socket `s`,
+    /// clamped to the socket's size; sockets past the end of `oltp_on` (and
+    /// entries past the machine's sockets) give OLTP nothing.
+    pub fn new(topology: &Topology, mut oltp_on: Vec<usize>) -> Self {
+        let cores_per_socket = topology.cores_per_socket as usize;
+        oltp_on.resize(topology.sockets as usize, 0);
+        let (mut oltp, mut olap) = (Vec::new(), Vec::new());
+        for (socket, n) in topology.socket_ids().into_iter().zip(&mut oltp_on) {
+            *n = (*n).min(cores_per_socket);
+            let cores = topology.cores_of(socket);
+            let (low, high) = cores.split_at(*n);
+            oltp.extend_from_slice(low);
+            olap.extend_from_slice(high);
         }
-    }
-}
-
-impl std::error::Error for ResourceError {}
-
-/// Tracks the assignment of every core to an engine and enforces the
-/// administrator-set minimum number of OLTP cores per socket
-/// (`OLTPCpuThres` in Algorithm 1).
-#[derive(Debug, Clone)]
-pub struct ResourcePool {
-    topology: Topology,
-    owner: Vec<EngineId>,
-    /// Minimum number of cores the OLTP engine must keep on each socket it occupies.
-    pub oltp_min_cores_per_socket: usize,
-    /// Minimum number of sockets that must be (at least partly) assigned to OLTP.
-    pub oltp_min_sockets: usize,
-}
-
-impl ResourcePool {
-    /// Create a pool with every core owned by the RDE engine.
-    pub fn new(topology: Topology) -> Self {
-        let owner = vec![EngineId::Rde; topology.total_cores() as usize];
-        ResourcePool {
-            topology,
-            owner,
-            oltp_min_cores_per_socket: 1,
-            oltp_min_sockets: 1,
+        CoreSplit {
+            cores_per_socket,
+            oltp_on,
+            oltp,
+            olap,
         }
     }
 
-    /// Create a pool with the bootstrap assignment the paper uses: socket 0 to
-    /// OLTP, the remaining sockets to OLAP (full-isolation state S2).
-    pub fn bootstrap(topology: Topology) -> Self {
-        let mut pool = Self::new(topology.clone());
-        for core in topology.cores_of(SocketId(0)) {
-            pool.owner[core.index()] = EngineId::Oltp;
-        }
-        for socket in topology.socket_ids().into_iter().skip(1) {
-            for core in topology.cores_of(socket) {
-                pool.owner[core.index()] = EngineId::Olap;
-            }
-        }
-        pool
+    /// The OLTP engine's cores, in worker order.
+    pub fn oltp_cores(&self) -> &[CoreId] {
+        &self.oltp
     }
 
-    /// The machine topology the pool was created for.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
+    /// The OLAP engine's cores, in worker order.
+    pub fn olap_cores(&self) -> &[CoreId] {
+        &self.olap
     }
 
-    /// Current owner of a core.
-    pub fn owner_of(&self, core: CoreId) -> EngineId {
-        self.owner[core.index()]
+    /// OLTP cores per socket, sockets where it holds none left out.
+    pub fn oltp_per_socket(&self) -> BTreeMap<SocketId, usize> {
+        self.per_socket(|n| n)
     }
 
-    /// All cores currently owned by `engine`.
-    pub fn cores_of(&self, engine: EngineId) -> CpuSet {
-        CpuSet::from_cores(
-            self.topology
-                .core_ids()
-                .into_iter()
-                .filter(|c| self.owner[c.index()] == engine),
-        )
+    /// OLAP cores per socket, sockets where it holds none left out.
+    pub fn olap_per_socket(&self) -> BTreeMap<SocketId, usize> {
+        self.per_socket(|n| self.cores_per_socket - n)
     }
 
-    /// Number of cores owned by `engine` on `socket`.
-    pub fn count_on_socket(&self, engine: EngineId, socket: SocketId) -> usize {
-        self.cores_of(engine)
-            .count_on_socket(&self.topology, socket)
+    fn per_socket(&self, held: impl Fn(usize) -> usize) -> BTreeMap<SocketId, usize> {
+        (0u16..)
+            .map(SocketId)
+            .zip(self.oltp_on.iter().map(|&n| held(n)))
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 
-    /// Number of sockets on which `engine` owns at least one core.
-    pub fn socket_count(&self, engine: EngineId) -> usize {
-        self.cores_of(engine).sockets(&self.topology).len()
-    }
-
-    /// Assign every core of `socket` to `engine`, regardless of prior owner.
-    /// Used by Algorithm 1 when distributing sockets (`addSocket`).
-    pub fn assign_socket(&mut self, socket: SocketId, engine: EngineId) {
-        for core in self.topology.cores_of(socket) {
-            self.owner[core.index()] = engine;
-        }
-    }
-
-    /// Move `n` cores of `socket` from `from` to `to` (lowest core ids first).
-    ///
-    /// Enforces the OLTP minimum when taking cores away from the OLTP engine.
-    pub fn transfer(
-        &mut self,
-        socket: SocketId,
-        from: EngineId,
-        to: EngineId,
-        n: usize,
-    ) -> Result<ResourceGrant, ResourceError> {
-        let from_cores: Vec<CoreId> = self
-            .topology
-            .cores_of(socket)
-            .into_iter()
-            .filter(|c| self.owner[c.index()] == from)
-            .collect();
-        if from_cores.len() < n {
-            return Err(ResourceError::InsufficientCores {
-                engine: from,
-                socket,
-                requested: n,
-                available: from_cores.len(),
-            });
-        }
-        if from == EngineId::Oltp {
-            let would_leave = from_cores.len() - n;
-            if would_leave < self.oltp_min_cores_per_socket {
-                return Err(ResourceError::BelowMinimum {
-                    engine: EngineId::Oltp,
-                    minimum: self.oltp_min_cores_per_socket,
-                    would_leave,
-                });
-            }
-        }
-        let moving: Vec<CoreId> = from_cores.into_iter().take(n).collect();
-        for core in &moving {
-            self.owner[core.index()] = to;
-        }
-        Ok(ResourceGrant {
-            from,
-            to,
-            cores: CpuSet::from_cores(moving),
-        })
-    }
-
-    /// Return all cores owned by `engine` to the RDE engine.
-    pub fn reclaim_all(&mut self, engine: EngineId) -> CpuSet {
-        let cores = self.cores_of(engine);
-        for core in cores.iter() {
-            self.owner[core.index()] = EngineId::Rde;
-        }
-        cores
-    }
-
-    /// A summary of the current distribution, e.g. `OLTP: 14 (s0:14) | OLAP: 14 (s1:14)`.
+    /// A summary such as `OLTP: 10 (s0:10) | OLAP: 18 (s0:4,s1:14)`; an
+    /// engine without cores is left out.
     pub fn describe(&self) -> String {
-        let mut parts = Vec::new();
-        for engine in [EngineId::Oltp, EngineId::Olap, EngineId::Rde] {
-            let cores = self.cores_of(engine);
-            if cores.is_empty() {
-                continue;
-            }
-            let per_socket: Vec<String> = self
-                .topology
-                .socket_ids()
-                .into_iter()
-                .filter_map(|s| {
-                    let n = cores.count_on_socket(&self.topology, s);
-                    (n > 0).then(|| format!("s{}:{}", s.0, n))
-                })
-                .collect();
-            parts.push(format!(
-                "{engine}: {} ({})",
-                cores.len(),
-                per_socket.join(",")
-            ));
-        }
+        let engines = [
+            ("OLTP", self.oltp.len(), self.oltp_per_socket()),
+            ("OLAP", self.olap.len(), self.olap_per_socket()),
+        ];
+        let parts: Vec<String> = engines
+            .into_iter()
+            .filter(|&(_, total, _)| total > 0)
+            .map(|(engine, total, per_socket)| {
+                let sockets: Vec<String> = per_socket
+                    .iter()
+                    .map(|(s, n)| format!("s{}:{n}", s.0))
+                    .collect();
+                format!("{engine}: {total} ({})", sockets.join(","))
+            })
+            .collect();
         parts.join(" | ")
     }
 }
@@ -373,88 +105,36 @@ mod tests {
 
     #[test]
     fn bootstrap_gives_one_socket_each() {
-        let pool = ResourcePool::bootstrap(topo());
-        assert_eq!(pool.cores_of(EngineId::Oltp).len(), 14);
-        assert_eq!(pool.cores_of(EngineId::Olap).len(), 14);
-        assert_eq!(pool.cores_of(EngineId::Rde).len(), 0);
-        assert_eq!(pool.count_on_socket(EngineId::Oltp, SocketId(0)), 14);
-        assert_eq!(pool.count_on_socket(EngineId::Olap, SocketId(1)), 14);
+        let split = CoreSplit::new(&topo(), vec![14]);
+        assert_eq!(split.oltp_cores().len(), 14);
+        assert_eq!(split.olap_cores().len(), 14);
+        assert_eq!(split.oltp_per_socket()[&SocketId(0)], 14);
+        assert_eq!(split.olap_per_socket()[&SocketId(1)], 14);
     }
 
     #[test]
-    fn transfer_moves_cores_and_respects_minimum() {
-        let mut pool = ResourcePool::bootstrap(topo());
-        pool.oltp_min_cores_per_socket = 4;
-        let grant = pool
-            .transfer(SocketId(0), EngineId::Oltp, EngineId::Olap, 6)
-            .unwrap();
-        assert_eq!(grant.cores.len(), 6);
-        assert_eq!(pool.count_on_socket(EngineId::Oltp, SocketId(0)), 8);
-        assert_eq!(pool.count_on_socket(EngineId::Olap, SocketId(0)), 6);
-
-        // Taking 6 more would leave 2 < minimum of 4.
-        let err = pool
-            .transfer(SocketId(0), EngineId::Oltp, EngineId::Olap, 6)
-            .unwrap_err();
-        assert!(matches!(err, ResourceError::BelowMinimum { .. }));
-    }
-
-    #[test]
-    fn transfer_fails_when_not_enough_cores() {
-        let mut pool = ResourcePool::bootstrap(topo());
-        let err = pool
-            .transfer(SocketId(1), EngineId::Oltp, EngineId::Olap, 1)
-            .unwrap_err();
-        assert!(matches!(err, ResourceError::InsufficientCores { .. }));
-    }
-
-    #[test]
-    fn assign_socket_overrides_ownership() {
-        let mut pool = ResourcePool::bootstrap(topo());
-        pool.assign_socket(SocketId(1), EngineId::Oltp);
-        assert_eq!(pool.socket_count(EngineId::Oltp), 2);
-        assert_eq!(pool.cores_of(EngineId::Olap).len(), 0);
-    }
-
-    #[test]
-    fn reclaim_returns_cores_to_rde() {
-        let mut pool = ResourcePool::bootstrap(topo());
-        let reclaimed = pool.reclaim_all(EngineId::Olap);
-        assert_eq!(reclaimed.len(), 14);
-        assert_eq!(pool.cores_of(EngineId::Rde).len(), 14);
-    }
-
-    #[test]
-    fn cpuset_socket_filtering_and_union() {
-        let t = topo();
-        let s0 = CpuSet::socket(&t, SocketId(0));
-        let s1 = CpuSet::socket(&t, SocketId(1));
-        assert_eq!(s0.len(), 14);
-        assert_eq!(s0.count_on_socket(&t, SocketId(1)), 0);
-        let all = s0.union(&s1);
-        assert_eq!(all.len(), 28);
-        assert_eq!(all.sockets(&t), vec![SocketId(0), SocketId(1)]);
-        let back = all.difference(&s1);
-        assert_eq!(back, s0);
-    }
-
-    #[test]
-    fn cpuset_take_from_socket_takes_lowest_ids() {
-        let t = topo();
-        let mut all = CpuSet::socket(&t, SocketId(0));
-        let taken = all.take_from_socket(&t, SocketId(0), 3);
-        assert_eq!(taken.len(), 3);
-        assert!(
-            taken.contains(CoreId(0)) && taken.contains(CoreId(1)) && taken.contains(CoreId(2))
+    fn oltp_holds_the_lowest_ids_of_a_socket() {
+        let split = CoreSplit::new(&topo(), vec![3, 1]);
+        assert_eq!(
+            split.oltp_cores(),
+            &[CoreId(0), CoreId(1), CoreId(2), CoreId(14)]
         );
-        assert_eq!(all.len(), 11);
-        assert!(!all.contains(CoreId(0)));
+        assert_eq!(split.olap_cores().len(), 24);
+        assert_eq!(split.olap_cores()[0], CoreId(3));
+        assert!(!split.olap_cores().contains(&CoreId(14)));
+    }
+
+    #[test]
+    fn counts_are_clamped_to_the_machine() {
+        let split = CoreSplit::new(&topo(), vec![20, 14, 9]);
+        assert_eq!(split.oltp_cores().len(), 28);
+        assert!(split.olap_cores().is_empty());
+        assert!(split.olap_per_socket().is_empty());
     }
 
     #[test]
     fn describe_lists_all_engines() {
-        let pool = ResourcePool::bootstrap(topo());
-        let d = pool.describe();
+        let d = CoreSplit::new(&topo(), vec![14]).describe();
         assert!(d.contains("OLTP: 14"));
         assert!(d.contains("OLAP: 14"));
     }

@@ -132,24 +132,6 @@ impl Topology {
         (0..self.sockets).map(SocketId).collect()
     }
 
-    /// All cores of the machine, in ascending order.
-    pub fn core_ids(&self) -> Vec<CoreId> {
-        (0..self.total_cores()).map(CoreId).collect()
-    }
-
-    /// Whether `core` is local to `socket`.
-    #[inline]
-    pub fn is_local(&self, core: CoreId, socket: SocketId) -> bool {
-        self.socket_of(core) == socket
-    }
-
-    /// Number of cores needed to saturate one socket's DRAM bandwidth with
-    /// sequential scans. This is the knee after which lending more cores to
-    /// the OLAP engine stops helping (paper §5.2, Figures 3(a) and 3(c)).
-    pub fn scan_saturation_cores(&self) -> u16 {
-        (self.dram_bandwidth_gbps / self.per_core_scan_bandwidth_gbps).ceil() as u16
-    }
-
     /// Validate internal consistency; returns a human-readable error if the
     /// description cannot correspond to a real machine.
     pub fn validate(&self) -> Result<(), String> {
@@ -222,13 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn saturation_cores_is_knee_of_scan_scaling() {
-        let t = Topology::two_socket();
-        // 100 GB/s at 14 GB/s per core -> 8 cores saturate the socket.
-        assert_eq!(t.scan_saturation_cores(), 8);
-    }
-
-    #[test]
     fn validation_rejects_inconsistent_descriptions() {
         let mut t = Topology::two_socket();
         t.interconnect_bandwidth_gbps = 500.0;
@@ -241,13 +216,6 @@ mod tests {
         let mut t = Topology::two_socket();
         t.remote_latency_ns = 1.0;
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn is_local_checks_socket_membership() {
-        let t = Topology::two_socket();
-        assert!(t.is_local(CoreId(3), SocketId(0)));
-        assert!(!t.is_local(CoreId(3), SocketId(1)));
     }
 
     #[test]

@@ -134,6 +134,20 @@ fn periodic_checkpoints_tick_once_per_query() {
     assert!(system.run_oltp(1) > 0);
 }
 
+/// A dead medium wedges the WAL, so every commit fails: `run_oltp` reports
+/// no commits instead of retrying forever.
+#[test]
+fn run_oltp_returns_when_every_commit_fails() {
+    let injector = FaultInjector::new();
+    let faulty: Arc<dyn DurableStorage> = Arc::new(FaultStorage::new(
+        Arc::new(MemStorage::new()),
+        injector.clone(),
+    ));
+    let system = HtapSystem::build_durable(config(), faulty).unwrap();
+    injector.halt();
+    assert_eq!(system.run_oltp(5), 0);
+}
+
 #[test]
 fn kill_during_checkpoint_falls_back_to_previous_checkpoint_plus_tail() {
     let disk = MemStorage::new();

@@ -6,7 +6,7 @@
 use adaptive_htap::chbench::{ChConfig, ChGenerator, QueryId};
 use adaptive_htap::olap::{QueryExecutor, WorkerTeam};
 use adaptive_htap::rde::{AccessMethod, RdeConfig, RdeEngine};
-use adaptive_htap::sim::{CoreId, CpuSet, SocketId, Topology};
+use adaptive_htap::sim::{CoreId, SocketId, Topology};
 use adaptive_htap::{HtapConfig, HtapSystem};
 
 fn populated_rde() -> RdeEngine {
@@ -45,13 +45,12 @@ fn elastic_grants_resize_the_engines_worker_team() {
     let topo = Topology::two_socket();
     // Bootstrap grants the OLAP engine its whole home socket.
     assert_eq!(rde.olap_worker_count(), 14);
-    assert_eq!(rde.olap().workers().team().size(), 14);
+    assert_eq!(rde.olap().team().size(), 14);
 
     // An explicit (shrunken) grant resizes the team the next query runs with.
-    rde.olap()
-        .set_workers(CpuSet::from_cores([CoreId(14), CoreId(15)]));
+    rde.olap().set_workers(&[CoreId(14), CoreId(15)]);
     assert_eq!(rde.olap_worker_count(), 2);
-    let team = rde.olap().workers().team();
+    let team = rde.olap().team();
     assert_eq!(team.size(), 2);
     assert_eq!(team.cores(), &[CoreId(14), CoreId(15)]);
 
@@ -59,7 +58,7 @@ fn elastic_grants_resize_the_engines_worker_team() {
     let plan = QueryId::Q6.plan().unwrap();
     let sources = rde.sources_for(&plan.tables(), AccessMethod::OltpSnapshot);
     let shrunk = rde.olap().run_query(&plan, &sources, None).unwrap();
-    rde.olap().set_workers(CpuSet::socket(&topo, SocketId(1)));
+    rde.olap().set_workers(&topo.cores_of(SocketId(1)));
     let full = rde.olap().run_query(&plan, &sources, None).unwrap();
     assert_eq!(shrunk.output, full.output);
 }
