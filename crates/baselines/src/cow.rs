@@ -69,26 +69,21 @@ impl CowBaseline {
             twin.mark_olap_synced();
         }
 
-        // Queries read the unified storage on the OLTP socket.
-        let tables: Vec<&str> = plan.tables();
-        let sources = rde.sources_for(&tables, AccessMethod::OltpSnapshot);
-        let txn = rde.txn_work();
+        // Queries read the unified storage on the OLTP socket; every run
+        // models the same interference (with no query, OLTP runs idle).
+        let sources = rde.sources_for(&plan.tables(), AccessMethod::OltpSnapshot);
         let mut query_exec_time = 0.0;
-        let mut bytes_per_socket = std::collections::BTreeMap::new();
+        let mut interfered = rde.modeled_oltp_throughput_idle();
         for _ in 0..queries_per_snapshot {
-            let exec = rde
-                .olap()
-                .run_query(plan, &sources, Some(&txn))
+            let (exec, tps) = rde
+                .run_query(plan, &sources)
                 .expect("baseline plans always match their snapshot sources");
             query_exec_time += exec.modeled.total;
-            for (&socket, &bytes) in &exec.output.work.bytes_per_socket {
-                *bytes_per_socket.entry(socket).or_insert(0) += bytes;
-            }
+            interfered = tps;
         }
 
         // OLTP throughput: bandwidth/cache interference from the scans plus
         // the page-copy tax of the copy-on-write mechanism.
-        let interfered = rde.modeled_oltp_throughput(&rde.olap_traffic_for(&bytes_per_socket));
         let workers = rde.txn_work().total_workers().max(1) as f64;
         let per_worker = interfered / workers;
         let copies_per_txn = if txns_in_window == 0 {

@@ -4,11 +4,13 @@
 //! the transactional store to the analytical store; the queries then run on
 //! analytical-local data. Query response time therefore includes the transfer
 //! cost (amortised over the batch), while the transactional engine keeps its
-//! socket to itself and is essentially unaffected.
+//! socket to itself and is essentially unaffected. That is exactly the
+//! system's isolated state S2, so the baseline is a migration to S2 followed
+//! by the batch.
 
 use crate::BaselinePoint;
 use htap_olap::QueryPlan;
-use htap_rde::{AccessMethod, RdeEngine};
+use htap_rde::{RdeEngine, SystemState};
 
 /// The batch-ETL baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,36 +26,24 @@ impl EtlBaseline {
         plan: &QueryPlan,
         queries_per_snapshot: usize,
     ) -> BaselinePoint {
-        // Snapshot + delta transfer.
-        rde.switch_and_sync();
-        let etl = rde.etl_to_olap();
-
-        // Queries run on analytical-local data; the OLTP engine only shares
-        // the machine through the interconnect traffic of the ETL, which has
-        // already completed, so it runs at its isolated throughput.
-        let tables: Vec<&str> = plan.tables();
-        let sources = rde.sources_for(&tables, AccessMethod::OlapLocal);
-        let txn = rde.txn_work();
+        let migration = rde.migrate(SystemState::S2Isolated);
+        let sources = rde.sources_for(&plan.tables(), migration.access);
+        // The queries scan the OLAP socket only, so every run models the same
+        // (near-isolated) OLTP throughput; with no query it is the idle one.
         let mut query_exec_time = 0.0;
+        let mut oltp_tps = rde.modeled_oltp_throughput_idle();
         for _ in 0..queries_per_snapshot {
-            let exec = rde
-                .olap()
-                .run_query(plan, &sources, Some(&txn))
+            let (exec, tps) = rde
+                .run_query(plan, &sources)
                 .expect("baseline plans always match their snapshot sources");
             query_exec_time += exec.modeled.total;
+            oltp_tps = tps;
         }
-        // OLAP scans its own socket: interference with OLTP is negligible.
-        let bytes = sources
-            .values()
-            .flat_map(|s| s.bytes_per_socket(&["ol_amount"]))
-            .collect();
-        let oltp_tps = rde.modeled_oltp_throughput(&rde.olap_traffic_for(&bytes));
-
         BaselinePoint {
             label: "ETL".into(),
             queries_per_snapshot,
             query_exec_time,
-            data_transfer_time: etl.modeled_time,
+            data_transfer_time: migration.etl.map_or(0.0, |etl| etl.modeled_time),
             oltp_tps,
             pages_copied: 0,
         }

@@ -4,17 +4,19 @@
 //!   classic data warehousing: before a batch of analytical queries, the
 //!   fresh delta is copied from the transactional to the analytical store;
 //!   queries then run entirely on analytical-local data, and the transfer
-//!   cost is amortised over the batch.
+//!   cost is amortised over the batch. This *is* the system's isolated state
+//!   S2: the baseline migrates to it and runs the batch.
 //! * **Copy-on-Write** ([`cow`]) — unified storage in the style of HyPer's
 //!   fork-based snapshots / Caldera: analytical queries get an instant
 //!   snapshot of the transactional storage, and the transactional engine pays
 //!   for every page it dirties while a snapshot is live.
 //!
-//! Both baselines reuse the functional engines of this repository (so they
-//! execute real queries over real data) but follow the respective system's
-//! policy instead of the elastic scheduler. The hardware behaviour (page-copy
-//! cost, interconnect-limited reads) comes from `htap-sim` (ARCHITECTURE.md,
-//! "Crate layering").
+//! Both baselines run their queries through the RDE engine's one query call
+//! (`RdeEngine::run_query`: real queries over real data, the OLTP
+//! interference modelled beside them) but follow the respective system's
+//! snapshot policy instead of the elastic scheduler. The hardware behaviour
+//! (page-copy cost, interconnect-limited reads) comes from `htap-sim`
+//! (ARCHITECTURE.md, "Crate layering").
 
 pub mod cow;
 pub mod etl;

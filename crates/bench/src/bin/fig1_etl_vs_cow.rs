@@ -9,38 +9,41 @@
 //! `cargo run --release -p htap-bench --bin fig1_etl_vs_cow -- --scale 0.02`
 
 use htap_baselines::{BaselinePoint, CowBaseline, EtlBaseline};
-use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
+use htap_bench::{fmt_mtps, fmt_secs, ingest, HarnessArgs};
 use htap_chbench::QueryId;
-use htap_core::ExperimentTable;
+use htap_core::{ExperimentTable, HtapSystem};
+use htap_sim::Topology;
 
 const TOTAL_QUERIES: usize = 16;
 const TXNS_PER_WINDOW: u64 = 400;
 
-fn run_etl(harness: &Harness, queries_per_snapshot: usize, seed: u64) -> Vec<BaselinePoint> {
+fn run_etl(system: &HtapSystem, queries_per_snapshot: usize, seed: u64) -> Vec<BaselinePoint> {
     let plan = QueryId::Q6.plan().expect("CH SQL compiles");
     // Settle the initial bulk load into the analytical store so the measured
     // windows reflect steady-state delta transfers, as in the paper.
-    EtlBaseline.run_snapshot(&harness.rde, &plan, 1);
+    EtlBaseline.run_snapshot(system.rde(), &plan, 1);
     let snapshots = TOTAL_QUERIES / queries_per_snapshot;
+    let per_window = TXNS_PER_WINDOW / snapshots as u64;
     (0..snapshots)
         .map(|i| {
-            harness.ingest(TXNS_PER_WINDOW / snapshots as u64, 4, seed + i as u64);
-            EtlBaseline.run_snapshot(&harness.rde, &plan, queries_per_snapshot)
+            ingest(system, per_window, 4, seed + i as u64);
+            EtlBaseline.run_snapshot(system.rde(), &plan, queries_per_snapshot)
         })
         .collect()
 }
 
-fn run_cow(harness: &Harness, queries_per_snapshot: usize, seed: u64) -> Vec<BaselinePoint> {
+fn run_cow(system: &HtapSystem, queries_per_snapshot: usize, seed: u64) -> Vec<BaselinePoint> {
     let plan = QueryId::Q6.plan().expect("CH SQL compiles");
     let cow = CowBaseline::default();
     // Settle the initial bulk load so page-copy counting starts from a clean
     // snapshot window.
-    cow.run_snapshot(&harness.rde, &plan, 1, 1);
+    cow.run_snapshot(system.rde(), &plan, 1, 1);
     let snapshots = TOTAL_QUERIES / queries_per_snapshot;
+    let per_window = TXNS_PER_WINDOW / snapshots as u64;
     (0..snapshots)
         .map(|i| {
-            let txns = harness.ingest(TXNS_PER_WINDOW / snapshots as u64, 4, seed + 100 + i as u64);
-            cow.run_snapshot(&harness.rde, &plan, queries_per_snapshot, txns)
+            let txns = ingest(system, per_window, 4, seed + 100 + i as u64);
+            cow.run_snapshot(system.rde(), &plan, queries_per_snapshot, txns)
         })
         .collect()
 }
@@ -79,10 +82,10 @@ fn main() {
     for (i, qps) in [1usize, 2, 4, 8, 16].into_iter().enumerate() {
         // Separate, identically populated stacks for each baseline so neither
         // inherits the other's propagation state.
-        let etl_harness = Harness::four_socket(&args);
-        let cow_harness = Harness::four_socket(&args);
-        let etl_points = run_etl(&etl_harness, qps, i as u64 * 1000);
-        let cow_points = run_cow(&cow_harness, qps, i as u64 * 1000);
+        let etl_system = args.system(Topology::four_socket());
+        let cow_system = args.system(Topology::four_socket());
+        let etl_points = run_etl(&etl_system, qps, i as u64 * 1000);
+        let cow_points = run_cow(&cow_system, qps, i as u64 * 1000);
         let (etl_avg, etl_exec, etl_transfer, etl_tps, _) = summarise(&etl_points);
         let (cow_avg, cow_exec, _, cow_tps, cow_pages) = summarise(&cow_points);
         table.push_row(vec![

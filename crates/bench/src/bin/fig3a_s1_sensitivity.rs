@@ -8,21 +8,22 @@
 //!
 //! `cargo run --release -p htap-bench --bin fig3a_s1_sensitivity`
 
-use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
+use htap_bench::{fmt_mtps, fmt_secs, ingest, HarnessArgs};
 use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
 use htap_rde::{AccessMethod, SystemState};
-use htap_sim::SocketId;
+use htap_sim::{SocketId, Topology};
 
 const QUERIES: usize = 16;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let harness = Harness::two_socket(&args);
+    let system = args.system(Topology::two_socket());
+    let rde = system.rde();
     let plan = QueryId::Q6.plan().expect("CH SQL compiles");
     println!(
         "Figure 3(a): S1 sensitivity, {} rows loaded, CH-Q6 x{QUERIES} per point",
-        harness.rows_loaded
+        system.population().total_rows
     );
 
     let mut table = ExperimentTable::new(
@@ -37,40 +38,27 @@ fn main() {
 
     for (step, traded) in [0usize, 1, 2, 4, 6, 8, 10, 12, 14].into_iter().enumerate() {
         // Fresh transactional work before each configuration.
-        harness.ingest(300, 4, step as u64);
+        ingest(&system, 300, 4, step as u64);
         // Trade `traded` CPUs: OLTP gives up cores on its socket and receives
         // the same number on the OLAP socket.
         let oltp_cores = [(SocketId(0), 14 - traded), (SocketId(1), traded)];
-        let report = harness
-            .rde
-            .migrate_with(SystemState::S1Colocated, Some(&oltp_cores));
+        let report = rde.migrate_with(SystemState::S1Colocated, Some(&oltp_cores));
         assert_eq!(report.oltp_cores, 14);
+        let sources = rde.sources_for(&["orderline"], AccessMethod::OltpSnapshot);
 
-        let sources = harness
-            .rde
-            .sources_for(&["orderline"], AccessMethod::OltpSnapshot);
-        let txn = harness.rde.txn_work();
-
-        // Average response time of the 16-query batch.
+        // Average response time of the 16-query batch; every run models the
+        // same OLTP throughput beside it.
         let mut total = 0.0;
-        let mut bytes = std::collections::BTreeMap::new();
+        let mut oltp_with_olap = 0.0;
         for _ in 0..QUERIES {
-            let exec = harness
-                .rde
-                .olap()
-                .run_query(&plan, &sources, Some(&txn))
+            let (exec, tps) = rde
+                .run_query(&plan, &sources)
                 .expect("CH plan matches the scheduled sources");
             total += exec.modeled.total;
-            for (&s, &b) in &exec.output.work.bytes_per_socket {
-                *bytes.entry(s).or_insert(0) += b;
-            }
+            oltp_with_olap = tps;
         }
         let avg_query = total / QUERIES as f64;
-
-        let oltp_only = harness.rde.modeled_oltp_throughput_idle();
-        let oltp_with_olap = harness
-            .rde
-            .modeled_oltp_throughput(&harness.rde.olap_traffic_for(&bytes));
+        let oltp_only = rde.modeled_oltp_throughput_idle();
 
         table.push_row(vec![
             traded.to_string(),

@@ -9,9 +9,10 @@
 //! `cargo run --release -p htap-bench --bin fig3b_s2_batches`
 
 use htap_baselines::EtlBaseline;
-use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
+use htap_bench::{fmt_mtps, fmt_secs, ingest, HarnessArgs};
 use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
+use htap_sim::Topology;
 
 const TOTAL_QUERIES: usize = 16;
 const TXNS_PER_WINDOW: u64 = 400;
@@ -33,14 +34,15 @@ fn main() {
     );
 
     for (i, batch) in [1usize, 2, 4, 8, 16].into_iter().enumerate() {
-        let harness = Harness::two_socket(&args);
+        let system = args.system(Topology::two_socket());
         let batches = TOTAL_QUERIES / batch;
+        let per_window = TXNS_PER_WINDOW / batches as u64;
         let mut exec = 0.0;
         let mut transfer = 0.0;
         let mut tps = 0.0;
         for b in 0..batches {
-            harness.ingest(TXNS_PER_WINDOW / batches as u64, 4, (i * 100 + b) as u64);
-            let point = EtlBaseline.run_snapshot(&harness.rde, &plan, batch);
+            ingest(&system, per_window, 4, (i * 100 + b) as u64);
+            let point = EtlBaseline.run_snapshot(system.rde(), &plan, batch);
             exec += point.query_exec_time;
             transfer += point.data_transfer_time;
             tps += point.oltp_tps;

@@ -13,25 +13,27 @@
 //! the morsel-driven executor makes elastic core grants visible as measured
 //! throughput, not just as modelled time.
 
-use htap_bench::{fmt_mtps, fmt_secs, measured_scan_scaling, Harness, HarnessArgs};
+use htap_bench::{fmt_mtps, fmt_secs, ingest, measured_scan_scaling, HarnessArgs};
 use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
 use htap_rde::{AccessMethod, SystemState};
+use htap_sim::{SocketId, Topology};
 
 fn main() {
     let args = HarnessArgs::parse();
-    let harness = Harness::two_socket(&args);
+    let system = args.system(Topology::two_socket());
+    let rde = system.rde();
     let plan = QueryId::Q1.plan().expect("CH SQL compiles");
     println!(
         "Figure 3(c): S3-NI elasticity sweep, {} rows loaded",
-        harness.rows_loaded
+        system.population().total_rows
     );
 
     // Bring the OLAP instance up to date, then accumulate a sizeable fresh tail.
-    harness.rde.switch_and_sync();
-    harness.rde.etl_to_olap();
-    harness.ingest(1_200, 4, 7);
-    harness.rde.switch_and_sync();
+    rde.switch_and_sync();
+    rde.etl_to_olap();
+    ingest(&system, 1_200, 4, 7);
+    rde.switch_and_sync();
 
     let mut table = ExperimentTable::new(
         "Figure 3(c) — OLTP/OLAP performance at state S3-NI vs OLTP CPUs lent to OLAP",
@@ -44,28 +46,15 @@ fn main() {
     );
 
     for borrowed in [0usize, 2, 4, 6, 8, 10] {
-        let oltp_cores = [(htap_sim::SocketId(0), 14 - borrowed)];
-        let report = harness
-            .rde
-            .migrate_with(SystemState::S3HybridNonIsolated, Some(&oltp_cores));
-        let tables: Vec<&str> = plan.tables();
-        let sources = harness.rde.sources_for(&tables, AccessMethod::Split);
-        let txn = harness.rde.txn_work();
-        let exec = harness
-            .rde
-            .olap()
-            .run_query(&plan, &sources, Some(&txn))
+        let oltp_cores = [(SocketId(0), 14 - borrowed)];
+        let report = rde.migrate_with(SystemState::S3HybridNonIsolated, Some(&oltp_cores));
+        let sources = rde.sources_for(&plan.tables(), AccessMethod::Split);
+        let (exec, oltp_with) = rde
+            .run_query(&plan, &sources)
             .expect("CH plan matches the scheduled sources");
-
-        let oltp_only = harness.rde.modeled_oltp_throughput_idle();
-        let oltp_with = harness.rde.modeled_oltp_throughput(
-            &harness
-                .rde
-                .olap_traffic_for(&exec.output.work.bytes_per_socket),
-        );
         table.push_row(vec![
             (report.olap_cores.saturating_sub(14)).to_string(),
-            fmt_mtps(oltp_only),
+            fmt_mtps(rde.modeled_oltp_throughput_idle()),
             fmt_mtps(oltp_with),
             fmt_secs(exec.modeled.total),
         ]);
@@ -93,8 +82,7 @@ fn main() {
             "Measured scaling — wall-clock CH-Q1 execution vs granted cores (morsel-driven)",
             &["granted_cores", "wall_clock_s", "tuples_per_s"],
         );
-        let points =
-            measured_scan_scaling(&harness.rde, &plan, AccessMethod::Split, &[1, 2, 4, 8], 5);
+        let points = measured_scan_scaling(rde, &plan, AccessMethod::Split, &[1, 2, 4, 8], 5);
         for p in &points {
             measured.push_row(vec![
                 p.workers.to_string(),

@@ -9,10 +9,11 @@
 //!
 //! `cargo run --release -p htap-bench --bin fig4_freshness_sweep`
 
-use htap_bench::{fmt_secs, Harness, HarnessArgs};
+use htap_bench::{fmt_secs, ingest, HarnessArgs};
 use htap_chbench::QueryId;
 use htap_core::ExperimentTable;
-use htap_rde::AccessMethod;
+use htap_rde::{AccessMethod, RdeEngine};
+use htap_sim::Topology;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -31,64 +32,40 @@ fn main() {
 
     // Three identically-populated stacks so the S2 strategy's ETLs do not
     // change what the other two strategies see.
-    let split_stack = Harness::two_socket(&args);
-    let etl_stack = Harness::two_socket(&args);
-    let remote_stack = Harness::two_socket(&args);
-    for stack in [&split_stack, &etl_stack, &remote_stack] {
-        stack.rde.switch_and_sync();
-        stack.rde.etl_to_olap();
+    let stacks = [(); 3].map(|_| args.system(Topology::two_socket()));
+    for stack in &stacks {
+        stack.rde().switch_and_sync();
+        stack.rde().etl_to_olap();
     }
+    let [split_rde, etl_rde, remote_rde] = stacks.each_ref().map(|stack| stack.rde());
 
     let tables: Vec<&str> = plan.tables();
+    let modeled_time = |rde: &RdeEngine, access| {
+        let sources = rde.sources_for(&tables, access);
+        let (exec, _) = rde
+            .run_query(&plan, &sources)
+            .expect("CH plan matches the scheduled sources");
+        exec.modeled.total
+    };
     for step in 0..8 {
         // Grow the fresh tail on every stack identically.
-        for stack in [&split_stack, &etl_stack, &remote_stack] {
-            stack.ingest(600, 4, 1000 + step);
-            stack.rde.switch_and_sync();
+        for stack in &stacks {
+            ingest(stack, 600, 4, 1000 + step);
+            stack.rde().switch_and_sync();
         }
 
         // Fresh fraction, measured on the split stack.
-        let orderline = split_stack.rde.oltp().store().table("orderline").unwrap();
+        let orderline = split_rde.oltp().store().table("orderline").unwrap();
         let fresh_rows = orderline.fresh_rows_vs_olap();
         let total_rows = orderline.snapshot().rows().max(1);
         let fresh_pct = 100.0 * fresh_rows as f64 / total_rows as f64;
 
-        // S3-IS split access.
-        let sources = split_stack.rde.sources_for(&tables, AccessMethod::Split);
-        let txn = split_stack.rde.txn_work();
-        let split_time = split_stack
-            .rde
-            .olap()
-            .run_query(&plan, &sources, Some(&txn))
-            .expect("CH plan matches the scheduled sources")
-            .modeled
-            .total;
-
-        // S2: pay the delta ETL, then run locally.
-        let etl = etl_stack.rde.etl_to_olap();
-        let sources = etl_stack.rde.sources_for(&tables, AccessMethod::OlapLocal);
-        let txn = etl_stack.rde.txn_work();
-        let s2_time = etl.modeled_time
-            + etl_stack
-                .rde
-                .olap()
-                .run_query(&plan, &sources, Some(&txn))
-                .expect("CH plan matches the scheduled sources")
-                .modeled
-                .total;
-
-        // S3-IS full remote.
-        let sources = remote_stack
-            .rde
-            .sources_for(&tables, AccessMethod::OltpSnapshot);
-        let txn = remote_stack.rde.txn_work();
-        let remote_time = remote_stack
-            .rde
-            .olap()
-            .run_query(&plan, &sources, Some(&txn))
-            .expect("CH plan matches the scheduled sources")
-            .modeled
-            .total;
+        // S3-IS split access; S2: pay the delta ETL, then run locally; S3-IS
+        // full remote.
+        let split_time = modeled_time(split_rde, AccessMethod::Split);
+        let s2_time =
+            etl_rde.etl_to_olap().modeled_time + modeled_time(etl_rde, AccessMethod::OlapLocal);
+        let remote_time = modeled_time(remote_rde, AccessMethod::OltpSnapshot);
 
         table.push_row(vec![
             format!("{fresh_pct:.2}"),

@@ -18,8 +18,9 @@
 use htap_bench::HarnessArgs;
 use htap_core::{
     run_mixed_workload, run_mixed_workload_concurrent, ConcurrentOptions, ExperimentTable,
-    HtapConfig, HtapSystem, MixedWorkload, Schedule,
+    MixedWorkload, Schedule,
 };
+use htap_sim::Topology;
 
 const TXNS_PER_WORKER_BETWEEN: u64 = 150;
 
@@ -29,10 +30,8 @@ const TXNS_PER_WORKER_BETWEEN: u64 = 150;
 type ScheduleRun = (Vec<f64>, Vec<f64>, usize, u64, Vec<(String, String)>);
 
 fn run_schedule(args: &HarnessArgs, schedule: Schedule) -> ScheduleRun {
-    let config = HtapConfig::small()
-        .with_chbench(args.chbench())
-        .with_schedule(schedule);
-    let system = HtapSystem::build(config).expect("system builds");
+    let system = args.system(Topology::two_socket());
+    system.set_schedule(schedule);
     let workload = if args.paper_mix {
         MixedWorkload::figure5(args.sequences, TXNS_PER_WORKER_BETWEEN)
     } else {
@@ -95,7 +94,6 @@ fn main() {
         }
     );
 
-    let schedules = Schedule::figure5_set(0.5);
     let print_legend = |legend: &[(String, String)]| {
         println!();
         println!("query mix (from the executed reports):");
@@ -108,8 +106,9 @@ fn main() {
     let mut mtps: Vec<(String, Vec<f64>)> = Vec::new();
     let mut etls: Vec<(String, usize)> = Vec::new();
     let mut legend: Vec<(String, String)> = Vec::new();
-    for (label, schedule) in &schedules {
-        let (t, m, e, aborted, l) = run_schedule(&args, *schedule);
+    for schedule in Schedule::figure5_set(0.5) {
+        let label = schedule.label();
+        let (t, m, e, aborted, l) = run_schedule(&args, schedule);
         if legend.is_empty() {
             legend = l;
         }
@@ -120,7 +119,7 @@ fn main() {
         );
         times.push((label.clone(), t));
         mtps.push((label.clone(), m));
-        etls.push((label.clone(), e));
+        etls.push((label, e));
     }
 
     print_legend(&legend);

@@ -11,10 +11,11 @@
 //! `cargo run --release -p htap-bench --bin table1_design_space`
 
 use htap_baselines::{CowBaseline, EtlBaseline};
-use htap_bench::{fmt_mtps, fmt_secs, Harness, HarnessArgs};
+use htap_bench::{fmt_mtps, fmt_secs, ingest, HarnessArgs};
 use htap_chbench::QueryId;
-use htap_core::ExperimentTable;
+use htap_core::{ExperimentTable, Schedule};
 use htap_rde::SystemState;
+use htap_sim::Topology;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -99,38 +100,30 @@ fn main() {
         ],
     );
 
-    // States of our system.
+    // States of our system: the query runs on the system's own scheduled
+    // path, under a static schedule that migrates to the state.
     for state in SystemState::all() {
-        let harness = Harness::two_socket(&args);
-        harness.rde.switch_and_sync();
-        harness.rde.etl_to_olap();
-        harness.ingest(400, 4, 3);
-        let migration = harness.rde.migrate(state);
-        let sources = harness.rde.sources_for(&plan.tables(), migration.access);
-        let txn = harness.rde.txn_work();
-        let exec = harness
-            .rde
-            .olap()
-            .run_query(&plan, &sources, Some(&txn))
-            .expect("CH plan matches the scheduled sources");
-        let tps = harness.rde.modeled_oltp_throughput(
-            &harness
-                .rde
-                .olap_traffic_for(&exec.output.work.bytes_per_socket),
-        );
+        let system = args.system(Topology::two_socket());
+        system.set_schedule(Schedule::Static(state));
+        system.rde().switch_and_sync();
+        system.rde().etl_to_olap();
+        ingest(&system, 400, 4, 3);
+        let report = system
+            .execute_query(QueryId::Q6)
+            .expect("CH query matches the CH schema");
         probes.push_row(vec![
             format!("state {}", state.label()),
-            fmt_secs(exec.modeled.total),
-            fmt_secs(migration.modeled_time),
-            fmt_mtps(tps),
+            fmt_secs(report.execution_time),
+            fmt_secs(report.scheduling_time),
+            fmt_mtps(report.oltp_tps),
         ]);
     }
 
     // Baselines.
     {
-        let harness = Harness::two_socket(&args);
-        harness.ingest(400, 4, 4);
-        let point = EtlBaseline.run_snapshot(&harness.rde, &plan, 1);
+        let system = args.system(Topology::two_socket());
+        ingest(&system, 400, 4, 4);
+        let point = EtlBaseline.run_snapshot(system.rde(), &plan, 1);
         probes.push_row(vec![
             "ETL baseline (BatchDB-like)".into(),
             fmt_secs(point.query_exec_time),
@@ -139,9 +132,9 @@ fn main() {
         ]);
     }
     {
-        let harness = Harness::two_socket(&args);
-        let txns = harness.ingest(400, 4, 5);
-        let point = CowBaseline::default().run_snapshot(&harness.rde, &plan, 1, txns);
+        let system = args.system(Topology::two_socket());
+        let txns = ingest(&system, 400, 4, 5);
+        let point = CowBaseline::default().run_snapshot(system.rde(), &plan, 1, txns);
         probes.push_row(vec![
             "CoW baseline (HyPer-fork-like)".into(),
             fmt_secs(point.query_exec_time),

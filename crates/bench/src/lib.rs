@@ -21,12 +21,19 @@
 //! {Q1, Q6, Q19} sequence instead of the widened seven-query default).
 //! Modelled times come from the simulated machine of `crates/sim`; the
 //! shapes — not the absolute values — are the reproduction target.
+//!
+//! Every binary runs on an [`HtapSystem`] built by [`HarnessArgs::system`],
+//! and every query it times runs through the RDE engine's one query call
+//! (`RdeEngine::run_query`, directly or through the system's scheduled
+//! path), so a figure number comes from the path the product runs. The
+//! outputs at `--scale 0.001 --sequences 3 --csv` are pinned byte for byte
+//! by the files under `golden/`, which CI diffs against.
 
-use htap_chbench::{ChConfig, ChGenerator, TransactionDriver};
+use htap_chbench::ChConfig;
+use htap_core::{HtapConfig, HtapSystem};
 use htap_olap::{QueryExecutor, QueryPlan, WorkerTeam};
-use htap_rde::{AccessMethod, RdeConfig, RdeEngine};
+use htap_rde::{AccessMethod, RdeEngine};
 use htap_sim::{CoreId, Topology};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Command-line options shared by the harness binaries.
@@ -117,59 +124,33 @@ impl HarnessArgs {
         cfg.items = 10_000;
         cfg
     }
-}
 
-/// A populated HTAP stack ready for an experiment: RDE engine (with both
-/// engines inside), the CH generator's report and the transaction driver.
-pub struct Harness {
-    /// The resource and data exchange engine owning both engines.
-    pub rde: Arc<RdeEngine>,
-    /// The CH-benCHmark transaction driver.
-    pub driver: TransactionDriver,
-    /// The population that was loaded.
-    pub rows_loaded: u64,
-}
-
-impl Harness {
-    /// Build a populated stack on the given topology.
-    pub fn build(args: &HarnessArgs, topology: Topology) -> Self {
-        let chbench = args.chbench();
-        let rde_config = RdeConfig {
+    /// The populated system an experiment runs on: the CH-benCHmark
+    /// population of [`Self::chbench`] on `topology`, every other setting
+    /// as in [`HtapConfig::small`].
+    pub fn system(&self, topology: Topology) -> HtapSystem {
+        HtapSystem::build(HtapConfig {
             topology,
-            ..RdeConfig::default()
-        };
-        let rde = Arc::new(RdeEngine::bootstrap(rde_config));
-        let generator = ChGenerator::new(chbench.clone());
-        let report = generator.build(&rde).expect("population succeeds");
-        Harness {
-            rde,
-            driver: TransactionDriver::for_config(&chbench),
-            rows_loaded: report.total_rows,
-        }
+            chbench: self.chbench(),
+            ..HtapConfig::small()
+        })
+        .expect("population succeeds")
     }
+}
 
-    /// Build on the paper's two-socket evaluation server.
-    pub fn two_socket(args: &HarnessArgs) -> Self {
-        Self::build(args, Topology::two_socket())
+/// Run `txns` NewOrder transactions spread over `workers` warehouses, worker
+/// `w` with seed `seed + w`. Returns the committed count.
+pub fn ingest(system: &HtapSystem, txns: u64, workers: u64, seed: u64) -> u64 {
+    let workers = workers.max(1);
+    let per_worker = (txns / workers).max(1);
+    let mut committed = 0;
+    for w in 0..workers {
+        committed +=
+            system
+                .txn_driver()
+                .run_new_orders(system.rde().oltp(), w, per_worker, seed + w);
     }
-
-    /// Build on the four-socket machine of Figure 1.
-    pub fn four_socket(args: &HarnessArgs) -> Self {
-        Self::build(args, Topology::four_socket())
-    }
-
-    /// Run `txns` NewOrder transactions spread over `workers` warehouses.
-    pub fn ingest(&self, txns: u64, workers: u64, seed: u64) -> u64 {
-        let workers = workers.max(1);
-        let per_worker = (txns / workers).max(1);
-        let mut committed = 0;
-        for w in 0..workers {
-            committed += self
-                .driver
-                .run_new_orders(self.rde.oltp(), w, per_worker, seed + w);
-        }
-        committed
-    }
+    committed
 }
 
 /// One point of a measured (wall-clock) scaling sweep: the same plan over
@@ -423,9 +404,9 @@ mod tests {
             sequences: 1,
             ..HarnessArgs::default()
         };
-        let harness = Harness::two_socket(&args);
-        assert!(harness.rows_loaded > 0);
-        let committed = harness.ingest(8, 4, 1);
+        let system = args.system(Topology::two_socket());
+        assert!(system.population().total_rows > 0);
+        let committed = ingest(&system, 8, 4, 1);
         assert!(committed >= 4);
     }
 

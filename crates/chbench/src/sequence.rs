@@ -74,18 +74,6 @@ impl QuerySequence {
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
     }
-
-    /// Whether query `index` should be scheduled as part of a batch: for a
-    /// batch, every query after the first reuses the snapshot, so only the
-    /// first query triggers scheduling work.
-    pub fn is_batch_member(&self, index: usize) -> bool {
-        self.kind == SequenceKind::Batch && index > 0
-    }
-}
-
-/// Generate `n` consecutive mix sequences (the Figure-5 workload).
-pub fn mix_sequences(n: usize) -> Vec<QuerySequence> {
-    (0..n).map(|_| QuerySequence::mix()).collect()
 }
 
 #[cfg(test)]
@@ -97,8 +85,6 @@ mod tests {
         let seq = QuerySequence::mix();
         assert_eq!(seq.len(), 3);
         assert_eq!(seq.kind, SequenceKind::Independent);
-        assert!(!seq.is_batch_member(0));
-        assert!(!seq.is_batch_member(2));
         assert!(!seq.is_empty());
     }
 
@@ -112,26 +98,17 @@ mod tests {
     }
 
     #[test]
-    fn batches_mark_all_but_the_first_query() {
+    fn batch_is_n_copies_of_one_query() {
         let batch = QuerySequence::batch(QueryId::Q6, 16);
         assert_eq!(batch.len(), 16);
-        assert!(!batch.is_batch_member(0));
-        for i in 1..16 {
-            assert!(batch.is_batch_member(i));
-        }
+        assert_eq!(batch.kind, SequenceKind::Batch);
+        assert!(batch.queries.iter().all(|&q| q == QueryId::Q6));
     }
 
     #[test]
     fn repeated_sequences_stay_independent() {
         let seq = QuerySequence::repeated(QueryId::Q1, 4);
         assert_eq!(seq.len(), 4);
-        assert!(!seq.is_batch_member(3));
-    }
-
-    #[test]
-    fn figure5_workload_has_n_sequences() {
-        let seqs = mix_sequences(100);
-        assert_eq!(seqs.len(), 100);
-        assert!(seqs.iter().all(|s| s.len() == 3));
+        assert_eq!(seq.kind, SequenceKind::Independent);
     }
 }

@@ -296,63 +296,74 @@ impl HtapSystem {
         self.rde.olap_worker_count()
     }
 
-    /// Schedule and execute one plan, returning the report *and* the raw
-    /// engine output (results + `WorkProfile`).
+    /// Schedule `plan` once — one crossing of the switch gate — and run it
+    /// `runs` times on the scheduled sources through
+    /// [`RdeEngine::run_query`]: one query, or the members of a batch, which
+    /// share the snapshot and so its freshness (§4.2 "Query Batch"). The
+    /// first run's report carries the scheduling cost and the ETL. Returns
+    /// each run's report *and* raw engine output (results + `WorkProfile`).
     fn execute_plan_inner(
         &self,
         label: &str,
         sql: Option<String>,
         plan: &QueryPlan,
         is_batch: bool,
-    ) -> Result<(QueryReport, QueryOutput), OlapError> {
+        runs: usize,
+    ) -> Result<Vec<(QueryReport, QueryOutput)>, OlapError> {
         let guard = htap_obs::span("query.execute");
         if guard.is_active() {
             guard.detail(label);
         }
-        let scheduled = {
-            let scheduler = self.scheduler.lock();
-            scheduler.schedule_query(plan, is_batch)
-        };
-        let txn = self.rde.txn_work();
-        let execution = self
-            .rde
-            .olap()
-            .run_query(plan, &scheduled.sources, Some(&txn))?;
-        let olap_traffic = self
-            .rde
-            .olap_traffic_for(&execution.output.work.bytes_per_socket);
-        let oltp_tps = self.rde.modeled_oltp_throughput(&olap_traffic);
-        self.rde.clock().advance(
-            htap_sim::clock::Activity::QueryExecution,
-            execution.modeled.total,
-        );
-        let report = QueryReport {
-            query: label.to_string(),
-            sql,
-            state: scheduled.state,
-            execution_time: execution.modeled.total,
-            scheduling_time: scheduled.migration.modeled_time,
-            freshness_rate: scheduled.freshness.freshness_rate(),
-            fresh_rows_accessed: execution.output.work.fresh_rows,
-            bytes_scanned: execution.output.work.total_bytes(),
-            oltp_tps,
-            oltp_tps_measured: false,
-            oltp_sample_window: 0.0,
-            result_rows: execution.output.result.row_count(),
-            performed_etl: scheduled.migration.etl.is_some(),
-        };
-        if guard.is_active() {
-            guard.arg("freshness", report.freshness_rate);
-            guard.arg("execution_time_s", report.execution_time);
-            guard.arg("bytes_scanned", report.bytes_scanned as f64);
-            guard.arg("fresh_rows", report.fresh_rows_accessed as f64);
-            guard.arg("result_rows", report.result_rows as f64);
-            guard.arg("oltp_tps", report.oltp_tps);
+        let scheduled = self.scheduler.lock().schedule_query(plan, is_batch);
+        let mut out = Vec::with_capacity(runs);
+        for run in 0..runs {
+            let first = run == 0;
+            let (execution, oltp_tps) = self.rde.run_query(plan, &scheduled.sources)?;
+            let report = QueryReport {
+                query: label.to_string(),
+                sql: sql.clone(),
+                state: scheduled.state,
+                execution_time: execution.modeled.total,
+                scheduling_time: if first {
+                    scheduled.migration.modeled_time
+                } else {
+                    0.0
+                },
+                freshness_rate: scheduled.freshness.freshness_rate(),
+                fresh_rows_accessed: execution.output.work.fresh_rows,
+                bytes_scanned: execution.output.work.total_bytes(),
+                oltp_tps,
+                oltp_tps_measured: false,
+                oltp_sample_window: 0.0,
+                result_rows: execution.output.result.row_count(),
+                performed_etl: first && scheduled.migration.etl.is_some(),
+            };
+            if first && guard.is_active() {
+                guard.arg("freshness", report.freshness_rate);
+                guard.arg("execution_time_s", report.execution_time);
+                guard.arg("bytes_scanned", report.bytes_scanned as f64);
+                guard.arg("fresh_rows", report.fresh_rows_accessed as f64);
+                guard.arg("result_rows", report.result_rows as f64);
+                guard.arg("oltp_tps", report.oltp_tps);
+            }
+            // Per-query freshness distribution in parts-per-million (the rate
+            // is in [0,1]; the log-linear histogram needs integer-scale values).
+            htap_obs::histogram("query.freshness_ppm").record_scaled(report.freshness_rate, 1e6);
+            out.push((report, execution.output));
         }
-        // Per-query freshness distribution in parts-per-million (the rate is
-        // in [0,1]; the log-linear histogram needs integer-scale values).
-        htap_obs::histogram("query.freshness_ppm").record_scaled(report.freshness_rate, 1e6);
-        Ok((report, execution.output))
+        Ok(out)
+    }
+
+    /// [`Self::execute_plan_inner`] for a single run.
+    fn execute_once(
+        &self,
+        label: &str,
+        sql: Option<String>,
+        plan: &QueryPlan,
+        is_batch: bool,
+    ) -> Result<(QueryReport, QueryOutput), OlapError> {
+        let mut runs = self.execute_plan_inner(label, sql, plan, is_batch, 1)?;
+        Ok(runs.swap_remove(0))
     }
 
     /// Schedule and execute one analytical query plan.
@@ -365,7 +376,7 @@ impl HtapSystem {
         plan: &QueryPlan,
         is_batch: bool,
     ) -> Result<QueryReport, OlapError> {
-        self.execute_plan_inner(label, None, plan, is_batch)
+        self.execute_once(label, None, plan, is_batch)
             .map(|(report, _)| report)
     }
 
@@ -407,42 +418,45 @@ impl HtapSystem {
         plan: &QueryPlan,
     ) -> Result<(QueryReport, QueryOutput), OlapError> {
         let label = format!("sql-{}", plan.label());
-        self.execute_plan_inner(&label, Some(sql.to_string()), plan, false)
+        self.execute_once(&label, Some(sql.to_string()), plan, false)
     }
 
-    /// Compile (against the system's catalog), schedule and execute one
-    /// CH-benCHmark query under its label.
-    fn execute_ch_query(&self, query: QueryId, is_batch: bool) -> Result<QueryReport, SqlRunError> {
+    /// Compile (against the system's catalog) one CH-benCHmark query,
+    /// schedule it once and run it `runs` times under its label.
+    fn execute_ch_query(
+        &self,
+        query: QueryId,
+        is_batch: bool,
+        runs: usize,
+    ) -> Result<Vec<QueryReport>, SqlRunError> {
         let guard = htap_obs::span("query");
         if guard.is_active() {
             guard.detail(query.label());
         }
         let sql = query.sql();
         let plan = self.plan_sql(&sql)?;
-        let (report, _) = self.execute_plan_inner(query.label(), Some(sql), &plan, is_batch)?;
-        Ok(report)
+        let runs = self.execute_plan_inner(query.label(), Some(sql), &plan, is_batch, runs)?;
+        Ok(runs.into_iter().map(|(report, _)| report).collect())
     }
 
     /// Schedule and execute one CH-benCHmark query.
     pub fn execute_query(&self, query: QueryId) -> Result<QueryReport, SqlRunError> {
-        self.execute_ch_query(query, false)
+        let mut reports = self.execute_ch_query(query, false, 1)?;
+        Ok(reports.swap_remove(0))
     }
 
-    /// Schedule and execute one CH-benCHmark query as part of a batch
-    /// (batches always take the ETL branch of Algorithm 2). Follow-up queries
-    /// of the batch reuse the snapshot, so their report carries no scheduling
-    /// overhead.
-    pub fn execute_batch_query(
+    /// Execute a batch of `size` copies of one CH-benCHmark query over one
+    /// snapshot (§4.2 "Query Batch"): the query is planned and scheduled
+    /// once — batches always take the ETL branch of Algorithm 2 — and then
+    /// runs `size` times on the same access paths. Every member reports the
+    /// batch's freshness; only the first carries the scheduling cost and the
+    /// ETL.
+    pub fn execute_batch(
         &self,
         query: QueryId,
-        is_follow_up: bool,
-    ) -> Result<QueryReport, SqlRunError> {
-        let mut report = self.execute_ch_query(query, true)?;
-        if is_follow_up {
-            report.scheduling_time = 0.0;
-            report.performed_etl = false;
-        }
-        Ok(report)
+        size: usize,
+    ) -> Result<Vec<QueryReport>, SqlRunError> {
+        self.execute_ch_query(query, true, size)
     }
 }
 
@@ -670,10 +684,19 @@ mod tests {
     #[test]
     fn batch_follow_up_queries_do_not_pay_scheduling() {
         let system = tiny_system();
-        let first = system.execute_batch_query(QueryId::Q6, false).unwrap();
-        let follow_up = system.execute_batch_query(QueryId::Q6, true).unwrap();
-        assert!(first.scheduling_time >= 0.0);
-        assert_eq!(follow_up.scheduling_time, 0.0);
-        assert!(!follow_up.performed_etl);
+        system.run_oltp(3);
+        let batch = system.execute_batch(QueryId::Q6, 3).unwrap();
+        assert_eq!(batch.len(), 3);
+        let (first, follow_ups) = (&batch[0], &batch[1..]);
+        assert_eq!(first.state, SystemState::S2Isolated, "batches always ETL");
+        assert!(first.scheduling_time > 0.0 && first.performed_etl);
+        for follow_up in follow_ups {
+            assert_eq!(follow_up.scheduling_time, 0.0);
+            assert!(!follow_up.performed_etl);
+            assert_eq!(follow_up.freshness_rate, first.freshness_rate);
+            assert_eq!(follow_up.bytes_scanned, first.bytes_scanned);
+        }
+        // One batch, one schedule: the scheduler counted one ETL.
+        assert_eq!(system.with_scheduler(|s| s.etl_count()), 1);
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::report::{QueryReport, SequenceReport};
 use crate::system::{HtapSystem, SqlRunError};
-use htap_chbench::{QuerySequence, SequenceKind};
+use htap_chbench::{QueryId, QuerySequence, SequenceKind};
 use std::time::{Duration, Instant};
 
 /// Description of a mixed workload: `sequences` analytical sequences, with
@@ -46,7 +46,7 @@ impl MixedWorkload {
 
     /// A batch workload: `n` snapshots, each with a batch of `batch_size`
     /// copies of one query (Figure 3(b) shape).
-    pub fn batches(query: htap_chbench::QueryId, batch_size: usize, n: usize, txns: u64) -> Self {
+    pub fn batches(query: QueryId, batch_size: usize, n: usize, txns: u64) -> Self {
         MixedWorkload {
             sequence: QuerySequence::batch(query, batch_size),
             sequences: n,
@@ -116,38 +116,117 @@ pub fn run_mixed_workload(
     system: &HtapSystem,
     workload: &MixedWorkload,
 ) -> Result<MixedWorkloadReport, SqlRunError> {
-    let mut report = MixedWorkloadReport::default();
     let aborted_before = system.txn_driver().stats().aborted();
+    let mut report = drive_sequences(system, workload, None)?;
+    report.transactions_aborted = system.txn_driver().stats().aborted() - aborted_before;
+    Ok(report)
+}
+
+/// The one per-sequence loop of both drivers. A unit is one independent
+/// query, or one batch (a run of copies of one query in a batch sequence),
+/// which [`HtapSystem::execute_batch`] schedules once. Without `pacing` the
+/// driver ingests `txns_per_worker_between` transactions per worker before
+/// each sequence; with it, ingest is continuous and each unit is paced and
+/// measured as one window.
+fn drive_sequences(
+    system: &HtapSystem,
+    workload: &MixedWorkload,
+    pacing: Option<&ConcurrentOptions>,
+) -> Result<MixedWorkloadReport, SqlRunError> {
+    let mut report = MixedWorkloadReport::default();
+    let sequence = &workload.sequence;
+    let units: Vec<&[QueryId]> = match sequence.kind {
+        SequenceKind::Independent => sequence.queries.chunks(1).collect(),
+        SequenceKind::Batch => sequence.queries.chunk_by(|a, b| a == b).collect(),
+    };
     for sequence_idx in 0..workload.sequences {
-        if workload.txns_per_worker_between > 0 {
+        if pacing.is_none() && workload.txns_per_worker_between > 0 {
             report.transactions_committed += system.run_oltp(workload.txns_per_worker_between);
         }
         let mut seq_report = SequenceReport {
             sequence: sequence_idx,
             queries: Vec::new(),
         };
-        for (i, &query) in workload.sequence.queries.iter().enumerate() {
-            let query_report: QueryReport = match workload.sequence.kind {
-                SequenceKind::Independent => system.execute_query(query)?,
-                SequenceKind::Batch => {
-                    system.execute_batch_query(query, workload.sequence.is_batch_member(i))?
-                }
+        for unit in &units {
+            let window = pacing.map(|options| Window::paced(system, options));
+            let mut reports = match sequence.kind {
+                SequenceKind::Independent => vec![system.execute_query(unit[0])?],
+                SequenceKind::Batch => system.execute_batch(unit[0], unit.len())?,
             };
-            seq_report.queries.push(query_report);
+            if let Some(window) = window {
+                window.close(system, &mut reports);
+            }
+            seq_report.queries.append(&mut reports);
         }
         report.sequences.push(seq_report);
     }
-    report.transactions_aborted = system.txn_driver().stats().aborted() - aborted_before;
     Ok(report)
+}
+
+/// One measurement window of the concurrent driver: it spans the pacing
+/// wait plus the query or batch — the concurrent interval Figure 5(b) plots.
+struct Window {
+    start: Instant,
+    commits_before: u64,
+}
+
+impl Window {
+    /// Open a window, then wait for `options.pacing_commits` commits.
+    fn paced(system: &HtapSystem, options: &ConcurrentOptions) -> Self {
+        let window = Window {
+            start: Instant::now(),
+            commits_before: system.oltp_live_counts().committed,
+        };
+        if options.pacing_commits > 0 {
+            let deadline = window.start + options.max_pacing_wait;
+            while system
+                .oltp_live_counts()
+                .committed
+                .saturating_sub(window.commits_before)
+                < options.pacing_commits
+                && Instant::now() < deadline
+            {
+                // Sleep rather than spin: on small hosts a busy wait would
+                // starve the very ingest threads it waits on.
+                std::thread::sleep(Duration::from_micros(500));
+            }
+        }
+        window
+    }
+
+    /// Close the window over the reports of one unit: each gets the
+    /// window's measured commit rate and an equal share of its length.
+    fn close(self, system: &HtapSystem, reports: &mut [QueryReport]) {
+        let elapsed = self.start.elapsed().as_secs_f64();
+        let commits = system
+            .oltp_live_counts()
+            .committed
+            .saturating_sub(self.commits_before);
+        // Always prefer the measurement over the model, even when the window
+        // saw zero commits (an honest 0 beats silently reverting to the
+        // interference constant — and it keeps every weight in
+        // SequenceReport::oltp_mtps in the same wall-clock time base).
+        if elapsed <= 0.0 {
+            return;
+        }
+        let oltp_tps = commits as f64 / elapsed;
+        let share = elapsed / reports.len() as f64;
+        for report in reports {
+            report.oltp_tps = oltp_tps;
+            report.oltp_tps_measured = true;
+            report.oltp_sample_window = share;
+            htap_obs::histogram("oltp.tps_measured").record_scaled(oltp_tps, 1.0);
+        }
+    }
 }
 
 /// Pacing of the concurrent mixed-workload driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConcurrentOptions {
-    /// Commits that must land between consecutive queries before the next
-    /// one is issued. This keeps freshness moving even on slow or single-core
-    /// hosts where the analytical path could otherwise outrun the ingest
-    /// threads; 0 disables pacing.
+    /// Commits that must land between consecutive queries (or batches)
+    /// before the next is issued. This keeps freshness moving even on slow
+    /// or single-core hosts where the analytical path could otherwise outrun
+    /// the ingest threads; 0 disables pacing.
     pub pacing_commits: u64,
     /// Upper bound on any single pacing wait, so a stalled ingest pool can
     /// never wedge the experiment.
@@ -176,9 +255,10 @@ impl ConcurrentOptions {
 /// Execute a mixed workload with NewOrder ingest running *concurrently*: the
 /// OLTP worker pool ingests continuously on the cores the RDE engine grants
 /// it (resized mid-flight by every migration) while the analytical sequences
-/// execute. Freshness is re-measured per query against the live delta
-/// stream, and each query's `oltp_tps` is derived from the commit counters
-/// sampled around it rather than the interference model.
+/// execute. Freshness is re-measured per query — per batch, for a batch
+/// sequence — against the live delta stream, and each query's `oltp_tps` is
+/// derived from the commit counters sampled around it (around the whole
+/// batch, for its members) rather than the interference model.
 ///
 /// `transactions_committed` / `transactions_aborted` report what the pool
 /// did *during this run* — NO-WAIT aborts are counted, not retried.
@@ -193,7 +273,7 @@ pub fn run_mixed_workload_concurrent(
 ) -> Result<MixedWorkloadReport, SqlRunError> {
     let started_here = system.start_oltp_ingest() > 0;
     let at_entry = system.oltp_live_counts();
-    let result = drive_sequences_concurrently(system, workload, options);
+    let result = drive_sequences(system, workload, Some(options));
     let (committed, aborted) = if started_here {
         let pool = system.stop_oltp_ingest();
         (pool.committed(), pool.aborted())
@@ -212,67 +292,10 @@ pub fn run_mixed_workload_concurrent(
     Ok(report)
 }
 
-fn drive_sequences_concurrently(
-    system: &HtapSystem,
-    workload: &MixedWorkload,
-    options: &ConcurrentOptions,
-) -> Result<MixedWorkloadReport, SqlRunError> {
-    let mut report = MixedWorkloadReport::default();
-    for sequence_idx in 0..workload.sequences {
-        let mut seq_report = SequenceReport {
-            sequence: sequence_idx,
-            queries: Vec::new(),
-        };
-        for (i, &query) in workload.sequence.queries.iter().enumerate() {
-            // The measurement window spans the inter-query pacing wait plus
-            // the query itself — the concurrent interval Figure 5(b) plots.
-            let window = Instant::now();
-            let commits_before = system.oltp_live_counts().committed;
-            if options.pacing_commits > 0 {
-                let deadline = window + options.max_pacing_wait;
-                while system
-                    .oltp_live_counts()
-                    .committed
-                    .saturating_sub(commits_before)
-                    < options.pacing_commits
-                    && Instant::now() < deadline
-                {
-                    // Sleep rather than spin: on small hosts a busy wait
-                    // would starve the very ingest threads it waits on.
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-            }
-            let mut query_report: QueryReport = match workload.sequence.kind {
-                SequenceKind::Independent => system.execute_query(query)?,
-                SequenceKind::Batch => {
-                    system.execute_batch_query(query, workload.sequence.is_batch_member(i))?
-                }
-            };
-            let elapsed = window.elapsed().as_secs_f64();
-            let commits_after = system.oltp_live_counts().committed;
-            // Always prefer the measurement over the model, even when the
-            // window saw zero commits (an honest 0 beats silently reverting
-            // to the interference constant — and it keeps every weight in
-            // SequenceReport::oltp_mtps in the same wall-clock time base).
-            if elapsed > 0.0 {
-                query_report.oltp_tps =
-                    commits_after.saturating_sub(commits_before) as f64 / elapsed;
-                query_report.oltp_tps_measured = true;
-                query_report.oltp_sample_window = elapsed;
-                htap_obs::histogram("oltp.tps_measured").record_scaled(query_report.oltp_tps, 1.0);
-            }
-            seq_report.queries.push(query_report);
-        }
-        report.sequences.push(seq_report);
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HtapConfig;
-    use htap_chbench::QueryId;
     use htap_rde::SystemState;
     use htap_scheduler::Schedule;
 
@@ -306,7 +329,8 @@ mod tests {
         for q in &queries[1..] {
             assert_eq!(q.scheduling_time, 0.0);
         }
-        assert!(report.etl_count() <= 1);
+        assert_eq!(report.etl_count(), 1);
+        assert_eq!(system.with_scheduler(|s| s.etl_count()), 1);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The RDE engine proper: owner of memory and CPU resources, driver of
-//! instance switches, twin synchronisation and ETL, and provider of data
-//! access paths to the OLAP engine.
+//! instance switches, twin synchronisation and ETL, provider of data access
+//! paths to the OLAP engine, and the one place a query runs and is charged
+//! its interference on OLTP ([`RdeEngine::run_query`]).
 
-use htap_olap::{OlapEngine, ScanSource};
+use htap_olap::engine::QueryExecution;
+use htap_olap::{OlapEngine, OlapError, QueryPlan, ScanSource};
 use htap_oltp::OltpEngine;
 use htap_sim::clock::Activity;
 use htap_sim::{
@@ -206,6 +208,26 @@ impl RdeEngine {
             }
         }
         OlapTraffic::new(streams, placement.cores_on.clone())
+    }
+
+    /// Run one analytical query on the RDE engine's terms: execute `plan`
+    /// over `sources` with the cores the split in force grants the OLAP
+    /// engine, model the OLTP throughput beside it (interference from the
+    /// sockets the query read), and charge the modelled execution time to
+    /// [`Activity::QueryExecution`]. Returns the execution and that
+    /// throughput. Every query the system, the figure binaries and the
+    /// baselines run goes through here.
+    pub fn run_query(
+        &self,
+        plan: &QueryPlan,
+        sources: &BTreeMap<String, ScanSource>,
+    ) -> Result<(QueryExecution, f64), OlapError> {
+        let execution = self.olap.run_query(plan, sources, Some(&self.txn_work()))?;
+        let traffic = self.olap_traffic_for(&execution.output.work.bytes_per_socket);
+        let oltp_tps = self.modeled_oltp_throughput(&traffic);
+        self.clock
+            .advance(Activity::QueryExecution, execution.modeled.total);
+        Ok((execution, oltp_tps))
     }
 
     /// Instruct the OLTP engine to switch its active instance and synchronise
@@ -433,6 +455,39 @@ mod tests {
         let traffic = rde.olap_traffic_for(&bytes);
         let busy = rde.modeled_oltp_throughput(&traffic);
         assert!(busy < idle);
+    }
+
+    #[test]
+    fn run_query_models_oltp_beside_the_scan_and_charges_the_clock() {
+        use htap_olap::{AggExpr, DagBuilder, ScalarExpr};
+        let rde = engine_with_data(1000);
+        rde.switch_and_sync();
+        let mut b = DagBuilder::default();
+        let scan = b.scan("sales");
+        b.aggregate(scan, None, vec![AggExpr::Sum(ScalarExpr::col("amount"))]);
+        let plan = b.finish().unwrap();
+
+        // A scan of the OLTP socket interferes with OLTP; its modelled time
+        // lands on the query-execution counter.
+        let remote = rde.sources_for(&["sales"], AccessMethod::OltpSnapshot);
+        let (exec, oltp_tps) = rde.run_query(&plan, &remote).unwrap();
+        assert_eq!(
+            exec.output.result.scalars().unwrap()[0],
+            (0..1000).map(|i| i as f64).sum::<f64>()
+        );
+        assert!(oltp_tps < rde.modeled_oltp_throughput_idle());
+        assert_eq!(
+            rde.clock().elapsed(Activity::QueryExecution),
+            exec.modeled.total
+        );
+
+        // A plan the sources cannot serve is a typed error and charges nothing.
+        let err = rde.run_query(&plan, &BTreeMap::new());
+        assert!(matches!(err, Err(OlapError::MissingSource { .. })));
+        assert_eq!(
+            rde.clock().elapsed(Activity::QueryExecution),
+            exec.modeled.total
+        );
     }
 
     #[test]

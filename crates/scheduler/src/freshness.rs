@@ -71,25 +71,6 @@ impl QueryFreshness {
             (1.0 - self.query_fresh_rows as f64 / self.query_total_rows as f64).clamp(0.0, 1.0)
         }
     }
-
-    /// `Nfq / Nft` in bytes — used for cost estimates and reporting.
-    pub fn query_share_of_fresh(&self) -> f64 {
-        if self.total_fresh_bytes == 0 {
-            0.0
-        } else {
-            self.query_fresh_bytes as f64 / self.total_fresh_bytes as f64
-        }
-    }
-
-    /// `Nfq / Nft` in tuples — the fraction Algorithm 2 compares against α
-    /// (the paper measures fresh data in tuples, §2.1).
-    pub fn row_share_of_fresh(&self) -> f64 {
-        if self.total_fresh_rows == 0 {
-            0.0
-        } else {
-            self.query_fresh_rows as f64 / self.total_fresh_rows as f64
-        }
-    }
 }
 
 /// Measure the freshness quantities for `plan` against the current state of
@@ -178,7 +159,6 @@ mod tests {
         // both relations over all columns (16 bytes/row each).
         assert_eq!(f.query_fresh_bytes, 100 * 8);
         assert_eq!(f.total_fresh_bytes, 2 * 100 * 16);
-        assert!(f.query_share_of_fresh() < 0.5);
     }
 
     #[test]
@@ -189,7 +169,7 @@ mod tests {
         let f = measure(&rde, &plan());
         assert_eq!(f.query_fresh_rows, 0);
         assert_eq!(f.freshness_rate(), 1.0);
-        assert_eq!(f.query_share_of_fresh(), 0.0);
+        assert_eq!(f.query_fresh_bytes, 0);
         assert_eq!(f.total_fresh_bytes, 0);
     }
 
@@ -211,7 +191,7 @@ mod tests {
         assert!((f.freshness_rate() - 0.8).abs() < 1e-9);
         // The query accesses the only relation with fresh data, so Nfq/Nft is
         // the column-width fraction (8 of 16 bytes).
-        assert!((f.query_share_of_fresh() - 0.5).abs() < 1e-9);
+        assert_eq!(2 * f.query_fresh_bytes, f.total_fresh_bytes);
         assert_eq!(f.per_table.len(), 1);
         assert!((f.per_table[0].freshness_rate() - 0.8).abs() < 1e-9);
     }
@@ -243,7 +223,7 @@ mod tests {
         rde.switch_and_sync();
         let f = measure(&rde, &plan());
         assert_eq!(f.freshness_rate(), 1.0);
-        assert_eq!(f.query_share_of_fresh(), 0.0);
+        assert_eq!(f.query_fresh_bytes, 0);
         assert_eq!(f.per_table[0].freshness_rate(), 1.0);
     }
 
@@ -316,7 +296,10 @@ mod tests {
         // Nft spans all four relations over all columns.
         assert_eq!(f.total_fresh_rows, 4 * 50);
         assert_eq!(f.total_fresh_bytes, 4 * 50 * 16);
-        assert!(f.row_share_of_fresh() < 1.0, "bystander keeps Nfq < Nft");
+        assert!(
+            f.query_fresh_rows < f.total_fresh_rows,
+            "bystander keeps Nfq < Nft"
+        );
     }
 
     /// Fresh rows landing only in relations the plan does not read leave the
@@ -339,7 +322,6 @@ mod tests {
         assert_eq!(f.query_fresh_rows, 0);
         assert_eq!(f.freshness_rate(), 1.0, "the plan's tables are all synced");
         assert_eq!(f.total_fresh_rows, 100, "Nft still sees the bystander");
-        assert_eq!(f.row_share_of_fresh(), 0.0);
         for t in &f.per_table {
             assert_eq!(t.fresh_rows, 0, "{} must be clean", t.table);
             assert_eq!(t.freshness_rate(), 1.0);

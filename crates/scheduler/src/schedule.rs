@@ -15,28 +15,17 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// All schedules evaluated in Figure 5, in the paper's order:
-    /// the four static states plus the two adaptive variants.
-    pub fn figure5_set(alpha: f64) -> Vec<(String, Schedule)> {
+    /// All schedules evaluated in Figure 5, in the paper's order: the four
+    /// static states plus the two adaptive variants ([`Self::label`] names
+    /// them).
+    pub fn figure5_set(alpha: f64) -> Vec<Schedule> {
         vec![
-            ("S1".to_string(), Schedule::Static(SystemState::S1Colocated)),
-            ("S2".to_string(), Schedule::Static(SystemState::S2Isolated)),
-            (
-                "S3-IS".to_string(),
-                Schedule::Static(SystemState::S3HybridIsolated),
-            ),
-            (
-                "Adaptive-S3-IS".to_string(),
-                Schedule::Adaptive(SchedulerPolicy::adaptive_isolated(alpha)),
-            ),
-            (
-                "S3-NI".to_string(),
-                Schedule::Static(SystemState::S3HybridNonIsolated),
-            ),
-            (
-                "Adaptive-S3-NI".to_string(),
-                Schedule::Adaptive(SchedulerPolicy::adaptive_non_isolated(alpha)),
-            ),
+            Schedule::Static(SystemState::S1Colocated),
+            Schedule::Static(SystemState::S2Isolated),
+            Schedule::Static(SystemState::S3HybridIsolated),
+            Schedule::Adaptive(SchedulerPolicy::adaptive_isolated(alpha)),
+            Schedule::Static(SystemState::S3HybridNonIsolated),
+            Schedule::Adaptive(SchedulerPolicy::adaptive_non_isolated(alpha)),
         ]
     }
 
@@ -56,11 +45,6 @@ impl Schedule {
             }
         }
     }
-
-    /// Whether the schedule is adaptive.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, Schedule::Adaptive(_))
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +54,7 @@ mod tests {
     #[test]
     fn figure5_set_contains_all_paper_schedules() {
         let set = Schedule::figure5_set(0.5);
-        let labels: Vec<&str> = set.iter().map(|(l, _)| l.as_str()).collect();
+        let labels: Vec<String> = set.iter().map(Schedule::label).collect();
         assert_eq!(
             labels,
             vec![
@@ -82,7 +66,8 @@ mod tests {
                 "Adaptive-S3-NI"
             ]
         );
-        assert_eq!(set.iter().filter(|(_, s)| s.is_adaptive()).count(), 2);
+        let adaptive = set.iter().filter(|s| matches!(s, Schedule::Adaptive(_)));
+        assert_eq!(adaptive.count(), 2);
     }
 
     #[test]

@@ -192,7 +192,7 @@ mod tests {
         let q = scheduler.schedule_query(&plan(), false);
         assert_eq!(q.state, SystemState::S2Isolated);
         assert_eq!(scheduler.etl_count(), 1);
-        assert!((q.freshness.row_share_of_fresh() - 1.0).abs() < 1e-9);
+        assert_eq!(q.freshness.query_fresh_rows, q.freshness.total_fresh_rows);
 
         // With no fresh data at all, Algorithm 2's condition `Nfq < α·Nft`
         // cannot hold, so the (now no-op) ETL branch is taken again.
@@ -223,7 +223,7 @@ mod tests {
         let q = scheduler.schedule_query(&plan(), false);
         assert_eq!(q.state, SystemState::S3HybridNonIsolated);
         assert_eq!(q.migration.access, AccessMethod::Split);
-        assert!(q.freshness.row_share_of_fresh() < 0.5);
+        assert!(2 * q.freshness.query_fresh_rows < q.freshness.total_fresh_rows);
     }
 
     #[test]
@@ -250,7 +250,7 @@ mod tests {
         );
         let q = scheduler.schedule_query(&plan(), false);
         assert_eq!(q.state, SystemState::S3HybridNonIsolated);
-        assert!(q.freshness.row_share_of_fresh() < 0.5);
+        assert!(2 * q.freshness.query_fresh_rows < q.freshness.total_fresh_rows);
 
         // The isolated adaptive variant picks S3-IS instead.
         let scheduler = HtapScheduler::new(

@@ -14,7 +14,7 @@
 //! 2. per-directed-link interconnect bandwidth (streams whose consumer socket
 //!    differs from the source socket),
 //! 3. per-stream demand (number of consuming cores × per-core achievable
-//!    bandwidth for the stream's access class, optionally capped further).
+//!    bandwidth for the stream's access class).
 //!
 //! Weighting by demand makes sequential scans dominate random-access streams
 //! on a contended bus, which is what real memory controllers do and what the
@@ -46,10 +46,6 @@ pub struct Stream {
     pub cores: usize,
     /// Access class, which determines per-core achievable bandwidth.
     pub class: StreamClass,
-    /// Optional additional cap on the stream's demand in GB/s (e.g. an
-    /// administrator-imposed bandwidth limit, see §4.2 "Elasticity and
-    /// Interference").
-    pub demand_cap_gbps: Option<GBps>,
 }
 
 impl Stream {
@@ -60,7 +56,6 @@ impl Stream {
             consumer,
             cores,
             class: StreamClass::Sequential,
-            demand_cap_gbps: None,
         }
     }
 
@@ -71,7 +66,6 @@ impl Stream {
             consumer,
             cores,
             class: StreamClass::Random,
-            demand_cap_gbps: None,
         }
     }
 
@@ -96,11 +90,6 @@ impl StreamAllocation {
     /// Allocated rates for all streams, in input order.
     pub fn rates(&self) -> &[GBps] {
         &self.rates
-    }
-
-    /// Sum of the allocated rates of the given streams.
-    pub fn total<I: IntoIterator<Item = StreamId>>(&self, ids: I) -> GBps {
-        ids.into_iter().map(|i| self.rates[i]).sum()
     }
 }
 
@@ -129,9 +118,6 @@ impl BandwidthModel {
             StreamClass::Random => self.topology.per_core_random_bandwidth_gbps,
         };
         let mut demand = per_core * stream.cores as f64;
-        if let Some(cap) = stream.demand_cap_gbps {
-            demand = demand.min(cap);
-        }
         // A stream that crosses the interconnect can never demand more than
         // one link's worth of bandwidth.
         if stream.is_remote() {
@@ -390,14 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn demand_cap_limits_a_stream() {
-        let m = model();
-        let mut s = Stream::sequential(S0, S0, 14);
-        s.demand_cap_gbps = Some(10.0);
-        assert!((solo_rate(&m, &s) - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn zero_core_stream_gets_nothing() {
         let m = model();
         let alloc = m.allocate(&[Stream::sequential(S0, S0, 0), Stream::sequential(S0, S0, 4)]);
@@ -419,24 +397,16 @@ mod proptests {
     use proptest::prelude::*;
 
     fn arb_stream() -> impl Strategy<Value = Stream> {
-        (
-            0u16..2,
-            0u16..2,
-            0usize..20,
-            prop::bool::ANY,
-            prop::option::of(0.5f64..200.0),
-        )
-            .prop_map(|(src, dst, cores, seq, cap)| Stream {
-                source: SocketId(src),
-                consumer: SocketId(dst),
-                cores,
-                class: if seq {
-                    StreamClass::Sequential
-                } else {
-                    StreamClass::Random
-                },
-                demand_cap_gbps: cap,
-            })
+        (0u16..2, 0u16..2, 0usize..20, prop::bool::ANY).prop_map(|(src, dst, cores, seq)| Stream {
+            source: SocketId(src),
+            consumer: SocketId(dst),
+            cores,
+            class: if seq {
+                StreamClass::Sequential
+            } else {
+                StreamClass::Random
+            },
+        })
     }
 
     proptest! {

@@ -13,7 +13,7 @@
 //! difference in bandwidth between the main memory bus and the CPU
 //! interconnect").
 
-use crate::bandwidth::{BandwidthModel, Stream, StreamClass};
+use crate::bandwidth::{BandwidthModel, Stream};
 use crate::topology::{CoreId, SocketId, Topology};
 use crate::{GBps, Seconds};
 use std::collections::BTreeMap;
@@ -286,13 +286,7 @@ impl CostModel {
                 if cores == 0 {
                     continue;
                 }
-                streams.push(Stream {
-                    source: src,
-                    consumer,
-                    cores,
-                    class: StreamClass::Sequential,
-                    demand_cap_gbps: None,
-                });
+                streams.push(Stream::sequential(src, consumer, cores));
             }
         }
         streams

@@ -51,11 +51,6 @@ impl OlapTraffic {
     pub fn cores_on(&self, socket: SocketId) -> usize {
         self.cores_on.get(&socket).copied().unwrap_or(0)
     }
-
-    /// Whether any analytical work is active.
-    pub fn is_active(&self) -> bool {
-        !self.streams.is_empty() || self.cores_on.values().any(|&n| n > 0)
-    }
 }
 
 /// Decomposition of the modelled OLTP slowdown, useful for reporting and tests.

@@ -112,25 +112,13 @@ impl DeltaStorage {
         &self.shards[(row as usize) % self.shards.len()]
     }
 
-    /// Record that `column` of `row` held `value` from `begin_ts` until it was
-    /// overwritten at `end_ts`. Versions are linked in front of the row's
-    /// chain, so chains stay newest-to-oldest.
-    pub fn push_version(
-        &self,
-        row: RowId,
-        column: usize,
-        value: Value,
-        begin_ts: CommitTs,
-        end_ts: CommitTs,
-    ) {
-        self.push_versions(row, std::iter::once((column, value)), begin_ts, end_ts);
-    }
-
-    /// [`Self::push_version`] for every `(column, value)` cell one commit
-    /// overwrote in `row`, in the order it wrote them, under one visit of the
-    /// row's shard. A column the commit wrote twice keeps only the first
-    /// overwritten value: the second is the commit's own intermediate, which
-    /// no snapshot may see.
+    /// Record that each `(column, value)` cell one commit overwrote in `row`
+    /// held `value` from `begin_ts` until it was overwritten at `end_ts`, in
+    /// the order the commit wrote them, under one visit of the row's shard.
+    /// Versions are linked in front of the row's chain, so chains stay
+    /// newest-to-oldest. A column the commit wrote twice keeps only the
+    /// first overwritten value: the second is the commit's own
+    /// intermediate, which no snapshot may see.
     pub fn push_versions(
         &self,
         row: RowId,
@@ -264,7 +252,7 @@ mod tests {
         let delta = DeltaStorage::new();
         // Value 10 written at ts=1, overwritten at ts=5 (new value lives in
         // the instance).
-        delta.push_version(0, 2, Value::I64(10), 1, 5);
+        delta.push_versions(0, [(2, Value::I64(10))].into_iter(), 1, 5);
         // A snapshot at ts=3 must see the old value.
         assert_eq!(delta.visible_version(0, 2, 3), Some(Value::I64(10)));
         // A snapshot at ts=5 or later sees the live value.
@@ -277,9 +265,9 @@ mod tests {
     #[test]
     fn chains_are_traversed_newest_to_oldest() {
         let delta = DeltaStorage::new();
-        delta.push_version(7, 0, Value::I64(1), 1, 4); // oldest
-        delta.push_version(7, 0, Value::I64(2), 4, 8);
-        delta.push_version(7, 0, Value::I64(3), 8, 12); // newest saved
+        delta.push_versions(7, [(0, Value::I64(1))].into_iter(), 1, 4); // oldest
+        delta.push_versions(7, [(0, Value::I64(2))].into_iter(), 4, 8);
+        delta.push_versions(7, [(0, Value::I64(3))].into_iter(), 8, 12); // newest saved
         assert_eq!(delta.visible_version(7, 0, 2), Some(Value::I64(1)));
         assert_eq!(delta.visible_version(7, 0, 5), Some(Value::I64(2)));
         assert_eq!(delta.visible_version(7, 0, 9), Some(Value::I64(3)));
@@ -289,7 +277,7 @@ mod tests {
     #[test]
     fn snapshot_older_than_all_versions_sees_nothing_live() {
         let delta = DeltaStorage::new();
-        delta.push_version(1, 0, Value::I64(5), 3, 6);
+        delta.push_versions(1, [(0, Value::I64(5))].into_iter(), 3, 6);
         // Snapshot at ts=1 precedes the record's first saved version; the row
         // did exist (begin_ts 3 > 1 means value 5 was written at 3)... the
         // caller (transaction manager) handles row-existence via row counts;
@@ -321,20 +309,20 @@ mod tests {
     fn an_empty_shard_answers_without_its_lock_and_refills_after_gc() {
         let delta = DeltaStorage::with_shards(2);
         assert_eq!(delta.visible_version(0, 0, 1), None);
-        delta.push_version(0, 0, Value::I64(1), 0, 4);
+        delta.push_versions(0, [(0, Value::I64(1))].into_iter(), 0, 4);
         assert_eq!(delta.visible_version(0, 0, 1), Some(Value::I64(1)));
         assert_eq!(delta.gc(4), 1);
         assert_eq!(delta.visible_version(0, 0, 1), None);
-        delta.push_version(2, 0, Value::I64(2), 0, 6);
+        delta.push_versions(2, [(0, Value::I64(2))].into_iter(), 0, 6);
         assert_eq!(delta.visible_version(2, 0, 5), Some(Value::I64(2)));
     }
 
     #[test]
     fn gc_drops_only_invisible_versions() {
         let delta = DeltaStorage::new();
-        delta.push_version(0, 0, Value::I64(1), 1, 3);
-        delta.push_version(0, 0, Value::I64(2), 3, 7);
-        delta.push_version(1, 0, Value::I64(9), 2, 4);
+        delta.push_versions(0, [(0, Value::I64(1))].into_iter(), 1, 3);
+        delta.push_versions(0, [(0, Value::I64(2))].into_iter(), 3, 7);
+        delta.push_versions(1, [(0, Value::I64(9))].into_iter(), 2, 4);
         assert_eq!(delta.version_count(), 3);
         let dropped = delta.gc(4);
         assert_eq!(dropped, 2);
@@ -348,9 +336,9 @@ mod tests {
     fn counts_track_rows_and_versions() {
         let delta = DeltaStorage::with_shards(4);
         assert_eq!(delta.versioned_rows(), 0);
-        delta.push_version(0, 0, Value::I64(1), 1, 2);
-        delta.push_version(64, 1, Value::I64(2), 1, 2);
-        delta.push_version(64, 1, Value::I64(3), 2, 3);
+        delta.push_versions(0, [(0, Value::I64(1))].into_iter(), 1, 2);
+        delta.push_versions(64, [(1, Value::I64(2))].into_iter(), 1, 2);
+        delta.push_versions(64, [(1, Value::I64(3))].into_iter(), 2, 3);
         assert_eq!(delta.versioned_rows(), 2);
         assert_eq!(delta.version_count(), 3);
     }
@@ -375,7 +363,7 @@ mod proptests {
                 let end = i as u64 + 2;
                 if end <= n {
                     // all but the last value get overwritten; last lives in the instance
-                    delta.push_version(0, 0, Value::I64(*v), begin, end);
+                    delta.push_versions(0, [(0, Value::I64(*v))].into_iter(), begin, end);
                 }
             }
             let got = delta.visible_version(0, 0, probe);

@@ -9,7 +9,7 @@
 use crate::schema::DataType;
 
 /// An error on the storage mutation path (`TwinTable::insert` / `update`,
-/// `TwinStore::create_table`, `ColumnarTable::append_row` / `update_value`).
+/// `TwinStore::create_table`, `ColumnarTable::append_row` / `swap_value`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// `create_table` for a name that is already taken.

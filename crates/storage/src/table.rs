@@ -148,16 +148,6 @@ impl ColumnarTable {
         Ok(())
     }
 
-    /// Overwrite one attribute of an existing row.
-    pub fn update_value(
-        &self,
-        row: RowId,
-        column: usize,
-        value: &Value,
-    ) -> Result<(), crate::StorageError> {
-        self.swap_value(row, column, &mut value.clone())
-    }
-
     /// Read one attribute of a row.
     pub fn get_value(&self, row: RowId, column: usize) -> Option<Value> {
         if row >= self.row_count() {
@@ -253,7 +243,7 @@ mod tests {
         let t = ColumnarTable::new(item_schema());
         t.append_row(&row(1, 9.5, "bolt")).unwrap();
         assert!(!t.column_stats(1).is_updated());
-        t.update_value(0, 1, &Value::F64(10.0)).unwrap();
+        t.swap_value(0, 1, &mut Value::F64(10.0)).unwrap();
         assert!(t.column_stats(1).is_updated());
         assert_eq!(t.get_value(0, 1), Some(Value::F64(10.0)));
     }
@@ -262,8 +252,8 @@ mod tests {
     fn update_rejects_bad_row_or_type() {
         let t = ColumnarTable::new(item_schema());
         t.append_row(&row(1, 9.5, "bolt")).unwrap();
-        assert!(t.update_value(3, 1, &Value::F64(1.0)).is_err());
-        assert!(t.update_value(0, 1, &Value::I64(1)).is_err());
+        assert!(t.swap_value(3, 1, &mut Value::F64(1.0)).is_err());
+        assert!(t.swap_value(0, 1, &mut Value::I64(1)).is_err());
     }
 
     #[test]

@@ -88,32 +88,6 @@ impl AtomicBitmap {
         self.set_count.fetch_add(newly_set, Ordering::AcqRel);
     }
 
-    /// Clear bit `bit`. Returns `true` if the bit transitioned from 1 to 0.
-    pub fn clear(&self, bit: usize) -> bool {
-        let words = self.words.read();
-        let word = bit / BITS_PER_WORD;
-        if word >= words.len() {
-            return false;
-        }
-        let mask = 1u64 << (bit % BITS_PER_WORD);
-        let prev = words[word].fetch_and(!mask, Ordering::AcqRel);
-        let was_set = prev & mask != 0;
-        if was_set {
-            self.set_count.fetch_sub(1, Ordering::AcqRel);
-        }
-        was_set
-    }
-
-    /// Whether bit `bit` is set.
-    pub fn get(&self, bit: usize) -> bool {
-        let words = self.words.read();
-        let word = bit / BITS_PER_WORD;
-        if word >= words.len() {
-            return false;
-        }
-        words[word].load(Ordering::Acquire) & (1u64 << (bit % BITS_PER_WORD)) != 0
-    }
-
     /// Number of set bits (exact, maintained incrementally).
     pub fn count(&self) -> u64 {
         self.set_count.load(Ordering::Acquire)
@@ -209,37 +183,12 @@ impl AtomicBitmap {
     pub fn drain(&self) -> Vec<usize> {
         self.drain_below(usize::MAX)
     }
-
-    /// Clear all bits without collecting them.
-    pub fn clear_all(&self) {
-        let words = self.words.read();
-        for w in words.iter() {
-            let prev = w.swap(0, Ordering::AcqRel);
-            let ones = prev.count_ones() as u64;
-            if ones > 0 {
-                self.set_count.fetch_sub(ones, Ordering::AcqRel);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn set_get_clear_roundtrip() {
-        let b = AtomicBitmap::new();
-        assert!(!b.get(100));
-        assert!(b.set(100));
-        assert!(!b.set(100), "second set is not a transition");
-        assert!(b.get(100));
-        assert_eq!(b.count(), 1);
-        assert!(b.clear(100));
-        assert!(!b.clear(100));
-        assert_eq!(b.count(), 0);
-    }
 
     #[test]
     fn iter_set_returns_sorted_indices() {
@@ -308,28 +257,9 @@ mod tests {
     fn set_grows_the_bitmap_under_one_call() {
         let b = AtomicBitmap::with_capacity(64);
         assert!(b.set(10_000), "a bit past the capacity is set by growing");
-        assert!(!b.set(10_000));
-        assert!(b.get(10_000));
+        assert!(!b.set(10_000), "second set is not a transition");
+        assert_eq!(b.iter_set(), vec![10_000]);
         assert_eq!(b.count(), 1);
-    }
-
-    #[test]
-    fn clear_all_resets_count() {
-        let b = AtomicBitmap::new();
-        for i in 0..1000 {
-            b.set(i * 3);
-        }
-        assert_eq!(b.count(), 1000);
-        b.clear_all();
-        assert_eq!(b.count(), 0);
-        assert!(!b.get(3));
-    }
-
-    #[test]
-    fn clearing_out_of_range_bit_is_noop() {
-        let b = AtomicBitmap::new();
-        assert!(!b.clear(1_000_000));
-        assert!(!b.get(1_000_000));
     }
 
     #[test]
@@ -359,18 +289,20 @@ mod proptests {
     use std::collections::BTreeSet;
 
     proptest! {
-        /// The bitmap behaves exactly like a set of indices.
+        /// The bitmap behaves exactly like a set of indices: a set inserts
+        /// one, a drain below a limit removes (and returns) every index
+        /// under it.
         #[test]
         fn model_based_against_btreeset(ops in prop::collection::vec((0usize..2048, prop::bool::ANY), 0..300)) {
             let bitmap = AtomicBitmap::new();
             let mut model = BTreeSet::new();
             for (bit, set) in ops {
                 if set {
-                    bitmap.set(bit);
-                    model.insert(bit);
+                    prop_assert_eq!(bitmap.set(bit), model.insert(bit));
                 } else {
-                    bitmap.clear(bit);
-                    model.remove(&bit);
+                    let above = model.split_off(&bit);
+                    prop_assert_eq!(bitmap.drain_below(bit), model.into_iter().collect::<Vec<_>>());
+                    model = above;
                 }
             }
             prop_assert_eq!(bitmap.count() as usize, model.len());

@@ -10,14 +10,17 @@
 //! * [`sim`](htap_sim) — the simulated NUMA machine and cost models.
 //! * [`storage`](htap_storage) — twin-instance columnar storage.
 //! * [`oltp`](htap_oltp) / [`olap`](htap_olap) — the two engines.
-//! * [`rde`](htap_rde) — the resource and data exchange engine.
+//! * [`rde`](htap_rde) — the resource and data exchange engine, and the one
+//!   query call (`RdeEngine::run_query`) every query of the system, the
+//!   figure binaries and the baselines runs through.
 //! * [`scheduler`](htap_scheduler) — Algorithm 2 and the static schedules.
 //! * [`chbench`](htap_chbench) — the CH-benCHmark workload.
 //! * [`sql`](htap_sql) — the SQL frontend (parser, binder, cost-aware
 //!   planner) lowering query text onto the engine's plans.
 //! * [`durability`](htap_durability) — write-ahead log with group commit,
 //!   column-segment checkpoints, crash recovery, fault-injectable storage.
-//! * [`baselines`](htap_baselines) — the Figure-1 ETL and CoW baselines.
+//! * [`baselines`](htap_baselines) — the Figure-1 ETL and CoW baselines (the
+//!   ETL baseline is the system's isolated state S2).
 //! * [`obs`](htap_obs) — always-on tracing and metrics: per-worker event
 //!   rings, span trees, the RDE decision log, a metrics registry and a
 //!   Chrome `trace_event` exporter (see the *Observability* section of

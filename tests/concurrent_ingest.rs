@@ -208,6 +208,37 @@ fn caller_started_pool_is_left_running_and_accounted_by_delta() {
     assert!(report.transactions_committed > 0);
 }
 
+/// §4.2 "Query Batch": the members of a batch run on one snapshot. Under
+/// live ingest they must therefore scan the same bytes and report the same
+/// freshness, the batch must cross the switch gate — and ETL — once, and the
+/// report's ETL count must be the scheduler's.
+#[test]
+fn a_batch_runs_on_one_snapshot_under_live_ingest() {
+    let system = tiny_system_with_schedule(Schedule::Static(SystemState::S2Isolated));
+    let options = ConcurrentOptions {
+        pacing_commits: 5,
+        max_pacing_wait: Duration::from_secs(60),
+    };
+    let workload = MixedWorkload::batches(QueryId::Q6, 4, 1, 0);
+    let report = run_mixed_workload_concurrent(&system, &workload, &options).unwrap();
+
+    let queries = &report.sequences[0].queries;
+    assert_eq!(queries.len(), 4);
+    let scanned: Vec<u64> = queries.iter().map(|q| q.bytes_scanned).collect();
+    assert!(
+        scanned.windows(2).all(|pair| pair[0] == pair[1]),
+        "batch members read different snapshots: {scanned:?}"
+    );
+    assert!(queries
+        .iter()
+        .all(|q| q.freshness_rate == queries[0].freshness_rate && q.oltp_tps_measured));
+    assert_eq!(
+        report.etl_count() as u64,
+        system.with_scheduler(|s| s.etl_count()),
+        "the report and the scheduler disagree on the ETLs performed"
+    );
+}
+
 #[test]
 fn sequential_mode_remains_bit_for_bit_deterministic() {
     let run = || {
