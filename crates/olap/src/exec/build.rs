@@ -6,6 +6,7 @@ use super::probe::{for_each_selected, key_vals, Survivors};
 use crate::error::OlapError;
 use crate::expr::ScalarExpr;
 use crate::hashtable::JoinTable;
+use crate::morsel::Morsel;
 use crate::program::CompiledKey;
 
 /// Every surviving row inserts its build key with the weight accumulated
@@ -13,14 +14,45 @@ use crate::program::CompiledKey;
 /// the way down. Each worker owns one [`JoinTable`] reused across all the
 /// morsels it claims; the per-worker tables are unioned by summing weights,
 /// which is order-insensitive — determinism is preserved.
+///
+/// A build keyed by a plain column that is the build relation's declared
+/// primary key has its tables sized from the source's row count before the
+/// first morsel, so it never regrows its slot array. Every build row inserts
+/// at most one key, so the row count bounds the keys of any build; the
+/// primary key is what makes it a tight bound for an unfiltered build, one
+/// key per row, where a computed key such as Q4's and Q12's `orderline` key
+/// repeats about ten times and keeps growing its tables as keys arrive. A
+/// filtered build is sized for every source row too: its slot array costs
+/// 32–64 B of transient memory per source row (two to four 16-byte slots),
+/// whatever the filter keeps. The size is a hint: a "primary key" column
+/// that holds duplicates needs fewer slots, and a worker that claims more
+/// than its share of the morsels grows past its table as any table does.
 pub(super) struct BuildSink {
     key: CompiledKey,
+    /// The source's row count, when the build key is the build relation's
+    /// primary key: the keys the tables are sized for, whether or not the
+    /// build is filtered.
+    bound: Option<usize>,
 }
 
 impl BuildSink {
     pub fn bind(pipe: &mut Pipeline<'_>, key: &ScalarExpr) -> Result<Self, OlapError> {
+        let source = pipe.source;
+        let primary_key = |column: &str| {
+            source.segments.iter().all(|seg| {
+                let schema = seg.table.schema();
+                schema
+                    .primary_key
+                    .is_some_and(|pk| schema.column(pk).name == column)
+            })
+        };
+        let bound = match key {
+            ScalarExpr::Col(column) if primary_key(column) => Some(source.total_rows() as usize),
+            _ => None,
+        };
         Ok(BuildSink {
             key: pipe.compile_key(key)?,
+            bound,
         })
     }
 }
@@ -30,8 +62,16 @@ impl Sink for BuildSink {
     type Output = JoinTable;
     const ROOT: bool = false;
 
-    fn partial(&self, _morsels: usize) -> JoinTable {
-        JoinTable::new()
+    /// A single worker's table is sized for the whole bound; each of several
+    /// workers' for its share of the morsels, rounded up to whole morsels —
+    /// so the transient tables stay within about twice the merged one.
+    fn partial(&self, morsels: &[Morsel], workers: usize) -> JoinTable {
+        let Some(bound) = self.bound else {
+            return JoinTable::new();
+        };
+        let morsel_rows = morsels.iter().map(Morsel::row_count).max().unwrap_or(0);
+        let share = morsels.len().div_ceil(workers) * morsel_rows;
+        JoinTable::with_capacity(bound.min(share))
     }
 
     fn consume(&self, cx: &mut MorselCtx<'_, '_>, survivors: Survivors<'_>, table: &mut JoinTable) {
@@ -48,18 +88,7 @@ impl Sink for BuildSink {
         }
     }
 
-    /// Union the per-worker tables smaller into larger: weight sums do not
-    /// depend on which table receives them, and the keys of the largest
-    /// table — at least a `1/workers` share of the build — are adopted as
-    /// they stand instead of re-inserted into a fresh table.
     fn merge(&self, partials: Vec<JoinTable>) -> JoinTable {
-        let mut table = JoinTable::new();
-        for mut partial in partials {
-            if partial.len() > table.len() {
-                std::mem::swap(&mut table, &mut partial);
-            }
-            table.union(&partial);
-        }
-        table
+        JoinTable::merge(partials)
     }
 }

@@ -8,6 +8,7 @@ use crate::error::OlapError;
 use crate::expr::{AggExpr, AggState};
 use crate::hashtable::GroupTable;
 use crate::kernels;
+use crate::morsel::Morsel;
 use crate::program::{eval_expr, resolve, AggKind, CompiledAgg, ValView};
 use crate::scratch::MorselData;
 
@@ -253,15 +254,15 @@ impl Sink for GroupSink<'_> {
     type Output = Vec<GroupRow>;
     const ROOT: bool = true;
 
-    fn partial(&self, morsels: usize) -> GroupOut {
+    fn partial(&self, morsels: &[Morsel], _workers: usize) -> GroupOut {
         let mut table = GroupTable::default();
         table.configure(self.slots.len(), self.aggregates.len());
         GroupOut {
             table,
             key_tmp: Vec::new(),
             gids: Vec::new(),
-            order: Vec::with_capacity(morsels),
-            part_counts: Vec::with_capacity(morsels * RADIX_PARTS),
+            order: Vec::with_capacity(morsels.len()),
+            part_counts: Vec::with_capacity(morsels.len() * RADIX_PARTS),
             keys: Vec::new(),
             states: Vec::new(),
             hashes: Vec::new(),

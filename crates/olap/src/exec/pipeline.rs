@@ -63,7 +63,7 @@ fn split_read_columns(
 /// build tables its probes look into. Built once per query; shared read-only
 /// by every worker.
 pub(super) struct Pipeline<'q> {
-    source: &'q ScanSource,
+    pub source: &'q ScanSource,
     numeric: Vec<String>,
     keys: Vec<String>,
     layout: BoundLayout,
@@ -198,8 +198,9 @@ pub(super) trait Sink: Sync {
     /// interval, table union included.
     const ROOT: bool;
 
-    /// A fresh partial for a worker of a pipeline of `morsels` morsels.
-    fn partial(&self, morsels: usize) -> Self::Partial;
+    /// A fresh partial for one of the `workers` workers that claim
+    /// `morsels`.
+    fn partial(&self, morsels: &[Morsel], workers: usize) -> Self::Partial;
 
     /// Fold one morsel's survivors into the worker's partial.
     fn consume(
@@ -227,6 +228,7 @@ impl QueryExecutor {
         work: &mut WorkProfile,
     ) -> S::Output {
         let morsels = pipe.source.morsels(self.block_rows);
+        let team = team.capped(morsels.len());
         let make = || {
             let scratch = ExecScratch::for_pipeline(
                 pipe.pool.n_regs as usize,
@@ -235,13 +237,13 @@ impl QueryExecutor {
             );
             (
                 scratch,
-                (sink.partial(morsels.len()), WorkProfile::default()),
+                (sink.partial(&morsels, team.size()), WorkProfile::default()),
             )
         };
         let on = htap_obs::enabled();
         let t_start = if on { htap_obs::now_us() } else { 0 };
         let outs = claim_morsels(
-            team,
+            &team,
             &morsels,
             make,
             |idx, morsel, scratch, (out, profile)| {
@@ -312,11 +314,11 @@ struct LaneRollup {
     last_us: AtomicU64,
 }
 
-/// The morsel-claim loop: the team's workers claim morsels from a shared
-/// atomic cursor (dynamic load balancing); each worker builds its scratch and
-/// output once via `make` and reuses them for every morsel it claims; `step`
-/// processes one claimed morsel. Per-worker outputs are returned in worker
-/// order.
+/// The morsel-claim loop: the team's workers (the caller caps the team at one
+/// per morsel) claim morsels from a shared atomic cursor (dynamic load
+/// balancing); each worker builds its scratch and output once via `make` and
+/// reuses them for every morsel it claims; `step` processes one claimed
+/// morsel. Per-worker outputs are returned in worker order.
 ///
 /// When tracing is enabled (checked once per pipeline, never per morsel),
 /// each claimed morsel records one [`EventKind::Morsel`] interval into the
@@ -329,7 +331,6 @@ where
     M: Fn() -> (S, O) + Sync,
     F: Fn(usize, &Morsel, &mut S, &mut O) + Sync,
 {
-    let team = team.capped(morsels.len());
     let on = htap_obs::enabled();
     let pipeline = if on { htap_obs::pipeline_seq() } else { 0 };
     let guard = htap_obs::span("olap.pipeline");

@@ -5,6 +5,7 @@ use super::pipeline::{MorselCtx, Sink};
 use super::probe::Survivors;
 use crate::expr::{AggExpr, AggState};
 use crate::kernels;
+use crate::morsel::Morsel;
 use crate::program::{eval_expr, resolve, AggKind, CompiledAgg, ValView};
 
 /// Folds every morsel's survivors into that morsel's own aggregate states
@@ -28,10 +29,10 @@ impl Sink for ScalarSink<'_> {
     type Output = Vec<f64>;
     const ROOT: bool = true;
 
-    fn partial(&self, morsels: usize) -> ScalarOut {
+    fn partial(&self, morsels: &[Morsel], _workers: usize) -> ScalarOut {
         ScalarOut {
-            order: Vec::with_capacity(morsels),
-            states: Vec::with_capacity(morsels * self.aggregates.len()),
+            order: Vec::with_capacity(morsels.len()),
+            states: Vec::with_capacity(morsels.len() * self.aggregates.len()),
         }
     }
 

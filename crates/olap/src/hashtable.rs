@@ -9,8 +9,14 @@
 //!   `(key, weight)` entries at a load factor of at most 50 %, so a lookup
 //!   reads one cache line and its walk has one, predictable, exit. One table
 //!   per worker is reused across all the morsels that worker claims, and
-//!   the per-worker tables are unioned — weight addition is
-//!   order-insensitive, so determinism is untouched.
+//!   the per-worker tables are merged ([`JoinTable::merge`]) — weight
+//!   addition is order-insensitive, so determinism is untouched. A table
+//!   grows by doubling from 16 slots unless its builder knows a bound:
+//!   [`JoinTable::with_capacity`] allocates the final slot array once (the
+//!   executor does so for builds keyed by the relation's primary key), and
+//!   the merge makes room for the smaller tables with one
+//!   [`JoinTable::reserve`], so the union never grows. Capacity is a hint:
+//!   a table that receives more keys grows as any other.
 //! * [`GroupTable`] — the group-by operator's hash table. Group keys are
 //!   stored inline in a flat `i64` arena (`n_keys` slots per group, no
 //!   per-key heap `Vec`), aggregate states in a parallel flat
@@ -83,6 +89,30 @@ impl JoinTable {
     /// An empty table (allocates its first slot array on first insert).
     pub fn new() -> Self {
         JoinTable::default()
+    }
+
+    /// An empty table that takes `keys` distinct keys before it grows: one
+    /// slot array of `next_pow2(2·keys)` entries, the size a table grown to
+    /// `keys` keys ends at. `keys` is a hint, not a limit — more keys grow
+    /// the table exactly as from [`JoinTable::new`], and `0` allocates
+    /// nothing.
+    pub fn with_capacity(keys: usize) -> Self {
+        let mut table = JoinTable::new();
+        table.reserve(keys);
+        table
+    }
+
+    /// Make room for `additional` more distinct keys with at most one
+    /// reallocation of the slot array.
+    pub fn reserve(&mut self, additional: usize) {
+        let keys = self.len + additional;
+        if keys > self.grow_at {
+            self.rehash(
+                (keys * JOIN_SLOTS_PER_KEY)
+                    .next_power_of_two()
+                    .max(INITIAL_SLOTS),
+            );
+        }
     }
 
     /// Number of *distinct* keys inserted (hash-table entries, the figure
@@ -176,12 +206,28 @@ impl JoinTable {
             .map(|e| (e.key, e.weight))
     }
 
-    /// Sum another table's weights into this one (the per-worker build
-    /// merge; weight addition is order-insensitive, so determinism holds).
+    /// Sum another table's weights into this one (weight addition is
+    /// order-insensitive, so determinism holds).
     pub fn union(&mut self, other: &JoinTable) {
         for (k, w) in other.iter() {
             self.add(k, w);
         }
+    }
+
+    /// The per-worker build merge: the largest table — at least a
+    /// `1/tables` share of the keys — is adopted as it stands, makes room
+    /// for every other table's keys with one [`JoinTable::reserve`], and
+    /// the others are unioned into it, so the union never grows the table.
+    pub fn merge(mut tables: Vec<JoinTable>) -> JoinTable {
+        let Some(largest) = (0..tables.len()).max_by_key(|&i| tables[i].len()) else {
+            return JoinTable::new();
+        };
+        let mut merged = tables.swap_remove(largest);
+        merged.reserve(tables.iter().map(JoinTable::len).sum());
+        for table in &tables {
+            merged.union(table);
+        }
+        merged
     }
 
     /// Membership-probe the selected rows of a key column (`sel == None`:
@@ -223,7 +269,12 @@ impl JoinTable {
     }
 
     fn grow(&mut self) {
-        let new_len = (self.entries.len() * 2).max(INITIAL_SLOTS);
+        self.rehash((self.entries.len() * 2).max(INITIAL_SLOTS));
+    }
+
+    /// Re-seat every entry in a fresh slot array of `new_len` (a power of
+    /// two) entries.
+    fn rehash(&mut self, new_len: usize) {
         let old = std::mem::replace(&mut self.entries, vec![JoinEntry::default(); new_len]);
         self.grow_at = new_len / JOIN_SLOTS_PER_KEY;
         let mask = new_len - 1;
@@ -660,6 +711,102 @@ mod tests {
             assert_eq!(a.weight_hashed(h, k), a.weight(k), "key {k}");
         }
         assert_eq!(JoinTable::new().weight_hashed(hash_i64(7), 7), 0);
+    }
+
+    /// `n` distinct keys (`k · 7919`, spread over the hash's input range).
+    fn keys(n: usize) -> impl Iterator<Item = i64> {
+        (0..n as i64).map(|k| k * 7_919 - 1_000_000)
+    }
+
+    #[test]
+    fn join_table_with_capacity_takes_its_keys_without_growing() {
+        for n in [1, 7, 8, 9, 1_000, 10_000] {
+            let mut t = JoinTable::with_capacity(n);
+            let (slots, capacity) = (t.entries.as_ptr(), t.grow_at);
+            assert!(capacity >= n, "{n} keys fit: capacity {capacity}");
+            for k in keys(n) {
+                t.add(k, 1);
+            }
+            assert_eq!(t.grow_at, capacity, "{n} keys: the table grew");
+            assert_eq!(t.entries.as_ptr(), slots, "{n} keys: slots reallocated");
+            // The size a table grown key by key to `n` keys ends at.
+            let mut grown = JoinTable::new();
+            keys(n).for_each(|k| grown.add(k, 1));
+            assert_eq!(grown.entries.len(), t.entries.len(), "{n} keys");
+            assert!(keys(n).all(|k| t.weight(k) == 1) && t.len() == n);
+        }
+        let empty = JoinTable::with_capacity(0);
+        assert!(empty.entries.is_empty() && empty.grow_at == 0);
+        assert_eq!(empty.weight(0), 0);
+    }
+
+    #[test]
+    fn join_table_reserve_then_inserts_does_not_grow() {
+        let mut t = JoinTable::new();
+        keys(100).for_each(|k| t.add(k, 2));
+        t.reserve(5_000);
+        let (slots, capacity) = (t.entries.as_ptr(), t.grow_at);
+        assert!(capacity >= 5_100, "capacity {capacity}");
+        keys(5_100).for_each(|k| t.add(k, 1));
+        assert_eq!(t.entries.as_ptr(), slots, "the slot array was reallocated");
+        assert_eq!((t.grow_at, t.len()), (capacity, 5_100));
+        assert!(keys(5_100)
+            .enumerate()
+            .all(|(i, k)| t.weight(k) == if i < 100 { 3 } else { 1 }));
+        // Room already there: a reserve is a no-op.
+        t.reserve(capacity - t.len());
+        assert_eq!(t.entries.as_ptr(), slots);
+    }
+
+    #[test]
+    fn join_table_grows_past_an_undersized_hint() {
+        let mut t = JoinTable::with_capacity(10);
+        let mut model = std::collections::BTreeMap::new();
+        for (i, k) in keys(3_000).enumerate() {
+            let w = 1 + (i % 3) as u64;
+            t.add(k, w);
+            t.add(k / 2, 1);
+            *model.entry(k).or_insert(0) += w;
+            *model.entry(k / 2).or_insert(0) += 1;
+        }
+        assert!(t.grow_at >= model.len());
+        assert_eq!(t.len(), model.len());
+        let pairs: std::collections::BTreeMap<i64, u64> = t.iter().collect();
+        assert_eq!(pairs, model);
+    }
+
+    #[test]
+    fn join_table_merge_adopts_the_largest_and_reserves_once() {
+        let parts = |sizes: &[usize]| -> Vec<JoinTable> {
+            let mut next = 0;
+            sizes
+                .iter()
+                .map(|&n| {
+                    let mut t = JoinTable::new();
+                    keys(next + n).skip(next).for_each(|k| t.add(k, 1));
+                    next += n;
+                    t
+                })
+                .collect()
+        };
+        let tables = parts(&[300, 5_000, 40]);
+        let largest = tables[1].entries.as_ptr();
+        let merged = JoinTable::merge(tables);
+        assert_eq!(merged.len(), 5_340);
+        assert!(keys(5_340).all(|k| merged.weight(k) == 1));
+        // Growing to 5 000 keys left the largest table at 16 384 slots
+        // (capacity 8 192): the reserve for 340 more keys fits in place.
+        assert_eq!(merged.entries.as_ptr(), largest);
+        // Overlapping partials sum their weights.
+        let mut a = JoinTable::new();
+        let mut b = JoinTable::new();
+        keys(50).for_each(|k| a.add(k, 1));
+        keys(80).for_each(|k| b.add(k, 2));
+        let merged = JoinTable::merge(vec![a, b]);
+        assert_eq!(merged.len(), 80);
+        assert!(keys(80).take(50).all(|k| merged.weight(k) == 3));
+        assert!(!merged.unique());
+        assert!(JoinTable::merge(Vec::new()).is_empty());
     }
 
     #[test]

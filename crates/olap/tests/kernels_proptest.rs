@@ -8,7 +8,7 @@
 //!
 //! The join table rides along: its branch-free survivor compaction is held
 //! to its scalar twin the same way, and the table itself to a `BTreeMap`
-//! model over random `add`/`union` sequences.
+//! model over random capacity hints and `add`/`union`/`merge` sequences.
 
 use htap_olap::expr::{AggExpr, AggState, CmpOp, ScalarExpr};
 use htap_olap::kernels;
@@ -83,9 +83,21 @@ fn join_key() -> Union<i64> {
     ]
 }
 
-/// Build a table and its model from `(key, weight)` inserts.
-fn table_and_model(adds: &[(i64, u64)]) -> (JoinTable, BTreeMap<i64, u64>) {
-    let mut table = JoinTable::new();
+/// Capacity hints for the model test: none, ones far below the up to 400
+/// keys of a sequence (so the table still grows), and ones above them.
+fn capacity_hint() -> Union<usize> {
+    prop_oneof![
+        1 => Just(0usize),
+        2 => 1usize..40,
+        2 => 0usize..1_000,
+    ]
+}
+
+/// Build a table and its model from `(key, weight)` inserts into a table
+/// created `with_capacity(capacity)` — a hint that may be 0, too small for
+/// the keys (the table then grows) or larger than they need.
+fn table_and_model(capacity: usize, adds: &[(i64, u64)]) -> (JoinTable, BTreeMap<i64, u64>) {
+    let mut table = JoinTable::with_capacity(capacity);
     let mut model = BTreeMap::new();
     for &(k, w) in adds {
         table.add(k, w);
@@ -370,16 +382,18 @@ proptest! {
 
     /// The join table against a `BTreeMap<i64, u64>` model: random `add`
     /// sequences long enough to cross several growths (zero-weight adds are
-    /// no-ops), then `union` in both directions — the resulting weights are
-    /// the same whichever table receives the other.
+    /// no-ops) into tables presized by a random hint, then `union` in both
+    /// directions and the per-worker `merge` — the resulting weights are the
+    /// same whichever table receives the other.
     #[test]
     fn join_table_matches_a_btreemap_model(
+        caps in (capacity_hint(), capacity_hint()),
         left in prop::collection::vec((join_key(), 0u64..4), 0..400),
         right in prop::collection::vec((join_key(), 0u64..4), 0..400),
         probes in prop::collection::vec(join_key(), 0..40),
     ) {
-        let (a, model_a) = table_and_model(&left);
-        let (b, model_b) = table_and_model(&right);
+        let (a, model_a) = table_and_model(caps.0, &left);
+        let (b, model_b) = table_and_model(caps.1, &right);
         assert_table_is(&a, &model_a, &probes);
         assert_table_is(&b, &model_b, &probes);
 
@@ -393,6 +407,8 @@ proptest! {
         ba.union(&a);
         assert_table_is(&ab, &model_ab, &probes);
         assert_table_is(&ba, &model_ab, &probes);
+        let merged = JoinTable::merge(vec![a.clone(), b.clone()]);
+        assert_table_is(&merged, &model_ab, &probes);
         // The operands are untouched, and a union with the empty table
         // changes nothing in either direction.
         assert_table_is(&b, &model_b, &probes);

@@ -25,7 +25,8 @@
 //! measurement window at a time ([`window`]).
 
 use adaptive_htap::olap::{
-    AggExpr, CmpOp, DagBuilder, Predicate, QueryExecutor, QueryPlan, ScalarExpr, ScanSource,
+    AggExpr, CmpOp, DagBuilder, JoinTable, Predicate, QueryExecutor, QueryPlan, ScalarExpr,
+    ScanSource,
 };
 use adaptive_htap::sim::SocketId;
 use adaptive_htap::storage::{
@@ -279,6 +280,72 @@ fn weighted_probe_morsel_loop_does_not_allocate() {
             "{what}: 48 extra morsels must not allocate per morsel: {small} allocs at \
              16 morsels, {large} at 64 (delta {delta})"
         );
+    }
+}
+
+/// A build keyed by its relation's primary key sizes its table from the row
+/// count before the first morsel: over a 1 k-row and a 100 k-row `item`, each
+/// one morsel on the solo worker, the query performs the same number of
+/// allocations — a table grown key by key would reallocate its slot array
+/// about log₂ n times, 7 more times for the larger build.
+#[test]
+fn primary_key_build_allocates_its_table_once() {
+    let _window = window();
+    let mut b = DagBuilder::default();
+    let item = b.scan("item");
+    let build = b.build(item, ScalarExpr::col("i_id"));
+    let scan = b.scan("orderline");
+    let probed = b.probe(scan, build, ScalarExpr::col("ol_i_id"));
+    b.aggregate(probed, None, vec![AggExpr::Count]);
+    let plan = b.finish().unwrap();
+    // One morsel per relation: the whole build is one worker's table.
+    let executor = QueryExecutor::with_block_rows(0);
+    let measure = |item_rows: u64| {
+        let sources = sources_with_item(1024, item_rows);
+        let warm = executor.execute(&plan, &sources).unwrap();
+        let before = allocations();
+        let out = executor.execute(&plan, &sources).unwrap();
+        let allocs = allocations() - before;
+        assert_eq!(out, warm);
+        assert_eq!(out.work.hash_table_bytes, item_rows * 16);
+        allocs
+    };
+    let (small, large) = (measure(1_000), measure(100_000));
+    assert_eq!(
+        small, large,
+        "a primary-key build allocates its table once: {small} allocs over 1 k rows, \
+         {large} over 100 k"
+    );
+}
+
+/// The merge of per-worker build tables adopts the largest and reserves room
+/// for the rest once, so the union never regrows: at most one allocation for
+/// two disjoint partials, and for four (a union into a table grown to its
+/// own keys would double twice).
+#[test]
+fn join_table_merge_allocates_at_most_once() {
+    let _window = window();
+    let partials = |sizes: &[i64]| -> Vec<JoinTable> {
+        let mut next = 0;
+        sizes
+            .iter()
+            .map(|&n| {
+                let mut table = JoinTable::new();
+                (next..next + n).for_each(|k| table.add(k * 31, 1));
+                next += n;
+                table
+            })
+            .collect()
+    };
+    for sizes in [&[60_000, 40_000][..], &[30_000; 4][..]] {
+        let tables = partials(sizes);
+        let before = allocations();
+        let merged = JoinTable::merge(tables);
+        let allocs = allocations() - before;
+        let keys: i64 = sizes.iter().sum();
+        assert_eq!(merged.len() as i64, keys);
+        assert!((0..keys).all(|k| merged.weight(k * 31) == 1));
+        assert!(allocs <= 1, "merging {sizes:?} allocated {allocs} times");
     }
 }
 

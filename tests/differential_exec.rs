@@ -649,6 +649,108 @@ fn duplicate_keys_compound_across_chained_probes() {
     );
 }
 
+/// A dimension `{name}({name}_id, {name}_v)` of `rows` rows that declares
+/// `{name}_id` its primary key, row `i` holding key `key(i)`; read through a
+/// two-segment split access path (OLAP head of `rows / 3` rows, OLTP tail).
+fn keyed_dimension(name: &str, rows: u64, key: impl Fn(u64) -> i64) -> ScanSource {
+    let schema = TableSchema::new(
+        name,
+        vec![
+            ColumnDef::new(format!("{name}_id"), DataType::I64),
+            ColumnDef::new(format!("{name}_v"), DataType::F64),
+        ],
+        Some(0),
+    );
+    let table = Arc::new(ColumnarTable::new(schema));
+    let mut rng = StdRng::seed_from_u64(rows);
+    for i in 0..rows {
+        table
+            .append_row(&[Value::I64(key(i)), Value::F64(rng.random_range(0.0..100.0))])
+            .unwrap();
+    }
+    let snap = TableSnapshot::new(name.into(), Arc::clone(&table), rows);
+    ScanSource::split(table, rows / 3, SocketId(1), &snap, SocketId(0))
+}
+
+/// `fact ⋈ dim ON f_id = <dim's key>`: COUNT(*), SUM(f_a) and MAX(f_b),
+/// scalar or grouped by `f_g`.
+fn fact_join_dimension(dim: Dim, grouped: bool) -> QueryPlan {
+    let aggregates = vec![
+        AggExpr::Count,
+        AggExpr::Sum(col("f_a")),
+        AggExpr::Max(col("f_b")),
+    ];
+    let group_by = if grouped { keys(&["f_g"]) } else { None };
+    plan(
+        vec![],
+        vec![col("f_id")],
+        vec![dim],
+        group_by,
+        aggregates,
+        None,
+    )
+}
+
+/// COUNT(*) of a [`fact_join_dimension`] result (the first aggregate).
+fn joined_count(result: &QueryResult) -> f64 {
+    match result {
+        QueryResult::Scalars(s) => s[0],
+        QueryResult::Groups(g) => g.iter().map(|row| row.1[0]).sum(),
+    }
+}
+
+/// A build keyed by its relation's primary key is sized from the row count
+/// up front — each worker's table for its share of the morsels, the merge
+/// reserving once. A 5 001-row dimension cut into 52 morsels and filtered,
+/// so every table holds fewer keys than it was sized for, joined at
+/// 1/2/4/8 workers.
+#[test]
+fn primary_key_builds_agree_across_worker_counts() {
+    let dataset = Dataset::build();
+    let mut sources = dataset.sources(false);
+    // Keys 3i - 1 000: every third fact row has a partner.
+    let dim = keyed_dimension("dim", 5_001, |i| i as i64 * 3 - 1_000);
+    const BLOCK_ROWS: usize = 97;
+    assert!(dim.morsels(BLOCK_ROWS).len() >= 50);
+    sources.insert("dim".to_string(), dim);
+    for grouped in [false, true] {
+        let filters = vec![Predicate::new("dim_v", CmpOp::Lt, 60.0)];
+        let plan = fact_join_dimension(("dim", "dim_id", filters), grouped);
+        let ctx = format!("primary-key build, grouped={grouped}");
+        let out = assert_workers_match_oracle(&plan, &sources, BLOCK_ROWS, &ctx);
+        let matched = joined_count(&out.result);
+        assert!(
+            matched > 500.0 && matched < 1_000.0,
+            "{ctx}: {matched} rows"
+        );
+    }
+}
+
+/// The size hint is wrong when a declared primary-key column holds
+/// duplicates: `dup_id` carries each of the keys 0..1 000 two or three
+/// times. The build must stay an inner join — COUNT(*) is the multiplicity
+/// sum, 2 500, not the semijoin count of 1 000 — and agree with the oracle
+/// on rows and work account at 1/2/4/8 workers.
+#[test]
+fn duplicate_primary_keys_keep_their_multiplicities() {
+    let dataset = Dataset::build();
+    let mut sources = dataset.sources(true);
+    sources.insert(
+        "dup".to_string(),
+        keyed_dimension("dup", 2_500, |i| (i % 1_000) as i64),
+    );
+    // Fact rows 0..500 match three dup rows each, 500..1 000 two each.
+    let (joined, matching) = (2_500.0, 1_000.0);
+    for grouped in [false, true] {
+        let plan = fact_join_dimension(("dup", "dup_id", vec![]), grouped);
+        let ctx = format!("duplicate primary keys, grouped={grouped}");
+        let out = assert_workers_match_oracle(&plan, &sources, 61, &ctx);
+        let counted = joined_count(&out.result);
+        assert_eq!(counted, joined, "{ctx}: inner-join count");
+        assert!(counted > matching, "{ctx}: semijoin count");
+    }
+}
+
 /// An explicitly authored operator DAG — N:M probe, grouped fold and the
 /// full having → sort → limit finisher stack — runs differentially against
 /// the oracle, work account included.
