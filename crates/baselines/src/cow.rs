@@ -36,10 +36,10 @@ impl CowBaseline {
     /// Computed from the per-relation delta (updated rows + inserted range).
     pub fn dirty_pages(&self, rde: &RdeEngine) -> u64 {
         let mut pages = 0u64;
-        for twin in rde.oltp().store().tables() {
-            let row_bytes = twin.schema().row_width_bytes().max(1);
+        for rt in rde.oltp().tables() {
+            let row_bytes = rt.twin().schema().row_width_bytes().max(1);
             let rows_per_page = (self.page_bytes / row_bytes).max(1);
-            let (updated, inserted) = twin.olap_delta();
+            let (updated, inserted) = rt.twin().olap_delta();
             let mut dirty: BTreeSet<u64> = updated.iter().map(|r| r / rows_per_page).collect();
             let mut row = inserted.start;
             while row < inserted.end {
@@ -65,8 +65,8 @@ impl CowBaseline {
         let pages_copied = self.dirty_pages(rde);
         // The snapshot is instant (fork): no transfer, but the window resets.
         rde.switch_and_sync();
-        for twin in rde.oltp().store().tables() {
-            twin.mark_olap_synced();
+        for rt in rde.oltp().tables() {
+            rt.twin().mark_olap_synced();
         }
 
         // Queries read the unified storage on the OLTP socket; every run

@@ -55,9 +55,9 @@ fn main() {
         }
 
         // Fresh fraction, measured on the split stack.
-        let orderline = split_rde.oltp().store().table("orderline").unwrap();
-        let fresh_rows = orderline.fresh_rows_vs_olap();
-        let total_rows = orderline.snapshot().rows().max(1);
+        let orderline = split_rde.oltp().table("orderline").unwrap();
+        let fresh_rows = orderline.twin().fresh_rows_vs_olap();
+        let total_rows = orderline.twin().snapshot().rows().max(1);
         let fresh_pct = 100.0 * fresh_rows as f64 / total_rows as f64;
 
         // S3-IS split access; S2: pay the delta ETL, then run locally; S3-IS

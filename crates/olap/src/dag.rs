@@ -8,7 +8,6 @@
 //! |---|---|---|
 //! | [`DagOp::Scan`] | morsel source over one relation | no (pipeline head) |
 //! | [`DagOp::Filter`] | conjunctive predicates → selection vector | no |
-//! | [`DagOp::Project`] | named computed columns, inlined at plan time | no |
 //! | [`DagOp::HashBuild`] | key → multiplicity table ([`crate::hashtable::JoinTable`]) | yes (sink) |
 //! | [`DagOp::HashProbe`] | true inner join: weight-preserving probe | no |
 //! | [`DagOp::HashAggregate`] | scalar or grouped fold | yes (sink) |
@@ -17,9 +16,8 @@
 //! | [`DagOp::Limit`] | row-count truncation | no (post-sink) |
 //!
 //! A valid DAG is a *tree of pipelines*: every pipeline starts at a scan,
-//! streams through filters/projections/probes, and ends in a pipeline
-//! breaker — a hash build feeding exactly one probe, or the single hash
-//! aggregate. Above the aggregate only the finisher operators (having,
+//! streams through filters and probes, and ends in a pipeline breaker — a
+//! hash build feeding exactly one probe, or the single hash aggregate. Above the aggregate only the finisher operators (having,
 //! sort, limit) may appear. [`DagBuilder::finish`] — the only way to obtain
 //! a [`QueryPlan`] — checks these rules once and keeps the flattened
 //! [`DagSpec`] beside the op list, so a plan value is valid by construction:
@@ -83,15 +81,6 @@ pub enum DagOp {
         /// Predicates, all of which a row must pass.
         predicates: Vec<Predicate>,
     },
-    /// Named computed columns. Projections are inlined (substituted into
-    /// every consumer) at plan time, so execution never materialises them —
-    /// they cost nothing unless consumed.
-    Project {
-        /// Upstream operator.
-        input: usize,
-        /// `(name, definition)` pairs visible to operators above.
-        exprs: Vec<(String, ScalarExpr)>,
-    },
     /// Build the multiplicity-preserving join table over `key`.
     HashBuild {
         /// Upstream operator.
@@ -149,7 +138,6 @@ impl DagOp {
         match self {
             DagOp::Scan { .. } => None,
             DagOp::Filter { input, .. }
-            | DagOp::Project { input, .. }
             | DagOp::HashBuild { input, .. }
             | DagOp::HashProbe { input, .. }
             | DagOp::HashAggregate { input, .. }
@@ -241,61 +229,6 @@ fn invalid(reason: impl Into<String>) -> OlapError {
     }
 }
 
-/// The state collected while walking one pipeline top-down; a `Project`
-/// encountered below applies to everything collected so far.
-struct PipelineWalk {
-    filters: Vec<Predicate>,
-    probes: Vec<ProbeSpec>,
-}
-
-impl PipelineWalk {
-    fn apply_projection(
-        &mut self,
-        map: &BTreeMap<String, ScalarExpr>,
-        aggregates: Option<&mut Vec<AggExpr>>,
-        group_by: Option<&mut Vec<String>>,
-    ) -> Result<(), OlapError> {
-        for probe in &mut self.probes {
-            probe.key = probe.key.substitute(map);
-        }
-        for pred in &mut self.filters {
-            if let Some(def) = map.get(&pred.column) {
-                match def {
-                    ScalarExpr::Col(c) => pred.column = c.clone(),
-                    _ => {
-                        return Err(invalid(format!(
-                            "filter on computed projection {} (predicates compare a stored \
-                             column to a literal)",
-                            pred.column
-                        )))
-                    }
-                }
-            }
-        }
-        if let Some(aggs) = aggregates {
-            for agg in aggs.iter_mut() {
-                *agg = agg.substitute(map);
-            }
-        }
-        if let Some(keys) = group_by {
-            for key in keys.iter_mut() {
-                if let Some(def) = map.get(key) {
-                    match def {
-                        ScalarExpr::Col(c) => *key = c.clone(),
-                        _ => {
-                            return Err(invalid(format!(
-                                "GROUP BY on computed projection {key} (group keys are stored \
-                                 integer columns)"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Validate the DAG's structural rules and flatten it into the
 /// executable [`DagSpec`].
 fn decompose(ops: &[DagOp]) -> Result<DagSpec, OlapError> {
@@ -373,8 +306,6 @@ fn decompose(ops: &[DagOp]) -> Result<DagSpec, OlapError> {
         // The loop above only breaks on HashAggregate.
         return Err(invalid("unreachable: non-aggregate sink"));
     };
-    let mut group_by = group_by.clone();
-    let mut aggregates = aggregates.clone();
 
     // Validate finisher row slots against the aggregate's arity.
     let n_keys = group_by.as_ref().map_or(0, Vec::len);
@@ -412,18 +343,12 @@ fn decompose(ops: &[DagOp]) -> Result<DagSpec, OlapError> {
 
     // Root pipeline, then the build pipelines it (transitively) probes.
     let mut builds: Vec<BuildSpec> = Vec::new();
-    let root_pipe = walk_pipeline(
-        ops,
-        *input,
-        &mut builds,
-        true,
-        Some((&mut aggregates, &mut group_by)),
-    )?;
+    let root_pipe = walk_pipeline(ops, *input, &mut builds, true)?;
     Ok(DagSpec {
         builds,
         root: root_pipe,
-        group_by,
-        aggregates,
+        group_by: group_by.clone(),
+        aggregates: aggregates.clone(),
         finishers,
     })
 }
@@ -436,28 +361,14 @@ fn walk_pipeline(
     top: usize,
     builds: &mut Vec<BuildSpec>,
     feeds_root: bool,
-    mut root_outputs: Option<(&mut Vec<AggExpr>, &mut Option<Vec<String>>)>,
 ) -> Result<PipelineSpec, OlapError> {
-    let mut walk = PipelineWalk {
-        filters: Vec::new(),
-        probes: Vec::new(),
-    };
+    let (mut filters, mut probes) = (Vec::new(), Vec::new());
     let mut at = top;
     let table = loop {
         match &ops[at] {
             DagOp::Scan { table } => break table.clone(),
             DagOp::Filter { input, predicates } => {
-                walk.filters.extend(predicates.iter().cloned());
-                at = *input;
-            }
-            DagOp::Project { input, exprs } => {
-                let map: BTreeMap<String, ScalarExpr> = exprs.iter().cloned().collect();
-                match &mut root_outputs {
-                    Some((aggs, group_by)) => {
-                        walk.apply_projection(&map, Some(aggs), group_by.as_mut())?
-                    }
-                    None => walk.apply_projection(&map, None, None)?,
-                }
+                filters.extend(predicates.iter().cloned());
                 at = *input;
             }
             DagOp::HashProbe { input, build, key } => {
@@ -470,14 +381,14 @@ fn walk_pipeline(
                         "op {at} probes op {build}, which is not a hash build",
                     )));
                 };
-                let build_walk = walk_pipeline(ops, *build_input, builds, false, None)?;
+                let build_walk = walk_pipeline(ops, *build_input, builds, false)?;
                 let build_idx = builds.len();
                 builds.push(BuildSpec {
                     input: build_walk,
-                    key: projected_build_key(ops, *build_input, build_key)?,
+                    key: build_key.clone(),
                     feeds_root,
                 });
-                walk.probes.push(ProbeSpec {
+                probes.push(ProbeSpec {
                     key: key.clone(),
                     build: build_idx,
                 });
@@ -492,38 +403,12 @@ fn walk_pipeline(
         }
     };
     // Probes were collected top-down; execution order is bottom-up.
-    walk.probes.reverse();
+    probes.reverse();
     Ok(PipelineSpec {
         table,
-        filters: walk.filters,
-        probes: walk.probes,
+        filters,
+        probes,
     })
-}
-
-/// A build key with every projection of its input chain substituted in.
-fn projected_build_key(
-    ops: &[DagOp],
-    mut at: usize,
-    key: &ScalarExpr,
-) -> Result<ScalarExpr, OlapError> {
-    let mut key = key.clone();
-    loop {
-        match &ops[at] {
-            DagOp::Scan { .. } => return Ok(key),
-            DagOp::Project { input, exprs } => {
-                let map: BTreeMap<String, ScalarExpr> = exprs.iter().cloned().collect();
-                key = key.substitute(&map);
-                at = *input;
-            }
-            DagOp::Filter { input, .. } | DagOp::HashProbe { input, .. } => at = *input,
-            other => {
-                return Err(invalid(format!(
-                    "op {at} ({}) cannot appear inside a streaming pipeline",
-                    op_name(other)
-                )))
-            }
-        }
-    }
 }
 
 impl QueryPlan {
@@ -629,7 +514,6 @@ fn op_name(op: &DagOp) -> &'static str {
     match op {
         DagOp::Scan { .. } => "scan",
         DagOp::Filter { .. } => "filter",
-        DagOp::Project { .. } => "project",
         DagOp::HashBuild { .. } => "hash-build",
         DagOp::HashProbe { .. } => "hash-probe",
         DagOp::HashAggregate { .. } => "hash-aggregate",
@@ -905,50 +789,6 @@ mod tests {
         let p = b.probe(s2, f1, ScalarExpr::col("k"));
         b.aggregate(p, None, vec![AggExpr::Count]);
         invalid(b);
-    }
-
-    #[test]
-    fn projections_inline_into_aggregates_probes_and_group_keys() {
-        let mut b = DagBuilder::default();
-        let s = b.scan("t");
-        let p = b.push(DagOp::Project {
-            input: s,
-            exprs: vec![
-                (
-                    "revenue".into(),
-                    ScalarExpr::col("price") * ScalarExpr::col("qty"),
-                ),
-                ("g".into(), ScalarExpr::col("bucket")),
-            ],
-        });
-        b.aggregate(
-            p,
-            Some(vec!["g".into()]),
-            vec![AggExpr::Sum(ScalarExpr::col("revenue"))],
-        );
-        let plan = b.finish().unwrap();
-        assert_eq!(
-            plan.spec().aggregates,
-            vec![AggExpr::Sum(
-                ScalarExpr::col("price") * ScalarExpr::col("qty")
-            )]
-        );
-        assert_eq!(plan.spec().group_by, Some(vec!["bucket".to_string()]));
-        // A computed projection cannot serve as a group key.
-        let mut b = DagBuilder::default();
-        let s = b.scan("t");
-        let p = b.push(DagOp::Project {
-            input: s,
-            exprs: vec![(
-                "revenue".into(),
-                ScalarExpr::col("price") * ScalarExpr::col("qty"),
-            )],
-        });
-        b.aggregate(p, Some(vec!["revenue".into()]), vec![AggExpr::Count]);
-        assert!(matches!(
-            b.finish().unwrap_err(),
-            OlapError::InvalidDag { .. }
-        ));
     }
 
     #[test]

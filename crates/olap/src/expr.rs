@@ -53,26 +53,6 @@ impl ScalarExpr {
             }
         }
     }
-
-    /// Replace every column reference found in `map` with its mapped
-    /// expression — the bind-time inlining of the DAG's project operator
-    /// (a projection never survives to execution; its definitions are
-    /// substituted into every consumer upstream).
-    pub fn substitute(&self, map: &std::collections::BTreeMap<String, ScalarExpr>) -> ScalarExpr {
-        match self {
-            ScalarExpr::Col(c) => map.get(c).cloned().unwrap_or_else(|| self.clone()),
-            ScalarExpr::Literal(_) => self.clone(),
-            ScalarExpr::Add(a, b) => {
-                ScalarExpr::Add(Box::new(a.substitute(map)), Box::new(b.substitute(map)))
-            }
-            ScalarExpr::Sub(a, b) => {
-                ScalarExpr::Sub(Box::new(a.substitute(map)), Box::new(b.substitute(map)))
-            }
-            ScalarExpr::Mul(a, b) => {
-                ScalarExpr::Mul(Box::new(a.substitute(map)), Box::new(b.substitute(map)))
-            }
-        }
-    }
 }
 
 impl std::ops::Mul for ScalarExpr {
@@ -172,17 +152,6 @@ impl AggExpr {
         match self {
             AggExpr::Sum(e) | AggExpr::Avg(e) | AggExpr::Min(e) | AggExpr::Max(e) => e.columns(),
             AggExpr::Count => Vec::new(),
-        }
-    }
-
-    /// Apply [`ScalarExpr::substitute`] to the aggregate's input.
-    pub fn substitute(&self, map: &std::collections::BTreeMap<String, ScalarExpr>) -> AggExpr {
-        match self {
-            AggExpr::Sum(e) => AggExpr::Sum(e.substitute(map)),
-            AggExpr::Avg(e) => AggExpr::Avg(e.substitute(map)),
-            AggExpr::Min(e) => AggExpr::Min(e.substitute(map)),
-            AggExpr::Max(e) => AggExpr::Max(e.substitute(map)),
-            AggExpr::Count => AggExpr::Count,
         }
     }
 }
@@ -345,18 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn expressions_list_their_columns_once_and_substitute_projections() {
+    fn expressions_list_their_columns_once() {
         let expr = ScalarExpr::col("price") * (ScalarExpr::lit(1.0) - ScalarExpr::col("discount"))
             + ScalarExpr::col("price");
         assert_eq!(expr.columns(), ["discount", "price"]);
         assert_eq!(AggExpr::Sum(expr.clone()).columns(), expr.columns());
         assert!(AggExpr::Count.columns().is_empty());
-        let map = [(
-            "price".to_string(),
-            ScalarExpr::col("p") * ScalarExpr::lit(2.0),
-        )]
-        .into();
-        assert_eq!(expr.substitute(&map).columns(), ["discount", "p"]);
     }
 
     #[test]

@@ -7,47 +7,37 @@ use crate::txn::{Transaction, TxnManager};
 use crate::worker::WorkerManager;
 use htap_durability::DurabilityError;
 use htap_storage::{
-    CuckooIndex, DeltaStorage, RecordLocation, StorageError, SyncOutcome, TableSchema, TwinStore,
-    TwinTable, Value,
+    CuckooIndex, DeltaStorage, RecordLocation, StorageError, SyncOutcome, TableSchema, TwinTable,
+    Value,
 };
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Source of the relation tags in [`TableRuntime::lock_key`]: every relation created in this
-/// process gets the next value, so tags are distinct within any one engine.
-static NEXT_LOCK_TAG: AtomicU64 = AtomicU64::new(1);
 
 /// Per-relation runtime state owned by the OLTP engine: the twin columnar
 /// instances, the MVCC delta storage and the primary-key cuckoo index.
 #[derive(Debug)]
 pub struct TableRuntime {
-    twin: Arc<TwinTable>,
+    twin: TwinTable,
     delta: DeltaStorage,
     index: CuckooIndex<RecordLocation>,
     lock_tag: u64,
 }
 
 impl TableRuntime {
-    /// Create the runtime for a new relation.
-    pub fn new(schema: TableSchema) -> Self {
-        Self::from_twin(Arc::new(TwinTable::new(schema)))
-    }
-
-    /// Create the runtime around an existing twin table (used when the twin
-    /// store is shared with the RDE engine).
-    pub fn from_twin(twin: Arc<TwinTable>) -> Self {
+    /// The runtime of a new, empty relation whose lock keys carry
+    /// `lock_tag` (its creation index in [`TxnManager::create_table`]).
+    pub(crate) fn new(schema: TableSchema, lock_tag: u64) -> Self {
         TableRuntime {
-            twin,
+            twin: TwinTable::new(schema),
             delta: DeltaStorage::new(),
             index: CuckooIndex::with_capacity(1 << 16),
-            lock_tag: NEXT_LOCK_TAG.fetch_add(1, Ordering::Relaxed),
+            lock_tag,
         }
     }
 
     /// The lock key of `record` (a row id, or an encoded key) of this
-    /// relation. The relation's part of it is a tag fixed at creation: the
-    /// lock table never looks at the relation's name.
+    /// relation. The relation's part of it is its creation index in the
+    /// engine's registry: the lock table never looks at the relation's name.
     pub fn lock_key(&self, record: u64) -> LockKey {
         LockKey::new(self.lock_tag, record)
     }
@@ -58,7 +48,7 @@ impl TableRuntime {
     }
 
     /// The twin-instance storage of the relation.
-    pub fn twin(&self) -> &Arc<TwinTable> {
+    pub fn twin(&self) -> &TwinTable {
         &self.twin
     }
 
@@ -75,14 +65,13 @@ impl TableRuntime {
 
 /// The in-memory OLTP engine.
 ///
-/// The engine is deliberately thin: it wires the storage manager (twin store),
-/// the transaction manager and the worker manager together and exposes the
-/// operations the RDE engine needs — switching the active instance and
-/// synchronising the twins in one step, and reporting fresh-data statistics —
-/// without interfering with the design of either component.
+/// The engine is deliberately thin: it wires the transaction manager (which
+/// holds every relation's [`TableRuntime`]) and the worker manager together
+/// and exposes the operations the RDE engine needs — switching the active
+/// instance and synchronising the twins in one step, and reporting fresh-data
+/// statistics — without interfering with the design of either component.
 #[derive(Debug)]
 pub struct OltpEngine {
-    store: Arc<TwinStore>,
     txn_manager: TxnManager,
     worker_manager: WorkerManager,
     /// Switch gate: transactions hold a read lock while executing; an
@@ -90,9 +79,6 @@ pub struct OltpEngine {
     /// the storage manager requires ("when no active OLTP worker thread is
     /// using it any more", §3.2).
     switch_gate: RwLock<()>,
-    /// Durability controller, when persistence is enabled. Checkpoints run
-    /// inside the switch quiescence window (see [`Self::switch_and_sync_instances`]).
-    persistence: RwLock<Option<Arc<DurabilityController>>>,
 }
 
 impl Default for OltpEngine {
@@ -105,25 +91,23 @@ impl OltpEngine {
     /// Create an engine with an empty database.
     pub fn new() -> Self {
         OltpEngine {
-            store: Arc::new(TwinStore::new()),
             txn_manager: TxnManager::new(),
             worker_manager: WorkerManager::new(),
             switch_gate: RwLock::new(()),
-            persistence: RwLock::new(None),
         }
     }
 
     /// Enable durability: commits start appending to the controller's WAL
     /// (group-committed, durable before apply) and instance switches
-    /// periodically checkpoint the store.
+    /// periodically checkpoint the store, inside the switch quiescence
+    /// window (see [`Self::switch_and_sync_instances`]).
     pub fn attach_durability(&self, controller: Arc<DurabilityController>) {
-        self.txn_manager.attach_wal(controller.wal().clone());
-        *self.persistence.write() = Some(controller);
+        self.txn_manager.attach_durability(controller);
     }
 
     /// The attached durability controller, if any.
     pub fn durability(&self) -> Option<Arc<DurabilityController>> {
-        self.persistence.read().clone()
+        self.txn_manager.durability()
     }
 
     /// Take a checkpoint immediately, inside its own quiescence window
@@ -132,7 +116,7 @@ impl OltpEngine {
     pub fn checkpoint_now(&self) -> Result<bool, DurabilityError> {
         let _guard = self.switch_gate.write();
         self.collect_versions();
-        match self.persistence.read().clone() {
+        match self.durability() {
             Some(ctl) => ctl.checkpoint_quiesced(self).map(|()| true),
             None => Ok(false),
         }
@@ -145,14 +129,9 @@ impl OltpEngine {
     /// invisible to every future reader.
     fn collect_versions(&self) {
         let now = self.txn_manager.now();
-        for rt in self.txn_manager.tables() {
+        for rt in self.tables() {
             rt.delta().gc(now);
         }
-    }
-
-    /// The underlying twin store (shared with the RDE engine).
-    pub fn store(&self) -> &Arc<TwinStore> {
-        &self.store
     }
 
     /// The transaction manager.
@@ -165,17 +144,19 @@ impl OltpEngine {
         &self.worker_manager
     }
 
-    /// Create a relation and register it with the transaction manager.
+    /// Create a relation (see [`TxnManager::create_table`]).
     pub fn create_table(&self, schema: TableSchema) -> Result<Arc<TableRuntime>, StorageError> {
-        let twin = self.store.create_table(schema)?;
-        let runtime = Arc::new(TableRuntime::from_twin(twin));
-        self.txn_manager.register_table(Arc::clone(&runtime));
-        Ok(runtime)
+        self.txn_manager.create_table(schema)
     }
 
     /// Look up a relation runtime.
     pub fn table(&self, name: &str) -> Option<Arc<TableRuntime>> {
         self.txn_manager.table(name)
+    }
+
+    /// All relation runtimes, in name order.
+    pub fn tables(&self) -> Vec<Arc<TableRuntime>> {
+        self.txn_manager.tables()
     }
 
     /// Names of all relations.
@@ -231,30 +212,40 @@ impl OltpEngine {
     /// synchronisation totals over all relations.
     pub fn switch_and_sync_instances(&self) -> SyncOutcome {
         let _guard = self.switch_gate.write();
-        let synced = self.store.switch_and_sync();
+        let mut synced = SyncOutcome::default();
+        for rt in self.tables() {
+            let outcome = rt.twin().switch_and_sync();
+            synced.copied_records += outcome.copied_records;
+            synced.copied_bytes += outcome.copied_bytes;
+        }
         // Checkpoints piggyback on the quiescence window the switch already
         // paid for: the twins are synced and no transaction is in flight.
-        if let Some(ctl) = self.persistence.read().clone() {
+        if let Some(ctl) = self.durability() {
             ctl.note_switch(self);
         }
         self.collect_versions();
         synced
     }
 
+    /// `per_table` summed over all relations.
+    fn sum_over_tables(&self, per_table: fn(&TwinTable) -> u64) -> u64 {
+        self.tables().iter().map(|rt| per_table(rt.twin())).sum()
+    }
+
     /// Total fresh rows (inserted or updated since the last propagation to the
     /// OLAP instance), across all relations.
     pub fn fresh_rows_vs_olap(&self) -> u64 {
-        self.store.fresh_rows_vs_olap()
+        self.sum_over_tables(TwinTable::fresh_rows_vs_olap)
     }
 
     /// Total rows across all relations.
     pub fn total_rows(&self) -> u64 {
-        self.store.total_rows()
+        self.sum_over_tables(TwinTable::row_count)
     }
 
     /// Size in bytes of one instance of the database.
     pub fn instance_bytes(&self) -> u64 {
-        self.store.instance_bytes()
+        self.sum_over_tables(TwinTable::instance_bytes)
     }
 }
 
@@ -290,6 +281,86 @@ mod tests {
         assert!(committed);
         assert_eq!(engine.total_rows(), 1);
         assert_eq!(engine.begin().read("stock", 1, 1).unwrap(), Value::I32(5));
+    }
+
+    #[test]
+    fn one_registry_lists_totals_and_switches_its_relations() {
+        let accounts = TableSchema::new(
+            "accounts",
+            vec![
+                ColumnDef::new("id", DataType::I64),
+                ColumnDef::new("balance", DataType::F64),
+            ],
+            Some(0),
+        );
+        let engine = OltpEngine::new();
+        engine.create_table(accounts.clone()).unwrap();
+        assert!(engine.create_table(accounts).is_err());
+        assert_eq!(engine.table_names(), vec!["accounts".to_string()]);
+        assert!(engine.table("accounts").is_some());
+        assert!(engine.table("missing").is_none());
+
+        engine
+            .bulk_load("accounts", 1, vec![Value::I64(1), Value::F64(10.0)])
+            .unwrap();
+        assert_eq!(engine.total_rows(), 1);
+        assert_eq!(engine.instance_bytes(), 16);
+        assert_eq!(engine.switch_and_sync_instances(), SyncOutcome::default());
+        assert_eq!(engine.fresh_rows_vs_olap(), 1);
+    }
+
+    #[test]
+    fn duplicate_create_table_keeps_the_first_runtime() {
+        let engine = OltpEngine::new();
+        let first = engine.create_table(schema("stock")).unwrap();
+        engine
+            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(10)])
+            .unwrap();
+        assert_eq!(
+            engine.create_table(schema("stock")).unwrap_err(),
+            StorageError::TableExists {
+                table: "stock".into()
+            }
+        );
+        let kept = engine.table("stock").unwrap();
+        assert!(Arc::ptr_eq(&first, &kept));
+        assert_eq!(engine.tables().len(), 1);
+        assert_eq!(kept.twin().row_count(), 1);
+        engine.execute(|mut txn| {
+            txn.update("stock", 1, 1, Value::I32(11)).unwrap();
+            txn.insert("stock", 2, vec![Value::I64(2), Value::I32(20)])
+                .unwrap();
+            txn.commit().unwrap();
+        });
+        let t = engine.begin();
+        assert_eq!(t.read("stock", 1, 1).unwrap(), Value::I32(11));
+        assert_eq!(t.read("stock", 2, 1).unwrap(), Value::I32(20));
+        assert_eq!(first.index().len(), 2);
+    }
+
+    #[test]
+    fn lock_keys_are_engine_local_and_deterministic() {
+        let names = ["warehouse", "district", "stock"];
+        let engines = [OltpEngine::new(), OltpEngine::new()];
+        for engine in &engines {
+            for name in names {
+                engine.create_table(schema(name)).unwrap();
+            }
+        }
+        for name in names {
+            let [a, b] = engines.each_ref().map(|e| e.table(name).unwrap());
+            for record in [0, 7, u64::MAX] {
+                assert_eq!(a.lock_key(record), b.lock_key(record), "{name}");
+            }
+        }
+        let tables = engines[0].tables();
+        for (i, a) in tables.iter().enumerate() {
+            for b in &tables[i + 1..] {
+                for record in [0, 7, u64::MAX] {
+                    assert_ne!(a.lock_key(record), b.lock_key(record));
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! The engine follows the standard in-memory OLTP design the paper describes:
 //!
-//! * a **Storage Manager** — the twin-instance columnar store, delta/version
+//! * a **Storage Manager** — the twin-instance columnar tables, delta/version
 //!   storage and cuckoo index from `htap-storage`, wrapped per relation in a
 //!   [`engine::TableRuntime`];
 //! * a **Transaction Manager** ([`txn`]) implementing multi-version two-phase
 //!   locking (MV2PL) with NO-WAIT deadlock avoidance and snapshot-isolation
-//!   reads over the version chains;
+//!   reads over the version chains; it owns the one registry of relations
+//!   ([`TxnManager::create_table`]) and the one durability controller;
 //! * a **Worker Manager** ([`worker`]) that keeps a pool of worker threads
 //!   (one hardware thread per transaction), exposes an API to set the number
 //!   of active workers and their CPU affinities, and lets the RDE engine scale
@@ -28,5 +29,5 @@ pub use durability::{
 };
 pub use engine::{OltpEngine, TableRuntime};
 pub use locks::{LockKey, LockMode, LockTable};
-pub use txn::{RowRef, TableRef, Transaction, TxnError, TxnId, TxnManager, TxnOutcome};
+pub use txn::{RowRef, TableRef, Transaction, TxnError, TxnId, TxnManager};
 pub use worker::{OltpCounts, WorkerManager, WorkerReport};

@@ -19,8 +19,9 @@ use std::hash::BuildHasher;
 /// Identifier of the lockable resource: a record (row) or a key of a relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LockKey {
-    /// Lock tag of the relation (assigned once when the relation is created;
-    /// see [`crate::TableRuntime::lock_key`]).
+    /// Lock tag of the relation: its creation index in the engine's
+    /// registry, so it is engine-local and deterministic (see
+    /// [`crate::TxnManager::create_table`]).
     pub table: u64,
     /// Row identifier or primary-key value being locked.
     pub record: u64,

@@ -24,10 +24,11 @@
 //! The string-addressed methods (`read`, `read_for_update`, `update`,
 //! `insert`) resolve the name and call the same operations.
 
+use crate::durability::DurabilityController;
 use crate::engine::TableRuntime;
 use crate::locks::{LockKey, LockMode, LockTable};
-use htap_durability::{DurabilityError, Wal, WalOp, WalRecord};
-use htap_storage::{RecordLocation, RowId, StorageError, Value};
+use htap_durability::{DurabilityError, WalOp, WalRecord};
+use htap_storage::{RecordLocation, RowId, StorageError, TableSchema, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,15 +77,6 @@ impl std::fmt::Display for TxnError {
 }
 
 impl std::error::Error for TxnError {}
-
-/// Outcome of a finished transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnOutcome {
-    /// The transaction committed at the given timestamp.
-    Committed(u64),
-    /// The transaction aborted.
-    Aborted,
-}
 
 /// A relation a transaction has resolved by name: an index into that
 /// transaction's table cache, meaningful only with the transaction whose
@@ -139,17 +131,17 @@ struct PendingInsert {
     values: Vec<Value>,
 }
 
-/// The transaction manager: timestamp authority, lock table and the engine's
-/// one registry of table runtimes.
+/// The transaction manager: timestamp authority, lock table, the engine's
+/// one registry of table runtimes and its one durability slot.
 #[derive(Debug)]
 pub struct TxnManager {
     tables: RwLock<BTreeMap<String, Arc<TableRuntime>>>,
     locks: LockTable,
     clock: AtomicU64,
     next_txn_id: AtomicU64,
-    /// Write-ahead log, when durability is enabled. Commits append their
-    /// record and wait for the group-commit fsync *before* applying writes.
-    wal: RwLock<Option<Wal>>,
+    /// Durability controller, when enabled. Commits append their record to
+    /// its WAL and wait for the group-commit fsync *before* applying writes.
+    durability: RwLock<Option<Arc<DurabilityController>>>,
 }
 
 impl Default for TxnManager {
@@ -166,20 +158,22 @@ impl TxnManager {
             locks: LockTable::default(),
             clock: AtomicU64::new(1),
             next_txn_id: AtomicU64::new(1),
-            wal: RwLock::new(None),
+            durability: RwLock::new(None),
         }
     }
 
-    /// Enable write-ahead logging: every subsequent commit appends its record
-    /// and blocks until the group-commit coordinator reports it durable.
-    pub fn attach_wal(&self, wal: Wal) {
-        *self.wal.write() = Some(wal);
+    /// Enable durability: every subsequent commit appends its record to the
+    /// controller's WAL and blocks until the group-commit coordinator reports
+    /// it durable.
+    pub fn attach_durability(&self, controller: Arc<DurabilityController>) {
+        *self.durability.write() = Some(controller);
     }
 
-    /// Clone of the attached WAL handle, if any. The guard is dropped before
-    /// any I/O happens so the lock is never held across an fsync.
-    pub fn wal_handle(&self) -> Option<Wal> {
-        self.wal.read().clone()
+    /// The attached durability controller, if any. The guard is dropped
+    /// before the caller does any I/O, so the lock is never held across an
+    /// fsync.
+    pub fn durability(&self) -> Option<Arc<DurabilityController>> {
+        self.durability.read().clone()
     }
 
     /// Advance the logical clock to at least `ts` (used by recovery so that
@@ -188,11 +182,17 @@ impl TxnManager {
         self.clock.fetch_max(ts, Ordering::AcqRel);
     }
 
-    /// Register a table runtime so transactions can address it by name.
-    pub fn register_table(&self, runtime: Arc<TableRuntime>) {
-        self.tables
-            .write()
-            .insert(runtime.name().to_string(), runtime);
+    /// Create a relation so transactions can address it by name; a taken
+    /// name is an error and leaves its relation in place. The lock tag is the
+    /// creation index: engine-local, and deterministic in creation order.
+    pub fn create_table(&self, schema: TableSchema) -> Result<Arc<TableRuntime>, StorageError> {
+        let mut tables = self.tables.write();
+        if tables.contains_key(&schema.name) {
+            return Err(StorageError::TableExists { table: schema.name });
+        }
+        let runtime = Arc::new(TableRuntime::new(schema, tables.len() as u64));
+        tables.insert(runtime.name().to_string(), Arc::clone(&runtime));
+        Ok(runtime)
     }
 
     /// Look up a registered table runtime.
@@ -283,11 +283,6 @@ impl<'a> Transaction<'a> {
     /// The transaction identifier.
     pub fn id(&self) -> TxnId {
         self.id
-    }
-
-    /// The snapshot timestamp.
-    pub fn start_ts(&self) -> u64 {
-        self.start_ts
     }
 
     fn check_active(&self) -> Result<(), TxnError> {
@@ -649,8 +644,8 @@ impl<'a> Transaction<'a> {
         // WAL order consistent with apply order for conflicting keys.
         let writes = self.write_count();
         if writes > 0 {
-            if let Some(wal) = self.mgr.wal_handle() {
-                if let Err(e) = wal.append_commit(&self.wal_record(commit_ts)) {
+            if let Some(ctl) = self.mgr.durability() {
+                if let Err(e) = ctl.wal().append_commit(&self.wal_record(commit_ts)) {
                     self.finish_abort();
                     return Err(TxnError::Durability(e));
                 }
@@ -701,10 +696,10 @@ impl Drop for Transaction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::TableRuntime;
-    use htap_storage::{ColumnDef, DataType, TableSchema};
+    use htap_storage::{ColumnDef, DataType};
 
-    fn account_runtime() -> Arc<TableRuntime> {
+    fn manager_with_accounts() -> TxnManager {
+        let mgr = TxnManager::new();
         let schema = TableSchema::new(
             "accounts",
             vec![
@@ -713,12 +708,7 @@ mod tests {
             ],
             Some(0),
         );
-        Arc::new(TableRuntime::new(schema))
-    }
-
-    fn manager_with_accounts() -> TxnManager {
-        let mgr = TxnManager::new();
-        mgr.register_table(account_runtime());
+        mgr.create_table(schema).unwrap();
         mgr
     }
 
@@ -1020,13 +1010,14 @@ mod tests {
 
     #[test]
     fn commit_logs_updates_in_declaration_order_then_inserts() {
-        use htap_durability::{decode_wal, load_state, DurableStorage, MemStorage, WalConfig};
+        use htap_durability::{decode_wal, load_state, DurableStorage, MemStorage, Wal, WalConfig};
         let storage: Arc<dyn DurableStorage> = Arc::new(MemStorage::new());
         let mgr = manager_with_accounts();
         seed_account(&mgr, 1, 100.0);
         seed_account(&mgr, 2, 200.0);
         let (wal, _) = Wal::open(Arc::clone(&storage), "wal.log", WalConfig::default()).unwrap();
-        mgr.attach_wal(wal);
+        let controller = DurabilityController::new(Arc::clone(&storage), wal, 0);
+        mgr.attach_durability(Arc::new(controller));
         let mut t = mgr.begin();
         // Declarations interleave two records and an insert; the same cell
         // is written twice.

@@ -266,7 +266,8 @@ impl RdeEngine {
         let guard = htap_obs::span("rde.etl");
         let mut copied_rows = 0u64;
         let mut copied_bytes = 0u64;
-        for twin in self.oltp.store().tables() {
+        for rt in self.oltp.tables() {
+            let twin = rt.twin();
             let snapshot = twin.snapshot();
             let (updated, inserted) = twin.take_olap_delta();
             if updated.is_empty() && inserted.is_empty() {
@@ -316,17 +317,17 @@ impl RdeEngine {
             // reports a typed `MissingSource` error instead of this layer
             // panicking mid-schedule.
             let source = match method {
-                AccessMethod::OltpSnapshot => self.oltp.store().table(name).map(|twin| {
-                    ScanSource::contiguous_snapshot(&twin.snapshot(), self.config.oltp_socket)
+                AccessMethod::OltpSnapshot => self.oltp.table(name).map(|rt| {
+                    ScanSource::contiguous_snapshot(&rt.twin().snapshot(), self.config.oltp_socket)
                 }),
                 AccessMethod::OlapLocal => self.olap.store().local_source(name),
-                AccessMethod::Split => self.oltp.store().table(name).and_then(|twin| {
+                AccessMethod::Split => self.oltp.table(name).and_then(|rt| {
                     self.olap.store().table(name).map(|olap_table| {
                         ScanSource::split(
                             Arc::clone(olap_table.table()),
                             olap_table.rows(),
                             self.config.olap_socket,
-                            &twin.snapshot(),
+                            &rt.twin().snapshot(),
                             self.config.oltp_socket,
                         )
                     })

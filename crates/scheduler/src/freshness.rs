@@ -81,7 +81,8 @@ pub fn measure(rde: &RdeEngine, plan: &QueryPlan) -> QueryFreshness {
     // One pass, one dirty-bitmap walk per relation: every relation counts
     // towards Nft (all columns); the ones the query reads also count towards
     // Nfq, restricted to the accessed columns.
-    for twin in rde.oltp().store().tables() {
+    for rt in rde.oltp().tables() {
+        let twin = rt.twin();
         let schema = twin.schema();
         let fresh_rows = twin.fresh_rows_vs_olap();
         let fresh_bytes = fresh_rows * schema.row_width_bytes();

@@ -1,6 +1,6 @@
 //! Typed errors of the storage mutation path.
 //!
-//! The twin store, columnar tables and schemas used to report failures as
+//! The twin tables, columnar tables and schemas used to report failures as
 //! bare `String`s; callers could neither match on the failure kind nor keep
 //! panic-free guarantees honest. `StorageError` names every way a mutation
 //! can fail. The stringly-typed boundary survives only at the RDE facade,
@@ -9,7 +9,8 @@
 use crate::schema::DataType;
 
 /// An error on the storage mutation path (`TwinTable::insert` / `update`,
-/// `TwinStore::create_table`, `ColumnarTable::append_row` / `swap_value`).
+/// `ColumnarTable::append_row` / `swap_value`, and the OLTP engine's
+/// `create_table`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// `create_table` for a name that is already taken.

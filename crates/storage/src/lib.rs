@@ -17,9 +17,11 @@
 //! * read-only **snapshot handles** over an inactive instance, which is what
 //!   the RDE engine hands to the OLAP engine ([`snapshot`]).
 //!
-//! The storage layer is deliberately engine-agnostic: the OLTP engine drives
-//! writes through it, the RDE engine drives instance switches, synchronisation
-//! and ETL, and the OLAP engine only ever sees immutable snapshots.
+//! The storage layer is deliberately engine-agnostic and keeps no registry of
+//! relations: the OLTP engine owns the one name → relation map and drives
+//! writes through it, the RDE engine drives instance switches,
+//! synchronisation and ETL over that map, and the OLAP engine only ever sees
+//! immutable snapshots.
 
 pub mod column;
 pub mod delta;
@@ -42,7 +44,7 @@ pub use schema::{ColumnDef, DataType, TableSchema, Value};
 pub use snapshot::TableSnapshot;
 pub use stats::{ColumnStats, InstanceStats};
 pub use table::ColumnarTable;
-pub use twin::{InstanceId, SyncOutcome, TwinStore, TwinTable};
+pub use twin::{InstanceId, SyncOutcome, TwinTable};
 pub use update_bits::AtomicBitmap;
 
 /// Row identifier within a table. Rows are numbered identically in both twin

@@ -29,8 +29,7 @@ use crate::stats::{InstanceStats, UpdatePresence};
 use crate::table::ColumnarTable;
 use crate::update_bits::AtomicBitmap;
 use crate::RowId;
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,7 +38,7 @@ use std::sync::Arc;
 pub type InstanceId = usize;
 
 /// Result of a switch + twin-instance synchronisation (of one relation, or
-/// summed over a store).
+/// summed over the relations of an engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SyncOutcome {
     /// Records copied from the snapshot instance into the active instance.
@@ -432,80 +431,6 @@ impl TwinTable {
     /// Bytes of one instance of the relation.
     pub fn instance_bytes(&self) -> u64 {
         self.active().bytes()
-    }
-}
-
-/// The whole transactional database: one [`TwinTable`] per relation.
-#[derive(Debug, Default)]
-pub struct TwinStore {
-    tables: RwLock<BTreeMap<String, Arc<TwinTable>>>,
-}
-
-impl TwinStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create a relation. Returns an error if the name is already taken.
-    pub fn create_table(&self, schema: TableSchema) -> Result<Arc<TwinTable>, crate::StorageError> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(&schema.name) {
-            return Err(crate::StorageError::TableExists { table: schema.name });
-        }
-        let table = Arc::new(TwinTable::new(schema.clone()));
-        tables.insert(schema.name.clone(), Arc::clone(&table));
-        Ok(table)
-    }
-
-    /// Look up a relation by name.
-    pub fn table(&self, name: &str) -> Option<Arc<TwinTable>> {
-        self.tables.read().get(name).cloned()
-    }
-
-    /// Names of all relations, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
-    }
-
-    /// All relations.
-    pub fn tables(&self) -> Vec<Arc<TwinTable>> {
-        self.tables.read().values().cloned().collect()
-    }
-
-    /// [`TwinTable::switch_and_sync`] on every relation, in name order;
-    /// returns the totals. The caller holds the OLTP engine's switch gate.
-    pub fn switch_and_sync(&self) -> SyncOutcome {
-        let mut total = SyncOutcome::default();
-        for table in self.tables.read().values() {
-            let synced = table.switch_and_sync();
-            total.copied_records += synced.copied_records;
-            total.copied_bytes += synced.copied_bytes;
-        }
-        total
-    }
-
-    /// Total size of one instance of the database, in bytes.
-    pub fn instance_bytes(&self) -> u64 {
-        self.tables
-            .read()
-            .values()
-            .map(|t| t.instance_bytes())
-            .sum()
-    }
-
-    /// Total number of rows across all relations.
-    pub fn total_rows(&self) -> u64 {
-        self.tables.read().values().map(|t| t.row_count()).sum()
-    }
-
-    /// Total fresh rows with respect to the OLAP instance, across relations.
-    pub fn fresh_rows_vs_olap(&self) -> u64 {
-        self.tables
-            .read()
-            .values()
-            .map(|t| t.fresh_rows_vs_olap())
-            .sum()
     }
 }
 
@@ -921,23 +846,6 @@ mod tests {
             assert_eq!(id, t.get_from(1, r, 0), "row {r} diverged");
             assert_eq!(t.get_from(0, r, 1), t.get_from(1, r, 1), "row {r} diverged");
         }
-    }
-
-    #[test]
-    fn twin_store_creates_and_lists_tables() {
-        let store = TwinStore::new();
-        store.create_table(schema()).unwrap();
-        assert!(store.create_table(schema()).is_err());
-        assert_eq!(store.table_names(), vec!["accounts".to_string()]);
-        assert!(store.table("accounts").is_some());
-        assert!(store.table("missing").is_none());
-
-        let t = store.table("accounts").unwrap();
-        t.insert(&row(1, 10.0)).unwrap();
-        assert_eq!(store.total_rows(), 1);
-        assert_eq!(store.instance_bytes(), 16);
-        assert_eq!(store.switch_and_sync(), SyncOutcome::default());
-        assert_eq!(store.fresh_rows_vs_olap(), 1);
     }
 
     #[test]
