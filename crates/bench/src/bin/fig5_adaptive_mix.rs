@@ -72,6 +72,12 @@ fn run_schedule(args: &HarnessArgs, schedule: Schedule) -> ScheduleRun {
     )
 }
 
+/// Scheduling decisions in `span`'s tree: one per `rde.schedule` span.
+fn count_schedules(span: &htap_obs::Span) -> usize {
+    usize::from(span.name == "rde.schedule")
+        + span.children.iter().map(count_schedules).sum::<usize>()
+}
+
 fn main() {
     let mut args = HarnessArgs::parse();
     if args.smoke {
@@ -194,12 +200,14 @@ fn main() {
     );
 
     // --trace: export everything the run recorded (spans, per-worker events,
-    // RDE decisions) as Chrome trace_event JSON for chrome://tracing.
+    // the RDE decisions derived from the rde.schedule spans) as Chrome
+    // trace_event JSON for chrome://tracing.
     if let Some(path) = &args.trace {
         let json = htap_obs::chrome::chrome_trace_json();
         std::fs::write(path, &json).expect("trace file is writable");
         let totals = htap_obs::obs().event_totals();
-        let decisions = htap_obs::decisions_snapshot();
+        let spans = htap_obs::spans_snapshot();
+        let decisions: usize = spans.iter().map(count_schedules).sum();
         println!();
         println!(
             "trace: wrote {} ({} bytes, {} ring events recorded / {} dropped, \
@@ -208,18 +216,8 @@ fn main() {
             json.len(),
             totals.recorded,
             totals.dropped,
-            htap_obs::spans_snapshot().len(),
-            decisions.len()
+            spans.len(),
+            decisions
         );
-        let snapshot = htap_obs::metrics_snapshot();
-        for (name, value) in &snapshot.counters {
-            println!("  counter {name} = {value}");
-        }
-        for (name, summary) in &snapshot.histograms {
-            println!(
-                "  histogram {name}: n={} p50={} p99={} max={}",
-                summary.count, summary.p50, summary.p99, summary.max
-            );
-        }
     }
 }

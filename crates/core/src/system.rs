@@ -346,9 +346,6 @@ impl HtapSystem {
                 guard.arg("result_rows", report.result_rows as f64);
                 guard.arg("oltp_tps", report.oltp_tps);
             }
-            // Per-query freshness distribution in parts-per-million (the rate
-            // is in [0,1]; the log-linear histogram needs integer-scale values).
-            htap_obs::histogram("query.freshness_ppm").record_scaled(report.freshness_rate, 1e6);
             out.push((report, execution.output));
         }
         Ok(out)

@@ -215,7 +215,6 @@ impl Window {
             report.oltp_tps = oltp_tps;
             report.oltp_tps_measured = true;
             report.oltp_sample_window = share;
-            htap_obs::histogram("oltp.tps_measured").record_scaled(oltp_tps, 1.0);
         }
     }
 }

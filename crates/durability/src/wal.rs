@@ -220,7 +220,6 @@ impl Wal {
                         batch_records,
                         htap_obs::now_us().saturating_sub(t_flush),
                     );
-                    htap_obs::histogram("wal.fsync_batch_records").record(batch_records);
                 }
 
                 st = lock(&sh.state);

@@ -1,19 +1,19 @@
 //! Chrome `trace_event` JSON export: one self-contained string covering the
-//! span log, every ring lane, and the RDE decision log, loadable in
-//! `chrome://tracing` or Perfetto.
+//! span log and every ring lane, loadable in `chrome://tracing` or Perfetto.
 //!
 //! Layout: pid 1, with tid 0 carrying the query span trees, tid `lane+1`
 //! carrying that ring lane's events (named after the lane:
-//! `olap-worker-3`, `oltp-ingest-0`, `aux-1`), and the final tid carrying
-//! RDE decisions as instant events. Interval events (`ph: "X"`) come out of
-//! single completion-records (`ts` = start, `dur` = the payload word);
-//! packed `txn-commit` events are re-inflated into a commit span with
-//! lock/wal-wait/apply children, so commit trees cost nothing on the hot
-//! path. The JSON is hand-rolled (the repo's serde shim has no serializer)
-//! and escapes every dynamic string.
+//! `olap-worker-3`, `oltp-ingest-0`, `aux-1`), and the final tid
+//! (`rde-scheduler`) carrying one instant per `rde.schedule` span, named
+//! after how its OLAP grant compares with the previous one's. Interval
+//! events (`ph: "X"`) come out of single completion-records (`ts` = start,
+//! `dur` = the payload word); packed `txn-commit` events are re-inflated
+//! into a commit span with lock/wal-wait/apply children, so commit trees
+//! cost nothing on the hot path. The JSON is hand-rolled (the repo's serde
+//! shim has no serializer) and escapes every dynamic string.
 //!
 //! Ring lanes are *drained* by the export (successive exports carry only
-//! new events); spans and decisions are snapshotted without draining.
+//! new events); spans are snapshotted without draining.
 
 use crate::event::{unpack_morsel, unpack_phases, Event, EventKind};
 use crate::span::Span;
@@ -95,12 +95,12 @@ impl TraceWriter {
     }
 }
 
-/// Span trees go on tid 0 as nested complete events (Chrome nests `X`
-/// events on one tid by time containment).
-fn write_span(w: &mut TraceWriter, span: &Span) {
+/// A span's detail (under `detail_key`, when set) and numeric args as the
+/// body of a JSON `args` object.
+fn args_json(span: &Span, detail_key: &str) -> String {
     let mut args = String::new();
     if !span.detail.is_empty() {
-        args.push_str(&format!("\"detail\":\"{}\"", esc(&span.detail)));
+        args.push_str(&format!("\"{detail_key}\":\"{}\"", esc(&span.detail)));
     }
     for (k, v) in &span.args {
         if !args.is_empty() {
@@ -108,11 +108,60 @@ fn write_span(w: &mut TraceWriter, span: &Span) {
         }
         args.push_str(&format!("\"{}\":{}", esc(k), num(*v)));
     }
+    args
+}
+
+/// Span trees go on tid 0 as nested complete events (Chrome nests `X`
+/// events on one tid by time containment).
+fn write_span(w: &mut TraceWriter, span: &Span) {
     // Zero-duration spans still need dur >= 1 to be visible/nestable.
     let dur = span.duration_us().max(1);
-    w.complete(span.name, 0, span.start_us, dur, &args);
+    w.complete(span.name, 0, span.start_us, dur, &args_json(span, "detail"));
     for child in &span.children {
         write_span(w, child);
+    }
+}
+
+/// Every `rde.schedule` span in `span`'s tree, depth-first.
+fn collect_schedules<'a>(span: &'a Span, out: &mut Vec<&'a Span>) {
+    if span.name == "rde.schedule" {
+        out.push(span);
+    }
+    for child in &span.children {
+        collect_schedules(child, out);
+    }
+}
+
+/// The RDE decision track: one instant per `rde.schedule` span, in start
+/// order, at the span's end (when the grant took effect). The name
+/// classifies the span's `olap_cores` against the previous span's; the
+/// args are the span's args plus its state.
+fn write_decisions(w: &mut TraceWriter, roots: &[Span]) {
+    let mut schedules = Vec::new();
+    for root in roots {
+        collect_schedules(root, &mut schedules);
+    }
+    if schedules.is_empty() {
+        return;
+    }
+    schedules.sort_by_key(|s| s.start_us);
+    let tid = crate::OLAP_LANES + crate::OLTP_LANES + crate::AUX_LANES + 1;
+    w.thread_name(tid, "rde-scheduler");
+    let mut prev: Option<f64> = None;
+    for s in schedules {
+        let olap = s
+            .args
+            .iter()
+            .find(|(k, _)| *k == "olap_cores")
+            .map_or(0.0, |(_, v)| *v);
+        let name = match prev {
+            None => "rde-initial",
+            Some(p) if olap > p => "rde-grant-olap",
+            Some(p) if olap < p => "rde-revoke-olap",
+            Some(_) => "rde-hold",
+        };
+        prev = Some(olap);
+        w.instant(name, tid, s.end_us, &args_json(s, "state"));
     }
 }
 
@@ -173,14 +222,6 @@ fn write_event(w: &mut TraceWriter, tid: usize, e: &Event) {
         EventKind::TxnAbort => {
             w.instant(e.kind.name(), tid, e.ts_us, &format!("\"worker\":{}", e.a));
         }
-        EventKind::TxnRetry => {
-            w.instant(
-                e.kind.name(),
-                tid,
-                e.ts_us,
-                &format!("\"worker\":{},\"attempt\":{}", e.a, e.b),
-            );
-        }
         EventKind::CheckpointBegin => {
             w.instant(
                 e.kind.name(),
@@ -203,7 +244,7 @@ fn write_event(w: &mut TraceWriter, tid: usize, e: &Event) {
 
 /// Export everything recorded so far as Chrome `trace_event` JSON. Ring
 /// lanes are drained (a second export carries only newer events); spans
-/// and RDE decisions are snapshotted.
+/// are snapshotted.
 pub fn chrome_trace_json() -> String {
     let mut w = TraceWriter::new();
     w.push(
@@ -213,8 +254,9 @@ pub fn chrome_trace_json() -> String {
     );
     w.thread_name(0, "queries");
 
-    for span in crate::spans_snapshot() {
-        write_span(&mut w, &span);
+    let spans = crate::spans_snapshot();
+    for span in &spans {
+        write_span(&mut w, span);
     }
 
     let (lanes, _dropped) = crate::drain_events();
@@ -226,29 +268,7 @@ pub fn chrome_trace_json() -> String {
         }
     }
 
-    let rde_tid = crate::OLAP_LANES + crate::OLTP_LANES + crate::AUX_LANES + 1;
-    let decisions = crate::decisions_snapshot();
-    if !decisions.is_empty() {
-        w.thread_name(rde_tid, "rde-scheduler");
-    }
-    for d in decisions {
-        let name = format!("rde-{}", d.action);
-        let args = format!(
-            "\"query\":\"{}\",\"freshness\":{},\"pending_delta_rows\":{},\
-             \"active_oltp_workers\":{},\"state\":\"{}\",\"oltp_cores\":{},\
-             \"olap_cores\":{},\"modeled_time_s\":{}",
-            esc(&d.query),
-            num(d.freshness),
-            d.pending_delta_rows,
-            d.active_oltp_workers,
-            esc(&d.state),
-            d.oltp_cores,
-            d.olap_cores,
-            num(d.modeled_time_s),
-        );
-        w.instant(&name, rde_tid, d.ts_us, &args);
-    }
-
+    write_decisions(&mut w, &spans);
     w.finish()
 }
 
@@ -388,20 +408,15 @@ mod tests {
             pack_phases(10, 500, 20),
         );
         crate::record_thread(EventKind::TxnAbort, crate::now_us(), 2, 0);
-        crate::record_thread(EventKind::TxnRetry, crate::now_us(), 2, 1);
         crate::record_thread(EventKind::CheckpointBegin, crate::now_us(), 5, 0);
         crate::record_thread(EventKind::CheckpointEnd, crate::now_us(), 9, 3000);
-        // One decision.
-        crate::record_decision(crate::DecisionInputs {
-            query: "Q1".into(),
-            freshness: 0.5,
-            pending_delta_rows: 123,
-            active_oltp_workers: 4,
-            state: "S3-NI".into(),
-            oltp_cores: 12,
-            olap_cores: 4,
-            modeled_time_s: 0.05,
-        });
+        // One scheduling decision.
+        {
+            let g = crate::span("rde.schedule");
+            g.detail("S3-NI");
+            g.arg("pending_delta_rows", 123.0);
+            g.arg("olap_cores", 4.0);
+        }
 
         let json = chrome_trace_json();
         assert_valid_json(&json);
@@ -415,10 +430,64 @@ mod tests {
             "\"checkpoint-end\"",
             "\"query\"",
             "rde-",
-            "\"pending_delta_rows\":123",
+            "\"state\":\"S3-NI\",\"pending_delta_rows\":123",
             "olap-worker-0",
         ] {
             assert!(json.contains(needle), "export lacks {needle}: {json}");
         }
+    }
+
+    /// A bare `rde.schedule` span granting `olap` cores, starting at `start`.
+    fn schedule(start: u64, olap: f64) -> Span {
+        Span {
+            name: "rde.schedule",
+            detail: "S3-NI".into(),
+            start_us: start,
+            end_us: start + 1,
+            args: vec![("olap_cores", olap)],
+            children: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn decisions_classify_against_the_previous_schedule() {
+        // Four decisions granting 4, 8, 8, 2 OLAP cores, nested under two
+        // query roots whose order differs from the decisions' start order.
+        let root = |start: u64, children: Vec<Span>| Span {
+            name: "query",
+            detail: String::new(),
+            start_us: start,
+            end_us: start + 10,
+            args: Vec::new(),
+            children,
+        };
+        let roots = [
+            root(20, vec![schedule(21, 8.0), schedule(31, 2.0)]),
+            root(0, vec![schedule(1, 4.0), schedule(11, 8.0)]),
+        ];
+        let mut w = TraceWriter::new();
+        write_decisions(&mut w, &roots);
+        let json = w.finish();
+        assert_valid_json(&json);
+        let instants: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"ph\":\"i\""))
+            .collect();
+        let names: Vec<&str> = instants
+            .iter()
+            .filter_map(|l| l.strip_prefix("{\"name\":\"")?.split('"').next())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "rde-initial",
+                "rde-grant-olap",
+                "rde-hold",
+                "rde-revoke-olap"
+            ]
+        );
+        assert!(instants
+            .iter()
+            .all(|l| l.contains("\"state\":\"S3-NI\",\"olap_cores\":")));
     }
 }

@@ -40,9 +40,6 @@ pub enum EventKind {
     TxnCommit = 6,
     /// One transaction aborted (terminally). `a` = worker id, `b` = 0.
     TxnAbort = 7,
-    /// One transaction aborted and will be retried. `a` = worker id,
-    /// `b` = retry attempt number (1-based).
-    TxnRetry = 8,
     /// A checkpoint attempt started inside the switch-gate quiescence
     /// window. `a` = instance switches seen so far, `b` = 0.
     CheckpointBegin = 9,
@@ -63,7 +60,6 @@ impl EventKind {
             5 => EventKind::WalFsyncBatch,
             6 => EventKind::TxnCommit,
             7 => EventKind::TxnAbort,
-            8 => EventKind::TxnRetry,
             9 => EventKind::CheckpointBegin,
             10 => EventKind::CheckpointEnd,
             _ => return None,
@@ -80,7 +76,6 @@ impl EventKind {
             EventKind::WalFsyncBatch => "wal-fsync-batch",
             EventKind::TxnCommit => "txn-commit",
             EventKind::TxnAbort => "txn-abort",
-            EventKind::TxnRetry => "txn-retry",
             EventKind::CheckpointBegin => "checkpoint-begin",
             EventKind::CheckpointEnd => "checkpoint-end",
         }
@@ -163,7 +158,6 @@ mod tests {
             EventKind::WalFsyncBatch,
             EventKind::TxnCommit,
             EventKind::TxnAbort,
-            EventKind::TxnRetry,
             EventKind::CheckpointBegin,
             EventKind::CheckpointEnd,
         ] {
@@ -171,6 +165,7 @@ mod tests {
             assert!(!k.name().is_empty());
         }
         assert_eq!(EventKind::from_u8(0), None);
+        assert_eq!(EventKind::from_u8(8), None);
         assert_eq!(EventKind::from_u8(99), None);
     }
 

@@ -1,25 +1,28 @@
 //! # htap-obs — always-on, low-overhead observability
 //!
-//! The cross-cutting tracing and metrics layer of the adaptive-HTAP stack:
+//! The cross-cutting tracing layer of the adaptive-HTAP stack. It keeps two
+//! records — ring events and span trees — and derives everything else from
+//! them; the always-on counts stay with the types that own them
+//! (`WorkerManager::live_counts`, `TxnStats`, `Wal::stats`,
+//! `DurabilityStats`, [`Obs::event_totals`]):
 //!
 //! * **Per-worker event rings** ([`ring::EventRing`]) — fixed-capacity,
 //!   pre-allocated, lock-free rings, one lane per OLAP pipeline worker,
 //!   OLTP ingest worker and auxiliary thread (flush leader, coordinator),
 //!   recording typed [`event::Event`]s: morsels, pipeline breakers, WAL
-//!   fsync batches, commits/aborts/retries, checkpoints. Recording is
+//!   fsync batches, commits/aborts, checkpoints. Recording is
 //!   wait-free and allocation-free, so the zero-steady-state-allocation
 //!   invariant (`tests/alloc_steady_state.rs`) holds with tracing live.
 //! * **Span trees** ([`span`]) — `execute_sql` produces a
 //!   parse→bind→plan→execute hierarchy with per-pipeline children and
 //!   per-worker morsel rollups; commits stay span-free on the hot path
-//!   (one packed ring event, re-inflated at export).
-//! * **The RDE decision log** ([`decision`]) — every grant/revoke/hold
-//!   with the scheduler's inputs, making fig5 runs explainable.
-//! * **A metrics registry** ([`metrics`]) — named counters, gauges and
-//!   log-linear histograms with a [`metrics::MetricsSnapshot`] API.
+//!   (one packed ring event, re-inflated at export). Each `rde.schedule`
+//!   span is the record of one scheduling decision: the scheduler's inputs,
+//!   the core grant and the chosen state.
 //! * **A Chrome `trace_event` exporter** ([`chrome`]) — one JSON string
-//!   covering rings + spans + decisions, loadable in `chrome://tracing`
-//!   or [Perfetto](https://ui.perfetto.dev).
+//!   covering rings + spans, with the RDE grant/revoke/hold track derived
+//!   from the `rde.schedule` spans, loadable in `chrome://tracing` or
+//!   [Perfetto](https://ui.perfetto.dev).
 //!
 //! Tracing is on by default and can be toggled at runtime with
 //! [`set_enabled`] — `bench_e2e` measures the enabled-vs-disabled latency
@@ -28,23 +31,19 @@
 
 pub mod chrome;
 pub mod clock;
-pub mod decision;
 pub mod event;
-pub mod metrics;
 pub mod ring;
 pub mod span;
 
 pub use clock::now_us;
-pub use decision::{decisions_snapshot, record_decision, DecisionInputs, RdeDecision};
 pub use event::{pack_morsel, pack_phases, unpack_morsel, unpack_phases, Event, EventKind};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot, Registry};
 pub use ring::{EventRing, RingStats};
-pub use span::{child_span, span, span_arg, spans_dropped, spans_snapshot, Span, SpanGuard};
+pub use span::{child_span, span, spans_dropped, spans_snapshot, Span, SpanGuard};
 
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Ring lanes reserved for OLAP pipeline workers (indexed by worker id
 /// within a team; teams larger than this share lanes modulo).
@@ -64,8 +63,6 @@ pub struct Obs {
     aux_next: AtomicUsize,
     pipeline_seq: AtomicU64,
     pub(crate) spans: Mutex<span::SpanLog>,
-    pub(crate) decisions: Mutex<decision::DecisionLog>,
-    registry: Registry,
 }
 
 impl Obs {
@@ -79,14 +76,7 @@ impl Obs {
             aux_next: AtomicUsize::new(0),
             pipeline_seq: AtomicU64::new(0),
             spans: Mutex::new(span::SpanLog::default()),
-            decisions: Mutex::new(decision::DecisionLog::default()),
-            registry: Registry::default(),
         }
-    }
-
-    /// The metrics registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Total bytes pre-allocated for ring slots across every lane.
@@ -150,7 +140,7 @@ thread_local! {
 }
 
 /// Bind the current thread to the OLTP ingest lane for `worker_id`.
-/// Called once at ingest-thread start; commit/abort/retry events recorded
+/// Called once at ingest-thread start; commit/abort events recorded
 /// from this thread land in that worker's ring.
 pub fn bind_thread_oltp(worker_id: usize) {
     let _ = THREAD_LANE.try_with(|c| c.set(Some(OLAP_LANES + worker_id % OLTP_LANES)));
@@ -220,27 +210,6 @@ pub fn drain_events() -> (Vec<(usize, Vec<Event>)>, u64) {
     (out, dropped)
 }
 
-/// Convenience: the counter registered under `name` in the global registry.
-pub fn counter(name: &'static str) -> Arc<Counter> {
-    obs().registry.counter(name)
-}
-
-/// Convenience: the gauge registered under `name` in the global registry.
-pub fn gauge(name: &'static str) -> Arc<Gauge> {
-    obs().registry.gauge(name)
-}
-
-/// Convenience: the histogram registered under `name` in the global
-/// registry.
-pub fn histogram(name: &'static str) -> Arc<Histogram> {
-    obs().registry.histogram(name)
-}
-
-/// Convenience: snapshot of the global registry.
-pub fn metrics_snapshot() -> MetricsSnapshot {
-    obs().registry.snapshot()
-}
-
 #[cfg(test)]
 pub(crate) fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -270,7 +239,7 @@ mod tests {
         std::thread::spawn(|| {
             bind_thread_oltp(3);
             record_thread(EventKind::TxnAbort, now_us(), 3, 0);
-            record_thread(EventKind::TxnRetry, now_us(), 3, 1);
+            record_thread(EventKind::TxnAbort, now_us(), 3, 1);
         })
         .join()
         .unwrap();

@@ -235,8 +235,8 @@ mod tests {
         let ring = EventRing::with_capacity(32);
         ring.record(EventKind::TxnAbort, 1, 0, 0);
         assert_eq!(ring.drain().events.len(), 1);
-        ring.record(EventKind::TxnRetry, 2, 0, 1);
-        ring.record(EventKind::TxnRetry, 3, 0, 2);
+        ring.record(EventKind::CheckpointBegin, 2, 0, 1);
+        ring.record(EventKind::CheckpointBegin, 3, 0, 2);
         let d = ring.drain();
         assert_eq!(d.events.len(), 2);
         assert_eq!(d.events[0].ts_us, 2);

@@ -65,11 +65,6 @@ impl Span {
         self.end_us.saturating_sub(self.start_us)
     }
 
-    /// Total number of spans in this tree (self included).
-    pub fn tree_len(&self) -> usize {
-        1 + self.children.iter().map(Span::tree_len).sum::<usize>()
-    }
-
     /// Depth-first search for a descendant (or self) by name.
     pub fn find(&self, name: &str) -> Option<&Span> {
         if self.name == name {
@@ -179,15 +174,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { depth }
 }
 
-/// Attach a numeric annotation to the innermost open span, if any.
-pub fn span_arg(key: &'static str, value: f64) {
-    with_stack(|stack| {
-        if let Some(span) = stack.last_mut() {
-            span.args.push((key, value));
-        }
-    });
-}
-
 /// Append an already-timed child span to the innermost open span (or to the
 /// global log as a root when none is open). Used for per-worker morsel
 /// rollups, whose bounds are measured outside the span stack.
@@ -284,7 +270,6 @@ mod tests {
         assert_eq!(child.children.len(), 1);
         assert_eq!(child.children[0].name, "test.rollup");
         assert_eq!(child.children[0].duration_us(), 4);
-        assert_eq!(root.tree_len(), 3);
         assert!(root.find("test.rollup").is_some());
         assert!(root.find("nope").is_none());
     }

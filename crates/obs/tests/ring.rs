@@ -33,7 +33,7 @@ fn overflow_never_blocks_a_writer() {
     // No drain at all: writers keep making progress forever.
     let ring = EventRing::with_capacity(8);
     for i in 0..10_000u64 {
-        ring.record(EventKind::TxnRetry, i, 0, i);
+        ring.record(EventKind::TxnAbort, i, 0, i);
     }
     assert_eq!(ring.stats().recorded, 10_000);
     let d = ring.drain();

@@ -32,7 +32,7 @@
 //!   merged radix-partitioned by key hash (see ARCHITECTURE.md, "Chunked
 //!   kernels & radix-partitioned aggregation").
 //! * [`dag`] — the one plan type, [`QueryPlan`]: a composable operator DAG
-//!   of scan/filter/project/hash-build/hash-probe/hash-aggregate plus the
+//!   of scan/filter/hash-build/hash-probe/hash-aggregate plus the
 //!   having/sort/limit finishers, validated and flattened once by
 //!   [`DagBuilder::finish`] — so a plan value is executable by construction
 //!   and lists the relations and columns it touches, which is exactly what

@@ -213,12 +213,8 @@ impl WorkerManager {
                     .name(format!("oltp-ingest-{worker_id}"))
                     .spawn(move || {
                         // Route this thread's ring events (commit, abort) to
-                        // its own oltp-ingest lane, and fetch the
-                        // named-counter handles once — increments on the
-                        // transaction path are then relaxed atomic adds.
+                        // its own oltp-ingest lane.
                         htap_obs::bind_thread_oltp(worker_id);
-                        let m_committed = htap_obs::counter("oltp.txn.committed");
-                        let m_aborted = htap_obs::counter("oltp.txn.aborted");
                         // The worker's core, when it is inside the current
                         // grant.
                         let granted_core =
@@ -234,10 +230,8 @@ impl WorkerManager {
                             };
                             if body(worker_id, core, txn_index) {
                                 shared.committed[worker_id].fetch_add(1, Ordering::Release);
-                                m_committed.inc();
                             } else {
                                 shared.aborted[worker_id].fetch_add(1, Ordering::Release);
-                                m_aborted.inc();
                                 htap_obs::record_thread(
                                     htap_obs::EventKind::TxnAbort,
                                     htap_obs::now_us(),

@@ -95,7 +95,6 @@ pub struct RdeEngine {
     olap: Arc<OlapEngine>,
     /// The split in force; [`RdeEngine::grant`] is its only writer.
     pub(crate) split: Mutex<CoreSplit>,
-    cost: CostModel,
     interference: InterferenceModel,
     clock: SimClock,
 }
@@ -110,7 +109,6 @@ impl RdeEngine {
         let split = crate::migration::bootstrap_split(&config);
 
         let engine = RdeEngine {
-            cost: CostModel::new(config.topology.clone()),
             interference: InterferenceModel::new(config.topology.clone()),
             clock: SimClock::new(),
             oltp,
@@ -142,9 +140,9 @@ impl RdeEngine {
         &self.clock
     }
 
-    /// The cost model used for modelled times.
+    /// The cost model used for modelled times: the OLAP engine's.
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+        self.olap.cost_model()
     }
 
     /// A human-readable description of the current CPU distribution.
@@ -246,7 +244,10 @@ impl RdeEngine {
             .map_or(64, |b| b.max(1));
         // The RDE engine synchronises with a couple of helper threads; the
         // paper reports ~10 ms for ~1 M modified tuples.
-        let modeled_time = self.cost.sync_time(synced_records, bytes_per_record, 2);
+        let modeled_time = self
+            .olap
+            .cost_model()
+            .sync_time(synced_records, bytes_per_record, 2);
         self.clock.advance(Activity::InstanceSync, modeled_time);
 
         if guard.is_active() {
@@ -281,16 +282,13 @@ impl RdeEngine {
             .olap_placement()
             .cores_on(self.config.olap_socket)
             .max(1);
-        let modeled_time = if copied_bytes == 0 {
-            0.0
-        } else {
-            self.cost.transfer_time(&TransferWork {
-                bytes: copied_bytes,
-                from: self.config.oltp_socket,
-                to: self.config.olap_socket,
-                cores,
-            })
-        };
+        // An empty delta models to zero time.
+        let modeled_time = self.olap.cost_model().transfer_time(&TransferWork {
+            bytes: copied_bytes,
+            from: self.config.oltp_socket,
+            to: self.config.olap_socket,
+            cores,
+        });
         self.clock.advance(Activity::DataTransfer, modeled_time);
 
         if guard.is_active() {

@@ -89,20 +89,19 @@ impl HtapScheduler {
         }
         let tables: Vec<&str> = plan.tables();
         if guard.is_active() {
+            // The decision record: the scheduler's inputs, the grant and
+            // the chosen state (the Chrome export derives the
+            // grant/revoke/hold track from consecutive spans).
             guard.arg("freshness", freshness.freshness_rate());
             guard.arg("pending_delta_rows", freshness.total_fresh_rows as f64);
+            guard.arg(
+                "active_oltp_workers",
+                self.rde.oltp().worker_manager().active_workers() as f64,
+            );
+            guard.arg("oltp_cores", migration.oltp_cores as f64);
             guard.arg("olap_cores", migration.olap_cores as f64);
+            guard.arg("modeled_time_s", migration.modeled_time);
             guard.detail(state.label());
-            htap_obs::record_decision(htap_obs::DecisionInputs {
-                query: tables.join(","),
-                freshness: freshness.freshness_rate(),
-                pending_delta_rows: freshness.total_fresh_rows,
-                active_oltp_workers: self.rde.oltp().worker_manager().active_workers() as u64,
-                state: state.label().to_string(),
-                oltp_cores: migration.oltp_cores,
-                olap_cores: migration.olap_cores,
-                modeled_time_s: migration.modeled_time,
-            });
         }
         let sources = self.rde.sources_for(&tables, migration.access);
         ScheduledQuery {

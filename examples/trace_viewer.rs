@@ -1,6 +1,7 @@
 //! Trace viewer: run a short mixed HTAP workload with tracing live, print
-//! the recorded span trees, RDE decisions and metrics to the terminal, and
-//! export the whole run as Chrome `trace_event` JSON.
+//! the recorded span trees to the terminal (each `rde.schedule` span with
+//! the scheduler's inputs, core grant and state), and export the whole run
+//! as Chrome `trace_event` JSON.
 //!
 //! Run with: `cargo run --example trace_viewer --release [-- out.json]`
 //!
@@ -60,43 +61,8 @@ fn main() -> Result<(), String> {
         print_span(&span, 0);
     }
 
-    // The RDE decision log: why the scheduler granted/revoked cores.
-    println!();
-    println!("=== rde decisions ===");
-    for d in obs::decisions_snapshot() {
-        println!(
-            "{:>10}µs {:<12} {} freshness={:.3} pending={} oltp_workers={} \
-             cores oltp/olap={}/{} ({})",
-            d.ts_us,
-            d.action,
-            d.state,
-            d.freshness,
-            d.pending_delta_rows,
-            d.active_oltp_workers,
-            d.oltp_cores,
-            d.olap_cores,
-            d.query
-        );
-    }
-
-    // Metrics registry snapshot: counters and log-linear histograms.
-    println!();
-    println!("=== metrics ===");
-    let snapshot = obs::metrics_snapshot();
-    for (name, value) in &snapshot.counters {
-        println!("counter   {name} = {value}");
-    }
-    for (name, value) in &snapshot.gauges {
-        println!("gauge     {name} = {value}");
-    }
-    for (name, h) in &snapshot.histograms {
-        println!(
-            "histogram {name}: n={} mean={:.1} p50={} p95={} p99={} max={}",
-            h.count, h.mean, h.p50, h.p95, h.p99, h.max
-        );
-    }
-
-    // Export everything (spans + ring events + decisions) as Chrome JSON.
+    // Export everything (spans + ring events, with the decision track
+    // derived from the rde.schedule spans) as Chrome JSON.
     let json = obs::chrome::chrome_trace_json();
     std::fs::write(&out, &json).map_err(|e| format!("write {out}: {e}"))?;
     let totals = obs::obs().event_totals();

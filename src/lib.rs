@@ -21,10 +21,11 @@
 //!   column-segment checkpoints, crash recovery, fault-injectable storage.
 //! * [`baselines`](htap_baselines) — the Figure-1 ETL and CoW baselines (the
 //!   ETL baseline is the system's isolated state S2).
-//! * [`obs`](htap_obs) — always-on tracing and metrics: per-worker event
-//!   rings, span trees, the RDE decision log, a metrics registry and a
-//!   Chrome `trace_event` exporter (see the *Observability* section of
-//!   ARCHITECTURE.md and `examples/trace_viewer.rs`).
+//! * [`obs`](htap_obs) — always-on tracing: per-worker event rings and span
+//!   trees (each `rde.schedule` span records one scheduling decision), and a
+//!   Chrome `trace_event` exporter that derives the RDE decision track from
+//!   them (see the *Observability* section of ARCHITECTURE.md and
+//!   `examples/trace_viewer.rs`).
 //!
 //! The crate layering (sim → storage → engines → rde → scheduler → core) and
 //! the morsel-driven parallel execution flow are documented in

@@ -1,11 +1,11 @@
 //! End-to-end observability: a real system run must leave a coherent
-//! picture in every collector — span trees for queries, ring events for
-//! commits and morsels, decisions for the scheduler, metrics for the
-//! registry — and the Chrome export must carry all of it as parseable
-//! JSON.
+//! picture in both records — span trees for queries (each `rde.schedule`
+//! span being one scheduler decision), ring events for commits and
+//! morsels — and the Chrome export must carry all of it, with the decision
+//! track derived from the spans.
 //!
-//! The obs state is process-global (rings, span log, registry, the
-//! enabled flag), so the tests in this binary serialise on one mutex.
+//! The obs state is process-global (rings, span log, the enabled flag), so
+//! the tests in this binary serialise on one mutex.
 
 use adaptive_htap::core::SchedulerPolicy;
 use adaptive_htap::storage::Value;
@@ -25,6 +25,16 @@ fn find_span<'a>(spans: &'a [obs::Span], name: &str) -> Option<&'a obs::Span> {
         }
     }
     None
+}
+
+/// Every span named `name` in the trees of `spans`, depth-first.
+fn all_spans<'a>(spans: &'a [obs::Span], name: &str, out: &mut Vec<&'a obs::Span>) {
+    for s in spans {
+        if s.name == name {
+            out.push(s);
+        }
+        all_spans(&s.children, name, out);
+    }
 }
 
 /// Run the continuous ingest pool until at least `commits` transactions
@@ -47,7 +57,9 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
     obs::set_enabled(true);
     let system = HtapSystem::build(HtapConfig::tiny()).expect("system builds");
     let events_before = obs::obs().event_totals().recorded;
-    let decisions_before = obs::decisions_snapshot().len();
+    let spans_before = obs::spans_snapshot();
+    let mut schedules_before = Vec::new();
+    all_spans(&spans_before, "rde.schedule", &mut schedules_before);
 
     let live = ingest_at_least(&system, 20);
     assert!(live.committed >= 20);
@@ -92,32 +104,30 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
         "no ring events recorded by the run"
     );
 
-    // Decision log: one decision per scheduled query, carrying the
-    // scheduler's inputs.
-    let decisions = obs::decisions_snapshot();
-    assert!(decisions.len() >= decisions_before + 2);
-    let last = decisions.last().unwrap();
-    assert!(!last.state.is_empty() && !last.action.is_empty());
-    assert!((0.0..=1.0).contains(&last.freshness));
-
-    // Metrics registry: the standing counters and histograms moved.
-    let snapshot = obs::metrics_snapshot();
-    let committed_counter = snapshot
-        .counters
-        .get("oltp.txn.committed")
-        .copied()
-        .unwrap_or(0);
-    assert!(
-        committed_counter >= live.committed,
-        "committed counter ({committed_counter}) lags the live snapshot ({})",
-        live.committed
-    );
-    let freshness = snapshot
-        .histograms
-        .get("query.freshness_ppm")
-        .expect("freshness histogram exists");
-    assert!(freshness.count >= 2);
-    assert!(freshness.max <= 1_000_000);
+    // Decisions: one rde.schedule span per scheduled query, carrying the
+    // chosen state and the scheduler's inputs and grant.
+    let mut schedules = Vec::new();
+    all_spans(&spans, "rde.schedule", &mut schedules);
+    assert!(schedules.len() >= schedules_before.len() + 2);
+    for schedule in &schedules {
+        assert!(!schedule.detail.is_empty(), "rde.schedule without a state");
+        for key in [
+            "freshness",
+            "pending_delta_rows",
+            "active_oltp_workers",
+            "oltp_cores",
+            "olap_cores",
+            "modeled_time_s",
+        ] {
+            assert!(
+                schedule.args.iter().any(|(k, _)| *k == key),
+                "rde.schedule lacks {key}: {:?}",
+                schedule.args
+            );
+        }
+        let freshness = schedule.args.iter().find(|(k, _)| *k == "freshness");
+        assert!((0.0..=1.0).contains(&freshness.unwrap().1));
+    }
 
     // With the pool stopped, the live counts read all-zero.
     assert_eq!(
@@ -125,8 +135,9 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
         adaptive_htap::oltp::OltpCounts::default()
     );
 
-    // Chrome export: carries all three sources, and a second export only
-    // drains ring events recorded since the first.
+    // Chrome export: carries spans, ring events and one decision instant
+    // per rde.schedule span, and a second export only drains ring events
+    // recorded since the first.
     let json = obs::chrome::chrome_trace_json();
     for needle in [
         "\"traceEvents\"",
@@ -139,6 +150,15 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
         assert!(json.contains(needle), "export lacks {needle}");
     }
     assert!(json.trim_end().ends_with('}'));
+    let decision_instants = json
+        .lines()
+        .filter(|l| l.starts_with("{\"name\":\"rde-") && l.contains("\"ph\":\"i\""))
+        .count();
+    assert_eq!(
+        decision_instants,
+        schedules.len(),
+        "the decision track must hold one instant per rde.schedule span"
+    );
     let drained_once = obs::obs().event_totals().drained;
     let _second = obs::chrome::chrome_trace_json();
     assert_eq!(
@@ -155,11 +175,7 @@ fn disabling_tracing_stops_recording_but_not_the_metrics_registry() {
     obs::set_enabled(false);
     let events_before = obs::obs().event_totals().recorded;
     let spans_before = obs::spans_snapshot().len();
-    let counter_before = obs::metrics_snapshot()
-        .counters
-        .get("oltp.txn.committed")
-        .copied()
-        .unwrap_or(0);
+    let committed_before = system.txn_driver().stats().committed();
     let live = ingest_at_least(&system, 5);
     system.execute_query(QueryId::Q1).expect("Q1 executes");
     assert_eq!(
@@ -172,13 +188,10 @@ fn disabling_tracing_stops_recording_but_not_the_metrics_registry() {
         spans_before,
         "disabled tracing must not open spans"
     );
-    // The registry is a separate concern: counters keep counting.
-    let committed_counter = obs::metrics_snapshot()
-        .counters
-        .get("oltp.txn.committed")
-        .copied()
-        .unwrap_or(0);
-    assert!(committed_counter >= counter_before + live.committed);
+    // The engines' typed counters are a separate concern: they keep
+    // counting (the live counts reached 5 while tracing was off).
+    assert!(live.committed >= 5);
+    assert!(system.txn_driver().stats().committed() >= committed_before + live.committed);
     obs::set_enabled(true);
 }
 
