@@ -7,12 +7,14 @@
 //! snapshot window — and the more snapshots are taken (small query batches),
 //! the more copies are paid. Analytical queries read the unified storage on
 //! the transactional engine's socket, so they also contend for its memory
-//! bandwidth.
+//! bandwidth. A window's copies are the pages of the rows it updated, read
+//! from each relation's freshness ledger (`TwinTable::take_olap_delta`);
+//! appended rows land on pages no live snapshot shares and copy nothing.
 
 use crate::BaselinePoint;
 use htap_olap::QueryPlan;
 use htap_rde::{AccessMethod, RdeEngine};
-use std::collections::BTreeSet;
+use htap_storage::RowId;
 
 /// The copy-on-write baseline.
 #[derive(Debug, Clone, Copy)]
@@ -31,24 +33,14 @@ impl Default for CowBaseline {
 }
 
 impl CowBaseline {
-    /// Number of pages the transactional engine dirtied since the previous
-    /// snapshot, i.e. the pages a live snapshot forces it to copy.
-    /// Computed from the per-relation delta (updated rows + inserted range).
-    pub fn dirty_pages(&self, rde: &RdeEngine) -> u64 {
-        let mut pages = 0u64;
-        for rt in rde.oltp().tables() {
-            let row_bytes = rt.twin().schema().row_width_bytes().max(1);
-            let rows_per_page = (self.page_bytes / row_bytes).max(1);
-            let (updated, inserted) = rt.twin().olap_delta();
-            let mut dirty: BTreeSet<u64> = updated.iter().map(|r| r / rows_per_page).collect();
-            let mut row = inserted.start;
-            while row < inserted.end {
-                dirty.insert(row / rows_per_page);
-                row = (row / rows_per_page + 1) * rows_per_page;
-            }
-            pages += dirty.len() as u64;
-        }
-        pages
+    /// Number of distinct pages holding `rows` (ascending) of a relation
+    /// whose rows are `row_bytes` wide: the pages the first write to each of
+    /// those rows forces the transactional engine to copy while a snapshot
+    /// is live.
+    pub fn pages(&self, rows: &[RowId], row_bytes: u64) -> u64 {
+        let page = |row: RowId| row / (self.page_bytes / row_bytes.max(1)).max(1);
+        let changes = rows.windows(2).filter(|w| page(w[0]) != page(w[1])).count();
+        (changes + usize::from(!rows.is_empty())) as u64
     }
 
     /// Take an instant snapshot and execute `queries_per_snapshot` copies of
@@ -61,12 +53,14 @@ impl CowBaseline {
         queries_per_snapshot: usize,
         txns_in_window: u64,
     ) -> BaselinePoint {
-        // Pages the live snapshot will force the OLTP engine to copy.
-        let pages_copied = self.dirty_pages(rde);
-        // The snapshot is instant (fork): no transfer, but the window resets.
+        // The snapshot is instant (fork): no transfer. Taking each
+        // relation's delta closes the window; the pages of its updated rows
+        // are the ones the live snapshot forces the OLTP engine to copy.
         rde.switch_and_sync();
+        let mut pages_copied = 0;
         for rt in rde.oltp().tables() {
-            rt.twin().mark_olap_synced();
+            let (updated, _) = rt.twin().take_olap_delta();
+            pages_copied += self.pages(&updated, rt.twin().schema().row_width_bytes());
         }
 
         // Queries read the unified storage on the OLTP socket; every run
@@ -115,6 +109,7 @@ mod tests {
     use super::*;
     use htap_chbench::{ChConfig, ChGenerator, QueryId, TransactionDriver};
     use htap_rde::RdeConfig;
+    use htap_storage::Value;
 
     fn populated_rde() -> (RdeEngine, TransactionDriver) {
         let rde = RdeEngine::bootstrap(RdeConfig::default());
@@ -153,11 +148,91 @@ mod tests {
         let large = CowBaseline {
             page_bytes: 2 * 1024 * 1024,
         };
+        // Settle the initial load: the window below holds updates only.
+        large.run_snapshot(&rde, &QueryId::Q6.plan().unwrap(), 0, 1);
         driver.run_new_orders(rde.oltp(), 0, 30, 5);
         rde.switch_and_sync();
-        let pages_small = small.dirty_pages(&rde);
-        let pages_large = large.dirty_pages(&rde);
+        // One taken delta, counted at both page sizes.
+        let (mut pages_small, mut pages_large) = (0, 0);
+        for rt in rde.oltp().tables() {
+            let (updated, _) = rt.twin().take_olap_delta();
+            let row_bytes = rt.twin().schema().row_width_bytes();
+            pages_small += small.pages(&updated, row_bytes);
+            pages_large += large.pages(&updated, row_bytes);
+        }
+        assert!(pages_large > 0, "new orders update district and stock rows");
         assert!(pages_small >= pages_large, "{pages_small} vs {pages_large}");
+        let cost = rde.cost_model();
+        assert!(
+            cost.cow_page_copy_time(small.page_bytes) < cost.cow_page_copy_time(large.page_bytes)
+        );
+    }
+
+    /// One relation of 16-byte rows (131 072 to a 2 MB page), `rows` of
+    /// them bulk-loaded, and a plan over it.
+    fn sales_rde(rows: u64) -> (RdeEngine, QueryPlan) {
+        use htap_olap::{AggExpr, DagBuilder};
+        use htap_storage::{ColumnDef, DataType, TableSchema};
+        let rde = RdeEngine::bootstrap(RdeConfig::default());
+        let schema = TableSchema::new(
+            "sales",
+            vec![
+                ColumnDef::new("id", DataType::I64),
+                ColumnDef::new("amount", DataType::F64),
+            ],
+            Some(0),
+        );
+        rde.create_table(schema).unwrap();
+        for i in 0..rows {
+            rde.oltp()
+                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .unwrap();
+        }
+        let mut b = DagBuilder::default();
+        let scan = b.scan("sales");
+        b.aggregate(scan, None, vec![AggExpr::Count]);
+        (rde, b.finish().unwrap())
+    }
+
+    /// Appended rows land on pages no live snapshot shares: a window of
+    /// inserts copies nothing, also when a switch between the two snapshots
+    /// has already made the inserts part of the snapshot.
+    #[test]
+    fn a_window_of_inserts_only_copies_no_page() {
+        let (rde, plan) = sales_rde(1000);
+        let cow = CowBaseline::default();
+        cow.run_snapshot(&rde, &plan, 0, 1);
+        for i in 1000..1500u64 {
+            rde.oltp()
+                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .unwrap();
+        }
+        rde.switch_and_sync();
+        let point = cow.run_snapshot(&rde, &plan, 0, 500);
+        assert_eq!(point.pages_copied, 0);
+        assert_eq!(point.oltp_tps, rde.modeled_oltp_throughput_idle());
+    }
+
+    #[test]
+    fn updates_to_rows_on_one_large_page_copy_one_page() {
+        let (rde, plan) = sales_rde(1000);
+        let cow = CowBaseline::default();
+        cow.run_snapshot(&rde, &plan, 0, 1);
+        for key in [3u64, 40, 999] {
+            rde.oltp().execute(|mut t| {
+                t.update("sales", key, 1, Value::F64(1.0)).unwrap();
+                t.commit().unwrap();
+            });
+        }
+        let point = cow.run_snapshot(&rde, &plan, 0, 3);
+        assert_eq!(point.pages_copied, 1);
+        assert!(point.oltp_tps < rde.modeled_oltp_throughput_idle());
+        // The same rows span two 4 KB pages (256 rows each).
+        let small = CowBaseline {
+            page_bytes: 4 * 1024,
+        };
+        assert_eq!(small.pages(&[3, 40, 999], 16), 2);
+        assert_eq!(cow.pages(&[3, 40, 999], 16), 1);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * **Copy-on-Write** ([`cow`]) — unified storage in the style of HyPer's
 //!   fork-based snapshots / Caldera: analytical queries get an instant
 //!   snapshot of the transactional storage, and the transactional engine pays
-//!   for every page it dirties while a snapshot is live.
+//!   for every shared page it dirties while a snapshot is live: the pages of
+//!   the rows it updates (appends go to unshared pages).
 //!
 //! Both baselines run their queries through the RDE engine's one query call
 //! (`RdeEngine::run_query`: real queries over real data, the OLTP

@@ -358,7 +358,10 @@ mod tests {
         assert_eq!(ol.index().len(), 3000);
 
         // The OLAP store has the relations but no rows yet (no ETL).
-        assert_eq!(rde.olap().store().table("orderline").unwrap().rows(), 0);
+        assert_eq!(
+            rde.olap().store().table("orderline").unwrap().row_count(),
+            0
+        );
     }
 
     #[test]

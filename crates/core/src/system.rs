@@ -363,20 +363,6 @@ impl HtapSystem {
         Ok(runs.swap_remove(0))
     }
 
-    /// Schedule and execute one analytical query plan.
-    ///
-    /// Errors (rather than panicking) when the plan references relations or
-    /// columns the scheduled access paths cannot serve.
-    pub fn execute_plan(
-        &self,
-        label: &str,
-        plan: &QueryPlan,
-        is_batch: bool,
-    ) -> Result<QueryReport, OlapError> {
-        self.execute_once(label, None, plan, is_batch)
-            .map(|(report, _)| report)
-    }
-
     /// Compile one SQL `SELECT` against the CH-benCHmark catalog without
     /// executing it — the plan the engine *would* run.
     pub fn plan_sql(&self, sql: &str) -> Result<QueryPlan, SqlError> {

@@ -80,20 +80,6 @@ impl EventKind {
             EventKind::CheckpointEnd => "checkpoint-end",
         }
     }
-
-    /// Whether `b` carries a duration in µs (the event describes an
-    /// interval starting at `ts_us`).
-    pub fn is_interval(self) -> bool {
-        matches!(
-            self,
-            EventKind::Morsel
-                | EventKind::PipelineBuild
-                | EventKind::PipelineProbe
-                | EventKind::PipelineMerge
-                | EventKind::WalFsyncBatch
-                | EventKind::CheckpointEnd
-        )
-    }
 }
 
 /// One typed, timestamped observation drained from a ring.

@@ -22,9 +22,11 @@
 //! a [`QueryPlan`] — checks these rules once and keeps the flattened
 //! [`DagSpec`] beside the op list, so a plan value is valid by construction:
 //! the morsel engine, the row-at-a-time reference oracle and the accounting
-//! accessors the scheduler reads ([`QueryPlan::tables`],
-//! [`QueryPlan::accessed_columns`], [`QueryPlan::cpu_ns_per_tuple`]) all
-//! read that one spec and none of them can meet an invalid DAG.
+//! accessors ([`QueryPlan::tables`], which the scheduler's freshness measure
+//! and source wiring read; [`QueryPlan::cpu_ns_per_tuple`], which the cost
+//! model reads; [`QueryPlan::accessed_columns`], the column footprint the
+//! CH-query tests pin) all read that one spec and none of them can meet an
+//! invalid DAG.
 //!
 //! Determinism comes from the pipeline machinery: every pipeline's partials
 //! are merged in morsel-index order, build tables union weights
@@ -462,7 +464,7 @@ impl QueryPlan {
         out
     }
 
-    /// The columns the plan reads, per relation (freshness + byte accounting).
+    /// The columns the plan reads, per relation (its column footprint).
     pub fn accessed_columns(&self) -> BTreeMap<String, Vec<String>> {
         let spec = &self.spec;
         let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();

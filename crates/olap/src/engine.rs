@@ -15,43 +15,21 @@ use crate::exec::{QueryExecutor, QueryOutput};
 use crate::source::ScanSource;
 use crate::worker::WorkerTeam;
 use htap_sim::{CoreId, CostModel, ExecPlacement, ScanCost, SocketId, Topology, TxnWork};
-use htap_storage::{ColumnarTable, RowId, TableSchema, TableSnapshot, Value};
+use htap_storage::{ColumnarTable, RowId, TableSchema, TableSnapshot};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One relation of the OLAP engine's own instance.
-#[derive(Debug)]
-pub struct OlapTable {
-    table: Arc<ColumnarTable>,
-    /// Rows of the table that are loaded and queryable.
-    rows: AtomicU64,
-}
-
-impl OlapTable {
-    fn new(schema: TableSchema) -> Self {
-        OlapTable {
-            table: Arc::new(ColumnarTable::new(schema)),
-            rows: AtomicU64::new(0),
-        }
-    }
-
-    /// The underlying columnar instance.
-    pub fn table(&self) -> &Arc<ColumnarTable> {
-        &self.table
-    }
-
-    /// Queryable rows.
-    pub fn rows(&self) -> u64 {
-        self.rows.load(Ordering::Acquire)
-    }
-}
-
-/// The OLAP engine's private storage (decoupled-storage side of the design).
+/// The OLAP engine's private storage (decoupled-storage side of the design):
+/// one columnar instance per relation. An instance's published
+/// [`ColumnarTable::row_count`] is its queryable prefix — the ETL publishes
+/// it after every column holds the copied rows, so once an ETL returns it
+/// equals the twin table's propagation watermark
+/// ([`htap_storage::TwinTable::olap_synced_rows`]); the store keeps no
+/// row count of its own.
 #[derive(Debug)]
 pub struct OlapStore {
-    tables: RwLock<BTreeMap<String, Arc<OlapTable>>>,
+    tables: RwLock<BTreeMap<String, Arc<ColumnarTable>>>,
     /// Socket whose DRAM holds the OLAP instance.
     socket: SocketId,
 }
@@ -71,7 +49,7 @@ impl OlapStore {
     }
 
     /// Create a relation in the OLAP instance.
-    pub fn create_table(&self, schema: TableSchema) -> Result<Arc<OlapTable>, String> {
+    pub fn create_table(&self, schema: TableSchema) -> Result<Arc<ColumnarTable>, String> {
         let mut tables = self.tables.write();
         if tables.contains_key(&schema.name) {
             return Err(format!(
@@ -79,32 +57,23 @@ impl OlapStore {
                 schema.name
             ));
         }
-        let table = Arc::new(OlapTable::new(schema.clone()));
-        tables.insert(schema.name.clone(), Arc::clone(&table));
+        let table = Arc::new(ColumnarTable::new(schema.clone()));
+        tables.insert(schema.name, Arc::clone(&table));
         Ok(table)
     }
 
     /// Look up a relation.
-    pub fn table(&self, name: &str) -> Option<Arc<OlapTable>> {
+    pub fn table(&self, name: &str) -> Option<Arc<ColumnarTable>> {
         self.tables.read().get(name).cloned()
-    }
-
-    /// Names of all relations.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
     }
 
     /// Total queryable bytes of the OLAP instance.
     pub fn bytes(&self) -> u64 {
-        self.tables
-            .read()
-            .values()
-            .map(|t| t.rows() * t.table.schema().row_width_bytes())
-            .sum()
+        self.tables.read().values().map(|t| t.bytes()).sum()
     }
 
     /// Apply an ETL delta from an OLTP snapshot: copy the updated rows and
-    /// the inserted row range, then advance the watermark.
+    /// the inserted row range (which publishes the new row count).
     /// Returns the number of rows copied.
     pub fn apply_delta(
         &self,
@@ -112,38 +81,20 @@ impl OlapStore {
         updated_rows: &[RowId],
         inserted: std::ops::Range<u64>,
     ) -> u64 {
-        let table = match self.table(snapshot.name()) {
-            Some(t) => t,
-            None => return 0,
+        let Some(table) = self.table(snapshot.name()) else {
+            return 0;
         };
         let copied = updated_rows.len() as u64 + inserted.end.saturating_sub(inserted.start);
-        let columns = 0..table.table.schema().arity();
-        table.table.copy_from(
-            snapshot.table().columns(),
-            columns,
-            updated_rows,
-            inserted.clone(),
-        );
-        let new_rows = inserted.end.max(table.rows.load(Ordering::Acquire));
-        table.rows.store(new_rows, Ordering::Release);
+        let columns = 0..table.schema().arity();
+        table.copy_from(snapshot.table().columns(), columns, updated_rows, inserted);
         copied
     }
 
     /// A contiguous scan source over the local instance of `name`.
     pub fn local_source(&self, name: &str) -> Option<ScanSource> {
         self.table(name).map(|t| {
-            ScanSource::contiguous_olap(name, Arc::clone(t.table()), t.rows(), self.socket)
-        })
-    }
-
-    /// Read one value from the local instance (tests / verification).
-    pub fn get_value(&self, name: &str, row: RowId, column: usize) -> Option<Value> {
-        self.table(name).and_then(|t| {
-            if row < t.rows() {
-                t.table().get_value(row, column)
-            } else {
-                None
-            }
+            let rows = t.row_count();
+            ScanSource::contiguous_olap(name, t, rows, self.socket)
         })
     }
 }
@@ -242,7 +193,7 @@ impl OlapEngine {
 mod tests {
     use super::*;
     use crate::expr::{AggExpr, ScalarExpr};
-    use htap_storage::{ColumnDef, DataType, TwinTable};
+    use htap_storage::{ColumnDef, DataType, TwinTable, Value};
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -285,29 +236,29 @@ mod tests {
         let e = engine();
         e.store().create_table(schema()).unwrap();
         assert!(e.store().create_table(schema()).is_err());
-        assert_eq!(e.store().table_names(), vec!["sales".to_string()]);
+        let sales = e.store().table("sales").unwrap();
 
         let twin = twin_with_rows(10);
         let snap = twin.snapshot();
-        let (updated, inserted) = twin.olap_delta();
+        let (updated, inserted) = twin.take_olap_delta();
         let copied = e.store().apply_delta(&snap, &updated, inserted);
         assert_eq!(copied, 10);
-        assert_eq!(e.store().table("sales").unwrap().rows(), 10);
+        assert_eq!(sales.row_count(), 10);
         assert_eq!(e.store().bytes(), 10 * 16);
-        assert_eq!(e.store().get_value("sales", 3, 1), Some(Value::F64(3.0)));
-        assert_eq!(e.store().get_value("sales", 30, 1), None);
+        assert_eq!(sales.get_value(3, 1), Some(Value::F64(3.0)));
+        assert_eq!(sales.get_value(30, 1), None);
 
         // A second delta with an update flows through as well.
-        twin.mark_olap_synced();
         twin.update(2, 1, &Value::F64(222.0)).unwrap();
         twin.insert(&[Value::I64(10), Value::F64(10.0)]).unwrap();
         twin.switch_and_sync();
         let snap = twin.snapshot();
-        let (updated, inserted) = twin.olap_delta();
+        let (updated, inserted) = twin.take_olap_delta();
         let copied = e.store().apply_delta(&snap, &updated, inserted);
         assert_eq!(copied, 2);
-        assert_eq!(e.store().get_value("sales", 2, 1), Some(Value::F64(222.0)));
-        assert_eq!(e.store().table("sales").unwrap().rows(), 11);
+        assert_eq!(sales.get_value(2, 1), Some(Value::F64(222.0)));
+        assert_eq!(sales.row_count(), 11);
+        assert_eq!(sales.row_count(), twin.olap_synced_rows());
     }
 
     #[test]
@@ -324,7 +275,7 @@ mod tests {
         e.store().create_table(schema()).unwrap();
         let twin = twin_with_rows(1000);
         let snap = twin.snapshot();
-        let (updated, inserted) = twin.olap_delta();
+        let (updated, inserted) = twin.take_olap_delta();
         e.store().apply_delta(&snap, &updated, inserted);
 
         let plan = sales_plan(vec![
@@ -355,7 +306,7 @@ mod tests {
         e.store().create_table(schema()).unwrap();
         let twin = twin_with_rows(100_000);
         let snap = twin.snapshot();
-        let (updated, inserted) = twin.olap_delta();
+        let (updated, inserted) = twin.take_olap_delta();
         e.store().apply_delta(&snap, &updated, inserted);
 
         let plan = sales_plan(vec![AggExpr::Sum(ScalarExpr::col("amount"))]);
@@ -405,7 +356,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use htap_storage::{ColumnDef, DataType, TwinTable};
+    use htap_storage::{ColumnDef, DataType, TwinTable, Value};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -480,10 +431,6 @@ mod proptests {
         assert_eq!(
             twin.update_presence().is_set(),
             !model.cycle_rows.is_empty()
-        );
-        assert_eq!(
-            twin.stats().updated_since_sync,
-            model.cycle_rows.len() as u64
         );
         for column in 0..4 {
             assert_eq!(
@@ -567,11 +514,13 @@ mod proptests {
                         prop_assert_eq!(copied, expected.len() as u64 + (inserted.end - inserted.start));
                         model.olap_pending.clear();
                         model.olap_rows = model.snapshot.len();
-                        prop_assert_eq!(store.table("t").unwrap().rows(), model.olap_rows as u64);
+                        let olap = store.table("t").unwrap();
+                        prop_assert_eq!(olap.row_count(), model.olap_rows as u64);
+                        prop_assert_eq!(olap.row_count(), twin.olap_synced_rows());
                         for (r, expected) in model.snapshot.iter().enumerate() {
                             for (column, value) in expected.iter().enumerate() {
                                 prop_assert_eq!(
-                                    store.get_value("t", r as u64, column).as_ref(), Some(value),
+                                    olap.get_value(r as u64, column).as_ref(), Some(value),
                                     "row {} column {} of the OLAP copy after the ETL", r, column
                                 );
                             }

@@ -227,9 +227,9 @@ impl OltpEngine {
         synced
     }
 
-    /// `per_table` summed over all relations.
-    fn sum_over_tables(&self, per_table: fn(&TwinTable) -> u64) -> u64 {
-        self.tables().iter().map(|rt| per_table(rt.twin())).sum()
+    /// `of_table` summed over all relations.
+    fn sum_over_tables(&self, of_table: fn(&TwinTable) -> u64) -> u64 {
+        self.tables().iter().map(|rt| of_table(rt.twin())).sum()
     }
 
     /// Total fresh rows (inserted or updated since the last propagation to the

@@ -322,8 +322,8 @@ impl RdeEngine {
                 AccessMethod::Split => self.oltp.table(name).and_then(|rt| {
                     self.olap.store().table(name).map(|olap_table| {
                         ScanSource::split(
-                            Arc::clone(olap_table.table()),
-                            olap_table.rows(),
+                            Arc::clone(&olap_table),
+                            olap_table.row_count(),
                             self.config.olap_socket,
                             &rt.twin().snapshot(),
                             self.config.oltp_socket,
@@ -407,7 +407,7 @@ mod tests {
         assert_eq!(etl.copied_rows, 50);
         assert_eq!(etl.copied_bytes, 50 * 16);
         assert!(etl.modeled_time > 0.0);
-        assert_eq!(rde.olap().store().table("sales").unwrap().rows(), 50);
+        assert_eq!(rde.olap().store().table("sales").unwrap().row_count(), 50);
         assert_eq!(rde.oltp().fresh_rows_vs_olap(), 0);
         // Nothing new: second ETL copies nothing and costs nothing.
         let second = rde.etl_to_olap();
@@ -442,6 +442,82 @@ mod tests {
         let bytes = split["sales"].bytes_per_socket(&["amount"]);
         assert_eq!(bytes[&SocketId(1)], 40 * 8);
         assert_eq!(bytes[&SocketId(0)], 20 * 8);
+    }
+
+    /// The OLAP copy keeps no row count of its own: after every ETL, and
+    /// after a switch that leaves rows owed, each relation's published
+    /// `row_count()` is the twin table's propagation watermark, and a split
+    /// source serves exactly the rows below it from the OLAP copy and the
+    /// rest of the snapshot from the OLTP instance.
+    #[test]
+    fn the_olap_copy_row_count_is_the_propagation_watermark() {
+        use htap_olap::source::SegmentOrigin;
+        fn check(rde: &RdeEngine) {
+            for rt in rde.oltp().tables() {
+                let twin = rt.twin();
+                let name = twin.schema().name.as_str();
+                let olap_rows = rde.olap().store().table(name).unwrap().row_count();
+                assert_eq!(olap_rows, twin.olap_synced_rows(), "{name}");
+                let snapshot_rows = twin.snapshot().rows();
+                let mut expected = Vec::new();
+                if olap_rows > 0 {
+                    expected.push((SegmentOrigin::OlapInstance, 0..olap_rows));
+                }
+                if snapshot_rows > olap_rows {
+                    expected.push((SegmentOrigin::OltpSnapshot, olap_rows..snapshot_rows));
+                }
+                let split = &rde.sources_for(&[name], AccessMethod::Split)[name];
+                let layout: Vec<_> = split
+                    .segments
+                    .iter()
+                    .map(|s| (s.origin, s.rows.clone()))
+                    .collect();
+                assert_eq!(layout, expected, "{name}");
+            }
+        }
+        let rde = engine_with_data(40);
+        rde.create_table(schema("other")).unwrap();
+        for i in 0..7u64 {
+            rde.oltp()
+                .bulk_load("other", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .unwrap();
+        }
+        check(&rde);
+
+        // An ETL with inserts.
+        rde.switch_and_sync();
+        assert_eq!(rde.etl_to_olap().copied_rows, 47);
+        check(&rde);
+
+        // An update-only ETL: rows are rewritten, the count stays.
+        for key in [3u64, 39] {
+            rde.oltp().execute(|mut t| {
+                t.update("sales", key, 1, Value::F64(-1.0)).unwrap();
+                t.commit().unwrap();
+            });
+        }
+        rde.switch_and_sync();
+        assert_eq!(rde.etl_to_olap().copied_rows, 2);
+        let sales = rde.olap().store().table("sales").unwrap();
+        assert_eq!(sales.get_value(39, 1), Some(Value::F64(-1.0)));
+        check(&rde);
+
+        // An empty ETL.
+        rde.switch_and_sync();
+        assert_eq!(rde.etl_to_olap().copied_rows, 0);
+        check(&rde);
+
+        // A late insert, switched but left owed: the split reads it from
+        // the snapshot.
+        for i in 40..45u64 {
+            rde.oltp()
+                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .unwrap();
+        }
+        rde.switch_and_sync();
+        assert_eq!(rde.oltp().fresh_rows_vs_olap(), 5);
+        assert_eq!(sales.row_count(), 40);
+        check(&rde);
     }
 
     #[test]

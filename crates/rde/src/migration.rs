@@ -210,7 +210,7 @@ mod tests {
         assert_eq!(report.oltp_cores, 14);
         assert_eq!(report.olap_cores, 14);
         // The OLAP instance can now serve the data locally.
-        assert_eq!(rde.olap().store().table("sales").unwrap().rows(), 200);
+        assert_eq!(rde.olap().store().table("sales").unwrap().row_count(), 200);
         // Queries in S2 need no fresh rows from OLTP.
         let sources = rde.sources_for(&["sales"], report.access);
         assert_eq!(sources["sales"].fresh_rows(), 0);

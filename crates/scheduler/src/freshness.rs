@@ -4,59 +4,29 @@
 //! identical between the OLAP engine's private storage and the current OLTP
 //! snapshot. Algorithm 2 needs two absolute quantities besides the rate:
 //!
-//! * `Nfq` — the amount of fresh data the query would have to fetch from the
-//!   OLTP instance to reach freshness-rate 1 (computed only over the columns
-//!   the query accesses);
-//! * `Nft` — the amount of fresh data in the whole database (what a full ETL
-//!   would have to move).
+//! * `Nfq` — the fresh tuples the query would have to fetch from the OLTP
+//!   instance to reach freshness-rate 1, over the relations the query reads;
+//! * `Nft` — the fresh tuples in the whole database (what a full ETL would
+//!   have to move).
+//!
+//! Both are row counts read from each relation's freshness ledger — the rows
+//! owed to the OLAP instance and its propagation watermark
+//! ([`htap_storage::TwinTable::fresh_rows_vs_olap`]), counted once per
+//! relation.
 
 use htap_olap::QueryPlan;
 use htap_rde::RdeEngine;
 
-/// Freshness of one relation with respect to the OLAP instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FreshnessReport {
-    /// Relation name.
-    pub table: String,
-    /// Rows visible in the current OLTP snapshot.
-    pub snapshot_rows: u64,
-    /// Rows of the relation that are fresh (not yet propagated to OLAP).
-    pub fresh_rows: u64,
-    /// Fresh bytes over all columns of the relation.
-    pub fresh_bytes: u64,
-}
-
-impl FreshnessReport {
-    /// The freshness-rate metric of the relation: identical tuples over total
-    /// tuples (1.0 when the OLAP instance is fully up to date). With
-    /// concurrent ingest, rows committed between the snapshot and the
-    /// fresh-row sample can push `fresh_rows` past `snapshot_rows`; the rate
-    /// is clamped to `[0, 1]` so the race never yields a negative rate.
-    pub fn freshness_rate(&self) -> f64 {
-        if self.snapshot_rows == 0 {
-            1.0
-        } else {
-            (1.0 - self.fresh_rows as f64 / self.snapshot_rows as f64).clamp(0.0, 1.0)
-        }
-    }
-}
-
-/// The per-query freshness quantities Algorithm 2 consumes.
+/// The per-query freshness quantities Algorithm 2 and the query report
+/// consume.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryFreshness {
-    /// Fresh bytes the query needs from the OLTP instance (`Nfq` in bytes),
-    /// restricted to the columns the query accesses.
-    pub query_fresh_bytes: u64,
-    /// Fresh bytes in the whole database (`Nft` in bytes), over all columns.
-    pub total_fresh_bytes: u64,
-    /// Fresh tuples in the relations the query accesses (`Nfq` in tuples).
+    /// Fresh tuples in the relations the query accesses (`Nfq`).
     pub query_fresh_rows: u64,
-    /// Fresh tuples in the whole database (`Nft` in tuples).
+    /// Fresh tuples in the whole database (`Nft`).
     pub total_fresh_rows: u64,
-    /// Total tuples the query touches.
+    /// Total tuples of the relations the query accesses, in the snapshot.
     pub query_total_rows: u64,
-    /// Per-relation breakdown.
-    pub per_table: Vec<FreshnessReport>,
 }
 
 impl QueryFreshness {
@@ -76,36 +46,18 @@ impl QueryFreshness {
 /// Measure the freshness quantities for `plan` against the current state of
 /// the engines (OLTP snapshot vs. OLAP instance).
 pub fn measure(rde: &RdeEngine, plan: &QueryPlan) -> QueryFreshness {
-    let accessed = plan.accessed_columns();
+    let accessed = plan.tables();
     let mut out = QueryFreshness::default();
-    // One pass, one dirty-bitmap walk per relation: every relation counts
-    // towards Nft (all columns); the ones the query reads also count towards
-    // Nfq, restricted to the accessed columns.
+    // One fresh-row count per relation: every relation counts towards Nft,
+    // the ones the query reads also towards Nfq.
     for rt in rde.oltp().tables() {
         let twin = rt.twin();
-        let schema = twin.schema();
         let fresh_rows = twin.fresh_rows_vs_olap();
-        let fresh_bytes = fresh_rows * schema.row_width_bytes();
         out.total_fresh_rows += fresh_rows;
-        out.total_fresh_bytes += fresh_bytes;
-        let Some(columns) = accessed.get(&schema.name) else {
-            continue;
-        };
-        let width: u64 = columns
-            .iter()
-            .filter_map(|c| schema.column_index(c))
-            .map(|i| schema.column(i).dtype.width_bytes())
-            .sum();
-        let snapshot_rows = twin.snapshot().rows();
-        out.query_fresh_bytes += fresh_rows * width;
-        out.query_fresh_rows += fresh_rows;
-        out.query_total_rows += snapshot_rows;
-        out.per_table.push(FreshnessReport {
-            table: schema.name.clone(),
-            snapshot_rows,
-            fresh_rows,
-            fresh_bytes,
-        });
+        if accessed.contains(&twin.schema().name.as_str()) {
+            out.query_fresh_rows += fresh_rows;
+            out.query_total_rows += twin.snapshot().rows();
+        }
     }
     out
 }
@@ -156,10 +108,8 @@ mod tests {
         assert_eq!(f.query_fresh_rows, 100);
         assert_eq!(f.query_total_rows, 100);
         assert_eq!(f.freshness_rate(), 0.0);
-        // Nfq counts only the accessed column (amount, 8 bytes/row); Nft counts
-        // both relations over all columns (16 bytes/row each).
-        assert_eq!(f.query_fresh_bytes, 100 * 8);
-        assert_eq!(f.total_fresh_bytes, 2 * 100 * 16);
+        // Nft counts both relations.
+        assert_eq!(f.total_fresh_rows, 2 * 100);
     }
 
     #[test]
@@ -170,8 +120,7 @@ mod tests {
         let f = measure(&rde, &plan());
         assert_eq!(f.query_fresh_rows, 0);
         assert_eq!(f.freshness_rate(), 1.0);
-        assert_eq!(f.query_fresh_bytes, 0);
-        assert_eq!(f.total_fresh_bytes, 0);
+        assert_eq!(f.total_fresh_rows, 0);
     }
 
     #[test]
@@ -190,11 +139,8 @@ mod tests {
         assert_eq!(f.query_fresh_rows, 20);
         assert_eq!(f.query_total_rows, 100);
         assert!((f.freshness_rate() - 0.8).abs() < 1e-9);
-        // The query accesses the only relation with fresh data, so Nfq/Nft is
-        // the column-width fraction (8 of 16 bytes).
-        assert_eq!(2 * f.query_fresh_bytes, f.total_fresh_bytes);
-        assert_eq!(f.per_table.len(), 1);
-        assert!((f.per_table[0].freshness_rate() - 0.8).abs() < 1e-9);
+        // The query accesses the only relation with fresh data: Nfq == Nft.
+        assert_eq!(f.query_fresh_rows, f.total_fresh_rows);
     }
 
     #[test]
@@ -202,14 +148,6 @@ mod tests {
         // Rows committed between the snapshot and the fresh-row sample can
         // make fresh exceed the snapshot; the rate must clamp, not go
         // negative.
-        let table = FreshnessReport {
-            table: "sales".into(),
-            snapshot_rows: 100,
-            fresh_rows: 130,
-            fresh_bytes: 130 * 16,
-        };
-        assert_eq!(table.freshness_rate(), 0.0);
-
         let query = QueryFreshness {
             query_fresh_rows: 130,
             query_total_rows: 100,
@@ -224,8 +162,7 @@ mod tests {
         rde.switch_and_sync();
         let f = measure(&rde, &plan());
         assert_eq!(f.freshness_rate(), 1.0);
-        assert_eq!(f.query_fresh_bytes, 0);
-        assert_eq!(f.per_table[0].freshness_rate(), 1.0);
+        assert_eq!(f, QueryFreshness::default());
     }
 
     /// A three-table RDE: fact(16 B/row: id + amount), mid(16 B), far(16 B),
@@ -272,31 +209,27 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Algorithm 2 computes Nfq "only for the columns which will be accessed
-    /// by every query": a three-table plan reports exactly its three
-    /// relations, with per-relation byte accounting restricted to the
-    /// accessed columns.
+    /// Algorithm 2 computes Nfq over what "will be accessed by every
+    /// query": a three-table plan counts exactly its three relations — the
+    /// root and both build inputs — and no bystander.
     #[test]
     fn three_table_plan_reports_freshness_for_exactly_its_tables() {
         let rde = rde_three_tables(50);
+        // Different sizes per relation, so each one's share is visible.
+        for (name, extra) in [("mid", 1u64), ("far", 2), ("bystander", 4)] {
+            for i in 50..50 + extra {
+                rde.oltp()
+                    .bulk_load(name, i, vec![Value::I64(i as i64), Value::F64(1.0)])
+                    .unwrap();
+            }
+        }
         rde.switch_and_sync();
         let f = measure(&rde, &three_table_plan());
-        let names: Vec<&str> = f.per_table.iter().map(|t| t.table.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["fact", "far", "mid"],
-            "BTreeMap order, no bystander"
-        );
         // Nfq in rows: the three accessed relations, all fresh.
-        assert_eq!(f.query_fresh_rows, 3 * 50);
-        assert_eq!(f.query_total_rows, 3 * 50);
-        // Nfq in bytes counts only accessed columns: fact reads id (key
-        // expr, 8 B) + amount (8 B); mid reads m_id + m_fk (16 B); far reads
-        // r_id + r_v (16 B).
-        assert_eq!(f.query_fresh_bytes, 50 * (16 + 16 + 16));
-        // Nft spans all four relations over all columns.
-        assert_eq!(f.total_fresh_rows, 4 * 50);
-        assert_eq!(f.total_fresh_bytes, 4 * 50 * 16);
+        assert_eq!(f.query_fresh_rows, 50 + 51 + 52);
+        assert_eq!(f.query_total_rows, 50 + 51 + 52);
+        // Nft spans all four relations.
+        assert_eq!(f.total_fresh_rows, 50 + 51 + 52 + 54);
         assert!(
             f.query_fresh_rows < f.total_fresh_rows,
             "bystander keeps Nfq < Nft"
@@ -323,14 +256,11 @@ mod tests {
         assert_eq!(f.query_fresh_rows, 0);
         assert_eq!(f.freshness_rate(), 1.0, "the plan's tables are all synced");
         assert_eq!(f.total_fresh_rows, 100, "Nft still sees the bystander");
-        for t in &f.per_table {
-            assert_eq!(t.fresh_rows, 0, "{} must be clean", t.table);
-            assert_eq!(t.freshness_rate(), 1.0);
-        }
+        assert_eq!(f.query_total_rows, 3 * 40);
     }
 
-    /// Fresh rows in one of the three accessed relations surface in that
-    /// relation's report — and only there.
+    /// Fresh rows in one of the three accessed relations surface in Nfq and
+    /// the rate, and nothing else is counted as fresh.
     #[test]
     fn fresh_rows_in_one_joined_dimension_are_attributed_to_it() {
         let rde = rde_three_tables(40);
@@ -345,13 +275,7 @@ mod tests {
         let f = measure(&rde, &three_table_plan());
         assert_eq!(f.query_fresh_rows, 20);
         assert_eq!(f.query_total_rows, 40 + 60 + 40);
-        let far = f.per_table.iter().find(|t| t.table == "far").unwrap();
-        assert_eq!(far.fresh_rows, 20);
-        assert!((far.freshness_rate() - 40.0 / 60.0).abs() < 1e-9);
-        for t in f.per_table.iter().filter(|t| t.table != "far") {
-            assert_eq!(t.fresh_rows, 0, "{} must be clean", t.table);
-        }
-        // Nfq in bytes: 20 fresh far rows × the 16 accessed bytes per row.
-        assert_eq!(f.query_fresh_bytes, 20 * 16);
+        assert_eq!(f.total_fresh_rows, 20, "only far is fresh");
+        assert!((f.freshness_rate() - (1.0 - 20.0 / 140.0)).abs() < 1e-9);
     }
 }

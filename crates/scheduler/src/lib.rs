@@ -1,7 +1,7 @@
 //! Freshness-driven elastic HTAP scheduling (§4 of the paper).
 //!
 //! The scheduler sits on top of the RDE engine. For every analytical query it
-//! measures the freshness-rate of the columns the query accesses
+//! measures the freshness-rate of the relations the query accesses
 //! ([`freshness`]), runs Algorithm 2 ([`policy`]) to pick a system state, asks
 //! the RDE engine to migrate ([`htap_rde::migration`]), and hands back the
 //! access paths and the modelled scheduling overhead (instance switch, ETL)
@@ -16,7 +16,7 @@ pub mod policy;
 pub mod schedule;
 pub mod scheduler;
 
-pub use freshness::{FreshnessReport, QueryFreshness};
-pub use policy::{PolicyDecision, SchedulerPolicy};
+pub use freshness::QueryFreshness;
+pub use policy::SchedulerPolicy;
 pub use schedule::Schedule;
 pub use scheduler::{HtapScheduler, ScheduledQuery};

@@ -18,16 +18,6 @@
 use crate::freshness::QueryFreshness;
 use htap_rde::{ElasticityMode, SystemState};
 
-/// The decision produced by the policy for one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyDecision {
-    /// The state the system should migrate to before executing the query.
-    pub state: SystemState,
-    /// Whether the decision was driven by the ETL branch (`Nfq ≥ α·Nft` or a
-    /// query batch) rather than the elasticity branch.
-    pub etl_branch: bool,
-}
-
 /// The tunable scheduler policy of Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerPolicy {
@@ -81,32 +71,24 @@ impl SchedulerPolicy {
         }
     }
 
-    /// Run Algorithm 2 for one query.
+    /// Run Algorithm 2 for one query: the state the system should migrate
+    /// to before executing it. The ETL branch (`Nfq ≥ α·Nft`, or a query
+    /// batch) is the one that returns [`SystemState::S2Isolated`].
     ///
     /// `freshness` carries `Nfq` and `Nft`; `is_batch` indicates that the
     /// query belongs to a batch executed over the same snapshot, which always
     /// takes the ETL branch (§4.2 "Query Batch").
-    pub fn decide(&self, freshness: &QueryFreshness, is_batch: bool) -> PolicyDecision {
+    pub fn decide(&self, freshness: &QueryFreshness, is_batch: bool) -> SystemState {
         let nfq = freshness.query_fresh_rows as f64;
         let nft = freshness.total_fresh_rows as f64;
-        let elastic_branch = nfq < self.alpha * nft && !is_batch;
-        if elastic_branch {
-            let state = if !self.elasticity_allowed {
-                SystemState::S3HybridIsolated
-            } else {
-                match self.elasticity_mode {
-                    ElasticityMode::Hybrid => SystemState::S3HybridNonIsolated,
-                    ElasticityMode::Colocation => SystemState::S1Colocated,
-                }
-            };
-            PolicyDecision {
-                state,
-                etl_branch: false,
-            }
+        if nfq >= self.alpha * nft || is_batch {
+            SystemState::S2Isolated
+        } else if !self.elasticity_allowed {
+            SystemState::S3HybridIsolated
         } else {
-            PolicyDecision {
-                state: SystemState::S2Isolated,
-                etl_branch: true,
+            match self.elasticity_mode {
+                ElasticityMode::Hybrid => SystemState::S3HybridNonIsolated,
+                ElasticityMode::Colocation => SystemState::S1Colocated,
             }
         }
     }
@@ -118,12 +100,9 @@ mod tests {
 
     fn freshness(nfq: u64, nft: u64) -> QueryFreshness {
         QueryFreshness {
-            query_fresh_bytes: nfq * 8,
-            total_fresh_bytes: nft * 8,
             query_fresh_rows: nfq,
             total_fresh_rows: nft,
             query_total_rows: 0,
-            per_table: Vec::new(),
         }
     }
 
@@ -131,38 +110,35 @@ mod tests {
     fn small_fresh_share_without_elasticity_goes_to_s3_isolated() {
         let policy = SchedulerPolicy::adaptive_isolated(0.5);
         let d = policy.decide(&freshness(10, 100), false);
-        assert_eq!(d.state, SystemState::S3HybridIsolated);
-        assert!(!d.etl_branch);
+        assert_eq!(d, SystemState::S3HybridIsolated);
     }
 
     #[test]
     fn small_fresh_share_with_hybrid_elasticity_goes_to_s3_non_isolated() {
         let policy = SchedulerPolicy::adaptive_non_isolated(0.5);
         let d = policy.decide(&freshness(10, 100), false);
-        assert_eq!(d.state, SystemState::S3HybridNonIsolated);
+        assert_eq!(d, SystemState::S3HybridNonIsolated);
     }
 
     #[test]
     fn small_fresh_share_with_colocation_mode_goes_to_s1() {
         let policy = SchedulerPolicy::adaptive_colocated(0.5);
         let d = policy.decide(&freshness(10, 100), false);
-        assert_eq!(d.state, SystemState::S1Colocated);
+        assert_eq!(d, SystemState::S1Colocated);
     }
 
     #[test]
     fn large_fresh_share_triggers_etl() {
         let policy = SchedulerPolicy::default();
         let d = policy.decide(&freshness(80, 100), false);
-        assert_eq!(d.state, SystemState::S2Isolated);
-        assert!(d.etl_branch);
+        assert_eq!(d, SystemState::S2Isolated);
     }
 
     #[test]
     fn query_batches_always_take_the_etl_branch() {
         let policy = SchedulerPolicy::default();
         let d = policy.decide(&freshness(1, 1_000_000), true);
-        assert_eq!(d.state, SystemState::S2Isolated);
-        assert!(d.etl_branch);
+        assert_eq!(d, SystemState::S2Isolated);
     }
 
     #[test]
@@ -177,11 +153,8 @@ mod tests {
             alpha: 0.9,
             ..SchedulerPolicy::default()
         };
-        assert_eq!(eager_etl.decide(&f, false).state, SystemState::S2Isolated);
-        assert_eq!(
-            lazy_etl.decide(&f, false).state,
-            SystemState::S3HybridNonIsolated
-        );
+        assert_eq!(eager_etl.decide(&f, false), SystemState::S2Isolated);
+        assert_eq!(lazy_etl.decide(&f, false), SystemState::S3HybridNonIsolated);
     }
 
     #[test]
@@ -194,11 +167,11 @@ mod tests {
             ..SchedulerPolicy::default()
         };
         assert_eq!(
-            policy.decide(&freshness(0, 100), false).state,
+            policy.decide(&freshness(0, 100), false),
             SystemState::S2Isolated
         );
         assert_eq!(
-            policy.decide(&freshness(0, 0), false).state,
+            policy.decide(&freshness(0, 0), false),
             SystemState::S2Isolated
         );
     }
@@ -207,6 +180,6 @@ mod tests {
     fn no_fresh_data_takes_the_etl_branch_as_a_noop() {
         let policy = SchedulerPolicy::default();
         let d = policy.decide(&freshness(0, 0), false);
-        assert_eq!(d.state, SystemState::S2Isolated);
+        assert_eq!(d, SystemState::S2Isolated);
     }
 }

@@ -79,7 +79,7 @@ impl HtapScheduler {
         // 3. Pick the target state.
         let state = match self.schedule {
             Schedule::Static(state) => state,
-            Schedule::Adaptive(policy) => policy.decide(&freshness, is_batch).state,
+            Schedule::Adaptive(policy) => policy.decide(&freshness, is_batch),
         };
         // 4. Enforce it on the switch already taken.
         let migration = self.rde.migrate_after_switch(state, None, switch);
@@ -173,7 +173,7 @@ mod tests {
         let q = scheduler.schedule_query(&plan(), false);
         assert_eq!(q.migration.access, AccessMethod::OlapLocal);
         assert_eq!(scheduler.etl_count(), 1);
-        assert_eq!(rde.olap().store().table("sales").unwrap().rows(), 50);
+        assert_eq!(rde.olap().store().table("sales").unwrap().row_count(), 50);
         // The second query still goes through the (now cheap) ETL path.
         scheduler.schedule_query(&plan(), false);
         assert_eq!(scheduler.etl_count(), 2);

@@ -42,7 +42,7 @@ pub use index::cuckoo::CuckooIndex;
 pub use index::RecordLocation;
 pub use schema::{ColumnDef, DataType, TableSchema, Value};
 pub use snapshot::TableSnapshot;
-pub use stats::{ColumnStats, InstanceStats};
+pub use stats::ColumnStats;
 pub use table::ColumnarTable;
 pub use twin::{InstanceId, SyncOutcome, TwinTable};
 pub use update_bits::AtomicBitmap;

@@ -8,8 +8,10 @@
 //! relation whose [`UpdatePresence`] flag is clear without looking at its
 //! update bits. The switch-time row count and the epoch number had no reader
 //! and are not kept: the snapshot bound is the relation's visible-row
-//! watermark, and the fresh-data amounts come from the update bits.
-//! [`InstanceStats`] is an observation hook for tests, not scheduler input.
+//! watermark, and the fresh-data amounts come from the twin table's
+//! freshness ledger — the rows owed to the OLAP instance and its
+//! propagation watermark ([`crate::TwinTable::take_olap_delta`]). No
+//! aggregate per-instance statistics are kept beside these flags.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -39,26 +41,6 @@ impl ColumnStats {
     /// instance, once it has copied the column).
     pub fn clear_updated(&self) {
         self.updated.store(false, Ordering::Release);
-    }
-}
-
-/// Aggregated statistics of one table instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InstanceStats {
-    /// Rows visible in the instance.
-    pub visible_rows: u64,
-    /// Rows inserted since the last switch.
-    pub inserted_since_switch: u64,
-    /// Records updated since the last synchronisation against the twin.
-    pub updated_since_sync: u64,
-    /// Records updated or inserted since the last ETL to the OLAP instance.
-    pub fresh_vs_olap: u64,
-}
-
-impl InstanceStats {
-    /// Total fresh records (inserted + updated) relative to the twin instance.
-    pub fn fresh_vs_twin(&self) -> u64 {
-        self.inserted_since_switch + self.updated_since_sync
     }
 }
 
@@ -104,17 +86,6 @@ mod tests {
         assert!(s.is_updated());
         s.clear_updated();
         assert!(!s.is_updated());
-    }
-
-    #[test]
-    fn instance_stats_fresh_vs_twin_sums_inserts_and_updates() {
-        let s = InstanceStats {
-            visible_rows: 100,
-            inserted_since_switch: 7,
-            updated_since_sync: 5,
-            fresh_vs_olap: 20,
-        };
-        assert_eq!(s.fresh_vs_twin(), 12);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::column::Column;
 use crate::schema::TableSchema;
 use crate::schema::Value;
 use crate::snapshot::TableSnapshot;
-use crate::stats::{InstanceStats, UpdatePresence};
+use crate::stats::UpdatePresence;
 use crate::table::ColumnarTable;
 use crate::update_bits::AtomicBitmap;
 use crate::RowId;
@@ -71,7 +71,8 @@ pub struct TwinTable {
     /// value is not in the snapshot either), so an ETL cannot consume it.
     olap_pending: AtomicBitmap,
     /// Rows already propagated to the OLAP instance (inserts beyond this
-    /// watermark are fresh with respect to OLAP).
+    /// watermark are fresh with respect to OLAP); the OLAP copy's published
+    /// row count equals it.
     olap_synced_rows: AtomicU64,
     /// Visible-row watermark of each instance, captured when it last became
     /// the snapshot (inactive) instance.
@@ -364,68 +365,29 @@ impl TwinTable {
         snapshot_rows.saturating_sub(synced) + updated
     }
 
-    /// The rows that differ from the OLAP instance right now:
-    /// `(updated_rows_below_watermark, insert_range)` — the updated rows
-    /// include those written since the last switch, which the next switch
-    /// makes part of an ETL's delta. Consumes nothing; the ETL itself uses
-    /// [`Self::take_olap_delta`].
-    pub fn olap_delta(&self) -> (Vec<RowId>, Range<u64>) {
-        let (synced, snapshot_rows) = self.olap_watermarks();
-        let updated = self
-            .olap_pending
-            .iter_union_below(&self.dirty_twin[self.active_instance()], synced as usize);
-        (row_ids(updated), synced..snapshot_rows)
-    }
-
-    /// The delta an ETL must copy from the current snapshot —
-    /// `(updated_rows_below_watermark, insert_range)` — recorded as
-    /// propagated in the same pass over the update bits. Rows updated since
-    /// the last switch stay pending: their new values are not in the
-    /// snapshot.
+    /// The delta the OLAP instance lacks against the current snapshot —
+    /// `(updated_rows_below_watermark, insert_range)`, the rows ascending —
+    /// recorded as propagated in the same pass over the update bits: the
+    /// pending bits below the snapshot watermark are swapped out and the
+    /// propagation watermark advances to it. This is the one read of the
+    /// ledger; the ETL copies the delta, the CoW baseline counts its pages.
+    /// Rows updated since the last switch stay pending: their new values
+    /// are not in the snapshot.
     pub fn take_olap_delta(&self) -> (Vec<RowId>, Range<u64>) {
-        let (mut updated, inserted) = self.consume_olap_bits();
-        // Bits at or above the old watermark belong to the insert range.
-        updated.truncate(updated.partition_point(|&row| row < inserted.start));
-        (updated, inserted)
-    }
-
-    /// Record that the OLAP instance has been brought up to date with the
-    /// current snapshot: clears the consumed update bits and advances the
-    /// propagation watermark. Returns the number of update bits cleared.
-    pub fn mark_olap_synced(&self) -> u64 {
-        self.consume_olap_bits().0.len() as u64
-    }
-
-    /// Swap out the pending-for-OLAP bits below the snapshot watermark
-    /// (returned ascending) and advance the propagation watermark to it
-    /// (returned as the range it moved over).
-    fn consume_olap_bits(&self) -> (Vec<RowId>, Range<u64>) {
         let (synced, snapshot_rows) = self.olap_watermarks();
-        let cleared = self.olap_pending.drain_below(snapshot_rows as usize);
+        let mut updated = row_ids(self.olap_pending.drain_below(snapshot_rows as usize));
         if snapshot_rows > synced {
             self.olap_synced_rows
                 .store(snapshot_rows, Ordering::Release);
         }
-        (row_ids(cleared), synced..snapshot_rows)
+        // Bits at or above the old watermark belong to the insert range.
+        updated.truncate(updated.partition_point(|&row| row < synced));
+        (updated, synced..snapshot_rows)
     }
 
     /// Rows already propagated to the OLAP instance.
     pub fn olap_synced_rows(&self) -> u64 {
         self.olap_synced_rows.load(Ordering::Acquire)
-    }
-
-    /// Aggregated statistics of the active instance, as consumed by the
-    /// scheduler.
-    pub fn stats(&self) -> InstanceStats {
-        let active = self.active_instance();
-        let visible = self.instances[active].row_count();
-        let snapshot_rows = self.visible_rows[self.inactive_instance()].load(Ordering::Acquire);
-        InstanceStats {
-            visible_rows: visible,
-            inserted_since_switch: visible.saturating_sub(snapshot_rows),
-            updated_since_sync: self.dirty_twin[active].count(),
-            fresh_vs_olap: self.fresh_rows_vs_olap(),
-        }
     }
 
     /// Bytes of one instance of the relation.
@@ -475,12 +437,12 @@ mod tests {
         assert_eq!(t.get_from(active, 0, 1), Some(Value::F64(150.0)));
         assert_eq!(t.get_from(1 - active, 0, 1), Some(Value::F64(100.0)));
         assert!(t.update_presence().is_set());
-        assert_eq!(t.stats().updated_since_sync, 1);
         assert_eq!(
-            t.stats().fresh_vs_olap,
+            t.fresh_rows_vs_olap(),
             0,
             "no switch yet: snapshot watermark is 0"
         );
+        assert_eq!(t.switch_and_sync().copied_records, 1, "one bit was set");
     }
 
     #[test]
@@ -628,7 +590,6 @@ mod tests {
         t.update_row(2, [(1, &mut a), (3, &mut name)].into_iter())
             .unwrap();
         assert_eq!((a, name), (Value::I64(1), Value::from("n")));
-        assert_eq!(t.stats().updated_since_sync, 1);
         assert!(t.update_presence().is_set());
         assert!(t.active().column_stats(1).is_updated());
         assert!(!t.active().column_stats(2).is_updated());
@@ -638,11 +599,12 @@ mod tests {
             .update_row(0, [(2, &mut b), (1, &mut bad)].into_iter())
             .is_err());
         assert_eq!(t.get(0, 2), Some(Value::I64(7)));
-        assert_eq!(t.stats().updated_since_sync, 2);
         assert!(matches!(
             t.update_row(9, std::iter::empty()),
             Err(crate::StorageError::RowMissing { row: 9 })
         ));
+        // One bit per written row: row 2's two cells and row 0's.
+        assert_eq!(t.switch_and_sync().copied_records, 2);
     }
 
     #[test]
@@ -685,7 +647,7 @@ mod tests {
             }
             assert!(!t.instance(instance).column_stats(1).is_updated());
         }
-        assert_eq!(t.stats(), by_inserts.stats());
+        assert_eq!(t.fresh_rows_vs_olap(), by_inserts.fresh_rows_vs_olap());
         assert!(!t.update_presence().is_set());
         assert_eq!(t.olap_synced_rows(), 0);
         assert_eq!(t.switch_and_sync(), SyncOutcome::default());
@@ -740,10 +702,7 @@ mod tests {
         t.switch_and_sync();
         // Nothing propagated yet: all 10 visible rows are fresh.
         assert_eq!(t.fresh_rows_vs_olap(), 10);
-        let (updated, inserts) = t.olap_delta();
-        assert!(updated.is_empty());
-        assert_eq!(inserts, 0..10);
-        t.mark_olap_synced();
+        assert_eq!(t.take_olap_delta(), (vec![], 0..10));
         assert_eq!(t.fresh_rows_vs_olap(), 0);
         assert_eq!(t.olap_synced_rows(), 10);
 
@@ -757,10 +716,7 @@ mod tests {
         );
         t.switch_and_sync();
         assert_eq!(t.fresh_rows_vs_olap(), 2);
-        let (updated, inserts) = t.olap_delta();
-        assert_eq!(updated, vec![3]);
-        assert_eq!(inserts, 10..11);
-        assert_eq!(t.mark_olap_synced(), 1);
+        assert_eq!(t.take_olap_delta(), (vec![3], 10..11));
         assert_eq!(t.fresh_rows_vs_olap(), 0);
     }
 
@@ -783,11 +739,10 @@ mod tests {
         // A row inserted and updated after the switch stays pending.
         t.insert(&row(11, 11.0)).unwrap();
         t.update(11, 1, &Value::F64(12.0)).unwrap();
-        assert_eq!(t.olap_delta(), (vec![3], 10..11));
         assert_eq!(t.fresh_rows_vs_olap(), 2);
         assert_eq!(t.take_olap_delta(), (vec![3], 10..11));
         assert_eq!(t.olap_synced_rows(), 11);
-        assert_eq!(t.olap_delta(), (vec![], 11..11));
+        assert_eq!(t.fresh_rows_vs_olap(), 0, "row 11 waits for the switch");
         t.switch_and_sync();
         assert_eq!(t.take_olap_delta(), (vec![], 11..12));
     }
@@ -809,18 +764,6 @@ mod tests {
         t.switch_and_sync();
         assert_eq!(t.take_olap_delta(), (vec![0], 1..1));
         assert_eq!(t.fresh_rows_vs_olap(), 0);
-    }
-
-    #[test]
-    fn stats_report_inserted_since_switch() {
-        let t = TwinTable::new(schema());
-        t.insert(&row(1, 1.0)).unwrap();
-        t.switch_and_sync();
-        t.insert(&row(2, 2.0)).unwrap();
-        t.insert(&row(3, 3.0)).unwrap();
-        let stats = t.stats();
-        assert_eq!(stats.visible_rows, 3);
-        assert_eq!(stats.inserted_since_switch, 2);
     }
 
     #[test]

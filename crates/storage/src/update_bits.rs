@@ -12,7 +12,9 @@
 //! "how much fresh data is there?" (the `Nft` input of Algorithm 2) without
 //! scanning the bit words when there is none; below a watermark, and over
 //! the union of two bitmaps, bits are counted word by word (`count_ones`),
-//! never materialised.
+//! never materialised. Indices are only ever listed by a drain, which
+//! clears what it returns: the bits are a ledger of owed rows, and reading
+//! one is consuming it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,21 +95,6 @@ impl AtomicBitmap {
         self.set_count.load(Ordering::Acquire)
     }
 
-    /// The words of `a | b` that hold bits below `limit`, as `(word index,
-    /// bits)` with the bits at or above the limit masked off. Either slice
-    /// may be shorter than the other, or empty.
-    fn union_below<'a>(
-        a: &'a [AtomicU64],
-        b: &'a [AtomicU64],
-        limit: usize,
-    ) -> impl Iterator<Item = (usize, u64)> + 'a {
-        let words = a.len().max(b.len()).min(limit.div_ceil(BITS_PER_WORD));
-        (0..words).map(move |wi| {
-            let load = |w: &[AtomicU64]| w.get(wi).map_or(0, |x| x.load(Ordering::Acquire));
-            (wi, (load(a) | load(b)) & Self::mask_below(wi, limit))
-        })
-    }
-
     /// Mask of the bits of word `word_index` that lie below `limit`.
     fn mask_below(word_index: usize, limit: usize) -> u64 {
         if limit / BITS_PER_WORD > word_index {
@@ -124,35 +111,19 @@ impl AtomicBitmap {
         }
     }
 
-    /// The indices of the set bits of `(word index, bits)` pairs, ascending.
-    fn indices(words: impl Iterator<Item = (usize, u64)>) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (wi, bits) in words {
-            Self::push_bits(&mut out, wi, bits);
-        }
-        out
-    }
-
     /// Number of bits below `limit` that are set in `self` or in `other`,
-    /// counted word by word.
+    /// counted word by word (either bitmap may hold fewer words than the
+    /// other).
     pub fn count_union_below(&self, other: &AtomicBitmap, limit: usize) -> u64 {
         let (a, b) = (self.words.read(), other.words.read());
-        Self::union_below(&a, &b, limit)
-            .map(|(_, bits)| u64::from(bits.count_ones()))
+        let words = a.len().max(b.len()).min(limit.div_ceil(BITS_PER_WORD));
+        let load = |w: &[AtomicU64], wi: usize| w.get(wi).map_or(0, |x| x.load(Ordering::Acquire));
+        (0..words)
+            .map(|wi| {
+                let bits = (load(&a, wi) | load(&b, wi)) & Self::mask_below(wi, limit);
+                u64::from(bits.count_ones())
+            })
             .sum()
-    }
-
-    /// The indices below `limit` that are set in `self` or in `other`, in
-    /// ascending order.
-    pub fn iter_union_below(&self, other: &AtomicBitmap, limit: usize) -> Vec<usize> {
-        let (a, b) = (self.words.read(), other.words.read());
-        Self::indices(Self::union_below(&a, &b, limit))
-    }
-
-    /// Collect the indices of all set bits, in ascending order.
-    pub fn iter_set(&self) -> Vec<usize> {
-        let words = self.words.read();
-        Self::indices(Self::union_below(&words, &[], usize::MAX))
     }
 
     /// Clear every bit below `limit` and return the indices that were set,
@@ -191,24 +162,15 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn iter_set_returns_sorted_indices() {
+    fn drain_clears_and_returns() {
         let b = AtomicBitmap::with_capacity(1024);
         for i in [5usize, 63, 64, 512, 7] {
             b.set(i);
         }
-        assert_eq!(b.iter_set(), vec![5, 7, 63, 64, 512]);
         assert_eq!(b.count(), 5);
-    }
-
-    #[test]
-    fn drain_clears_and_returns() {
-        let b = AtomicBitmap::new();
-        b.set(1);
-        b.set(2);
-        let drained = b.drain();
-        assert_eq!(drained, vec![1, 2]);
+        assert_eq!(b.drain(), vec![5, 7, 63, 64, 512], "ascending");
         assert_eq!(b.count(), 0);
-        assert!(b.iter_set().is_empty());
+        assert!(b.drain().is_empty());
     }
 
     #[test]
@@ -228,15 +190,10 @@ mod tests {
             (usize::MAX, 7),
         ] {
             assert_eq!(b.count_union_below(&empty, limit), below, "limit {limit}");
-            assert_eq!(
-                empty.iter_union_below(&b, limit).len() as u64,
-                below,
-                "limit {limit}"
-            );
+            assert_eq!(empty.count_union_below(&b, limit), below, "limit {limit}");
         }
         assert_eq!(b.drain_below(101), vec![0, 63, 64, 100]);
         assert_eq!(b.count(), 3);
-        assert_eq!(b.iter_set(), vec![127, 128, 300]);
         assert!(b.drain_below(0).is_empty());
         assert_eq!(b.drain(), vec![127, 128, 300]);
         assert_eq!(b.count(), 0);
@@ -249,8 +206,8 @@ mod tests {
         b.set_many(&[1, 2, 700]);
         assert_eq!(a.count_union_below(&b, usize::MAX), 4);
         assert_eq!(b.count_union_below(&a, 700), 3);
-        assert_eq!(a.iter_union_below(&b, 701), vec![1, 2, 70, 700]);
-        assert_eq!(b.iter_union_below(&a, 70), vec![1, 2]);
+        assert_eq!(a.count_union_below(&b, 701), 4);
+        assert_eq!(b.count_union_below(&a, 70), 2);
     }
 
     #[test]
@@ -258,8 +215,8 @@ mod tests {
         let b = AtomicBitmap::with_capacity(64);
         assert!(b.set(10_000), "a bit past the capacity is set by growing");
         assert!(!b.set(10_000), "second set is not a transition");
-        assert_eq!(b.iter_set(), vec![10_000]);
         assert_eq!(b.count(), 1);
+        assert_eq!(b.drain(), vec![10_000]);
     }
 
     #[test]
@@ -306,7 +263,7 @@ mod proptests {
                 }
             }
             prop_assert_eq!(bitmap.count() as usize, model.len());
-            prop_assert_eq!(bitmap.iter_set(), model.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(bitmap.drain(), model.into_iter().collect::<Vec<_>>());
         }
     }
 }
