@@ -69,6 +69,13 @@ pub enum OlapError {
         /// The role the column was requested for.
         role: &'static str,
     },
+    /// A join key falls outside the key rule: an integer column, an
+    /// integral literal, or `+`/`−`/`×` of those with a column-free factor
+    /// in every product, folding to constants that fit `i64`.
+    UnsupportedKey {
+        /// What the key contains that the rule does not allow.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for OlapError {
@@ -108,6 +115,9 @@ impl fmt::Display for OlapError {
                     "column {column} of table {table} cannot be used as {role}"
                 )
             }
+            OlapError::UnsupportedKey { reason } => {
+                write!(f, "a join key cannot contain {reason}")
+            }
         }
     }
 }
@@ -144,5 +154,9 @@ mod tests {
             role: "a group key",
         };
         assert!(e.to_string().contains("group key"));
+        let e = OlapError::UnsupportedKey {
+            reason: "a product of two columns",
+        };
+        assert!(e.to_string().contains("join key") && e.to_string().contains("two columns"));
     }
 }

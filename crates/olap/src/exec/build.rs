@@ -7,7 +7,7 @@ use crate::error::OlapError;
 use crate::expr::ScalarExpr;
 use crate::hashtable::JoinTable;
 use crate::morsel::Morsel;
-use crate::program::CompiledKey;
+use crate::program::AffineKey;
 
 /// Every surviving row inserts its build key with the weight accumulated
 /// along the probe chain, so chained builds carry join multiplicities all
@@ -28,7 +28,7 @@ use crate::program::CompiledKey;
 /// that holds duplicates needs fewer slots, and a worker that claims more
 /// than its share of the morsels grows past its table as any table does.
 pub(super) struct BuildSink {
-    key: CompiledKey,
+    key: AffineKey,
     /// The source's row count, when the build key is the build relation's
     /// primary key: the keys the tables are sized for, whether or not the
     /// build is filtered.
@@ -36,7 +36,7 @@ pub(super) struct BuildSink {
 }
 
 impl BuildSink {
-    pub fn bind(pipe: &mut Pipeline<'_>, key: &ScalarExpr) -> Result<Self, OlapError> {
+    pub fn bind(pipe: &Pipeline<'_>, key: &ScalarExpr) -> Result<Self, OlapError> {
         let source = pipe.source;
         let primary_key = |column: &str| {
             source.segments.iter().all(|seg| {
@@ -74,10 +74,12 @@ impl Sink for BuildSink {
         JoinTable::with_capacity(bound.min(share))
     }
 
+    /// The key lanes come from [`key_vals`]: a plain key column in place,
+    /// a computed key such as Q4's as its `i64` affine form, exact either
+    /// way.
     fn consume(&self, cx: &mut MorselCtx<'_, '_>, survivors: Survivors<'_>, table: &mut JoinTable) {
         let sel = survivors.selection();
-        let consts = &cx.pipe.pool.consts;
-        let keys = key_vals(&self.key, cx.data, cx.regs, cx.keys, consts, cx.rows, sel);
+        let keys = key_vals(&self.key, cx.data, cx.keys, cx.rows, sel);
         match survivors {
             Survivors::Plain(_) => for_each_selected(cx.rows, sel, |_, i| table.add(keys[i], 1)),
             Survivors::Weighted(ids, weights) => {

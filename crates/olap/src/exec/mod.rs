@@ -133,9 +133,8 @@ impl QueryExecutor {
         let mut built: Vec<JoinTable> = Vec::with_capacity(spec.builds.len());
         for build in &spec.builds {
             let source = source_for(sources, &build.input.table)?;
-            let mut pipe =
-                Pipeline::bind(source, &build.input, &built, Some(&build.key), &[], &[])?;
-            let sink = BuildSink::bind(&mut pipe, &build.key)?;
+            let pipe = Pipeline::bind(source, &build.input, &built, Some(&build.key), &[], &[])?;
+            let sink = BuildSink::bind(&pipe, &build.key)?;
             let table = self.run_pipeline(&pipe, team, &sink, &mut work);
             // Build sides are broadcast: account their bytes and hash-table
             // sizes — builds probed by the root pipeline on the near fields,
@@ -825,12 +824,11 @@ mod tests {
         assert_eq!(out.work.total_bytes(), 100 * 4);
     }
 
-    #[test]
-    fn plain_column_join_keys_stay_exact_beyond_2_pow_53() {
-        // 2^53 and 2^53 + 1 are distinct i64 keys but collapse to the same
-        // f64; plain-column join keys must take the exact i64 path, so the
-        // probe of 2^53 + 1 against a build set holding 2^53 finds nothing.
-        const BIG: i64 = 1 << 53;
+    const BIG: i64 = 1 << 53;
+
+    /// `dim64(d_id)` holding 2^53 and `fact64(f_key, f_a)` holding
+    /// 2^53 + 1: distinct `i64` keys that collapse to the same `f64`.
+    fn sources_beyond_2_pow_53() -> BTreeMap<String, ScanSource> {
         let dim = ColumnarTable::new(TableSchema::new(
             "dim64",
             vec![ColumnDef::new("d_id", DataType::I64)],
@@ -858,21 +856,33 @@ mod tests {
             "fact64".to_string(),
             ScanSource::contiguous_snapshot(&snap, SocketId(0)),
         );
-        let dim = || ("dim64", "d_id", vec![]);
-        let join = |keys, dims, group_by| {
-            try_plan(
-                "fact64",
-                vec![],
-                keys,
-                dims,
-                group_by,
-                vec![AggExpr::Count],
-                None,
-            )
+        sources
+    }
+
+    /// `fact64 ⋈ dim64`, `COUNT(*)`: each key of `keys` probes one `dim64`
+    /// build keyed by `d_id`, chained as [`try_plan`] chains them.
+    fn join_beyond_2_pow_53(keys: Vec<ScalarExpr>, group_by: Option<&[&str]>) -> QueryOutput {
+        let dims = keys.iter().map(|_| ("dim64", "d_id", vec![])).collect();
+        let plan = try_plan(
+            "fact64",
+            vec![],
+            keys,
+            dims,
+            group_by,
+            vec![AggExpr::Count],
+            None,
+        )
+        .unwrap();
+        QueryExecutor::default()
+            .execute(&plan, &sources_beyond_2_pow_53())
             .unwrap()
-        };
-        let plan = join(vec![col("f_key")], vec![dim()], None);
-        let out = QueryExecutor::default().execute(&plan, &sources).unwrap();
+    }
+
+    #[test]
+    fn plain_column_join_keys_stay_exact_beyond_2_pow_53() {
+        // Plain-column join keys take the exact i64 path, so the probe of
+        // 2^53 + 1 against a build set holding 2^53 finds nothing.
+        let out = join_beyond_2_pow_53(vec![col("f_key")], None);
         assert_eq!(
             out.result.scalars().unwrap()[0],
             0.0,
@@ -881,21 +891,61 @@ mod tests {
 
         // Grouped and chained joins route plain-column keys through the
         // same exact path, on both the build and the probe side.
-        let jgb = join(vec![col("f_key")], vec![dim()], Some(&["f_key"]));
-        let out = QueryExecutor::default().execute(&jgb, &sources).unwrap();
+        let out = join_beyond_2_pow_53(vec![col("f_key")], Some(&["f_key"]));
         assert!(out.result.groups().unwrap().is_empty());
-        let multi = join(vec![col("f_key"), col("d_id")], vec![dim(), dim()], None);
-        let out = QueryExecutor::default().execute(&multi, &sources).unwrap();
+        let out = join_beyond_2_pow_53(vec![col("f_key"), col("d_id")], None);
         assert_eq!(out.result.scalars().unwrap()[0], 0.0);
     }
 
     #[test]
+    fn computed_join_keys_stay_exact_beyond_2_pow_53() {
+        // Computed keys evaluate their affine form in i64: `f_key + 0` is
+        // 2^53 + 1 and misses the build's 2^53, `f_key − 1` is 2^53 and hits
+        // it. Through f64 both would have rounded the other way.
+        let lit = ScalarExpr::lit;
+        let count = |out: QueryOutput| out.result.scalars().unwrap()[0];
+        let (same, less) = (|| col("f_key") + lit(0.0), || col("f_key") - lit(1.0));
+        assert_eq!(count(join_beyond_2_pow_53(vec![same()], None)), 0.0);
+        assert_eq!(count(join_beyond_2_pow_53(vec![less()], None)), 1.0);
+
+        // Grouped: the one fact row forms its group only when it joins.
+        let grouped = Some(&["f_key"][..]);
+        let out = join_beyond_2_pow_53(vec![same()], grouped);
+        assert!(out.result.groups().unwrap().is_empty());
+        let out = join_beyond_2_pow_53(vec![less()], grouped);
+        assert_eq!(out.result.groups().unwrap(), &[(vec![BIG + 1], vec![1.0])]);
+
+        // Chained: the dim64 pipeline probes the next dim64 build through a
+        // computed key of its own (2·d_id − d_id − 1 = 2^53 − 1 misses).
+        let twice = || col("d_id") * lit(2.0) - col("d_id");
+        let out = join_beyond_2_pow_53(vec![less(), twice()], None);
+        assert_eq!(count(out), 1.0);
+        let out = join_beyond_2_pow_53(vec![less(), twice() - lit(1.0)], None);
+        assert_eq!(count(out), 0.0);
+
+        // A computed build key: d_id + 1 = 2^53 + 1 holds the plain probe
+        // key f_key; d_id + 0 = 2^53 does not.
+        let built_on = |key: ScalarExpr| {
+            let mut b = DagBuilder::default();
+            let dim = b.scan("dim64");
+            let build = b.build(dim, key);
+            let fact = b.scan("fact64");
+            let probed = b.probe(fact, build, col("f_key"));
+            b.aggregate(probed, None, vec![AggExpr::Count]);
+            let plan = b.finish().unwrap();
+            let sources = sources_beyond_2_pow_53();
+            count(QueryExecutor::default().execute(&plan, &sources).unwrap())
+        };
+        assert_eq!(built_on(col("d_id") + lit(1.0)), 1.0);
+        assert_eq!(built_on(col("d_id") + lit(0.0)), 0.0);
+    }
+
+    #[test]
     fn shared_column_between_plain_key_and_computed_expression_does_not_panic() {
-        // The mid build key loads m_id through the key path while mid's
-        // probe key *computes* over the same column: m_id must stay
-        // numeric-loaded too, because compiled expressions have no
-        // key-column fallback. fk = m_id * 0 + m_c == m_c, but references
-        // m_id in a computed expression.
+        // The mid build key reads m_id in place while mid's probe key
+        // *computes* over the same column: both resolve to the one key-load
+        // slot of m_id. fk = m_id * 0 + m_c folds to m_c, but still
+        // references m_id in a computed expression.
         let plan = try_plan(
             "orderline",
             vec![],

@@ -17,44 +17,54 @@ use crate::expr::{AggExpr, Predicate, ScalarExpr};
 use crate::hashtable::JoinTable;
 use crate::morsel::Morsel;
 use crate::program::{
-    apply_filters, ColRef, ColumnResolver, CompiledAgg, CompiledKey, CompiledPredicate, ProgramPool,
+    apply_filters, AffineKey, ColRef, ColumnResolver, CompiledAgg, CompiledPredicate, ProgramPool,
 };
 use crate::scratch::{load_morsel, ExecScratch, FilterColumns, LoadPass, MorselData};
 use crate::source::{BoundLayout, ScanSource};
 use crate::worker::WorkerTeam;
 use htap_obs::EventKind;
+use htap_storage::DataType;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Split the columns one pipeline reads into `(numeric, keys)` load lists.
-/// Plain-column join keys and `group_by` columns go through the exact `i64`
-/// key path (full `i64` range); computed key expressions and aggregate
-/// inputs must load as numeric — expression evaluation has no key-column
-/// fallback — and evaluate in `f64` (exact below 2^53). Filter-only columns
-/// that are already key-loaded are dropped from the numeric list (predicates
-/// fall back to key columns); a column needed by both paths is loaded in
-/// both representations and byte-accounted once (the bind deduplicates the
-/// accessed set).
+/// Aggregate inputs load as numeric `f64` lanes, the only type the register
+/// programs evaluate. Every join-key column — plain or inside a computed key
+/// — and every `group_by` column loads through the exact `i64` key path, and
+/// so does an integer filter column no aggregate reads: it compares in place
+/// (`v as f64` against the literal, as a numeric load would), with no
+/// conversion pass. A filter column an aggregate also reads, or one that is
+/// not an integer column in every segment of `source`, stays numeric. A
+/// column on both lists loads in both representations and is byte-accounted
+/// once (the bind deduplicates the accessed set).
 fn split_read_columns(
+    source: &ScanSource,
     filters: &[Predicate],
     aggregates: &[AggExpr],
     key_exprs: &[&ScalarExpr],
     group_by: &[String],
 ) -> (Vec<String>, Vec<String>) {
+    let integer = |name: &str| {
+        source.segments.iter().all(|seg| {
+            let schema = seg.table.schema();
+            schema
+                .column_index(name)
+                .is_some_and(|i| matches!(schema.column(i).dtype, DataType::I64 | DataType::I32))
+        })
+    };
+    let mut numeric: Vec<String> = aggregates.iter().flat_map(AggExpr::columns).collect();
     let mut keys: Vec<String> = group_by.to_vec();
-    let mut computed: Vec<String> = aggregates.iter().flat_map(AggExpr::columns).collect();
-    for expr in key_exprs {
-        match expr {
-            ScalarExpr::Col(name) => keys.push(name.clone()),
-            other => computed.extend(other.columns()),
+    keys.extend(key_exprs.iter().flat_map(|e| e.columns()));
+    for p in filters {
+        if numeric.contains(&p.column) || !integer(&p.column) {
+            numeric.push(p.column.clone());
+        } else {
+            keys.push(p.column.clone());
         }
     }
-    keys.sort();
-    keys.dedup();
-    let mut numeric: Vec<String> = filters.iter().map(|p| p.column.clone()).collect();
-    numeric.retain(|c| !keys.contains(c));
-    numeric.extend(computed);
-    numeric.sort();
-    numeric.dedup();
+    for list in [&mut numeric, &mut keys] {
+        list.sort();
+        list.dedup();
+    }
     (numeric, keys)
 }
 
@@ -73,7 +83,7 @@ pub(super) struct Pipeline<'q> {
     /// the rest only if a row survives.
     filter_columns: FilterColumns,
     /// Probe stages in execution order: compiled key, probed build table.
-    pub probes: Vec<(CompiledKey, &'q JoinTable)>,
+    pub probes: Vec<(AffineKey, &'q JoinTable)>,
     pub aggs: Vec<CompiledAgg>,
 }
 
@@ -94,7 +104,8 @@ impl<'q> Pipeline<'q> {
             .into_iter()
             .chain(input.probes.iter().map(|p| &p.key))
             .collect();
-        let (numeric, keys) = split_read_columns(&input.filters, aggregates, &key_exprs, group_by);
+        let (numeric, keys) =
+            split_read_columns(source, &input.filters, aggregates, &key_exprs, group_by);
         let numeric_refs: Vec<&str> = numeric.iter().map(String::as_str).collect();
         let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
         // A column serving both as filter/aggregate input and as key is
@@ -120,7 +131,7 @@ impl<'q> Pipeline<'q> {
         let probes = input
             .probes
             .iter()
-            .map(|p| Ok((pool.compile_key(&p.key, &resolver)?, &built[p.build])))
+            .map(|p| Ok((AffineKey::compile(&p.key, &keys)?, &built[p.build])))
             .collect::<Result<_, OlapError>>()?;
         Ok(Pipeline {
             source,
@@ -137,9 +148,8 @@ impl<'q> Pipeline<'q> {
 
     /// Compile one more key expression over the bound load lists (the build
     /// sink's key; its columns were put on the lists by [`Pipeline::bind`]).
-    pub fn compile_key(&mut self, expr: &ScalarExpr) -> Result<CompiledKey, OlapError> {
-        let resolver = ColumnResolver::new(&self.numeric, &self.keys);
-        self.pool.compile_key(expr, &resolver)
+    pub fn compile_key(&self, expr: &ScalarExpr) -> Result<AffineKey, OlapError> {
+        AffineKey::compile(expr, &self.keys)
     }
 
     /// Key-list slot of a column loaded through the key path. The bind

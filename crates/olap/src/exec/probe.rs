@@ -4,47 +4,27 @@
 
 use super::pipeline::MorselCtx;
 use crate::kernels;
-use crate::program::{eval_expr, resolve, CompiledKey, ValView};
+use crate::program::AffineKey;
 use crate::scratch::{MorselData, ProbeBufs};
 
 /// The `i64` join-key lane of every selected row of one morsel, indexed by
-/// row: a plain key column is read in place (exact over the full `i64`
-/// range); a computed expression is evaluated in `f64` and cast — exact
-/// below 2^53 — into the worker's key buffer `buf`, so every probe and build
-/// loop downstream sees one kind of key.
+/// row: a plain key column is read in place; any other key evaluates its
+/// affine form in wrapping `i64` over the key columns into the worker's key
+/// buffer `buf`. Both are exact over the full `i64` range, and every probe
+/// and build loop downstream sees one kind of key.
 #[inline]
 pub(super) fn key_vals<'a>(
-    key: &CompiledKey,
+    key: &AffineKey,
     data: &'a MorselData<'_>,
-    regs: &mut [Vec<f64>],
     buf: &'a mut Vec<i64>,
-    consts: &[f64],
     rows: usize,
     sel: Option<&[u32]>,
 ) -> &'a [i64] {
-    let expr = match key {
-        CompiledKey::Key(slot) => return data.key(*slot as usize),
-        CompiledKey::Expr(expr) => expr,
-    };
-    eval_expr(expr, data, regs, consts, rows, sel);
-    if buf.len() < rows {
-        buf.resize(rows, 0);
+    if let Some(slot) = key.column() {
+        return data.key(slot as usize);
     }
-    let buf = &mut buf[..rows];
-    match (resolve(expr.output, data, regs, consts), sel) {
-        (ValView::Const(c), _) => buf.fill(c as i64),
-        (ValView::Slice(s), None) => {
-            for (k, &v) in buf.iter_mut().zip(&s[..rows]) {
-                *k = v as i64;
-            }
-        }
-        (ValView::Slice(s), Some(ids)) => {
-            for &i in ids {
-                buf[i as usize] = s[i as usize] as i64;
-            }
-        }
-    }
-    buf
+    key.eval(|slot| data.key(slot as usize), rows, sel, buf);
+    &buf[..rows]
 }
 
 /// Run `f(pos, row)` over every selected row: `pos` is the row's position in
@@ -125,8 +105,7 @@ pub(super) fn probe_chain<'s>(
         let src_w: Option<&[u64]> = weighted.then_some(bufs.w_b.as_slice());
         let (out, out_w) = (&mut bufs.sel_a, &mut bufs.w_a);
         total_probes += src.map_or(rows, <[u32]>::len) as u64;
-        let consts = &pipe.pool.consts;
-        let keys = key_vals(key, cx.data, cx.regs, cx.keys, consts, rows, src);
+        let keys = key_vals(key, cx.data, cx.keys, rows, src);
         if track {
             out.clear();
             out_w.clear();

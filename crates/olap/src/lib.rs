@@ -22,6 +22,7 @@
 //!   programs below.
 //! * [`program`] (private), [`hashtable`], [`scratch`] (private) — the
 //!   vectorized hot path: bind-time register programs over column indices,
+//!   join keys folded into exact `i64` affine forms ([`AffineKey`]),
 //!   open-addressing group/join tables with inline flat keys, and per-worker
 //!   reusable execution scratch (selection vectors, registers, borrowed
 //!   column slices) so the steady-state morsel loop does not allocate.
@@ -84,6 +85,7 @@ pub use exec::{QueryExecutor, QueryOutput, QueryResult, WorkProfile};
 pub use expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
 pub use hashtable::{GroupTable, JoinTable};
 pub use morsel::{split_morsels, Morsel};
+pub use program::AffineKey;
 pub use reference::{execute_reference, execute_reference_with_work};
 pub use source::{BoundLayout, ScanSegmentSource, ScanSource};
 pub use worker::WorkerTeam;

@@ -10,6 +10,10 @@
 //! tree, and never allocates — registers live in the worker's
 //! [`crate::scratch::ExecScratch`] and are reused across morsels.
 //!
+//! Join keys take no register program: they fold to exact `i64` affine
+//! forms over the key columns ([`AffineKey`]), so integer keys never round
+//! through `f64`.
+//!
 //! Selection vectors (`u32` row ids) replace the old `Vec<bool>` masks:
 //! filters *compact* the selection in place, and every downstream operator
 //! (join probe, aggregation, group-by) iterates only the surviving rows.
@@ -215,23 +219,6 @@ impl ProgramPool {
             })
             .collect()
     }
-
-    /// Compile a join-key expression. A plain column reference that is key-
-    /// loaded takes the exact `i64` path (full `i64` range, no `f64`
-    /// round-trip); computed expressions evaluate in `f64` and cast (exact
-    /// below 2^53) — the same rule the interpreter applied.
-    pub fn compile_key(
-        &mut self,
-        expr: &ScalarExpr,
-        resolver: &ColumnResolver<'_>,
-    ) -> Result<CompiledKey, OlapError> {
-        if let ScalarExpr::Col(name) = expr {
-            if let Some(i) = resolver.keys.iter().position(|c| c == name) {
-                return Ok(CompiledKey::Key(i as u32));
-            }
-        }
-        Ok(CompiledKey::Expr(self.compile_expr(expr, resolver)?))
-    }
 }
 
 /// One compiled filter predicate: resolved column, operator, literal.
@@ -262,11 +249,205 @@ pub(crate) enum CompiledAgg {
     Fold(AggKind, CompiledExpr),
 }
 
-/// A compiled join key: an exact `i64` key column or a computed expression.
-#[derive(Debug, Clone)]
-pub(crate) enum CompiledKey {
-    Key(u32),
-    Expr(CompiledExpr),
+/// A join key compiled to its affine form `constant + Σ coefficient·column`
+/// over key-loaded integer columns, evaluated in wrapping `i64` — exact over
+/// the whole `i64` range, where an `f64` detour would round above 2^53.
+///
+/// One rule decides what a key may be: an integer column, an integral
+/// literal, or `+`/`−`/`×` of those with a column-free factor in every
+/// product. [`AffineKey::compile`] folds the constants at bind time, so
+/// `(w·100 + d)·10⁷ + o` becomes `10⁹·w + 10⁷·d + o`: one multiply-add
+/// sweep per three columns at run time, and none at all for a plain column,
+/// which is read in place. A float column cannot be key-loaded (a typed
+/// error when the pipeline binds its load lists); a fractional literal, a
+/// product of two columns and a constant that overflows `i64` while folding
+/// are typed errors here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AffineKey {
+    /// The folded constant term.
+    pub constant: i64,
+    /// `(coefficient, key slot)` per distinct column, in the order the
+    /// expression first references them. A coefficient may fold to 0.
+    pub terms: Vec<(i64, u32)>,
+}
+
+impl AffineKey {
+    /// Fold `expr` into its affine form over `keys`, the key load list: a
+    /// term's slot is its column's position there. Every step is checked, so
+    /// a folded coefficient or constant is exact or a typed error.
+    pub fn compile(expr: &ScalarExpr, keys: &[String]) -> Result<Self, OlapError> {
+        let fold = |e: &ScalarExpr| Self::compile(e, keys);
+        Ok(match expr {
+            ScalarExpr::Col(name) => {
+                let slot = keys.iter().position(|c| c == name).ok_or_else(|| {
+                    OlapError::MissingColumn {
+                        column: name.clone(),
+                    }
+                })?;
+                AffineKey {
+                    constant: 0,
+                    terms: vec![(1, slot as u32)],
+                }
+            }
+            ScalarExpr::Literal(v) => AffineKey {
+                constant: integral(*v)?,
+                terms: Vec::new(),
+            },
+            ScalarExpr::Add(a, b) => fold(a)?.combine(fold(b)?, i64::checked_add)?,
+            ScalarExpr::Sub(a, b) => fold(a)?.combine(fold(b)?, i64::checked_sub)?,
+            ScalarExpr::Mul(a, b) => {
+                let (a, b) = (fold(a)?, fold(b)?);
+                let (factor, rest) = match (a.terms.is_empty(), b.terms.is_empty()) {
+                    (true, _) => (a.constant, b),
+                    (_, true) => (b.constant, a),
+                    _ => {
+                        return Err(OlapError::UnsupportedKey {
+                            reason: "a product of two columns",
+                        })
+                    }
+                };
+                let zero = AffineKey {
+                    constant: 0,
+                    terms: Vec::new(),
+                };
+                zero.combine(rest, |_, x| x.checked_mul(factor))?
+            }
+        })
+    }
+
+    /// `self op other`, term by term: `op` applies to the two constants and
+    /// to the two coefficients of every column (0 where a side lacks it).
+    fn combine(
+        mut self,
+        other: AffineKey,
+        op: impl Fn(i64, i64) -> Option<i64>,
+    ) -> Result<Self, OlapError> {
+        self.constant = checked(op(self.constant, other.constant))?;
+        for (c, slot) in other.terms {
+            match self.terms.iter_mut().find(|(_, s)| *s == slot) {
+                Some((own, _)) => *own = checked(op(*own, c))?,
+                None => self.terms.push((checked(op(0, c))?, slot)),
+            }
+        }
+        Ok(self)
+    }
+
+    /// The key slot a plain-column key reads in place, without evaluation.
+    pub fn column(&self) -> Option<u32> {
+        match self.terms[..] {
+            [(1, slot)] if self.constant == 0 => Some(slot),
+            _ => None,
+        }
+    }
+
+    /// Evaluate the key into `out` for every selected row (`None`: the
+    /// dense range `0..rows`) over the key columns `column` returns; `out`
+    /// grows to `rows` lanes, and rows off the selection keep whatever they
+    /// held. Terms go three to a pass: each pass multiplies and adds its
+    /// columns in one sweep, the first from the constant, later ones onto
+    /// what the previous pass left.
+    pub fn eval<'a>(
+        &self,
+        column: impl Fn(u32) -> &'a [i64],
+        rows: usize,
+        sel: Option<&[u32]>,
+        out: &mut Vec<i64>,
+    ) {
+        if out.len() < rows {
+            out.resize(rows, 0);
+        }
+        let out = &mut out[..rows];
+        let mut init = Some(self.constant);
+        for group in self.terms.chunks(3) {
+            let term = |k: usize| (group[k].0, column(group[k].1));
+            match group.len() {
+                1 => {
+                    let (c, x) = term(0);
+                    madd_lanes(out, sel, init, [x], |[a]| c.wrapping_mul(a));
+                }
+                2 => {
+                    let ((c, x), (d, y)) = (term(0), term(1));
+                    madd_lanes(out, sel, init, [x, y], |[a, b]| {
+                        c.wrapping_mul(a).wrapping_add(d.wrapping_mul(b))
+                    });
+                }
+                _ => {
+                    let ((c, x), (d, y), (e, z)) = (term(0), term(1), term(2));
+                    madd_lanes(out, sel, init, [x, y, z], |[a, b, f]| {
+                        c.wrapping_mul(a)
+                            .wrapping_add(d.wrapping_mul(b))
+                            .wrapping_add(e.wrapping_mul(f))
+                    });
+                }
+            }
+            init = None;
+        }
+        if init.is_some() {
+            // No term at all: the key is the constant.
+            madd_lanes(out, sel, init, [], |[]| 0);
+        }
+    }
+}
+
+/// For every selected row `i`, write `base + sum(cols[·][i])` into `out[i]`,
+/// where `base` is `init` or, when that is `None`, what `out[i]` holds.
+#[inline(always)]
+fn madd_lanes<const N: usize>(
+    out: &mut [i64],
+    sel: Option<&[u32]>,
+    init: Option<i64>,
+    cols: [&[i64]; N],
+    sum: impl Fn([i64; N]) -> i64,
+) {
+    match sel {
+        None => {
+            // A dense pass reads exactly `out.len()` lanes of every column;
+            // saying so up front drops the element loop's bounds checks.
+            let cols = cols.map(|c| &c[..out.len()]);
+            match init {
+                Some(c0) => {
+                    for (i, o) in out.iter_mut().enumerate() {
+                        *o = c0.wrapping_add(sum(cols.map(|c| c[i])));
+                    }
+                }
+                None => {
+                    for (i, o) in out.iter_mut().enumerate() {
+                        *o = o.wrapping_add(sum(cols.map(|c| c[i])));
+                    }
+                }
+            }
+        }
+        // Behind a selection the columns stay as they are: a morsel no row
+        // of which survived has loaded none of them.
+        Some(ids) => {
+            for &i in ids {
+                let i = i as usize;
+                let base = init.unwrap_or(out[i]);
+                out[i] = base.wrapping_add(sum(cols.map(|c| c[i])));
+            }
+        }
+    }
+}
+
+/// A checked step of key folding: `None` (an `i64` overflow) is a typed
+/// error.
+fn checked(v: Option<i64>) -> Result<i64, OlapError> {
+    v.ok_or(OlapError::UnsupportedKey {
+        reason: "a constant that overflows i64",
+    })
+}
+
+/// A key literal as an exact `i64`: integral and inside the `i64` range.
+fn integral(v: f64) -> Result<i64, OlapError> {
+    // 2^63 is exact in f64; every integral f64 in [-2^63, 2^63) is an i64.
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+    if v.fract() == 0.0 && (-LIMIT..LIMIT).contains(&v) {
+        Ok(v as i64)
+    } else {
+        Err(OlapError::UnsupportedKey {
+            reason: "a literal that is not an i64 integer",
+        })
+    }
 }
 
 /// The value view a compiled source resolves to for one morsel: a dense
@@ -545,23 +726,64 @@ mod tests {
 
     #[test]
     fn key_compilation_prefers_the_exact_path() {
-        let (num, keys) = resolver_lists();
-        let resolver = ColumnResolver::new(&num, &keys);
-        let mut pool = ProgramPool::default();
-        match pool.compile_key(&ScalarExpr::col("id"), &resolver).unwrap() {
-            CompiledKey::Key(0) => {}
-            other => panic!("expected exact key slot, got {other:?}"),
-        }
-        match pool
-            .compile_key(
-                &(ScalarExpr::col("price") * ScalarExpr::lit(2.0)),
-                &resolver,
-            )
-            .unwrap()
-        {
-            CompiledKey::Expr(_) => {}
-            other => panic!("expected computed key, got {other:?}"),
-        }
+        let keys = vec!["id".to_string(), "w".into(), "d".into()];
+        let compile = |e: &ScalarExpr| AffineKey::compile(e, &keys);
+        let (col, lit) = (ScalarExpr::col, ScalarExpr::lit);
+        // A plain key column is read in place.
+        let plain = compile(&col("id")).unwrap();
+        assert_eq!(plain.column(), Some(0));
+        // Constants fold at bind: (w·100 + d)·10⁷ + id = 10⁹·w + 10⁷·d + id.
+        let ch = compile(&((col("w") * lit(100.0) + col("d")) * lit(1e7) + col("id"))).unwrap();
+        assert_eq!(
+            ch,
+            AffineKey {
+                constant: 0,
+                terms: vec![(1_000_000_000, 1), (10_000_000, 2), (1, 0)],
+            }
+        );
+        assert_eq!(ch.column(), None);
+        // Repeated columns merge; `−` negates; constant-only keys fold whole.
+        let folded = compile(&(lit(3.0) - col("w") * lit(2.0) + col("w") - lit(1.0))).unwrap();
+        assert_eq!(folded.terms, vec![(-1, 1)]);
+        assert_eq!(folded.constant, 2);
+        assert!(compile(&(lit(6.0) * lit(7.0))).unwrap().terms.is_empty());
+        // Anything else is a typed error, not a silent truncation.
+        let unsupported = |reason| Err(OlapError::UnsupportedKey { reason });
+        assert_eq!(
+            compile(&(col("id") * lit(2.5))),
+            unsupported("a literal that is not an i64 integer")
+        );
+        assert_eq!(
+            compile(&(col("w") * col("d"))),
+            unsupported("a product of two columns")
+        );
+        assert_eq!(
+            compile(&(col("w") * lit(4e18) * lit(4.0))),
+            unsupported("a constant that overflows i64")
+        );
+        // A column off the key list (a float column never gets on it).
+        assert_eq!(
+            compile(&(col("price") * lit(2.0))),
+            Err(OlapError::MissingColumn {
+                column: "price".into()
+            })
+        );
+    }
+
+    #[test]
+    fn affine_keys_evaluate_dense_and_gathered() {
+        let keys = vec!["w".to_string(), "o".into()];
+        let (col, lit) = (ScalarExpr::col, ScalarExpr::lit);
+        let key = AffineKey::compile(&(col("w") * lit(1e7) + col("o") - lit(1.0)), &keys).unwrap();
+        let (w, o) = ([1i64, 2, 3, 4], [5i64, 6, 7, i64::MAX]);
+        let column = |s: u32| if s == 0 { &w[..] } else { &o[..] };
+        let mut out = Vec::new();
+        key.eval(column, 4, None, &mut out);
+        let want = |i: usize| (w[i] * 10_000_000).wrapping_add(o[i]) - 1;
+        assert_eq!(out, (0..4).map(want).collect::<Vec<_>>());
+        out.fill(-7);
+        key.eval(column, 4, Some(&[1, 3]), &mut out);
+        assert_eq!(out, vec![-7, want(1), -7, want(3)]);
     }
 
     #[test]

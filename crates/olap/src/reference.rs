@@ -49,26 +49,54 @@ fn scalar_at(expr: &ScalarExpr, block: &Block, row: usize) -> f64 {
     }
 }
 
-/// Row-at-a-time join-key evaluation, mirroring the engine's exactness rule:
-/// a plain column reference reads through the exact `i64` key path (full
-/// `i64` range); a computed expression evaluates in `f64` (exact below 2^53).
-fn key_at(expr: &ScalarExpr, block: &Block, row: usize) -> i64 {
-    if let ScalarExpr::Col(name) = expr {
-        if let Some(keys) = block.key(name) {
-            return keys[row];
+/// Check a join key against the key rule the engine enforces at bind: an
+/// integer column (checked when its block loads), an integral literal, or
+/// `+`/`−`/`×` of those with a column-free factor in every product.
+fn check_key(expr: &ScalarExpr) -> Result<(), OlapError> {
+    match expr {
+        ScalarExpr::Col(_) => Ok(()),
+        ScalarExpr::Literal(v)
+            if v.fract() == 0.0 && *v >= i64::MIN as f64 && *v < -(i64::MIN as f64) =>
+        {
+            Ok(())
+        }
+        ScalarExpr::Literal(_) => Err(OlapError::UnsupportedKey {
+            reason: "a literal that is not an i64 integer",
+        }),
+        ScalarExpr::Mul(a, b) if !a.columns().is_empty() && !b.columns().is_empty() => {
+            Err(OlapError::UnsupportedKey {
+                reason: "a product of two columns",
+            })
+        }
+        ScalarExpr::Add(a, b) | ScalarExpr::Sub(a, b) | ScalarExpr::Mul(a, b) => {
+            check_key(a)?;
+            check_key(b)
         }
     }
-    scalar_at(expr, block, row) as i64
 }
 
-/// Split a key expression between the key and numeric load lists, the same
-/// rule the engine applies: plain columns load as keys, computed-expression
-/// inputs as numerics.
-fn push_key_columns(expr: &ScalarExpr, numeric: &mut Vec<String>, keys: &mut Vec<String>) {
-    match expr {
-        ScalarExpr::Col(name) => keys.push(name.clone()),
-        computed => numeric.extend(computed.columns()),
-    }
+/// Row-at-a-time join-key evaluation: the expression tree in wrapping `i64`
+/// over the key-loaded columns, exact over the whole `i64` range — the value
+/// the engine's folded affine form computes.
+fn key_at(expr: &ScalarExpr, block: &Block, row: usize) -> Result<i64, OlapError> {
+    let at = |e: &ScalarExpr| key_at(e, block, row);
+    Ok(match expr {
+        ScalarExpr::Col(name) => block.key(name).ok_or_else(|| OlapError::MissingColumn {
+            column: name.clone(),
+        })?[row],
+        ScalarExpr::Literal(v) => *v as i64,
+        ScalarExpr::Add(a, b) => at(a)?.wrapping_add(at(b)?),
+        ScalarExpr::Sub(a, b) => at(a)?.wrapping_sub(at(b)?),
+        ScalarExpr::Mul(a, b) => at(a)?.wrapping_mul(at(b)?),
+    })
+}
+
+/// Put a join key's columns on the key load list — every one of them, as
+/// the engine does — after checking the key against the key rule.
+fn push_key_columns(expr: &ScalarExpr, keys: &mut Vec<String>) -> Result<(), OlapError> {
+    check_key(expr)?;
+    keys.extend(expr.columns());
+    Ok(())
 }
 
 /// Row-at-a-time comparison, re-derived from the operator.
@@ -210,19 +238,19 @@ fn probe_weight(
     block: &Block,
     row: usize,
     work: &mut WorkProfile,
-) -> u64 {
+) -> Result<u64, OlapError> {
     let mut w = 1u64;
     for p in probes {
         work.probes += 1;
         w *= built[p.build]
-            .get(&key_at(&p.key, block, row))
+            .get(&key_at(&p.key, block, row)?)
             .copied()
             .unwrap_or(0);
         if w == 0 {
-            return 0;
+            return Ok(0);
         }
     }
-    w
+    Ok(w)
 }
 
 /// Account one pipeline's scan, derived from the source alone (never from
@@ -263,9 +291,9 @@ fn reference_build(
 ) -> Result<WeightMap, OlapError> {
     let mut numeric = filter_columns(&build.input.filters);
     let mut keys = Vec::new();
-    push_key_columns(&build.key, &mut numeric, &mut keys);
+    push_key_columns(&build.key, &mut keys)?;
     for p in &build.input.probes {
-        push_key_columns(&p.key, &mut numeric, &mut keys);
+        push_key_columns(&p.key, &mut keys)?;
     }
     let mut map = WeightMap::new();
     for block in load(src, &numeric, &keys)? {
@@ -273,11 +301,11 @@ fn reference_build(
             if !passes(&build.input.filters, &block, row) {
                 continue;
             }
-            let w = probe_weight(&build.input.probes, built, &block, row, work);
+            let w = probe_weight(&build.input.probes, built, &block, row, work)?;
             if w == 0 {
                 continue;
             }
-            *map.entry(key_at(&build.key, &block, row)).or_insert(0) += w;
+            *map.entry(key_at(&build.key, &block, row)?).or_insert(0) += w;
         }
     }
     numeric.extend(keys);
@@ -305,7 +333,7 @@ fn reference_scalar_scan(
     numeric.extend(agg_columns(aggregates));
     let mut keys = Vec::new();
     for p in &root.probes {
-        push_key_columns(&p.key, &mut numeric, &mut keys);
+        push_key_columns(&p.key, &mut keys)?;
     }
     let mut accs = vec![RefAcc::default(); aggregates.len()];
     for block in load(src, &numeric, &keys)? {
@@ -313,7 +341,7 @@ fn reference_scalar_scan(
             if !passes(&root.filters, &block, row) {
                 continue;
             }
-            let w = probe_weight(&root.probes, built, &block, row, work);
+            let w = probe_weight(&root.probes, built, &block, row, work)?;
             if w == 0 {
                 continue;
             }
@@ -339,7 +367,7 @@ fn reference_grouped_scan(
     numeric.extend(agg_columns(aggregates));
     let mut keys = group_by.to_vec();
     for p in &root.probes {
-        push_key_columns(&p.key, &mut numeric, &mut keys);
+        push_key_columns(&p.key, &mut keys)?;
     }
     let mut groups: BTreeMap<Vec<i64>, Vec<RefAcc>> = BTreeMap::new();
     for block in load(src, &numeric, &keys)? {
@@ -355,7 +383,7 @@ fn reference_grouped_scan(
             if !passes(&root.filters, &block, row) {
                 continue;
             }
-            let w = probe_weight(&root.probes, built, &block, row, work);
+            let w = probe_weight(&root.probes, built, &block, row, work)?;
             if w == 0 {
                 continue;
             }

@@ -11,8 +11,12 @@
 //! column serving as a numeric input, or an `i64` column serving as a key,
 //! is *borrowed* straight out of the columnar storage (a read guard held
 //! for the duration of the morsel) instead of copied. Only genuine type
-//! conversions (`i32`/`i64` → `f64` numerics, `i32` → `i64` keys) write
-//! into the scratch conversion buffers.
+//! conversions (`i32`/`i64` → `f64` aggregate inputs, `i32` → `i64` keys)
+//! write into the scratch conversion buffers. Integer columns nothing
+//! aggregates — join-key and group columns, integer filter columns — load
+//! as keys, so the common case is a borrow: a computed join key evaluates
+//! its `i64` affine form over borrowed key slices into [`ExecScratch::keys`],
+//! and a filter compares the `i64` lanes in place.
 //!
 //! A morsel is loaded in two passes ([`LoadPass`]): the columns its filters
 //! read first, every other column only once the filters have left a row —
@@ -245,8 +249,9 @@ pub(crate) struct ExecScratch<'env> {
     /// Batch-hash output buffer: one `u64` hash per selected row, filled by
     /// the chunked hash kernels before the probe/upsert loop.
     pub hashes: Vec<u64>,
-    /// The `i64` values of a computed join key, one lane per row (a plain
-    /// key column is read in place).
+    /// The `i64` values of a computed join key, one lane per row, evaluated
+    /// from its affine form over the key columns (a plain key column is
+    /// read in place).
     pub keys: Vec<i64>,
 }
 

@@ -9,10 +9,12 @@
 //! The join table rides along: its branch-free survivor compaction is held
 //! to its scalar twin the same way, and the table itself to a `BTreeMap`
 //! model over random capacity hints and `add`/`union`/`merge` sequences.
+//! So do computed join keys: their folded affine form, evaluated dense and
+//! behind a selection, is held to the expression tree evaluated in `i128`.
 
 use htap_olap::expr::{AggExpr, AggState, CmpOp, ScalarExpr};
 use htap_olap::kernels;
-use htap_olap::{GroupTable, JoinTable};
+use htap_olap::{AffineKey, GroupTable, JoinTable, OlapError};
 use proptest::prelude::*;
 use proptest::strategy::Union;
 use std::collections::BTreeMap;
@@ -128,6 +130,92 @@ fn assert_table_is(table: &JoinTable, model: &BTreeMap<i64, u64>, probes: &[i64]
     );
     let pairs: BTreeMap<i64, u64> = table.iter().collect();
     assert_eq!(&pairs, model, "iter yields every pair once");
+}
+
+/// One growth step of a random join-key expression; every step keeps the
+/// key rule (a column-free factor in every product). `Scale(0)` and
+/// `SubCol` of a column already present fold coefficients to 0; `Sub` and
+/// `RevSub` fold negative ones.
+#[derive(Debug, Clone)]
+enum KeyStep {
+    AddCol(usize),
+    SubCol(usize),
+    AddLit(i64),
+    /// `lit − tree`.
+    RevSub(i64),
+    /// `tree × lit`.
+    Scale(i64),
+    /// `(lit − lit) × tree`: a column-free subtree as the factor.
+    ScaleBy(i64, i64),
+}
+
+/// Key literals: small integers (0 and ±1 included), and large powers of
+/// two that are exact in `f64` but push folding towards `i64` overflow.
+fn key_lit() -> Union<i64> {
+    prop_oneof![
+        6 => -1_000i64..1_000,
+        1 => Just(0i64),
+        1 => Just(-1i64),
+        1 => (20u32..63).prop_map(|e| 1i64 << e),
+        1 => (20u32..63).prop_map(|e| -(1i64 << e)),
+    ]
+}
+
+fn key_step() -> Union<KeyStep> {
+    prop_oneof![
+        2 => (0usize..3).prop_map(KeyStep::AddCol),
+        2 => (0usize..3).prop_map(KeyStep::SubCol),
+        1 => key_lit().prop_map(KeyStep::AddLit),
+        1 => key_lit().prop_map(KeyStep::RevSub),
+        2 => key_lit().prop_map(KeyStep::Scale),
+        1 => (key_lit(), key_lit()).prop_map(|(a, b)| KeyStep::ScaleBy(a, b)),
+    ]
+}
+
+const KEY_COLS: [&str; 3] = ["a", "b", "c"];
+
+/// Grow a key expression from a leaf (a column, or a literal: then the key
+/// may stay constant-only) through `steps`.
+fn key_expr(leaf: Option<usize>, leaf_lit: i64, steps: &[KeyStep]) -> ScalarExpr {
+    let col = |c: usize| ScalarExpr::col(KEY_COLS[c]);
+    let lit = |v: i64| ScalarExpr::lit(v as f64);
+    let mut e = leaf.map_or_else(|| lit(leaf_lit), col);
+    for step in steps {
+        e = match *step {
+            KeyStep::AddCol(c) => e + col(c),
+            KeyStep::SubCol(c) => e - col(c),
+            KeyStep::AddLit(v) => e + lit(v),
+            KeyStep::RevSub(v) => lit(v) - e,
+            KeyStep::Scale(v) => e * lit(v),
+            KeyStep::ScaleBy(a, b) => (lit(a) - lit(b)) * e,
+        };
+    }
+    e
+}
+
+/// The expression tree at one row in `i128`, wrapping: wrapped to `i64` at
+/// the end this is the key modulo 2^64, what wrapping `i64` evaluation of
+/// any form of the key must produce.
+fn tree_wrapping(e: &ScalarExpr, row: &[i64; 3]) -> i128 {
+    match e {
+        ScalarExpr::Col(name) => row[KEY_COLS.iter().position(|c| c == name).unwrap()] as i128,
+        ScalarExpr::Literal(v) => *v as i64 as i128,
+        ScalarExpr::Add(a, b) => tree_wrapping(a, row).wrapping_add(tree_wrapping(b, row)),
+        ScalarExpr::Sub(a, b) => tree_wrapping(a, row).wrapping_sub(tree_wrapping(b, row)),
+        ScalarExpr::Mul(a, b) => tree_wrapping(a, row).wrapping_mul(tree_wrapping(b, row)),
+    }
+}
+
+/// The expression tree at one row in exact `i128`, `None` when a step
+/// leaves `i128`.
+fn tree_exact(e: &ScalarExpr, row: &[i64; 3]) -> Option<i128> {
+    let pair = |a, b| Some((tree_exact(a, row)?, tree_exact(b, row)?));
+    match e {
+        ScalarExpr::Col(_) | ScalarExpr::Literal(_) => Some(tree_wrapping(e, row)),
+        ScalarExpr::Add(a, b) => pair(a, b).and_then(|(x, y)| x.checked_add(y)),
+        ScalarExpr::Sub(a, b) => pair(a, b).and_then(|(x, y)| x.checked_sub(y)),
+        ScalarExpr::Mul(a, b) => pair(a, b).and_then(|(x, y)| x.checked_mul(y)),
+    }
 }
 
 /// Every field of an aggregate state, as finalized bits.
@@ -418,5 +506,63 @@ proptest! {
         let mut same = a.clone();
         same.union(&JoinTable::new());
         assert_table_is(&same, &model_a, &probes);
+    }
+
+    #[test]
+    fn affine_keys_match_the_i128_tree(
+        leaf in prop::option::of(0usize..3),
+        leaf_lit in key_lit(),
+        steps in prop::collection::vec(key_step(), 0..6),
+        rows in prop::collection::vec((any::<i32>(), adv_i64(), adv_i64()), 0..35),
+        mask in prop::collection::vec(prop::bool::ANY, 0..35),
+    ) {
+        let expr = key_expr(leaf, leaf_lit, &steps);
+        let names: Vec<String> = KEY_COLS.iter().map(|c| c.to_string()).collect();
+        let key = match AffineKey::compile(&expr, &names) {
+            Ok(key) => key,
+            // Every generated key keeps the rule: folding can only fail by
+            // overflowing i64.
+            Err(e) => {
+                prop_assert_eq!(e, OlapError::UnsupportedKey {
+                    reason: "a constant that overflows i64",
+                });
+                continue;
+            }
+        };
+        // Column `a` holds I32 values (converted into the key buffer at
+        // load), `b` and `c` I64 values.
+        let table: Vec<[i64; 3]> = rows.iter().map(|&(a, b, c)| [a as i64, b, c]).collect();
+        let columns: Vec<Vec<i64>> =
+            (0..3).map(|j| table.iter().map(|row| row[j]).collect()).collect();
+        let n = table.len();
+        for (i, row) in table.iter().enumerate() {
+            // Folding is exact: the affine form is the tree's polynomial, so
+            // in exact arithmetic the two agree wherever the tree does not
+            // leave i128.
+            if let Some(exact) = tree_exact(&expr, row) {
+                let affine = key.terms.iter().fold(key.constant as i128, |acc, &(c, s)| {
+                    acc + c as i128 * row[s as usize] as i128
+                });
+                prop_assert_eq!(affine, exact, "row {}", i);
+            }
+        }
+        // Dense evaluation, every row.
+        let mut out = Vec::new();
+        key.eval(|s| &columns[s as usize], n, None, &mut out);
+        for (i, row) in table.iter().enumerate() {
+            prop_assert_eq!(out[i], tree_wrapping(&expr, row) as i64, "dense row {}", i);
+        }
+        // Gathered evaluation writes the selected rows only.
+        let sel = selection(&mask, n);
+        let mut out = vec![i64::MIN; n];
+        key.eval(|s| &columns[s as usize], n, Some(&sel), &mut out);
+        for (i, row) in table.iter().enumerate() {
+            let want = if sel.contains(&(i as u32)) {
+                tree_wrapping(&expr, row) as i64
+            } else {
+                i64::MIN
+            };
+            prop_assert_eq!(out[i], want, "gathered row {}", i);
+        }
     }
 }

@@ -12,15 +12,15 @@
 
 use adaptive_htap::chbench::query_mix_wide;
 use adaptive_htap::olap::{
-    execute_reference_with_work, QueryExecutor, QueryOutput, QueryPlan, QueryResult, ScanSource,
-    WorkerTeam,
+    execute_reference_with_work, OlapError, QueryExecutor, QueryOutput, QueryPlan, QueryResult,
+    ScanSource, WorkerTeam,
 };
 use adaptive_htap::sim::{CoreId, SocketId};
 use adaptive_htap::sql::{plan as plan_sql, Catalog, SqlError};
 use adaptive_htap::storage::{
     ColumnDef, ColumnarTable, DataType, TableSchema, TableSnapshot, Value,
 };
-use adaptive_htap::{HtapConfig, HtapSystem};
+use adaptive_htap::{HtapConfig, HtapSystem, SqlRunError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -557,6 +557,55 @@ fn malformed_sql_is_rejected_with_typed_errors() {
     // The system is unharmed: a valid query still runs.
     let report = system
         .execute_sql("SELECT SUM(ol_amount) FROM orderline")
+        .unwrap();
+    assert!(report.result_rows >= 1);
+}
+
+/// Join keys are exact `i64` affine forms; anything the key rule does not
+/// cover — a float column, a fractional literal, a product of two columns —
+/// is a typed engine error at bind, never a silent truncation (a float key
+/// cast to `i64` would match 2.7 to key 2) and never a panic, in the engine
+/// and the oracle alike, and through `HtapSystem::execute_sql` over the CH
+/// catalog.
+#[test]
+fn unsupported_join_keys_are_typed_olap_errors() {
+    let dataset = Dataset::build();
+    let catalog = dataset.catalog();
+    let sources = dataset.sources(false);
+    for sql in [
+        "SELECT COUNT(*) FROM fact JOIN mid ON f_a * 1 = m_id",
+        "SELECT COUNT(*) FROM fact JOIN mid ON f_g * 1.5 = m_id",
+        "SELECT COUNT(*) FROM fact JOIN mid ON f_g * f_h = m_id",
+    ] {
+        let plan = plan_sql(sql, &catalog).unwrap_or_else(|e| panic!("{sql}: plan: {e}"));
+        let engine = QueryExecutor::default().execute(&plan, &sources);
+        assert!(
+            matches!(
+                engine,
+                Err(OlapError::UnsupportedColumnType { .. } | OlapError::UnsupportedKey { .. })
+            ),
+            "{sql}: engine returned {engine:?}"
+        );
+        let oracle = execute_reference_with_work(&plan, &sources);
+        assert_eq!(oracle.unwrap_err(), engine.unwrap_err(), "{sql}: oracle");
+    }
+    let system = HtapSystem::build(HtapConfig::tiny()).unwrap();
+    for sql in [
+        "SELECT COUNT(*) FROM orderline JOIN orders ON ol_amount * 1 = o_key",
+        "SELECT COUNT(*) FROM orderline JOIN orders ON ol_o_id * 1.5 = o_key",
+        "SELECT COUNT(*) FROM orderline JOIN orders ON ol_w_id * ol_o_id = o_key",
+    ] {
+        match system.execute_sql(sql) {
+            Err(SqlRunError::Olap(_)) => {}
+            other => panic!("{sql}: expected an OLAP error, got {other:?}"),
+        }
+    }
+    // The system is unharmed: a valid computed-key join still runs.
+    let report = system
+        .execute_sql(
+            "SELECT COUNT(*) FROM orderline JOIN orders \
+             ON (ol_w_id * 100 + ol_d_id) * 10000000 + ol_o_id = o_key",
+        )
         .unwrap();
     assert!(report.result_rows >= 1);
 }
