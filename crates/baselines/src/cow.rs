@@ -185,7 +185,7 @@ mod tests {
         rde.create_table(schema).unwrap();
         for i in 0..rows {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         let mut b = DagBuilder::default();
@@ -204,7 +204,7 @@ mod tests {
         cow.run_snapshot(&rde, &plan, 0, 1);
         for i in 1000..1500u64 {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         rde.switch_and_sync();

@@ -3,7 +3,7 @@
 //! synchronisation of a ten-column twin relation, the ETL's inserted-range
 //! copy), the lock table, the transaction path (the four CH transaction
 //! bodies and their 45/43/6/6 stream), the durability window (checkpoint
-//! write, checkpoint restore, WAL truncation, on an in-memory medium), CH
+//! write and checkpoint restore, on an in-memory medium), CH
 //! query execution and the bandwidth/cost models.
 //!
 //! Run with `cargo bench -p htap-bench`. The harness uses small sample sizes
@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use htap_chbench::{ChConfig, ChGenerator, QueryId, TransactionDriver};
-use htap_durability::{load_state, DurableStorage, MemStorage, Wal, WalConfig, WalOp, WalRecord};
+use htap_durability::{load_state, DurableStorage, MemStorage, Wal, WalConfig};
 use htap_olap::QueryExecutor;
 use htap_oltp::{
     apply_recovered, DurabilityController, LockKey, LockMode, LockTable, OltpEngine,
@@ -197,13 +197,12 @@ fn wide_engine() -> OltpEngine {
     engine
 }
 
-/// The durability window's three bulk paths, each over one relation in
+/// The durability window's two bulk paths, each over one relation in
 /// `orderline`'s shape on an in-memory medium: writing the checkpoint image
-/// of 500 k rows (index walk, one slice append per column, file CRC, atomic
-/// write, truncation of an empty WAL), reopening it (read, CRC, decode into
+/// of 500 k rows (one slice append per column, file CRC, atomic write, the
+/// log's restart as a bare header), and reopening it (read, CRC, decode into
 /// columns, range copy into both twin instances, one index reservation and
-/// batch insert), and truncating a WAL of 20 k commit records that a
-/// checkpoint covers (frame walk with per-frame CRC, no record decoded).
+/// batch insert from the key column).
 fn durability_window(c: &mut Criterion) {
     const ROWS: i64 = 500_000;
     let disk = MemStorage::new();
@@ -219,9 +218,10 @@ fn durability_window(c: &mut Criterion) {
     let schema = wide_schema();
     let engine = wide_engine();
     for k in 0..ROWS {
-        // Keys in no particular order: row ids are not key order.
-        let key = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        engine.bulk_load("wide", key, wide_row(&schema, k)).unwrap();
+        // Key cells in no particular order: row ids are not key order.
+        let mut row = wide_row(&schema, k);
+        row[0] = Value::I64(k.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64));
+        engine.bulk_load("wide", row).unwrap();
     }
     let (wal, _) = open_wal(&storage);
     engine.attach_durability(Arc::new(DurabilityController::new(
@@ -240,42 +240,6 @@ fn durability_window(c: &mut Criterion) {
                 let state = load_state(storage.as_ref(), log, CHECKPOINT_FILE).expect("image");
                 black_box(apply_recovered(&fresh, &state).expect("image matches the schema"));
                 fresh
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    drop(engine);
-
-    // 20 k commits of ten order lines each (what a NewOrder logs).
-    let log_disk = MemStorage::new();
-    let log_storage: Arc<dyn DurableStorage> = Arc::new(log_disk.clone());
-    let (wal, _) = open_wal(&log_storage);
-    for txn in 0..20_000u64 {
-        let ops = (0..10)
-            .map(|line| WalOp::Insert {
-                table: "wide".into(),
-                key: txn * 10 + line,
-                values: wide_row(&schema, (txn * 10 + line) as i64),
-            })
-            .collect();
-        wal.append_commit(&WalRecord {
-            txn_id: txn,
-            commit_ts: txn,
-            ops,
-        })
-        .expect("in-memory medium");
-    }
-    drop(wal);
-    let full_log = log_disk.bytes(WAL_FILE).expect("log written");
-    c.bench_function("durability/wal_truncate_20k_records", |b| {
-        b.iter_batched(
-            || {
-                log_disk.set_bytes(WAL_FILE, full_log.clone());
-                open_wal(&log_storage).0
-            },
-            |wal| {
-                wal.truncate_to(wal.next_lsn()).expect("in-memory medium");
-                wal
             },
             BatchSize::LargeInput,
         )

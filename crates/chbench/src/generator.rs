@@ -165,7 +165,6 @@ impl ChGenerator {
         for w in 1..=cfg.warehouses {
             oltp.bulk_load(
                 "warehouse",
-                w,
                 vec![
                     Value::I64(w as i64),
                     Value::F64(rng.random_range(0.0..0.2)),
@@ -177,7 +176,6 @@ impl ChGenerator {
                 let next_o_id = INITIAL_NEXT_O_ID.max(loaded_orders_in(w, d) + 1);
                 oltp.bulk_load(
                     "district",
-                    keys::district(w, d),
                     vec![
                         Value::I64(keys::district(w, d) as i64),
                         Value::I64(w as i64),
@@ -191,7 +189,6 @@ impl ChGenerator {
                 for c in 1..=cfg.customers_per_district {
                     oltp.bulk_load(
                         "customer",
-                        keys::customer(w, d, c),
                         vec![
                             Value::I64(keys::customer(w, d, c) as i64),
                             Value::I64(w as i64),
@@ -212,7 +209,6 @@ impl ChGenerator {
         for i in 1..=cfg.items {
             oltp.bulk_load(
                 "item",
-                i,
                 vec![
                     Value::I64(i as i64),
                     Value::I64(rng.random_range(1..10_000)),
@@ -225,7 +221,6 @@ impl ChGenerator {
             for i in 1..=cfg.items {
                 oltp.bulk_load(
                     "stock",
-                    keys::stock(w, i),
                     vec![
                         Value::I64(keys::stock(w, i) as i64),
                         Value::I64(w as i64),
@@ -252,7 +247,6 @@ impl ChGenerator {
             let entry_d = 1_000 + (o_seq % 2_000) as i64;
             oltp.bulk_load(
                 "orders",
-                keys::order(w, d, o_id),
                 vec![
                     Value::I64(keys::order(w, d, o_id) as i64),
                     Value::I64(w as i64),
@@ -269,7 +263,6 @@ impl ChGenerator {
                 let item = rng.random_range(1..=cfg.items);
                 oltp.bulk_load(
                     "orderline",
-                    keys::orderline(w, d, o_id, line),
                     vec![
                         Value::I64(keys::orderline(w, d, o_id, line) as i64),
                         Value::I64(w as i64),
@@ -291,7 +284,6 @@ impl ChGenerator {
         for s in 1..=100u64 {
             oltp.bulk_load(
                 "supplier",
-                s,
                 vec![
                     Value::I64(s as i64),
                     Value::I64((s % 25) as i64),
@@ -302,12 +294,11 @@ impl ChGenerator {
         for n in 0..25u64 {
             oltp.bulk_load(
                 "nation",
-                n,
                 vec![Value::I64(n as i64), Value::I64((n % 5) as i64)],
             )?;
         }
         for r in 0..5u64 {
-            oltp.bulk_load("region", r, vec![Value::I64(r as i64), Value::I64(0)])?;
+            oltp.bulk_load("region", vec![Value::I64(r as i64), Value::I64(0)])?;
         }
 
         report.total_rows = rde.oltp().total_rows();

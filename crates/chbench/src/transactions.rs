@@ -196,7 +196,6 @@ impl TransactionDriver {
             let o_key = keys::order(params.w_id, params.d_id, next_o_id);
             txn.insert_at(
                 orders,
-                o_key,
                 vec![
                     Value::I64(o_key as i64),
                     Value::I64(params.w_id as i64),
@@ -211,7 +210,6 @@ impl TransactionDriver {
             let no_key = keys::neworder(params.w_id, params.d_id, next_o_id);
             txn.insert_at(
                 neworder,
-                no_key,
                 vec![
                     Value::I64(no_key as i64),
                     Value::I64(params.w_id as i64),
@@ -239,7 +237,6 @@ impl TransactionDriver {
                     keys::orderline(params.w_id, params.d_id, next_o_id, number as u64 + 1);
                 txn.insert_at(
                     orderline,
-                    ol_key,
                     vec![
                         Value::I64(ol_key as i64),
                         Value::I64(params.w_id as i64),

@@ -17,7 +17,7 @@ pub struct DurabilityConfig {
     pub flush_interval_micros: u64,
     /// Batch size that triggers an immediate flush without lingering.
     pub max_batch: usize,
-    /// Take a column-segment checkpoint (and truncate the WAL) every N
+    /// Take a column-segment checkpoint (and restart the WAL) every N
     /// instance switches — that is, every N analytical queries: a query
     /// crosses the switch gate exactly once. 0 disables periodic checkpoints.
     pub checkpoint_interval_switches: u64,

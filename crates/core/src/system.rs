@@ -175,8 +175,8 @@ impl HtapSystem {
         }
     }
 
-    /// Take a checkpoint right now (quiescing the engine) and truncate the
-    /// WAL to it. `Ok(false)` when the system was not built durable.
+    /// Take a checkpoint right now (quiescing the engine) and restart the
+    /// WAL behind it. `Ok(false)` when the system was not built durable.
     pub fn checkpoint_now(&self) -> Result<bool, String> {
         self.rde.oltp().checkpoint_now().map_err(|e| e.to_string())
     }

@@ -1,23 +1,24 @@
 //! Column-segment checkpoint format.
 //!
 //! A checkpoint captures the committed state of every relation at one WAL
-//! position: for each table, the primary keys in row order plus each column
-//! as one contiguous segment (columnar, like the twin instances it is taken
-//! from). The whole file carries a trailing CRC32 and is written with
-//! `write_atomic`, so after a crash it is either entirely the old snapshot
-//! or entirely the new one — never a mix.
+//! position: for each table, each column as one contiguous segment in
+//! row-id order (columnar, like the twin instances it is taken from). A
+//! table is its columns: a row's key is its primary-key cell, and a restore
+//! rebuilds the index from the key column. The whole file carries a
+//! trailing CRC32 and is written with `write_atomic`, so after a crash it is
+//! either entirely the old snapshot or entirely the new one — never a mix.
 //!
 //! `lsn` is *exclusive*: every WAL record with `record_lsn < lsn` is covered
-//! by the snapshot; recovery replays only `record_lsn >= lsn`.
+//! by the snapshot; recovery replays only `record_lsn >= lsn`. The engine
+//! takes a checkpoint of the whole log, then restarts the log at `lsn`.
 //!
 //! File layout:
 //!
 //! ```text
-//! [magic u64 = "HTAPCKP1"] [version u32] [lsn u64] [last_ts u64]
+//! [magic u64 = "HTAPCKP1"] [version u32 = 2] [lsn u64] [last_ts u64]
 //! [table_count u32]
 //!   per table:
 //!     [name str] [row_count u64] [col_count u32] [dtype tag u8 × col_count]
-//!     [keys u64 × row_count]
 //!     per column: [values × row_count]          (fixed width or len+bytes)
 //! [crc32 u32 of everything above]
 //! ```
@@ -36,39 +37,42 @@ use htap_storage::{Column, ColumnGuard, DataType};
 
 /// Magic bytes identifying a checkpoint file.
 pub const CKPT_MAGIC: u64 = u64::from_le_bytes(*b"HTAPCKP1");
-/// Checkpoint format version.
-pub const CKPT_VERSION: u32 = 1;
+/// Checkpoint format version (2: a table is its columns, with no key list).
+pub const CKPT_VERSION: u32 = 2;
 
 /// One relation's rows inside a checkpoint, stored column-segment-wise.
 #[derive(Debug)]
 pub struct CheckpointTable {
     /// Relation name.
     pub name: String,
-    /// Primary key of each captured row; `keys[i]` owns row `i`.
-    pub keys: Vec<u64>,
-    /// One segment per column, in schema order, each `keys.len()` rows long.
+    /// One segment per column, in schema order and row-id order, each
+    /// [`Self::rows`] long.
     pub columns: Vec<Column>,
 }
 
 impl CheckpointTable {
+    /// Rows of the relation: the length of its first segment (a decoded
+    /// image's segments all have the same length).
+    pub fn rows(&self) -> usize {
+        self.columns.first().map_or(0, Column::len)
+    }
+
     /// Append one relation to a checkpoint image opened by
-    /// [`CheckpointData::begin`]: `keys[i]` owns row `i`, and each of
-    /// `columns` contributes its first `keys.len()` rows, copied as one slice
-    /// under one read guard. A column holding fewer rows than there are keys
-    /// is an error (and leaves the image unusable).
+    /// [`CheckpointData::begin`]: each of `columns` contributes its first
+    /// `rows` rows, copied as one slice under one read guard. A column
+    /// holding fewer rows is an error (and leaves the image unusable).
     pub fn encode_into(
         image: &mut Vec<u8>,
         name: &str,
-        keys: &[u64],
+        rows: u64,
         columns: &[Column],
     ) -> Result<(), DurabilityError> {
         put_str(image, name);
-        image.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+        image.extend_from_slice(&rows.to_le_bytes());
         image.extend_from_slice(&(columns.len() as u32).to_le_bytes());
         image.extend(columns.iter().map(|column| dtype_tag(column.dtype())));
-        put_le(image, keys, u64::to_le_bytes);
+        let rows = rows as usize;
         for (idx, column) in columns.iter().enumerate() {
-            let rows = keys.len();
             let written = match column.read_guard() {
                 ColumnGuard::I64(v) => v.get(..rows).map(|v| put_le(image, v, i64::to_le_bytes)),
                 ColumnGuard::F64(v) => v
@@ -81,7 +85,7 @@ impl CheckpointTable {
             };
             written.ok_or_else(|| {
                 DurabilityError::corrupt(format!(
-                    "column {idx} of table {name} holds fewer than its {rows} keyed rows"
+                    "column {idx} of table {name} holds fewer than its {rows} rows"
                 ))
             })?;
         }
@@ -137,7 +141,12 @@ impl CheckpointData {
     pub fn encode(&self) -> Result<Vec<u8>, DurabilityError> {
         let mut image = Self::begin(self.lsn, self.last_ts, self.tables.len(), 1024);
         for table in &self.tables {
-            CheckpointTable::encode_into(&mut image, &table.name, &table.keys, &table.columns)?;
+            CheckpointTable::encode_into(
+                &mut image,
+                &table.name,
+                table.rows() as u64,
+                &table.columns,
+            )?;
         }
         Ok(Self::seal(image))
     }
@@ -180,19 +189,12 @@ impl CheckpointData {
                 .map(|_| r.u8().and_then(tag_dtype))
                 .collect::<Option<Vec<DataType>>>()
                 .ok_or_else(|| corrupt("bad dtype tag"))?;
-            let keys = r
-                .le_vec(row_count, u64::from_le_bytes)
-                .ok_or_else(|| corrupt("truncated keys"))?;
             let columns = dtypes
                 .into_iter()
                 .map(|dtype| decode_segment(&mut r, dtype, row_count))
                 .collect::<Option<Vec<Column>>>()
                 .ok_or_else(|| corrupt("truncated column segment"))?;
-            tables.push(CheckpointTable {
-                name,
-                keys,
-                columns,
-            });
+            tables.push(CheckpointTable { name, columns });
         }
         if r.pos() != payload.len() {
             return Err(corrupt("trailing bytes"));
@@ -236,7 +238,6 @@ mod tests {
             tables: vec![
                 CheckpointTable {
                     name: "orders".into(),
-                    keys: vec![3, 1, 7],
                     columns: vec![
                         Column::from(vec![3i64, 1, 7]),
                         Column::from(vec![0.5, -2.25, 1e9]),
@@ -245,7 +246,6 @@ mod tests {
                 },
                 CheckpointTable {
                     name: "empty".into(),
-                    keys: vec![],
                     columns: vec![Column::new(DataType::I32)],
                 },
             ],
@@ -260,10 +260,7 @@ mod tests {
         assert_eq!(decoded, ckpt);
         assert_eq!((decoded.lsn, decoded.last_ts), (17, 432));
         let orders = &decoded.tables[0];
-        assert_eq!(
-            (orders.name.as_str(), &orders.keys),
-            ("orders", &vec![3, 1, 7])
-        );
+        assert_eq!((orders.name.as_str(), orders.rows()), ("orders", 3));
         orders.columns[0].with_i64(9, |v| assert_eq!(v, [3, 1, 7]));
         orders.columns[1].with_f64(9, |v| assert_eq!(v, [0.5, -2.25, 1e9]));
         orders.columns[2].with_str(9, |v| assert_eq!(v, ["a", "", "long-ish value"]));
@@ -279,15 +276,15 @@ mod tests {
     fn the_streamed_image_is_the_encoded_one_and_takes_a_prefix_of_longer_columns() {
         let ckpt = sample();
         let mut image = CheckpointData::begin(17, 432, 2, 0);
-        // The live columns may hold rows past the keyed ones (appended after
-        // the keys were collected); only the first `keys.len()` are written.
+        // The live columns may hold rows past the captured ones; only the
+        // first `rows` are written.
         let longer = [
             Column::from(vec![3i64, 1, 7, 99]),
             Column::from(vec![0.5, -2.25, 1e9, 99.0]),
             strings(&["a", "", "long-ish value", "later"]),
         ];
-        CheckpointTable::encode_into(&mut image, "orders", &[3, 1, 7], &longer).unwrap();
-        CheckpointTable::encode_into(&mut image, "empty", &[], &ckpt.tables[1].columns).unwrap();
+        CheckpointTable::encode_into(&mut image, "orders", 3, &longer).unwrap();
+        CheckpointTable::encode_into(&mut image, "empty", 0, &ckpt.tables[1].columns).unwrap();
         assert_eq!(CheckpointData::seal(image), ckpt.encode().unwrap());
     }
 
@@ -296,11 +293,12 @@ mod tests {
         let mut image = CheckpointData::begin(0, 0, 1, 0);
         let short = [Column::from(vec![1i64])];
         assert!(matches!(
-            CheckpointTable::encode_into(&mut image, "t", &[1, 2], &short),
+            CheckpointTable::encode_into(&mut image, "t", 2, &short),
             Err(DurabilityError::Corrupt { .. })
         ));
+        // A key column longer than the others.
         let mut ckpt = sample();
-        ckpt.tables[0].keys.push(8);
+        ckpt.tables[0].columns[0] = Column::from(vec![3i64, 1, 7, 8]);
         assert!(ckpt.encode().is_err());
     }
 
@@ -315,6 +313,17 @@ mod tests {
                 "flip at {pos} accepted"
             );
         }
+    }
+
+    #[test]
+    fn a_version_1_image_is_an_unsupported_version() {
+        let mut payload = sample().encode().unwrap();
+        payload.truncate(payload.len() - 4);
+        payload[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            CheckpointData::decode(&CheckpointData::seal(payload)),
+            Err(DurabilityError::Corrupt { detail }) if detail == "checkpoint: unsupported version"
+        ));
     }
 
     #[test]

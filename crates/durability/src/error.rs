@@ -26,6 +26,17 @@ pub enum DurabilityError {
         /// The original failure, rendered.
         detail: String,
     },
+    /// A log restart at `lsn` ([`crate::Wal::restart_at`]) while the log
+    /// numbers records from another position or holds some not yet durable:
+    /// the restart would drop records no checkpoint covers.
+    Uncovered {
+        /// Where the restart was asked to start the log.
+        lsn: u64,
+        /// The LSN the next append would receive.
+        next_lsn: u64,
+        /// The exclusive durable watermark.
+        durable_to: u64,
+    },
 }
 
 impl DurabilityError {
@@ -54,6 +65,14 @@ impl std::fmt::Display for DurabilityError {
             DurabilityError::Broken { detail } => {
                 write!(f, "wal broken by earlier failure: {detail}")
             }
+            DurabilityError::Uncovered {
+                lsn,
+                next_lsn,
+                durable_to,
+            } => write!(
+                f,
+                "no wal restart at lsn {lsn}: next lsn {next_lsn}, durable to {durable_to}"
+            ),
         }
     }
 }

@@ -7,13 +7,14 @@
 //!   (fsync) barrier;
 //! * [`DurableStorage`] — a flat namespace of named durable files with
 //!   whole-file read, atomic replace (temp file + rename) and append-handle
-//!   opening. Nothing is ever deleted: a checkpoint replaces its file, a
-//!   truncation replaces the log.
+//!   opening. Nothing is ever deleted: a checkpoint replaces its file, and
+//!   the log restart behind it replaces the log with a bare header.
 //!
 //! Three implementations ship:
 //!
-//! * [`FsStorage`] — real files in a directory (used by the benchmark
-//!   harness to measure true fsync cost);
+//! * [`FsStorage`] — real files in a directory, with real fsyncs (the
+//!   crash-recovery suite runs the system over it end to end; the benchmark
+//!   uses [`MemStorage`]);
 //! * [`MemStorage`] — an in-memory "disk" shared through an `Arc`, so a test
 //!   can discard every in-process structure and still recover from the bytes
 //!   that survived;
@@ -126,11 +127,16 @@ impl DurableStorage for FsStorage {
         }
         std::fs::rename(&tmp, &fin).map_err(io)?;
         // Persist the rename itself.
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        sync_dir(&self.dir)
     }
+}
+
+/// Make the entries of directory `dir` durable — a rename or a create in it
+/// is not until its directory is synced.
+fn sync_dir(dir: &std::path::Path) -> Result<(), DurabilityError> {
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| DurabilityError::io("sync_dir", e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -466,6 +472,16 @@ mod tests {
         assert_eq!(s.read("ckpt").unwrap().unwrap(), b"snapshot");
         assert_eq!(s.read("missing").unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_sync_that_fails_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("htap-dur-missing-{}", std::process::id()));
+        assert!(sync_dir(&std::env::temp_dir()).is_ok());
+        assert!(matches!(
+            sync_dir(&dir),
+            Err(DurabilityError::Io { op, .. }) if op == "sync_dir"
+        ));
     }
 
     #[test]

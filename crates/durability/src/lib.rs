@@ -10,10 +10,11 @@
 //! * [`wal`] — the group-commit coordinator: concurrent committers share one
 //!   fsync per batch, and a commit only returns once its record is durable;
 //! * [`checkpoint`] — atomic column-segment snapshots of every relation,
-//!   taken inside the twin-instance switch quiescence window, after which
-//!   the WAL is truncated to the checkpoint LSN. Written from, and decoded
-//!   into, whole columns: the bulk paths of this crate move column slices
-//!   and raw frames, and touch each durable file once;
+//!   taken inside the twin-instance switch quiescence window. A snapshot
+//!   covers the whole log, so the WAL then restarts empty at the checkpoint
+//!   LSN ([`Wal::restart_at`]) without reading a frame. Written from, and
+//!   decoded into, whole columns: a relation is its columns, its keys are
+//!   the cells of its key column, and each durable file is touched once;
 //! * [`recovery`] — loads the latest checkpoint plus the intact WAL tail;
 //!   the OLTP crate replays that tail through its normal insert/update path;
 //! * [`file`] — the injectable [`DurableFile`]/[`DurableStorage`] I/O

@@ -16,16 +16,20 @@
 //! commit whose record never became fully durable never happened.
 //!
 //! Body layout: `txn_id u64, commit_ts u64, op_count u32, ops...`; each op
-//! is a tag byte (1 = insert, 2 = update) followed by its fields. Strings
-//! are `len u32 + UTF-8 bytes`; values are a type tag byte followed by the
-//! fixed-width little-endian payload (`f64` via `to_bits`) or a string —
-//! the codec of [`crate::codec`], which the checkpoint shares.
+//! is a tag byte (1 = insert, 2 = update) followed by its fields: an insert
+//! is `table str, value_count u32, values...` — the row's key is its
+//! primary-key cell, not stored beside it — and an update is `table str,
+//! key u64, column u32, value`. Strings are `len u32 + UTF-8 bytes`; values
+//! are a type tag byte followed by the fixed-width little-endian payload
+//! (`f64` via `to_bits`) or a string — the codec of [`crate::codec`], which
+//! the checkpoint shares.
 //! Decoding is total: every read is bounds-checked and malformed input ends
 //! the valid prefix instead of panicking.
 //!
 //! `Value` is the per-cell interface of transactions and of these ops only;
-//! the bulk paths (checkpoint segments, WAL truncation) move column slices
-//! and raw frames.
+//! the checkpoint moves column slices. A checkpoint covers the whole log, so
+//! the log restarts as a bare header ([`encode_wal_header`]) behind it and no
+//! frame is ever read to be dropped.
 
 use crate::codec::{dtype_tag, put_str, tag_dtype, Reader};
 use crate::error::DurabilityError;
@@ -36,8 +40,8 @@ pub type Lsn = u64;
 
 /// Magic bytes identifying a WAL file.
 pub const WAL_MAGIC: u64 = u64::from_le_bytes(*b"HTAPWAL1");
-/// WAL format version.
-pub const WAL_VERSION: u32 = 1;
+/// WAL format version (2: an insert op carries no key beside its row).
+pub const WAL_VERSION: u32 = 2;
 /// Byte length of the WAL file header.
 pub const WAL_HEADER_LEN: usize = 8 + 4 + 8;
 /// Upper bound on one record body; larger frames are treated as corruption.
@@ -85,12 +89,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// One logged mutation within a committed transaction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
-    /// Insert of a new record.
+    /// Insert of a new record, keyed by its primary-key cell.
     Insert {
         /// Relation name.
         table: String,
-        /// Primary key.
-        key: u64,
         /// Full row of values.
         values: Vec<Value>,
     },
@@ -149,10 +151,9 @@ impl WalRecord {
         body.extend_from_slice(&(self.ops.len() as u32).to_le_bytes());
         for op in &self.ops {
             match op {
-                WalOp::Insert { table, key, values } => {
+                WalOp::Insert { table, values } => {
                     body.push(TAG_INSERT);
                     put_str(&mut body, table);
-                    body.extend_from_slice(&key.to_le_bytes());
                     body.extend_from_slice(&(values.len() as u32).to_le_bytes());
                     for v in values {
                         put_value(&mut body, v);
@@ -197,7 +198,6 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
         let op = match r.u8()? {
             TAG_INSERT => {
                 let table = r.str()?;
-                let key = r.u64()?;
                 let value_count = r.u32()? as usize;
                 if value_count > body.len() {
                     return None;
@@ -206,7 +206,7 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
                 for _ in 0..value_count {
                     values.push(read_value(&mut r)?);
                 }
-                WalOp::Insert { table, key, values }
+                WalOp::Insert { table, values }
             }
             TAG_UPDATE => {
                 let table = r.str()?;
@@ -315,31 +315,6 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalSegment, DurabilityError> {
     })
 }
 
-/// The WAL file `bytes` without its records below `up_to`: a fresh header,
-/// then the bytes of every later frame exactly as they are. Only the frames
-/// that go are walked — length bound and CRC checked, which is what numbers
-/// them, bodies not decoded — and nothing is re-encoded. Where the valid
-/// prefix ends below `up_to`, the new file starts there, empty; `up_to` at or
-/// below the base LSN keeps the file as it is.
-///
-/// The kept suffix is not inspected: [`crate::Wal`] only ever appends whole
-/// batches to a valid prefix, so it is one. A frame in it that is not ends
-/// the valid prefix of the new file where it ended the old one's.
-pub(crate) fn truncate_wal(bytes: &[u8], up_to: Lsn) -> Result<Vec<u8>, DurabilityError> {
-    let mut r = Reader::new(bytes);
-    let mut lsn = read_wal_header(&mut r)?;
-    while lsn < up_to {
-        if read_frame(&mut r).is_none() {
-            return Ok(encode_wal_header(lsn));
-        }
-        lsn += 1;
-    }
-    // The reader stands behind the last frame that goes.
-    let mut fresh = encode_wal_header(lsn);
-    fresh.extend_from_slice(&bytes[r.pos()..]);
-    Ok(fresh)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,7 +326,6 @@ mod tests {
             ops: vec![
                 WalOp::Insert {
                     table: "orders".into(),
-                    key: txn_id,
                     values: vec![
                         Value::I64(txn_id as i64),
                         Value::F64(1.5),
@@ -425,76 +399,22 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_log_is_an_unsupported_version() {
+        let mut bytes = file_with(&[sample(1)], 0);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            decode_wal(&bytes),
+            Err(DurabilityError::Corrupt { detail }) if detail == "unsupported wal version 1"
+        ));
+    }
+
+    #[test]
     fn empty_wal_decodes_to_no_records() {
         let bytes = encode_wal_header(42);
         let seg = decode_wal(&bytes).unwrap();
         assert_eq!(seg.base_lsn, 42);
         assert!(seg.records.is_empty());
         assert_eq!(seg.valid_len, WAL_HEADER_LEN);
-    }
-
-    /// What a decode-and-re-encode truncation would produce from a file
-    /// that is a valid prefix.
-    fn reencoded(records: &[WalRecord], base_lsn: Lsn, up_to: Lsn) -> Vec<u8> {
-        let kept = (up_to.saturating_sub(base_lsn) as usize).min(records.len());
-        file_with(&records[kept..], base_lsn + kept as u64)
-    }
-
-    #[test]
-    fn truncation_keeps_exactly_the_frames_from_up_to_on() {
-        let records: Vec<_> = (1..=5).map(sample).collect();
-        let file = file_with(&records, 10);
-        for up_to in 0..20 {
-            let fresh = truncate_wal(&file, up_to).unwrap();
-            assert_eq!(fresh, reencoded(&records, 10, up_to), "up_to {up_to}");
-        }
-        // Below or at the base LSN nothing goes, and LSNs are not renumbered.
-        assert_eq!(truncate_wal(&file, 3).unwrap(), file);
-        assert_eq!(truncate_wal(&file, 10).unwrap(), file);
-        // At the end: an empty log that starts where the old one stopped.
-        assert_eq!(truncate_wal(&file, 15).unwrap(), encode_wal_header(15));
-        // Past the end the log cannot claim records it never held.
-        assert_eq!(truncate_wal(&file, 99).unwrap(), encode_wal_header(15));
-        // A damaged header is the one hard error, as for decoding.
-        assert!(truncate_wal(&file[..WAL_HEADER_LEN - 1], 12).is_err());
-    }
-
-    #[test]
-    fn truncation_through_a_torn_tail_stops_at_the_valid_prefix() {
-        let records: Vec<_> = (1..=3).map(sample).collect();
-        let mut torn = file_with(&records, 0);
-        torn.truncate(torn.len() - 3);
-        // The torn frame is the third: asked to drop all three, the walk
-        // finds two and the new log starts, empty, at LSN 2.
-        assert_eq!(truncate_wal(&torn, 3).unwrap(), encode_wal_header(2));
-        // Kept, the torn bytes travel verbatim and decode as before.
-        let fresh = truncate_wal(&torn, 1).unwrap();
-        let seg = decode_wal(&fresh).unwrap();
-        assert_eq!((seg.base_lsn, seg.records.as_slice()), (1, &records[1..2]));
-        assert_eq!(
-            fresh.len() - seg.valid_len,
-            torn.len() - file_with(&records[..2], 0).len()
-        );
-    }
-
-    #[test]
-    fn a_crc_bad_frame_in_the_kept_suffix_survives_verbatim() {
-        let records: Vec<_> = (1..=4).map(sample).collect();
-        let mut file = file_with(&records, 0);
-        let third = file_with(&records[..2], 0).len();
-        file[third + 12] ^= 0x10;
-        let fresh = truncate_wal(&file, 1).unwrap();
-        // Byte for byte the old suffix, bad frame and what follows it included…
-        assert_eq!(
-            fresh[WAL_HEADER_LEN..],
-            file[file_with(&records[..1], 0).len()..]
-        );
-        // …and it still ends the valid prefix where it did.
-        let seg = decode_wal(&fresh).unwrap();
-        assert_eq!((seg.base_lsn, seg.records.as_slice()), (1, &records[1..2]));
-        // Among the frames that go, a bad one ends the count (as it ended
-        // the decoded prefix): nothing after it can be numbered.
-        assert_eq!(truncate_wal(&file, 4).unwrap(), encode_wal_header(2));
     }
 
     #[test]

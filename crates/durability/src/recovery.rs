@@ -30,7 +30,7 @@ pub struct RecoveredState {
 /// * A torn or corrupt WAL *tail* is expected after a crash: `wal` is the
 ///   valid prefix, and opening the WAL cut the rest off the file.
 /// * A corrupt checkpoint, or a WAL whose base LSN lies beyond what the
-///   checkpoint covers (truncation ran ahead of the snapshot — records
+///   checkpoint covers (the log restarted ahead of the snapshot — records
 ///   irrecoverably lost) is a hard error.
 pub fn load_state(
     storage: &dyn DurableStorage,
@@ -77,7 +77,6 @@ mod tests {
             commit_ts,
             ops: vec![WalOp::Insert {
                 table: "t".into(),
-                key: txn_id,
                 values: vec![Value::I64(txn_id as i64)],
             }],
         }
@@ -101,7 +100,6 @@ mod tests {
             last_ts,
             tables: vec![CheckpointTable {
                 name: "t".into(),
-                keys: vec![1],
                 columns: vec![Column::from(vec![1i64])],
             }],
         }
@@ -142,7 +140,7 @@ mod tests {
     #[test]
     fn truncated_wal_with_checkpoint_base_matches() {
         let mem = MemStorage::new();
-        // After truncation the WAL starts exactly at the checkpoint lsn.
+        // After a restart the WAL starts exactly at the checkpoint lsn.
         mem.set_bytes("ckpt", ckpt(2, 11).encode().unwrap());
         let st = load_state(&mem, wal(2, &[rec(3, 12)]), "ckpt").unwrap();
         assert_eq!(st.tail.len(), 1);

@@ -22,7 +22,7 @@
 
 use crate::error::DurabilityError;
 use crate::file::{lock, DurableFile, DurableStorage};
-use crate::record::{decode_wal, encode_wal_header, truncate_wal, Lsn, WalRecord, WalSegment};
+use crate::record::{decode_wal, encode_wal_header, Lsn, WalRecord, WalSegment};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -271,69 +271,56 @@ impl Wal {
         }
     }
 
-    /// Discard every record with `lsn < up_to` (they are covered by a
-    /// checkpoint) by rewriting the file with `base_lsn = up_to`, then
-    /// reopen the append handle on the rewritten file.
-    ///
-    /// Called inside the switch-gate quiescence window: no commit is in
-    /// flight, but the method still drains any pending batch first so it is
-    /// safe in general.
-    pub fn truncate_to(&self, up_to: Lsn) -> Result<(), DurabilityError> {
+    /// Start the log afresh at `lsn`: replace the file with an empty log
+    /// whose first record will be `lsn`, and reopen the append handle on it.
+    /// What a checkpoint covering the whole log does — it runs inside the
+    /// switch-gate quiescence window, where no commit is in flight — so
+    /// nothing of the old log is read. Waits out a flush in progress; then
+    /// every numbered record must be durable and `lsn` must be the next one
+    /// (`durable_to == next_lsn == lsn`), or the restart would drop records
+    /// no checkpoint holds: that is [`DurabilityError::Uncovered`], and the
+    /// log stays as it is.
+    pub fn restart_at(&self, lsn: Lsn) -> Result<(), DurabilityError> {
         let sh = &self.shared;
         let mut st = lock(&sh.state);
-        if let Some(e) = &st.broken {
-            return Err(e.clone());
-        }
-        // Claim the flush role so no leader races the rewrite.
         while st.flushing {
             st = sh
                 .cv
                 .wait(st)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
+        if let Some(e) = &st.broken {
+            return Err(e.clone());
+        }
+        if (st.durable_to, st.next_lsn) != (lsn, lsn) {
+            return Err(DurabilityError::Uncovered {
+                lsn,
+                next_lsn: st.next_lsn,
+                durable_to: st.durable_to,
+            });
+        }
+        // Claim the flush role: an append arriving meanwhile waits, then
+        // flushes to the new file.
         st.flushing = true;
-        let buf = std::mem::take(&mut st.buf);
-        let flush_to = st.next_lsn;
-        st.pending = 0;
         drop(st);
 
-        let result = self.rewrite(up_to, &buf);
+        let result = {
+            let mut io = lock(&sh.io);
+            sh.storage
+                .write_atomic(&sh.name, &encode_wal_header(lsn))
+                .and_then(|()| sh.storage.open_append(&sh.name))
+                .map(|file| *io = file)
+        };
 
         let mut st = lock(&sh.state);
         st.flushing = false;
-        match &result {
-            Ok(()) => st.durable_to = st.durable_to.max(flush_to),
-            Err(e) => {
-                st.broken = Some(DurabilityError::Broken {
-                    detail: e.to_string(),
-                })
-            }
+        if let Err(e) = &result {
+            st.broken = Some(DurabilityError::Broken {
+                detail: e.to_string(),
+            });
         }
         sh.cv.notify_all();
         result
-    }
-
-    /// Flush `pending_buf`, rewrite the file keeping only records with
-    /// `lsn >= up_to` ([`truncate_wal`]: the file is read once and its
-    /// surviving frames are copied as bytes), and swap in a fresh append
-    /// handle.
-    fn rewrite(&self, up_to: Lsn, pending_buf: &[u8]) -> Result<(), DurabilityError> {
-        let sh = &self.shared;
-        let mut io = lock(&sh.io);
-        if !pending_buf.is_empty() {
-            io.append(pending_buf)?;
-            sh.fsyncs.fetch_add(1, Ordering::Relaxed);
-            io.sync()?;
-        }
-        let bytes = sh
-            .storage
-            .read(&sh.name)?
-            .ok_or_else(|| DurabilityError::corrupt("wal file vanished during truncation"))?;
-        sh.storage
-            .write_atomic(&sh.name, &truncate_wal(&bytes, up_to)?)?;
-        // The old handle points at the replaced file; reopen on the new one.
-        *io = sh.storage.open_append(&sh.name)?;
-        Ok(())
     }
 }
 
@@ -456,28 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_discards_covered_records_and_keeps_tail() {
-        let (mem, wal) = mem_wal(WalConfig {
-            flush_interval_micros: 0,
-            max_batch: 1,
-        });
-        for i in 0..5 {
-            wal.append_commit(&rec(i)).unwrap();
-        }
-        wal.truncate_to(3).unwrap();
-        let seg = decode_wal(&mem.bytes("wal").unwrap()).unwrap();
-        assert_eq!(seg.base_lsn, 3);
-        assert_eq!(seg.records.len(), 2);
-        assert_eq!(seg.records[0], rec(3));
-        // Appends continue with correct LSNs on the rewritten file.
-        assert_eq!(wal.append_commit(&rec(9)).unwrap(), 5);
-        let seg = decode_wal(&mem.bytes("wal").unwrap()).unwrap();
-        assert_eq!(seg.end_lsn(), 6);
-        assert_eq!(seg.records[2], rec(9));
-    }
-
-    #[test]
-    fn truncate_to_the_end_leaves_an_empty_log_that_appends_continue() {
+    fn restart_at_the_end_leaves_an_empty_log_that_appends_continue() {
         let (mem, wal) = mem_wal(WalConfig {
             flush_interval_micros: 0,
             max_batch: 1,
@@ -486,14 +452,53 @@ mod tests {
             wal.append_commit(&rec(i)).unwrap();
         }
         // What a checkpoint does: everything logged so far is covered.
-        wal.truncate_to(wal.next_lsn()).unwrap();
+        wal.restart_at(wal.next_lsn()).unwrap();
         assert_eq!(mem.bytes("wal").unwrap(), encode_wal_header(4));
         assert_eq!(wal.append_commit(&rec(7)).unwrap(), 4);
         let seg = decode_wal(&mem.bytes("wal").unwrap()).unwrap();
         assert_eq!((seg.base_lsn, seg.records), (4, vec![rec(7)]));
-        // Truncating to a position already gone changes nothing.
+    }
+
+    #[test]
+    fn restart_at_a_pending_or_later_numbered_record_is_refused_and_changes_nothing() {
+        use crate::file::{FaultInjector, FaultStorage};
+        let mem = MemStorage::new();
+        let inj = FaultInjector::new();
+        let storage = FaultStorage::new(Arc::new(mem.clone()), inj.clone());
+        let config = WalConfig {
+            flush_interval_micros: 0,
+            max_batch: 1,
+        };
+        let (wal, _) = Wal::open(Arc::new(storage), "wal", config).unwrap();
+        for i in 0..3 {
+            wal.append_commit(&rec(i)).unwrap();
+        }
         let before = mem.bytes("wal").unwrap();
-        wal.truncate_to(2).unwrap();
+        // Records 1 and 2 are numbered past a restart at 1; none is at 4.
+        for lsn in [0, 1, 2, 4] {
+            assert_eq!(
+                wal.restart_at(lsn),
+                Err(DurabilityError::Uncovered {
+                    lsn,
+                    next_lsn: 3,
+                    durable_to: 3
+                })
+            );
+            assert_eq!(mem.bytes("wal").unwrap(), before, "restart at {lsn}");
+        }
+        // The log is not wedged: appends continue where they were.
+        assert_eq!(wal.append_commit(&rec(3)).unwrap(), 3);
+        // A record whose flush failed stays numbered and never durable.
+        inj.fail_syncs(1);
+        assert!(wal.append_commit(&rec(4)).is_err());
+        assert_eq!((wal.next_lsn(), wal.durable_to()), (5, 4));
+        let before = mem.bytes("wal").unwrap();
+        for lsn in [4, 5] {
+            assert!(matches!(
+                wal.restart_at(lsn),
+                Err(DurabilityError::Broken { .. })
+            ));
+        }
         assert_eq!(mem.bytes("wal").unwrap(), before);
     }
 

@@ -24,12 +24,16 @@ fn arb_value() -> impl Strategy<Value = Value> {
 
 fn arb_op() -> impl Strategy<Value = WalOp> {
     prop_oneof![
+        // A row: its leading key cell, then any cells.
         (
             arb_string(12),
-            any::<u64>(),
-            prop::collection::vec(arb_value(), 0..6)
+            any::<i64>(),
+            prop::collection::vec(arb_value(), 0..5)
         )
-            .prop_map(|(table, key, values)| WalOp::Insert { table, key, values })
+            .prop_map(|(table, key, cells)| WalOp::Insert {
+                table,
+                values: std::iter::once(Value::I64(key)).chain(cells).collect(),
+            })
             .boxed(),
         (arb_string(12), any::<u64>(), any::<u32>(), arb_value())
             .prop_map(|(table, key, column, value)| WalOp::Update {
@@ -158,7 +162,7 @@ proptest! {
     }
 
     /// Checkpoint round trip plus rejection of every single-bit corruption
-    /// at a sampled offset.
+    /// at a sampled offset, over a relation of one key column.
     #[test]
     fn checkpoint_round_trip_and_corruption(
         lsn in any::<u64>(),
@@ -173,7 +177,6 @@ proptest! {
             last_ts,
             tables: vec![htap_durability::CheckpointTable {
                 name: "t".to_string(),
-                keys: keys.clone(),
                 columns,
             }],
         };

@@ -6,19 +6,20 @@
 //! `htap-durability`; this module owns the *coordination* with the OLTP
 //! engine — when a checkpoint may run (only while the instance-switch write
 //! gate is held, so no transaction is mid-commit), what it captures (every
-//! registered relation, rows in row-id order), and how a [`RecoveredState`]
-//! is applied back onto a freshly created schema. The image moves column at
-//! a time in both directions — one index walk and one slice append per
-//! column to write it, one range copy per column and instance to restore it;
-//! only the WAL tail is replayed op by op.
+//! registered relation, its columns in row-id order), and how a
+//! [`RecoveredState`] is applied back onto a freshly created schema. The
+//! image moves column at a time in both directions — one slice append per
+//! column to write it, one range copy per column and instance plus one batch
+//! index insert from the key column to restore it; only the WAL tail is
+//! replayed op by op. The log restarts empty behind each checkpoint.
 //!
 //! See `ARCHITECTURE.md` ("Durability & crash recovery").
 
-use crate::engine::{OltpEngine, TableRuntime};
+use crate::engine::OltpEngine;
 use htap_durability::{
     CheckpointData, CheckpointTable, DurabilityError, DurableStorage, RecoveredState, Wal, WalOp,
 };
-use htap_storage::RecordLocation;
+use htap_storage::{Column, ColumnGuard, RecordLocation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,7 +33,8 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 pub struct DurabilityStats {
     /// Instance switches observed since attach (one per scheduled query).
     pub switches_seen: u64,
-    /// Checkpoints successfully written (and WAL truncated).
+    /// Checkpoints successfully written, each followed by a restart of the
+    /// WAL at the LSN the checkpoint covers up to.
     pub checkpoints_taken: u64,
     /// Checkpoint attempts that failed (the WAL keeps its tail; the engine
     /// keeps running — durability degrades to replay-from-older-checkpoint).
@@ -87,7 +89,7 @@ impl DurabilityController {
         }
     }
 
-    /// The write-ahead log this controller truncates at checkpoints.
+    /// The write-ahead log this controller restarts at checkpoints.
     pub fn wal(&self) -> &Wal {
         &self.wal
     }
@@ -121,8 +123,8 @@ impl DurabilityController {
         }
     }
 
-    /// Write a checkpoint of the current store and truncate the WAL to it.
-    /// The caller must hold the switch gate for writing (quiesced engine).
+    /// Write a checkpoint of the current store and restart the WAL behind
+    /// it. The caller must hold the switch gate for writing (quiesced engine).
     pub(crate) fn checkpoint_quiesced(&self, engine: &OltpEngine) -> Result<(), DurabilityError> {
         // A WAL that failed a flush has numbered records it never wrote: an
         // image stamped with its `next_lsn` would claim to cover LSNs the
@@ -137,12 +139,12 @@ impl DurabilityController {
         if on {
             htap_obs::record_thread(htap_obs::EventKind::CheckpointBegin, t_ckpt, 0, 0);
         }
-        // No transaction is in flight, so every durable record is also
-        // applied and `next_lsn` covers exactly the captured state.
+        // No transaction is in flight, so every numbered record is durable
+        // and applied, and `next_lsn` covers exactly the captured state.
         let lsn = self.wal.next_lsn();
         let tables = engine.txn_manager().tables();
-        // One buffer for the whole file: the fixed-width cells and keys are
-        // about an instance's size, strings and headers grow it if need be.
+        // One buffer for the whole file: the fixed-width cells are about an
+        // instance's size, strings and headers grow it if need be.
         let mut image = CheckpointData::begin(
             lsn,
             engine.txn_manager().now(),
@@ -151,15 +153,19 @@ impl DurabilityController {
         );
         for rt in &tables {
             let active = rt.twin().active();
-            let keys = keys_by_row(rt, active.row_count())?;
-            CheckpointTable::encode_into(&mut image, rt.name(), &keys, active.columns())?;
+            CheckpointTable::encode_into(
+                &mut image,
+                rt.name(),
+                active.row_count(),
+                active.columns(),
+            )?;
         }
-        // Checkpoint first, truncate second: a crash between the two leaves
-        // an un-truncated WAL prefix that recovery simply skips, because
+        // Checkpoint first, restart second: a crash between the two leaves
+        // the old log, every record of which the new image covers, and
         // replay starts at the checkpoint LSN.
         self.storage
             .write_atomic(CHECKPOINT_FILE, &CheckpointData::seal(image))?;
-        self.wal.truncate_to(lsn)?;
+        self.wal.restart_at(lsn)?;
         self.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
         if on {
             htap_obs::record_thread(
@@ -173,39 +179,12 @@ impl DurabilityController {
     }
 }
 
-/// The primary key of each of a relation's `rows` rows, by row id, from one
-/// walk of its index. A checkpoint stores a relation as its key list plus
-/// its columns as they lie, so every row must be owned by exactly one key: a
-/// row no key points at, or two keys pointing at one row, is an error.
-fn keys_by_row(rt: &TableRuntime, rows: u64) -> Result<Vec<u64>, DurabilityError> {
-    let unkeyed = |what: String| {
-        DurabilityError::corrupt(format!("table {} of {rows} rows: {what}", rt.name()))
-    };
-    let entries = rt.index().entries();
-    let mut keys = vec![0u64; rows as usize];
-    let mut keyed = vec![false; rows as usize];
-    for &(key, loc) in &entries {
-        match keyed.get_mut(loc.row as usize) {
-            Some(seen @ false) => (*seen, keys[loc.row as usize]) = (true, key),
-            _ => {
-                return Err(unkeyed(format!(
-                    "key {key} points at row {}, past the end or another key's",
-                    loc.row
-                )))
-            }
-        }
-    }
-    if entries.len() != keys.len() {
-        return Err(unkeyed("a row has no key".into()));
-    }
-    Ok(keys)
-}
-
 /// Apply a [`RecoveredState`] onto an engine whose relations have already
 /// been created (empty). Each checkpointed relation is loaded column at a
 /// time into both twin instances — row `i` of the image becomes row `i`
-/// again — and its keys are published in one batch; then the WAL tail is
-/// replayed through the normal twin-table insert/update path, and the
+/// again — and the key cells of its key column are published to the index
+/// in one batch: two rows with one key cell are an error. Then the WAL tail
+/// is replayed through the normal twin-table insert/update path, and the
 /// logical clock is advanced past the last recovered commit.
 ///
 /// Returns the number of replayed WAL records.
@@ -223,16 +202,26 @@ pub fn apply_recovered(
         let rt = engine
             .table(&table.name)
             .ok_or_else(|| rejected("no such relation".into()))?;
+        let rows = table.rows();
         // Compares the segments' types with the live schema, once.
         rt.twin()
-            .load_columns(&table.columns, table.keys.len() as u64)
+            .load_columns(&table.columns, rows as u64)
             .map_err(|e| rejected(e.to_string()))?;
-        rt.index().reserve(table.keys.len());
+        let pk = rt.twin().schema().primary_key;
+        let segment = pk.and_then(|pk| table.columns.get(pk));
+        let Some(ColumnGuard::I64(keys)) = segment.map(Column::read_guard) else {
+            return Err(rejected("no i64 key column".into()));
+        };
+        rt.index().reserve(rows);
         rt.index().insert_many(
             (0u64..)
-                .zip(&table.keys)
-                .map(|(row, &key)| (key, RecordLocation::new(row))),
+                .zip(keys.iter().take(rows))
+                .map(|(row, &key)| (key as u64, RecordLocation::new(row))),
         );
+        let keyed = rt.index().len();
+        if keyed != rows {
+            return Err(rejected(format!("{keyed} distinct keys in {rows} rows")));
+        }
     }
     for (lsn, record) in &state.tail {
         let rejected = |what: String| {
@@ -240,10 +229,10 @@ pub fn apply_recovered(
         };
         for op in &record.ops {
             match op {
-                WalOp::Insert { table, key, values } => {
+                WalOp::Insert { table, values } => {
                     engine
-                        .bulk_load(table, *key, values.clone())
-                        .map_err(|e| rejected(format!("insert {key} into {table}: {e}")))?;
+                        .bulk_load(table, values.clone())
+                        .map_err(|e| rejected(format!("insert into {table}: {e}")))?;
                 }
                 WalOp::Update {
                     table,
@@ -254,6 +243,9 @@ pub fn apply_recovered(
                     let rt = engine
                         .table(table)
                         .ok_or_else(|| rejected(format!("unknown table {table}")))?;
+                    if rt.twin().schema().primary_key == Some(*column as usize) {
+                        return Err(rejected(format!("update of the key column of {table}")));
+                    }
                     let loc = rt.index().get(*key).ok_or_else(|| {
                         rejected(format!("update of missing key {key} in {table}"))
                     })?;
@@ -271,7 +263,7 @@ pub fn apply_recovered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_durability::{load_state, MemStorage, RecoveredState, WalConfig};
+    use htap_durability::{load_state, MemStorage, RecoveredState, WalConfig, WalRecord};
     use htap_storage::{ColumnDef, DataType, TableSchema, Value};
 
     fn schema(name: &str) -> TableSchema {
@@ -309,7 +301,6 @@ mod tests {
         engine.execute(|mut txn| {
             txn.insert(
                 "stock",
-                key,
                 vec![
                     Value::I64(key as i64),
                     Value::I32(qty),
@@ -366,7 +357,7 @@ mod tests {
         }
         let state = reload(&disk);
         let ckpt = state.checkpoint.as_ref().unwrap();
-        assert_eq!(ckpt.tables[0].keys, vec![1, 2]);
+        ckpt.tables[0].columns[0].with_i64(9, |keys| assert_eq!(keys, [1, 2]));
         assert_eq!(state.tail.len(), 1);
         let engine = OltpEngine::new();
         engine.create_table(schema("stock")).unwrap();
@@ -386,10 +377,38 @@ mod tests {
         assert_eq!(ctl.stats().checkpoints_taken, 0);
         assert!(engine.checkpoint_now().unwrap());
         assert_eq!(ctl.stats().checkpoints_taken, 1);
-        // The WAL was truncated to the checkpoint LSN.
+        // The WAL restarted at the checkpoint LSN.
         let state = reload(&disk);
         assert_eq!(state.tail.len(), 0);
-        assert_eq!(state.checkpoint.unwrap().tables[0].keys, vec![7]);
+        let ckpt = state.checkpoint.unwrap();
+        ckpt.tables[0].columns[0].with_i64(9, |keys| assert_eq!(keys, [7]));
+    }
+
+    #[test]
+    fn a_replayed_update_of_the_key_column_is_corrupt() {
+        let disk = MemStorage::new();
+        insert(&durable_engine(&disk, 0).0, 1, 10);
+        let mut state = reload(&disk);
+        let op = WalOp::Update {
+            table: "stock".into(),
+            key: 1,
+            column: 0,
+            value: Value::I64(2),
+        };
+        state.tail.push((
+            1,
+            WalRecord {
+                txn_id: 9,
+                commit_ts: 99,
+                ops: vec![op],
+            },
+        ));
+        let engine = OltpEngine::new();
+        engine.create_table(schema("stock")).unwrap();
+        assert!(matches!(
+            apply_recovered(&engine, &state),
+            Err(DurabilityError::Corrupt { detail }) if detail.contains("key column of stock")
+        ));
     }
 
     #[test]

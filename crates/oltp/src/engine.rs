@@ -183,20 +183,19 @@ impl OltpEngine {
     }
 
     /// Bulk-load a row into a relation outside of any transaction (initial
-    /// database population). The index is updated and both twin instances
-    /// receive the row; update bits are not touched.
-    pub fn bulk_load(
-        &self,
-        table: &str,
-        key: u64,
-        values: Vec<Value>,
-    ) -> Result<u64, StorageError> {
+    /// database population). The index is updated under the row's key cell
+    /// and both twin instances receive the row; update bits are not touched.
+    pub fn bulk_load(&self, table: &str, values: Vec<Value>) -> Result<u64, StorageError> {
         let rt = self
             .table(table)
             .ok_or_else(|| StorageError::TableMissing {
                 table: table.to_string(),
             })?;
-        let row = rt.twin().insert(&values)?;
+        let key = rt.twin().schema().key_of(&values)?;
+        let row = rt
+            .twin()
+            .insert_rows_unchecked(std::iter::once(&values[..]))
+            .start;
         rt.index().insert(key, RecordLocation::new(row));
         Ok(row)
     }
@@ -274,7 +273,7 @@ mod tests {
         assert!(engine.create_table(schema("stock")).is_err());
 
         let committed = engine.execute(|mut txn| {
-            txn.insert("stock", 1, vec![Value::I64(1), Value::I32(5)])
+            txn.insert("stock", vec![Value::I64(1), Value::I32(5)])
                 .unwrap();
             txn.commit().is_ok()
         });
@@ -301,7 +300,7 @@ mod tests {
         assert!(engine.table("missing").is_none());
 
         engine
-            .bulk_load("accounts", 1, vec![Value::I64(1), Value::F64(10.0)])
+            .bulk_load("accounts", vec![Value::I64(1), Value::F64(10.0)])
             .unwrap();
         assert_eq!(engine.total_rows(), 1);
         assert_eq!(engine.instance_bytes(), 16);
@@ -314,7 +313,7 @@ mod tests {
         let engine = OltpEngine::new();
         let first = engine.create_table(schema("stock")).unwrap();
         engine
-            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(10)])
+            .bulk_load("stock", vec![Value::I64(1), Value::I32(10)])
             .unwrap();
         assert_eq!(
             engine.create_table(schema("stock")).unwrap_err(),
@@ -328,7 +327,7 @@ mod tests {
         assert_eq!(kept.twin().row_count(), 1);
         engine.execute(|mut txn| {
             txn.update("stock", 1, 1, Value::I32(11)).unwrap();
-            txn.insert("stock", 2, vec![Value::I64(2), Value::I32(20)])
+            txn.insert("stock", vec![Value::I64(2), Value::I32(20)])
                 .unwrap();
             txn.commit().unwrap();
         });
@@ -369,7 +368,7 @@ mod tests {
         engine.create_table(schema("stock")).unwrap();
         for k in 0..100u64 {
             engine
-                .bulk_load("stock", k, vec![Value::I64(k as i64), Value::I32(1)])
+                .bulk_load("stock", vec![Value::I64(k as i64), Value::I32(1)])
                 .unwrap();
         }
         assert_eq!(engine.total_rows(), 100);
@@ -377,7 +376,7 @@ mod tests {
         assert_eq!(rt.index().len(), 100);
         assert_eq!(rt.twin().instance(0).row_count(), 100);
         assert_eq!(rt.twin().instance(1).row_count(), 100);
-        assert!(engine.bulk_load("missing", 0, vec![]).is_err());
+        assert!(engine.bulk_load("missing", vec![]).is_err());
     }
 
     #[test]
@@ -385,7 +384,7 @@ mod tests {
         let engine = OltpEngine::new();
         engine.create_table(schema("stock")).unwrap();
         engine
-            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(10)])
+            .bulk_load("stock", vec![Value::I64(1), Value::I32(10)])
             .unwrap();
         engine.execute(|mut txn| {
             txn.update("stock", 1, 1, Value::I32(42)).unwrap();
@@ -410,10 +409,10 @@ mod tests {
         engine.create_table(schema("a")).unwrap();
         engine.create_table(schema("b")).unwrap();
         engine
-            .bulk_load("a", 1, vec![Value::I64(1), Value::I32(1)])
+            .bulk_load("a", vec![Value::I64(1), Value::I32(1)])
             .unwrap();
         engine
-            .bulk_load("b", 1, vec![Value::I64(1), Value::I32(1)])
+            .bulk_load("b", vec![Value::I64(1), Value::I32(1)])
             .unwrap();
         engine.switch_and_sync_instances();
         assert_eq!(engine.fresh_rows_vs_olap(), 2);
@@ -425,7 +424,7 @@ mod tests {
         let engine = OltpEngine::new();
         engine.create_table(schema("stock")).unwrap();
         engine
-            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(10)])
+            .bulk_load("stock", vec![Value::I64(1), Value::I32(10)])
             .unwrap();
         engine.execute(|mut txn| {
             txn.update("stock", 1, 1, Value::I32(42)).unwrap();
@@ -456,7 +455,7 @@ mod tests {
         let engine = OltpEngine::new();
         engine.create_table(schema("stock")).unwrap();
         engine
-            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(0)])
+            .bulk_load("stock", vec![Value::I64(1), Value::I32(0)])
             .unwrap();
         overwrite_hot_row(&engine, 1000);
         let rt = engine.table("stock").unwrap();
@@ -480,7 +479,7 @@ mod tests {
         let engine = OltpEngine::new();
         engine.create_table(schema("stock")).unwrap();
         engine
-            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(0)])
+            .bulk_load("stock", vec![Value::I64(1), Value::I32(0)])
             .unwrap();
         let rt = engine.table("stock").unwrap();
         for cycle in 0..200 {
@@ -497,7 +496,7 @@ mod tests {
         let engine = Arc::new(OltpEngine::new());
         engine.create_table(schema("stock")).unwrap();
         engine
-            .bulk_load("stock", 1, vec![Value::I64(1), Value::I32(0)])
+            .bulk_load("stock", vec![Value::I64(1), Value::I32(0)])
             .unwrap();
 
         let in_txn = Arc::new(AtomicBool::new(false));

@@ -28,7 +28,7 @@ use crate::durability::DurabilityController;
 use crate::engine::TableRuntime;
 use crate::locks::{LockKey, LockMode, LockTable};
 use htap_durability::{DurabilityError, WalOp, WalRecord};
-use htap_storage::{RecordLocation, RowId, StorageError, TableSchema, Value};
+use htap_storage::{DataType, RecordLocation, RowId, StorageError, TableSchema, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +51,8 @@ pub enum TxnError {
     KeyNotFound(u64),
     /// The requested relation is not registered with the engine.
     TableMissing(String),
+    /// An update of the named relation's key column, fixed at insert.
+    KeyUpdate(String),
     /// The transaction has already committed or aborted.
     AlreadyFinished,
     /// A storage-level error (schema violation etc.).
@@ -69,6 +71,7 @@ impl std::fmt::Display for TxnError {
             TxnError::DuplicateKey(k) => write!(f, "duplicate primary key {k}"),
             TxnError::KeyNotFound(k) => write!(f, "key {k} not found"),
             TxnError::TableMissing(t) => write!(f, "table {t} not registered"),
+            TxnError::KeyUpdate(t) => write!(f, "the primary key of table {t} is not updatable"),
             TxnError::AlreadyFinished => write!(f, "transaction already finished"),
             TxnError::Storage(e) => write!(f, "storage error: {e}"),
             TxnError::Durability(e) => write!(f, "durability error: {e}"),
@@ -124,6 +127,7 @@ struct PendingUpdate {
     previous: u32,
 }
 
+/// A declared insert, under the key its key cell holds.
 #[derive(Debug)]
 struct PendingInsert {
     table: TableRef,
@@ -183,9 +187,14 @@ impl TxnManager {
     }
 
     /// Create a relation so transactions can address it by name; a taken
-    /// name is an error and leaves its relation in place. The lock tag is the
-    /// creation index: engine-local, and deterministic in creation order.
+    /// name, or a schema without an `I64` primary key, is an error and leaves
+    /// the registry as it was. The lock tag is the creation index:
+    /// engine-local, and deterministic in creation order.
     pub fn create_table(&self, schema: TableSchema) -> Result<Arc<TableRuntime>, StorageError> {
+        let key = schema.primary_key.and_then(|pk| schema.columns.get(pk));
+        if key.is_none_or(|c| c.dtype != DataType::I64) {
+            return Err(StorageError::NoPrimaryKey { table: schema.name });
+        }
         let mut tables = self.tables.write();
         if tables.contains_key(&schema.name) {
             return Err(StorageError::TableExists { table: schema.name });
@@ -406,12 +415,15 @@ impl<'a> Transaction<'a> {
     }
 
     /// Declare an update of one attribute of a held record; the write is
-    /// applied at commit. The value's type is checked here, so that a commit
-    /// cannot fail half-applied.
+    /// applied at commit. Its type is checked, and the key column refused,
+    /// here, so that a commit cannot fail half-applied.
     pub fn set(&mut self, row: RowRef, column: usize, value: Value) -> Result<(), TxnError> {
         self.check_active()?;
         let held = &self.held[row.0 as usize];
         let schema = self.runtime(held.table).twin().schema();
+        if schema.primary_key == Some(column) {
+            return Err(TxnError::KeyUpdate(schema.name.clone()));
+        }
         let expected = schema.column(column).dtype;
         if value.data_type() != expected {
             return Err(TxnError::Storage(StorageError::TypeMismatch {
@@ -462,20 +474,16 @@ impl<'a> Transaction<'a> {
             .ok_or(TxnError::KeyNotFound(key))
     }
 
-    /// Declare an insert of a new record with primary key `key` into a
-    /// resolved relation. The row is checked against the schema here and
-    /// appended to both twin instances at commit.
-    pub fn insert_at(
-        &mut self,
-        table: TableRef,
-        key: u64,
-        values: Vec<Value>,
-    ) -> Result<(), TxnError> {
+    /// Declare an insert of a new record into a resolved relation; its key
+    /// is its primary-key cell. The row is checked against the schema here
+    /// and appended to both twin instances at commit.
+    pub fn insert_at(&mut self, table: TableRef, values: Vec<Value>) -> Result<(), TxnError> {
         self.check_active()?;
         let rt = self.runtime(table);
-        rt.twin()
+        let key = rt
+            .twin()
             .schema()
-            .check_row(&values)
+            .key_of(&values)
             .map_err(TxnError::Storage)?;
         // Lock the key space entry to serialise concurrent inserts of the
         // same key; an insert this transaction already declared holds it.
@@ -528,11 +536,11 @@ impl<'a> Transaction<'a> {
         self.set(row, column, value)
     }
 
-    /// Declare an insert of a new record with primary key `key`.
+    /// Declare an insert of a new record, keyed by its primary-key cell.
     /// The row is appended to both twin instances at commit.
-    pub fn insert(&mut self, table: &str, key: u64, values: Vec<Value>) -> Result<(), TxnError> {
+    pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<(), TxnError> {
         let table = self.table(table)?;
-        self.insert_at(table, key, values)
+        self.insert_at(table, values)
     }
 
     /// Number of buffered writes (updates + inserts).
@@ -555,7 +563,6 @@ impl<'a> Transaction<'a> {
         for ins in &self.inserts {
             ops.push(WalOp::Insert {
                 table: self.runtime(ins.table).name().to_string(),
-                key: ins.key,
                 values: ins.values.clone(),
             });
         }
@@ -696,8 +703,10 @@ impl Drop for Transaction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_storage::{ColumnDef, DataType};
+    use htap_storage::ColumnDef;
 
+    /// Accounts: the key `id`, then `balance` and `tier`, two columns a
+    /// transaction may write.
     fn manager_with_accounts() -> TxnManager {
         let mgr = TxnManager::new();
         let schema = TableSchema::new(
@@ -705,6 +714,7 @@ mod tests {
             vec![
                 ColumnDef::new("id", DataType::I64),
                 ColumnDef::new("balance", DataType::F64),
+                ColumnDef::new("tier", DataType::I32),
             ],
             Some(0),
         );
@@ -712,14 +722,14 @@ mod tests {
         mgr
     }
 
+    /// The row of account `key`, in tier 0.
+    fn account(key: u64, balance: f64) -> Vec<Value> {
+        vec![Value::I64(key as i64), Value::F64(balance), Value::I32(0)]
+    }
+
     fn seed_account(mgr: &TxnManager, key: u64, balance: f64) {
         let mut t = mgr.begin();
-        t.insert(
-            "accounts",
-            key,
-            vec![Value::I64(key as i64), Value::F64(balance)],
-        )
-        .unwrap();
+        t.insert("accounts", account(key, balance)).unwrap();
         t.commit().unwrap();
     }
 
@@ -742,8 +752,7 @@ mod tests {
         let mut t = mgr.begin();
         t.update("accounts", 1, 1, Value::F64(50.0)).unwrap();
         assert_eq!(t.read("accounts", 1, 1).unwrap(), Value::F64(50.0));
-        t.insert("accounts", 2, vec![Value::I64(2), Value::F64(7.0)])
-            .unwrap();
+        t.insert("accounts", account(2, 7.0)).unwrap();
         assert_eq!(t.read("accounts", 2, 1).unwrap(), Value::F64(7.0));
         t.commit().unwrap();
         let t2 = mgr.begin();
@@ -826,17 +835,14 @@ mod tests {
         seed_account(&mgr, 1, 100.0);
         let mut t = mgr.begin();
         assert_eq!(
-            t.insert("accounts", 1, vec![Value::I64(1), Value::F64(0.0)])
-                .unwrap_err(),
+            t.insert("accounts", account(1, 0.0)).unwrap_err(),
             TxnError::DuplicateKey(1)
         );
         // Duplicate within the same transaction's buffer is also rejected.
         let mut t2 = mgr.begin();
-        t2.insert("accounts", 7, vec![Value::I64(7), Value::F64(0.0)])
-            .unwrap();
+        t2.insert("accounts", account(7, 0.0)).unwrap();
         assert_eq!(
-            t2.insert("accounts", 7, vec![Value::I64(7), Value::F64(0.0)])
-                .unwrap_err(),
+            t2.insert("accounts", account(7, 0.0)).unwrap_err(),
             TxnError::DuplicateKey(7)
         );
     }
@@ -906,7 +912,7 @@ mod tests {
             let mut t = mgr.begin();
             let v = t.read_for_update("accounts", 1, 1).unwrap().as_f64();
             t.update("accounts", 1, 1, Value::F64(v + 1.0)).unwrap();
-            t.update("accounts", 1, 0, Value::I64(1)).unwrap();
+            t.update("accounts", 1, 2, Value::I32(1)).unwrap();
             assert_eq!(t.locks.len(), 1, "one record, one lock entry");
             assert_eq!(mgr.locks.locked_records(), 1);
             if commit {
@@ -923,11 +929,8 @@ mod tests {
         );
         // An insert holds its key's lock, once, until the end as well.
         let mut t = mgr.begin();
-        t.insert("accounts", 2, vec![Value::I64(2), Value::F64(0.0)])
-            .unwrap();
-        assert!(t
-            .insert("accounts", 2, vec![Value::I64(2), Value::F64(0.0)])
-            .is_err());
+        t.insert("accounts", account(2, 0.0)).unwrap();
+        assert!(t.insert("accounts", account(2, 0.0)).is_err());
         assert_eq!(t.locks.len(), 1);
         drop(t);
         assert_eq!(mgr.locks.locked_records(), 0);
@@ -947,19 +950,18 @@ mod tests {
         // Read-your-own-writes across two columns of one row, by handle and
         // by name, the newest write of a cell winning.
         t.set(row, 1, Value::F64(1.0)).unwrap();
-        t.update("accounts", 1, 0, Value::I64(-1)).unwrap();
+        t.update("accounts", 1, 2, Value::I32(-1)).unwrap();
         t.set(row, 1, Value::F64(2.0)).unwrap();
         assert_eq!(t.get(row, 1).unwrap(), Value::F64(2.0));
-        assert_eq!(t.get(row, 0).unwrap(), Value::I64(-1));
+        assert_eq!(t.get(row, 2).unwrap(), Value::I32(-1));
         assert_eq!(t.read("accounts", 1, 1).unwrap(), Value::F64(2.0));
-        assert_eq!(t.read_at(accounts, 1, 0).unwrap(), Value::I64(-1));
+        assert_eq!(t.read_at(accounts, 1, 2).unwrap(), Value::I32(-1));
         assert_eq!(
             t.read_for_update("accounts", 1, 1).unwrap(),
             Value::F64(2.0)
         );
         // ... and across an insert, which is not lockable before it commits.
-        t.insert_at(accounts, 2, vec![Value::I64(2), Value::F64(7.0)])
-            .unwrap();
+        t.insert_at(accounts, account(2, 7.0)).unwrap();
         assert_eq!(t.read_at(accounts, 2, 1).unwrap(), Value::F64(7.0));
         assert_eq!(t.read("accounts", 2, 0).unwrap(), Value::I64(2));
         assert!(matches!(t.lock(accounts, 2), Err(TxnError::KeyNotFound(2))));
@@ -971,12 +973,12 @@ mod tests {
             Err(TxnError::Storage(_))
         ));
         assert!(matches!(
-            t.insert_at(accounts, 3, vec![Value::I64(3)]),
+            t.insert_at(accounts, vec![Value::I64(3)]),
             Err(TxnError::Storage(_))
         ));
         t.commit().unwrap();
         let check = mgr.begin();
-        assert_eq!(check.read("accounts", 1, 0).unwrap(), Value::I64(-1));
+        assert_eq!(check.read("accounts", 1, 2).unwrap(), Value::I32(-1));
         assert_eq!(check.read("accounts", 1, 1).unwrap(), Value::F64(2.0));
         assert_eq!(check.read("accounts", 2, 1).unwrap(), Value::F64(7.0));
         assert!(check.read("accounts", 3, 1).is_err());
@@ -999,9 +1001,9 @@ mod tests {
         assert_eq!(late.get(row, 1).unwrap(), Value::F64(10.0));
         // Writing a column nobody overwrote commits; the overwritten one
         // would not (first committer wins, per cell).
-        late.set(row, 0, Value::I64(5)).unwrap();
+        late.set(row, 2, Value::I32(5)).unwrap();
         late.commit().unwrap();
-        assert_eq!(mgr.begin().read("accounts", 1, 0).unwrap(), Value::I64(5));
+        assert_eq!(mgr.begin().read("accounts", 1, 2).unwrap(), Value::I32(5));
         assert_eq!(
             mgr.begin().read("accounts", 1, 1).unwrap(),
             Value::F64(10.0)
@@ -1022,8 +1024,7 @@ mod tests {
         // Declarations interleave two records and an insert; the same cell
         // is written twice.
         t.update("accounts", 2, 1, Value::F64(1.0)).unwrap();
-        t.insert("accounts", 3, vec![Value::I64(3), Value::F64(3.0)])
-            .unwrap();
+        t.insert("accounts", account(3, 3.0)).unwrap();
         t.update("accounts", 1, 1, Value::F64(2.0)).unwrap();
         t.update("accounts", 2, 1, Value::F64(4.0)).unwrap();
         let (id, commit_ts) = (t.id(), t.commit().unwrap());
@@ -1042,8 +1043,7 @@ mod tests {
                 update(2, 4.0),
                 WalOp::Insert {
                     table: "accounts".into(),
-                    key: 3,
-                    values: vec![Value::I64(3), Value::F64(3.0)],
+                    values: account(3, 3.0),
                 },
             ],
         };
@@ -1059,6 +1059,54 @@ mod tests {
             rt.delta().visible_version(1, 1, commit_ts - 1),
             Some(Value::F64(200.0))
         );
+    }
+
+    #[test]
+    fn a_relation_without_an_i64_primary_key_is_refused() {
+        let mgr = TxnManager::new();
+        let columns = vec![
+            ColumnDef::new("id", DataType::I64),
+            ColumnDef::new("price", DataType::F64),
+        ];
+        let unkeyed = TableSchema::new("unkeyed", columns.clone(), None);
+        // Built past `TableSchema::new`, which refuses it.
+        let float_keyed = TableSchema {
+            name: "float_keyed".into(),
+            columns,
+            primary_key: Some(1),
+        };
+        for schema in [unkeyed, float_keyed] {
+            let table = schema.name.clone();
+            assert_eq!(
+                mgr.create_table(schema).unwrap_err(),
+                StorageError::NoPrimaryKey { table }
+            );
+        }
+        assert!(mgr.table_names().is_empty());
+    }
+
+    #[test]
+    fn the_key_column_is_not_updatable_and_a_refused_update_applies_nothing() {
+        let mgr = manager_with_accounts();
+        seed_account(&mgr, 1, 100.0);
+        let mut t = mgr.begin();
+        let accounts = t.table("accounts").unwrap();
+        let row = t.lock(accounts, 1).unwrap();
+        let refused = TxnError::KeyUpdate("accounts".into());
+        assert_eq!(t.set(row, 0, Value::I64(5)).unwrap_err(), refused);
+        assert_eq!(
+            t.update("accounts", 1, 0, Value::I64(6)).unwrap_err(),
+            refused
+        );
+        assert_eq!(t.write_count(), 0);
+        t.set(row, 1, Value::F64(7.0)).unwrap();
+        t.commit().unwrap();
+        // The key cell and the index still agree on the record's key.
+        let rt = mgr.table("accounts").unwrap();
+        let at = rt.index().get(1).unwrap().row;
+        assert_eq!(rt.twin().get(at, 0), Some(Value::I64(1)));
+        assert_eq!(rt.twin().get(at, 1), Some(Value::F64(7.0)));
+        assert!(rt.index().get(5).is_none() && rt.index().get(6).is_none());
     }
 
     #[test]

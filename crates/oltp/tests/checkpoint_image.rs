@@ -1,26 +1,29 @@
 //! Model-based tests of the checkpoint image: what the quiesced window
 //! writes from the live columns, and what a restore loads back, checked
-//! against a plain `Vec<Vec<Value>>` of the relation's rows.
+//! against a plain `Vec<Vec<Value>>` of the relation's rows. The relation's
+//! leading `I64` column is its primary key: the image stores no key list,
+//! and a restore rebuilds the index from the key cells.
 
 use htap_durability::{
     load_state, CheckpointData, CheckpointTable, DurabilityError, DurableStorage, MemStorage, Wal,
     WalConfig,
 };
 use htap_oltp::{apply_recovered, DurabilityController, OltpEngine, CHECKPOINT_FILE, WAL_FILE};
-use htap_storage::{Column, ColumnDef, DataType, RecordLocation, TableSchema, Value};
+use htap_storage::{Column, ColumnDef, DataType, TableSchema, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const RELATION: &str = "rel";
 const DTYPES: [DataType; 4] = [DataType::I64, DataType::F64, DataType::I32, DataType::Str];
 
+/// The relation: one column per dtype, the first (an `I64`) its key.
 fn schema(dtypes: &[DataType]) -> TableSchema {
     let columns = dtypes
         .iter()
         .enumerate()
         .map(|(i, &dtype)| ColumnDef::new(format!("c{i}"), dtype))
         .collect();
-    TableSchema::new(RELATION, columns, None)
+    TableSchema::new(RELATION, columns, Some(0))
 }
 
 /// A cell of type `dtype` made from `seed`: every bit pattern of a float
@@ -104,34 +107,39 @@ fn assert_restored(engine: &OltpEngine, keys: &[u64], rows: &[Vec<Value>], same_
 /// Load the model through the engine, overwrite some cells on the active
 /// instance only (so the two instances differ when the image is taken),
 /// checkpoint, and check the file and two restores of it against the model.
-fn check_image(dtypes: &[DataType], seeds: &[u64], switches: usize, updates: &[(u64, u64, u64)]) {
-    let arity = dtypes.len();
+/// The relation's key column comes first, then one column per `cells` type.
+fn check_image(cells: &[DataType], seeds: &[u64], switches: usize, updates: &[(u64, u64, u64)]) {
+    let (arity, dtypes) = (cells.len(), &[&[DataType::I64], cells].concat());
+    // Distinct, in no order: row ids and key order have nothing in common.
+    let keys: Vec<u64> = (0..(seeds.len() / arity) as u64)
+        .map(|i| (seeds[i as usize * arity].wrapping_mul(0x9E37_79B9) << 8) | i)
+        .collect();
     let mut rows: Vec<Vec<Value>> = seeds
         .chunks_exact(arity)
-        .map(|chunk| {
-            chunk
+        .zip(&keys)
+        .map(|(chunk, &key)| {
+            let cells = chunk
                 .iter()
-                .zip(dtypes)
-                .map(|(&seed, &dtype)| cell(dtype, seed))
+                .zip(cells)
+                .map(|(&seed, &dtype)| cell(dtype, seed));
+            std::iter::once(Value::I64(key as i64))
+                .chain(cells)
                 .collect()
         })
-        .collect();
-    // Distinct, in no order: row ids and key order have nothing in common.
-    let keys: Vec<u64> = (0..rows.len() as u64)
-        .map(|i| (seeds[i as usize * arity].wrapping_mul(0x9E37_79B9) << 8) | i)
         .collect();
 
     let disk = MemStorage::new();
     let engine = durable_engine(&disk, dtypes);
-    for (key, row) in keys.iter().zip(&rows) {
-        engine.bulk_load(RELATION, *key, row.clone()).unwrap();
+    for row in &rows {
+        engine.bulk_load(RELATION, row.clone()).unwrap();
     }
     for _ in 0..switches {
         engine.switch_and_sync_instances();
     }
     if !rows.is_empty() {
         for &(row, column, seed) in updates {
-            let (row, column) = (row as usize % rows.len(), column as usize % arity);
+            // Any column but the key, which no update may change.
+            let (row, column) = (row as usize % rows.len(), 1 + column as usize % arity);
             let value = cell(dtypes[column], seed);
             rows[row][column] = value.clone();
             engine.execute(|mut txn| {
@@ -142,14 +150,14 @@ fn check_image(dtypes: &[DataType], seeds: &[u64], switches: usize, updates: &[(
     }
     assert!(engine.checkpoint_now().unwrap());
 
-    // The file: keys in row-id order, one segment per column.
+    // The file: one segment per column, the key column's too, in row-id order.
     let image = CheckpointData::decode(&disk.bytes(CHECKPOINT_FILE).unwrap()).unwrap();
     let [table] = image.tables.as_slice() else {
         panic!("one relation, {} in the image", image.tables.len());
     };
-    assert_eq!((table.name.as_str(), &table.keys), (RELATION, &keys));
+    assert_eq!((table.name.as_str(), table.rows()), (RELATION, rows.len()));
     let segment_types: Vec<_> = table.columns.iter().map(Column::dtype).collect();
-    assert_eq!(segment_types, dtypes);
+    assert_eq!(&segment_types, dtypes);
     for (c, segment) in table.columns.iter().enumerate() {
         assert_eq!(segment.len(), rows.len());
         for (i, row) in rows.iter().enumerate() {
@@ -173,7 +181,6 @@ fn check_image(dtypes: &[DataType], seeds: &[u64], switches: usize, updates: &[(
         last_ts: image.last_ts,
         tables: vec![CheckpointTable {
             name: RELATION.into(),
-            keys: order.iter().map(|&i| keys[i]).collect(),
             columns: dtypes
                 .iter()
                 .enumerate()
@@ -233,7 +240,7 @@ fn an_image_that_disagrees_with_the_live_schema_is_a_typed_error() {
     let disk = MemStorage::new();
     let engine = durable_engine(&disk, &written);
     let row = vec![Value::I64(1), Value::F64(1.0), Value::from("a")];
-    engine.bulk_load(RELATION, 1, row).unwrap();
+    engine.bulk_load(RELATION, row).unwrap();
     assert!(engine.checkpoint_now().unwrap());
     assert!(restore(&disk, &written).is_ok());
     for live in [
@@ -248,35 +255,28 @@ fn an_image_that_disagrees_with_the_live_schema_is_a_typed_error() {
     }
 }
 
+/// Two rows with one key cell: an image can say so (it stores no key list
+/// to contradict it), and its CRC is valid. The restore publishes the key
+/// column and counts the keys it got, so it refuses the image.
 #[test]
 fn a_row_without_exactly_one_key_is_a_typed_error() {
-    let dtypes = [DataType::I64];
+    let dtypes = [DataType::I64, DataType::I32];
     let disk = MemStorage::new();
     let engine = durable_engine(&disk, &dtypes);
-    engine.bulk_load(RELATION, 7, vec![Value::I64(7)]).unwrap();
+    for key in [7, 8, 9] {
+        engine
+            .bulk_load(RELATION, vec![Value::I64(key), Value::I32(key as i32)])
+            .unwrap();
+    }
     assert!(engine.checkpoint_now().unwrap());
-    let good = disk.bytes(CHECKPOINT_FILE).unwrap();
+    assert!(restore(&disk, &dtypes).is_ok());
 
-    // A row no key points at.
-    let rt = engine.table(RELATION).unwrap();
-    rt.twin().insert(&[Value::I64(8)]).unwrap();
+    let mut image = CheckpointData::decode(&disk.bytes(CHECKPOINT_FILE).unwrap()).unwrap();
+    image.tables[0].columns[0] = Column::from(vec![7i64, 9, 7]);
+    disk.set_bytes(CHECKPOINT_FILE, image.encode().unwrap());
+    assert!(CheckpointData::decode(&disk.bytes(CHECKPOINT_FILE).unwrap()).is_ok());
     assert!(matches!(
-        engine.checkpoint_now(),
-        Err(DurabilityError::Corrupt { .. })
+        restore(&disk, &dtypes),
+        Err(DurabilityError::Corrupt { detail }) if detail.contains("2 distinct keys in 3 rows")
     ));
-    // Two keys pointing at one row (as many keys as rows, so only the
-    // per-row check can tell).
-    rt.index().insert(9, RecordLocation::new(0));
-    assert!(matches!(
-        engine.checkpoint_now(),
-        Err(DurabilityError::Corrupt { .. })
-    ));
-    // A key pointing past the relation.
-    rt.index().insert(9, RecordLocation::new(5));
-    assert!(matches!(
-        engine.checkpoint_now(),
-        Err(DurabilityError::Corrupt { .. })
-    ));
-    // A refused image replaces nothing.
-    assert_eq!(disk.bytes(CHECKPOINT_FILE).unwrap(), good);
 }

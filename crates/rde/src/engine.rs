@@ -360,7 +360,7 @@ mod tests {
         rde.create_table(schema("sales")).unwrap();
         for i in 0..rows {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(i as f64)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(i as f64)])
                 .unwrap();
         }
         rde
@@ -423,7 +423,7 @@ mod tests {
         // Add fresh rows after the ETL.
         for i in 40..60u64 {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         rde.switch_and_sync();
@@ -479,7 +479,7 @@ mod tests {
         rde.create_table(schema("other")).unwrap();
         for i in 0..7u64 {
             rde.oltp()
-                .bulk_load("other", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("other", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         check(&rde);
@@ -511,7 +511,7 @@ mod tests {
         // the snapshot.
         for i in 40..45u64 {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         rde.switch_and_sync();

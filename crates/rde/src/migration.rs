@@ -177,7 +177,7 @@ mod tests {
         rde.create_table(schema).unwrap();
         for i in 0..rows {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(i as f64)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(i as f64)])
                 .unwrap();
         }
         rde
@@ -223,7 +223,7 @@ mod tests {
         rde.migrate(SystemState::S2Isolated);
         for i in 150..200u64 {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         let report = rde.migrate(SystemState::S3HybridIsolated);

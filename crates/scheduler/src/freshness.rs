@@ -91,10 +91,10 @@ mod tests {
         }
         for i in 0..rows {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(1.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(1.0)])
                 .unwrap();
             rde.oltp()
-                .bulk_load("other", i, vec![Value::I64(i as i64), Value::F64(1.0)])
+                .bulk_load("other", vec![Value::I64(i as i64), Value::F64(1.0)])
                 .unwrap();
         }
         rde
@@ -131,7 +131,7 @@ mod tests {
         // 20 new rows into the queried relation only.
         for i in 80..100u64 {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(1.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(1.0)])
                 .unwrap();
         }
         rde.switch_and_sync();
@@ -186,7 +186,7 @@ mod tests {
             .unwrap();
             for i in 0..rows {
                 rde.oltp()
-                    .bulk_load(name, i, vec![Value::I64(i as i64), Value::F64(1.0)])
+                    .bulk_load(name, vec![Value::I64(i as i64), Value::F64(1.0)])
                     .unwrap();
             }
         }
@@ -219,7 +219,7 @@ mod tests {
         for (name, extra) in [("mid", 1u64), ("far", 2), ("bystander", 4)] {
             for i in 50..50 + extra {
                 rde.oltp()
-                    .bulk_load(name, i, vec![Value::I64(i as i64), Value::F64(1.0)])
+                    .bulk_load(name, vec![Value::I64(i as i64), Value::F64(1.0)])
                     .unwrap();
             }
         }
@@ -248,7 +248,7 @@ mod tests {
         // Dirty only the bystander.
         for i in 40..140u64 {
             rde.oltp()
-                .bulk_load("bystander", i, vec![Value::I64(i as i64), Value::F64(2.0)])
+                .bulk_load("bystander", vec![Value::I64(i as i64), Value::F64(2.0)])
                 .unwrap();
         }
         rde.switch_and_sync();
@@ -268,7 +268,7 @@ mod tests {
         rde.etl_to_olap();
         for i in 40..60u64 {
             rde.oltp()
-                .bulk_load("far", i, vec![Value::I64(i as i64), Value::F64(3.0)])
+                .bulk_load("far", vec![Value::I64(i as i64), Value::F64(3.0)])
                 .unwrap();
         }
         rde.switch_and_sync();

@@ -145,7 +145,7 @@ mod tests {
         .unwrap();
         for i in 0..rows {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(1.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(1.0)])
                 .unwrap();
         }
         Arc::new(rde)
@@ -211,12 +211,12 @@ mod tests {
         .unwrap();
         for i in 0..500u64 {
             rde.oltp()
-                .bulk_load("audit", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("audit", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         for i in 100..110u64 {
             rde.oltp()
-                .bulk_load("sales", i, vec![Value::I64(i as i64), Value::F64(1.0)])
+                .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(1.0)])
                 .unwrap();
         }
         let q = scheduler.schedule_query(&plan(), false);
@@ -240,7 +240,7 @@ mod tests {
         .unwrap();
         for i in 0..1000u64 {
             rde.oltp()
-                .bulk_load("audit", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("audit", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         let scheduler = HtapScheduler::new(
@@ -274,7 +274,7 @@ mod tests {
         .unwrap();
         for i in 0..1000u64 {
             rde.oltp()
-                .bulk_load("audit", i, vec![Value::I64(i as i64), Value::F64(0.0)])
+                .bulk_load("audit", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
         let scheduler = HtapScheduler::new(

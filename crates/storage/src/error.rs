@@ -9,8 +9,8 @@
 use crate::schema::DataType;
 
 /// An error on the storage mutation path (`TwinTable::insert` / `update`,
-/// `ColumnarTable::append_row` / `swap_value`, and the OLTP engine's
-/// `create_table`).
+/// `ColumnarTable::append_row` / `swap_value`, `TableSchema::key_of`, and the
+/// OLTP engine's `create_table`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// `create_table` for a name that is already taken.
@@ -57,6 +57,11 @@ pub enum StorageError {
         /// The missing relation name.
         table: String,
     },
+    /// A relation without an `I64` primary key where a row needs its key.
+    NoPrimaryKey {
+        /// Relation name.
+        table: String,
+    },
     /// A whole-relation load ([`crate::TwinTable::load_columns`]) into a
     /// relation that already holds rows.
     TableNotEmpty {
@@ -94,6 +99,7 @@ impl std::fmt::Display for StorageError {
             StorageError::TableMissing { table } => {
                 write!(f, "table {table} not registered")
             }
+            StorageError::NoPrimaryKey { table } => write!(f, "table {table} has no i64 key"),
             StorageError::TableNotEmpty { table, rows } => {
                 write!(f, "table {table} already holds {rows} rows")
             }

@@ -157,21 +157,6 @@ impl<V: Copy> CuckooIndex<V> {
         false
     }
 
-    /// All `(key, value)` pairs, sorted by key. Takes the read lock once and
-    /// materialises the table — used by the durability layer to capture the
-    /// primary-key → record-location mapping at checkpoint time, not on the
-    /// transactional fast path.
-    pub fn entries(&self) -> Vec<(u64, V)> {
-        let inner = self.inner.read();
-        let mut out: Vec<(u64, V)> = inner
-            .buckets
-            .iter()
-            .flat_map(|bucket| bucket.iter().flatten().map(|e| (e.key, e.value)))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
     /// Remove a key; returns its value if it was present.
     pub fn remove(&self, key: u64) -> Option<V> {
         let mut inner = self.inner.write();

@@ -150,7 +150,7 @@ impl ColumnDef {
 }
 
 /// Schema of a table: an ordered list of columns plus the primary-key column
-/// (always an `I64` column whose value is unique per row).
+/// (an `I64` column whose cell is a row's unique key; OLTP relations have one).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Table name.
@@ -162,20 +162,16 @@ pub struct TableSchema {
 }
 
 impl TableSchema {
-    /// Create a schema. Panics if `primary_key` is out of range or not `I64`.
+    /// Create a schema. Panics if `primary_key` does not name an `I64` column.
     pub fn new(
         name: impl Into<String>,
         columns: Vec<ColumnDef>,
         primary_key: Option<usize>,
     ) -> Self {
-        if let Some(pk) = primary_key {
-            assert!(pk < columns.len(), "primary key column index out of range");
-            assert_eq!(
-                columns[pk].dtype,
-                DataType::I64,
-                "primary key must be an i64 column"
-            );
-        }
+        assert!(
+            primary_key.is_none_or(|pk| columns.get(pk).map(|c| c.dtype) == Some(DataType::I64)),
+            "primary key must be an i64 column"
+        );
         TableSchema {
             name: name.into(),
             columns,
@@ -201,6 +197,18 @@ impl TableSchema {
     /// Bytes one full row occupies in the columnar representation.
     pub fn row_width_bytes(&self) -> u64 {
         self.columns.iter().map(|c| c.dtype.width_bytes()).sum()
+    }
+
+    /// Validate `row` against the schema and return its key: its primary-key
+    /// cell as `u64`, the only record of a row's key.
+    pub fn key_of(&self, row: &[Value]) -> Result<u64, crate::StorageError> {
+        self.check_row(row)?;
+        match self.primary_key.and_then(|pk| row.get(pk)) {
+            Some(Value::I64(key)) => Ok(*key as u64),
+            _ => Err(crate::StorageError::NoPrimaryKey {
+                table: self.name.clone(),
+            }),
+        }
     }
 
     /// Validate that a row of values matches the schema.

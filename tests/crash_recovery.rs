@@ -4,7 +4,8 @@
 //!
 //! Four scenarios: clean shutdown, mid-ingest kill (halted medium),
 //! kill-during-checkpoint, and a torn WAL tail — plus the periodic
-//! checkpoint cadence (one switch, hence one tick, per query). Under them,
+//! checkpoint cadence (one switch, hence one tick, per query), and one run
+//! over real files in a temporary directory. Under them,
 //! the enumerated net: one seeded script of transactions and checkpoints is
 //! crashed at every append, sync and atomic write it issues (and its every
 //! append torn, and dropped), and each time the reopened store must be the
@@ -13,8 +14,10 @@
 
 use htap_chbench::{query_mix_wide, ChConfig};
 use htap_core::{HtapConfig, HtapSystem, MemStorage};
-use htap_durability::{decode_wal, AppendFault, DurableStorage, FaultInjector, FaultStorage};
-use htap_oltp::WAL_FILE;
+use htap_durability::{
+    decode_wal, AppendFault, DurableStorage, FaultInjector, FaultStorage, FsStorage,
+};
+use htap_oltp::{CHECKPOINT_FILE, WAL_FILE};
 use htap_storage::Value;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -32,18 +35,26 @@ fn value_repr(v: &Value) -> String {
 }
 
 /// Key-addressed digest of the whole OLTP store: every row of every
-/// relation, read through the primary-key index from the active instance.
+/// relation from the active instance, under its key cell — held against the
+/// primary-key index, which must point each key at its row and hold no
+/// other key.
 fn digest(system: &HtapSystem) -> BTreeMap<(String, u64), Vec<String>> {
     let oltp = system.rde().oltp();
     let mut out = BTreeMap::new();
     for name in oltp.table_names() {
         let rt = oltp.table(&name).unwrap();
-        let columns = rt.twin().schema().columns.len();
-        for (key, loc) in rt.index().entries() {
-            let row: Vec<String> = (0..columns)
-                .map(|c| value_repr(&rt.twin().get(loc.row, c).unwrap()))
+        let schema = rt.twin().schema();
+        let pk = schema.primary_key.unwrap();
+        let rows = rt.twin().row_count();
+        assert_eq!(rt.index().len() as u64, rows, "{name}: keys and rows");
+        for row in 0..rows {
+            let key = rt.twin().get(row, pk).unwrap().as_i64() as u64;
+            let at = rt.index().get(key).map(|loc| loc.row);
+            assert_eq!(at, Some(row), "{name}: key {key} of row {row}");
+            let cells: Vec<String> = (0..schema.arity())
+                .map(|c| value_repr(&rt.twin().get(row, c).unwrap()))
                 .collect();
-            out.insert((name.clone(), key), row);
+            out.insert((name.clone(), key), cells);
         }
     }
     out
@@ -157,12 +168,12 @@ fn kill_during_checkpoint_falls_back_to_previous_checkpoint_plus_tail() {
     let before = {
         let system = HtapSystem::build_durable(config(), faulty).unwrap();
         assert!(system.run_oltp(5) > 0);
-        // A first checkpoint succeeds and truncates the WAL...
+        // A first checkpoint succeeds and restarts the WAL...
         assert!(system.checkpoint_now().unwrap());
         assert!(system.run_oltp(5) > 0);
         // ...then the next one dies mid-write. Atomic replace means the
         // on-disk checkpoint still holds the previous snapshot, and the WAL
-        // tail (everything after it) was never truncated.
+        // tail (everything after it) is still in the log.
         injector.set_fail_atomic_writes(true);
         assert!(system.checkpoint_now().is_err());
         digest(&system)
@@ -214,6 +225,37 @@ fn torn_wal_tail_recovers_exactly_the_valid_prefix() {
     // and new commits append cleanly after the valid prefix.
     assert_eq!(torn_disk.bytes(WAL_FILE).unwrap().len(), boundary);
     assert!(torn.run_oltp(1) > 0);
+}
+
+/// The system over real files, end to end: a checkpoint between two runs of
+/// transactions, a reopen, a second checkpoint, another reopen — each reopen
+/// finds the store it left. The directory is fresh and removed at the end.
+#[test]
+fn real_files_recover_across_checkpoints_and_reopens() {
+    let dir = std::env::temp_dir().join(format!("htap-crash-recovery-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let storage = Arc::new(FsStorage::open(&dir).unwrap());
+        HtapSystem::build_durable(config(), storage).unwrap()
+    };
+    let first = {
+        let system = open();
+        assert!(system.run_oltp(10) > 0);
+        assert!(system.checkpoint_now().unwrap());
+        assert!(system.run_oltp(10) > 0);
+        digest(&system)
+    };
+    assert!(dir.join(WAL_FILE).exists() && dir.join(CHECKPOINT_FILE).exists());
+    let second = {
+        let system = open();
+        assert_eq!(digest(&system), first);
+        assert!(system.checkpoint_now().unwrap());
+        assert!(system.run_oltp(5) > 0);
+        digest(&system)
+    };
+    assert_ne!(second, first);
+    assert_eq!(digest(&open()), second);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// After a checkpoint and a reopen, every CH query answers exactly as
@@ -393,7 +435,7 @@ fn crash_at_every_io_point_recovers_the_acknowledged_prefix() {
     let (points, appends) = (injector.io_points_seen(), injector.appends_seen());
     drop(system);
     // The script is worth sweeping: it commits, in every phase, and both
-    // checkpoints and their WAL rewrites are among its points.
+    // checkpoints and their WAL restarts are among its points.
     let steps: u64 = SWEEP_PHASES.iter().sum();
     assert_eq!(clean_outcomes.len() as u64, steps);
     assert!(prefix.windows(2).filter(|w| w[0] != w[1]).count() as u64 >= steps / 2);
