@@ -367,55 +367,84 @@ fn vectorized_shapes(c: &mut Criterion) {
 }
 
 /// The per-row kernels behind the pipeline driver, one default morsel
-/// (16 Ki rows) per iteration: the unique-key join probe — batch hash, then
-/// branch-free compaction of the matching rows — against a 10 k-key build
-/// (CH `item`) with every probe key present and with half of them absent,
-/// and the grouped sink's group-ids-then-folds pass in Q1's shape (one key,
-/// five aggregates, a filter every row passes).
+/// (16 Ki rows) per iteration: the unique-key join probe against a 10 k-key
+/// build (CH `item`) with every probe key present and with half of them
+/// absent — `olap/join_probe_*` through a hashed table (batch hash, then
+/// branch-free compaction of the matching rows), `olap/join_probe_direct_*`
+/// through a direct one over `0..10 000` (`key − min`, one bounds compare;
+/// the absent keys lie past the range) — and the grouped sink's
+/// group-ids-then-folds pass in Q1's shape (one key of 24 values, five
+/// aggregates, a filter every row passes): `olap/group_fold_5aggs` with the
+/// values 5·10⁷ apart, so the ids are hashed, `olap/group_fold_5aggs_direct`
+/// with them 1 apart, so the morsel seats its 24 keys and a row's id is
+/// `key − min`.
 fn join_and_group_kernels(c: &mut Criterion) {
-    use htap_olap::{kernels, JoinTable};
+    use htap_olap::JoinTable;
+    use htap_storage::{ColumnarTable, TableSnapshot};
     use rand::Rng;
+    use std::collections::BTreeMap;
 
     const ROWS: usize = 16 * 1024;
     const BUILD_KEYS: i64 = 10_000;
-    let mut table = JoinTable::new();
+    let mut hashed = JoinTable::new();
+    let mut direct = JoinTable::direct(0, BUILD_KEYS - 1);
     for k in 0..BUILD_KEYS {
-        table.add(k, 1);
+        hashed.add(k, 1);
+        direct.add(k, 1);
     }
     let mut rng = StdRng::seed_from_u64(0x10B);
     for (label, key_range) in [("hit", BUILD_KEYS), ("miss50", 2 * BUILD_KEYS)] {
         let keys: Vec<i64> = (0..ROWS).map(|_| rng.random_range(0..key_range)).collect();
         let (mut hashes, mut survivors) = (Vec::new(), Vec::new());
-        c.bench_function(&format!("olap/join_probe_{label}"), |b| {
-            b.iter(|| {
-                kernels::hash1_dense(black_box(&keys), &mut hashes);
-                table.select(&keys, None, &hashes, &mut survivors);
-                black_box(survivors.len())
-            })
-        });
+        for (kind, table) in [("", &hashed), ("direct_", &direct)] {
+            c.bench_function(&format!("olap/join_probe_{kind}{label}"), |b| {
+                b.iter(|| {
+                    table.select(black_box(&keys), None, &mut hashes, &mut survivors);
+                    black_box(survivors.len())
+                })
+            });
+        }
     }
 
     let [fact, _, _] = htap_bench::exec_trajectory::schemas();
-    let catalog = htap_sql::Catalog::new().with_table(fact, ROWS as u64);
+    let catalog = htap_sql::Catalog::new().with_table(fact.clone(), ROWS as u64);
     let plan = htap_sql::plan(
         "SELECT f_g, SUM(f_a), SUM(f_b), AVG(f_a), AVG(f_b), COUNT(*) FROM fact \
          WHERE f_a >= 0 GROUP BY f_g",
         &catalog,
     )
     .expect("fixture query compiles");
-    let sources = htap_bench::exec_trajectory::sources(ROWS as u64);
     let executor = QueryExecutor::default();
-    c.bench_function("olap/group_fold_5aggs", |b| {
-        b.iter(|| {
-            black_box(
-                executor
-                    .execute(&plan, &sources)
-                    .expect("plan matches its sources")
-                    .result
-                    .row_count(),
-            )
-        })
-    });
+    for (label, stride) in [("", 50_000_000), ("_direct", 1)] {
+        let table = ColumnarTable::new(fact.clone());
+        for i in 0..ROWS as i64 {
+            let row = [
+                Value::I64(i),
+                Value::I64(i % 100),
+                Value::I32((i % 24) as i32 * stride),
+                Value::I64(i % 4_096),
+                Value::F64((i % 100) as f64 + 0.25),
+                Value::F64((i % 13) as f64 * 0.5),
+            ];
+            table.append_row(&row).expect("row matches its schema");
+        }
+        let snap = TableSnapshot::new("fact".into(), Arc::new(table), ROWS as u64);
+        let sources = BTreeMap::from([(
+            "fact".to_string(),
+            htap_olap::ScanSource::contiguous_snapshot(&snap, SocketId(0)),
+        )]);
+        c.bench_function(&format!("olap/group_fold_5aggs{label}"), |b| {
+            b.iter(|| {
+                black_box(
+                    executor
+                        .execute(&plan, &sources)
+                        .expect("plan matches its sources")
+                        .result
+                        .row_count(),
+                )
+            })
+        });
+    }
 }
 
 /// A primary-key join build as every query pays it: a fresh table takes the

@@ -63,12 +63,17 @@ pub(super) struct GroupOut {
     /// Group index of every surviving row of the current morsel, in
     /// selection order (reused across morsels).
     gids: Vec<u32>,
+    /// Whether each group of the current morsel got a row, when its groups
+    /// were seated from a key range ([`GroupTable::seat_range`]); empty when
+    /// they were upserted, each by a row.
+    seen: Vec<bool>,
     order: Vec<u32>,
     /// Groups per radix partition per processed morsel: `RADIX_PARTS`
     /// entries per entry of `order`.
     part_counts: Vec<u32>,
     /// Flat keys: `n_keys` per group, morsels concatenated in claim order,
-    /// groups within a morsel in partition-then-first-seen order.
+    /// groups within a morsel in partition-then-first-seen order (key order
+    /// within a partition for a seated morsel).
     keys: Vec<i64>,
     /// Flat states: `n_aggs` per group, same order as `keys`.
     states: Vec<AggState>,
@@ -77,21 +82,48 @@ pub(super) struct GroupOut {
     hashes: Vec<u64>,
 }
 
+/// Whether a morsel takes its group ids straight from its one key column:
+/// its selected keys span `min..=max`, and seating every key of the span
+/// costs no more aggregate states than the morsel's rows fold
+/// (`span × n_aggs ≤ selected`, one state per key without aggregates) —
+/// so the set-up visits no more states than the folds themselves. The
+/// span is computed in `u128`: `i64::MIN..=i64::MAX` is merely too wide.
+fn seats_range(min: i64, max: i64, n_aggs: usize, selected: usize) -> bool {
+    let span = u128::from(max.abs_diff(min)) + 1;
+    span * n_aggs.max(1) as u128 <= selected as u128
+}
+
 impl GroupOut {
-    /// Upsert every selected row's group key and record the group it landed
-    /// in: `gids[pos]` is the group index of the `pos`-th selected row. One-
-    /// and two-column keys (the common shapes) batch-hash the whole
+    /// Resolve every selected row's group and record it: `gids[pos]` is the
+    /// group index of the `pos`-th selected row.
+    ///
+    /// A one-column key whose selected values span few keys
+    /// ([`seats_range`]) is not hashed: the table seats the whole span in
+    /// key order and a row's group is `key − min`; `seen` marks the groups
+    /// that got a row, the only ones [`GroupOut::emit_morsel`] emits. Other
+    /// one- and two-column keys (the common shapes) batch-hash the whole
     /// selection with the chunked kernels of [`crate::kernels`] into
-    /// `hashes` first; wider keys hash per row.
+    /// `hashes` and upsert; wider keys hash per row.
+    ///
+    /// Seating changes the order of a morsel's groups — key order instead of
+    /// first-seen order — and cannot change a bit of the result: each
+    /// group's states still fold its rows in row order, the radix merge
+    /// folds one group's per-morsel partials in morsel order (a group
+    /// appears once per morsel, wherever in it), and the final rows are
+    /// sorted by key. Which path a morsel takes depends on its own rows
+    /// only, so it is the same for every worker count.
     fn resolve_groups(
         &mut self,
         slots: &[usize],
+        n_aggs: usize,
         data: &MorselData<'_>,
         hashes: &mut Vec<u64>,
         rows: usize,
         sel: Option<&[u32]>,
     ) {
         let (table, key_tmp, gids) = (&mut self.table, &mut self.key_tmp, &mut self.gids);
+        let seen = &mut self.seen;
+        seen.clear();
         // Sized up front (only growth is zero-filled; every arm overwrites
         // the buffer in full): the loops below store by position and carry
         // no capacity check.
@@ -106,6 +138,23 @@ impl GroupOut {
             }
             [s0] => {
                 let k0 = data.key(*s0);
+                let range = match sel {
+                    None => kernels::min_max_dense(k0),
+                    Some(ids) => kernels::min_max_gather(k0, ids),
+                };
+                let selected = gids.len();
+                if let Some((min, max)) =
+                    range.filter(|&(min, max)| seats_range(min, max, n_aggs, selected))
+                {
+                    table.seat_range(min, max);
+                    seen.resize(table.group_count(), false);
+                    for_each_selected(rows, sel, |pos, i| {
+                        let g = k0[i].wrapping_sub(min) as usize;
+                        gids[pos] = g as u32;
+                        seen[g] = true;
+                    });
+                    return;
+                }
                 match sel {
                     None => kernels::hash1_dense(k0, hashes),
                     Some(ids) => kernels::hash1_gather(k0, ids, hashes),
@@ -137,20 +186,23 @@ impl GroupOut {
     }
 
     /// Append morsel `idx`'s group table, counting-sort-scattered by radix
-    /// partition. The scatter is stable, so within a partition the groups
-    /// keep their first-seen (row) order — the merge folds partitions morsel
-    /// by morsel, which therefore preserves the scan-order fold discipline
-    /// that makes results bit-for-bit identical across worker counts.
+    /// partition; a seated morsel's groups that got no row are left out. The
+    /// scatter is stable, so within a partition the groups keep their table
+    /// order — the merge folds partitions morsel by morsel, which therefore
+    /// preserves the scan-order fold discipline that makes results
+    /// bit-for-bit identical across worker counts.
     fn emit_morsel(&mut self, idx: usize, n_keys: usize, n_aggs: usize) {
         let groups = &self.table;
-        let count = groups.group_count();
+        let seen = &self.seen;
+        let live = |g: usize| seen.is_empty() || seen[g];
         let hashes = groups.hashes_flat();
         let keys = groups.keys_flat();
         let states = groups.states_flat();
         let mut counts = [0u32; RADIX_PARTS];
-        for &h in hashes {
-            counts[radix_part(h)] += 1;
+        for (g, &h) in hashes.iter().enumerate() {
+            counts[radix_part(h)] += u32::from(live(g));
         }
+        let count = counts.iter().sum::<u32>() as usize;
         let mut offsets = [0u32; RADIX_PARTS];
         let mut at = 0u32;
         for (off, &c) in offsets.iter_mut().zip(&counts) {
@@ -164,7 +216,7 @@ impl GroupOut {
         self.states
             .resize(state_base + count * n_aggs, AggState::default());
         self.hashes.resize(hash_base + count, 0);
-        for (g, &h) in hashes.iter().enumerate() {
+        for (g, &h) in hashes.iter().enumerate().filter(|&(g, _)| live(g)) {
             let p = radix_part(h);
             let dst = offsets[p] as usize;
             offsets[p] += 1;
@@ -261,6 +313,7 @@ impl Sink for GroupSink<'_> {
             table,
             key_tmp: Vec::new(),
             gids: Vec::new(),
+            seen: Vec::new(),
             order: Vec::with_capacity(morsels.len()),
             part_counts: Vec::with_capacity(morsels.len() * RADIX_PARTS),
             keys: Vec::new(),
@@ -278,7 +331,7 @@ impl Sink for GroupSink<'_> {
         let (aggs, consts) = (&pipe.aggs, &pipe.pool.consts);
         let sel = survivors.selection();
         out.table.begin_morsel();
-        out.resolve_groups(&self.slots, cx.data, cx.hashes, rows, sel);
+        out.resolve_groups(&self.slots, aggs.len(), cx.data, cx.hashes, rows, sel);
         for (j, agg) in aggs.iter().enumerate() {
             let view = match agg {
                 CompiledAgg::Count => ValView::Const(0.0),

@@ -33,7 +33,9 @@
 //!   row of which survives loads no further column.
 //! * **Open-addressing tables** — the group-by operator and the join build
 //!   sides use the linear-probing tables of [`crate::hashtable`] with inline
-//!   keys; a probe compacts its survivors without a data-dependent branch,
+//!   keys, or skip the hash where a key's span is small (a direct join
+//!   table indexed by `key − min`, a morsel's group ids seated the same
+//!   way); a probe compacts its survivors without a data-dependent branch,
 //!   and group keys are sorted exactly once, at final merge.
 //! * **Zero steady-state allocation** — each worker carries one
 //!   [`crate::scratch::ExecScratch`] per pipeline; column data is borrowed
@@ -134,7 +136,7 @@ impl QueryExecutor {
         for build in &spec.builds {
             let source = source_for(sources, &build.input.table)?;
             let pipe = Pipeline::bind(source, &build.input, &built, Some(&build.key), &[], &[])?;
-            let sink = BuildSink::bind(&pipe, &build.key)?;
+            let sink = BuildSink::bind(&pipe, &build.key, self.block_rows)?;
             let table = self.run_pipeline(&pipe, team, &sink, &mut work);
             // Build sides are broadcast: account their bytes and hash-table
             // sizes — builds probed by the root pipeline on the near fields,

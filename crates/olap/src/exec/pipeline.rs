@@ -19,7 +19,7 @@ use crate::morsel::Morsel;
 use crate::program::{
     apply_filters, AffineKey, ColRef, ColumnResolver, CompiledAgg, CompiledPredicate, ProgramPool,
 };
-use crate::scratch::{load_morsel, ExecScratch, FilterColumns, LoadPass, MorselData};
+use crate::scratch::{key_range, load_morsel, ExecScratch, FilterColumns, LoadPass, MorselData};
 use crate::source::{BoundLayout, ScanSource};
 use crate::worker::WorkerTeam;
 use htap_obs::EventKind;
@@ -164,6 +164,14 @@ impl<'q> Pipeline<'q> {
             })
     }
 
+    /// Smallest and largest value of key slot `slot` over every row of the
+    /// source, read one `morsel_rows` range at a time (`None`: no rows).
+    /// Bind-time work, not charged to the [`WorkProfile`].
+    pub fn key_range(&self, slot: u32, morsel_rows: usize) -> Option<(i64, i64)> {
+        let morsels = self.source.morsels(morsel_rows);
+        key_range(self.source, &self.layout, slot as usize, &morsels)
+    }
+
     /// Bytes of the fully materialised source over the accessed columns
     /// (columnar accounting) — the broadcast size the cost model charges a
     /// build side.
@@ -223,6 +231,12 @@ pub(super) trait Sink: Sync {
     /// Merge the per-worker partials (worker order; per-morsel pieces carry
     /// their morsel index) into the pipeline's output.
     fn merge(&self, partials: Vec<Self::Partial>) -> Self::Output;
+
+    /// One more arg of the pipeline's `olap.pipeline` span, if the sink has
+    /// a bind-time decision to report.
+    fn span_arg(&self) -> Option<(&'static str, f64)> {
+        None
+    }
 }
 
 impl QueryExecutor {
@@ -255,6 +269,7 @@ impl QueryExecutor {
         let outs = claim_morsels(
             &team,
             &morsels,
+            sink.span_arg(),
             make,
             |idx, morsel, scratch, (out, profile)| {
                 let rows = morsel.row_count();
@@ -334,8 +349,15 @@ struct LaneRollup {
 /// each claimed morsel records one [`EventKind::Morsel`] interval into the
 /// claiming worker's event ring — timestamps are taken around the whole
 /// `step`, outside the kernel loops — and the loop publishes an
-/// `olap.pipeline` span with per-worker rollup children.
-fn claim_morsels<S, O, M, F>(team: &WorkerTeam, morsels: &[Morsel], make: M, step: F) -> Vec<O>
+/// `olap.pipeline` span — carrying `span_arg`, if any — with per-worker
+/// rollup children.
+fn claim_morsels<S, O, M, F>(
+    team: &WorkerTeam,
+    morsels: &[Morsel],
+    span_arg: Option<(&'static str, f64)>,
+    make: M,
+    step: F,
+) -> Vec<O>
 where
     O: Send,
     M: Fn() -> (S, O) + Sync,
@@ -390,6 +412,9 @@ where
         guard.arg("pipeline", pipeline as f64);
         guard.arg("morsels", morsels.len() as f64);
         guard.arg("workers", team.size() as f64);
+        if let Some((key, value)) = span_arg {
+            guard.arg(key, value);
+        }
         for (w, lane) in rollups.iter().enumerate() {
             let claimed = lane.morsels.load(Ordering::Relaxed);
             if claimed == 0 {

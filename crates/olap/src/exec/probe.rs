@@ -3,7 +3,6 @@
 //! consumes.
 
 use super::pipeline::MorselCtx;
-use crate::kernels;
 use crate::program::AffineKey;
 use crate::scratch::{MorselData, ProbeBufs};
 
@@ -75,14 +74,18 @@ impl<'a> Survivors<'a> {
 /// hop — and the final survivors.
 ///
 /// While every probed build is unique and no weights are in flight, each
-/// hop is a plain membership probe: the chunked hash kernels fill the hash
-/// buffer for the whole selection, then [`JoinTable::select`] compacts the
-/// matching rows without a data-dependent branch. The first hop over a
-/// duplicate-key build switches the chain to weight tracking: a surviving
-/// row's multiplicity is the product of the matched build weights, and
-/// downstream sinks fold it that many times.
+/// hop is a plain membership probe: [`JoinTable::select`] compacts the
+/// matching rows without a data-dependent branch (a hashed table after the
+/// chunked hash kernels filled the hash buffer for the whole selection, a
+/// direct one by `key − min`). The first hop over a duplicate-key build
+/// switches the chain to weight tracking
+/// ([`JoinTable::select_weighted`]): a surviving row's multiplicity is the
+/// product of the matched build weights, and downstream sinks fold it that
+/// many times. Each hop decides the table's kind once, in the table's
+/// method; no row loop branches on it.
 ///
 /// [`JoinTable::select`]: crate::hashtable::JoinTable::select
+/// [`JoinTable::select_weighted`]: crate::hashtable::JoinTable::select_weighted
 pub(super) fn probe_chain<'s>(
     cx: &mut MorselCtx<'_, '_>,
     sel: Option<&'s [u32]>,
@@ -92,9 +95,6 @@ pub(super) fn probe_chain<'s>(
     let mut total_probes = 0u64;
     let mut weighted = false;
     let mut ran = false;
-    // `table` is copied out of the probe list: the weighted loop pushes into
-    // a `Vec` (a possible call), after which a `&&JoinTable` is reloaded per
-    // row.
     for &(ref key, table) in &pipe.probes {
         let track = weighted || !table.unique();
         // Swap so the current survivors sit in `sel_b`/`w_b` and this hop
@@ -105,22 +105,12 @@ pub(super) fn probe_chain<'s>(
         let src_w: Option<&[u64]> = weighted.then_some(bufs.w_b.as_slice());
         let (out, out_w) = (&mut bufs.sel_a, &mut bufs.w_a);
         total_probes += src.map_or(rows, <[u32]>::len) as u64;
+        // Exactly `rows` lanes — or none, when the filters emptied the
+        // morsel and the key column was never loaded.
         let keys = key_vals(key, cx.data, cx.keys, rows, src);
         if track {
-            out.clear();
-            out_w.clear();
-            for_each_selected(rows, src, |pos, i| {
-                let w = src_w.map_or(1, |ws| ws[pos]) * table.weight(keys[i]);
-                if w != 0 {
-                    out.push(i as u32);
-                    out_w.push(w);
-                }
-            });
+            table.select_weighted(keys, src, src_w, out, out_w);
         } else {
-            match src {
-                None => kernels::hash1_dense(&keys[..rows], cx.hashes),
-                Some(ids) => kernels::hash1_gather(keys, ids, cx.hashes),
-            }
             table.select(keys, src, cx.hashes, out);
         }
         weighted = track;

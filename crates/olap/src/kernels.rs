@@ -19,7 +19,9 @@
 //!   instead of hashing row at a time. The scalar [`hash_i64`] /
 //!   [`hash_combine`] / [`hash_key`] primitives are defined here and shared
 //!   with the tables (integer ops: batch and scalar are trivially
-//!   bit-identical).
+//!   bit-identical). Beside them, [`min_max_dense`] and [`min_max_gather`]
+//!   find a key column's span, which decides when a direct-indexed table
+//!   replaces the hash.
 //! * **Folds** ([`fold_sum_dense`] and friends) — SUM/AVG/MIN/MAX over a
 //!   dense column or a selection vector. Floating-point accumulation order
 //!   is **observable**: results must be bit-for-bit identical for every
@@ -131,6 +133,63 @@ pub fn hash1_gather(keys: &[i64], sel: &[u32], out: &mut Vec<u64>) {
 pub fn hash1_gather_scalar(keys: &[i64], sel: &[u32], out: &mut Vec<u64>) {
     out.clear();
     out.extend(sel.iter().map(|&i| hash_i64(keys[i as usize])));
+}
+
+/// Smallest and largest key of a dense key column (`None` when it is
+/// empty): the span a direct-indexed table needs. [`LANES`] running minima
+/// and maxima, folded once at the end, keep the lanes independent.
+pub fn min_max_dense(keys: &[i64]) -> Option<(i64, i64)> {
+    let first = *keys.first()?;
+    let (mut lo, mut hi) = ([first; LANES], [first; LANES]);
+    let mut chunks = keys.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for l in 0..LANES {
+            lo[l] = lo[l].min(chunk[l]);
+            hi[l] = hi[l].max(chunk[l]);
+        }
+    }
+    let lanes = lo.iter().zip(&hi).map(|(&l, &h)| (l, h));
+    let tail = chunks.remainder().iter().map(|&k| (k, k));
+    Some(
+        lanes
+            .chain(tail)
+            .fold((first, first), |(lo, hi), (l, h)| (lo.min(l), hi.max(h))),
+    )
+}
+
+/// Scalar twin of [`min_max_dense`].
+pub fn min_max_dense_scalar(keys: &[i64]) -> Option<(i64, i64)> {
+    Some((*keys.iter().min()?, *keys.iter().max()?))
+}
+
+/// [`min_max_dense`] over the selected rows of a key column.
+pub fn min_max_gather(keys: &[i64], sel: &[u32]) -> Option<(i64, i64)> {
+    let first = keys[*sel.first()? as usize];
+    let (mut lo, mut hi) = ([first; LANES], [first; LANES]);
+    let mut chunks = sel.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for l in 0..LANES {
+            let k = keys[chunk[l] as usize];
+            lo[l] = lo[l].min(k);
+            hi[l] = hi[l].max(k);
+        }
+    }
+    let lanes = lo.iter().zip(&hi).map(|(&l, &h)| (l, h));
+    let tail = chunks
+        .remainder()
+        .iter()
+        .map(|&i| (keys[i as usize], keys[i as usize]));
+    Some(
+        lanes
+            .chain(tail)
+            .fold((first, first), |(lo, hi), (l, h)| (lo.min(l), hi.max(h))),
+    )
+}
+
+/// Scalar twin of [`min_max_gather`].
+pub fn min_max_gather_scalar(keys: &[i64], sel: &[u32]) -> Option<(i64, i64)> {
+    let selected = || sel.iter().map(|&i| keys[i as usize]);
+    Some((selected().min()?, selected().max()?))
 }
 
 /// Batch-hash a dense two-column composite key

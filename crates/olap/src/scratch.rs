@@ -22,6 +22,7 @@
 //! read first, every other column only once the filters have left a row —
 //! a morsel the filters reject whole costs no further guard or conversion.
 
+use crate::kernels;
 use crate::morsel::Morsel;
 use crate::source::{BoundLayout, ScanSource};
 use htap_storage::{ColumnGuard, DataType};
@@ -217,6 +218,37 @@ pub(crate) fn load_morsel<'env>(
             _ => unreachable!("bind rejected non-integer keys"),
         };
     }
+}
+
+/// Smallest and largest value of key slot `slot` over every row of
+/// `morsels` (`None` when they hold no row), read the way [`load_morsel`]
+/// reads it: one guard per morsel, so no writer waits on a whole column.
+pub(crate) fn key_range(
+    source: &ScanSource,
+    layout: &BoundLayout,
+    slot: usize,
+    morsels: &[Morsel],
+) -> Option<(i64, i64)> {
+    let mut range: Option<(i64, i64)> = None;
+    for morsel in morsels {
+        let binding = &layout.segments[morsel.segment].keys[slot];
+        let col = source.segments[morsel.segment].table.column(binding.index);
+        let rows = morsel.rows.start as usize..morsel.rows.end as usize;
+        let part = match binding.dtype {
+            DataType::I64 => {
+                col.with_i64(rows.end, |v| v.get(rows).and_then(kernels::min_max_dense))
+            }
+            DataType::I32 => col.with_i32(rows.end, |v| {
+                let v = v.get(rows)?;
+                Some((i64::from(*v.iter().min()?), i64::from(*v.iter().max()?)))
+            }),
+            _ => None,
+        };
+        if let Some((l, h)) = part {
+            range = Some(range.map_or((l, h), |(lo, hi)| (lo.min(l), hi.max(h))));
+        }
+    }
+    range
 }
 
 /// The probe chain's ping-pong buffers: every hop reads the previous hop's

@@ -7,8 +7,9 @@
 //! equal while any bitwise divergence (including `-0.0` vs `0.0`) fails.
 //!
 //! The join table rides along: its branch-free survivor compaction is held
-//! to its scalar twin the same way, and the table itself to a `BTreeMap`
-//! model over random capacity hints and `add`/`union`/`merge` sequences.
+//! to its scalar twin the same way, for both kinds, and the table itself to
+//! a `BTreeMap` model over random capacity hints, direct ranges and
+//! `add`/`union`/`merge` sequences.
 //! So do computed join keys: their folded affine form, evaluated dense and
 //! behind a selection, is held to the expression tree evaluated in `i128`.
 
@@ -97,9 +98,19 @@ fn capacity_hint() -> Union<usize> {
 
 /// Build a table and its model from `(key, weight)` inserts into a table
 /// created `with_capacity(capacity)` — a hint that may be 0, too small for
-/// the keys (the table then grows) or larger than they need.
-fn table_and_model(capacity: usize, adds: &[(i64, u64)]) -> (JoinTable, BTreeMap<i64, u64>) {
-    let mut table = JoinTable::with_capacity(capacity);
+/// the keys (the table then grows) or larger than they need — or, with
+/// `direct`, into a direct table over `-20..=19`, which the narrow keys
+/// hit and any other key re-seats into the hashed kind.
+fn table_and_model(
+    capacity: usize,
+    direct: bool,
+    adds: &[(i64, u64)],
+) -> (JoinTable, BTreeMap<i64, u64>) {
+    let mut table = if direct {
+        JoinTable::direct(-20, 19)
+    } else {
+        JoinTable::with_capacity(capacity)
+    };
     let mut model = BTreeMap::new();
     for &(k, w) in adds {
         table.add(k, w);
@@ -110,15 +121,13 @@ fn table_and_model(capacity: usize, adds: &[(i64, u64)]) -> (JoinTable, BTreeMap
     (table, model)
 }
 
-/// `table` holds exactly `model`: weights of present and absent keys (plain
-/// and prehashed), distinct-key count, uniqueness, and the pairs `iter`
-/// yields.
+/// `table` holds exactly `model`: weights of present and absent keys,
+/// distinct-key count, uniqueness, and the pairs `iter` yields.
 fn assert_table_is(table: &JoinTable, model: &BTreeMap<i64, u64>, probes: &[i64]) {
     let extremes = [0, -1, 1, i64::MIN, i64::MAX];
     for &k in model.keys().chain(probes).chain(&extremes) {
         let expected = model.get(&k).copied().unwrap_or(0);
         assert_eq!(table.weight(k), expected, "weight of {k}");
-        assert_eq!(table.weight_hashed(kernels::hash_i64(k), k), expected);
     }
     assert_eq!(table.len(), model.len(), "len = distinct keys");
     assert_eq!(table.is_empty(), model.is_empty());
@@ -295,6 +304,12 @@ proptest! {
         kernels::hash1_gather_scalar(&k0, &sel, &mut scalar);
         prop_assert_eq!(&chunked, &scalar);
 
+        prop_assert_eq!(kernels::min_max_dense(&k0), kernels::min_max_dense_scalar(&k0));
+        prop_assert_eq!(
+            kernels::min_max_gather(&k0, &sel),
+            kernels::min_max_gather_scalar(&k0, &sel)
+        );
+
         kernels::hash2_dense(&k0, &k1, &mut chunked);
         kernels::hash2_dense_scalar(&k0, &k1, &mut scalar);
         prop_assert_eq!(&chunked, &scalar);
@@ -431,10 +446,19 @@ proptest! {
         mask in prop::collection::vec(prop::bool::ANY, 0..35),
         poison_len in 0usize..80,
     ) {
-        let mut table = JoinTable::new();
+        let mut hashed = JoinTable::new();
         for &k in &build {
-            table.add(k, 1);
+            hashed.add(k, 1);
         }
+        // The same keys in a direct table, when their span allows one.
+        let range = build.iter().min().zip(build.iter().max());
+        let direct = range
+            .filter(|&(&lo, &hi)| JoinTable::direct_fits(lo, hi, build.len()))
+            .map(|(&lo, &hi)| {
+                let mut table = JoinTable::direct(lo, hi);
+                table.extend(build.iter().map(|&k| (k, 1)));
+                table
+            });
         // Half the probe keys are drawn from the build side, so hits and
         // misses both occur whatever the key strategy produced.
         let keys: Vec<i64> = probe
@@ -444,44 +468,46 @@ proptest! {
             .collect();
         let sel = selection(&mask, keys.len());
         let (mut hashes, mut scalar) = (Vec::new(), Vec::new());
+        for table in std::iter::once(&hashed).chain(&direct) {
+            prop_assert_eq!(table.is_direct(), !std::ptr::eq(table, &hashed));
+            let mut out = vec![u32::MAX; poison_len];
+            table.select(&keys, None, &mut hashes, &mut out);
+            table.select_scalar(&keys, None, &mut scalar);
+            prop_assert_eq!(&out, &scalar);
+            let expected: Vec<u32> = (0..keys.len() as u32)
+                .filter(|&i| build.contains(&keys[i as usize]))
+                .collect();
+            prop_assert_eq!(&out, &expected);
 
-        kernels::hash1_dense(&keys, &mut hashes);
-        let mut out = vec![u32::MAX; poison_len];
-        table.select(&keys, None, &hashes, &mut out);
-        table.select_scalar(&keys, None, &hashes, &mut scalar);
-        prop_assert_eq!(&out, &scalar);
-        let expected: Vec<u32> = (0..keys.len() as u32)
-            .filter(|&i| build.contains(&keys[i as usize]))
-            .collect();
-        prop_assert_eq!(&out, &expected);
-
-        kernels::hash1_gather(&keys, &sel, &mut hashes);
-        let mut out = vec![u32::MAX; poison_len];
-        table.select(&keys, Some(&sel), &hashes, &mut out);
-        table.select_scalar(&keys, Some(&sel), &hashes, &mut scalar);
-        prop_assert_eq!(&out, &scalar);
-        let expected: Vec<u32> = sel
-            .iter()
-            .copied()
-            .filter(|&i| build.contains(&keys[i as usize]))
-            .collect();
-        prop_assert_eq!(&out, &expected);
+            let mut out = vec![u32::MAX; poison_len];
+            table.select(&keys, Some(&sel), &mut hashes, &mut out);
+            table.select_scalar(&keys, Some(&sel), &mut scalar);
+            prop_assert_eq!(&out, &scalar);
+            let expected: Vec<u32> = sel
+                .iter()
+                .copied()
+                .filter(|&i| build.contains(&keys[i as usize]))
+                .collect();
+            prop_assert_eq!(&out, &expected);
+        }
     }
 
     /// The join table against a `BTreeMap<i64, u64>` model: random `add`
     /// sequences long enough to cross several growths (zero-weight adds are
-    /// no-ops) into tables presized by a random hint, then `union` in both
+    /// no-ops) into tables presized by a random hint or direct over a narrow
+    /// range (re-seated by the first key outside it), then `union` in both
     /// directions and the per-worker `merge` — the resulting weights are the
-    /// same whichever table receives the other.
+    /// same whichever table receives the other, whatever the kinds.
     #[test]
     fn join_table_matches_a_btreemap_model(
         caps in (capacity_hint(), capacity_hint()),
+        direct in (prop::bool::ANY, prop::bool::ANY),
         left in prop::collection::vec((join_key(), 0u64..4), 0..400),
         right in prop::collection::vec((join_key(), 0u64..4), 0..400),
         probes in prop::collection::vec(join_key(), 0..40),
     ) {
-        let (a, model_a) = table_and_model(caps.0, &left);
-        let (b, model_b) = table_and_model(caps.1, &right);
+        let (a, model_a) = table_and_model(caps.0, direct.0, &left);
+        let (b, model_b) = table_and_model(caps.1, direct.1, &right);
         assert_table_is(&a, &model_a, &probes);
         assert_table_is(&b, &model_b, &probes);
 
@@ -506,6 +532,34 @@ proptest! {
         let mut same = a.clone();
         same.union(&JoinTable::new());
         assert_table_is(&same, &model_a, &probes);
+    }
+
+    /// Per-worker partials of a direct build — direct tables over one range,
+    /// every key in it — merge by an element-wise sum into a direct table
+    /// that holds the summed model.
+    #[test]
+    fn direct_partials_merge_by_sum(
+        partials in prop::collection::vec(
+            prop::collection::vec((-20i64..20, 0u64..4), 0..120),
+            1..5,
+        ),
+        probes in prop::collection::vec(join_key(), 0..40),
+    ) {
+        let mut model = BTreeMap::new();
+        let tables: Vec<JoinTable> = partials
+            .iter()
+            .map(|adds| {
+                let mut table = JoinTable::direct(-20, 19);
+                table.extend(adds.iter().copied());
+                for &(k, w) in adds.iter().filter(|&&(_, w)| w > 0) {
+                    *model.entry(k).or_insert(0) += w;
+                }
+                table
+            })
+            .collect();
+        let merged = JoinTable::merge(tables);
+        prop_assert!(merged.is_direct());
+        assert_table_is(&merged, &model, &probes);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! the *morsel loop* allocates would scale with the extra 3N morsels. The
 //! allowed delta is a small constant (the morsel list itself is built up
 //! front with a handful of amortised growth doublings, and the merge step
-//! reserves one vector).
+//! reserves one vector). Join builds and group keys come in both table
+//! kinds: keys a stride of [`WIDE`] apart run hashed tables, keys 1 apart
+//! direct join tables and seated group ids.
 //!
 //! This file is its own integration-test binary so the counting global
 //! allocator cannot interfere with other tests, and the measured queries run
@@ -22,7 +24,11 @@
 //! count. The counter is process-global (it must see worker threads too),
 //! and the test harness runs this file's tests on parallel threads — so
 //! every test does all of its work, set-up included, inside one
-//! measurement window at a time ([`window`]).
+//! measurement window at a time ([`window`]). The harness's own thread is
+//! outside the window: when a sibling test ends it records the result, and
+//! that can land in a measurement — so a count is the fewest of three
+//! identical runs ([`fewest_allocations`]); the code under test allocates
+//! the same on each, the harness only ever adds.
 
 use adaptive_htap::olap::{
     AggExpr, CmpOp, DagBuilder, JoinTable, Predicate, QueryExecutor, QueryPlan, ScalarExpr,
@@ -79,7 +85,30 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// The fewest allocations of three runs of `run` (see the module
+/// documentation).
+fn fewest_allocations(mut run: impl FnMut()) -> u64 {
+    (0..3)
+        .map(|_| {
+            let before = allocations();
+            run();
+            allocations() - before
+        })
+        .min()
+        .unwrap()
+}
+
+/// The stride between the join keys of the hashed inputs: seven keys this
+/// far apart span far more than a direct table may cover.
+const WIDE: i64 = 1 << 32;
+
+/// `orderline` of `n` rows whose `ol_i_id` is `i % 7`.
 fn orderline_sources(n: u64) -> Sources {
+    orderline_sources_with(n, 1)
+}
+
+/// `orderline` of `n` rows whose `ol_i_id` is `stride · (i % 7)`.
+fn orderline_sources_with(n: u64, stride: i64) -> Sources {
     let schema = TableSchema::new(
         "orderline",
         vec![
@@ -92,7 +121,7 @@ fn orderline_sources(n: u64) -> Sources {
     let t = ColumnarTable::new(schema);
     for i in 0..n {
         t.append_row(&[
-            Value::I64((i % 7) as i64),
+            Value::I64((i % 7) as i64 * stride),
             Value::I32((i % 10) as i32),
             Value::F64((i % 100) as f64 + 0.25),
         ])
@@ -108,9 +137,10 @@ fn orderline_sources(n: u64) -> Sources {
 }
 
 /// `orderline` plus an `item` build side of `item_rows` rows whose join
-/// column `i_ref` cycles through the 7 values of `ol_i_id`.
-fn sources_with_item(n: u64, item_rows: u64) -> Sources {
-    let mut m = orderline_sources(n);
+/// column `i_ref` cycles through the 7 values of `ol_i_id`, `stride` apart
+/// on both sides; `item`'s primary key `i_id` is `stride · i`.
+fn sources_with_item(n: u64, item_rows: u64, stride: i64) -> Sources {
+    let mut m = orderline_sources_with(n, stride);
     let schema = TableSchema::new(
         "item",
         vec![
@@ -121,8 +151,11 @@ fn sources_with_item(n: u64, item_rows: u64) -> Sources {
     );
     let t = ColumnarTable::new(schema);
     for i in 0..item_rows {
-        t.append_row(&[Value::I64(i as i64), Value::I64((i % 7) as i64)])
-            .unwrap();
+        t.append_row(&[
+            Value::I64(i as i64 * stride),
+            Value::I64((i % 7) as i64 * stride),
+        ])
+        .unwrap();
     }
     let snap = TableSnapshot::new("item".into(), Arc::new(t), item_rows);
     m.insert(
@@ -134,15 +167,28 @@ fn sources_with_item(n: u64, item_rows: u64) -> Sources {
 
 /// An `item` whose `i_ref` repeats (21 rows over 7 values, multiplicity 3):
 /// probing it takes the engine's *weighted* (multiplicity-tracking) path
-/// rather than the exact unique-key path.
+/// rather than the exact unique-key path. Its keys are [`WIDE`] apart: a
+/// build on `i_ref` is hashed.
 fn join_sources(n: u64) -> Sources {
-    sources_with_item(n, 21)
+    sources_with_item(n, 21, WIDE)
+}
+
+/// [`join_sources`] with keys 1 apart: a build on `i_ref` is direct.
+fn direct_join_sources(n: u64) -> Sources {
+    sources_with_item(n, 21, 1)
 }
 
 /// A duplicate-free `item` covering 5 of the 7 `ol_i_id` values: probing it
-/// takes the unique-key path, and some rows of every morsel miss.
+/// takes the unique-key path, and some rows of every morsel miss. Its keys
+/// are [`WIDE`] apart: a build on `i_ref` is hashed.
 fn unique_join_sources(n: u64) -> Sources {
-    sources_with_item(n, 5)
+    sources_with_item(n, 5, WIDE)
+}
+
+/// [`unique_join_sources`] with keys 1 apart: a build on `item`'s primary
+/// key `i_id` (`0..5`) is direct.
+fn direct_unique_join_sources(n: u64) -> Sources {
+    sources_with_item(n, 5, 1)
 }
 
 /// One measurement window at a time: another test allocating — even just
@@ -166,24 +212,25 @@ fn allocs_at_16_and_64_morsels(plan: &QueryPlan, sources: fn(u64) -> Sources) ->
         // One throwaway run so lazily-initialised process state (thread-local
         // formatting buffers and the like) cannot skew the measurement.
         executor.execute(plan, &sources).unwrap();
-        let before = allocations();
-        executor.execute(plan, &sources).unwrap();
-        allocations() - before
+        fewest_allocations(|| {
+            executor.execute(plan, &sources).unwrap();
+        })
     };
     (measure(16), measure(64))
 }
 
-/// scan(orderline) → filter → [probe item on `ol_i_id = i_ref`] → sink.
+/// scan(orderline) → filter → [probe item on `ol_i_id = <join_item>`] →
+/// sink.
 fn orderline_plan(
     filters: &[Predicate],
-    join_item: bool,
+    join_item: Option<&str>,
     group_by: Option<&[&str]>,
     aggregates: Vec<AggExpr>,
 ) -> QueryPlan {
     let mut b = DagBuilder::default();
-    let build = join_item.then(|| {
+    let build = join_item.map(|key| {
         let item = b.scan("item");
-        b.build(item, ScalarExpr::col("i_ref"))
+        b.build(item, ScalarExpr::col(key))
     });
     let scan = b.scan("orderline");
     let mut at = b.filter(scan, filters);
@@ -203,7 +250,7 @@ fn scalar_aggregate_morsel_loop_does_not_allocate() {
     let _window = window();
     let plan = orderline_plan(
         &[Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
-        false,
+        None,
         None,
         vec![
             AggExpr::Sum(ScalarExpr::col("ol_amount") * ScalarExpr::col("ol_quantity")),
@@ -223,39 +270,44 @@ fn scalar_aggregate_morsel_loop_does_not_allocate() {
 /// The Q1 plan (scan → filter → group-by): group partials are real output
 /// data (keys and states per morsel), but the per-morsel cost must stay a
 /// handful of amortised arena growths — far below one allocation per
-/// morsel-group, and independent of the rows per morsel.
+/// morsel-group, and independent of the rows per morsel. Two-column keys
+/// hash; `ol_quantity` alone spans ten keys, so every morsel seats them.
 #[test]
 fn group_by_morsel_loop_allocations_stay_amortised() {
     let _window = window();
-    let plan = orderline_plan(
-        &[Predicate::new("ol_amount", CmpOp::Ge, 10.0)],
-        false,
-        Some(&["ol_quantity", "ol_i_id"]),
-        vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-    );
-    let (small, large) = allocs_at_16_and_64_morsels(&plan, orderline_sources);
-    let delta = large.saturating_sub(small);
-    // 48 extra morsels x 70 groups each would be ~3400 allocations with a
-    // map per morsel; the arena path needs a few amortised doublings plus
-    // the final merge's per-group keys.
-    assert!(
-        delta <= 256,
-        "group-by arenas must amortise: {small} allocs at 16 morsels, {large} at 64 \
-         (delta {delta})"
-    );
+    for group_by in [&["ol_quantity", "ol_i_id"][..], &["ol_quantity"]] {
+        let plan = orderline_plan(
+            &[Predicate::new("ol_amount", CmpOp::Ge, 10.0)],
+            None,
+            Some(group_by),
+            vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
+        );
+        let (small, large) = allocs_at_16_and_64_morsels(&plan, orderline_sources);
+        let delta = large.saturating_sub(small);
+        // 48 extra morsels x 70 groups each would be ~3400 allocations with a
+        // map per morsel; the arena path needs a few amortised doublings plus
+        // the final merge's per-group keys.
+        assert!(
+            delta <= 256,
+            "group-by {group_by:?} arenas must amortise: {small} allocs at 16 morsels, \
+             {large} at 64 (delta {delta})"
+        );
+    }
 }
 
 /// The weighted probe (duplicate build keys, so every surviving row carries
 /// a join multiplicity): the per-hop survivor selection vectors and weight
 /// buffers are taken from and restored into the worker scratch, so 4x the
 /// morsels must still cost (almost) no extra allocations — for the scalar
-/// weighted fold and the weighted group-and-fold alike.
+/// weighted fold and the weighted group-and-fold alike, over a hashed and a
+/// direct build, grouped by the seated `ol_quantity` and by `ol_i_id`
+/// (hashed with the wide keys, seated with the dense ones).
 #[test]
 fn weighted_probe_morsel_loop_does_not_allocate() {
     let _window = window();
     let scalar = orderline_plan(
         &[Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
-        true,
+        Some("i_ref"),
         None,
         vec![
             AggExpr::Sum(ScalarExpr::col("ol_amount")),
@@ -263,31 +315,42 @@ fn weighted_probe_morsel_loop_does_not_allocate() {
             AggExpr::Count,
         ],
     );
-    let grouped = orderline_plan(
-        &[],
-        true,
-        Some(&["ol_quantity"]),
-        vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-    );
-    for (plan, budget, what) in [
-        (&scalar, 16u64, "scalar weighted join"),
-        (&grouped, 256, "weighted join group-by"),
+    let grouped = |column: &str| {
+        orderline_plan(
+            &[],
+            Some("i_ref"),
+            Some(&[column]),
+            vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
+        )
+    };
+    let (by_quantity, by_item) = (grouped("ol_quantity"), grouped("ol_i_id"));
+    for (sources, build) in [
+        (join_sources as fn(u64) -> Sources, "hashed"),
+        (direct_join_sources, "direct"),
     ] {
-        let (small, large) = allocs_at_16_and_64_morsels(plan, join_sources);
-        let delta = large.saturating_sub(small);
-        assert!(
-            delta <= budget,
-            "{what}: 48 extra morsels must not allocate per morsel: {small} allocs at \
-             16 morsels, {large} at 64 (delta {delta})"
-        );
+        for (plan, budget, what) in [
+            (&scalar, 16u64, "scalar weighted join"),
+            (&by_quantity, 256, "weighted join group-by ol_quantity"),
+            (&by_item, 256, "weighted join group-by ol_i_id"),
+        ] {
+            let (small, large) = allocs_at_16_and_64_morsels(plan, sources);
+            let delta = large.saturating_sub(small);
+            assert!(
+                delta <= budget,
+                "{what}, {build} build: 48 extra morsels must not allocate per morsel: \
+                 {small} allocs at 16 morsels, {large} at 64 (delta {delta})"
+            );
+        }
     }
 }
 
-/// A build keyed by its relation's primary key sizes its table from the row
-/// count before the first morsel: over a 1 k-row and a 100 k-row `item`, each
-/// one morsel on the solo worker, the query performs the same number of
-/// allocations — a table grown key by key would reallocate its slot array
-/// about log₂ n times, 7 more times for the larger build.
+/// A build keyed by its relation's primary key allocates its table once:
+/// over a 1 k-row and a 100 k-row `item`, each one morsel on the solo
+/// worker, the query performs the same number of allocations. With keys
+/// [`WIDE`] apart the table is hashed and sized from the row count before
+/// the first morsel — one grown key by key would reallocate its slot array
+/// about log₂ n times, 7 more times for the larger build; with dense keys
+/// it is one direct weight array.
 #[test]
 fn primary_key_build_allocates_its_table_once() {
     let _window = window();
@@ -300,22 +363,24 @@ fn primary_key_build_allocates_its_table_once() {
     let plan = b.finish().unwrap();
     // One morsel per relation: the whole build is one worker's table.
     let executor = QueryExecutor::with_block_rows(0);
-    let measure = |item_rows: u64| {
-        let sources = sources_with_item(1024, item_rows);
+    let measure = |item_rows: u64, stride: i64| {
+        let sources = sources_with_item(1024, item_rows, stride);
         let warm = executor.execute(&plan, &sources).unwrap();
-        let before = allocations();
-        let out = executor.execute(&plan, &sources).unwrap();
-        let allocs = allocations() - before;
-        assert_eq!(out, warm);
-        assert_eq!(out.work.hash_table_bytes, item_rows * 16);
+        let allocs = fewest_allocations(|| {
+            let out = executor.execute(&plan, &sources).unwrap();
+            assert_eq!(out, warm);
+        });
+        assert_eq!(warm.work.hash_table_bytes, item_rows * 16);
         allocs
     };
-    let (small, large) = (measure(1_000), measure(100_000));
-    assert_eq!(
-        small, large,
-        "a primary-key build allocates its table once: {small} allocs over 1 k rows, \
-         {large} over 100 k"
-    );
+    for (stride, table) in [(WIDE, "hashed"), (1, "direct")] {
+        let (small, large) = (measure(1_000, stride), measure(100_000, stride));
+        assert_eq!(
+            small, large,
+            "a {table} primary-key build allocates its table once: {small} allocs over \
+             1 k rows, {large} over 100 k"
+        );
+    }
 }
 
 /// The merge of per-worker build tables adopts the largest and reserves room
@@ -347,36 +412,62 @@ fn join_table_merge_allocates_at_most_once() {
         assert!((0..keys).all(|k| merged.weight(k * 31) == 1));
         assert!(allocs <= 1, "merging {sizes:?} allocated {allocs} times");
     }
+    // A direct build's partials share one range: the merge sums them into
+    // one of them.
+    let direct: Vec<JoinTable> = (0..4i64)
+        .map(|w| {
+            let mut table = JoinTable::direct(0, 99_999);
+            table.extend((w..100_000).step_by(4).map(|k| (k, 1)));
+            table
+        })
+        .collect();
+    let before = allocations();
+    let merged = JoinTable::merge(direct);
+    let allocs = allocations() - before;
+    assert!(merged.is_direct() && merged.len() == 100_000 && merged.unique());
+    assert!(
+        allocs <= 1,
+        "merging direct partials allocated {allocs} times"
+    );
 }
 
 /// The unique-key probe (a duplicate-free build, so survivors stay a plain
 /// selection): the survivor buffer the probe compacts into is sized once per
 /// worker and reused, so 4x the morsels must cost (almost) no extra
 /// allocations — behind a filter (gathered probe) and without one (dense
-/// probe), scalar and grouped.
+/// probe), scalar and grouped by the seated `ol_quantity` and by `ol_i_id`;
+/// over a hashed build on `i_ref` and a direct, `item`-keyed build on
+/// `i_id`.
 #[test]
 fn unique_key_probe_morsel_loop_does_not_allocate() {
     let _window = window();
     let aggregates = || vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count];
-    let filtered = orderline_plan(
-        &[Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
-        true,
-        None,
-        aggregates(),
-    );
-    let dense = orderline_plan(&[], true, None, aggregates());
-    let grouped = orderline_plan(&[], true, Some(&["ol_quantity"]), aggregates());
-    for (plan, budget, what) in [
-        (&filtered, 16u64, "filtered unique-key join"),
-        (&dense, 16, "dense unique-key join"),
-        (&grouped, 256, "unique-key join group-by"),
+    for (sources, key) in [
+        (unique_join_sources as fn(u64) -> Sources, "i_ref"),
+        (direct_unique_join_sources, "i_id"),
     ] {
-        let (small, large) = allocs_at_16_and_64_morsels(plan, unique_join_sources);
-        let delta = large.saturating_sub(small);
-        assert!(
-            delta <= budget,
-            "{what}: 48 extra morsels must not allocate per morsel: {small} allocs at \
-             16 morsels, {large} at 64 (delta {delta})"
+        let filtered = orderline_plan(
+            &[Predicate::new("ol_quantity", CmpOp::Lt, 7.0)],
+            Some(key),
+            None,
+            aggregates(),
         );
+        let dense = orderline_plan(&[], Some(key), None, aggregates());
+        let by_quantity = orderline_plan(&[], Some(key), Some(&["ol_quantity"]), aggregates());
+        let by_item = orderline_plan(&[], Some(key), Some(&["ol_i_id"]), aggregates());
+        for (plan, budget, what) in [
+            (&filtered, 16u64, "filtered unique-key join"),
+            (&dense, 16, "dense unique-key join"),
+            (&by_quantity, 256, "unique-key join group-by ol_quantity"),
+            (&by_item, 256, "unique-key join group-by ol_i_id"),
+        ] {
+            let (small, large) = allocs_at_16_and_64_morsels(plan, sources);
+            let delta = large.saturating_sub(small);
+            assert!(
+                delta <= budget,
+                "{what} on {key}: 48 extra morsels must not allocate per morsel: {small} \
+                 allocs at 16 morsels, {large} at 64 (delta {delta})"
+            );
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! scalar scan, grouped scan, scalar join, three-relation chain join, and
 //! grouped join with optional top-k — with random filters, aggregates, group
 //! keys, morsel sizes and (every third plan) a split two-segment access
-//! path. Each plan is executed by the engine with 1, 2, 4 and 8 workers
+//! path; every other plan reads dimensions with one wide-keyed row more, so
+//! their builds run hashed tables where the others run direct ones (see
+//! `htap_olap::JoinTable`). Each plan is executed by the engine with 1, 2, 4 and 8 workers
 //! (results must be bit-for-bit identical) and by the row-at-a-time oracle
 //! in `htap_olap::reference`: result rows must agree up to floating-point
 //! associativity (the oracle accumulates in scan order while the engine
@@ -17,9 +19,9 @@
 //! build and hash-table bytes — must be equal.
 
 use adaptive_htap::olap::{
-    execute_reference_with_work, AggExpr, CmpOp, DagBuilder, DagOp, HavingPred, Predicate,
-    QueryExecutor, QueryOutput, QueryPlan, QueryResult, RowSlot, ScalarExpr, ScanSource, SortKey,
-    WorkerTeam,
+    execute_reference_with_work, AggExpr, CmpOp, DagBuilder, DagOp, HavingPred, JoinTable,
+    Predicate, QueryExecutor, QueryOutput, QueryPlan, QueryResult, RowSlot, ScalarExpr, ScanSource,
+    SortKey, WorkerTeam,
 };
 use adaptive_htap::sim::{CoreId, SocketId};
 use adaptive_htap::storage::{
@@ -115,6 +117,11 @@ struct Dataset {
     far: Arc<ColumnarTable>,
 }
 
+/// The key of the row [`Dataset::with_wide_keys`] adds to each dimension:
+/// no fact row refers to it, and it widens the dimensions' key spans far
+/// past what a direct join table may cover.
+const WIDE_KEY: i64 = 1 << 40;
+
 impl Dataset {
     fn build() -> Self {
         let mut rng = StdRng::seed_from_u64(0xD1FF);
@@ -123,6 +130,21 @@ impl Dataset {
             mid: mid_table(&mut rng),
             far: far_table(&mut rng),
         }
+    }
+
+    /// [`Dataset::build`] plus one row keyed [`WIDE_KEY`] in `mid` and in
+    /// `far`: the same joins, run through hashed build tables.
+    fn with_wide_keys() -> Self {
+        let dataset = Dataset::build();
+        dataset
+            .mid
+            .append_row(&[Value::I64(WIDE_KEY), Value::I64(WIDE_KEY), Value::F64(50.0)])
+            .unwrap();
+        dataset
+            .far
+            .append_row(&[Value::I64(WIDE_KEY), Value::F64(25.0)])
+            .unwrap();
+        dataset
     }
 
     /// Access paths: the dimensions are contiguous snapshots; the fact side
@@ -143,12 +165,14 @@ impl Dataset {
             ScanSource::contiguous_snapshot(&fact_snap, SocketId(0))
         };
         sources.insert("fact".to_string(), fact_source);
-        let mid_snap = TableSnapshot::new("mid".into(), Arc::clone(&self.mid), MID_ROWS);
+        let mid_rows = self.mid.row_count();
+        let mid_snap = TableSnapshot::new("mid".into(), Arc::clone(&self.mid), mid_rows);
         sources.insert(
             "mid".to_string(),
             ScanSource::contiguous_snapshot(&mid_snap, SocketId(1)),
         );
-        let far_snap = TableSnapshot::new("far".into(), Arc::clone(&self.far), FAR_ROWS);
+        let far_rows = self.far.row_count();
+        let far_snap = TableSnapshot::new("far".into(), Arc::clone(&self.far), far_rows);
         sources.insert(
             "far".to_string(),
             ScanSource::contiguous_snapshot(&far_snap, SocketId(1)),
@@ -408,16 +432,21 @@ fn assert_matches_oracle(
 /// bit-for-bit identical and all must agree with the reference oracle.
 #[test]
 fn randomized_plans_match_reference_across_worker_counts() {
-    let dataset = Dataset::build();
+    let (dense, wide) = (Dataset::build(), Dataset::with_wide_keys());
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let mut per_shape = [0u32; 5];
     for case in 0..140u32 {
         let shape = case % 5;
         per_shape[shape as usize] += 1;
         let plan = rand_plan(&mut rng, shape);
+        let dataset = if case % 2 == 0 { &dense } else { &wide };
         let sources = dataset.sources(case % 3 == 0);
         let executor = QueryExecutor::with_block_rows(rng.random_range(16..512));
-        let ctx = format!("case {case} ({})", plan.label());
+        let ctx = format!(
+            "case {case} ({}, wide keys: {})",
+            plan.label(),
+            case % 2 == 1
+        );
 
         let baseline = executor
             .execute_parallel(&plan, &sources, &WorkerTeam::from_cores(vec![CoreId(0)]))
@@ -970,8 +999,19 @@ fn group_table_growth_mid_morsel_agrees() {
         FACT_ROWS as usize,
         "every row is its own group"
     );
-    // A grouped join hits the same growth path after a probe.
-    let join_plan = join_count(keys(&["f_id"]), Some((0, 40)));
+    // A grouped join hits the same growth path after a probe. Two
+    // aggregates keep it hashed: with one, a morsel's 512 one-key groups
+    // would be seated (span × aggregates ≤ rows), not grown into.
+    let mid = ("mid", "m_id", vec![]);
+    let aggregates = vec![AggExpr::Count, AggExpr::Sum(col("f_a"))];
+    let join_plan = crate::plan(
+        vec![],
+        vec![col("f_mid")],
+        vec![mid],
+        keys(&["f_id"]),
+        aggregates,
+        Some((0, 40)),
+    );
     assert_workers_match_oracle(&join_plan, &sources, 512, "grouped join growth");
 }
 
@@ -1143,5 +1183,188 @@ fn all_none_and_some_row_morsels_agree_over_a_split_source() {
             };
             assert!(!vacuous, "{ctx}: vacuous");
         }
+    }
+}
+
+/// One build of [`join_builds_at_the_edges_of_the_direct_kind_agree`]:
+/// dimension and key column, rows, the fact-side join key, row `i`'s
+/// dimension key, and the joined COUNT(*).
+type EdgeBuild = (
+    &'static str,
+    &'static str,
+    u64,
+    ScalarExpr,
+    fn(u64) -> i64,
+    f64,
+);
+
+/// Join builds at the edges of the direct table kind, each joined as
+/// `fact ⋈ dim ON <fact key> = {dim}_id` over a [`keyed_dimension`], scalar
+/// and grouped by `f_g`, at 1/2/4/8 workers against the oracle:
+///
+/// * `at`, `past`: 1 000 rows keyed `4i`, the last one 4 095 or 4 096. A
+///   direct table of 4 096 keys takes the bytes of the 2 048-slot hashed
+///   array 1 000 rows would take, and one of 4 097 does not, so one query
+///   shape runs both kinds; 751 fact rows (`f_id` = 0, 4, …, 3 000) find a
+///   key either way.
+/// * `neg`: keys `−1 499..=0`, a direct range below zero, which `−f_id`
+///   meets 1 500 times; `ext`: the same with `i64::MIN` and `i64::MAX` in
+///   place of 0 and −1, a span no `i64` (nor `u64`) difference holds — it
+///   must pick the hashed table, not overflow or panic.
+/// * `dupd`: 2 100 rows over the 700 keys `−350..=349`, three each, so the
+///   direct table carries weight 3 into the weighted probe: COUNT(*) is the
+///   inner-join count of the 700 matching fact rows, 2 100.
+#[test]
+fn join_builds_at_the_edges_of_the_direct_kind_agree() {
+    assert!(JoinTable::direct_fits(0, 4_095, 1_000));
+    assert!(!JoinTable::direct_fits(0, 4_096, 1_000));
+    assert!(!JoinTable::direct_fits(i64::MIN, i64::MAX, 1_500));
+    assert!(JoinTable::direct_fits(-350, 349, 2_100));
+    let negated = || col("f_id") * ScalarExpr::lit(-1.0);
+    let cases: [EdgeBuild; 5] = [
+        (
+            "at",
+            "at_id",
+            1_000,
+            col("f_id"),
+            |i| match i {
+                999 => 4_095,
+                i => i as i64 * 4,
+            },
+            751.0,
+        ),
+        (
+            "past",
+            "past_id",
+            1_000,
+            col("f_id"),
+            |i| match i {
+                999 => 4_096,
+                i => i as i64 * 4,
+            },
+            751.0,
+        ),
+        ("neg", "neg_id", 1_500, negated(), |i| -(i as i64), 1_500.0),
+        (
+            "ext",
+            "ext_id",
+            1_500,
+            negated(),
+            |i| match i {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                i => -(i as i64),
+            },
+            1_498.0,
+        ),
+        (
+            "dupd",
+            "dupd_id",
+            2_100,
+            col("f_id") + ScalarExpr::lit(-350.0),
+            |i| (i % 700) as i64 - 350,
+            2_100.0,
+        ),
+    ];
+    for (dim, dim_id, rows, fact_key, key, joined) in cases {
+        let mut sources = Dataset::build().sources(true);
+        sources.insert(dim.to_string(), keyed_dimension(dim, rows, key));
+        for grouped in [false, true] {
+            let aggregates = vec![
+                AggExpr::Count,
+                AggExpr::Sum(col("f_a")),
+                AggExpr::Max(col("f_b")),
+            ];
+            let group_by = if grouped { keys(&["f_g"]) } else { None };
+            let build = (dim, dim_id, vec![]);
+            let plan = plan(
+                vec![],
+                vec![fact_key.clone()],
+                vec![build],
+                group_by,
+                aggregates,
+                None,
+            );
+            let ctx = format!("{dim} build, grouped={grouped}");
+            let out = assert_workers_match_oracle(&plan, &sources, 89, &ctx);
+            assert_eq!(joined_count(&out.result), joined, "{ctx}");
+        }
+    }
+}
+
+/// A grouping whose group column takes disjoint spans morsel by morsel:
+/// `seq(s_id, s_grp, s_v)` has `s_grp = 2·(s_id / 10) − 200`, ten even keys
+/// per 100-row morsel. Unfiltered, every morsel seats the 19 keys of its
+/// span (span × 3 aggregates ≤ rows), nine of which get no row and must not
+/// be emitted; `s_id ≥ 250` empties the first two morsels' selection and
+/// halves the third's; `s_v < 20` leaves about 20 rows a morsel, so most
+/// morsels hash and a few seat — mixed kinds in one merge. Every case at
+/// 1/2/4/8 workers against the oracle.
+#[test]
+fn group_keys_with_disjoint_morsel_spans_agree() {
+    let schema = TableSchema::new(
+        "seq",
+        vec![
+            ColumnDef::new("s_id", DataType::I64),
+            ColumnDef::new("s_grp", DataType::I64),
+            ColumnDef::new("s_v", DataType::F64),
+        ],
+        Some(0),
+    );
+    let table = Arc::new(ColumnarTable::new(schema));
+    let mut rng = StdRng::seed_from_u64(0x5E9);
+    const ROWS: u64 = 2_000;
+    for i in 0..ROWS {
+        let row = [
+            Value::I64(i as i64),
+            Value::I64(i as i64 / 10 * 2 - 200),
+            Value::F64(rng.random_range(0.0..100.0)),
+        ];
+        table.append_row(&row).unwrap();
+    }
+    let snap = TableSnapshot::new("seq".into(), Arc::clone(&table), ROWS);
+    let mut sources = BTreeMap::new();
+    sources.insert(
+        "seq".to_string(),
+        ScanSource::split(table, 700, SocketId(1), &snap, SocketId(0)),
+    );
+    for (name, filters) in [
+        ("unfiltered", vec![]),
+        (
+            "empty morsels",
+            vec![Predicate::new("s_id", CmpOp::Ge, 250.0)],
+        ),
+        ("sparse", vec![Predicate::new("s_v", CmpOp::Lt, 20.0)]),
+    ] {
+        let mut b = DagBuilder::default();
+        let scan = b.scan("seq");
+        let at = b.filter(scan, &filters);
+        let aggregates = vec![
+            AggExpr::Count,
+            AggExpr::Sum(col("s_v")),
+            AggExpr::Min(col("s_v")),
+        ];
+        b.aggregate(at, keys(&["s_grp"]), aggregates);
+        let plan = b.finish().unwrap();
+        let out = assert_workers_match_oracle(&plan, &sources, 100, name);
+        let groups = out.result.groups().unwrap();
+        let expected = match name {
+            "unfiltered" => 200..=200,
+            "empty morsels" => 175..=175,
+            _ => 150..=199,
+        };
+        assert!(
+            expected.contains(&groups.len()),
+            "{name}: {} groups",
+            groups.len()
+        );
+        assert!(
+            groups.iter().all(|g| g.0[0] % 2 == 0),
+            "{name}: an unseen key emitted"
+        );
+        assert!(
+            groups.windows(2).all(|w| w[0].0 < w[1].0),
+            "{name}: key order"
+        );
     }
 }

@@ -267,3 +267,32 @@ fn a_query_crosses_the_switch_gate_exactly_once() {
     let scheduled = system.with_scheduler(|s| s.schedule_query(&plan, false));
     assert_eq!(scheduled.migration.switch.synced_records, OVERWRITTEN);
 }
+
+/// A join build's `olap.pipeline` span says which table kind it ran:
+/// `direct` = 1 for Q19's build of `item` on its dense primary key `i_id`,
+/// 0 for Q3's builds of `orders` and `customer` on their composite keys.
+/// The root pipeline, which builds nothing, carries no `direct` arg.
+#[test]
+fn a_build_span_says_which_table_kind_ran() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    let system = HtapSystem::build(HtapConfig::tiny()).expect("system builds");
+    for (query, builds, direct) in [(QueryId::Q19, 1, 1.0), (QueryId::Q3, 2, 0.0)] {
+        let roots_before = obs::spans_snapshot().len();
+        system.execute_query(query).expect("the query executes");
+        let roots = obs::spans_snapshot();
+        let mut pipelines = Vec::new();
+        all_spans(&roots[roots_before..], "olap.pipeline", &mut pipelines);
+        let kinds: Vec<f64> = pipelines
+            .iter()
+            .filter_map(|p| p.args.iter().find(|(k, _)| *k == "direct").map(|a| a.1))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![direct; builds],
+            "{}: build table kinds",
+            query.label()
+        );
+        assert_eq!(pipelines.len(), builds + 1, "{}: one root", query.label());
+    }
+}
