@@ -374,7 +374,8 @@ fn vectorized_shapes(c: &mut Criterion) {
 /// through a direct one over `0..10 000` (`key − min`, one bounds compare;
 /// the absent keys lie past the range) — and the grouped sink's
 /// group-ids-then-folds pass in Q1's shape (one key of 24 values, five
-/// aggregates, a filter every row passes): `olap/group_fold_5aggs` with the
+/// aggregates folding a count and two lanes, a filter every row passes):
+/// `olap/group_fold_5aggs` with the
 /// values 5·10⁷ apart, so the ids are hashed, `olap/group_fold_5aggs_direct`
 /// with them 1 apart, so the morsel seats its 24 keys and a row's id is
 /// `key − min`.

@@ -47,7 +47,11 @@ pub trait DurableFile: Send {
 /// A flat namespace of named durable files.
 pub trait DurableStorage: Send + Sync {
     /// Open (creating if absent) a file for appending; the handle is
-    /// positioned at the current end of the file.
+    /// positioned at the current end of the file. A file this creates is
+    /// not durable until its directory is synced, which `open_append` does
+    /// not do: callers create a file through
+    /// [`DurableStorage::write_atomic`] first (the WAL writes its header
+    /// that way) and open it for appending after.
     fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>, DurabilityError>;
     /// Read the full contents of a file; `Ok(None)` if it does not exist.
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, DurabilityError>;

@@ -522,4 +522,24 @@ mod tests {
         let repaired = decode_wal(&mem.bytes("wal").unwrap()).unwrap();
         assert_eq!(repaired.valid_len, mem.bytes("wal").unwrap().len());
     }
+
+    /// A fresh log is created by `write_atomic`, which syncs the directory,
+    /// never by `open_append`, whose create is not durable until one: when
+    /// the header cannot be written atomically, `open` fails and leaves no
+    /// file behind.
+    #[test]
+    fn a_fresh_log_is_created_only_through_write_atomic() {
+        use crate::file::{FaultInjector, FaultStorage};
+        let mem = MemStorage::new();
+        let injector = FaultInjector::new();
+        injector.set_fail_atomic_writes(true);
+        let storage = FaultStorage::new(Arc::new(mem.clone()), injector.clone());
+        let opened = Wal::open(Arc::new(storage), "wal.log", WalConfig::default());
+        assert!(opened.is_err());
+        assert_eq!(mem.bytes("wal.log"), None);
+        injector.set_fail_atomic_writes(false);
+        let storage = FaultStorage::new(Arc::new(mem.clone()), injector);
+        Wal::open(Arc::new(storage), "wal.log", WalConfig::default()).unwrap();
+        assert_eq!(mem.bytes("wal.log"), Some(encode_wal_header(0)));
+    }
 }

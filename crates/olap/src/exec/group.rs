@@ -5,11 +5,11 @@ use super::pipeline::{MorselCtx, Pipeline, Sink};
 use super::probe::{for_each_selected, Survivors};
 use super::GroupRow;
 use crate::error::OlapError;
-use crate::expr::{AggExpr, AggState};
+use crate::expr::{AggExpr, Fold};
 use crate::hashtable::GroupTable;
 use crate::kernels;
 use crate::morsel::Morsel;
-use crate::program::{eval_expr, resolve, AggKind, CompiledAgg, ValView};
+use crate::program::{eval_expr, resolve, CompiledAggs, ValView};
 use crate::scratch::MorselData;
 
 /// Hash-radix fan-out of the partitioned group merge. The partition of a
@@ -33,13 +33,15 @@ fn radix_part(h: u64) -> usize {
 /// no key columns.
 pub(super) struct GroupSink<'q> {
     aggregates: &'q [AggExpr],
+    /// The pipeline's aggregates bound to their lanes.
+    aggs: &'q CompiledAggs,
     /// Key-list slot of each group-by column.
     slots: Vec<usize>,
 }
 
 impl<'q> GroupSink<'q> {
     pub fn bind(
-        pipe: &Pipeline<'_>,
+        pipe: &'q Pipeline<'_>,
         group_by: &[String],
         aggregates: &'q [AggExpr],
     ) -> Result<Self, OlapError> {
@@ -47,7 +49,11 @@ impl<'q> GroupSink<'q> {
             .iter()
             .map(|g| pipe.key_slot(g))
             .collect::<Result<_, _>>()?;
-        Ok(GroupSink { aggregates, slots })
+        Ok(GroupSink {
+            aggregates,
+            aggs: &pipe.aggs,
+            slots,
+        })
     }
 }
 
@@ -63,10 +69,6 @@ pub(super) struct GroupOut {
     /// Group index of every surviving row of the current morsel, in
     /// selection order (reused across morsels).
     gids: Vec<u32>,
-    /// Whether each group of the current morsel got a row, when its groups
-    /// were seated from a key range ([`GroupTable::seat_range`]); empty when
-    /// they were upserted, each by a row.
-    seen: Vec<bool>,
     order: Vec<u32>,
     /// Groups per radix partition per processed morsel: `RADIX_PARTS`
     /// entries per entry of `order`.
@@ -75,8 +77,10 @@ pub(super) struct GroupOut {
     /// groups within a morsel in partition-then-first-seen order (key order
     /// within a partition for a seated morsel).
     keys: Vec<i64>,
-    /// Flat states: `n_aggs` per group, same order as `keys`.
-    states: Vec<AggState>,
+    /// Row count per group, same order as `keys`.
+    counts: Vec<u64>,
+    /// Flat lanes: one value per lane per group, same order as `keys`.
+    lanes: Vec<f64>,
     /// Key hash per group, same order as `keys` — reused by the merge's
     /// prehashed upserts.
     hashes: Vec<u64>,
@@ -84,13 +88,12 @@ pub(super) struct GroupOut {
 
 /// Whether a morsel takes its group ids straight from its one key column:
 /// its selected keys span `min..=max`, and seating every key of the span
-/// costs no more aggregate states than the morsel's rows fold
-/// (`span × n_aggs ≤ selected`, one state per key without aggregates) —
-/// so the set-up visits no more states than the folds themselves. The
-/// span is computed in `u128`: `i64::MIN..=i64::MAX` is merely too wide.
-fn seats_range(min: i64, max: i64, n_aggs: usize, selected: usize) -> bool {
+/// visits no more state cells — a count and `n_lanes` lanes per key — than
+/// the morsel's rows fold (`span × (n_lanes + 1) ≤ selected`). The span is
+/// computed in `u128`: `i64::MIN..=i64::MAX` is merely too wide.
+fn seats_range(min: i64, max: i64, n_lanes: usize, selected: usize) -> bool {
     let span = u128::from(max.abs_diff(min)) + 1;
-    span * n_aggs.max(1) as u128 <= selected as u128
+    span * (n_lanes as u128 + 1) <= selected as u128
 }
 
 impl GroupOut {
@@ -99,15 +102,15 @@ impl GroupOut {
     ///
     /// A one-column key whose selected values span few keys
     /// ([`seats_range`]) is not hashed: the table seats the whole span in
-    /// key order and a row's group is `key − min`; `seen` marks the groups
-    /// that got a row, the only ones [`GroupOut::emit_morsel`] emits. Other
+    /// key order and a row's group is `key − min`; only the groups whose
+    /// count a row advanced are emitted ([`GroupOut::emit_morsel`]). Other
     /// one- and two-column keys (the common shapes) batch-hash the whole
     /// selection with the chunked kernels of [`crate::kernels`] into
     /// `hashes` and upsert; wider keys hash per row.
     ///
     /// Seating changes the order of a morsel's groups — key order instead of
     /// first-seen order — and cannot change a bit of the result: each
-    /// group's states still fold its rows in row order, the radix merge
+    /// group's lanes still fold its rows in row order, the radix merge
     /// folds one group's per-morsel partials in morsel order (a group
     /// appears once per morsel, wherever in it), and the final rows are
     /// sorted by key. Which path a morsel takes depends on its own rows
@@ -115,15 +118,13 @@ impl GroupOut {
     fn resolve_groups(
         &mut self,
         slots: &[usize],
-        n_aggs: usize,
+        n_lanes: usize,
         data: &MorselData<'_>,
         hashes: &mut Vec<u64>,
         rows: usize,
         sel: Option<&[u32]>,
     ) {
         let (table, key_tmp, gids) = (&mut self.table, &mut self.key_tmp, &mut self.gids);
-        let seen = &mut self.seen;
-        seen.clear();
         // Sized up front (only growth is zero-filled; every arm overwrites
         // the buffer in full): the loops below store by position and carry
         // no capacity check.
@@ -144,14 +145,11 @@ impl GroupOut {
                 };
                 let selected = gids.len();
                 if let Some((min, max)) =
-                    range.filter(|&(min, max)| seats_range(min, max, n_aggs, selected))
+                    range.filter(|&(min, max)| seats_range(min, max, n_lanes, selected))
                 {
                     table.seat_range(min, max);
-                    seen.resize(table.group_count(), false);
                     for_each_selected(rows, sel, |pos, i| {
-                        let g = k0[i].wrapping_sub(min) as usize;
-                        gids[pos] = g as u32;
-                        seen[g] = true;
+                        gids[pos] = k0[i].wrapping_sub(min) as u32;
                     });
                     return;
                 }
@@ -186,77 +184,87 @@ impl GroupOut {
     }
 
     /// Append morsel `idx`'s group table, counting-sort-scattered by radix
-    /// partition; a seated morsel's groups that got no row are left out. The
-    /// scatter is stable, so within a partition the groups keep their table
-    /// order — the merge folds partitions morsel by morsel, which therefore
-    /// preserves the scan-order fold discipline that makes results
-    /// bit-for-bit identical across worker counts.
-    fn emit_morsel(&mut self, idx: usize, n_keys: usize, n_aggs: usize) {
+    /// partition; a seated morsel's groups that got no row (count 0) are
+    /// left out. The scatter is stable, so within a partition the groups
+    /// keep their table order — the merge folds partitions morsel by
+    /// morsel, which therefore preserves the scan-order fold discipline
+    /// that makes results bit-for-bit identical across worker counts.
+    fn emit_morsel(&mut self, idx: usize, n_keys: usize, n_lanes: usize) {
         let groups = &self.table;
-        let seen = &self.seen;
-        let live = |g: usize| seen.is_empty() || seen[g];
         let hashes = groups.hashes_flat();
         let keys = groups.keys_flat();
-        let states = groups.states_flat();
-        let mut counts = [0u32; RADIX_PARTS];
+        let counts = groups.counts();
+        let lanes = groups.lanes_flat();
+        let live = |g: usize| counts[g] != 0;
+        let mut part_counts = [0u32; RADIX_PARTS];
         for (g, &h) in hashes.iter().enumerate() {
-            counts[radix_part(h)] += u32::from(live(g));
+            part_counts[radix_part(h)] += u32::from(live(g));
         }
-        let count = counts.iter().sum::<u32>() as usize;
+        let emitted = part_counts.iter().sum::<u32>() as usize;
         let mut offsets = [0u32; RADIX_PARTS];
         let mut at = 0u32;
-        for (off, &c) in offsets.iter_mut().zip(&counts) {
+        for (off, &c) in offsets.iter_mut().zip(&part_counts) {
             *off = at;
             at += c;
         }
-        let key_base = self.keys.len();
-        let state_base = self.states.len();
-        let hash_base = self.hashes.len();
-        self.keys.resize(key_base + count * n_keys, 0);
-        self.states
-            .resize(state_base + count * n_aggs, AggState::default());
-        self.hashes.resize(hash_base + count, 0);
+        let base = self.hashes.len();
+        self.keys.resize((base + emitted) * n_keys, 0);
+        self.counts.resize(base + emitted, 0);
+        self.lanes.resize((base + emitted) * n_lanes, 0.0);
+        self.hashes.resize(base + emitted, 0);
         for (g, &h) in hashes.iter().enumerate().filter(|&(g, _)| live(g)) {
             let p = radix_part(h);
-            let dst = offsets[p] as usize;
+            let dst = base + offsets[p] as usize;
             offsets[p] += 1;
-            self.hashes[hash_base + dst] = h;
-            self.keys[key_base + dst * n_keys..key_base + (dst + 1) * n_keys]
+            self.hashes[dst] = h;
+            self.counts[dst] = counts[g];
+            self.keys[dst * n_keys..(dst + 1) * n_keys]
                 .copy_from_slice(&keys[g * n_keys..(g + 1) * n_keys]);
-            self.states[state_base + dst * n_aggs..state_base + (dst + 1) * n_aggs]
-                .copy_from_slice(&states[g * n_aggs..(g + 1) * n_aggs]);
+            self.lanes[dst * n_lanes..(dst + 1) * n_lanes]
+                .copy_from_slice(&lanes[g * n_lanes..(g + 1) * n_lanes]);
         }
         self.order.push(idx as u32);
-        self.part_counts.extend_from_slice(&counts);
+        self.part_counts.extend_from_slice(&part_counts);
     }
 }
 
-/// Fold one aggregate over the morsel's surviving rows, each into the state
-/// of its row's group: `fold(state, pos)` folds the `pos`-th selected row.
-/// `(n_aggs, j)` locates aggregate `j` in the group table's state arena,
-/// `n_aggs` states per group.
+/// Fold one lane over the morsel's surviving rows, each into its row's
+/// group: `fold(lane, pos)` folds the `pos`-th selected row. `(n_lanes, j)`
+/// locates lane `j` in the group table's lane arena, `n_lanes` per group.
 #[inline(always)]
 fn fold_column(
-    states: &mut [AggState],
-    (n_aggs, j): (usize, usize),
+    lanes: &mut [f64],
+    (n_lanes, j): (usize, usize),
     gids: &[u32],
-    mut fold: impl FnMut(&mut AggState, usize),
+    mut fold: impl FnMut(&mut f64, usize),
 ) {
     for (pos, &g) in gids.iter().enumerate() {
-        fold(&mut states[g as usize * n_aggs + j], pos);
+        fold(&mut lanes[g as usize * n_lanes + j], pos);
     }
 }
 
-/// Fold aggregate `agg` (input `view`, arena position `at`) of every
-/// surviving row into its group's state, in row order. Aggregate kind, input
-/// shape (constant, dense lanes, lanes behind a selection) and weighting are
-/// fixed for the whole morsel, so they are dispatched once, here, and each
-/// combination runs its own tight loop over `(group id, value)`.
+/// Advance every surviving row's group count: by 1, or by the row's weight.
+fn fold_counts(counts: &mut [u64], gids: &[u32], survivors: Survivors<'_>) {
+    match survivors {
+        Survivors::Plain(_) => gids.iter().for_each(|&g| counts[g as usize] += 1),
+        Survivors::Weighted(_, weights) => {
+            for (&g, &w) in gids.iter().zip(weights) {
+                counts[g as usize] += w;
+            }
+        }
+    }
+}
+
+/// Fold lane `j` (fold `fold`, input `view`) of every surviving row into
+/// its group, in row order. Fold, input shape (constant, dense values,
+/// values behind a selection) and weighting are fixed for the whole morsel,
+/// so they are dispatched once, here, and each combination runs its own
+/// tight loop over `(group id, value)`.
 fn fold_grouped(
-    states: &mut [AggState],
+    lanes: &mut [f64],
     at: (usize, usize),
     gids: &[u32],
-    agg: &CompiledAgg,
+    fold: Fold,
     view: ValView<'_>,
     survivors: Survivors<'_>,
 ) {
@@ -264,40 +272,31 @@ fn fold_grouped(
         Survivors::Plain(_) => None,
         Survivors::Weighted(_, weights) => Some(weights),
     };
-    // `fold!(|state, value, pos| ...)`: the loop of one fold, once per
+    // `fold!(|acc, value, pos| ...)`: the loop of one fold, once per
     // input shape.
     macro_rules! fold {
-        (|$st:ident, $v:ident, $pos:ident| $body:expr) => {
+        (|$acc:ident, $v:ident, $pos:ident| $body:expr) => {
             match (view, survivors.selection()) {
-                (ValView::Const($v), _) => fold_column(states, at, gids, |$st, $pos| $body),
-                (ValView::Slice(s), None) => fold_column(states, at, gids, |$st, $pos| {
+                (ValView::Const($v), _) => fold_column(lanes, at, gids, |$acc, $pos| $body),
+                (ValView::Slice(s), None) => fold_column(lanes, at, gids, |$acc, $pos| {
                     let $v = s[$pos];
                     $body
                 }),
-                (ValView::Slice(s), Some(ids)) => fold_column(states, at, gids, |$st, $pos| {
+                (ValView::Slice(s), Some(ids)) => fold_column(lanes, at, gids, |$acc, $pos| {
                     let $v = s[ids[$pos] as usize];
                     $body
                 }),
             }
         };
     }
-    match (agg, weights) {
-        (CompiledAgg::Count, None) => fold_column(states, at, gids, |st, _| st.update_count()),
-        (CompiledAgg::Count, Some(ws)) => {
-            fold_column(states, at, gids, |st, pos| st.update_count_n(ws[pos]))
+    match (fold, weights) {
+        (Fold::Add, None) => fold!(|acc, v, _pos| *acc = Fold::Add.apply(*acc, v)),
+        (Fold::Add, Some(ws)) => {
+            fold!(|acc, v, pos| *acc = Fold::Add.apply_weighted(*acc, v, ws[pos]))
         }
-        (CompiledAgg::Fold(AggKind::Sum, _), None) => fold!(|st, v, _pos| st.fold_sum(v)),
-        (CompiledAgg::Fold(AggKind::Avg, _), None) => fold!(|st, v, _pos| st.fold_avg(v)),
-        (CompiledAgg::Fold(AggKind::Sum, _), Some(ws)) => {
-            fold!(|st, v, pos| st.fold_sum_weighted(v, ws[pos]))
-        }
-        (CompiledAgg::Fold(AggKind::Avg, _), Some(ws)) => {
-            fold!(|st, v, pos| st.fold_avg_weighted(v, ws[pos]))
-        }
-        // Repeated folds of one value cannot move an extremum: a row
-        // standing for `w` tuples folds once.
-        (CompiledAgg::Fold(AggKind::Min, _), _) => fold!(|st, v, _pos| st.fold_min(v)),
-        (CompiledAgg::Fold(AggKind::Max, _), _) => fold!(|st, v, _pos| st.fold_max(v)),
+        // A row standing for `w` tuples folds an extremum once.
+        (Fold::Min, _) => fold!(|acc, v, _pos| *acc = Fold::Min.apply(*acc, v)),
+        (Fold::Max, _) => fold!(|acc, v, _pos| *acc = Fold::Max.apply(*acc, v)),
     }
 }
 
@@ -308,42 +307,45 @@ impl Sink for GroupSink<'_> {
 
     fn partial(&self, morsels: &[Morsel], _workers: usize) -> GroupOut {
         let mut table = GroupTable::default();
-        table.configure(self.slots.len(), self.aggregates.len());
+        table.configure(self.slots.len(), self.aggs.identities());
         GroupOut {
             table,
             key_tmp: Vec::new(),
             gids: Vec::new(),
-            seen: Vec::new(),
             order: Vec::with_capacity(morsels.len()),
             part_counts: Vec::with_capacity(morsels.len() * RADIX_PARTS),
             keys: Vec::new(),
-            states: Vec::new(),
+            counts: Vec::new(),
+            lanes: Vec::new(),
             hashes: Vec::new(),
         }
     }
 
     /// Assign every surviving row to its group first — one upsert per row,
-    /// the group ids kept in a reused buffer — then fold one aggregate at a
-    /// time over `(group id, value)` pairs. Every state still folds its rows
-    /// in row order.
+    /// the group ids kept in a reused buffer — then fold the counts, then
+    /// one lane at a time over `(group id, value)` pairs. Every lane still
+    /// folds its rows in row order.
     fn consume(&self, cx: &mut MorselCtx<'_, '_>, survivors: Survivors<'_>, out: &mut GroupOut) {
-        let (pipe, rows) = (cx.pipe, cx.rows);
-        let (aggs, consts) = (&pipe.aggs, &pipe.pool.consts);
+        let (rows, consts) = (cx.rows, &cx.pipe.pool.consts);
+        let lanes = &self.aggs.lanes;
         let sel = survivors.selection();
         out.table.begin_morsel();
-        out.resolve_groups(&self.slots, aggs.len(), cx.data, cx.hashes, rows, sel);
-        for (j, agg) in aggs.iter().enumerate() {
-            let view = match agg {
-                CompiledAgg::Count => ValView::Const(0.0),
-                CompiledAgg::Fold(_, e) => {
-                    eval_expr(e, cx.data, cx.regs, consts, rows, sel);
-                    resolve(e.output, cx.data, cx.regs, consts)
-                }
-            };
-            let states = out.table.states_flat_mut();
-            fold_grouped(states, (aggs.len(), j), &out.gids, agg, view, survivors);
+        out.resolve_groups(&self.slots, lanes.len(), cx.data, cx.hashes, rows, sel);
+        let (counts, lane_arena) = out.table.counts_and_lanes_mut();
+        fold_counts(counts, &out.gids, survivors);
+        for (j, &(fold, ref e)) in lanes.iter().enumerate() {
+            eval_expr(e, cx.data, cx.regs, consts, rows, sel);
+            let view = resolve(e.output, cx.data, cx.regs, consts);
+            fold_grouped(
+                lane_arena,
+                (lanes.len(), j),
+                &out.gids,
+                fold,
+                view,
+                survivors,
+            );
         }
-        out.emit_morsel(cx.idx, self.slots.len(), self.aggregates.len());
+        out.emit_morsel(cx.idx, self.slots.len(), lanes.len());
     }
 
     /// Merge per-worker group outputs into the final sorted rows via the
@@ -353,42 +355,40 @@ impl Sink for GroupSink<'_> {
     /// [`GroupTable`] — re-hashing nothing, probing a table 16x smaller than
     /// a global one — and the partitions concatenate disjointly. Within each
     /// partition the morsels are folded in morsel-index order (first
-    /// occurrence *copies* the partial state; `AggState::default().merge` is
-    /// not a bitwise identity), which keeps every group's aggregation order
-    /// equal to the scan order — hence bit-for-bit identical results for
-    /// every worker count. Keys are sorted exactly once, over the final rows.
+    /// occurrence *copies* the partial lanes; folding them into the
+    /// identity is not a bitwise copy, `0.0 + -0.0` being `0.0`), which
+    /// keeps every group's aggregation order equal to the scan order —
+    /// hence bit-for-bit identical results for every worker count. Keys are
+    /// sorted exactly once, over the final rows.
     fn merge(&self, partials: Vec<GroupOut>) -> Vec<GroupRow> {
-        let (n_keys, n_aggs) = (self.slots.len(), self.aggregates.len());
+        let (n_keys, n_lanes) = (self.slots.len(), self.aggs.lanes.len());
         let morsels = partials.iter().map(|out| out.order.len()).sum();
         let mut parts: Vec<(u32, MorselGroups<'_>)> = Vec::with_capacity(morsels);
         for out in &partials {
-            let mut key_at = 0usize;
-            let mut state_at = 0usize;
-            let mut hash_at = 0usize;
+            let mut at = 0usize;
             for (k, &m) in out.order.iter().enumerate() {
                 let counts = &out.part_counts[k * RADIX_PARTS..(k + 1) * RADIX_PARTS];
                 let mut offsets = [0u32; RADIX_PARTS + 1];
                 for (p, &c) in counts.iter().enumerate() {
                     offsets[p + 1] = offsets[p] + c;
                 }
-                let groups = offsets[RADIX_PARTS] as usize;
+                let end = at + offsets[RADIX_PARTS] as usize;
                 parts.push((
                     m,
                     MorselGroups {
-                        keys: &out.keys[key_at..key_at + groups * n_keys],
-                        states: &out.states[state_at..state_at + groups * n_aggs],
-                        hashes: &out.hashes[hash_at..hash_at + groups],
+                        keys: &out.keys[at * n_keys..end * n_keys],
+                        counts: &out.counts[at..end],
+                        lanes: &out.lanes[at * n_lanes..end * n_lanes],
+                        hashes: &out.hashes[at..end],
                         offsets,
                     },
                 ));
-                key_at += groups * n_keys;
-                state_at += groups * n_aggs;
-                hash_at += groups;
+                at = end;
             }
         }
         parts.sort_unstable_by_key(|(m, _)| *m);
         let mut table = GroupTable::default();
-        table.configure(n_keys, n_aggs);
+        table.configure(n_keys, self.aggs.identities());
         let mut rows: Vec<GroupRow> = Vec::new();
         for p in 0..RADIX_PARTS {
             table.begin_morsel();
@@ -396,30 +396,25 @@ impl Sink for GroupSink<'_> {
                 let range = part.offsets[p] as usize..part.offsets[p + 1] as usize;
                 for g in range {
                     let key = &part.keys[g * n_keys..(g + 1) * n_keys];
-                    let chunk = &part.states[g * n_aggs..(g + 1) * n_aggs];
+                    let lanes = &part.lanes[g * n_lanes..(g + 1) * n_lanes];
                     let before = table.group_count();
                     let gi = table.upsert_prehashed(part.hashes[g], key);
-                    let states = table.group_states_mut(gi);
+                    let (count, merged) = table.group_mut(gi);
+                    *count += part.counts[g];
                     // New groups are appended, so a fresh claim returns the
                     // previous count as its index.
                     if gi == before {
-                        states.copy_from_slice(chunk);
+                        merged.copy_from_slice(lanes);
                     } else {
-                        for (merged, state) in states.iter_mut().zip(chunk) {
-                            merged.merge(state);
-                        }
+                        self.aggs.merge(merged, lanes);
                     }
                 }
             }
             for gi in 0..table.group_count() {
                 let key = &table.keys_flat()[gi * n_keys..(gi + 1) * n_keys];
-                let states = &table.states_flat()[gi * n_aggs..(gi + 1) * n_aggs];
-                let aggs = self
-                    .aggregates
-                    .iter()
-                    .zip(states)
-                    .map(|(agg, st)| st.finalize(agg))
-                    .collect();
+                let lanes = &table.lanes_flat()[gi * n_lanes..(gi + 1) * n_lanes];
+                let count = table.counts()[gi];
+                let aggs = self.aggs.finalize(self.aggregates, count, lanes);
                 rows.push((key.to_vec(), aggs));
             }
         }
@@ -434,7 +429,8 @@ impl Sink for GroupSink<'_> {
 /// [`GroupOut`] for the radix merge.
 struct MorselGroups<'a> {
     keys: &'a [i64],
-    states: &'a [AggState],
+    counts: &'a [u64],
+    lanes: &'a [f64],
     hashes: &'a [u64],
     /// Exclusive prefix offsets of the radix partitions within this
     /// morsel's segment (`offsets[p]..offsets[p + 1]` is partition `p`).

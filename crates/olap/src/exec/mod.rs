@@ -15,7 +15,7 @@
 //!   morsel is loaded, filtered, probed, accounted and traced.
 //! * `probe` — the hash-probe chain and the `Survivors` it leaves.
 //! * `build`, `scalar`, `group` — the sinks: join-build table, scalar
-//!   aggregate states, per-morsel group tables; each owns its per-worker
+//!   count and lanes, per-morsel group tables; each owns its per-worker
 //!   output and its merge, nothing else.
 //! * `finish` — HAVING / ORDER BY / LIMIT over the finalised rows.
 //! * `result` — [`QueryResult`], [`WorkProfile`], [`QueryOutput`].
@@ -45,10 +45,10 @@
 //!
 //! Two properties hold for every plan and every worker count:
 //!
-//! * **Determinism** — partial aggregation states are per *morsel*, and the
-//!   merge order is the morsel order, so the result is bit-for-bit identical
-//!   for every worker count (including the solo worker), no matter how the
-//!   workers interleave their claims.
+//! * **Determinism** — partial aggregation counts and lanes are per
+//!   *morsel*, and the merge order is the morsel order, so the result is
+//!   bit-for-bit identical for every worker count (including the solo
+//!   worker), no matter how the workers interleave their claims.
 //! * **Exact accounting** — every worker tracks its own [`WorkProfile`]
 //!   (bytes per socket, tuples, fresh rows) from the morsels it actually
 //!   processed; the per-worker profiles are summed, and the totals equal the
@@ -167,7 +167,10 @@ impl QueryExecutor {
         )?;
         let result = match group_by {
             None => {
-                let sink = ScalarSink { aggregates };
+                let sink = ScalarSink {
+                    aggregates,
+                    aggs: &pipe.aggs,
+                };
                 QueryResult::Scalars(self.run_pipeline(&pipe, team, &sink, &mut work))
             }
             Some(group_by) => {

@@ -17,7 +17,7 @@ use crate::expr::{AggExpr, Predicate, ScalarExpr};
 use crate::hashtable::JoinTable;
 use crate::morsel::Morsel;
 use crate::program::{
-    apply_filters, AffineKey, ColRef, ColumnResolver, CompiledAgg, CompiledPredicate, ProgramPool,
+    apply_filters, AffineKey, ColRef, ColumnResolver, CompiledAggs, CompiledPredicate, ProgramPool,
 };
 use crate::scratch::{key_range, load_morsel, ExecScratch, FilterColumns, LoadPass, MorselData};
 use crate::source::{BoundLayout, ScanSource};
@@ -84,7 +84,7 @@ pub(super) struct Pipeline<'q> {
     filter_columns: FilterColumns,
     /// Probe stages in execution order: compiled key, probed build table.
     pub probes: Vec<(AffineKey, &'q JoinTable)>,
-    pub aggs: Vec<CompiledAgg>,
+    pub aggs: CompiledAggs,
 }
 
 impl<'q> Pipeline<'q> {
@@ -202,7 +202,7 @@ pub(super) struct MorselCtx<'a, 'env> {
 }
 
 /// Where a pipeline's surviving rows end up: a join-build table, scalar
-/// aggregate states or per-morsel group tables. A sink owns its per-worker
+/// counts and lanes or per-morsel group tables. A sink owns its per-worker
 /// partial output and the merge of the partials — nothing of the scan,
 /// filter, probe or accounting around them.
 pub(super) trait Sink: Sync {

@@ -1,5 +1,5 @@
-//! Scalar expressions, predicates, aggregate expressions and the running
-//! aggregate state.
+//! Scalar expressions, predicates, aggregate expressions and the folds of
+//! the running values ([`Fold`]) aggregates read.
 //!
 //! The expression language is intentionally small: it covers the arithmetic
 //! the CH-benCHmark analytical queries need (column references, literals,
@@ -41,6 +41,22 @@ impl ScalarExpr {
         out.sort();
         out.dedup();
         out
+    }
+
+    /// Whether two expressions are the same computation: equal trees whose
+    /// literals have equal bits (`0.0` and `-0.0` differ, as they do under
+    /// MIN). Aggregates share a lane only over the same computation.
+    pub(crate) fn same_as(&self, other: &ScalarExpr) -> bool {
+        match (self, other) {
+            (ScalarExpr::Col(a), ScalarExpr::Col(b)) => a == b,
+            (ScalarExpr::Literal(a), ScalarExpr::Literal(b)) => a.to_bits() == b.to_bits(),
+            (ScalarExpr::Add(a0, a1), ScalarExpr::Add(b0, b1))
+            | (ScalarExpr::Sub(a0, a1), ScalarExpr::Sub(b0, b1))
+            | (ScalarExpr::Mul(a0, a1), ScalarExpr::Mul(b0, b1)) => {
+                a0.same_as(b0) && a1.same_as(b1)
+            }
+            _ => false,
+        }
     }
 
     fn collect_columns(&self, out: &mut Vec<String>) {
@@ -154,142 +170,98 @@ impl AggExpr {
             AggExpr::Count => Vec::new(),
         }
     }
-}
 
-/// Running state of one aggregate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggState {
-    sum: f64,
-    count: u64,
-    /// Values folded via [`AggState::fold_min`]/[`AggState::fold_max`] —
-    /// distinct from `count`, which [`AggState::update_count`] also
-    /// advances. MIN/MAX emptiness is defined by this, not by `count`.
-    values: u64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for AggState {
-    fn default() -> Self {
-        AggState {
-            sum: 0.0,
-            count: 0,
-            values: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+    /// The running value this aggregate reads besides the row count: its
+    /// fold and input. `COUNT(*)` reads the count alone (`None`).
+    pub fn lane(&self) -> Option<(Fold, &ScalarExpr)> {
+        match self {
+            AggExpr::Sum(e) | AggExpr::Avg(e) => Some((Fold::Add, e)),
+            AggExpr::Min(e) => Some((Fold::Min, e)),
+            AggExpr::Max(e) => Some((Fold::Max, e)),
+            AggExpr::Count => None,
         }
     }
-}
 
-impl AggState {
-    /// Fold a counted-only tuple (for `COUNT(*)`).
-    pub fn update_count(&mut self) {
-        self.count += 1;
-    }
-
-    /// Fold `n` counted-only tuples at once — the vectorized `COUNT(*)` path
-    /// folds a whole selection per call instead of one tuple at a time. The
-    /// result is identical to `n` calls of [`AggState::update_count`].
-    pub fn update_count_n(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Kind-specialised folds: each touches only the fields the matching
-    /// [`AggExpr`]'s [`AggState::finalize`] (and its [`AggState::merge`]
-    /// contributions) read. A state is therefore *partial*: it must only
-    /// ever be finalised with the aggregate kind it was folded with — which
-    /// is exactly how the executor uses it (state `j` is always finalised
-    /// with aggregate `j`).
-    #[inline(always)]
-    pub fn fold_sum(&mut self, value: f64) {
-        self.sum += value;
-    }
-
-    /// `AVG` fold: running sum and divisor.
-    #[inline(always)]
-    pub fn fold_avg(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// `MIN` fold: running minimum and the emptiness counter.
-    #[inline(always)]
-    pub fn fold_min(&mut self, value: f64) {
-        self.values += 1;
-        self.min = self.min.min(value);
-    }
-
-    /// `MAX` fold: running maximum and the emptiness counter.
-    #[inline(always)]
-    pub fn fold_max(&mut self, value: f64) {
-        self.values += 1;
-        self.max = self.max.max(value);
-    }
-
-    /// Weighted `SUM` fold: one joined probe row matching `w` build rows
-    /// contributes `value` `w` times. The multiplication stands in for `w`
-    /// repeated additions (`w == 1` is bitwise exact; larger weights agree
-    /// with repeated addition up to floating-point associativity, the same
-    /// tolerance the differential oracle already grants SUM/AVG).
-    #[inline(always)]
-    pub fn fold_sum_weighted(&mut self, value: f64, w: u64) {
-        self.sum += value * w as f64;
-    }
-
-    /// Weighted `AVG` fold: the divisor advances by the full multiplicity.
-    #[inline(always)]
-    pub fn fold_avg_weighted(&mut self, value: f64, w: u64) {
-        self.sum += value * w as f64;
-        self.count += w;
-    }
-
-    /// Merge another state into this one (partial aggregation across pipelines).
-    pub fn merge(&mut self, other: &AggState) {
-        self.sum += other.sum;
-        self.count += other.count;
-        self.values += other.values;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Finalise the state for the given aggregate kind.
+    /// Finalise the aggregate from its group's row count and the lane it
+    /// reads (`COUNT(*)` ignores `lane`).
     ///
-    /// Aggregates over zero folded values finalise to `0.0` — not to the
-    /// `±INFINITY` sentinels MIN/MAX track internally, and not to a NaN for
-    /// AVG. SQL would return NULL here; in this engine's all-`f64` result
+    /// Aggregates over zero rows finalise to `0.0` — not to the `±INFINITY`
+    /// identities MIN/MAX lanes start at, and not to a NaN for AVG. SQL
+    /// would return NULL here; in this engine's all-`f64` result
     /// representation `0.0` is the defined empty value, and the reference
     /// executor mirrors it.
-    pub fn finalize(&self, agg: &AggExpr) -> f64 {
-        match agg {
-            AggExpr::Sum(_) => self.sum,
-            AggExpr::Avg(_) => {
-                if self.count == 0 {
-                    0.0
-                } else {
-                    self.sum / self.count as f64
-                }
-            }
-            AggExpr::Min(_) => {
-                if self.values == 0 {
-                    0.0
-                } else {
-                    self.min
-                }
-            }
-            AggExpr::Max(_) => {
-                if self.values == 0 {
-                    0.0
-                } else {
-                    self.max
-                }
-            }
-            AggExpr::Count => self.count as f64,
+    pub fn finalize(&self, count: u64, lane: f64) -> f64 {
+        match self {
+            AggExpr::Count => count as f64,
+            _ if count == 0 => 0.0,
+            AggExpr::Sum(_) | AggExpr::Min(_) | AggExpr::Max(_) => lane,
+            AggExpr::Avg(_) => lane / count as f64,
+        }
+    }
+}
+
+/// The fold of one *lane*: a running `f64` over one input expression. A
+/// group (or a scalar morsel) keeps one `u64` row count plus one lane per
+/// distinct `(fold, input)` pair of its aggregates: SUM and AVG fold `Add`,
+/// MIN `Min`, MAX `Max`, and `COUNT(*)` reads the count alone — Q1's five
+/// aggregates are one count and two lanes. A lane starts at its fold's
+/// [`Fold::identity`], and folding a value and merging another partial's
+/// lane are the same [`Fold::apply`].
+///
+/// Why sharing cannot move a bit of a result: a lane shared by SUM(x) and
+/// AVG(x) folds the same rows, in the same order, with the same operation
+/// as each aggregate's own running value would. The count is the sum of 1
+/// (or of the weight `w` of a joined row) over those same rows, which is
+/// exactly AVG's divisor and COUNT's value. A MIN/MAX lane is empty exactly
+/// when the count is 0: every row of a group folds every lane and advances
+/// the count by `w ≥ 1`, so [`AggExpr::finalize`] tests the count for the
+/// empty value. Partials merge in morsel order — a group's first partial
+/// is copied, a scalar folds its partials from the identity — so the
+/// association of every floating-point fold is the scan order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Running sum, from `0.0`.
+    Add,
+    /// Running minimum, from `+∞`.
+    Min,
+    /// Running maximum, from `−∞`.
+    Max,
+}
+
+impl Fold {
+    /// The value a lane starts at: folding any `v` into it gives `v` (for
+    /// `Add`, a `-0.0` gives `0.0`).
+    pub fn identity(self) -> f64 {
+        match self {
+            Fold::Add => 0.0,
+            Fold::Min => f64::INFINITY,
+            Fold::Max => f64::NEG_INFINITY,
         }
     }
 
-    /// Number of folded tuples.
-    pub fn count(&self) -> u64 {
-        self.count
+    /// Fold `v` into the running value `acc`. Merging another partial's
+    /// lane into this one is the same operation.
+    #[inline(always)]
+    pub fn apply(self, acc: f64, v: f64) -> f64 {
+        match self {
+            Fold::Add => acc + v,
+            Fold::Min => acc.min(v),
+            Fold::Max => acc.max(v),
+        }
+    }
+
+    /// Fold one value standing for `w` joined tuples. `Add` scales it by
+    /// the multiplicity: the multiplication stands in for `w` repeated
+    /// additions (`w == 1` is bitwise exact; larger weights agree with
+    /// repeated addition up to floating-point associativity, the tolerance
+    /// the differential oracle grants SUM/AVG). `Min`/`Max` fold it once:
+    /// repeated folds of one value cannot move an extremum.
+    #[inline(always)]
+    pub fn apply_weighted(self, acc: f64, v: f64, w: u64) -> f64 {
+        match self {
+            Fold::Add => acc + v * w as f64,
+            Fold::Min | Fold::Max => self.apply(acc, v),
+        }
     }
 }
 
@@ -322,77 +294,112 @@ mod tests {
         assert!(AggExpr::Count.columns().is_empty());
     }
 
+    /// One count and the three folds over `values`, as a group keeps them.
+    fn fold(values: &[f64]) -> (u64, [f64; 3]) {
+        let folds = [Fold::Add, Fold::Min, Fold::Max];
+        let mut lanes = folds.map(Fold::identity);
+        for &v in values {
+            for (lane, fold) in lanes.iter_mut().zip(folds) {
+                *lane = fold.apply(*lane, v);
+            }
+        }
+        (values.len() as u64, lanes)
+    }
+
+    /// Merge `other` into `into`: counts add, lanes fold.
+    fn merge(into: &mut (u64, [f64; 3]), other: &(u64, [f64; 3])) {
+        into.0 += other.0;
+        for ((lane, &v), fold) in
+            into.1
+                .iter_mut()
+                .zip(&other.1)
+                .zip([Fold::Add, Fold::Min, Fold::Max])
+        {
+            *lane = fold.apply(*lane, v);
+        }
+    }
+
+    /// Every aggregate over `x`, finalised from a count and the lanes.
+    fn finalize(&(count, [add, min, max]): &(u64, [f64; 3])) -> [f64; 5] {
+        let x = ScalarExpr::lit(0.0);
+        [
+            AggExpr::Sum(x.clone()).finalize(count, add),
+            AggExpr::Avg(x.clone()).finalize(count, add),
+            AggExpr::Min(x.clone()).finalize(count, min),
+            AggExpr::Max(x).finalize(count, max),
+            AggExpr::Count.finalize(count, 0.0),
+        ]
+    }
+
     #[test]
     fn aggregate_states_fold_and_merge() {
-        // One state per aggregate kind, as the executor keeps them.
-        let fold = |values: &[f64]| {
-            let mut s = [AggState::default(); 5];
-            for &v in values {
-                s[0].fold_sum(v);
-                s[1].update_count();
-                s[2].fold_min(v);
-                s[3].fold_max(v);
-                s[4].fold_avg(v);
-            }
-            s
-        };
         let mut a = fold(&[1.0, 2.0, 3.0]);
-        for (state, other) in a.iter_mut().zip(&fold(&[10.0, 20.0])) {
-            state.merge(other);
-        }
-        assert_eq!(a[0].finalize(&AggExpr::Sum(ScalarExpr::lit(0.0))), 36.0);
-        assert_eq!(a[1].finalize(&AggExpr::Count), 5.0);
-        assert_eq!(a[2].finalize(&AggExpr::Min(ScalarExpr::lit(0.0))), 1.0);
-        assert_eq!(a[3].finalize(&AggExpr::Max(ScalarExpr::lit(0.0))), 20.0);
-        assert!((a[4].finalize(&AggExpr::Avg(ScalarExpr::lit(0.0))) - 7.2).abs() < 1e-12);
-        assert_eq!(a[1].count(), 5);
+        merge(&mut a, &fold(&[10.0, 20.0]));
+        let [sum, avg, min, max, count] = finalize(&a);
+        assert_eq!((sum, min, max, count), (36.0, 1.0, 20.0, 5.0));
+        assert!((avg - 7.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weighted_folds_scale_sums_and_fold_extrema_once() {
+        assert_eq!(Fold::Add.apply_weighted(1.0, 2.5, 4), 11.0);
+        assert_eq!(Fold::Min.apply_weighted(3.0, 2.5, 4), 2.5);
+        assert_eq!(Fold::Max.apply_weighted(3.0, 2.5, 4), 3.0);
     }
 
     #[test]
     fn empty_aggregate_finalisation_is_safe() {
-        let s = AggState::default();
-        assert_eq!(s.finalize(&AggExpr::Avg(ScalarExpr::lit(0.0))), 0.0);
-        assert_eq!(s.finalize(&AggExpr::Count), 0.0);
+        let [sum, avg, _, _, count] = finalize(&fold(&[]));
+        assert_eq!((sum, avg, count), (0.0, 0.0, 0.0));
     }
 
-    /// The differential oracle exposed these: a state that never folded a
-    /// value (empty group after filtering, or a COUNT-only path) must not
-    /// leak the `±INFINITY` MIN/MAX sentinels or a NaN AVG into results.
+    /// The differential oracle exposed these: a group or scalar that folded
+    /// no row must not leak the `±INFINITY` MIN/MAX identities or a NaN AVG
+    /// into results.
     #[test]
     fn empty_min_max_finalise_to_zero_not_infinity() {
-        let s = AggState::default();
-        assert_eq!(s.finalize(&AggExpr::Min(ScalarExpr::lit(0.0))), 0.0);
-        assert_eq!(s.finalize(&AggExpr::Max(ScalarExpr::lit(0.0))), 0.0);
-        assert!(s.finalize(&AggExpr::Avg(ScalarExpr::lit(0.0))).is_finite());
+        let [_, avg, min, max, _] = finalize(&fold(&[]));
+        assert_eq!((min, max), (0.0, 0.0));
+        assert!(avg.is_finite());
     }
 
+    /// `COUNT(*)` reads no lane: a count-only plan folds no lane, and the
+    /// lanes beside a count fold with it, so MIN/MAX stay empty until a row
+    /// folds every lane.
     #[test]
     fn count_only_updates_do_not_poison_min_max() {
-        // COUNT(*) folds via update_count, which must leave MIN/MAX empty.
-        let mut s = AggState::default();
-        s.update_count();
-        s.update_count();
-        assert_eq!(s.finalize(&AggExpr::Count), 2.0);
-        assert_eq!(s.finalize(&AggExpr::Min(ScalarExpr::lit(0.0))), 0.0);
-        assert_eq!(s.finalize(&AggExpr::Max(ScalarExpr::lit(0.0))), 0.0);
+        assert_eq!(AggExpr::Count.lane(), None);
+        assert_eq!(AggExpr::Count.finalize(2, f64::INFINITY), 2.0);
+        let (count, [_, min, max]) = fold(&[]);
+        assert_eq!(AggExpr::Min(ScalarExpr::lit(0.0)).finalize(count, min), 0.0);
+        assert_eq!(AggExpr::Max(ScalarExpr::lit(0.0)).finalize(count, max), 0.0);
+        let x = ScalarExpr::col("x");
+        assert_eq!(
+            AggExpr::Sum(x.clone()).lane(),
+            AggExpr::Avg(x.clone()).lane()
+        );
+        assert_ne!(AggExpr::Min(x.clone()).lane(), AggExpr::Max(x).lane());
     }
 
     #[test]
     fn merging_an_empty_state_is_the_identity() {
-        let mut a = AggState::default();
-        for v in [3.0, -1.0] {
-            a.fold_sum(v);
-            a.fold_min(v);
-            a.fold_max(v);
-        }
+        let mut a = fold(&[3.0, -1.0]);
         let before = a;
-        a.merge(&AggState::default());
-        assert_eq!(a, before);
+        merge(&mut a, &fold(&[]));
+        assert_eq!(a.0, before.0);
+        assert_eq!(a.1.map(f64::to_bits), before.1.map(f64::to_bits));
         // And the symmetric case: empty absorbing non-empty.
-        let mut e = AggState::default();
-        e.merge(&before);
-        assert_eq!(e.finalize(&AggExpr::Min(ScalarExpr::lit(0.0))), -1.0);
-        assert_eq!(e.finalize(&AggExpr::Max(ScalarExpr::lit(0.0))), 3.0);
-        assert_eq!(e.finalize(&AggExpr::Sum(ScalarExpr::lit(0.0))), 2.0);
+        let mut e = fold(&[]);
+        merge(&mut e, &before);
+        assert_eq!(finalize(&e)[..4], [2.0, 1.0, -1.0, 3.0]);
+    }
+
+    #[test]
+    fn lanes_are_shared_only_by_the_same_computation() {
+        let x = || ScalarExpr::col("x");
+        assert!((x() * ScalarExpr::lit(2.0)).same_as(&(x() * ScalarExpr::lit(2.0))));
+        assert!(!(x() * ScalarExpr::lit(0.0)).same_as(&(x() * ScalarExpr::lit(-0.0))));
+        assert!(!(x() + ScalarExpr::lit(1.0)).same_as(&(x() - ScalarExpr::lit(1.0))));
+        assert!(!x().same_as(&ScalarExpr::col("y")));
     }
 }

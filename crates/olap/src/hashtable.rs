@@ -38,10 +38,11 @@
 //!   once per call, never per row.
 //! * [`GroupTable`] — the group-by operator's hash table. Group keys are
 //!   stored inline in a flat `i64` arena (`n_keys` slots per group, no
-//!   per-key heap `Vec`), aggregate states in a parallel flat
-//!   [`AggState`] arena. Clearing between morsels is O(1) via an epoch
-//!   stamp, so a worker's table is reused across morsels without paying a
-//!   full `memset` of the slot array. A morsel whose one group column spans
+//!   per-key heap `Vec`); beside them each group keeps a `u64` row count
+//!   and one `f64` per lane — a running value of its aggregates
+//!   ([`crate::expr::Fold`]) — in flat parallel arenas. Clearing between
+//!   morsels is O(1) via an epoch stamp, so a worker's table is reused
+//!   across morsels without paying a full `memset` of the slot array. A morsel whose one group column spans
 //!   few keys skips the hash instead: [`GroupTable::seat_range`] seats every
 //!   key of its range in key order, and a row's group is `key − min`.
 //!
@@ -57,7 +58,6 @@
 //! recomputing, and the executor's radix-partitioned merge reads the stored
 //! hashes to scatter groups into disjoint partitions.
 
-use crate::expr::AggState;
 use crate::kernels::{self, hash_i64, hash_key};
 
 const INITIAL_SLOTS: usize = 16;
@@ -634,7 +634,7 @@ impl DirectSlots {
 }
 
 /// The vectorized group-by hash table: open addressing over inline
-/// fixed-width composite keys with flat aggregate-state storage.
+/// fixed-width composite keys, with a row count and flat lanes per group.
 #[derive(Debug, Clone, Default)]
 pub struct GroupTable {
     /// Packed slot: `epoch << 32 | (group + 1)`; a slot whose epoch differs
@@ -642,7 +642,9 @@ pub struct GroupTable {
     slots: Vec<u64>,
     epoch: u32,
     n_keys: usize,
-    n_aggs: usize,
+    /// Each lane's starting value (see [`crate::expr::Fold`]): a new group's
+    /// lanes are a copy.
+    identity: Vec<f64>,
     /// Groups since the last clear (cached so the hot upsert path divides
     /// nothing).
     groups: usize,
@@ -651,8 +653,10 @@ pub struct GroupTable {
     grow_at: usize,
     /// Flat key arena, `n_keys` values per group, insertion order.
     keys: Vec<i64>,
-    /// Flat state arena, `n_aggs` states per group, insertion order.
-    states: Vec<AggState>,
+    /// Row count per group, insertion order.
+    counts: Vec<u64>,
+    /// Flat lane arena, one `f64` per lane per group, insertion order.
+    lanes: Vec<f64>,
     /// Hash of each group's key, insertion order (reused on growth and by
     /// the radix-partitioned merge).
     hashes: Vec<u64>,
@@ -666,15 +670,17 @@ fn grow_threshold(slots: usize) -> usize {
 }
 
 impl GroupTable {
-    /// Configure the table for a pipeline's key/aggregate arity. Retains
-    /// allocated capacity from previous pipelines. A key arity of zero is
-    /// the degenerate "one global group" grouping (`GROUP BY` over no
-    /// columns): every upsert lands in group 0.
-    pub fn configure(&mut self, n_keys: usize, n_aggs: usize) {
+    /// Configure the table for a pipeline's key arity and lanes, given by
+    /// their starting values. Retains allocated capacity from previous
+    /// pipelines. A key arity of zero is the degenerate "one global group"
+    /// grouping (`GROUP BY` over no columns): every upsert lands in group 0.
+    pub fn configure(&mut self, n_keys: usize, identity: impl IntoIterator<Item = f64>) {
         self.n_keys = n_keys;
-        self.n_aggs = n_aggs;
+        self.identity.clear();
+        self.identity.extend(identity);
         self.keys.clear();
-        self.states.clear();
+        self.counts.clear();
+        self.lanes.clear();
         self.hashes.clear();
         self.groups = 0;
         if self.slots.is_empty() {
@@ -687,7 +693,8 @@ impl GroupTable {
     /// O(1) clear between morsels: advance the epoch, truncate the arenas.
     pub fn begin_morsel(&mut self) {
         self.keys.clear();
-        self.states.clear();
+        self.counts.clear();
+        self.lanes.clear();
         self.hashes.clear();
         self.groups = 0;
         self.grow_at = grow_threshold(self.slots.len());
@@ -713,15 +720,21 @@ impl GroupTable {
         &self.keys
     }
 
-    /// The flat state arena (insertion order, `n_aggs` per group).
-    pub fn states_flat(&self) -> &[AggState] {
-        &self.states
+    /// The row count of every group (insertion order).
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
     }
 
-    /// The flat state arena, mutably: the grouped sink folds one aggregate
-    /// at a time across all groups, striding it by `n_aggs`.
-    pub fn states_flat_mut(&mut self) -> &mut [AggState] {
-        &mut self.states
+    /// The flat lane arena (insertion order, one value per lane per group).
+    pub fn lanes_flat(&self) -> &[f64] {
+        &self.lanes
+    }
+
+    /// The counts and the lane arena, mutably: the grouped sink folds the
+    /// counts, then one lane at a time across all groups, striding the
+    /// arena by the lane count.
+    pub fn counts_and_lanes_mut(&mut self) -> (&mut [u64], &mut [f64]) {
+        (&mut self.counts, &mut self.lanes)
     }
 
     /// The flat hash arena (insertion order, one hash per group; `0` for
@@ -730,23 +743,19 @@ impl GroupTable {
         &self.hashes
     }
 
-    /// Mutable state of aggregate `agg` of group `group`.
+    /// The row count and the lanes of one group, mutably.
     #[inline(always)]
-    pub fn agg_state(&mut self, group: usize, agg: usize) -> &mut AggState {
-        &mut self.states[group * self.n_aggs + agg]
-    }
-
-    /// All aggregate states of one group (one bounds computation per row
-    /// instead of one per aggregate).
-    #[inline(always)]
-    pub fn group_states_mut(&mut self, group: usize) -> &mut [AggState] {
-        let base = group * self.n_aggs;
-        &mut self.states[base..base + self.n_aggs]
+    pub fn group_mut(&mut self, group: usize) -> (&mut u64, &mut [f64]) {
+        let n = self.identity.len();
+        (
+            &mut self.counts[group],
+            &mut self.lanes[group * n..(group + 1) * n],
+        )
     }
 
     /// Seat the groups of a morsel whose one key column spans `min..=max`
-    /// (`min <= max`): group `g` is key `min + g`, in key order, with fresh
-    /// states and stored hashes — so a row's group is `key − min`, found
+    /// (`min <= max`): group `g` is key `min + g`, in key order, with a zero
+    /// count, identity lanes and stored hashes — so a row's group is `key − min`, found
     /// without a hash or a probe. Call it on a cleared table
     /// ([`GroupTable::begin_morsel`]). The slot array is not written: a
     /// seated morsel takes no upsert.
@@ -755,8 +764,10 @@ impl GroupTable {
         self.keys.extend(min..=max);
         self.hashes.extend((min..=max).map(hash_i64));
         self.groups = self.keys.len();
-        self.states
-            .resize(self.groups * self.n_aggs, AggState::default());
+        self.counts.resize(self.groups, 0);
+        for _ in 0..self.groups {
+            self.lanes.extend_from_slice(&self.identity);
+        }
     }
 
     /// Upsert the empty group key (zero key columns): every row belongs to
@@ -858,8 +869,8 @@ impl GroupTable {
         let group = self.groups;
         self.groups += 1;
         self.keys.extend_from_slice(key);
-        self.states
-            .resize(self.states.len() + self.n_aggs, AggState::default());
+        self.counts.push(0);
+        self.lanes.extend_from_slice(&self.identity);
         self.hashes.push(hash);
         self.slots[slot] = (self.epoch as u64) << 32 | (group as u64 + 1);
         group
@@ -893,8 +904,6 @@ impl GroupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::AggExpr;
-    use crate::expr::ScalarExpr;
 
     /// The slot storage of a hashed table.
     fn hashed(table: &JoinTable) -> &HashSlots {
@@ -907,26 +916,30 @@ mod tests {
     #[test]
     fn group_table_single_key_accumulates() {
         let mut t = GroupTable::default();
-        t.configure(1, 2);
+        t.configure(1, [0.0, f64::NEG_INFINITY]);
         for i in 0..100i64 {
             let g = t.upsert1(i % 4);
-            t.agg_state(g, 0).fold_sum(i as f64);
-            t.agg_state(g, 1).update_count();
+            let (count, lanes) = t.group_mut(g);
+            *count += 1;
+            lanes[0] += i as f64;
+            lanes[1] = lanes[1].max(i as f64);
         }
         assert_eq!(t.group_count(), 4);
-        let sum_agg = AggExpr::Sum(ScalarExpr::lit(0.0));
+        assert_eq!(t.counts(), &[25; 4]);
         for g in 0..4 {
             let key = t.keys_flat()[g];
             let expected: f64 = (0..100i64).filter(|i| i % 4 == key).map(|i| i as f64).sum();
-            assert_eq!(t.states_flat()[g * 2].finalize(&sum_agg), expected);
-            assert_eq!(t.states_flat()[g * 2 + 1].finalize(&AggExpr::Count), 25.0);
+            assert_eq!(
+                t.lanes_flat()[g * 2..g * 2 + 2],
+                [expected, (96 + key) as f64]
+            );
         }
     }
 
     #[test]
     fn group_table_composite_keys_do_not_collide() {
         let mut t = GroupTable::default();
-        t.configure(2, 1);
+        t.configure(2, [0.0]);
         // (1, 2) and (2, 1) must be distinct groups.
         let a = t.upsert2(1, 2);
         let b = t.upsert2(2, 1);
@@ -936,7 +949,7 @@ mod tests {
         assert_eq!(t.group_count(), 2);
         // Wide keys through the generic path.
         let mut w = GroupTable::default();
-        w.configure(3, 1);
+        w.configure(3, [0.0]);
         assert_eq!(w.upsert(&[1, 2, 3]), 0);
         assert_eq!(w.upsert(&[1, 2, 4]), 1);
         assert_eq!(w.upsert(&[1, 2, 3]), 0);
@@ -945,11 +958,11 @@ mod tests {
     #[test]
     fn group_table_grows_mid_morsel_without_losing_groups() {
         let mut t = GroupTable::default();
-        t.configure(1, 1);
+        t.configure(1, [0.0]);
         // Far beyond INITIAL_SLOTS within one morsel: forces rehash mid-loop.
         for i in 0..5_000i64 {
             let g = t.upsert1(i);
-            t.agg_state(g, 0).update_count();
+            *t.group_mut(g).0 += 1;
         }
         assert_eq!(t.group_count(), 5_000);
         for i in 0..5_000i64 {
@@ -962,7 +975,7 @@ mod tests {
     #[test]
     fn group_table_epoch_clear_is_a_real_clear() {
         let mut t = GroupTable::default();
-        t.configure(1, 1);
+        t.configure(1, [0.0]);
         t.upsert1(7);
         t.upsert1(8);
         assert_eq!(t.group_count(), 2);
@@ -986,13 +999,13 @@ mod tests {
         let mut hashes = Vec::new();
         kernels::hash1_dense(&keys, &mut hashes);
         let mut t = GroupTable::default();
-        t.configure(1, 1);
+        t.configure(1, [0.0]);
         // All 5 000 upserts use hashes computed against the initial 16-slot
         // table; the table grows many times mid-loop.
         for (i, (&k, &h)) in keys.iter().zip(&hashes).enumerate() {
             let g = t.upsert1_prehashed(h, k);
             assert_eq!(g, i, "fresh key claims the next group index");
-            t.agg_state(g, 0).update_count();
+            *t.group_mut(g).0 += 1;
         }
         assert_eq!(t.group_count(), 5_000);
         // Re-upserting with the same precomputed hashes finds every group.
@@ -1005,7 +1018,7 @@ mod tests {
         // path.
         assert_eq!(t.hashes_flat(), hashes.as_slice());
         let mut u = GroupTable::default();
-        u.configure(1, 1);
+        u.configure(1, [0.0]);
         for &k in &keys {
             u.upsert1(k);
         }
@@ -1016,7 +1029,7 @@ mod tests {
     #[test]
     fn zero_key_grouping_keeps_the_hash_arena_aligned() {
         let mut t = GroupTable::default();
-        t.configure(0, 2);
+        t.configure(0, [0.0, 0.0]);
         assert_eq!(t.upsert0(), 0);
         assert_eq!(t.upsert0(), 0);
         assert_eq!(t.group_count(), 1);
@@ -1341,7 +1354,7 @@ mod tests {
     #[test]
     fn group_table_seats_a_key_range_in_key_order() {
         let mut t = GroupTable::default();
-        t.configure(1, 2);
+        t.configure(1, [0.0, f64::INFINITY]);
         t.upsert1(40);
         t.begin_morsel();
         t.seat_range(-2, 3);
@@ -1349,7 +1362,8 @@ mod tests {
         assert_eq!(t.keys_flat(), &[-2, -1, 0, 1, 2, 3]);
         let hashes: Vec<u64> = (-2..=3).map(hash_i64).collect();
         assert_eq!(t.hashes_flat(), hashes.as_slice());
-        assert_eq!(t.states_flat().len(), 12);
+        assert_eq!(t.counts(), &[0; 6]);
+        assert_eq!(t.lanes_flat(), [0.0, f64::INFINITY].repeat(6).as_slice());
         // The next morsel is an ordinary hashed one again.
         t.begin_morsel();
         assert_eq!((t.upsert1(40), t.upsert1(3), t.upsert1(40)), (0, 1, 0));
@@ -1358,12 +1372,13 @@ mod tests {
     #[test]
     fn group_table_duplicate_heavy_keys() {
         let mut t = GroupTable::default();
-        t.configure(1, 1);
+        t.configure(1, []);
         for _ in 0..10_000 {
             let g = t.upsert1(42);
-            t.agg_state(g, 0).update_count();
+            *t.group_mut(g).0 += 1;
         }
         assert_eq!(t.group_count(), 1);
-        assert_eq!(t.states_flat()[0].finalize(&AggExpr::Count), 10_000.0);
+        assert_eq!(t.counts(), &[10_000]);
+        assert!(t.lanes_flat().is_empty());
     }
 }

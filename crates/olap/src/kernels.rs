@@ -22,15 +22,15 @@
 //!   bit-identical). Beside them, [`min_max_dense`] and [`min_max_gather`]
 //!   find a key column's span, which decides when a direct-indexed table
 //!   replaces the hash.
-//! * **Folds** ([`fold_sum_dense`] and friends) — SUM/AVG/MIN/MAX over a
-//!   dense column or a selection vector. Floating-point accumulation order
-//!   is **observable**: results must be bit-for-bit identical for every
-//!   worker count and morsel size, and every kernel bit-for-bit its scalar
-//!   twin, so the fold kernels keep the strict sequential row order and
-//!   win by *gathering*
-//!   chunks of selected lanes (and by being monomorphised per aggregate
-//!   kind, with the `ValView` dispatch hoisted out of the loop) — never by
-//!   lane-parallel partial accumulators, which would reassociate the sums.
+//! * **Folds** ([`fold_dense`], [`fold_gather`]) — one running value's
+//!   `Add`, `Min` or `Max` ([`Fold`]) over a dense column or a selection
+//!   vector. Floating-point accumulation order is **observable**: results
+//!   must be bit-for-bit identical for every worker count and morsel size,
+//!   and every kernel bit-for-bit its scalar twin, so the fold kernels keep
+//!   the strict sequential row order and win by *gathering* chunks of
+//!   selected lanes (and by being monomorphised per fold, with the
+//!   `ValView` dispatch hoisted out of the loop) — never by lane-parallel
+//!   partial accumulators, which would reassociate the sums.
 //!
 //! Output buffers (`out`, `sel`) are the worker's, reused morsel after
 //! morsel: a kernel sizes one with a bare `resize` — which zero-fills only
@@ -38,13 +38,15 @@
 //! every lane it keeps, so whatever the buffer held on entry never shows.
 //!
 //! Every chunked kernel has a `_scalar` twin: the obvious one-row-at-a-time
-//! loop. The twins are the reference the property tests
-//! (`crates/olap/tests/kernels_proptest.rs`) compare against on adversarial
-//! inputs — NaN/±INF in filters, keys at ±2^53 and `i64::MIN`/`MAX`,
-//! selections with ragged tails shorter than one chunk — and they double as
-//! readable documentation of each kernel's exact semantics.
+//! loop (the dense fold is that loop already; it is checked against the
+//! gather twin over every row). The twins are the reference the property
+//! tests (`crates/olap/tests/kernels_proptest.rs`) compare against on
+//! adversarial inputs — NaN/±INF in filters, keys at ±2^53 and
+//! `i64::MIN`/`MAX`, selections with ragged tails shorter than one chunk —
+//! and they double as readable documentation of each kernel's exact
+//! semantics.
 
-use crate::expr::{AggState, CmpOp};
+use crate::expr::{CmpOp, Fold};
 
 /// Fixed chunk width of every kernel: 8 lanes fill one 64-byte cache line
 /// of `f64`/`i64` and map onto one AVX-512 / two AVX2 / four NEON registers.
@@ -465,85 +467,64 @@ pub fn filter_refine_i64_scalar(vals: &[i64], op: CmpOp, lit: f64, sel: &mut Vec
 // Aggregate fold kernels.
 // ---------------------------------------------------------------------------
 
-/// Generate the dense/gather fold kernel pair (plus scalar twins) for one
-/// [`AggState`] fold. The accumulation order is strictly sequential in both
-/// variants — floating-point addition does not associate and `min`/`max`
-/// tie-breaking on signed zeros is order-sensitive, and each kernel is
-/// compared bit-for-bit against its scalar twin — so the gather variant
-/// loads [`LANES`] selected values into a `[f64; 8]` (the gather is what
-/// vectorizes) and folds the chunk in order.
-macro_rules! fold_kernels {
-    ($dense:ident, $dense_scalar:ident, $gather:ident, $gather_scalar:ident, $fold:ident) => {
-        /// Fold a dense value slice into `state`, in row order.
-        pub fn $dense(state: &mut AggState, vals: &[f64]) {
-            for &v in vals {
-                state.$fold(v);
+/// Monomorphise a fold kernel body per [`Fold`]: `step` becomes a concrete
+/// `(acc, value) -> acc` the loop inlines, instead of a per-row `match` on
+/// the fold.
+macro_rules! for_each_fold {
+    ($fold:expr, |$step:ident| $body:expr) => {
+        match $fold {
+            Fold::Add => {
+                let $step = |acc: f64, v: f64| Fold::Add.apply(acc, v);
+                $body
             }
-        }
-
-        /// Scalar twin of the dense fold (identical loop; dense folds have
-        /// no chunked gather to diverge from).
-        pub fn $dense_scalar(state: &mut AggState, vals: &[f64]) {
-            for &v in vals {
-                state.$fold(v);
+            Fold::Min => {
+                let $step = |acc: f64, v: f64| Fold::Min.apply(acc, v);
+                $body
             }
-        }
-
-        /// Fold the selected rows of a value slice into `state`, in
-        /// selection order: chunked gather, sequential fold.
-        pub fn $gather(state: &mut AggState, vals: &[f64], sel: &[u32]) {
-            let mut chunks = sel.chunks_exact(LANES);
-            for chunk in &mut chunks {
-                let mut lanes = [0.0f64; LANES];
-                for l in 0..LANES {
-                    lanes[l] = vals[chunk[l] as usize];
-                }
-                for &v in &lanes {
-                    state.$fold(v);
-                }
-            }
-            for &i in chunks.remainder() {
-                state.$fold(vals[i as usize]);
-            }
-        }
-
-        /// Scalar twin of the gather fold.
-        pub fn $gather_scalar(state: &mut AggState, vals: &[f64], sel: &[u32]) {
-            for &i in sel {
-                state.$fold(vals[i as usize]);
+            Fold::Max => {
+                let $step = |acc: f64, v: f64| Fold::Max.apply(acc, v);
+                $body
             }
         }
     };
 }
 
-fold_kernels!(
-    fold_sum_dense,
-    fold_sum_dense_scalar,
-    fold_sum_gather,
-    fold_sum_gather_scalar,
-    fold_sum
-);
-fold_kernels!(
-    fold_avg_dense,
-    fold_avg_dense_scalar,
-    fold_avg_gather,
-    fold_avg_gather_scalar,
-    fold_avg
-);
-fold_kernels!(
-    fold_min_dense,
-    fold_min_dense_scalar,
-    fold_min_gather,
-    fold_min_gather_scalar,
-    fold_min
-);
-fold_kernels!(
-    fold_max_dense,
-    fold_max_dense_scalar,
-    fold_max_gather,
-    fold_max_gather_scalar,
-    fold_max
-);
+/// Fold a dense value slice into the running value `acc`, in row order.
+pub fn fold_dense(fold: Fold, acc: &mut f64, vals: &[f64]) {
+    for_each_fold!(fold, |step| {
+        for &v in vals {
+            *acc = step(*acc, v);
+        }
+    });
+}
+
+/// Fold the selected rows of a value slice into the running value `acc`,
+/// in selection order: chunked gather, sequential fold.
+pub fn fold_gather(fold: Fold, acc: &mut f64, vals: &[f64], sel: &[u32]) {
+    for_each_fold!(fold, |step| {
+        let mut chunks = sel.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            let mut lanes = [0.0f64; LANES];
+            for l in 0..LANES {
+                lanes[l] = vals[chunk[l] as usize];
+            }
+            for &v in &lanes {
+                *acc = step(*acc, v);
+            }
+        }
+        for &i in chunks.remainder() {
+            *acc = step(*acc, vals[i as usize]);
+        }
+    });
+}
+
+/// Scalar twin of [`fold_gather`] (and, over the identity selection, of
+/// [`fold_dense`], whose loop has no chunked gather to diverge from).
+pub fn fold_gather_scalar(fold: Fold, acc: &mut f64, vals: &[f64], sel: &[u32]) {
+    for &i in sel {
+        *acc = fold.apply(*acc, vals[i as usize]);
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -642,14 +623,12 @@ mod tests {
         // terms cancel only when folded strictly left to right.
         let vals = vec![1e308, -1e308, 1.0, 1e308, -1e308, 2.0, 3.0, 4.0, 5.0, 6.0];
         let sel = ids(vals.len());
-        let mut chunked = AggState::default();
-        let mut scalar = AggState::default();
-        fold_sum_gather(&mut chunked, &vals, &sel);
-        fold_sum_gather_scalar(&mut scalar, &vals, &sel);
-        assert_eq!(chunked, scalar);
-        let mut dense = AggState::default();
-        fold_sum_dense(&mut dense, &vals);
-        assert_eq!(dense, chunked);
+        let (mut chunked, mut scalar, mut dense) = (0.0, 0.0, 0.0);
+        fold_gather(Fold::Add, &mut chunked, &vals, &sel);
+        fold_gather_scalar(Fold::Add, &mut scalar, &vals, &sel);
+        fold_dense(Fold::Add, &mut dense, &vals);
+        assert_eq!(chunked.to_bits(), scalar.to_bits());
+        assert_eq!(dense.to_bits(), chunked.to_bits());
     }
 
     #[test]
@@ -665,11 +644,10 @@ mod tests {
             hash1_dense(&keys, &mut ha);
             hash1_dense_scalar(&keys, &mut hb);
             assert_eq!(ha, hb, "dense hash, {n} rows");
-            let mut sa = AggState::default();
-            let mut sb = AggState::default();
-            fold_min_gather(&mut sa, &vals, &b);
-            fold_min_gather_scalar(&mut sb, &vals, &b);
-            assert_eq!(sa, sb, "gather fold, {n} rows");
+            let (mut sa, mut sb) = (f64::INFINITY, f64::INFINITY);
+            fold_gather(Fold::Min, &mut sa, &vals, &b);
+            fold_gather_scalar(Fold::Min, &mut sb, &vals, &b);
+            assert_eq!(sa.to_bits(), sb.to_bits(), "gather fold, {n} rows");
         }
     }
 }

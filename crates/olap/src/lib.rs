@@ -17,9 +17,9 @@
 //! * [`morsel`] — NUMA-tagged morsels, the claimable work units every scan is
 //!   split into (the scheduling granularity of the parallel pipelines).
 //! * [`block`], [`expr`] — typed tuple blocks (the oracle's row source) and
-//!   the plan-level scalar/predicate/aggregate expressions plus the running
-//!   aggregate state; production pipelines compile the expressions into the
-//!   programs below.
+//!   the plan-level scalar/predicate/aggregate expressions plus the folds
+//!   of the running values aggregates share ([`expr::Fold`]); production
+//!   pipelines compile the expressions into the programs below.
 //! * [`program`] (private), [`hashtable`], [`scratch`] (private) — the
 //!   vectorized hot path: bind-time register programs over column indices,
 //!   join keys folded into exact `i64` affine forms ([`AffineKey`]),

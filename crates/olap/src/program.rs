@@ -19,7 +19,7 @@
 //! (join probe, aggregation, group-by) iterates only the surviving rows.
 
 use crate::error::OlapError;
-use crate::expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
+use crate::expr::{AggExpr, CmpOp, Fold, Predicate, ScalarExpr};
 use crate::kernels;
 use crate::scratch::MorselData;
 
@@ -192,32 +192,35 @@ impl ProgramPool {
             .collect()
     }
 
-    /// Compile an aggregate list: `COUNT(*)` carries no input program.
+    /// Bind an aggregate list to its lanes (see [`Fold`]): each distinct
+    /// `(fold, input)` pair is one lane, in first-use order, and its input
+    /// is compiled once; `COUNT(*)` reads the count and takes no lane.
     pub fn compile_aggregates(
         &mut self,
         aggregates: &[AggExpr],
         resolver: &ColumnResolver<'_>,
-    ) -> Result<Vec<CompiledAgg>, OlapError> {
-        aggregates
-            .iter()
-            .map(|agg| {
-                Ok(match agg {
-                    AggExpr::Count => CompiledAgg::Count,
-                    AggExpr::Sum(e) => {
-                        CompiledAgg::Fold(AggKind::Sum, self.compile_expr(e, resolver)?)
-                    }
-                    AggExpr::Avg(e) => {
-                        CompiledAgg::Fold(AggKind::Avg, self.compile_expr(e, resolver)?)
-                    }
-                    AggExpr::Min(e) => {
-                        CompiledAgg::Fold(AggKind::Min, self.compile_expr(e, resolver)?)
-                    }
-                    AggExpr::Max(e) => {
-                        CompiledAgg::Fold(AggKind::Max, self.compile_expr(e, resolver)?)
-                    }
-                })
-            })
-            .collect()
+    ) -> Result<CompiledAggs, OlapError> {
+        let mut inputs: Vec<(Fold, &ScalarExpr)> = Vec::new();
+        let mut compiled = CompiledAggs {
+            lanes: Vec::new(),
+            reads: Vec::with_capacity(aggregates.len()),
+        };
+        for agg in aggregates {
+            let Some((fold, e)) = agg.lane() else {
+                compiled.reads.push(None);
+                continue;
+            };
+            let lane = match inputs.iter().position(|&(f, x)| f == fold && x.same_as(e)) {
+                Some(lane) => lane,
+                None => {
+                    compiled.lanes.push((fold, self.compile_expr(e, resolver)?));
+                    inputs.push((fold, e));
+                    inputs.len() - 1
+                }
+            };
+            compiled.reads.push(Some(lane));
+        }
+        Ok(compiled)
     }
 }
 
@@ -229,24 +232,39 @@ pub(crate) struct CompiledPredicate {
     pub literal: f64,
 }
 
-/// The fold kind of a compiled aggregate (decides which [`AggState`]
-/// fields the kernel updates — see `AggState::fold_sum` and friends).
-///
-/// [`AggState`]: crate::expr::AggState
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AggKind {
-    Sum,
-    Avg,
-    Min,
-    Max,
+/// A pipeline's aggregates bound to their lanes: what a group or a scalar
+/// morsel keeps is one `u64` row count plus one `f64` per lane.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledAggs {
+    /// Each lane's fold and compiled input, in first-use order.
+    pub lanes: Vec<(Fold, CompiledExpr)>,
+    /// The lane each aggregate reads; `None` for `COUNT(*)`.
+    pub reads: Vec<Option<usize>>,
 }
 
-/// A compiled aggregate: `COUNT(*)` or a kind-specialised fold over a
-/// compiled input.
-#[derive(Debug, Clone)]
-pub(crate) enum CompiledAgg {
-    Count,
-    Fold(AggKind, CompiledExpr),
+impl CompiledAggs {
+    /// The lanes' starting values, in lane order.
+    pub fn identities(&self) -> impl Iterator<Item = f64> + '_ {
+        self.lanes.iter().map(|(fold, _)| fold.identity())
+    }
+
+    /// Merge another partial's lanes into `into`, lane by lane, with the
+    /// lanes' own folds.
+    pub fn merge(&self, into: &mut [f64], other: &[f64]) {
+        for ((acc, &v), (fold, _)) in into.iter_mut().zip(other).zip(&self.lanes) {
+            *acc = fold.apply(*acc, v);
+        }
+    }
+
+    /// Finalise `aggregates` (the list these lanes were bound from) from a
+    /// row count and its lanes.
+    pub fn finalize(&self, aggregates: &[AggExpr], count: u64, lanes: &[f64]) -> Vec<f64> {
+        aggregates
+            .iter()
+            .zip(&self.reads)
+            .map(|(agg, read)| agg.finalize(count, read.map_or(0.0, |l| lanes[l])))
+            .collect()
+    }
 }
 
 /// A join key compiled to its affine form `constant + Σ coefficient·column`
@@ -621,6 +639,42 @@ mod tests {
         scratch.data.set_test_columns(
             vec![vec![10.0, 20.0, 30.0, 40.0], vec![0.1, 0.2, 0.0, 0.5]],
             vec![vec![1, 2, 3, 4]],
+        );
+    }
+
+    /// Q1's five aggregates bind one lane per distinct running value:
+    /// Σ`price` and Σ`discount`, each shared by a SUM and an AVG.
+    #[test]
+    fn aggregates_share_a_lane_per_fold_and_input() {
+        let (num, keys) = resolver_lists();
+        let resolver = ColumnResolver::new(&num, &keys);
+        let mut pool = ProgramPool::default();
+        let (p, d) = (ScalarExpr::col("price"), ScalarExpr::col("discount"));
+        let aggs = [
+            AggExpr::Sum(p.clone()),
+            AggExpr::Sum(d.clone()),
+            AggExpr::Avg(p.clone()),
+            AggExpr::Avg(d.clone()),
+            AggExpr::Count,
+        ];
+        let compiled = pool.compile_aggregates(&aggs, &resolver).unwrap();
+        assert_eq!(compiled.lanes.len(), 2);
+        assert_eq!(compiled.reads, [Some(0), Some(1), Some(0), Some(1), None]);
+        let finals = compiled.finalize(&aggs, 4, &[10.0, 2.0]);
+        assert_eq!(finals, [10.0, 2.0, 2.5, 0.5, 4.0]);
+        // MIN and MAX of one input are two lanes, and so are products by
+        // literals of different bits.
+        let aggs = [
+            AggExpr::Min(p.clone()),
+            AggExpr::Max(p.clone()),
+            AggExpr::Min(p.clone() * ScalarExpr::lit(0.0)),
+            AggExpr::Min(p * ScalarExpr::lit(-0.0)),
+        ];
+        let compiled = pool.compile_aggregates(&aggs, &resolver).unwrap();
+        assert_eq!(compiled.reads, [Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(
+            compiled.identities().collect::<Vec<_>>()[..2],
+            [f64::INFINITY, f64::NEG_INFINITY]
         );
     }
 

@@ -6,8 +6,9 @@
 //! so they agree on *what* to compute; everything about *how* is independent
 //! — the rows *and* the [`WorkProfile`] account. Scalar
 //! expressions are evaluated recursively per row (not vectorised per block),
-//! predicates are re-derived from [`CmpOp`] here, aggregation uses its own
-//! accumulator instead of [`crate::expr::AggState`], and join multiplicities
+//! predicates are re-derived from [`CmpOp`] here, aggregation keeps its own
+//! accumulator per aggregate instead of the engine's shared count and lanes
+//! ([`crate::expr::Fold`]), and join multiplicities
 //! live in ordered `BTreeMap` weight maps instead of the engine's
 //! open-addressing [`crate::hashtable::JoinTable`]. A row matched by a
 //! duplicate-key build side is folded once per matching build tuple —
@@ -124,7 +125,8 @@ fn passes(filters: &[Predicate], block: &Block, row: usize) -> bool {
     })
 }
 
-/// The oracle's aggregate accumulator — independent of [`crate::expr::AggState`].
+/// The oracle's aggregate accumulator — one per aggregate, independent of
+/// the engine's lanes ([`crate::expr::Fold`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct RefAcc {
     sum: f64,

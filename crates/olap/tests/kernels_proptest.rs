@@ -2,9 +2,8 @@
 //! NaN/±INF/±0.0 in filter comparisons and folds, `i64` keys at ±2^53 and
 //! `i64::MIN`/`i64::MAX`, selection vectors with ragged tails shorter than
 //! one chunk — every chunked kernel must agree **bit for bit** with its
-//! scalar twin. Aggregate states are compared through the finalized bits of
-//! every aggregate kind, so a NaN produced by both paths still compares
-//! equal while any bitwise divergence (including `-0.0` vs `0.0`) fails.
+//! scalar twin. Folds are compared through the bits of the running value,
+//! so any divergence (including `-0.0` vs `0.0` or a NaN's payload) fails.
 //!
 //! The join table rides along: its branch-free survivor compaction is held
 //! to its scalar twin the same way, for both kinds, and the table itself to
@@ -13,7 +12,7 @@
 //! So do computed join keys: their folded affine form, evaluated dense and
 //! behind a selection, is held to the expression tree evaluated in `i128`.
 
-use htap_olap::expr::{AggExpr, AggState, CmpOp, ScalarExpr};
+use htap_olap::expr::{CmpOp, Fold, ScalarExpr};
 use htap_olap::kernels;
 use htap_olap::{AffineKey, GroupTable, JoinTable, OlapError};
 use proptest::prelude::*;
@@ -227,17 +226,6 @@ fn tree_exact(e: &ScalarExpr, row: &[i64; 3]) -> Option<i128> {
     }
 }
 
-/// Every field of an aggregate state, as finalized bits.
-fn state_bits(s: &AggState) -> [u64; 5] {
-    [
-        s.finalize(&AggExpr::Sum(ScalarExpr::lit(0.0))).to_bits(),
-        s.finalize(&AggExpr::Avg(ScalarExpr::lit(0.0))).to_bits(),
-        s.finalize(&AggExpr::Min(ScalarExpr::lit(0.0))).to_bits(),
-        s.finalize(&AggExpr::Max(ScalarExpr::lit(0.0))).to_bits(),
-        s.finalize(&AggExpr::Count).to_bits(),
-    ]
-}
-
 proptest! {
     #[test]
     fn dense_f64_filter_matches_scalar(
@@ -325,42 +313,17 @@ proptest! {
         mask in prop::collection::vec(prop::bool::ANY, 0..35),
     ) {
         let sel = selection(&mask, vals.len());
-        macro_rules! check_fold {
-            ($dense:ident, $dense_scalar:ident, $gather:ident, $gather_scalar:ident) => {{
-                let (mut a, mut b) = (AggState::default(), AggState::default());
-                kernels::$dense(&mut a, &vals);
-                kernels::$dense_scalar(&mut b, &vals);
-                prop_assert_eq!(state_bits(&a), state_bits(&b));
-                let (mut a, mut b) = (AggState::default(), AggState::default());
-                kernels::$gather(&mut a, &vals, &sel);
-                kernels::$gather_scalar(&mut b, &vals, &sel);
-                prop_assert_eq!(state_bits(&a), state_bits(&b));
-            }};
+        let all: Vec<u32> = (0..vals.len() as u32).collect();
+        for fold in [Fold::Add, Fold::Min, Fold::Max] {
+            let (mut a, mut b) = (fold.identity(), fold.identity());
+            kernels::fold_dense(fold, &mut a, &vals);
+            kernels::fold_gather_scalar(fold, &mut b, &vals, &all);
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?} dense", fold);
+            let (mut a, mut b) = (fold.identity(), fold.identity());
+            kernels::fold_gather(fold, &mut a, &vals, &sel);
+            kernels::fold_gather_scalar(fold, &mut b, &vals, &sel);
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?} gather", fold);
         }
-        check_fold!(
-            fold_sum_dense,
-            fold_sum_dense_scalar,
-            fold_sum_gather,
-            fold_sum_gather_scalar
-        );
-        check_fold!(
-            fold_avg_dense,
-            fold_avg_dense_scalar,
-            fold_avg_gather,
-            fold_avg_gather_scalar
-        );
-        check_fold!(
-            fold_min_dense,
-            fold_min_dense_scalar,
-            fold_min_gather,
-            fold_min_gather_scalar
-        );
-        check_fold!(
-            fold_max_dense,
-            fold_max_dense_scalar,
-            fold_max_gather,
-            fold_max_gather_scalar
-        );
     }
 
     /// The prehashed group-table entry points (fed by the batch-hash
@@ -373,9 +336,9 @@ proptest! {
         let mut hashes = Vec::new();
         kernels::hash1_dense(&keys, &mut hashes);
         let mut plain = GroupTable::default();
-        plain.configure(1, 1);
+        plain.configure(1, [0.0]);
         let mut pre = GroupTable::default();
-        pre.configure(1, 1);
+        pre.configure(1, [0.0]);
         for (i, &k) in keys.iter().enumerate() {
             prop_assert_eq!(plain.upsert1(k), pre.upsert1_prehashed(hashes[i], k));
         }

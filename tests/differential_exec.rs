@@ -635,6 +635,8 @@ fn duplicate_build_keys_join_preserves_multiplicities() {
 
 /// N:M regression, grouped: duplicate build keys flow through the weighted
 /// group-and-fold path (COUNT += weight, SUM += value * weight), per group.
+/// SUM(`f_a`) and AVG(`f_a`) share one weighted lane, which MIN(`f_a`) and
+/// MAX(`f_b`) fold once per row beside.
 #[test]
 fn duplicate_build_keys_group_by_agrees_with_oracle() {
     let dataset = Dataset::build();
@@ -644,6 +646,8 @@ fn duplicate_build_keys_group_by_agrees_with_oracle() {
         AggExpr::Sum(col("f_a") * col("f_b")),
         AggExpr::Avg(col("f_a")),
         AggExpr::Max(col("f_b")),
+        AggExpr::Sum(col("f_a")),
+        AggExpr::Min(col("f_a")),
     ];
     let mid = ("mid", "m_far", vec![]);
     let group_by = keys(&["f_g", "f_h"]);
@@ -1294,12 +1298,14 @@ fn join_builds_at_the_edges_of_the_direct_kind_agree() {
 
 /// A grouping whose group column takes disjoint spans morsel by morsel:
 /// `seq(s_id, s_grp, s_v)` has `s_grp = 2·(s_id / 10) − 200`, ten even keys
-/// per 100-row morsel. Unfiltered, every morsel seats the 19 keys of its
-/// span (span × 3 aggregates ≤ rows), nine of which get no row and must not
-/// be emitted; `s_id ≥ 250` empties the first two morsels' selection and
-/// halves the third's; `s_v < 20` leaves about 20 rows a morsel, so most
-/// morsels hash and a few seat — mixed kinds in one merge. Every case at
-/// 1/2/4/8 workers against the oracle.
+/// per 100-row morsel. The five aggregates fold one count and three lanes
+/// (SUM and AVG share theirs), so a morsel seats the 19 keys of its span
+/// when at least 19 × 4 = 76 of its rows are selected. Unfiltered, every
+/// morsel seats, and nine of its keys get no row and must not be emitted;
+/// `s_id ≥ 250` empties the first two morsels' selection and halves the
+/// third's; `s_v < 80` leaves about 80 rows a morsel, so most morsels seat
+/// and some hash — mixed kinds in one merge; `s_v < 20` leaves about 20, so
+/// every morsel hashes. Every case at 1/2/4/8 workers against the oracle.
 #[test]
 fn group_keys_with_disjoint_morsel_spans_agree() {
     let schema = TableSchema::new(
@@ -1334,6 +1340,7 @@ fn group_keys_with_disjoint_morsel_spans_agree() {
             "empty morsels",
             vec![Predicate::new("s_id", CmpOp::Ge, 250.0)],
         ),
+        ("mixed", vec![Predicate::new("s_v", CmpOp::Lt, 80.0)]),
         ("sparse", vec![Predicate::new("s_v", CmpOp::Lt, 20.0)]),
     ] {
         let mut b = DagBuilder::default();
@@ -1343,13 +1350,15 @@ fn group_keys_with_disjoint_morsel_spans_agree() {
             AggExpr::Count,
             AggExpr::Sum(col("s_v")),
             AggExpr::Min(col("s_v")),
+            AggExpr::Avg(col("s_v")),
+            AggExpr::Max(col("s_v")),
         ];
         b.aggregate(at, keys(&["s_grp"]), aggregates);
         let plan = b.finish().unwrap();
         let out = assert_workers_match_oracle(&plan, &sources, 100, name);
         let groups = out.result.groups().unwrap();
         let expected = match name {
-            "unfiltered" => 200..=200,
+            "unfiltered" | "mixed" => 200..=200,
             "empty morsels" => 175..=175,
             _ => 150..=199,
         };
