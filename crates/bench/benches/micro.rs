@@ -4,7 +4,8 @@
 //! copy), the lock table, the transaction path (the four CH transaction
 //! bodies and their 45/43/6/6 stream), the durability window (checkpoint
 //! write and checkpoint restore, on an in-memory medium), CH
-//! query execution and the bandwidth/cost models.
+//! query execution, the hand-off of a pipeline to the worker team and the
+//! bandwidth/cost models.
 //!
 //! Run with `cargo bench -p htap-bench`. The harness uses small sample sizes
 //! so a full run stays in the minutes range on a laptop-class host.
@@ -344,6 +345,23 @@ fn parallel_scan_scaling(c: &mut Criterion) {
     }
 }
 
+/// The fixed cost of handing one pipeline to a team: post, run and wait,
+/// over one tiny morsel of work per worker (a 64-value sum). One worker
+/// runs inline on the calling thread; with two, the caller runs worker 0
+/// and the long-lived helper of core 1 runs worker 1.
+fn team_dispatch(c: &mut Criterion) {
+    use htap_olap::WorkerTeam;
+    use htap_sim::CoreId;
+
+    let morsel: Vec<u64> = (0..64).collect();
+    for workers in [1u16, 2] {
+        let team = WorkerTeam::from_cores((0..workers).map(CoreId).collect());
+        c.bench_function(&format!("olap/team_dispatch_{workers}"), |b| {
+            b.iter(|| black_box(team.run(|w| black_box(&morsel).iter().sum::<u64>() + w as u64)))
+        });
+    }
+}
+
 /// The six queries of `htap_bench::exec_trajectory` (a synthetic
 /// orderline-like fact table with two dimensions) through the vectorized
 /// engine on the inline solo worker — the interactive per-plan view; the
@@ -597,7 +615,7 @@ criterion_group! {
     config = configured();
     targets = column_scan, cuckoo_index, twin_switch_sync, etl_insert_range, lock_table,
               transactions, durability_window,
-              ch_query_execution, parallel_scan_scaling,
+              ch_query_execution, parallel_scan_scaling, team_dispatch,
               vectorized_shapes, join_and_group_kernels, join_build_tables, join_build_computed_key,
               etl_delta_copy,
               cost_models

@@ -169,8 +169,10 @@ impl OlapEngine {
     /// Execution is morsel-driven and parallel: the worker team — one
     /// pipeline worker per core the RDE engine has granted — claims morsels
     /// of the scan, so elastic grants change the measured wall-clock time of
-    /// the query, not just the modelled one. With no cores granted the query
-    /// still runs, on a single unpinned worker.
+    /// the query, not just the modelled one. The calling thread runs worker
+    /// 0 and the helper threads of the other granted cores run the rest (see
+    /// [`WorkerTeam::run`]); with one core granted, or none, the query runs
+    /// wholly on the calling thread.
     pub fn run_query(
         &self,
         plan: &QueryPlan,

@@ -341,16 +341,18 @@ struct LaneRollup {
 
 /// The morsel-claim loop: the team's workers (the caller caps the team at one
 /// per morsel) claim morsels from a shared atomic cursor (dynamic load
-/// balancing); each worker builds its scratch and output once via `make` and
-/// reuses them for every morsel it claims; `step` processes one claimed
-/// morsel. Per-worker outputs are returned in worker order.
+/// balancing), except that worker 0 — the posting thread — starts with
+/// morsel 0, which no other worker claims; each worker builds its scratch
+/// and output once via `make` and reuses them for every morsel it claims;
+/// `step` processes one claimed morsel. Per-worker outputs are returned in
+/// worker order.
 ///
 /// When tracing is enabled (checked once per pipeline, never per morsel),
 /// each claimed morsel records one [`EventKind::Morsel`] interval into the
 /// claiming worker's event ring — timestamps are taken around the whole
 /// `step`, outside the kernel loops — and the loop publishes an
 /// `olap.pipeline` span — carrying `span_arg`, if any — with per-worker
-/// rollup children.
+/// rollup children (each says whether its worker ran pinned to its core).
 fn claim_morsels<S, O, M, F>(
     team: &WorkerTeam,
     morsels: &[Morsel],
@@ -376,14 +378,17 @@ where
     } else {
         Vec::new()
     };
-    let cursor = AtomicUsize::new(0);
+    // Morsel 0 is worker 0's: the posting thread always has work, however
+    // late the helpers wake.
+    let cursor = AtomicUsize::new(1);
     let results = team.run(|w| {
         let (mut scratch, mut out) = make();
-        loop {
-            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-            if idx >= morsels.len() {
-                break;
-            }
+        let mut idx = if w == 0 {
+            0
+        } else {
+            cursor.fetch_add(1, Ordering::Relaxed)
+        };
+        while idx < morsels.len() {
             if on {
                 let t0 = htap_obs::now_us();
                 step(idx, &morsels[idx], &mut scratch, &mut out);
@@ -405,6 +410,7 @@ where
             } else {
                 step(idx, &morsels[idx], &mut scratch, &mut out);
             }
+            idx = cursor.fetch_add(1, Ordering::Relaxed);
         }
         out
     });
@@ -428,6 +434,7 @@ where
                     ("worker", w as f64),
                     ("morsels", claimed as f64),
                     ("busy_us", lane.busy_us.load(Ordering::Relaxed) as f64),
+                    ("pinned", f64::from(u8::from(team.pinned(w)))),
                 ],
             );
         }

@@ -97,10 +97,14 @@ pub(super) fn probe_chain<'s>(
     let mut ran = false;
     for &(ref key, table) in &pipe.probes {
         let track = weighted || !table.unique();
-        // Swap so the current survivors sit in `sel_b`/`w_b` and this hop
-        // writes fresh output into `sel_a`/`w_a`.
-        std::mem::swap(&mut bufs.sel_a, &mut bufs.sel_b);
-        std::mem::swap(&mut bufs.w_a, &mut bufs.w_b);
+        // After the first hop, swap so the current survivors sit in
+        // `sel_b`/`w_b` and this hop writes fresh output into `sel_a`/`w_a`
+        // (the first hop always writes `sel_a`/`w_a`: a one-hop chain never
+        // grows the second pair).
+        if ran {
+            std::mem::swap(&mut bufs.sel_a, &mut bufs.sel_b);
+            std::mem::swap(&mut bufs.w_a, &mut bufs.w_b);
+        }
         let src: Option<&[u32]> = if ran { Some(&bufs.sel_b) } else { sel };
         let src_w: Option<&[u64]> = weighted.then_some(bufs.w_b.as_slice());
         let (out, out_w) = (&mut bufs.sel_a, &mut bufs.w_a);

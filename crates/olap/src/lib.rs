@@ -54,8 +54,10 @@
 //!   per worker and summed, that the cost model converts into modelled time.
 //! * [`error`] — the typed [`OlapError`] every fallible query-path step
 //!   reports.
-//! * [`worker`], [`engine`] — the pipeline [`worker::WorkerTeam`] (sized and
-//!   pinned by the core list the RDE engine granted) and the engine facade,
+//! * [`worker`], [`engine`] — the pipeline [`worker::WorkerTeam`] (sized by
+//!   the core list the RDE engine granted: the posting thread runs worker 0,
+//!   and long-lived helper threads, one per core id and pinned to it, run
+//!   the rest) and the engine facade,
 //!   which holds that grant and the engine-local OLAP storage instance that
 //!   ETL fills.
 //!

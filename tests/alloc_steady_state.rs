@@ -18,27 +18,39 @@
 //! kinds: keys a stride of [`WIDE`] apart run hashed tables, keys 1 apart
 //! direct join tables and seated group ids.
 //!
+//! Each differential runs on two teams: the inline solo worker, and two
+//! pooled workers — the calling thread as worker 0 and one long-lived helper
+//! thread, which a warm-up run starts, so the measured runs start no thread.
+//! The differential counts the calling thread's allocations
+//! ([`own_allocations`]). A helper's count depends on timing: one that wakes
+//! before worker 0 has drained the cursor claims morsels and grows its own
+//! scratch once (about twenty allocations), one that wakes later claims none —
+//! a per-pipeline constant, but one that can land in either run of a pair.
+//! The helper runs the same morsel loop as worker 0, so a per-morsel
+//! allocation shows on the calling thread, and what the hand-off itself
+//! allocates on every thread is pinned by
+//! `pooled_hand_off_allocates_a_constant_and_starts_no_thread`.
+//!
 //! This file is its own integration-test binary so the counting global
-//! allocator cannot interfere with other tests, and the measured queries run
-//! on the inline solo worker so no thread-spawn allocations pollute the
-//! count. The counter is process-global (it must see worker threads too),
-//! and the test harness runs this file's tests on parallel threads — so
-//! every test does all of its work, set-up included, inside one
-//! measurement window at a time ([`window`]). The harness's own thread is
-//! outside the window: when a sibling test ends it records the result, and
-//! that can land in a measurement — so a count is the fewest of three
-//! identical runs ([`fewest_allocations`]); the code under test allocates
-//! the same on each, the harness only ever adds.
+//! allocator cannot interfere with other tests. The process-wide counter
+//! sees the helper threads too, and the test harness runs this file's tests
+//! on parallel threads — so every test does all of its work, set-up
+//! included, inside one measurement window at a time ([`window`]). The
+//! harness's own thread is outside the window: when a sibling test ends it
+//! records the result, and that can land in a measurement — so a count is
+//! the fewest of three identical runs ([`fewest_allocations`]); the code
+//! under test allocates the same on each, the harness only ever adds.
 
 use adaptive_htap::olap::{
     AggExpr, CmpOp, DagBuilder, JoinTable, Predicate, QueryExecutor, QueryPlan, ScalarExpr,
-    ScanSource,
+    ScanSource, WorkerTeam,
 };
-use adaptive_htap::sim::SocketId;
+use adaptive_htap::sim::{CoreId, SocketId};
 use adaptive_htap::storage::{
     ColumnDef, ColumnarTable, DataType, TableSchema, TableSnapshot, Value,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -48,6 +60,18 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations of the current thread (no lazy initialisation and no
+    /// destructor, so the allocator may touch it).
+    static OWN_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation, process-wide and on the current thread.
+fn count() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = OWN_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 // SAFETY: pure pass-through to the system allocator — every call forwards its
 // arguments unchanged, so `System`'s own GlobalAlloc contract carries over; the
 // only added behaviour is a relaxed atomic counter bump, which cannot allocate.
@@ -55,7 +79,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: `layout` is forwarded verbatim; the returned pointer is whatever
     // `System.alloc` hands back, with its validity guarantees intact.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -71,7 +95,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same pass-through argument as `alloc`; the counter bump does
     // not touch the allocation being resized.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: caller upholds GlobalAlloc's realloc contract for
         // `ptr`/`layout`/`new_size`; all three forward unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -83,6 +107,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// The allocations `run` makes on the calling thread.
+fn own_allocations(run: impl FnOnce()) -> u64 {
+    let before = OWN_ALLOCATIONS.with(Cell::get);
+    run();
+    OWN_ALLOCATIONS.with(Cell::get) - before
 }
 
 /// The fewest allocations of three runs of `run` (see the module
@@ -203,17 +234,35 @@ fn window() -> MutexGuard<'static, ()> {
 
 type Sources = BTreeMap<String, ScanSource>;
 
-/// Allocations of one solo execution of `plan` over 16 and over 64 morsels
-/// of 1024 rows (`sources(rows)` builds the access paths).
-fn allocs_at_16_and_64_morsels(plan: &QueryPlan, sources: fn(u64) -> Sources) -> (u64, u64) {
+/// The teams every morsel-loop differential runs on: the inline solo
+/// worker, and two pooled workers (the caller and the helper of core 1).
+fn teams() -> [(&'static str, WorkerTeam); 2] {
+    [
+        ("the solo worker", WorkerTeam::solo()),
+        (
+            "2 pooled workers",
+            WorkerTeam::from_cores(vec![CoreId(0), CoreId(1)]),
+        ),
+    ]
+}
+
+/// The calling thread's allocations in one execution of `plan` by `team`
+/// over 16 and over 64 morsels of 1024 rows (`sources(rows)` builds the
+/// access paths).
+fn allocs_at_16_and_64_morsels(
+    plan: &QueryPlan,
+    sources: fn(u64) -> Sources,
+    team: &WorkerTeam,
+) -> (u64, u64) {
     let executor = QueryExecutor::with_block_rows(1024);
     let measure = |morsels: u64| {
         let sources = sources(morsels * 1024);
         // One throwaway run so lazily-initialised process state (thread-local
-        // formatting buffers and the like) cannot skew the measurement.
-        executor.execute(plan, &sources).unwrap();
-        fewest_allocations(|| {
-            executor.execute(plan, &sources).unwrap();
+        // formatting buffers, a helper thread and the like) cannot skew the
+        // measurement.
+        executor.execute_parallel(plan, &sources, team).unwrap();
+        own_allocations(|| {
+            executor.execute_parallel(plan, &sources, team).unwrap();
         })
     };
     (measure(16), measure(64))
@@ -258,13 +307,15 @@ fn scalar_aggregate_morsel_loop_does_not_allocate() {
             AggExpr::Count,
         ],
     );
-    let (small, large) = allocs_at_16_and_64_morsels(&plan, orderline_sources);
-    let delta = large.saturating_sub(small);
-    assert!(
-        delta <= 16,
-        "48 extra morsels must not allocate per morsel: {small} allocs at 16 morsels, \
-         {large} at 64 (delta {delta})"
-    );
+    for (on, team) in teams() {
+        let (small, large) = allocs_at_16_and_64_morsels(&plan, orderline_sources, &team);
+        let delta = large.saturating_sub(small);
+        assert!(
+            delta <= 16,
+            "48 extra morsels must not allocate per morsel on {on}: {small} allocs at 16 \
+             morsels, {large} at 64 (delta {delta})"
+        );
+    }
 }
 
 /// The Q1 plan (scan → filter → group-by): group partials are real output
@@ -282,16 +333,18 @@ fn group_by_morsel_loop_allocations_stay_amortised() {
             Some(group_by),
             vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
         );
-        let (small, large) = allocs_at_16_and_64_morsels(&plan, orderline_sources);
-        let delta = large.saturating_sub(small);
-        // 48 extra morsels x 70 groups each would be ~3400 allocations with a
-        // map per morsel; the arena path needs a few amortised doublings plus
-        // the final merge's per-group keys.
-        assert!(
-            delta <= 256,
-            "group-by {group_by:?} arenas must amortise: {small} allocs at 16 morsels, \
-             {large} at 64 (delta {delta})"
-        );
+        for (on, team) in teams() {
+            let (small, large) = allocs_at_16_and_64_morsels(&plan, orderline_sources, &team);
+            let delta = large.saturating_sub(small);
+            // 48 extra morsels x 70 groups each would be ~3400 allocations
+            // with a map per morsel; the arena path needs a few amortised
+            // doublings plus the final merge's per-group keys.
+            assert!(
+                delta <= 256,
+                "group-by {group_by:?} arenas must amortise on {on}: {small} allocs at 16 \
+                 morsels, {large} at 64 (delta {delta})"
+            );
+        }
     }
 }
 
@@ -333,13 +386,15 @@ fn weighted_probe_morsel_loop_does_not_allocate() {
             (&by_quantity, 256, "weighted join group-by ol_quantity"),
             (&by_item, 256, "weighted join group-by ol_i_id"),
         ] {
-            let (small, large) = allocs_at_16_and_64_morsels(plan, sources);
-            let delta = large.saturating_sub(small);
-            assert!(
-                delta <= budget,
-                "{what}, {build} build: 48 extra morsels must not allocate per morsel: \
-                 {small} allocs at 16 morsels, {large} at 64 (delta {delta})"
-            );
+            for (on, team) in teams() {
+                let (small, large) = allocs_at_16_and_64_morsels(plan, sources, &team);
+                let delta = large.saturating_sub(small);
+                assert!(
+                    delta <= budget,
+                    "{what}, {build} build, on {on}: 48 extra morsels must not allocate per \
+                     morsel: {small} allocs at 16 morsels, {large} at 64 (delta {delta})"
+                );
+            }
         }
     }
 }
@@ -383,10 +438,34 @@ fn primary_key_build_allocates_its_table_once() {
     }
 }
 
+/// A pooled team's hand-off allocates a constant per run, counted on every
+/// thread: posting a worker to a helper allocates nothing, and a warmed team
+/// starts no thread (a thread start allocates its handle, its result packet
+/// and its closure). Three allocations at any team size — the result
+/// vector, the helpers' result slots and the list of tickets to wait for —
+/// and one for a single-core team, which runs inline.
+#[test]
+fn pooled_hand_off_allocates_a_constant_and_starts_no_thread() {
+    let _window = window();
+    for (workers, budget) in [(1u16, 1u64), (2, 3), (4, 3)] {
+        let team = WorkerTeam::from_cores((0..workers).map(CoreId).collect());
+        // The first run starts the team's helpers.
+        assert_eq!(team.run(|w| w).len(), usize::from(workers));
+        let allocs = fewest_allocations(|| {
+            team.run(|w| w);
+        });
+        assert!(
+            allocs <= budget,
+            "a warmed {workers}-worker team's run made {allocs} allocations, over {budget}"
+        );
+    }
+}
+
 /// The merge of per-worker build tables adopts the largest and reserves room
 /// for the rest once, so the union never regrows: at most one allocation for
 /// two disjoint partials, and for four (a union into a table grown to its
-/// own keys would double twice).
+/// own keys would double twice). The merge runs on the calling thread, so
+/// only its allocations count.
 #[test]
 fn join_table_merge_allocates_at_most_once() {
     let _window = window();
@@ -404,9 +483,8 @@ fn join_table_merge_allocates_at_most_once() {
     };
     for sizes in [&[60_000, 40_000][..], &[30_000; 4][..]] {
         let tables = partials(sizes);
-        let before = allocations();
-        let merged = JoinTable::merge(tables);
-        let allocs = allocations() - before;
+        let mut merged = JoinTable::new();
+        let allocs = own_allocations(|| merged = JoinTable::merge(tables));
         let keys: i64 = sizes.iter().sum();
         assert_eq!(merged.len() as i64, keys);
         assert!((0..keys).all(|k| merged.weight(k * 31) == 1));
@@ -421,9 +499,8 @@ fn join_table_merge_allocates_at_most_once() {
             table
         })
         .collect();
-    let before = allocations();
-    let merged = JoinTable::merge(direct);
-    let allocs = allocations() - before;
+    let mut merged = JoinTable::new();
+    let allocs = own_allocations(|| merged = JoinTable::merge(direct));
     assert!(merged.is_direct() && merged.len() == 100_000 && merged.unique());
     assert!(
         allocs <= 1,
@@ -461,13 +538,15 @@ fn unique_key_probe_morsel_loop_does_not_allocate() {
             (&by_quantity, 256, "unique-key join group-by ol_quantity"),
             (&by_item, 256, "unique-key join group-by ol_i_id"),
         ] {
-            let (small, large) = allocs_at_16_and_64_morsels(plan, sources);
-            let delta = large.saturating_sub(small);
-            assert!(
-                delta <= budget,
-                "{what} on {key}: 48 extra morsels must not allocate per morsel: {small} \
-                 allocs at 16 morsels, {large} at 64 (delta {delta})"
-            );
+            for (on, team) in teams() {
+                let (small, large) = allocs_at_16_and_64_morsels(plan, sources, &team);
+                let delta = large.saturating_sub(small);
+                assert!(
+                    delta <= budget,
+                    "{what} on {key}, on {on}: 48 extra morsels must not allocate per \
+                     morsel: {small} allocs at 16 morsels, {large} at 64 (delta {delta})"
+                );
+            }
         }
     }
 }

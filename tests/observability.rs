@@ -90,6 +90,22 @@ fn a_real_run_populates_spans_events_decisions_and_metrics() {
             "span {name} missing from the run's span log"
         );
     }
+    // Every worker rollup says whether its worker ran pinned to its core;
+    // worker 0 runs on the posting thread, which the team does not pin.
+    let mut workers = Vec::new();
+    all_spans(&spans, "worker", &mut workers);
+    for worker in &workers {
+        let arg = |key: &str| worker.args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+        let pinned = arg("pinned");
+        assert!(
+            matches!(pinned, Some(p) if p == 0.0 || p == 1.0),
+            "worker span carries no 0/1 pinned arg: {:?}",
+            worker.args
+        );
+        if arg("worker") == Some(0.0) {
+            assert_eq!(pinned, Some(0.0), "worker 0 reported itself pinned");
+        }
+    }
     let exec = find_span(&spans, "query.execute").unwrap();
     assert!(
         exec.args.iter().any(|(k, _)| *k == "freshness"),
