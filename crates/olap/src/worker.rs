@@ -61,7 +61,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One worker's share of a posted pipeline: the team's task and the worker
 /// index to call it with. Posting one allocates nothing.
-#[derive(Clone, Copy)]
 struct Job {
     task: &'static (dyn Fn(usize) + Sync),
     worker: usize,
@@ -85,7 +84,7 @@ struct Slot {
 struct Helper {
     slot: Mutex<Slot>,
     /// Signalled when a job lands in the slot; the helper sleeps on it.
-    posted: Condvar,
+    arrived: Condvar,
     /// Signalled when the slot empties or a job returns; posting threads
     /// sleep on it.
     freed: Condvar,
@@ -105,7 +104,7 @@ impl Helper {
         slot.posted += 1;
         let ticket = slot.posted;
         drop(slot);
-        self.posted.notify_one();
+        self.arrived.notify_one();
         ticket
     }
 
@@ -137,7 +136,7 @@ impl Helper {
         loop {
             let Some(job) = slot.job.take() else {
                 slot = self
-                    .posted
+                    .arrived
                     .wait(slot)
                     .unwrap_or_else(PoisonError::into_inner);
                 continue;
