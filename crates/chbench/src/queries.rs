@@ -13,9 +13,12 @@
 //! integer/float only (Q19's `LIKE` is dropped exactly as in the paper; Q3's
 //! `c_state LIKE` becomes a balance predicate, Q14's `i_data LIKE 'PR%'`
 //! becomes an `i_im_id` range through the catalog's LIKE rewrite). Composite
-//! TPC-C join keys are joined through their integer encoding (see
-//! [`crate::schema::keys`]): e.g. `orderline` matches `orders` via
-//! `(ol_w_id·100 + ol_d_id)·10^7 + ol_o_id = o_key`.
+//! TPC-C keys are joined on their column tuples, as the CH-benCHmark text
+//! joins them: `orderline` matches `orders` on `ol_w_id = o_w_id AND
+//! ol_d_id = o_d_id AND ol_o_id = o_id`, which the engine folds into one
+//! exact key over the columns' value bounds. The encoded key columns of
+//! [`crate::schema::keys`] (`o_key`, `c_key`...) serve the OLTP indexes
+//! only.
 
 use crate::transactions::DELIVERY_DATE_BASE;
 use htap_olap::QueryPlan;
@@ -80,15 +83,15 @@ impl QueryId {
             // the balance predicate's selectivity drifts as the
             // transactional mix runs.
             QueryId::Q3 => "SELECT SUM(ol_amount), COUNT(*) FROM orderline \
-                 JOIN orders ON (ol_w_id * 100 + ol_d_id) * 10000000 + ol_o_id = o_key \
-                 JOIN customer ON (o_w_id * 100 + o_d_id) * 100000 + o_c_id = c_key \
+                 JOIN orders ON ol_w_id = o_w_id AND ol_d_id = o_d_id AND ol_o_id = o_id \
+                 JOIN customer ON o_w_id = c_w_id AND o_d_id = c_d_id AND o_c_id = c_id \
                  WHERE ol_delivery_d >= 0 AND o_entry_d >= 0 AND c_balance < 0"
                 .into(),
             // Order-priority checking, adapted: count orders against their
             // significant (`ol_amount ≥ 500`) order lines, grouped by
             // `o_ol_cnt`, keeping the five most frequent line counts.
             QueryId::Q4 => "SELECT o_ol_cnt, COUNT(*) FROM orders \
-                 JOIN orderline ON o_key = (ol_w_id * 100 + ol_d_id) * 10000000 + ol_o_id \
+                 JOIN orderline ON o_w_id = ol_w_id AND o_d_id = ol_d_id AND o_id = ol_o_id \
                  WHERE o_entry_d >= 0 AND ol_amount >= 500 \
                  GROUP BY o_ol_cnt ORDER BY COUNT(*) DESC LIMIT 5"
                 .into(),
@@ -106,7 +109,7 @@ impl QueryId {
             // histogram is empty until deliveries run and grows with them.
             QueryId::Q12 => format!(
                 "SELECT o_carrier_id, COUNT(*), SUM(o_ol_cnt) FROM orders \
-                 JOIN orderline ON o_key = (ol_w_id * 100 + ol_d_id) * 10000000 + ol_o_id \
+                 JOIN orderline ON o_w_id = ol_w_id AND o_d_id = ol_d_id AND o_id = ol_o_id \
                  WHERE ol_delivery_d >= {DELIVERY_DATE_BASE} \
                  GROUP BY o_carrier_id ORDER BY o_carrier_id"
             ),
@@ -159,7 +162,7 @@ pub fn query_mix_wide() -> Vec<QueryId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_olap::{CmpOp, DagOp, Predicate};
+    use htap_olap::{CmpOp, DagOp, Predicate, ScalarExpr};
 
     fn plan(q: QueryId) -> QueryPlan {
         q.plan()
@@ -194,15 +197,38 @@ mod tests {
         assert_eq!(plan.label(), "scan(orderline)→filter→probe×2→aggregate");
         assert_eq!(plan.tables(), vec!["orderline", "orders", "customer"]);
         let cols = plan.accessed_columns();
-        // The fact side reads the key-encoding columns of the composite join.
-        for c in ["ol_w_id", "ol_d_id", "ol_o_id", "ol_amount"] {
-            assert!(cols["orderline"].contains(&c.to_string()), "missing {c}");
-        }
-        for c in ["o_key", "o_w_id", "o_d_id", "o_c_id"] {
-            assert!(cols["orders"].contains(&c.to_string()), "missing {c}");
-        }
-        assert!(cols["customer"].contains(&"c_balance".to_string()));
-        assert!(cols["customer"].contains(&"c_key".to_string()));
+        // Each hop joins on the column tuple; no encoded key column is read.
+        assert_eq!(
+            cols["orderline"],
+            [
+                "ol_amount",
+                "ol_d_id",
+                "ol_delivery_d",
+                "ol_o_id",
+                "ol_w_id"
+            ]
+        );
+        assert_eq!(
+            cols["orders"],
+            ["o_c_id", "o_d_id", "o_entry_d", "o_id", "o_w_id"]
+        );
+        assert_eq!(cols["customer"], ["c_balance", "c_d_id", "c_id", "c_w_id"]);
+        let builds: Vec<&Vec<ScalarExpr>> = plan
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                DagOp::HashBuild { keys, .. } => Some(keys),
+                _ => None,
+            })
+            .collect();
+        let tuple = |cols: [&str; 3]| cols.map(ScalarExpr::col).to_vec();
+        assert_eq!(
+            builds,
+            [
+                &tuple(["c_w_id", "c_d_id", "c_id"]),
+                &tuple(["o_w_id", "o_d_id", "o_id"])
+            ]
+        );
     }
 
     #[test]
@@ -219,6 +245,15 @@ mod tests {
             if group_by.as_deref() == Some(&["o_ol_cnt".to_string()]))
         );
         assert!(matches!(&ops[ops.len() - 1], DagOp::Limit { rows: 5, .. }));
+        let cols = plan.accessed_columns();
+        assert_eq!(
+            cols["orders"],
+            ["o_d_id", "o_entry_d", "o_id", "o_ol_cnt", "o_w_id"]
+        );
+        assert_eq!(
+            cols["orderline"],
+            ["ol_amount", "ol_d_id", "ol_o_id", "ol_w_id"]
+        );
     }
 
     #[test]

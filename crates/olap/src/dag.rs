@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`DagOp::Scan`] | morsel source over one relation | no (pipeline head) |
 //! | [`DagOp::Filter`] | conjunctive predicates → selection vector | no |
-//! | [`DagOp::HashBuild`] | key → multiplicity table ([`crate::hashtable::JoinTable`]) | yes (sink) |
+//! | [`DagOp::HashBuild`] | key (or key tuple) → multiplicity table ([`crate::hashtable::JoinTable`]) | yes (sink) |
 //! | [`DagOp::HashProbe`] | true inner join: weight-preserving probe | no |
 //! | [`DagOp::HashAggregate`] | scalar or grouped fold | yes (sink) |
 //! | [`DagOp::Having`] | predicate over finalised rows | no (post-sink) |
@@ -83,12 +83,14 @@ pub enum DagOp {
         /// Predicates, all of which a row must pass.
         predicates: Vec<Predicate>,
     },
-    /// Build the multiplicity-preserving join table over `key`.
+    /// Build the multiplicity-preserving join table over `keys`.
     HashBuild {
         /// Upstream operator.
         input: usize,
-        /// Join-key expression over the build rows.
-        key: ScalarExpr,
+        /// The join key over the build rows: one expression, or a tuple of
+        /// two or more plain integer columns matched element by element
+        /// (the conjunction of one equality per element).
+        keys: Vec<ScalarExpr>,
     },
     /// Probe a [`DagOp::HashBuild`]: a true inner join — each surviving row
     /// carries the build key's multiplicity, so duplicate build keys
@@ -98,8 +100,9 @@ pub enum DagOp {
         input: usize,
         /// The `HashBuild` op probed.
         build: usize,
-        /// Join-key expression over the probe rows.
-        key: ScalarExpr,
+        /// The join key over the probe rows, element for element against
+        /// the build's `keys`.
+        keys: Vec<ScalarExpr>,
     },
     /// The aggregation sink: scalar (`group_by: None`) or grouped.
     HashAggregate {
@@ -172,11 +175,11 @@ impl PartialEq for QueryPlan {
 // The decomposed, executable form.
 // ---------------------------------------------------------------------------
 
-/// One probe stage of a pipeline: key expression plus the index of the
+/// One probe stage of a pipeline: key (tuple) plus the index of the
 /// [`BuildSpec`] it probes (into [`DagSpec::builds`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ProbeSpec {
-    pub key: ScalarExpr,
+    pub keys: Vec<ScalarExpr>,
     pub build: usize,
 }
 
@@ -195,7 +198,7 @@ pub(crate) struct PipelineSpec {
 #[derive(Debug, Clone)]
 pub(crate) struct BuildSpec {
     pub input: PipelineSpec,
-    pub key: ScalarExpr,
+    pub keys: Vec<ScalarExpr>,
     /// Whether the *root* pipeline probes this build — those builds are
     /// charged to `build_bytes`/`hash_table_bytes`, deeper ones to the
     /// `far_*` fields.
@@ -373,25 +376,32 @@ fn walk_pipeline(
                 filters.extend(predicates.iter().cloned());
                 at = *input;
             }
-            DagOp::HashProbe { input, build, key } => {
+            DagOp::HashProbe { input, build, keys } => {
                 let DagOp::HashBuild {
                     input: build_input,
-                    key: build_key,
+                    keys: build_keys,
                 } = &ops[*build]
                 else {
                     return Err(invalid(format!(
                         "op {at} probes op {build}, which is not a hash build",
                     )));
                 };
+                if keys.is_empty() || keys.len() != build_keys.len() {
+                    return Err(invalid(format!(
+                        "op {at} probes op {build} with {} key(s) against {}",
+                        keys.len(),
+                        build_keys.len()
+                    )));
+                }
                 let build_walk = walk_pipeline(ops, *build_input, builds, false)?;
                 let build_idx = builds.len();
                 builds.push(BuildSpec {
                     input: build_walk,
-                    key: build_key.clone(),
+                    keys: build_keys.clone(),
                     feeds_root,
                 });
                 probes.push(ProbeSpec {
-                    key: key.clone(),
+                    keys: keys.clone(),
                     build: build_idx,
                 });
                 at = *input;
@@ -476,12 +486,12 @@ impl QueryPlan {
         };
         let pipeline_cols = |pipe: &PipelineSpec| {
             let mut cols: Vec<String> = pipe.filters.iter().map(|p| p.column.clone()).collect();
-            cols.extend(pipe.probes.iter().flat_map(|p| p.key.columns()));
+            cols.extend(pipe.probes.iter().flat_map(|p| key_columns(&p.keys)));
             cols
         };
         for build in &spec.builds {
             let mut cols = pipeline_cols(&build.input);
-            cols.extend(build.key.columns());
+            cols.extend(key_columns(&build.keys));
             add(&build.input.table, cols);
         }
         let mut cols = pipeline_cols(&spec.root);
@@ -510,6 +520,11 @@ impl QueryPlan {
         base += 0.2 * spec.finishers.len() as f64;
         base + 0.4 * terms as f64
     }
+}
+
+/// The columns a join key (tuple) reads.
+pub(crate) fn key_columns(keys: &[ScalarExpr]) -> Vec<String> {
+    keys.iter().flat_map(ScalarExpr::columns).collect()
 }
 
 fn op_name(op: &DagOp) -> &'static str {
@@ -558,14 +573,23 @@ impl DagBuilder {
         })
     }
 
-    /// Push a hash build over `key`.
-    pub fn build(&mut self, input: usize, key: ScalarExpr) -> usize {
-        self.push(DagOp::HashBuild { input, key })
+    /// Push a hash build over `keys`: one expression, or a tuple of plain
+    /// integer columns (`vec![w, d, o]`).
+    pub fn build(&mut self, input: usize, keys: impl Into<Vec<ScalarExpr>>) -> usize {
+        self.push(DagOp::HashBuild {
+            input,
+            keys: keys.into(),
+        })
     }
 
-    /// Push a probe of `build` keyed by `key`.
-    pub fn probe(&mut self, input: usize, build: usize, key: ScalarExpr) -> usize {
-        self.push(DagOp::HashProbe { input, build, key })
+    /// Push a probe of `build` keyed by `keys`, element for element against
+    /// the build's.
+    pub fn probe(&mut self, input: usize, build: usize, keys: impl Into<Vec<ScalarExpr>>) -> usize {
+        self.push(DagOp::HashProbe {
+            input,
+            build,
+            keys: keys.into(),
+        })
     }
 
     /// Push the aggregation sink.

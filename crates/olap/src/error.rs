@@ -71,7 +71,9 @@ pub enum OlapError {
     },
     /// A join key falls outside the key rule: an integer column, an
     /// integral literal, or `+`/`−`/`×` of those with a column-free factor
-    /// in every product, folding to constants that fit `i64`.
+    /// in every product, folding to constants that fit `i64` — or a tuple
+    /// of plain integer columns whose build-side box (the product of the
+    /// columns' spans) fits `i64`.
     UnsupportedKey {
         /// What the key contains that the rule does not allow.
         reason: &'static str,

@@ -68,10 +68,9 @@ pub use result::{GroupRow, QueryOutput, QueryResult, WorkProfile};
 
 use crate::dag::QueryPlan;
 use crate::error::OlapError;
-use crate::hashtable::JoinTable;
 use crate::source::ScanSource;
 use crate::worker::WorkerTeam;
-use build::BuildSink;
+use build::Built;
 use group::GroupSink;
 use pipeline::Pipeline;
 use scalar::ScalarSink;
@@ -132,12 +131,12 @@ impl QueryExecutor {
     ) -> Result<QueryOutput, OlapError> {
         let spec = plan.spec();
         let mut work = WorkProfile::default();
-        let mut built: Vec<JoinTable> = Vec::with_capacity(spec.builds.len());
+        let mut built: Vec<Built> = Vec::with_capacity(spec.builds.len());
         for build in &spec.builds {
             let source = source_for(sources, &build.input.table)?;
-            let pipe = Pipeline::bind(source, &build.input, &built, Some(&build.key), &[], &[])?;
-            let sink = BuildSink::bind(&pipe, &build.key, self.block_rows)?;
-            let table = self.run_pipeline(&pipe, team, &sink, &mut work);
+            let pipe = Pipeline::bind(source, &build.input, &built, &build.keys, &[], &[])?;
+            let done = self.run_build(&pipe, &build.keys, team, &mut work)?;
+            let table = &done.table;
             // Build sides are broadcast: account their bytes and hash-table
             // sizes — builds probed by the root pipeline on the near fields,
             // deeper (chained) builds on the far fields. 16 bytes per table
@@ -152,7 +151,7 @@ impl QueryExecutor {
                 work.far_build_bytes += bytes;
                 work.far_hash_table_bytes += table_bytes;
             }
-            built.push(table);
+            built.push(done);
         }
         let source = source_for(sources, &spec.root.table)?;
         let aggregates = &spec.aggregates;
@@ -161,7 +160,7 @@ impl QueryExecutor {
             source,
             &spec.root,
             &built,
-            None,
+            &[],
             aggregates,
             group_by.unwrap_or_default(),
         )?;

@@ -9,6 +9,7 @@
 //! [`Survivors`] go to the pipeline's [`Sink`], which owns nothing but its
 //! per-worker partial output and the merge of those partials.
 
+use super::build::Built;
 use super::probe::{probe_chain, Survivors};
 use super::{QueryExecutor, WorkProfile};
 use crate::dag::PipelineSpec;
@@ -17,9 +18,10 @@ use crate::expr::{AggExpr, Predicate, ScalarExpr};
 use crate::hashtable::JoinTable;
 use crate::morsel::Morsel;
 use crate::program::{
-    apply_filters, AffineKey, ColRef, ColumnResolver, CompiledAggs, CompiledPredicate, ProgramPool,
+    apply_filters, tuple_slots, ColRef, ColumnResolver, CompiledAggs, CompiledPredicate, JoinKey,
+    ProgramPool,
 };
-use crate::scratch::{key_range, load_morsel, ExecScratch, FilterColumns, LoadPass, MorselData};
+use crate::scratch::{load_morsel, ExecScratch, FilterColumns, LoadPass, MorselData};
 use crate::source::{BoundLayout, ScanSource};
 use crate::worker::WorkerTeam;
 use htap_obs::EventKind;
@@ -28,11 +30,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Split the columns one pipeline reads into `(numeric, keys)` load lists.
 /// Aggregate inputs load as numeric `f64` lanes, the only type the register
-/// programs evaluate. Every join-key column — plain or inside a computed key
-/// — and every `group_by` column loads through the exact `i64` key path, and
-/// so does an integer filter column no aggregate reads: it compares in place
-/// (`v as f64` against the literal, as a numeric load would), with no
-/// conversion pass. A filter column an aggregate also reads, or one that is
+/// programs evaluate. Every join-key column — plain, inside a computed key
+/// or an element of a tuple — and every `group_by` column loads through the
+/// exact `i64` key path, and so does an integer filter column no aggregate
+/// reads: it compares in place (`v as f64` against the literal, as a
+/// numeric load would), with no conversion pass. A filter column an
+/// aggregate also reads, or one that is
 /// not an integer column in every segment of `source`, stays numeric. A
 /// column on both lists loads in both representations and is byte-accounted
 /// once (the bind deduplicates the accessed set).
@@ -82,27 +85,28 @@ pub(super) struct Pipeline<'q> {
     /// The load-list slots `filters` read: a morsel loads these first and
     /// the rest only if a row survives.
     filter_columns: FilterColumns,
-    /// Probe stages in execution order: compiled key, probed build table.
-    pub probes: Vec<(AffineKey, &'q JoinTable)>,
+    /// Probe stages in execution order: compiled key (a tuple folded over
+    /// its build's box), probed build table.
+    pub probes: Vec<(JoinKey, &'q JoinTable)>,
     pub aggs: CompiledAggs,
 }
 
 impl<'q> Pipeline<'q> {
     /// Bind `input` over `source`. Besides the filters and probe keys of the
     /// stream itself, the load lists cover what the pipeline's sink reads:
-    /// the `build_key` of a join build, the `aggregates` and `group_by`
+    /// the `build_keys` of a join build, the `aggregates` and `group_by`
     /// columns of a root.
     pub fn bind(
         source: &'q ScanSource,
         input: &PipelineSpec,
-        built: &'q [JoinTable],
-        build_key: Option<&ScalarExpr>,
+        built: &'q [Built],
+        build_keys: &[ScalarExpr],
         aggregates: &[AggExpr],
         group_by: &[String],
     ) -> Result<Self, OlapError> {
-        let key_exprs: Vec<&ScalarExpr> = build_key
-            .into_iter()
-            .chain(input.probes.iter().map(|p| &p.key))
+        let key_exprs: Vec<&ScalarExpr> = build_keys
+            .iter()
+            .chain(input.probes.iter().flat_map(|p| &p.keys))
             .collect();
         let (numeric, keys) =
             split_read_columns(source, &input.filters, aggregates, &key_exprs, group_by);
@@ -131,7 +135,19 @@ impl<'q> Pipeline<'q> {
         let probes = input
             .probes
             .iter()
-            .map(|p| Ok((AffineKey::compile(&p.key, &keys)?, &built[p.build])))
+            .map(|p| {
+                let build = &built[p.build];
+                let key = match (&build.fold, &p.keys[..]) {
+                    (Some(fold), tuple) => fold.fold(&tuple_slots(tuple, &keys)?)?,
+                    (None, [key]) => JoinKey::single(key, &keys)?,
+                    (None, _) => {
+                        return Err(OlapError::InvalidDag {
+                            reason: "a tuple probe of a build without a box".into(),
+                        })
+                    }
+                };
+                Ok((key, &build.table))
+            })
             .collect::<Result<_, OlapError>>()?;
         Ok(Pipeline {
             source,
@@ -148,8 +164,18 @@ impl<'q> Pipeline<'q> {
 
     /// Compile one more key expression over the bound load lists (the build
     /// sink's key; its columns were put on the lists by [`Pipeline::bind`]).
-    pub fn compile_key(&self, expr: &ScalarExpr) -> Result<AffineKey, OlapError> {
-        AffineKey::compile(expr, &self.keys)
+    pub fn compile_key(&self, expr: &ScalarExpr) -> Result<JoinKey, OlapError> {
+        JoinKey::single(expr, &self.keys)
+    }
+
+    /// The key-list slots of a tuple key's elements (see [`tuple_slots`]).
+    pub fn tuple_slots(&self, tuple: &[ScalarExpr]) -> Result<Vec<u32>, OlapError> {
+        tuple_slots(tuple, &self.keys)
+    }
+
+    /// The name of the column at key-list slot `slot`.
+    pub fn key_column(&self, slot: u32) -> &str {
+        &self.keys[slot as usize]
     }
 
     /// Key-list slot of a column loaded through the key path. The bind
@@ -162,14 +188,6 @@ impl<'q> Pipeline<'q> {
             .ok_or_else(|| OlapError::MissingColumn {
                 column: name.to_string(),
             })
-    }
-
-    /// Smallest and largest value of key slot `slot` over every row of the
-    /// source, read one `morsel_rows` range at a time (`None`: no rows).
-    /// Bind-time work, not charged to the [`WorkProfile`].
-    pub fn key_range(&self, slot: u32, morsel_rows: usize) -> Option<(i64, i64)> {
-        let morsels = self.source.morsels(morsel_rows);
-        key_range(self.source, &self.layout, slot as usize, &morsels)
     }
 
     /// Bytes of the fully materialised source over the accessed columns

@@ -3,27 +3,29 @@
 //! consumes.
 
 use super::pipeline::MorselCtx;
-use crate::program::AffineKey;
+use crate::program::JoinKey;
 use crate::scratch::{MorselData, ProbeBufs};
 
 /// The `i64` join-key lane of every selected row of one morsel, indexed by
-/// row: a plain key column is read in place; any other key evaluates its
-/// affine form in wrapping `i64` over the key columns into the worker's key
-/// buffer `buf`. Both are exact over the full `i64` range, and every probe
-/// and build loop downstream sees one kind of key.
+/// row, and whether a selected row of a folded tuple fell outside its box:
+/// a plain key column is read in place; any other key evaluates its affine
+/// form in wrapping `i64` over the key columns into the worker's key buffer
+/// `buf` — a tuple's fold, with each row outside the box sent to
+/// [`crate::program::OUTSIDE`]. All are exact over the full `i64` range,
+/// and every probe and build loop downstream sees one kind of key.
 #[inline]
 pub(super) fn key_vals<'a>(
-    key: &AffineKey,
+    key: &JoinKey,
     data: &'a MorselData<'_>,
     buf: &'a mut Vec<i64>,
     rows: usize,
     sel: Option<&[u32]>,
-) -> &'a [i64] {
+) -> (&'a [i64], bool) {
     if let Some(slot) = key.column() {
-        return data.key(slot as usize);
+        return (data.key(slot as usize), false);
     }
-    key.eval(|slot| data.key(slot as usize), rows, sel, buf);
-    &buf[..rows]
+    let outside = key.eval(|slot| data.key(slot as usize), rows, sel, buf);
+    (&buf[..rows], outside)
 }
 
 /// Run `f(pos, row)` over every selected row: `pos` is the row's position in
@@ -111,11 +113,19 @@ pub(super) fn probe_chain<'s>(
         total_probes += src.map_or(rows, <[u32]>::len) as u64;
         // Exactly `rows` lanes — or none, when the filters emptied the
         // morsel and the key column was never loaded.
-        let keys = key_vals(key, cx.data, cx.keys, rows, src);
-        if track {
-            table.select_weighted(keys, src, src_w, out, out_w);
+        if table.is_empty() {
+            // No build row: every row misses, and no key is evaluated.
+            out.clear();
+            out_w.clear();
         } else {
-            table.select(keys, src, cx.hashes, out);
+            // A tuple outside the build's box folded to a key no build
+            // holds: it misses like any other.
+            let (keys, _) = key_vals(key, cx.data, cx.keys, rows, src);
+            if track {
+                table.select_weighted(keys, src, src_w, out, out_w);
+            } else {
+                table.select(keys, src, cx.hashes, out);
+            }
         }
         weighted = track;
         ran = true;

@@ -23,6 +23,14 @@ pub enum ScalarExpr {
     Mul(Box<ScalarExpr>, Box<ScalarExpr>),
 }
 
+/// A one-expression join key, for the builder methods that take a key
+/// tuple ([`crate::DagBuilder::build`], [`crate::DagBuilder::probe`]).
+impl From<ScalarExpr> for Vec<ScalarExpr> {
+    fn from(key: ScalarExpr) -> Self {
+        vec![key]
+    }
+}
+
 impl ScalarExpr {
     /// Shorthand for a column reference.
     pub fn col(name: impl Into<String>) -> Self {

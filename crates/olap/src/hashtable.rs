@@ -16,16 +16,16 @@
 //!   - *direct* — one `u64` weight per key of a range `min..=max`, indexed
 //!     by `key − min` ([`JoinTable::direct`]): no hash and no slot walk, one
 //!     unsigned bounds compare per lookup. The executor builds one when the
-//!     build key is a plain integer column whose span over the build source
+//!     build key's span — a plain integer column's storage-kept bounds, or
+//!     the `0..cells` a tuple of integer columns folds into over its box —
 //!     takes no more bytes (8 per key of the span) than the hashed slot
 //!     array [`JoinTable::with_capacity`] would allocate for the source's
 //!     rows (16 per slot, at least two slots per key) —
 //!     [`JoinTable::direct_fits`]. CH `item.i_id`, a primary key over
-//!     1–10 000, is direct; the composite `orders` and `customer` keys are
-//!     hashed. A key outside the range, which the rows the range was read
-//!     from cannot hold but a row updated since could, re-seats the table
-//!     into the hashed kind on a cold path: the answer never depends on the
-//!     range being right.
+//!     1–10 000, is direct, and so are the `(w, d, id)` tuples of `orders`,
+//!     `customer` and `orderline`. A key outside the range, which no write
+//!     the bounds saw can hold, re-seats the table into the hashed kind on a
+//!     cold path: the answer never depends on the range being right.
 //!
 //!   Both kinds give [`JoinTable::len`] (distinct keys, what the cost model
 //!   charges) and [`JoinTable::unique`] one meaning, so the work account
@@ -271,12 +271,20 @@ impl JoinTable {
                 Kind::Hashed(_) => false,
             };
             if tables.iter().all(same_range) {
+                // A worker that inserted nothing adds nothing: its array is
+                // never read (a large one's pages are never even touched).
+                let mut summed = false;
                 for table in &tables {
                     if let Kind::Direct(direct) = &table.kind {
-                        target.sum(direct);
+                        if direct.len > 0 {
+                            target.sum(direct);
+                            summed = true;
+                        }
                     }
                 }
-                target.recount();
+                if summed {
+                    target.recount();
+                }
                 return merged;
             }
         }

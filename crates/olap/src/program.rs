@@ -12,7 +12,8 @@
 //!
 //! Join keys take no register program: they fold to exact `i64` affine
 //! forms over the key columns ([`AffineKey`]), so integer keys never round
-//! through `f64`.
+//! through `f64`; a tuple of key columns folds to one by mixed radix over
+//! its build side's value box ([`KeyBox`]), with a range check per element.
 //!
 //! Selection vectors (`u32` row ids) replace the old `Vec<bool>` masks:
 //! filters *compact* the selection in place, and every downstream operator
@@ -404,6 +405,183 @@ impl AffineKey {
             // No term at all: the key is the constant.
             madd_lanes(out, sel, init, [], |[]| 0);
         }
+    }
+}
+
+/// The key-list slots of a tuple key's elements, each of which must be a
+/// plain column (a typed error otherwise): only a plain column has the
+/// storage-kept bounds a fold needs.
+pub(crate) fn tuple_slots(tuple: &[ScalarExpr], keys: &[String]) -> Result<Vec<u32>, OlapError> {
+    tuple
+        .iter()
+        .map(|element| {
+            let ScalarExpr::Col(name) = element else {
+                return Err(OlapError::UnsupportedKey {
+                    reason: "a tuple element that is not a plain column",
+                });
+            };
+            keys.iter()
+                .position(|c| c == name)
+                .map(|slot| slot as u32)
+                .ok_or_else(|| OlapError::MissingColumn {
+                    column: name.clone(),
+                })
+        })
+        .collect()
+}
+
+/// What a folded tuple key evaluates to for a row outside the box on any
+/// element: every tuple inside the box folds into `0..cells`, so no build
+/// key is ever this value and a probe of it misses.
+pub(crate) const OUTSIDE: i64 = i64::MIN;
+
+/// The box a tuple join key folds over: per element, the smallest and
+/// largest value of the build side's column (`None`: the column holds no
+/// value, an empty span), read from the storage-kept bounds
+/// ([`crate::ScanSource::column_bounds`]) without a pass over the rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct KeyBox {
+    dims: Vec<Option<(i64, i64)>>,
+}
+
+impl KeyBox {
+    /// The box of the `columns` of a tuple build over `source`.
+    pub fn of(source: &crate::ScanSource, columns: &[&str]) -> Self {
+        KeyBox {
+            dims: columns.iter().map(|c| source.column_bounds(c)).collect(),
+        }
+    }
+
+    /// Widen element `i` to cover `lo..=hi`.
+    pub fn widen(&mut self, i: usize, (lo, hi): (i64, i64)) {
+        let dim = &mut self.dims[i];
+        *dim = Some(dim.map_or((lo, hi), |(l, h)| (l.min(lo), h.max(hi))));
+    }
+
+    /// Widen every element to cover `other`'s range too.
+    pub fn union(&mut self, other: &KeyBox) {
+        for (i, dim) in other.dims.iter().enumerate() {
+            if let Some(range) = *dim {
+                self.widen(i, range);
+            }
+        }
+    }
+
+    /// Element `i`'s smallest value and span (`max − min + 1`; 0 when
+    /// empty), the span in `u128` so that no `i64` range overflows it.
+    fn dim(&self, i: usize) -> (i64, u128) {
+        self.dims[i].map_or((0, 0), |(lo, hi)| (lo, u128::from(hi.abs_diff(lo)) + 1))
+    }
+
+    /// The number of tuples the box holds, the product of the spans (0 when
+    /// an element is empty): the folded keys are `0..cells`. A product past
+    /// `i64::MAX` is a typed error — no `i64` fold is exact over it.
+    pub fn cells(&self) -> Result<i64, OlapError> {
+        if self.dims.iter().any(Option::is_none) {
+            return Ok(0);
+        }
+        (0..self.dims.len())
+            .try_fold(1u128, |acc, i| acc.checked_mul(self.dim(i).1))
+            .and_then(|cells| i64::try_from(cells).ok())
+            .ok_or(OlapError::UnsupportedKey {
+                reason: "a tuple whose box overflows i64",
+            })
+    }
+
+    /// Fold a tuple of key columns (their key-list `slots`, element for
+    /// element of the box) by mixed radix, first element most significant:
+    /// `Σ (c_i − min_i)·stride_i`, each stride the product of the later
+    /// elements' spans. That is the affine form `Σ stride_i·c_i − Σ
+    /// min_i·stride_i`, evaluated in wrapping `i64` like any key — exact for
+    /// every tuple inside the box, whose fold lies in `0..cells` — plus a
+    /// range check per element that sends any other tuple to [`OUTSIDE`]
+    /// (without it, `(w, d − span_d, o)` would fold onto `(w − 1, d, o)`).
+    pub fn fold(&self, slots: &[u32]) -> Result<JoinKey, OlapError> {
+        self.cells()?;
+        let mut affine = AffineKey {
+            constant: 0,
+            terms: Vec::with_capacity(slots.len()),
+        };
+        let mut checks = Vec::with_capacity(slots.len());
+        let mut stride: i64 = 1;
+        for (i, &slot) in slots.iter().enumerate().rev() {
+            let (min, span) = self.dim(i);
+            affine.constant = affine.constant.wrapping_sub(min.wrapping_mul(stride));
+            match affine.terms.iter_mut().find(|(_, s)| *s == slot) {
+                Some((c, _)) => *c = c.wrapping_add(stride),
+                None => affine.terms.push((stride, slot)),
+            }
+            // Every span and partial product divides `cells`, which fits
+            // i64 — or `cells` is 0, and every tuple is outside anyway.
+            checks.push((slot, min, span as u64));
+            stride = stride.wrapping_mul(span as i64);
+        }
+        affine.terms.reverse();
+        checks.reverse();
+        Ok(JoinKey { affine, checks })
+    }
+}
+
+/// A join key as one pipeline evaluates it: the exact `i64` affine form of
+/// a one-expression key, or the fold of a tuple key over its build's
+/// [`KeyBox`] together with the range check of each element.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct JoinKey {
+    pub affine: AffineKey,
+    /// `(key slot, min, span)` per element of a folded tuple; empty for a
+    /// one-expression key.
+    pub checks: Vec<(u32, i64, u64)>,
+}
+
+impl JoinKey {
+    /// A one-expression key over `keys`, the key load list.
+    pub fn single(expr: &ScalarExpr, keys: &[String]) -> Result<Self, OlapError> {
+        Ok(JoinKey {
+            affine: AffineKey::compile(expr, keys)?,
+            checks: Vec::new(),
+        })
+    }
+
+    /// The key slot a plain-column key reads in place, without evaluation.
+    pub fn column(&self) -> Option<u32> {
+        self.checks
+            .is_empty()
+            .then(|| self.affine.column())
+            .flatten()
+    }
+
+    /// Evaluate the key into `out` for every selected row, as
+    /// [`AffineKey::eval`] does; a folded tuple then sends each row outside
+    /// its box to [`OUTSIDE`], one branch-free pass per element. Returns
+    /// whether any selected row was outside.
+    pub fn eval<'a>(
+        &self,
+        column: impl Fn(u32) -> &'a [i64],
+        rows: usize,
+        sel: Option<&[u32]>,
+        out: &mut Vec<i64>,
+    ) -> bool {
+        self.affine.eval(&column, rows, sel, out);
+        let out = &mut out[..rows];
+        let mut outside = false;
+        for &(slot, min, span) in &self.checks {
+            let col = column(slot);
+            let mut check = |o: &mut i64, c: i64| {
+                let off = c.wrapping_sub(min) as u64 >= span;
+                outside |= off;
+                *o = if off { OUTSIDE } else { *o };
+            };
+            match sel {
+                None => out
+                    .iter_mut()
+                    .zip(&col[..rows])
+                    .for_each(|(o, &c)| check(o, c)),
+                Some(ids) => ids
+                    .iter()
+                    .for_each(|&i| check(&mut out[i as usize], col[i as usize])),
+            }
+        }
+        outside
     }
 }
 
@@ -838,6 +1016,66 @@ mod tests {
         out.fill(-7);
         key.eval(column, 4, Some(&[1, 3]), &mut out);
         assert_eq!(out, vec![-7, want(1), -7, want(3)]);
+    }
+
+    /// A tuple folds by mixed radix over its box, first element most
+    /// significant; a tuple outside the box on any one element — here one
+    /// below `d`'s minimum, whose fold alone would land on `(w − 1, d_max,
+    /// o)` — evaluates to OUTSIDE, and an empty element or a box past `i64`
+    /// is no fold at all.
+    #[test]
+    fn tuples_fold_over_their_box_and_nothing_aliases() {
+        let boxed = KeyBox {
+            dims: vec![Some((-3, 2)), Some((1, 10)), Some((-5, 20))],
+        };
+        assert_eq!(boxed.cells(), Ok(6 * 10 * 26));
+        let key = boxed.fold(&[0, 1, 2]).unwrap();
+        assert_eq!(key.affine.terms, vec![(260, 0), (26, 1), (1, 2)]);
+        assert_eq!(key.column(), None);
+        let (w, d, o) = (
+            [-3i64, 2, 0, -1, 3],
+            [1i64, 10, 0, 10, 1],
+            [-5i64, 20, 5, 5, 1],
+        );
+        let column = |s: u32| match s {
+            0 => &w[..],
+            1 => &d[..],
+            _ => &o[..],
+        };
+        let mut out = Vec::new();
+        assert!(key.eval(column, 5, None, &mut out));
+        assert_eq!(out, vec![0, 1_559, OUTSIDE, 2 * 260 + 9 * 26 + 10, OUTSIDE]);
+        // Behind a selection only the selected rows are written.
+        out.fill(7);
+        assert!(!key.eval(column, 5, Some(&[0, 3]), &mut out));
+        assert_eq!(out, vec![0, 7, 7, 2 * 260 + 9 * 26 + 10, 7]);
+        // An element that repeats a column merges its terms, checks both.
+        let twice = boxed.fold(&[0, 0, 2]).unwrap();
+        assert_eq!(twice.affine.terms, vec![(286, 0), (1, 2)]);
+        assert_eq!(twice.checks.len(), 3);
+        // An empty element: nothing is inside.
+        let empty = KeyBox {
+            dims: vec![Some((0, 9)), None],
+        };
+        assert_eq!(empty.cells(), Ok(0));
+        assert!(empty.fold(&[0, 1]).unwrap().eval(column, 1, None, &mut out));
+        assert_eq!(out[0], OUTSIDE);
+        // A box of 2^41 · 2^31 tuples has no exact i64 fold.
+        let wide = KeyBox {
+            dims: vec![Some((0, 1 << 41)), Some((-(1 << 30), 1 << 30))],
+        };
+        let overflow = OlapError::UnsupportedKey {
+            reason: "a tuple whose box overflows i64",
+        };
+        assert_eq!(wide.cells().unwrap_err(), overflow);
+        assert_eq!(wide.fold(&[0, 1]).unwrap_err(), overflow);
+        let mut widened = boxed.clone();
+        widened.widen(2, (500, 500));
+        widened.union(&empty);
+        assert_eq!(
+            widened.dims,
+            vec![Some((-3, 9)), Some((1, 10)), Some((-5, 500))]
+        );
     }
 
     #[test]

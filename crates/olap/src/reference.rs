@@ -10,7 +10,9 @@
 //! accumulator per aggregate instead of the engine's shared count and lanes
 //! ([`crate::expr::Fold`]), and join multiplicities
 //! live in ordered `BTreeMap` weight maps instead of the engine's
-//! open-addressing [`crate::hashtable::JoinTable`]. A row matched by a
+//! open-addressing [`crate::hashtable::JoinTable`] — keyed by the key tuple
+//! itself, compared element by element, where the engine folds a tuple into
+//! one `i64` over its build's value box. A row matched by a
 //! duplicate-key build side is folded once per matching build tuple —
 //! literal repetition, where the engine scales by the multiplicity. Two
 //! independent implementations agreeing on randomized plans is the
@@ -93,10 +95,46 @@ fn key_at(expr: &ScalarExpr, block: &Block, row: usize) -> Result<i64, OlapError
 }
 
 /// Put a join key's columns on the key load list — every one of them, as
-/// the engine does — after checking the key against the key rule.
-fn push_key_columns(expr: &ScalarExpr, keys: &mut Vec<String>) -> Result<(), OlapError> {
-    check_key(expr)?;
-    keys.extend(expr.columns());
+/// the engine does — after checking the key against the key rule: one
+/// expression, or a tuple of plain columns.
+fn push_key_columns(key: &[ScalarExpr], keys: &mut Vec<String>) -> Result<(), OlapError> {
+    for expr in key {
+        if key.len() > 1 && !matches!(expr, ScalarExpr::Col(_)) {
+            return Err(OlapError::UnsupportedKey {
+                reason: "a tuple element that is not a plain column",
+            });
+        }
+        check_key(expr)?;
+        keys.extend(expr.columns());
+    }
+    Ok(())
+}
+
+/// A join key's value for one row: the tuple of its elements' values,
+/// compared element by element (a one-expression key is a 1-tuple).
+fn tuple_at(key: &[ScalarExpr], block: &Block, row: usize) -> Result<Vec<i64>, OlapError> {
+    key.iter().map(|e| key_at(e, block, row)).collect()
+}
+
+/// Check a tuple build's box against `i64`: the product of the spans of its
+/// columns' storage-kept bounds over `src` must fit, the rule the engine
+/// folds under. A 1-tuple folds nothing.
+fn check_box(src: &ScanSource, key: &[ScalarExpr]) -> Result<(), OlapError> {
+    if key.len() < 2 {
+        return Ok(());
+    }
+    let mut cells: u128 = 1;
+    for column in key.iter().flat_map(ScalarExpr::columns) {
+        let span = src
+            .column_bounds(&column)
+            .map_or(0, |(lo, hi)| (i128::from(hi) - i128::from(lo) + 1) as u128);
+        cells = cells.saturating_mul(span);
+    }
+    if cells > i64::MAX as u128 {
+        return Err(OlapError::UnsupportedKey {
+            reason: "a tuple whose box overflows i64",
+        });
+    }
     Ok(())
 }
 
@@ -226,10 +264,10 @@ fn agg_columns(aggregates: &[AggExpr]) -> Vec<String> {
     aggregates.iter().flat_map(AggExpr::columns).collect()
 }
 
-/// The ordered weight map of one build: key → how many surviving build
-/// tuples carry it (itself weighted by the build pipeline's own probes, so
-/// chained builds multiply through).
-type WeightMap = BTreeMap<i64, u64>;
+/// The ordered weight map of one build: key tuple → how many surviving
+/// build tuples carry it (itself weighted by the build pipeline's own
+/// probes, so chained builds multiply through).
+type WeightMap = BTreeMap<Vec<i64>, u64>;
 
 /// The join multiplicity of one probe-side row: the product of the matched
 /// weights across the pipeline's probe chain, 0 as soon as any probe
@@ -245,7 +283,7 @@ fn probe_weight(
     for p in probes {
         work.probes += 1;
         w *= built[p.build]
-            .get(&key_at(&p.key, block, row)?)
+            .get(&tuple_at(&p.keys, block, row)?)
             .copied()
             .unwrap_or(0);
         if w == 0 {
@@ -293,10 +331,11 @@ fn reference_build(
 ) -> Result<WeightMap, OlapError> {
     let mut numeric = filter_columns(&build.input.filters);
     let mut keys = Vec::new();
-    push_key_columns(&build.key, &mut keys)?;
+    push_key_columns(&build.keys, &mut keys)?;
     for p in &build.input.probes {
-        push_key_columns(&p.key, &mut keys)?;
+        push_key_columns(&p.keys, &mut keys)?;
     }
+    check_box(src, &build.keys)?;
     let mut map = WeightMap::new();
     for block in load(src, &numeric, &keys)? {
         for row in 0..block.rows() {
@@ -307,7 +346,7 @@ fn reference_build(
             if w == 0 {
                 continue;
             }
-            *map.entry(key_at(&build.key, &block, row)?).or_insert(0) += w;
+            *map.entry(tuple_at(&build.keys, &block, row)?).or_insert(0) += w;
         }
     }
     numeric.extend(keys);
@@ -335,7 +374,7 @@ fn reference_scalar_scan(
     numeric.extend(agg_columns(aggregates));
     let mut keys = Vec::new();
     for p in &root.probes {
-        push_key_columns(&p.key, &mut keys)?;
+        push_key_columns(&p.keys, &mut keys)?;
     }
     let mut accs = vec![RefAcc::default(); aggregates.len()];
     for block in load(src, &numeric, &keys)? {
@@ -369,7 +408,7 @@ fn reference_grouped_scan(
     numeric.extend(agg_columns(aggregates));
     let mut keys = group_by.to_vec();
     for p in &root.probes {
-        push_key_columns(&p.key, &mut keys)?;
+        push_key_columns(&p.keys, &mut keys)?;
     }
     let mut groups: BTreeMap<Vec<i64>, Vec<RefAcc>> = BTreeMap::new();
     for block in load(src, &numeric, &keys)? {

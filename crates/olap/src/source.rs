@@ -157,6 +157,20 @@ impl ScanSource {
             .sum()
     }
 
+    /// The smallest and largest value of integer column `column` over the
+    /// source: the union of the storage-kept bounds
+    /// ([`htap_storage::Column::bounds`]) of every segment's instance, read
+    /// without a pass over the rows. Conservative — an instance's bounds
+    /// cover every value it has held, in or out of the segment's rows — and
+    /// `None` when no segment's instance holds a value of the column (or
+    /// the column is unknown or not an integer one).
+    pub fn column_bounds(&self, column: &str) -> Option<(i64, i64)> {
+        self.segments
+            .iter()
+            .filter_map(|seg| seg.table.column_by_name(column)?.bounds())
+            .reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+    }
+
     /// Split the source into [`Morsel`]s of at most `morsel_rows` rows — the
     /// claimable work units of the parallel executor. Like
     /// [`split_morsels`], a `morsel_rows` of zero means one (unsplit) morsel

@@ -254,6 +254,8 @@ impl<'a> Binder<'a> {
             }
         }
 
+        self.check_key_tuples(&joins)?;
+
         // GROUP BY: all keys from one relation, integer-typed.
         let mut group_by = Vec::new();
         let mut group_table: Option<usize> = None;
@@ -626,6 +628,37 @@ impl<'a> Binder<'a> {
                 Ok(())
             }
         }
+    }
+
+    /// Two or more equi-join conditions between one pair of relations join
+    /// on the tuple of their keys, which the engine folds over the columns'
+    /// value bounds: each side of each such condition must be a plain
+    /// integer column.
+    fn check_key_tuples(&self, joins: &[BoundJoin]) -> Result<(), SqlError> {
+        let pair = |j: &BoundJoin| (j.left.min(j.right), j.left.max(j.right));
+        for join in joins {
+            if joins.iter().filter(|j| pair(j) == pair(join)).count() < 2 {
+                continue;
+            }
+            for (side, key) in [(join.left, &join.left_key), (join.right, &join.right_key)] {
+                let ScalarExpr::Col(name) = key else {
+                    return Err(SqlError::Unsupported {
+                        what: "a computed key in a multi-column join (each condition between \
+                               one pair of relations compares two plain columns)"
+                            .into(),
+                        pos: join.pos,
+                    });
+                };
+                let dtype = self.catalog.column_type(&self.tables[side].name, name);
+                if !matches!(dtype, Some(DataType::I64 | DataType::I32)) {
+                    return Err(SqlError::Unsupported {
+                        what: format!("a multi-column join on the non-integer column {name}"),
+                        pos: join.pos,
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     fn push_filter(

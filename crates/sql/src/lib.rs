@@ -15,7 +15,8 @@
 //! Supported grammar (see the "SQL frontend" section of ARCHITECTURE.md for
 //! the full table and the lowering rules): `SELECT` of grouping keys and
 //! `SUM`/`AVG`/`MIN`/`MAX`/`COUNT(*)` aggregates, `FROM` any number of
-//! relations chained by inner joins (comma list or `JOIN ... ON`),
+//! relations chained by inner joins (comma list or `JOIN ... ON`; several
+//! equalities between one pair of relations join on the column tuple),
 //! conjunctive `WHERE` predicates (`column op literal`, `+`/`-`/`*`
 //! arithmetic in join keys and aggregate arguments), `LIKE` on encoded
 //! columns, `GROUP BY`, `HAVING` (key or `SELECT`-list aggregate vs a
@@ -224,6 +225,88 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Two or more conditions between one pair of relations are one hop
+    /// keyed by the tuple of their keys, in text order on each side,
+    /// wherever the text puts them and whichever way round each is written.
+    #[test]
+    fn multi_column_join_lowers_to_one_tuple_hop() {
+        let c = catalog();
+        let plan = plan(
+            "SELECT SUM(f_a) FROM fact JOIN mid ON f_mid = m_id AND m_far = f_id \
+             WHERE m_v >= 10",
+            &c,
+        )
+        .unwrap();
+        let mut b = DagBuilder::default();
+        let mid = pipeline(
+            &mut b,
+            "mid",
+            &[Predicate::new("m_v", CmpOp::Ge, 10.0)],
+            None,
+        );
+        let col = ScalarExpr::col;
+        let build = b.build(mid, vec![col("m_id"), col("m_far")]);
+        let scan = b.scan("fact");
+        let fact = b.probe(scan, build, vec![col("f_mid"), col("f_id")]);
+        b.aggregate(fact, None, vec![AggExpr::Sum(col("f_a"))]);
+        assert_eq!(plan, b.finish().unwrap());
+        for alike in [
+            "SELECT SUM(f_a) FROM fact JOIN mid ON f_mid = m_id WHERE m_far = f_id AND m_v >= 10",
+            "SELECT SUM(f_a) FROM fact, mid WHERE m_id = f_mid AND f_id = m_far AND m_v >= 10",
+        ] {
+            assert_eq!(plan, super::plan(alike, &c).unwrap(), "{alike}");
+        }
+        // A tuple hop inside a chain: fact ⋈ mid on a pair, mid ⋈ far on one key.
+        let chain = super::plan(
+            "SELECT COUNT(*) FROM fact JOIN mid ON f_mid = m_id AND f_id = m_far \
+             JOIN far ON m_far = r_id",
+            &c,
+        )
+        .unwrap();
+        assert_eq!(chain.tables(), ["fact", "mid", "far"]);
+        let builds: Vec<usize> = chain
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                DagOp::HashBuild { keys, .. } => Some(keys.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(builds, [1, 2]);
+    }
+
+    /// What a tuple hop cannot be: conditions that join three relations
+    /// pairwise (no chain), a condition over a non-integer column, and a
+    /// computed key — each a typed error with the offending condition's
+    /// position.
+    #[test]
+    fn multi_column_join_errors_are_typed() {
+        let c = catalog();
+        for (sql, needle) in [
+            (
+                "SELECT COUNT(*) FROM fact, mid, far \
+                 WHERE f_mid = m_id AND f_id = m_far AND m_far = r_id AND f_id = r_id",
+                "three relations (a chain joins exactly two)",
+            ),
+            (
+                "SELECT COUNT(*) FROM fact JOIN mid ON f_mid = m_id AND f_a = m_v",
+                "non-integer column f_a",
+            ),
+            (
+                "SELECT COUNT(*) FROM fact JOIN mid ON f_mid = m_id AND f_g * 2 = m_far",
+                "computed key",
+            ),
+        ] {
+            match plan(sql, &c) {
+                Err(SqlError::Unsupported { what, pos }) => {
+                    assert!(what.contains(needle), "{sql}: {what:?} lacks {needle:?}");
+                    assert!(pos > sql.find("WHERE").or(sql.find("ON")).unwrap(), "{sql}");
+                }
+                other => panic!("{sql}: expected Unsupported, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn group_by_join_lowers_with_top_k() {
         let plan = plan(
@@ -413,17 +496,19 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let probe_keys: Vec<&ScalarExpr> = plan
+        let probe_keys: Vec<&Vec<ScalarExpr>> = plan
             .ops()
             .iter()
             .filter_map(|op| match op {
-                DagOp::HashProbe { key, .. } => Some(key),
+                DagOp::HashProbe { keys, .. } => Some(keys),
                 _ => None,
             })
             .collect();
         assert_eq!(
             probe_keys,
-            [&(ScalarExpr::col("f_g") * ScalarExpr::lit(4.0) + ScalarExpr::col("f_id"))]
+            [&vec![
+                ScalarExpr::col("f_g") * ScalarExpr::lit(4.0) + ScalarExpr::col("f_id")
+            ]]
         );
     }
 
@@ -575,8 +660,9 @@ mod tests {
     #[test]
     fn four_relation_non_chains_are_rejected() {
         let c = catalog();
-        // Three conditions that do not touch `deep` at all: m_id is joined
-        // twice, so the graph is a multi-edge plus an isolated relation.
+        // Three conditions that do not touch `deep` at all: the two between
+        // fact and mid are one tuple hop, so two hops join three relations
+        // and `deep` is left out.
         let err = plan(
             "SELECT COUNT(*) FROM fact, mid, far, deep \
              WHERE f_mid = m_id AND f_id = m_id AND m_far = r_id",

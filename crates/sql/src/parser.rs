@@ -2,8 +2,9 @@
 //!
 //! The grammar is the `SELECT`/`FROM`/`WHERE`/`GROUP BY`/`HAVING`/`ORDER BY`/
 //! `LIMIT` subset the engine can execute (see the supported-grammar table in
-//! ARCHITECTURE.md): inner joins written as a comma list or `JOIN ... ON`,
-//! conjunctive (`AND`) predicates, `+`/`-`/`*` arithmetic, `LIKE` on encoded
+//! ARCHITECTURE.md): inner joins written as a comma list or `JOIN ... ON`
+//! (an `ON` clause is a conjunction like `WHERE`), conjunctive (`AND`)
+//! predicates, `+`/`-`/`*` arithmetic, `LIKE` on encoded
 //! columns, the `SUM`/`AVG`/`MIN`/`MAX`/`COUNT(*)` aggregates and `HAVING`
 //! conjuncts comparing a grouping key or a `SELECT`-list aggregate against a
 //! literal. Recognisable constructs outside the subset (`OR`, outer joins,
@@ -167,7 +168,7 @@ impl Parser {
                 self.expect_keyword("JOIN")?;
                 self.table_ref(&mut from)?;
                 self.expect_keyword("ON")?;
-                conditions.push(self.condition()?);
+                self.conjunction(&mut conditions)?;
             } else if self.at_keyword("LEFT")
                 || self.at_keyword("RIGHT")
                 || self.at_keyword("FULL")
@@ -183,19 +184,7 @@ impl Parser {
             }
         }
         if self.eat_keyword("WHERE") {
-            conditions.push(self.condition()?);
-            loop {
-                if self.eat_keyword("AND") {
-                    conditions.push(self.condition()?);
-                } else if self.at_keyword("OR") {
-                    return Err(SqlError::Unsupported {
-                        what: "OR disjunctions (predicates are conjunctive)".into(),
-                        pos: self.pos(),
-                    });
-                } else {
-                    break;
-                }
-            }
+            self.conjunction(&mut conditions)?;
         }
         let mut group_by = Vec::new();
         if self.eat_keyword("GROUP") {
@@ -416,6 +405,24 @@ impl Parser {
             Ok(None)
         } else {
             Ok(Some(self.expr()?))
+        }
+    }
+
+    /// `condition (AND condition)*` into `conditions`: the body of a
+    /// `WHERE` or of a join's `ON`.
+    fn conjunction(&mut self, conditions: &mut Vec<Condition>) -> Result<(), SqlError> {
+        conditions.push(self.condition()?);
+        loop {
+            if self.eat_keyword("AND") {
+                conditions.push(self.condition()?);
+            } else if self.at_keyword("OR") {
+                return Err(SqlError::Unsupported {
+                    what: "OR disjunctions (predicates are conjunctive)".into(),
+                    pos: self.pos(),
+                });
+            } else {
+                return Ok(());
+            }
         }
     }
 
@@ -663,7 +670,7 @@ mod tests {
     fn parses_a_full_query() {
         let stmt = parse(
             "SELECT o_ol_cnt, COUNT(*) FROM orders JOIN orderline \
-             ON o_key = (ol_w_id * 100 + ol_d_id) * 10000000 + ol_o_id \
+             ON o_w_id = ol_w_id AND o_d_id = ol_d_id AND o_id = ol_o_id \
              WHERE o_entry_d >= 0 AND ol_amount >= 500 \
              GROUP BY o_ol_cnt ORDER BY COUNT(*) DESC LIMIT 5",
         )
@@ -671,8 +678,11 @@ mod tests {
         assert_eq!(stmt.items.len(), 2);
         assert_eq!(stmt.from.len(), 2);
         assert_eq!(stmt.from[1].name, "orderline");
-        // 1 ON condition + 2 WHERE conjuncts.
-        assert_eq!(stmt.conditions.len(), 3);
+        // 3 ON conjuncts + 2 WHERE conjuncts.
+        assert_eq!(stmt.conditions.len(), 5);
+        // An ON clause takes no disjunction either.
+        let err = parse("SELECT COUNT(*) FROM a JOIN b ON x = y OR z = w").unwrap_err();
+        assert!(matches!(err, SqlError::Unsupported { ref what, .. } if what.contains("OR")));
         assert_eq!(stmt.group_by.len(), 1);
         assert_eq!(stmt.order_by.len(), 1);
         assert!(stmt.order_by[0].desc);

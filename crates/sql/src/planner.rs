@@ -6,6 +6,13 @@
 //! | 1 relation | scan → filter → aggregate |
 //! | n ≥ 2 relations chained into a path | the far end builds first; every interior relation probes the build beyond it and builds for the relation before it; the fact (a path endpoint) probes the whole cascade → aggregate |
 //!
+//! A hop of the path is every equi-join condition between one pair of
+//! relations, in text order, wherever the text puts it (`ON` or `WHERE`):
+//! one condition joins on one key, several on the tuple of their keys
+//! (`ol_w_id = o_w_id AND ol_d_id = o_d_id AND ol_o_id = o_id` builds and
+//! probes `(w, d, o)`), which the engine folds over the build columns'
+//! bounds.
+//!
 //! The aggregate is grouped exactly when the query has a `GROUP BY` — a
 //! scalar query yields one row whatever its join keys look like. `HAVING`
 //! conjuncts become a having finisher over the folded group rows, and
@@ -24,7 +31,7 @@
 //! the hops), so either probe side returns the same inner-join answer and
 //! no statistic can change a result.
 
-use crate::binder::{BoundOrder, BoundQuery};
+use crate::binder::{BoundJoin, BoundOrder, BoundQuery};
 use crate::error::SqlError;
 use htap_olap::{DagBuilder, DagOp, QueryPlan, RowSlot, ScalarExpr, SortKey};
 
@@ -37,8 +44,8 @@ fn unsupported<T>(what: impl Into<String>, pos: usize) -> Result<T, SqlError> {
 
 /// Lower a bound query onto a physical plan.
 pub fn lower(bound: &BoundQuery) -> Result<QueryPlan, SqlError> {
-    // The relations from the probe side outwards, the `(near, far)` key pair
-    // of every hop between them, and the `(aggregate index, k)` top-k.
+    // The relations from the probe side outwards, the `(near, far)` key
+    // tuples of every hop between them, and the `(aggregate index, k)` top-k.
     let (order, hops, top_k) = match bound.tables.len() {
         1 => {
             check_single(bound)?;
@@ -173,18 +180,62 @@ fn check_single(bound: &BoundQuery) -> Result<(), SqlError> {
 }
 
 /// The walk of a join chain: relations from the fact outwards, the
-/// `(near, far)` key pair per hop, and the top-k.
+/// `(near, far)` key tuples per hop, and the top-k.
 type Chain = (
     Vec<usize>,
-    Vec<(ScalarExpr, ScalarExpr)>,
+    Vec<(Vec<ScalarExpr>, Vec<ScalarExpr>)>,
     Option<(usize, usize)>,
 );
+
+/// One hop of a join chain: the equi-join conditions between one pair of
+/// relations, their keys in text order on each side.
+struct Hop {
+    left: usize,
+    left_key: Vec<ScalarExpr>,
+    right: usize,
+    right_key: Vec<ScalarExpr>,
+    /// Byte offset of the hop's last condition.
+    pos: usize,
+}
+
+/// Gather the conditions into hops, one per pair of relations, in the order
+/// the pairs first appear.
+fn hops(joins: &[BoundJoin]) -> Vec<Hop> {
+    let mut hops: Vec<Hop> = Vec::new();
+    for join in joins {
+        let pair = |h: &Hop| (h.left, h.right);
+        let (key, other) = (&join.left_key, &join.right_key);
+        match hops
+            .iter_mut()
+            .find(|h| pair(h) == (join.left, join.right) || pair(h) == (join.right, join.left))
+        {
+            Some(hop) => {
+                let (l, r) = if hop.left == join.left {
+                    (key, other)
+                } else {
+                    (other, key)
+                };
+                hop.left_key.push(l.clone());
+                hop.right_key.push(r.clone());
+                hop.pos = join.pos;
+            }
+            None => hops.push(Hop {
+                left: join.left,
+                left_key: vec![key.clone()],
+                right: join.right,
+                right_key: vec![other.clone()],
+                pos: join.pos,
+            }),
+        }
+    }
+    hops
+}
 
 /// Two or more relations: the equi-join conditions must chain them into a
 /// path, and the fact must be one of its endpoints.
 fn lower_chain(bound: &BoundQuery) -> Result<Chain, SqlError> {
     let n = bound.tables.len();
-    let joins = &bound.joins;
+    let joins = &hops(&bound.joins);
     if n == 3 && !bound.group_by.is_empty() {
         return unsupported(
             "GROUP BY over a three-relation join (no physical shape)",
@@ -203,13 +254,9 @@ fn lower_chain(bound: &BoundQuery) -> Result<Chain, SqlError> {
                 "a cross join (two relations need an equi-join condition)",
                 pos,
             ),
-            (2, _) => unsupported(
-                "more than one join condition between two relations",
-                joins[1].pos,
-            ),
             _ => unsupported(
                 format!(
-                    "{} join condition(s) over {} relations (a chain needs exactly {})",
+                    "join conditions between {} pair(s) of {} relations (a chain joins exactly {})",
                     joins.len(),
                     word(n),
                     word(n - 1)
@@ -218,7 +265,7 @@ fn lower_chain(bound: &BoundQuery) -> Result<Chain, SqlError> {
             ),
         };
     }
-    // n - 1 equi-joins over n relations form a path exactly when two
+    // n - 1 joined pairs over n relations form a path exactly when two
     // relations appear once (the endpoints) and none more than twice — and
     // the walk below reaches them all.
     let appearances: Vec<usize> = (0..n)
@@ -266,7 +313,7 @@ fn lower_chain(bound: &BoundQuery) -> Result<Chain, SqlError> {
     };
 
     let mut order = vec![fact];
-    let mut hops: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
+    let mut hops: Vec<(Vec<ScalarExpr>, Vec<ScalarExpr>)> = Vec::new();
     let mut used = vec![false; joins.len()];
     while order.len() < n {
         let end = order[order.len() - 1];

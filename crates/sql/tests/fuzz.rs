@@ -7,7 +7,7 @@
 //! execute correctly against the row-at-a-time oracle) lives in the
 //! workspace-level `tests/sql_differential.rs`, next to the engine it needs.
 
-use htap_olap::{CmpOp, Predicate};
+use htap_olap::{CmpOp, DagOp, Predicate};
 use htap_sql::{plan, Catalog, SqlError};
 use htap_storage::{ColumnDef, DataType, TableSchema};
 use proptest::prelude::*;
@@ -146,6 +146,7 @@ const VALID: &[&str] = &[
      ORDER BY COUNT(*) DESC LIMIT 5",
     "SELECT SUM(f_a * f_a - f_id), MIN(f_a), MAX(f_a) FROM fact WHERE fact.f_g = 3",
     "SELECT COUNT(*) FROM fact, mid WHERE f_mid = m_id AND 10 >= f_a;",
+    "SELECT SUM(f_a) FROM fact JOIN mid ON f_mid = m_id AND m_far = f_id WHERE f_g = m_id",
 ];
 
 /// Characters the byte-level mutator splices in.
@@ -216,6 +217,65 @@ proptest! {
             Ok(_) => {}
             Err(e) => panic!("valid query failed to plan: {sql:?}: {e}"),
         }
+    }
+}
+
+/// The integer `(fact, mid)` column pairs a multi-column join draws from
+/// (`m_id` serves twice: an element may repeat a column).
+const TUPLE_PAIRS: [(&str, &str); 3] = [("f_mid", "m_id"), ("f_id", "m_far"), ("f_g", "m_id")];
+
+proptest! {
+    /// Two or three equi-conditions between `fact` and `mid`, each written
+    /// either way round, the first `on` of them in the `ON` clause and the
+    /// rest in `WHERE` among the filters: the query plans, into one hop
+    /// keyed by the tuple — the same plan as with every condition in `ON`.
+    #[test]
+    fn multi_column_joins_plan_as_one_tuple_hop(
+        pairs in 2usize..=3,
+        on in 0usize..=3,
+        flips in 0u8..8,
+        filters in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let c = catalog();
+        let conditions: Vec<String> = TUPLE_PAIRS[..pairs]
+            .iter()
+            .enumerate()
+            .map(|(i, (f, m))| if flips >> i & 1 == 1 {
+                format!("{m} = {f}")
+            } else {
+                format!("{f} = {m}")
+            })
+            .collect();
+        let on = on.clamp(1, pairs);
+        let head = format!(
+            "SELECT SUM(f_a), COUNT(*) FROM fact JOIN mid ON {}",
+            conditions[..on].join(" AND ")
+        );
+        let mut where_terms: Vec<String> = conditions[on..].to_vec();
+        where_terms.extend(
+            (0..filters).map(|i| format!("f_a >= {}", (seed >> (8 * i)) % 30)),
+        );
+        let sql = build_query(&head, &where_terms, "");
+        let split = plan(&sql, &c).unwrap_or_else(|e| panic!("{sql:?}: {e}"));
+        let all_on = build_query(
+            &format!(
+                "SELECT SUM(f_a), COUNT(*) FROM fact JOIN mid ON {}",
+                conditions.join(" AND ")
+            ),
+            &where_terms[pairs - on..],
+            "",
+        );
+        prop_assert_eq!(&split, &plan(&all_on, &c).unwrap());
+        let builds: Vec<usize> = split
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                DagOp::HashBuild { keys, .. } => Some(keys.len()),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(builds, vec![pairs]);
     }
 }
 

@@ -647,6 +647,12 @@ mod tests {
             }
             assert!(!t.instance(instance).column_stats(1).is_updated());
         }
+        // A restore leaves both instances' integer bounds covering the
+        // loaded values (here: the loaded columns' own, all five values).
+        for instance in 0..2 {
+            assert_eq!(t.instance(instance).column(0).bounds(), Some((0, 4)));
+            assert_eq!(t.instance(instance).column(1).bounds(), None);
+        }
         assert_eq!(t.fresh_rows_vs_olap(), by_inserts.fresh_rows_vs_olap());
         assert!(!t.update_presence().is_set());
         assert_eq!(t.olap_synced_rows(), 0);

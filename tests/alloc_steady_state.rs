@@ -550,3 +550,54 @@ fn unique_key_probe_morsel_loop_does_not_allocate() {
         }
     }
 }
+
+/// A join on a key tuple: `item` builds on `(i_ref, i_ref)` and each
+/// `orderline` row probes with `(ol_i_id, ol_i_id)` — a tuple folded over
+/// the storage-kept bounds of `i_ref`, whose per-element range checks run
+/// in the worker's key buffer. Unique and weighted builds alike, the 48
+/// extra morsels must not allocate per morsel, and the bounds the fold
+/// reads cost no allocation at all.
+#[test]
+fn tuple_key_morsel_loop_does_not_allocate() {
+    let _window = window();
+    let tuple = |c: &str| vec![ScalarExpr::col(c), ScalarExpr::col(c)];
+    let mut b = DagBuilder::default();
+    let item = b.scan("item");
+    let build = b.build(item, tuple("i_ref"));
+    let scan = b.scan("orderline");
+    let probed = b.probe(scan, build, tuple("ol_i_id"));
+    b.aggregate(
+        probed,
+        None,
+        vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
+    );
+    let plan = b.finish().unwrap();
+    for (sources, build) in [
+        (direct_join_sources as fn(u64) -> Sources, "weighted"),
+        (direct_unique_join_sources, "unique"),
+    ] {
+        for (on, team) in teams() {
+            let (small, large) = allocs_at_16_and_64_morsels(&plan, sources, &team);
+            let delta = large.saturating_sub(small);
+            assert!(
+                delta <= 16,
+                "tuple join, {build} build, on {on}: 48 extra morsels must not allocate per \
+                 morsel: {small} allocs at 16 morsels, {large} at 64 (delta {delta})"
+            );
+        }
+    }
+    // Keeping the bounds allocates nothing: appends within capacity, swaps,
+    // range copies and reads of the bounds.
+    let column = adaptive_htap::storage::Column::with_capacity(DataType::I64, 4096);
+    let source = adaptive_htap::storage::Column::from((0..1024i64).collect::<Vec<_>>());
+    let values: Vec<Value> = (0..64).map(|i| Value::I64(-i)).collect();
+    let mut cell = Value::I64(1 << 40);
+    let allocs = fewest_allocations(|| {
+        column.append(&Value::I64(7));
+        column.append_each(values.iter());
+        column.swap(0, &mut cell);
+        column.copy_from(&source, &[], 0..1024);
+        assert!(column.bounds().is_some());
+    });
+    assert_eq!(allocs, 0, "storage bounds allocated");
+}

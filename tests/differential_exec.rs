@@ -20,8 +20,8 @@
 
 use adaptive_htap::olap::{
     execute_reference_with_work, AggExpr, CmpOp, DagBuilder, DagOp, HavingPred, JoinTable,
-    Predicate, QueryExecutor, QueryOutput, QueryPlan, QueryResult, RowSlot, ScalarExpr, ScanSource,
-    SortKey, WorkerTeam,
+    OlapError, Predicate, QueryExecutor, QueryOutput, QueryPlan, QueryResult, RowSlot, ScalarExpr,
+    ScanSource, SortKey, WorkerTeam,
 };
 use adaptive_htap::sim::{CoreId, SocketId};
 use adaptive_htap::storage::{
@@ -1376,4 +1376,305 @@ fn group_keys_with_disjoint_morsel_spans_agree() {
             "{name}: key order"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Tuple join keys: a build keyed by a tuple of integer columns folds each
+// tuple over the box of the columns' storage-kept bounds.
+// ---------------------------------------------------------------------------
+
+/// The three tuple columns `{p}_w` (i64), `{p}_d` (i32) and `{p}_o` (i64),
+/// then `{p}_a` (f64) and `{p}_g` (i32), one row per tuple of `rows`; read
+/// through a two-segment split access path (OLAP head of a third of the
+/// rows, OLTP tail), so the box is the union of two instances' bounds.
+fn tuple_relation(
+    name: &str,
+    p: &str,
+    rows: &[(i64, i64, i64)],
+) -> (Arc<ColumnarTable>, ScanSource) {
+    let schema = TableSchema::new(
+        name,
+        vec![
+            ColumnDef::new(format!("{p}_w"), DataType::I64),
+            ColumnDef::new(format!("{p}_d"), DataType::I32),
+            ColumnDef::new(format!("{p}_o"), DataType::I64),
+            ColumnDef::new(format!("{p}_a"), DataType::F64),
+            ColumnDef::new(format!("{p}_g"), DataType::I32),
+        ],
+        None,
+    );
+    let table = Arc::new(ColumnarTable::new(schema));
+    let mut rng = StdRng::seed_from_u64(rows.len() as u64);
+    for &(w, d, o) in rows {
+        table
+            .append_row(&[
+                Value::I64(w),
+                Value::I32(d as i32),
+                Value::I64(o),
+                Value::F64(rng.random_range(0.0..10.0)),
+                Value::I32(rng.random_range(0..4)),
+            ])
+            .unwrap();
+    }
+    let n = rows.len() as u64;
+    let snap = TableSnapshot::new(name.into(), Arc::clone(&table), n);
+    let source = ScanSource::split(Arc::clone(&table), n / 3, SocketId(1), &snap, SocketId(0));
+    (table, source)
+}
+
+/// The `(w, d, o)` tuples a [`tuple_relation`] holds now, read back from
+/// its columns.
+fn stored_tuples(table: &ColumnarTable) -> Vec<(i64, i64, i64)> {
+    let rows = table.row_count() as usize;
+    let w = table.column(0).with_i64(rows, <[i64]>::to_vec);
+    let d = table.column(1).with_i32(rows, <[i32]>::to_vec);
+    let o = table.column(2).with_i64(rows, <[i64]>::to_vec);
+    (0..rows).map(|i| (w[i], i64::from(d[i]), o[i])).collect()
+}
+
+/// The inner-join count of `fact ⋈ dim` on the whole tuple, computed from
+/// the stored rows by counting, with no fold.
+fn tuple_join_count(fact: &ColumnarTable, dim: &ColumnarTable) -> f64 {
+    let mut weights: BTreeMap<(i64, i64, i64), u64> = BTreeMap::new();
+    for t in stored_tuples(dim) {
+        *weights.entry(t).or_insert(0) += 1;
+    }
+    stored_tuples(fact)
+        .iter()
+        .map(|t| weights.get(t).copied().unwrap_or(0))
+        .sum::<u64>() as f64
+}
+
+/// `tf ⋈ {dim} ON (tf_w, tf_d, tf_o) = ({p}_w, {p}_d, {p}_o)`: COUNT(*),
+/// SUM(tf_a) and MAX(tf_a), scalar or grouped by `tf_g`.
+fn tuple_join(dim: &str, p: &str, grouped: bool) -> QueryPlan {
+    let tuple = |q: &str| ["w", "d", "o"].map(|c| col(&format!("{q}_{c}"))).to_vec();
+    let mut b = DagBuilder::default();
+    let scan = b.scan(dim);
+    let build = b.build(scan, tuple(p));
+    let scan = b.scan("tf");
+    let at = b.probe(scan, build, tuple("tf"));
+    let aggregates = vec![
+        AggExpr::Count,
+        AggExpr::Sum(col("tf_a")),
+        AggExpr::Max(col("tf_a")),
+    ];
+    b.aggregate(at, grouped.then(|| vec!["tf_g".to_string()]), aggregates);
+    b.finish().unwrap()
+}
+
+/// The dimension box of the tuple cases: `w ∈ −3..=2`, `d ∈ 1..=10`,
+/// `o ∈ −5..=20` — every column's min and max held, and the negative keys
+/// with them — less a third of the tuples, except the two alias targets
+/// `(−1, 10, 5)` and `(1, 4, 20)`, which are always held.
+fn dim_tuples() -> Vec<(i64, i64, i64)> {
+    let mut out = Vec::new();
+    for w in -3..=2i64 {
+        for d in 1..=10 {
+            for o in -5..=20 {
+                let target = (w, d, o) == (-1, 10, 5) || (w, d, o) == (1, 4, 20);
+                if target || (w + d + o).rem_euclid(3) != 0 {
+                    out.push((w, d, o));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Fact tuples over one more value on each side of every column of the
+/// box, plus the aliasing probes: `(0, 0, 5)` is one below `d`'s minimum,
+/// and folds — were `d` not checked — onto `(−1, 10, 5)`; `(1, 5, −6)` is
+/// one below `o`'s minimum and folds onto `(1, 4, 20)`; `(3, 1, 1)` is
+/// past `w`'s maximum.
+fn fact_tuples() -> Vec<(i64, i64, i64)> {
+    let mut rng = StdRng::seed_from_u64(0x7u64);
+    let mut out: Vec<(i64, i64, i64)> = (0..2_000)
+        .map(|_| {
+            (
+                rng.random_range(-4..=3),
+                rng.random_range(0..=11),
+                rng.random_range(-6..=21),
+            )
+        })
+        .collect();
+    out.extend([(0, 0, 5), (1, 5, -6), (3, 1, 1), (-1, 10, 5), (1, 4, 20)]);
+    out
+}
+
+/// Tuple keys at the box's edges, at 1/2/4/8 workers against the oracle
+/// (which compares tuples column by column, with no fold) and against the
+/// join count from the raw rows:
+///
+/// * `box`: the [`dim_tuples`] box, direct; the fact's tuples one past each
+///   column's min and max and the aliasing probes of [`fact_tuples`] miss.
+/// * `wide`: the same plus one tuple with `o = 10⁶`, a box too large for a
+///   direct table: the fold keys a hashed table, and the probes outside the
+///   box still miss.
+/// * `dup`: every tuple of the box three times, so the direct table carries
+///   weight 3 into the weighted probe.
+#[test]
+fn tuple_keys_at_the_edges_of_the_box_agree() {
+    let (fact, fact_source) = tuple_relation("tf", "tf", &fact_tuples());
+    let dim = dim_tuples();
+    let mut wide = dim.clone();
+    wide.push((0, 5, 1_000_000));
+    let dup: Vec<_> = dim.iter().flat_map(|&t| [t, t, t]).collect();
+    for (name, rows) in [("box", dim.clone()), ("wide", wide), ("dup", dup)] {
+        let (table, source) = tuple_relation("td", "td", &rows);
+        let mut sources = BTreeMap::new();
+        sources.insert("tf".to_string(), fact_source.clone());
+        sources.insert("td".to_string(), source);
+        let joined = tuple_join_count(&fact, &table);
+        assert!(joined > 0.0, "{name}: vacuous");
+        for grouped in [false, true] {
+            let plan = tuple_join("td", "td", grouped);
+            let ctx = format!("{name}, grouped={grouped}");
+            let out = assert_workers_match_oracle(&plan, &sources, 97, &ctx);
+            assert_eq!(joined_count(&out.result), joined, "{ctx}");
+        }
+    }
+}
+
+/// A build tuple outside the box its columns' bounds describe: a value
+/// written past the bounds (straight into the column, as no write path of
+/// the storage layer does) must still join exactly as the oracle says —
+/// the build meets it, widens the box and runs again, and never folds it
+/// onto another tuple. The fact holds the outsider's tuple and the tuple
+/// it would alias under the old box.
+#[test]
+fn a_build_tuple_outside_the_box_still_joins_exactly() {
+    use adaptive_htap::storage::Column;
+    let mut fact_rows = fact_tuples();
+    fact_rows.extend([(0, 3, 500), (0, 3, 500)]);
+    let (fact, fact_source) = tuple_relation("tf", "tf", &fact_rows);
+    let dim = dim_tuples();
+    let (table, source) = tuple_relation("td", "td", &dim);
+    let before = table.column(2).bounds();
+    let Column::I64(values, _) = table.column(2) else {
+        panic!("td_o is an i64 column");
+    };
+    // `(0, 3, −5)` becomes `(0, 3, 500)`, past `o`'s maximum 20.
+    let row = dim.iter().position(|&t| t == (0, 3, -5)).unwrap();
+    values.write()[row] = 500;
+    assert_eq!(table.column(2).bounds(), before, "the bounds missed it");
+    assert_eq!(stored_tuples(&table)[row], (0, 3, 500));
+    let mut sources = BTreeMap::new();
+    sources.insert("tf".to_string(), fact_source);
+    sources.insert("td".to_string(), source);
+    let joined = tuple_join_count(&fact, &table);
+    for grouped in [false, true] {
+        let plan = tuple_join("td", "td", grouped);
+        let ctx = format!("outsider, grouped={grouped}");
+        let out = assert_workers_match_oracle(&plan, &sources, 61, &ctx);
+        assert_eq!(joined_count(&out.result), joined, "{ctx}");
+    }
+}
+
+/// A chain of tuple hops, CH-Q3's shape: `tf ⋈ tm ON (w, d, o)` and
+/// `tm ⋈ tc ON (w, d, c)`, where the middle pipeline both probes one
+/// folded build and builds another over a filtered source.
+#[test]
+fn chained_tuple_hops_agree() {
+    let (_, fact_source) = tuple_relation("tf", "tf", &fact_tuples());
+    // tm: the box's tuples with a customer `tm_g`-derived column, which is
+    // the `o` column of the relation `tc` is keyed on.
+    let (_, mid_source) = tuple_relation("tm", "tm", &dim_tuples());
+    let customers: Vec<_> = (-3..=2)
+        .flat_map(|w| (1..=10).flat_map(move |d| (0..4).map(move |c| (w, d, c))))
+        .filter(|&(w, d, c)| (w * 7 + d + c) % 5 != 0)
+        .collect();
+    let (_, far_source) = tuple_relation("tc", "tc", &customers);
+    let mut sources = BTreeMap::new();
+    sources.insert("tf".to_string(), fact_source);
+    sources.insert("tm".to_string(), mid_source);
+    sources.insert("tc".to_string(), far_source);
+    let cols = |cs: [&str; 3]| cs.map(col).to_vec();
+    for filtered in [false, true] {
+        let mut b = DagBuilder::default();
+        let scan = b.scan("tc");
+        let far = b.build(scan, cols(["tc_w", "tc_d", "tc_o"]));
+        let scan = b.scan("tm");
+        let filters = if filtered {
+            vec![Predicate::new("tm_a", CmpOp::Lt, 5.0)]
+        } else {
+            vec![]
+        };
+        let at = b.filter(scan, &filters);
+        let at = b.probe(at, far, cols(["tm_w", "tm_d", "tm_g"]));
+        let mid = b.build(at, cols(["tm_w", "tm_d", "tm_o"]));
+        let scan = b.scan("tf");
+        let at = b.probe(scan, mid, cols(["tf_w", "tf_d", "tf_o"]));
+        b.aggregate(at, None, vec![AggExpr::Count, AggExpr::Sum(col("tf_a"))]);
+        let plan = b.finish().unwrap();
+        let out = assert_workers_match_oracle(&plan, &sources, 113, &format!("chain {filtered}"));
+        assert!(joined_count(&out.result) > 0.0, "chain {filtered}: vacuous");
+    }
+}
+
+/// A tuple whose box holds more tuples than `i64` can count cannot fold
+/// exactly: a typed error from the engine and from the oracle, not a wrong
+/// answer; so is a probe tuple of a different arity (at plan time) and a
+/// tuple element that is not a plain column.
+#[test]
+fn tuple_keys_outside_the_key_rule_are_typed_errors() {
+    let (_, fact_source) = tuple_relation("tf", "tf", &fact_tuples());
+    let (_, dim_source) = tuple_relation("td", "td", &[(0, 0, 0), (1 << 40, 1 << 30, 1 << 40)]);
+    let mut sources = BTreeMap::new();
+    sources.insert("tf".to_string(), fact_source);
+    sources.insert("td".to_string(), dim_source);
+    let overflow = OlapError::UnsupportedKey {
+        reason: "a tuple whose box overflows i64",
+    };
+    let plan = tuple_join("td", "td", false);
+    let engine = QueryExecutor::with_block_rows(64).execute(&plan, &sources);
+    assert_eq!(engine.unwrap_err(), overflow);
+    let oracle = execute_reference_with_work(&plan, &sources);
+    assert_eq!(oracle.unwrap_err(), overflow);
+    // Two of the three columns span 2^40 · 2^30 = 2^70 tuples as well.
+    let mut b = DagBuilder::default();
+    let scan = b.scan("td");
+    let build = b.build(scan, vec![col("td_w"), col("td_d")]);
+    let scan = b.scan("tf");
+    let at = b.probe(scan, build, vec![col("tf_w"), col("tf_d")]);
+    b.aggregate(at, None, vec![AggExpr::Count]);
+    let plan = b.finish().unwrap();
+    let engine = QueryExecutor::default().execute(&plan, &sources);
+    assert_eq!(engine.unwrap_err(), overflow);
+    assert_eq!(
+        execute_reference_with_work(&plan, &sources).unwrap_err(),
+        overflow
+    );
+    // A computed element.
+    let computed = OlapError::UnsupportedKey {
+        reason: "a tuple element that is not a plain column",
+    };
+    let mut b = DagBuilder::default();
+    let scan = b.scan("tf");
+    let build = b.build(scan, vec![col("tf_w"), col("tf_d") + ScalarExpr::lit(0.0)]);
+    let scan = b.scan("td");
+    let at = b.probe(scan, build, vec![col("td_w"), col("td_d")]);
+    b.aggregate(at, None, vec![AggExpr::Count]);
+    let plan = b.finish().unwrap();
+    assert_eq!(
+        QueryExecutor::default()
+            .execute(&plan, &sources)
+            .unwrap_err(),
+        computed
+    );
+    assert_eq!(
+        execute_reference_with_work(&plan, &sources).unwrap_err(),
+        computed
+    );
+    // Arity: a plan error, before any execution.
+    let mut b = DagBuilder::default();
+    let scan = b.scan("td");
+    let build = b.build(scan, vec![col("td_w"), col("td_d")]);
+    let scan = b.scan("tf");
+    let at = b.probe(scan, build, col("tf_w"));
+    b.aggregate(at, None, vec![AggExpr::Count]);
+    assert!(matches!(
+        b.finish().unwrap_err(),
+        OlapError::InvalidDag { .. }
+    ));
 }

@@ -286,14 +286,24 @@ fn a_query_crosses_the_switch_gate_exactly_once() {
 
 /// A join build's `olap.pipeline` span says which table kind it ran:
 /// `direct` = 1 for Q19's build of `item` on its dense primary key `i_id`,
-/// 0 for Q3's builds of `orders` and `customer` on their composite keys.
-/// The root pipeline, which builds nothing, carries no `direct` arg.
+/// for Q3's builds of `customer` on `(c_w_id, c_d_id, c_id)` and of
+/// `orders` on `(o_w_id, o_d_id, o_id)`, and for Q4's and Q12's builds of
+/// `orderline` on `(ol_w_id, ol_d_id, ol_o_id)` — each tuple folded over
+/// its columns' storage-kept bounds, a box about the size of the relation.
+/// Q12's build is empty at this size (no delivery has run) and still binds
+/// direct: the kind is decided from the bounds, not from the rows. The
+/// root pipeline, which builds nothing, carries no `direct` arg.
 #[test]
 fn a_build_span_says_which_table_kind_ran() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     obs::set_enabled(true);
     let system = HtapSystem::build(HtapConfig::tiny()).expect("system builds");
-    for (query, builds, direct) in [(QueryId::Q19, 1, 1.0), (QueryId::Q3, 2, 0.0)] {
+    for (query, builds, direct) in [
+        (QueryId::Q19, 1, 1.0),
+        (QueryId::Q3, 2, 1.0),
+        (QueryId::Q4, 1, 1.0),
+        (QueryId::Q12, 1, 1.0),
+    ] {
         let roots_before = obs::spans_snapshot().len();
         system.execute_query(query).expect("the query executes");
         let roots = obs::spans_snapshot();

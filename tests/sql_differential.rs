@@ -609,3 +609,206 @@ fn unsupported_join_keys_are_typed_olap_errors() {
         .unwrap();
     assert!(report.result_rows >= 1);
 }
+
+// ---------------------------------------------------------------------------
+// Layer 3: multi-column joins — one hop keyed by a column tuple.
+// ---------------------------------------------------------------------------
+
+/// `tfact(tf_w, tf_d, tf_o, tf_g, tf_a)` and `tdim(td_w, td_d, td_o, td_v)`:
+/// `td` holds every `(w, d, o)` of the box `w ∈ −2..=3`, `d ∈ 1..=10`,
+/// `o ∈ −3..=40` but a quarter (and the tuples `o ≡ 0 mod 5` twice, so the
+/// build carries duplicates); the fact's tuples reach one past each side of
+/// every column (the probes the fold must not alias). `tf_d`/`td_d` are
+/// `i32` columns, the rest `i64`.
+fn tuple_dataset() -> (Catalog, BTreeMap<String, ScanSource>) {
+    let mut rng = StdRng::seed_from_u64(0x7_0915);
+    let fact = TableSchema::new(
+        "tfact",
+        vec![
+            ColumnDef::new("tf_w", DataType::I64),
+            ColumnDef::new("tf_d", DataType::I32),
+            ColumnDef::new("tf_o", DataType::I64),
+            ColumnDef::new("tf_g", DataType::I32),
+            ColumnDef::new("tf_a", DataType::F64),
+        ],
+        None,
+    );
+    let fact = Arc::new(ColumnarTable::new(fact));
+    for _ in 0..3_000 {
+        fact.append_row(&[
+            Value::I64(rng.random_range(-3..=4)),
+            Value::I32(rng.random_range(0..=11)),
+            Value::I64(rng.random_range(-4..=41)),
+            Value::I32(rng.random_range(0..5)),
+            Value::F64(rng.random_range(0.0..20.0)),
+        ])
+        .unwrap();
+    }
+    let dim = TableSchema::new(
+        "tdim",
+        vec![
+            ColumnDef::new("td_w", DataType::I64),
+            ColumnDef::new("td_d", DataType::I32),
+            ColumnDef::new("td_o", DataType::I64),
+            ColumnDef::new("td_v", DataType::F64),
+        ],
+        None,
+    );
+    let dim = Arc::new(ColumnarTable::new(dim));
+    for w in -2..=3i64 {
+        for d in 1..=10i32 {
+            for o in -3..=40i64 {
+                if (w + i64::from(d) + o).rem_euclid(4) == 0 {
+                    continue;
+                }
+                let copies = if o.rem_euclid(5) == 0 { 2 } else { 1 };
+                for _ in 0..copies {
+                    dim.append_row(&[
+                        Value::I64(w),
+                        Value::I32(d),
+                        Value::I64(o),
+                        Value::F64(rng.random_range(0.0..100.0)),
+                    ])
+                    .unwrap();
+                }
+            }
+        }
+    }
+    let catalog = Catalog::new()
+        .with_table(fact.schema().clone(), fact.row_count())
+        .with_table(dim.schema().clone(), dim.row_count());
+    let mut sources = BTreeMap::new();
+    for (name, table) in [("tfact", fact), ("tdim", dim)] {
+        let rows = table.row_count();
+        let snap = TableSnapshot::new(name.into(), Arc::clone(&table), rows);
+        let source = ScanSource::split(table, rows / 2, SocketId(1), &snap, SocketId(0));
+        sources.insert(name.to_string(), source);
+    }
+    (catalog, sources)
+}
+
+/// Random multi-column joins between `tfact` and `tdim`: two or three
+/// equi-conditions over the `(w, d, o)` columns in a random order, each
+/// written either way round, split between `ON` and `WHERE` (or all in a
+/// comma join's `WHERE`), with random filters, scalar or grouped by `tf_g`.
+/// Every text runs at 1/2/4/8 workers, bit-identical, and agrees with the
+/// oracle, which compares the tuples column by column.
+#[test]
+fn multi_column_joins_match_the_oracle_at_1_2_4_8_workers() {
+    let (catalog, sources) = tuple_dataset();
+    let mut rng = StdRng::seed_from_u64(0x7_0916);
+    let mut tuple_builds = 0;
+    for case in 0..36u32 {
+        let mut columns = vec!["w", "d", "o"];
+        if rng.random_range(0..3u32) == 0 {
+            columns.remove(rng.random_range(0..3usize));
+        }
+        // A random order: the tuple is matched element by element, so any
+        // order of the conditions is the same join.
+        for i in (1..columns.len()).rev() {
+            columns.swap(i, rng.random_range(0..=i));
+        }
+        let conditions: Vec<String> = columns
+            .iter()
+            .map(|c| {
+                if rng.random_bool(0.5) {
+                    format!("tf_{c} = td_{c}")
+                } else {
+                    format!("td_{c} = tf_{c}")
+                }
+            })
+            .collect();
+        let mut filters = Vec::new();
+        if rng.random_bool(0.5) {
+            filters.push(format!("td_v < {}", rng.random_range(10..100)));
+        }
+        if rng.random_bool(0.3) {
+            filters.push(format!("tf_a >= {}", rng.random_range(0..15)));
+        }
+        let split = rng.random_range(0..=conditions.len());
+        let (on, rest) = conditions.split_at(split);
+        let mut terms: Vec<String> = rest.to_vec();
+        terms.extend(filters);
+        let from = if on.is_empty() {
+            "tfact, tdim".to_string()
+        } else {
+            format!("tfact JOIN tdim ON {}", on.join(" AND "))
+        };
+        let grouped = case % 2 == 1;
+        let sql = if grouped {
+            format!(
+                "SELECT tf_g, COUNT(*), SUM(tf_a) FROM {from}{} GROUP BY tf_g",
+                where_clause(&terms)
+            )
+        } else {
+            format!(
+                "SELECT COUNT(*), SUM(tf_a), MAX(tf_a) FROM {from}{}",
+                where_clause(&terms)
+            )
+        };
+        let ctx = format!("case {case}: {sql}");
+        let plan = plan_sql(&sql, &catalog).unwrap_or_else(|e| panic!("{ctx}: plan: {e}"));
+        assert_eq!(plan.tables().len(), 2, "{ctx}: one hop");
+        tuple_builds += usize::from(columns.len() > 1);
+        let executor = QueryExecutor::with_block_rows(rng.random_range(64..700));
+        let solo = executor
+            .execute_parallel(&plan, &sources, &WorkerTeam::from_cores(vec![CoreId(0)]))
+            .unwrap_or_else(|e| panic!("{ctx}: engine failed: {e}"));
+        for workers in [2u16, 4, 8] {
+            let team = WorkerTeam::from_cores((0..workers).map(CoreId).collect());
+            let parallel = executor.execute_parallel(&plan, &sources, &team).unwrap();
+            assert_eq!(solo, parallel, "{ctx}: {workers} workers diverged");
+        }
+        assert_matches_oracle(&solo, &plan, &sources, &ctx);
+        let count = match &solo.result {
+            QueryResult::Scalars(s) => s[0],
+            QueryResult::Groups(g) => g.iter().map(|row| row.1[0]).sum(),
+        };
+        assert!(count > 0.0, "{ctx}: vacuous");
+    }
+    assert!(tuple_builds >= 20, "{tuple_builds} tuple builds");
+}
+
+/// The CH catalog's multi-column joins: the same tuple written across `ON`
+/// and `WHERE` is the same plan as the CH text, and a tuple over a float
+/// column or a computed key is a typed SQL error.
+#[test]
+fn ch_multi_column_joins_plan_alike_and_reject_what_cannot_fold() {
+    let system = HtapSystem::build(HtapConfig::tiny()).unwrap();
+    system.run_oltp(10);
+    let on = system.plan_sql(&adaptive_htap::QueryId::Q4.sql()).unwrap();
+    let split = system
+        .plan_sql(
+            "SELECT o_ol_cnt, COUNT(*) FROM orders JOIN orderline ON o_w_id = ol_w_id \
+             WHERE o_d_id = ol_d_id AND o_id = ol_o_id AND o_entry_d >= 0 AND ol_amount >= 500 \
+             GROUP BY o_ol_cnt ORDER BY COUNT(*) DESC LIMIT 5",
+        )
+        .unwrap();
+    assert_eq!(on, split);
+    let out = assert_ch_sql_matches_oracle(
+        &system,
+        "SELECT COUNT(*), SUM(ol_amount) FROM orderline, orders \
+         WHERE ol_o_id = o_id AND ol_d_id = o_d_id AND ol_w_id = o_w_id",
+        "comma tuple join",
+    );
+    assert!(out.result.scalars().unwrap()[0] > 0.0);
+    for (sql, needle) in [
+        (
+            "SELECT COUNT(*) FROM orderline JOIN orders ON ol_w_id = o_w_id \
+             AND ol_amount = o_entry_d",
+            "non-integer",
+        ),
+        (
+            "SELECT COUNT(*) FROM orderline JOIN orders ON ol_w_id = o_w_id \
+             AND ol_o_id + 0 = o_id",
+            "computed",
+        ),
+    ] {
+        match system.plan_sql(sql) {
+            Err(SqlError::Unsupported { what, .. }) => {
+                assert!(what.contains(needle), "{sql}: {what:?} lacks {needle:?}")
+            }
+            other => panic!("{sql}: expected Unsupported, got {other:?}"),
+        }
+    }
+}
