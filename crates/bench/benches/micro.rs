@@ -395,8 +395,8 @@ fn vectorized_shapes(c: &mut Criterion) {
 /// aggregates folding a count and two lanes, a filter every row passes):
 /// `olap/group_fold_5aggs` with the
 /// values 5·10⁷ apart, so the ids are hashed, `olap/group_fold_5aggs_direct`
-/// with them 1 apart, so the morsel seats its 24 keys and a row's id is
-/// `key − min`.
+/// with them 1 apart, so the morsel seats the 24 keys of the column's
+/// storage bounds and a row's id is `key − min`.
 fn join_and_group_kernels(c: &mut Criterion) {
     use htap_olap::JoinTable;
     use htap_storage::{ColumnarTable, TableSnapshot};
@@ -585,6 +585,67 @@ fn join_build_q4_keys(c: &mut Criterion) {
     }
 }
 
+/// The tuple key fold alone, over the build-side key columns of CH Q4's
+/// shape: 1.8 M order lines of 180 k orders (4 warehouses × 10 districts ×
+/// 4 500, 10 lines each), three `i64` columns folded by mixed radix over
+/// their box `1..=4 × 1..=10 × 1..=4 500`, one 16 Ki-row morsel at a time
+/// into a reused key buffer, as a pipeline folds them:
+/// `olap/tuple_key_fold/dense` every row, `olap/tuple_key_fold/sel50`
+/// behind a selection of about half the rows, scattered.
+///
+/// On a 2-CPU Xeon container host (2 MiB L2), three alternating runs each,
+/// per pass over the 1.8 M rows: the unfused evaluation the fused fold
+/// replaced (a multiply-add pass, then one range-check pass per element)
+/// took 5.52–5.60 ms dense and 3.38–3.40 ms behind the selection; the fused
+/// fold takes 2.23–2.27 ms and 1.47–1.52 ms.
+fn tuple_key_fold(c: &mut Criterion) {
+    use htap_olap::kernels::{fold_tuple, hash_i64, FoldDim};
+
+    const MORSEL: usize = 16 * 1024;
+    let mut columns = [Vec::new(), Vec::new(), Vec::new()];
+    for w in 1..=4i64 {
+        for d in 1..=10i64 {
+            for o in 1..=4_500i64 {
+                for _ in 0..10 {
+                    for (column, v) in columns.iter_mut().zip([w, d, o]) {
+                        column.push(v);
+                    }
+                }
+            }
+        }
+    }
+    let rows = columns[0].len();
+    let dims = [(4, 45_000), (10, 4_500), (4_500, 1)].map(|(span, stride)| FoldDim {
+        min: 1,
+        span,
+        stride,
+    });
+    // Per morsel, the morsel-local ids of the rows whose hash is even.
+    let selections: Vec<Vec<u32>> = (0..rows)
+        .step_by(MORSEL)
+        .map(|start| {
+            (0..MORSEL.min(rows - start) as u32)
+                .filter(|&i| hash_i64(start as i64 + i64::from(i)) & 1 == 0)
+                .collect()
+        })
+        .collect();
+    let mut out = Vec::with_capacity(MORSEL);
+    for label in ["dense", "sel50"] {
+        c.bench_function(&format!("olap/tuple_key_fold/{label}"), |b| {
+            b.iter(|| {
+                let mut outside = false;
+                for (m, start) in (0..rows).step_by(MORSEL).enumerate() {
+                    let n = MORSEL.min(rows - start);
+                    let column = |k: usize| &columns[k][start..start + n];
+                    let sel = (label == "sel50").then(|| selections[m].as_slice());
+                    outside |= fold_tuple(&dims, column, n, sel, &mut out);
+                }
+                black_box((outside, out[0]))
+            })
+        });
+    }
+}
+
 fn etl_delta_copy(c: &mut Criterion) {
     c.bench_function("rde/switch_sync_etl_tiny_db", |b| {
         b.iter_batched(
@@ -637,6 +698,7 @@ criterion_group! {
               transactions, durability_window,
               ch_query_execution, parallel_scan_scaling, team_dispatch,
               vectorized_shapes, join_and_group_kernels, join_build_tables, join_build_q4_keys,
+              tuple_key_fold,
               etl_delta_copy,
               cost_models
 }

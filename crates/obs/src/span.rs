@@ -189,14 +189,13 @@ pub fn child_span(name: &'static str, start_us: u64, end_us: u64, args: &[(&'sta
         args: args.to_vec(),
         children: Vec::new(),
     };
-    let attached = with_stack(|stack| match stack.last_mut() {
-        Some(parent) => {
-            parent.children.push(child.clone());
-            true
+    let mut child = Some(child);
+    with_stack(|stack| {
+        if let Some(parent) = stack.last_mut() {
+            parent.children.extend(child.take());
         }
-        None => false,
     });
-    if attached != Some(true) {
+    if let Some(child) = child {
         crate::obs().spans.lock().push(child);
     }
 }

@@ -48,12 +48,14 @@ pub(super) struct BuildOutput {
 ///   the hashed kind, so the answer never rests on the bounds.
 /// * A build keyed by a tuple of integer columns (CH `orders` on
 ///   `(o_w_id, o_d_id, o_id)`) folds each tuple to one exact `i64` by mixed
-///   radix over the columns' box ([`KeyBox::fold`]): the tuples inside the
-///   box fold into `0..cells`, and the table over them is direct on the
-///   same rule. A tuple outside the box folds to nothing, which the worker
-///   records with the range of its morsel's values; the build then runs
-///   again over the box widened by those ranges and by the bounds read
-///   afresh, so it never aliases. Only the last run's work is accounted.
+///   radix over the columns' box ([`KeyBox::fold`]) in one fused pass per
+///   morsel, which reads each element once and range-checks it on the way:
+///   the tuples inside the box fold into `0..cells`, and the table over
+///   them is direct on the same rule. A tuple outside the box folds to
+///   nothing, which the worker records with the range of its morsel's
+///   values; the build then runs again over the box widened by those
+///   ranges and by the bounds read afresh, so it never aliases. Only the
+///   last run's work is accounted.
 ///
 /// Otherwise the tables are hashed. A build keyed by a plain column that
 /// is the build relation's declared primary key has them sized from the
@@ -178,9 +180,9 @@ impl QueryExecutor {
 #[cold]
 #[inline(never)]
 fn element_ranges(key: &JoinKey, data: &MorselData<'_>, sel: Option<&[u32]>) -> Vec<(i64, i64)> {
-    key.checks
+    key.elements()
         .iter()
-        .filter_map(|&(slot, _, _)| {
+        .filter_map(|&slot| {
             let col = data.key(slot as usize);
             match sel {
                 None => kernels::min_max_dense(col),

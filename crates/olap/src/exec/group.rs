@@ -37,22 +37,42 @@ pub(super) struct GroupSink<'q> {
     aggs: &'q CompiledAggs,
     /// Key-list slot of each group-by column.
     slots: Vec<usize>,
+    /// The range a one-column key's morsels seat their groups over: the
+    /// bounds storage keeps for the column, read once at bind — when the
+    /// largest morsel could seat them ([`seats_range`]).
+    seat: Option<(i64, i64)>,
 }
 
 impl<'q> GroupSink<'q> {
+    /// Bind the grouping of `pipe` by `group_by`, whose morsels hold at
+    /// most `morsel_rows` rows (0: one morsel per segment).
     pub fn bind(
         pipe: &'q Pipeline<'_>,
         group_by: &[String],
         aggregates: &'q [AggExpr],
+        morsel_rows: usize,
     ) -> Result<Self, OlapError> {
         let slots = group_by
             .iter()
             .map(|g| pipe.key_slot(g))
             .collect::<Result<_, _>>()?;
+        let most = match morsel_rows {
+            0 => pipe.source.total_rows() as usize,
+            rows => rows,
+        };
+        let n_lanes = pipe.aggs.lanes.len();
+        let seat = match group_by {
+            [column] => pipe
+                .source
+                .column_bounds(column)
+                .filter(|&(min, max)| seats_range(min, max, n_lanes, most)),
+            _ => None,
+        };
         Ok(GroupSink {
             aggregates,
             aggs: &pipe.aggs,
             slots,
+            seat,
         })
     }
 }
@@ -86,50 +106,96 @@ pub(super) struct GroupOut {
     hashes: Vec<u64>,
 }
 
-/// Whether a morsel takes its group ids straight from its one key column:
-/// its selected keys span `min..=max`, and seating every key of the span
-/// visits no more state cells — a count and `n_lanes` lanes per key — than
-/// the morsel's rows fold (`span × (n_lanes + 1) ≤ selected`). The span is
-/// computed in `u128`: `i64::MIN..=i64::MAX` is merely too wide.
+/// Whether a morsel seats the groups of its one key column over
+/// `min..=max` (the column's storage bounds): seating every key of the
+/// range visits no more state cells — a count and `n_lanes` lanes per key —
+/// than the morsel's `selected` rows fold (`span × (n_lanes + 1) ≤
+/// selected`). The span is computed in `u128`: `i64::MIN..=i64::MAX` is
+/// merely too wide.
 fn seats_range(min: i64, max: i64, n_lanes: usize, selected: usize) -> bool {
     let span = u128::from(max.abs_diff(min)) + 1;
     span * (n_lanes as u128 + 1) <= selected as u128
 }
 
+/// Seated group ids: `gids[pos] = key − min` for the `pos`-th selected row,
+/// with a branch-free check that every key lies in `min..=max` (whose span
+/// [`seats_range`] keeps within `u32`). Returns whether all of them do;
+/// when one does not, `gids` holds garbage the caller overwrites.
+#[inline]
+fn seat_ids(
+    keys: &[i64],
+    min: i64,
+    max: i64,
+    rows: usize,
+    sel: Option<&[u32]>,
+    gids: &mut [u32],
+) -> bool {
+    let last = max.wrapping_sub(min) as u64;
+    let mut off = false;
+    match sel {
+        None => {
+            for (g, &k) in gids.iter_mut().zip(&keys[..rows]) {
+                let u = k.wrapping_sub(min) as u64;
+                off |= u > last;
+                *g = u as u32;
+            }
+        }
+        Some(ids) => {
+            for (g, &i) in gids.iter_mut().zip(ids) {
+                let u = keys[i as usize].wrapping_sub(min) as u64;
+                off |= u > last;
+                *g = u as u32;
+            }
+        }
+    }
+    !off
+}
+
+/// Marks the path of a morsel that could seat its groups but holds a key
+/// outside the bounds read at bind as cold: it is hashed instead.
+#[cold]
+#[inline]
+fn outside_the_bounds() {}
+
 impl GroupOut {
     /// Resolve every selected row's group and record it: `gids[pos]` is the
     /// group index of the `pos`-th selected row.
     ///
-    /// A one-column key whose selected values span few keys
-    /// ([`seats_range`]) is not hashed: the table seats the whole span in
-    /// key order and a row's group is `key − min`; only the groups whose
-    /// count a row advanced are emitted ([`GroupOut::emit_morsel`]). Other
-    /// one- and two-column keys (the common shapes) batch-hash the whole
-    /// selection with the chunked kernels of [`crate::kernels`] into
-    /// `hashes` and upsert; wider keys hash per row.
+    /// A one-column key whose bounds the sink holds is not hashed when the
+    /// morsel's selected rows can seat them ([`seats_range`]): a row's group
+    /// is `key − min`, one pass with a branch-free range check, and the
+    /// table seats the whole range in key order; only the groups whose
+    /// count a row advanced are emitted ([`GroupOut::emit_morsel`]). No
+    /// pass looks for the morsel's own smallest and largest key. A morsel
+    /// that holds a key outside the bounds (a value no write path widened
+    /// them for) is hashed instead, on a cold path, so the answer never
+    /// rests on the bounds. Other one- and two-column keys (the common
+    /// shapes) batch-hash the whole selection with the chunked kernels of
+    /// [`crate::kernels`] into `hashes` and upsert; wider keys hash per row.
     ///
     /// Seating changes the order of a morsel's groups — key order instead of
     /// first-seen order — and cannot change a bit of the result: each
     /// group's lanes still fold its rows in row order, the radix merge
     /// folds one group's per-morsel partials in morsel order (a group
     /// appears once per morsel, wherever in it), and the final rows are
-    /// sorted by key. Which path a morsel takes depends on its own rows
-    /// only, so it is the same for every worker count.
+    /// sorted by key. Which path a morsel takes depends on the bounds read
+    /// at bind and its own rows only, so it is the same for every worker
+    /// count.
     fn resolve_groups(
         &mut self,
-        slots: &[usize],
-        n_lanes: usize,
+        sink: &GroupSink<'_>,
         data: &MorselData<'_>,
         hashes: &mut Vec<u64>,
         rows: usize,
         sel: Option<&[u32]>,
     ) {
         let (table, key_tmp, gids) = (&mut self.table, &mut self.key_tmp, &mut self.gids);
+        let (seat, n_lanes) = (sink.seat, sink.aggs.lanes.len());
         // Sized up front (only growth is zero-filled; every arm overwrites
         // the buffer in full): the loops below store by position and carry
         // no capacity check.
         gids.resize(sel.map_or(rows, <[u32]>::len), 0);
-        match slots {
+        match &sink.slots[..] {
             // GROUP BY over no columns: one global group, index 0.
             [] => {
                 if !gids.is_empty() {
@@ -139,19 +205,15 @@ impl GroupOut {
             }
             [s0] => {
                 let k0 = data.key(*s0);
-                let range = match sel {
-                    None => kernels::min_max_dense(k0),
-                    Some(ids) => kernels::min_max_gather(k0, ids),
-                };
                 let selected = gids.len();
                 if let Some((min, max)) =
-                    range.filter(|&(min, max)| seats_range(min, max, n_lanes, selected))
+                    seat.filter(|&(min, max)| seats_range(min, max, n_lanes, selected))
                 {
-                    table.seat_range(min, max);
-                    for_each_selected(rows, sel, |pos, i| {
-                        gids[pos] = k0[i].wrapping_sub(min) as u32;
-                    });
-                    return;
+                    if seat_ids(k0, min, max, rows, sel, gids) {
+                        table.seat_range(min, max);
+                        return;
+                    }
+                    outside_the_bounds();
                 }
                 match sel {
                     None => kernels::hash1_dense(k0, hashes),
@@ -330,7 +392,7 @@ impl Sink for GroupSink<'_> {
         let lanes = &self.aggs.lanes;
         let sel = survivors.selection();
         out.table.begin_morsel();
-        out.resolve_groups(&self.slots, lanes.len(), cx.data, cx.hashes, rows, sel);
+        out.resolve_groups(self, cx.data, cx.hashes, rows, sel);
         let (counts, lane_arena) = out.table.counts_and_lanes_mut();
         fold_counts(counts, &out.gids, survivors);
         for (j, &(fold, ref e)) in lanes.iter().enumerate() {
@@ -422,6 +484,12 @@ impl Sink for GroupSink<'_> {
         // ascending-key order of the result.
         rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         rows
+    }
+
+    /// `seated`: 1 when a one-column key seats its groups over the bounds
+    /// read at bind, 0 when every morsel hashes.
+    fn span_arg(&self) -> Option<(&'static str, f64)> {
+        Some(("seated", f64::from(u8::from(self.seat.is_some()))))
     }
 }
 

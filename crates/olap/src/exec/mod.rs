@@ -35,7 +35,7 @@
 //!   sides use the linear-probing tables of [`crate::hashtable`] with inline
 //!   keys, or skip the hash where a key's span is small (a direct join
 //!   table indexed by `key − min`, a morsel's group ids seated the same
-//!   way); a probe compacts its survivors without a data-dependent branch,
+//!   way over the column's storage bounds); a probe compacts its survivors without a data-dependent branch,
 //!   and group keys are sorted exactly once, at final merge.
 //! * **Zero steady-state allocation** — each worker carries one
 //!   [`crate::scratch::ExecScratch`] per pipeline; column data is borrowed
@@ -173,7 +173,7 @@ impl QueryExecutor {
                 QueryResult::Scalars(self.run_pipeline(&pipe, team, &sink, &mut work))
             }
             Some(group_by) => {
-                let sink = GroupSink::bind(&pipe, group_by, aggregates)?;
+                let sink = GroupSink::bind(&pipe, group_by, aggregates, self.block_rows)?;
                 let mut rows = self.run_pipeline(&pipe, team, &sink, &mut work);
                 for finisher in &spec.finishers {
                     finish::apply_finisher(finisher, &mut rows);

@@ -8,10 +8,11 @@ use crate::scratch::{MorselData, ProbeBufs};
 
 /// The `i64` join-key lane of every selected row of one morsel, indexed by
 /// row, and whether a selected row of a folded tuple fell outside its box:
-/// a plain key column is read in place; any other key evaluates its affine
+/// a plain key column is read in place; a computed key evaluates its affine
 /// form in wrapping `i64` over the key columns into the worker's key buffer
-/// `buf` — a tuple's fold, with each row outside the box sent to
-/// [`crate::program::OUTSIDE`]. All are exact over the full `i64` range,
+/// `buf`, and a tuple key its mixed-radix fold, one fused pass that reads
+/// each element once per row and sends a row outside the box to
+/// [`crate::kernels::OUTSIDE`]. All are exact over the full `i64` range,
 /// and every probe and build loop downstream sees one kind of key.
 #[inline]
 pub(super) fn key_vals<'a>(

@@ -42,9 +42,10 @@
 //!   and one `f64` per lane — a running value of its aggregates
 //!   ([`crate::expr::Fold`]) — in flat parallel arenas. Clearing between
 //!   morsels is O(1) via an epoch stamp, so a worker's table is reused
-//!   across morsels without paying a full `memset` of the slot array. A morsel whose one group column spans
-//!   few keys skips the hash instead: [`GroupTable::seat_range`] seats every
-//!   key of its range in key order, and a row's group is `key − min`.
+//!   across morsels without paying a full `memset` of the slot array. A
+//!   morsel whose one group column's storage bounds span few keys skips the
+//!   hash instead: [`GroupTable::seat_range`] seats every key of the bounds
+//!   in key order, and a row's group is `key − min`.
 //!
 //! Neither table ever sorts: per-morsel partials are emitted in insertion
 //! order and the deterministic merge sorts group keys exactly once, at
@@ -761,8 +762,8 @@ impl GroupTable {
         )
     }
 
-    /// Seat the groups of a morsel whose one key column spans `min..=max`
-    /// (`min <= max`): group `g` is key `min + g`, in key order, with a zero
+    /// Seat the groups of a morsel whose one key column's values all lie in
+    /// `min..=max` (`min <= max`): group `g` is key `min + g`, in key order, with a zero
     /// count, identity lanes and stored hashes — so a row's group is `key − min`, found
     /// without a hash or a probe. Call it on a cleared table
     /// ([`GroupTable::begin_morsel`]). The slot array is not written: a

@@ -5,7 +5,7 @@
 //! explicit fixed-width-chunk kernel: the input is processed in
 //! [`LANES`]-wide blocks (`[f64; 8]` / `[i64; 8]`) with a scalar tail, the
 //! shape LLVM's autovectorizer reliably turns into SIMD on every target the
-//! repo builds for (no intrinsics, no `target_feature` gates). Three kernel
+//! repo builds for (no intrinsics, no `target_feature` gates). Four kernel
 //! families:
 //!
 //! * **Filters** ([`filter_dense_f64`] and friends) — compare one column
@@ -20,8 +20,13 @@
 //!   [`hash_combine`] / [`hash_key`] primitives are defined here and shared
 //!   with the tables (integer ops: batch and scalar are trivially
 //!   bit-identical). Beside them, [`min_max_dense`] and [`min_max_gather`]
-//!   find a key column's span, which decides when a direct-indexed table
-//!   replaces the hash.
+//!   find a key column's span: a join build that met a tuple outside its
+//!   box records its morsel's ranges with them.
+//! * **Tuple folds** ([`fold_tuple`]) — a tuple join key folded by mixed
+//!   radix over its build's box in one fused pass per three elements: every
+//!   row reads each element once, range-checks it and adds its share of
+//!   the key, so no pass re-reads a column to check it. No row depends on
+//!   another, so the plain row loop needs no chunking to vectorize.
 //! * **Folds** ([`fold_dense`], [`fold_gather`]) — one running value's
 //!   `Add`, `Min` or `Max` ([`Fold`]) over a dense column or a selection
 //!   vector. Floating-point accumulation order is **observable**: results
@@ -138,8 +143,8 @@ pub fn hash1_gather_scalar(keys: &[i64], sel: &[u32], out: &mut Vec<u64>) {
 }
 
 /// Smallest and largest key of a dense key column (`None` when it is
-/// empty): the span a direct-indexed table needs. [`LANES`] running minima
-/// and maxima, folded once at the end, keep the lanes independent.
+/// empty). [`LANES`] running minima and maxima, folded once at the end,
+/// keep the lanes independent.
 pub fn min_max_dense(keys: &[i64]) -> Option<(i64, i64)> {
     let first = *keys.first()?;
     let (mut lo, mut hi) = ([first; LANES], [first; LANES]);
@@ -524,6 +529,149 @@ pub fn fold_gather_scalar(fold: Fold, acc: &mut f64, vals: &[f64], sel: &[u32]) 
     for &i in sel {
         *acc = fold.apply(*acc, vals[i as usize]);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Tuple key folds.
+// ---------------------------------------------------------------------------
+
+/// What a folded tuple key evaluates to for a row outside its box on any
+/// element: every tuple inside a box whose cell count fits `i64` folds into
+/// `0..cells`, so no in-box tuple folds to this value.
+pub const OUTSIDE: i64 = i64::MIN;
+
+/// One element of a tuple key folded by mixed radix: the smallest value of
+/// its box range, the range's span (`max − min + 1`; 0 when the range is
+/// empty, so every value is outside) and its stride (the product of the
+/// later elements' spans).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FoldDim {
+    pub min: i64,
+    pub span: u64,
+    pub stride: i64,
+}
+
+/// Fold a tuple key for every selected row (`None`: the dense range
+/// `0..rows`) in one fused pass over its elements: each row reads each
+/// element `c` once, takes `u = (c − min) as u64` in wrapping arithmetic,
+/// ORs the tests `u ≥ span` and sums `u·stride`, and writes the sum, or
+/// [`OUTSIDE`] when any element is off. `column(k)` is element `k`'s
+/// column (two elements may share one); a tuple has at least one element
+/// (a plan's key tuples are never empty). A tuple of more than three
+/// elements folds three per pass, the later passes adding onto what the
+/// earlier ones left and keeping [`OUTSIDE`] where they wrote it — which
+/// requires the box's cell count to fit `i64`, so that no partial sum is
+/// [`OUTSIDE`].
+/// `out` grows to `rows` lanes; rows off the selection keep what they held.
+/// Returns whether any selected row was outside.
+pub fn fold_tuple<'a>(
+    dims: &[FoldDim],
+    column: impl Fn(usize) -> &'a [i64],
+    rows: usize,
+    sel: Option<&[u32]>,
+    out: &mut Vec<i64>,
+) -> bool {
+    if out.len() < rows {
+        out.resize(rows, 0);
+    }
+    let out = &mut out[..rows];
+    let mut outside = false;
+    for (pass, group) in dims.chunks(3).enumerate() {
+        let col = |k: usize| column(3 * pass + k);
+        outside |= match (pass, group) {
+            (0, &[a]) => fold_pass::<1, true>(out, sel, [a], [col(0)]),
+            (0, &[a, b]) => fold_pass::<2, true>(out, sel, [a, b], [col(0), col(1)]),
+            (0, &[a, b, c]) => fold_pass::<3, true>(out, sel, [a, b, c], [col(0), col(1), col(2)]),
+            (_, &[a]) => fold_pass::<1, false>(out, sel, [a], [col(0)]),
+            (_, &[a, b]) => fold_pass::<2, false>(out, sel, [a, b], [col(0), col(1)]),
+            (_, &[a, b, c]) => fold_pass::<3, false>(out, sel, [a, b, c], [col(0), col(1), col(2)]),
+            _ => unreachable!("chunks of three"),
+        };
+    }
+    outside
+}
+
+/// One pass of [`fold_tuple`] over up to three elements: the first pass
+/// (`FIRST`) starts each key from 0, a later one from what `out` holds.
+#[inline(always)]
+fn fold_pass<const N: usize, const FIRST: bool>(
+    out: &mut [i64],
+    sel: Option<&[u32]>,
+    dims: [FoldDim; N],
+    cols: [&[i64]; N],
+) -> bool {
+    let fold = |base: i64, vals: [i64; N]| {
+        let (mut key, mut off) = if FIRST {
+            (0i64, false)
+        } else {
+            (base, base == OUTSIDE)
+        };
+        for (d, c) in dims.iter().zip(vals) {
+            let u = c.wrapping_sub(d.min) as u64;
+            off |= u >= d.span;
+            key = key.wrapping_add((u as i64).wrapping_mul(d.stride));
+        }
+        (if off { OUTSIDE } else { key }, off)
+    };
+    let mut outside = false;
+    match sel {
+        None => {
+            // A dense pass reads exactly `out.len()` lanes of every column;
+            // saying so up front drops the row loop's bounds checks.
+            let cols = cols.map(|c| &c[..out.len()]);
+            for (i, o) in out.iter_mut().enumerate() {
+                let (key, off) = fold(*o, cols.map(|c| c[i]));
+                *o = key;
+                outside |= off;
+            }
+        }
+        Some(ids) => {
+            for &i in ids {
+                let i = i as usize;
+                let (key, off) = fold(out[i], cols.map(|c| c[i]));
+                out[i] = key;
+                outside |= off;
+            }
+        }
+    }
+    outside
+}
+
+/// Scalar twin of [`fold_tuple`], evaluated the unfused way: the affine
+/// form `Σ stride·c − Σ min·stride` in wrapping `i64`, then one range check
+/// per element that sends a row outside its box to [`OUTSIDE`].
+pub fn fold_tuple_scalar<'a>(
+    dims: &[FoldDim],
+    column: impl Fn(usize) -> &'a [i64],
+    rows: usize,
+    sel: Option<&[u32]>,
+    out: &mut Vec<i64>,
+) -> bool {
+    if out.len() < rows {
+        out.resize(rows, 0);
+    }
+    let ids: Vec<usize> = match sel {
+        None => (0..rows).collect(),
+        Some(ids) => ids.iter().map(|&i| i as usize).collect(),
+    };
+    let constant = dims.iter().fold(0i64, |acc, d| {
+        acc.wrapping_sub(d.min.wrapping_mul(d.stride))
+    });
+    for &i in &ids {
+        out[i] = dims.iter().enumerate().fold(constant, |acc, (k, d)| {
+            acc.wrapping_add(d.stride.wrapping_mul(column(k)[i]))
+        });
+    }
+    let mut outside = false;
+    for (k, d) in dims.iter().enumerate() {
+        for &i in &ids {
+            if column(k)[i].wrapping_sub(d.min) as u64 >= d.span {
+                out[i] = OUTSIDE;
+                outside = true;
+            }
+        }
+    }
+    outside
 }
 
 #[cfg(test)]

@@ -10,10 +10,12 @@
 //! tree, and never allocates — registers live in the worker's
 //! [`crate::scratch::ExecScratch`] and are reused across morsels.
 //!
-//! Join keys take no register program: they fold to exact `i64` affine
-//! forms over the key columns ([`AffineKey`]), so integer keys never round
-//! through `f64`; a tuple of key columns folds to one by mixed radix over
-//! its build side's value box ([`KeyBox`]), with a range check per element.
+//! Join keys take no register program and never round through `f64`: a
+//! one-expression key folds to its exact `i64` affine form over the key
+//! columns ([`AffineKey`]); a tuple of key columns folds to one `i64` by
+//! mixed radix over its build side's value box ([`KeyBox`]), evaluated in
+//! one fused pass that reads each element once per row and range-checks it
+//! on the way ([`kernels::fold_tuple`]).
 //!
 //! Selection vectors (`u32` row ids) replace the old `Vec<bool>` masks:
 //! filters *compact* the selection in place, and every downstream operator
@@ -21,7 +23,7 @@
 
 use crate::error::OlapError;
 use crate::expr::{AggExpr, CmpOp, Fold, Predicate, ScalarExpr};
-use crate::kernels;
+use crate::kernels::{self, FoldDim};
 use crate::scratch::MorselData;
 
 /// Where a compiled operand reads from.
@@ -430,11 +432,6 @@ pub(crate) fn tuple_slots(tuple: &[ScalarExpr], keys: &[String]) -> Result<Vec<u
         .collect()
 }
 
-/// What a folded tuple key evaluates to for a row outside the box on any
-/// element: every tuple inside the box folds into `0..cells`, so no build
-/// key is ever this value and a probe of it misses.
-pub(crate) const OUTSIDE: i64 = i64::MIN;
-
 /// The box a tuple join key folds over: per element, the smallest and
 /// largest value of the build side's column (`None`: the column holds no
 /// value, an empty span), read from the storage-kept bounds
@@ -491,69 +488,72 @@ impl KeyBox {
     /// Fold a tuple of key columns (their key-list `slots`, element for
     /// element of the box) by mixed radix, first element most significant:
     /// `Σ (c_i − min_i)·stride_i`, each stride the product of the later
-    /// elements' spans. That is the affine form `Σ stride_i·c_i − Σ
-    /// min_i·stride_i`, evaluated in wrapping `i64` like any key — exact for
-    /// every tuple inside the box, whose fold lies in `0..cells` — plus a
-    /// range check per element that sends any other tuple to [`OUTSIDE`]
-    /// (without it, `(w, d − span_d, o)` would fold onto `(w − 1, d, o)`).
+    /// elements' spans — exact for every tuple inside the box, whose fold
+    /// lies in `0..cells`. A tuple outside the box on any element folds to
+    /// [`OUTSIDE`](kernels::OUTSIDE) (without the range check, `(w, d −
+    /// span_d, o)` would fold onto `(w − 1, d, o)`). [`JoinKey::eval`] runs
+    /// the fold and the checks in one pass ([`kernels::fold_tuple`]).
     pub fn fold(&self, slots: &[u32]) -> Result<JoinKey, OlapError> {
         self.cells()?;
-        let mut affine = AffineKey {
-            constant: 0,
-            terms: Vec::with_capacity(slots.len()),
-        };
-        let mut checks = Vec::with_capacity(slots.len());
+        let mut dims = Vec::with_capacity(slots.len());
         let mut stride: i64 = 1;
-        for (i, &slot) in slots.iter().enumerate().rev() {
+        for i in (0..slots.len()).rev() {
             let (min, span) = self.dim(i);
-            affine.constant = affine.constant.wrapping_sub(min.wrapping_mul(stride));
-            match affine.terms.iter_mut().find(|(_, s)| *s == slot) {
-                Some((c, _)) => *c = c.wrapping_add(stride),
-                None => affine.terms.push((stride, slot)),
-            }
             // Every span and partial product divides `cells`, which fits
             // i64 — or `cells` is 0, and every tuple is outside anyway.
-            checks.push((slot, min, span as u64));
+            let span = span as u64;
+            dims.push(FoldDim { min, span, stride });
             stride = stride.wrapping_mul(span as i64);
         }
-        affine.terms.reverse();
-        checks.reverse();
-        Ok(JoinKey { affine, checks })
+        dims.reverse();
+        Ok(JoinKey::Tuple {
+            slots: slots.to_vec(),
+            dims,
+        })
     }
 }
 
-/// A join key as one pipeline evaluates it: the exact `i64` affine form of
-/// a one-expression key, or the fold of a tuple key over its build's
-/// [`KeyBox`] together with the range check of each element.
+/// A join key as one pipeline evaluates it. Each kind has one evaluator:
+/// a one-expression key its exact `i64` affine form ([`AffineKey::eval`]),
+/// a tuple key its fused mixed-radix fold over the build's [`KeyBox`]
+/// ([`kernels::fold_tuple`]), which reads each element once per row and
+/// never goes through an affine form.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct JoinKey {
-    pub affine: AffineKey,
-    /// `(key slot, min, span)` per element of a folded tuple; empty for a
-    /// one-expression key.
-    pub checks: Vec<(u32, i64, u64)>,
+pub(crate) enum JoinKey {
+    /// A one-expression key.
+    Single(AffineKey),
+    /// A folded tuple: the key slot and fold dimension of each element.
+    Tuple { slots: Vec<u32>, dims: Vec<FoldDim> },
 }
 
 impl JoinKey {
     /// A one-expression key over `keys`, the key load list.
     pub fn single(expr: &ScalarExpr, keys: &[String]) -> Result<Self, OlapError> {
-        Ok(JoinKey {
-            affine: AffineKey::compile(expr, keys)?,
-            checks: Vec::new(),
-        })
+        Ok(JoinKey::Single(AffineKey::compile(expr, keys)?))
     }
 
     /// The key slot a plain-column key reads in place, without evaluation.
     pub fn column(&self) -> Option<u32> {
-        self.checks
-            .is_empty()
-            .then(|| self.affine.column())
-            .flatten()
+        match self {
+            JoinKey::Single(affine) => affine.column(),
+            JoinKey::Tuple { .. } => None,
+        }
     }
 
-    /// Evaluate the key into `out` for every selected row, as
-    /// [`AffineKey::eval`] does; a folded tuple then sends each row outside
-    /// its box to [`OUTSIDE`], one branch-free pass per element. Returns
-    /// whether any selected row was outside.
+    /// The key slots of a folded tuple's elements (none for a
+    /// one-expression key).
+    pub fn elements(&self) -> &[u32] {
+        match self {
+            JoinKey::Single(_) => &[],
+            JoinKey::Tuple { slots, .. } => slots,
+        }
+    }
+
+    /// Evaluate the key into `out` for every selected row (`None`: the
+    /// dense range `0..rows`) over the key columns `column` returns; `out`
+    /// grows to `rows` lanes, and rows off the selection keep whatever they
+    /// held. Returns whether any selected row of a folded tuple was outside
+    /// its box (and so [`OUTSIDE`](kernels::OUTSIDE)).
     pub fn eval<'a>(
         &self,
         column: impl Fn(u32) -> &'a [i64],
@@ -561,27 +561,15 @@ impl JoinKey {
         sel: Option<&[u32]>,
         out: &mut Vec<i64>,
     ) -> bool {
-        self.affine.eval(&column, rows, sel, out);
-        let out = &mut out[..rows];
-        let mut outside = false;
-        for &(slot, min, span) in &self.checks {
-            let col = column(slot);
-            let mut check = |o: &mut i64, c: i64| {
-                let off = c.wrapping_sub(min) as u64 >= span;
-                outside |= off;
-                *o = if off { OUTSIDE } else { *o };
-            };
-            match sel {
-                None => out
-                    .iter_mut()
-                    .zip(&col[..rows])
-                    .for_each(|(o, &c)| check(o, c)),
-                Some(ids) => ids
-                    .iter()
-                    .for_each(|&i| check(&mut out[i as usize], col[i as usize])),
+        match self {
+            JoinKey::Single(affine) => {
+                affine.eval(column, rows, sel, out);
+                false
+            }
+            JoinKey::Tuple { slots, dims } => {
+                kernels::fold_tuple(dims, |k| column(slots[k]), rows, sel, out)
             }
         }
-        outside
     }
 }
 
@@ -804,6 +792,7 @@ pub(crate) fn apply_filters<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::OUTSIDE;
     use crate::scratch::ExecScratch;
 
     fn resolver_lists() -> (Vec<String>, Vec<String>) {
@@ -1030,7 +1019,12 @@ mod tests {
         };
         assert_eq!(boxed.cells(), Ok(6 * 10 * 26));
         let key = boxed.fold(&[0, 1, 2]).unwrap();
-        assert_eq!(key.affine.terms, vec![(260, 0), (26, 1), (1, 2)]);
+        let dim = |min, span, stride| FoldDim { min, span, stride };
+        let JoinKey::Tuple { slots, dims } = &key else {
+            unreachable!("a tuple folds to a tuple key");
+        };
+        assert_eq!(slots, &[0, 1, 2]);
+        assert_eq!(dims, &[dim(-3, 6, 260), dim(1, 10, 26), dim(-5, 26, 1)]);
         assert_eq!(key.column(), None);
         let (w, d, o) = (
             [-3i64, 2, 0, -1, 3],
@@ -1049,10 +1043,13 @@ mod tests {
         out.fill(7);
         assert!(!key.eval(column, 5, Some(&[0, 3]), &mut out));
         assert_eq!(out, vec![0, 7, 7, 2 * 260 + 9 * 26 + 10, 7]);
-        // An element that repeats a column merges its terms, checks both.
+        // An element that repeats a column reads it once per element and
+        // checks it against both ranges: only `w = 2` lies in both.
         let twice = boxed.fold(&[0, 0, 2]).unwrap();
-        assert_eq!(twice.affine.terms, vec![(286, 0), (1, 2)]);
-        assert_eq!(twice.checks.len(), 3);
+        assert_eq!(twice.elements(), &[0, 0, 2]);
+        assert!(twice.eval(column, 5, None, &mut out));
+        let inside = 5 * 260 + 26 + 25;
+        assert_eq!(out, vec![OUTSIDE, inside, OUTSIDE, OUTSIDE, OUTSIDE]);
         // An empty element: nothing is inside.
         let empty = KeyBox {
             dims: vec![Some((0, 9)), None],

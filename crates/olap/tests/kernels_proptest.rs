@@ -10,10 +10,14 @@
 //! a `BTreeMap` model over random capacity hints, direct ranges and
 //! `add`/`union`/`merge` sequences.
 //! So do computed join keys: their folded affine form, evaluated dense and
-//! behind a selection, is held to the expression tree evaluated in `i128`.
+//! behind a selection, is held to the expression tree evaluated in `i128`;
+//! and tuple keys: their fused mixed-radix fold is held to the unfused
+//! scalar twin (affine pass, then one range check per element) on boxes of
+//! 2–5 elements with spans of 1 and 0, mins at the edges of `i64`, values
+//! one past each edge and columns repeated in the tuple.
 
 use htap_olap::expr::{CmpOp, Fold, ScalarExpr};
-use htap_olap::kernels;
+use htap_olap::kernels::{self, FoldDim};
 use htap_olap::{AffineKey, GroupTable, JoinTable, OlapError};
 use proptest::prelude::*;
 use proptest::strategy::Union;
@@ -223,6 +227,76 @@ fn tree_exact(e: &ScalarExpr, row: &[i64; 3]) -> Option<i128> {
         ScalarExpr::Add(a, b) => pair(a, b).and_then(|(x, y)| x.checked_add(y)),
         ScalarExpr::Sub(a, b) => pair(a, b).and_then(|(x, y)| x.checked_sub(y)),
         ScalarExpr::Mul(a, b) => pair(a, b).and_then(|(x, y)| x.checked_mul(y)),
+    }
+}
+
+/// Smallest values of a tuple fold's element ranges: small ones and the
+/// edges of `i64`.
+fn fold_min() -> Union<i64> {
+    prop_oneof![
+        4 => -1_000i64..1_000,
+        1 => Just(i64::MIN),
+        1 => Just(i64::MAX),
+        1 => any::<i64>(),
+    ]
+}
+
+/// Spans of a tuple fold's element ranges: 1, 0 (an empty range: every
+/// tuple is outside), small and wide ones.
+fn fold_span() -> Union<u64> {
+    prop_oneof![
+        2 => Just(1u64),
+        1 => Just(0u64),
+        4 => 2u64..40,
+        1 => 1u64..(1 << 40),
+    ]
+}
+
+/// The fold dimensions of a box given as `(min, span)` per element, first
+/// element most significant. Each span is clamped so that its range stays
+/// inside `i64` and the box's cell count fits `i64` — what a fold requires
+/// (a wider box is a typed error before any key is folded) — and each
+/// stride is the product of the later spans.
+fn fold_dims(ranges: &[(i64, u64)]) -> Vec<FoldDim> {
+    let mut cells: u128 = 1;
+    let spans: Vec<u64> = ranges
+        .iter()
+        .map(|&(min, span)| {
+            let room = (i128::from(i64::MAX) - i128::from(min) + 1) as u128;
+            let mut span = u128::from(span).min(room);
+            if cells * span > i64::MAX as u128 {
+                span = 1;
+            }
+            cells *= span;
+            span as u64
+        })
+        .collect();
+    let mut stride = 1i64;
+    let mut dims: Vec<FoldDim> = ranges
+        .iter()
+        .zip(&spans)
+        .rev()
+        .map(|(&(min, _), &span)| {
+            let dim = FoldDim { min, span, stride };
+            stride = stride.wrapping_mul(span as i64);
+            dim
+        })
+        .collect();
+    dims.reverse();
+    dims
+}
+
+/// A key value placed against one element's range: one below it, one past
+/// it, anywhere (`r`), or inside it — its ends included.
+fn near(dim: FoldDim, kind: u8, r: i64) -> i64 {
+    let last = dim.min.wrapping_add(dim.span as i64).wrapping_sub(1);
+    match (kind, dim.span) {
+        (0, _) => dim.min.wrapping_sub(1),
+        (1, _) => last.wrapping_add(1),
+        (2, _) | (_, 0) => r,
+        (3, _) => dim.min,
+        (4, _) => last,
+        _ => dim.min.wrapping_add((r as u64 % dim.span) as i64),
     }
 }
 
@@ -580,6 +654,54 @@ proptest! {
                 i64::MIN
             };
             prop_assert_eq!(out[i], want, "gathered row {}", i);
+        }
+    }
+
+    #[test]
+    fn fused_tuple_folds_match_the_unfused_scalar_twin(
+        ranges in prop::collection::vec((fold_min(), fold_span()), 2..6),
+        reads in prop::collection::vec(0usize..5, 5..6),
+        values in prop::collection::vec((0usize..5, 0u8..10, adv_i64()), 0..35 * 5),
+        mask in prop::collection::vec(prop::bool::ANY, 0..35),
+    ) {
+        let dims = fold_dims(&ranges);
+        let n = dims.len();
+        // Element `k` reads column `reads[k] % n`: columns repeat in the
+        // tuple. A column's values are placed against the range of the
+        // first element that reads it.
+        let read = |k: usize| reads[k] % n;
+        let rows = values.len() / n;
+        let columns: Vec<Vec<i64>> = (0..n)
+            .map(|j| {
+                let owner = (0..n).find(|&k| read(k) == j);
+                (0..rows)
+                    .map(|i| {
+                        let (e, kind, r) = values[i * n + j];
+                        near(dims[owner.unwrap_or(e % n)], kind, r)
+                    })
+                    .collect()
+            })
+            .collect();
+        let column = |k: usize| &columns[read(k)][..];
+        // Dense, over dirty buffers of another length.
+        let (mut fused, mut scalar) = (vec![3; 2], vec![5; 40]);
+        let outside = kernels::fold_tuple(&dims, column, rows, None, &mut fused);
+        let outside_scalar = kernels::fold_tuple_scalar(&dims, column, rows, None, &mut scalar);
+        prop_assert_eq!(outside, outside_scalar);
+        prop_assert_eq!(&fused[..rows], &scalar[..rows]);
+        // Behind a selection: the selected rows are written alike, the
+        // others keep what they held.
+        let sel = selection(&mask, rows);
+        let (mut fused, mut scalar) = (vec![7; rows], vec![7; rows]);
+        let outside = kernels::fold_tuple(&dims, column, rows, Some(&sel), &mut fused);
+        let outside_scalar =
+            kernels::fold_tuple_scalar(&dims, column, rows, Some(&sel), &mut scalar);
+        prop_assert_eq!(outside, outside_scalar);
+        prop_assert_eq!(&fused, &scalar);
+        for (i, &key) in fused.iter().enumerate() {
+            if !sel.contains(&(i as u32)) {
+                prop_assert_eq!(key, 7, "unselected row {}", i);
+            }
         }
     }
 }

@@ -1298,14 +1298,13 @@ fn join_builds_at_the_edges_of_the_direct_kind_agree() {
 
 /// A grouping whose group column takes disjoint spans morsel by morsel:
 /// `seq(s_id, s_grp, s_v)` has `s_grp = 2·(s_id / 10) − 200`, ten even keys
-/// per 100-row morsel. The five aggregates fold one count and three lanes
-/// (SUM and AVG share theirs), so a morsel seats the 19 keys of its span
-/// when at least 19 × 4 = 76 of its rows are selected. Unfiltered, every
-/// morsel seats, and nine of its keys get no row and must not be emitted;
-/// `s_id ≥ 250` empties the first two morsels' selection and halves the
-/// third's; `s_v < 80` leaves about 80 rows a morsel, so most morsels seat
-/// and some hash — mixed kinds in one merge; `s_v < 20` leaves about 20, so
-/// every morsel hashes. Every case at 1/2/4/8 workers against the oracle.
+/// per 100-row morsel, each morsel's keys disjoint from the others'. Groups
+/// seat over the column's storage bounds, which span 399 keys here: no
+/// 100-row morsel seats them, so every morsel hashes its ten keys
+/// (`group_keys_seated_over_storage_bounds_agree` covers the seated
+/// morsels). `s_id ≥ 250` empties the first two morsels' selection and
+/// halves the third's; `s_v < 80` and `s_v < 20` leave about 80 and 20 rows
+/// a morsel. Every case at 1/2/4/8 workers against the oracle.
 #[test]
 fn group_keys_with_disjoint_morsel_spans_agree() {
     let schema = TableSchema::new(
@@ -1376,6 +1375,118 @@ fn group_keys_with_disjoint_morsel_spans_agree() {
             "{name}: key order"
         );
     }
+}
+
+/// `gs(g_id, g_k, g_v)` with `g_k = g_id mod 12`, through a two-segment
+/// split access path, grouped by `g_k` over 200-row morsels. The five
+/// aggregates fold a count and three lanes, so a morsel seats a range of
+/// `span` keys when at least `4·span` of its rows are selected.
+fn seat_relation() -> (Arc<ColumnarTable>, BTreeMap<String, ScanSource>) {
+    let schema = TableSchema::new(
+        "gs",
+        vec![
+            ColumnDef::new("g_id", DataType::I64),
+            ColumnDef::new("g_k", DataType::I64),
+            ColumnDef::new("g_v", DataType::F64),
+        ],
+        Some(0),
+    );
+    let table = Arc::new(ColumnarTable::new(schema));
+    let mut rng = StdRng::seed_from_u64(0x5EA7);
+    const ROWS: u64 = 2_000;
+    for i in 0..ROWS as i64 {
+        let row = [
+            Value::I64(i),
+            Value::I64(i % 12),
+            Value::F64(rng.random_range(0.0..100.0)),
+        ];
+        table.append_row(&row).unwrap();
+    }
+    let snap = TableSnapshot::new("gs".into(), Arc::clone(&table), ROWS);
+    let source = ScanSource::split(Arc::clone(&table), 700, SocketId(1), &snap, SocketId(0));
+    let mut sources = BTreeMap::new();
+    sources.insert("gs".to_string(), source);
+    (table, sources)
+}
+
+/// `gs` grouped by `g_k` at 1/2/4/8 workers against the oracle, unfiltered
+/// and behind `g_v < 50` (about 100 rows a morsel); returns the groups'
+/// keys of each run.
+fn seat_cases(sources: &BTreeMap<String, ScanSource>, ctx: &str) -> Vec<Vec<i64>> {
+    let filters = [vec![], vec![Predicate::new("g_v", CmpOp::Lt, 50.0)]];
+    filters
+        .iter()
+        .map(|filters| {
+            let mut b = DagBuilder::default();
+            let scan = b.scan("gs");
+            let at = b.filter(scan, filters);
+            let aggregates = vec![
+                AggExpr::Count,
+                AggExpr::Sum(col("g_v")),
+                AggExpr::Min(col("g_v")),
+                AggExpr::Avg(col("g_v")),
+                AggExpr::Max(col("g_v")),
+            ];
+            b.aggregate(at, keys(&["g_k"]), aggregates);
+            let plan = b.finish().unwrap();
+            let ctx = format!("{ctx}, {} filters", filters.len());
+            let out = assert_workers_match_oracle(&plan, sources, 200, &ctx);
+            let groups = out.result.groups().unwrap();
+            groups.iter().map(|g| g.0[0]).collect()
+        })
+        .collect()
+}
+
+/// A one-column group key seats its groups over the bounds storage keeps
+/// for the column, read once at bind, and the answer never rests on them:
+///
+/// * bounds wider than the live values — a key overwritten to 40 and back
+///   (bounds never narrow): a full morsel seats all 41 keys, about 100
+///   selected rows do not, and the 29 keys no row holds are not emitted;
+/// * bounds too wide to seat — a key overwritten to 2^40 and kept: every
+///   morsel hashes;
+/// * a key written past the bounds through `Column::I64`'s lock, which no
+///   write path widened them for: the morsel that holds it hashes on its
+///   cold path, the others seat.
+#[test]
+fn group_keys_seated_over_storage_bounds_agree() {
+    use adaptive_htap::storage::Column;
+    let twelve: Vec<i64> = (0..12).collect();
+    let (table, sources) = seat_relation();
+    let mut key = Value::I64(40);
+    table.swap_value(7, 1, &mut key).unwrap();
+    table.swap_value(7, 1, &mut key).unwrap();
+    assert_eq!(table.column(1).bounds(), Some((0, 40)));
+    for groups in seat_cases(&sources, "wide bounds") {
+        assert_eq!(groups, twelve, "wide bounds: groups");
+    }
+
+    let (table, sources) = seat_relation();
+    table.swap_value(7, 1, &mut Value::I64(1 << 40)).unwrap();
+    let mut with_outlier = twelve.clone();
+    with_outlier.push(1 << 40);
+    for groups in seat_cases(&sources, "too wide") {
+        assert_eq!(groups, with_outlier, "too wide: groups");
+    }
+
+    let (table, sources) = seat_relation();
+    let before = table.column(1).bounds();
+    let Column::I64(values, _) = table.column(1) else {
+        panic!("g_k is an i64 column");
+    };
+    values.write()[1_234] = 500;
+    assert_eq!(table.column(1).bounds(), before, "the bounds missed it");
+    let mut with_outsider = twelve.clone();
+    with_outsider.push(500);
+    let [all, filtered] = &seat_cases(&sources, "outsider")[..] else {
+        unreachable!("two cases");
+    };
+    assert_eq!(all, &with_outsider, "outsider: groups");
+    // Row 1 234 may or may not survive `g_v < 50`; every other group does.
+    assert!(
+        filtered == &twelve || filtered == &with_outsider,
+        "outsider filtered: groups {filtered:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------

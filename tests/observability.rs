@@ -284,6 +284,36 @@ fn a_query_crosses_the_switch_gate_exactly_once() {
     assert_eq!(scheduled.migration.switch.synced_records, OVERWRITTEN);
 }
 
+/// A grouped root pipeline's `olap.pipeline` span says whether its groups
+/// seat: `seated` = 1 for Q1's `ol_number`, Q4's `o_ol_cnt` and Q12's
+/// `o_carrier_id`, each a one-column key whose storage-kept bounds span a
+/// few keys. It is decided at bind from the bounds, so Q12 reports it with
+/// no group to seat at this size. A scalar root (Q6) carries no `seated`
+/// arg, nor does any build.
+#[test]
+fn a_grouped_root_span_says_whether_its_groups_seat() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    let system = HtapSystem::build(HtapConfig::tiny()).expect("system builds");
+    for (query, seated) in [
+        (QueryId::Q1, vec![1.0]),
+        (QueryId::Q4, vec![1.0]),
+        (QueryId::Q12, vec![1.0]),
+        (QueryId::Q6, vec![]),
+    ] {
+        let roots_before = obs::spans_snapshot().len();
+        system.execute_query(query).expect("the query executes");
+        let roots = obs::spans_snapshot();
+        let mut pipelines = Vec::new();
+        all_spans(&roots[roots_before..], "olap.pipeline", &mut pipelines);
+        let args: Vec<f64> = pipelines
+            .iter()
+            .filter_map(|p| p.args.iter().find(|(k, _)| *k == "seated").map(|a| a.1))
+            .collect();
+        assert_eq!(args, seated, "{}: seated", query.label());
+    }
+}
+
 /// A join build's `olap.pipeline` span says which table kind it ran:
 /// `direct` = 1 for Q19's build of `item` on its dense primary key `i_id`,
 /// for Q3's builds of `customer` on `(c_w_id, c_d_id, c_id)` and of
