@@ -163,6 +163,7 @@ pub fn query_mix_wide() -> Vec<QueryId> {
 mod tests {
     use super::*;
     use htap_olap::{CmpOp, DagOp, Predicate, ScalarExpr};
+    use std::collections::BTreeMap;
 
     fn plan(q: QueryId) -> QueryPlan {
         q.plan()
@@ -324,6 +325,122 @@ mod tests {
         assert_eq!(widths, vec![1, 2, 3]);
         for sink in ["→aggregate", "→group-by", "→limit"] {
             assert!(plans.iter().any(|p| p.label().contains(sink)), "{sink}");
+        }
+    }
+
+    /// Every accessor the scheduler, the cost model and the reports read,
+    /// pinned as literals for the seven queries: a change to how plans are
+    /// represented must leave each of them bit for bit where it is.
+    #[test]
+    fn plan_accessors_are_pinned() {
+        type Pin = (
+            QueryId,
+            &'static str,
+            &'static [&'static str],
+            &'static [(&'static str, &'static [&'static str])],
+            u64,
+        );
+        let pins: [Pin; 7] = [
+            (
+                QueryId::Q1,
+                "scan(orderline)→filter→group-by",
+                &["orderline"],
+                &[(
+                    "orderline",
+                    &["ol_amount", "ol_delivery_d", "ol_number", "ol_quantity"],
+                )],
+                0x400e_6666_6666_6667,
+            ),
+            (
+                QueryId::Q3,
+                "scan(orderline)→filter→probe×2→aggregate",
+                &["orderline", "orders", "customer"],
+                &[
+                    ("customer", &["c_balance", "c_d_id", "c_id", "c_w_id"]),
+                    (
+                        "orderline",
+                        &[
+                            "ol_amount",
+                            "ol_d_id",
+                            "ol_delivery_d",
+                            "ol_o_id",
+                            "ol_w_id",
+                        ],
+                    ),
+                    (
+                        "orders",
+                        &["o_c_id", "o_d_id", "o_entry_d", "o_id", "o_w_id"],
+                    ),
+                ],
+                0x400f_3333_3333_3333,
+            ),
+            (
+                QueryId::Q4,
+                "scan(orders)→filter→probe×1→group-by→sort→limit",
+                &["orders", "orderline"],
+                &[
+                    ("orderline", &["ol_amount", "ol_d_id", "ol_o_id", "ol_w_id"]),
+                    (
+                        "orders",
+                        &["o_d_id", "o_entry_d", "o_id", "o_ol_cnt", "o_w_id"],
+                    ),
+                ],
+                0x400d_9999_9999_999a,
+            ),
+            (
+                QueryId::Q6,
+                "scan(orderline)→filter→aggregate",
+                &["orderline"],
+                &[("orderline", &["ol_amount", "ol_delivery_d", "ol_quantity"])],
+                0x3ffb_3333_3333_3334,
+            ),
+            (
+                QueryId::Q12,
+                "scan(orders)→probe×1→group-by",
+                &["orders", "orderline"],
+                &[
+                    (
+                        "orderline",
+                        &["ol_d_id", "ol_delivery_d", "ol_o_id", "ol_w_id"],
+                    ),
+                    (
+                        "orders",
+                        &["o_carrier_id", "o_d_id", "o_id", "o_ol_cnt", "o_w_id"],
+                    ),
+                ],
+                0x400a_6666_6666_6666,
+            ),
+            (
+                QueryId::Q14,
+                "scan(orderline)→filter→probe×1→aggregate",
+                &["orderline", "item"],
+                &[
+                    ("item", &["i_id", "i_im_id"]),
+                    ("orderline", &["ol_amount", "ol_delivery_d", "ol_i_id"]),
+                ],
+                0x4006_6666_6666_6666,
+            ),
+            (
+                QueryId::Q19,
+                "scan(orderline)→filter→probe×1→aggregate",
+                &["orderline", "item"],
+                &[
+                    ("item", &["i_id", "i_price"]),
+                    ("orderline", &["ol_amount", "ol_i_id", "ol_quantity"]),
+                ],
+                0x4006_6666_6666_6666,
+            ),
+        ];
+        for (q, label, tables, columns, cpu_bits) in pins {
+            let plan = plan(q);
+            assert_eq!(plan.label(), label, "{}", q.label());
+            assert_eq!(plan.tables(), tables, "{}", q.label());
+            let expected: BTreeMap<String, Vec<String>> = columns
+                .iter()
+                .map(|(t, cols)| (t.to_string(), cols.iter().map(|c| c.to_string()).collect()))
+                .collect();
+            assert_eq!(plan.accessed_columns(), expected, "{}", q.label());
+            assert_eq!(plan.cpu_ns_per_tuple().to_bits(), cpu_bits, "{}", q.label());
         }
     }
 }

@@ -427,6 +427,82 @@ mod tests {
         );
     }
 
+    /// orderline probing two sibling builds, mid on `ol_i_id = m_id` and
+    /// far on `ol_i_id = c_id`: a root pipeline with two probes.
+    fn star_plan() -> QueryPlan {
+        let mut b = DagBuilder::default();
+        let mid = b.scan("mid");
+        let mid = b.build(mid, col("m_id"));
+        let far = b.scan("far");
+        let far = b.filter(far, &[Predicate::new("c_v", CmpOp::Ge, 1.5)]);
+        let far = b.build(far, col("c_id"));
+        let fact = b.scan("orderline");
+        let fact = b.filter(fact, &[Predicate::new("ol_quantity", CmpOp::Lt, 5.0)]);
+        let fact = b.probe(fact, mid, col("ol_i_id"));
+        let fact = b.probe(fact, far, col("ol_i_id"));
+        b.aggregate(
+            fact,
+            None,
+            vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count],
+        );
+        b.finish().unwrap()
+    }
+
+    /// The accessors and the near/far build accounting of a three-relation
+    /// chain and of a root probing two sibling builds, pinned as literals:
+    /// how a plan is represented must not move any of them.
+    #[test]
+    fn chain_and_star_plan_accessors_and_build_split_are_pinned() {
+        let sources = chain_sources(500);
+        let cols = |pairs: &[(&str, &[&str])]| -> BTreeMap<String, Vec<String>> {
+            pairs
+                .iter()
+                .map(|(t, c)| (t.to_string(), c.iter().map(|c| c.to_string()).collect()))
+                .collect()
+        };
+        // (plan, accessed columns, build_bytes, far_build_bytes,
+        //  hash_table_bytes, far_hash_table_bytes)
+        let cases = [
+            (
+                chain_plan(),
+                cols(&[
+                    ("far", &["c_id", "c_v"]),
+                    ("mid", &["m_c", "m_id"]),
+                    ("orderline", &["ol_amount", "ol_i_id", "ol_quantity"]),
+                ]),
+                (80, 48, 48, 32),
+            ),
+            (
+                star_plan(),
+                cols(&[
+                    ("far", &["c_id", "c_v"]),
+                    ("mid", &["m_id"]),
+                    ("orderline", &["ol_amount", "ol_i_id", "ol_quantity"]),
+                ]),
+                (88, 0, 112, 0),
+            ),
+        ];
+        for (plan, columns, split) in cases {
+            assert_eq!(plan.label(), "scan(orderline)→filter→probe×2→aggregate");
+            assert_eq!(plan.tables(), ["orderline", "mid", "far"]);
+            assert_eq!(plan.accessed_columns(), columns);
+            assert_eq!(plan.cpu_ns_per_tuple().to_bits(), 0x400c_0000_0000_0000);
+            let out = QueryExecutor::with_block_rows(128)
+                .execute(&plan, &sources)
+                .unwrap();
+            let w = &out.work;
+            let got = (
+                w.build_bytes,
+                w.far_build_bytes,
+                w.hash_table_bytes,
+                w.far_hash_table_bytes,
+            );
+            assert_eq!(got, split, "{}", plan.label());
+            let oracle = crate::reference::execute_reference_with_work(&plan, &sources).unwrap();
+            assert_eq!(oracle.work, out.work);
+        }
+    }
+
     #[test]
     fn multi_join_is_bit_identical_across_worker_counts() {
         let sources = chain_sources(5_003);
