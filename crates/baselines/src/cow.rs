@@ -171,7 +171,7 @@ mod tests {
     /// One relation of 16-byte rows (131 072 to a 2 MB page), `rows` of
     /// them bulk-loaded, and a plan over it.
     fn sales_rde(rows: u64) -> (RdeEngine, QueryPlan) {
-        use htap_olap::{AggExpr, DagBuilder};
+        use htap_olap::{AggExpr, Pipeline};
         use htap_storage::{ColumnDef, DataType, TableSchema};
         let rde = RdeEngine::bootstrap(RdeConfig::default());
         let schema = TableSchema::new(
@@ -188,10 +188,11 @@ mod tests {
                 .bulk_load("sales", vec![Value::I64(i as i64), Value::F64(0.0)])
                 .unwrap();
         }
-        let mut b = DagBuilder::default();
-        let scan = b.scan("sales");
-        b.aggregate(scan, None, vec![AggExpr::Count]);
-        (rde, b.finish().unwrap())
+        let plan = Pipeline::scan("sales")
+            .aggregate(vec![AggExpr::Count])
+            .finish()
+            .unwrap();
+        (rde, plan)
     }
 
     /// Appended rows land on pages no live snapshot shares: a window of

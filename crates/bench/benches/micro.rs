@@ -278,6 +278,27 @@ fn lock_table(c: &mut Criterion) {
     });
 }
 
+/// The SQL frontend's fixed per-query cost: parse, bind and plan of the
+/// seven CH query texts, `QueryId::plan` over `query_mix_wide()` (each
+/// call also builds the CH catalog, which `execute_sql` keeps in the
+/// system instead).
+///
+/// On a 2-CPU Xeon container host, eight alternating runs each, per mix of
+/// seven (the host was noisy: runs of one build spread ±25 %): 88–138 µs,
+/// median 121 µs, while a plan carried an index-linked operator graph
+/// beside its flattened pipelines and converted the one into the other;
+/// 74–113 µs, median 89 µs, since the plan is the pipeline tree alone.
+fn sql_planning(c: &mut Criterion) {
+    let mix = htap_chbench::query_mix_wide();
+    c.bench_function("sql/plan_ch_mix", |b| {
+        b.iter(|| {
+            for &q in &mix {
+                black_box(q.plan().expect("the CH texts plan"));
+            }
+        })
+    });
+}
+
 fn ch_query_execution(c: &mut Criterion) {
     let rde = RdeEngine::bootstrap(RdeConfig::default());
     ChGenerator::new(ChConfig::small()).build(&rde).unwrap();
@@ -513,7 +534,7 @@ fn join_build_tables(c: &mut Criterion) {
 /// On a 2-CPU Xeon container host, three runs each: computed key
 /// 12.03–12.12 ms per query, tuple key 7.17–7.18 ms.
 fn join_build_q4_keys(c: &mut Criterion) {
-    use htap_olap::{AggExpr, DagBuilder, ScalarExpr, ScanSource};
+    use htap_olap::{AggExpr, Pipeline, ScalarExpr, ScanSource};
     use htap_storage::{ColumnarTable, TableSnapshot};
     use std::collections::BTreeMap;
 
@@ -566,13 +587,11 @@ fn join_build_q4_keys(c: &mut Criterion) {
             tuple(["o_w_id", "o_d_id", "o_id"]),
         ),
     ] {
-        let mut b = DagBuilder::default();
-        let scan = b.scan("ol");
-        let build = b.build(scan, build_key);
-        let probe = b.scan("o");
-        let probed = b.probe(probe, build, probe_key);
-        b.aggregate(probed, None, vec![AggExpr::Count]);
-        let plan = b.finish().expect("plan is a valid DAG");
+        let plan = Pipeline::scan("o")
+            .probe(Pipeline::scan("ol").build(build_key), probe_key)
+            .aggregate(vec![AggExpr::Count])
+            .finish()
+            .expect("probe and build keys match");
         let executor = QueryExecutor::default();
         c.bench_function(&format!("olap/join_build_{label}"), |b| {
             b.iter(|| {
@@ -695,7 +714,7 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = column_scan, cuckoo_index, twin_switch_sync, etl_insert_range, lock_table,
-              transactions, durability_window,
+              transactions, durability_window, sql_planning,
               ch_query_execution, parallel_scan_scaling, team_dispatch,
               vectorized_shapes, join_and_group_kernels, join_build_tables, join_build_q4_keys,
               tuple_key_fold,

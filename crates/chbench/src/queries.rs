@@ -162,7 +162,7 @@ pub fn query_mix_wide() -> Vec<QueryId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_olap::{CmpOp, DagOp, Predicate, ScalarExpr};
+    use htap_olap::{AggExpr, CmpOp, Pipeline, Predicate, RowSlot, ScalarExpr, SortKey};
     use std::collections::BTreeMap;
 
     fn plan(q: QueryId) -> QueryPlan {
@@ -170,15 +170,17 @@ mod tests {
             .unwrap_or_else(|e| panic!("{}: SQL failed to plan: {e}", q.label()))
     }
 
-    /// The filter predicates of every pipeline, in op order.
-    fn filters(plan: &QueryPlan) -> Vec<Predicate> {
-        plan.ops()
-            .iter()
-            .flat_map(|op| match op {
-                DagOp::Filter { predicates, .. } => predicates.clone(),
-                _ => Vec::new(),
-            })
-            .collect()
+    /// The tuple of the columns `{prefix}w_id`, `{prefix}d_id` and
+    /// `{prefix}{last}`.
+    fn tuple(prefix: &str, last: &str) -> Vec<ScalarExpr> {
+        ["w_id", "d_id", last]
+            .map(|c| ScalarExpr::col(format!("{prefix}{c}")))
+            .to_vec()
+    }
+
+    /// `table`, filtered on `column >= floor`.
+    fn at_least(table: &str, column: &str, floor: f64) -> Pipeline {
+        Pipeline::scan(table).filter([Predicate::new(column, CmpOp::Ge, floor)])
     }
 
     #[test]
@@ -214,22 +216,19 @@ mod tests {
             ["o_c_id", "o_d_id", "o_entry_d", "o_id", "o_w_id"]
         );
         assert_eq!(cols["customer"], ["c_balance", "c_d_id", "c_id", "c_w_id"]);
-        let builds: Vec<&Vec<ScalarExpr>> = plan
-            .ops()
-            .iter()
-            .filter_map(|op| match op {
-                DagOp::HashBuild { keys, .. } => Some(keys),
-                _ => None,
-            })
-            .collect();
-        let tuple = |cols: [&str; 3]| cols.map(ScalarExpr::col).to_vec();
-        assert_eq!(
-            builds,
-            [
-                &tuple(["c_w_id", "c_d_id", "c_id"]),
-                &tuple(["o_w_id", "o_d_id", "o_id"])
-            ]
-        );
+        let customer = Pipeline::scan("customer")
+            .filter([Predicate::new("c_balance", CmpOp::Lt, 0.0)])
+            .build(tuple("c_", "id"));
+        let orders = at_least("orders", "o_entry_d", 0.0)
+            .probe(customer, tuple("o_", "c_id"))
+            .build(tuple("o_", "id"));
+        let expected = at_least("orderline", "ol_delivery_d", 0.0)
+            .probe(orders, tuple("ol_", "o_id"))
+            .aggregate(vec![
+                AggExpr::Sum(ScalarExpr::col("ol_amount")),
+                AggExpr::Count,
+            ]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -240,12 +239,16 @@ mod tests {
             "scan(orders)→filter→probe×1→group-by→sort→limit"
         );
         assert_eq!(plan.tables(), vec!["orders", "orderline"]);
-        let ops = plan.ops();
-        assert!(
-            matches!(&ops[ops.len() - 3], DagOp::HashAggregate { group_by, .. }
-            if group_by.as_deref() == Some(&["o_ol_cnt".to_string()]))
-        );
-        assert!(matches!(&ops[ops.len() - 1], DagOp::Limit { rows: 5, .. }));
+        let lines = at_least("orderline", "ol_amount", 500.0).build(tuple("ol_", "o_id"));
+        let expected = at_least("orders", "o_entry_d", 0.0)
+            .probe(lines, tuple("o_", "id"))
+            .group_by(vec!["o_ol_cnt".into()], vec![AggExpr::Count])
+            .sort(vec![SortKey {
+                slot: RowSlot::Agg(0),
+                desc: true,
+            }])
+            .limit(5);
+        assert_eq!(plan, expected.finish().unwrap());
         let cols = plan.accessed_columns();
         assert_eq!(
             cols["orders"],
@@ -280,14 +283,15 @@ mod tests {
         // The build-side filter floor must equal the Delivery transaction's
         // date base: entry dates sit strictly below it, delivery stamps at or
         // above it, so the predicate admits exactly the delivered lines.
-        assert_eq!(
-            filters(&plan(QueryId::Q12)),
-            vec![Predicate::new(
-                "ol_delivery_d",
-                CmpOp::Ge,
-                DELIVERY_DATE_BASE as f64
-            )]
-        );
+        let delivered = at_least("orderline", "ol_delivery_d", DELIVERY_DATE_BASE as f64)
+            .build(tuple("ol_", "o_id"));
+        let expected = Pipeline::scan("orders")
+            .probe(delivered, tuple("o_", "id"))
+            .group_by(
+                vec!["o_carrier_id".into()],
+                vec![AggExpr::Count, AggExpr::Sum(ScalarExpr::col("o_ol_cnt"))],
+            );
+        assert_eq!(plan(QueryId::Q12), expected.finish().unwrap());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! query is executed over whatever [`ScanSource`]s the RDE engine / scheduler
 //! wires up — OLAP-local, OLTP snapshot, or split access.
 
-use crate::dag::QueryPlan;
 use crate::error::OlapError;
 use crate::exec::{QueryExecutor, QueryOutput};
+use crate::plan::QueryPlan;
 use crate::source::ScanSource;
 use crate::worker::WorkerTeam;
 use htap_sim::{CoreId, CostModel, ExecPlacement, ScanCost, SocketId, Topology, TxnWork};
@@ -217,10 +217,10 @@ mod tests {
 
     /// Unfiltered scalar aggregation over `sales`.
     fn sales_plan(aggregates: Vec<AggExpr>) -> QueryPlan {
-        let mut b = crate::dag::DagBuilder::default();
-        let scan = b.scan("sales");
-        b.aggregate(scan, None, aggregates);
-        b.finish().unwrap()
+        crate::plan::Pipeline::scan("sales")
+            .aggregate(aggregates)
+            .finish()
+            .unwrap()
     }
 
     fn twin_with_rows(n: u64) -> TwinTable {

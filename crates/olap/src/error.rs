@@ -51,10 +51,12 @@ pub enum OlapError {
         /// Number of aggregates the plan computes.
         aggregates: usize,
     },
-    /// An op list is not an executable operator DAG: a structural rule of
-    /// [`crate::dag::QueryPlan`] is violated (wrong fan-out, a probe into a
-    /// non-build operator, a missing aggregate sink, …). Raised by
-    /// [`crate::dag::DagBuilder::finish`], so no plan value carries it.
+    /// A pipeline tree the types allow but the engine cannot run: a probe
+    /// whose key tuple is empty or not as wide as its build's, a finisher
+    /// reading a group key the sink does not have, or a sort with no keys.
+    /// Raised by [`crate::plan::ScalarPlan::finish`] and
+    /// [`crate::plan::GroupedPlan::finish`], so no plan value carries it
+    /// (the bind also names a tuple key it finds without a value box).
     InvalidDag {
         /// Which structural rule failed.
         reason: String,
@@ -105,7 +107,7 @@ impl fmt::Display for OlapError {
                 )
             }
             OlapError::InvalidDag { reason } => {
-                write!(f, "operator DAG is not executable: {reason}")
+                write!(f, "plan is not executable: {reason}")
             }
             OlapError::UnsupportedColumnType {
                 table,

@@ -1,7 +1,7 @@
 //! The finishers: HAVING, ORDER BY and LIMIT over the finalised group rows.
 
 use super::GroupRow;
-use crate::dag::{Finisher, RowSlot};
+use crate::plan::{Finisher, RowSlot};
 
 /// Apply one finisher to the finalised rows. Sort orders are total (ties
 /// break by the ascending full group key), so the output is deterministic

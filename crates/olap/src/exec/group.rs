@@ -220,7 +220,7 @@ impl GroupOut {
                     Some(ids) => kernels::hash1_gather(k0, ids, hashes),
                 }
                 for_each_selected(rows, sel, |pos, i| {
-                    gids[pos] = table.upsert1_prehashed(hashes[pos], k0[i]) as u32;
+                    gids[pos] = table.upsert_prehashed(hashes[pos], &[k0[i]]) as u32;
                 });
             }
             [s0, s1] => {
@@ -230,7 +230,7 @@ impl GroupOut {
                     Some(ids) => kernels::hash2_gather(k0, k1, ids, hashes),
                 }
                 for_each_selected(rows, sel, |pos, i| {
-                    gids[pos] = table.upsert2_prehashed(hashes[pos], k0[i], k1[i]) as u32;
+                    gids[pos] = table.upsert_prehashed(hashes[pos], &[k0[i], k1[i]]) as u32;
                 });
             }
             slots => {
@@ -239,7 +239,7 @@ impl GroupOut {
                     for (part, &slot) in key_tmp.iter_mut().zip(slots) {
                         *part = data.key(slot)[i];
                     }
-                    gids[pos] = table.upsert(key_tmp) as u32;
+                    gids[pos] = table.upsert_prehashed(kernels::hash_key(key_tmp), key_tmp) as u32;
                 });
             }
         }

@@ -66,8 +66,8 @@ mod scalar;
 
 pub use result::{GroupRow, QueryOutput, QueryResult, WorkProfile};
 
-use crate::dag::QueryPlan;
 use crate::error::OlapError;
+use crate::plan::{self, QueryPlan};
 use crate::source::ScanSource;
 use crate::worker::WorkerTeam;
 use build::Built;
@@ -118,47 +118,25 @@ impl QueryExecutor {
     }
 
     /// Execute `plan` with one pipeline worker per core of `team`: the build
-    /// pipelines in dependency order, then the root (aggregating) pipeline —
-    /// all through the one pipeline driver, each into its sink — then the
-    /// finishers over the finalised rows. The result is identical — bit for
-    /// bit — to the solo execution of the same plan over the same sources;
-    /// only wall-clock time changes.
+    /// pipelines the root probes (each after the builds it probes itself),
+    /// then the root (aggregating) pipeline — all through the one pipeline
+    /// driver, each into its sink — then the finishers over the finalised
+    /// rows. The result is identical — bit for bit — to the solo execution
+    /// of the same plan over the same sources; only wall-clock time changes.
     pub fn execute_parallel(
         &self,
         plan: &QueryPlan,
         sources: &BTreeMap<String, ScanSource>,
         team: &WorkerTeam,
     ) -> Result<QueryOutput, OlapError> {
-        let spec = plan.spec();
         let mut work = WorkProfile::default();
-        let mut built: Vec<Built> = Vec::with_capacity(spec.builds.len());
-        for build in &spec.builds {
-            let source = source_for(sources, &build.input.table)?;
-            let pipe = Pipeline::bind(source, &build.input, &built, &build.keys, &[], &[])?;
-            let done = self.run_build(&pipe, &build.keys, team, &mut work)?;
-            let table = &done.table;
-            // Build sides are broadcast: account their bytes and hash-table
-            // sizes — builds probed by the root pipeline on the near fields,
-            // deeper (chained) builds on the far fields. 16 bytes per table
-            // entry (key + bucket overhead); multiplicities share their
-            // key's entry, so duplicate build keys do not grow the table.
-            let bytes = pipe.source_bytes();
-            let table_bytes = table.len() as u64 * 16;
-            if build.feeds_root {
-                work.build_bytes += bytes;
-                work.hash_table_bytes += table_bytes;
-            } else {
-                work.far_build_bytes += bytes;
-                work.far_hash_table_bytes += table_bytes;
-            }
-            built.push(done);
-        }
-        let source = source_for(sources, &spec.root.table)?;
-        let aggregates = &spec.aggregates;
-        let group_by = spec.group_by.as_deref();
+        let built = self.run_builds(&plan.root, sources, team, true, &mut work)?;
+        let source = source_for(sources, &plan.root.table)?;
+        let aggregates = &plan.aggregates;
+        let group_by = plan.group_by.as_deref();
         let pipe = Pipeline::bind(
             source,
-            &spec.root,
+            &plan.root,
             &built,
             &[],
             aggregates,
@@ -175,7 +153,7 @@ impl QueryExecutor {
             Some(group_by) => {
                 let sink = GroupSink::bind(&pipe, group_by, aggregates, self.block_rows)?;
                 let mut rows = self.run_pipeline(&pipe, team, &sink, &mut work);
-                for finisher in &spec.finishers {
+                for finisher in &plan.finishers {
                     finish::apply_finisher(finisher, &mut rows);
                 }
                 QueryResult::Groups(rows)
@@ -183,13 +161,50 @@ impl QueryExecutor {
         };
         Ok(QueryOutput { result, work })
     }
+
+    /// Run the builds `input` probes, in probe order, each after the builds
+    /// its own pipeline probes (so a chain builds from its far end), and
+    /// return their tables in probe order. Build sides are broadcast: their
+    /// bytes and hash-table sizes are accounted — builds the root pipeline
+    /// probes (`near`) on the near fields, deeper (chained) builds on the
+    /// far fields. 16 bytes per table entry (key + bucket overhead);
+    /// multiplicities share their key's entry, so duplicate build keys do
+    /// not grow the table.
+    fn run_builds(
+        &self,
+        input: &plan::Pipeline,
+        sources: &BTreeMap<String, ScanSource>,
+        team: &WorkerTeam,
+        near: bool,
+        work: &mut WorkProfile,
+    ) -> Result<Vec<Built>, OlapError> {
+        let mut built = Vec::with_capacity(input.probes.len());
+        for probe in &input.probes {
+            let build = &probe.build;
+            let inner = self.run_builds(&build.input, sources, team, false, work)?;
+            let source = source_for(sources, &build.input.table)?;
+            let pipe = Pipeline::bind(source, &build.input, &inner, &build.keys, &[], &[])?;
+            let done = self.run_build(&pipe, &build.keys, team, work)?;
+            let bytes = pipe.source_bytes();
+            let table_bytes = done.table.len() as u64 * 16;
+            if near {
+                work.build_bytes += bytes;
+                work.hash_table_bytes += table_bytes;
+            } else {
+                work.far_build_bytes += bytes;
+                work.far_hash_table_bytes += table_bytes;
+            }
+            built.push(done);
+        }
+        Ok(built)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::{DagBuilder, DagOp, RowSlot, SortKey};
     use crate::expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
+    use crate::plan::{Build, Pipeline as Pipe, RowSlot, SortKey};
     use htap_sim::{CoreId, SocketId};
     use htap_storage::{ColumnDef, ColumnarTable, DataType, TableSchema, TableSnapshot, Value};
     use std::sync::Arc;
@@ -263,37 +278,31 @@ mod tests {
         aggregates: Vec<AggExpr>,
         top_k: Option<(usize, usize)>,
     ) -> Result<QueryPlan, OlapError> {
-        let mut b = DagBuilder::default();
-        let mut beyond: Option<usize> = None;
-        for (i, (table, key, filters)) in dims.iter().enumerate().rev() {
-            let scan = b.scan(*table);
-            let mut at = b.filter(scan, filters);
+        let mut beyond: Option<Build> = None;
+        for (i, (table, key, filters)) in dims.into_iter().enumerate().rev() {
+            let mut at = Pipe::scan(table).filter(filters);
             if let Some(build) = beyond {
-                at = b.probe(at, build, keys[i + 1].clone());
+                at = at.probe(build, keys[i + 1].clone());
             }
-            beyond = Some(b.build(at, ScalarExpr::col(*key)));
+            beyond = Some(at.build(ScalarExpr::col(key)));
         }
-        let scan = b.scan(fact);
-        let mut at = b.filter(scan, &fact_filters);
+        let mut at = Pipe::scan(fact).filter(fact_filters);
         if let Some(build) = beyond {
-            at = b.probe(at, build, keys[0].clone());
+            at = at.probe(build, keys[0].clone());
         }
-        let group_by = group_by.map(|g| g.iter().map(|c| c.to_string()).collect());
-        let agg = b.aggregate(at, group_by, aggregates);
+        let Some(group_by) = group_by else {
+            return at.aggregate(aggregates).finish();
+        };
+        let mut plan = at.group_by(group_by.iter().map(|c| c.to_string()).collect(), aggregates);
         if let Some((agg_index, k)) = top_k {
-            let sorted = b.push(DagOp::Sort {
-                input: agg,
-                keys: vec![SortKey {
+            plan = plan
+                .sort(vec![SortKey {
                     slot: RowSlot::Agg(agg_index),
                     desc: true,
-                }],
-            });
-            b.push(DagOp::Limit {
-                input: sorted,
-                rows: k,
-            });
+                }])
+                .limit(k);
         }
-        b.finish()
+        plan.finish()
     }
 
     /// scan(table) → filter → scalar or grouped aggregate.
@@ -430,22 +439,17 @@ mod tests {
     /// orderline probing two sibling builds, mid on `ol_i_id = m_id` and
     /// far on `ol_i_id = c_id`: a root pipeline with two probes.
     fn star_plan() -> QueryPlan {
-        let mut b = DagBuilder::default();
-        let mid = b.scan("mid");
-        let mid = b.build(mid, col("m_id"));
-        let far = b.scan("far");
-        let far = b.filter(far, &[Predicate::new("c_v", CmpOp::Ge, 1.5)]);
-        let far = b.build(far, col("c_id"));
-        let fact = b.scan("orderline");
-        let fact = b.filter(fact, &[Predicate::new("ol_quantity", CmpOp::Lt, 5.0)]);
-        let fact = b.probe(fact, mid, col("ol_i_id"));
-        let fact = b.probe(fact, far, col("ol_i_id"));
-        b.aggregate(
-            fact,
-            None,
-            vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count],
-        );
-        b.finish().unwrap()
+        let mid = Pipe::scan("mid").build(col("m_id"));
+        let far = Pipe::scan("far")
+            .filter([Predicate::new("c_v", CmpOp::Ge, 1.5)])
+            .build(col("c_id"));
+        Pipe::scan("orderline")
+            .filter([Predicate::new("ol_quantity", CmpOp::Lt, 5.0)])
+            .probe(mid, col("ol_i_id"))
+            .probe(far, col("ol_i_id"))
+            .aggregate(vec![AggExpr::Sum(col("ol_amount")), AggExpr::Count])
+            .finish()
+            .unwrap()
     }
 
     /// The accessors and the near/far build accounting of a three-relation
@@ -1006,13 +1010,11 @@ mod tests {
         // A computed build key: d_id + 1 = 2^53 + 1 holds the plain probe
         // key f_key; d_id + 0 = 2^53 does not.
         let built_on = |key: ScalarExpr| {
-            let mut b = DagBuilder::default();
-            let dim = b.scan("dim64");
-            let build = b.build(dim, key);
-            let fact = b.scan("fact64");
-            let probed = b.probe(fact, build, col("f_key"));
-            b.aggregate(probed, None, vec![AggExpr::Count]);
-            let plan = b.finish().unwrap();
+            let plan = Pipe::scan("fact64")
+                .probe(Pipe::scan("dim64").build(key), col("f_key"))
+                .aggregate(vec![AggExpr::Count])
+                .finish()
+                .unwrap();
             let sources = sources_beyond_2_pow_53();
             count(QueryExecutor::default().execute(&plan, &sources).unwrap())
         };

@@ -12,11 +12,11 @@
 use super::build::Built;
 use super::probe::{probe_chain, Survivors};
 use super::{QueryExecutor, WorkProfile};
-use crate::dag::PipelineSpec;
 use crate::error::OlapError;
 use crate::expr::{AggExpr, Predicate, ScalarExpr};
 use crate::hashtable::JoinTable;
 use crate::morsel::Morsel;
+use crate::plan;
 use crate::program::{
     apply_filters, tuple_slots, ColRef, ColumnResolver, CompiledAggs, CompiledPredicate, JoinKey,
     ProgramPool,
@@ -92,13 +92,14 @@ pub(super) struct Pipeline<'q> {
 }
 
 impl<'q> Pipeline<'q> {
-    /// Bind `input` over `source`. Besides the filters and probe keys of the
-    /// stream itself, the load lists cover what the pipeline's sink reads:
-    /// the `build_keys` of a join build, the `aggregates` and `group_by`
-    /// columns of a root.
+    /// Bind `input` over `source`, its probes against `built` (the tables
+    /// of their builds, in probe order). Besides the filters and probe keys
+    /// of the stream itself, the load lists cover what the pipeline's sink
+    /// reads: the `build_keys` of a join build, the `aggregates` and
+    /// `group_by` columns of a root.
     pub fn bind(
         source: &'q ScanSource,
-        input: &PipelineSpec,
+        input: &plan::Pipeline,
         built: &'q [Built],
         build_keys: &[ScalarExpr],
         aggregates: &[AggExpr],
@@ -135,8 +136,8 @@ impl<'q> Pipeline<'q> {
         let probes = input
             .probes
             .iter()
-            .map(|p| {
-                let build = &built[p.build];
+            .zip(built)
+            .map(|(p, build)| {
                 let key = match (&build.fold, &p.keys[..]) {
                     (Some(fold), tuple) => fold.fold(&tuple_slots(tuple, &keys)?)?,
                     (None, [key]) => JoinKey::single(key, &keys)?,

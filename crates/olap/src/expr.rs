@@ -24,7 +24,7 @@ pub enum ScalarExpr {
 }
 
 /// A one-expression join key, for the builder methods that take a key
-/// tuple ([`crate::DagBuilder::build`], [`crate::DagBuilder::probe`]).
+/// tuple ([`crate::Pipeline::build`], [`crate::Pipeline::probe`]).
 impl From<ScalarExpr> for Vec<ScalarExpr> {
     fn from(key: ScalarExpr) -> Self {
         vec![key]

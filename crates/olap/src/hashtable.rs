@@ -1,6 +1,6 @@
 //! Cache-friendly tables for the vectorized hot path.
 //!
-//! * [`JoinTable`] — the join build sides of the operator DAG: an
+//! * [`JoinTable`] — the join build sides of a plan: an
 //!   insert-only map from `i64` key to row multiplicity, making the
 //!   hash-probe operator a true inner join (duplicate build keys weight the
 //!   probe instead of collapsing into a set). A table is one of two kinds:
@@ -52,9 +52,9 @@
 //! final result assembly (see [`crate::exec::QueryExecutor`]).
 //!
 //! The multiplicative hash primitives live in [`crate::kernels`] alongside
-//! the batch-hash kernels. [`GroupTable`] exposes `*_prehashed` entry points
-//! so the grouped sink can hash a whole morsel's keys up front and upsert
-//! with precomputed hashes, and stores each group's hash in a flat arena
+//! the batch-hash kernels. [`GroupTable::upsert_prehashed`] takes the key's
+//! hash from its caller, so the grouped sink can hash a whole morsel's keys
+//! up front and upsert with precomputed hashes, and the table stores each group's hash in a flat arena
 //! ([`GroupTable::hashes_flat`]): growth rehashes from the arena instead of
 //! recomputing, and the executor's radix-partitioned merge reads the stored
 //! hashes to scatter groups into disjoint partitions.
@@ -792,42 +792,11 @@ impl GroupTable {
         0
     }
 
-    /// Upsert a single-column group key, returning the group index.
-    #[inline]
-    pub fn upsert1(&mut self, k: i64) -> usize {
-        self.upsert_prehashed(hash_i64(k), &[k])
-    }
-
-    /// Upsert a two-column group key.
-    #[inline]
-    pub fn upsert2(&mut self, k0: i64, k1: i64) -> usize {
-        self.upsert_prehashed(hash_key(&[k0, k1]), &[k0, k1])
-    }
-
-    /// Upsert a composite key of any width (`key.len() == n_keys`).
-    #[inline]
-    pub fn upsert(&mut self, key: &[i64]) -> usize {
-        debug_assert_eq!(key.len(), self.n_keys);
-        self.upsert_prehashed(hash_key(key), key)
-    }
-
-    /// [`GroupTable::upsert1`] with the key's hash precomputed (the
-    /// batch-hash group-by path).
-    #[inline]
-    pub fn upsert1_prehashed(&mut self, hash: u64, k: i64) -> usize {
-        self.upsert_prehashed(hash, &[k])
-    }
-
-    /// [`GroupTable::upsert2`] with the composite hash precomputed.
-    #[inline]
-    pub fn upsert2_prehashed(&mut self, hash: u64, k0: i64, k1: i64) -> usize {
-        self.upsert_prehashed(hash, &[k0, k1])
-    }
-
-    /// Upsert with a precomputed hash. `hash` must equal
-    /// [`crate::kernels::hash_key`] of `key` — batch kernels and the radix
-    /// merge (which replays hashes from [`GroupTable::hashes_flat`]) both
-    /// satisfy this by construction. Inlined unconditionally: the grouped
+    /// Upsert `key` (`key.len() == n_keys`), returning its group index.
+    /// `hash` must equal [`crate::kernels::hash_key`] of `key` — the batch
+    /// kernels, the wide-key path (which calls it) and the radix merge
+    /// (which replays hashes from [`GroupTable::hashes_flat`]) all satisfy
+    /// this by construction. Inlined unconditionally: the grouped
     /// sink's row loops are monomorphised per key arity and survivor kind,
     /// and left to its own judgement the compiler stops inlining the probe
     /// into that many of them (≈ 10 % of a grouped scan).
@@ -914,6 +883,11 @@ impl GroupTable {
 mod tests {
     use super::*;
 
+    /// Upsert `key`, hashed as the grouped sink's wide-key path hashes it.
+    fn upsert(t: &mut GroupTable, key: &[i64]) -> usize {
+        t.upsert_prehashed(hash_key(key), key)
+    }
+
     /// The slot storage of a hashed table.
     fn hashed(table: &JoinTable) -> &HashSlots {
         match &table.kind {
@@ -927,7 +901,7 @@ mod tests {
         let mut t = GroupTable::default();
         t.configure(1, [0.0, f64::NEG_INFINITY]);
         for i in 0..100i64 {
-            let g = t.upsert1(i % 4);
+            let g = upsert(&mut t, &[i % 4]);
             let (count, lanes) = t.group_mut(g);
             *count += 1;
             lanes[0] += i as f64;
@@ -950,18 +924,18 @@ mod tests {
         let mut t = GroupTable::default();
         t.configure(2, [0.0]);
         // (1, 2) and (2, 1) must be distinct groups.
-        let a = t.upsert2(1, 2);
-        let b = t.upsert2(2, 1);
-        let a_again = t.upsert2(1, 2);
+        let a = upsert(&mut t, &[1, 2]);
+        let b = upsert(&mut t, &[2, 1]);
+        let a_again = upsert(&mut t, &[1, 2]);
         assert_ne!(a, b);
         assert_eq!(a, a_again);
         assert_eq!(t.group_count(), 2);
         // Wide keys through the generic path.
         let mut w = GroupTable::default();
         w.configure(3, [0.0]);
-        assert_eq!(w.upsert(&[1, 2, 3]), 0);
-        assert_eq!(w.upsert(&[1, 2, 4]), 1);
-        assert_eq!(w.upsert(&[1, 2, 3]), 0);
+        assert_eq!(upsert(&mut w, &[1, 2, 3]), 0);
+        assert_eq!(upsert(&mut w, &[1, 2, 4]), 1);
+        assert_eq!(upsert(&mut w, &[1, 2, 3]), 0);
     }
 
     #[test]
@@ -970,12 +944,12 @@ mod tests {
         t.configure(1, [0.0]);
         // Far beyond INITIAL_SLOTS within one morsel: forces rehash mid-loop.
         for i in 0..5_000i64 {
-            let g = t.upsert1(i);
+            let g = upsert(&mut t, &[i]);
             *t.group_mut(g).0 += 1;
         }
         assert_eq!(t.group_count(), 5_000);
         for i in 0..5_000i64 {
-            let g = t.upsert1(i);
+            let g = upsert(&mut t, &[i]);
             assert_eq!(g as i64, i, "insertion order preserved across growth");
         }
         assert_eq!(t.group_count(), 5_000, "re-upserts create no new groups");
@@ -985,13 +959,13 @@ mod tests {
     fn group_table_epoch_clear_is_a_real_clear() {
         let mut t = GroupTable::default();
         t.configure(1, [0.0]);
-        t.upsert1(7);
-        t.upsert1(8);
+        upsert(&mut t, &[7]);
+        upsert(&mut t, &[8]);
         assert_eq!(t.group_count(), 2);
         t.begin_morsel();
         assert_eq!(t.group_count(), 0);
         // Stale slots from the previous epoch are invisible.
-        let g = t.upsert1(7);
+        let g = upsert(&mut t, &[7]);
         assert_eq!(g, 0);
         assert_eq!(t.group_count(), 1);
         assert_eq!(t.keys_flat(), &[7]);
@@ -1012,14 +986,14 @@ mod tests {
         // All 5 000 upserts use hashes computed against the initial 16-slot
         // table; the table grows many times mid-loop.
         for (i, (&k, &h)) in keys.iter().zip(&hashes).enumerate() {
-            let g = t.upsert1_prehashed(h, k);
+            let g = t.upsert_prehashed(h, &[k]);
             assert_eq!(g, i, "fresh key claims the next group index");
             *t.group_mut(g).0 += 1;
         }
         assert_eq!(t.group_count(), 5_000);
         // Re-upserting with the same precomputed hashes finds every group.
         for (i, (&k, &h)) in keys.iter().zip(&hashes).enumerate() {
-            assert_eq!(t.upsert1_prehashed(h, k), i, "group lost across growth");
+            assert_eq!(t.upsert_prehashed(h, &[k]), i, "group lost across growth");
         }
         assert_eq!(t.group_count(), 5_000);
         // The stored hash arena is exactly the batch-computed hashes, and
@@ -1029,7 +1003,7 @@ mod tests {
         let mut u = GroupTable::default();
         u.configure(1, [0.0]);
         for &k in &keys {
-            u.upsert1(k);
+            upsert(&mut u, &[k]);
         }
         assert_eq!(u.keys_flat(), t.keys_flat());
         assert_eq!(u.hashes_flat(), t.hashes_flat());
@@ -1364,7 +1338,7 @@ mod tests {
     fn group_table_seats_a_key_range_in_key_order() {
         let mut t = GroupTable::default();
         t.configure(1, [0.0, f64::INFINITY]);
-        t.upsert1(40);
+        upsert(&mut t, &[40]);
         t.begin_morsel();
         t.seat_range(-2, 3);
         assert_eq!(t.group_count(), 6);
@@ -1375,7 +1349,14 @@ mod tests {
         assert_eq!(t.lanes_flat(), [0.0, f64::INFINITY].repeat(6).as_slice());
         // The next morsel is an ordinary hashed one again.
         t.begin_morsel();
-        assert_eq!((t.upsert1(40), t.upsert1(3), t.upsert1(40)), (0, 1, 0));
+        assert_eq!(
+            (
+                upsert(&mut t, &[40]),
+                upsert(&mut t, &[3]),
+                upsert(&mut t, &[40])
+            ),
+            (0, 1, 0)
+        );
     }
 
     #[test]
@@ -1383,7 +1364,7 @@ mod tests {
         let mut t = GroupTable::default();
         t.configure(1, []);
         for _ in 0..10_000 {
-            let g = t.upsert1(42);
+            let g = upsert(&mut t, &[42]);
             *t.group_mut(g).0 += 1;
         }
         assert_eq!(t.group_count(), 1);

@@ -32,15 +32,17 @@
 //!   with a scalar twin it must match bit for bit. Grouped partials are
 //!   merged radix-partitioned by key hash (see ARCHITECTURE.md, "Chunked
 //!   kernels & radix-partitioned aggregation").
-//! * [`dag`] — the one plan type, [`QueryPlan`]: a composable operator DAG
-//!   of scan/filter/hash-build/hash-probe/hash-aggregate plus the
-//!   having/sort/limit finishers, validated and flattened once by
-//!   [`DagBuilder::finish`] — so a plan value is executable by construction
-//!   and lists the relations and columns it touches, which is exactly what
-//!   the scheduler needs for per-query freshness (Algorithm 2). The hash
-//!   probe is a true multiplicity-preserving inner join (duplicate build
-//!   keys contribute every matching tuple). See ARCHITECTURE.md,
-//!   "Composable operator DAG".
+//! * [`plan`] — the one plan IR, [`QueryPlan`]: the tree of pipelines a
+//!   query runs, built by value — a [`Pipeline`] scans one relation,
+//!   filters and probes, and ends in a [`Build`] that exactly one later
+//!   probe owns, or in the scalar or grouped sink (plus the
+//!   having/sort/limit finishers of a grouped one). `finish()` checks what
+//!   the types cannot (key arity, finisher slots) once, so a plan value is
+//!   executable by construction and lists the relations and columns it
+//!   touches, which is exactly what the scheduler needs for per-query
+//!   freshness (Algorithm 2). The hash probe is a true
+//!   multiplicity-preserving inner join (duplicate build keys contribute
+//!   every matching tuple). See ARCHITECTURE.md, "Pipeline-tree plan IR".
 //! * [`reference`] — a naive row-at-a-time interpreter over the same plans,
 //!   the oracle of the differential test suite
 //!   (`tests/differential_exec.rs`) for result rows *and* work accounting;
@@ -65,7 +67,6 @@
 //! `ARCHITECTURE.md`.
 
 pub mod block;
-pub mod dag;
 pub mod engine;
 pub mod error;
 pub mod exec;
@@ -73,6 +74,7 @@ pub mod expr;
 pub mod hashtable;
 pub mod kernels;
 pub mod morsel;
+pub mod plan;
 mod program;
 pub mod reference;
 mod scratch;
@@ -80,13 +82,13 @@ pub mod source;
 pub mod worker;
 
 pub use block::Block;
-pub use dag::{DagBuilder, DagOp, HavingPred, QueryPlan, RowSlot, SortKey};
 pub use engine::{OlapEngine, OlapStore};
 pub use error::OlapError;
 pub use exec::{QueryExecutor, QueryOutput, QueryResult, WorkProfile};
 pub use expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
 pub use hashtable::{GroupTable, JoinTable};
 pub use morsel::{split_morsels, Morsel};
+pub use plan::{Build, GroupedPlan, HavingPred, Pipeline, QueryPlan, RowSlot, ScalarPlan, SortKey};
 pub use program::AffineKey;
 pub use reference::{execute_reference, execute_reference_with_work};
 pub use source::{BoundLayout, ScanSegmentSource, ScanSource};

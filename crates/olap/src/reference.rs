@@ -2,8 +2,8 @@
 //! testing oracle of the morsel-driven engine.
 //!
 //! The oracle shares exactly one thing with [`crate::exec::QueryExecutor`]:
-//! the plan. Both read the validated, flattened spec a [`QueryPlan`] carries,
-//! so they agree on *what* to compute; everything about *how* is independent
+//! the plan. Both walk the pipeline tree a [`QueryPlan`] is, so they agree
+//! on *what* to compute; everything about *how* is independent
 //! — the rows *and* the [`WorkProfile`] account. Scalar
 //! expressions are evaluated recursively per row (not vectorised per block),
 //! predicates are re-derived from [`CmpOp`] here, aggregation keeps its own
@@ -29,10 +29,10 @@
 //! are exact.
 
 use crate::block::Block;
-use crate::dag::{BuildSpec, DagSpec, Finisher, PipelineSpec, ProbeSpec, QueryPlan, RowSlot};
 use crate::error::OlapError;
 use crate::exec::{GroupRow, QueryOutput, QueryResult, WorkProfile};
 use crate::expr::{AggExpr, CmpOp, Predicate, ScalarExpr};
+use crate::plan::{Build, Finisher, Pipeline, Probe, QueryPlan, RowSlot};
 use crate::source::ScanSource;
 use std::collections::BTreeMap;
 
@@ -270,19 +270,20 @@ fn agg_columns(aggregates: &[AggExpr]) -> Vec<String> {
 type WeightMap = BTreeMap<Vec<i64>, u64>;
 
 /// The join multiplicity of one probe-side row: the product of the matched
-/// weights across the pipeline's probe chain, 0 as soon as any probe
-/// misses. Every stage the row reaches costs one probe.
+/// weights across the pipeline's probe chain (`built` holds each probe's
+/// weight map, in probe order), 0 as soon as any probe misses. Every stage
+/// the row reaches costs one probe.
 fn probe_weight(
-    probes: &[ProbeSpec],
+    probes: &[Probe],
     built: &[WeightMap],
     block: &Block,
     row: usize,
     work: &mut WorkProfile,
 ) -> Result<u64, OlapError> {
     let mut w = 1u64;
-    for p in probes {
+    for (p, map) in probes.iter().zip(built) {
         work.probes += 1;
-        w *= built[p.build]
+        w *= map
             .get(&tuple_at(&p.keys, block, row)?)
             .copied()
             .unwrap_or(0);
@@ -318,15 +319,37 @@ fn account_scan(src: &ScanSource, columns: &[String], work: &mut WorkProfile) ->
     total
 }
 
+/// Run the builds `input` probes into their weight maps, in probe order,
+/// each after the builds its own pipeline probes.
+fn reference_builds(
+    input: &Pipeline,
+    sources: &BTreeMap<String, ScanSource>,
+    near: bool,
+    work: &mut WorkProfile,
+) -> Result<Vec<WeightMap>, OlapError> {
+    input
+        .probes
+        .iter()
+        .map(|probe| {
+            let build = &probe.build;
+            let built = reference_builds(&build.input, sources, false, work)?;
+            let src = source(sources, &build.input.table)?;
+            reference_build(src, build, &built, near, work)
+        })
+        .collect()
+}
+
 /// Run one build pipeline into its weight map.
 ///
 /// Build sides are broadcast: the scanned bytes are charged again as build
 /// bytes, plus 16 B of hash table per distinct surviving key — on the near
-/// fields when the root pipeline probes this build, else on the far fields.
+/// fields when the root pipeline probes this build (`near`), else on the
+/// far fields.
 fn reference_build(
     src: &ScanSource,
-    build: &BuildSpec,
+    build: &Build,
     built: &[WeightMap],
+    near: bool,
     work: &mut WorkProfile,
 ) -> Result<WeightMap, OlapError> {
     let mut numeric = filter_columns(&build.input.filters);
@@ -352,7 +375,7 @@ fn reference_build(
     numeric.extend(keys);
     let bytes = account_scan(src, &numeric, work);
     let table_bytes = map.len() as u64 * 16;
-    if build.feeds_root {
+    if near {
         work.build_bytes += bytes;
         work.hash_table_bytes += table_bytes;
     } else {
@@ -365,7 +388,7 @@ fn reference_build(
 /// Scan the root pipeline into scalar accumulators.
 fn reference_scalar_scan(
     src: &ScanSource,
-    root: &PipelineSpec,
+    root: &Pipeline,
     aggregates: &[AggExpr],
     built: &[WeightMap],
     work: &mut WorkProfile,
@@ -398,7 +421,7 @@ fn reference_scalar_scan(
 /// Scan the root pipeline into groups keyed by `group_by` columns.
 fn reference_grouped_scan(
     src: &ScanSource,
-    root: &PipelineSpec,
+    root: &Pipeline,
     group_by: &[String],
     aggregates: &[AggExpr],
     built: &[WeightMap],
@@ -481,37 +504,32 @@ fn apply_finisher(finisher: &Finisher, rows: &mut Vec<GroupRow>) {
     }
 }
 
-/// Execute a decomposed DAG with the row-at-a-time interpreter.
-fn execute_spec(
-    spec: &DagSpec,
+/// Execute `plan` with the row-at-a-time interpreter.
+fn execute_plan(
+    plan: &QueryPlan,
     sources: &BTreeMap<String, ScanSource>,
 ) -> Result<QueryOutput, OlapError> {
     let mut work = WorkProfile::default();
-    let mut built: Vec<WeightMap> = Vec::with_capacity(spec.builds.len());
-    for build in &spec.builds {
-        let src = source(sources, &build.input.table)?;
-        let map = reference_build(src, build, &built, &mut work)?;
-        built.push(map);
-    }
-    let src = source(sources, &spec.root.table)?;
-    let result = match &spec.group_by {
+    let built = reference_builds(&plan.root, sources, true, &mut work)?;
+    let src = source(sources, &plan.root.table)?;
+    let result = match &plan.group_by {
         None => QueryResult::Scalars(reference_scalar_scan(
             src,
-            &spec.root,
-            &spec.aggregates,
+            &plan.root,
+            &plan.aggregates,
             &built,
             &mut work,
         )?),
         Some(group_by) => {
             let mut rows = reference_grouped_scan(
                 src,
-                &spec.root,
+                &plan.root,
                 group_by,
-                &spec.aggregates,
+                &plan.aggregates,
                 &built,
                 &mut work,
             )?;
-            for finisher in &spec.finishers {
+            for finisher in &plan.finishers {
                 apply_finisher(finisher, &mut rows);
             }
             QueryResult::Groups(rows)
@@ -520,8 +538,8 @@ fn execute_spec(
     Ok(QueryOutput { result, work })
 }
 
-/// Execute `plan` with the naive row-at-a-time interpreter. The plan's spec
-/// is shared with the engine; execution is not.
+/// Execute `plan` with the naive row-at-a-time interpreter. The plan is
+/// shared with the engine; execution is not.
 pub fn execute_reference(
     plan: &QueryPlan,
     sources: &BTreeMap<String, ScanSource>,
@@ -537,13 +555,12 @@ pub fn execute_reference_with_work(
     plan: &QueryPlan,
     sources: &BTreeMap<String, ScanSource>,
 ) -> Result<QueryOutput, OlapError> {
-    execute_spec(plan.spec(), sources)
+    execute_plan(plan, sources)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::DagBuilder;
     use htap_sim::SocketId;
     use htap_storage::{ColumnDef, ColumnarTable, DataType, TableSchema, TableSnapshot, Value};
     use std::sync::Arc;
@@ -583,11 +600,12 @@ mod tests {
         group_by: Option<Vec<String>>,
         aggregates: Vec<AggExpr>,
     ) -> QueryPlan {
-        let mut b = DagBuilder::default();
-        let scan = b.scan(table);
-        let filtered = b.filter(scan, filters);
-        b.aggregate(filtered, group_by, aggregates);
-        b.finish().unwrap()
+        let pipe = Pipeline::scan(table).filter(filters);
+        match group_by {
+            None => pipe.aggregate(aggregates).finish(),
+            Some(keys) => pipe.group_by(keys, aggregates).finish(),
+        }
+        .unwrap()
     }
 
     #[test]
@@ -659,13 +677,12 @@ mod tests {
         // Self-join t with itself on g: the build side has 25 tuples per
         // distinct g value, so every probe row joins 25 build tuples and
         // COUNT sees 100 * 25 joined tuples.
-        let mut b = DagBuilder::default();
-        let dim = b.scan("t");
-        let build = b.build(dim, ScalarExpr::col("g"));
-        let probe_scan = b.scan("t");
-        let probed = b.probe(probe_scan, build, ScalarExpr::col("g"));
-        b.aggregate(probed, None, vec![AggExpr::Count]);
-        let plan = b.finish().unwrap();
+        let build = Pipeline::scan("t").build(ScalarExpr::col("g"));
+        let plan = Pipeline::scan("t")
+            .probe(build, ScalarExpr::col("g"))
+            .aggregate(vec![AggExpr::Count])
+            .finish()
+            .unwrap();
         let out = execute_reference_with_work(&plan, &sources()).unwrap();
         assert_eq!(out.result.scalars().unwrap(), &[2500.0]);
         // The work account: both pipelines scan t's 100 rows reading the

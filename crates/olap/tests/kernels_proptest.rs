@@ -400,24 +400,49 @@ proptest! {
         }
     }
 
-    /// The prehashed group-table entry points (fed by the batch-hash
-    /// kernels, including across mid-stream growth) must assign the same
-    /// group indices as the self-hashing upserts, for any key distribution.
+    /// The grouped sink upserts with the batch kernels' hashes, and the
+    /// table requires each to be `hash_key` of its key: for any keys and
+    /// selection, every one- and two-column batch hash is, and a table fed
+    /// those hashes (across mid-stream growth) assigns the same groups as
+    /// one fed `hash_key`.
     #[test]
     fn prehashed_group_table_matches_plain_upserts(
-        keys in prop::collection::vec(adv_i64(), 0..200),
+        pairs in prop::collection::vec((adv_i64(), adv_i64()), 0..200),
+        mask in prop::collection::vec(prop::bool::ANY, 0..200),
     ) {
+        let k0: Vec<i64> = pairs.iter().map(|&(a, _)| a).collect();
+        let k1: Vec<i64> = pairs.iter().map(|&(_, b)| b).collect();
+        let sel = selection(&mask, k0.len());
         let mut hashes = Vec::new();
-        kernels::hash1_dense(&keys, &mut hashes);
+        kernels::hash1_dense(&k0, &mut hashes);
+        for (i, &h) in hashes.iter().enumerate() {
+            prop_assert_eq!(h, kernels::hash_key(&[k0[i]]));
+        }
         let mut plain = GroupTable::default();
         plain.configure(1, [0.0]);
         let mut pre = GroupTable::default();
         pre.configure(1, [0.0]);
-        for (i, &k) in keys.iter().enumerate() {
-            prop_assert_eq!(plain.upsert1(k), pre.upsert1_prehashed(hashes[i], k));
+        for (&k, &h) in k0.iter().zip(&hashes) {
+            prop_assert_eq!(
+                plain.upsert_prehashed(kernels::hash_key(&[k]), &[k]),
+                pre.upsert_prehashed(h, &[k])
+            );
         }
         prop_assert_eq!(plain.keys_flat(), pre.keys_flat());
         prop_assert_eq!(plain.hashes_flat(), pre.hashes_flat());
+        kernels::hash1_gather(&k0, &sel, &mut hashes);
+        for (&i, &h) in sel.iter().zip(&hashes) {
+            prop_assert_eq!(h, kernels::hash_key(&[k0[i as usize]]));
+        }
+        kernels::hash2_dense(&k0, &k1, &mut hashes);
+        for (i, &h) in hashes.iter().enumerate() {
+            prop_assert_eq!(h, kernels::hash_key(&[k0[i], k1[i]]));
+        }
+        kernels::hash2_gather(&k0, &k1, &sel, &mut hashes);
+        for (&i, &h) in sel.iter().zip(&hashes) {
+            let i = i as usize;
+            prop_assert_eq!(h, kernels::hash_key(&[k0[i], k1[i]]));
+        }
     }
 
     /// The kernels size their output with a `resize` that zero-fills only

@@ -534,13 +534,13 @@ mod tests {
 
     #[test]
     fn run_query_models_oltp_beside_the_scan_and_charges_the_clock() {
-        use htap_olap::{AggExpr, DagBuilder, ScalarExpr};
+        use htap_olap::{AggExpr, Pipeline, ScalarExpr};
         let rde = engine_with_data(1000);
         rde.switch_and_sync();
-        let mut b = DagBuilder::default();
-        let scan = b.scan("sales");
-        b.aggregate(scan, None, vec![AggExpr::Sum(ScalarExpr::col("amount"))]);
-        let plan = b.finish().unwrap();
+        let plan = Pipeline::scan("sales")
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("amount"))])
+            .finish()
+            .unwrap();
 
         // A scan of the OLTP socket interferes with OLTP; its modelled time
         // lands on the query-execution counter.

@@ -65,15 +65,15 @@ pub fn measure(rde: &RdeEngine, plan: &QueryPlan) -> QueryFreshness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htap_olap::{AggExpr, DagBuilder, ScalarExpr};
+    use htap_olap::{AggExpr, Pipeline, ScalarExpr};
     use htap_rde::RdeConfig;
     use htap_storage::{ColumnDef, DataType, TableSchema, Value};
 
     fn plan() -> QueryPlan {
-        let mut b = DagBuilder::default();
-        let scan = b.scan("sales");
-        b.aggregate(scan, None, vec![AggExpr::Sum(ScalarExpr::col("amount"))]);
-        b.finish().unwrap()
+        Pipeline::scan("sales")
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("amount"))])
+            .finish()
+            .unwrap()
     }
 
     fn rde_with_rows(rows: u64) -> RdeEngine {
@@ -196,17 +196,17 @@ mod tests {
     /// fact ⋈ mid ⋈ far, the far end (filtered on `r_v`) built first.
     fn three_table_plan() -> QueryPlan {
         use htap_olap::{CmpOp, Predicate};
-        let mut b = DagBuilder::default();
-        let far = b.scan("far");
-        let far = b.filter(far, &[Predicate::new("r_v", CmpOp::Ge, 0.0)]);
-        let far = b.build(far, ScalarExpr::col("r_id"));
-        let mid = b.scan("mid");
-        let mid = b.probe(mid, far, ScalarExpr::col("m_fk"));
-        let mid = b.build(mid, ScalarExpr::col("m_id"));
-        let fact = b.scan("fact");
-        let fact = b.probe(fact, mid, ScalarExpr::col("id"));
-        b.aggregate(fact, None, vec![AggExpr::Sum(ScalarExpr::col("amount"))]);
-        b.finish().unwrap()
+        let far = Pipeline::scan("far")
+            .filter([Predicate::new("r_v", CmpOp::Ge, 0.0)])
+            .build(ScalarExpr::col("r_id"));
+        let mid = Pipeline::scan("mid")
+            .probe(far, ScalarExpr::col("m_fk"))
+            .build(ScalarExpr::col("m_id"));
+        Pipeline::scan("fact")
+            .probe(mid, ScalarExpr::col("id"))
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("amount"))])
+            .finish()
+            .unwrap()
     }
 
     /// Algorithm 2 computes Nfq over what "will be accessed by every

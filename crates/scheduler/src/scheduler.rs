@@ -117,19 +117,18 @@ impl HtapScheduler {
 mod tests {
     use super::*;
     use crate::policy::SchedulerPolicy;
-    use htap_olap::{AggExpr, DagBuilder, ScalarExpr};
+    use htap_olap::{AggExpr, Pipeline, ScalarExpr};
     use htap_rde::{AccessMethod, RdeConfig};
     use htap_storage::{ColumnDef, DataType, TableSchema, Value};
 
     fn plan() -> QueryPlan {
-        let mut b = DagBuilder::default();
-        let scan = b.scan("sales");
-        b.aggregate(
-            scan,
-            None,
-            vec![AggExpr::Sum(ScalarExpr::col("amount")), AggExpr::Count],
-        );
-        b.finish().unwrap()
+        Pipeline::scan("sales")
+            .aggregate(vec![
+                AggExpr::Sum(ScalarExpr::col("amount")),
+                AggExpr::Count,
+            ])
+            .finish()
+            .unwrap()
     }
 
     fn rde_with_rows(rows: u64) -> Arc<RdeEngine> {
@@ -297,13 +296,14 @@ mod tests {
             Some(0),
         ))
         .unwrap();
-        let mut b = DagBuilder::default();
-        let item = b.scan("item");
-        let build = b.build(item, ScalarExpr::col("i_id"));
-        let sales = b.scan("sales");
-        let probed = b.probe(sales, build, ScalarExpr::col("id"));
-        b.aggregate(probed, None, vec![AggExpr::Count]);
-        let join = b.finish().unwrap();
+        let join = Pipeline::scan("sales")
+            .probe(
+                Pipeline::scan("item").build(ScalarExpr::col("i_id")),
+                ScalarExpr::col("id"),
+            )
+            .aggregate(vec![AggExpr::Count])
+            .finish()
+            .unwrap();
         let scheduler = HtapScheduler::new(rde, Schedule::Static(SystemState::S1Colocated));
         let q = scheduler.schedule_query(&join, false);
         assert!(q.sources.contains_key("sales") && q.sources.contains_key("item"));

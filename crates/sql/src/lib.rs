@@ -2,14 +2,14 @@
 //! parser → AST → binder → cost-aware planner.
 //!
 //! The pipeline turns query text into the engine's one physical plan type,
-//! [`QueryPlan`] — an operator DAG — so SQL gets the full vectorized +
+//! [`QueryPlan`] — the tree of pipelines it runs — so SQL gets the full vectorized +
 //! selection-vector execution path (compiled register programs,
 //! open-addressing hash tables, per-worker scratch):
 //!
 //! ```text
 //! SQL text ──lex──▶ tokens ──parse──▶ SelectStmt (AST)
 //!          ──bind(catalog)──▶ BoundQuery (resolved names, typed errors)
-//!          ──lower──▶ QueryPlan (a validated operator DAG)
+//!          ──lower──▶ QueryPlan (a checked tree of pipelines)
 //! ```
 //!
 //! Supported grammar (see the "SQL frontend" section of ARCHITECTURE.md for
@@ -74,7 +74,7 @@ pub fn plan(sql: &str, catalog: &Catalog) -> Result<QueryPlan, SqlError> {
 mod tests {
     use super::*;
     use htap_olap::{
-        AggExpr, CmpOp, DagBuilder, DagOp, HavingPred, Predicate, RowSlot, ScalarExpr, SortKey,
+        AggExpr, Build, CmpOp, HavingPred, Pipeline, Predicate, RowSlot, ScalarExpr, SortKey,
     };
     use htap_storage::{ColumnDef, DataType, TableSchema};
 
@@ -132,20 +132,22 @@ mod tests {
             )
     }
 
-    /// Push scan(table) → filter → [probe `(build, key column)`] and return
-    /// the pipeline's top op — the unit the expected plans below are made of.
-    fn pipeline(
-        b: &mut DagBuilder,
-        table: &str,
-        filters: &[Predicate],
-        probe: Option<(usize, &str)>,
-    ) -> usize {
-        let scan = b.scan(table);
-        let at = b.filter(scan, filters);
+    /// scan(table) → filter → [probe `(build, key column)`] — the unit the
+    /// expected plans below are made of.
+    fn pipeline(table: &str, filters: &[Predicate], probe: Option<(Build, &str)>) -> Pipeline {
+        let at = Pipeline::scan(table).filter(filters);
         match probe {
-            Some((build, key)) => b.probe(at, build, ScalarExpr::col(key)),
+            Some((build, key)) => at.probe(build, ScalarExpr::col(key)),
             None => at,
         }
+    }
+
+    /// Sort by aggregate `agg_index`, descending (the top-k order).
+    fn by_agg_desc(agg_index: usize) -> Vec<SortKey> {
+        vec![SortKey {
+            slot: RowSlot::Agg(agg_index),
+            desc: true,
+        }]
     }
 
     #[test]
@@ -155,21 +157,15 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let mut b = DagBuilder::default();
         let filters = [
             Predicate::new("f_a", CmpOp::Ge, 1.0),
             Predicate::new("f_g", CmpOp::Lt, 4.0),
         ];
-        let at = pipeline(&mut b, "fact", &filters, None);
-        b.aggregate(
-            at,
-            None,
-            vec![
-                AggExpr::Sum(ScalarExpr::col("f_a") * ScalarExpr::col("f_a")),
-                AggExpr::Count,
-            ],
-        );
-        assert_eq!(plan, b.finish().unwrap());
+        let expected = pipeline("fact", &filters, None).aggregate(vec![
+            AggExpr::Sum(ScalarExpr::col("f_a") * ScalarExpr::col("f_a")),
+            AggExpr::Count,
+        ]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -179,14 +175,11 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let mut b = DagBuilder::default();
-        let at = pipeline(&mut b, "fact", &[], None);
-        b.aggregate(
-            at,
-            Some(vec!["f_g".into()]),
+        let expected = pipeline("fact", &[], None).group_by(
+            vec!["f_g".into()],
             vec![AggExpr::Avg(ScalarExpr::col("f_a")), AggExpr::Count],
         );
-        assert_eq!(plan, b.finish().unwrap());
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -197,17 +190,11 @@ mod tests {
         )
         .unwrap();
         // The build side first, then the probing fact pipeline.
-        let mut b = DagBuilder::default();
-        let mid = pipeline(
-            &mut b,
-            "mid",
-            &[Predicate::new("m_v", CmpOp::Ge, 10.0)],
-            None,
-        );
-        let build = b.build(mid, ScalarExpr::col("m_id"));
-        let fact = pipeline(&mut b, "fact", &[], Some((build, "f_mid")));
-        b.aggregate(fact, None, vec![AggExpr::Sum(ScalarExpr::col("f_a"))]);
-        assert_eq!(plan, b.finish().unwrap());
+        let mid = pipeline("mid", &[Predicate::new("m_v", CmpOp::Ge, 10.0)], None)
+            .build(ScalarExpr::col("m_id"));
+        let expected = pipeline("fact", &[], Some((mid, "f_mid")))
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("f_a"))]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -237,19 +224,13 @@ mod tests {
             &c,
         )
         .unwrap();
-        let mut b = DagBuilder::default();
-        let mid = pipeline(
-            &mut b,
-            "mid",
-            &[Predicate::new("m_v", CmpOp::Ge, 10.0)],
-            None,
-        );
         let col = ScalarExpr::col;
-        let build = b.build(mid, vec![col("m_id"), col("m_far")]);
-        let scan = b.scan("fact");
-        let fact = b.probe(scan, build, vec![col("f_mid"), col("f_id")]);
-        b.aggregate(fact, None, vec![AggExpr::Sum(col("f_a"))]);
-        assert_eq!(plan, b.finish().unwrap());
+        let mid = pipeline("mid", &[Predicate::new("m_v", CmpOp::Ge, 10.0)], None)
+            .build(vec![col("m_id"), col("m_far")]);
+        let expected = Pipeline::scan("fact")
+            .probe(mid, vec![col("f_mid"), col("f_id")])
+            .aggregate(vec![AggExpr::Sum(col("f_a"))]);
+        assert_eq!(plan, expected.finish().unwrap());
         for alike in [
             "SELECT SUM(f_a) FROM fact JOIN mid ON f_mid = m_id WHERE m_far = f_id AND m_v >= 10",
             "SELECT SUM(f_a) FROM fact, mid WHERE m_id = f_mid AND f_id = m_far AND m_v >= 10",
@@ -264,15 +245,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(chain.tables(), ["fact", "mid", "far"]);
-        let builds: Vec<usize> = chain
-            .ops()
-            .iter()
-            .filter_map(|op| match op {
-                DagOp::HashBuild { keys, .. } => Some(keys.len()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(builds, [1, 2]);
+        let far = Pipeline::scan("far").build(col("r_id"));
+        let mid = Pipeline::scan("mid")
+            .probe(far, col("m_far"))
+            .build(vec![col("m_id"), col("m_far")]);
+        let expected = Pipeline::scan("fact")
+            .probe(mid, vec![col("f_mid"), col("f_id")])
+            .aggregate(vec![AggExpr::Count]);
+        assert_eq!(chain, expected.finish().unwrap());
     }
 
     /// What a tuple hop cannot be: conditions that join three relations
@@ -315,23 +295,12 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let mut b = DagBuilder::default();
-        let mid = pipeline(&mut b, "mid", &[], None);
-        let build = b.build(mid, ScalarExpr::col("m_id"));
-        let fact = pipeline(&mut b, "fact", &[], Some((build, "f_mid")));
-        let agg = b.aggregate(fact, Some(vec!["f_g".into()]), vec![AggExpr::Count]);
-        let sorted = b.push(DagOp::Sort {
-            input: agg,
-            keys: vec![SortKey {
-                slot: RowSlot::Agg(0),
-                desc: true,
-            }],
-        });
-        b.push(DagOp::Limit {
-            input: sorted,
-            rows: 5,
-        });
-        assert_eq!(plan, b.finish().unwrap());
+        let mid = pipeline("mid", &[], None).build(ScalarExpr::col("m_id"));
+        let expected = pipeline("fact", &[], Some((mid, "f_mid")))
+            .group_by(vec!["f_g".into()], vec![AggExpr::Count])
+            .sort(by_agg_desc(0))
+            .limit(5);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -344,25 +313,15 @@ mod tests {
         )
         .unwrap();
         // Far end first; mid probes far and builds for the fact.
-        let mut b = DagBuilder::default();
-        let far = pipeline(
-            &mut b,
-            "far",
-            &[Predicate::new("r_v", CmpOp::Lt, 40.0)],
-            None,
-        );
-        let far = b.build(far, ScalarExpr::col("r_id"));
+        let far = pipeline("far", &[Predicate::new("r_v", CmpOp::Lt, 40.0)], None)
+            .build(ScalarExpr::col("r_id"));
         let mid_filters = [Predicate::new("m_v", CmpOp::Ge, 1.0)];
-        let mid = pipeline(&mut b, "mid", &mid_filters, Some((far, "m_far")));
-        let mid = b.build(mid, ScalarExpr::col("m_id"));
+        let mid =
+            pipeline("mid", &mid_filters, Some((far, "m_far"))).build(ScalarExpr::col("m_id"));
         let fact_filters = [Predicate::new("f_a", CmpOp::Ge, 0.0)];
-        let fact = pipeline(&mut b, "fact", &fact_filters, Some((mid, "f_mid")));
-        b.aggregate(
-            fact,
-            None,
-            vec![AggExpr::Sum(ScalarExpr::col("f_a")), AggExpr::Count],
-        );
-        assert_eq!(plan, b.finish().unwrap());
+        let expected = pipeline("fact", &fact_filters, Some((mid, "f_mid")))
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("f_a")), AggExpr::Count]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -496,20 +455,13 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let probe_keys: Vec<&Vec<ScalarExpr>> = plan
-            .ops()
-            .iter()
-            .filter_map(|op| match op {
-                DagOp::HashProbe { keys, .. } => Some(keys),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            probe_keys,
-            [&vec![
-                ScalarExpr::col("f_g") * ScalarExpr::lit(4.0) + ScalarExpr::col("f_id")
-            ]]
+        let mid = pipeline("mid", &[], None).build(ScalarExpr::col("m_id"));
+        let key = ScalarExpr::col("f_g") * ScalarExpr::lit(4.0) + ScalarExpr::col("f_id");
+        let expected = Pipeline::scan("fact").probe(mid, key).group_by(
+            vec!["f_g".into()],
+            vec![AggExpr::Sum(ScalarExpr::col("f_a"))],
         );
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     /// Regression: a scalar join keeps its one result row whatever the key
@@ -522,15 +474,12 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let sinks: Vec<_> = plan
-            .ops()
-            .iter()
-            .filter_map(|op| match op {
-                DagOp::HashAggregate { group_by, .. } => Some(group_by),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(sinks, [&None]);
+        let mid = pipeline("mid", &[], None).build(ScalarExpr::col("m_id"));
+        let key = ScalarExpr::col("f_g") * ScalarExpr::lit(4.0) + ScalarExpr::col("f_id");
+        let expected = pipeline("fact", &[Predicate::new("f_a", CmpOp::Ge, 1.0)], None)
+            .probe(mid, key)
+            .aggregate(vec![AggExpr::Count]);
+        assert_eq!(plan, expected.finish().unwrap());
         assert_eq!(plan.label(), "scan(fact)→filter→probe×1→aggregate");
     }
 
@@ -541,17 +490,9 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let having: Vec<_> = plan
-            .ops()
-            .iter()
-            .filter_map(|op| match op {
-                DagOp::Having { predicates, .. } => Some(predicates.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            having,
-            vec![vec![
+        let expected = pipeline("fact", &[], None)
+            .group_by(vec!["f_g".into()], vec![AggExpr::Count])
+            .having(vec![
                 HavingPred {
                     slot: RowSlot::Agg(0),
                     op: CmpOp::Gt,
@@ -562,8 +503,8 @@ mod tests {
                     op: CmpOp::Ge,
                     literal: 2.0,
                 },
-            ]]
-        );
+            ]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -577,13 +518,21 @@ mod tests {
         // Scans listed probe side first, then the build side.
         assert_eq!(plan.tables(), ["fact", "mid"]);
         // The finishers run in clause order: having → sort → limit.
-        let ops = plan.ops();
-        let n = ops.len();
-        assert!(matches!(&ops[n - 3], DagOp::Having { predicates, .. }
-            if predicates.len() == 1));
-        assert!(matches!(&ops[n - 2], DagOp::Sort { keys, .. }
-            if keys.len() == 1 && keys[0].desc && keys[0].slot == RowSlot::Agg(0)));
-        assert!(matches!(&ops[n - 1], DagOp::Limit { rows: 2, .. }));
+        assert_eq!(
+            plan.label(),
+            "scan(fact)→probe×1→group-by→having→sort→limit"
+        );
+        let mid = pipeline("mid", &[], None).build(ScalarExpr::col("m_id"));
+        let expected = pipeline("fact", &[], Some((mid, "f_mid")))
+            .group_by(vec!["f_g".into()], vec![AggExpr::Count])
+            .having(vec![HavingPred {
+                slot: RowSlot::Agg(0),
+                op: CmpOp::Ge,
+                literal: 3.0,
+            }])
+            .sort(by_agg_desc(0))
+            .limit(2);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -626,17 +575,14 @@ mod tests {
         .unwrap();
         // Probe side first, then the builds walking down the chain.
         assert_eq!(plan.tables(), ["fact", "mid", "far", "deep"]);
-        let builds = plan
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, DagOp::HashBuild { .. }))
-            .count();
-        let probes = plan
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, DagOp::HashProbe { .. }))
-            .count();
-        assert_eq!((builds, probes), (3, 3));
+        let deep = pipeline("deep", &[], None).build(ScalarExpr::col("d_id"));
+        let far = pipeline("far", &[], Some((deep, "r_deep"))).build(ScalarExpr::col("r_id"));
+        let mid_filters = [Predicate::new("m_v", CmpOp::Ge, 1.0)];
+        let mid =
+            pipeline("mid", &mid_filters, Some((far, "m_far"))).build(ScalarExpr::col("m_id"));
+        let expected = pipeline("fact", &[], Some((mid, "f_mid")))
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("f_a")), AggExpr::Count]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -682,15 +628,11 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        let filters: Vec<_> = plan
-            .ops()
-            .iter()
-            .filter_map(|op| match op {
-                DagOp::Filter { predicates, .. } => Some(predicates.as_slice()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(filters, [&[Predicate::new("m_v", CmpOp::Lt, 50.0)]]);
+        let mid = pipeline("mid", &[Predicate::new("m_v", CmpOp::Lt, 50.0)], None)
+            .build(ScalarExpr::col("m_id"));
+        let expected = pipeline("fact", &[], Some((mid, "f_mid")))
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("f_a"))]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -853,15 +795,9 @@ mod tests {
     #[test]
     fn literal_on_the_left_flips_the_operator() {
         let plan = plan("SELECT SUM(f_a) FROM fact WHERE 10 >= f_a", &catalog()).unwrap();
-        let mut b = DagBuilder::default();
-        let at = pipeline(
-            &mut b,
-            "fact",
-            &[Predicate::new("f_a", CmpOp::Le, 10.0)],
-            None,
-        );
-        b.aggregate(at, None, vec![AggExpr::Sum(ScalarExpr::col("f_a"))]);
-        assert_eq!(plan, b.finish().unwrap());
+        let expected = pipeline("fact", &[Predicate::new("f_a", CmpOp::Le, 10.0)], None)
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("f_a"))]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 
     #[test]
@@ -871,7 +807,8 @@ mod tests {
             &catalog(),
         )
         .unwrap();
-        assert!(matches!(&plan.ops()[1], DagOp::Filter { predicates, .. }
-            if predicates == &[Predicate::new("f_a", CmpOp::Lt, 7.0)]));
+        let expected = pipeline("fact", &[Predicate::new("f_a", CmpOp::Lt, 7.0)], None)
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("f_a"))]);
+        assert_eq!(plan, expected.finish().unwrap());
     }
 }

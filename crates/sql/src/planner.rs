@@ -1,5 +1,6 @@
-//! The planner: bound logical query → physical [`QueryPlan`] (an operator
-//! DAG, see `crates/olap/src/dag.rs`), emitted through [`DagBuilder`].
+//! The planner: bound logical query → physical [`QueryPlan`], the tree of
+//! pipelines the engine runs (see `crates/olap/src/plan.rs`), built by value
+//! from the far end of the join chain inwards.
 //!
 //! | bound query | plan |
 //! |---|---|
@@ -33,7 +34,7 @@
 
 use crate::binder::{BoundJoin, BoundOrder, BoundQuery};
 use crate::error::SqlError;
-use htap_olap::{DagBuilder, DagOp, QueryPlan, RowSlot, ScalarExpr, SortKey};
+use htap_olap::{Pipeline, QueryPlan, RowSlot, ScalarExpr, SortKey};
 
 fn unsupported<T>(what: impl Into<String>, pos: usize) -> Result<T, SqlError> {
     Err(SqlError::Unsupported {
@@ -54,42 +55,36 @@ pub fn lower(bound: &BoundQuery) -> Result<QueryPlan, SqlError> {
         _ => lower_chain(bound)?,
     };
 
-    // Far end first: order[i] probes order[i+1]'s build with hops[i]'s near
-    // key and builds for order[i-1] keyed on hops[i-1]'s far key.
-    let mut builder = DagBuilder::default();
-    let mut beyond: Option<usize> = None;
-    let mut at = 0;
-    for (i, &rel) in order.iter().enumerate().rev() {
-        let scan = builder.scan(bound.tables[rel].name.clone());
-        at = builder.filter(scan, &bound.filters[rel]);
-        if let Some(build) = beyond {
-            at = builder.probe(at, build, hops[i].0.clone());
+    // Far end first: order[i] builds keyed on hops[i - 1]'s far key, and
+    // order[i - 1] probes that build with hops[i - 1]'s near key.
+    let pipeline = |rel: usize| {
+        Pipeline::scan(bound.tables[rel].name.clone()).filter(bound.filters[rel].as_slice())
+    };
+    let mut root = pipeline(order[hops.len()]);
+    for (&rel, (near_key, far_key)) in order.iter().zip(hops).rev() {
+        root = pipeline(rel).probe(root.build(far_key), near_key);
+    }
+    // The binder admits HAVING only with a GROUP BY, and a top-k comes only
+    // with one (see `lower_chain`).
+    let plan = if bound.group_by.is_empty() {
+        root.aggregate(bound.aggregates.clone()).finish()
+    } else {
+        let mut plan = root
+            .group_by(bound.group_by.clone(), bound.aggregates.clone())
+            .having(bound.having.clone());
+        if let Some((agg_index, k)) = top_k {
+            plan = plan
+                .sort(vec![SortKey {
+                    slot: RowSlot::Agg(agg_index),
+                    desc: true,
+                }])
+                .limit(k);
         }
-        if i > 0 {
-            beyond = Some(builder.build(at, hops[i - 1].1.clone()));
-        }
-    }
-    let group_by = (!bound.group_by.is_empty()).then(|| bound.group_by.clone());
-    at = builder.aggregate(at, group_by, bound.aggregates.clone());
-    if !bound.having.is_empty() {
-        at = builder.push(DagOp::Having {
-            input: at,
-            predicates: bound.having.clone(),
-        });
-    }
-    if let Some((agg_index, k)) = top_k {
-        at = builder.push(DagOp::Sort {
-            input: at,
-            keys: vec![SortKey {
-                slot: RowSlot::Agg(agg_index),
-                desc: true,
-            }],
-        });
-        builder.push(DagOp::Limit { input: at, rows: k });
-    }
-    // The binder validated every slot and the loop above emits a tree of
-    // pipelines, so a rejection here is a planner bug — still a typed error.
-    builder.finish().or_else(|e| {
+        plan.finish()
+    };
+    // The binder validated every slot and the planner emits matching key
+    // tuples, so a rejection here is a planner bug — still a typed error.
+    plan.or_else(|e| {
         unsupported(
             format!("a query the engine cannot plan ({e})"),
             bound.tables[0].pos,

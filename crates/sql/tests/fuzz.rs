@@ -7,7 +7,7 @@
 //! execute correctly against the row-at-a-time oracle) lives in the
 //! workspace-level `tests/sql_differential.rs`, next to the engine it needs.
 
-use htap_olap::{CmpOp, DagOp, Predicate};
+use htap_olap::{AggExpr, CmpOp, Pipeline, Predicate, ScalarExpr};
 use htap_sql::{plan, Catalog, SqlError};
 use htap_storage::{ColumnDef, DataType, TableSchema};
 use proptest::prelude::*;
@@ -267,15 +267,19 @@ proptest! {
             "",
         );
         prop_assert_eq!(&split, &plan(&all_on, &c).unwrap());
-        let builds: Vec<usize> = split
-            .ops()
-            .iter()
-            .filter_map(|op| match op {
-                DagOp::HashBuild { keys, .. } => Some(keys.len()),
-                _ => None,
-            })
+        let side = |pick: fn((&'static str, &'static str)) -> &'static str| -> Vec<ScalarExpr> {
+            TUPLE_PAIRS[..pairs].iter().map(|&p| ScalarExpr::col(pick(p))).collect()
+        };
+        let fact_filters: Vec<Predicate> = (0..filters)
+            .map(|i| Predicate::new("f_a", CmpOp::Ge, ((seed >> (8 * i)) % 30) as f64))
             .collect();
-        prop_assert_eq!(builds, vec![pairs]);
+        let expected = Pipeline::scan("fact")
+            .filter(fact_filters)
+            .probe(Pipeline::scan("mid").build(side(|p| p.1)), side(|p| p.0))
+            .aggregate(vec![AggExpr::Sum(ScalarExpr::col("f_a")), AggExpr::Count])
+            .finish()
+            .unwrap();
+        prop_assert_eq!(split, expected);
     }
 }
 

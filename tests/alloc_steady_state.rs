@@ -42,7 +42,7 @@
 //! under test allocates the same on each, the harness only ever adds.
 
 use adaptive_htap::olap::{
-    AggExpr, CmpOp, DagBuilder, JoinTable, Predicate, QueryExecutor, QueryPlan, ScalarExpr,
+    AggExpr, CmpOp, JoinTable, Pipeline, Predicate, QueryExecutor, QueryPlan, ScalarExpr,
     ScanSource, WorkerTeam,
 };
 use adaptive_htap::sim::{CoreId, SocketId};
@@ -276,19 +276,18 @@ fn orderline_plan(
     group_by: Option<&[&str]>,
     aggregates: Vec<AggExpr>,
 ) -> QueryPlan {
-    let mut b = DagBuilder::default();
-    let build = join_item.map(|key| {
-        let item = b.scan("item");
-        b.build(item, ScalarExpr::col(key))
-    });
-    let scan = b.scan("orderline");
-    let mut at = b.filter(scan, filters);
-    if let Some(build) = build {
-        at = b.probe(at, build, ScalarExpr::col("ol_i_id"));
+    let mut at = Pipeline::scan("orderline").filter(filters);
+    if let Some(key) = join_item {
+        let build = Pipeline::scan("item").build(ScalarExpr::col(key));
+        at = at.probe(build, ScalarExpr::col("ol_i_id"));
     }
-    let group_by = group_by.map(|g| g.iter().map(|c| c.to_string()).collect());
-    b.aggregate(at, group_by, aggregates);
-    b.finish().unwrap()
+    match group_by {
+        None => at.aggregate(aggregates).finish(),
+        Some(g) => at
+            .group_by(g.iter().map(|c| c.to_string()).collect(), aggregates)
+            .finish(),
+    }
+    .unwrap()
 }
 
 /// The Q6 plan (scan → filter → reduce): processing 4x the morsels must
@@ -409,13 +408,14 @@ fn weighted_probe_morsel_loop_does_not_allocate() {
 #[test]
 fn primary_key_build_allocates_its_table_once() {
     let _window = window();
-    let mut b = DagBuilder::default();
-    let item = b.scan("item");
-    let build = b.build(item, ScalarExpr::col("i_id"));
-    let scan = b.scan("orderline");
-    let probed = b.probe(scan, build, ScalarExpr::col("ol_i_id"));
-    b.aggregate(probed, None, vec![AggExpr::Count]);
-    let plan = b.finish().unwrap();
+    let plan = Pipeline::scan("orderline")
+        .probe(
+            Pipeline::scan("item").build(ScalarExpr::col("i_id")),
+            ScalarExpr::col("ol_i_id"),
+        )
+        .aggregate(vec![AggExpr::Count])
+        .finish()
+        .unwrap();
     // One morsel per relation: the whole build is one worker's table.
     let executor = QueryExecutor::with_block_rows(0);
     let measure = |item_rows: u64, stride: i64| {
@@ -561,17 +561,17 @@ fn unique_key_probe_morsel_loop_does_not_allocate() {
 fn tuple_key_morsel_loop_does_not_allocate() {
     let _window = window();
     let tuple = |c: &str| vec![ScalarExpr::col(c), ScalarExpr::col(c)];
-    let mut b = DagBuilder::default();
-    let item = b.scan("item");
-    let build = b.build(item, tuple("i_ref"));
-    let scan = b.scan("orderline");
-    let probed = b.probe(scan, build, tuple("ol_i_id"));
-    b.aggregate(
-        probed,
-        None,
-        vec![AggExpr::Sum(ScalarExpr::col("ol_amount")), AggExpr::Count],
-    );
-    let plan = b.finish().unwrap();
+    let plan = Pipeline::scan("orderline")
+        .probe(
+            Pipeline::scan("item").build(tuple("i_ref")),
+            tuple("ol_i_id"),
+        )
+        .aggregate(vec![
+            AggExpr::Sum(ScalarExpr::col("ol_amount")),
+            AggExpr::Count,
+        ])
+        .finish()
+        .unwrap();
     for (sources, build) in [
         (direct_join_sources as fn(u64) -> Sources, "weighted"),
         (direct_unique_join_sources, "unique"),

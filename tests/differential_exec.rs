@@ -19,9 +19,9 @@
 //! build and hash-table bytes — must be equal.
 
 use adaptive_htap::olap::{
-    execute_reference_with_work, AggExpr, CmpOp, DagBuilder, DagOp, HavingPred, JoinTable,
-    OlapError, Predicate, QueryExecutor, QueryOutput, QueryPlan, QueryResult, RowSlot, ScalarExpr,
-    ScanSource, SortKey, WorkerTeam,
+    execute_reference_with_work, AggExpr, Build, CmpOp, HavingPred, JoinTable, OlapError, Pipeline,
+    Predicate, QueryExecutor, QueryOutput, QueryPlan, QueryResult, RowSlot, ScalarExpr, ScanSource,
+    SortKey, WorkerTeam,
 };
 use adaptive_htap::sim::{CoreId, SocketId};
 use adaptive_htap::storage::{
@@ -281,36 +281,41 @@ fn plan(
     aggregates: Vec<AggExpr>,
     top_k: Option<(usize, usize)>,
 ) -> QueryPlan {
-    let mut b = DagBuilder::default();
-    let mut beyond: Option<usize> = None;
-    for (i, (table, key, filters)) in dims.iter().enumerate().rev() {
-        let scan = b.scan(*table);
-        let mut at = b.filter(scan, filters);
+    let mut beyond: Option<Build> = None;
+    for (i, (table, key, filters)) in dims.into_iter().enumerate().rev() {
+        let mut at = Pipeline::scan(table).filter(filters);
         if let Some(build) = beyond {
-            at = b.probe(at, build, keys[i + 1].clone());
+            at = at.probe(build, keys[i + 1].clone());
         }
-        beyond = Some(b.build(at, ScalarExpr::col(*key)));
+        beyond = Some(at.build(ScalarExpr::col(key)));
     }
-    let scan = b.scan("fact");
-    let mut at = b.filter(scan, &fact_filters);
+    let mut at = Pipeline::scan("fact").filter(fact_filters);
     if let Some(build) = beyond {
-        at = b.probe(at, build, keys[0].clone());
+        at = at.probe(build, keys[0].clone());
     }
-    let agg = b.aggregate(at, group_by, aggregates);
-    if let Some((agg_index, k)) = top_k {
-        let sorted = b.push(DagOp::Sort {
-            input: agg,
-            keys: vec![SortKey {
+    let plan = match (group_by, top_k) {
+        (None, _) => at.aggregate(aggregates).finish(),
+        (Some(group_by), None) => at.group_by(group_by, aggregates).finish(),
+        (Some(group_by), Some((agg_index, k))) => at
+            .group_by(group_by, aggregates)
+            .sort(vec![SortKey {
                 slot: RowSlot::Agg(agg_index),
                 desc: true,
-            }],
-        });
-        b.push(DagOp::Limit {
-            input: sorted,
-            rows: k,
-        });
+            }])
+            .limit(k)
+            .finish(),
+    };
+    plan.expect("the harness builds valid plans")
+}
+
+/// End `at` in the scalar sink (`group_by: None`) or the grouped one, and
+/// check the plan.
+fn sink(at: Pipeline, group_by: Option<Vec<String>>, aggregates: Vec<AggExpr>) -> QueryPlan {
+    match group_by {
+        None => at.aggregate(aggregates).finish(),
+        Some(keys) => at.group_by(keys, aggregates).finish(),
     }
-    b.finish().expect("the harness builds valid plans")
+    .expect("the harness builds valid plans")
 }
 
 fn col(name: &str) -> ScalarExpr {
@@ -784,44 +789,32 @@ fn duplicate_primary_keys_keep_their_multiplicities() {
     }
 }
 
-/// An explicitly authored operator DAG — N:M probe, grouped fold and the
+/// An explicitly authored plan — N:M probe, grouped fold and the
 /// full having → sort → limit finisher stack — runs differentially against
 /// the oracle, work account included.
 #[test]
-fn authored_dag_plans_with_finishers_agree_with_oracle() {
+fn authored_plans_with_finishers_agree_with_oracle() {
     let dataset = Dataset::build();
     let sources = dataset.sources(true);
-    let mut b = DagBuilder::default();
-    let mid_scan = b.scan("mid");
-    let build = b.build(mid_scan, col("m_far"));
-    let fact_scan = b.scan("fact");
-    let probed = b.probe(fact_scan, build, col("f_mid"));
-    let agg = b.aggregate(
-        probed,
-        keys(&["f_g"]),
-        vec![AggExpr::Count, AggExpr::Sum(col("f_a"))],
-    );
-    let having = b.push(DagOp::Having {
-        input: agg,
-        predicates: vec![HavingPred {
+    let plan = Pipeline::scan("fact")
+        .probe(Pipeline::scan("mid").build(col("m_far")), col("f_mid"))
+        .group_by(
+            vec!["f_g".into()],
+            vec![AggExpr::Count, AggExpr::Sum(col("f_a"))],
+        )
+        .having(vec![HavingPred {
             slot: RowSlot::Agg(0),
             op: CmpOp::Gt,
             literal: 100.0,
-        }],
-    });
-    let sorted = b.push(DagOp::Sort {
-        input: having,
-        keys: vec![SortKey {
+        }])
+        .sort(vec![SortKey {
             slot: RowSlot::Agg(1),
             desc: true,
-        }],
-    });
-    b.push(DagOp::Limit {
-        input: sorted,
-        rows: 4,
-    });
-    let plan = b.finish().unwrap();
-    let engine = assert_workers_match_oracle(&plan, &sources, 96, "authored dag");
+        }])
+        .limit(4)
+        .finish()
+        .unwrap();
+    let engine = assert_workers_match_oracle(&plan, &sources, 96, "authored plan");
     assert!(
         engine.result.groups().unwrap().len() <= 4,
         "the limit finisher caps the group rows"
@@ -1163,19 +1156,16 @@ fn all_none_and_some_row_morsels_agree_over_a_split_source() {
             (col("f_g") * ScalarExpr::lit(4.0) + col("f_h"), col("m_far")),
         ] {
             for group_by in [None, keys(&["m_far"])] {
-                let mut b = DagBuilder::default();
-                let fact = b.scan("fact");
-                let filtered = b.filter(fact, filters);
-                let build = b.build(filtered, build_key.clone());
-                let mid = b.scan("mid");
-                let probed = b.probe(mid, build, probe_key.clone());
+                let build = Pipeline::scan("fact")
+                    .filter(filters.as_slice())
+                    .build(build_key.clone());
+                let probed = Pipeline::scan("mid").probe(build, probe_key.clone());
                 let aggregates = vec![
                     AggExpr::Count,
                     AggExpr::Sum(col("m_v")),
                     AggExpr::Max(col("m_v")),
                 ];
-                b.aggregate(probed, group_by, aggregates);
-                plans.push(b.finish().unwrap());
+                plans.push(sink(probed, group_by, aggregates));
             }
         }
         for (i, plan) in plans.iter().enumerate() {
@@ -1342,9 +1332,7 @@ fn group_keys_with_disjoint_morsel_spans_agree() {
         ("mixed", vec![Predicate::new("s_v", CmpOp::Lt, 80.0)]),
         ("sparse", vec![Predicate::new("s_v", CmpOp::Lt, 20.0)]),
     ] {
-        let mut b = DagBuilder::default();
-        let scan = b.scan("seq");
-        let at = b.filter(scan, &filters);
+        let at = Pipeline::scan("seq").filter(filters);
         let aggregates = vec![
             AggExpr::Count,
             AggExpr::Sum(col("s_v")),
@@ -1352,8 +1340,7 @@ fn group_keys_with_disjoint_morsel_spans_agree() {
             AggExpr::Avg(col("s_v")),
             AggExpr::Max(col("s_v")),
         ];
-        b.aggregate(at, keys(&["s_grp"]), aggregates);
-        let plan = b.finish().unwrap();
+        let plan = sink(at, keys(&["s_grp"]), aggregates);
         let out = assert_workers_match_oracle(&plan, &sources, 100, name);
         let groups = out.result.groups().unwrap();
         let expected = match name {
@@ -1417,9 +1404,7 @@ fn seat_cases(sources: &BTreeMap<String, ScanSource>, ctx: &str) -> Vec<Vec<i64>
     filters
         .iter()
         .map(|filters| {
-            let mut b = DagBuilder::default();
-            let scan = b.scan("gs");
-            let at = b.filter(scan, filters);
+            let at = Pipeline::scan("gs").filter(filters.as_slice());
             let aggregates = vec![
                 AggExpr::Count,
                 AggExpr::Sum(col("g_v")),
@@ -1427,8 +1412,7 @@ fn seat_cases(sources: &BTreeMap<String, ScanSource>, ctx: &str) -> Vec<Vec<i64>
                 AggExpr::Avg(col("g_v")),
                 AggExpr::Max(col("g_v")),
             ];
-            b.aggregate(at, keys(&["g_k"]), aggregates);
-            let plan = b.finish().unwrap();
+            let plan = sink(at, keys(&["g_k"]), aggregates);
             let ctx = format!("{ctx}, {} filters", filters.len());
             let out = assert_workers_match_oracle(&plan, sources, 200, &ctx);
             let groups = out.result.groups().unwrap();
@@ -1560,18 +1544,13 @@ fn tuple_join_count(fact: &ColumnarTable, dim: &ColumnarTable) -> f64 {
 /// SUM(tf_a) and MAX(tf_a), scalar or grouped by `tf_g`.
 fn tuple_join(dim: &str, p: &str, grouped: bool) -> QueryPlan {
     let tuple = |q: &str| ["w", "d", "o"].map(|c| col(&format!("{q}_{c}"))).to_vec();
-    let mut b = DagBuilder::default();
-    let scan = b.scan(dim);
-    let build = b.build(scan, tuple(p));
-    let scan = b.scan("tf");
-    let at = b.probe(scan, build, tuple("tf"));
+    let at = Pipeline::scan("tf").probe(Pipeline::scan(dim).build(tuple(p)), tuple("tf"));
     let aggregates = vec![
         AggExpr::Count,
         AggExpr::Sum(col("tf_a")),
         AggExpr::Max(col("tf_a")),
     ];
-    b.aggregate(at, grouped.then(|| vec!["tf_g".to_string()]), aggregates);
-    b.finish().unwrap()
+    sink(at, grouped.then(|| vec!["tf_g".to_string()]), aggregates)
 }
 
 /// The dimension box of the tuple cases: `w ∈ −3..=2`, `d ∈ 1..=10`,
@@ -1702,22 +1681,21 @@ fn chained_tuple_hops_agree() {
     sources.insert("tc".to_string(), far_source);
     let cols = |cs: [&str; 3]| cs.map(col).to_vec();
     for filtered in [false, true] {
-        let mut b = DagBuilder::default();
-        let scan = b.scan("tc");
-        let far = b.build(scan, cols(["tc_w", "tc_d", "tc_o"]));
-        let scan = b.scan("tm");
+        let far = Pipeline::scan("tc").build(cols(["tc_w", "tc_d", "tc_o"]));
         let filters = if filtered {
             vec![Predicate::new("tm_a", CmpOp::Lt, 5.0)]
         } else {
             vec![]
         };
-        let at = b.filter(scan, &filters);
-        let at = b.probe(at, far, cols(["tm_w", "tm_d", "tm_g"]));
-        let mid = b.build(at, cols(["tm_w", "tm_d", "tm_o"]));
-        let scan = b.scan("tf");
-        let at = b.probe(scan, mid, cols(["tf_w", "tf_d", "tf_o"]));
-        b.aggregate(at, None, vec![AggExpr::Count, AggExpr::Sum(col("tf_a"))]);
-        let plan = b.finish().unwrap();
+        let mid = Pipeline::scan("tm")
+            .filter(filters)
+            .probe(far, cols(["tm_w", "tm_d", "tm_g"]))
+            .build(cols(["tm_w", "tm_d", "tm_o"]));
+        let plan = Pipeline::scan("tf")
+            .probe(mid, cols(["tf_w", "tf_d", "tf_o"]))
+            .aggregate(vec![AggExpr::Count, AggExpr::Sum(col("tf_a"))])
+            .finish()
+            .unwrap();
         let out = assert_workers_match_oracle(&plan, &sources, 113, &format!("chain {filtered}"));
         assert!(joined_count(&out.result) > 0.0, "chain {filtered}: vacuous");
     }
@@ -1743,13 +1721,9 @@ fn tuple_keys_outside_the_key_rule_are_typed_errors() {
     let oracle = execute_reference_with_work(&plan, &sources);
     assert_eq!(oracle.unwrap_err(), overflow);
     // Two of the three columns span 2^40 · 2^30 = 2^70 tuples as well.
-    let mut b = DagBuilder::default();
-    let scan = b.scan("td");
-    let build = b.build(scan, vec![col("td_w"), col("td_d")]);
-    let scan = b.scan("tf");
-    let at = b.probe(scan, build, vec![col("tf_w"), col("tf_d")]);
-    b.aggregate(at, None, vec![AggExpr::Count]);
-    let plan = b.finish().unwrap();
+    let count = |at: Pipeline| at.aggregate(vec![AggExpr::Count]).finish();
+    let td = || Pipeline::scan("td").build(vec![col("td_w"), col("td_d")]);
+    let plan = count(Pipeline::scan("tf").probe(td(), vec![col("tf_w"), col("tf_d")])).unwrap();
     let engine = QueryExecutor::default().execute(&plan, &sources);
     assert_eq!(engine.unwrap_err(), overflow);
     assert_eq!(
@@ -1760,13 +1734,8 @@ fn tuple_keys_outside_the_key_rule_are_typed_errors() {
     let computed = OlapError::UnsupportedKey {
         reason: "a tuple element that is not a plain column",
     };
-    let mut b = DagBuilder::default();
-    let scan = b.scan("tf");
-    let build = b.build(scan, vec![col("tf_w"), col("tf_d") + ScalarExpr::lit(0.0)]);
-    let scan = b.scan("td");
-    let at = b.probe(scan, build, vec![col("td_w"), col("td_d")]);
-    b.aggregate(at, None, vec![AggExpr::Count]);
-    let plan = b.finish().unwrap();
+    let build = Pipeline::scan("tf").build(vec![col("tf_w"), col("tf_d") + ScalarExpr::lit(0.0)]);
+    let plan = count(Pipeline::scan("td").probe(build, vec![col("td_w"), col("td_d")])).unwrap();
     assert_eq!(
         QueryExecutor::default()
             .execute(&plan, &sources)
@@ -1778,14 +1747,8 @@ fn tuple_keys_outside_the_key_rule_are_typed_errors() {
         computed
     );
     // Arity: a plan error, before any execution.
-    let mut b = DagBuilder::default();
-    let scan = b.scan("td");
-    let build = b.build(scan, vec![col("td_w"), col("td_d")]);
-    let scan = b.scan("tf");
-    let at = b.probe(scan, build, col("tf_w"));
-    b.aggregate(at, None, vec![AggExpr::Count]);
     assert!(matches!(
-        b.finish().unwrap_err(),
+        count(Pipeline::scan("tf").probe(td(), col("tf_w"))).unwrap_err(),
         OlapError::InvalidDag { .. }
     ));
 }
